@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint fmt-check bench bench-baseline bench-compare hotpath cover figures examples clean check fuzz fuzz-smoke faults wal parallel bench-compare-parallel load load-baseline conformance cluster
+.PHONY: all build test vet lint fmt-check bench bench-baseline bench-compare cover figures examples clean check fuzz fuzz-smoke faults wal parallel bench-compare-parallel load load-baseline conformance cluster
 
 # The hot-path benchmark set and flags; bench-baseline and bench-compare
 # must agree so the committed BENCH_baseline.txt stays comparable. The
@@ -66,11 +66,6 @@ bench-compare:
 	$(GO) test $(BENCH_FIG_FLAGS) . > bench_new.txt
 	$(GO) test $(BENCH_DOM_FLAGS) . >> bench_new.txt
 	$(GO) run ./cmd/benchdiff BENCH_baseline.txt bench_new.txt
-
-# hotpath regenerates BENCH_hotpath.json (ns/op, allocs/op, QPS on
-# Figure 12-style workloads, both backends, serial and parallel).
-hotpath:
-	$(GO) run ./cmd/nncbench -hotpath -scale=small
 
 # parallel runs the worker sweep with the scaling gate armed: speedup,
 # p95 and p99 under load must stay inside the thresholds (the gate

@@ -69,6 +69,13 @@ func defaultParams(centers datagen.CenterDist, n int) datagen.Params {
 	return datagen.Params{N: n, M: benchMd, EdgeLen: benchHd, Centers: centers, Seed: benchSeed}
 }
 
+// searchK is the benchmarks' shorthand for the full call under a
+// background context, where the memory backend cannot fail.
+func searchK(idx *Index, q *Object, op Operator, k int, opts core.SearchOptions) *Result {
+	res, _ := idx.SearchKCtx(context.Background(), q, op, k, opts)
+	return res
+}
+
 // runSearches runs the workload round-robin for b.N iterations and reports
 // the average candidate count.
 func runSearches(b *testing.B, d benchData, op Operator, cfg FilterConfig) {
@@ -78,7 +85,7 @@ func runSearches(b *testing.B, d benchData, op Operator, cfg FilterConfig) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := d.queries[i%len(d.queries)]
-		res := d.idx.SearchOpts(q, op, core.SearchOptions{Filters: cfg})
+		res := searchK(d.idx, q, op, 1, core.SearchOptions{Filters: cfg})
 		candidates += float64(len(res.Candidates))
 		comparisons += float64(res.Stats.InstanceComparisons)
 	}
@@ -241,7 +248,7 @@ func BenchmarkFig14(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		q := d.queries[i%len(d.queries)]
 		var emits []time.Duration
-		res := d.idx.SearchOpts(q, PSD, core.SearchOptions{
+		res := searchK(d.idx, q, PSD, 1, core.SearchOptions{
 			Filters:     AllFilters,
 			OnCandidate: func(c Candidate) { emits = append(emits, c.Elapsed) },
 		})
@@ -320,7 +327,7 @@ func BenchmarkSearchK(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res := d.idx.SearchK(d.queries[i%len(d.queries)], SSSD, k)
+				res := searchK(d.idx, d.queries[i%len(d.queries)], SSSD, k, core.SearchOptions{Filters: AllFilters})
 				candidates += float64(len(res.Candidates))
 			}
 			b.ReportMetric(candidates/float64(b.N), "candidates/query")
@@ -337,7 +344,7 @@ func BenchmarkMetric(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				d.idx.SearchOpts(d.queries[i%len(d.queries)], SSSD,
+				searchK(d.idx, d.queries[i%len(d.queries)], SSSD, 1,
 					core.SearchOptions{Filters: AllFilters, Metric: m})
 			}
 		})
@@ -436,7 +443,7 @@ func BenchmarkSearchParallelBatchMem(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := SearchParallel(context.Background(), d.idx, batch, PSD, 1,
-					core.SearchOptions{Filters: AllFilters}, w); err != nil {
+					core.SearchOptions{Filters: AllFilters}, BatchOptions{Workers: w}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -8,7 +8,6 @@
 //	nncbench -verify -scale=small            # PASS/FAIL shape checks
 //	nncbench -figure=16 -format=csv          # machine-readable output
 //	nncbench -parallel -workers=1,2,4,8      # QPS scaling → BENCH_parallel.json
-//	nncbench -hotpath -scale=small           # ns/op + allocs/op → BENCH_hotpath.json
 //
 // Figures: 10, 11a…11f, 12, 13a…13f, 14, 16, plus the extension
 // experiments "k" (k-NN candidates) and "io" (disk-resident page I/O).
@@ -45,9 +44,6 @@ func main() {
 		force      = flag.Bool("force", false, "record the -parallel artifact even at GOMAXPROCS=1 (marked forced_single_proc)")
 		gateFlag   = flag.Bool("gate", false, "fail (exit 1) if the -parallel sweep misses the scaling/tail-latency thresholds")
 		profiledir = flag.String("profiledir", "", "directory to write raw mutex.prof/block.prof contention profiles from -parallel (empty disables)")
-		hotpath    = flag.Bool("hotpath", false, "run the dominance hot-path benchmark (ns/op, allocs/op, QPS) instead of a figure")
-		hotWorkers = flag.Int("hotworkers", 0, "parallel worker count for -hotpath (0 = GOMAXPROCS)")
-		hotOut     = flag.String("hotout", "BENCH_hotpath.json", "JSON report path for -hotpath (empty disables)")
 	)
 	flag.Parse()
 	if *cpuprofile != "" {
@@ -73,30 +69,6 @@ func main() {
 			runtime.GC()
 			pprof.WriteHeapProfile(f)
 		}()
-	}
-	if *hotpath {
-		sc, err := harness.ParseScale(*scale)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		rep, err := harness.HotpathBench(sc, *seed, *hotWorkers)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := rep.WriteText(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if *hotOut != "" {
-			if err := rep.WriteJSON(*hotOut); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", *hotOut)
-		}
-		return
 	}
 	if *parallel {
 		sc, err := harness.ParseScale(*scale)

@@ -18,6 +18,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -145,7 +146,7 @@ func main() {
 			if !*warm {
 				idx.ResetCache()
 			}
-			res, err := idx.Search(q, o, core.AllFilters)
+			res, err := idx.SearchKCtx(context.Background(), q, o, 1, core.SearchOptions{Filters: core.AllFilters})
 			if err != nil {
 				fatal(err)
 			}

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math"
@@ -58,6 +59,10 @@ func main() {
 		functions   = flag.Bool("functions", true, "also print per-NN-function nearest neighbors")
 	)
 	flag.Parse()
+	if *k < 1 {
+		fmt.Fprintf(os.Stderr, "-k=%d must be >= 1\n", *k)
+		os.Exit(2)
+	}
 
 	var (
 		objects []*uncertain.Object
@@ -125,7 +130,11 @@ func main() {
 					o, c.Elapsed.Round(0), c.Rank+1, c.Object.ID(), c.MinDist)
 			}
 		}
-		res := idx.SearchKOpts(q, o, *k, opts)
+		res, err := idx.SearchKCtx(context.Background(), q, o, *k, opts)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
 		ids := res.IDs()
 		sort.Ints(ids)
 		if len(ids) > 12 {

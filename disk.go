@@ -63,31 +63,19 @@ func (d *DiskIndex) Len() int { return d.inner.Len() }
 // Dim returns the dimensionality.
 func (d *DiskIndex) Dim() int { return d.inner.Dim() }
 
-// Search runs Algorithm 1 against the disk structures.
+// Search is Algorithm 1 as published against the disk structures: every
+// filter enabled, k = 1, no cancellation — shorthand for SearchKCtx.
 func (d *DiskIndex) Search(q *Object, op Operator) (*DiskResult, error) {
-	return d.inner.Search(q, op, core.AllFilters)
+	return d.inner.SearchKCtx(context.Background(), q, op, 1, SearchOptions{Filters: core.AllFilters})
 }
 
-// SearchK computes the k-NN candidates on disk.
-func (d *DiskIndex) SearchK(q *Object, op Operator, k int) (*DiskResult, error) {
-	return d.inner.SearchK(q, op, k, core.AllFilters)
-}
-
-// SearchKCtx is SearchK with full options: context cancellation (the
-// traversal aborts mid-search, returning the partial result with ctx's
-// error), Limit, progressive OnCandidate, metric and filter selection —
-// the same engine surface the in-memory index exposes.
+// SearchKCtx is the full search call: the k-skyband for any k >= 1,
+// context cancellation (the traversal aborts mid-search, returning the
+// partial result with ctx's error), Limit, progressive OnCandidate, metric
+// and filter selection — the same engine surface the in-memory index
+// exposes. Batches go through SearchParallel, which accepts a *DiskIndex.
 func (d *DiskIndex) SearchKCtx(ctx context.Context, q *Object, op Operator, k int, opts SearchOptions) (*DiskResult, error) {
 	return d.inner.SearchKCtx(ctx, q, op, k, opts)
-}
-
-// SearchKParallel fans the queries out over workers goroutines (workers
-// <= 0 uses GOMAXPROCS), each search reading through its own page lease
-// over the shared sharded buffer pool, and returns the results in input
-// order. Candidate sets and per-query Result.IO match serial execution
-// exactly; the first error cancels the remaining work.
-func (d *DiskIndex) SearchKParallel(ctx context.Context, queries []*Object, op Operator, k int, opts SearchOptions, workers int) ([]*DiskResult, error) {
-	return d.inner.SearchKParallel(ctx, queries, op, k, opts, workers)
 }
 
 // ResetCache drops the decoded-object cache for cold-cache measurements.

@@ -1,6 +1,7 @@
 package spatialdom
 
 import (
+	"context"
 	"path/filepath"
 	"sort"
 	"testing"
@@ -37,7 +38,7 @@ func TestDiskIndexFacade(t *testing.T) {
 			t.Fatalf("disk %v != memory %v", got, want)
 		}
 	}
-	resK, err := disk.SearchK(q, SSSD, 2)
+	resK, err := disk.SearchKCtx(context.Background(), q, SSSD, 2, SearchOptions{Filters: AllFilters})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package spatialdom_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -77,10 +78,10 @@ func ExampleQuantileDistFunc() {
 	// Output: 2
 }
 
-// ExampleIndex_SearchK asks for the 2-NN candidates: every object
-// dominated by fewer than two others, guaranteed to contain the top-2
-// under every covered function.
-func ExampleIndex_SearchK() {
+// ExampleIndex_SearchKCtx asks for the 2-NN candidates through the full
+// call: every object dominated by fewer than two others, guaranteed to
+// contain the top-2 under every covered function.
+func ExampleIndex_SearchKCtx() {
 	q, _ := spatialdom.NewObject(0, [][]float64{{0}}, nil)
 	a, _ := spatialdom.NewObject(1, [][]float64{{1}}, nil)
 	b, _ := spatialdom.NewObject(2, [][]float64{{2}}, nil)
@@ -88,7 +89,9 @@ func ExampleIndex_SearchK() {
 
 	idx, _ := spatialdom.NewIndex([]*spatialdom.Object{a, b, c})
 	fmt.Println(idx.Search(q, spatialdom.SSD).IDs())
-	fmt.Println(idx.SearchK(q, spatialdom.SSD, 2).IDs())
+	band, _ := idx.SearchKCtx(context.Background(), q, spatialdom.SSD, 2,
+		spatialdom.SearchOptions{Filters: spatialdom.AllFilters})
+	fmt.Println(band.IDs())
 	// Output:
 	// [1]
 	// [1 2]
@@ -110,7 +113,7 @@ func ExampleManhattan() {
 	b, _ := spatialdom.NewObject(2, [][]float64{{9, 9}}, nil)
 
 	idx, _ := spatialdom.NewIndex([]*spatialdom.Object{a, b})
-	res := idx.SearchOpts(q, spatialdom.SSSD, spatialdom.SearchOptions{
+	res, _ := idx.SearchKCtx(context.Background(), q, spatialdom.SSSD, 1, spatialdom.SearchOptions{
 		Filters: spatialdom.AllFilters,
 		Metric:  spatialdom.Manhattan,
 	})

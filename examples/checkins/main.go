@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -38,7 +39,7 @@ func main() {
 	// Progressive consumption: the callback fires as soon as a candidate
 	// is proven; the final result arrives when the traversal completes.
 	count := 0
-	res := idx.SearchOpts(query, spatialdom.SSSD, spatialdom.SearchOptions{
+	res, err := idx.SearchKCtx(context.Background(), query, spatialdom.SSSD, 1, spatialdom.SearchOptions{
 		Filters: spatialdom.AllFilters,
 		OnCandidate: func(c spatialdom.Candidate) {
 			count++
@@ -46,6 +47,9 @@ func main() {
 				c.Elapsed.Round(0), c.Rank+1, c.Object.ID(), c.MinDist)
 		},
 	})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\nsearch finished in %v: %d candidates out of %d users (%.1f%%)\n",
 		res.Elapsed.Round(0), len(res.Candidates), idx.Len(),
 		100*float64(len(res.Candidates))/float64(idx.Len()))

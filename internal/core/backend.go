@@ -53,9 +53,10 @@ var _ DenseIDSpanner = (*Index)(nil)
 // DenseIDSpan reports the object-ID span computed at build time.
 func (idx *Index) DenseIDSpan() int { return idx.denseSpan }
 
-// SearchKCtx is SearchKOpts with a context: the traversal aborts at the
-// next heap pop or candidate emission once ctx is canceled, returning the
-// partial Result together with ctx.Err().
+// SearchKCtx is the full search call on the in-memory index — k, filters,
+// metric, Limit and OnCandidate all ride in the arguments. The traversal
+// aborts at the next heap pop or candidate emission once ctx is canceled,
+// returning the partial Result together with ctx.Err(). k must be >= 1.
 func (idx *Index) SearchKCtx(ctx context.Context, q *uncertain.Object, op Operator, k int, opts SearchOptions) (*Result, error) {
 	return SearchBackend(ctx, idx, q, op, k, opts)
 }

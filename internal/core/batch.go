@@ -207,7 +207,7 @@ func (a *Admission) InFlight() int { return cap(a.tokens) - len(a.tokens) }
 
 // pinnedScratchKey carries a batch worker's scratch through the context to
 // SearchBackend, which then skips the pool entirely. The key is private to
-// this package: only SearchParallelOpts plants it, and the value never
+// this package: only SearchParallel plants it, and the value never
 // crosses an API boundary.
 type pinnedScratchKey struct{}
 

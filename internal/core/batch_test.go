@@ -117,7 +117,7 @@ func TestAdmissionCapsConcurrency(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, err := SearchParallelOpts(context.Background(), s, queries, PSD, 1,
+			_, err := SearchParallel(context.Background(), s, queries, PSD, 1,
 				SearchOptions{}, BatchOptions{Workers: 8, Admission: adm})
 			if err != nil {
 				t.Error(err)
@@ -142,7 +142,7 @@ func TestAdmissionHonorsCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := SearchParallelOpts(ctx, searcherFunc(func(context.Context, *uncertain.Object) (*Result, error) {
+		_, err := SearchParallel(ctx, searcherFunc(func(context.Context, *uncertain.Object) (*Result, error) {
 			return &Result{}, nil
 		}), fakeQueries(t, 4), PSD, 1, SearchOptions{}, BatchOptions{Workers: 2, Admission: adm})
 		done <- err

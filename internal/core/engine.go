@@ -262,7 +262,7 @@ func SearchBackend(ctx context.Context, b Backend, q *uncertain.Object, op Opera
 	}
 
 	// A batch worker arrives with its own scratch pinned in the context
-	// (see SearchParallelOpts): that scratch backs every query the worker
+	// (see SearchParallel): that scratch backs every query the worker
 	// runs, with no pool traffic and no cross-core arena migration.
 	// Single-shot searches fall back to the shared pool.
 	sc, pinned := pinnedScratch(ctx)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"spatialdom/internal/datagen"
+	"spatialdom/internal/uncertain"
 )
 
 func engineFixture(t *testing.T, n int, seed int64) (*Index, *datagen.Dataset) {
@@ -17,6 +18,13 @@ func engineFixture(t *testing.T, n int, seed int64) (*Index, *datagen.Dataset) {
 		t.Fatal(err)
 	}
 	return idx, ds
+}
+
+// searchK is the tests' shorthand for the full call under a background
+// context, where the memory backend cannot fail.
+func searchK(idx *Index, q *uncertain.Object, op Operator, k int, opts SearchOptions) *Result {
+	res, _ := idx.SearchKCtx(context.Background(), q, op, k, opts)
+	return res
 }
 
 // A context canceled mid-search aborts the traversal and returns the
@@ -46,18 +54,6 @@ func TestSearchBackendCancellation(t *testing.T) {
 		if c.Object.ID() != full.Candidates[i].Object.ID() {
 			t.Fatalf("partial result not a prefix at %d", i)
 		}
-	}
-}
-
-// The SearchOptions.Context field cancels ctx-less entry points too.
-func TestSearchOptionsContext(t *testing.T) {
-	idx, ds := engineFixture(t, 150, 33)
-	q := ds.Queries(1, 4, 200, 34)[0]
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // canceled before the search even starts
-	res := idx.SearchKOpts(q, PSD, 1, SearchOptions{Filters: AllFilters, Context: ctx})
-	if res == nil || len(res.Candidates) != 0 {
-		t.Fatalf("pre-canceled search produced candidates: %+v", res)
 	}
 }
 

@@ -38,7 +38,7 @@ func TestDominanceGraphAgreesWithSearch(t *testing.T) {
 			// Dominator counts agree with SearchK bands.
 			counts := g.DominatorCount()
 			for _, k := range []int{2, 3} {
-				bandWant := idx.SearchK(q, op, k).IDs()
+				bandWant := searchK(idx, q, op, k, SearchOptions{Filters: AllFilters}).IDs()
 				sort.Ints(bandWant)
 				var bandGot []int
 				for i, c := range counts {

@@ -5,29 +5,11 @@ import (
 )
 
 // The k-skyband search loop itself lives in engine.go (SearchBackend),
-// shared by every storage backend; this file keeps the in-memory
-// convenience entry points and the brute-force reference.
-
-// SearchK runs Algorithm 1 generalized to the k-skyband with all filters
-// enabled. SearchK(q, op, 1) computes exactly Search(q, op).
-func (idx *Index) SearchK(q *uncertain.Object, op Operator, k int) *Result {
-	return idx.SearchKOpts(q, op, k, SearchOptions{Filters: AllFilters})
-}
-
-// SearchKOpts is SearchK with explicit options. Candidates report in
-// Dominators how many other candidates dominate them (0 for skyline
-// members). k must be >= 1. Cancellation, if wanted, arrives through
-// opts.Context; the partial result is returned when it fires.
-func (idx *Index) SearchKOpts(q *uncertain.Object, op Operator, k int, opts SearchOptions) *Result {
-	if k < 1 {
-		panic("core: SearchK requires k >= 1")
-	}
-	res, _ := SearchBackend(opts.Context, idx, q, op, k, opts)
-	return res
-}
+// shared by every storage backend; this file keeps the brute-force
+// reference it is validated against.
 
 // BruteForceK computes the k-skyband by exhaustive pairwise dominance
-// counting — the reference implementation for SearchK.
+// counting — the reference k-skyband searches are validated against.
 func BruteForceK(objs []*uncertain.Object, q *uncertain.Object, op Operator, k int, cfg FilterConfig) []*uncertain.Object {
 	checker := NewChecker(q, op, cfg)
 	var out []*uncertain.Object

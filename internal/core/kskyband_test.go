@@ -19,7 +19,7 @@ func TestSearchKEqualsSearchAtK1(t *testing.T) {
 		q := randObject(rng, 0, 2, 3, randCenter(rng, 2, 80), 4)
 		for _, op := range Operators {
 			a := idx.Search(q, op).IDs()
-			b := idx.SearchK(q, op, 1).IDs()
+			b := searchK(idx, q, op, 1, SearchOptions{Filters: AllFilters}).IDs()
 			sort.Ints(a)
 			sort.Ints(b)
 			if len(a) != len(b) {
@@ -46,7 +46,7 @@ func TestSearchKMatchesBruteForce(t *testing.T) {
 		for _, op := range []Operator{SSD, SSSD, PSD, FSD} {
 			for _, k := range []int{1, 2, 3, 5} {
 				want := idsOf(BruteForceK(objs, q, op, k, AllFilters))
-				res := idx.SearchK(q, op, k)
+				res := searchK(idx, q, op, k, SearchOptions{Filters: AllFilters})
 				got := res.IDs()
 				sort.Ints(got)
 				if len(got) != len(want) {
@@ -79,7 +79,7 @@ func TestSearchKMonotoneInK(t *testing.T) {
 	prev := map[int]bool{}
 	for _, k := range []int{1, 2, 3, 4, 8} {
 		cur := map[int]bool{}
-		for _, id := range idx.SearchK(q, SSSD, k).IDs() {
+		for _, id := range searchK(idx, q, SSSD, k, SearchOptions{Filters: AllFilters}).IDs() {
 			cur[id] = true
 		}
 		for id := range prev {
@@ -102,7 +102,7 @@ func TestSearchKContainsTopK(t *testing.T) {
 	q := randObject(rng, 0, 2, 3, randCenter(rng, 2, 60), 3)
 	const k = 3
 	band := map[int]bool{}
-	for _, id := range idx.SearchK(q, PSD, k).IDs() {
+	for _, id := range searchK(idx, q, PSD, k, SearchOptions{Filters: AllFilters}).IDs() {
 		band[id] = true
 	}
 	suites := nnfunc.AllSuites()
@@ -129,5 +129,5 @@ func TestSearchKPanicsOnBadK(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	idx.SearchK(q, SSD, 0)
+	searchK(idx, q, SSD, 0, SearchOptions{Filters: AllFilters})
 }

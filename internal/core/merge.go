@@ -28,151 +28,57 @@ package core
 //     all dominate V too — contradicting V's < k count. So counting
 //     over U counts exactly the dominators counted over D.
 //
-// Determinism. MergeShardBands orders U by the same exact
-// min-pair-distance key the engine re-keys objects with, drains key ties
-// into one batch under the same tieEps, and counts dominators over
-// pre-batch band ∪ batch exactly like the engine — so the merged Result
-// is equal to the single-node Result candidate-for-candidate: same IDs,
-// same ranks, same MinDist bits, same Dominators. The one permitted
-// difference is emission order *within* an exact-key tie batch (single
-// node follows heap pop order, the merge sorts ties by object ID);
-// dominator counts are batch-order-independent by construction, and on
-// continuous workloads exact-key ties between distinct objects have
-// measure zero. The conformance suite asserts full byte-equality on such
-// workloads and tie-set equality otherwise.
+// Determinism. It is the engine: MergeShardBands presents U as a flat
+// one-node Backend and runs SearchBackend over it, so keys, tie batches,
+// dominator counts, Limit, OnCandidate and cancellation are the
+// single-node code path, not a copy of it. The merged Result therefore
+// equals the single-node Result candidate-for-candidate — same IDs, ranks,
+// MinDist bits and Dominators — except possibly emission order *within* an
+// exact-key tie batch (heap pop order over a different tree shape), which
+// has measure zero on continuous workloads and never changes a count.
 
 import (
 	"context"
-	"sort"
-	"time"
 
 	"spatialdom/internal/uncertain"
 )
 
-// mergeItem is one union member keyed by its exact min pair distance.
-type mergeItem struct {
-	obj *uncertain.Object
-	key float64
-}
+// flatBackend is the deduplicated union of shard bands as a Backend: the
+// root is the only node, its children are every union object (already
+// resolved), and there is no storage to account for.
+type flatBackend []*uncertain.Object
 
-// byKeyThenID is the merge's typed sort (the hot packages ban
-// reflection-based sort.Slice): ascending key, object ID breaking ties.
-type byKeyThenID []mergeItem
+func (f flatBackend) Root() (NodeRef, error) { return NodeRef{}, nil }
 
-func (s byKeyThenID) Len() int { return len(s) }
-func (s byKeyThenID) Less(i, j int) bool {
-	if s[i].key != s[j].key {
-		return s[i].key < s[j].key
+func (f flatBackend) Expand(_ NodeRef, visit func(BackendEntry)) error {
+	for _, o := range f {
+		visit(BackendEntry{Rect: o.MBR(), Obj: ObjRef{Obj: o}})
 	}
-	return s[i].obj.ID() < s[j].obj.ID()
+	return nil
 }
-func (s byKeyThenID) Swap(i, j int) { s[i], s[j] = s[j], s[i] }
+
+func (f flatBackend) Resolve(r ObjRef) (*uncertain.Object, error) { return r.Obj, nil }
+
+func (f flatBackend) AccessStats() IOStats { return IOStats{} }
 
 // MergeShardBands computes the global k-skyband from per-shard k-skyband
-// candidate sets, replicating the single-node engine's evaluation order
-// and dominator accounting (see the file header for the invariant and its
-// proof sketch). bands holds one slice per responding shard; objects are
-// deduplicated by ID, so hedged duplicate answers are harmless. The
-// context is checked once per candidate evaluation; opts.Limit and
-// opts.OnCandidate behave as in SearchBackend. Examined reports the size
-// of the deduplicated union.
+// candidate sets by running the engine over their union (see the file
+// header for the invariant and its proof sketch). bands holds one slice
+// per responding shard; objects are deduplicated by ID, so hedged
+// duplicate answers are harmless. ctx, opts.Limit and opts.OnCandidate
+// behave as in SearchBackend. Examined reports the size of the
+// deduplicated union.
 func MergeShardBands(ctx context.Context, q *uncertain.Object, op Operator, k int, opts SearchOptions, bands [][]*uncertain.Object) (*Result, error) {
-	if k < 1 {
-		panic("core: MergeShardBands requires k >= 1")
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	start := time.Now()
-	res := &Result{Operator: op}
-	checker := NewCheckerMetric(q, op, opts.Filters, opts.metric())
-
 	seen := make(map[int]bool)
-	union := make([]mergeItem, 0, 64)
+	var union flatBackend
 	for _, band := range bands {
 		for _, o := range band {
 			if o == nil || seen[o.ID()] {
 				continue
 			}
 			seen[o.ID()] = true
-			union = append(union, mergeItem{obj: o, key: checker.MinPairDist(o)})
+			union = append(union, o)
 		}
 	}
-	// Ascending exact key — the engine's evaluation order. ID breaks exact
-	// ties deterministically; within a batch the tie order does not affect
-	// dominator counts (they are counted over band ∪ batch).
-	sort.Sort(byKeyThenID(union))
-
-	finish := func() {
-		res.Elapsed = time.Since(start)
-		res.Stats = checker.Stats
-	}
-
-	band := make([]*uncertain.Object, 0, k)
-	for lo := 0; lo < len(union); {
-		// Drain the tie batch exactly like the engine: everything whose key
-		// lies within tieEps of the batch head.
-		hi := lo + 1
-		limit := union[lo].key + tieEps
-		for hi < len(union) && union[hi].key <= limit {
-			hi++
-		}
-		batch := union[lo:hi]
-		preBand := len(band)
-		for _, bi := range batch {
-			if ctx.Err() != nil {
-				finish()
-				return res, ctx.Err()
-			}
-			obj := bi.obj
-			res.Examined++
-			dominators := 0
-			for i, u := range band[:preBand] {
-				if checker.Dominates(u, obj) {
-					dominators++
-					if dominators == 1 && i > 0 {
-						// Move-to-front, as in the engine: a dominator tends
-						// to dominate the following objects too.
-						copy(band[1:i+1], band[:i])
-						band[0] = u
-					}
-					if dominators >= k {
-						break
-					}
-				}
-			}
-			if dominators < k {
-				for _, other := range batch {
-					if other.obj != obj && checker.Dominates(other.obj, obj) {
-						dominators++
-						if dominators >= k {
-							break
-						}
-					}
-				}
-			}
-			if dominators >= k {
-				continue
-			}
-			band = append(band, obj)
-			cand := Candidate{
-				Object:     obj,
-				Rank:       len(res.Candidates),
-				MinDist:    bi.key,
-				Elapsed:    time.Since(start),
-				Dominators: dominators,
-			}
-			res.Candidates = append(res.Candidates, cand)
-			if opts.OnCandidate != nil {
-				opts.OnCandidate(cand)
-			}
-			if opts.Limit > 0 && len(res.Candidates) >= opts.Limit {
-				finish()
-				return res, nil
-			}
-		}
-		lo = hi
-	}
-	finish()
-	return res, nil
+	return SearchBackend(ctx, union, q, op, k, opts)
 }

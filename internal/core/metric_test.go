@@ -102,7 +102,7 @@ func TestMetricSearchMatchesBruteForce(t *testing.T) {
 					}
 				}
 				sort.Ints(want)
-				res := idx.SearchOpts(q, op, SearchOptions{Filters: AllFilters, Metric: m})
+				res := searchK(idx, q, op, 1, SearchOptions{Filters: AllFilters, Metric: m})
 				got := res.IDs()
 				sort.Ints(got)
 				if len(got) != len(want) {
@@ -128,7 +128,7 @@ func TestMetricsDiffer(t *testing.T) {
 		idx, _ := NewIndex(objs)
 		q := randObject(rng, 0, 2, 3, randCenter(rng, 2, 80), 4)
 		l2 := idx.Search(q, SSSD).IDs()
-		l1 := idx.SearchOpts(q, SSSD, SearchOptions{Filters: AllFilters, Metric: geom.Manhattan}).IDs()
+		l1 := searchK(idx, q, SSSD, 1, SearchOptions{Filters: AllFilters, Metric: geom.Manhattan}).IDs()
 		sort.Ints(l2)
 		sort.Ints(l1)
 		if len(l1) != len(l2) {

@@ -105,7 +105,7 @@ type Candidate struct {
 	// the progressive-property measurement of Figure 14.
 	Elapsed time.Duration
 	// Dominators is the number of other candidates dominating this one.
-	// It is always 0 for Search and < k for SearchK.
+	// It is always 0 for k = 1 and < k for a k-skyband search.
 	Dominators int
 }
 
@@ -164,11 +164,6 @@ type SearchOptions struct {
 	// candidates of a truncated search are exactly the first Limit of the
 	// full search.
 	Limit int
-	// Context, when non-nil, cancels the search: the traversal aborts at
-	// the next heap pop or candidate emission once the context is done.
-	// The ctx-taking entry points (SearchKCtx, SearchBackend, Stream)
-	// take precedence over this field.
-	Context context.Context
 }
 
 // metric resolves the options' metric, defaulting to Euclidean.
@@ -179,20 +174,15 @@ func (o SearchOptions) metric() geom.Metric {
 	return o.Metric
 }
 
-// Search runs Algorithm 1 with every filtering technique enabled.
+// Search is Algorithm 1 as published: every filtering technique enabled,
+// k = 1, no cancellation. It is shorthand for SearchKCtx — the full call,
+// which every other knob (k, filters, metric, Limit, OnCandidate, ctx)
+// goes through.
 func (idx *Index) Search(q *uncertain.Object, op Operator) *Result {
-	return idx.SearchOpts(q, op, SearchOptions{Filters: AllFilters})
-}
-
-// SearchOpts runs Algorithm 1: a best-first traversal of the global R-tree
-// in non-decreasing min-distance order, testing each reached object against
-// the NN candidates found so far and pruning entire entries whose every
-// object is MBR-dominated by an existing candidate (Theorem 4). Objects are
-// re-keyed by their exact min(U_Q) before evaluation — and exact-key ties
-// are evaluated as one batch — so that the transitivity-based correctness
-// argument of Section 5.2 applies. It is SearchKOpts with k = 1.
-func (idx *Index) SearchOpts(q *uncertain.Object, op Operator, opts SearchOptions) *Result {
-	return idx.SearchKOpts(q, op, 1, opts)
+	// The memory backend cannot fail and a background context never
+	// cancels, so the error is always nil.
+	res, _ := idx.SearchKCtx(context.Background(), q, op, 1, SearchOptions{Filters: AllFilters})
+	return res
 }
 
 // BruteForce computes the NN candidates by exhaustive pairwise dominance:

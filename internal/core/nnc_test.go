@@ -65,7 +65,7 @@ func TestSearchMatchesBruteForce(t *testing.T) {
 		for _, op := range Operators {
 			want := idsOf(BruteForce(objs, q, op, AllFilters))
 			for _, cfg := range []FilterConfig{{}, AllFilters} {
-				res := idx.SearchOpts(q, op, SearchOptions{Filters: cfg})
+				res := searchK(idx, q, op, 1, SearchOptions{Filters: cfg})
 				got := res.IDs()
 				sort.Ints(got)
 				if len(got) != len(want) {
@@ -124,7 +124,7 @@ func TestSearchProgressive(t *testing.T) {
 	}
 	q := randObject(rng, 0, 2, 3, randCenter(rng, 2, 100), 5)
 	var seen []Candidate
-	res := idx.SearchOpts(q, PSD, SearchOptions{
+	res := searchK(idx, q, PSD, 1, SearchOptions{
 		Filters:     AllFilters,
 		OnCandidate: func(c Candidate) { seen = append(seen, c) },
 	})
@@ -216,7 +216,7 @@ func TestSearchLimit(t *testing.T) {
 	if len(full.Candidates) < 4 {
 		t.Skipf("only %d candidates; fixture too small", len(full.Candidates))
 	}
-	lim := idx.SearchOpts(q, FPlusSD, SearchOptions{Filters: AllFilters, Limit: 3})
+	lim := searchK(idx, q, FPlusSD, 1, SearchOptions{Filters: AllFilters, Limit: 3})
 	if len(lim.Candidates) != 3 {
 		t.Fatalf("limited search returned %d", len(lim.Candidates))
 	}
@@ -226,7 +226,7 @@ func TestSearchLimit(t *testing.T) {
 		}
 	}
 	// Limit must also hold on the k-skyband path.
-	limK := idx.SearchKOpts(q, FPlusSD, 2, SearchOptions{Filters: AllFilters, Limit: 2})
+	limK := searchK(idx, q, FPlusSD, 2, SearchOptions{Filters: AllFilters, Limit: 2})
 	if len(limK.Candidates) != 2 {
 		t.Fatalf("limited SearchK returned %d", len(limK.Candidates))
 	}

@@ -35,9 +35,13 @@ type BatchOptions struct {
 	Admission *Admission
 }
 
-// SearchParallel runs one search per query, fanned out over workers
-// goroutines, and returns the results in input order. workers <= 0 uses
-// GOMAXPROCS; the fan-out never exceeds len(queries).
+// SearchParallel runs one search per query, fanned out over bo.Workers
+// goroutines, and returns the results in input order. Each worker
+// goroutine is pinned to one engine scratch for the whole batch (no
+// per-query pool traffic), owns a contiguous segment of the query slice on
+// a private cache line, and steals single queries from the back of the
+// fullest remaining segment once its own is drained — heavy PSD queries at
+// the tail shed work instead of convoying the batch.
 //
 // The first hard search error cancels the remaining work and is returned
 // with the partial results (nil at unfinished positions). Cancelling ctx
@@ -47,17 +51,7 @@ type BatchOptions struct {
 // quarantined page must not fail a whole batch. opts is shared by every
 // search; an OnCandidate callback will therefore be invoked from multiple
 // goroutines and must be safe for that.
-func SearchParallel(ctx context.Context, s KSearcher, queries []*uncertain.Object, op Operator, k int, opts SearchOptions, workers int) ([]*Result, error) {
-	return SearchParallelOpts(ctx, s, queries, op, k, opts, BatchOptions{Workers: workers})
-}
-
-// SearchParallelOpts is SearchParallel with explicit batch tuning. Each
-// worker goroutine is pinned to one engine scratch for the whole batch
-// (no per-query pool traffic), owns a contiguous segment of the query
-// slice on a private cache line, and steals single queries from the back
-// of the fullest remaining segment once its own is drained — heavy PSD
-// queries at the tail shed work instead of convoying the batch.
-func SearchParallelOpts(ctx context.Context, s KSearcher, queries []*uncertain.Object, op Operator, k int, opts SearchOptions, bo BatchOptions) ([]*Result, error) {
+func SearchParallel(ctx context.Context, s KSearcher, queries []*uncertain.Object, op Operator, k int, opts SearchOptions, bo BatchOptions) ([]*Result, error) {
 	results := make([]*Result, len(queries))
 	if len(queries) == 0 {
 		return results, nil
@@ -124,9 +118,4 @@ func SearchParallelOpts(ctx context.Context, s KSearcher, queries []*uncertain.O
 	}
 	wg.Wait()
 	return results, firstErr
-}
-
-// SearchKParallel is SearchParallel over the in-memory index.
-func (idx *Index) SearchKParallel(ctx context.Context, queries []*uncertain.Object, op Operator, k int, opts SearchOptions, workers int) ([]*Result, error) {
-	return SearchParallel(ctx, idx, queries, op, k, opts, workers)
 }

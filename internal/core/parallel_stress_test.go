@@ -66,7 +66,7 @@ func TestSearchParallelInputOrderUnderContention(t *testing.T) {
 	}
 	queries := fakeQueries(t, n)
 	s := &stressSearcher{heavyEvery: 7}
-	results, err := SearchParallel(context.Background(), s, queries, PSD, 1, SearchOptions{}, workers)
+	results, err := SearchParallel(context.Background(), s, queries, PSD, 1, SearchOptions{}, BatchOptions{Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestSearchParallelMixedPartialAndCleanUnderContention(t *testing.T) {
 		partialAt[i] = true
 	}
 	s := &stressSearcher{heavyEvery: 5, partialAt: partialAt}
-	results, err := SearchParallel(context.Background(), s, fakeQueries(t, n), PSD, 1, SearchOptions{}, workers)
+	results, err := SearchParallel(context.Background(), s, fakeQueries(t, n), PSD, 1, SearchOptions{}, BatchOptions{Workers: workers})
 	if err != nil {
 		t.Fatalf("partial slots must not fail the batch: %v", err)
 	}
@@ -116,7 +116,7 @@ func TestSearchParallelOneHardErrorCancels(t *testing.T) {
 	const n, bad = 512, 137
 	s := &stressSearcher{heavyEvery: 3, hardAt: map[int]bool{bad: true}}
 	results, err := SearchParallel(context.Background(), s, fakeQueries(t, n), PSD, 1,
-		SearchOptions{}, 4*runtime.GOMAXPROCS(0))
+		SearchOptions{}, BatchOptions{Workers: 4 * runtime.GOMAXPROCS(0)})
 	if err == nil {
 		t.Fatal("hard error must surface from the batch")
 	}
@@ -141,7 +141,7 @@ func TestSearchParallelMatchesSerialOnRealIndex(t *testing.T) {
 	queries := ds.Queries(24, 5, 250, 52)
 	workers := 2*runtime.GOMAXPROCS(0) + 1
 	for _, op := range []Operator{PSD, SSSD} {
-		batch, err := SearchParallelOpts(context.Background(), idx, queries, op, 2,
+		batch, err := SearchParallel(context.Background(), idx, queries, op, 2,
 			SearchOptions{Filters: AllFilters}, BatchOptions{Workers: workers, Admission: NewAdmission(2)})
 		if err != nil {
 			t.Fatal(err)

@@ -188,7 +188,7 @@ func TestSearchParallelKeepsGoingOnPartial(t *testing.T) {
 		queries[i] = obj1d(t, i, float64(i))
 	}
 	s := &partialSearcher{partialAt: map[int]bool{1: true, 4: true}}
-	results, err := SearchParallel(context.Background(), s, queries, PSD, 1, SearchOptions{}, 2)
+	results, err := SearchParallel(context.Background(), s, queries, PSD, 1, SearchOptions{}, BatchOptions{Workers: 2})
 	if err != nil {
 		t.Fatalf("partial slots must not fail the batch: %v", err)
 	}
@@ -208,7 +208,7 @@ func TestSearchParallelHardErrorStillCancels(t *testing.T) {
 		queries[i] = obj1d(t, i, float64(i))
 	}
 	s := &partialSearcher{hardAt: map[int]bool{3: true}}
-	_, err := SearchParallel(context.Background(), s, queries, PSD, 1, SearchOptions{}, 2)
+	_, err := SearchParallel(context.Background(), s, queries, PSD, 1, SearchOptions{}, BatchOptions{Workers: 2})
 	if err == nil {
 		t.Fatal("hard error must surface from the batch")
 	}

@@ -43,7 +43,7 @@ func TestShieldInsertSoundness(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		q := randObject(rng, 0, 2, 3, randCenter(rng, 2, 60), 5)
 		for _, op := range Operators {
-			base := idx.SearchK(q, op, k)
+			base := searchK(idx, q, op, k, SearchOptions{Filters: AllFilters})
 			shield := NewAnswerShield(q, geom.Euclidean, k, base.Candidates)
 			for ins := 0; ins < 12; ins++ {
 				// Mix of placements: near the query (almost never
@@ -69,7 +69,7 @@ func TestShieldInsertSoundness(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				fresh := grown.SearchK(q, op, k)
+				fresh := searchK(grown, q, op, k, SearchOptions{Filters: AllFilters})
 				if !sameCandidates(base, fresh) {
 					t.Fatalf("op %v trial %d: shield approved insert id=%d at %v but answer changed:\nbase  %v\nfresh %v",
 						op, trial, o.ID(), center, base.IDs(), fresh.IDs())
@@ -94,7 +94,7 @@ func TestShieldInsertFarObjectShielded(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := randObject(rng, 0, 2, 3, geom.Point{15, 15}, 3)
-	res := idx.SearchK(q, SSD, 2)
+	res := searchK(idx, q, SSD, 2, SearchOptions{Filters: AllFilters})
 	if len(res.Candidates) < 2 {
 		t.Skip("band too shallow")
 	}
@@ -129,7 +129,7 @@ func TestShieldDeleteNonCandidateHarmless(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			base := idx.SearchK(q, op, k)
+			base := searchK(idx, q, op, k, SearchOptions{Filters: AllFilters})
 			inAnswer := map[int]bool{}
 			for _, id := range base.IDs() {
 				inAnswer[id] = true
@@ -147,7 +147,7 @@ func TestShieldDeleteNonCandidateHarmless(t *testing.T) {
 					break
 				}
 			}
-			fresh := idx.SearchK(q, op, k)
+			fresh := searchK(idx, q, op, k, SearchOptions{Filters: AllFilters})
 			if !sameCandidates(base, fresh) {
 				t.Fatalf("op %v: deleting %d non-candidates changed the answer: %v -> %v",
 					op, removed, base.IDs(), fresh.IDs())
@@ -171,7 +171,7 @@ func TestShieldInsertSoundnessManhattan(t *testing.T) {
 	nextID := 20000
 	for trial := 0; trial < 4; trial++ {
 		q := randObject(rng, 0, 2, 3, randCenter(rng, 2, 40), 4)
-		base := idx.SearchKOpts(q, SSD, k, opts)
+		base := searchK(idx, q, SSD, k, opts)
 		shield := NewAnswerShield(q, geom.Manhattan, k, base.Candidates)
 		for ins := 0; ins < 8; ins++ {
 			center := geom.Point{rng.Float64()*500 + 200, rng.Float64()*500 + 200}
@@ -188,7 +188,7 @@ func TestShieldInsertSoundnessManhattan(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fresh := grown.SearchKOpts(q, SSD, k, opts)
+			fresh := searchK(grown, q, SSD, k, opts)
 			if !sameCandidates(base, fresh) {
 				t.Fatalf("manhattan trial %d: shielded insert changed answer %v -> %v",
 					trial, base.IDs(), fresh.IDs())

@@ -18,7 +18,7 @@ func TestStreamDeliversAllCandidates(t *testing.T) {
 
 	want := idx.Search(q, SSSD).IDs()
 
-	out, done := idx.Stream(context.Background(), q, SSSD, SearchOptions{Filters: AllFilters})
+	out, done := StreamBackend(context.Background(), idx, q, SSSD, SearchOptions{Filters: AllFilters})
 	var got []int
 	for c := range out {
 		got = append(got, c.Object.ID())
@@ -52,7 +52,7 @@ func TestStreamCancel(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	out, done := idx.Stream(ctx, q, FPlusSD, SearchOptions{Filters: AllFilters})
+	out, done := StreamBackend(ctx, idx, q, FPlusSD, SearchOptions{Filters: AllFilters})
 	received := 0
 	for range out {
 		received++

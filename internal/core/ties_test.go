@@ -59,7 +59,7 @@ func TestTieChain(t *testing.T) {
 	}
 	// k-skyband over the tie chain: k members survive.
 	for _, k := range []int{2, 3} {
-		band := idx.SearchK(q, SSD, k).IDs()
+		band := searchK(idx, q, SSD, k, SearchOptions{Filters: AllFilters}).IDs()
 		sort.Ints(band)
 		if len(band) != k {
 			t.Fatalf("k=%d band = %v", k, band)
@@ -98,7 +98,7 @@ func TestSearchMatchesBruteForceOnGrids(t *testing.T) {
 		for _, op := range Operators {
 			for _, k := range []int{1, 2} {
 				want := idsOf(BruteForceK(objs, q, op, k, AllFilters))
-				got := idx.SearchK(q, op, k).IDs()
+				got := searchK(idx, q, op, k, SearchOptions{Filters: AllFilters}).IDs()
 				sort.Ints(got)
 				if len(got) != len(want) {
 					t.Fatalf("iter %d %v k=%d: got %v, want %v", iter, op, k, got, want)

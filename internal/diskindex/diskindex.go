@@ -464,32 +464,12 @@ func (ix *Index) SearchKCtx(ctx context.Context, q *uncertain.Object, op core.Op
 	// Pinning the snapshot (no-op on a read-only index) freezes this
 	// search's view: the root, the store geometry, and — via the epoch
 	// refcount — every page reachable from them, which the writer will not
-	// recycle until the pin drops. SearchKParallel inherits this per query
-	// because core.SearchParallel fans out through SearchKCtx.
+	// recycle until the pin drops. core.SearchParallel inherits this per
+	// query because it fans out through SearchKCtx.
 	snap := ix.acquire()
 	defer ix.release(snap)
 	s := &session{ix: ix, snap: snap, lease: ix.pool.NewLeaseCtx(ctx), cache: ix.objCache.Load()}
 	return core.SearchBackend(ctx, s, q, op, k, opts)
-}
-
-// Search runs Algorithm 1 against the disk-resident structures with I/O
-// counters captured over the query. The in-memory dominance machinery
-// (core.Checker) is reused unchanged.
-func (ix *Index) Search(q *uncertain.Object, op core.Operator, cfg core.FilterConfig) (*Result, error) {
-	return ix.SearchK(q, op, 1, cfg)
-}
-
-// SearchK generalizes Search to the k-skyband (objects dominated by fewer
-// than k others), mirroring the in-memory Index.SearchK.
-func (ix *Index) SearchK(q *uncertain.Object, op core.Operator, k int, cfg core.FilterConfig) (*Result, error) {
-	return ix.SearchKCtx(context.Background(), q, op, k, core.SearchOptions{Filters: cfg})
-}
-
-// SearchKParallel fans the queries out over workers goroutines, each
-// running its own session against the shared sharded storage; results
-// come back in input order. See core.SearchParallel for semantics.
-func (ix *Index) SearchKParallel(ctx context.Context, queries []*uncertain.Object, op core.Operator, k int, opts core.SearchOptions, workers int) ([]*Result, error) {
-	return core.SearchParallel(ctx, ix, queries, op, k, opts, workers)
 }
 
 // String describes the index.

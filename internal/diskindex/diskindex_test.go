@@ -1,6 +1,7 @@
 package diskindex
 
 import (
+	"context"
 	"path/filepath"
 	"sort"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"spatialdom/internal/core"
 	"spatialdom/internal/datagen"
 	"spatialdom/internal/pager"
+	"spatialdom/internal/uncertain"
 )
 
 func buildBoth(t *testing.T, n, m int, seed int64, frames int) (*Index, *core.Index, *datagen.Dataset, string) {
@@ -31,6 +33,18 @@ func buildBoth(t *testing.T, n, m int, seed int64, frames int) (*Index, *core.In
 	return disk, mem, ds, path
 }
 
+// searchK is the tests' shorthand for the full call under a background
+// context with every filter on; memK is the same for the memory index,
+// which cannot fail there.
+func searchK(s core.KSearcher, q *uncertain.Object, op core.Operator, k int) (*core.Result, error) {
+	return s.SearchKCtx(context.Background(), q, op, k, core.SearchOptions{Filters: core.AllFilters})
+}
+
+func memK(mem *core.Index, q *uncertain.Object, op core.Operator, k int) *core.Result {
+	res, _ := searchK(mem, q, op, k)
+	return res
+}
+
 // The disk search must return exactly the in-memory candidate set under
 // every operator.
 func TestDiskSearchMatchesMemory(t *testing.T) {
@@ -39,7 +53,7 @@ func TestDiskSearchMatchesMemory(t *testing.T) {
 	for _, q := range queries {
 		for _, op := range core.Operators {
 			want := mem.Search(q, op).IDs()
-			res, err := disk.Search(q, op, core.AllFilters)
+			res, err := searchK(disk, q, op, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -61,7 +75,7 @@ func TestDiskSearchMatchesMemory(t *testing.T) {
 func TestDiskSearchCountsIO(t *testing.T) {
 	disk, _, ds, _ := buildBoth(t, 200, 6, 52, 16) // pool far smaller than the file
 	q := ds.Queries(1, 4, 200, 78)[0]
-	res, err := disk.Search(q, core.SSSD, core.AllFilters)
+	res, err := searchK(disk, q, core.SSSD, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +89,7 @@ func TestDiskSearchCountsIO(t *testing.T) {
 		t.Fatal("dominance stats missing")
 	}
 	// A repeat query hits the object cache + warm pool: strictly fewer misses.
-	res2, err := disk.Search(q, core.SSSD, core.AllFilters)
+	res2, err := searchK(disk, q, core.SSSD, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +119,7 @@ func TestDiskIndexReopen(t *testing.T) {
 	if disk2.Len() != 100 || disk2.Dim() != 3 {
 		t.Fatalf("reopened metadata: len=%d dim=%d", disk2.Len(), disk2.Dim())
 	}
-	res, err := disk2.Search(q, core.PSD, core.AllFilters)
+	res, err := searchK(disk2, q, core.PSD, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,8 +163,8 @@ func TestDiskSearchKMatchesMemory(t *testing.T) {
 	q := ds.Queries(1, 4, 200, 80)[0]
 	for _, k := range []int{1, 2, 4} {
 		for _, op := range []core.Operator{core.SSD, core.PSD} {
-			want := mem.SearchK(q, op, k).IDs()
-			res, err := disk.SearchK(q, op, k, core.AllFilters)
+			want := memK(mem, q, op, k).IDs()
+			res, err := searchK(disk, q, op, k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -167,7 +181,7 @@ func TestDiskSearchKMatchesMemory(t *testing.T) {
 			}
 		}
 	}
-	if _, err := disk.SearchK(q, core.SSD, 0, core.AllFilters); err == nil {
+	if _, err := searchK(disk, q, core.SSD, 0); err == nil {
 		t.Fatal("k=0 accepted")
 	}
 }
@@ -218,7 +232,7 @@ func TestOpenSpanZeroLegacyFallback(t *testing.T) {
 	for _, q := range ds.Queries(3, 4, 200, 81) {
 		for _, op := range core.Operators {
 			want := mem.Search(q, op).IDs()
-			res, err := legacy.Search(q, op, core.AllFilters)
+			res, err := searchK(legacy, q, op, 1)
 			if err != nil {
 				t.Fatal(err)
 			}

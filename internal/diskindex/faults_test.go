@@ -119,7 +119,7 @@ func TestSearchUnderTransientFaultsIsExact(t *testing.T) {
 	for qi, q := range ds.Queries(3, 4, 200, 17) {
 		for _, op := range core.Operators {
 			want := sortedIDs(mem.Search(q, op))
-			res, err := ix.Search(q, op, core.AllFilters)
+			res, err := searchK(ix, q, op, 1)
 			if err != nil {
 				t.Fatalf("q%d %v: transient faults must heal, got %v", qi, op, err)
 			}
@@ -165,7 +165,7 @@ func TestSearchUnderStableCorruptionDegrades(t *testing.T) {
 	for qi, q := range ds.Queries(4, 4, 200, 18) {
 		for _, op := range core.Operators {
 			want := sortedIDs(mem.Search(q, op))
-			res, err := ix.Search(q, op, core.AllFilters)
+			res, err := searchK(ix, q, op, 1)
 			if pe, ok := core.AsPartial(err); ok {
 				degraded++
 				if res == nil || pe.Result != res {
@@ -211,7 +211,7 @@ func TestSearchUnderPersistentTornPagesDegrades(t *testing.T) {
 
 	sawPartial := false
 	for _, q := range ds.Queries(4, 4, 200, 19) {
-		res, err := ix.Search(q, core.PSD, core.AllFilters)
+		res, err := searchK(ix, q, core.PSD, 1)
 		if pe, ok := core.AsPartial(err); ok {
 			sawPartial = true
 			if !res.Incomplete || pe.UnreadableNodes == 0 {
@@ -245,7 +245,7 @@ func TestParallelSearchSurvivesDegradation(t *testing.T) {
 
 	queries := ds.Queries(8, 4, 200, 20)
 	results, err := core.SearchParallel(context.Background(), ix, queries, core.PSD, 1,
-		core.SearchOptions{Filters: core.AllFilters}, 4)
+		core.SearchOptions{Filters: core.AllFilters}, core.BatchOptions{Workers: 4})
 	if err != nil {
 		t.Fatalf("batch returned a hard error: %v", err)
 	}
@@ -301,7 +301,7 @@ func TestLegacyFormatCompat(t *testing.T) {
 	queries := ds.Queries(3, 4, 200, 21)
 	var legacyWant [][]int
 	for _, q := range queries {
-		res, err := ix.Search(q, core.PSD, core.AllFilters)
+		res, err := searchK(ix, q, core.PSD, 1)
 		if err != nil {
 			t.Fatalf("legacy search: %v", err)
 		}
@@ -335,7 +335,7 @@ func TestLegacyFormatCompat(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, q := range queries {
-		res, err := ix2.Search(q, core.PSD, core.AllFilters)
+		res, err := searchK(ix2, q, core.PSD, 1)
 		if err != nil {
 			t.Fatalf("post-rewrite search: %v", err)
 		}
@@ -363,7 +363,7 @@ func TestRewriteRoundTripsCurrentFormat(t *testing.T) {
 	}
 	q := ds.Queries(1, 4, 200, 22)[0]
 	want := sortedIDs(mem.Search(q, core.PSD))
-	res, err := ix.Search(q, core.PSD, core.AllFilters)
+	res, err := searchK(ix, q, core.PSD, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,8 +33,8 @@ func compareAll(t *testing.T, tag string, disk *Index, mem *core.Index, queries 
 	for qi, q := range queries {
 		for _, op := range core.Operators {
 			for _, k := range []int{1, 2} {
-				memRes := mem.SearchK(q, op, k)
-				diskRes, err := disk.SearchK(q, op, k, core.AllFilters)
+				memRes := memK(mem, q, op, k)
+				diskRes, err := searchK(disk, q, op, k)
 				if err != nil {
 					t.Fatalf("%s q%d %v k=%d: disk: %v", tag, qi, op, k, err)
 				}
@@ -204,7 +204,7 @@ func TestMutableEmptySearch(t *testing.T) {
 	}
 	ds := datagen.Generate(datagen.Params{N: 2, M: 4, EdgeLen: 400, Seed: 7})
 	q := ds.Queries(1, 4, 200, 8)[0]
-	res, err := ix.Search(q, core.SSSD, core.AllFilters)
+	res, err := searchK(ix, q, core.SSSD, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

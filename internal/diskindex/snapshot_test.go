@@ -14,7 +14,7 @@ import (
 )
 
 // Snapshot-isolation stress (run under -race): reader goroutines fire
-// SearchKParallel batches while a writer commits inserts and deletes.
+// core.SearchParallel batches while a writer commits inserts and deletes.
 // Every search result must equal the in-memory outcome of exactly one
 // epoch the search could have pinned — bounded by the index epoch
 // sampled before and after the search. A result mixing two epochs, or
@@ -74,7 +74,7 @@ func TestSnapshotIsolationUnderWrites(t *testing.T) {
 	snapshotExpect := func() map[snapJob]string {
 		m := make(map[snapJob]string, len(jobs))
 		for _, j := range jobs {
-			m[j] = snapKey(sortedIDs(mirror.SearchK(queries[j.qi], j.op, j.k)))
+			m[j] = snapKey(sortedIDs(memK(mirror, queries[j.qi], j.op, j.k)))
 		}
 		return m
 	}
@@ -152,9 +152,9 @@ func TestSnapshotIsolationUnderWrites(t *testing.T) {
 				}
 				for _, j := range jobs {
 					e1 := disk.Epoch()
-					batch, err := disk.SearchKParallel(context.Background(),
+					batch, err := core.SearchParallel(context.Background(), disk,
 						[]*uncertain.Object{queries[j.qi]}, j.op, j.k,
-						core.SearchOptions{Filters: core.AllFilters}, 2)
+						core.SearchOptions{Filters: core.AllFilters}, core.BatchOptions{Workers: 2})
 					e2 := disk.Epoch()
 					if err != nil {
 						errs <- fmt.Sprintf("reader %d %v/k=%d: %v", g, j.op, j.k, err)

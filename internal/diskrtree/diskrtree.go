@@ -16,15 +16,14 @@
 package diskrtree
 
 import (
-	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 
 	"spatialdom/internal/geom"
 	"spatialdom/internal/pager"
+	"spatialdom/internal/rtree"
 )
 
 const metaMagic = "SDRT"
@@ -187,15 +186,11 @@ type builtNode struct {
 }
 
 func (t *Tree) packLeaves(entries []Entry) ([]builtNode, error) {
-	centers := make([]geom.Point, len(entries))
+	all := make([]geom.Rect, len(entries))
 	for i, e := range entries {
-		centers[i] = e.Rect.Center()
+		all[i] = e.Rect
 	}
-	idx := make([]int, len(entries))
-	for i := range idx {
-		idx[i] = i
-	}
-	strTile(idx, centers, 0, t.dim, t.cap)
+	idx := rtree.STROrder(all, t.cap)
 	var out []builtNode
 	for start := 0; start < len(idx); start += t.cap {
 		end := start + t.cap
@@ -218,15 +213,11 @@ func (t *Tree) packLeaves(entries []Entry) ([]builtNode, error) {
 }
 
 func (t *Tree) packInternal(children []builtNode) ([]builtNode, error) {
-	centers := make([]geom.Point, len(children))
+	all := make([]geom.Rect, len(children))
 	for i, c := range children {
-		centers[i] = c.rect.Center()
+		all[i] = c.rect
 	}
-	idx := make([]int, len(children))
-	for i := range idx {
-		idx[i] = i
-	}
-	strTile(idx, centers, 0, t.dim, t.cap)
+	idx := rtree.STROrder(all, t.cap)
 	var out []builtNode
 	for start := 0; start < len(idx); start += t.cap {
 		end := start + t.cap
@@ -254,53 +245,6 @@ func unionAll(rects []geom.Rect) geom.Rect {
 		r = r.Union(s)
 	}
 	return r
-}
-
-// strTile mirrors the in-memory STR packing.
-func strTile(idx []int, centers []geom.Point, d, dim, capacity int) {
-	slices.SortFunc(idx, func(i, j int) int { return cmp.Compare(centers[i][d], centers[j][d]) })
-	if d == dim-1 {
-		return
-	}
-	pages := (len(idx) + capacity - 1) / capacity
-	slabs := intRoot(pages, dim-d)
-	slabSize := ((len(idx)+slabs-1)/slabs + capacity - 1) / capacity * capacity
-	if slabSize == 0 {
-		slabSize = capacity
-	}
-	for start := 0; start < len(idx); start += slabSize {
-		end := start + slabSize
-		if end > len(idx) {
-			end = len(idx)
-		}
-		strTile(idx[start:end], centers, d+1, dim, capacity)
-	}
-}
-
-// intRoot returns ceil(n^(1/k)).
-func intRoot(n, k int) int {
-	if k <= 1 {
-		return n
-	}
-	if n <= 1 {
-		return 1
-	}
-	r := 1
-	for ipow(r, k) < n {
-		r++
-	}
-	return r
-}
-
-func ipow(b, e int) int {
-	p := 1
-	for i := 0; i < e; i++ {
-		p *= b
-		if p < 0 {
-			return 1 << 62
-		}
-	}
-	return p
 }
 
 // --- node (de)serialization ------------------------------------------------

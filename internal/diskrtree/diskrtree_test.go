@@ -3,11 +3,13 @@ package diskrtree
 import (
 	"math/rand"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"testing"
 
 	"spatialdom/internal/geom"
 	"spatialdom/internal/pager"
+	"spatialdom/internal/rtree"
 )
 
 func newPool(t *testing.T, pageSize, frames int) *pager.Pool {
@@ -250,4 +252,77 @@ func TestNodeRoundTrip(t *testing.T) {
 
 func sortInt64(s []int64) {
 	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+}
+
+// TestBuildMatchesBulkLeafPartition pins the claim rtree.DefaultFanout's
+// comment makes: the in-memory and disk-resident trees share one STR
+// policy and one fanout, so bulk-loading the same entries yields the same
+// leaves, in the same order, under the same tree height.
+func TestBuildMatchesBulkLeafPartition(t *testing.T) {
+	for _, tc := range []struct{ n, d, pageSize int }{
+		{500, 2, 512}, {1200, 3, 512}, {3000, 3, 4096}, {7, 2, 512},
+	} {
+		rng := rand.New(rand.NewSource(int64(tc.n)))
+		pool := newPool(t, tc.pageSize, 64)
+		es := randEntries(rng, tc.n, tc.d, 100)
+		disk, err := Build(pool, append([]Entry(nil), es...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fan := rtree.DefaultFanout(pool.File().PageSize(), tc.d)
+		if fan != disk.NodeCapacity() {
+			t.Fatalf("n=%d: DefaultFanout %d != disk capacity %d", tc.n, fan, disk.NodeCapacity())
+		}
+		mes := make([]rtree.Entry, len(es))
+		for i, e := range es {
+			mes[i] = rtree.Entry{Rect: e.Rect, ID: int(e.ID)}
+		}
+		mem := rtree.Bulk(mes, 2, fan)
+		if mem.Height() != disk.Height() {
+			t.Fatalf("n=%d: height mem %d, disk %d", tc.n, mem.Height(), disk.Height())
+		}
+
+		var memLeaves [][]int
+		var walkMem func(n *rtree.Node)
+		walkMem = func(n *rtree.Node) {
+			if n.IsLeaf() {
+				var ids []int
+				for _, e := range n.Entries() {
+					ids = append(ids, e.ID)
+				}
+				memLeaves = append(memLeaves, ids)
+				return
+			}
+			for _, c := range n.Children() {
+				walkMem(c)
+			}
+		}
+		walkMem(mem.Root())
+
+		var diskLeaves [][]int
+		var walkDisk func(page pager.PageID)
+		walkDisk = func(page pager.PageID) {
+			n, err := disk.ReadNode(page)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n.Leaf {
+				var ids []int
+				for _, id := range n.IDs {
+					ids = append(ids, int(id))
+				}
+				diskLeaves = append(diskLeaves, ids)
+				return
+			}
+			for _, c := range n.Children {
+				walkDisk(c)
+			}
+		}
+		walkDisk(disk.Root())
+
+		if !reflect.DeepEqual(memLeaves, diskLeaves) {
+			t.Fatalf("n=%d d=%d: leaf partitions differ (%d mem leaves, %d disk leaves)",
+				tc.n, tc.d, len(memLeaves), len(diskLeaves))
+		}
+	}
 }

@@ -54,8 +54,10 @@ func FuzzNodeDecode(f *testing.F) {
 			}
 			return
 		}
-		if n == nil || len(n.Rects) < 1 {
-			t.Fatal("accepted node has no entries")
+		// Only a leaf may be empty: CreateEmpty writes a zero-entry leaf
+		// root, and the decoder accepts exactly that.
+		if n == nil || (len(n.Rects) < 1 && !n.Leaf) {
+			t.Fatal("accepted internal node has no entries")
 		}
 		if n.Leaf && len(n.IDs) != len(n.Rects) {
 			t.Fatalf("leaf shape mismatch: %d ids, %d rects", len(n.IDs), len(n.Rects))

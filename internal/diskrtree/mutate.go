@@ -1,8 +1,8 @@
 package diskrtree
 
 // Transactional insert/delete on the page R-tree: Guttman's ChooseLeaf /
-// quadratic split / CondenseTree, mirrored from the in-memory
-// internal/rtree implementation onto pages. Every mutated node is
+// quadratic split / CondenseTree over pages, taking the choose and split
+// decisions from internal/rtree's rect-slice policy functions. Every mutated node is
 // copy-on-written through a pager.TxPager — a modified node is re-encoded
 // into a fresh page and its old page freed, so the path from the old root
 // stays byte-identical for searches pinned to the pre-transaction
@@ -19,6 +19,7 @@ import (
 
 	"spatialdom/internal/geom"
 	"spatialdom/internal/pager"
+	"spatialdom/internal/rtree"
 )
 
 // CreateEmpty writes a fresh empty tree (meta page + zero-entry leaf
@@ -169,7 +170,7 @@ func (t *Tree) InsertTx(tx pager.TxPager, e Entry) error {
 		if len(n.Children) == 0 {
 			return fmt.Errorf("diskrtree: page %d: %w", cur, ErrCorruptNode)
 		}
-		i := chooseSubtree(n.Rects, e.Rect)
+		i := rtree.ChooseSubtree(n.Rects, e.Rect)
 		path = append(path, crumb{page: cur, n: n, child: i})
 		cur = n.Children[i]
 	}
@@ -237,26 +238,10 @@ func (t *Tree) writeLevel(tx pager.TxPager, old pager.PageID, n *Node) (pageA pa
 	return
 }
 
-// chooseSubtree picks the child needing least enlargement to cover r,
-// breaking ties by smaller area then lower index — the same policy as
-// the in-memory tree.
-func chooseSubtree(rects []geom.Rect, r geom.Rect) int {
-	best := 0
-	bestEnl := rects[0].Enlargement(r)
-	bestArea := rects[0].Area()
-	for i := 1; i < len(rects); i++ {
-		enl := rects[i].Enlargement(r)
-		if enl < bestEnl || (enl == bestEnl && rects[i].Area() < bestArea) {
-			best, bestEnl, bestArea = i, enl, rects[i].Area()
-		}
-	}
-	return best
-}
-
 // splitNode partitions an overflowing node's entries into two nodes with
-// Guttman's quadratic algorithm.
+// the shared quadratic split policy (rtree.QuadraticSplit).
 func (t *Tree) splitNode(n *Node) (*Node, *Node) {
-	groupA, groupB := quadraticPartition(n.Rects, t.minFill())
+	groupA, groupB := rtree.QuadraticSplit(n.Rects, t.minFill())
 	a := &Node{Leaf: n.Leaf}
 	b := &Node{Leaf: n.Leaf}
 	take := func(g *Node, idx []int) {
@@ -272,87 +257,6 @@ func (t *Tree) splitNode(n *Node) (*Node, *Node) {
 	take(a, groupA)
 	take(b, groupB)
 	return a, b
-}
-
-// quadraticPartition implements PickSeeds + PickNext: seed the two groups
-// with the pair wasting the most area together, then repeatedly assign
-// the entry with the greatest preference difference, force-assigning the
-// remainder when a group must reach the minimum fill.
-func quadraticPartition(rects []geom.Rect, minEntries int) (groupA, groupB []int) {
-	seedA, seedB := pickSeeds(rects)
-	groupA = []int{seedA}
-	groupB = []int{seedB}
-	rectA := rects[seedA].Clone()
-	rectB := rects[seedB].Clone()
-	rest := make([]int, 0, len(rects)-2)
-	for i := range rects {
-		if i != seedA && i != seedB {
-			rest = append(rest, i)
-		}
-	}
-	for len(rest) > 0 {
-		if len(groupA)+len(rest) == minEntries {
-			for _, i := range rest {
-				groupA = append(groupA, i)
-			}
-			break
-		}
-		if len(groupB)+len(rest) == minEntries {
-			for _, i := range rest {
-				groupB = append(groupB, i)
-			}
-			break
-		}
-		// PickNext: maximize |d(A) - d(B)|.
-		bestK, bestDiff := -1, -1.0
-		var bestDA, bestDB float64
-		for k, i := range rest {
-			dA := rectA.Enlargement(rects[i])
-			dB := rectB.Enlargement(rects[i])
-			diff := dA - dB
-			if diff < 0 {
-				diff = -diff
-			}
-			if diff > bestDiff {
-				bestK, bestDiff, bestDA, bestDB = k, diff, dA, dB
-			}
-		}
-		i := rest[bestK]
-		rest[bestK] = rest[len(rest)-1]
-		rest = rest[:len(rest)-1]
-		toA := bestDA < bestDB
-		if bestDA == bestDB {
-			// Resolve by smaller area, then smaller group.
-			if rectA.Area() != rectB.Area() {
-				toA = rectA.Area() < rectB.Area()
-			} else {
-				toA = len(groupA) <= len(groupB)
-			}
-		}
-		if toA {
-			groupA = append(groupA, i)
-			rectA = rectA.Union(rects[i])
-		} else {
-			groupB = append(groupB, i)
-			rectB = rectB.Union(rects[i])
-		}
-	}
-	return groupA, groupB
-}
-
-// pickSeeds returns the pair of entries that would waste the most area if
-// grouped together.
-func pickSeeds(rects []geom.Rect) (int, int) {
-	sa, sb, worst := 0, 1, -1.0
-	for i := 0; i < len(rects); i++ {
-		for j := i + 1; j < len(rects); j++ {
-			d := rects[i].Union(rects[j]).Area() - rects[i].Area() - rects[j].Area()
-			if d > worst {
-				sa, sb, worst = i, j, d
-			}
-		}
-	}
-	return sa, sb
 }
 
 // DeleteTx removes the entry with e.ID whose stored rectangle equals

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -52,7 +53,7 @@ func figDiskIO(sp spec, seed int64) ([]Table, error) {
 		var accesses, reads, hits, cands float64
 		for _, q := range queries {
 			idx.ResetCache()
-			res, err := idx.Search(q, op, core.AllFilters)
+			res, err := idx.SearchKCtx(context.Background(), q, op, 1, core.SearchOptions{Filters: core.AllFilters})
 			if err != nil {
 				return nil, err
 			}

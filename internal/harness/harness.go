@@ -135,11 +135,14 @@ type Measurement struct {
 	QPS float64
 }
 
-// Searcher is what a workload needs from an index: the context-aware
-// engine entry point. Both core.Index and diskindex.Index implement it,
-// so every workload can run against either backend.
-type Searcher interface {
-	SearchKCtx(ctx context.Context, q *uncertain.Object, op core.Operator, k int, opts core.SearchOptions) (*core.Result, error)
+// mustSearch is the harness's one search call: workloads run against
+// healthy storage under a background context, so any error is a bug.
+func mustSearch(s core.KSearcher, q *uncertain.Object, op core.Operator, k int, opts core.SearchOptions) *core.Result {
+	res, err := s.SearchKCtx(context.Background(), q, op, k, opts)
+	if err != nil {
+		panic(fmt.Sprintf("harness: workload search failed: %v", err))
+	}
+	return res
 }
 
 // RunWorkload executes the query workload under one operator and filter
@@ -148,16 +151,14 @@ func RunWorkload(idx *core.Index, queries []*uncertain.Object, op core.Operator,
 	return RunWorkloadOn(idx, queries, op, cfg)
 }
 
-// RunWorkloadOn is RunWorkload over any Searcher (memory or disk backend).
-func RunWorkloadOn(s Searcher, queries []*uncertain.Object, op core.Operator, cfg core.FilterConfig) Measurement {
+// RunWorkloadOn is RunWorkload over any core.KSearcher (memory or disk
+// backend).
+func RunWorkloadOn(s core.KSearcher, queries []*uncertain.Object, op core.Operator, cfg core.FilterConfig) Measurement {
 	var m Measurement
 	start := time.Now()
 	lats := make([]float64, 0, len(queries))
 	for _, q := range queries {
-		res, err := s.SearchKCtx(context.Background(), q, op, 1, core.SearchOptions{Filters: cfg})
-		if err != nil {
-			panic(fmt.Sprintf("harness: workload search failed: %v", err))
-		}
+		res := mustSearch(s, q, op, 1, core.SearchOptions{Filters: cfg})
 		lat := float64(res.Elapsed) / float64(time.Millisecond)
 		lats = append(lats, lat)
 		m.Candidates += float64(len(res.Candidates))
@@ -281,7 +282,7 @@ func figKSkyband(sp spec, seed int64) ([]Table, error) {
 		for _, op := range allOps {
 			var total float64
 			for _, q := range data.queries {
-				total += float64(len(data.idx.SearchK(q, op, k).Candidates))
+				total += float64(len(mustSearch(data.idx, q, op, k, core.SearchOptions{Filters: core.AllFilters}).Candidates))
 			}
 			row = append(row, fmt.Sprintf("%.1f", total/float64(len(data.queries))))
 		}
@@ -494,7 +495,7 @@ func Progressive(idx *core.Index, queries []*uncertain.Object) []ProgressivePoin
 	agg := make([]ProgressivePoint, buckets)
 	for _, q := range queries {
 		var emits []time.Duration
-		res := idx.SearchOpts(q, core.PSD, core.SearchOptions{
+		res := mustSearch(idx, q, core.PSD, 1, core.SearchOptions{
 			Filters:     core.AllFilters,
 			OnCandidate: func(c core.Candidate) { emits = append(emits, c.Elapsed) },
 		})

@@ -17,15 +17,15 @@ func RunWorkloadParallel(idx *core.Index, queries []*uncertain.Object, op core.O
 	return RunWorkloadParallelOn(idx, queries, op, cfg, runtime.GOMAXPROCS(0))
 }
 
-// RunWorkloadParallelOn runs the workload over any Searcher (memory or
-// disk backend) through the real production fan-out —
-// core.SearchParallelOpts with per-worker scratch affinity and work
+// RunWorkloadParallelOn runs the workload over any core.KSearcher (memory
+// or disk backend) through the real production fan-out —
+// core.SearchParallel with per-worker scratch affinity and work
 // stealing — so what the sweep measures is exactly what the batch API
 // ships. Millis stays the per-query average (comparable to RunWorkload),
 // WallMillis is the reduced parallel elapsed time, QPS = queries per
 // wall-clock second, and P50/P95/P99Millis are per-query latency
 // percentiles under concurrency.
-func RunWorkloadParallelOn(s Searcher, queries []*uncertain.Object, op core.Operator, cfg core.FilterConfig, workers int) Measurement {
+func RunWorkloadParallelOn(s core.KSearcher, queries []*uncertain.Object, op core.Operator, cfg core.FilterConfig, workers int) Measurement {
 	if workers > len(queries) {
 		workers = len(queries)
 	}
@@ -33,7 +33,7 @@ func RunWorkloadParallelOn(s Searcher, queries []*uncertain.Object, op core.Oper
 		return RunWorkloadOn(s, queries, op, cfg)
 	}
 	start := time.Now()
-	results, err := core.SearchParallelOpts(context.Background(), s, queries, op, 1,
+	results, err := core.SearchParallel(context.Background(), s, queries, op, 1,
 		core.SearchOptions{Filters: cfg}, core.BatchOptions{Workers: workers})
 	if err != nil {
 		panic(fmt.Sprintf("harness: parallel workload search failed: %v", err))
@@ -83,7 +83,7 @@ type WorkerPoint struct {
 // conventional reading. Pools and caches must be warmed before the sweep
 // (ParallelBench does) or the first point measures cold-start allocation,
 // not steady state.
-func WorkerSweep(s Searcher, queries []*uncertain.Object, op core.Operator, cfg core.FilterConfig, workers []int) []WorkerPoint {
+func WorkerSweep(s core.KSearcher, queries []*uncertain.Object, op core.Operator, cfg core.FilterConfig, workers []int) []WorkerPoint {
 	points := make([]WorkerPoint, 0, len(workers))
 	var base float64
 	for _, w := range workers {

@@ -109,7 +109,7 @@ func ParallelBench(sc Scale, seed int64, workers []int) (*ParallelReport, Conten
 	}
 	backends := []struct {
 		name string
-		s    Searcher
+		s    core.KSearcher
 	}{{"mem", mem}, {"disk", disk}}
 
 	// Warm pools, lazily built caches (rtree level slices, hulls, dense

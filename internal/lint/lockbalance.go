@@ -63,16 +63,9 @@ var ioMethods = map[string]bool{
 	"AppendPageImage":  true,
 	"AppendCommit":     true,
 	"AppendCheckpoint": true,
-}
-
-// lockIOMethods extends ioMethods for the I/O-under-lock scan only: an
-// engine search may walk the disk index, so the front door's cache and
-// coalescer shard locks must never be held across one, or a slow page
-// read serializes every request hashing to that shard. ctx-flow's
-// reachability keeps using ioMethods alone — Search/SearchK are the
-// documented nil-ctx compat wrappers around SearchKCtx and must not be
-// reclassified as direct storage I/O.
-var lockIOMethods = map[string]bool{
+	// An engine search may walk the disk index, so the front door's cache
+	// and coalescer shard locks must never be held across one, or a slow
+	// page read serializes every request hashing to that shard.
 	"SearchKCtx": true,
 	// The router's shard RPCs: a replica call or health probe is a full
 	// network round trip — held across the latency-window or breaker
@@ -314,7 +307,7 @@ func (w *lockWalker) scanIOUnderLock(n ast.Node) {
 			return true
 		}
 		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok || (!ioMethods[sel.Sel.Name] && !lockIOMethods[sel.Sel.Name]) {
+		if !ok || !ioMethods[sel.Sel.Name] {
 			return true
 		}
 		selection, ok := w.pkg.Info.Selections[sel]

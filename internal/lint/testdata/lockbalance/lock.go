@@ -142,7 +142,7 @@ func (c *cacheShard) LeakOnMiss(key string) (int, bool) {
 	return v, true
 }
 
-// --- shard-RPC-under-lock cases (lockIOMethods: ShardQuery/ProbeHealth) ------
+// --- shard-RPC-under-lock cases (ioMethods: ShardQuery/ProbeHealth) ------
 
 type shardReplica struct{}
 

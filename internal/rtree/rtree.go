@@ -356,7 +356,7 @@ func (t *Tree) insert(n *Node, e Entry) *Node {
 		}
 		return nil
 	}
-	child := chooseSubtree(n.children, e.Rect)
+	child := n.children[ChooseSubtree(childRects(n.children), e.Rect)]
 	split := t.insert(child, e)
 	n.rect = n.rect.Union(e.Rect)
 	if split != nil {
@@ -368,102 +368,121 @@ func (t *Tree) insert(n *Node, e Entry) *Node {
 	return nil
 }
 
-// chooseSubtree picks the child needing least area enlargement (ties by
-// smaller area), per Guttman.
-func chooseSubtree(children []*Node, r geom.Rect) *Node {
-	best := children[0]
-	bestEnl := best.rect.Enlargement(r)
-	bestArea := best.rect.Area()
-	for _, c := range children[1:] {
-		enl := c.rect.Enlargement(r)
-		area := c.rect.Area()
-		if enl < bestEnl || (enl == bestEnl && area < bestArea) {
-			best, bestEnl, bestArea = c, enl, area
+// The insertion policy below is written over plain rect slices so every
+// tree in the repo — this pointer-backed one and the page-backed
+// diskrtree — makes the same choices from the same code; each keeps only
+// its own node storage.
+
+// ChooseSubtree returns the index of the rect needing least enlargement
+// to cover r, breaking ties by smaller area then lower index (Guttman's
+// ChooseLeaf step). rects must be non-empty.
+func ChooseSubtree(rects []geom.Rect, r geom.Rect) int {
+	best := 0
+	bestEnl := rects[0].Enlargement(r)
+	bestArea := rects[0].Area()
+	for i := 1; i < len(rects); i++ {
+		enl := rects[i].Enlargement(r)
+		if enl < bestEnl || (enl == bestEnl && rects[i].Area() < bestArea) {
+			best, bestEnl, bestArea = i, enl, rects[i].Area()
 		}
 	}
 	return best
 }
 
-// quadratic split helpers operate on abstract rect lists via an accessor to
-// share the code between leaves and internal nodes.
-
-func pickSeeds(rects []geom.Rect) (int, int) {
-	s1, s2 := 0, 1
-	worst := -1.0
-	for i := 0; i < len(rects); i++ {
-		for j := i + 1; j < len(rects); j++ {
-			d := rects[i].Union(rects[j]).Area() - rects[i].Area() - rects[j].Area()
-			if d > worst {
-				worst, s1, s2 = d, i, j
-			}
+// QuadraticSplit partitions the indices of an overflowing node's rects
+// into two groups with Guttman's quadratic algorithm: seed the groups with
+// the pair wasting the most area together (PickSeeds), then repeatedly
+// assign the entry with the greatest preference difference (PickNext),
+// force-assigning the remainder when a group must reach minEntries.
+// Preference ties go to the smaller-area group, then the smaller group,
+// then A, so the split is deterministic.
+func QuadraticSplit(rects []geom.Rect, minEntries int) (groupA, groupB []int) {
+	seedA, seedB := pickSeeds(rects)
+	groupA = []int{seedA}
+	groupB = []int{seedB}
+	rectA := rects[seedA].Clone()
+	rectB := rects[seedB].Clone()
+	rest := make([]int, 0, len(rects)-2)
+	for i := range rects {
+		if i != seedA && i != seedB {
+			rest = append(rest, i)
 		}
 	}
-	return s1, s2
-}
-
-// quadraticPartition assigns every index to group 0 or 1. It guarantees each
-// group receives at least minEntries members.
-func quadraticPartition(rects []geom.Rect, minEntries int) []int {
-	n := len(rects)
-	group := make([]int, n)
-	for i := range group {
-		group[i] = -1
-	}
-	s1, s2 := pickSeeds(rects)
-	group[s1], group[s2] = 0, 1
-	mbr := [2]geom.Rect{rects[s1].Clone(), rects[s2].Clone()}
-	count := [2]int{1, 1}
-	remaining := n - 2
-	for remaining > 0 {
-		// Force-assign when one group must take all remaining members.
-		for g := 0; g < 2; g++ {
-			if count[g]+remaining == minEntries {
-				for i := range group {
-					if group[i] == -1 {
-						group[i] = g
-						mbr[g] = mbr[g].Union(rects[i])
-						count[g]++
-						remaining--
-					}
-				}
-			}
-		}
-		if remaining == 0 {
+	for len(rest) > 0 {
+		if len(groupA)+len(rest) == minEntries {
+			groupA = append(groupA, rest...)
 			break
 		}
-		// PickNext: maximal preference difference.
-		bestIdx, bestDiff := -1, -1.0
-		var bestGroup int
-		for i := range group {
-			if group[i] != -1 {
-				continue
-			}
-			d0 := mbr[0].Enlargement(rects[i])
-			d1 := mbr[1].Enlargement(rects[i])
-			diff := d0 - d1
+		if len(groupB)+len(rest) == minEntries {
+			groupB = append(groupB, rest...)
+			break
+		}
+		// PickNext: maximize |d(A) - d(B)|.
+		bestK, bestDiff := -1, -1.0
+		var bestDA, bestDB float64
+		for k, i := range rest {
+			dA := rectA.Enlargement(rects[i])
+			dB := rectB.Enlargement(rects[i])
+			diff := dA - dB
 			if diff < 0 {
 				diff = -diff
 			}
 			if diff > bestDiff {
-				bestDiff = diff
-				bestIdx = i
-				if d0 < d1 {
-					bestGroup = 0
-				} else if d1 < d0 {
-					bestGroup = 1
-				} else if mbr[0].Area() < mbr[1].Area() {
-					bestGroup = 0
-				} else {
-					bestGroup = 1
-				}
+				bestK, bestDiff, bestDA, bestDB = k, diff, dA, dB
 			}
 		}
-		group[bestIdx] = bestGroup
-		mbr[bestGroup] = mbr[bestGroup].Union(rects[bestIdx])
-		count[bestGroup]++
-		remaining--
+		i := rest[bestK]
+		rest[bestK] = rest[len(rest)-1]
+		rest = rest[:len(rest)-1]
+		toA := bestDA < bestDB
+		if bestDA == bestDB {
+			if rectA.Area() != rectB.Area() {
+				toA = rectA.Area() < rectB.Area()
+			} else {
+				toA = len(groupA) <= len(groupB)
+			}
+		}
+		if toA {
+			groupA = append(groupA, i)
+			rectA = rectA.Union(rects[i])
+		} else {
+			groupB = append(groupB, i)
+			rectB = rectB.Union(rects[i])
+		}
 	}
-	return group
+	return groupA, groupB
+}
+
+// pickSeeds returns the pair of entries that would waste the most area if
+// grouped together.
+func pickSeeds(rects []geom.Rect) (int, int) {
+	sa, sb, worst := 0, 1, -1.0
+	for i := 0; i < len(rects); i++ {
+		for j := i + 1; j < len(rects); j++ {
+			d := rects[i].Union(rects[j]).Area() - rects[i].Area() - rects[j].Area()
+			if d > worst {
+				sa, sb, worst = i, j, d
+			}
+		}
+	}
+	return sa, sb
+}
+
+func childRects(children []*Node) []geom.Rect {
+	rects := make([]geom.Rect, len(children))
+	for i, c := range children {
+		rects[i] = c.rect
+	}
+	return rects
+}
+
+// pick returns the elements of src at the given indices, in that order.
+func pick[T any](src []T, idx []int) []T {
+	out := make([]T, len(idx))
+	for i, j := range idx {
+		out[i] = src[j]
+	}
+	return out
 }
 
 func (t *Tree) splitLeaf(n *Node) *Node {
@@ -471,39 +490,19 @@ func (t *Tree) splitLeaf(n *Node) *Node {
 	for i, e := range n.entries {
 		rects[i] = e.Rect
 	}
-	group := quadraticPartition(rects, t.min)
-	var keep, move []Entry
-	for i, e := range n.entries {
-		if group[i] == 0 {
-			keep = append(keep, e)
-		} else {
-			move = append(move, e)
-		}
-	}
-	n.entries = keep
+	groupA, groupB := QuadraticSplit(rects, t.min)
+	sib := &Node{leaf: true, entries: pick(n.entries, groupB)}
+	n.entries = pick(n.entries, groupA)
 	n.recomputeRect()
-	sib := &Node{leaf: true, entries: move}
 	sib.recomputeRect()
 	return sib
 }
 
 func (t *Tree) splitInternal(n *Node) *Node {
-	rects := make([]geom.Rect, len(n.children))
-	for i, c := range n.children {
-		rects[i] = c.rect
-	}
-	group := quadraticPartition(rects, t.min)
-	var keep, move []*Node
-	for i, c := range n.children {
-		if group[i] == 0 {
-			keep = append(keep, c)
-		} else {
-			move = append(move, c)
-		}
-	}
-	n.children = keep
+	groupA, groupB := QuadraticSplit(childRects(n.children), t.min)
+	sib := &Node{children: pick(n.children, groupB)}
+	n.children = pick(n.children, groupA)
 	n.recomputeRect()
-	sib := &Node{children: move}
 	sib.recomputeRect()
 	return sib
 }

@@ -1,7 +1,7 @@
 package server
 
 // POST /query/batch: many queries, one request, answered through
-// core.SearchParallelOpts — the same scratch-affinity + work-stealing
+// core.SearchParallel — the same scratch-affinity + work-stealing
 // fan-out the library ships. All batch requests on a server share one
 // core.Admission sized below GOMAXPROCS, so a huge batch executes at
 // bounded parallelism and interleaves with other batches (and leaves
@@ -24,15 +24,11 @@ package server
 // whole response 206 Partial Content, mirroring /query.
 
 import (
-	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 
 	"spatialdom/internal/core"
-	"spatialdom/internal/geom"
-	"spatialdom/internal/uncertain"
 )
 
 // defaultMaxBatch bounds the per-request query count; oversized batches
@@ -71,19 +67,12 @@ type BatchResponse struct {
 }
 
 func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, errors.New("POST only"))
+	b := s.serving(w)
+	if b == nil {
 		return
 	}
 	var req BatchRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return
-	}
-	b := s.serving(w)
-	if b == nil {
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Queries) == 0 {
@@ -95,41 +84,13 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("batch of %d exceeds limit %d; split the request", len(req.Queries), s.maxBatch))
 		return
 	}
-	op, err := parseOperator(req.Operator)
+	q, err := buildQuery(b.Dim(), req.Operator, req.Metric, req.K, false, req.Queries...)
+	if err == nil && q.k > b.Len() {
+		err = fmt.Errorf("k=%d out of range", q.k)
+	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
-	}
-	metric, err := parseMetric(req.Metric)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	k := req.K
-	if k == 0 {
-		k = 1
-	}
-	if k < 1 || k > b.Len() {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("k=%d out of range", k))
-		return
-	}
-	queries := make([]*uncertain.Object, len(req.Queries))
-	for i, bq := range req.Queries {
-		pts := make([]geom.Point, len(bq.Instances))
-		for j, row := range bq.Instances {
-			pts[j] = geom.Point(row)
-		}
-		q, err := uncertain.New(i, pts, bq.Weights)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("query %d: %w", i, err))
-			return
-		}
-		if q.Dim() != b.Dim() {
-			writeError(w, http.StatusBadRequest,
-				fmt.Errorf("query %d: dim %d != dataset dim %d", i, q.Dim(), b.Dim()))
-			return
-		}
-		queries[i] = q
 	}
 
 	workers := req.Workers
@@ -138,39 +99,20 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	// Degraded slots never surface as a batch error (the engine stores the
 	// flagged result and keeps going), so any error here is hard.
-	results, err := core.SearchParallelOpts(r.Context(), b, queries, op, k,
-		core.SearchOptions{Filters: core.AllFilters, Metric: metric},
+	results, err := core.SearchParallel(r.Context(), b, q.objs, q.op, q.k,
+		core.SearchOptions{Filters: core.AllFilters, Metric: q.metric},
 		core.BatchOptions{Workers: workers, Admission: s.adm})
-	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return // the client is gone; the batch already canceled itself
-		}
-		writeError(w, http.StatusInternalServerError, err)
+	status, _, ok := searchStatus(w, r, err)
+	if !ok {
 		return
 	}
-
-	resp := BatchResponse{Operator: op.String(), K: k, Results: make([]QueryResponse, len(results))}
+	resp := BatchResponse{Operator: q.op.String(), K: q.k, Results: make([]QueryResponse, len(results))}
 	for i, res := range results {
-		qr := &resp.Results[i]
-		qr.Operator = op.String()
-		qr.K = k
-		qr.Examined = res.Examined
-		qr.ElapsedUS = res.Elapsed.Microseconds()
-		qr.Checks = res.Stats.DominanceChecks
+		resp.Results[i] = encodeResult(q, res)
 		if res.Incomplete {
-			qr.Incomplete = true
 			resp.IncompleteSlots++
 		}
-		for _, c := range res.Candidates {
-			qr.Candidates = append(qr.Candidates, QueryCandidate{
-				ID:         c.Object.ID(),
-				Label:      c.Object.Label(),
-				MinDist:    c.MinDist,
-				Dominators: c.Dominators,
-			})
-		}
 	}
-	status := http.StatusOK
 	if resp.IncompleteSlots > 0 {
 		status = http.StatusPartialContent
 	}

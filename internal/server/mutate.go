@@ -13,7 +13,6 @@ package server
 // their pinned snapshot.
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -51,11 +50,7 @@ type MutationResponse struct {
 // mutation must enter through the outermost layer so a caching front
 // door observes it and invalidates — reaching past it to the raw index
 // would be exactly the stale-answer bug the door exists to prevent.
-func (s *Server) mutator(w http.ResponseWriter, r *http.Request) Mutator {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, errors.New("POST only"))
-		return nil
-	}
+func (s *Server) mutator(w http.ResponseWriter) Mutator {
 	b := s.serving(w)
 	if b == nil {
 		return nil
@@ -69,15 +64,12 @@ func (s *Server) mutator(w http.ResponseWriter, r *http.Request) Mutator {
 }
 
 func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
-	m := s.mutator(w, r)
+	m := s.mutator(w)
 	if m == nil {
 		return
 	}
 	var req ObjectJSON
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	pts := make([]geom.Point, len(req.Instances))
@@ -112,15 +104,12 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	m := s.mutator(w, r)
+	m := s.mutator(w)
 	if m == nil {
 		return
 	}
 	var req DeleteRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	ok, err := m.Delete(req.ID)

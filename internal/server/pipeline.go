@@ -1,0 +1,163 @@
+package server
+
+// The request pipeline every body-carrying endpoint shares: one decode,
+// one query construction, one search-outcome → status mapping, one result
+// encoder. What genuinely differs per endpoint (k ≤ Len, wire filters,
+// NDJSON framing, the batch slot loop) stays in the endpoint.
+
+import (
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"net/http"
+	"strconv"
+	"time"
+
+	"spatialdom/internal/core"
+	"spatialdom/internal/geom"
+	"spatialdom/internal/uncertain"
+)
+
+const (
+	// maxBodyBytes bounds every request body. 8 MiB covers a full
+	// 256-query batch of paper-scale objects with room to spare; anything
+	// larger is answered 413 after reading at most this many bytes.
+	maxBodyBytes = 8 << 20
+	// maxInstances bounds the instances of one query object — an order of
+	// magnitude above the paper's largest setting, and small enough that
+	// the per-search distance tables it sizes stay bounded.
+	maxInstances = 4096
+)
+
+// decodeBody is the one way a request body enters the server: POST only,
+// at most maxBodyBytes, unknown fields rejected. On failure it writes the
+// error response (405, 413 or 400) itself and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	if r.Method != http.MethodPost {
+		writeError(w, http.StatusMethodNotAllowed, errors.New("POST only"))
+		return false
+	}
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, fmt.Errorf("decoding request: %w", err))
+		return false
+	}
+	return true
+}
+
+// query is a validated search request: what buildQuery makes of the wire
+// fields the four query endpoints share.
+type query struct {
+	op     core.Operator
+	metric geom.Metric
+	k      int
+	objs   []*uncertain.Object // one per raw query, in request order
+}
+
+// buildQuery validates the shared wire fields: operator and metric names,
+// k (0 means 1, negative rejected), and each raw query's instances and
+// weights — built with uncertain.New, or FromNormalized when the weights
+// are already probabilities (the shard protocol) — against the dataset
+// dimensionality. Every failure is a 400.
+func buildQuery(dim int, operator, metric string, k int, normalized bool, raw ...BatchQuery) (query, error) {
+	op, err := parseOperator(operator)
+	if err != nil {
+		return query{}, err
+	}
+	m, err := parseMetric(metric)
+	if err != nil {
+		return query{}, err
+	}
+	if k == 0 {
+		k = 1
+	}
+	if k < 1 {
+		return query{}, fmt.Errorf("k=%d out of range", k)
+	}
+	objs := make([]*uncertain.Object, len(raw))
+	for i, rq := range raw {
+		if len(rq.Instances) > maxInstances {
+			return query{}, fmt.Errorf("query object %d: %d instances exceed limit %d", i, len(rq.Instances), maxInstances)
+		}
+		pts := make([]geom.Point, len(rq.Instances))
+		for j, row := range rq.Instances {
+			pts[j] = geom.Point(row)
+		}
+		build := uncertain.New
+		if normalized {
+			build = uncertain.FromNormalized
+		}
+		q, err := build(i, pts, rq.Weights)
+		if err != nil {
+			return query{}, fmt.Errorf("query object %d: %w", i, err)
+		}
+		if q.Dim() != dim {
+			return query{}, fmt.Errorf("query object %d: dim %d != dataset dim %d", i, q.Dim(), dim)
+		}
+		objs[i] = q
+	}
+	return query{op: op, metric: m, k: k, objs: objs}, nil
+}
+
+// searchStatus maps a search outcome to its HTTP face. A clean result is
+// 200. A degraded one — the traversal completed around quarantined pages
+// or, behind a router, dead shards — is 206, so clients never mistake a
+// shrunken candidate set for a complete answer; when the producer knows
+// when the missing capacity comes back (a shard breaker's half-open probe
+// time) the advice rides on Retry-After. A hard error is answered 500
+// here, unless the client is already gone (the engine aborted the
+// traversal and there is nobody to tell); both return ok=false.
+func searchStatus(w http.ResponseWriter, r *http.Request, err error) (status int, partial *core.PartialResultError, ok bool) {
+	if err == nil {
+		return http.StatusOK, nil, true
+	}
+	partial, isPartial := core.AsPartial(err)
+	if !isPartial {
+		if r.Context().Err() == nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
+			writeError(w, http.StatusInternalServerError, err)
+		}
+		return 0, nil, false
+	}
+	if partial.RetryAfterHint > 0 {
+		secs := int(partial.RetryAfterHint / time.Second)
+		if partial.RetryAfterHint%time.Second != 0 || secs < 1 {
+			secs++
+		}
+		w.Header().Set("Retry-After", strconv.Itoa(secs))
+	}
+	return http.StatusPartialContent, partial, true
+}
+
+// encodeCandidate is the wire form of one emitted candidate.
+func encodeCandidate(c core.Candidate) QueryCandidate {
+	return QueryCandidate{
+		ID:         c.Object.ID(),
+		Label:      c.Object.Label(),
+		MinDist:    c.MinDist,
+		Dominators: c.Dominators,
+	}
+}
+
+// encodeResult is the wire form of one search result; the skip counts of
+// a degraded result are the caller's to add from its PartialResultError.
+func encodeResult(q query, res *core.Result) QueryResponse {
+	resp := QueryResponse{
+		Operator:   q.op.String(),
+		K:          q.k,
+		Examined:   res.Examined,
+		ElapsedUS:  res.Elapsed.Microseconds(),
+		Checks:     res.Stats.DominanceChecks,
+		Incomplete: res.Incomplete,
+	}
+	for _, c := range res.Candidates {
+		resp.Candidates = append(resp.Candidates, encodeCandidate(c))
+	}
+	return resp
+}

@@ -1,0 +1,205 @@
+package server
+
+// The shared request pipeline: every query endpoint validates the same
+// way, every body is bounded, and the stream honours k.
+
+import (
+	"context"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+
+	"spatialdom/internal/core"
+	"spatialdom/internal/datagen"
+	"spatialdom/internal/uncertain"
+)
+
+var queryEndpoints = []string{"/query", "/query/stream", "/query/batch", "/shard/query"}
+
+// wireBody renders the same logical request for any query endpoint: the
+// batch endpoint nests the instances in a one-query batch, the others
+// carry them at the top level. instances is raw JSON so a case can hold
+// what no Go value marshals to (a NaN token).
+func wireBody(endpoint, instances, tail string) string {
+	if endpoint == "/query/batch" {
+		return fmt.Sprintf(`{"queries":[{"instances":%s}]%s}`, instances, tail)
+	}
+	return fmt.Sprintf(`{"instances":%s%s}`, instances, tail)
+}
+
+// TestQueryEndpointsAgreeOnMalformedInput posts the same malformed input
+// to all four query endpoints and demands the same status and code from
+// each — they share one decodeBody and one buildQuery, so they cannot
+// drift.
+func TestQueryEndpointsAgreeOnMalformedInput(t *testing.T) {
+	ds := datagen.Generate(datagen.Params{N: 40, M: 4, Seed: 141}) // dim 3
+	srv, err := New(ds.Objects)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tooMany := "[" + strings.Repeat("[1,2,3],", maxInstances) + "[1,2,3]]"
+	cases := []struct {
+		name, method, instances, tail string
+		status                        int
+		code                          string
+	}{
+		{"unknown field", http.MethodPost, `[[1,2,3]]`, `,"bogus":1`, 400, "bad_request"},
+		{"bad operator", http.MethodPost, `[[1,2,3]]`, `,"operator":"XXX"`, 400, "bad_request"},
+		{"bad metric", http.MethodPost, `[[1,2,3]]`, `,"metric":"warp"`, 400, "bad_request"},
+		{"k below one", http.MethodPost, `[[1,2,3]]`, `,"k":-1`, 400, "bad_request"},
+		{"ragged instances", http.MethodPost, `[[1,2,3],[1,2]]`, ``, 400, "bad_request"},
+		{"NaN coordinate", http.MethodPost, `[[NaN,2,3]]`, ``, 400, "bad_request"},
+		{"no instances", http.MethodPost, `[]`, ``, 400, "bad_request"},
+		{"too many instances", http.MethodPost, tooMany, ``, 400, "bad_request"},
+		{"wrong dim", http.MethodPost, `[[1,2]]`, ``, 400, "bad_request"},
+		{"wrong method", http.MethodGet, `[[1,2,3]]`, ``, 405, "method_not_allowed"},
+	}
+	for _, tc := range cases {
+		for _, ep := range queryEndpoints {
+			rec := do(t, srv, tc.method, ep, wireBody(ep, tc.instances, tc.tail))
+			if rec.Code != tc.status {
+				t.Errorf("%s on %s: status %d, want %d (%s)", tc.name, ep, rec.Code, tc.status, rec.Body)
+				continue
+			}
+			if c := errCode(t, rec); c != tc.code {
+				t.Errorf("%s on %s: code %q, want %q", tc.name, ep, c, tc.code)
+			}
+		}
+	}
+	// The control: the well-formed request is accepted everywhere.
+	for _, ep := range queryEndpoints {
+		if rec := do(t, srv, http.MethodPost, ep, wireBody(ep, `[[1,2,3]]`, `,"operator":"SSD","k":2`)); rec.Code != 200 {
+			t.Errorf("well-formed request on %s: status %d (%s)", ep, rec.Code, rec.Body)
+		}
+	}
+}
+
+// TestStreamHonoursK: /query/stream with k=3 streams exactly the ID
+// sequence /query answers for k=3, and applies the same k <= Len bound.
+func TestStreamHonoursK(t *testing.T) {
+	ds := datagen.Generate(datagen.Params{N: 120, M: 6, Seed: 61})
+	srv, err := New(ds.Objects)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := ds.Queries(1, 4, 200, 62)[0]
+	inst := make([][]float64, q.Len())
+	for i := range inst {
+		inst[i] = q.Instance(i)
+	}
+	req := QueryRequest{Instances: inst, Operator: "SSSD", K: 3}
+
+	var plain QueryResponse
+	rec := do(t, srv, http.MethodPost, "/query", req)
+	wantStatus(t, rec, 200)
+	if err := json.Unmarshal(rec.Body.Bytes(), &plain); err != nil {
+		t.Fatal(err)
+	}
+	var band1 QueryResponse
+	req1 := req
+	req1.K = 1
+	if err := json.Unmarshal(do(t, srv, http.MethodPost, "/query", req1).Body.Bytes(), &band1); err != nil {
+		t.Fatal(err)
+	}
+	if len(plain.Candidates) <= len(band1.Candidates) {
+		t.Fatalf("fixture too easy: 3-band has %d candidates, skyline %d", len(plain.Candidates), len(band1.Candidates))
+	}
+
+	rec = do(t, srv, http.MethodPost, "/query/stream", req)
+	wantStatus(t, rec, 200)
+	var streamed []int
+	dec := json.NewDecoder(rec.Body)
+	for dec.More() {
+		var line map[string]interface{}
+		if err := dec.Decode(&line); err != nil {
+			t.Fatal(err)
+		}
+		if line["done"] == true {
+			break
+		}
+		streamed = append(streamed, int(line["id"].(float64)))
+	}
+	if len(streamed) != len(plain.Candidates) {
+		t.Fatalf("stream k=3 yielded %d candidates, /query k=3 %d", len(streamed), len(plain.Candidates))
+	}
+	for i, c := range plain.Candidates {
+		if streamed[i] != c.ID {
+			t.Fatalf("stream k=3 differs from /query k=3 at %d: %v vs %v", i, streamed, plain.Candidates)
+		}
+	}
+
+	req.K = len(ds.Objects) + 1
+	wantStatus(t, do(t, srv, http.MethodPost, "/query/stream", req), 400)
+}
+
+// endlessBody is a well-formed JSON prefix that never ends, counting what
+// is read from it.
+type endlessBody struct {
+	prefix string
+	n      int64
+}
+
+func (e *endlessBody) Read(p []byte) (int, error) {
+	for i := range p {
+		switch {
+		case e.n < int64(len(e.prefix)):
+			p[i] = e.prefix[e.n]
+		case (e.n-int64(len(e.prefix)))%2 == 0:
+			p[i] = '1'
+		default:
+			p[i] = ','
+		}
+		e.n++
+	}
+	return len(p), nil
+}
+
+// mutableFake is a fakeBackend that accepts mutations, so the mutation
+// endpoints reach their decode step.
+type mutableFake struct{ fakeBackend }
+
+func (*mutableFake) Insert(*uncertain.Object) error { return nil }
+func (*mutableFake) Delete(int) (bool, error)       { return true, nil }
+func (*mutableFake) Mutable() bool                  { return true }
+
+// TestOversizedBodyAnswers413: every body-carrying endpoint reads at most
+// maxBodyBytes+1 bytes of an oversized body and answers a typed 413.
+func TestOversizedBodyAnswers413(t *testing.T) {
+	b := &mutableFake{fakeBackend{dim: 3, search: func(context.Context, *uncertain.Object, core.Operator, int, core.SearchOptions) (*core.Result, error) {
+		t.Error("search reached with an oversized body")
+		return &core.Result{}, nil
+	}}}
+	srv := NewBackend(b)
+	for _, ep := range append(queryEndpoints, "/insert", "/delete") {
+		body := &endlessBody{prefix: `{"instances":[[`}
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, ep, body))
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status %d, want 413 (%s)", ep, rec.Code, rec.Body)
+			continue
+		}
+		if c := errCode(t, rec); c != "payload_too_large" {
+			t.Errorf("%s: code %q, want payload_too_large", ep, c)
+		}
+		if body.n > maxBodyBytes+1 {
+			t.Errorf("%s: handler read %d bytes, limit is %d+1", ep, body.n, maxBodyBytes)
+		}
+	}
+}
+
+// TestBatchChecksReadinessBeforeDecoding: a warming server answers 503 on
+// /query/batch without touching the body.
+func TestBatchChecksReadinessBeforeDecoding(t *testing.T) {
+	srv := NewWarming("wal replay")
+	body := &endlessBody{prefix: `{"queries":[`}
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query/batch", io.NopCloser(body)))
+	wantStatus(t, rec, http.StatusServiceUnavailable)
+	if body.n != 0 {
+		t.Fatalf("warming server read %d body bytes before answering 503", body.n)
+	}
+}

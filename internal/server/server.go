@@ -22,6 +22,9 @@
 //
 // and the response carries the candidates in emission order with their
 // exact minimum distances, plus timing and dominance-check statistics.
+// Every body-carrying endpoint shares one request pipeline (pipeline.go):
+// bodies are POST-only, bounded (413 payload_too_large past 8 MiB) and
+// strict about field names, and all query endpoints validate alike.
 //
 // Degraded answers are never silent: when the backend had to skip
 // unreadable (quarantined) pages, /query answers 206 Partial Content with
@@ -369,6 +372,8 @@ func errorCode(status int) string {
 		return "method_not_allowed"
 	case http.StatusNotImplemented:
 		return "not_implemented"
+	case http.StatusRequestEntityTooLarge:
+		return "payload_too_large"
 	case http.StatusInternalServerError:
 		return "internal"
 	default:
@@ -526,99 +531,43 @@ func (s *Server) handleObject(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, toJSON(o))
 }
 
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, errors.New("POST only"))
-		return
-	}
-	b := s.serving(w)
-	if b == nil {
-		return
+// acceptQuery is the front half /query and /query/stream share, since they
+// take the same body: readiness, decode, validation, k <= Len. On failure
+// the error response is already written and ok is false.
+func (s *Server) acceptQuery(w http.ResponseWriter, r *http.Request) (b Backend, q query, ok bool) {
+	if b = s.serving(w); b == nil {
+		return nil, q, false
 	}
 	var req QueryRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return
+	if !decodeBody(w, r, &req) {
+		return nil, q, false
 	}
-	op, err := parseOperator(req.Operator)
+	q, err := buildQuery(b.Dim(), req.Operator, req.Metric, req.K, false, BatchQuery{Instances: req.Instances, Weights: req.Weights})
+	if err == nil && q.k > b.Len() {
+		err = fmt.Errorf("k=%d out of range", q.k)
+	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
+		return nil, q, false
+	}
+	return b, q, true
+}
+
+func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+	b, q, ok := s.acceptQuery(w, r)
+	if !ok {
 		return
 	}
-	metric, err := parseMetric(req.Metric)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	res, err := b.SearchKCtx(r.Context(), q.objs[0], q.op, q.k, core.SearchOptions{Filters: core.AllFilters, Metric: q.metric})
+	status, partial, ok := searchStatus(w, r, err)
+	if !ok {
 		return
 	}
-	k := req.K
-	if k == 0 {
-		k = 1
-	}
-	if k < 1 || k > b.Len() {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("k=%d out of range", k))
-		return
-	}
-	pts := make([]geom.Point, len(req.Instances))
-	for i, row := range req.Instances {
-		pts[i] = geom.Point(row)
-	}
-	q, err := uncertain.New(0, pts, req.Weights)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("building query object: %w", err))
-		return
-	}
-	if q.Dim() != b.Dim() {
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("query dim %d != dataset dim %d", q.Dim(), b.Dim()))
-		return
-	}
-	res, err := b.SearchKCtx(r.Context(), q, op, k, core.SearchOptions{Filters: core.AllFilters, Metric: metric})
-	status := http.StatusOK
-	partial, isPartial := core.AsPartial(err)
-	if err != nil && !isPartial {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			// The client is gone; the engine already aborted the traversal.
-			return
-		}
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	resp := QueryResponse{
-		Operator:  op.String(),
-		K:         k,
-		Examined:  res.Examined,
-		ElapsedUS: res.Elapsed.Microseconds(),
-		Checks:    res.Stats.DominanceChecks,
-	}
-	if isPartial {
-		// Degraded, not failed: the traversal completed around quarantined
-		// pages (or, behind a router, dead shards). 206 + the flag, so
-		// clients never mistake a shrunken candidate set for a complete
-		// answer. When the producer knows when the missing capacity comes
-		// back (a shard breaker's half-open probe time) the advice rides
-		// on Retry-After so clients re-ask for the complete answer then.
-		status = http.StatusPartialContent
-		resp.Incomplete = true
+	resp := encodeResult(q, res)
+	if partial != nil {
 		resp.UnreadableNodes = partial.UnreadableNodes
 		resp.UnreadableObjects = partial.UnreadableObjects
 		resp.UnreachableShards = partial.UnreachableShards
-		if partial.RetryAfterHint > 0 {
-			secs := int(partial.RetryAfterHint / time.Second)
-			if partial.RetryAfterHint%time.Second != 0 || secs < 1 {
-				secs++
-			}
-			w.Header().Set("Retry-After", strconv.Itoa(secs))
-		}
-	}
-	for _, c := range res.Candidates {
-		resp.Candidates = append(resp.Candidates, QueryCandidate{
-			ID:         c.Object.ID(),
-			Label:      c.Object.Label(),
-			MinDist:    c.MinDist,
-			Dominators: c.Dominators,
-		})
 	}
 	writeJSON(w, status, resp)
 }
@@ -630,43 +579,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // aborts the engine's traversal at its next heap pop; the summary line is
 // only written for a completed search.
 func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, errors.New("POST only"))
-		return
-	}
-	b := s.serving(w)
-	if b == nil {
-		return
-	}
-	var req QueryRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return
-	}
-	op, err := parseOperator(req.Operator)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	metric, err := parseMetric(req.Metric)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	pts := make([]geom.Point, len(req.Instances))
-	for i, row := range req.Instances {
-		pts[i] = geom.Point(row)
-	}
-	q, err := uncertain.New(0, pts, req.Weights)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("building query object: %w", err))
-		return
-	}
-	if q.Dim() != b.Dim() {
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("query dim %d != dataset dim %d", q.Dim(), b.Dim()))
+	b, q, ok := s.acceptQuery(w, r)
+	if !ok {
 		return
 	}
 
@@ -674,16 +588,11 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
-	res, err := b.SearchKCtx(r.Context(), q, op, 1, core.SearchOptions{
+	res, err := b.SearchKCtx(r.Context(), q.objs[0], q.op, q.k, core.SearchOptions{
 		Filters: core.AllFilters,
-		Metric:  metric,
+		Metric:  q.metric,
 		OnCandidate: func(c core.Candidate) {
-			enc.Encode(QueryCandidate{
-				ID:         c.Object.ID(),
-				Label:      c.Object.Label(),
-				MinDist:    c.MinDist,
-				Dominators: c.Dominators,
-			})
+			enc.Encode(encodeCandidate(c))
 			if flusher != nil {
 				flusher.Flush()
 			}

@@ -25,14 +25,9 @@ package server
 // counts.
 
 import (
-	"encoding/json"
-	"errors"
-	"fmt"
 	"net/http"
 
 	"spatialdom/internal/core"
-	"spatialdom/internal/geom"
-	"spatialdom/internal/uncertain"
 )
 
 // ShardQueryRequest is the POST /shard/query body. Probs must be the
@@ -104,98 +99,40 @@ type ShardQueryResponse struct {
 }
 
 func (s *Server) handleShardQuery(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, errors.New("POST only"))
-		return
-	}
 	b := s.serving(w)
 	if b == nil {
 		return
 	}
 	var req ShardQueryRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
-	op, err := parseOperator(req.Operator)
+	q, err := buildQuery(b.Dim(), req.Operator, req.Metric, req.K, req.Normalized, BatchQuery{Instances: req.Instances, Weights: req.Probs})
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	metric, err := parseMetric(req.Metric)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	k := req.K
-	if k == 0 {
-		k = 1
-	}
-	if k < 1 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("k=%d out of range", k))
-		return
-	}
-	pts := make([]geom.Point, len(req.Instances))
-	for i, row := range req.Instances {
-		pts[i] = geom.Point(row)
-	}
-	var q *uncertain.Object
-	if req.Normalized {
-		q, err = uncertain.FromNormalized(0, pts, req.Probs)
-	} else {
-		q, err = uncertain.New(0, pts, req.Probs)
-	}
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("building query object: %w", err))
-		return
-	}
-	if q.Dim() != b.Dim() {
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("query dim %d != shard dim %d", q.Dim(), b.Dim()))
-		return
-	}
-	res, err := b.SearchKCtx(r.Context(), q, op, k, core.SearchOptions{
+	res, err := b.SearchKCtx(r.Context(), q.objs[0], q.op, q.k, core.SearchOptions{
 		Filters: req.Filters.Config(),
-		Metric:  metric,
+		Metric:  q.metric,
 	})
-	status := http.StatusOK
-	partial, isPartial := core.AsPartial(err)
-	if err != nil && !isPartial {
-		if r.Context().Err() != nil {
-			// The router is gone (deadline or hedge winner); nothing to say.
-			return
-		}
-		writeError(w, http.StatusInternalServerError, err)
+	status, partial, ok := searchStatus(w, r, err)
+	if !ok {
 		return
 	}
 	resp := ShardQueryResponse{
-		Objects:  b.Len(),
-		Examined: res.Examined,
-		Checks:   res.Stats.DominanceChecks,
+		Candidates: make([]ShardCandidate, len(res.Candidates)),
+		Objects:    b.Len(),
+		Examined:   res.Examined,
+		Checks:     res.Stats.DominanceChecks,
+		Incomplete: res.Incomplete,
 	}
-	if isPartial {
-		status = http.StatusPartialContent
-		resp.Incomplete = true
+	if partial != nil {
 		resp.UnreadableNodes = partial.UnreadableNodes
 		resp.UnreadableObjects = partial.UnreadableObjects
 	}
-	resp.Candidates = make([]ShardCandidate, 0, len(res.Candidates))
-	for _, c := range res.Candidates {
-		o := c.Object
-		inst := make([][]float64, o.Len())
-		probs := make([]float64, o.Len())
-		for i := 0; i < o.Len(); i++ {
-			inst[i] = append([]float64(nil), o.Instance(i)...)
-			probs[i] = o.Prob(i)
-		}
-		resp.Candidates = append(resp.Candidates, ShardCandidate{
-			ID:        o.ID(),
-			Label:     o.Label(),
-			Instances: inst,
-			Probs:     probs,
-		})
+	for i, c := range res.Candidates {
+		resp.Candidates[i] = ShardCandidate(toJSON(c.Object))
 	}
 	writeJSON(w, status, resp)
 }

@@ -126,15 +126,19 @@ func SearchBackend(ctx context.Context, b Backend, q *Object, op Operator, k int
 // needs; *Index and *DiskIndex both satisfy it.
 type KSearcher = core.KSearcher
 
-// SearchParallel runs one search per query fanned out over workers
-// goroutines (workers <= 0 uses GOMAXPROCS) and returns results in input
-// order. Both built-in backends are safe for this: the in-memory index is
+// BatchOptions tunes a SearchParallel batch: fan-out width and an
+// optional shared admission gate.
+type BatchOptions = core.BatchOptions
+
+// SearchParallel runs one search per query fanned out over bo.Workers
+// goroutines (<= 0 uses GOMAXPROCS) and returns results in input order.
+// Both built-in backends are safe for this: the in-memory index is
 // immutable during searches, and the disk index's buffer pool and object
 // cache are sharded with per-search I/O attribution, so concurrent
 // batches return byte-for-byte the candidates of serial execution. The
 // first error cancels the rest of the batch; see core.SearchParallel.
-func SearchParallel(ctx context.Context, s KSearcher, queries []*Object, op Operator, k int, opts SearchOptions, workers int) ([]*Result, error) {
-	return core.SearchParallel(ctx, s, queries, op, k, opts, workers)
+func SearchParallel(ctx context.Context, s KSearcher, queries []*Object, op Operator, k int, opts SearchOptions, bo BatchOptions) ([]*Result, error) {
+	return core.SearchParallel(ctx, s, queries, op, k, opts, bo)
 }
 
 // Metric abstracts the instance distance; the paper's techniques extend to
@@ -157,10 +161,9 @@ func NewCheckerMetric(query *Object, op Operator, cfg FilterConfig, m Metric) *C
 // Checker decides pairwise spatial dominance for a fixed query.
 type Checker = core.Checker
 
-// Note on k-NN candidates: Index.SearchK / Index.SearchKOpts (via the
-// core alias) generalize Search to the k-skyband — every object dominated
-// by fewer than k others — which is guaranteed to contain the top-k
-// objects of every covered NN function.
+// Note on k-NN candidates: SearchKCtx with k > 1 generalizes Search to the
+// k-skyband — every object dominated by fewer than k others — which is
+// guaranteed to contain the top-k objects of every covered NN function.
 
 // NewChecker returns a dominance checker for the query under the operator.
 func NewChecker(query *Object, op Operator, cfg FilterConfig) *Checker {
