@@ -2,14 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint fmt-check bench bench-baseline bench-compare cover figures examples clean check fuzz fuzz-smoke faults wal parallel bench-compare-parallel load load-baseline conformance cluster
-
-# The hot-path benchmark set and flags; bench-baseline and bench-compare
-# must agree so the committed BENCH_baseline.txt stays comparable. The
-# sub-microsecond DominanceCheck set needs far more iterations than the
-# millisecond Fig12 workloads to escape warmup noise.
-BENCH_FIG_FLAGS = -run='^$$' -bench=Fig12 -benchtime=100x -count=3 -benchmem
-BENCH_DOM_FLAGS = -run='^$$' -bench=DominanceCheck -benchtime=5000x -count=3 -benchmem
+.PHONY: all build test race vet lint fmt-check bench cover figures examples clean check verify fuzz fuzz-smoke faults wal conformance cluster
 
 all: build test
 
@@ -41,7 +34,8 @@ race:
 
 # check is the CI gate: formatting + vet + build + nnclint + race tests +
 # a one-shot Figure 12 benchmark smoke so the engine's hot path stays
-# exercised, plus a short fuzz pass over the on-disk decoders.
+# exercised, plus a short fuzz pass over the on-disk decoders and the
+# request pipeline.
 check: fmt-check
 	$(GO) vet ./...
 	$(GO) build ./...
@@ -52,50 +46,6 @@ check: fmt-check
 
 bench:
 	$(GO) test -bench=. -benchmem .
-
-# bench-baseline refreshes the committed perf baseline; run it on the
-# reference machine after an intentional perf change and commit the file.
-bench-baseline:
-	$(GO) test $(BENCH_FIG_FLAGS) . | tee BENCH_baseline.txt
-	$(GO) test $(BENCH_DOM_FLAGS) . | tee -a BENCH_baseline.txt
-
-# bench-compare re-runs the same set and diffs against the committed
-# baseline. Informational by default (-gate=0): absolute ns/op is only
-# comparable on the reference machine, but allocs/op is portable.
-bench-compare:
-	$(GO) test $(BENCH_FIG_FLAGS) . > bench_new.txt
-	$(GO) test $(BENCH_DOM_FLAGS) . >> bench_new.txt
-	$(GO) run ./cmd/benchdiff BENCH_baseline.txt bench_new.txt
-
-# parallel runs the worker sweep with the scaling gate armed: speedup,
-# p95 and p99 under load must stay inside the thresholds (the gate
-# self-disables on single-proc machines where scaling is unmeasurable).
-# The sweep lands in a scratch artifact (the committed BENCH_parallel.json
-# is refreshed deliberately via nncbench -parallel -force on the reference
-# machine); mutex/block contention profiles land next to it.
-parallel:
-	$(GO) run ./cmd/nncbench -parallel -scale=small -gate -force -profiledir=. -out=bench_parallel_new.json
-
-# bench-compare-parallel re-records the sweep to a scratch artifact and
-# diffs it against the committed BENCH_parallel.json per backend and
-# worker count (qps, p95, p99, speedup). Informational by default —
-# absolute throughput is machine-bound; pass GATE=-gate=15 to fail on
-# >15% regressions when comparing on the same machine.
-bench-compare-parallel:
-	$(GO) run ./cmd/nncbench -parallel -scale=small -force -out=bench_parallel_new.json
-	$(GO) run ./cmd/benchdiff -parallel $(GATE) BENCH_parallel.json bench_parallel_new.json
-
-# load runs the nncload serving-tier smoke with its relative gate armed
-# (cached-hot QPS ≥ 3× uncached, bounded p99, zero errors — ratios within
-# one run, so the gate holds on any machine), then diffs the fresh
-# artifact against the committed BENCH_load.json. The committed artifact
-# is refreshed deliberately via `make load-baseline`.
-load:
-	$(GO) run ./cmd/nncload -scale=small -gate -out=bench_load_new.json
-	$(GO) run ./cmd/benchdiff -load $(GATE) BENCH_load.json bench_load_new.json
-
-load-baseline:
-	$(GO) run ./cmd/nncload -scale=small -gate -out=BENCH_load.json
 
 # conformance runs the cache-invalidation conformance suite under the
 # race detector: random inserts/deletes interleaved with cached queries,
@@ -118,7 +68,7 @@ examples:
 	$(GO) run ./examples/nncore
 
 clean:
-	rm -f cover.out test_output.txt bench_output.txt bench_new.txt bench_parallel_new.json bench_load_new.json bench_cluster_new.json mutex.prof block.prof
+	rm -f cover.out
 
 verify:
 	$(GO) run ./cmd/nncbench -verify -scale=small
@@ -129,14 +79,20 @@ fuzz:
 	$(GO) test -fuzz=FuzzRecordDecode -fuzztime=30s ./internal/diskstore
 	$(GO) test -fuzz=FuzzNodeDecode -fuzztime=30s ./internal/diskrtree
 	$(GO) test -fuzz=FuzzSuperDecode -fuzztime=30s ./internal/diskindex
+	$(GO) test -fuzz=FuzzBuildQuery -fuzztime=30s -fuzzminimizetime=1s ./internal/server
 
 # fuzz-smoke is the short decoder pass wired into `make check`: every
-# on-disk decoder (object record, rtree node, super page) survives 10s of
-# coverage-guided input without panicking or accepting garbage.
+# on-disk decoder (object record, rtree node, super page) and the HTTP
+# request pipeline (decodeBody → buildQuery) survive 10s of
+# coverage-guided input without panicking or accepting garbage. The
+# request corpus seeds a 4097-instance body; left at its 60s default the
+# fuzzer spends the whole run minimizing mutations of it, hence
+# -fuzzminimizetime.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzRecordDecode -fuzztime=10s ./internal/diskstore
 	$(GO) test -run='^$$' -fuzz=FuzzNodeDecode -fuzztime=10s ./internal/diskrtree
 	$(GO) test -run='^$$' -fuzz=FuzzSuperDecode -fuzztime=10s ./internal/diskindex
+	$(GO) test -run='^$$' -fuzz=FuzzBuildQuery -fuzztime=10s -fuzzminimizetime=1s ./internal/server
 
 # wal runs the durability suite under the race detector: WAL unit tests,
 # the crash kill-point sweeps (exact pre-or-post transaction recovery at
@@ -153,11 +109,9 @@ wal:
 # shard counts 1–8 × every operator and filter configuration), the
 # breaker state machine, and the seeded chaos suite (drop/delay/5xx/
 # half-response/flap injection, replica kill → failover, shard kill →
-# flagged 206 degradation, restore → probe-driven recovery), then the
-# nncload failover drill with its qualitative gate armed.
+# flagged 206 degradation, restore → probe-driven recovery).
 cluster:
 	$(GO) test -race ./internal/cluster ./internal/clusterfault
-	$(GO) run ./cmd/nncload -cluster -gate -out=bench_cluster_new.json
 
 # faults runs the end-to-end fault-injection suite under the race
 # detector: engine degradation, quarantine, retry, fsck, legacy compat.

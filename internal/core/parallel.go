@@ -3,8 +3,8 @@ package core
 // Parallel batch search: queries are independent (each search builds its
 // own Checker and scratch, and both built-in backends are internally
 // sharded), so a query batch is embarrassingly parallel. This file is the
-// one fan-out loop every caller shares — the public API, the HTTP server's
-// batch endpoint and the harness all funnel through it. The contention
+// one fan-out loop every caller shares — the public API and the HTTP
+// server's batch endpoint both funnel through it. The contention
 // machinery it leans on (per-worker scratch affinity, the work-stealing
 // segment queue, batch admission) lives in batch.go.
 

@@ -13,6 +13,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"spatialdom/internal/uncertain"
 )
@@ -161,5 +162,40 @@ func TestSearchParallelMatchesSerialOnRealIndex(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestSearchParallelScales catches serialisation of the read path: four
+// workers over the real in-memory index must clear twice the one-worker
+// throughput (best of three batches each). A shared lock or a contended
+// pool on the search path shows up as a speed-up near 1×; drift in the
+// absolute numbers is the benchmark's job, not this test's. For where
+// the goroutines wait, run
+// `go test -bench ParallelSearch -mutexprofile m.prof -blockprofile b.prof .`.
+func TestSearchParallelScales(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing test")
+	}
+	if p := runtime.GOMAXPROCS(0); p < 4 {
+		t.Skipf("GOMAXPROCS=%d: four workers need four procs to show a speed-up", p)
+	}
+	idx, ds := engineFixture(t, 600, 61)
+	queries := ds.Queries(96, 5, 250, 62)
+	batchSeconds := func(workers int) float64 {
+		start := time.Now()
+		if _, err := SearchParallel(context.Background(), idx, queries, PSD, 1,
+			SearchOptions{Filters: AllFilters}, BatchOptions{Workers: workers}); err != nil {
+			t.Fatal(err)
+		}
+		return time.Since(start).Seconds()
+	}
+	batchSeconds(4) // warm the scratch pool
+	one, four := batchSeconds(1), batchSeconds(4)
+	for round := 1; round < 3; round++ {
+		one, four = min(one, batchSeconds(1)), min(four, batchSeconds(4))
+	}
+	if speedup := one / four; speedup < 2 {
+		t.Fatalf("4 workers ran the batch in %.1f ms, 1 worker in %.1f ms: speed-up %.2fx, want >= 2x",
+			four*1e3, one*1e3, speedup)
 	}
 }

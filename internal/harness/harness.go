@@ -120,19 +120,6 @@ type Measurement struct {
 	Candidates  float64 // average NN candidate count
 	Millis      float64 // average query response time
 	Comparisons float64 // average instance comparisons
-
-	// WallMillis is the elapsed wall clock of the whole workload — for
-	// RunWorkloadParallel this is the reduced (parallel) elapsed time, not
-	// the per-query sum.
-	WallMillis float64
-	// P50Millis, P95Millis and P99Millis are nearest-rank per-query
-	// latency percentiles over the workload.
-	P50Millis float64
-	P95Millis float64
-	P99Millis float64
-	// QPS is queries per wall-clock second (len(queries)/WallMillis),
-	// the throughput number worker sweeps compare across parallelism.
-	QPS float64
 }
 
 // mustSearch is the harness's one search call: workloads run against
@@ -148,49 +135,18 @@ func mustSearch(s core.KSearcher, q *uncertain.Object, op core.Operator, k int, 
 // RunWorkload executes the query workload under one operator and filter
 // configuration, averaging the Figure 10/12/16 metrics.
 func RunWorkload(idx *core.Index, queries []*uncertain.Object, op core.Operator, cfg core.FilterConfig) Measurement {
-	return RunWorkloadOn(idx, queries, op, cfg)
-}
-
-// RunWorkloadOn is RunWorkload over any core.KSearcher (memory or disk
-// backend).
-func RunWorkloadOn(s core.KSearcher, queries []*uncertain.Object, op core.Operator, cfg core.FilterConfig) Measurement {
 	var m Measurement
-	start := time.Now()
-	lats := make([]float64, 0, len(queries))
 	for _, q := range queries {
-		res := mustSearch(s, q, op, 1, core.SearchOptions{Filters: cfg})
-		lat := float64(res.Elapsed) / float64(time.Millisecond)
-		lats = append(lats, lat)
+		res := mustSearch(idx, q, op, 1, core.SearchOptions{Filters: cfg})
 		m.Candidates += float64(len(res.Candidates))
-		m.Millis += lat
+		m.Millis += float64(res.Elapsed) / float64(time.Millisecond)
 		m.Comparisons += float64(res.Stats.InstanceComparisons)
 	}
-	m.WallMillis = float64(time.Since(start)) / float64(time.Millisecond)
-	if m.WallMillis > 0 {
-		m.QPS = float64(len(queries)) / (m.WallMillis / 1000)
-	}
-	m.P50Millis = percentile(lats, 50)
-	m.P95Millis = percentile(lats, 95)
-	m.P99Millis = percentile(lats, 99)
 	n := float64(len(queries))
 	m.Candidates /= n
 	m.Millis /= n
 	m.Comparisons /= n
 	return m
-}
-
-// percentile is the nearest-rank percentile of the (unsorted) latencies;
-// the slice is sorted in place.
-func percentile(lats []float64, p int) float64 {
-	if len(lats) == 0 {
-		return 0
-	}
-	sort.Float64s(lats)
-	rank := (len(lats)*p + 99) / 100 // ceil(n*p/100)
-	if rank < 1 {
-		rank = 1
-	}
-	return lats[rank-1]
 }
 
 // dataset builds a named evaluation dataset plus its query workload.

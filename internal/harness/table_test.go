@@ -3,12 +3,8 @@ package harness
 import (
 	"bytes"
 	"encoding/csv"
-	"runtime"
 	"strings"
 	"testing"
-
-	"spatialdom/internal/core"
-	"spatialdom/internal/datagen"
 )
 
 func TestTableTextAndCSV(t *testing.T) {
@@ -137,29 +133,5 @@ func TestParseNumeric(t *testing.T) {
 		if ok != c.ok || (ok && got != c.want) {
 			t.Fatalf("parseNumeric(%q) = %g, %v", c.in, got, ok)
 		}
-	}
-}
-
-func TestRunWorkloadParallelMatchesSerial(t *testing.T) {
-	old := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(old)
-	ds := datagen.Generate(datagen.Params{N: 200, M: 6, Seed: 13})
-	idx, err := core.NewIndex(ds.Objects)
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries := ds.Queries(6, 4, 200, 21)
-	serial := RunWorkload(idx, queries, core.SSSD, core.AllFilters)
-	parallel := RunWorkloadParallel(idx, queries, core.SSSD, core.AllFilters)
-	if serial.Candidates != parallel.Candidates {
-		t.Fatalf("candidate averages differ: %g vs %g", serial.Candidates, parallel.Candidates)
-	}
-	if serial.Comparisons != parallel.Comparisons {
-		t.Fatalf("comparison averages differ: %g vs %g", serial.Comparisons, parallel.Comparisons)
-	}
-	// Single worker falls back to the serial path.
-	one := RunWorkloadParallel(idx, queries[:1], core.SSSD, core.AllFilters)
-	if one.Candidates <= 0 {
-		t.Fatal("single-query parallel run produced nothing")
 	}
 }

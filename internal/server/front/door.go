@@ -35,9 +35,6 @@ type DoorConfig struct {
 	// CacheBytes bounds the result cache (total, across shards);
 	// 0 means DefaultCacheBytes, negative disables caching.
 	CacheBytes int64
-	// DisableCoalesce turns off request coalescing (used by tests and the
-	// load generator's cache-off phases).
-	DisableCoalesce bool
 }
 
 // DefaultCacheBytes is the default result-cache budget (64 MiB).
@@ -51,7 +48,7 @@ type Door struct {
 	mut   server.Mutator // inner's mutation capability, nil if absent
 
 	cache *resultCache // nil when caching disabled
-	co    *coalescer   // nil when coalescing disabled
+	co    *coalescer
 
 	// epoch is the Door's mutation clock. It is read by every lookup and
 	// fill, and advanced only under mutMu after a sweep (see cache.go for
@@ -80,7 +77,7 @@ type epocher interface{ Epoch() uint64 }
 
 // NewDoor wraps inner with caching and coalescing.
 func NewDoor(inner server.Backend, cfg DoorConfig) *Door {
-	d := &Door{inner: inner}
+	d := &Door{inner: inner, co: newCoalescer()}
 	if m, ok := inner.(server.Mutator); ok {
 		d.mut = m
 	}
@@ -89,9 +86,6 @@ func NewDoor(inner server.Backend, cfg DoorConfig) *Door {
 		d.cache = newResultCache(DefaultCacheBytes)
 	case cfg.CacheBytes > 0:
 		d.cache = newResultCache(cfg.CacheBytes)
-	}
-	if !cfg.DisableCoalesce {
-		d.co = newCoalescer()
 	}
 	if e, ok := inner.(epocher); ok {
 		d.epoch.Store(e.Epoch())
@@ -116,7 +110,7 @@ func (d *Door) Epoch() uint64 { return d.epoch.Load() }
 // callback sequence, not just the final Result, so sharing another
 // request's execution would change what the client sees.
 func (d *Door) SearchKCtx(ctx context.Context, q *uncertain.Object, op core.Operator, k int, opts core.SearchOptions) (*core.Result, error) {
-	if opts.OnCandidate != nil || opts.Limit > 0 || (d.cache == nil && d.co == nil) {
+	if opts.OnCandidate != nil || opts.Limit > 0 {
 		d.bypasses.Add(1)
 		return d.inner.SearchKCtx(ctx, q, op, k, opts)
 	}
@@ -137,12 +131,6 @@ func (d *Door) SearchKCtx(ctx context.Context, q *uncertain.Object, op core.Oper
 			}
 			return res, nil
 		}
-	}
-
-	if d.co == nil {
-		res, err := d.inner.SearchKCtx(ctx, q, op, k, opts)
-		d.fill(key, e, q, m, k, res, err)
-		return res, err
 	}
 
 	fk := flightKey{key: key, epoch: e}

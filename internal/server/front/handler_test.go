@@ -305,3 +305,48 @@ func TestCapabilityUnwrapThroughDoor(t *testing.T) {
 		t.Fatalf("objects summary %s (err %v)", w.Body, err)
 	}
 }
+
+// The serving gate: N distinct P-SD k=4 queries through the whole stack
+// (Handler → Server → Door → MemStore), then the same N replayed. Nothing
+// may error, every replay must be a cache hit that reproduces the miss's
+// bytes, and the replay pass must run at least 3× faster than the first —
+// a hit skips the engine entirely, so the ratio holds on any machine.
+func TestCachedReplayBeatsUncached(t *testing.T) {
+	const n = 48
+	h, _, door, _ := newStack(t, 30, 1500, Config{MaxInFlight: -1})
+	rng := rand.New(rand.NewSource(31))
+	bodies := make([]string, n)
+	for i := range bodies {
+		bodies[i] = queryBody(testQuery(rng, 50), "PSD", 4)
+	}
+	pass := func() ([]string, time.Duration) {
+		out := make([]string, n)
+		start := time.Now()
+		for i, b := range bodies {
+			w := postQuery(t, h, b, nil)
+			if w.Code != http.StatusOK {
+				t.Fatalf("query %d: %d %s", i, w.Code, w.Body)
+			}
+			out[i] = w.Body.String()
+		}
+		return out, time.Since(start)
+	}
+
+	misses, cold := pass()
+	if s := door.Stats().Cache; s.Hits != 0 || s.Misses != n {
+		t.Fatalf("first pass: %d hits, %d misses, want 0 and %d", s.Hits, s.Misses, n)
+	}
+	hits, hot := pass()
+	if got := door.Stats().Cache.Hits; got != n {
+		t.Fatalf("replay: %d cache hits, want %d", got, n)
+	}
+	for i := range hits {
+		if hits[i] != misses[i] {
+			t.Fatalf("query %d: hit body differs from miss body\nhit  %s\nmiss %s", i, hits[i], misses[i])
+		}
+	}
+	if hot*3 > cold {
+		t.Fatalf("replay took %v, first pass %v: cached answers are not 3x faster", hot, cold)
+	}
+	t.Logf("first pass %v, replay %v (%.0fx)", cold, hot, float64(cold)/float64(hot))
+}

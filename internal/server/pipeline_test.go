@@ -4,10 +4,12 @@ package server
 // way, every body is bounded, and the stream honours k.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -31,6 +33,26 @@ func wireBody(endpoint, instances, tail string) string {
 	return fmt.Sprintf(`{"instances":%s%s}`, instances, tail)
 }
 
+// malformedInputs is the agreement table: ten ways to get a query wrong,
+// each with the one answer every endpoint must give. FuzzBuildQuery seeds
+// its corpus from it.
+var malformedInputs = []struct {
+	name, method, instances, tail string
+	status                        int
+	code                          string
+}{
+	{"unknown field", http.MethodPost, `[[1,2,3]]`, `,"bogus":1`, 400, "bad_request"},
+	{"bad operator", http.MethodPost, `[[1,2,3]]`, `,"operator":"XXX"`, 400, "bad_request"},
+	{"bad metric", http.MethodPost, `[[1,2,3]]`, `,"metric":"warp"`, 400, "bad_request"},
+	{"k below one", http.MethodPost, `[[1,2,3]]`, `,"k":-1`, 400, "bad_request"},
+	{"ragged instances", http.MethodPost, `[[1,2,3],[1,2]]`, ``, 400, "bad_request"},
+	{"NaN coordinate", http.MethodPost, `[[NaN,2,3]]`, ``, 400, "bad_request"},
+	{"no instances", http.MethodPost, `[]`, ``, 400, "bad_request"},
+	{"too many instances", http.MethodPost, "[" + strings.Repeat("[1,2,3],", maxInstances) + "[1,2,3]]", ``, 400, "bad_request"},
+	{"wrong dim", http.MethodPost, `[[1,2]]`, ``, 400, "bad_request"},
+	{"wrong method", http.MethodGet, `[[1,2,3]]`, ``, 405, "method_not_allowed"},
+}
+
 // TestQueryEndpointsAgreeOnMalformedInput posts the same malformed input
 // to all four query endpoints and demands the same status and code from
 // each — they share one decodeBody and one buildQuery, so they cannot
@@ -41,24 +63,7 @@ func TestQueryEndpointsAgreeOnMalformedInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tooMany := "[" + strings.Repeat("[1,2,3],", maxInstances) + "[1,2,3]]"
-	cases := []struct {
-		name, method, instances, tail string
-		status                        int
-		code                          string
-	}{
-		{"unknown field", http.MethodPost, `[[1,2,3]]`, `,"bogus":1`, 400, "bad_request"},
-		{"bad operator", http.MethodPost, `[[1,2,3]]`, `,"operator":"XXX"`, 400, "bad_request"},
-		{"bad metric", http.MethodPost, `[[1,2,3]]`, `,"metric":"warp"`, 400, "bad_request"},
-		{"k below one", http.MethodPost, `[[1,2,3]]`, `,"k":-1`, 400, "bad_request"},
-		{"ragged instances", http.MethodPost, `[[1,2,3],[1,2]]`, ``, 400, "bad_request"},
-		{"NaN coordinate", http.MethodPost, `[[NaN,2,3]]`, ``, 400, "bad_request"},
-		{"no instances", http.MethodPost, `[]`, ``, 400, "bad_request"},
-		{"too many instances", http.MethodPost, tooMany, ``, 400, "bad_request"},
-		{"wrong dim", http.MethodPost, `[[1,2]]`, ``, 400, "bad_request"},
-		{"wrong method", http.MethodGet, `[[1,2,3]]`, ``, 405, "method_not_allowed"},
-	}
-	for _, tc := range cases {
+	for _, tc := range malformedInputs {
 		for _, ep := range queryEndpoints {
 			rec := do(t, srv, tc.method, ep, wireBody(ep, tc.instances, tc.tail))
 			if rec.Code != tc.status {
@@ -202,4 +207,57 @@ func TestBatchChecksReadinessBeforeDecoding(t *testing.T) {
 	if body.n != 0 {
 		t.Fatalf("warming server read %d body bytes before answering 503", body.n)
 	}
+}
+
+// FuzzBuildQuery feeds arbitrary bytes through decodeBody → buildQuery,
+// the way every query endpoint does. The pipeline must never panic, and
+// must either refuse the body with a typed 400/413 or hand the engine a
+// query it can trust: 1..maxInstances instances of the dataset's
+// dimensionality, finite coordinates, non-negative weights that sum to 1.
+func FuzzBuildQuery(f *testing.F) {
+	for _, tc := range malformedInputs {
+		f.Add([]byte(wireBody("/query", tc.instances, tc.tail)))
+	}
+	f.Add([]byte(`{"instances":[[1,2,3],[4,5,6]],"weights":[1e308,1e308],"operator":"PSD","k":2}`))
+	const dim = 3
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		var req QueryRequest
+		if !decodeBody(rec, httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(body)), &req) {
+			if rec.Code != http.StatusBadRequest && rec.Code != http.StatusRequestEntityTooLarge {
+				t.Fatalf("refused body answered %d", rec.Code)
+			}
+			if c := errCode(t, rec); c != errorCode(rec.Code) {
+				t.Fatalf("status %d carries code %q", rec.Code, c)
+			}
+			return
+		}
+		q, err := buildQuery(dim, req.Operator, req.Metric, req.K, false, BatchQuery{Instances: req.Instances, Weights: req.Weights})
+		if err != nil {
+			return // the endpoint answers 400
+		}
+		if q.k < 1 || q.metric == nil || len(q.objs) != 1 {
+			t.Fatalf("accepted query k=%d metric=%v objs=%d", q.k, q.metric, len(q.objs))
+		}
+		o := q.objs[0]
+		if o.Len() < 1 || o.Len() > maxInstances || o.Dim() != dim {
+			t.Fatalf("accepted %d instances of dim %d", o.Len(), o.Dim())
+		}
+		var sum float64
+		for i := 0; i < o.Len(); i++ {
+			for _, v := range o.Instance(i) {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("accepted coordinate %v", v)
+				}
+			}
+			p := o.Prob(i)
+			if !(p >= 0 && p <= 1) {
+				t.Fatalf("accepted probability %v", p)
+			}
+			sum += p
+		}
+		if math.Abs(sum-1) > 1e-9 {
+			t.Fatalf("accepted weights normalise to %v, want 1", sum)
+		}
+	})
 }

@@ -104,6 +104,10 @@ func New(id int, pts []geom.Point, weights []float64) (*Object, error) {
 		if mass <= 0 {
 			return nil, ErrZeroMass
 		}
+		if math.IsInf(mass, 0) {
+			// Finite weights whose sum overflows would all normalize to 0.
+			return nil, fmt.Errorf("%w: total weight overflows", ErrBadWeight)
+		}
 		for i := range probs {
 			probs[i] /= mass
 		}

@@ -65,6 +65,7 @@ func TestNewValidation(t *testing.T) {
 		{"negative weight", []geom.Point{{0}, {1}}, []float64{1, -1}, ErrBadWeight},
 		{"nan weight", []geom.Point{{0}}, []float64{math.NaN()}, ErrBadWeight},
 		{"zero mass", []geom.Point{{0}, {1}}, []float64{0, 0}, ErrZeroMass},
+		{"overflowing mass", []geom.Point{{0}, {1}}, []float64{1e308, 1e308}, ErrBadWeight},
 		{"nan coordinate", []geom.Point{{math.NaN()}}, nil, ErrBadCoordinate},
 		{"inf coordinate", []geom.Point{{math.Inf(1)}}, nil, ErrBadCoordinate},
 	}
