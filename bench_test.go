@@ -305,6 +305,17 @@ func BenchmarkDominanceCheck(b *testing.B) {
 	}
 }
 
+// BenchmarkBandScan is the `go test -bench` handle on the sweep's inner
+// loop — one object summarised, then tested against the whole band — on
+// the shape where that loop is the whole query: P-SD over 200 heavily
+// overlapping NBA-like objects of 10 instances, where nearly every object is
+// a candidate and no entry is pruned.
+func BenchmarkBandScan(b *testing.B) {
+	p := datagen.Params{N: 200, M: 10, Centers: datagen.NBALike, Seed: benchSeed}
+	d := dataFor(b, "bandscan", p, 8, benchHq)
+	runSearches(b, d, PSD, AllFilters)
+}
+
 // BenchmarkIndexBuild times global R-tree construction.
 func BenchmarkIndexBuild(b *testing.B) {
 	ds := datagen.Generate(defaultParams(datagen.AntiCorrelated, benchN))

@@ -167,12 +167,12 @@ func TestPinnedScratchUsedAndCleared(t *testing.T) {
 	if _, err := idx.SearchKCtx(ctx, q, PSD, 1, SearchOptions{Filters: AllFilters}); err != nil {
 		t.Fatal(err)
 	}
-	if cap(sc.heap.s) == 0 && cap(sc.band) == 0 {
+	if cap(sc.heap.s) == 0 && cap(sc.band.objs) == 0 {
 		t.Fatal("pinned scratch was never used; search went to the pool")
 	}
-	if len(sc.heap.s) != 0 || len(sc.band) != 0 || len(sc.batch) != 0 {
+	if len(sc.heap.s) != 0 || len(sc.band.objs) != 0 || len(sc.batch) != 0 {
 		t.Fatalf("pinned scratch not cleared after search: heap=%d band=%d batch=%d",
-			len(sc.heap.s), len(sc.band), len(sc.batch))
+			len(sc.heap.s), len(sc.band.objs), len(sc.batch))
 	}
 	// The same scratch must back a second search without issue.
 	if _, err := idx.SearchKCtx(ctx, q, PSD, 1, SearchOptions{Filters: AllFilters}); err != nil {

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math"
-
 	"spatialdom/internal/distr"
 	"spatialdom/internal/geom"
 	"spatialdom/internal/rtree"
@@ -28,10 +26,11 @@ type Checker struct {
 	eps     float64
 	metric  geom.Metric
 	euclid  bool         // fast paths for the default metric
+	statCut bool         // StatPruning is on and the operator implies S-SD
 	hullIdx []int        // indices into query instances used by point-level checks
 	hullPts []geom.Point // the corresponding points
 	qMBR    geom.Rect
-	cmpFn   func() // preallocated comparison-counting callback
+	cmpFn   func() // comparison-counting callback for scans, built once per scratch
 
 	// Stats accumulates work counters; reset or read between searches.
 	Stats Stats
@@ -68,9 +67,43 @@ func (c *Checker) Operator() Operator { return c.op }
 
 // Dominates reports whether SD(u, v, Q) holds under the checker's operator.
 //
+// Verdict order. Every operator climbs the same ladder, cheapest rung
+// first, and the first rung that can answer does:
+//
+//  1. global statistics: min/mean/max of U_Q against V_Q (three floats);
+//  2. per-query-instance statistics: the same three of each U_q (SS-SD, P-SD);
+//  3. cover-based validation on MBRs (Theorem 4), then bounding spheres;
+//  4. per-query-instance stochastic scans as cover-based pruning (P-SD);
+//  5. the in-hull exit (P-SD);
+//  6. level-by-level bounds on the local R-trees;
+//  7. the exact test: the sorted-atom scan, or the Theorem 12 max-flow.
+//
+// Rungs 1, 2, 4 and 5 can only answer "no", rung 3 only "yes", so their
+// order never changes a verdict, only what it costs — provided a "no" rung
+// placed before the validation cannot fire on a pair the validation would
+// have accepted. It cannot: validation holds when every instance of U is at
+// least as close as every instance of V to every hull instance of Q, hence
+// (the bisector halfspaces being convex) to every instance of Q; then each
+// U_q lies entirely at or below V_q, and min, mean and max of U_q and of
+// the mixture U_Q are ordered, which is exactly what rungs 1 and 2 test.
+// Rungs 1 and 2 are in turn necessary for the scans of rungs 4 and 7
+// (Theorem 11: X ≤st Y implies the statistics are ordered), so a pair they
+// reject is one a scan would have rejected, later and dearer. Each rung is
+// gated by the FilterConfig flag it always was.
+//
 //nnc:hotpath
 func (c *Checker) Dominates(u, v *uncertain.Object) bool {
 	c.Stats.DominanceChecks++
+	if c.statCut && !c.summaryOf(u).stat.LE(c.summaryOf(v).stat, c.eps) {
+		c.Stats.StatPrunes++
+		return false
+	}
+	return c.decide(u, v)
+}
+
+// decide is Dominates past rung 1, which the band scan answers from its own
+// slabs (engine.go).
+func (c *Checker) decide(u, v *uncertain.Object) bool {
 	switch c.op {
 	case SSD:
 		return c.ssd(u, v)
@@ -92,14 +125,14 @@ func (c *Checker) Dominates(u, v *uncertain.Object) bool {
 type objCache struct {
 	obj *uncertain.Object
 
-	distQOK bool
-	distQ   distr.Distribution // U_Q
-
-	perQ []distr.Distribution // U_q per query instance (lazy, all at once)
-
-	statOK                     bool
-	statMin, statMean, statMax float64
-	perQStat                   [][3]float64 // min/mean/max of U_q per query instance
+	// The query summary (summaryOf): one pass over the |Q|·m instance pairs.
+	sumOK      bool
+	stat       distr.Stat   // of U_Q; stat.Min is the object's heap key
+	perQStat   []distr.Stat // of U_q per query instance
+	runs       []distr.Pair // |Q| runs of m atoms, one U_q each
+	runsSorted bool         // runs went through distr.SortRuns
+	distQOK    bool
+	distQ      distr.Distribution // U_Q, built from runs when first scanned
 
 	hullD    [][]float64 // per instance: distances to every hull point
 	distTree *rtree.Tree // R-tree over hullD rows (P-SD network construction)
@@ -107,7 +140,7 @@ type objCache struct {
 	sphereOK bool
 	sphere   geom.Sphere // bounding sphere, radius under the checker's metric
 
-	levels []*levelBounds // S-SD level bounds, index = local-tree level
+	levels []*levelBounds // local-tree level bounds, index = level
 }
 
 // cacheOf returns (creating on first use) the per-object cache. Dense IDs
@@ -138,81 +171,77 @@ func (c *Checker) cacheOf(o *uncertain.Object) *objCache {
 	return oc
 }
 
-// lookupCache returns the per-object cache if one exists, without creating
-// it.
-func (c *Checker) lookupCache(o *uncertain.Object) *objCache {
-	sc := c.scratch
-	if id := o.ID(); id >= 0 && id < len(sc.dense) {
-		return sc.dense[id]
+// summaryOf returns the object's query summary, building it on first use:
+// the |Q|·m distances are evaluated once and yield the heap key min(U_Q),
+// the statistics of U_Q and of every U_q, and the atoms every later scan
+// sorts on demand. Nothing here touches the object's local R-tree.
+//
+//nnc:hotpath
+func (c *Checker) summaryOf(o *uncertain.Object) *objCache {
+	oc := c.cacheOf(o)
+	if !oc.sumOK {
+		n := c.query.Len() * o.Len()
+		oc.runs = c.scratch.pairs.Alloc(n)
+		oc.perQStat = c.scratch.stats.Alloc(c.query.Len())
+		if c.euclid {
+			oc.stat = distr.Summarize(oc.runs, oc.perQStat, o, c.query, nil)
+		} else {
+			oc.stat = distr.Summarize(oc.runs, oc.perQStat, o, c.query, c.metric.Dist)
+		}
+		oc.sumOK = true
+		c.Stats.InstanceComparisons += int64(n)
 	}
-	return sc.sparse[o.ID()]
+	return oc
 }
 
-// distQ returns the cached U_Q, building it on first use out of the
-// scratch arena.
-func (c *Checker) distQ(o *uncertain.Object) distr.Distribution {
-	oc := c.cacheOf(o)
+// distQ returns U_Q as a sorted distribution, weighting and sorting the
+// summary's atoms the first time a scan or distr.Equal asks.
+func (c *Checker) distQ(oc *objCache) distr.Distribution {
 	if !oc.distQOK {
-		if c.euclid {
-			oc.distQ = distr.BetweenArena(&c.scratch.pairs, o, c.query)
-		} else {
-			oc.distQ = distr.BetweenFuncArena(&c.scratch.pairs, o, c.query, c.metric.Dist)
-		}
+		oc.distQ = distr.WeightRuns(c.scratch.pairs.Alloc(len(oc.runs)), oc.runs, oc.obj.Len(), c.query)
 		oc.distQOK = true
-		c.Stats.InstanceComparisons += int64(o.Len() * c.query.Len())
 	}
 	return oc.distQ
 }
 
-// perQ returns the cached per-query-instance distributions U_q.
-func (c *Checker) perQ(o *uncertain.Object) []distr.Distribution {
-	oc := c.cacheOf(o)
-	if oc.perQ == nil {
-		oc.perQ = c.scratch.dists.Alloc(c.query.Len())
-		for j := 0; j < c.query.Len(); j++ {
-			if c.euclid {
-				oc.perQ[j] = distr.BetweenInstanceArena(&c.scratch.pairs, o, c.query.Instance(j))
-			} else {
-				oc.perQ[j] = distr.BetweenInstanceFuncArena(&c.scratch.pairs, o, c.query.Instance(j), c.metric.Dist)
-			}
-		}
-		c.Stats.InstanceComparisons += int64(o.Len() * c.query.Len())
+// perQ returns U_q for query instance j, sorting the summary's runs the
+// first time a scan asks.
+func (c *Checker) perQ(oc *objCache, j int) distr.Distribution {
+	m := oc.obj.Len()
+	if !oc.runsSorted {
+		distr.SortRuns(oc.runs, m)
+		oc.runsSorted = true
 	}
-	return oc.perQ
+	return distr.Sorted(oc.runs[j*m : (j+1)*m])
 }
 
-// statsOf returns cached min/mean/max of U_Q. The per-query-instance
-// statistics are built separately by perQStatsOf so that S-SD checks never
-// pay for them.
-func (c *Checker) statsOf(o *uncertain.Object) *objCache {
-	oc := c.cacheOf(o)
-	if !oc.statOK {
-		dq := c.distQ(o)
-		oc.statMin, oc.statMean, oc.statMax = dq.Min(), dq.Mean(), dq.Max()
-		oc.statOK = true
-	}
-	return oc
-}
-
-// perQStatsOf returns cached min/mean/max of each U_q.
-func (c *Checker) perQStatsOf(o *uncertain.Object) *objCache {
-	oc := c.cacheOf(o)
-	if oc.perQStat == nil {
-		per := c.perQ(o)
-		oc.perQStat = c.scratch.stats.Alloc(len(per))
-		for j, d := range per {
-			oc.perQStat[j] = [3]float64{d.Min(), d.Mean(), d.Max()}
+// perQStatLE reports whether every U_q's statistics are ordered against
+// V_q's — rung 2, necessary for U_q ≤st V_q at every query instance.
+func (c *Checker) perQStatLE(su, sv *objCache) bool {
+	for j, a := range su.perQStat {
+		if !a.LE(sv.perQStat[j], c.eps) {
+			return false
 		}
 	}
-	return oc
+	return true
+}
+
+// perQScanLE reports whether U_q ≤st V_q at every query instance, by scan.
+func (c *Checker) perQScanLE(su, sv *objCache) bool {
+	for j := 0; j < c.query.Len(); j++ {
+		if !distr.StochasticLE(c.perQ(su, j), c.perQ(sv, j), c.eps, c.cmpFn) {
+			return false
+		}
+	}
+	return true
 }
 
 // hullDists returns, for each instance of o, its distances to every hull
 // point of the query (the k-dimensional distance-space mapping of Section
 // 5.1.2).
-func (c *Checker) hullDists(o *uncertain.Object) [][]float64 {
-	oc := c.cacheOf(o)
+func (c *Checker) hullDists(oc *objCache) [][]float64 {
 	if oc.hullD == nil {
+		o := oc.obj
 		oc.hullD = c.scratch.rows.Alloc(o.Len())
 		for i := 0; i < o.Len(); i++ {
 			row := c.scratch.floats.Alloc(len(c.hullPts))
@@ -225,10 +254,6 @@ func (c *Checker) hullDists(o *uncertain.Object) [][]float64 {
 	}
 	return oc.hullD
 }
-
-// cmp returns the counting callback for stochastic-order scans; the
-// closure is built once per scratch, never per check.
-func (c *Checker) cmp() func() { return c.cmpFn }
 
 // sphereOf returns the object's bounding hypersphere with the radius
 // re-measured under the checker's metric (Ritter's center is metric-
@@ -328,21 +353,15 @@ func (c *Checker) ssd(u, v *uncertain.Object) bool {
 			return true
 		}
 	}
-	if c.cfg.StatPruning {
-		su, sv := c.statsOf(u), c.statsOf(v)
-		if su.statMin > sv.statMin+c.eps || su.statMean > sv.statMean+c.eps || su.statMax > sv.statMax+c.eps {
-			c.Stats.StatPrunes++
-			return false
-		}
-	}
+	su, sv := c.summaryOf(u), c.summaryOf(v)
 	if c.cfg.LevelByLevel {
-		if dec, ok := c.levelDecideSSD(u, v); ok {
+		if dec, ok := c.levelDecideSSD(su, sv); ok {
 			c.Stats.LevelDecisions++
 			return dec
 		}
 	}
-	du, dv := c.distQ(u), c.distQ(v)
-	if !distr.StochasticLE(du, dv, c.eps, c.cmp()) {
+	du, dv := c.distQ(su), c.distQ(sv)
+	if !distr.StochasticLE(du, dv, c.eps, c.cmpFn) {
 		return false
 	}
 	return !distr.Equal(du, dv, c.eps)
@@ -351,96 +370,49 @@ func (c *Checker) ssd(u, v *uncertain.Object) bool {
 // --- SS-SD --------------------------------------------------------------------
 
 func (c *Checker) sssd(u, v *uncertain.Object) bool {
+	su, sv := c.summaryOf(u), c.summaryOf(v)
+	if c.cfg.StatPruning && !c.perQStatLE(su, sv) {
+		c.Stats.StatPrunes++
+		return false
+	}
 	if c.cfg.Geometric {
 		if holds, strict := c.geoValidate(u, v); holds && strict {
 			return true
 		}
 	}
-	if c.cfg.StatPruning {
-		su, sv := c.statsOf(u), c.statsOf(v)
-		// Cover-based pruning: ¬S-SD (by statistics) implies ¬SS-SD.
-		if su.statMin > sv.statMin+c.eps || su.statMean > sv.statMean+c.eps || su.statMax > sv.statMax+c.eps {
-			c.Stats.StatPrunes++
-			return false
-		}
-		// Per-query-instance statistics.
-		su, sv = c.perQStatsOf(u), c.perQStatsOf(v)
-		for j := range su.perQStat {
-			a, b := su.perQStat[j], sv.perQStat[j]
-			if a[0] > b[0]+c.eps || a[1] > b[1]+c.eps || a[2] > b[2]+c.eps {
-				c.Stats.StatPrunes++
-				return false
-			}
-		}
-	}
 	if c.cfg.LevelByLevel {
-		if dec, ok := c.levelDecideSSSD(u, v); ok {
+		if dec, ok := c.levelDecideSSSD(su, sv); ok {
 			c.Stats.LevelDecisions++
 			return dec
 		}
 	}
-	pu, pv := c.perQ(u), c.perQ(v)
-	for j := range pu {
-		if !distr.StochasticLE(pu[j], pv[j], c.eps, c.cmp()) {
-			return false
-		}
+	if !c.perQScanLE(su, sv) {
+		return false
 	}
-	return !distr.Equal(c.distQ(u), c.distQ(v), c.eps)
+	return !distr.Equal(c.distQ(su), c.distQ(sv), c.eps)
 }
 
 // --- F-SD (instance level) ----------------------------------------------------
 
-// fsd decides instance-level full spatial dominance: for every query
-// instance q (equivalently every hull instance), δmax(q,U) <= δmin(q,V).
 // fsd decides instance-level full spatial dominance: δmax(q,U) <= δmin(q,V)
-// for every query instance. Both extremes are exactly the per-query-
-// instance statistics already cached per object, so after the one-time
-// O(m·|Q|) statistics build each pairwise check costs O(|Q|) comparisons —
-// the amortized equivalent of the paper's NN/furthest-neighbor searches on
-// the local R-trees.
+// for every query instance. Both extremes are per-query-instance statistics
+// of the summary, so each pairwise check costs O(|Q|) comparisons — the
+// amortized equivalent of the paper's NN/furthest-neighbor searches on the
+// local R-trees.
 func (c *Checker) fsd(u, v *uncertain.Object) bool {
 	if c.cfg.Geometric {
 		if holds, _ := c.geoValidate(u, v); holds {
 			return true
 		}
 	}
-	su, sv := c.perQStatsOf(u), c.perQStatsOf(v)
-	for j := range su.perQStat {
+	su, sv := c.summaryOf(u), c.summaryOf(v)
+	for j, a := range su.perQStat {
 		c.Stats.InstanceComparisons++
-		if su.perQStat[j][2] > sv.perQStat[j][0]+c.eps { // max(U_q) > min(V_q)
+		if a.Max > sv.perQStat[j].Min+c.eps {
 			return false
 		}
 	}
 	return true
-}
-
-// minInstDist and maxInstDist are metric-aware linear scans over an
-// object's instances. Under the Euclidean metric the scan compares squared
-// distances and takes one square root at the end.
-func (c *Checker) minInstDist(o *uncertain.Object, q geom.Point) float64 {
-	if c.euclid {
-		return math.Sqrt(geom.MinSqDistToPoints(q, o.Points()))
-	}
-	best := c.metric.Dist(o.Instance(0), q)
-	for i := 1; i < o.Len(); i++ {
-		if d := c.metric.Dist(o.Instance(i), q); d < best {
-			best = d
-		}
-	}
-	return best
-}
-
-func (c *Checker) maxInstDist(o *uncertain.Object, q geom.Point) float64 {
-	if c.euclid {
-		return math.Sqrt(geom.MaxSqDistToPoints(q, o.Points()))
-	}
-	best := c.metric.Dist(o.Instance(0), q)
-	for i := 1; i < o.Len(); i++ {
-		if d := c.metric.Dist(o.Instance(i), q); d > best {
-			best = d
-		}
-	}
-	return best
 }
 
 // fplussd is the MBR-only baseline of [16]: F-SD evaluated on the objects'
@@ -456,37 +428,14 @@ func (c *Checker) fplussd(u, v *uncertain.Object) bool {
 }
 
 // MinPairDist returns min(U_Q): the exact smallest pairwise distance
-// between the query and the object under the checker's metric — the key
-// Algorithm 1 (and its disk-resident variant) orders objects by.
-func (c *Checker) MinPairDist(o *uncertain.Object) float64 { return c.minPairDist(o) }
+// between the query and the object's positive-mass instances under the
+// checker's metric — the key Algorithm 1 (and its disk-resident variant)
+// orders objects by. It is read off the object's summary, which the
+// dominance checks that follow reuse.
+func (c *Checker) MinPairDist(o *uncertain.Object) float64 { return c.summaryOf(o).stat.Min }
 
 // RectLE reports whether every point of rectangle a is at least as close
 // as every point of rectangle b to every query instance, with a
 // strictness witness — the MBR-level entry-pruning test of Algorithm 1,
 // exported for the disk-resident search.
 func (c *Checker) RectLE(a, b geom.Rect) (le, strict bool) { return c.rectLE(a, b) }
-
-// minPairDist returns min(U_Q): the smallest pairwise distance between the
-// query and the object — the exact key Algorithm 1 orders objects by.
-func (c *Checker) minPairDist(o *uncertain.Object) float64 {
-	if oc := c.lookupCache(o); oc != nil && oc.statOK {
-		return oc.statMin
-	}
-	best := math.Inf(1)
-	if c.euclid {
-		tree := o.LocalTree()
-		for j := 0; j < c.query.Len(); j++ {
-			if d, ok := tree.MinDist(c.query.Instance(j)); ok && d < best {
-				best = d
-			}
-		}
-	} else {
-		for j := 0; j < c.query.Len(); j++ {
-			if d := c.minInstDist(o, c.query.Instance(j)); d < best {
-				best = d
-			}
-		}
-	}
-	c.Stats.InstanceComparisons += int64(c.query.Len())
-	return best
-}

@@ -130,14 +130,14 @@ func TestLevelBoundsBracketExact(t *testing.T) {
 		q := randObject(rng, 0, 2, 1+rng.Intn(4), randCenter(rng, 2, 30), 3)
 		o := randObject(rng, 1, 2, 5+rng.Intn(20), randCenter(rng, 2, 30), 5)
 		c := NewChecker(q, SSD, AllFilters)
-		exact := c.distQ(o)
-		oc := c.cacheOf(o)
+		oc := c.summaryOf(o)
+		exact := c.distQ(oc)
 		maxLvl := o.LocalTree().Height() - 1
 		if maxLvl > maxCoarseLevel {
 			maxLvl = maxCoarseLevel
 		}
 		for lvl := 1; lvl <= maxLvl; lvl++ {
-			b := c.levelInfo(oc, lvl)
+			b := c.levelQ(oc, lvl)
 			if !stochLE(t, b.lbQ, exact) {
 				t.Fatalf("iter %d lvl %d: LB not ≤st exact", iter, lvl)
 			}

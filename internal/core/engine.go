@@ -27,6 +27,7 @@ import (
 	"sync"
 	"time"
 
+	"spatialdom/internal/distr"
 	"spatialdom/internal/faults"
 	"spatialdom/internal/geom"
 	"spatialdom/internal/uncertain"
@@ -191,8 +192,77 @@ func (h *searchHeap) pop() searchItem {
 type searchScratch struct {
 	heap  searchHeap
 	batch []searchItem
-	band  []*uncertain.Object
+	band  band
 	check CheckScratch
+}
+
+// band is the k-skyband found so far, struct-of-arrays: next to each member
+// sit the mean and max of its U_Q, so that the commonest verdict of the
+// sweep — "this member's statistics are not ordered against the incoming
+// object's" — is read off two contiguous float slabs without touching the
+// member. The slabs are permuted together with the members.
+type band struct {
+	objs      []*uncertain.Object
+	mean, max []float64
+}
+
+func (b *band) push(o *uncertain.Object, st distr.Stat) {
+	b.objs = append(b.objs, o)
+	b.mean = append(b.mean, st.Mean)
+	b.max = append(b.max, st.Max)
+}
+
+// toFront moves member i to position 0, shifting the members before it.
+func (b *band) toFront(i int) {
+	o, mean, max := b.objs[i], b.mean[i], b.max[i]
+	copy(b.objs[1:i+1], b.objs[:i])
+	copy(b.mean[1:i+1], b.mean[:i])
+	copy(b.max[1:i+1], b.max[:i])
+	b.objs[0], b.mean[0], b.max[0] = o, mean, max
+}
+
+// clear empties the band, dropping its object references but keeping the
+// backing arrays.
+func (b *band) clear() {
+	clear(b.objs)
+	b.objs, b.mean, b.max = b.objs[:0], b.mean[:0], b.max[:0]
+}
+
+// dominators counts, stopping at k, the members of b[:n] that dominate v.
+// It is Checker.Dominates applied to each member in band order with rung 1
+// of the verdict ladder read off the slabs: the members of b[:n] were
+// examined before v, in non-decreasing order of the exact key min(U_Q), so
+// their min statistic is already known to be no larger than v's and only
+// mean and max are compared. The first dominator found moves to the front —
+// it tends to dominate the following objects too.
+//
+//nnc:hotpath
+func (b *band) dominators(c *Checker, n int, v *uncertain.Object, k int) int {
+	found := 0
+	var vmean, vmax float64
+	if c.statCut {
+		st := c.summaryOf(v).stat
+		vmean, vmax = st.Mean+c.eps, st.Max+c.eps
+	}
+	mean, max := b.mean[:n], b.max[:n]
+	for i, u := range b.objs[:n] {
+		c.Stats.DominanceChecks++
+		if c.statCut && (mean[i] > vmean || max[i] > vmax) {
+			c.Stats.StatPrunes++
+			continue
+		}
+		if !c.decide(u, v) {
+			continue
+		}
+		found++
+		if found == 1 && i > 0 {
+			b.toFront(i)
+		}
+		if found >= k {
+			break
+		}
+	}
+	return found
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(searchScratch) }}
@@ -208,10 +278,7 @@ func (sc *searchScratch) clear() {
 		sc.batch[i] = searchItem{}
 	}
 	sc.batch = sc.batch[:0]
-	for i := range sc.band {
-		sc.band[i] = nil
-	}
-	sc.band = sc.band[:0]
+	sc.band.clear()
 	sc.check.reset()
 }
 
@@ -275,10 +342,9 @@ func SearchBackend(ctx context.Context, b Backend, q *uncertain.Object, op Opera
 	checker := sc.check.Checker(q, op, opts.Filters, m)
 	h := &sc.heap
 	batch := sc.batch
-	band := sc.band
+	band := &sc.band
 	defer func() {
 		sc.batch = batch
-		sc.band = band
 		if pinned {
 			sc.clear() // the batch worker keeps it for its next query
 		} else {
@@ -318,15 +384,15 @@ func SearchBackend(ctx context.Context, b Backend, q *uncertain.Object, op Opera
 	}
 	// expand handles non-exact items, pushing their successors. Node
 	// pruning happens at pop time — the band only grows, so testing late
-	// prunes strictly more than testing at push. Object entries are never
-	// MBR-pruned: rectLE tests domination against the query instances,
-	// which for F+SD (defined on the whole query MBR) is weaker than the
-	// operator's own dominance test, so every reached object must get the
-	// full instance-level evaluation to keep candidate sets exact.
+	// prunes strictly more than testing at push. Every object entry is
+	// resolved and keyed by its summary's exact min(U_Q): an object entry
+	// is not yet tested against the band on its MBR (that is lazy resolve,
+	// ROADMAP 1a — sound for S/SS/P/F-SD by the cover chain, not for F+SD,
+	// whose test is on the whole query MBR and is not implied by rectLE).
 	expand := func(it searchItem) {
 		switch it.kind {
 		case kindNode:
-			if bandDominatesRect(checker, band, it.rect, k) {
+			if bandDominatesRect(checker, band.objs, it.rect, k) {
 				checker.Stats.EntryPrunes++
 				return
 			}
@@ -349,7 +415,7 @@ func SearchBackend(ctx context.Context, b Backend, q *uncertain.Object, op Opera
 			}
 			// Re-key by the exact min pair distance so objects are
 			// evaluated in true min(U_Q) order.
-			h.push(searchItem{key: checker.minPairDist(o), kind: kindObjExact, obj: ObjRef{Obj: o}})
+			h.push(searchItem{key: checker.MinPairDist(o), kind: kindObjExact, obj: ObjRef{Obj: o}})
 		}
 	}
 
@@ -389,7 +455,7 @@ func SearchBackend(ctx context.Context, b Backend, q *uncertain.Object, op Opera
 		// why that is the exact dominator count). Batch members emitted
 		// into the band during this batch must not be counted twice, so
 		// the band scan stops at its pre-batch length.
-		preBand := len(band)
+		preBand := len(band.objs)
 		for _, bi := range batch {
 			if ctx.Err() != nil {
 				finish()
@@ -397,21 +463,7 @@ func SearchBackend(ctx context.Context, b Backend, q *uncertain.Object, op Opera
 			}
 			obj := bi.obj.Obj
 			res.Examined++
-			dominators := 0
-			for i, u := range band[:preBand] {
-				if checker.Dominates(u, obj) {
-					dominators++
-					if dominators == 1 && i > 0 {
-						// Move-to-front: a dominator tends to dominate the
-						// following objects too.
-						copy(band[1:i+1], band[:i])
-						band[0] = u
-					}
-					if dominators >= k {
-						break
-					}
-				}
-			}
+			dominators := band.dominators(checker, preBand, obj, k)
 			if dominators < k {
 				for _, other := range batch {
 					if other.obj.Obj != obj && checker.Dominates(other.obj.Obj, obj) {
@@ -425,7 +477,7 @@ func SearchBackend(ctx context.Context, b Backend, q *uncertain.Object, op Opera
 			if dominators >= k {
 				continue
 			}
-			band = append(band, obj)
+			band.push(obj, checker.summaryOf(obj).stat)
 			cand := Candidate{
 				Object:     obj,
 				Rank:       len(res.Candidates),

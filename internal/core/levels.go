@@ -3,7 +3,6 @@ package core
 import (
 	"spatialdom/internal/distr"
 	"spatialdom/internal/rtree"
-	"spatialdom/internal/uncertain"
 )
 
 // This file implements the level-by-level pruning/validation of Section 5.1
@@ -23,14 +22,18 @@ import (
 // The ≠ side condition follows because if U_Q = V_Q the whole chain
 // U_Q ≤st UB(U) ≤st LB(V) ≤st V_Q collapses to equality.
 
-// levelBounds caches the bounding distributions of one object at one local
-// R-tree level.
+// levelBounds caches what the level-by-level filter knows about one object
+// at one local R-tree level: the nodes and their probability masses (all
+// P-SD reads), and — built only when S-SD or SS-SD asks — the bounding
+// distributions.
 type levelBounds struct {
-	lbQ, ubQ distr.Distribution      // w.r.t. the whole query (S-SD)
+	nodes  []*rtree.Node
+	masses []float64
+
+	lbQ, ubQ distr.Distribution // w.r.t. the whole query (S-SD)
+	qOK      bool
 	perQ     [][2]distr.Distribution // (lb, ub) per query instance (SS-SD)
 	perQOK   bool
-	nodes    []*rtree.Node
-	masses   []float64
 }
 
 // maxCoarseLevel bounds how many coarse levels are attempted before the
@@ -38,10 +41,10 @@ type levelBounds struct {
 // virtual instances.
 const maxCoarseLevel = 3
 
-// levelInfo returns the cached level bounds of object o at the given local
-// tree level, constructing the S-SD bounds eagerly. Every buffer — the
-// bounds struct, the level-pointer table, masses and bound atoms — comes
-// from the checker's scratch arenas.
+// levelInfo returns the cached nodes and masses of object o at the given
+// local tree level. This is the first place a dominance check touches the
+// object's local R-tree. Every buffer — the bounds struct, the level-pointer
+// table, masses and bound atoms — comes from the checker's scratch arenas.
 func (c *Checker) levelInfo(o *objCache, level int) *levelBounds {
 	if o.levels == nil {
 		o.levels = c.scratch.levelPtrs.AllocZeroed(maxCoarseLevel + 1)
@@ -49,8 +52,7 @@ func (c *Checker) levelInfo(o *objCache, level int) *levelBounds {
 	if o.levels[level] != nil {
 		return o.levels[level]
 	}
-	tree := o.obj.LocalTree()
-	nodes := tree.NodesAtLevel(level)
+	nodes := o.obj.LocalTree().NodesAtLevel(level)
 	lb := &c.scratch.levels.AllocZeroed(1)[0]
 	lb.nodes = nodes
 	lb.masses = c.scratch.floats.Alloc(len(nodes))
@@ -64,11 +66,21 @@ func (c *Checker) levelInfo(o *objCache, level int) *levelBounds {
 		lb.masses[i] = mass
 	}
 	c.scratch.ids = scratch[:0] // retain capacity growth
-	// S-SD bounds: one atom per (node, query instance).
-	lbPairs := c.scratch.pairs.Alloc(len(nodes) * c.query.Len())
-	ubPairs := c.scratch.pairs.Alloc(len(nodes) * c.query.Len())
+	o.levels[level] = lb
+	return lb
+}
+
+// levelQ lazily builds the S-SD bounds at a level: one atom per (node,
+// query instance).
+func (c *Checker) levelQ(o *objCache, level int) *levelBounds {
+	lb := c.levelInfo(o, level)
+	if lb.qOK {
+		return lb
+	}
+	lbPairs := c.scratch.pairs.Alloc(len(lb.nodes) * c.query.Len())
+	ubPairs := c.scratch.pairs.Alloc(len(lb.nodes) * c.query.Len())
 	w := 0
-	for i, n := range nodes {
+	for i, n := range lb.nodes {
 		r := n.Rect()
 		for j := 0; j < c.query.Len(); j++ {
 			q := c.query.Instance(j)
@@ -78,10 +90,10 @@ func (c *Checker) levelInfo(o *objCache, level int) *levelBounds {
 			w++
 		}
 	}
-	c.Stats.InstanceComparisons += int64(2 * len(nodes) * c.query.Len())
+	c.Stats.InstanceComparisons += int64(2 * len(lb.nodes) * c.query.Len())
 	lb.lbQ = ownNonNeg(lbPairs)
 	lb.ubQ = ownNonNeg(ubPairs)
-	o.levels[level] = lb
+	lb.qOK = true
 	return lb
 }
 
@@ -142,18 +154,17 @@ func coarseLevels(u, v *objCache) int {
 // levelDecideSSD attempts to decide S-SD(u, v, Q) at coarse local-tree
 // levels. ok is false when every attempted level is inconclusive and the
 // caller must fall through to the exact scan.
-func (c *Checker) levelDecideSSD(u, v *uncertain.Object) (dec, ok bool) {
-	cu, cv := c.cacheOf(u), c.cacheOf(v)
+func (c *Checker) levelDecideSSD(cu, cv *objCache) (dec, ok bool) {
 	maxLvl := coarseLevels(cu, cv)
 	for lvl := 1; lvl <= maxLvl; lvl++ {
-		bu := c.levelInfo(cu, lvl)
-		bv := c.levelInfo(cv, lvl)
+		bu := c.levelQ(cu, lvl)
+		bv := c.levelQ(cv, lvl)
 		// Pruning: LB(U) ≤st UB(V) is necessary for U_Q ≤st V_Q.
-		if !distr.StochasticLE(bu.lbQ, bv.ubQ, c.eps, c.cmp()) {
+		if !distr.StochasticLE(bu.lbQ, bv.ubQ, c.eps, c.cmpFn) {
 			return false, true
 		}
 		// Validation: UB(U) ≤st LB(V) with strictness somewhere.
-		if distr.StochasticLE(bu.ubQ, bv.lbQ, c.eps, c.cmp()) &&
+		if distr.StochasticLE(bu.ubQ, bv.lbQ, c.eps, c.cmpFn) &&
 			!distr.Equal(bu.ubQ, bv.lbQ, c.eps) {
 			return true, true
 		}
@@ -163,8 +174,7 @@ func (c *Checker) levelDecideSSD(u, v *uncertain.Object) (dec, ok bool) {
 
 // levelDecideSSSD attempts to decide SS-SD(u, v, Q) at coarse local-tree
 // levels, applying the per-query-instance bounds.
-func (c *Checker) levelDecideSSSD(u, v *uncertain.Object) (dec, ok bool) {
-	cu, cv := c.cacheOf(u), c.cacheOf(v)
+func (c *Checker) levelDecideSSSD(cu, cv *objCache) (dec, ok bool) {
 	maxLvl := coarseLevels(cu, cv)
 	for lvl := 1; lvl <= maxLvl; lvl++ {
 		bu := c.levelPerQ(cu, lvl)
@@ -172,11 +182,11 @@ func (c *Checker) levelDecideSSSD(u, v *uncertain.Object) (dec, ok bool) {
 		valid := true
 		strict := false
 		for j := range bu.perQ {
-			if !distr.StochasticLE(bu.perQ[j][0], bv.perQ[j][1], c.eps, c.cmp()) {
+			if !distr.StochasticLE(bu.perQ[j][0], bv.perQ[j][1], c.eps, c.cmpFn) {
 				return false, true // pruning at instance j
 			}
 			if valid {
-				if !distr.StochasticLE(bu.perQ[j][1], bv.perQ[j][0], c.eps, c.cmp()) {
+				if !distr.StochasticLE(bu.perQ[j][1], bv.perQ[j][0], c.eps, c.cmpFn) {
 					valid = false
 				} else if !distr.Equal(bu.perQ[j][1], bv.perQ[j][0], c.eps) {
 					strict = true

@@ -163,7 +163,7 @@ func TestFirstCandidateIsClosest(t *testing.T) {
 		c := NewChecker(q, SSD, AllFilters)
 		best, bestID := 1e18, -1
 		for _, o := range objs {
-			if d := c.minPairDist(o); d < best {
+			if d := c.MinPairDist(o); d < best {
 				best, bestID = d, o.ID()
 			}
 		}

@@ -121,8 +121,13 @@ type Stats struct {
 	// SphereValidations counts validations decided by the bounding
 	// hypersphere after the MBR test was inconclusive.
 	SphereValidations int64
-	// StatPrunes counts checks decided by statistic-based pruning.
+	// StatPrunes counts checks decided by statistic-based and cover-based
+	// pruning: the three statistics of U_Q, the three of some U_q, or (P-SD)
+	// a per-query-instance stochastic scan.
 	StatPrunes int64
+	// ScanPrunes is the subset of StatPrunes that needed a scan: the
+	// statistics were ordered and a per-query-instance scan was not.
+	ScanPrunes int64
 	// LevelDecisions counts checks decided at a non-leaf local-tree level.
 	LevelDecisions int64
 	// FlowSolves counts max-flow invocations (P-SD).
@@ -139,6 +144,7 @@ func (s *Stats) Add(other Stats) {
 	s.MBRValidations += other.MBRValidations
 	s.SphereValidations += other.SphereValidations
 	s.StatPrunes += other.StatPrunes
+	s.ScanPrunes += other.ScanPrunes
 	s.LevelDecisions += other.LevelDecisions
 	s.FlowSolves += other.FlowSolves
 	s.HeapPops += other.HeapPops

@@ -14,43 +14,39 @@ import (
 // capacities p(u), sink capacities p(v) and an unbounded edge u→v whenever
 // u ⪯Q v; P-SD holds iff the max flow equals 1 (and U_Q ≠ V_Q).
 //
-// Filters applied before the exact network, in order:
+// psd runs the verdict ladder of Checker.Dominates from rung 2 on (rung 1,
+// the global statistics, is answered by the caller):
 //
-//  1. cover-based validation on MBRs (Theorem 4) and bounding hyperspheres
+//  2. per-query-instance statistics: P-SD ⊂ SS-SD, and min/mean/max of
+//     every U_q are necessary for the SS-SD scans of rung 4;
+//  3. cover-based validation on MBRs (Theorem 4) and bounding hyperspheres
 //     [25], with a strictness witness;
-//  2. cover-based pruning: ¬S-SD or ¬SS-SD (decided statistically and, when
-//     necessary, by scan) implies ¬P-SD;
-//  3. the geometric in-hull exit: an instance of V inside the convex hull
+//  4. cover-based pruning by scan: ¬SS-SD implies ¬P-SD;
+//  5. the geometric in-hull exit: an instance of V inside the convex hull
 //     of Q can only be matched by a co-located instance of U;
-//  4. level-by-level G⁻ (validation) / G⁺ (pruning) networks over local
+//  6. level-by-level G⁻ (validation) / G⁺ (pruning) networks over local
 //     R-tree nodes;
-//  5. the exact instance network, with admissibility u ⪯Q v decided in the
-//     k-dimensional hull-distance space.
+//  7. the exact instance network, with admissibility u ⪯Q v decided in the
+//     k-dimensional hull-distance space, abandoned before the solve when a
+//     positive-mass instance has no admissible edge.
 
 const flowEps = 1e-9
 
 func (c *Checker) psd(u, v *uncertain.Object) bool {
+	su, sv := c.summaryOf(u), c.summaryOf(v)
+	if c.cfg.StatPruning && !c.perQStatLE(su, sv) {
+		c.Stats.StatPrunes++
+		return false
+	}
 	if c.cfg.Geometric {
 		if holds, strict := c.geoValidate(u, v); holds && strict {
 			return true
 		}
 	}
-	if c.cfg.StatPruning {
-		// Cover-based pruning: P-SD ⊂ SS-SD ⊂ S-SD, so a failed stochastic
-		// scan at either granularity disproves P-SD. The scans themselves
-		// reuse the cached distributions.
-		su, sv := c.statsOf(u), c.statsOf(v)
-		if su.statMin > sv.statMin+c.eps || su.statMean > sv.statMean+c.eps || su.statMax > sv.statMax+c.eps {
-			c.Stats.StatPrunes++
-			return false
-		}
-		pu, pv := c.perQ(u), c.perQ(v)
-		for j := range pu {
-			if !distr.StochasticLE(pu[j], pv[j], c.eps, c.cmp()) {
-				c.Stats.StatPrunes++
-				return false
-			}
-		}
+	if c.cfg.StatPruning && !c.perQScanLE(su, sv) {
+		c.Stats.StatPrunes++
+		c.Stats.ScanPrunes++
+		return false
 	}
 	if c.cfg.Geometric && c.euclid && c.query.Dim() == 2 {
 		if c.inHullExit(u, v) {
@@ -58,12 +54,12 @@ func (c *Checker) psd(u, v *uncertain.Object) bool {
 		}
 	}
 	if c.cfg.LevelByLevel {
-		if dec, ok := c.levelDecidePSD(u, v); ok {
+		if dec, ok := c.levelDecidePSD(su, sv); ok {
 			c.Stats.LevelDecisions++
 			return dec
 		}
 	}
-	return c.psdExact(u, v)
+	return c.psdExact(su, sv)
 }
 
 // inHullExit reports whether some positive-mass instance of V lies inside
@@ -76,12 +72,12 @@ func (c *Checker) inHullExit(u, v *uncertain.Object) bool {
 	qpts := c.query.Points()
 	for i := 0; i < v.Len(); i++ {
 		vi := v.Instance(i)
-		if !geom.PointInHull2D(vi, qpts, c.hullIdx) {
+		if v.Prob(i) <= flowEps || !geom.PointInHull2D(vi, qpts, c.hullIdx) {
 			continue
 		}
 		colocated := false
 		for j := 0; j < u.Len(); j++ {
-			if u.Instance(j).Equal(vi) {
+			if u.Prob(j) > 0 && u.Instance(j).Equal(vi) {
 				colocated = true
 				break
 			}
@@ -118,36 +114,45 @@ func (c *Checker) instLE(du, dv []float64) (le, strict bool) {
 // techniques, we can efficiently improve the network construction time").
 const distSpaceThreshold = 48
 
-// admEdge records one admissible u→v edge of the exact P-SD network: the
-// edge index and whether some hull instance strictly separates the pair.
+// admEdge records one admissible pair u_i ⪯Q v_j of the exact P-SD network:
+// the instance indices, whether some hull instance strictly separates the
+// pair, and — once the network is built — the edge index.
 type admEdge struct {
-	e      int
-	strict bool
+	i, j, e int
+	strict  bool
 }
 
-// psdExact runs Theorem 12 on the instance-level network. The network and
-// the admissible-edge records are carved out of the checker's scratch, so
-// repeat solves do not allocate.
-func (c *Checker) psdExact(u, v *uncertain.Object) bool {
-	hu := c.hullDists(u)
-	hv := c.hullDists(v)
+// isolatedMass reports whether some instance carrying more than flowEps of
+// probability is not covered by any admissible pair. Its mass cannot reach
+// the other side, so the max flow falls short of 1 by more than flowEps and
+// the solve would only confirm it.
+func isolatedMass(probs []float64, covered []bool) bool {
+	for i, p := range probs {
+		if p > flowEps && !covered[i] {
+			return true
+		}
+	}
+	return false
+}
+
+// psdExact runs Theorem 12 on the instance-level network. The admissible
+// pairs are collected first, so that a pair with an isolated positive-mass
+// instance on either side is rejected without building or solving a
+// network. The network and the admissible-pair records are carved out of
+// the checker's scratch, so repeat solves do not allocate.
+func (c *Checker) psdExact(su, sv *objCache) bool {
+	u, v := su.obj, sv.obj
+	hu, hv := c.hullDists(su), c.hullDists(sv)
 	nu, nv := u.Len(), v.Len()
-	g := &c.scratch.exact
-	g.Reuse(nu + nv + 2)
-	s, t := 0, nu+nv+1
-	for i := 0; i < nu; i++ {
-		g.AddEdge(s, 1+i, u.Prob(i))
-	}
-	for j := 0; j < nv; j++ {
-		g.AddEdge(1+nu+j, t, v.Prob(j))
-	}
-	admissible := c.scratch.adm[:0]
-	defer func() { c.scratch.adm = admissible[:0] }() // retain capacity growth
-	anyEdges := false
+	adm := c.scratch.adm[:0]
+	defer func() { c.scratch.adm = adm[:0] }() // retain capacity growth
+	c.scratch.covered = growBools(c.scratch.covered, nu+nv)
+	coveredU, coveredV := c.scratch.covered[:nu], c.scratch.covered[nu:]
+	clear(c.scratch.covered)
 	if nu >= distSpaceThreshold && nv >= distSpaceThreshold {
 		// Distance-space construction: u ⪯Q v iff u's hull-distance vector
 		// lies inside the box [0, hv[j]] — a range query.
-		tree := c.distSpaceTree(u, hu)
+		tree := c.distSpaceTree(su, hu)
 		lo := growFloats(c.scratch.lo, len(c.hullPts))
 		for k := range lo {
 			lo[k] = 0
@@ -164,12 +169,9 @@ func (c *Checker) psdExact(u, v *uncertain.Object) bool {
 			win := geom.Rect{Lo: lo, Hi: hi}
 			c.Stats.InstanceComparisons++ // one range probe
 			tree.Search(win, func(e rtree.Entry) bool {
-				i := e.ID
-				le, strict := c.instLE(hu[i], hv[j])
-				if le {
-					edge := g.AddEdge(1+i, 1+nu+j, math.Inf(1))
-					admissible = append(admissible, admEdge{edge, strict})
-					anyEdges = true
+				if le, strict := c.instLE(hu[e.ID], hv[j]); le {
+					adm = append(adm, admEdge{i: e.ID, j: j, strict: strict})
+					coveredU[e.ID], coveredV[j] = true, true
 				}
 				return true
 			})
@@ -178,15 +180,29 @@ func (c *Checker) psdExact(u, v *uncertain.Object) bool {
 		for i := 0; i < nu; i++ {
 			for j := 0; j < nv; j++ {
 				if le, strict := c.instLE(hu[i], hv[j]); le {
-					e := g.AddEdge(1+i, 1+nu+j, math.Inf(1))
-					admissible = append(admissible, admEdge{e, strict})
-					anyEdges = true
+					adm = append(adm, admEdge{i: i, j: j, strict: strict})
+					coveredU[i], coveredV[j] = true, true
 				}
+			}
+			if !coveredU[i] && u.Prob(i) > flowEps {
+				return false // u_i is isolated: no need to look at the rest
 			}
 		}
 	}
-	if !anyEdges {
+	if isolatedMass(u.Probs(), coveredU) || isolatedMass(v.Probs(), coveredV) {
 		return false
+	}
+	g := &c.scratch.exact
+	g.Reuse(nu + nv + 2)
+	s, t := 0, nu+nv+1
+	for i := 0; i < nu; i++ {
+		g.AddEdge(s, 1+i, u.Prob(i))
+	}
+	for j := 0; j < nv; j++ {
+		g.AddEdge(1+nu+j, t, v.Prob(j))
+	}
+	for k := range adm {
+		adm[k].e = g.AddEdge(1+adm[k].i, 1+nu+adm[k].j, math.Inf(1))
 	}
 	c.Stats.FlowSolves++
 	if g.MaxFlow(s, t) < 1-flowEps {
@@ -195,20 +211,19 @@ func (c *Checker) psdExact(u, v *uncertain.Object) bool {
 	// A match exists. The side condition U_Q ≠ V_Q remains: if any matched
 	// tuple is strictly closer at some hull instance, the CDFs differ and
 	// the condition holds for free; otherwise compare the distributions.
-	for _, a := range admissible {
+	for _, a := range adm {
 		if a.strict && g.Flow(a.e) > flowEps {
 			return true
 		}
 	}
-	return !distr.Equal(c.distQ(u), c.distQ(v), c.eps)
+	return !distr.Equal(c.distQ(su), c.distQ(sv), c.eps)
 }
 
 // distSpaceTree returns (building and caching) an R-tree over the object's
 // instances mapped into the k-dimensional hull-distance space.
 //
 //nnc:coldpath builds once per (object, search) and is cached on the objCache; warm lookups return the cached tree
-func (c *Checker) distSpaceTree(o *uncertain.Object, hd [][]float64) *rtree.Tree {
-	oc := c.cacheOf(o)
+func (c *Checker) distSpaceTree(oc *objCache, hd [][]float64) *rtree.Tree {
 	if oc.distTree == nil {
 		entries := make([]rtree.Entry, len(hd))
 		for i, row := range hd {
@@ -222,8 +237,7 @@ func (c *Checker) distSpaceTree(o *uncertain.Object, hd [][]float64) *rtree.Tree
 // levelDecidePSD attempts the level-by-level G⁻/G⁺ networks of Section
 // 5.1.2 on local R-tree nodes. ok is false when all attempted levels are
 // inconclusive.
-func (c *Checker) levelDecidePSD(u, v *uncertain.Object) (dec, ok bool) {
-	cu, cv := c.cacheOf(u), c.cacheOf(v)
+func (c *Checker) levelDecidePSD(cu, cv *objCache) (dec, ok bool) {
 	maxLvl := coarseLevels(cu, cv)
 	for lvl := 1; lvl <= maxLvl; lvl++ {
 		bu := c.levelInfo(cu, lvl)
@@ -274,7 +288,7 @@ func (c *Checker) levelDecidePSD(u, v *uncertain.Object) (dec, ok bool) {
 			if gMinus.MaxFlow(s, t) >= 1-flowEps {
 				// The coarse match proves an instance-level match exists;
 				// settle the ≠ side condition on the exact distributions.
-				return !distr.Equal(c.distQ(u), c.distQ(v), c.eps), true
+				return !distr.Equal(c.distQ(cu), c.distQ(cv), c.eps), true
 			}
 		}
 	}

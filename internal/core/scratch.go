@@ -25,9 +25,8 @@ type CheckScratch struct {
 	pairs     distr.PairArena
 	floats    slab.Arena[float64]
 	rows      slab.Arena[[]float64]
-	dists     slab.Arena[distr.Distribution]
 	distPairs slab.Arena[[2]distr.Distribution]
-	stats     slab.Arena[[3]float64]
+	stats     slab.Arena[distr.Stat]
 
 	// Arenas whose elements hold pointers (objects, local-tree nodes):
 	// cleared on reset so a pooled scratch never pins a finished search's
@@ -48,7 +47,8 @@ type CheckScratch struct {
 	exact, gMinus, gPlus flow.Network
 
 	// Assorted reusable buffers.
-	adm     []admEdge    // admissible-edge records of the exact network
+	adm     []admEdge    // admissible pairs of the exact network
+	covered []bool       // per instance of U then V: has an admissible pair
 	lo, hi  geom.Point   // range-query corners in hull-distance space
 	ids     []int        // CollectIDs scratch for level masses
 	hullIdx []int        // non-geometric fallback hull index list
@@ -79,7 +79,6 @@ func (sc *CheckScratch) reset() {
 	sc.pairs.Reset()
 	sc.floats.Reset()
 	sc.rows.Reset()
-	sc.dists.Reset()
 	sc.distPairs.Reset()
 	sc.stats.Reset()
 	sc.caches.ResetZero()
@@ -116,6 +115,7 @@ func (sc *CheckScratch) Checker(query *uncertain.Object, op Operator, cfg Filter
 	c.eps = distr.Eps
 	c.metric = m
 	c.euclid = m == geom.Euclidean
+	c.statCut = cfg.StatPruning && (op == SSD || op == SSSD || op == PSD)
 	c.qMBR = query.MBR()
 	c.Stats = Stats{}
 	if c.cmpFn == nil {
@@ -156,6 +156,16 @@ func growInts(s []int, n int) []int {
 func growPoints(s []geom.Point, n int) []geom.Point {
 	if cap(s) < n {
 		return make([]geom.Point, n)
+	}
+	return s[:n]
+}
+
+// growBools returns s resized to n, reusing its capacity.
+//
+//nnc:coldpath amortized buffer growth to the search's high-water size; warm calls reslice
+func growBools(s []bool, n int) []bool {
+	if cap(s) < n {
+		return make([]bool, n)
 	}
 	return s[:n]
 }

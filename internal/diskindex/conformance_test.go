@@ -235,3 +235,28 @@ func TestObjCacheEviction(t *testing.T) {
 		t.Fatalf("capped cache changed the candidate set: %d vs %d", len(res.Candidates), len(want.Candidates))
 	}
 }
+
+// An S-SD search with the level-by-level filter off has no use for any
+// object's local R-tree, so it must not build one: with the object cache off
+// every examined object is decoded afresh, and decoding is all a query may
+// allocate per object. At the commit before the query summary the same
+// search made 4469 allocations (72 objects examined: 23 to decode a
+// six-instance record, 39 to bulk-load its tree for the heap key); the bound
+// leaves room for the decode and none for a tree.
+func TestConformanceNoLocalTreeWithoutLevelFilter(t *testing.T) {
+	const parentAllocsPerQuery = 4469
+	disk, _, ds, _ := buildBoth(t, 140, 6, 61, 64)
+	disk.SetObjCacheCap(0)
+	q := ds.Queries(1, 4, 200, 62)[0]
+	cfg := core.AllFilters
+	cfg.LevelByLevel = false
+	search := func() {
+		if _, err := disk.SearchKCtx(context.Background(), q, core.SSD, 1, core.SearchOptions{Filters: cfg}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	search()
+	if avg := testing.AllocsPerRun(10, search); avg > 0.45*parentAllocsPerQuery {
+		t.Fatalf("%.0f allocations per query, want under 45%% of the %d a tree per object cost", avg, parentAllocsPerQuery)
+	}
+}

@@ -40,21 +40,11 @@ type Distribution struct {
 
 var errBadProb = errors.New("distr: probabilities must be finite and non-negative")
 
-// PairArena is a slab arena of distribution atoms. The *Arena constructor
-// variants carve their backing arrays out of one, so a search that owns an
-// arena builds every distribution without touching the heap once the slabs
-// are warm. A nil *PairArena falls back to make.
+// PairArena is a slab arena of distribution atoms: a search that owns one
+// carves every atom buffer it hands to Summarize, WeightRuns and Own out of
+// it, so building distributions never touches the heap once the slabs are
+// warm.
 type PairArena = slab.Arena[Pair]
-
-// allocPairs returns a length-n atom buffer from the arena, or a fresh one
-// when the arena is nil.
-func allocPairs(a *PairArena, n int) []Pair {
-	if a == nil {
-		//nnc:allow hotpath-alloc: nil-arena compatibility path for cold callers (tests, one-shot Between); hot callers thread a PairArena
-		return make([]Pair, n)
-	}
-	return a.Alloc(n)
-}
 
 // Own builds a distribution that takes ownership of the given atom slice,
 // sorting it in place with no copy and no validation. It is the arena-path
@@ -98,90 +88,122 @@ func MustFromPairs(pairs []Pair) Distribution {
 	return d
 }
 
+// Sorted wraps atoms that are already in non-decreasing value order — a run
+// sorted by SortRuns — without copying or re-sorting. The slice must not be
+// modified afterwards.
+func Sorted(pairs []Pair) Distribution { return Distribution{pairs: pairs} }
+
 // Between returns U_Q: the distance distribution between object u and query
 // q containing every instance pair (q_j, u_i) with value δ(q_j, u_i) and
 // probability p(q_j)·p(u_i).
-func Between(u, q *uncertain.Object) Distribution {
-	return BetweenArena(nil, u, q)
-}
-
-// BetweenArena is Between with the atom buffer carved out of the arena.
-//
-//nnc:hotpath
-func BetweenArena(a *PairArena, u, q *uncertain.Object) Distribution {
-	pairs := allocPairs(a, u.Len()*q.Len())
-	w := 0
-	for j := 0; j < q.Len(); j++ {
-		qp := q.Instance(j)
-		qprob := q.Prob(j)
-		for i := 0; i < u.Len(); i++ {
-			pairs[w] = Pair{
-				Dist: geom.Dist(qp, u.Instance(i)),
-				Prob: qprob * u.Prob(i),
-			}
-			w++
-		}
-	}
-	return Own(pairs)
-}
+func Between(u, q *uncertain.Object) Distribution { return BetweenFunc(u, q, geom.Dist) }
 
 // BetweenFunc is Between under an arbitrary instance distance function —
 // the extension point for non-Euclidean metrics (Section 2.1 notes the
 // techniques carry over to any metric).
 func BetweenFunc(u, q *uncertain.Object, dist func(a, b geom.Point) float64) Distribution {
-	return BetweenFuncArena(nil, u, q, dist)
-}
-
-// BetweenFuncArena is BetweenFunc with the atom buffer carved out of the
-// arena.
-func BetweenFuncArena(a *PairArena, u, q *uncertain.Object, dist func(a, b geom.Point) float64) Distribution {
-	pairs := allocPairs(a, u.Len()*q.Len())
-	w := 0
-	for j := 0; j < q.Len(); j++ {
-		qp := q.Instance(j)
-		qprob := q.Prob(j)
-		for i := 0; i < u.Len(); i++ {
-			pairs[w] = Pair{
-				Dist: dist(qp, u.Instance(i)),
-				Prob: qprob * u.Prob(i),
-			}
-			w++
-		}
-	}
-	return Own(pairs)
-}
-
-// BetweenInstanceFunc is BetweenInstance under an arbitrary instance
-// distance function.
-func BetweenInstanceFunc(u *uncertain.Object, q geom.Point, dist func(a, b geom.Point) float64) Distribution {
-	return BetweenInstanceFuncArena(nil, u, q, dist)
-}
-
-// BetweenInstanceFuncArena is BetweenInstanceFunc with the atom buffer
-// carved out of the arena.
-func BetweenInstanceFuncArena(a *PairArena, u *uncertain.Object, q geom.Point, dist func(a, b geom.Point) float64) Distribution {
-	pairs := allocPairs(a, u.Len())
-	for i := 0; i < u.Len(); i++ {
-		pairs[i] = Pair{Dist: dist(q, u.Instance(i)), Prob: u.Prob(i)}
-	}
-	return Own(pairs)
+	m := u.Len()
+	runs := make([]Pair, m*q.Len())
+	Summarize(runs, nil, u, q, dist)
+	return WeightRuns(runs, runs, m, q)
 }
 
 // BetweenInstance returns U_q: the distance distribution between object u
 // and a single query instance, each atom carrying the instance probability
 // p(u_i).
 func BetweenInstance(u *uncertain.Object, q geom.Point) Distribution {
-	return BetweenInstanceArena(nil, u, q)
+	return BetweenInstanceFunc(u, q, geom.Dist)
 }
 
-// BetweenInstanceArena is BetweenInstance with the atom buffer carved out
-// of the arena.
-func BetweenInstanceArena(a *PairArena, u *uncertain.Object, q geom.Point) Distribution {
-	pairs := allocPairs(a, u.Len())
-	for i := 0; i < u.Len(); i++ {
-		pairs[i] = Pair{Dist: geom.Dist(q, u.Instance(i)), Prob: u.Prob(i)}
+// BetweenInstanceFunc is BetweenInstance under an arbitrary instance
+// distance function.
+func BetweenInstanceFunc(u *uncertain.Object, q geom.Point, dist func(a, b geom.Point) float64) Distribution {
+	pairs := make([]Pair, u.Len())
+	for i := range pairs {
+		pairs[i] = Pair{Dist: dist(q, u.Instance(i)), Prob: u.Prob(i)}
 	}
 	return Own(pairs)
+}
+
+// Stat is the min, mean and max of a distribution over its positive-mass
+// atoms — the three statistics of Theorem 11. A zero-probability instance
+// is outside the support: it moves no cumulative mass in a stochastic scan,
+// so it must not move a statistic that claims to be necessary for one.
+type Stat struct{ Min, Mean, Max float64 }
+
+// LE reports whether every statistic of s is within eps of being no larger
+// than t's — the necessary condition for s's distribution to be
+// stochastically no larger than t's.
+func (s Stat) LE(t Stat, eps float64) bool {
+	return s.Min <= t.Min+eps && s.Mean <= t.Mean+eps && s.Max <= t.Max+eps
+}
+
+// Summarize is the one pass over the |Q|·m instance pairs of u and q that
+// everything a dominance check reads about u is derived from. It fills
+// runs (length |Q|·m) with the unsorted-atoms form of the per-query-
+// instance distributions — run j, runs[j·m:(j+1)·m], holds U_{q_j}'s atoms
+// {δ(q_j,u_i), p(u_i)} in instance order, to be sorted by SortRuns only if a
+// scan asks — stores each U_{q_j}'s statistics in perQ[j] (skipped when
+// perQ is nil), and returns the statistics of U_Q: its min is the exact
+// key Algorithm 1 orders objects by, its mean is Σ_j p(q_j)·mean_j, so no
+// statistic needs the |Q|·m atoms sorted. A nil dist means Euclidean.
+//
+//nnc:hotpath
+func Summarize(runs []Pair, perQ []Stat, u, q *uncertain.Object, dist func(a, b geom.Point) float64) Stat {
+	pts, probs := u.Points(), u.Probs()
+	m := len(pts)
+	all := Stat{Min: math.Inf(1), Max: math.Inf(-1)}
+	for j := 0; j < q.Len(); j++ {
+		qp := q.Instance(j)
+		run := runs[j*m : (j+1)*m]
+		st := Stat{Min: math.Inf(1), Max: math.Inf(-1)}
+		for i, p := range pts {
+			var d float64
+			if dist == nil {
+				d = geom.Dist(qp, p)
+			} else {
+				d = dist(qp, p)
+			}
+			pr := probs[i]
+			run[i] = Pair{Dist: d, Prob: pr}
+			if pr > 0 {
+				st.Min = min(st.Min, d)
+				st.Max = max(st.Max, d)
+				st.Mean += d * pr
+			}
+		}
+		if perQ != nil {
+			perQ[j] = st
+		}
+		if qprob := q.Prob(j); qprob > 0 {
+			all.Min = min(all.Min, st.Min)
+			all.Max = max(all.Max, st.Max)
+			all.Mean += qprob * st.Mean
+		}
+	}
+	return all
+}
+
+// SortRuns sorts each length-m run of a Summarize buffer in place, turning
+// it into |Q| distributions Sorted can wrap.
+func SortRuns(runs []Pair, m int) {
+	for lo := 0; lo < len(runs); lo += m {
+		sortPairs(runs[lo : lo+m])
+	}
+}
+
+// WeightRuns builds U_Q out of a Summarize buffer: the atoms are copied into
+// dst (same length, and it may be runs itself; ownership passes to the
+// result) with run j's probabilities scaled by p(q_j), then sorted as one
+// distribution.
+func WeightRuns(dst, runs []Pair, m int, q *uncertain.Object) Distribution {
+	for j := 0; j < q.Len(); j++ {
+		qprob := q.Prob(j)
+		for i := j * m; i < (j+1)*m; i++ {
+			dst[i] = Pair{Dist: runs[i].Dist, Prob: qprob * runs[i].Prob}
+		}
+	}
+	return Own(dst)
 }
 
 // Len returns the number of atoms.
