@@ -33,15 +33,16 @@ race:
 	$(GO) test -race ./...
 
 # check is the CI gate: formatting + vet + build + nnclint + race tests +
-# a one-shot Figure 12 benchmark smoke so the engine's hot path stays
-# exercised, plus a short fuzz pass over the on-disk decoders and the
-# request pipeline.
+# a one-shot Figure 12 and disk-cold benchmark smoke so the engine's hot
+# path stays exercised in memory and against a page file, plus a short fuzz
+# pass over the on-disk decoders and the request pipeline.
 check: fmt-check
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) run ./cmd/nnclint -root .
 	$(GO) test -race ./...
 	$(GO) test -run='^$$' -bench=Fig12 -benchtime=1x .
+	$(GO) test -run='^$$' -bench='SearchK/disk-cold' -benchtime=1x .
 	$(MAKE) fuzz-smoke
 
 bench:

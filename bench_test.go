@@ -344,6 +344,42 @@ func BenchmarkSearchK(b *testing.B) {
 			b.ReportMetric(candidates/float64(b.N), "candidates/query")
 		})
 	}
+	// The shape of the repo benchmark's disk_cold workload (bench/wl_disk.go):
+	// S-SD on a 10 000 × 10 page file reopened with a 64-frame pool and a
+	// 64-object cache, so that every query goes to the file for its objects.
+	b.Run("disk-cold", func(b *testing.B) {
+		ds := datagen.Generate(datagen.Params{N: 10000, Dim: 3, M: 10, Centers: datagen.AntiCorrelated, Seed: benchSeed})
+		queries := ds.Queries(32, 8, 200, benchSeed+101)
+		path := filepath.Join(b.TempDir(), "cold.pg")
+		built, err := BuildDiskIndex(path, ds.Objects, 256)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := built.Close(); err != nil {
+			b.Fatal(err)
+		}
+		disk, err := OpenDiskIndex(path, 64)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer disk.Close()
+		disk.SetObjCacheCap(64)
+		var candidates, examined, reads float64
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			res, err := disk.SearchKCtx(context.Background(), queries[i%len(queries)], SSD, 1, core.SearchOptions{Filters: AllFilters})
+			if err != nil {
+				b.Fatal(err)
+			}
+			candidates += float64(len(res.Candidates))
+			examined += float64(res.Examined)
+			reads += float64(res.IO.Reads)
+		}
+		b.ReportMetric(candidates/float64(b.N), "candidates/query")
+		b.ReportMetric(examined/float64(b.N), "examined/query")
+		b.ReportMetric(reads/float64(b.N), "page-reads/query")
+	})
 }
 
 // BenchmarkMetric — dominance-search cost under each distance metric.

@@ -417,14 +417,37 @@ func (c *Checker) fsd(u, v *uncertain.Object) bool {
 
 // fplussd is the MBR-only baseline of [16]: F-SD evaluated on the objects'
 // MBRs against the query's MBR (Euclidean), or against the query instances
-// with metric rectangle bounds for other metrics.
+// with metric rectangle bounds for other metrics. It carries no U_Q ≠ V_Q
+// side condition.
 func (c *Checker) fplussd(u, v *uncertain.Object) bool {
 	c.Stats.InstanceComparisons++
+	return c.fplusRect(u.MBR(), v.MBR())
+}
+
+// fplusRect is F+SD on two rectangles: the operator itself, since F+SD never
+// looks inside an MBR.
+func (c *Checker) fplusRect(a, b geom.Rect) bool {
 	if c.euclid {
-		return geom.FSDMBR(u.MBR(), v.MBR(), c.qMBR)
+		return geom.FSDMBR(a, b, c.qMBR)
 	}
-	holds, _ := c.mbrValidate(u, v)
-	return holds
+	le, _ := c.rectLE(a, b)
+	return le
+}
+
+// rectDominates reports whether every object bounded by rectangle a
+// dominates, under the checker's operator, every object bounded by
+// rectangle b — the entry-pruning predicate of Algorithm 1. For S/SS/P/F-SD
+// that is rectLE with a strictness witness: F-SD between the rectangles,
+// which the cover chain F-SD ⊂ P-SD ⊂ SS-SD ⊂ S-SD carries to the operator.
+// F+SD is not in that chain — it quantifies over the whole query MBR, which
+// rectLE against the query instances does not imply — so it is asked
+// directly.
+func (c *Checker) rectDominates(a, b geom.Rect) bool {
+	if c.op == FPlusSD {
+		return c.fplusRect(a, b)
+	}
+	le, strict := c.rectLE(a, b)
+	return le && strict
 }
 
 // MinPairDist returns min(U_Q): the exact smallest pairwise distance

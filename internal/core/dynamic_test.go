@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"sort"
@@ -180,8 +181,12 @@ func TestInsertGrowsDenseSpan(t *testing.T) {
 	if got := idx.DenseIDSpan(); got != len(objs) {
 		t.Fatalf("built span = %d, want %d", got, len(objs))
 	}
-	search := func() { idx.Search(q, PSD) }
-	search() // warm the pooled scratch
+	// A scratch pinned the way a batch worker pins one: sync.Pool drops
+	// entries at random under the race detector, and a dropped scratch is
+	// a dozen allocations that have nothing to do with the span.
+	ctx := withPinnedScratch(context.Background(), new(searchScratch))
+	search := func() { idx.SearchKCtx(ctx, q, PSD, 1, SearchOptions{Filters: AllFilters}) }
+	search() // warm the scratch
 	before := testing.AllocsPerRun(20, search)
 
 	// A fresh max-ID object far from the query: examined (the index is a

@@ -292,9 +292,10 @@ func (sc *searchScratch) release() {
 
 // SearchBackend runs Algorithm 1 over any Backend: a best-first traversal
 // of the global R-tree in non-decreasing min-distance order, testing each
-// reached object against the k-skyband found so far and pruning entries
-// whose every object is MBR-dominated by k existing candidates
-// (Theorem 4). Objects are re-keyed by their exact min(U_Q) before
+// reached object against the k-skyband found so far and pruning entries —
+// subtrees and single objects alike, before anything below them is read —
+// whose MBR is dominated by k existing candidates (Theorem 4). Surviving
+// objects are resolved and re-keyed by their exact min(U_Q) before
 // evaluation — and exact-key ties are evaluated as one batch — so the
 // transitivity-based correctness argument of Section 5.2 applies.
 //
@@ -382,13 +383,19 @@ func SearchBackend(ctx context.Context, b Backend, q *uncertain.Object, op Opera
 			h.push(searchItem{key: key, kind: kindObjLB, rect: e.Rect, obj: e.Obj})
 		}
 	}
-	// expand handles non-exact items, pushing their successors. Node
-	// pruning happens at pop time — the band only grows, so testing late
-	// prunes strictly more than testing at push. Every object entry is
-	// resolved and keyed by its summary's exact min(U_Q): an object entry
-	// is not yet tested against the band on its MBR (that is lazy resolve,
-	// ROADMAP 1a — sound for S/SS/P/F-SD by the cover chain, not for F+SD,
-	// whose test is on the whole query MBR and is not implied by rectLE).
+	// expand handles non-exact items, pushing their successors. Pruning
+	// happens at pop time — the band only grows, so testing late prunes
+	// strictly more than testing at push — and an object entry is asked
+	// first, exactly like a node: its rectangle is the object's MBR, so k
+	// band members that dominate the rectangle dominate the object, and it
+	// is dropped before it is read, summarised or keyed (rung 3 of the
+	// verdict ladder, under the Filters.Geometric flag that rung obeys).
+	// Dropping it cannot change a tie batch it would have joined: whatever
+	// it would have dominated there is dominated, by transitivity, by the
+	// same k band members, all of them in the pre-batch band every batch
+	// member is counted against — so a pruned object is never the missing
+	// witness of a batch-mate's k-th dominator, and no candidate's count
+	// (which stays below k) ever included it.
 	expand := func(it searchItem) {
 		switch it.kind {
 		case kindNode:
@@ -404,6 +411,10 @@ func SearchBackend(ctx context.Context, b Backend, q *uncertain.Object, op Opera
 				expandErr = err
 			}
 		case kindObjLB:
+			if opts.Filters.Geometric && bandDominatesRect(checker, band.objs, it.rect, k) {
+				checker.Stats.ObjectPrunes++
+				return
+			}
 			o, err := b.Resolve(it.obj)
 			if err != nil {
 				if faults.IsUnavailable(err) {
@@ -510,14 +521,17 @@ func partialOrNil(partial *PartialResultError, res *Result) error {
 	return partial
 }
 
-// bandDominatesRect reports whether at least k current candidates strictly
-// MBR-dominate the whole entry rectangle, in which case every object in
-// the subtree has >= k dominators and the entry can be discarded
+// bandDominatesRect reports whether at least k current candidates dominate
+// the whole entry rectangle — a subtree's or a single object's MBR — by the
+// operator's own rectangle predicate (Checker.rectDominates), in which case
+// every object inside it has >= k dominators and the entry can be discarded
 // (Theorem 4 applied to the k-skyband).
+//
+//nnc:hotpath
 func bandDominatesRect(c *Checker, band []*uncertain.Object, r geom.Rect, k int) bool {
 	count := 0
 	for _, u := range band {
-		if le, strict := c.rectLE(u.MBR(), r); le && strict {
+		if c.rectDominates(u.MBR(), r) {
 			count++
 			if count >= k {
 				return true

@@ -1,11 +1,15 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
+	"spatialdom/internal/geom"
 	"spatialdom/internal/nnfunc"
+	"spatialdom/internal/uncertain"
 )
 
 func TestSearchKEqualsSearchAtK1(t *testing.T) {
@@ -34,6 +38,24 @@ func TestSearchKEqualsSearchAtK1(t *testing.T) {
 	}
 }
 
+// matchBruteForce fails unless the indexed search returns exactly the
+// k-skyband BruteForceK counts, every candidate with fewer than k dominators.
+func matchBruteForce(t *testing.T, tag string, idx *Index, objs []*uncertain.Object, q *uncertain.Object, op Operator, k int) {
+	t.Helper()
+	want := idsOf(BruteForceK(objs, q, op, k, AllFilters))
+	res := searchK(idx, q, op, k, SearchOptions{Filters: AllFilters})
+	got := res.IDs()
+	sort.Ints(got)
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s %v k=%d: got %v, want %v", tag, op, k, got, want)
+	}
+	for _, c := range res.Candidates {
+		if c.Dominators >= k {
+			t.Fatalf("%s %v k=%d: candidate with %d >= k dominators", tag, op, k, c.Dominators)
+		}
+	}
+}
+
 func TestSearchKMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(402))
 	for iter := 0; iter < 10; iter++ {
@@ -43,26 +65,31 @@ func TestSearchKMatchesBruteForce(t *testing.T) {
 			t.Fatal(err)
 		}
 		q := randObject(rng, 0, 2, 3, randCenter(rng, 2, 80), 4)
-		for _, op := range []Operator{SSD, SSSD, PSD, FSD} {
+		for _, op := range Operators {
 			for _, k := range []int{1, 2, 3, 5} {
-				want := idsOf(BruteForceK(objs, q, op, k, AllFilters))
-				res := searchK(idx, q, op, k, SearchOptions{Filters: AllFilters})
-				got := res.IDs()
-				sort.Ints(got)
-				if len(got) != len(want) {
-					t.Fatalf("iter %d %v k=%d: got %v, want %v", iter, op, k, got, want)
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("iter %d %v k=%d: got %v, want %v", iter, op, k, got, want)
-					}
-				}
-				for _, c := range res.Candidates {
-					if c.Dominators >= k {
-						t.Fatalf("candidate with %d >= k dominators", c.Dominators)
-					}
-				}
+				matchBruteForce(t, fmt.Sprintf("iter %d", iter), idx, objs, q, op, k)
 			}
+		}
+	}
+	// F+SD under a wide query: its dominance is defined against the whole
+	// query MBR, which is much larger than the hull of three far-apart
+	// instances, so an entry test against the instances prunes subtrees no
+	// band member F+SD-dominates (15 of these 120 searches lost a candidate
+	// that way).
+	rng = rand.New(rand.NewSource(7))
+	for iter := 0; iter < 60; iter++ {
+		objs := make([]*uncertain.Object, 600)
+		for i := range objs {
+			c := geom.Point{rng.Float64()*600 - 300, rng.Float64()*600 - 300}
+			objs[i] = randObject(rng, i+1, 2, 4, c, 4)
+		}
+		idx, err := NewIndex(objs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := randObject(rng, 0, 2, 3, geom.Point{0, 0}, 120)
+		for _, k := range []int{1, 2} {
+			matchBruteForce(t, fmt.Sprintf("wide query %d", iter), idx, objs, q, FPlusSD, k)
 		}
 	}
 }

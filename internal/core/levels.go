@@ -3,6 +3,7 @@ package core
 import (
 	"spatialdom/internal/distr"
 	"spatialdom/internal/rtree"
+	"spatialdom/internal/uncertain"
 )
 
 // This file implements the level-by-level pruning/validation of Section 5.1
@@ -136,8 +137,16 @@ func (c *Checker) levelPerQ(o *objCache, level int) *levelBounds {
 
 // coarseLevels returns the sequence of levels worth attempting for a pair
 // of objects: from 1 (children of the local roots) up to one short of the
-// shallower tree's leaf level, capped at maxCoarseLevel.
+// shallower tree's leaf level, capped at maxCoarseLevel. An object of at
+// most fanout² instances has a local tree of height ≤ 2, whose only coarse
+// level is its leaves — a handful of instances each, bounds nearly as long
+// as the exact atoms they stand in for — so for such a pair the answer is 0
+// by arithmetic and neither local tree is built.
 func coarseLevels(u, v *objCache) int {
+	const flat = uncertain.LocalTreeFanout * uncertain.LocalTreeFanout
+	if u.obj.Len() <= flat || v.obj.Len() <= flat {
+		return 0
+	}
 	hu := u.obj.LocalTree().Height()
 	hv := v.obj.LocalTree().Height()
 	h := hu

@@ -66,8 +66,8 @@ func (f flatBackend) AccessStats() IOStats { return IOStats{} }
 // header for the invariant and its proof sketch). bands holds one slice
 // per responding shard; objects are deduplicated by ID, so hedged
 // duplicate answers are harmless. ctx, opts.Limit and opts.OnCandidate
-// behave as in SearchBackend. Examined reports the size of the
-// deduplicated union.
+// behave as in SearchBackend. Stats.ObjectPrunes + Examined is the size of
+// the deduplicated union.
 func MergeShardBands(ctx context.Context, q *uncertain.Object, op Operator, k int, opts SearchOptions, bands [][]*uncertain.Object) (*Result, error) {
 	seen := make(map[int]bool)
 	var union flatBackend

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -86,32 +87,11 @@ func TestMetricSearchMatchesBruteForce(t *testing.T) {
 		q := randObject(rng, 0, 2, 3, randCenter(rng, 2, 80), 4)
 		for _, m := range nonEuclidean {
 			for _, op := range Operators {
-				// Brute force under the metric.
-				checker := NewCheckerMetric(q, op, AllFilters, m)
-				var want []int
-				for _, v := range objs {
-					dominated := false
-					for _, u := range objs {
-						if u != v && checker.Dominates(u, v) {
-							dominated = true
-							break
-						}
-					}
-					if !dominated {
-						want = append(want, v.ID())
-					}
-				}
-				sort.Ints(want)
-				res := searchK(idx, q, op, 1, SearchOptions{Filters: AllFilters, Metric: m})
-				got := res.IDs()
+				want := bruteForceMetric(objs, q, op, 1, m)
+				got := searchK(idx, q, op, 1, SearchOptions{Filters: AllFilters, Metric: m}).IDs()
 				sort.Ints(got)
-				if len(got) != len(want) {
+				if !slices.Equal(got, want) {
 					t.Fatalf("iter %d %s %v: got %v, want %v", iter, m.Name(), op, got, want)
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("iter %d %s %v: got %v, want %v", iter, m.Name(), op, got, want)
-					}
 				}
 			}
 		}

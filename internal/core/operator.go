@@ -132,9 +132,15 @@ type Stats struct {
 	LevelDecisions int64
 	// FlowSolves counts max-flow invocations (P-SD).
 	FlowSolves int64
-	// HeapPops and EntryPrunes instrument Algorithm 1.
+	// HeapPops and EntryPrunes instrument Algorithm 1: items popped off the
+	// search heap, and tree nodes discarded because k candidates dominate
+	// their MBR.
 	HeapPops    int64
 	EntryPrunes int64
+	// ObjectPrunes counts object entries discarded the same way, before the
+	// object was resolved. Popped object entries = ObjectPrunes + examined
+	// objects (+ entries skipped as unreadable in a degraded search).
+	ObjectPrunes int64
 }
 
 // Add accumulates other into s.
@@ -149,4 +155,5 @@ func (s *Stats) Add(other Stats) {
 	s.FlowSolves += other.FlowSolves
 	s.HeapPops += other.HeapPops
 	s.EntryPrunes += other.EntryPrunes
+	s.ObjectPrunes += other.ObjectPrunes
 }

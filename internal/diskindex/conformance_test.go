@@ -161,11 +161,16 @@ func TestConformanceCancellation(t *testing.T) {
 	}
 }
 
+// I/O accounting. The filters are off so that the search resolves every
+// object entry it pops, as it always did: with them on, a query this small rejects almost
+// every leaf entry on its MBR and never leaves the pages already pooled
+// (TestDiskSearchCountsIO pins resolves == Examined for that case).
 func TestConformanceIOStats(t *testing.T) {
 	disk, mem, ds, _ := buildBoth(t, 200, 6, 67, 16) // pool far smaller than the file
 	q := ds.Queries(1, 4, 200, 68)[0]
+	none := core.SearchOptions{}
 
-	memRes, err := mem.SearchKCtx(context.Background(), q, core.PSD, 1, core.SearchOptions{Filters: core.AllFilters})
+	memRes, err := mem.SearchKCtx(context.Background(), q, core.PSD, 1, none)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,9 +179,12 @@ func TestConformanceIOStats(t *testing.T) {
 	}
 
 	disk.ResetCache()
-	cold, err := disk.SearchKCtx(context.Background(), q, core.PSD, 1, core.SearchOptions{Filters: core.AllFilters})
+	cold, err := disk.SearchKCtx(context.Background(), q, core.PSD, 1, none)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if cold.Examined != memRes.Examined {
+		t.Fatalf("disk examined %d, memory %d", cold.Examined, memRes.Examined)
 	}
 	if cold.IO.Accesses() == 0 || cold.IO.Misses == 0 {
 		t.Fatalf("cold disk search recorded no page traffic: %+v", cold.IO)
@@ -189,7 +197,7 @@ func TestConformanceIOStats(t *testing.T) {
 	}
 
 	// Warm repeat: decoded objects come from the LRU.
-	warm, err := disk.SearchKCtx(context.Background(), q, core.PSD, 1, core.SearchOptions{Filters: core.AllFilters})
+	warm, err := disk.SearchKCtx(context.Background(), q, core.PSD, 1, none)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,9 +221,9 @@ func TestObjCacheEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	disk.SetObjCacheCap(8) // far below the number of resolved objects
+	disk.SetObjCacheCap(8) // far below the number of resolved objects (filters off: all of them)
 	q := ds.Queries(1, 4, 200, 70)[0]
-	res, err := disk.SearchKCtx(context.Background(), q, core.FPlusSD, 1, core.SearchOptions{Filters: core.AllFilters})
+	res, err := disk.SearchKCtx(context.Background(), q, core.FPlusSD, 1, core.SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +235,7 @@ func TestObjCacheEviction(t *testing.T) {
 	}
 	// Capped caching must not change results.
 	uncapped, _, _, _ := buildBoth(t, 120, 5, 69, 64)
-	want, err := uncapped.SearchKCtx(context.Background(), q, core.FPlusSD, 1, core.SearchOptions{Filters: core.AllFilters})
+	want, err := uncapped.SearchKCtx(context.Background(), q, core.FPlusSD, 1, core.SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

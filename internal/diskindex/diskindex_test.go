@@ -72,10 +72,36 @@ func TestDiskSearchMatchesMemory(t *testing.T) {
 	}
 }
 
+// countingBackend counts the object entries the engine is handed (a search
+// that runs to completion pops each exactly once) and the ones it resolves.
+type countingBackend struct {
+	core.Backend
+	entries, resolves int
+}
+
+func (c *countingBackend) Expand(n core.NodeRef, visit func(core.BackendEntry)) error {
+	return c.Backend.Expand(n, func(e core.BackendEntry) {
+		if !e.IsNode {
+			c.entries++
+		}
+		visit(e)
+	})
+}
+
+func (c *countingBackend) Resolve(r core.ObjRef) (*uncertain.Object, error) {
+	c.resolves++
+	return c.Backend.Resolve(r)
+}
+
+// With the filters off the search resolves every entry it pops, and the I/O
+// that costs is counted. With them on, an object page is read only for an
+// entry the band could not reject on its MBR: resolves == Examined, and every
+// popped object entry is either pruned or examined.
 func TestDiskSearchCountsIO(t *testing.T) {
 	disk, _, ds, _ := buildBoth(t, 200, 6, 52, 16) // pool far smaller than the file
 	q := ds.Queries(1, 4, 200, 78)[0]
-	res, err := searchK(disk, q, core.SSSD, 1)
+	none := core.SearchOptions{}
+	res, err := disk.SearchKCtx(context.Background(), q, core.SSSD, 1, none)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,12 +115,33 @@ func TestDiskSearchCountsIO(t *testing.T) {
 		t.Fatal("dominance stats missing")
 	}
 	// A repeat query hits the object cache + warm pool: strictly fewer misses.
-	res2, err := searchK(disk, q, core.SSSD, 1)
+	res2, err := disk.SearchKCtx(context.Background(), q, core.SSSD, 1, none)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res2.IO.Misses > res.IO.Misses {
 		t.Fatalf("warm search missed more (%d) than cold (%d)", res2.IO.Misses, res.IO.Misses)
+	}
+
+	for _, cfg := range []core.FilterConfig{core.AllFilters, {}} {
+		cb := &countingBackend{Backend: disk}
+		res, err := core.SearchBackend(context.Background(), cb, q, core.SSSD, 1, core.SearchOptions{Filters: cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cb.resolves != res.Examined {
+			t.Fatalf("filters %+v: %d resolves for %d examined", cfg, cb.resolves, res.Examined)
+		}
+		if int64(cb.entries) != res.Stats.ObjectPrunes+int64(res.Examined) {
+			t.Fatalf("filters %+v: %d object entries popped, %d pruned + %d examined",
+				cfg, cb.entries, res.Stats.ObjectPrunes, res.Examined)
+		}
+		if cfg == core.AllFilters && res.Stats.ObjectPrunes == 0 {
+			t.Fatal("no object entry was pruned on its MBR")
+		}
+		if cfg == (core.FilterConfig{}) && cb.resolves != cb.entries {
+			t.Fatalf("filters off: %d of %d object entries resolved", cb.resolves, cb.entries)
+		}
 	}
 }
 

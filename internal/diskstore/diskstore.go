@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math"
 
-	"spatialdom/internal/geom"
 	"spatialdom/internal/pager"
 	"spatialdom/internal/uncertain"
 )
@@ -268,36 +267,26 @@ func DecodeRecord(data []byte) (*uncertain.Object, int, error) {
 	if need > len(data) || need < 0 {
 		return nil, 0, fmt.Errorf("%w: %d bytes needed, %d present", ErrCorrupt, need, len(data))
 	}
-	off := 16
-	probs := make([]float64, m)
-	for i := range probs {
-		probs[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))
-		off += 8
-	}
-	pts := make([]geom.Point, m)
-	for i := range pts {
-		p := make(geom.Point, d)
-		for j := 0; j < d; j++ {
-			p[j] = math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))
-			off += 8
-		}
-		pts[i] = p
-	}
-	labelLen := int(binary.LittleEndian.Uint16(data[off:]))
-	off += 2
-	if off+labelLen > len(data) {
+	labelLen := int(binary.LittleEndian.Uint16(data[need-2:]))
+	if need+labelLen > len(data) {
 		return nil, 0, fmt.Errorf("%w: %d-byte label overruns record", ErrCorrupt, labelLen)
 	}
-	label := string(data[off : off+labelLen])
-	off += labelLen
-	o, err := uncertain.New(id, pts, probs)
+	// One slab, laid out as the record is and handed to the object as it
+	// is: the record holds the probabilities already normalized, and
+	// dividing them by their sum again (≈1, rarely exactly 1) would make
+	// the disk backend decide dominance on other floats than were stored.
+	floats := make([]float64, m+m*d)
+	for i := range floats {
+		floats[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[16+8*i:]))
+	}
+	o, err := uncertain.FromSlabs(id, d, floats[m:], floats[:m:m])
 	if err != nil {
 		return nil, 0, fmt.Errorf("%w: %w", ErrCorrupt, err)
 	}
-	if label != "" {
-		o.SetLabel(label)
+	if labelLen > 0 {
+		o.SetLabel(string(data[need : need+labelLen]))
 	}
-	return o, off, nil
+	return o, need + labelLen, nil
 }
 
 // EncodedLen returns the exact on-stream size of o's record.

@@ -2,6 +2,7 @@ package diskstore
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"spatialdom/internal/geom"
@@ -49,6 +50,21 @@ func FuzzRecordDecode(f *testing.F) {
 		}
 		if n != EncodedLen(o) {
 			t.Fatalf("consumed %d bytes but EncodedLen says %d", n, EncodedLen(o))
+		}
+		var mass float64
+		for i, p := range o.Probs() {
+			if math.IsNaN(p) || math.IsInf(p, 0) || p < 0 {
+				t.Fatalf("accepted probability %d = %g", i, p)
+			}
+			mass += p
+			for _, x := range o.Instance(i) {
+				if math.IsNaN(x) || math.IsInf(x, 0) {
+					t.Fatalf("accepted coordinate %g in instance %d", x, i)
+				}
+			}
+		}
+		if mass <= 0 {
+			t.Fatalf("accepted an object of mass %g", mass)
 		}
 	})
 }

@@ -128,8 +128,8 @@ func New(id int, pts []geom.Point, weights []float64) (*Object, error) {
 // exact float64 values the shard engine computed with, and New's
 // renormalization (w/Σw with Σw ≈ 1 but rarely exactly 1) would perturb
 // the low bits and with them every downstream dominance decision. The
-// probabilities must be finite and non-negative; their sum is trusted,
-// and Mass reports 1.
+// probabilities must be finite and non-negative with a positive sum, which
+// is otherwise trusted, and Mass reports 1. Instance slices are copied.
 func FromNormalized(id int, pts []geom.Point, probs []float64) (*Object, error) {
 	if len(pts) == 0 {
 		return nil, ErrNoInstances
@@ -138,34 +138,55 @@ func FromNormalized(id int, pts []geom.Point, probs []float64) (*Object, error) 
 		return nil, fmt.Errorf("%w: %d probabilities for %d instances", ErrWeightCount, len(probs), len(pts))
 	}
 	d := len(pts[0])
-	if d == 0 {
-		return nil, ErrDimMismatch
-	}
-	cp := make([]geom.Point, len(pts))
+	coords := make([]float64, 0, len(pts)*d)
 	for i, p := range pts {
 		if len(p) != d {
 			return nil, fmt.Errorf("%w: instance %d has dim %d, want %d", ErrDimMismatch, i, len(p), d)
 		}
-		for _, v := range p {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, fmt.Errorf("%w: instance %d", ErrBadCoordinate, i)
-			}
-		}
-		cp[i] = p.Clone()
+		coords = append(coords, p...)
 	}
-	pc := make([]float64, len(probs))
+	return FromSlabs(id, d, coords, append([]float64(nil), probs...))
+}
+
+// FromSlabs is FromNormalized for a caller that already holds the object in
+// its flat form — one slab of len(probs)·dim coordinates, instance after
+// instance, and one slab of normalized probabilities — and gives both up:
+// the object keeps the slabs and its instances are views into coords, so
+// neither may be touched afterwards. Like FromNormalized it keeps the
+// probability bits verbatim and reports Mass 1. Coordinates must be finite,
+// probabilities finite and non-negative with a positive sum.
+func FromSlabs(id, dim int, coords, probs []float64) (*Object, error) {
+	if len(probs) == 0 {
+		return nil, ErrNoInstances
+	}
+	if dim <= 0 || len(coords) != dim*len(probs) {
+		return nil, fmt.Errorf("%w: %d coordinates for %d instances of dim %d", ErrDimMismatch, len(coords), len(probs), dim)
+	}
+	for i, v := range coords {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("%w: instance %d", ErrBadCoordinate, i/dim)
+		}
+	}
+	var mass float64
 	for i, w := range probs {
 		if math.IsNaN(w) || math.IsInf(w, 0) || w < 0 {
 			return nil, fmt.Errorf("%w: probability %d = %g", ErrBadWeight, i, w)
 		}
-		pc[i] = w
+		mass += w
+	}
+	if mass <= 0 {
+		return nil, ErrZeroMass
+	}
+	pts := make([]geom.Point, len(probs))
+	for i := range pts {
+		pts[i] = coords[i*dim : (i+1)*dim : (i+1)*dim]
 	}
 	return &Object{
 		id:    id,
-		pts:   cp,
-		probs: pc,
+		pts:   pts,
+		probs: probs,
 		mass:  1,
-		mbr:   geom.BoundingRect(cp),
+		mbr:   geom.BoundingRect(pts),
 	}, nil
 }
 

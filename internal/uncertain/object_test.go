@@ -85,6 +85,80 @@ func TestNewCopiesInput(t *testing.T) {
 	}
 }
 
+// FromNormalized and FromSlabs keep the probability bits they are given,
+// reject what New rejects, and differ only in who owns the memory.
+func TestFromNormalizedAndFromSlabs(t *testing.T) {
+	third := 1.0 / 3
+	probs := []float64{third, third, third} // sums to 1 only after rounding
+	pts := []geom.Point{{1, 2}, {3, 4}, {5, 6}}
+	a, err := FromNormalized(7, pts, probs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coords := []float64{1, 2, 3, 4, 5, 6}
+	slabProbs := append([]float64(nil), probs...)
+	b, err := FromSlabs(7, 2, coords, slabProbs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range []*Object{a, b} {
+		if o.ID() != 7 || o.Len() != 3 || o.Dim() != 2 || o.Mass() != 1 {
+			t.Fatalf("accessors wrong: %v mass %g", o, o.Mass())
+		}
+		for i := range probs {
+			if math.Float64bits(o.Prob(i)) != math.Float64bits(third) || !o.Instance(i).Equal(pts[i]) {
+				t.Fatalf("instance %d: %v p=%x", i, o.Instance(i), math.Float64bits(o.Prob(i)))
+			}
+		}
+		if !o.MBR().Equal(geom.NewRect(geom.Point{1, 2}, geom.Point{5, 6})) {
+			t.Fatalf("MBR = %v", o.MBR())
+		}
+	}
+	pts[0][0], probs[0] = 99, 0
+	if a.Instance(0)[0] != 1 || a.Prob(0) != third {
+		t.Fatal("FromNormalized aliases its input")
+	}
+	if &b.Instance(1)[0] != &coords[2] || &b.Probs()[0] != &slabProbs[0] {
+		t.Fatal("FromSlabs copied the slabs it was given")
+	}
+	if cap(b.Instance(0)) != 2 {
+		t.Fatal("an instance view can be appended into its neighbour")
+	}
+
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name   string
+		dim    int
+		coords []float64
+		probs  []float64
+		want   error
+	}{
+		{"empty", 1, nil, nil, ErrNoInstances},
+		{"zero dim", 0, nil, []float64{1}, ErrDimMismatch},
+		{"short slab", 2, []float64{1, 2, 3}, []float64{0.5, 0.5}, ErrDimMismatch},
+		{"nan coordinate", 1, []float64{nan}, []float64{1}, ErrBadCoordinate},
+		{"inf coordinate", 1, []float64{0, inf}, []float64{0.5, 0.5}, ErrBadCoordinate},
+		{"negative probability", 1, []float64{0, 1}, []float64{1.5, -0.5}, ErrBadWeight},
+		{"nan probability", 1, []float64{0}, []float64{nan}, ErrBadWeight},
+		{"inf probability", 1, []float64{0}, []float64{inf}, ErrBadWeight},
+		{"zero mass", 1, []float64{0, 1}, []float64{0, 0}, ErrZeroMass},
+	}
+	for _, c := range cases {
+		if _, err := FromSlabs(0, c.dim, c.coords, c.probs); !errors.Is(err, c.want) {
+			t.Errorf("FromSlabs %s: err = %v, want %v", c.name, err, c.want)
+		}
+	}
+	if _, err := FromNormalized(0, []geom.Point{{0, 0}, {1}}, []float64{0.5, 0.5}); !errors.Is(err, ErrDimMismatch) {
+		t.Errorf("FromNormalized ragged instances: err = %v", err)
+	}
+	if _, err := FromNormalized(0, []geom.Point{{0}}, []float64{0.5, 0.5}); !errors.Is(err, ErrWeightCount) {
+		t.Errorf("FromNormalized weight count: err = %v", err)
+	}
+	if _, err := FromNormalized(0, []geom.Point{{}}, []float64{1}); !errors.Is(err, ErrDimMismatch) {
+		t.Errorf("FromNormalized zero-dim: err = %v", err)
+	}
+}
+
 func TestMustNewPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
