@@ -7,27 +7,25 @@ import (
 	"spatialdom/internal/uncertain"
 )
 
-// Index is the memory-resident Backend: nodes are *rtree.Node pointers
-// carried in NodeRef.P, object references resolve eagerly (ObjRef.Obj is
-// always set), and storage counters are identically zero.
+// Index is the memory-resident Backend: nodes are rtree.NodeIDs carried in
+// NodeRef.ID, object references resolve eagerly (ObjRef.Obj is always
+// set), and storage counters are identically zero.
 var _ Backend = (*Index)(nil)
 
 // Root returns the global R-tree root.
 func (idx *Index) Root() (NodeRef, error) {
-	return NodeRef{P: idx.tree.Root()}, nil
+	return NodeRef{ID: uint64(idx.tree.Root())}, nil
 }
 
 // Expand visits the children of an in-memory R-tree node: object entries
 // of a leaf, subtree nodes otherwise.
 func (idx *Index) Expand(n NodeRef, visit func(BackendEntry)) error {
-	node := n.P.(*rtree.Node)
-	if node.IsLeaf() {
-		for _, e := range node.Entries() {
-			visit(BackendEntry{Rect: e.Rect, Obj: ObjRef{Obj: idx.objects[e.ID]}})
-		}
-	} else {
-		for _, ch := range node.Children() {
-			visit(BackendEntry{Rect: ch.Rect(), IsNode: true, Node: NodeRef{P: ch}})
+	node := idx.tree.Node(rtree.NodeID(n.ID))
+	for i, rect := range node.Rects {
+		if node.Leaf {
+			visit(BackendEntry{Rect: rect, Obj: ObjRef{Obj: idx.objects[int(node.Refs[i])]}})
+		} else {
+			visit(BackendEntry{Rect: rect, IsNode: true, Node: NodeRef{ID: uint64(node.Refs[i])}})
 		}
 	}
 	return nil

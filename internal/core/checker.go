@@ -20,16 +20,13 @@ import (
 // Object identity is the object ID: callers must give distinct IDs to
 // distinct objects.
 type Checker struct {
+	rectPred // op, metric, euclid, hullPts (the points of hullIdx), qMBR
+
 	query   *uncertain.Object
-	op      Operator
 	cfg     FilterConfig
 	eps     float64
-	metric  geom.Metric
-	euclid  bool         // fast paths for the default metric
-	statCut bool         // StatPruning is on and the operator implies S-SD
-	hullIdx []int        // indices into query instances used by point-level checks
-	hullPts []geom.Point // the corresponding points
-	qMBR    geom.Rect
+	statCut bool   // StatPruning is on and the operator implies S-SD
+	hullIdx []int  // indices into query instances used by point-level checks
 	cmpFn   func() // comparison-counting callback for scans, built once per scratch
 
 	// Stats accumulates work counters; reset or read between searches.
@@ -58,9 +55,6 @@ func NewCheckerMetric(query *uncertain.Object, op Operator, cfg FilterConfig, m 
 
 // Metric returns the metric the checker evaluates distances under.
 func (c *Checker) Metric() geom.Metric { return c.metric }
-
-// Query returns the query object the checker was built for.
-func (c *Checker) Query() *uncertain.Object { return c.query }
 
 // Operator returns the operator the checker decides.
 func (c *Checker) Operator() Operator { return c.op }
@@ -324,24 +318,7 @@ func (c *Checker) geoValidate(u, v *uncertain.Object) (holds, strict bool) {
 // which case U_Q ≠ V_Q is guaranteed and the validation may conclude
 // dominance outright.
 func (c *Checker) mbrValidate(u, v *uncertain.Object) (holds, strict bool) {
-	ub, vb := u.MBR(), v.MBR()
-	holds = true
-	for _, q := range c.hullPts {
-		var maxU, minV float64
-		if c.euclid {
-			maxU = ub.MaxSqDistPoint(q)
-			minV = vb.MinSqDistPoint(q)
-		} else {
-			maxU = c.metric.MaxDistRect(q, ub)
-			minV = c.metric.MinDistRect(q, vb)
-		}
-		if maxU > minV {
-			return false, false
-		}
-		if maxU < minV {
-			strict = true
-		}
-	}
+	holds, strict, _ = c.le(u.MBR(), v.MBR())
 	return holds, strict
 }
 
@@ -415,39 +392,79 @@ func (c *Checker) fsd(u, v *uncertain.Object) bool {
 	return true
 }
 
-// fplussd is the MBR-only baseline of [16]: F-SD evaluated on the objects'
-// MBRs against the query's MBR (Euclidean), or against the query instances
-// with metric rectangle bounds for other metrics. It carries no U_Q ≠ V_Q
-// side condition.
+// fplussd is the MBR-only baseline of [16]. F+SD never looks inside an
+// MBR, so on two objects it is the rectangle predicate itself (fplus).
 func (c *Checker) fplussd(u, v *uncertain.Object) bool {
 	c.Stats.InstanceComparisons++
-	return c.fplusRect(u.MBR(), v.MBR())
+	return c.rectDominates(u.MBR(), v.MBR())
 }
 
-// fplusRect is F+SD on two rectangles: the operator itself, since F+SD never
-// looks inside an MBR.
-func (c *Checker) fplusRect(a, b geom.Rect) bool {
-	if c.euclid {
-		return geom.FSDMBR(a, b, c.qMBR)
+// rectPred is the rectangle-level dominance predicate of one query under
+// one operator, defined once for its two askers: Algorithm 1's entry
+// pruning (Checker, which embeds it) and the front door's insert
+// invalidation (AnswerShield).
+type rectPred struct {
+	op      Operator
+	metric  geom.Metric
+	euclid  bool         // fast paths for the default metric
+	hullPts []geom.Point // query instances the point-level tests range over
+	qMBR    geom.Rect
+}
+
+// le reports whether every point of a is at least as close as every point
+// of b to every hull query instance (the MBR-level u ⪯Q v test), with a
+// strictness witness and the number of query instances it looked at.
+func (p *rectPred) le(a, b geom.Rect) (le, strict bool, compared int) {
+	for _, q := range p.hullPts {
+		compared++
+		var maxA, minB float64
+		if p.euclid {
+			maxA = a.MaxSqDistPoint(q)
+			minB = b.MinSqDistPoint(q)
+		} else {
+			maxA = p.metric.MaxDistRect(q, a)
+			minB = p.metric.MinDistRect(q, b)
+		}
+		if maxA > minB {
+			return false, false, compared
+		}
+		if maxA < minB {
+			strict = true
+		}
 	}
-	le, _ := c.rectLE(a, b)
-	return le
+	return true, strict, compared
 }
 
-// rectDominates reports whether every object bounded by rectangle a
-// dominates, under the checker's operator, every object bounded by
-// rectangle b — the entry-pruning predicate of Algorithm 1. For S/SS/P/F-SD
-// that is rectLE with a strictness witness: F-SD between the rectangles,
-// which the cover chain F-SD ⊂ P-SD ⊂ SS-SD ⊂ S-SD carries to the operator.
-// F+SD is not in that chain — it quantifies over the whole query MBR, which
-// rectLE against the query instances does not imply — so it is asked
-// directly.
+// dominates reports whether every object bounded by rectangle a dominates,
+// under the operator, every object bounded by rectangle b. For S/SS/P/F-SD
+// that is le with a strictness witness: F-SD between the rectangles, which
+// the cover chain F-SD ⊂ P-SD ⊂ SS-SD ⊂ S-SD carries to the operator. F+SD
+// is not in that chain — it quantifies over the whole query MBR, which le
+// against the query instances does not imply — so it is asked directly.
+func (p *rectPred) dominates(a, b geom.Rect) (dom bool, compared int) {
+	if p.op == FPlusSD {
+		return p.fplus(a, b)
+	}
+	le, strict, compared := p.le(a, b)
+	return le && strict, compared
+}
+
+// fplus is F+SD on two rectangles: the two MBRs against the query's MBR
+// (Euclidean), or against the query instances with metric rectangle bounds
+// for other metrics. It carries no U_Q ≠ V_Q side condition.
+func (p *rectPred) fplus(a, b geom.Rect) (dom bool, compared int) {
+	if p.euclid {
+		return geom.FSDMBR(a, b, p.qMBR), 0
+	}
+	le, _, compared := p.le(a, b)
+	return le, compared
+}
+
+// rectDominates is the entry-pruning predicate of Algorithm 1.
 func (c *Checker) rectDominates(a, b geom.Rect) bool {
-	if c.op == FPlusSD {
-		return c.fplusRect(a, b)
-	}
-	le, strict := c.rectLE(a, b)
-	return le && strict
+	dom, compared := c.dominates(a, b)
+	c.Stats.InstanceComparisons += int64(compared)
+	return dom
 }
 
 // MinPairDist returns min(U_Q): the exact smallest pairwise distance
@@ -456,9 +473,3 @@ func (c *Checker) rectDominates(a, b geom.Rect) bool {
 // orders objects by. It is read off the object's summary, which the
 // dominance checks that follow reuse.
 func (c *Checker) MinPairDist(o *uncertain.Object) float64 { return c.summaryOf(o).stat.Min }
-
-// RectLE reports whether every point of rectangle a is at least as close
-// as every point of rectangle b to every query instance, with a
-// strictness witness — the MBR-level entry-pruning test of Algorithm 1,
-// exported for the disk-resident search.
-func (c *Checker) RectLE(a, b geom.Rect) (le, strict bool) { return c.rectLE(a, b) }

@@ -22,7 +22,7 @@ func (idx *Index) Insert(o *uncertain.Object) error {
 	}
 	idx.objects[o.ID()] = o
 	idx.list = append(idx.list, o)
-	idx.tree.Insert(rtree.Entry{Rect: o.MBR(), ID: o.ID()})
+	idx.tree.Insert(rtree.Entry{Rect: o.MBR(), ID: int64(o.ID())})
 	// Keep the dense cache table covering every ID (see NewIndex): a
 	// stale span would send each later object to the sparse-map fallback
 	// on every search.
@@ -49,6 +49,6 @@ func (idx *Index) Delete(id int) bool {
 			break
 		}
 	}
-	idx.tree.Delete(o.MBR(), id)
+	idx.tree.Delete(rtree.Entry{Rect: o.MBR(), ID: int64(id)})
 	return true
 }

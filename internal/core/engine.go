@@ -36,10 +36,11 @@ import (
 // tieEps is the slack under which two exact heap keys count as tied.
 const tieEps = 1e-9
 
-// NodeRef identifies a tree node inside a Backend. Pointer-addressed
-// backends (the in-memory Index) store their node pointer in P — storing a
-// pointer in an interface value does not allocate — while page-addressed
-// backends use the numeric ID. The engine treats both fields as opaque.
+// NodeRef identifies a tree node inside a Backend. Both backends in the
+// repo address nodes by number — an rtree.NodeID in memory, a page id on
+// disk — and use ID; P is there for a backend that holds node pointers
+// (storing a pointer in an interface value does not allocate). The engine
+// treats both fields as opaque.
 type NodeRef struct {
 	P  any
 	ID uint64

@@ -28,7 +28,7 @@ import (
 // P-SD reads), and — built only when S-SD or SS-SD asks — the bounding
 // distributions.
 type levelBounds struct {
-	nodes  []*rtree.Node
+	nodes  []rtree.Entry // MBR and NodeID of each local-tree node
 	masses []float64
 
 	lbQ, ubQ distr.Distribution // w.r.t. the whole query (S-SD)
@@ -53,13 +53,14 @@ func (c *Checker) levelInfo(o *objCache, level int) *levelBounds {
 	if o.levels[level] != nil {
 		return o.levels[level]
 	}
-	nodes := o.obj.LocalTree().NodesAtLevel(level)
+	tree := o.obj.LocalTree()
+	nodes := tree.NodesAtLevel(level)
 	lb := &c.scratch.levels.AllocZeroed(1)[0]
 	lb.nodes = nodes
 	lb.masses = c.scratch.floats.Alloc(len(nodes))
 	scratch := c.scratch.ids[:0]
 	for i, n := range nodes {
-		scratch = n.CollectIDs(scratch[:0])
+		scratch = tree.CollectIDs(n.ID, scratch[:0])
 		var mass float64
 		for _, id := range scratch {
 			mass += o.obj.Prob(id)
@@ -82,7 +83,7 @@ func (c *Checker) levelQ(o *objCache, level int) *levelBounds {
 	ubPairs := c.scratch.pairs.Alloc(len(lb.nodes) * c.query.Len())
 	w := 0
 	for i, n := range lb.nodes {
-		r := n.Rect()
+		r := n.Rect
 		for j := 0; j < c.query.Len(); j++ {
 			q := c.query.Instance(j)
 			p := c.query.Prob(j) * lb.masses[i]
@@ -124,7 +125,7 @@ func (c *Checker) levelPerQ(o *objCache, level int) *levelBounds {
 		lo := c.scratch.pairs.Alloc(len(lb.nodes))
 		hi := c.scratch.pairs.Alloc(len(lb.nodes))
 		for i, n := range lb.nodes {
-			r := n.Rect()
+			r := n.Rect
 			lo[i] = distr.Pair{Dist: c.metric.MinDistRect(q, r), Prob: lb.masses[i]}
 			hi[i] = distr.Pair{Dist: c.metric.MaxDistRect(q, r), Prob: lb.masses[i]}
 		}

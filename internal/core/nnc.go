@@ -29,7 +29,8 @@ type Index struct {
 // derived from: the paper's 4096-byte physical page minus the pager's
 // 8-byte per-page integrity trailer. Deriving fanout from the payload
 // keeps the in-memory tree node-for-node identical to the disk-resident
-// one — the backend-conformance invariant the diskindex suite asserts.
+// one, under bulk load and under any sequence of inserts and deletes
+// (diskindex.TestMemDiskSameShape).
 const GlobalPageBytes = 4096 - 8
 
 // Errors returned by NewIndex.
@@ -57,7 +58,7 @@ func NewIndex(objs []*uncertain.Object) (*Index, error) {
 			return nil, fmt.Errorf("%w: %d", ErrDuplicateID, o.ID())
 		}
 		byID[o.ID()] = o
-		entries[i] = rtree.Entry{Rect: o.MBR(), ID: o.ID()}
+		entries[i] = rtree.Entry{Rect: o.MBR(), ID: int64(o.ID())}
 		switch {
 		case o.ID() < 0:
 			span = -1
@@ -74,7 +75,7 @@ func NewIndex(objs []*uncertain.Object) (*Index, error) {
 	return &Index{
 		objects:   byID,
 		list:      list,
-		tree:      rtree.Bulk(entries, 2, fan),
+		tree:      rtree.Bulk(entries, fan),
 		dim:       dim,
 		denseSpan: span,
 	}, nil

@@ -169,9 +169,10 @@ func (c *Checker) psdExact(su, sv *objCache) bool {
 			win := geom.Rect{Lo: lo, Hi: hi}
 			c.Stats.InstanceComparisons++ // one range probe
 			tree.Search(win, func(e rtree.Entry) bool {
-				if le, strict := c.instLE(hu[e.ID], hv[j]); le {
-					adm = append(adm, admEdge{i: e.ID, j: j, strict: strict})
-					coveredU[e.ID], coveredV[j] = true, true
+				i := int(e.ID)
+				if le, strict := c.instLE(hu[i], hv[j]); le {
+					adm = append(adm, admEdge{i: i, j: j, strict: strict})
+					coveredU[i], coveredV[j] = true, true
 				}
 				return true
 			})
@@ -227,9 +228,9 @@ func (c *Checker) distSpaceTree(oc *objCache, hd [][]float64) *rtree.Tree {
 	if oc.distTree == nil {
 		entries := make([]rtree.Entry, len(hd))
 		for i, row := range hd {
-			entries[i] = rtree.Entry{Rect: geom.PointRect(geom.Point(row)), ID: i}
+			entries[i] = rtree.Entry{Rect: geom.PointRect(geom.Point(row)), ID: int64(i)}
 		}
-		oc.distTree = rtree.Bulk(entries, 2, 16)
+		oc.distTree = rtree.Bulk(entries, 16)
 	}
 	return oc.distTree
 }
@@ -265,9 +266,9 @@ func (c *Checker) levelDecidePSD(cu, cv *objCache) (dec, ok bool) {
 		}
 		minusEdges := 0
 		for i := 0; i < nu; i++ {
-			ri := bu.nodes[i].Rect()
+			ri := bu.nodes[i].Rect
 			for j := 0; j < nv; j++ {
-				rj := bv.nodes[j].Rect()
+				rj := bv.nodes[j].Rect
 				le, _ := c.rectLE(ri, rj)
 				if le {
 					gMinus.AddEdge(1+i, 1+nu+j, math.Inf(1))
@@ -295,27 +296,9 @@ func (c *Checker) levelDecidePSD(cu, cv *objCache) (dec, ok bool) {
 	return false, false
 }
 
-// rectLE reports whether every point of a is at least as close as every
-// point of b to every hull query instance (the MBR-level u ⪯Q v test),
-// with a strictness witness.
+// rectLE is the MBR-level u ⪯Q v test on two local-tree nodes, counted.
 func (c *Checker) rectLE(a, b geom.Rect) (le, strict bool) {
-	le = true
-	for _, q := range c.hullPts {
-		c.Stats.InstanceComparisons++
-		var maxA, minB float64
-		if c.euclid {
-			maxA = a.MaxSqDistPoint(q)
-			minB = b.MinSqDistPoint(q)
-		} else {
-			maxA = c.metric.MaxDistRect(q, a)
-			minB = c.metric.MinDistRect(q, b)
-		}
-		if maxA > minB {
-			return false, false
-		}
-		if maxA < minB {
-			strict = true
-		}
-	}
+	le, strict, compared := c.le(a, b)
+	c.Stats.InstanceComparisons += int64(compared)
 	return le, strict
 }

@@ -17,11 +17,14 @@ package core
 //     domination out, leaving all dominator counts intact.
 //
 //  2. O is not itself a candidate. Theorem 4 (cover-based validation): if
-//     k cached candidates' MBRs strictly rect-dominate O's MBR w.r.t. the
-//     query instances, every object inside that MBR — O in particular —
-//     has at least k dominators and is outside the k-skyband. Candidates
-//     are precisely the band Algorithm 1 would have tested O against, so
-//     the test needs nothing beyond the cached answer.
+//     k cached candidates' MBRs dominate O's MBR under the answer's
+//     operator — the entry-pruning predicate of Algorithm 1, rectPred:
+//     strict separation w.r.t. the query instances for S/SS/P/F-SD, the
+//     whole-query-MBR criterion for F+SD — every object inside that MBR,
+//     O in particular, has at least k dominators and is outside the
+//     k-skyband. Candidates are precisely the band Algorithm 1 would have
+//     tested O against, so the test needs nothing beyond the cached answer
+//     and the operator that produced it.
 //
 // Since O neither joins the band nor dominates a band member, and
 // reported dominator counts only range over band members (every true
@@ -48,11 +51,8 @@ import (
 // retains only rectangles and (hull) query points — no objects, no
 // checker arenas — so an entry's shield costs a few hundred bytes.
 type AnswerShield struct {
-	metric  geom.Metric
-	euclid  bool
-	qmbr    geom.Rect
-	hullPts []geom.Point
-	k       int
+	rectPred
+	k int
 	// maxKey is the largest exact candidate key min(V_Q); an inserted
 	// object whose MBR lower bound exceeds it cannot dominate anything in
 	// the answer.
@@ -72,15 +72,13 @@ const shieldSlack = distr.Eps + tieEps
 // set is reduced to the query's convex hull (the paper's geometric
 // restriction, exact for L2); other metrics keep every instance, exactly
 // as the checker does.
-func NewAnswerShield(q *uncertain.Object, m geom.Metric, k int, cands []Candidate) *AnswerShield {
+func NewAnswerShield(q *uncertain.Object, op Operator, m geom.Metric, k int, cands []Candidate) *AnswerShield {
 	if m == nil {
 		m = geom.Euclidean
 	}
 	s := &AnswerShield{
-		metric: m,
-		euclid: m == geom.Euclidean,
-		qmbr:   q.MBR(),
-		k:      k,
+		rectPred: rectPred{op: op, metric: m, euclid: m == geom.Euclidean, qMBR: q.MBR()},
+		k:        k,
 	}
 	if s.euclid {
 		for _, j := range q.HullIndices() {
@@ -104,25 +102,25 @@ func NewAnswerShield(q *uncertain.Object, m geom.Metric, k int, cands []Candidat
 // ShieldsInsert reports whether inserting an object bounded by r provably
 // leaves the shielded answer byte-identical: r is too far to dominate any
 // candidate (statistic necessity against the recorded keys) AND at least
-// k candidates strictly rect-dominate r (Theorem 4, so the new object is
-// outside the k-skyband). A false return means "could affect" — the
+// k candidates' MBRs dominate r under the answer's operator (Theorem 4, so
+// the new object is outside the k-skyband). A false return means "could affect" — the
 // caller must drop the cached answer.
 func (s *AnswerShield) ShieldsInsert(r geom.Rect) bool {
-	if len(r.Lo) != len(s.qmbr.Lo) {
+	if len(r.Lo) != len(s.qMBR.Lo) {
 		// Dimension mismatch should have been rejected upstream; treat it
 		// as unshielded so a bad insert can never preserve a stale answer.
 		return false
 	}
 	// Condition 1: min(O_Q) >= RectMinDist(r, qmbr) > maxKey + slack
 	// means O dominates nothing in the answer.
-	if s.metric.RectMinDist(r, s.qmbr) <= s.maxKey+shieldSlack*(1+s.maxKey) {
+	if s.metric.RectMinDist(r, s.qMBR) <= s.maxKey+shieldSlack*(1+s.maxKey) {
 		return false
 	}
-	// Condition 2: k strict MBR dominators among the candidates put O
-	// outside the band.
+	// Condition 2: k MBR dominators among the candidates put O outside
+	// the band.
 	count := 0
 	for _, b := range s.band {
-		if le, strict := s.rectLE(b, r); le && strict {
+		if dom, _ := s.dominates(b, r); dom {
 			count++
 			if count >= s.k {
 				return true
@@ -134,33 +132,3 @@ func (s *AnswerShield) ShieldsInsert(r geom.Rect) bool {
 
 // Candidates reports how many candidate rectangles the shield retains.
 func (s *AnswerShield) Candidates() int { return len(s.band) }
-
-// MaxKey reports the largest exact candidate key the shield guards.
-func (s *AnswerShield) MaxKey() float64 { return s.maxKey }
-
-// rectLE is the checker's MBR-level u ⪯Q v test (psd.go), restated over
-// the shield's retained hull points: every point of a at least as close
-// as every point of b to every hull query instance, with a strictness
-// witness. Strict MBR separation implies F-SD and, through the cover
-// chain (Theorem 2), dominance under every operator — which is why the
-// shield needs no record of which operator produced the answer.
-func (s *AnswerShield) rectLE(a, b geom.Rect) (le, strict bool) {
-	le = true
-	for _, q := range s.hullPts {
-		var maxA, minB float64
-		if s.euclid {
-			maxA = a.MaxSqDistPoint(q)
-			minB = b.MinSqDistPoint(q)
-		} else {
-			maxA = s.metric.MaxDistRect(q, a)
-			minB = s.metric.MinDistRect(q, b)
-		}
-		if maxA > minB {
-			return false, false
-		}
-		if maxA < minB {
-			strict = true
-		}
-	}
-	return le, strict
-}

@@ -44,7 +44,7 @@ func TestShieldInsertSoundness(t *testing.T) {
 		q := randObject(rng, 0, 2, 3, randCenter(rng, 2, 60), 5)
 		for _, op := range Operators {
 			base := searchK(idx, q, op, k, SearchOptions{Filters: AllFilters})
-			shield := NewAnswerShield(q, geom.Euclidean, k, base.Candidates)
+			shield := NewAnswerShield(q, op, geom.Euclidean, k, base.Candidates)
 			for ins := 0; ins < 12; ins++ {
 				// Mix of placements: near the query (almost never
 				// shielded), mid-range, and far outside the hot region
@@ -98,7 +98,7 @@ func TestShieldInsertFarObjectShielded(t *testing.T) {
 	if len(res.Candidates) < 2 {
 		t.Skip("band too shallow")
 	}
-	shield := NewAnswerShield(q, geom.Euclidean, 2, res.Candidates)
+	shield := NewAnswerShield(q, SSD, geom.Euclidean, 2, res.Candidates)
 	far := geom.NewRect(geom.Point{1e6, 1e6}, geom.Point{1e6 + 1, 1e6 + 1})
 	if !shield.ShieldsInsert(far) {
 		t.Fatal("distant insert not shielded")
@@ -172,7 +172,7 @@ func TestShieldInsertSoundnessManhattan(t *testing.T) {
 	for trial := 0; trial < 4; trial++ {
 		q := randObject(rng, 0, 2, 3, randCenter(rng, 2, 40), 4)
 		base := searchK(idx, q, SSD, k, opts)
-		shield := NewAnswerShield(q, geom.Manhattan, k, base.Candidates)
+		shield := NewAnswerShield(q, SSD, geom.Manhattan, k, base.Candidates)
 		for ins := 0; ins < 8; ins++ {
 			center := geom.Point{rng.Float64()*500 + 200, rng.Float64()*500 + 200}
 			if ins%2 == 0 {
@@ -198,6 +198,62 @@ func TestShieldInsertSoundnessManhattan(t *testing.T) {
 	if shieldedTotal == 0 {
 		t.Fatal("manhattan shield never fired")
 	}
+}
+
+// F+SD quantifies over the whole query MBR, not the query instances: when
+// the query's instances spread wider than the gaps in the data, k
+// candidates can rect-dominate an inserted MBR with respect to every
+// instance and still not F+SD-dominate it, so the new object is a
+// candidate. The shield must ask the answer's own operator; asking the
+// instances whatever the operator left such answers cached.
+func TestShieldInsertSoundnessWideQueryFPlusSD(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	spot := func(half float64) geom.Point {
+		return geom.Point{(rng.Float64()*2 - 1) * half, (rng.Float64()*2 - 1) * half}
+	}
+	objs := make([]*uncertain.Object, 200)
+	for i := range objs {
+		objs[i] = randObject(rng, i+1, 2, 4, spot(300), 25)
+	}
+	idx, err := NewIndex(objs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shielded := 0
+	for iter := 0; iter < 400; iter++ {
+		q := randObject(rng, 0, 2, 3, spot(50), 120)
+		checker := NewChecker(q, FPlusSD, AllFilters)
+		for k := 1; k <= 2; k++ {
+			base := searchK(idx, q, FPlusSD, k, SearchOptions{Filters: AllFilters})
+			shield := NewAnswerShield(q, FPlusSD, geom.Euclidean, k, base.Candidates)
+			for ins := 0; ins < 20; ins++ {
+				o := randObject(rng, 10000, 2, 4, spot(300), 25)
+				if !shield.ShieldsInsert(o.MBR()) {
+					continue
+				}
+				shielded++
+				dominators := 0
+				for _, u := range objs {
+					if checker.Dominates(u, o) {
+						dominators++
+					}
+				}
+				if dominators < k {
+					t.Fatalf("iteration %d k=%d insert %d: shielded object at %v has %d dominators — it is a candidate, the cached answer is stale",
+						iter, k, ins, o.MBR(), dominators)
+				}
+				for _, c := range base.Candidates {
+					if checker.Dominates(o, c.Object) {
+						t.Fatalf("iteration %d k=%d insert %d: shielded object dominates candidate %d", iter, k, ins, c.Object.ID())
+					}
+				}
+			}
+		}
+	}
+	if shielded == 0 {
+		t.Fatal("shield never fired — test exercised nothing")
+	}
+	t.Logf("shielded %d of %d inserts", shielded, 400*2*20)
 }
 
 func TestAdmissionTryAcquire(t *testing.T) {

@@ -35,6 +35,7 @@ import (
 	"spatialdom/internal/diskstore"
 	"spatialdom/internal/faults"
 	"spatialdom/internal/pager"
+	"spatialdom/internal/rtree"
 	"spatialdom/internal/uncertain"
 	"spatialdom/internal/wal"
 )
@@ -146,14 +147,14 @@ func Build(pool *pager.Pool, objs []*uncertain.Object) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	entries := make([]diskrtree.Entry, len(objs))
+	entries := make([]rtree.Entry, len(objs))
 	span := 0
 	for i, o := range objs {
 		ptr, err := store.Append(o)
 		if err != nil {
 			return nil, err
 		}
-		entries[i] = diskrtree.Entry{Rect: o.MBR(), ID: int64(ptr)}
+		entries[i] = rtree.Entry{Rect: o.MBR(), ID: int64(ptr)}
 		switch {
 		case o.ID() < 0:
 			span = -1
@@ -306,15 +307,21 @@ func (ix *Index) Root() (core.NodeRef, error) {
 // access) and visits its children: record pointers for a leaf, child pages
 // otherwise.
 func (ix *Index) Expand(n core.NodeRef, visit func(core.BackendEntry)) error {
-	node, err := ix.tree.ReadNode(pager.PageID(n.ID))
+	return ix.expandVia(ix.pool, n, visit)
+}
+
+// expandVia reads the node page through r — the shared pool, or one
+// search's lease so the access is attributed to that search alone.
+func (ix *Index) expandVia(r pager.Reader, n core.NodeRef, visit func(core.BackendEntry)) error {
+	node, err := ix.tree.ReadNodeVia(r, pager.PageID(n.ID))
 	if err != nil {
 		return err
 	}
 	for i, rect := range node.Rects {
 		if node.Leaf {
-			visit(core.BackendEntry{Rect: rect, Obj: core.ObjRef{ID: uint64(node.IDs[i])}})
+			visit(core.BackendEntry{Rect: rect, Obj: core.ObjRef{ID: uint64(node.Refs[i])}})
 		} else {
-			visit(core.BackendEntry{Rect: rect, IsNode: true, Node: core.NodeRef{ID: uint64(node.Children[i])}})
+			visit(core.BackendEntry{Rect: rect, IsNode: true, Node: core.NodeRef{ID: uint64(node.Refs[i])}})
 		}
 	}
 	return nil
@@ -408,18 +415,7 @@ func (s *session) Root() (core.NodeRef, error) {
 }
 
 func (s *session) Expand(n core.NodeRef, visit func(core.BackendEntry)) error {
-	node, err := s.ix.tree.ReadNodeVia(s.lease, pager.PageID(n.ID))
-	if err != nil {
-		return err
-	}
-	for i, rect := range node.Rects {
-		if node.Leaf {
-			visit(core.BackendEntry{Rect: rect, Obj: core.ObjRef{ID: uint64(node.IDs[i])}})
-		} else {
-			visit(core.BackendEntry{Rect: rect, IsNode: true, Node: core.NodeRef{ID: uint64(node.Children[i])}})
-		}
-	}
-	return nil
+	return s.ix.expandVia(s.lease, n, visit)
 }
 
 func (s *session) Resolve(r core.ObjRef) (*uncertain.Object, error) {

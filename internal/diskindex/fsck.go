@@ -15,6 +15,7 @@ import (
 
 	"spatialdom/internal/diskrtree"
 	"spatialdom/internal/diskstore"
+	"spatialdom/internal/geom"
 	"spatialdom/internal/pager"
 	"spatialdom/internal/uncertain"
 	"spatialdom/internal/wal"
@@ -172,22 +173,22 @@ func FsckStruct(path string, frames int) (*StructReport, error) {
 		return rep, nil
 	}
 	leafEntries := 0
-	var walk func(page pager.PageID, depth int, bound *diskrtree.Entry)
-	walk = func(page pager.PageID, depth int, bound *diskrtree.Entry) {
+	var walk func(page pager.PageID, depth int, bound *geom.Rect)
+	walk = func(page pager.PageID, depth int, bound *geom.Rect) {
 		claim(page, "r-tree")
 		rep.TreePages++
 		if depth > tree.Height()+1 {
 			rep.flag("tree-depth", "walk below page %d exceeds declared height %d", page, tree.Height())
 			return
 		}
-		n, err := tree.ReadNode(page)
+		n, err := tree.ReadNodeVia(pool, page)
 		if err != nil {
 			rep.flag("tree-node", "page %d: %v", page, err)
 			return
 		}
 		if bound != nil {
 			for i, r := range n.Rects {
-				if !bound.Rect.ContainsRect(r) {
+				if !bound.ContainsRect(r) {
 					rep.flag("tree-mbr", "page %d entry %d escapes its parent MBR", page, i)
 				}
 			}
@@ -196,9 +197,8 @@ func FsckStruct(path string, frames int) (*StructReport, error) {
 			leafEntries += len(n.Rects)
 			return
 		}
-		for i, child := range n.Children {
-			e := diskrtree.Entry{Rect: n.Rects[i]}
-			walk(child, depth+1, &e)
+		for i, child := range n.Refs {
+			walk(pager.PageID(child), depth+1, &n.Rects[i])
 		}
 	}
 	if tree.Len() > 0 || tree.Root() != 0 {

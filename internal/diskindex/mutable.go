@@ -51,6 +51,7 @@ import (
 	"spatialdom/internal/diskrtree"
 	"spatialdom/internal/diskstore"
 	"spatialdom/internal/pager"
+	"spatialdom/internal/rtree"
 	"spatialdom/internal/uncertain"
 	"spatialdom/internal/wal"
 )
@@ -490,7 +491,7 @@ func (ix *Index) Insert(o *uncertain.Object) error {
 		if err != nil {
 			return err
 		}
-		if err := ix.tree.InsertTx(tx, diskrtree.Entry{Rect: o.MBR(), ID: int64(ptr)}); err != nil {
+		if err := ix.tree.InsertTx(tx, rtree.Entry{Rect: o.MBR(), ID: int64(ptr)}); err != nil {
 			return err
 		}
 		switch {
@@ -546,7 +547,7 @@ func (ix *Index) Delete(id int) (bool, error) {
 	treeSt, storeSt, cap := ix.tree.State(), ix.store.State(), m.capture()
 	tx := newTx(ix)
 	err = func() error {
-		removed, err := ix.tree.DeleteTx(tx, diskrtree.Entry{Rect: o.MBR(), ID: int64(ptr)})
+		removed, err := ix.tree.DeleteTx(tx, rtree.Entry{Rect: o.MBR(), ID: int64(ptr)})
 		if err != nil {
 			return err
 		}

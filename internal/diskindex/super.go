@@ -44,10 +44,6 @@ type SuperBlock struct {
 	Free      []pager.PageID
 }
 
-// FreeListCap returns how many free page ids a super page of the given
-// payload size can hold.
-func FreeListCap(pageSize int) int { return (pageSize - superFixed) / 4 }
-
 // DecodeSuper validates and decodes a full super-page image. Malformed
 // input yields an error wrapping ErrBadSuper — never a panic.
 func DecodeSuper(buf []byte) (SuperBlock, error) {

@@ -1,12 +1,13 @@
-// Package diskrtree implements a disk-resident, read-mostly R-tree over a
-// page file: the global index of the paper's experimental setup, where
-// object MBRs live in 4096-byte pages and query cost is measured in page
-// accesses.
+// Package diskrtree keeps the R-tree of internal/rtree in a page file: the
+// global index of the paper's experimental setup, where object MBRs live
+// in 4096-byte pages and query cost is measured in page accesses.
 //
-// The tree is bulk-loaded once with STR packing (one node per page) and
-// then searched through a buffer pool; every node visit is a pool access,
-// so the pool's hit/miss/read counters measure exactly the I/O behavior a
-// disk-backed deployment would see.
+// Only what is about disk lives here — the node and meta page formats,
+// creating and reopening a tree, and the two stores the shared algorithms
+// run over: fresh pool pages for a bulk load, copy-on-write pages of a
+// transaction for Insert and Delete. Every node visit of a search is a
+// buffer-pool access, so the pool's hit/miss/read counters measure exactly
+// the I/O behavior a disk-backed deployment would see.
 //
 // Page layout (little endian):
 //
@@ -28,30 +29,16 @@ import (
 
 const metaMagic = "SDRT"
 
-// Entry is a leaf payload: an MBR plus an opaque non-negative object id.
-type Entry struct {
-	Rect geom.Rect
-	ID   int64
-}
-
-// Node is a materialized node. Leaf nodes carry Entries; internal nodes
-// carry child page ids with their MBRs.
-type Node struct {
-	Leaf     bool
-	Rects    []geom.Rect
-	Children []pager.PageID // internal nodes
-	IDs      []int64        // leaf nodes
-}
-
-// Tree is a disk-resident R-tree handle.
+// Tree is a disk-resident R-tree handle: where its pages are, plus the
+// header the shared algorithms of internal/rtree work from. The header
+// tracks the post-transaction state as mutations run; the index layer
+// snapshots it (State/Restore) so an aborted transaction can roll it back.
 type Tree struct {
-	pool   *pager.Pool
-	meta   pager.PageID
-	root   pager.PageID
-	dim    int
-	height int
-	size   int
-	cap    int // entries per node
+	pool *pager.Pool
+	meta pager.PageID
+	dim  int
+	cap  int // entries per node
+	hdr  rtree.Header
 }
 
 // Errors.
@@ -67,70 +54,66 @@ var (
 // maxDim bounds plausible dimensionality in persisted metadata.
 const maxDim = 1 << 10
 
-// Capacity returns the per-node entry capacity for a page size and
-// dimensionality.
-func Capacity(pageSize, dim int) int {
-	c := (pageSize - 3) / (16*dim + 8)
-	if c < 2 {
-		c = 2
-	}
-	return c
-}
-
 // Build bulk-loads a tree from entries (STR packing), writing nodes to
-// fresh pages of the pool's file and a meta page last. The entries slice
-// is reordered in place.
-func Build(pool *pager.Pool, entries []Entry) (*Tree, error) {
+// fresh pages of the pool's file, and flushes the pool.
+func Build(pool *pager.Pool, entries []rtree.Entry) (*Tree, error) {
 	if len(entries) == 0 {
 		return nil, ErrNoEntries
 	}
-	dim := entries[0].Rect.Dim()
-	t := &Tree{
-		pool: pool,
-		dim:  dim,
-		size: len(entries),
-		cap:  Capacity(pool.File().PageSize(), dim),
-	}
-	// Meta page first so reopening can find it at a fixed position: the
-	// first page the tree allocates.
-	metaID, metaBuf, err := pool.Allocate(pager.PageTreeMeta)
+	t, err := create(pool, entries[0].Rect.Dim(), entries)
 	if err != nil {
 		return nil, err
 	}
-	t.meta = metaID
-	pool.Unpin(metaID)
+	return t, pool.Flush()
+}
 
-	leaves, err := t.packLeaves(entries)
-	if err != nil {
-		return nil, err
+// CreateEmpty writes a fresh empty tree (meta page + zero-entry leaf
+// root) into the pool's file and returns its handle. The caller flushes.
+func CreateEmpty(pool *pager.Pool, dim int) (*Tree, error) {
+	if dim < 1 || dim > maxDim {
+		return nil, fmt.Errorf("diskrtree: implausible dim %d", dim)
 	}
-	t.height = 1
-	level := leaves
-	for len(level) > 1 {
-		level, err = t.packInternal(level)
-		if err != nil {
-			return nil, err
-		}
-		t.height++
-	}
-	t.root = level[0].page
+	return create(pool, dim, nil)
+}
 
-	// Write the meta page.
-	metaBuf, err = pool.Get(metaID)
+// create allocates the meta page — first, so reopening finds it at a fixed
+// position — bulk-loads the nodes after it and fills the meta page in.
+func create(pool *pager.Pool, dim int, entries []rtree.Entry) (*Tree, error) {
+	t := &Tree{pool: pool, dim: dim, cap: rtree.DefaultFanout(pool.File().PageSize(), dim)}
+	meta, _, err := pool.Allocate(pager.PageTreeMeta)
 	if err != nil {
 		return nil, err
 	}
-	copy(metaBuf, metaMagic)
-	binary.LittleEndian.PutUint16(metaBuf[4:], uint16(t.dim))
-	binary.LittleEndian.PutUint16(metaBuf[6:], uint16(t.height))
-	binary.LittleEndian.PutUint64(metaBuf[8:], uint64(t.size))
-	binary.LittleEndian.PutUint32(metaBuf[16:], uint32(t.root))
-	pool.MarkDirty(metaID)
-	pool.Unpin(metaID)
-	if err := pool.Flush(); err != nil {
+	pool.Unpin(meta)
+	t.meta = meta
+	if t.hdr, err = rtree.BulkLoad((*allocator)(t), t.cap, entries); err != nil {
 		return nil, err
 	}
+	buf, err := pool.Get(meta)
+	if err != nil {
+		return nil, err
+	}
+	t.encodeMeta(buf)
+	pool.MarkDirty(meta)
+	pool.Unpin(meta)
 	return t, nil
+}
+
+// allocator is the Tree as BulkLoad's store: every node goes to a fresh
+// page of the pool.
+type allocator Tree
+
+func (a *allocator) Write(_ rtree.NodeID, n *rtree.Node) (rtree.NodeID, error) {
+	page, buf, err := a.pool.Allocate(pager.PageTreeNode)
+	if err != nil {
+		return rtree.NoNode, err
+	}
+	defer a.pool.Unpin(page)
+	if err := EncodeNode(buf, a.dim, n); err != nil {
+		return rtree.NoNode, err
+	}
+	a.pool.MarkDirty(page)
+	return rtree.NodeID(page), nil
 }
 
 // Open attaches to a tree previously built in the pool's file, given the
@@ -145,127 +128,137 @@ func Open(pool *pager.Pool, meta pager.PageID) (*Tree, error) {
 		return nil, ErrBadMeta
 	}
 	t := &Tree{
-		pool:   pool,
-		meta:   meta,
-		dim:    int(binary.LittleEndian.Uint16(buf[4:])),
-		height: int(binary.LittleEndian.Uint16(buf[6:])),
-		size:   int(binary.LittleEndian.Uint64(buf[8:])),
-		root:   pager.PageID(binary.LittleEndian.Uint32(buf[16:])),
+		pool: pool,
+		meta: meta,
+		dim:  int(binary.LittleEndian.Uint16(buf[4:])),
+		hdr: rtree.Header{
+			Height: int(binary.LittleEndian.Uint16(buf[6:])),
+			Size:   int(binary.LittleEndian.Uint64(buf[8:])),
+			Root:   rtree.NodeID(binary.LittleEndian.Uint32(buf[16:])),
+		},
 	}
-	if t.dim < 1 || t.dim > maxDim || t.height < 1 || t.size < 0 || t.root == 0 {
+	if t.dim < 1 || t.dim > maxDim || t.hdr.Height < 1 || t.hdr.Size < 0 || t.hdr.Root == rtree.NoNode {
 		return nil, fmt.Errorf("%w: dim=%d height=%d size=%d root=%d",
-			ErrBadMeta, t.dim, t.height, t.size, t.root)
+			ErrBadMeta, t.dim, t.hdr.Height, t.hdr.Size, t.hdr.Root)
 	}
-	t.cap = Capacity(pool.File().PageSize(), t.dim)
+	t.cap = rtree.DefaultFanout(pool.File().PageSize(), t.dim)
 	return t, nil
+}
+
+func (t *Tree) encodeMeta(buf []byte) {
+	copy(buf, metaMagic)
+	binary.LittleEndian.PutUint16(buf[4:], uint16(t.dim))
+	binary.LittleEndian.PutUint16(buf[6:], uint16(t.hdr.Height))
+	binary.LittleEndian.PutUint64(buf[8:], uint64(t.hdr.Size))
+	binary.LittleEndian.PutUint32(buf[16:], uint32(t.hdr.Root))
 }
 
 // Meta returns the meta page id (persist it to reopen the tree).
 func (t *Tree) Meta() pager.PageID { return t.meta }
 
 // Root returns the root node's page id.
-func (t *Tree) Root() pager.PageID { return t.root }
+func (t *Tree) Root() pager.PageID { return pager.PageID(t.hdr.Root) }
 
 // Dim returns the dimensionality.
 func (t *Tree) Dim() int { return t.dim }
 
 // Len returns the number of entries.
-func (t *Tree) Len() int { return t.size }
+func (t *Tree) Len() int { return t.hdr.Size }
 
 // Height returns the number of levels.
-func (t *Tree) Height() int { return t.height }
+func (t *Tree) Height() int { return t.hdr.Height }
 
-// Capacity returns entries per node.
-func (t *Tree) NodeCapacity() int { return t.cap }
+// State snapshots the tree's header, for transaction rollback.
+func (t *Tree) State() rtree.Header { return t.hdr }
 
-// --- build helpers -------------------------------------------------------
+// Restore rolls the tree's header back to a captured State.
+func (t *Tree) Restore(h rtree.Header) { t.hdr = h }
 
-type builtNode struct {
-	page pager.PageID
-	rect geom.Rect
+// --- transactional mutation --------------------------------------------------
+
+// txStore is the tree's nodes as one transaction sees them. Every
+// modified node is copy-on-written through the pager.TxPager — re-encoded
+// into a fresh page and its old page freed — so the path from the old root
+// stays byte-identical for searches pinned to the pre-transaction
+// snapshot. Pages the transaction itself allocated are rewritten in place
+// (tx.Owned), keeping the page churn of one insert proportional to the
+// tree height.
+type txStore struct {
+	tx  pager.TxPager
+	dim int
 }
 
-func (t *Tree) packLeaves(entries []Entry) ([]builtNode, error) {
-	all := make([]geom.Rect, len(entries))
-	for i, e := range entries {
-		all[i] = e.Rect
+var _ rtree.Store = txStore{}
+
+func (s txStore) Read(id rtree.NodeID) (*rtree.Node, error) {
+	buf, err := s.tx.Read(pager.PageID(id))
+	if err != nil {
+		return nil, err
 	}
-	idx := rtree.STROrder(all, t.cap)
-	var out []builtNode
-	for start := 0; start < len(idx); start += t.cap {
-		end := start + t.cap
-		if end > len(idx) {
-			end = len(idx)
-		}
-		rects := make([]geom.Rect, 0, end-start)
-		ids := make([]int64, 0, end-start)
-		for _, j := range idx[start:end] {
-			rects = append(rects, entries[j].Rect)
-			ids = append(ids, entries[j].ID)
-		}
-		page, err := t.writeNode(true, rects, nil, ids)
+	n, err := DecodeNode(buf, s.dim)
+	if err != nil {
+		return nil, fmt.Errorf("diskrtree: page %d: %w", id, err)
+	}
+	return n, nil
+}
+
+func (s txStore) Write(old rtree.NodeID, n *rtree.Node) (rtree.NodeID, error) {
+	if old != rtree.NoNode && s.tx.Owned(pager.PageID(old)) {
+		buf, err := s.tx.Stage(pager.PageID(old), pager.PageTreeNode)
 		if err != nil {
-			return nil, err
+			return rtree.NoNode, err
 		}
-		out = append(out, builtNode{page: page, rect: unionAll(rects)})
+		return old, EncodeNode(buf, s.dim, n)
 	}
-	return out, nil
+	id, buf, err := s.tx.Alloc(pager.PageTreeNode)
+	if err != nil {
+		return rtree.NoNode, err
+	}
+	if err := EncodeNode(buf, s.dim, n); err != nil {
+		return rtree.NoNode, err
+	}
+	if old != rtree.NoNode {
+		s.tx.Free(pager.PageID(old))
+	}
+	return rtree.NodeID(id), nil
 }
 
-func (t *Tree) packInternal(children []builtNode) ([]builtNode, error) {
-	all := make([]geom.Rect, len(children))
-	for i, c := range children {
-		all[i] = c.rect
+func (s txStore) Free(id rtree.NodeID) { s.tx.Free(pager.PageID(id)) }
+
+// InsertTx adds one entry inside the surrounding transaction.
+func (t *Tree) InsertTx(tx pager.TxPager, e rtree.Entry) error {
+	if e.Rect.Dim() != t.dim {
+		return fmt.Errorf("diskrtree: entry dim %d != tree dim %d", e.Rect.Dim(), t.dim)
 	}
-	idx := rtree.STROrder(all, t.cap)
-	var out []builtNode
-	for start := 0; start < len(idx); start += t.cap {
-		end := start + t.cap
-		if end > len(idx) {
-			end = len(idx)
-		}
-		rects := make([]geom.Rect, 0, end-start)
-		kids := make([]pager.PageID, 0, end-start)
-		for _, j := range idx[start:end] {
-			rects = append(rects, children[j].rect)
-			kids = append(kids, children[j].page)
-		}
-		page, err := t.writeNode(false, rects, kids, nil)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, builtNode{page: page, rect: unionAll(rects)})
-	}
-	return out, nil
+	return rtree.Insert(txStore{tx, t.dim}, &t.hdr, t.cap, e)
 }
 
-func unionAll(rects []geom.Rect) geom.Rect {
-	r := rects[0]
-	for _, s := range rects[1:] {
-		r = r.Union(s)
+// DeleteTx removes the entry with e.ID whose stored rectangle equals
+// e.Rect inside the surrounding transaction, reporting whether it was
+// found.
+func (t *Tree) DeleteTx(tx pager.TxPager, e rtree.Entry) (bool, error) {
+	if e.Rect.Dim() != t.dim {
+		return false, fmt.Errorf("diskrtree: entry dim %d != tree dim %d", e.Rect.Dim(), t.dim)
 	}
-	return r
+	return rtree.Delete(txStore{tx, t.dim}, &t.hdr, t.cap, e)
+}
+
+// WriteMetaTx stages the meta page with the tree's current header — the
+// last step of a mutating transaction, before the index commits.
+func (t *Tree) WriteMetaTx(tx pager.TxPager) error {
+	buf, err := tx.Stage(t.meta, pager.PageTreeMeta)
+	if err != nil {
+		return err
+	}
+	t.encodeMeta(buf)
+	return nil
 }
 
 // --- node (de)serialization ------------------------------------------------
 
-func (t *Tree) writeNode(leaf bool, rects []geom.Rect, kids []pager.PageID, ids []int64) (pager.PageID, error) {
-	page, buf, err := t.pool.Allocate(pager.PageTreeNode)
-	if err != nil {
-		return pager.InvalidPage, err
-	}
-	defer t.pool.Unpin(page)
-	if err := EncodeNode(buf, t.dim, &Node{Leaf: leaf, Rects: rects, Children: kids, IDs: ids}); err != nil {
-		return pager.InvalidPage, err
-	}
-	t.pool.MarkDirty(page)
-	return page, nil
-}
-
 // EncodeNode serializes a node into a page payload buffer — the inverse
-// of DecodeNode, shared by the bulk loader and the transactional mutation
-// path.
-func EncodeNode(buf []byte, dim int, n *Node) error {
+// of DecodeNode.
+func EncodeNode(buf []byte, dim int, n *rtree.Node) error {
 	entry := 16*dim + 8
 	if 3+len(n.Rects)*entry > len(buf) {
 		return fmt.Errorf("diskrtree: node overflow (%d entries of %d bytes > %d-byte page)",
@@ -287,29 +280,17 @@ func EncodeNode(buf []byte, dim int, n *Node) error {
 			binary.LittleEndian.PutUint64(buf[off:], math.Float64bits(r.Hi[j]))
 			off += 8
 		}
-		var ref uint64
-		if n.Leaf {
-			ref = uint64(n.IDs[i])
-		} else {
-			ref = uint64(n.Children[i])
-		}
-		binary.LittleEndian.PutUint64(buf[off:], ref)
+		binary.LittleEndian.PutUint64(buf[off:], uint64(n.Refs[i]))
 		off += 8
 	}
 	return nil
 }
 
-// ReadNode materializes the node stored at the given page. Each call is
-// one buffer-pool access (a hit or a physical read) counted on the shared
-// pool.
-func (t *Tree) ReadNode(page pager.PageID) (*Node, error) {
-	return t.ReadNodeVia(t.pool, page)
-}
-
-// ReadNodeVia is ReadNode reading through an arbitrary pager.Reader —
-// typically a per-search pager.Lease, so the page access is attributed to
-// exactly one search even under concurrency.
-func (t *Tree) ReadNodeVia(r pager.Reader, page pager.PageID) (*Node, error) {
+// ReadNodeVia materializes the node stored at the given page, reading
+// through r: the shared pool, or a per-search pager.Lease so the page
+// access — one hit or one physical read — is attributed to exactly one
+// search even under concurrency.
+func (t *Tree) ReadNodeVia(r pager.Reader, page pager.PageID) (*rtree.Node, error) {
 	buf, err := r.Get(page)
 	if err != nil {
 		return nil, err
@@ -327,7 +308,7 @@ func (t *Tree) ReadNodeVia(r pager.Reader, page pager.PageID) (*Node, error) {
 // malformed input yields an error wrapping ErrCorruptNode — never a panic.
 // It is the tree's single source of decode truth (ReadNodeVia routes
 // through it) and the surface FuzzNodeDecode exercises.
-func DecodeNode(buf []byte, dim int) (*Node, error) {
+func DecodeNode(buf []byte, dim int) (*rtree.Node, error) {
 	if dim < 1 || dim > maxDim {
 		return nil, fmt.Errorf("%w: implausible dim %d", ErrCorruptNode, dim)
 	}
@@ -350,12 +331,7 @@ func DecodeNode(buf []byte, dim int) (*Node, error) {
 		return nil, fmt.Errorf("%w: %d entries of %d bytes overflow %d-byte page",
 			ErrCorruptNode, count, entry, len(buf))
 	}
-	n := &Node{Leaf: leaf, Rects: make([]geom.Rect, count)}
-	if leaf {
-		n.IDs = make([]int64, count)
-	} else {
-		n.Children = make([]pager.PageID, count)
-	}
+	n := &rtree.Node{Leaf: leaf, Rects: make([]geom.Rect, count), Refs: make([]int64, count)}
 	off := 3
 	for i := 0; i < count; i++ {
 		lo := make(geom.Point, dim)
@@ -369,43 +345,8 @@ func DecodeNode(buf []byte, dim int) (*Node, error) {
 			off += 8
 		}
 		n.Rects[i] = geom.Rect{Lo: lo, Hi: hi}
-		ref := binary.LittleEndian.Uint64(buf[off:])
+		n.Refs[i] = int64(binary.LittleEndian.Uint64(buf[off:]))
 		off += 8
-		if leaf {
-			n.IDs[i] = int64(ref)
-		} else {
-			n.Children[i] = pager.PageID(ref)
-		}
 	}
 	return n, nil
-}
-
-// Search invokes fn for every entry whose rectangle intersects r,
-// returning early when fn returns false.
-func (t *Tree) Search(r geom.Rect, fn func(Entry) bool) error {
-	_, err := t.search(t.root, r, fn)
-	return err
-}
-
-func (t *Tree) search(page pager.PageID, r geom.Rect, fn func(Entry) bool) (bool, error) {
-	n, err := t.ReadNode(page)
-	if err != nil {
-		return false, err
-	}
-	for i, rect := range n.Rects {
-		if !rect.Intersects(r) {
-			continue
-		}
-		if n.Leaf {
-			if !fn(Entry{Rect: rect, ID: n.IDs[i]}) {
-				return false, nil
-			}
-		} else {
-			cont, err := t.search(n.Children[i], r, fn)
-			if err != nil || !cont {
-				return cont, err
-			}
-		}
-	}
-	return true, nil
 }

@@ -3,7 +3,6 @@ package diskrtree
 import (
 	"math/rand"
 	"path/filepath"
-	"reflect"
 	"sort"
 	"testing"
 
@@ -22,8 +21,8 @@ func newPool(t *testing.T, pageSize, frames int) *pager.Pool {
 	return pager.NewPool(pf, frames)
 }
 
-func randEntries(rng *rand.Rand, n, d int, scale float64) []Entry {
-	es := make([]Entry, n)
+func randEntries(rng *rand.Rand, n, d int, scale float64) []rtree.Entry {
+	es := make([]rtree.Entry, n)
 	for i := range es {
 		lo := make(geom.Point, d)
 		hi := make(geom.Point, d)
@@ -31,17 +30,62 @@ func randEntries(rng *rand.Rand, n, d int, scale float64) []Entry {
 			lo[j] = rng.Float64() * scale
 			hi[j] = lo[j] + rng.Float64()*scale/20
 		}
-		es[i] = Entry{Rect: geom.Rect{Lo: lo, Hi: hi}, ID: int64(i)}
+		es[i] = rtree.Entry{Rect: geom.Rect{Lo: lo, Hi: hi}, ID: int64(i)}
 	}
 	return es
 }
 
-func TestCapacity(t *testing.T) {
-	if c := Capacity(4096, 3); c != (4096-3)/(16*3+8) {
-		t.Fatalf("capacity = %d", c)
+// search is the window query over the page tree: every node visit is one
+// pool access, which is all the tests below need of it.
+func search(t *testing.T, tr *Tree, page pager.PageID, win geom.Rect, fn func(rtree.Entry) bool) bool {
+	t.Helper()
+	n, err := tr.ReadNodeVia(tr.pool, page)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if c := Capacity(64, 10); c != 2 {
-		t.Fatalf("tiny capacity = %d", c)
+	for i, rect := range n.Rects {
+		if !rect.Intersects(win) {
+			continue
+		}
+		if n.Leaf {
+			if !fn(rtree.Entry{Rect: rect, ID: n.Refs[i]}) {
+				return false
+			}
+		} else if !search(t, tr, pager.PageID(n.Refs[i]), win, fn) {
+			return false
+		}
+	}
+	return true
+}
+
+// A page holds exactly rtree.DefaultFanout entries — the one capacity
+// formula: a bulk-loaded tree fills its first leaf to it, and one entry
+// more does not encode.
+func TestCapacity(t *testing.T) {
+	for _, tc := range []struct{ pageSize, dim int }{{512, 2}, {512, 3}, {4096, 3}} {
+		pool := newPool(t, tc.pageSize, 64)
+		fan := rtree.DefaultFanout(pool.File().PageSize(), tc.dim)
+		es := randEntries(rand.New(rand.NewSource(30)), 3*fan, tc.dim, 100)
+		full := &rtree.Node{Leaf: true}
+		for _, e := range es[:fan] {
+			full.Rects, full.Refs = append(full.Rects, e.Rect), append(full.Refs, e.ID)
+		}
+		tr, err := Build(pool, es)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, pool.File().PageSize())
+		if err := EncodeNode(buf, tc.dim, full); err != nil {
+			t.Fatalf("page %d dim %d: %d entries do not fit: %v", tc.pageSize, tc.dim, fan, err)
+		}
+		full.Rects, full.Refs = append(full.Rects, full.Rects[0]), append(full.Refs, 0)
+		if err := EncodeNode(buf, tc.dim, full); err == nil {
+			t.Fatalf("page %d dim %d: %d entries fit, capacity is %d", tc.pageSize, tc.dim, fan+1, fan)
+		}
+		first, err := tr.ReadNodeVia(pool, tr.Meta()+1)
+		if err != nil || !first.Leaf || len(first.Refs) != fan {
+			t.Fatalf("page %d dim %d: first leaf holds %d entries (err %v), want %d", tc.pageSize, tc.dim, len(first.Refs), err, fan)
+		}
 	}
 }
 
@@ -56,7 +100,7 @@ func TestSearchMatchesLinearScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	pool := newPool(t, 512, 16)
 	es := randEntries(rng, 500, 2, 100)
-	tr, err := Build(pool, append([]Entry(nil), es...))
+	tr, err := Build(pool, append([]rtree.Entry(nil), es...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,9 +118,7 @@ func TestSearchMatchesLinearScan(t *testing.T) {
 			}
 		}
 		var got []int64
-		if err := tr.Search(win, func(e Entry) bool { got = append(got, e.ID); return true }); err != nil {
-			t.Fatal(err)
-		}
+		search(t, tr, tr.Root(), win, func(e rtree.Entry) bool { got = append(got, e.ID); return true })
 		sortInt64(want)
 		sortInt64(got)
 		if len(got) != len(want) {
@@ -98,12 +140,12 @@ func TestSearchEarlyStop(t *testing.T) {
 		t.Fatal(err)
 	}
 	count := 0
-	err = tr.Search(geom.Rect{Lo: geom.Point{0, 0}, Hi: geom.Point{10, 10}}, func(Entry) bool {
+	search(t, tr, tr.Root(), geom.Rect{Lo: geom.Point{0, 0}, Hi: geom.Point{10, 10}}, func(rtree.Entry) bool {
 		count++
 		return count < 3
 	})
-	if err != nil || count != 3 {
-		t.Fatalf("early stop: count=%d err=%v", count, err)
+	if count != 3 {
+		t.Fatalf("early stop: count=%d", count)
 	}
 }
 
@@ -117,7 +159,7 @@ func TestReopen(t *testing.T) {
 	pool := pager.NewPool(pf, 16)
 	rng := rand.New(rand.NewSource(33))
 	es := randEntries(rng, 120, 3, 50)
-	tr, err := Build(pool, append([]Entry(nil), es...))
+	tr, err := Build(pool, append([]rtree.Entry(nil), es...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,9 +185,7 @@ func TestReopen(t *testing.T) {
 	// Full-domain search returns every entry.
 	var got []int64
 	all := geom.Rect{Lo: geom.Point{-1, -1, -1}, Hi: geom.Point{100, 100, 100}}
-	if err := tr2.Search(all, func(e Entry) bool { got = append(got, e.ID); return true }); err != nil {
-		t.Fatal(err)
-	}
+	search(t, tr2, tr2.Root(), all, func(e rtree.Entry) bool { got = append(got, e.ID); return true })
 	if len(got) != 120 {
 		t.Fatalf("reopened search found %d entries", len(got))
 	}
@@ -175,9 +215,7 @@ func TestIOAccounting(t *testing.T) {
 	}
 	pool.ResetStats()
 	all := geom.Rect{Lo: geom.Point{0, 0}, Hi: geom.Point{100, 100}}
-	if err := tr.Search(all, func(Entry) bool { return true }); err != nil {
-		t.Fatal(err)
-	}
+	search(t, tr, tr.Root(), all, func(rtree.Entry) bool { return true })
 	hits, misses, reads, _ := pool.Stats()
 	if hits+misses == 0 {
 		t.Fatal("no pool accesses recorded")
@@ -187,9 +225,7 @@ func TestIOAccounting(t *testing.T) {
 	}
 	// A second identical search on a warm pool must be mostly hits.
 	h0 := hits
-	if err := tr.Search(all, func(Entry) bool { return true }); err != nil {
-		t.Fatal(err)
-	}
+	search(t, tr, tr.Root(), all, func(rtree.Entry) bool { return true })
 	hits2, misses2, _, _ := pool.Stats()
 	if hits2-h0 == 0 {
 		t.Fatal("warm search produced no hits")
@@ -199,12 +235,12 @@ func TestIOAccounting(t *testing.T) {
 	}
 }
 
-// ReadNode round-trips the exact rectangles written at build time.
+// ReadNodeVia round-trips the exact rectangles written at build time.
 func TestNodeRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	pool := newPool(t, 512, 16)
 	es := randEntries(rng, 60, 2, 50)
-	tr, err := Build(pool, append([]Entry(nil), es...))
+	tr, err := Build(pool, append([]rtree.Entry(nil), es...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,12 +252,12 @@ func TestNodeRoundTrip(t *testing.T) {
 	var walk func(p pager.PageID)
 	found := 0
 	walk = func(p pager.PageID) {
-		n, err := tr.ReadNode(p)
+		n, err := tr.ReadNodeVia(pool, p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if n.Leaf {
-			for i, id := range n.IDs {
+			for i, id := range n.Refs {
 				want := byID[id]
 				if !n.Rects[i].Equal(want) {
 					t.Fatalf("entry %d rect %v != %v", id, n.Rects[i], want)
@@ -230,8 +266,9 @@ func TestNodeRoundTrip(t *testing.T) {
 			}
 			return
 		}
-		for i, c := range n.Children {
-			child, err := tr.ReadNode(c)
+		for i, ref := range n.Refs {
+			c := pager.PageID(ref)
+			child, err := tr.ReadNodeVia(pool, c)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -252,77 +289,4 @@ func TestNodeRoundTrip(t *testing.T) {
 
 func sortInt64(s []int64) {
 	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-}
-
-// TestBuildMatchesBulkLeafPartition pins the claim rtree.DefaultFanout's
-// comment makes: the in-memory and disk-resident trees share one STR
-// policy and one fanout, so bulk-loading the same entries yields the same
-// leaves, in the same order, under the same tree height.
-func TestBuildMatchesBulkLeafPartition(t *testing.T) {
-	for _, tc := range []struct{ n, d, pageSize int }{
-		{500, 2, 512}, {1200, 3, 512}, {3000, 3, 4096}, {7, 2, 512},
-	} {
-		rng := rand.New(rand.NewSource(int64(tc.n)))
-		pool := newPool(t, tc.pageSize, 64)
-		es := randEntries(rng, tc.n, tc.d, 100)
-		disk, err := Build(pool, append([]Entry(nil), es...))
-		if err != nil {
-			t.Fatal(err)
-		}
-		fan := rtree.DefaultFanout(pool.File().PageSize(), tc.d)
-		if fan != disk.NodeCapacity() {
-			t.Fatalf("n=%d: DefaultFanout %d != disk capacity %d", tc.n, fan, disk.NodeCapacity())
-		}
-		mes := make([]rtree.Entry, len(es))
-		for i, e := range es {
-			mes[i] = rtree.Entry{Rect: e.Rect, ID: int(e.ID)}
-		}
-		mem := rtree.Bulk(mes, 2, fan)
-		if mem.Height() != disk.Height() {
-			t.Fatalf("n=%d: height mem %d, disk %d", tc.n, mem.Height(), disk.Height())
-		}
-
-		var memLeaves [][]int
-		var walkMem func(n *rtree.Node)
-		walkMem = func(n *rtree.Node) {
-			if n.IsLeaf() {
-				var ids []int
-				for _, e := range n.Entries() {
-					ids = append(ids, e.ID)
-				}
-				memLeaves = append(memLeaves, ids)
-				return
-			}
-			for _, c := range n.Children() {
-				walkMem(c)
-			}
-		}
-		walkMem(mem.Root())
-
-		var diskLeaves [][]int
-		var walkDisk func(page pager.PageID)
-		walkDisk = func(page pager.PageID) {
-			n, err := disk.ReadNode(page)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if n.Leaf {
-				var ids []int
-				for _, id := range n.IDs {
-					ids = append(ids, int(id))
-				}
-				diskLeaves = append(diskLeaves, ids)
-				return
-			}
-			for _, c := range n.Children {
-				walkDisk(c)
-			}
-		}
-		walkDisk(disk.Root())
-
-		if !reflect.DeepEqual(memLeaves, diskLeaves) {
-			t.Fatalf("n=%d d=%d: leaf partitions differ (%d mem leaves, %d disk leaves)",
-				tc.n, tc.d, len(memLeaves), len(diskLeaves))
-		}
-	}
 }

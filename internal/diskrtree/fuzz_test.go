@@ -59,11 +59,8 @@ func FuzzNodeDecode(f *testing.F) {
 		if n == nil || (len(n.Rects) < 1 && !n.Leaf) {
 			t.Fatal("accepted internal node has no entries")
 		}
-		if n.Leaf && len(n.IDs) != len(n.Rects) {
-			t.Fatalf("leaf shape mismatch: %d ids, %d rects", len(n.IDs), len(n.Rects))
-		}
-		if !n.Leaf && len(n.Children) != len(n.Rects) {
-			t.Fatalf("internal shape mismatch: %d children, %d rects", len(n.Children), len(n.Rects))
+		if len(n.Refs) != len(n.Rects) {
+			t.Fatalf("shape mismatch: %d refs, %d rects", len(n.Refs), len(n.Rects))
 		}
 		for _, r := range n.Rects {
 			if r.Lo.Dim() != dim || r.Hi.Dim() != dim {

@@ -249,8 +249,3 @@ func (s *Store) WriteMetaTx(tx pager.TxPager) error {
 	s.encodeMeta(buf)
 	return nil
 }
-
-// ReadAtVia exposes raw stream reads for fsck's record-chain walk.
-func (s *Store) ReadAtVia(r pager.Reader, off uint64, data []byte) error {
-	return s.readAtVia(r, off, data)
-}

@@ -15,7 +15,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"spatialdom/internal/core"
@@ -570,12 +569,4 @@ func figAblation(sp spec, seed int64) ([]Table, error) {
 		tables = append(tables, t)
 	}
 	return tables, nil
-}
-
-// SortedIDs is a small helper used by tests and tools: the candidate IDs
-// of a result in ascending order.
-func SortedIDs(res *core.Result) []int {
-	ids := res.IDs()
-	sort.Ints(ids)
-	return ids
 }

@@ -23,7 +23,7 @@ func (r rawPts) entries() []Entry {
 	for i := 0; i < n; i++ {
 		es[i] = Entry{
 			Rect: geom.PointRect(geom.Point{float64(r.Xs[i] % 32), float64(r.Ys[i] % 32)}),
-			ID:   i,
+			ID:   int64(i),
 		}
 	}
 	return es
@@ -36,8 +36,8 @@ var quickCfg = &quick.Config{MaxCount: 400, Rand: rand.New(rand.NewSource(888))}
 func TestQuickWindowQueriesAgree(t *testing.T) {
 	f := func(r rawPts, wx, wy, ww, wh uint8) bool {
 		es := r.entries()
-		bulk := Bulk(append([]Entry(nil), es...), 2, 4)
-		inc := New(2, 4)
+		bulk := Bulk(append([]Entry(nil), es...), 4)
+		inc := New(4)
 		for _, e := range es {
 			inc.Insert(e)
 		}
@@ -47,13 +47,13 @@ func TestQuickWindowQueriesAgree(t *testing.T) {
 		var want []int
 		for _, e := range es {
 			if e.Rect.Intersects(win) {
-				want = append(want, e.ID)
+				want = append(want, int(e.ID))
 			}
 		}
 		sort.Ints(want)
 		collect := func(tr *Tree) []int {
 			var ids []int
-			tr.Search(win, func(e Entry) bool { ids = append(ids, e.ID); return true })
+			tr.Search(win, func(e Entry) bool { ids = append(ids, int(e.ID)); return true })
 			sort.Ints(ids)
 			return ids
 		}
@@ -74,49 +74,26 @@ func TestQuickWindowQueriesAgree(t *testing.T) {
 	}
 }
 
-// Nearest always returns the true minimum distance, ties included.
-func TestQuickNearestIsMinimum(t *testing.T) {
-	f := func(r rawPts, qx, qy uint8) bool {
-		es := r.entries()
-		tr := Bulk(append([]Entry(nil), es...), 2, 4)
-		q := geom.Point{float64(qx % 40), float64(qy % 40)}
-		_, got, ok := tr.Nearest(q)
-		if !ok {
-			return false
-		}
-		want := es[0].Rect.MinDistPoint(q)
-		for _, e := range es[1:] {
-			if d := e.Rect.MinDistPoint(q); d < want {
-				want = d
-			}
-		}
-		return got == want
-	}
-	if err := quick.Check(f, quickCfg); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Deleting every entry in arbitrary order always empties the tree, and
 // remaining entries stay findable throughout.
 func TestQuickDeleteAll(t *testing.T) {
 	f := func(r rawPts, permSeed int64) bool {
 		es := r.entries()
-		tr := New(2, 4)
+		tr := New(4)
 		for _, e := range es {
 			tr.Insert(e)
 		}
 		rng := rand.New(rand.NewSource(permSeed))
 		perm := rng.Perm(len(es))
 		for k, pi := range perm {
-			if !tr.Delete(es[pi].Rect, es[pi].ID) {
+			if !tr.Delete(es[pi]) {
 				return false
 			}
 			if tr.Len() != len(es)-k-1 {
 				return false
 			}
 		}
-		return tr.Root() == nil
+		return tr.Height() == 1 && len(tr.Node(tr.Root()).Refs) == 0
 	}
 	if err := quick.Check(f, quickCfg); err != nil {
 		t.Fatal(err)

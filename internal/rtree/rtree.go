@@ -1,234 +1,131 @@
-// Package rtree implements an in-memory R-tree over d-dimensional
-// rectangles, written from scratch on the standard library only.
+// Package rtree is the repo's one R-tree, written from scratch on the
+// standard library only: Sort-Tile-Recursive bulk loading, Guttman
+// insertion with quadratic split, and deletion with condense-and-reinsert,
+// each written once over a Store — the seam that says where nodes live.
 //
-// The tree supports Sort-Tile-Recursive (STR) bulk loading, Guttman
-// quadratic-split insertion, deletion with subtree reinsertion, rectangle
-// intersection search, best-first nearest/farthest instance search, and kNN.
-// Internal nodes are exposed read-only so that callers (the NN-candidate
-// search of Algorithm 1 and the level-by-level P-SD filter) can run their own
-// best-first traversals and level-wise decompositions.
-//
-// Two configurations are used by the reproduction, mirroring Section 6 of
-// the paper: a global tree over object MBRs with a fanout derived from a
-// 4096-byte page, and a per-object local tree over instances with fanout 4.
+// Two stores exist, mirroring Section 6 of the paper. The in-memory Tree of
+// mem.go (a slice of nodes written in place) serves the global index over
+// object MBRs with a page-derived fanout, the per-object local trees over
+// instances with fanout 4, and the P-SD distance-space trees; the page
+// store of internal/diskrtree (one node per page, copy-on-write inside a
+// transaction) serves the disk-resident global index. The algorithms never
+// ask which one they are on, so the same sequence of operations yields the
+// same tree, node for node, in memory and on disk.
 package rtree
 
 import (
 	"cmp"
 	"slices"
-	"strconv"
-	"sync"
-	"sync/atomic"
 
 	"spatialdom/internal/geom"
 )
+
+// NodeID names a node inside a Store. NoNode is the id no node has.
+type NodeID = int64
+
+// NoNode is the zero id: "no node yet" when passed to Store.Write.
+const NoNode NodeID = 0
 
 // Entry is a leaf payload: a rectangle (possibly degenerate, for points) and
 // an opaque integer identifier.
 type Entry struct {
 	Rect geom.Rect
-	ID   int
+	ID   int64
 }
 
-// Node is a tree node. Exactly one of children/entries is populated
-// depending on leaf status. Nodes are exposed read-only; mutating them
-// corrupts the tree.
+// Node is a tree node: Rects[i] is the MBR of Refs[i], which is an entry
+// id in a leaf and the NodeID of a child otherwise. A node does not store
+// its own MBR; its parent does.
 type Node struct {
-	rect     geom.Rect
-	leaf     bool
-	children []*Node
-	entries  []Entry
+	Leaf  bool
+	Rects []geom.Rect
+	Refs  []int64
 }
 
-// Rect returns the node's MBR.
-func (n *Node) Rect() geom.Rect { return n.rect }
-
-// IsLeaf reports whether the node stores entries rather than child nodes.
-func (n *Node) IsLeaf() bool { return n.leaf }
-
-// Children returns the child nodes of an internal node (nil for leaves).
-func (n *Node) Children() []*Node { return n.children }
-
-// Entries returns the entries of a leaf node (nil for internal nodes).
-func (n *Node) Entries() []Entry { return n.entries }
-
-// CollectIDs appends the IDs of every entry in the subtree to dst.
-func (n *Node) CollectIDs(dst []int) []int {
-	if n.leaf {
-		for _, e := range n.entries {
-			dst = append(dst, e.ID)
-		}
-		return dst
-	}
-	for _, c := range n.children {
-		dst = c.CollectIDs(dst)
-	}
-	return dst
+// Store is where nodes live. Read returns a node the caller may modify
+// and must then Write back (or Free); Write persists n as the successor of
+// the node at old and returns the id it now lives at — the same id from a
+// store that writes in place, a fresh one from a copy-on-write store — or
+// allocates when old is NoNode; Free releases a node no longer reachable.
+type Store interface {
+	Read(id NodeID) (*Node, error)
+	Write(old NodeID, n *Node) (NodeID, error)
+	Free(id NodeID)
 }
 
-// CollectEntries appends every entry in the subtree to dst.
-func (n *Node) CollectEntries(dst []Entry) []Entry {
-	if n.leaf {
-		return append(dst, n.entries...)
-	}
-	for _, c := range n.children {
-		dst = c.CollectEntries(dst)
-	}
-	return dst
+// Header is a tree's state outside its nodes. Height counts levels (1 for
+// a lone leaf root); an empty tree is a root leaf without entries.
+type Header struct {
+	Root   NodeID
+	Height int
+	Size   int
 }
 
-func (n *Node) recomputeRect() {
-	if n.leaf {
-		if len(n.entries) == 0 {
-			return
-		}
-		r := n.entries[0].Rect
-		for _, e := range n.entries[1:] {
-			r = r.Union(e.Rect)
-		}
-		n.rect = r
-		return
-	}
-	if len(n.children) == 0 {
-		return
-	}
-	r := n.children[0].rect
-	for _, c := range n.children[1:] {
-		r = r.Union(c.rect)
-	}
-	n.rect = r
-}
-
-// Tree is an R-tree. The zero value is not usable; construct with New or
-// Bulk. Tree is not safe for concurrent mutation; concurrent readers are
-// safe once construction finishes.
-type Tree struct {
-	root     *Node
-	min, max int
-	size     int
-	height   int // number of levels; 1 for a single leaf root
-
-	// levelCache memoizes NodesAtLevel's per-level node lists; it is
-	// populated lazily (safely under concurrent readers) and dropped on
-	// any mutation.
-	levelCache atomic.Pointer[[][]*Node]
-
-	// pqPool recycles the best-first traversal heaps so warm
-	// Nearest/KNN/MaxDist calls run without allocating (see query.go).
-	pqPool sync.Pool
-}
-
-// DefaultFanout returns the fanout implied by an R-tree page of pageBytes
-// for d-dimensional data, assuming 8-byte coordinates for the two MBR
-// corners plus an 8-byte child pointer/ID per entry, after the 3-byte node
-// header (leaf flag + entry count) of the disk node layout. This mirrors
-// the paper's "page size is 4096 bytes" global-tree configuration and
-// matches diskrtree.Capacity entry-for-entry, so in-memory and
-// disk-resident trees built from the same data have identical shapes.
+// DefaultFanout returns the node capacity implied by a page payload of
+// pageBytes for d-dimensional data: 8-byte coordinates for the two MBR
+// corners plus an 8-byte reference per entry, after the 3-byte node header
+// of the disk layout (internal/diskrtree), and never below 4. It is the
+// one capacity formula: the in-memory global tree derives its fanout from
+// the same payload size the disk tree's pages have, which is what lets
+// TestMemDiskSameShape demand identical trees from the two.
 func DefaultFanout(pageBytes, dim int) int {
-	per := 16*dim + 8
-	f := (pageBytes - 3) / per
-	if f < 4 {
-		f = 4
-	}
-	return f
+	return max((pageBytes-3)/(16*dim+8), 4)
 }
 
-// New returns an empty tree with the given node occupancy bounds.
-// minEntries must satisfy 2 <= minEntries <= maxEntries/2.
-func New(minEntries, maxEntries int) *Tree {
-	if maxEntries < 4 {
-		panic("rtree: maxEntries must be >= 4")
-	}
-	if minEntries < 2 || minEntries > maxEntries/2 {
-		panic("rtree: invalid occupancy bounds min=" + strconv.Itoa(minEntries) +
-			" max=" + strconv.Itoa(maxEntries))
-	}
-	return &Tree{
-		root:   &Node{leaf: true},
-		min:    minEntries,
-		max:    maxEntries,
-		height: 1,
-	}
+// minFill is the underflow threshold — Guttman's m, 40% of capacity but at
+// least 2 — and the smallest group QuadraticSplit may produce.
+func minFill(fanout int) int {
+	return max(fanout*2/5, 2)
 }
 
-// Len returns the number of entries stored.
-func (t *Tree) Len() int { return t.size }
+// --- STR bulk loading ---------------------------------------------------------
 
-// Height returns the number of levels (1 for a single leaf root).
-func (t *Tree) Height() int { return t.height }
-
-// Root returns the root node for read-only traversal, or nil when empty.
-func (t *Tree) Root() *Node {
-	if t.size == 0 {
-		return nil
-	}
-	return t.root
-}
-
-// Bounds returns the MBR of all entries. ok is false when the tree is empty.
-func (t *Tree) Bounds() (r geom.Rect, ok bool) {
-	if t.size == 0 {
-		return geom.Rect{}, false
-	}
-	return t.root.rect, true
-}
-
-// --- STR bulk loading -------------------------------------------------------
-
-// Bulk builds a tree from entries using Sort-Tile-Recursive packing. The
-// input slice is not retained but is reordered in place.
-func Bulk(entries []Entry, minEntries, maxEntries int) *Tree {
-	t := New(minEntries, maxEntries)
+// BulkLoad packs entries into a fresh tree with Sort-Tile-Recursive
+// tiling, writing leaves first and each level above in turn; no entries
+// yields the empty tree. Only Write is asked of the store.
+func BulkLoad(s interface {
+	Write(old NodeID, n *Node) (NodeID, error)
+}, fanout int, entries []Entry) (Header, error) {
 	if len(entries) == 0 {
-		return t
+		root, err := s.Write(NoNode, &Node{Leaf: true})
+		return Header{Root: root, Height: 1}, err
 	}
-	dim := entries[0].Rect.Dim()
-	leaves := strPackEntries(entries, dim, maxEntries)
-	t.size = len(entries)
-	level := leaves
-	t.height = 1
-	for len(level) > 1 {
-		level = strPackNodes(level, dim, maxEntries)
-		t.height++
-	}
-	t.root = level[0]
-	return t
-}
-
-// strPackEntries tiles entries into leaf nodes of capacity cap.
-func strPackEntries(entries []Entry, dim, capacity int) []*Node {
-	centers := make([]geom.Point, len(entries))
-	for i, e := range entries {
-		centers[i] = e.Rect.Center()
-	}
-	idx := make([]int, len(entries))
-	for i := range idx {
-		idx[i] = i
-	}
-	strTile(idx, centers, 0, dim, capacity)
-	var leaves []*Node
-	for start := 0; start < len(idx); start += capacity {
-		end := start + capacity
-		if end > len(idx) {
-			end = len(idx)
+	h := Header{Size: len(entries)}
+	level, leaf := entries, true
+	for {
+		rects := make([]geom.Rect, len(level))
+		for i, e := range level {
+			rects[i] = e.Rect
 		}
-		n := &Node{leaf: true, entries: make([]Entry, 0, end-start)}
-		for _, j := range idx[start:end] {
-			n.entries = append(n.entries, entries[j])
+		order := STROrder(rects, fanout)
+		packed := make([]Entry, 0, len(order)/fanout+1)
+		for start := 0; start < len(order); start += fanout {
+			tile := order[start:min(start+fanout, len(order))]
+			n := &Node{Leaf: leaf, Rects: make([]geom.Rect, len(tile)), Refs: make([]int64, len(tile))}
+			for i, j := range tile {
+				n.Rects[i], n.Refs[i] = level[j].Rect, level[j].ID
+			}
+			id, err := s.Write(NoNode, n)
+			if err != nil {
+				return Header{}, err
+			}
+			packed = append(packed, Entry{Rect: mbr(n), ID: id})
 		}
-		n.recomputeRect()
-		leaves = append(leaves, n)
+		h.Height++
+		if len(packed) == 1 {
+			h.Root = packed[0].ID
+			return h, nil
+		}
+		level, leaf = packed, false
 	}
-	return leaves
 }
 
 // STROrder returns the indices of rects permuted into Sort-Tile-Recursive
-// order with the given tile capacity: the exact ordering Bulk packs leaves
-// in, exposed so a range partitioner (internal/cluster) can cut the same
-// spatially coherent tiles into shards. capacity controls tile granularity;
-// a partitioner slicing the returned order into N contiguous runs gets
-// shards whose MBRs overlap no more than the tree's own leaves do.
+// order with the given tile capacity: the exact ordering BulkLoad packs
+// nodes in, exposed so a range partitioner (internal/cluster) can cut the
+// same spatially coherent tiles into shards. capacity controls tile
+// granularity; a partitioner slicing the returned order into N contiguous
+// runs gets shards whose MBRs overlap no more than the tree's own leaves do.
 func STROrder(rects []geom.Rect, capacity int) []int {
 	idx := make([]int, len(rects))
 	for i := range idx {
@@ -248,33 +145,6 @@ func STROrder(rects []geom.Rect, capacity int) []int {
 	return idx
 }
 
-// strPackNodes tiles child nodes into parent nodes of capacity cap.
-func strPackNodes(nodes []*Node, dim, capacity int) []*Node {
-	centers := make([]geom.Point, len(nodes))
-	for i, n := range nodes {
-		centers[i] = n.rect.Center()
-	}
-	idx := make([]int, len(nodes))
-	for i := range idx {
-		idx[i] = i
-	}
-	strTile(idx, centers, 0, dim, capacity)
-	var parents []*Node
-	for start := 0; start < len(idx); start += capacity {
-		end := start + capacity
-		if end > len(idx) {
-			end = len(idx)
-		}
-		p := &Node{children: make([]*Node, 0, end-start)}
-		for _, j := range idx[start:end] {
-			p.children = append(p.children, nodes[j])
-		}
-		p.recomputeRect()
-		parents = append(parents, p)
-	}
-	return parents
-}
-
 // strTile recursively sorts idx so that consecutive runs of `capacity`
 // indices form spatially coherent tiles (classic STR).
 func strTile(idx []int, centers []geom.Point, d, dim, capacity int) {
@@ -290,11 +160,7 @@ func strTile(idx []int, centers []geom.Point, d, dim, capacity int) {
 		slabSize = capacity
 	}
 	for start := 0; start < len(idx); start += slabSize {
-		end := start + slabSize
-		if end > len(idx) {
-			end = len(idx)
-		}
-		strTile(idx[start:end], centers, d+1, dim, capacity)
+		strTile(idx[start:min(start+slabSize, len(idx))], centers, d+1, dim, capacity)
 	}
 }
 
@@ -324,54 +190,104 @@ func pow(b, e int) int {
 	return r
 }
 
-// --- Insertion ---------------------------------------------------------------
-
-// Insert adds an entry to the tree (Guttman's algorithm with quadratic
-// split).
-func (t *Tree) Insert(e Entry) {
-	//nnc:publish invalidation: nil forces the next reader to rebuild the pyramid
-	t.levelCache.Store(nil)
-	t.size++
-	split := t.insert(t.root, e)
-	if split != nil {
-		old := t.root
-		t.root = &Node{children: []*Node{old, split}}
-		t.root.recomputeRect()
-		t.height++
+// mbr returns the union of a non-empty node's rectangles.
+func mbr(n *Node) geom.Rect {
+	r := n.Rects[0]
+	for _, s := range n.Rects[1:] {
+		r = r.Union(s)
 	}
+	return r
 }
 
-// insert places e in the subtree rooted at n, returning a new sibling when n
-// was split.
-func (t *Tree) insert(n *Node, e Entry) *Node {
-	if n.leaf {
-		n.entries = append(n.entries, e)
-		if t.size == 1 {
-			n.rect = e.Rect.Clone()
-		} else {
-			n.rect = n.rect.Union(e.Rect)
+// --- Insertion ---------------------------------------------------------------
+
+// crumb is one step of a root-to-leaf descent: the node read at id and the
+// index of the child taken from it (-1 at the leaf).
+type crumb struct {
+	id    NodeID
+	n     *Node
+	child int
+}
+
+// Insert adds e to the tree h describes (Guttman's algorithm): descend by
+// ChooseSubtree remembering the path, then write the path back bottom-up,
+// splitting a node that overflows fanout and growing a new root when the
+// split reaches the top. Every node on the path is written exactly once,
+// leaf first, a split sibling right after the node it was split from.
+func Insert(s Store, h *Header, fanout int, e Entry) error {
+	var path []crumb
+	for cur := h.Root; ; {
+		n, err := s.Read(cur)
+		if err != nil {
+			return err
 		}
-		if len(n.entries) > t.max {
-			return t.splitLeaf(n)
+		if n.Leaf {
+			n.Rects, n.Refs = append(n.Rects, e.Rect), append(n.Refs, e.ID)
+			path = append(path, crumb{id: cur, n: n, child: -1})
+			break
 		}
-		return nil
+		i := ChooseSubtree(n.Rects, e.Rect)
+		path = append(path, crumb{id: cur, n: n, child: i})
+		cur = n.Refs[i]
 	}
-	child := n.children[ChooseSubtree(childRects(n.children), e.Rect)]
-	split := t.insert(child, e)
-	n.rect = n.rect.Union(e.Rect)
-	if split != nil {
-		n.children = append(n.children, split)
-		if len(n.children) > t.max {
-			return t.splitInternal(n)
+	var a, b Entry // the node just written and, when split, its new sibling
+	split := false
+	for i := len(path) - 1; i >= 0; i-- {
+		c := path[i]
+		if c.child >= 0 {
+			c.n.Rects[c.child], c.n.Refs[c.child] = a.Rect, a.ID
+			if split {
+				c.n.Rects, c.n.Refs = append(c.n.Rects, b.Rect), append(c.n.Refs, b.ID)
+			}
+		}
+		var err error
+		if a, b, split, err = writeSplitting(s, c.id, c.n, fanout); err != nil {
+			return err
 		}
 	}
+	h.Root = a.ID
+	if split {
+		root, err := s.Write(NoNode, &Node{Rects: []geom.Rect{a.Rect, b.Rect}, Refs: []int64{a.ID, b.ID}})
+		if err != nil {
+			return err
+		}
+		h.Root = root
+		h.Height++
+	}
+	h.Size++
 	return nil
 }
 
-// The insertion policy below is written over plain rect slices so every
-// tree in the repo — this pointer-backed one and the page-backed
-// diskrtree — makes the same choices from the same code; each keeps only
-// its own node storage.
+// writeSplitting persists a node that may have outgrown fanout and returns
+// the parent entry it now needs — two of them, after a QuadraticSplit,
+// when it had.
+func writeSplitting(s Store, old NodeID, n *Node, fanout int) (a, b Entry, split bool, err error) {
+	if len(n.Rects) <= fanout {
+		a.ID, err = s.Write(old, n)
+		a.Rect = mbr(n)
+		return a, b, false, err
+	}
+	groupA, groupB := QuadraticSplit(n.Rects, minFill(fanout))
+	na, nb := pick(n, groupA), pick(n, groupB)
+	if a.ID, err = s.Write(old, na); err != nil {
+		return a, b, false, err
+	}
+	if b.ID, err = s.Write(NoNode, nb); err != nil {
+		return a, b, false, err
+	}
+	a.Rect, b.Rect = mbr(na), mbr(nb)
+	return a, b, true, nil
+}
+
+// pick returns a node of n's kind holding n's entries at the given
+// indices, in that order.
+func pick(n *Node, idx []int) *Node {
+	out := &Node{Leaf: n.Leaf, Rects: make([]geom.Rect, len(idx)), Refs: make([]int64, len(idx))}
+	for i, j := range idx {
+		out.Rects[i], out.Refs[i] = n.Rects[j], n.Refs[j]
+	}
+	return out
+}
 
 // ChooseSubtree returns the index of the rect needing least enlargement
 // to cover r, breaking ties by smaller area then lower index (Guttman's
@@ -468,130 +384,115 @@ func pickSeeds(rects []geom.Rect) (int, int) {
 	return sa, sb
 }
 
-func childRects(children []*Node) []geom.Rect {
-	rects := make([]geom.Rect, len(children))
-	for i, c := range children {
-		rects[i] = c.rect
-	}
-	return rects
-}
-
-// pick returns the elements of src at the given indices, in that order.
-func pick[T any](src []T, idx []int) []T {
-	out := make([]T, len(idx))
-	for i, j := range idx {
-		out[i] = src[j]
-	}
-	return out
-}
-
-func (t *Tree) splitLeaf(n *Node) *Node {
-	rects := make([]geom.Rect, len(n.entries))
-	for i, e := range n.entries {
-		rects[i] = e.Rect
-	}
-	groupA, groupB := QuadraticSplit(rects, t.min)
-	sib := &Node{leaf: true, entries: pick(n.entries, groupB)}
-	n.entries = pick(n.entries, groupA)
-	n.recomputeRect()
-	sib.recomputeRect()
-	return sib
-}
-
-func (t *Tree) splitInternal(n *Node) *Node {
-	groupA, groupB := QuadraticSplit(childRects(n.children), t.min)
-	sib := &Node{children: pick(n.children, groupB)}
-	n.children = pick(n.children, groupA)
-	n.recomputeRect()
-	sib.recomputeRect()
-	return sib
-}
-
 // --- Deletion ----------------------------------------------------------------
 
-// Delete removes the entry with the given ID whose rectangle equals r.
-// It reports whether an entry was removed.
-func (t *Tree) Delete(r geom.Rect, id int) bool {
-	//nnc:publish invalidation: nil forces the next reader to rebuild the pyramid
-	t.levelCache.Store(nil)
-	leaf, pos, path := t.findLeaf(t.root, r, id, nil)
-	if leaf == nil {
-		return false
+// Delete removes the entry with e.ID whose stored rectangle equals e.Rect
+// and reports whether it was there. The path to its leaf is condensed
+// bottom-up — a non-root node left under minFill is dissolved, its
+// subtree's entries queued and its nodes freed; a survivor is written back
+// with its parent's rectangle tightened — the root shrinks while it is an
+// internal node with one child, and the queued entries are reinserted.
+func Delete(s Store, h *Header, fanout int, e Entry) (bool, error) {
+	path, at, err := findLeaf(s, h.Root, e, nil)
+	if err != nil || path == nil {
+		return false, err
 	}
-	leaf.entries = append(leaf.entries[:pos], leaf.entries[pos+1:]...)
-	t.size--
-	t.condense(leaf, path)
-	// Shrink the root while it has a single internal child.
-	for !t.root.leaf && len(t.root.children) == 1 {
-		t.root = t.root.children[0]
-		t.height--
+	leaf := path[len(path)-1].n
+	leaf.Rects = slices.Delete(leaf.Rects, at, at+1)
+	leaf.Refs = slices.Delete(leaf.Refs, at, at+1)
+
+	var orphans []Entry
+	for i := len(path) - 1; i >= 1; i-- {
+		c, parent := path[i], path[i-1]
+		if len(c.n.Rects) < minFill(fanout) {
+			if orphans, err = dissolve(s, c.n, orphans); err != nil {
+				return false, err
+			}
+			s.Free(c.id)
+			j := parent.child
+			parent.n.Rects = slices.Delete(parent.n.Rects, j, j+1)
+			parent.n.Refs = slices.Delete(parent.n.Refs, j, j+1)
+			continue
+		}
+		id, err := s.Write(c.id, c.n)
+		if err != nil {
+			return false, err
+		}
+		parent.n.Rects[parent.child], parent.n.Refs[parent.child] = mbr(c.n), id
 	}
-	if t.size == 0 {
-		t.root = &Node{leaf: true}
-		t.height = 1
+
+	root := path[0].n
+	if h.Root, err = s.Write(path[0].id, root); err != nil {
+		return false, err
 	}
-	return true
+	for !root.Leaf && len(root.Refs) == 1 {
+		child := root.Refs[0]
+		s.Free(h.Root)
+		h.Root = child
+		h.Height--
+		if root, err = s.Read(h.Root); err != nil {
+			return false, err
+		}
+	}
+	if !root.Leaf && len(root.Refs) == 0 {
+		// Every child dissolved: the tree restarts from an empty leaf.
+		s.Free(h.Root)
+		if h.Root, err = s.Write(NoNode, &Node{Leaf: true}); err != nil {
+			return false, err
+		}
+		h.Height = 1
+	}
+
+	// Insert counts each entry it adds, so take the orphans out of the
+	// size along with the deleted entry first.
+	h.Size -= 1 + len(orphans)
+	for _, o := range orphans {
+		if err := Insert(s, h, fanout, o); err != nil {
+			return false, err
+		}
+	}
+	return true, nil
 }
 
-func (t *Tree) findLeaf(n *Node, r geom.Rect, id int, path []*Node) (*Node, int, []*Node) {
-	if n.leaf {
-		for i, e := range n.entries {
-			if e.ID == id && e.Rect.Equal(r) {
-				return n, i, path
-			}
-		}
-		return nil, 0, nil
+// findLeaf locates the leaf holding e by descending every child whose
+// rectangle contains e.Rect, returning the descent path and the entry's
+// index in the leaf, or a nil path when e is absent.
+func findLeaf(s Store, id NodeID, e Entry, prefix []crumb) ([]crumb, int, error) {
+	n, err := s.Read(id)
+	if err != nil {
+		return nil, 0, err
 	}
-	for _, c := range n.children {
-		if c.rect.ContainsRect(r) || c.rect.Intersects(r) {
-			if leaf, pos, p := t.findLeaf(c, r, id, append(path, n)); leaf != nil {
-				return leaf, pos, p
+	for i, r := range n.Rects {
+		if n.Leaf {
+			if n.Refs[i] == e.ID && r.Equal(e.Rect) {
+				return append(prefix, crumb{id: id, n: n, child: -1}), i, nil
+			}
+		} else if r.ContainsRect(e.Rect) {
+			path, at, err := findLeaf(s, n.Refs[i], e, append(prefix, crumb{id: id, n: n, child: i}))
+			if err != nil || path != nil {
+				return path, at, err
 			}
 		}
 	}
 	return nil, 0, nil
 }
 
-// condense walks back up the path removing underfull nodes and reinserting
-// their contents.
-func (t *Tree) condense(n *Node, path []*Node) {
-	var orphanEntries []Entry
-	var orphanNodes []*Node
-	cur := n
-	for i := len(path) - 1; i >= 0; i-- {
-		parent := path[i]
-		under := false
-		if cur.leaf {
-			under = len(cur.entries) < t.min
-		} else {
-			under = len(cur.children) < t.min
+// dissolve appends every leaf entry under n to out and frees n's
+// descendants; n's own id is the caller's to free.
+func dissolve(s Store, n *Node, out []Entry) ([]Entry, error) {
+	for i, ref := range n.Refs {
+		if n.Leaf {
+			out = append(out, Entry{Rect: n.Rects[i], ID: ref})
+			continue
 		}
-		if under && parent != nil {
-			for j, c := range parent.children {
-				if c == cur {
-					parent.children = append(parent.children[:j], parent.children[j+1:]...)
-					break
-				}
-			}
-			if cur.leaf {
-				orphanEntries = append(orphanEntries, cur.entries...)
-			} else {
-				orphanNodes = append(orphanNodes, cur.children...)
-			}
-		} else {
-			cur.recomputeRect()
+		child, err := s.Read(ref)
+		if err != nil {
+			return out, err
 		}
-		cur = parent
-	}
-	t.root.recomputeRect()
-	for _, e := range orphanEntries {
-		t.size-- // Insert re-increments
-		t.Insert(e)
-	}
-	for _, sub := range orphanNodes {
-		for _, e := range sub.CollectEntries(nil) {
-			t.size--
-			t.Insert(e)
+		if out, err = dissolve(s, child, out); err != nil {
+			return out, err
 		}
+		s.Free(ref)
 	}
+	return out, nil
 }

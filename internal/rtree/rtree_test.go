@@ -1,7 +1,6 @@
 package rtree
 
 import (
-	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -25,7 +24,7 @@ func randEntries(r *rand.Rand, n, d int, scale float64) []Entry {
 		for j := range b {
 			b[j] = a[j] + r.Float64()*scale/20
 		}
-		es[i] = Entry{Rect: geom.NewRect(a, b), ID: i}
+		es[i] = Entry{Rect: geom.NewRect(a, b), ID: int64(i)}
 	}
 	return es
 }
@@ -33,59 +32,51 @@ func randEntries(r *rand.Rand, n, d int, scale float64) []Entry {
 func pointEntries(r *rand.Rand, n, d int, scale float64) []Entry {
 	es := make([]Entry, n)
 	for i := range es {
-		es[i] = Entry{Rect: geom.PointRect(randPoint(r, d, scale)), ID: i}
+		es[i] = Entry{Rect: geom.PointRect(randPoint(r, d, scale)), ID: int64(i)}
 	}
 	return es
 }
 
-// checkInvariants walks the tree validating structural invariants.
+// checkInvariants walks the tree validating structural invariants:
+// balance, occupancy bounds, parent rectangles that are exactly their
+// child's MBR, and the entry count.
 func checkInvariants(t *testing.T, tr *Tree) {
 	t.Helper()
-	if tr.size == 0 {
-		return
-	}
-	var walk func(n *Node, depth int) (count, leafDepth int)
 	leafDepth := -1
-	var walkf func(n *Node, depth, root int) int
-	walkf = func(n *Node, depth, root int) int {
-		if n.leaf {
+	var walk func(id NodeID, depth int) int
+	walk = func(id NodeID, depth int) int {
+		n := tr.Node(id)
+		if len(n.Rects) != len(n.Refs) {
+			t.Fatalf("node %d: %d rects, %d refs", id, len(n.Rects), len(n.Refs))
+		}
+		if len(n.Refs) > tr.fanout {
+			t.Fatalf("overflow: %d > %d", len(n.Refs), tr.fanout)
+		}
+		if depth > 0 && len(n.Refs) < minFill(tr.fanout) {
+			t.Fatalf("underflow at depth %d: %d < %d", depth, len(n.Refs), minFill(tr.fanout))
+		}
+		if n.Leaf {
 			if leafDepth == -1 {
 				leafDepth = depth
 			} else if leafDepth != depth {
 				t.Fatalf("unbalanced: leaf at depth %d and %d", leafDepth, depth)
 			}
-			if root == 0 && len(n.entries) > tr.max {
-				t.Fatalf("leaf overflow: %d > %d", len(n.entries), tr.max)
-			}
-			if root != 1 && depth > 0 && len(n.entries) < tr.min {
-				t.Fatalf("leaf underflow: %d < %d", len(n.entries), tr.min)
-			}
-			for _, e := range n.entries {
-				if !n.rect.ContainsRect(e.Rect) {
-					t.Fatalf("leaf MBR %v does not contain entry %v", n.rect, e.Rect)
-				}
-			}
-			return len(n.entries)
-		}
-		if len(n.children) > tr.max {
-			t.Fatalf("internal overflow: %d > %d", len(n.children), tr.max)
-		}
-		if depth > 0 && len(n.children) < tr.min {
-			t.Fatalf("internal underflow: %d < %d", len(n.children), tr.min)
+			return len(n.Refs)
 		}
 		total := 0
-		for _, c := range n.children {
-			if !n.rect.ContainsRect(c.rect) {
-				t.Fatalf("node MBR %v does not contain child %v", n.rect, c.rect)
+		for i, c := range n.Refs {
+			if !n.Rects[i].Equal(mbr(tr.Node(c))) {
+				t.Fatalf("node %d: rect %v of child %d is not its MBR %v", id, n.Rects[i], c, mbr(tr.Node(c)))
 			}
-			total += walkf(c, depth+1, 0)
+			total += walk(c, depth+1)
 		}
 		return total
 	}
-	_ = walk
-	rootFlag := 1
-	if got := walkf(tr.root, 0, rootFlag); got != tr.size {
-		t.Fatalf("entry count = %d, want %d", got, tr.size)
+	if got := walk(tr.Root(), 0); got != tr.Len() {
+		t.Fatalf("entry count = %d, want %d", got, tr.Len())
+	}
+	if leafDepth+1 != tr.Height() {
+		t.Fatalf("height = %d, leaves at depth %d", tr.Height(), leafDepth)
 	}
 }
 
@@ -99,23 +90,33 @@ func TestDefaultFanout(t *testing.T) {
 }
 
 func TestNewPanicsOnBadBounds(t *testing.T) {
-	for _, c := range []struct{ min, max int }{{1, 8}, {5, 8}, {2, 3}} {
+	for _, max := range []int{0, 3} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("New(%d,%d) must panic", c.min, c.max)
+					t.Errorf("New(%d) must panic", max)
 				}
 			}()
-			New(c.min, c.max)
+			New(max)
 		}()
 	}
 }
 
+// Min fill is derived from capacity: Guttman's 40%, never below 2 nor
+// above half.
+func TestMinFill(t *testing.T) {
+	for fanout, want := range map[int]int{4: 2, 5: 2, 8: 3, 16: 6, 72: 28} {
+		if got := minFill(fanout); got != want || got > fanout/2 {
+			t.Errorf("minFill(%d) = %d, want %d", fanout, got, want)
+		}
+	}
+}
+
 func TestInsertSearchSmall(t *testing.T) {
-	tr := New(2, 4)
+	tr := New(4)
 	pts := []geom.Point{{0, 0}, {10, 10}, {5, 5}, {2, 8}, {7, 3}, {1, 1}, {9, 9}}
 	for i, p := range pts {
-		tr.Insert(Entry{Rect: geom.PointRect(p), ID: i})
+		tr.Insert(Entry{Rect: geom.PointRect(p), ID: int64(i)})
 	}
 	if tr.Len() != len(pts) {
 		t.Fatalf("Len = %d", tr.Len())
@@ -124,7 +125,7 @@ func TestInsertSearchSmall(t *testing.T) {
 
 	var got []int
 	tr.Search(geom.NewRect(geom.Point{0, 0}, geom.Point{5, 5}), func(e Entry) bool {
-		got = append(got, e.ID)
+		got = append(got, int(e.ID))
 		return true
 	})
 	sort.Ints(got)
@@ -141,7 +142,7 @@ func TestInsertSearchSmall(t *testing.T) {
 
 func TestSearchEarlyStop(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	tr := Bulk(pointEntries(rng, 100, 2, 10), 2, 8)
+	tr := Bulk(pointEntries(rng, 100, 2, 10), 8)
 	count := 0
 	tr.Search(geom.NewRect(geom.Point{0, 0}, geom.Point{10, 10}), func(e Entry) bool {
 		count++
@@ -156,8 +157,8 @@ func TestBulkMatchesInsertResults(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, n := range []int{0, 1, 3, 7, 16, 100, 500} {
 		es := randEntries(rng, n, 3, 100)
-		bulk := Bulk(append([]Entry(nil), es...), 2, 8)
-		inc := New(2, 8)
+		bulk := Bulk(append([]Entry(nil), es...), 8)
+		inc := New(8)
 		for _, e := range es {
 			inc.Insert(e)
 		}
@@ -176,7 +177,7 @@ func TestBulkMatchesInsertResults(t *testing.T) {
 			win := geom.NewRect(a, b)
 			collect := func(tr *Tree) []int {
 				var ids []int
-				tr.Search(win, func(e Entry) bool { ids = append(ids, e.ID); return true })
+				tr.Search(win, func(e Entry) bool { ids = append(ids, int(e.ID)); return true })
 				sort.Ints(ids)
 				return ids
 			}
@@ -196,7 +197,7 @@ func TestBulkMatchesInsertResults(t *testing.T) {
 func TestSearchMatchesLinearScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	es := randEntries(rng, 400, 2, 50)
-	tr := Bulk(append([]Entry(nil), es...), 4, 16)
+	tr := Bulk(append([]Entry(nil), es...), 16)
 	for k := 0; k < 50; k++ {
 		a := randPoint(rng, 2, 50)
 		b := geom.Point{a[0] + rng.Float64()*20, a[1] + rng.Float64()*20}
@@ -204,12 +205,12 @@ func TestSearchMatchesLinearScan(t *testing.T) {
 		var want []int
 		for _, e := range es {
 			if e.Rect.Intersects(win) {
-				want = append(want, e.ID)
+				want = append(want, int(e.ID))
 			}
 		}
 		sort.Ints(want)
 		var got []int
-		tr.Search(win, func(e Entry) bool { got = append(got, e.ID); return true })
+		tr.Search(win, func(e Entry) bool { got = append(got, int(e.ID)); return true })
 		sort.Ints(got)
 		if len(got) != len(want) {
 			t.Fatalf("window %v: got %d ids, want %d", win, len(got), len(want))
@@ -222,84 +223,13 @@ func TestSearchMatchesLinearScan(t *testing.T) {
 	}
 }
 
-func TestNearestAndKNNMatchLinearScan(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	es := pointEntries(rng, 300, 3, 100)
-	tr := Bulk(append([]Entry(nil), es...), 2, 6)
-	for k := 0; k < 40; k++ {
-		q := randPoint(rng, 3, 120)
-		type dc struct {
-			id int
-			d  float64
-		}
-		all := make([]dc, len(es))
-		for i, e := range es {
-			all[i] = dc{e.ID, e.Rect.MinDistPoint(q)}
-		}
-		sort.Slice(all, func(i, j int) bool { return all[i].d < all[j].d })
-
-		_, d, ok := tr.Nearest(q)
-		if !ok || math.Abs(d-all[0].d) > 1e-9 {
-			t.Fatalf("Nearest dist = %g, want %g", d, all[0].d)
-		}
-		kk := 10
-		knn := tr.KNN(q, kk)
-		if len(knn) != kk {
-			t.Fatalf("KNN returned %d", len(knn))
-		}
-		for i, e := range knn {
-			got := e.Rect.MinDistPoint(q)
-			if math.Abs(got-all[i].d) > 1e-9 {
-				t.Fatalf("KNN[%d] dist = %g, want %g", i, got, all[i].d)
-			}
-		}
-	}
-}
-
-func TestMinMaxDistMatchLinearScan(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	es := pointEntries(rng, 200, 2, 50)
-	tr := Bulk(append([]Entry(nil), es...), 2, 4) // fanout-4 local-tree config
-	for k := 0; k < 40; k++ {
-		q := randPoint(rng, 2, 80)
-		wantMin, wantMax := math.Inf(1), 0.0
-		for _, e := range es {
-			d := geom.Dist(q, e.Rect.Lo)
-			if d < wantMin {
-				wantMin = d
-			}
-			if d > wantMax {
-				wantMax = d
-			}
-		}
-		if d, ok := tr.MinDist(q); !ok || math.Abs(d-wantMin) > 1e-9 {
-			t.Fatalf("MinDist = %g, want %g", d, wantMin)
-		}
-		if d, ok := tr.MaxDist(q); !ok || math.Abs(d-wantMax) > 1e-9 {
-			t.Fatalf("MaxDist = %g, want %g", d, wantMax)
-		}
-		if _, d, ok := tr.Furthest(q); !ok || math.Abs(d-wantMax) > 1e-9 {
-			t.Fatalf("Furthest = %g, want %g", d, wantMax)
-		}
-	}
-}
-
 func TestEmptyTreeQueries(t *testing.T) {
-	tr := New(2, 4)
-	if tr.Root() != nil {
-		t.Fatal("empty tree root must be nil")
+	tr := New(4)
+	if root := tr.Node(tr.Root()); !root.Leaf || len(root.Refs) != 0 || tr.Height() != 1 {
+		t.Fatalf("empty tree root = %+v, height %d; want an entry-less leaf", root, tr.Height())
 	}
-	if _, ok := tr.Bounds(); ok {
-		t.Fatal("empty Bounds ok")
-	}
-	if _, _, ok := tr.Nearest(geom.Point{0}); ok {
-		t.Fatal("Nearest on empty")
-	}
-	if got := tr.KNN(geom.Point{0}, 3); got != nil {
-		t.Fatal("KNN on empty")
-	}
-	if _, ok := tr.MaxDist(geom.Point{0}); ok {
-		t.Fatal("MaxDist on empty")
+	if ids := tr.CollectIDs(tr.Root(), nil); len(ids) != 0 {
+		t.Fatalf("CollectIDs on empty = %v", ids)
 	}
 	tr.Search(geom.PointRect(geom.Point{0}), func(Entry) bool { t.Fatal("visited"); return false })
 	if tr.NodesAtLevel(0) != nil {
@@ -310,13 +240,13 @@ func TestEmptyTreeQueries(t *testing.T) {
 func TestDelete(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	es := pointEntries(rng, 120, 2, 30)
-	tr := New(2, 5)
+	tr := New(5)
 	for _, e := range es {
 		tr.Insert(e)
 	}
 	perm := rng.Perm(len(es))
 	for i, pi := range perm {
-		if !tr.Delete(es[pi].Rect, es[pi].ID) {
+		if !tr.Delete(es[pi]) {
 			t.Fatalf("delete %d failed", pi)
 		}
 		if tr.Len() != len(es)-i-1 {
@@ -324,21 +254,21 @@ func TestDelete(t *testing.T) {
 		}
 		checkInvariants(t, tr)
 	}
-	if tr.Delete(es[0].Rect, es[0].ID) {
+	if tr.Delete(es[0]) {
 		t.Fatal("delete on empty tree succeeded")
 	}
 }
 
 func TestDeleteMissing(t *testing.T) {
-	tr := New(2, 4)
+	tr := New(4)
 	tr.Insert(Entry{Rect: geom.PointRect(geom.Point{1, 1}), ID: 7})
-	if tr.Delete(geom.PointRect(geom.Point{1, 1}), 8) {
+	if tr.Delete(Entry{Rect: geom.PointRect(geom.Point{1, 1}), ID: 8}) {
 		t.Fatal("deleted wrong ID")
 	}
-	if tr.Delete(geom.PointRect(geom.Point{2, 2}), 7) {
+	if tr.Delete(Entry{Rect: geom.PointRect(geom.Point{2, 2}), ID: 7}) {
 		t.Fatal("deleted wrong rect")
 	}
-	if !tr.Delete(geom.PointRect(geom.Point{1, 1}), 7) {
+	if !tr.Delete(Entry{Rect: geom.PointRect(geom.Point{1, 1}), ID: 7}) {
 		t.Fatal("failed to delete present entry")
 	}
 }
@@ -346,7 +276,7 @@ func TestDeleteMissing(t *testing.T) {
 func TestNodesAtLevel(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	es := pointEntries(rng, 64, 2, 10)
-	tr := Bulk(es, 2, 4)
+	tr := Bulk(es, 4)
 	if tr.Height() < 3 {
 		t.Fatalf("expected height >= 3, got %d", tr.Height())
 	}
@@ -358,38 +288,39 @@ func TestNodesAtLevel(t *testing.T) {
 		// Union of IDs across the level must be the full entry set.
 		var ids []int
 		for _, n := range nodes {
-			ids = n.CollectIDs(ids)
+			ids = tr.CollectIDs(n.ID, ids)
+			if !n.Rect.Equal(mbr(tr.Node(n.ID))) {
+				t.Fatalf("level %d: node %d listed with rect %v, MBR %v", lvl, n.ID, n.Rect, mbr(tr.Node(n.ID)))
+			}
 		}
 		if len(ids) != tr.Len() {
 			t.Fatalf("level %d covers %d entries, want %d", lvl, len(ids), tr.Len())
 		}
 	}
-	if got := tr.NodesAtLevel(0); len(got) != 1 || got[0] != tr.Root() {
+	if got := tr.NodesAtLevel(0); len(got) != 1 || got[0].ID != tr.Root() {
 		t.Fatal("level 0 must be the root")
 	}
 }
 
 func TestBulkSingleEntryAndHeight(t *testing.T) {
 	e := Entry{Rect: geom.PointRect(geom.Point{1, 2}), ID: 0}
-	tr := Bulk([]Entry{e}, 2, 4)
+	tr := Bulk([]Entry{e}, 4)
 	if tr.Height() != 1 || tr.Len() != 1 {
 		t.Fatalf("height=%d len=%d", tr.Height(), tr.Len())
 	}
-	var got []Entry
-	got = tr.Root().CollectEntries(got)
-	if len(got) != 1 || got[0].ID != 0 {
-		t.Fatalf("CollectEntries = %v", got)
+	if got := tr.CollectIDs(tr.Root(), nil); len(got) != 1 || got[0] != 0 {
+		t.Fatalf("CollectIDs = %v", got)
 	}
 }
 
 func TestInsertGrowsHeight(t *testing.T) {
-	tr := New(2, 4)
+	tr := New(4)
 	rng := rand.New(rand.NewSource(8))
 	for i := 0; i < 100; i++ {
-		tr.Insert(Entry{Rect: geom.PointRect(randPoint(rng, 2, 100)), ID: i})
+		tr.Insert(Entry{Rect: geom.PointRect(randPoint(rng, 2, 100)), ID: int64(i)})
+		checkInvariants(t, tr)
 	}
 	if tr.Height() < 3 {
 		t.Fatalf("height = %d after 100 fanout-4 inserts", tr.Height())
 	}
-	checkInvariants(t, tr)
 }

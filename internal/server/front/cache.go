@@ -189,23 +189,31 @@ type mutation struct {
 }
 
 // sweep walks every entry once, evicting those the mutation could affect
-// and re-tagging survivors with the post-mutation epoch. It runs under
-// the Door's mutation mutex (one sweep at a time); shard locks are taken
-// one at a time, so lookups on other shards proceed concurrently — they
-// can only be answered from entries already re-tagged, because the new
-// epoch is published after the sweep finishes.
+// and re-tagging survivors from the current epoch (newTag-1) to the
+// post-mutation one. It runs under the Door's mutation mutex (one sweep at
+// a time); shard locks are taken one at a time, so lookups on other shards
+// proceed concurrently — they can only be answered from entries already
+// re-tagged, because the new epoch is published after the sweep finishes.
+//
+// An entry whose tag is not the current epoch is dead: its fill landed
+// between an earlier sweep and that sweep's epoch store, so it was never
+// tested against that mutation. No lookup can serve it, and re-tagging it
+// here would bring it back to life stale — it is dropped instead.
 func (c *resultCache) sweep(m mutation, newTag uint64) {
 	c.sweeps.Add(1)
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
 		for _, e := range sh.entries {
-			if e.affectedBy(m) {
+			switch {
+			case e.tag != newTag-1:
+				sh.removeLocked(e)
+			case e.affectedBy(m):
 				sh.removeLocked(e)
 				c.invalidations.Add(1)
-				continue
+			default:
+				e.tag = newTag
 			}
-			e.tag = newTag
 		}
 		sh.mu.Unlock()
 	}

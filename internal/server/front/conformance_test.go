@@ -68,13 +68,59 @@ func TestInvalidationConformanceDisk(t *testing.T) {
 	runConformance(t, rng, ix)
 }
 
-func runConformance(t *testing.T, rng *rand.Rand, backend mutableBackend) {
+// F+SD with queries wider than the gaps in the data: the one operator
+// whose rectangle predicate quantifies over the query's MBR rather than
+// its instances, so a shield that asked the instances kept answers the
+// inserted object belonged in. Every hot query is re-checked after every
+// insert, so a stale entry is caught at the insert that made it stale.
+func TestInvalidationConformanceWideFPlusSD(t *testing.T) {
+	rng := rand.New(rand.NewSource(45)) // stale at the parent commit by insert 20
+	around := func(id, m int, half, spread float64) *uncertain.Object {
+		cx, cy := (rng.Float64()*2-1)*half, (rng.Float64()*2-1)*half
+		pts := make([]geom.Point, m)
+		for j := range pts {
+			pts[j] = geom.Point{cx + (rng.Float64()*2-1)*spread, cy + (rng.Float64()*2-1)*spread}
+		}
+		return uncertain.MustNew(id, pts, nil)
+	}
+	objs := make([]*uncertain.Object, 200)
+	for i := range objs {
+		objs[i] = around(i+1, 4, 300, 25)
+	}
+	store, err := NewMemStore(objs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts, door := serveThroughDoor(t, store)
+	hot := make([]*uncertain.Object, 8)
+	for i := range hot {
+		hot[i] = around(0, 3, 50, 120)
+	}
+	for ins := 0; ins < 60; ins++ {
+		mustPost(t, ts.URL+"/insert", objJSON(around(50000+ins, 4, 300, 25)), http.StatusOK)
+		for i, q := range hot {
+			checkQueryByteEqual(t, ts, store, q, "F+SD", 1+i%2, queryBody(q, "F+SD", 1+i%2))
+		}
+	}
+	if st := door.Stats().Cache; st.Hits == 0 || st.Invalidations == 0 {
+		t.Fatalf("walk proved nothing: %d hits, %d invalidations", st.Hits, st.Invalidations)
+	}
+}
+
+// serveThroughDoor puts the full HTTP stack — handler, server, door —
+// in front of backend.
+func serveThroughDoor(t *testing.T, backend mutableBackend) (*httptest.Server, *Door) {
 	door := NewDoor(backend, DoorConfig{})
 	srv := server.NewBackend(door)
 	h := NewHandler(srv, door, Config{MaxInFlight: -1})
 	srv.SetFront(h)
 	ts := httptest.NewServer(h)
-	defer ts.Close()
+	t.Cleanup(ts.Close)
+	return ts, door
+}
+
+func runConformance(t *testing.T, rng *rand.Rand, backend mutableBackend) {
+	ts, door := serveThroughDoor(t, backend)
 
 	// Hot query set: a handful of repeated queries so the cache actually
 	// fills and serves — conformance over a miss-only stream would prove
@@ -190,7 +236,7 @@ func checkQueryByteEqual(t *testing.T, ts *httptest.Server, backend mutableBacke
 		t.Fatalf("query status %d", resp.StatusCode)
 	}
 
-	coreOp, _ := map[string]core.Operator{"PSD": core.PSD, "SSD": core.SSD, "FSD": core.FSD}[op], false
+	coreOp, _ := map[string]core.Operator{"PSD": core.PSD, "SSD": core.SSD, "FSD": core.FSD, "F+SD": core.FPlusSD}[op], false
 	fresh, err := backend.SearchKCtx(nil, q, coreOp, k, core.SearchOptions{Filters: core.AllFilters})
 	if err != nil {
 		t.Fatal(err)

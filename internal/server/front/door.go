@@ -192,7 +192,7 @@ func (d *Door) fill(key Key, e uint64, q *uncertain.Object, m geom.Metric, k int
 	if merr != nil {
 		return
 	}
-	shield := core.NewAnswerShield(q, m, k, res.Candidates)
+	shield := core.NewAnswerShield(q, res.Operator, m, k, res.Candidates)
 	cost := int64(len(body)) + int64(len(key)) + shieldCost(shield)
 	d.cache.put(key, res, cost, shield, ids, e)
 }

@@ -384,6 +384,24 @@ func TestDoorFillRacingMutationDropped(t *testing.T) {
 	}
 }
 
+// A fill can land after a mutation's sweep and before its epoch store:
+// the entry carries the old epoch, was never tested against that mutation,
+// and no lookup serves it. The next sweep must drop it — re-tagging it
+// along with the live entries would serve an answer one mutation stale
+// (the soak phase of the conformance suite caught it once in ~170 runs).
+func TestCacheSweepDropsDeadTags(t *testing.T) {
+	c := newResultCache(1 << 20)
+	c.put("dead", &core.Result{}, 10, nil, []int{7}, 5) // the clock already reads 6
+	c.put("live", &core.Result{}, 10, nil, []int{7}, 6)
+	c.sweep(mutation{delete: true, id: 1}, 7) // touches neither answer
+	if _, ok := c.get("dead", 7); ok {
+		t.Fatal("sweep re-tagged an entry filled across an earlier mutation")
+	}
+	if _, ok := c.get("live", 7); !ok {
+		t.Fatal("sweep dropped a current, unaffected entry")
+	}
+}
+
 func TestCacheByteBudgetEvicts(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	// Tiny budget: a few entries per shard at most.

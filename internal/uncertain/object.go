@@ -249,9 +249,9 @@ func (o *Object) LocalTree() *rtree.Tree {
 	o.treeOnce.Do(func() {
 		entries := make([]rtree.Entry, len(o.pts))
 		for i, p := range o.pts {
-			entries[i] = rtree.Entry{Rect: geom.PointRect(p), ID: i}
+			entries[i] = rtree.Entry{Rect: geom.PointRect(p), ID: int64(i)}
 		}
-		o.tree = rtree.Bulk(entries, 2, LocalTreeFanout)
+		o.tree = rtree.Bulk(entries, LocalTreeFanout)
 	})
 	return o.tree
 }

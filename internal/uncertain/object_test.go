@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"spatialdom/internal/geom"
+	"spatialdom/internal/rtree"
 )
 
 func TestNewUniform(t *testing.T) {
@@ -195,13 +196,24 @@ func TestLocalTreeAgreesWithDirectScan(t *testing.T) {
 	}
 	for k := 0; k < 20; k++ {
 		q := geom.Point{rng.Float64() * 12, rng.Float64() * 12, rng.Float64() * 12}
-		if d, _ := tr.MinDist(q); math.Abs(d-o.MinDist(q)) > 1e-9 {
-			t.Fatalf("tree MinDist = %g, scan = %g", d, o.MinDist(q))
-		}
-		if d, _ := tr.MaxDist(q); math.Abs(d-o.MaxDist(q)) > 1e-9 {
-			t.Fatalf("tree MaxDist = %g, scan = %g", d, o.MaxDist(q))
+		tmin, tmax, n := localTreeMinMax(o, q)
+		if n != len(pts) || math.Abs(tmin-o.MinDist(q)) > 1e-9 || math.Abs(tmax-o.MaxDist(q)) > 1e-9 {
+			t.Fatalf("tree: %d entries, min %g max %g; scan: %d, min %g max %g",
+				n, tmin, tmax, len(pts), o.MinDist(q), o.MaxDist(q))
 		}
 	}
+}
+
+// localTreeMinMax returns the extreme distances from q over the entries a
+// window search of the whole MBR finds in o's local tree, and their count.
+func localTreeMinMax(o *Object, q geom.Point) (dmin, dmax float64, n int) {
+	dmin = math.Inf(1)
+	o.LocalTree().Search(o.MBR(), func(e rtree.Entry) bool {
+		d := geom.Dist(q, e.Rect.Lo)
+		dmin, dmax, n = math.Min(dmin, d), math.Max(dmax, d), n+1
+		return true
+	})
+	return dmin, dmax, n
 }
 
 func TestHull(t *testing.T) {

@@ -121,12 +121,8 @@ func TestQuickLocalTreeAgrees(t *testing.T) {
 			return false
 		}
 		q := geom.Point{float64(qx % 48), float64(qy % 48)}
-		tmin, ok1 := o.LocalTree().MinDist(q)
-		tmax, ok2 := o.LocalTree().MaxDist(q)
-		if !ok1 || !ok2 {
-			return false
-		}
-		return math.Abs(tmin-o.MinDist(q)) < 1e-9 && math.Abs(tmax-o.MaxDist(q)) < 1e-9
+		tmin, tmax, n := localTreeMinMax(o, q)
+		return n == o.Len() && math.Abs(tmin-o.MinDist(q)) < 1e-9 && math.Abs(tmax-o.MaxDist(q)) < 1e-9
 	}
 	if err := quick.Check(f, quickCfg); err != nil {
 		t.Fatal(err)
