@@ -40,10 +40,14 @@ test: vet
 race:
 	$(GO) test -race ./...
 
-# check is the CI gate: formatting + vet + build + nnclint + race tests +
-# a one-shot Figure 12 and disk-cold benchmark smoke so the engine's hot
-# path stays exercised in memory and against a page file, plus a short fuzz
-# pass over the on-disk decoders and the request pipeline.
+# check is the CI gate — the steps of the CI lint and check jobs plus the
+# fuzz smoke, one list: formatting + vet + build + nnclint + race tests + a
+# one-shot Figure 12 and disk-cold benchmark smoke so the engine's hot path
+# stays exercised in memory and against a page file, the batch scaling gate
+# without the race detector (it skips under it) and the parallel-search
+# benchmarks at four procs (the only place the batch path is timed), the
+# size count, and a short fuzz pass over the on-disk decoders and the
+# request pipeline.
 check: fmt-check
 	$(GO) vet ./...
 	$(GO) build ./...
@@ -51,6 +55,9 @@ check: fmt-check
 	$(GO) test -race ./...
 	$(GO) test -run='^$$' -bench=Fig12 -benchtime=1x .
 	$(GO) test -run='^$$' -bench='SearchK/disk-cold' -benchtime=1x .
+	$(GO) test -run=TestSearchParallelScales ./internal/core
+	GOMAXPROCS=4 $(GO) test -run='^$$' -bench=ParallelSearch -benchtime=1x .
+	$(MAKE) loc
 	$(MAKE) fuzz-smoke
 
 bench:

@@ -474,10 +474,10 @@ func BenchmarkParallelSearchDisk(b *testing.B) {
 	}
 }
 
-// BenchmarkSearchParallelBatchMem — the real batch API (work-stealing
-// queue, per-worker pinned scratch) rather than the hand-rolled fan-out
-// above. One op = one 64-query batch, so ns/op is per-batch and allocs/op
-// shows the whole batch overhead: queue + scratch pinning + result slice.
+// BenchmarkSearchParallelBatchMem — the real batch API rather than the
+// hand-rolled fan-out above. One op = one 64-query batch, so ns/op is
+// per-batch and allocs/op shows the whole batch overhead: the workers and
+// the result slice.
 func BenchmarkSearchParallelBatchMem(b *testing.B) {
 	d := dataFor(b, "A-N", defaultParams(datagen.AntiCorrelated, benchN), benchMq, benchHq)
 	batch := make([]*Object, 64)

@@ -20,15 +20,6 @@ import (
 	"spatialdom/internal/uncertain"
 )
 
-var distNames = map[string]datagen.CenterDist{
-	"anti":  datagen.AntiCorrelated,
-	"indep": datagen.Independent,
-	"house": datagen.HouseLike,
-	"nba":   datagen.NBALike,
-	"gw":    datagen.GWLike,
-	"clust": datagen.Clustered,
-}
-
 func main() {
 	var (
 		n       = flag.Int("n", 1000, "number of objects")
@@ -43,9 +34,9 @@ func main() {
 	)
 	flag.Parse()
 
-	centers, ok := distNames[*dist]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown -dist %q\n", *dist)
+	centers, err := datagen.ParseCenterDist(*dist)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	ds := datagen.Generate(datagen.Params{N: *n, Dim: *d, M: *m, EdgeLen: *hd, Centers: centers, Seed: *seed})

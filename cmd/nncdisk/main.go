@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strings"
 	"text/tabwriter"
 
 	"spatialdom/internal/core"
@@ -34,10 +33,6 @@ import (
 	"spatialdom/internal/uncertain"
 	"spatialdom/internal/wal"
 )
-
-var opNames = map[string]core.Operator{
-	"ssd": core.SSD, "sssd": core.SSSD, "psd": core.PSD, "fsd": core.FSD, "f+sd": core.FPlusSD,
-}
 
 func main() {
 	if len(os.Args) > 1 {
@@ -131,9 +126,9 @@ func main() {
 
 	ops := []core.Operator{core.SSD, core.SSSD, core.PSD, core.FSD, core.FPlusSD}
 	if *op != "all" {
-		o, ok := opNames[strings.ToLower(*op)]
-		if !ok {
-			fatal(fmt.Errorf("unknown -op %q", *op))
+		o, err := core.ParseOperator(*op)
+		if err != nil {
+			fatal(err)
 		}
 		ops = []core.Operator{o}
 	}

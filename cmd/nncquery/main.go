@@ -29,19 +29,6 @@ import (
 	"spatialdom/internal/uncertain"
 )
 
-var distNames = map[string]datagen.CenterDist{
-	"anti":  datagen.AntiCorrelated,
-	"indep": datagen.Independent,
-	"house": datagen.HouseLike,
-	"nba":   datagen.NBALike,
-	"gw":    datagen.GWLike,
-	"clust": datagen.Clustered,
-}
-
-var opNames = map[string]core.Operator{
-	"ssd": core.SSD, "sssd": core.SSSD, "psd": core.PSD, "fsd": core.FSD, "f+sd": core.FPlusSD,
-}
-
 func main() {
 	var (
 		n           = flag.Int("n", 1000, "number of objects")
@@ -78,9 +65,9 @@ func main() {
 		}
 		label = *input
 	} else {
-		centers, ok := distNames[*dist]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown -dist %q\n", *dist)
+		centers, err := datagen.ParseCenterDist(*dist)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
 		ds := datagen.Generate(datagen.Params{N: *n, M: *m, EdgeLen: *hd, Centers: centers, Seed: *seed})
@@ -112,9 +99,9 @@ func main() {
 
 	ops := []core.Operator{core.SSD, core.SSSD, core.PSD, core.FSD, core.FPlusSD}
 	if *op != "all" {
-		o, ok := opNames[strings.ToLower(*op)]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown -op %q\n", *op)
+		o, err := core.ParseOperator(*op)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
 		ops = []core.Operator{o}

@@ -73,15 +73,6 @@ import (
 	"spatialdom/internal/uncertain"
 )
 
-var distNames = map[string]datagen.CenterDist{
-	"anti":  datagen.AntiCorrelated,
-	"indep": datagen.Independent,
-	"house": datagen.HouseLike,
-	"nba":   datagen.NBALike,
-	"gw":    datagen.GWLike,
-	"clust": datagen.Clustered,
-}
-
 func main() {
 	var (
 		addr    = flag.String("addr", ":8080", "listen address")
@@ -239,9 +230,9 @@ func main() {
 			}
 			log.Printf("loaded %d objects from %s", len(objs), *input)
 		} else {
-			centers, ok := distNames[*dist]
-			if !ok {
-				log.Fatalf("unknown -dist %q", *dist)
+			centers, err := datagen.ParseCenterDist(*dist)
+			if err != nil {
+				log.Fatal(err)
 			}
 			ds := datagen.Generate(datagen.Params{N: *n, M: *m, Centers: centers, Seed: *seed})
 			objs = ds.Objects

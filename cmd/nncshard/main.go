@@ -30,15 +30,6 @@ import (
 	"spatialdom/internal/uncertain"
 )
 
-var distNames = map[string]datagen.CenterDist{
-	"anti":  datagen.AntiCorrelated,
-	"indep": datagen.Independent,
-	"house": datagen.HouseLike,
-	"nba":   datagen.NBALike,
-	"gw":    datagen.GWLike,
-	"clust": datagen.Clustered,
-}
-
 // manifest is the sidecar written next to the shard files.
 type manifest struct {
 	Shards  int      `json:"shards"`
@@ -76,9 +67,9 @@ func main() {
 		source = *input
 		log.Printf("loaded %d objects from %s", len(objs), *input)
 	} else {
-		centers, ok := distNames[*dist]
-		if !ok {
-			log.Fatalf("unknown -dist %q", *dist)
+		centers, err := datagen.ParseCenterDist(*dist)
+		if err != nil {
+			log.Fatal(err)
 		}
 		ds := datagen.Generate(datagen.Params{N: *n, M: *m, Centers: centers, Seed: *seed})
 		objs = ds.Objects

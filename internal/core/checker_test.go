@@ -320,9 +320,24 @@ func TestOperatorString(t *testing.T) {
 		if op.String() != s {
 			t.Fatalf("%d String = %q", int(op), op.String())
 		}
+		if got, err := ParseOperator(s); err != nil || got != op {
+			t.Fatalf("ParseOperator(%q) = %v, %v", s, got, err)
+		}
 	}
 	if Operator(99).String() != "Operator(99)" {
 		t.Fatal("unknown operator String")
+	}
+	// The spellings the HTTP API and the command-line tools have always
+	// taken: any case, surrounding space, FPLUSSD for F+SD — and no default.
+	for s, op := range map[string]Operator{"ssd": SSD, " Sssd ": SSSD, "f+sd": FPlusSD, "fplussd": FPlusSD} {
+		if got, err := ParseOperator(s); err != nil || got != op {
+			t.Fatalf("ParseOperator(%q) = %v, %v", s, got, err)
+		}
+	}
+	for _, s := range []string{"", "all", "Operator(99)"} {
+		if _, err := ParseOperator(s); err == nil {
+			t.Fatalf("ParseOperator(%q) accepted", s)
+		}
 	}
 }
 

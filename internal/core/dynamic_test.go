@@ -181,11 +181,14 @@ func TestInsertGrowsDenseSpan(t *testing.T) {
 	if got := idx.DenseIDSpan(); got != len(objs) {
 		t.Fatalf("built span = %d, want %d", got, len(objs))
 	}
-	// A scratch pinned the way a batch worker pins one: sync.Pool drops
-	// entries at random under the race detector, and a dropped scratch is
-	// a dozen allocations that have nothing to do with the span.
-	ctx := withPinnedScratch(context.Background(), new(searchScratch))
-	search := func() { idx.SearchKCtx(ctx, q, PSD, 1, SearchOptions{Filters: AllFilters}) }
+	// One scratch held across the runs instead of the pool's: sync.Pool
+	// drops entries at random under the race detector, and a dropped
+	// scratch is a dozen allocations that have nothing to do with the span.
+	sc := new(searchScratch)
+	search := func() {
+		searchBackend(context.Background(), sc, idx, q, PSD, 1, SearchOptions{Filters: AllFilters})
+		sc.clear()
+	}
 	search() // warm the scratch
 	before := testing.AllocsPerRun(20, search)
 

@@ -313,6 +313,14 @@ func (sc *searchScratch) release() {
 // that many candidates; because emission is progressive, the truncated
 // prefix equals the same prefix of the full search.
 func SearchBackend(ctx context.Context, b Backend, q *uncertain.Object, op Operator, k int, opts SearchOptions) (*Result, error) {
+	sc := scratchPool.Get().(*searchScratch)
+	defer sc.release()
+	return searchBackend(ctx, sc, b, q, op, k, opts)
+}
+
+// searchBackend is SearchBackend over a scratch the caller owns: it leaves
+// sc dirty (the caller clears or releases it) and keeps nothing of it.
+func searchBackend(ctx context.Context, sc *searchScratch, b Backend, q *uncertain.Object, op Operator, k int, opts SearchOptions) (*Result, error) {
 	if k < 1 {
 		panic("core: SearchBackend requires k >= 1")
 	}
@@ -330,14 +338,6 @@ func SearchBackend(ctx context.Context, b Backend, q *uncertain.Object, op Opera
 		return nil, err
 	}
 
-	// A batch worker arrives with its own scratch pinned in the context
-	// (see SearchParallel): that scratch backs every query the worker
-	// runs, with no pool traffic and no cross-core arena migration.
-	// Single-shot searches fall back to the shared pool.
-	sc, pinned := pinnedScratch(ctx)
-	if !pinned {
-		sc = scratchPool.Get().(*searchScratch)
-	}
 	if ds, ok := b.(DenseIDSpanner); ok {
 		sc.check.setDenseSpan(ds.DenseIDSpan())
 	}
@@ -345,14 +345,7 @@ func SearchBackend(ctx context.Context, b Backend, q *uncertain.Object, op Opera
 	h := &sc.heap
 	batch := sc.batch
 	band := &sc.band
-	defer func() {
-		sc.batch = batch
-		if pinned {
-			sc.clear() // the batch worker keeps it for its next query
-		} else {
-			sc.release()
-		}
-	}()
+	defer func() { sc.batch = batch }()
 
 	finish := func() {
 		res.Elapsed = time.Since(start)

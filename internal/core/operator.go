@@ -10,7 +10,10 @@
 // (Theorems 5–7); F-SD is correct but not complete (Theorem 8).
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Operator selects a spatial dominance operator.
 type Operator int
@@ -54,6 +57,25 @@ func (op Operator) String() string {
 	default:
 		return fmt.Sprintf("Operator(%d)", int(op))
 	}
+}
+
+// ParseOperator inverts String: it maps an operator name to its Operator,
+// ignoring case and surrounding space. "FPLUSSD" is accepted for F+SD where
+// a plus sign is awkward to type.
+func ParseOperator(s string) (Operator, error) {
+	switch strings.ToUpper(strings.TrimSpace(s)) {
+	case "SSD":
+		return SSD, nil
+	case "SSSD":
+		return SSSD, nil
+	case "PSD":
+		return PSD, nil
+	case "FSD":
+		return FSD, nil
+	case "F+SD", "FPLUSSD":
+		return FPlusSD, nil
+	}
+	return 0, fmt.Errorf("unknown operator %q", s)
 }
 
 // Covers reports whether op2 covers op (op ⊂ op2): dominance under op

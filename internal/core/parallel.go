@@ -1,17 +1,18 @@
 package core
 
 // Parallel batch search: queries are independent (each search builds its
-// own Checker and scratch, and both built-in backends are internally
-// sharded), so a query batch is embarrassingly parallel. This file is the
-// one fan-out loop every caller shares — the public API and the HTTP
-// server's batch endpoint both funnel through it. The contention
-// machinery it leans on (per-worker scratch affinity, the work-stealing
-// segment queue, batch admission) lives in batch.go.
+// own Checker on its own pooled scratch, and both built-in backends are
+// internally sharded), so a query batch is embarrassingly parallel. This
+// file is the one fan-out loop every caller shares — the public API and
+// the HTTP server's batch endpoint both funnel through it — and the
+// admission gate that keeps one batch from starving the rest of the
+// process.
 
 import (
 	"context"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"spatialdom/internal/uncertain"
 )
@@ -36,12 +37,10 @@ type BatchOptions struct {
 }
 
 // SearchParallel runs one search per query, fanned out over bo.Workers
-// goroutines, and returns the results in input order. Each worker
-// goroutine is pinned to one engine scratch for the whole batch (no
-// per-query pool traffic), owns a contiguous segment of the query slice on
-// a private cache line, and steals single queries from the back of the
-// fullest remaining segment once its own is drained — heavy PSD queries at
-// the tail shed work instead of convoying the batch.
+// goroutines, and returns the results in input order. Workers claim the
+// next query index from one shared counter: a search costs half a
+// millisecond or more, so neither that contended add nor the scratch
+// pool's Get/Put per query is measurable beside it (DESIGN.md §2f).
 //
 // The first hard search error cancels the remaining work and is returned
 // with the partial results (nil at unfinished positions). Cancelling ctx
@@ -69,27 +68,19 @@ func SearchParallel(ctx context.Context, s KSearcher, queries []*uncertain.Objec
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	queue := newWorkQueue(len(queries), workers)
-	scratches := acquireScratches(workers)
-	defer releaseScratches(scratches)
-
 	var (
+		next     atomic.Int64
 		wg       sync.WaitGroup
 		errOnce  sync.Once
 		firstErr error
 	)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			// One context per worker: it carries the worker's pinned
-			// scratch to every SearchBackend call the searcher makes on
-			// this goroutine.
-			//nnc:allow scratch-escape: batch-scoped affinity — the worker holds its scratch for the whole batch and wg.Wait() runs before releaseScratches returns them to the pool
-			wctx := withPinnedScratch(ctx, scratches[w])
 			for {
-				i, ok := queue.next(w)
-				if !ok || ctx.Err() != nil {
+				i := int(next.Add(1)) - 1
+				if i >= len(queries) || ctx.Err() != nil {
 					return
 				}
 				if bo.Admission != nil {
@@ -97,7 +88,7 @@ func SearchParallel(ctx context.Context, s KSearcher, queries []*uncertain.Objec
 						return // batch canceled while waiting for a token
 					}
 				}
-				res, err := s.SearchKCtx(wctx, queries[i], op, k, opts)
+				res, err := s.SearchKCtx(ctx, queries[i], op, k, opts)
 				if bo.Admission != nil {
 					bo.Admission.release()
 				}
@@ -114,8 +105,70 @@ func SearchParallel(ctx context.Context, s KSearcher, queries []*uncertain.Objec
 				}
 				results[i] = res
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	return results, firstErr
 }
+
+// Admission is a token bucket shared across SearchParallel batches: each
+// worker holds one token per executing query, so the total number of
+// batch-path searches running at once never exceeds the limit and
+// concurrent batches interleave at query granularity — a 10,000-query
+// batch cannot lock a 3-query batch (or the process's other work) out of
+// the CPUs for its whole duration. A nil *Admission admits everything.
+type Admission struct {
+	tokens chan struct{}
+}
+
+// NewAdmission builds an admission gate that lets at most limit batch
+// queries execute concurrently; limit < 1 is clamped to 1.
+func NewAdmission(limit int) *Admission {
+	if limit < 1 {
+		limit = 1
+	}
+	a := &Admission{tokens: make(chan struct{}, limit)}
+	for i := 0; i < limit; i++ {
+		a.tokens <- struct{}{}
+	}
+	return a
+}
+
+// Limit reports the gate's concurrent-query capacity.
+func (a *Admission) Limit() int { return cap(a.tokens) }
+
+// acquire blocks until a token is free or ctx is done.
+func (a *Admission) acquire(ctx context.Context) error {
+	select {
+	case <-a.tokens:
+		return nil
+	default:
+	}
+	select {
+	case <-a.tokens:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// release returns a token taken by acquire.
+func (a *Admission) release() { a.tokens <- struct{}{} }
+
+// TryAcquire claims a token without blocking. It exists for callers that
+// shed load instead of queueing — a serving tier that answers 429 when
+// the gate is full must never park a request goroutine here.
+func (a *Admission) TryAcquire() bool {
+	select {
+	case <-a.tokens:
+		return true
+	default:
+		return false
+	}
+}
+
+// Release returns a token claimed by TryAcquire.
+func (a *Admission) Release() { a.release() }
+
+// InFlight reports how many tokens are currently held.
+func (a *Admission) InFlight() int { return cap(a.tokens) - len(a.tokens) }

@@ -1,8 +1,7 @@
 package core
 
-// SearchParallel under real contention: more workers than GOMAXPROCS, a
-// mix of heavy and light queries (so the work-stealing path actually
-// fires), run under -race by `make check`. The assertions are the batch
+// SearchParallel under real contention: more workers than GOMAXPROCS and a
+// mix of heavy and light queries, run under -race by `make check`. The assertions are the batch
 // contract: results land in input order, exactly one hard error cancels
 // the batch, and degraded (PartialResultError) slots survive alongside
 // clean ones.
@@ -11,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"runtime/debug"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -165,19 +165,37 @@ func TestSearchParallelMatchesSerialOnRealIndex(t *testing.T) {
 	}
 }
 
-// TestSearchParallelScales catches serialisation of the read path: four
-// workers over the real in-memory index must clear twice the one-worker
-// throughput (best of three batches each). A shared lock or a contended
-// pool on the search path shows up as a speed-up near 1×; drift in the
-// absolute numbers is the benchmark's job, not this test's. For where
+// TestSearchParallelScales catches serialisation of the read path: over
+// the real in-memory index, four workers must clear twice the one-worker
+// throughput where there are four procs, and two workers 1.25× where there
+// are two or three. A shared lock or a contended pool on the search path
+// shows up as a speed-up near 1×; drift in the absolute numbers is the
+// benchmark's job, not this test's. Each side is the best of three batches,
+// and of as many more as fit in scaleBudget while the gate is not met: a
+// batch is a few milliseconds, so under `go test ./...`, where a sibling
+// package's tests hold a proc, only some batches run undisturbed and the
+// minimum needs more of them to find one — a real serialisation stays near
+// 1× however many are taken. Under the race detector a batch is twenty
+// times longer, no batch runs undisturbed, and the test skips. For where
 // the goroutines wait, run
 // `go test -bench ParallelSearch -mutexprofile m.prof -blockprofile b.prof .`.
 func TestSearchParallelScales(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
 	}
-	if p := runtime.GOMAXPROCS(0); p < 4 {
-		t.Skipf("GOMAXPROCS=%d: four workers need four procs to show a speed-up", p)
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("timing test: the race detector's instrumentation is what it would measure")
+			}
+		}
+	}
+	workers, want := 4, 2.0
+	switch p := runtime.GOMAXPROCS(0); {
+	case p < 2:
+		t.Skipf("GOMAXPROCS=%d: a speed-up needs a second proc", p)
+	case p < 4:
+		workers, want = 2, 1.25
 	}
 	idx, ds := engineFixture(t, 600, 61)
 	queries := ds.Queries(96, 5, 250, 62)
@@ -189,13 +207,15 @@ func TestSearchParallelScales(t *testing.T) {
 		}
 		return time.Since(start).Seconds()
 	}
-	batchSeconds(4) // warm the scratch pool
-	one, four := batchSeconds(1), batchSeconds(4)
-	for round := 1; round < 3; round++ {
-		one, four = min(one, batchSeconds(1)), min(four, batchSeconds(4))
+	batchSeconds(workers) // warm the scratch pool
+	const scaleBudget = 3 * time.Second
+	start := time.Now()
+	one, many := batchSeconds(1), batchSeconds(workers)
+	for round := 1; round < 3 || (one/many < want && time.Since(start) < scaleBudget); round++ {
+		one, many = min(one, batchSeconds(1)), min(many, batchSeconds(workers))
 	}
-	if speedup := one / four; speedup < 2 {
-		t.Fatalf("4 workers ran the batch in %.1f ms, 1 worker in %.1f ms: speed-up %.2fx, want >= 2x",
-			four*1e3, one*1e3, speedup)
+	if speedup := one / many; speedup < want {
+		t.Fatalf("%d workers ran the batch in %.1f ms, 1 worker in %.1f ms: speed-up %.2fx, want >= %.2fx",
+			workers, many*1e3, one*1e3, speedup, want)
 	}
 }

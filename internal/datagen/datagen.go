@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 
 	"spatialdom/internal/geom"
 	"spatialdom/internal/uncertain"
@@ -69,6 +70,27 @@ func (c CenterDist) String() string {
 	}
 }
 
+// ParseCenterDist maps a dataset name — the short spelling the command-line
+// tools take (anti, indep, clust, house, nba, gw) or the figure tag String
+// returns — to its CenterDist, ignoring case and surrounding space.
+func ParseCenterDist(s string) (CenterDist, error) {
+	switch strings.ToLower(strings.TrimSpace(s)) {
+	case "indep", "e-n":
+		return Independent, nil
+	case "anti", "a-n":
+		return AntiCorrelated, nil
+	case "clust":
+		return Clustered, nil
+	case "house":
+		return HouseLike, nil
+	case "nba":
+		return NBALike, nil
+	case "gw":
+		return GWLike, nil
+	}
+	return 0, fmt.Errorf("unknown dataset %q", s)
+}
+
 // Params mirrors Table 2 of the paper.
 type Params struct {
 	// N is the number of objects (paper default 100k; scale down for the
@@ -82,7 +104,9 @@ type Params struct {
 	// EdgeLen is the expected MBB edge length h_d (default 400); actual
 	// per-object edges are uniform in (0, 2·EdgeLen].
 	EdgeLen float64
-	// Centers selects the center distribution (default AntiCorrelated).
+	// Centers selects the center distribution. The zero value is
+	// Independent and withDefaults leaves it alone: the paper's default,
+	// AntiCorrelated, must be asked for.
 	Centers CenterDist
 	// Clusters is the mixture size for Clustered/GWLike (default 20).
 	Clusters int

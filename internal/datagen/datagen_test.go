@@ -191,9 +191,24 @@ func TestCenterDistString(t *testing.T) {
 		if c.String() != want {
 			t.Fatalf("%d String = %q, want %q", int(c), c.String(), want)
 		}
+		if got, err := ParseCenterDist(want); err != nil || got != c {
+			t.Fatalf("ParseCenterDist(%q) = %v, %v", want, got, err)
+		}
 	}
 	if CenterDist(42).String() == "" {
 		t.Fatal("unknown CenterDist String empty")
+	}
+	// The -dist spellings of the command-line tools.
+	for s, c := range map[string]CenterDist{
+		"anti": AntiCorrelated, "indep": Independent, "house": HouseLike,
+		"nba": NBALike, "gw": GWLike, "clust": Clustered, " Anti ": AntiCorrelated,
+	} {
+		if got, err := ParseCenterDist(s); err != nil || got != c {
+			t.Fatalf("ParseCenterDist(%q) = %v, %v", s, got, err)
+		}
+	}
+	if _, err := ParseCenterDist("uniform"); err == nil {
+		t.Fatal("ParseCenterDist accepted an unknown name")
 	}
 }
 

@@ -23,37 +23,31 @@ import (
 // runSearches-style helpers that report allocs on the sub-benchmark's
 // behalf).
 func checkBenchHygiene(prog *Program, r *Reporter) {
-	for _, pkg := range prog.TestASTs {
-		// Same-package helpers the benchmarks may delegate to, by name.
-		helpers := map[string]*ast.FuncDecl{}
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil && fd.Body != nil {
-					helpers[fd.Name.Name] = fd
-				}
-			}
+	// Same-package helpers the benchmarks may delegate to, by name.
+	helpers := map[*Package]map[string]*ast.FuncDecl{}
+	eachFunc(prog.TestASTs, func(pkg *Package, fd *ast.FuncDecl) {
+		if fd.Recv != nil {
+			return
 		}
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil || fd.Recv != nil {
-					continue
-				}
-				if !isBenchmarkDecl(fd) {
-					continue
-				}
-				if !reachesMethodCall(fd, "ReportAllocs", helpers, map[*ast.FuncDecl]bool{}) {
-					r.Report(fd.Pos(), "bench-hygiene",
-						fmt.Sprintf("%s never calls b.ReportAllocs(); allocation regressions would be invisible in this benchmark", fd.Name.Name))
-				}
-				if reachesMethodCall(fd, "RunParallel", helpers, map[*ast.FuncDecl]bool{}) &&
-					!reachesMethodCall(fd, "SetParallelism", helpers, map[*ast.FuncDecl]bool{}) {
-					r.Report(fd.Pos(), "bench-hygiene",
-						fmt.Sprintf("%s uses b.RunParallel without b.SetParallelism; the contention level then depends on GOMAXPROCS and the numbers are not comparable across machines", fd.Name.Name))
-				}
-			}
+		if helpers[pkg] == nil {
+			helpers[pkg] = map[string]*ast.FuncDecl{}
 		}
-	}
+		helpers[pkg][fd.Name.Name] = fd
+	})
+	eachFunc(prog.TestASTs, func(pkg *Package, fd *ast.FuncDecl) {
+		if fd.Recv != nil || !isBenchmarkDecl(fd) {
+			return
+		}
+		if !reachesMethodCall(fd, "ReportAllocs", helpers[pkg], map[*ast.FuncDecl]bool{}) {
+			r.Report(fd.Pos(), "bench-hygiene",
+				fmt.Sprintf("%s never calls b.ReportAllocs(); allocation regressions would be invisible in this benchmark", fd.Name.Name))
+		}
+		if reachesMethodCall(fd, "RunParallel", helpers[pkg], map[*ast.FuncDecl]bool{}) &&
+			!reachesMethodCall(fd, "SetParallelism", helpers[pkg], map[*ast.FuncDecl]bool{}) {
+			r.Report(fd.Pos(), "bench-hygiene",
+				fmt.Sprintf("%s uses b.RunParallel without b.SetParallelism; the contention level then depends on GOMAXPROCS and the numbers are not comparable across machines", fd.Name.Name))
+		}
+	})
 }
 
 // reachesMethodCall walks fd's body looking for a <recv>.method() call,
@@ -64,26 +58,10 @@ func reachesMethodCall(fd *ast.FuncDecl, method string, helpers map[string]*ast.
 		return false
 	}
 	seen[fd] = true
-	if callsMethod(fd.Body, method) {
-		return true
-	}
-	found := false
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if id, ok := call.Fun.(*ast.Ident); ok {
-			if callee, ok := helpers[id.Name]; ok && reachesMethodCall(callee, method, helpers, seen) {
-				found = true
-			}
-		}
-		return true
+	return callsMethod(fd.Body, method) || anyCall(fd.Body, func(call *ast.CallExpr) bool {
+		id, ok := call.Fun.(*ast.Ident)
+		return ok && helpers[id.Name] != nil && reachesMethodCall(helpers[id.Name], method, helpers, seen)
 	})
-	return found
 }
 
 // isBenchmarkDecl matches func BenchmarkXxx(b *testing.B) syntactically.
@@ -110,19 +88,8 @@ func isBenchmarkDecl(fd *ast.FuncDecl) bool {
 
 // callsMethod reports whether body contains any <x>.method(...) call.
 func callsMethod(body *ast.BlockStmt, method string) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == method {
-			found = true
-		}
-		return true
+	return anyCall(body, func(call *ast.CallExpr) bool {
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		return ok && sel.Sel.Name == method
 	})
-	return found
 }

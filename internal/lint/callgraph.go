@@ -63,97 +63,69 @@ func directiveOn(decl *ast.FuncDecl, directive string) (rest string, ok bool) {
 	return "", false
 }
 
-// NewFuncIndex indexes every function declaration in the program's
-// type-checked packages.
+// NewFuncIndex indexes every function declaration with a body in the
+// program's type-checked packages.
 func NewFuncIndex(prog *Program) *FuncIndex {
 	idx := &FuncIndex{ByObj: map[*types.Func]*FuncInfo{}}
-	for _, pkg := range prog.Pkgs {
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok {
-					continue
-				}
-				fi := &FuncInfo{Pkg: pkg, Decl: fd}
-				if obj, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
-					fi.Obj = obj
-					idx.ByObj[obj] = fi
-				}
-				_, fi.Hotpath = directiveOn(fd, hotpathDirective)
-				fi.ColdWhy, fi.Coldpath = directiveOn(fd, coldpathDirective)
-				idx.All = append(idx.All, fi)
-			}
+	eachFunc(prog.Pkgs, func(pkg *Package, fd *ast.FuncDecl) {
+		fi := &FuncInfo{Pkg: pkg, Decl: fd}
+		if obj, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
+			fi.Obj = obj
+			idx.ByObj[obj] = fi
 		}
-	}
+		_, fi.Hotpath = directiveOn(fd, hotpathDirective)
+		fi.ColdWhy, fi.Coldpath = directiveOn(fd, coldpathDirective)
+		idx.All = append(idx.All, fi)
+	})
 	return idx
 }
 
-// CalleeOf statically resolves the callee of a call expression to its
-// declared *types.Func, if the target is a concrete function or method in
-// the module (not an interface method, function value, or builtin). Generic
-// instantiations resolve to their origin declaration.
-func CalleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
+// calleeFunc resolves the function object a call names — a plain or
+// package-qualified function, a method (interface methods included), or a
+// generic instantiation — and, for a method call, its selection.
+func calleeFunc(info *types.Info, call *ast.CallExpr) (*types.Func, *types.Selection) {
+	fun := ast.Unparen(call.Fun)
+	switch idx := fun.(type) { // generic instantiation F[T](...)
+	case *ast.IndexExpr:
+		fun = ast.Unparen(idx.X)
+	case *ast.IndexListExpr:
+		fun = ast.Unparen(idx.X)
+	}
+	switch fun := fun.(type) {
 	case *ast.Ident:
-		if fn, ok := info.Uses[fun].(*types.Func); ok {
-			return fn.Origin()
-		}
+		fn, _ := info.Uses[fun].(*types.Func)
+		return fn, nil
 	case *ast.SelectorExpr:
 		if sel, ok := info.Selections[fun]; ok {
-			fn, ok := sel.Obj().(*types.Func)
-			if !ok {
-				return nil
-			}
-			// Interface dispatch cannot be resolved statically; callers
-			// that care (hotpath-alloc) treat it as a walk boundary.
-			if types.IsInterface(sel.Recv()) {
-				return nil
-			}
-			return fn.Origin()
+			fn, _ := sel.Obj().(*types.Func)
+			return fn, sel
 		}
-		// Package-qualified call: pkg.Fn.
-		if fn, ok := info.Uses[fun.Sel].(*types.Func); ok {
-			return fn.Origin()
-		}
-	case *ast.IndexExpr: // generic instantiation F[T](...)
-		if id, ok := ast.Unparen(fun.X).(*ast.Ident); ok {
-			if fn, ok := info.Uses[id].(*types.Func); ok {
-				return fn.Origin()
-			}
-		}
-	case *ast.IndexListExpr:
-		if id, ok := ast.Unparen(fun.X).(*ast.Ident); ok {
-			if fn, ok := info.Uses[id].(*types.Func); ok {
-				return fn.Origin()
-			}
-		}
+		fn, _ := info.Uses[fun.Sel].(*types.Func) // pkg.Fn
+		return fn, nil
 	}
-	return nil
+	return nil, nil
+}
+
+// CalleeOf statically resolves the callee of a call expression to its
+// declared *types.Func, if the target is a concrete function or method
+// (not an interface method, function value, or builtin). Generic
+// instantiations resolve to their origin declaration. Interface dispatch
+// cannot be resolved statically; callers that care (hotpath-alloc) treat
+// it as a walk boundary.
+func CalleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
+	fn, sel := calleeFunc(info, call)
+	if fn == nil || (sel != nil && types.IsInterface(sel.Recv())) {
+		return nil
+	}
+	return fn.Origin()
 }
 
 // calleePathQual returns the import path and name of a called function for
 // denylist matching (e.g. "fmt", "Sprintf"), or "" if unresolvable. Works
-// for any call target with a types.Func object, including stdlib.
+// for any call target with a types.Func object, including stdlib and
+// interface methods.
 func calleePathQual(info *types.Info, call *ast.CallExpr) (pkgPath, name string) {
-	var fn *types.Func
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ = info.Uses[fun].(*types.Func)
-	case *ast.SelectorExpr:
-		if sel, ok := info.Selections[fun]; ok {
-			fn, _ = sel.Obj().(*types.Func)
-		} else {
-			fn, _ = info.Uses[fun.Sel].(*types.Func)
-		}
-	case *ast.IndexExpr:
-		if id, ok := ast.Unparen(fun.X).(*ast.Ident); ok {
-			fn, _ = info.Uses[id].(*types.Func)
-		}
-	case *ast.IndexListExpr:
-		if id, ok := ast.Unparen(fun.X).(*ast.Ident); ok {
-			fn, _ = info.Uses[id].(*types.Func)
-		}
-	}
+	fn, _ := calleeFunc(info, call)
 	if fn == nil || fn.Pkg() == nil {
 		return "", ""
 	}

@@ -32,7 +32,7 @@ func checkCtxFlow(prog *Program, r *Reporter) {
 	reachesIO := map[*types.Func]bool{}
 	callers := map[*types.Func][]*types.Func{} // callee -> callers
 	for _, fi := range idx.All {
-		if fi.Obj == nil || fi.Decl.Body == nil {
+		if fi.Obj == nil {
 			continue
 		}
 		if directIO(fi) {
@@ -70,15 +70,15 @@ func checkCtxFlow(prog *Program, r *Reporter) {
 		if fi.Obj == nil {
 			continue
 		}
-		if fi.Decl.Body != nil && sleepScopedPkg(fi.Pkg.ImportPath) {
+		if inScope(fi.Pkg.ImportPath, sleepScope) {
 			reportSleepInLoops(fi, r)
 		}
-		if !ctxScopedPkg(fi.Pkg.ImportPath) {
+		if !inScope(fi.Pkg.ImportPath, ctxScope) {
 			continue
 		}
 		ctxParam := ctxParamOf(fi)
 
-		if ctxParam != nil && fi.Decl.Body != nil {
+		if ctxParam != nil {
 			if !identUsed(fi.Pkg.Info, fi.Decl.Body, ctxParam) {
 				r.Report(fi.Decl.Pos(), "ctx-flow",
 					fmt.Sprintf("%s takes a context.Context but never uses it; forward it to callees or drop the parameter", fi.Name()))
@@ -93,23 +93,15 @@ func checkCtxFlow(prog *Program, r *Reporter) {
 	}
 }
 
-// ctxScopedPkg includes internal/lint itself: `make lint` loads the whole
+// ctxScope includes internal/lint itself: `make lint` loads the whole
 // module, so the analyzer's own API is held to the ctx-flow (and
-// error-taxonomy) rules it enforces on everyone else.
-func ctxScopedPkg(path string) bool {
-	seg := path[strings.LastIndex(path, "/")+1:]
-	return seg == "core" || seg == "diskindex" || seg == "server" || seg == "front" ||
-		seg == "cluster" || seg == "lint" ||
-		strings.Contains(path, "ctxflow") || strings.Contains(path, "clusterctx")
-}
-
-// sleepScopedPkg widens the ctx-scoped set with the storage substrate,
-// whose retry/backoff loops are exactly where an uncancellable sleep would
-// pin a query past its deadline.
-func sleepScopedPkg(path string) bool {
-	seg := path[strings.LastIndex(path, "/")+1:]
-	return ctxScopedPkg(path) || seg == "pager" || seg == "faults"
-}
+// error-taxonomy) rules it enforces on everyone else. sleepScope widens it
+// with the storage substrate, whose retry/backoff loops are exactly where
+// an uncancellable sleep would pin a query past its deadline.
+var (
+	ctxScope   = []string{"core", "diskindex", "server", "front", "cluster", "lint", "ctxflow", "clusterctx"}
+	sleepScope = append([]string{"pager", "faults"}, ctxScope...)
+)
 
 // httpClientMethods are net/http's blocking request entry points. A shard
 // RPC is I/O exactly like a page read: issuing one without the caller's
@@ -130,48 +122,16 @@ var httpClientMethods = map[string]bool{
 // primitive (pager page/file transfer or store record access) or issues
 // an HTTP request (a shard RPC).
 func directIO(fi *FuncInfo) bool {
-	if fi.Decl.Body == nil {
-		return false
-	}
-	info := fi.Pkg.Info
-	found := false
-	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
-		if found {
+	return anyCall(fi.Decl.Body, func(call *ast.CallExpr) bool {
+		if _, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); !ok {
 			return false
 		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		name := sel.Sel.Name
-		if !ioMethods[name] && !httpClientMethods[name] {
-			return true
-		}
-		var fn *types.Func
-		if selection, ok := info.Selections[sel]; ok {
-			fn, _ = selection.Obj().(*types.Func)
-		} else {
-			// Package-qualified call (http.Get, http.Post, ...).
-			fn, _ = info.Uses[sel.Sel].(*types.Func)
-		}
-		if fn == nil || fn.Pkg() == nil {
-			return true
-		}
-		path := fn.Pkg().Path()
-		switch {
-		case ioMethods[name] &&
-			(strings.Contains(path, "/pager") || strings.Contains(path, "/diskindex") || strings.Contains(path, "ctxflow")):
-			found = true
-		case httpClientMethods[name] && (path == "net/http" || strings.Contains(path, "clusterctx")):
-			found = true
-		}
-		return true
+		// A package-qualified call (http.Get, http.Post, ...) resolves
+		// like a method.
+		path, name := calleePathQual(fi.Pkg.Info, call)
+		return ioMethods[name] && containsAny(path, "/pager", "/diskindex", "ctxflow") ||
+			httpClientMethods[name] && (path == "net/http" || strings.Contains(path, "clusterctx"))
 	})
-	return found
 }
 
 // ctxParamOf returns the *types.Var of the function's context.Context

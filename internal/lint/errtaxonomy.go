@@ -24,62 +24,40 @@ import (
 //
 // internal/lint is in both scopes: the analyzer obeys its own rules.
 func checkErrorTaxonomy(prog *Program, r *Reporter) {
-	for _, pkg := range prog.Pkgs {
-		wrapScope := errWrapScopedPkg(pkg.ImportPath)
-		sentinelScope := errSentinelScopedPkg(pkg.ImportPath)
+	eachFunc(prog.Pkgs, func(pkg *Package, fd *ast.FuncDecl) {
+		wrapScope := inScope(pkg.ImportPath, errWrapScope)
+		sentinelScope := inScope(pkg.ImportPath, errSentinelScope)
 		if !wrapScope && !sentinelScope {
-			continue
+			return
 		}
-		info := pkg.Info
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				ast.Inspect(fd.Body, func(n ast.Node) bool {
-					call, ok := n.(*ast.CallExpr)
-					if !ok {
-						return true
-					}
-					path, name := calleePathQual(info, call)
-					switch {
-					case wrapScope && path == "fmt" && name == "Errorf":
-						reportUnwrappedErrorf(info, call, r)
-					case sentinelScope && path == "errors" && name == "New":
-						r.Report(call.Pos(), "error-taxonomy",
-							"errors.New inside a function mints an unroutable one-off error; declare a package-level sentinel or wrap a faults type with %w so errors.Is keeps working")
-					}
-					return true
-				})
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
 			}
-		}
-	}
+			path, name := calleePathQual(pkg.Info, call)
+			switch {
+			case wrapScope && path == "fmt" && name == "Errorf":
+				reportUnwrappedErrorf(pkg.Info, call, r)
+			case sentinelScope && path == "errors" && name == "New":
+				r.Report(call.Pos(), "error-taxonomy",
+					"errors.New inside a function mints an unroutable one-off error; declare a package-level sentinel or wrap a faults type with %w so errors.Is keeps working")
+			}
+			return true
+		})
+	})
 }
 
-// errWrapScopedPkg: everywhere an underlying error might be re-wrapped on
-// its way to the quarantine router.
-func errWrapScopedPkg(path string) bool {
-	seg := path[strings.LastIndex(path, "/")+1:]
-	switch seg {
-	case "wal", "pager", "diskindex", "diskstore", "diskrtree", "faultfile", "faults", "server", "front", "lint":
-		return true
-	}
-	return strings.Contains(path, "errtaxonomy") // testdata corpora
-}
-
-// errSentinelScopedPkg: the storage data plane, where every error must be
-// a sentinel or a wrapped faults type. The server packages are excluded —
-// their protocol-level errors (bad request text) are display-only — and
-// so is faults itself, which constructs the taxonomy.
-func errSentinelScopedPkg(path string) bool {
-	seg := path[strings.LastIndex(path, "/")+1:]
-	switch seg {
-	case "wal", "pager", "diskindex", "diskstore", "diskrtree", "faultfile", "lint":
-		return true
-	}
-	return strings.Contains(path, "errtaxonomy")
-}
+// errSentinelScope is the storage data plane, where every error must be a
+// sentinel or a wrapped faults type. errWrapScope is everywhere an
+// underlying error might be re-wrapped on its way to the quarantine
+// router: the same plus the server packages — whose protocol-level errors
+// (bad request text) are display-only, so they may mint them — and faults
+// itself, which constructs the taxonomy.
+var (
+	errSentinelScope = []string{"wal", "pager", "diskindex", "diskstore", "diskrtree", "faultfile", "lint", "errtaxonomy"}
+	errWrapScope     = append([]string{"faults", "server", "front"}, errSentinelScope...)
+)
 
 // reportUnwrappedErrorf flags a fmt.Errorf whose error-typed arguments
 // outnumber its %w verbs. A non-literal format string is skipped — the

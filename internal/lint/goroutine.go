@@ -3,7 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // checkGoroutineLifecycle requires every go statement in the module's
@@ -21,46 +20,27 @@ import (
 // leaks under test churn, and turns shutdown into a race. Test files are
 // exempt (they are parse-only and t.Cleanup patterns differ).
 func checkGoroutineLifecycle(prog *Program, r *Reporter) {
-	for _, pkg := range prog.Pkgs {
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				ast.Inspect(fd.Body, func(n ast.Node) bool {
-					g, ok := n.(*ast.GoStmt)
-					if !ok {
-						return true
-					}
-					if goStmtCompliant(prog, pkg, fd, g) {
-						return true
-					}
-					if r.SiteAllowed(g.Pos(), "detached") {
-						return true
-					}
-					r.Report(g.Pos(), "goroutine-lifecycle",
-						"goroutine has no teardown path: select on ctx.Done in its body, join it with a WaitGroup or channel, or annotate the spawn //nnc:detached <reason>")
-					return true
-				})
+	idx := NewFuncIndex(prog)
+	eachFunc(prog.Pkgs, func(pkg *Package, fd *ast.FuncDecl) {
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			g, ok := n.(*ast.GoStmt)
+			if ok && !goStmtCompliant(idx, pkg.Info, fd, g) && !r.SiteAllowed(g.Pos(), "detached") {
+				r.Report(g.Pos(), "goroutine-lifecycle",
+					"goroutine has no teardown path: select on ctx.Done in its body, join it with a WaitGroup or channel, or annotate the spawn //nnc:detached <reason>")
 			}
-		}
-	}
+			return true
+		})
+	})
 }
 
-func goStmtCompliant(prog *Program, pkg *Package, enclosing *ast.FuncDecl, g *ast.GoStmt) bool {
-	info := pkg.Info
-
+func goStmtCompliant(idx *FuncIndex, info *types.Info, enclosing *ast.FuncDecl, g *ast.GoStmt) bool {
 	// The spawned body: a func literal inline, or a module function we can
 	// resolve statically.
 	var body *ast.BlockStmt
 	if lit, ok := ast.Unparen(g.Call.Fun).(*ast.FuncLit); ok {
 		body = lit.Body
-	} else if fn := CalleeOf(info, g.Call); fn != nil && fn.Pkg() != nil &&
-		strings.HasPrefix(fn.Pkg().Path(), prog.Module) {
-		if target := prog.ByPath[fn.Pkg().Path()]; target != nil {
-			body = declBodyOf(target, fn)
-		}
+	} else if fi := idx.ByObj[CalleeOf(info, g.Call)]; fi != nil {
+		body = fi.Decl.Body
 	}
 	if body != nil && referencesCtxDone(info, body) {
 		return true
@@ -68,80 +48,30 @@ func goStmtCompliant(prog *Program, pkg *Package, enclosing *ast.FuncDecl, g *as
 	if waitsOnWaitGroup(info, enclosing.Body) {
 		return true
 	}
-	if body != nil && channelJoined(enclosing.Body, body) {
-		return true
-	}
-	return false
-}
-
-// declBodyOf finds the declaration body of fn inside pkg.
-func declBodyOf(pkg *Package, fn *types.Func) *ast.BlockStmt {
-	for _, f := range pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			if obj, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok && obj == fn {
-				return fd.Body
-			}
-		}
-	}
-	return nil
+	return body != nil && channelJoined(enclosing.Body, body)
 }
 
 // referencesCtxDone reports whether the body calls Done() on a
 // context.Context anywhere (including nested closures — a handler wired
 // into the goroutine's machinery counts).
 func referencesCtxDone(info *types.Info, body *ast.BlockStmt) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
+	return anyCall(body, func(call *ast.CallExpr) bool {
 		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 		if !ok || sel.Sel.Name != "Done" {
-			return true
+			return false
 		}
-		if t := info.TypeOf(sel.X); t != nil && isContextType(t) {
-			found = true
-		}
-		return true
+		t := info.TypeOf(sel.X)
+		return t != nil && isContextType(t)
 	})
-	return found
 }
 
 // waitsOnWaitGroup reports whether the enclosing body contains a
 // sync.WaitGroup Wait call — the classic fan-out join.
 func waitsOnWaitGroup(info *types.Info, body *ast.BlockStmt) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok || sel.Sel.Name != "Wait" {
-			return true
-		}
-		selection, ok := info.Selections[sel]
-		if !ok {
-			return true
-		}
-		fn, ok := selection.Obj().(*types.Func)
-		if ok && fn.Pkg() != nil && fn.Pkg().Path() == "sync" {
-			found = true
-		}
-		return true
+	return anyCall(body, func(call *ast.CallExpr) bool {
+		path, name := calleePathQual(info, call)
+		return path == "sync" && name == "Wait"
 	})
-	return found
 }
 
 // channelJoined reports whether a channel the goroutine sends on (or

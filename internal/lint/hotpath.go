@@ -92,9 +92,6 @@ type hotScanner struct {
 // scanHotFunc reports allocating constructs in fi's body and returns the
 // statically resolved module callees for the BFS.
 func scanHotFunc(prog *Program, fi *FuncInfo, root string, r *Reporter) []*types.Func {
-	if fi.Decl.Body == nil {
-		return nil
-	}
 	s := &hotScanner{
 		prog:       prog,
 		pkg:        fi.Pkg,
@@ -187,7 +184,7 @@ func (s *hotScanner) markExemptLits(body ast.Node) {
 			} else {
 				v, _ = info.Uses[id].(*types.Var)
 			}
-			if v != nil && v.Pkg() != nil && v.Parent() != v.Pkg().Scope() && onlyCalled(v) {
+			if v != nil && v.Pkg() != nil && !pkgLevel(v) && onlyCalled(v) {
 				s.exemptLits[lit] = true // f := func(...){...} used only as f(...)
 			}
 		}
@@ -427,29 +424,12 @@ func (s *hotScanner) checkBoxing(expr ast.Expr, target types.Type, inPanic bool)
 // captures reports whether lit references a variable declared outside its
 // own body (a capture forces the closure onto the heap).
 func (s *hotScanner) captures(lit *ast.FuncLit) bool {
-	info := s.pkg.Info
 	found := false
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		v, ok := info.Uses[id].(*types.Var)
-		if !ok || v.Pkg() == nil {
-			return true
-		}
-		// Package-level vars aren't captures; only function-scoped vars
-		// declared before the literal and outside its extent count.
-		if v.Parent() == v.Pkg().Scope() {
-			return true
-		}
-		if v.Pos() < lit.Pos() || v.Pos() > lit.End() {
+		if id, ok := n.(*ast.Ident); ok && freeVar(s.pkg.Info, lit, id) != nil {
 			found = true
 		}
-		return true
+		return !found
 	})
 	return found
 }

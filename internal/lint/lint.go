@@ -62,6 +62,7 @@ package lint
 
 import (
 	"fmt"
+	"go/ast"
 	"go/token"
 	"sort"
 	"strings"
@@ -79,51 +80,43 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Check, d.Msg)
 }
 
-// allowKey identifies the source line an //nnc:allow directive governs.
-type allowKey struct {
+// lineKey identifies the source line a directive sits on.
+type lineKey struct {
 	file string
 	line int
 }
 
-type allowDirective struct {
+// directive is one //nnc:allow, //nnc:publish or //nnc:detached comment:
+// an explained declaration that the finding a check would raise on this or
+// the next line is a sanctioned exception. An allow names the check it
+// answers to; a publish or detached belongs to the one check that owns
+// that spelling. A reason is mandatory, and a directive that covers
+// nothing is itself a finding — scoped to its check having run, so partial
+// runs stay quiet.
+type directive struct {
 	pos    token.Position
-	check  string
+	kind   string // "allow", "publish" or "detached"
+	check  string // the check whose findings it covers
 	reason string
 	used   bool
 }
 
-// siteDirective is one //nnc:publish or //nnc:detached annotation: an
-// explained declaration that a specific line is a sanctioned exception (an
-// atomic publication site, a deliberately detached goroutine). The
-// stale-allow machinery applies unchanged — a reason is mandatory, and a
-// directive that blesses nothing is itself a finding, scoped to the check
-// that owns the directive kind so partial runs stay quiet.
-type siteDirective struct {
-	pos    token.Position
-	kind   string // "publish" or "detached"
-	owner  string // check that validates this directive kind
-	reason string
-	used   bool
-}
-
-// Reporter collects diagnostics and applies allow-directive suppression.
+// Reporter collects diagnostics and applies directive suppression.
 type Reporter struct {
-	fset   *token.FileSet
-	diags  []Diagnostic
-	allows map[allowKey][]*allowDirective
-	sites  map[allowKey][]*siteDirective
-	known  map[string]bool // registered check names; validates allow targets
-	ran    map[string]bool // checks that executed; scopes unused-allow findings
+	fset       *token.FileSet
+	diags      []Diagnostic
+	directives map[lineKey][]*directive
+	known      map[string]bool // registered check names; validates allow targets
+	ran        map[string]bool // checks that executed; scopes unused-directive findings
 }
 
-// NewReporter builds a reporter over the program's allow directives.
+// NewReporter builds a reporter over the program's line directives.
 func NewReporter(prog *Program) *Reporter {
 	r := &Reporter{
-		fset:   prog.Fset,
-		allows: map[allowKey][]*allowDirective{},
-		sites:  map[allowKey][]*siteDirective{},
-		known:  map[string]bool{},
-		ran:    map[string]bool{},
+		fset:       prog.Fset,
+		directives: map[lineKey][]*directive{},
+		known:      map[string]bool{},
+		ran:        map[string]bool{},
 	}
 	// The allow grammar validates check names against the live registry,
 	// so a typo'd //nnc:allow for any check — current or future — is a
@@ -131,111 +124,76 @@ func NewReporter(prog *Program) *Reporter {
 	for _, c := range Checks() {
 		r.known[c.Name] = true
 	}
-	for _, pkg := range prog.Pkgs {
-		r.collectAllows(pkg)
-		r.collectSites(pkg)
-	}
-	for _, pkg := range prog.TestASTs {
-		r.collectAllows(pkg)
-		r.collectSites(pkg)
+	for _, pkgs := range [][]*Package{prog.Pkgs, prog.TestASTs} {
+		for _, pkg := range pkgs {
+			for _, f := range pkg.Files {
+				for _, cg := range f.Comments {
+					for _, c := range cg.List {
+						r.collect(c)
+					}
+				}
+			}
+		}
 	}
 	return r
 }
 
 const (
-	allowPrefix = "//nnc:allow "
 	// hotpathDirective and coldpathDirective are matched in callgraph.go;
 	// named here so the directive grammar lives in one place.
 	hotpathDirective  = "//nnc:hotpath"
 	coldpathDirective = "//nnc:coldpath"
-	// Site directives bless a single line for the check that owns them.
-	detachedDirective = "//nnc:detached"
-	publishDirective  = "//nnc:publish"
 )
 
-// siteDirectiveKinds maps each site-directive spelling to its kind tag and
-// the check whose findings it blesses.
-var siteDirectiveKinds = []struct {
-	directive string
-	kind      string
-	owner     string
-}{
-	{detachedDirective, "detached", "goroutine-lifecycle"},
-	{publishDirective, "publish", "atomic-publish"},
+// lineDirectives maps each line-directive kind to the check that owns it;
+// an allow names its own.
+var lineDirectives = map[string]string{
+	"allow":    "",
+	"detached": "goroutine-lifecycle",
+	"publish":  "atomic-publish",
 }
 
-func (r *Reporter) collectAllows(pkg *Package) {
-	for _, f := range pkg.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				text := strings.TrimSpace(c.Text)
-				if !strings.HasPrefix(text, allowPrefix) {
-					continue
-				}
-				pos := r.fset.Position(c.Pos())
-				rest := strings.TrimSpace(strings.TrimPrefix(text, allowPrefix))
-				check, reason, ok := strings.Cut(rest, ":")
-				d := &allowDirective{pos: pos, check: strings.TrimSpace(check)}
-				if ok {
-					d.reason = strings.TrimSpace(reason)
-				}
-				if d.check == "" || d.reason == "" {
-					r.diags = append(r.diags, Diagnostic{
-						Pos:   pos,
-						Check: "allow",
-						Msg:   "malformed //nnc:allow: want \"//nnc:allow <check>: <reason>\" with a non-empty reason",
-					})
-					continue
-				}
-				if !r.known[d.check] {
-					r.diags = append(r.diags, Diagnostic{
-						Pos:   pos,
-						Check: "allow",
-						Msg:   fmt.Sprintf("//nnc:allow names unknown check %q; it would suppress nothing (see nnclint -list)", d.check),
-					})
-					continue
-				}
-				key := allowKey{file: pos.Filename, line: pos.Line}
-				r.allows[key] = append(r.allows[key], d)
-			}
+// collect files c in the directive table if it is a line directive:
+// "//nnc:allow <check>: <reason>" or "//nnc:<kind> <reason>". A malformed
+// or misdirected allow covers nothing and is reported here; a publish or
+// detached without a reason still covers its site — Finish reports the
+// directive itself, so each mistake surfaces exactly once.
+func (r *Reporter) collect(c *ast.Comment) {
+	text, ok := strings.CutPrefix(strings.TrimSpace(c.Text), "//nnc:")
+	if !ok {
+		return
+	}
+	kind, rest, _ := strings.Cut(text, " ")
+	owner, ok := lineDirectives[kind]
+	if !ok {
+		return
+	}
+	d := &directive{pos: r.fset.Position(c.Pos()), kind: kind, check: owner, reason: strings.TrimSpace(rest)}
+	if kind == "allow" {
+		check, reason, _ := strings.Cut(rest, ":")
+		d.check, d.reason = strings.TrimSpace(check), strings.TrimSpace(reason)
+		msg := ""
+		switch {
+		case d.check == "" || d.reason == "":
+			msg = "malformed //nnc:allow: want \"//nnc:allow <check>: <reason>\" with a non-empty reason"
+		case !r.known[d.check]:
+			msg = fmt.Sprintf("//nnc:allow names unknown check %q; it would suppress nothing (see nnclint -list)", d.check)
+		}
+		if msg != "" {
+			r.diags = append(r.diags, Diagnostic{Pos: d.pos, Check: "allow", Msg: msg})
+			return
 		}
 	}
+	key := lineKey{file: d.pos.Filename, line: d.pos.Line}
+	r.directives[key] = append(r.directives[key], d)
 }
 
-// collectSites indexes //nnc:publish and //nnc:detached annotations by the
-// line they sit on, mirroring collectAllows. Validation (mandatory reason,
-// must bless something) is deferred to Finish so it only fires when the
-// owning check ran.
-func (r *Reporter) collectSites(pkg *Package) {
-	for _, f := range pkg.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				text := strings.TrimSpace(c.Text)
-				for _, sk := range siteDirectiveKinds {
-					rest, ok := strings.CutPrefix(text, sk.directive)
-					if !ok || (rest != "" && !strings.HasPrefix(rest, " ")) {
-						continue
-					}
-					pos := r.fset.Position(c.Pos())
-					d := &siteDirective{pos: pos, kind: sk.kind, owner: sk.owner, reason: strings.TrimSpace(rest)}
-					key := allowKey{file: pos.Filename, line: pos.Line}
-					r.sites[key] = append(r.sites[key], d)
-				}
-			}
-		}
-	}
-}
-
-// SiteAllowed reports whether a site directive of the given kind blesses
-// pos (same line or the line immediately above), marking it used. A
-// directive with a missing reason still blesses the site — the malformed
-// directive itself becomes the finding in Finish, so each mistake surfaces
-// exactly once.
-func (r *Reporter) SiteAllowed(pos token.Pos, kind string) bool {
-	p := r.fset.Position(pos)
+// covered reports whether a directive of the given kind for the given
+// check sits on pos's line or the line immediately above, marking it used.
+func (r *Reporter) covered(p token.Position, kind, check string) bool {
 	for _, line := range []int{p.Line, p.Line - 1} {
-		for _, d := range r.sites[allowKey{file: p.Filename, line: line}] {
-			if d.kind == kind {
+		for _, d := range r.directives[lineKey{file: p.Filename, line: line}] {
+			if d.kind == kind && d.check == check {
 				d.used = true
 				return true
 			}
@@ -244,55 +202,43 @@ func (r *Reporter) SiteAllowed(pos token.Pos, kind string) bool {
 	return false
 }
 
-// Report files a finding at pos unless an //nnc:allow for the same check
-// sits on that line or the line immediately above.
-func (r *Reporter) Report(pos token.Pos, check, msg string) {
-	p := r.fset.Position(pos)
-	for _, line := range []int{p.Line, p.Line - 1} {
-		for _, d := range r.allows[allowKey{file: p.Filename, line: line}] {
-			if d.check == check {
-				d.used = true
-				return
-			}
-		}
-	}
-	r.diags = append(r.diags, Diagnostic{Pos: p, Check: check, Msg: msg})
+// SiteAllowed reports whether a //nnc:publish or //nnc:detached (kind)
+// blesses pos.
+func (r *Reporter) SiteAllowed(pos token.Pos, kind string) bool {
+	return r.covered(r.fset.Position(pos), kind, lineDirectives[kind])
 }
 
-// Finish appends findings for allow directives that suppressed nothing
-// (scoped to the checks that actually ran, so partial runs don't flag
-// other checks' suppressions) and returns the sorted diagnostics.
-func (r *Reporter) Finish() []Diagnostic {
-	for _, ds := range r.allows {
-		for _, d := range ds {
-			if !d.used && r.ran[d.check] {
-				r.diags = append(r.diags, Diagnostic{
-					Pos:   d.pos,
-					Check: "allow",
-					Msg:   fmt.Sprintf("unused //nnc:allow %s: nothing on this or the next line triggers that check; delete the stale suppression", d.check),
-				})
-			}
-		}
+// Report files a finding at pos unless an //nnc:allow for the same check
+// covers it.
+func (r *Reporter) Report(pos token.Pos, check, msg string) {
+	p := r.fset.Position(pos)
+	if !r.covered(p, "allow", check) {
+		r.diags = append(r.diags, Diagnostic{Pos: p, Check: check, Msg: msg})
 	}
-	for _, ds := range r.sites {
+}
+
+// Finish appends findings for directives that lack a reason or covered
+// nothing (scoped to the checks that actually ran, so partial runs don't
+// flag other checks' directives) and returns the sorted diagnostics.
+func (r *Reporter) Finish() []Diagnostic {
+	for _, ds := range r.directives {
 		for _, d := range ds {
-			if !r.ran[d.owner] {
+			if !r.ran[d.check] {
 				continue
 			}
+			diag := Diagnostic{Pos: d.pos, Check: d.check}
 			switch {
 			case d.reason == "":
-				r.diags = append(r.diags, Diagnostic{
-					Pos:   d.pos,
-					Check: d.owner,
-					Msg:   fmt.Sprintf("malformed //nnc:%s: want \"//nnc:%s <reason>\" with a non-empty reason", d.kind, d.kind),
-				})
-			case !d.used:
-				r.diags = append(r.diags, Diagnostic{
-					Pos:   d.pos,
-					Check: d.owner,
-					Msg:   fmt.Sprintf("unused //nnc:%s: nothing on this or the next line needs blessing; delete the stale annotation", d.kind),
-				})
+				diag.Msg = fmt.Sprintf("malformed //nnc:%s: want \"//nnc:%s <reason>\" with a non-empty reason", d.kind, d.kind)
+			case d.used:
+				continue
+			case d.kind == "allow":
+				diag.Check = "allow"
+				diag.Msg = fmt.Sprintf("unused //nnc:allow %s: nothing on this or the next line triggers that check; delete the stale suppression", d.check)
+			default:
+				diag.Msg = fmt.Sprintf("unused //nnc:%s: nothing on this or the next line needs blessing; delete the stale annotation", d.kind)
 			}
+			r.diags = append(r.diags, diag)
 		}
 	}
 	sort.Slice(r.diags, func(i, j int) bool {

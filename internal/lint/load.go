@@ -295,20 +295,20 @@ func (l *Loader) importPathFor(dir string) (string, error) {
 	return l.module + "/" + filepath.ToSlash(rel), nil
 }
 
-// LoadModule loads every package in the module (type-checked, non-test
-// files) plus parse-only ASTs of all test files. Loads go through the
-// process-wide loader cache: a second LoadModule for the same root reuses
-// every previously type-checked package.
-func LoadModule(rootDir string) (*Program, error) {
+// load builds a Program from the given directories through the
+// process-wide loader cache: type-checked non-test files plus parse-only
+// ASTs of the test files. A nil dirs means every directory of the module.
+func load(rootDir string, dirs []string) (*Program, error) {
 	l, err := sharedLoader(rootDir)
 	if err != nil {
 		return nil, err
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	dirs, err := l.moduleDirs()
-	if err != nil {
-		return nil, err
+	if dirs == nil {
+		if dirs, err = l.moduleDirs(); err != nil {
+			return nil, err
+		}
 	}
 	prog := &Program{Fset: l.fset, Module: l.module, RootDir: l.rootDir, ByPath: map[string]*Package{}}
 	for _, dir := range dirs {
@@ -343,50 +343,22 @@ func LoadModule(rootDir string) (*Program, error) {
 	return prog, nil
 }
 
+// LoadModule loads every package in the module. A second LoadModule for
+// the same root reuses every previously type-checked package.
+func LoadModule(rootDir string) (*Program, error) {
+	return load(rootDir, nil)
+}
+
 // LoadDirs loads only the given directories (plus their module
 // dependencies) — the entry point golden tests use to lint one corpus
-// directory at a time. Import paths for directories outside the module tree
-// are synthesized from the root-relative path.
+// directory at a time. Relative directories are taken from rootDir.
 func LoadDirs(rootDir string, dirs []string) (*Program, error) {
-	l, err := sharedLoader(rootDir)
-	if err != nil {
-		return nil, err
+	abs := make([]string, len(dirs))
+	for i, dir := range dirs {
+		if !filepath.IsAbs(dir) {
+			dir = filepath.Join(rootDir, dir)
+		}
+		abs[i] = dir
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	prog := &Program{Fset: l.fset, Module: l.module, RootDir: l.rootDir, ByPath: map[string]*Package{}}
-	for _, dir := range dirs {
-		abs := dir
-		if !filepath.IsAbs(abs) {
-			abs = filepath.Join(rootDir, dir)
-		}
-		path, err := l.importPathFor(abs)
-		if err != nil {
-			return nil, err
-		}
-		src, tests, err := l.goFilesIn(abs)
-		if err != nil {
-			return nil, err
-		}
-		if len(src) > 0 {
-			pkg, err := l.LoadDir(abs, path)
-			if err != nil {
-				return nil, err
-			}
-			if prog.ByPath[path] == nil {
-				prog.ByPath[path] = pkg
-				prog.Pkgs = append(prog.Pkgs, pkg)
-			}
-		}
-		if len(tests) > 0 {
-			tp, err := l.parseTestASTs(abs, path)
-			if err != nil {
-				return nil, err
-			}
-			if tp != nil {
-				prog.TestASTs = append(prog.TestASTs, tp)
-			}
-		}
-	}
-	return prog, nil
+	return load(rootDir, abs)
 }

@@ -16,50 +16,35 @@ import (
 // path), but a fmt call feeding a panic in the middle of a numeric kernel
 // belongs to strconv.
 func checkNoReflectSort(prog *Program, r *Reporter) {
-	for _, pkg := range prog.Pkgs {
-		if !hotPkg(pkg.ImportPath) {
-			continue
+	eachFunc(prog.Pkgs, func(pkg *Package, fd *ast.FuncDecl) {
+		if !inScope(pkg.ImportPath, hotPkgs) {
+			return
 		}
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				fmtOK := fmtAllowedIn(pkg, fd)
-				ast.Inspect(fd.Body, func(n ast.Node) bool {
-					call, ok := n.(*ast.CallExpr)
-					if !ok {
-						return true
-					}
-					path, name := calleePathQual(pkg.Info, call)
-					switch {
-					case path == "sort" && strings.HasPrefix(name, "Slice"):
-						r.Report(call.Pos(), "no-reflect-sort",
-							fmt.Sprintf("sort.%s sorts through reflection; write a typed sort (see internal/distr/sort.go)", name))
-					case path == "fmt" && !fmtOK:
-						r.Report(call.Pos(), "no-reflect-sort",
-							fmt.Sprintf("fmt.%s in hot package %s; use strconv or move formatting out of the hot tree", name, pkg.Types.Name()))
-					case path == "reflect":
-						r.Report(call.Pos(), "no-reflect-sort",
-							fmt.Sprintf("reflect.%s in hot package %s", name, pkg.Types.Name()))
-					}
-					return true
-				})
+		fmtOK := fmtAllowedIn(pkg, fd)
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
 			}
-		}
-	}
+			path, name := calleePathQual(pkg.Info, call)
+			switch {
+			case path == "sort" && strings.HasPrefix(name, "Slice"):
+				r.Report(call.Pos(), "no-reflect-sort",
+					fmt.Sprintf("sort.%s sorts through reflection; write a typed sort (see internal/distr/sort.go)", name))
+			case path == "fmt" && !fmtOK:
+				r.Report(call.Pos(), "no-reflect-sort",
+					fmt.Sprintf("fmt.%s in hot package %s; use strconv or move formatting out of the hot tree", name, pkg.Types.Name()))
+			case path == "reflect":
+				r.Report(call.Pos(), "no-reflect-sort",
+					fmt.Sprintf("reflect.%s in hot package %s", name, pkg.Types.Name()))
+			}
+			return true
+		})
+	})
 }
 
-// hotPkg selects the numeric-kernel packages by final path segment.
-func hotPkg(path string) bool {
-	seg := path[strings.LastIndex(path, "/")+1:]
-	switch seg {
-	case "core", "distr", "flow", "geom", "rtree", "slab", "uncertain":
-		return true
-	}
-	return strings.Contains(path, "reflectsort") // testdata corpora
-}
+// hotPkgs are the numeric-kernel packages.
+var hotPkgs = []string{"core", "distr", "flow", "geom", "rtree", "slab", "uncertain", "reflectsort"}
 
 // fmtAllowedIn: display methods and error-returning functions may format.
 func fmtAllowedIn(pkg *Package, fd *ast.FuncDecl) bool {

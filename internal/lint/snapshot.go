@@ -3,406 +3,136 @@ package lint
 import (
 	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
-	"strings"
 )
 
 // checkSnapshotLifecycle enforces the refcounted epoch-snapshot protocol
-// of DESIGN.md §2e, generalizing scratch-escape to the reader side of the
-// mutable index:
+// of DESIGN.md §2e on the reader side of the mutable index:
 //
 //  1. balance — every call that acquires a snapshot (a module method named
 //     acquire/Acquire returning a snapshot type) is matched by a
-//     release/Release on all paths, deferred or explicit, with the same
-//     branch-local walk lock-balance uses. Returning the snapshot to the
-//     caller transfers ownership and is legal; acquiring one and dropping
-//     the result leaks a refcount forever and is not.
+//     release/Release on all paths, deferred or explicit: the acquired set
+//     is branch-local state under pathWalk, as lock-balance's held locks
+//     are. Returning the snapshot to the caller transfers ownership and is
+//     legal; acquiring one and dropping the result leaks a refcount
+//     forever and is not.
 //  2. escape — a snapshot reference may not outlive its acquire scope:
-//     package-level stores, channel sends, go-statement arguments and
-//     captures, and stores into fields of non-snapshot structs are all
-//     flagged. Shrinking reslices of a snapshot-typed field
-//     (m.retired = m.retired[1:]) introduce no new reference and pass.
+//     scanEscapes with the snapshot predicate.
 //
 // The writer-side retirement list (parking a superseded snapshot until
 // its readers drain) is exactly such a field store by design; it carries
 // a reviewed //nnc:allow rather than a carve-out here, so the exception
 // stays visible at the site that needs it.
 func checkSnapshotLifecycle(prog *Program, r *Reporter) {
-	for _, pkg := range prog.Pkgs {
-		for _, f := range pkg.Files {
-			scanSnapshotEscapes(prog, pkg, f, r)
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				w := &snapWalker{prog: prog, pkg: pkg, r: r, fnName: fd.Name.Name}
-				w.walkBlock(fd.Body)
-				for _, h := range w.live() {
-					r.Report(fd.Body.Rbrace, "snapshot-lifecycle",
-						fmt.Sprintf("%s: function end reached with snapshot %s still acquired (line %d); release it on every path or use defer",
-							fd.Name.Name, h.name, r.fset.Position(h.pos).Line))
-				}
-			}
+	scanEscapes(prog, r, "snapshot-lifecycle", "snapshot", "its acquire scope", isSnapshotType)
+	eachFunc(prog.Pkgs, func(pkg *Package, fd *ast.FuncDecl) {
+		sc := &snapCheck{module: prog.Module, info: pkg.Info, r: r, fnName: fd.Name.Name}
+		pathWalk{leaf: sc.stmt, eval: func(ast.Expr) {}, fork: sc.held.fork}.stmts(fd.Body.List)
+		for _, h := range sc.held.live() {
+			r.Report(fd.Body.Rbrace, "snapshot-lifecycle",
+				fmt.Sprintf("%s: function end reached with snapshot %s still acquired (line %d); release it on every path or use defer",
+					fd.Name.Name, h.name, r.fset.Position(h.pos).Line))
 		}
-	}
+	})
 }
 
-// isSnapshotType reports whether t (possibly behind pointers/slices) is a
-// module-declared snapshot type — the name-driven rule matching how
-// scratch-escape recognizes arenas.
-func isSnapshotType(module string, t types.Type) bool {
-	for {
-		switch u := t.(type) {
-		case *types.Pointer:
-			t = u.Elem()
-			continue
-		case *types.Slice:
-			t = u.Elem()
-			continue
-		}
-		break
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return false
-	}
-	path := named.Obj().Pkg().Path()
-	if !strings.HasPrefix(path, module+"/") && path != module {
-		return false
-	}
-	return strings.Contains(named.Obj().Name(), "napshot") // snapshot / Snapshot
+// snapCheck is the balance half's event handling: the acquired-snapshot
+// set and what each leaf statement does to it.
+type snapCheck struct {
+	module string
+	info   *types.Info
+	r      *Reporter
+	fnName string
+	held   heldSet
 }
 
-// acquireCall reports whether the call is a snapshot acquire: a module
+// acquires reports whether e is a snapshot acquire: a call to a module
 // function or method named acquire/Acquire whose single result is a
 // snapshot type.
-func acquireCall(module string, info *types.Info, call *ast.CallExpr) bool {
-	fn := CalleeOf(info, call)
+func (c *snapCheck) acquires(e ast.Expr) bool {
+	call, ok := ast.Unparen(e).(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	fn := CalleeOf(c.info, call)
 	if fn == nil || (fn.Name() != "acquire" && fn.Name() != "Acquire") {
 		return false
 	}
 	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Results().Len() != 1 {
-		return false
-	}
-	return isSnapshotType(module, sig.Results().At(0).Type())
+	return ok && sig.Results().Len() == 1 && isSnapshotType(c.module, sig.Results().At(0).Type())
 }
 
 // releaseTarget returns the printed expression of the snapshot a
 // release/Release call gives back: its first snapshot-typed argument, or
 // its receiver when the method hangs off the snapshot itself.
-func releaseTarget(module string, info *types.Info, call *ast.CallExpr) (string, bool) {
-	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+func (c *snapCheck) releaseTarget(call *ast.CallExpr) (string, bool) {
+	var recv ast.Expr
 	name := ""
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		name = fun.Name
 	case *ast.SelectorExpr:
-		name = fun.Sel.Name
+		name, recv = fun.Sel.Name, fun.X
 	}
 	if name != "release" && name != "Release" {
 		return "", false
 	}
+	isSnap := func(e ast.Expr) bool {
+		t := c.info.TypeOf(e)
+		return t != nil && isSnapshotType(c.module, t)
+	}
 	for _, arg := range call.Args {
-		if t := info.TypeOf(arg); t != nil && isSnapshotType(module, t) {
+		if isSnap(arg) {
 			return exprString(arg), true
 		}
 	}
-	if isSel {
-		if t := info.TypeOf(sel.X); t != nil && isSnapshotType(module, t) {
-			return exprString(sel.X), true
-		}
+	if recv != nil && isSnap(recv) {
+		return exprString(recv), true
 	}
 	return "", false
 }
 
-type heldSnap struct {
-	name  string // printed binding, e.g. "snap"
-	pos   token.Pos
-	defrd bool
+func (c *snapCheck) discarded(e ast.Expr) {
+	c.r.Report(e.Pos(), "snapshot-lifecycle",
+		fmt.Sprintf("%s: acquired snapshot is discarded; its refcount never drops and the epoch never reclaims", c.fnName))
 }
 
-type snapWalker struct {
-	prog   *Program
-	pkg    *Package
-	r      *Reporter
-	fnName string
-	held   []heldSnap
-}
-
-func (w *snapWalker) snapshot() []heldSnap {
-	s := make([]heldSnap, len(w.held))
-	copy(s, w.held)
-	return s
-}
-
-func (w *snapWalker) restore(s []heldSnap) { w.held = s }
-
-func (w *snapWalker) live() []heldSnap {
-	var out []heldSnap
-	for _, h := range w.held {
-		if !h.defrd {
-			out = append(out, h)
-		}
-	}
-	return out
-}
-
-func (w *snapWalker) release(name string, deferred bool) {
-	for i := len(w.held) - 1; i >= 0; i-- {
-		if w.held[i].name == name {
-			if deferred {
-				w.held[i].defrd = true
-			} else {
-				w.held = append(w.held[:i], w.held[i+1:]...)
-			}
-			return
-		}
-	}
-}
-
-func (w *snapWalker) drop(name string) {
-	for i := len(w.held) - 1; i >= 0; i-- {
-		if w.held[i].name == name {
-			w.held = append(w.held[:i], w.held[i+1:]...)
-			return
-		}
-	}
-}
-
-func (w *snapWalker) walkBlock(b *ast.BlockStmt) {
-	for _, stmt := range b.List {
-		w.walkStmt(stmt)
-	}
-}
-
-func (w *snapWalker) walkStmt(stmt ast.Stmt) {
-	info := w.pkg.Info
+func (c *snapCheck) stmt(stmt ast.Stmt) {
 	switch s := stmt.(type) {
 	case *ast.AssignStmt:
 		for i, lhs := range s.Lhs {
-			var rhs ast.Expr
-			switch {
-			case len(s.Rhs) == len(s.Lhs):
-				rhs = s.Rhs[i]
-			case len(s.Rhs) == 1:
-				rhs = s.Rhs[0]
-			}
-			call, isCall := ast.Unparen(rhs).(*ast.CallExpr)
-			if !isCall || !acquireCall(w.prog.Module, info, call) {
+			rhs := rhsFor(s, i)
+			if rhs == nil || !c.acquires(rhs) {
 				continue
 			}
-			id, isID := ast.Unparen(lhs).(*ast.Ident)
-			if !isID || id.Name == "_" {
-				w.r.Report(call.Pos(), "snapshot-lifecycle",
-					fmt.Sprintf("%s: acquired snapshot is discarded; its refcount never drops and the epoch never reclaims", w.fnName))
-				continue
+			if id, ok := ast.Unparen(lhs).(*ast.Ident); ok && id.Name != "_" {
+				c.held.acquire(id.Name, false, rhs.Pos())
+			} else {
+				c.discarded(rhs)
 			}
-			w.held = append(w.held, heldSnap{name: id.Name, pos: call.Pos()})
 		}
 	case *ast.ExprStmt:
-		if call, ok := s.X.(*ast.CallExpr); ok {
-			if acquireCall(w.prog.Module, info, call) {
-				w.r.Report(call.Pos(), "snapshot-lifecycle",
-					fmt.Sprintf("%s: acquired snapshot is discarded; its refcount never drops and the epoch never reclaims", w.fnName))
-				return
-			}
-			if name, ok := releaseTarget(w.prog.Module, info, call); ok {
-				w.release(name, false)
+		if c.acquires(s.X) {
+			c.discarded(s.X)
+		} else if call, ok := s.X.(*ast.CallExpr); ok {
+			if name, ok := c.releaseTarget(call); ok {
+				c.held.release(name, false, false)
 			}
 		}
 	case *ast.DeferStmt:
-		if name, ok := releaseTarget(w.prog.Module, info, s.Call); ok {
-			w.release(name, true)
-			return
-		}
-		if lit, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
-			ast.Inspect(lit.Body, func(n ast.Node) bool {
-				if call, ok := n.(*ast.CallExpr); ok {
-					if name, ok := releaseTarget(w.prog.Module, info, call); ok {
-						w.release(name, true)
-					}
-				}
-				return true
-			})
-		}
+		deferredCalls(s, func(call *ast.CallExpr) {
+			if name, ok := c.releaseTarget(call); ok {
+				c.held.release(name, false, true)
+			}
+		})
 	case *ast.ReturnStmt:
 		// Returning the snapshot transfers ownership to the caller.
 		for _, res := range s.Results {
-			w.drop(exprString(ast.Unparen(res)))
+			c.held.release(exprString(ast.Unparen(res)), false, false)
 		}
-		for _, h := range w.live() {
-			w.r.Report(s.Pos(), "snapshot-lifecycle",
-				fmt.Sprintf("%s: return with snapshot %s still acquired; release it on every path or use defer", w.fnName, h.name))
-		}
-	case *ast.IfStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init)
-		}
-		snap := w.snapshot()
-		w.walkBlock(s.Body)
-		w.restore(snap)
-		if s.Else != nil {
-			snap = w.snapshot()
-			w.walkStmt(s.Else)
-			w.restore(snap)
-		}
-	case *ast.BlockStmt:
-		w.walkBlock(s)
-	case *ast.ForStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init)
-		}
-		snap := w.snapshot()
-		w.walkBlock(s.Body)
-		w.restore(snap)
-	case *ast.RangeStmt:
-		snap := w.snapshot()
-		w.walkBlock(s.Body)
-		w.restore(snap)
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init)
-		}
-		for _, c := range s.Body.List {
-			cc := c.(*ast.CaseClause)
-			snap := w.snapshot()
-			for _, st := range cc.Body {
-				w.walkStmt(st)
-			}
-			w.restore(snap)
-		}
-	case *ast.TypeSwitchStmt:
-		for _, c := range s.Body.List {
-			cc := c.(*ast.CaseClause)
-			snap := w.snapshot()
-			for _, st := range cc.Body {
-				w.walkStmt(st)
-			}
-			w.restore(snap)
-		}
-	case *ast.SelectStmt:
-		for _, c := range s.Body.List {
-			cc := c.(*ast.CommClause)
-			snap := w.snapshot()
-			for _, st := range cc.Body {
-				w.walkStmt(st)
-			}
-			w.restore(snap)
+		for _, h := range c.held.live() {
+			c.r.Report(s.Pos(), "snapshot-lifecycle",
+				fmt.Sprintf("%s: return with snapshot %s still acquired; release it on every path or use defer", c.fnName, h.name))
 		}
 	}
-}
-
-// scanSnapshotEscapes applies scratch-escape's reference rules to
-// snapshot types across a whole file, independent of the balance walk.
-func scanSnapshotEscapes(prog *Program, pkg *Package, f *ast.File, r *Reporter) {
-	info := pkg.Info
-
-	snapExpr := func(e ast.Expr) bool {
-		t := info.TypeOf(e)
-		return t != nil && isSnapshotType(prog.Module, t)
-	}
-
-	for _, decl := range f.Decls {
-		gd, ok := decl.(*ast.GenDecl)
-		if !ok {
-			continue
-		}
-		for _, spec := range gd.Specs {
-			vs, ok := spec.(*ast.ValueSpec)
-			if !ok {
-				continue
-			}
-			for _, name := range vs.Names {
-				obj := info.Defs[name]
-				if obj == nil || name.Name == "_" {
-					continue
-				}
-				if v, ok := obj.(*types.Var); ok && isSnapshotType(prog.Module, v.Type()) {
-					r.Report(name.Pos(), "snapshot-lifecycle",
-						fmt.Sprintf("package-level %s holds snapshot type %s; a snapshot pinned forever blocks epoch reclamation", name.Name, v.Type()))
-				}
-			}
-		}
-	}
-
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.SendStmt:
-			if snapExpr(n.Value) {
-				r.Report(n.Pos(), "snapshot-lifecycle",
-					"snapshot sent on a channel escapes its acquire scope; the receiver outlives the release")
-			}
-		case *ast.GoStmt:
-			for _, arg := range n.Call.Args {
-				if snapExpr(arg) {
-					r.Report(arg.Pos(), "snapshot-lifecycle",
-						"snapshot passed to a go statement escapes its acquire scope")
-				}
-			}
-			if lit, ok := ast.Unparen(n.Call.Fun).(*ast.FuncLit); ok {
-				reportSnapshotCaptures(prog, pkg, lit, r)
-			}
-		case *ast.AssignStmt:
-			for i, lhs := range n.Lhs {
-				var rhs ast.Expr
-				switch {
-				case len(n.Rhs) == len(n.Lhs):
-					rhs = n.Rhs[i]
-				case len(n.Rhs) == 1:
-					rhs = n.Rhs[0]
-				}
-				if rhs == nil || !snapExpr(rhs) {
-					continue
-				}
-				switch target := ast.Unparen(lhs).(type) {
-				case *ast.Ident:
-					if v, ok := info.Uses[target].(*types.Var); ok && v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
-						r.Report(n.Pos(), "snapshot-lifecycle",
-							fmt.Sprintf("snapshot stored in package-level %s escapes its acquire scope", target.Name))
-					}
-				case *ast.SelectorExpr:
-					// A shrinking reslice of the same field introduces no
-					// new reference; anything else parks a snapshot in a
-					// long-lived struct past its release.
-					if slice, ok := ast.Unparen(rhs).(*ast.SliceExpr); ok &&
-						exprString(ast.Unparen(slice.X)) == exprString(target) {
-						continue
-					}
-					if !snapExpr(target.X) {
-						r.Report(n.Pos(), "snapshot-lifecycle",
-							fmt.Sprintf("snapshot stored in field %s of non-snapshot %s outlives its acquire scope",
-								target.Sel.Name, info.TypeOf(target.X)))
-					}
-				}
-			}
-		}
-		return true
-	})
-}
-
-// reportSnapshotCaptures flags snapshot-typed free variables referenced by
-// a go-statement closure.
-func reportSnapshotCaptures(prog *Program, pkg *Package, lit *ast.FuncLit, r *Reporter) {
-	info := pkg.Info
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		v, ok := info.Uses[id].(*types.Var)
-		if !ok || v.Pkg() == nil || v.Parent() == v.Pkg().Scope() {
-			return true
-		}
-		if v.Pos() >= lit.Pos() && v.Pos() <= lit.End() {
-			return true // declared inside the closure
-		}
-		if isSnapshotType(prog.Module, v.Type()) {
-			r.Report(id.Pos(), "snapshot-lifecycle",
-				fmt.Sprintf("go-statement closure captures snapshot %s, which escapes its acquire scope", id.Name))
-		}
-		return true
-	})
 }

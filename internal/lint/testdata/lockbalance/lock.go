@@ -176,3 +176,45 @@ func (r *routerShard) RPCOutsideLock(body []byte) error {
 	r.mu.Unlock()
 	return rep.ShardQuery(body)
 }
+
+// --- control flow the branch-local walk must not step over ---------------
+
+// IOInForCondition runs the transfer on every iteration's test, lock held.
+func (s *store) IOInForCondition(p []byte) {
+	s.mu.Lock()
+	for s.f.ReadPage(1, p) == nil { //wantlint lock-balance: while s.mu is held
+	}
+	s.mu.Unlock()
+}
+
+// IOInSwitchTag runs the transfer to pick a case, lock held.
+func (s *store) IOInSwitchTag(p []byte) {
+	s.mu.Lock()
+	switch s.f.ReadPage(1, p) { //wantlint lock-balance: while s.mu is held
+	case nil:
+	}
+	s.mu.Unlock()
+}
+
+// LeakyReturnInLabeledLoop is LeakyReturn behind a label.
+func (s *store) LeakyReturnInLabeledLoop(ok bool) {
+	s.mu.Lock()
+outer:
+	for {
+		if !ok {
+			return //wantlint lock-balance: still locked
+		}
+		break outer
+	}
+	s.mu.Unlock()
+}
+
+// IOInCaseValue is the same transfer in the if-chain a tagless switch
+// spells.
+func (s *store) IOInCaseValue(p []byte) {
+	s.mu.Lock()
+	switch {
+	case s.f.ReadPage(1, p) == nil: //wantlint lock-balance: while s.mu is held
+	}
+	s.mu.Unlock()
+}

@@ -131,3 +131,17 @@ func (p *retiredParking) UnparkedStore(ix *index) {
 // pinned is a package-level snapshot: pinned forever, epoch never
 // reclaims.
 var pinned *snapshot //wantlint snapshot-lifecycle: package-level pinned
+
+// LabeledLoopLeak is EarlyReturnLeak behind a label.
+func (ix *index) LabeledLoopLeak(ok bool) int {
+outer:
+	for {
+		snap := ix.acquire()
+		if !ok {
+			return 0 //wantlint snapshot-lifecycle: still acquired
+		}
+		ix.release(snap)
+		break outer
+	}
+	return 1
+}

@@ -146,3 +146,19 @@ func (l *log) PageImageRecordOnly(tx uint64) error {
 	}
 	return nil
 }
+
+// ImagesNeverCommittedInLabeledLoop is ImagesNeverCommitted behind a
+// label: the success return inside the loop skips the commit record.
+func (l *log) ImagesNeverCommittedInLabeledLoop(tx uint64, pages [][]byte) error {
+outer:
+	for _, p := range pages {
+		if err := l.AppendPageImage(tx, p); err != nil {
+			return err
+		}
+		if len(p) == 0 {
+			continue outer
+		}
+		return nil //wantlint wal-order: no commit record on this success path
+	}
+	return l.AppendCommit(tx)
+}

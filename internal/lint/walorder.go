@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // checkWALOrder verifies the commit protocol of DESIGN.md §2d on every
@@ -13,10 +12,9 @@ import (
 // are all appended before its commit record, a commit or checkpoint record
 // is fsynced before any success return, and the log is never checkpointed
 // or truncated while appended images still await their commit. The
-// analysis mirrors lock-balance's branch-local walk — entering a nested
-// block snapshots the protocol state and leaving restores it — so the
-// early-error-return shape (append; if err { return err }; commit) checks
-// cleanly while a success path that skips a step is still caught.
+// protocol state is branch-local under pathWalk, so the early-error-return
+// shape (append; if err { return err }; commit) checks cleanly while a
+// success path that skips a step is still caught.
 //
 // Tracked events, in the source order the walk encounters them:
 //
@@ -31,29 +29,21 @@ import (
 //     "return f.Sync()" tail) discharges — error-aborting returns are
 //     exempt, because a failed append never promised durability.
 func checkWALOrder(prog *Program, r *Reporter) {
-	for _, pkg := range prog.Pkgs {
-		if !walScopedPkg(pkg.ImportPath) {
-			continue
+	eachFunc(prog.Pkgs, func(pkg *Package, fd *ast.FuncDecl) {
+		if !inScope(pkg.ImportPath, walScope) {
+			return
 		}
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				w := &walWalker{pkg: pkg, r: r, fnName: fd.Name.Name}
-				w.walkBlock(fd.Body)
-				w.checkExit(fd.Body.Rbrace, nil)
-			}
+		w := &walCheck{pkg: pkg, r: r, fnName: fd.Name.Name}
+		fork := func() func() {
+			saved := w.st
+			return func() { w.st = saved }
 		}
-	}
+		pathWalk{leaf: w.stmt, eval: func(e ast.Expr) { w.scanCalls(e) }, fork: fork}.stmts(fd.Body.List)
+		w.checkExit(fd.Body.Rbrace, nil)
+	})
 }
 
-func walScopedPkg(path string) bool {
-	seg := path[strings.LastIndex(path, "/")+1:]
-	return seg == "wal" || seg == "diskindex" ||
-		strings.Contains(path, "walorder") // testdata corpora
-}
+var walScope = []string{"wal", "diskindex", "walorder"}
 
 // walState is the branch-local protocol state.
 type walState struct {
@@ -64,19 +54,12 @@ type walState struct {
 	syncPos   ast.Node
 }
 
-type walWalker struct {
+// walCheck is wal-order's event handling over pathWalk.
+type walCheck struct {
 	pkg    *Package
 	r      *Reporter
 	fnName string
 	st     walState
-}
-
-func (w *walWalker) snapshot() walState { return w.st }
-func (w *walWalker) restore(s walState) { w.st = s }
-func (w *walWalker) walkBlock(b *ast.BlockStmt) {
-	for _, stmt := range b.List {
-		w.walkStmt(stmt)
-	}
 }
 
 // protoCall classifies a call as a WAL-protocol event. Append*, Reset and
@@ -84,7 +67,7 @@ func (w *walWalker) walkBlock(b *ast.BlockStmt) {
 // Sync and Truncate match any receiver, because the log's backing file is
 // an os.File (or a faultfile wrapper) and a spurious state clear is merely
 // conservative.
-func (w *walWalker) protoCall(call *ast.CallExpr) (name string, ok bool) {
+func (w *walCheck) protoCall(call *ast.CallExpr) (name string, ok bool) {
 	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !isSel {
 		// appendRecord is a plain method call in the corpus too; plain
@@ -98,23 +81,11 @@ func (w *walWalker) protoCall(call *ast.CallExpr) (name string, ok bool) {
 	case "Sync", "Truncate":
 		return sel.Sel.Name, true
 	case "AppendPageImage", "AppendCommit", "AppendCheckpoint", "Reset", "appendRecord":
-	default:
-		return "", false
+		if path, _ := calleePathQual(w.pkg.Info, call); containsAny(path, "/wal", "/diskindex", "walorder") {
+			return sel.Sel.Name, true
+		}
 	}
-	selection, okSel := w.pkg.Info.Selections[sel]
-	if !okSel {
-		return "", false
-	}
-	fn, okFn := selection.Obj().(*types.Func)
-	if !okFn || fn.Pkg() == nil {
-		return "", false
-	}
-	path := fn.Pkg().Path()
-	if !strings.Contains(path, "/wal") && !strings.Contains(path, "/diskindex") &&
-		!strings.Contains(path, "walorder") {
-		return "", false
-	}
-	return sel.Sel.Name, true
+	return "", false
 }
 
 // recordTypeArmsSync reports whether an appendRecord call writes a commit
@@ -137,7 +108,7 @@ func recordTypeArmsSync(call *ast.CallExpr) bool {
 	return name == "RecCommit" || name == "RecCheckpoint"
 }
 
-func (w *walWalker) handleCall(call *ast.CallExpr) {
+func (w *walCheck) handleCall(call *ast.CallExpr) {
 	name, ok := w.protoCall(call)
 	if !ok {
 		return
@@ -175,7 +146,7 @@ func (w *walWalker) handleCall(call *ast.CallExpr) {
 
 // scanCalls visits every call in n in pre-order (skipping closures, which
 // run on their own schedule) and feeds each to handleCall.
-func (w *walWalker) scanCalls(n ast.Node) {
+func (w *walCheck) scanCalls(n ast.Node) {
 	if n == nil {
 		return
 	}
@@ -192,7 +163,7 @@ func (w *walWalker) scanCalls(n ast.Node) {
 
 // checkExit reports protocol obligations still pending at a function exit.
 // ret is nil for the fall-off-the-end case.
-func (w *walWalker) checkExit(pos token.Pos, ret *ast.ReturnStmt) {
+func (w *walCheck) checkExit(pos token.Pos, ret *ast.ReturnStmt) {
 	if ret != nil {
 		// A tail that performs the sync itself (return l.f.Sync())
 		// discharges the obligation before the abort test below.
@@ -224,25 +195,16 @@ func (w *walWalker) checkExit(pos token.Pos, ret *ast.ReturnStmt) {
 // returnContainsSync reports whether any result expression performs the
 // log sync inline.
 func returnContainsSync(ret *ast.ReturnStmt) bool {
-	found := false
-	for _, res := range ret.Results {
-		ast.Inspect(res, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Sync" {
-					found = true
-					return false
-				}
-			}
-			return true
-		})
-	}
-	return found
+	return anyCall(ret, func(call *ast.CallExpr) bool {
+		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+		return ok && sel.Sel.Name == "Sync"
+	})
 }
 
 // returnAborts reports whether the return carries a non-nil error value —
 // the abort shape (return err / return fmt.Errorf(...)) that exempts a
 // path from the protocol's success obligations.
-func (w *walWalker) returnAborts(ret *ast.ReturnStmt) bool {
+func (w *walCheck) returnAborts(ret *ast.ReturnStmt) bool {
 	info := w.pkg.Info
 	for _, res := range ret.Results {
 		e := ast.Unparen(res)
@@ -264,73 +226,14 @@ func errorInterface() *types.Interface {
 	return types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
 }
 
-func (w *walWalker) walkStmt(stmt ast.Stmt) {
+func (w *walCheck) stmt(stmt ast.Stmt) {
 	switch s := stmt.(type) {
 	case *ast.ReturnStmt:
-		for _, res := range s.Results {
-			w.scanCalls(res)
-		}
+		w.scanCalls(s)
 		w.checkExit(s.Pos(), s)
 		// Control never continues past a return: clear the state so a
 		// top-level return isn't re-reported at the closing brace.
 		w.st = walState{}
-	case *ast.IfStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init)
-		}
-		w.scanCalls(s.Cond)
-		snap := w.snapshot()
-		w.walkBlock(s.Body)
-		w.restore(snap)
-		if s.Else != nil {
-			snap = w.snapshot()
-			w.walkStmt(s.Else)
-			w.restore(snap)
-		}
-	case *ast.BlockStmt:
-		w.walkBlock(s)
-	case *ast.ForStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init)
-		}
-		snap := w.snapshot()
-		w.walkBlock(s.Body)
-		w.restore(snap)
-	case *ast.RangeStmt:
-		w.scanCalls(s.X)
-		snap := w.snapshot()
-		w.walkBlock(s.Body)
-		w.restore(snap)
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init)
-		}
-		for _, c := range s.Body.List {
-			cc := c.(*ast.CaseClause)
-			snap := w.snapshot()
-			for _, st := range cc.Body {
-				w.walkStmt(st)
-			}
-			w.restore(snap)
-		}
-	case *ast.TypeSwitchStmt:
-		for _, c := range s.Body.List {
-			cc := c.(*ast.CaseClause)
-			snap := w.snapshot()
-			for _, st := range cc.Body {
-				w.walkStmt(st)
-			}
-			w.restore(snap)
-		}
-	case *ast.SelectStmt:
-		for _, c := range s.Body.List {
-			cc := c.(*ast.CommClause)
-			snap := w.snapshot()
-			for _, st := range cc.Body {
-				w.walkStmt(st)
-			}
-			w.restore(snap)
-		}
 	case *ast.DeferStmt:
 		// Deferred work runs at exit in unwound order; modelling it
 		// path-sensitively is out of scope, and no commit path in the

@@ -1,12 +1,12 @@
 package server
 
 // POST /query/batch: many queries, one request, answered through
-// core.SearchParallel — the same scratch-affinity + work-stealing
-// fan-out the library ships. All batch requests on a server share one
-// core.Admission sized below GOMAXPROCS, so a huge batch executes at
-// bounded parallelism and interleaves with other batches (and leaves
-// headroom for single /query traffic) at query granularity instead of
-// monopolizing the worker pool for its whole duration.
+// core.SearchParallel — the same worker loop the library ships. All batch
+// requests on a server share one core.Admission sized below GOMAXPROCS, so
+// a huge batch executes at bounded parallelism and interleaves with other
+// batches (and leaves headroom for single /query traffic) at query
+// granularity instead of monopolizing the worker pool for its whole
+// duration.
 //
 // The request body:
 //

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"strings"
 	"time"
 
 	"spatialdom/internal/core"
@@ -67,9 +68,12 @@ type query struct {
 // are already probabilities (the shard protocol) — against the dataset
 // dimensionality. Every failure is a 400.
 func buildQuery(dim int, operator, metric string, k int, normalized bool, raw ...BatchQuery) (query, error) {
-	op, err := parseOperator(operator)
-	if err != nil {
-		return query{}, err
+	op := core.PSD // what a request gets by not naming an operator
+	if strings.TrimSpace(operator) != "" {
+		var err error
+		if op, err = core.ParseOperator(operator); err != nil {
+			return query{}, err
+		}
 	}
 	m, err := parseMetric(metric)
 	if err != nil {

@@ -615,22 +615,6 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 
 // --- helpers --------------------------------------------------------------------
 
-func parseOperator(s string) (core.Operator, error) {
-	switch strings.ToUpper(strings.TrimSpace(s)) {
-	case "", "PSD":
-		return core.PSD, nil
-	case "SSD":
-		return core.SSD, nil
-	case "SSSD":
-		return core.SSSD, nil
-	case "FSD":
-		return core.FSD, nil
-	case "F+SD", "FPLUSSD":
-		return core.FPlusSD, nil
-	}
-	return 0, fmt.Errorf("unknown operator %q", s)
-}
-
 func parseMetric(s string) (geom.Metric, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "", "euclidean", "l2":

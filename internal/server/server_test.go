@@ -121,7 +121,7 @@ func TestQueryMatchesLibrary(t *testing.T) {
 		if code != 200 {
 			t.Fatalf("%s: status %d", opName, code)
 		}
-		op, _ := parseOperator(opName)
+		op, _ := core.ParseOperator(opName)
 		want := idx.Search(q, op).IDs()
 		var got []int
 		for _, c := range resp.Candidates {
