@@ -42,8 +42,9 @@ race:
 
 # check is the CI gate — the steps of the CI lint and check jobs plus the
 # fuzz smoke, one list: formatting + vet + build + nnclint + race tests + a
-# one-shot Figure 12 and disk-cold benchmark smoke so the engine's hot path
-# stays exercised in memory and against a page file, the batch scaling gate
+# one-shot Figure 12, disk-cold and commit benchmark smoke so the engine's
+# hot path stays exercised in memory, against a page file and through the
+# WAL write path, the batch scaling gate
 # without the race detector (it skips under it) and the parallel-search
 # benchmarks at four procs (the only place the batch path is timed), the
 # size count, and a short fuzz pass over the on-disk decoders and the
@@ -55,6 +56,7 @@ check: fmt-check
 	$(GO) test -race ./...
 	$(GO) test -run='^$$' -bench=Fig12 -benchtime=1x .
 	$(GO) test -run='^$$' -bench='SearchK/disk-cold' -benchtime=1x .
+	$(GO) test -run='^$$' -bench='Commit$$' -benchtime=1x .
 	$(GO) test -run=TestSearchParallelScales ./internal/core
 	GOMAXPROCS=4 $(GO) test -run='^$$' -bench=ParallelSearch -benchtime=1x .
 	$(MAKE) loc

@@ -15,6 +15,7 @@ package spatialdom
 import (
 	"context"
 	"fmt"
+	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -23,7 +24,10 @@ import (
 
 	"spatialdom/internal/core"
 	"spatialdom/internal/datagen"
+	"spatialdom/internal/diskindex"
 	"spatialdom/internal/harness"
+	"spatialdom/internal/uncertain"
+	"spatialdom/internal/wal"
 )
 
 // benchSpec is the scaled-down Table 2 defaults used by the benchmarks.
@@ -380,6 +384,62 @@ func BenchmarkSearchK(b *testing.B) {
 		b.ReportMetric(examined/float64(b.N), "examined/query")
 		b.ReportMetric(reads/float64(b.N), "page-reads/query")
 	})
+}
+
+// countingWAL counts the writes the log makes to its file.
+type countingWAL struct {
+	*os.File
+	writes int
+}
+
+func (c *countingWAL) WriteAt(p []byte, off int64) (int, error) {
+	c.writes++
+	return c.File.WriteAt(p, off)
+}
+
+// BenchmarkCommit — one committed insert or delete on the mutable disk
+// index: the shape of the repo benchmark's disk_write workload
+// (bench/wl_disk.go), a 10 000 × 10 page file opened writable with a pool
+// that holds all of it, objects from the same distribution inserted and
+// then deleted again. allocs/op and B/op are per commit.
+func BenchmarkCommit(b *testing.B) {
+	ds := datagen.Generate(datagen.Params{N: 10000, Dim: 3, M: 10, Centers: datagen.AntiCorrelated, Seed: benchSeed})
+	extra := datagen.Generate(datagen.Params{N: 5000, Dim: 3, M: 10, Centers: datagen.AntiCorrelated, Seed: benchSeed + 7}).Objects
+	for i, o := range extra {
+		extra[i] = uncertain.MustNew(len(ds.Objects)+1+i, o.Points(), o.Probs())
+	}
+	path := filepath.Join(b.TempDir(), "write.pg")
+	built, err := BuildDiskIndex(path, ds.Objects, 256)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := built.Close(); err != nil {
+		b.Fatal(err)
+	}
+	var log *countingWAL
+	ix, err := diskindex.OpenFileMutable(path, &diskindex.MutableOptions{
+		Frames:  4096,
+		WALWrap: func(f *os.File) wal.File { log = &countingWAL{File: f}; return log },
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ix.Close()
+	log.writes = 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		o := extra[i%len(extra)]
+		if i/len(extra)%2 == 0 {
+			err = ix.Insert(o)
+		} else {
+			_, err = ix.Delete(o.ID())
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(log.writes)/float64(b.N), "wal-writes/commit")
 }
 
 // BenchmarkMetric — dominance-search cost under each distance metric.

@@ -1,6 +1,7 @@
 package diskindex
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -274,5 +275,97 @@ func TestCrashRecoveryIdempotent(t *testing.T) {
 		// from a WAL that the previous recovery already reset.
 		ix2.mut.wal.Close()
 		ix2.mut.owned.Close()
+	}
+}
+
+// flakyWAL fails one armed write after landing a prefix of it, then heals
+// — a transient log-device error, not a crash.
+type flakyWAL struct {
+	*os.File
+	armed bool
+	land  int64 // bytes of the failing write that still reach the file
+}
+
+var errFlakyWAL = errors.New("injected wal write failure")
+
+func (f *flakyWAL) WriteAt(p []byte, off int64) (int, error) {
+	if f.armed && int64(len(p)) > f.land {
+		f.armed = false
+		n, _ := f.File.WriteAt(p[:f.land], off)
+		return n, errFlakyWAL
+	}
+	return f.File.WriteAt(p, off)
+}
+
+// TestCrashFailedImageWriteAbortsCleanly: a transaction whose image write
+// fails after landing whole records aborts without poisoning the index,
+// and the records that landed never reach a recovery — the next, shorter
+// transaction truncates them instead of leaving them past its own end.
+func TestCrashFailedImageWriteAbortsCleanly(t *testing.T) {
+	ds := datagen.Generate(datagen.Params{N: 30, M: 5, EdgeLen: 400, Seed: 77})
+	big := datagen.Generate(datagen.Params{N: 1, M: 2000, EdgeLen: 400, Seed: 78}).Objects[0]
+	big = uncertain.MustNew(9001, big.Points(), big.Probs())
+	small := uncertain.MustNew(9002, ds.Objects[0].Points(), ds.Objects[0].Probs())
+
+	path := filepath.Join(t.TempDir(), "flaky.pg")
+	var fw *flakyWAL
+	ix, err := CreateFileMutable(path, 3, &MutableOptions{
+		Frames:   64,
+		WALLimit: -1,
+		WALWrap:  func(f *os.File) wal.File { fw = &flakyWAL{File: f}; return fw },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range ds.Objects {
+		if err := ix.Insert(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ix.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	want := idSet(ix)
+	want[small.ID()] = true
+
+	// The big object's transaction spans well over 12 pages; 12 whole
+	// image records land before the write fails.
+	fw.armed, fw.land = true, 12*wal.PageImageRecordSize(ix.pool.File().PageSize())
+	err = ix.Insert(big)
+	if !errors.Is(err, errFlakyWAL) || errors.Is(err, ErrPoisoned) {
+		t.Fatalf("insert over a failing image write: %v, want the injected error and no poison", err)
+	}
+	if fw.armed {
+		t.Fatal("the big transaction's image write was shorter than 12 records; the test lost its premise")
+	}
+	// The small object's transaction is shorter than what landed.
+	if err := ix.Insert(small); err != nil {
+		t.Fatalf("insert after the healed write: %v", err)
+	}
+	if walLen := ix.WALSize(); walLen >= wal.HeaderSize+fw.land {
+		t.Fatalf("second transaction (%d bytes) is not shorter than the %d that landed", walLen-wal.HeaderSize, fw.land)
+	}
+	// The process dies here: no checkpoint, no pool flush.
+	ix.mut.wal.Close()
+	ix.mut.owned.Close()
+
+	ix2, err := OpenFileMutable(path, &MutableOptions{Frames: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix2.Close()
+	rec := ix2.WALRecovery()
+	if rec.CommittedTxs != 1 || rec.TornBytes != 0 || rec.DroppedTxs > 1 {
+		t.Fatalf("recovery %+v: want exactly the second insert, no torn tail, the aborted transaction dropped at most once", rec)
+	}
+	if got := idSet(ix2); !setsEqual(got, want) {
+		t.Fatalf("recovered %d ids, want %d (the base set plus the second insert)", len(got), len(want))
+	}
+	if err := ix2.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := FsckStruct(path, 64)
+	if err != nil || !rep.Clean() {
+		t.Fatalf("fsck after recovery: %v %+v", err, rep)
 	}
 }

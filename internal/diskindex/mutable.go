@@ -6,12 +6,15 @@ package diskindex
 // # Write path
 //
 // One writer at a time (writeMu). A mutation stages every page it touches
-// in a Tx, then commits: page images are appended to the WAL, the commit
-// record is appended and fsynced (the durability point), the images are
-// installed into the buffer pool with Put, and finally a new snapshot is
-// published. The page file itself receives committed images lazily — by
-// buffer-pool eviction or at a checkpoint — which is safe because
-// recovery replays the WAL over the file.
+// in a Tx, then commits: page images are encoded into the WAL's buffer and
+// written to the log in one write, the commit record is appended and
+// fsynced (the durability point), the images are installed into the
+// buffer pool with Put, and finally a new snapshot is published. The
+// writer reuses one Tx and recycles its page buffers (tx.go): the log and
+// Put both copy, so a staged buffer is the transaction's alone and free
+// again when it ends. The page file itself receives committed images
+// lazily — by buffer-pool eviction or at a checkpoint — which is safe
+// because recovery replays the WAL over the file.
 //
 // # Read path
 //
@@ -34,12 +37,14 @@ package diskindex
 //
 // # Failure
 //
-// An error while appending page images aborts cleanly (nothing was
-// published). An error on the commit fsync or the cache install poisons
-// the index: the transaction's durability is indeterminate, so further
-// writes are refused while readers continue on the last published
-// snapshot; reopening the file runs WAL recovery and resolves the
-// ambiguity either way.
+// An error while appending or writing page images aborts cleanly: nothing
+// was published and no commit record can follow, so whatever reached the
+// log is a torn tail the next write truncates. An error on the commit
+// record's write, its fsync or the cache install poisons the index: the
+// transaction's durability is indeterminate, so further writes are
+// refused while readers continue on the last published snapshot;
+// reopening the file runs WAL recovery and resolves the ambiguity either
+// way.
 
 import (
 	"encoding/binary"
@@ -139,6 +144,10 @@ type mutState struct {
 	free    []pager.PageID
 	pending []pendingFree
 	retired []*snapshot
+
+	tx        *Tx            // the one transaction, emptied by release
+	freeBufs  [][]byte       // page buffers between transactions, at most maxFreeBufs
+	superFree []pager.PageID // stageSuper's scratch for the persisted free list
 
 	tombHead  pager.PageID
 	tombTail  pager.PageID
@@ -399,6 +408,7 @@ func attachMutable(pf *pager.PageFile, pool *pager.Pool, super pager.PageID,
 		spanNeg:   spanNeg,
 		recovered: rec,
 	}
+	ix.mut.tx = newTx(ix)
 	//nnc:publish first store before the Index escapes the constructor; no reader exists yet
 	ix.snap.Store(&snapshot{
 		epoch: sb.Epoch, root: tree.Root(), height: tree.Height(),
@@ -483,7 +493,8 @@ func (ix *Index) Insert(o *uncertain.Object) error {
 	}
 
 	treeSt, storeSt, cap := ix.tree.State(), ix.store.State(), m.capture()
-	tx := newTx(ix)
+	tx := m.tx
+	defer tx.release()
 	var ptr diskstore.Ptr
 	err := func() error {
 		var err error
@@ -545,7 +556,8 @@ func (ix *Index) Delete(id int) (bool, error) {
 	}
 
 	treeSt, storeSt, cap := ix.tree.State(), ix.store.State(), m.capture()
-	tx := newTx(ix)
+	tx := m.tx
+	defer tx.release()
 	err = func() error {
 		removed, err := ix.tree.DeleteTx(tx, rtree.Entry{Rect: o.MBR(), ID: int64(ptr)})
 		if err != nil {
@@ -619,13 +631,12 @@ func (ix *Index) tombAppendTx(tx *Tx, ptr diskstore.Ptr) error {
 // freed.
 func (ix *Index) stageSuper(tx *Tx, epoch uint64) error {
 	m := ix.mut
-	free := make([]pager.PageID, 0, len(m.free)+len(tx.recycle)+len(m.pending)+len(tx.freed))
-	free = append(free, m.free...)
-	free = append(free, tx.recycle...)
+	m.superFree = append(m.superFree[:0], m.free...)
+	m.superFree = append(m.superFree, tx.recycle...)
 	for _, p := range m.pending {
-		free = append(free, p.id)
+		m.superFree = append(m.superFree, p.id)
 	}
-	free = append(free, tx.freed...)
+	m.superFree = append(m.superFree, tx.freed...)
 	buf, err := tx.Stage(ix.super, pager.PageSuper)
 	if err != nil {
 		return err
@@ -638,19 +649,23 @@ func (ix *Index) stageSuper(tx *Tx, epoch uint64) error {
 		TombHead:  m.tombHead,
 		TombTail:  m.tombTail,
 		TombCount: m.tombCount,
-		Free:      free,
+		Free:      m.superFree,
 	})
 	return nil
 }
 
-func (ix *Index) poison(err error) error {
-	ix.mut.poisoned = err
-	return fmt.Errorf("%w: %w", ErrPoisoned, err)
+//nnc:coldpath error path: formats once, after which every write is refused
+func (ix *Index) poison(step string, err error) error {
+	ix.mut.poisoned = fmt.Errorf("%s: %w", step, err)
+	return fmt.Errorf("%w: %w", ErrPoisoned, ix.mut.poisoned)
 }
 
 // commitTx makes the transaction durable and publishes the new snapshot.
-// On an image-append error the caller can abort cleanly; a commit-fsync
-// or cache-install error poisons the index (see the package comment).
+// On an error up to and including the image write the caller can abort
+// cleanly; an error from the commit record's write or fsync, or from the
+// cache install, poisons the index (see the package comment).
+//
+//nnc:hotpath
 func (ix *Index) commitTx(tx *Tx) error {
 	m := ix.mut
 	cur := ix.snap.Load()
@@ -659,28 +674,34 @@ func (ix *Index) commitTx(tx *Tx) error {
 		return err
 	}
 	txid := m.wal.NextTx()
-	for _, id := range tx.order {
-		sp := tx.staged[id]
+	for i := range tx.pages {
+		sp := &tx.pages[i]
 		if !sp.live {
 			continue
 		}
-		if err := m.wal.AppendPageImage(txid, id, sp.t, sp.buf); err != nil {
+		if err := m.wal.AppendPageImage(txid, sp.id, sp.t, sp.buf); err != nil {
+			//nnc:allow hotpath-alloc: error path
 			return fmt.Errorf("diskindex: wal append: %w", err)
 		}
 	}
+	if err := m.wal.FlushImages(); err != nil {
+		//nnc:allow hotpath-alloc: error path
+		return fmt.Errorf("diskindex: wal append: %w", err)
+	}
 	if err := m.wal.AppendCommit(txid); err != nil {
-		return ix.poison(fmt.Errorf("wal commit: %w", err))
+		return ix.poison("wal commit", err)
 	}
 	// Durable. Install the images and publish.
-	for _, id := range tx.order {
-		sp := tx.staged[id]
+	for i := range tx.pages {
+		sp := &tx.pages[i]
 		if !sp.live {
 			continue
 		}
-		if err := ix.pool.Put(id, sp.buf, sp.t); err != nil {
-			return ix.poison(fmt.Errorf("cache install: %w", err))
+		if err := ix.pool.Put(sp.id, sp.buf, sp.t); err != nil {
+			return ix.poison("cache install", err)
 		}
 	}
+	//nnc:allow hotpath-alloc: the published snapshot is the commit's product; readers hold it until they drain
 	ns := &snapshot{
 		epoch: newEpoch, root: ix.tree.Root(), height: ix.tree.Height(),
 		size: ix.tree.Len(), span: m.spanValue(), store: ix.store.Clone(),

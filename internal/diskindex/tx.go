@@ -6,6 +6,13 @@ package diskindex
 // page file, so aborting a transaction is pure bookkeeping — restore the
 // structures' in-memory headers and hand the popped free-list pages back.
 //
+// The index has one Tx, emptied at the end of every mutation, and its page
+// buffers come off a free list on mutState and go back when the
+// transaction ends either way (release). That is sound because nothing
+// keeps a transaction buffer past its transaction: the WAL and Pool.Put
+// copy, a decoded node copies its coordinates out, and snapshots hold page
+// ids, never buffers.
+//
 // A Tx lives entirely under the index's write mutex; none of this is
 // concurrency-safe on its own.
 
@@ -16,6 +23,7 @@ import (
 )
 
 type stagedPage struct {
+	id  pager.PageID
 	buf []byte
 	t   pager.PageType
 	// live is cleared when the transaction frees its own staged page: the
@@ -26,10 +34,11 @@ type stagedPage struct {
 // Tx implements pager.TxPager over the index's committed pages.
 type Tx struct {
 	ix     *Index
-	staged map[pager.PageID]*stagedPage
-	order  []pager.PageID // staging order, the WAL append order
+	pages  []stagedPage         // in staging order, the WAL append order
+	staged map[pager.PageID]int // page id → index in pages
 	reads  map[pager.PageID][]byte
 	owned  map[pager.PageID]bool
+	bufs   [][]byte // every buffer drawn, for release
 
 	popped  []pager.PageID // taken off the index free list by Alloc
 	grown   []pager.PageID // appended to the page file by Alloc
@@ -39,10 +48,21 @@ type Tx struct {
 
 var _ pager.TxPager = (*Tx)(nil)
 
+// maxFreeBufs bounds the page buffers kept between transactions. On the
+// repo benchmark's write workload a mutation draws 12 at the median, 14 at
+// p99 and 25 at most; a larger transaction allocates its surplus and
+// drops it afterwards.
+const maxFreeBufs = 24
+
+// poisonFreeBufs makes release fill every buffer it takes back with 0xDB,
+// so anything still aliasing a transaction buffer after the transaction
+// reads garbage. Set by this package's tests only.
+var poisonFreeBufs bool
+
 func newTx(ix *Index) *Tx {
 	return &Tx{
 		ix:     ix,
-		staged: make(map[pager.PageID]*stagedPage),
+		staged: make(map[pager.PageID]int),
 		reads:  make(map[pager.PageID][]byte),
 		owned:  make(map[pager.PageID]bool),
 	}
@@ -54,6 +74,42 @@ func (tx *Tx) PageSize() int { return tx.ix.pool.File().PageSize() }
 // Owned reports whether the transaction allocated page id itself.
 func (tx *Tx) Owned(id pager.PageID) bool { return tx.owned[id] }
 
+// buffer draws one page buffer, contents unspecified, off the free list.
+func (tx *Tx) buffer() []byte {
+	m := tx.ix.mut
+	var buf []byte
+	if n := len(m.freeBufs); n > 0 {
+		buf, m.freeBufs = m.freeBufs[n-1], m.freeBufs[:n-1]
+	} else {
+		//nnc:allow hotpath-alloc: first-use growth of the free list; warm transactions draw recycled buffers
+		buf = make([]byte, tx.PageSize())
+	}
+	tx.bufs = append(tx.bufs, buf)
+	return buf
+}
+
+// release ends the transaction, committed or aborted: its page buffers go
+// back to the free list, up to the bound, and its maps and slices are
+// emptied for the next mutation — keeping no reference to a buffer.
+func (tx *Tx) release() {
+	m := tx.ix.mut
+	for _, buf := range tx.bufs[:min(len(tx.bufs), maxFreeBufs-len(m.freeBufs))] {
+		if poisonFreeBufs {
+			for j := range buf {
+				buf[j] = 0xDB
+			}
+		}
+		m.freeBufs = append(m.freeBufs, buf)
+	}
+	clear(tx.bufs)
+	clear(tx.pages)
+	clear(tx.staged)
+	clear(tx.reads)
+	clear(tx.owned)
+	tx.pages, tx.bufs = tx.pages[:0], tx.bufs[:0]
+	tx.popped, tx.grown, tx.recycle, tx.freed = tx.popped[:0], tx.grown[:0], tx.recycle[:0], tx.freed[:0]
+}
+
 // committedCopy reads page id from the buffer pool into a private buffer.
 func (tx *Tx) committedCopy(id pager.PageID) ([]byte, error) {
 	if buf, ok := tx.reads[id]; ok {
@@ -63,20 +119,29 @@ func (tx *Tx) committedCopy(id pager.PageID) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	buf := make([]byte, len(src))
+	buf := tx.buffer()
 	copy(buf, src)
 	tx.ix.pool.Unpin(id)
+	//nnc:allow hotpath-alloc: the map is cleared, not remade, between transactions; it grows to a transaction's page count once
 	tx.reads[id] = buf
 	return buf, nil
+}
+
+// stage records buf as page id's pending image.
+func (tx *Tx) stage(id pager.PageID, buf []byte, t pager.PageType) {
+	//nnc:allow hotpath-alloc: the map is cleared, not remade, between transactions; it grows to a transaction's page count once
+	tx.staged[id] = len(tx.pages)
+	tx.pages = append(tx.pages, stagedPage{id: id, buf: buf, t: t, live: true})
 }
 
 // Read returns the staged copy when present, else a private copy of the
 // committed page.
 //
+//nnc:hotpath
 //nnc:allow ctx-flow: Tx implements pager.TxPager, which is ctx-free by design — a single-writer transaction is never cancelled mid-flight, only committed or aborted
 func (tx *Tx) Read(id pager.PageID) ([]byte, error) {
-	if sp, ok := tx.staged[id]; ok && sp.live {
-		return sp.buf, nil
+	if i, ok := tx.staged[id]; ok && tx.pages[i].live {
+		return tx.pages[i].buf, nil
 	}
 	return tx.committedCopy(id)
 }
@@ -84,20 +149,21 @@ func (tx *Tx) Read(id pager.PageID) ([]byte, error) {
 // Stage returns the writable staged copy of page id, creating it from the
 // committed content on first touch.
 //
+//nnc:hotpath
 //nnc:allow ctx-flow: Tx implements pager.TxPager, which is ctx-free by design — a single-writer transaction is never cancelled mid-flight, only committed or aborted
 func (tx *Tx) Stage(id pager.PageID, t pager.PageType) ([]byte, error) {
-	if sp, ok := tx.staged[id]; ok {
-		if !sp.live {
+	if i, ok := tx.staged[id]; ok {
+		if !tx.pages[i].live {
+			//nnc:allow hotpath-alloc: error path, a structure bug
 			return nil, fmt.Errorf("diskindex: tx stages freed page %d", id)
 		}
-		return sp.buf, nil
+		return tx.pages[i].buf, nil
 	}
 	buf, err := tx.committedCopy(id)
 	if err != nil {
 		return nil, err
 	}
-	tx.staged[id] = &stagedPage{buf: buf, t: t, live: true}
-	tx.order = append(tx.order, id)
+	tx.stage(id, buf, t)
 	return buf, nil
 }
 
@@ -107,16 +173,14 @@ func (tx *Tx) Stage(id pager.PageID, t pager.PageType) ([]byte, error) {
 // before commit is crash-safe — a grown page is unreachable from every
 // committed root, and the file header's page count only persists on Sync.
 //
+//nnc:hotpath
 //nnc:allow ctx-flow: Tx implements pager.TxPager, which is ctx-free by design — a single-writer transaction is never cancelled mid-flight, only committed or aborted
 func (tx *Tx) Alloc(t pager.PageType) (pager.PageID, []byte, error) {
-	ps := tx.PageSize()
 	if n := len(tx.recycle); n > 0 {
 		id := tx.recycle[n-1]
 		tx.recycle = tx.recycle[:n-1]
-		sp := tx.staged[id]
-		for i := range sp.buf {
-			sp.buf[i] = 0
-		}
+		sp := &tx.pages[tx.staged[id]]
+		clear(sp.buf)
 		sp.t = t
 		sp.live = true
 		return id, sp.buf, nil
@@ -136,19 +200,20 @@ func (tx *Tx) Alloc(t pager.PageType) (pager.PageID, []byte, error) {
 		id = nid
 		tx.grown = append(tx.grown, id)
 	}
+	//nnc:allow hotpath-alloc: the map is cleared, not remade, between transactions; it grows to a transaction's page count once
 	tx.owned[id] = true
-	sp := &stagedPage{buf: make([]byte, ps), t: t, live: true}
-	tx.staged[id] = sp
-	tx.order = append(tx.order, id)
-	return id, sp.buf, nil
+	buf := tx.buffer()
+	clear(buf)
+	tx.stage(id, buf, t)
+	return id, buf, nil
 }
 
 // Free marks page id unreachable from the post-transaction state. An
 // owned page never committed, so it is reusable at once; a committed page
 // waits for every snapshot that can still reach it to drain.
 func (tx *Tx) Free(id pager.PageID) {
-	if sp, ok := tx.staged[id]; ok {
-		sp.live = false
+	if i, ok := tx.staged[id]; ok {
+		tx.pages[i].live = false
 	}
 	if tx.owned[id] {
 		tx.recycle = append(tx.recycle, id)

@@ -332,19 +332,17 @@ func DecodeNode(buf []byte, dim int) (*rtree.Node, error) {
 			ErrCorruptNode, count, entry, len(buf))
 	}
 	n := &rtree.Node{Leaf: leaf, Rects: make([]geom.Rect, count), Refs: make([]int64, count)}
+	// Every corner is carved out of one backing array, capacity-limited so
+	// an append to one corner cannot write into its neighbour.
+	coords := make([]float64, 2*dim*count)
 	off := 3
 	for i := 0; i < count; i++ {
-		lo := make(geom.Point, dim)
-		hi := make(geom.Point, dim)
-		for j := 0; j < dim; j++ {
-			lo[j] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
+		for j := range coords[:2*dim] {
+			coords[j] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
 			off += 8
 		}
-		for j := 0; j < dim; j++ {
-			hi[j] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
-			off += 8
-		}
-		n.Rects[i] = geom.Rect{Lo: lo, Hi: hi}
+		n.Rects[i] = geom.Rect{Lo: coords[:dim:dim], Hi: coords[dim : 2*dim : 2*dim]}
+		coords = coords[2*dim:]
 		n.Refs[i] = int64(binary.LittleEndian.Uint64(buf[off:]))
 		off += 8
 	}

@@ -256,6 +256,12 @@ func TestNodeRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// The corners share one backing array; an append to any of them
+		// must reallocate rather than write into its neighbour.
+		for i := range n.Rects {
+			_ = append(n.Rects[i].Lo, -1)
+			_ = append(n.Rects[i].Hi, -1)
+		}
 		if n.Leaf {
 			for i, id := range n.Refs {
 				want := byID[id]

@@ -127,9 +127,34 @@ func (r Rect) Union(s Rect) Rect {
 	return Rect{Lo: lo, Hi: hi}
 }
 
+// UnionArea returns r.Union(s).Area() without building the union: the
+// same factors multiplied in the same order, so the two are bit-equal.
+//
+//nnc:hotpath
+func (r Rect) UnionArea(s Rect) float64 {
+	a := 1.0
+	for i := range r.Lo {
+		a *= max(r.Hi[i], s.Hi[i]) - min(r.Lo[i], s.Lo[i])
+	}
+	return a
+}
+
 // Enlargement returns the increase in area needed for r to cover s.
+//
+//nnc:hotpath
 func (r Rect) Enlargement(s Rect) float64 {
-	return r.Union(s).Area() - r.Area()
+	return r.UnionArea(s) - r.Area()
+}
+
+// Expand grows r in place to cover s. r's corners must be r's own (a
+// Clone), not shared with another rectangle.
+//
+//nnc:hotpath
+func (r Rect) Expand(s Rect) {
+	for i := range r.Lo {
+		r.Lo[i] = min(r.Lo[i], s.Lo[i])
+		r.Hi[i] = max(r.Hi[i], s.Hi[i])
+	}
 }
 
 // String formats the rectangle as "[lo; hi]".

@@ -85,6 +85,51 @@ func TestRectUnionEnlargement(t *testing.T) {
 	}
 }
 
+// UnionArea, Enlargement and Expand are Union with the allocation taken
+// out: bit-equal to it on every input, the signed zeros and NaN that
+// math.Min/Max order specially included — the R-tree's ChooseSubtree and
+// QuadraticSplit must keep picking the same children.
+func TestUnionAreaAndExpandMatchUnion(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	negZero := math.Copysign(0, -1)
+	coord := func() float64 {
+		switch rng.Intn(8) {
+		case 0:
+			return 0
+		case 1:
+			return negZero
+		case 2:
+			return math.NaN()
+		}
+		return rng.NormFloat64() * 1e3
+	}
+	sameBits := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+	}
+	for trial := 0; trial < 2000; trial++ {
+		d := 1 + rng.Intn(4)
+		var r, s Rect
+		for i := 0; i < d; i++ {
+			r.Lo, r.Hi = append(r.Lo, coord()), append(r.Hi, coord())
+			s.Lo, s.Hi = append(s.Lo, coord()), append(s.Hi, coord())
+		}
+		u := r.Union(s)
+		if got, want := r.UnionArea(s), u.Area(); !sameBits(got, want) {
+			t.Fatalf("UnionArea(%v, %v) = %v, Union.Area = %v", r, s, got, want)
+		}
+		if got, want := r.Enlargement(s), u.Area()-r.Area(); !sameBits(got, want) {
+			t.Fatalf("Enlargement(%v, %v) = %v, want %v", r, s, got, want)
+		}
+		e := r.Clone()
+		e.Expand(s)
+		for i := 0; i < d; i++ {
+			if !sameBits(e.Lo[i], u.Lo[i]) || !sameBits(e.Hi[i], u.Hi[i]) {
+				t.Fatalf("Expand(%v, %v) = %v, Union = %v", r, s, e, u)
+			}
+		}
+	}
+}
+
 func TestMinMaxDistPoint(t *testing.T) {
 	r := NewRect(Point{0, 0}, Point{2, 2})
 	cases := []struct {

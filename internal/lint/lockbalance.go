@@ -34,8 +34,8 @@ var lockScope = []string{"pager", "diskindex", "wal", "front", "cluster", "lockb
 
 // ioMethods are the blocking storage primitives that must never run under
 // a lock: holding a shard lock across one serializes every concurrent
-// search behind a disk read — and the WAL appends sync the log, so one
-// held across them serializes every commit behind an fsync.
+// search behind a disk read — and the WAL appends write or sync the log,
+// so one held across them serializes every commit behind that I/O.
 var ioMethods = map[string]bool{
 	"ReadPage":         true,
 	"ReadPageCtx":      true,
@@ -45,6 +45,7 @@ var ioMethods = map[string]bool{
 	"ReadVia":          true,
 	"Append":           true,
 	"AppendPageImage":  true,
+	"FlushImages":      true,
 	"AppendCommit":     true,
 	"AppendCheckpoint": true,
 	// An engine search may walk the disk index, so the front door's cache

@@ -74,12 +74,20 @@ func (s *store) FallsOffEnd() {
 // The WAL writer methods stand in for internal/wal's Log appends: each
 // one fsyncs, so holding a lock across them serializes every commit.
 func (file) AppendPageImage(tx uint64, id int, p []byte) error { return nil }
+func (file) FlushImages() error                                { return nil }
 func (file) AppendCommit(tx uint64) error                      { return nil }
 func (file) AppendCheckpoint(tx uint64) error                  { return nil }
 
 func (s *store) WALImageUnderLock(p []byte) error {
 	s.mu.Lock()
 	err := s.f.AppendPageImage(1, 2, p) //wantlint lock-balance: while s.mu is held
+	s.mu.Unlock()
+	return err
+}
+
+func (s *store) WALFlushUnderLock() error {
+	s.mu.Lock()
+	err := s.f.FlushImages() //wantlint lock-balance: while s.mu is held
 	s.mu.Unlock()
 	return err
 }

@@ -27,17 +27,22 @@ type log struct {
 
 func (l *log) appendRecord(rec int, tx uint64) error     { return nil }
 func (l *log) AppendPageImage(tx uint64, p []byte) error { return nil }
+func (l *log) FlushImages() error                        { return nil }
 func (l *log) AppendCommit(tx uint64) error              { return nil }
 func (l *log) AppendCheckpoint(tx uint64) error          { return nil }
 func (l *log) Reset() error                              { return nil }
 
-// CommitClean is the canonical protocol shape: images, then the commit
-// record (which syncs internally), early error returns exempt.
+// CommitClean is the canonical protocol shape: images, their one write,
+// then the commit record (which syncs internally), early error returns
+// exempt.
 func (l *log) CommitClean(tx uint64, pages [][]byte) error {
 	for _, p := range pages {
 		if err := l.AppendPageImage(tx, p); err != nil {
 			return err
 		}
+	}
+	if err := l.FlushImages(); err != nil {
+		return err
 	}
 	if err := l.AppendCommit(tx); err != nil {
 		return err
@@ -45,9 +50,21 @@ func (l *log) CommitClean(tx uint64, pages [][]byte) error {
 	return nil
 }
 
+// CommitUnflushed leaves the image write to AppendCommit: a failure of it
+// comes back from the call whose errors mean "durability indeterminate".
+func (l *log) CommitUnflushed(tx uint64, p []byte) error {
+	if err := l.AppendPageImage(tx, p); err != nil {
+		return err
+	}
+	return l.AppendCommit(tx) //wantlint wal-order: not preceded by FlushImages
+}
+
 // ImageAfterCommit appends a page image after the transaction's commit
 // record: the image belongs to no committed transaction.
 func (l *log) ImageAfterCommit(tx uint64, p []byte) error {
+	if err := l.FlushImages(); err != nil {
+		return err
+	}
 	if err := l.AppendCommit(tx); err != nil {
 		return err
 	}
@@ -66,6 +83,9 @@ func (l *log) CheckpointBeforeCommit(tx uint64, p []byte) error {
 	if err := l.AppendCheckpoint(tx); err != nil { //wantlint wal-order: checkpoint record appended while page images await
 		return err
 	}
+	if err := l.FlushImages(); err != nil {
+		return err
+	}
 	return l.AppendCommit(tx)
 }
 
@@ -75,6 +95,9 @@ func (l *log) ResetWithPendingImages(tx uint64, p []byte) error {
 		return err
 	}
 	if err := l.Reset(); err != nil { //wantlint wal-order: log truncated while page images await
+		return err
+	}
+	if err := l.FlushImages(); err != nil {
 		return err
 	}
 	return l.AppendCommit(tx)
@@ -136,6 +159,9 @@ func (l *log) AbortPathExempt(tx uint64, p []byte, bad bool) error {
 	if bad {
 		return errBoom
 	}
+	if err := l.FlushImages(); err != nil {
+		return err
+	}
 	return l.AppendCommit(tx)
 }
 
@@ -159,6 +185,9 @@ outer:
 			continue outer
 		}
 		return nil //wantlint wal-order: no commit record on this success path
+	}
+	if err := l.FlushImages(); err != nil {
+		return err
 	}
 	return l.AppendCommit(tx)
 }

@@ -20,6 +20,12 @@ import (
 //
 //   - AppendPageImage marks images pending; pending images after the
 //     commit record mean the image belongs to no transaction;
+//   - FlushImages writes the buffered images: its failure is the clean
+//     abort (nothing was promised), so it must precede every AppendCommit,
+//     whose failure means indeterminate durability — a commit reached
+//     without it would fold the first failure class into the second (the
+//     rule is positional because images appended in a loop are invisible
+//     to the branch-local state after the loop);
 //   - AppendCommit consumes the pending images (the wal-package method
 //     syncs internally, so callers are done);
 //   - AppendCheckpoint / Reset / Truncate while images are pending would
@@ -48,6 +54,7 @@ var walScope = []string{"wal", "diskindex", "walorder"}
 // walState is the branch-local protocol state.
 type walState struct {
 	images    bool // page images appended, commit record not yet seen
+	flushed   bool // FlushImages called, no image appended since
 	committed bool // commit record appended on this path
 	needSync  bool // raw commit/checkpoint record appended, log not synced
 	imagePos  ast.Node
@@ -62,7 +69,7 @@ type walCheck struct {
 	st     walState
 }
 
-// protoCall classifies a call as a WAL-protocol event. Append*, Reset and
+// protoCall classifies a call as a WAL-protocol event. Append*, FlushImages, Reset and
 // appendRecord must resolve to the wal/diskindex packages (or a corpus);
 // Sync and Truncate match any receiver, because the log's backing file is
 // an os.File (or a faultfile wrapper) and a spurious state clear is merely
@@ -80,7 +87,7 @@ func (w *walCheck) protoCall(call *ast.CallExpr) (name string, ok bool) {
 	switch sel.Sel.Name {
 	case "Sync", "Truncate":
 		return sel.Sel.Name, true
-	case "AppendPageImage", "AppendCommit", "AppendCheckpoint", "Reset", "appendRecord":
+	case "AppendPageImage", "FlushImages", "AppendCommit", "AppendCheckpoint", "Reset", "appendRecord":
 		if path, _ := calleePathQual(w.pkg.Info, call); containsAny(path, "/wal", "/diskindex", "walorder") {
 			return sel.Sel.Name, true
 		}
@@ -120,10 +127,18 @@ func (w *walCheck) handleCall(call *ast.CallExpr) {
 				fmt.Sprintf("%s: page image appended after the transaction's commit record; all images must precede AppendCommit", w.fnName))
 		}
 		w.st.images = true
+		w.st.flushed = false
 		w.st.imagePos = call
+	case "FlushImages":
+		w.st.flushed = true
 	case "AppendCommit":
+		if !w.st.flushed {
+			w.r.Report(call.Pos(), "wal-order",
+				fmt.Sprintf("%s: AppendCommit not preceded by FlushImages on this path; flush first so a failed image write aborts cleanly instead of surfacing as an indeterminate commit", w.fnName))
+		}
 		w.st.committed = true
 		w.st.images = false
+		w.st.flushed = false
 	case "AppendCheckpoint":
 		if w.st.images {
 			w.r.Report(call.Pos(), "wal-order",

@@ -126,6 +126,8 @@ func (p *Pool) GetCtx(ctx context.Context, id PageID) ([]byte, error) {
 // lock for the transfer, and republishes the result, so concurrent
 // searches on other pages of the shard proceed during the disk wait while
 // concurrent getters of the same page coalesce onto one read.
+//
+//nnc:coldpath buffer-pool boundary: frames are allocated once, up to the pool's capacity, and reused by eviction; below this the only other allocations are the physical-read miss path and error formatting
 func (p *Pool) get(ctx context.Context, id PageID) (buf []byte, hit bool, err error) {
 	sh := p.shardFor(id)
 	sh.mu.Lock()
@@ -197,6 +199,8 @@ func (p *Pool) get(ctx context.Context, id PageID) (buf []byte, hit bool, err er
 
 // Allocate creates a new zeroed page of the given type, pins it and
 // returns its id+buffer.
+//
+//nnc:coldpath buffer-pool boundary: frames are allocated once, up to the pool's capacity, and reused by eviction; below this the only other allocations are the physical-read miss path and error formatting
 func (p *Pool) Allocate(t PageType) (PageID, []byte, error) {
 	id, err := p.file.Allocate(t)
 	if err != nil {
@@ -267,6 +271,8 @@ func (sh *poolShard) victim(file *PageFile) (*frame, error) {
 // while Put copies into it (the mutable index's copy-on-write discipline:
 // a committed transaction only ever Puts pages that live searches cannot
 // reach from their snapshot root).
+//
+//nnc:coldpath buffer-pool boundary: frames are allocated once, up to the pool's capacity, and reused by eviction; below this the only other allocations are the physical-read miss path and error formatting
 func (p *Pool) Put(id PageID, buf []byte, t PageType) error {
 	sh := p.shardFor(id)
 	sh.mu.Lock()

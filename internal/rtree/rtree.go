@@ -190,11 +190,19 @@ func pow(b, e int) int {
 	return r
 }
 
-// mbr returns the union of a non-empty node's rectangles.
+// mbr returns the union of a non-empty node's rectangles, in corners of
+// its own (one array for both).
+//
+//nnc:hotpath
 func mbr(n *Node) geom.Rect {
-	r := n.Rects[0]
+	d := n.Rects[0].Dim()
+	//nnc:allow hotpath-alloc: the result, which the parent node keeps; nothing else is built on the way to it
+	c := make(geom.Point, 2*d)
+	r := geom.Rect{Lo: c[:d:d], Hi: c[d:]}
+	copy(r.Lo, n.Rects[0].Lo)
+	copy(r.Hi, n.Rects[0].Hi)
 	for _, s := range n.Rects[1:] {
-		r = r.Union(s)
+		r.Expand(s)
 	}
 	return r
 }
@@ -360,10 +368,10 @@ func QuadraticSplit(rects []geom.Rect, minEntries int) (groupA, groupB []int) {
 		}
 		if toA {
 			groupA = append(groupA, i)
-			rectA = rectA.Union(rects[i])
+			rectA.Expand(rects[i])
 		} else {
 			groupB = append(groupB, i)
-			rectB = rectB.Union(rects[i])
+			rectB.Expand(rects[i])
 		}
 	}
 	return groupA, groupB
@@ -375,7 +383,7 @@ func pickSeeds(rects []geom.Rect) (int, int) {
 	sa, sb, worst := 0, 1, -1.0
 	for i := 0; i < len(rects); i++ {
 		for j := i + 1; j < len(rects); j++ {
-			d := rects[i].Union(rects[j]).Area() - rects[i].Area() - rects[j].Area()
+			d := rects[i].UnionArea(rects[j]) - rects[i].Area() - rects[j].Area()
 			if d > worst {
 				sa, sb, worst = i, j, d
 			}

@@ -284,6 +284,9 @@ func TestRecoverAppliesOnlyCommitted(t *testing.T) {
 	if err := l.AppendPageImage(tx2, 2, pager.PageTreeNode, image(0x22)); err != nil {
 		t.Fatal(err)
 	}
+	if err := l.FlushImages(); err != nil {
+		t.Fatal(err)
+	}
 
 	st, err := Recover(l, pf)
 	if err != nil {
