@@ -37,6 +37,8 @@ import (
 	"strings"
 	"text/tabwriter"
 	"time"
+
+	"spatialdom/internal/cluster"
 )
 
 // maxRetryAfter caps how long a single Retry-After is honored, so a
@@ -261,15 +263,12 @@ func runSmoke(client *http.Client, addr, shardsSpec string) bool {
 	fmt.Fprintln(tw, "target\trole\tstatus\tdetail")
 	ok := smokeOne(tw, client, addr, "router")
 	if shardsSpec != "" {
-		for si, group := range strings.Split(shardsSpec, ";") {
-			for _, u := range strings.Split(group, ",") {
-				u = strings.TrimSpace(u)
-				if u == "" {
-					continue
-				}
-				if !strings.Contains(u, "://") {
-					u = "http://" + u
-				}
+		groups, err := cluster.ParseShards(shardsSpec)
+		if err != nil {
+			fatal(err)
+		}
+		for si, replicas := range groups {
+			for _, u := range replicas {
 				if !smokeOne(tw, client, u, fmt.Sprintf("shard %d", si)) {
 					ok = false
 				}

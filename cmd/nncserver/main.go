@@ -17,9 +17,11 @@
 //	  "operator": "PSD", "k": 1
 //	}'
 //
-// With -disk the server fronts a page file previously built by nncdisk
-// (or diskindex.Build): queries run through the same engine over the
-// buffer pool, and /objects endpoints answer 501 since the disk backend
+// The dataset flags (-n -m -d -hd -dist -seed, or -input) are the ones
+// every `nnc` verb takes, so `nncserver -n=5000` serves from memory the
+// objects `nnc build -n=5000 -out=objects.pg` wrote. With -disk the
+// server fronts such a page file: queries run through the same engine over
+// the buffer pool, and /objects endpoints answer 501 since the disk backend
 // does not enumerate. Canceled requests abort the search mid-traversal on
 // either backend. Adding -mutable opens the file writable — POST /insert
 // and POST /delete commit through the write-ahead log, searches in
@@ -39,14 +41,15 @@
 // instead of failing the query. Router health appears under "cluster" in
 // /healthz and sd_router_* series in /metrics.
 //
-// By default every backend serves behind the front door: request
-// coalescing, a semantic result cache with precise invalidation
-// (-cache-mb budget), optional per-client rate limiting (-rate, -burst),
-// a global in-flight ceiling (-max-inflight) and Prometheus-format
-// GET /metrics. Shed requests answer 429 with Retry-After. -no-front
-// serves the bare API. A -mutable boot comes up warming: the port
-// listens immediately, /readyz answers 503 until the WAL replay
-// finishes, then the index attaches and serving begins.
+// Every backend serves behind the front door: request coalescing, a
+// semantic result cache with precise invalidation (-cache-mb budget, 0
+// for none), optional per-client rate limiting (-rate, -burst), a global
+// in-flight ceiling (-max-inflight, negative for none) and
+// Prometheus-format GET /metrics. Shed requests answer 429 with
+// Retry-After. Every boot comes up warming: a bad command line exits 2
+// before the port binds, then the port listens, /readyz answers 503 with
+// the reason (indexing, opening the file, WAL replay, asking the shards)
+// and the backend attaches behind the door when it is ready.
 package main
 
 import (
@@ -54,34 +57,28 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"net/http/pprof"
+	"os"
 	"os/signal"
-	"strings"
-	"sync/atomic"
 	"syscall"
 	"time"
 
 	"spatialdom/internal/cluster"
-	"spatialdom/internal/datagen"
 	"spatialdom/internal/dataio"
 	"spatialdom/internal/diskindex"
 	"spatialdom/internal/pager"
 	"spatialdom/internal/server"
 	"spatialdom/internal/server/front"
-	"spatialdom/internal/uncertain"
 )
 
 func main() {
 	var (
+		src     dataio.Source
 		addr    = flag.String("addr", ":8080", "listen address")
-		n       = flag.Int("n", 2000, "number of objects to generate")
-		m       = flag.Int("m", 10, "average instances per object")
-		dist    = flag.String("dist", "anti", "dataset: anti, indep, house, nba, gw, clust")
-		seed    = flag.Int64("seed", 1, "generation seed")
-		input   = flag.String("input", "", "load objects from CSV instead of generating")
-		disk    = flag.String("disk", "", "serve from a disk index page file built by nncdisk")
+		disk    = flag.String("disk", "", "serve from a disk index page file built by `nnc build` instead of the in-memory dataset")
 		mutable = flag.Bool("mutable", false, "open -disk writable: POST /insert and /delete commit through the WAL")
 		frames  = flag.Int("frames", 256, "buffer pool frames for -disk")
 		pprofOn = flag.String("pprof", "", "serve net/http/pprof on this side address (e.g. localhost:6060)")
@@ -94,13 +91,95 @@ func main() {
 		brThreshold  = flag.Int("breaker-threshold", 3, "router: consecutive failures that open a replica's circuit breaker")
 		brCooldown   = flag.Duration("breaker-cooldown", 5*time.Second, "router: open-breaker cooldown before a half-open probe")
 
-		noFront     = flag.Bool("no-front", false, "serve the bare API without the front door (no cache, no shedding, no /metrics)")
 		cacheMB     = flag.Int("cache-mb", 64, "semantic result cache budget in MiB; 0 disables the cache")
 		rate        = flag.Float64("rate", 0, "per-client requests/sec (token bucket); 0 disables rate limiting")
 		burst       = flag.Int("burst", 0, "per-client burst; 0 means 2x -rate")
 		maxInflight = flag.Int("max-inflight", 0, "global in-flight ceiling; 0 means 16x GOMAXPROCS, negative disables")
 	)
+	src.Flags(flag.CommandLine)
 	flag.Parse()
+
+	// open produces the backend, in the boot goroutine, while the listener
+	// already answers /readyz with 503 and the reason; closer is what a
+	// clean shutdown closes after the drain. Everything the command line
+	// can get wrong is checked here, before the port binds.
+	var (
+		reason string
+		open   func() (b server.Backend, closer io.Closer, err error)
+		rt     *cluster.Router
+	)
+	switch {
+	case *router:
+		shardURLs, err := cluster.ParseShards(*shardsSpec)
+		if err != nil {
+			usage(err)
+		}
+		rt, err = cluster.New(cluster.Config{
+			Shards:           shardURLs,
+			ShardTimeout:     *shardTimeout,
+			HedgeAfter:       *hedgeAfter,
+			BreakerThreshold: *brThreshold,
+			BreakerCooldown:  *brCooldown,
+		})
+		if err != nil {
+			usage(err)
+		}
+		reason = fmt.Sprintf("asking %d shard(s) what they hold", len(shardURLs))
+		open = func() (server.Backend, io.Closer, error) {
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			if err := rt.Refresh(ctx); err != nil {
+				return nil, nil, err
+			}
+			log.Printf("routing %d objects across %d shard(s)", rt.Len(), len(shardURLs))
+			return rt, nil, nil
+		}
+	case *disk != "" && *mutable:
+		reason = "wal replay: " + *disk
+		open = func() (server.Backend, io.Closer, error) {
+			idx, err := diskindex.OpenFileMutable(*disk, &diskindex.MutableOptions{Frames: *frames})
+			if err != nil {
+				return nil, nil, err
+			}
+			if rec := idx.WALRecovery(); rec != nil && rec.CommittedTxs > 0 {
+				log.Printf("recovered %d committed transaction(s) from the WAL", rec.CommittedTxs)
+			}
+			log.Printf("serving mutable disk index %s (epoch %d)", idx, idx.Epoch())
+			// Close checkpoints, so a clean shutdown leaves an empty WAL.
+			return idx, idx, nil
+		}
+	case *disk != "":
+		reason = "opening " + *disk
+		open = func() (server.Backend, io.Closer, error) {
+			pf, err := pager.Open(*disk)
+			if err != nil {
+				return nil, nil, err
+			}
+			// The super page is the first page a build allocates.
+			idx, err := diskindex.Open(pager.NewPool(pf, *frames), 1)
+			if err != nil {
+				pf.Close()
+				return nil, nil, err
+			}
+			log.Printf("serving disk index %s", idx)
+			return idx, pf, nil
+		}
+	default:
+		ds, label, err := src.Load()
+		if err != nil {
+			usage(err)
+		}
+		reason = "indexing " + label
+		objs := ds.Objects // not ds: the closure outlives the boot, the centres need not
+		open = func() (server.Backend, io.Closer, error) {
+			store, err := front.NewMemStore(objs)
+			if err != nil {
+				return nil, nil, err
+			}
+			log.Printf("serving %d objects of %s from memory", len(objs), label)
+			return store, nil, nil
+		}
+	}
 
 	if *pprofOn != "" {
 		// A separate listener keeps the profiling endpoints off the query
@@ -118,138 +197,35 @@ func main() {
 		}()
 	}
 
-	doorCfg := front.DoorConfig{CacheBytes: int64(*cacheMB) << 20}
-	if *cacheMB <= 0 {
-		doorCfg.CacheBytes = -1
-	}
-	frontCfg := front.Config{RatePerSec: *rate, Burst: *burst, MaxInFlight: *maxInflight}
-
-	// build wraps a ready backend in the front door (unless -no-front)
-	// and returns the HTTP entry point for it.
-	var fh *front.Handler
-	build := func(srv *server.Server, b server.Backend) http.Handler {
-		if *noFront {
-			srv.Attach(b)
-			return logging(srv)
-		}
-		door := front.NewDoor(b, doorCfg)
-		if fh == nil {
-			fh = front.NewHandler(srv, door, frontCfg)
-			srv.SetFront(fh)
-		} else {
-			fh.AttachDoor(door)
-		}
-		srv.Attach(door)
-		return logging(fh)
-	}
-
-	var handler http.Handler
-	var srv *server.Server
-	// mutIdx holds the mutable disk index once its (possibly async) WAL
-	// replay finishes, so shutdown can checkpoint it.
-	var mutIdx atomic.Pointer[diskindex.Index]
-	if *router {
-		shardURLs, err := parseShards(*shardsSpec)
-		if err != nil {
-			log.Fatal(err)
-		}
-		rt, err := cluster.New(cluster.Config{
-			Shards:           shardURLs,
-			ShardTimeout:     *shardTimeout,
-			HedgeAfter:       *hedgeAfter,
-			BreakerThreshold: *brThreshold,
-			BreakerCooldown:  *brCooldown,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		refreshCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		err = rt.Refresh(refreshCtx)
-		cancel()
-		if err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("routing %d objects across %d shard(s)", rt.Len(), len(shardURLs))
-		srv = server.NewWarming("")
-		handler = build(srv, rt)
-		if fh != nil {
-			rt.RegisterMetrics(fh.Registry())
-		}
-	} else if *disk != "" && *mutable {
-		// Boot warming: the listener comes up immediately answering 503
-		// (readyz reports the replay), and Attach flips it live when the
-		// WAL replay finishes — a long replay no longer blanks the port.
-		srv = server.NewWarming("wal replay: " + *disk)
-		if *noFront {
-			handler = logging(srv)
-		} else {
-			fh = front.NewHandler(srv, nil, frontCfg)
-			srv.SetFront(fh)
-			handler = logging(fh)
-		}
-		//nnc:detached warming boot: Attach flips the server live and the goroutine ends; log.Fatal covers the failure path
-		go func() {
-			idx, err := diskindex.OpenFileMutable(*disk, &diskindex.MutableOptions{Frames: *frames})
-			if err != nil {
-				log.Fatal(err)
-			}
-			if rec := idx.WALRecovery(); rec != nil && rec.CommittedTxs > 0 {
-				log.Printf("recovered %d committed transaction(s) from the WAL", rec.CommittedTxs)
-			}
-			log.Printf("serving mutable disk index %s (epoch %d)", idx, idx.Epoch())
-			mutIdx.Store(idx)
-			if *noFront {
-				srv.Attach(idx)
-				return
-			}
-			door := front.NewDoor(idx, doorCfg)
-			fh.AttachDoor(door)
-			srv.Attach(door)
-		}()
-	} else if *disk != "" {
-		pf, err := pager.Open(*disk)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer pf.Close()
-		// The super page is the first page a Build allocates.
-		idx, err := diskindex.Open(pager.NewPool(pf, *frames), 1)
-		if err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("serving disk index %s", idx)
-		srv = server.NewWarming("")
-		handler = build(srv, idx)
-	} else {
-		var objs []*uncertain.Object
-		if *input != "" {
-			var err error
-			objs, err = dataio.ReadFile(*input)
-			if err != nil {
-				log.Fatal(err)
-			}
-			log.Printf("loaded %d objects from %s", len(objs), *input)
-		} else {
-			centers, err := datagen.ParseCenterDist(*dist)
-			if err != nil {
-				log.Fatal(err)
-			}
-			ds := datagen.Generate(datagen.Params{N: *n, M: *m, Centers: centers, Seed: *seed})
-			objs = ds.Objects
-			log.Printf("generated %d %s objects", len(objs), centers)
-		}
-		store, err := front.NewMemStore(objs)
-		if err != nil {
-			log.Fatal(err)
-		}
-		srv = server.NewWarming("")
-		handler = build(srv, store)
+	srv := server.NewWarming(reason)
+	fh := front.NewHandler(srv, nil, front.Config{RatePerSec: *rate, Burst: *burst, MaxInFlight: *maxInflight})
+	srv.SetFront(fh)
+	if rt != nil {
+		rt.RegisterMetrics(fh.Registry())
 	}
 	httpSrv := &http.Server{
 		Addr:              *addr,
-		Handler:           handler,
+		Handler:           logging(fh),
 		ReadHeaderTimeout: 5 * time.Second,
 	}
+
+	// booted carries the backend's closer (nil when it owns no file) from
+	// the boot goroutine to the shutdown path.
+	booted := make(chan io.Closer, 1)
+	go func() {
+		b, closer, err := open()
+		if err != nil {
+			log.Fatal(err)
+		}
+		doorCfg := front.DoorConfig{CacheBytes: int64(*cacheMB) << 20}
+		if *cacheMB <= 0 {
+			doorCfg.CacheBytes = -1
+		}
+		door := front.NewDoor(b, doorCfg)
+		fh.AttachDoor(door)
+		srv.Attach(door)
+		booted <- closer
+	}()
 
 	// Graceful shutdown: SIGINT/SIGTERM stops accepting connections and
 	// drains in-flight requests for up to -drain before the process exits,
@@ -275,11 +251,14 @@ func main() {
 		if err := httpSrv.Shutdown(shutCtx); err != nil {
 			log.Printf("drain incomplete: %v", err)
 		}
-		if ix := mutIdx.Load(); ix != nil {
-			// Checkpoints, so a clean shutdown leaves an empty WAL.
-			if err := ix.Close(); err != nil {
-				log.Printf("closing mutable index: %v", err)
+		select {
+		case closer := <-booted:
+			if closer != nil {
+				if err := closer.Close(); err != nil {
+					log.Printf("closing the index: %v", err)
+				}
 			}
+		default: // still warming: nothing is open yet
 		}
 		if err := <-errCh; err != nil && !errors.Is(err, http.ErrServerClosed) {
 			log.Printf("serve: %v", err)
@@ -288,31 +267,10 @@ func main() {
 	}
 }
 
-// parseShards parses the -shards grammar: ';' separates shards, ','
-// separates replicas of one shard.
-func parseShards(spec string) ([][]string, error) {
-	if strings.TrimSpace(spec) == "" {
-		return nil, errors.New("-router requires -shards (';' separates shards, ',' separates replicas)")
-	}
-	var out [][]string
-	for si, group := range strings.Split(spec, ";") {
-		var replicas []string
-		for _, u := range strings.Split(group, ",") {
-			u = strings.TrimSpace(u)
-			if u == "" {
-				continue
-			}
-			if !strings.Contains(u, "://") {
-				u = "http://" + u
-			}
-			replicas = append(replicas, u)
-		}
-		if len(replicas) == 0 {
-			return nil, fmt.Errorf("-shards: shard %d has no replica URLs", si)
-		}
-		out = append(out, replicas)
-	}
-	return out, nil
+// usage reports a command line nothing can be served from and exits 2.
+func usage(err error) {
+	fmt.Fprintln(os.Stderr, "nncserver:", err)
+	os.Exit(2)
 }
 
 // logging is a minimal request logger.

@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -67,6 +68,31 @@ type Config struct {
 	// Client overrides the HTTP client (tests inject in-process
 	// transports); nil builds one with sane pooling.
 	Client *http.Client
+}
+
+// ParseShards parses the -shards grammar nncserver and nncclient share
+// into Config.Shards: ';' separates shards, ',' separates replicas of one
+// shard, and a replica without a scheme is http.
+func ParseShards(spec string) ([][]string, error) {
+	var out [][]string
+	for si, group := range strings.Split(spec, ";") {
+		var replicas []string
+		for _, u := range strings.Split(group, ",") {
+			u = strings.TrimSpace(u)
+			if u == "" {
+				continue
+			}
+			if !strings.Contains(u, "://") {
+				u = "http://" + u
+			}
+			replicas = append(replicas, u)
+		}
+		if len(replicas) == 0 {
+			return nil, fmt.Errorf("-shards: shard %d has no replica URLs (';' separates shards, ',' separates replicas)", si)
+		}
+		out = append(out, replicas)
+	}
+	return out, nil
 }
 
 // DefaultRetry is the router's per-shard retry policy: network-scale

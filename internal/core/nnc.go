@@ -185,28 +185,3 @@ func (idx *Index) Search(q *uncertain.Object, op Operator) *Result {
 	res, _ := idx.SearchKCtx(context.Background(), q, op, 1, SearchOptions{Filters: AllFilters})
 	return res
 }
-
-// BruteForce computes the NN candidates by exhaustive pairwise dominance:
-// an object is a candidate iff no other object dominates it. It is the
-// reference implementation Algorithm 1 is validated against, and has no
-// R-tree or ordering optimizations.
-func BruteForce(objs []*uncertain.Object, q *uncertain.Object, op Operator, cfg FilterConfig) []*uncertain.Object {
-	checker := NewChecker(q, op, cfg)
-	var out []*uncertain.Object
-	for _, v := range objs {
-		dominated := false
-		for _, u := range objs {
-			if u == v {
-				continue
-			}
-			if checker.Dominates(u, v) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			out = append(out, v)
-		}
-	}
-	return out
-}

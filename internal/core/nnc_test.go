@@ -63,7 +63,7 @@ func TestSearchMatchesBruteForce(t *testing.T) {
 		}
 		q := randObject(rng, 0, d, 1+rng.Intn(5), randCenter(rng, d, 100), 4)
 		for _, op := range Operators {
-			want := idsOf(BruteForce(objs, q, op, AllFilters))
+			want := idsOf(BruteForceK(objs, q, op, 1, AllFilters))
 			for _, cfg := range []FilterConfig{{}, AllFilters} {
 				res := searchK(idx, q, op, 1, SearchOptions{Filters: cfg})
 				got := res.IDs()

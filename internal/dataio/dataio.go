@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -97,13 +98,26 @@ func Read(r io.Reader) ([]*uncertain.Object, error) {
 	out := make([]*uncertain.Object, 0, len(ids))
 	for _, id := range ids {
 		a := objs[id]
-		o, err := uncertain.New(id, a.pts, a.ws)
+		o, err := uncertain.New(id, a.pts, uniformAsNil(a.ws))
 		if err != nil {
 			return nil, fmt.Errorf("dataio: object %d: %w", id, err)
 		}
 		out = append(out, o)
 	}
 	return out, nil
+}
+
+// uniformAsNil returns nil for equal positive weights, so a uniform object
+// gets probability 1/m exactly — what the generator gave it — and not
+// w/Σw, which is an ulp off whenever Σw rounds: a written dataset reads
+// back bit for bit.
+func uniformAsNil(ws []float64) []float64 {
+	for _, w := range ws {
+		if w != ws[0] || !(w > 0) || w > math.MaxFloat64 {
+			return ws
+		}
+	}
+	return nil
 }
 
 // ReadFile reads objects from a CSV file.

@@ -516,7 +516,7 @@ func (ix *Index) Healthy(ctx context.Context) error {
 // assuming payload geometry is preserved. frames sizes the buffer pools
 // used on both sides (<= 0 picks a default).
 //
-//nnc:allow ctx-flow: RewriteFile is an offline maintenance pass (nncdisk rewrite), not a query; nothing upstream has a ctx to thread
+//nnc:allow ctx-flow: RewriteFile is an offline maintenance pass (nnc rewrite), not a query; nothing upstream has a ctx to thread
 func RewriteFile(path string, frames int) error {
 	if frames <= 0 {
 		frames = 256

@@ -829,7 +829,7 @@ func (ix *Index) WALSize() int64 {
 }
 
 // LeakedFreePages counts free-list entries dropped because the super
-// page's free list overflowed; `nncdisk rewrite` reclaims the space.
+// page's free list overflowed; `nnc rewrite` reclaims the space.
 func (ix *Index) LeakedFreePages() int {
 	ix.writeMu.Lock()
 	defer ix.writeMu.Unlock()

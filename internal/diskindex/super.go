@@ -18,7 +18,7 @@ package diskindex
 //
 // The free list caps at the page's remaining capacity; a transaction
 // whose free set would overflow drops the excess ids (they leak until
-// `nncdisk rewrite` compacts the file) and counts them, preferring a
+// `nnc rewrite` compacts the file) and counts them, preferring a
 // bounded leak over an unbounded on-disk structure for what is, by
 // construction, a short list between checkpoints.
 

@@ -43,7 +43,7 @@ func figDiskIO(sp spec, seed int64) ([]Table, error) {
 			sp.N, 64, pager.PageSize),
 		Columns: []string{"operator", "page accesses", "physical reads", "pool hit rate", "candidates"},
 	}
-	for _, op := range allOps {
+	for _, op := range core.Operators {
 		// A cold pool and object cache per operator keeps the rows
 		// comparable.
 		idx, err := diskindex.Open(pager.NewPool(pf, 64), super)

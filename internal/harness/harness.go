@@ -14,7 +14,6 @@ package harness
 import (
 	"context"
 	"fmt"
-	"io"
 	"time"
 
 	"spatialdom/internal/core"
@@ -192,8 +191,6 @@ func evalDatasets(sp spec, seed int64) []namedData {
 	}
 }
 
-var allOps = []core.Operator{core.SSD, core.SSSD, core.PSD, core.FSD, core.FPlusSD}
-
 // FigureTables computes a figure by paper number and returns its data as
 // structured tables (most figures yield one table; the ablation yields one
 // per operator).
@@ -234,7 +231,7 @@ func figKSkyband(sp spec, seed int64) ([]Table, error) {
 	}
 	for _, k := range []int{1, 2, 4, 8} {
 		row := []string{fmt.Sprint(k)}
-		for _, op := range allOps {
+		for _, op := range core.Operators {
 			var total float64
 			for _, q := range data.queries {
 				total += float64(len(mustSearch(data.idx, q, op, k, core.SearchOptions{Filters: core.AllFilters}).Candidates))
@@ -244,54 +241,6 @@ func figKSkyband(sp spec, seed int64) ([]Table, error) {
 		t.AddRow(row...)
 	}
 	return []Table{t}, nil
-}
-
-// Figure renders a figure as aligned text.
-func Figure(name string, sc Scale, seed int64, w io.Writer) error {
-	tables, err := FigureTables(name, sc, seed)
-	if err != nil {
-		return err
-	}
-	for i, t := range tables {
-		if i > 0 {
-			fmt.Fprintln(w)
-		}
-		if err := t.WriteText(w); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// FigureCSV renders a figure as CSV blocks.
-func FigureCSV(name string, sc Scale, seed int64, w io.Writer) error {
-	tables, err := FigureTables(name, sc, seed)
-	if err != nil {
-		return err
-	}
-	for _, t := range tables {
-		if err := t.WriteCSV(w); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// FigureBars renders a figure as ASCII bar charts.
-func FigureBars(name string, sc Scale, seed int64, w io.Writer) error {
-	tables, err := FigureTables(name, sc, seed)
-	if err != nil {
-		return err
-	}
-	for i, t := range tables {
-		if i > 0 {
-			fmt.Fprintln(w)
-		}
-		if err := t.WriteBars(w); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Figures lists every supported figure id in paper order, plus the
@@ -316,7 +265,7 @@ func figDatasets(sp spec, seed int64, timing bool) ([]Table, error) {
 	}
 	for _, data := range evalDatasets(sp, seed) {
 		row := []string{data.label}
-		for _, op := range allOps {
+		for _, op := range core.Operators {
 			m := RunWorkload(data.idx, data.queries, op, core.AllFilters)
 			row = append(row, formatCell(m, timing))
 		}
@@ -329,7 +278,7 @@ func figDatasets(sp spec, seed int64, timing bool) ([]Table, error) {
 // names.
 func opColumns(axis string) []string {
 	cols := []string{axis}
-	for _, op := range allOps {
+	for _, op := range core.Operators {
 		cols = append(cols, op.String())
 	}
 	return cols
@@ -426,7 +375,7 @@ func figSweep(sp spec, seed int64, which byte, timing bool) ([]Table, error) {
 	}
 	for _, v := range variants {
 		row := []string{v.label}
-		for _, op := range allOps {
+		for _, op := range core.Operators {
 			m := RunWorkload(v.idx, v.qs, op, core.AllFilters)
 			row = append(row, formatCell(m, timing))
 		}

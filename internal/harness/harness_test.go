@@ -25,7 +25,7 @@ func TestFiguresListAndDispatch(t *testing.T) {
 	if len(Figures()) != 18 {
 		t.Fatalf("figure list = %v", Figures())
 	}
-	if err := Figure("99", Tiny, 1, &bytes.Buffer{}); err == nil {
+	if _, err := FigureTables("99", Tiny, 1); err == nil {
 		t.Fatal("unknown figure accepted")
 	}
 }
@@ -33,9 +33,15 @@ func TestFiguresListAndDispatch(t *testing.T) {
 // Every figure must render at Tiny scale and carry its operator columns.
 func TestAllFiguresRenderTiny(t *testing.T) {
 	for _, fig := range Figures() {
-		var buf bytes.Buffer
-		if err := Figure(fig, Tiny, 42, &buf); err != nil {
+		tables, err := FigureTables(fig, Tiny, 42)
+		if err != nil {
 			t.Fatalf("figure %s: %v", fig, err)
+		}
+		var buf bytes.Buffer
+		for i := range tables {
+			if err := tables[i].WriteText(&buf); err != nil {
+				t.Fatalf("figure %s: %v", fig, err)
+			}
 		}
 		out := buf.String()
 		if len(out) == 0 {
@@ -74,7 +80,7 @@ func TestCandidateOrderingAcrossOperators(t *testing.T) {
 	queries := ds.Queries(5, sp.Mq, sp.Hq, 99)
 	var prev float64 = -1
 	results := map[core.Operator]float64{}
-	for _, op := range allOps {
+	for _, op := range core.Operators {
 		m := RunWorkload(idx, queries, op, core.AllFilters)
 		if m.Candidates < prev-1e-9 {
 			t.Fatalf("%v has fewer candidates (%g) than a weaker operator (%g)", op, m.Candidates, prev)

@@ -46,68 +46,6 @@ func (t *Table) WriteText(w io.Writer) error {
 	return tw.Flush()
 }
 
-// WriteBars renders the table as grouped ASCII bar charts: one block per
-// data row, one bar per numeric column, scaled to the table-wide maximum.
-// Non-numeric cells fall back to text.
-func (t *Table) WriteBars(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, t.Title); err != nil {
-		return err
-	}
-	const width = 40
-	max := 0.0
-	for _, row := range t.Rows {
-		for _, cell := range row[1:] {
-			if v, ok := parseNumeric(cell); ok && v > max {
-				max = v
-			}
-		}
-	}
-	for _, row := range t.Rows {
-		fmt.Fprintf(w, "%s:\n", row[0])
-		for i, cell := range row[1:] {
-			label := ""
-			if i+1 < len(t.Columns) {
-				label = t.Columns[i+1]
-			}
-			v, ok := parseNumeric(cell)
-			if !ok || max <= 0 {
-				fmt.Fprintf(w, "  %-6s %s\n", label, cell)
-				continue
-			}
-			n := int(v / max * width)
-			if n == 0 && v > 0 {
-				n = 1
-			}
-			fmt.Fprintf(w, "  %-6s %-*s %s\n", label, width, bar(n), cell)
-		}
-	}
-	return nil
-}
-
-func bar(n int) string {
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = '#'
-	}
-	return string(b)
-}
-
-// parseNumeric parses a cell that may carry a %% or unit suffix.
-func parseNumeric(s string) (float64, bool) {
-	end := 0
-	for end < len(s) && (s[end] == '-' || s[end] == '.' || (s[end] >= '0' && s[end] <= '9')) {
-		end++
-	}
-	if end == 0 {
-		return 0, false
-	}
-	var v float64
-	if _, err := fmt.Sscanf(s[:end], "%g", &v); err != nil {
-		return 0, false
-	}
-	return v, true
-}
-
 // WriteCSV renders the table as CSV with a leading comment row carrying
 // the title.
 func (t *Table) WriteCSV(w io.Writer) error {

@@ -58,45 +58,21 @@ func TestFigureTablesAndCSV(t *testing.T) {
 	if len(ab) != 3 {
 		t.Fatalf("figure 16 tables = %d, want one per operator", len(ab))
 	}
-	var buf bytes.Buffer
-	if err := FigureCSV("11f", Tiny, 5, &buf); err != nil {
+	sweep, err := FigureTables("11f", Tiny, 5)
+	if err != nil {
 		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	for i := range sweep {
+		if err := sweep[i].WriteCSV(&buf); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if !strings.Contains(buf.String(), "SSSD") {
 		t.Fatalf("CSV missing operator columns:\n%s", buf.String())
 	}
 	if _, err := FigureTables("nope", Tiny, 5); err == nil {
 		t.Fatal("unknown figure accepted")
-	}
-}
-
-func TestWriteBars(t *testing.T) {
-	tbl := Table{
-		Title:   "bars",
-		Columns: []string{"x", "a", "b"},
-	}
-	tbl.AddRow("r1", "10", "20%")
-	tbl.AddRow("r2", "5", "n/a")
-	var buf bytes.Buffer
-	if err := tbl.WriteBars(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"bars", "r1:", "r2:", "#", "n/a"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("bars missing %q:\n%s", want, out)
-		}
-	}
-	// The 20 bar must be twice the 10 bar.
-	if strings.Count(out, "#") == 0 {
-		t.Fatal("no bars drawn")
-	}
-	var bars bytes.Buffer
-	if err := FigureBars("11f", Tiny, 5, &bars); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(bars.String(), "#") {
-		t.Fatal("figure bars empty")
 	}
 }
 
@@ -117,21 +93,5 @@ func TestSpecForAllScales(t *testing.T) {
 	sp := specFor(Paper)
 	if sp.N != 100000 || sp.Md != 40 || sp.Hd != 400 || sp.Mq != 30 || sp.Hq != 200 || sp.Queries != 100 {
 		t.Fatalf("paper defaults drifted: %+v", sp)
-	}
-}
-
-func TestParseNumeric(t *testing.T) {
-	cases := []struct {
-		in   string
-		want float64
-		ok   bool
-	}{
-		{"12.5", 12.5, true}, {"7%", 7, true}, {"-3", -3, true}, {"abc", 0, false}, {"", 0, false},
-	}
-	for _, c := range cases {
-		got, ok := parseNumeric(c.in)
-		if ok != c.ok || (ok && got != c.want) {
-			t.Fatalf("parseNumeric(%q) = %g, %v", c.in, got, ok)
-		}
 	}
 }

@@ -55,7 +55,7 @@ func VerifyShapes(sc Scale, seed int64, w io.Writer) error {
 		counts[data.label] = map[core.Operator]float64{}
 		for _, q := range data.queries {
 			var prev map[int]bool
-			for _, op := range allOps {
+			for _, op := range core.Operators {
 				res := data.idx.Search(q, op)
 				counts[data.label][op] += float64(len(res.Candidates))
 				cur := map[int]bool{}

@@ -1,6 +1,6 @@
 package pager
 
-// Offline integrity scan: the engine behind `nncdisk fsck`. The scan
+// Offline integrity scan: the engine behind `nnc fsck`. The scan
 // deliberately bypasses PageFile so it has no side effects — no retry, no
 // quarantine, no counters — and reads the raw image exactly as it sits on
 // disk.

@@ -32,7 +32,7 @@
 // Files written before the trailer existed (format v0) are detected by the
 // header's version byte and stay fully readable: checksum verification is
 // skipped and counted as a warning (FaultStats().LegacyReads). The
-// `nncdisk rewrite` tool upgrades such files in place.
+// `nnc rewrite` tool upgrades such files in place.
 package pager
 
 import (

@@ -102,7 +102,7 @@ func ScanFile(path string, payload int, fn func(Rec) error) (*ScanInfo, int, err
 }
 
 // DumpFile pretty-prints every valid record of the log at path — the
-// engine behind `nncdisk wal-dump`. It opens the file read-only and
+// engine behind `nnc wal-dump`. It opens the file read-only and
 // reports the torn tail, if any, without truncating it.
 func DumpFile(path string, payload int, w io.Writer) error {
 	f, err := os.Open(path)

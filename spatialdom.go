@@ -28,19 +28,17 @@
 // internal/core (dominance operators, Algorithm 1, k-skybands, streaming),
 // internal/uncertain (the object model), internal/nnfunc (the NN-function
 // families), internal/datagen (evaluation datasets), internal/dataio (CSV
-// import/export), internal/diskindex (the page-file-resident index, see
-// BuildDiskIndex) and internal/harness (the figure reproduction harness).
+// import/export) and internal/diskindex (the page-file-resident index,
+// see BuildDiskIndex). The paper's figures are `nnc figure`.
 package spatialdom
 
 import (
 	"context"
-	"io"
 
 	"spatialdom/internal/core"
 	"spatialdom/internal/datagen"
 	"spatialdom/internal/dataio"
 	"spatialdom/internal/geom"
-	"spatialdom/internal/harness"
 	"spatialdom/internal/nnfunc"
 	"spatialdom/internal/uncertain"
 )
@@ -254,19 +252,3 @@ func LoadObjectsCSV(path string) ([]*Object, error) { return dataio.ReadFile(pat
 
 // SaveObjectsCSV writes objects to a CSV file in the dataio format.
 func SaveObjectsCSV(path string, objs []*Object) error { return dataio.WriteFile(path, objs) }
-
-// ReproduceFigure regenerates a figure from the paper's evaluation
-// ("10", "11a"…"11f", "12", "13a"…"13f", "14", "16") or one of the
-// extension experiments ("k" for k-NN candidates, "io" for disk-resident
-// page I/O) at the given scale ("tiny", "small", "medium", "paper"),
-// writing the table to w.
-func ReproduceFigure(figure, scale string, seed int64, w io.Writer) error {
-	sc, err := harness.ParseScale(scale)
-	if err != nil {
-		return err
-	}
-	return harness.Figure(figure, sc, seed, w)
-}
-
-// Figures lists every reproducible figure id.
-func Figures() []string { return harness.Figures() }

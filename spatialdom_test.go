@@ -1,10 +1,6 @@
 package spatialdom
 
-import (
-	"bytes"
-	"strings"
-	"testing"
-)
+import "testing"
 
 func mustObject(t *testing.T, id int, rows [][]float64, ws []float64) *Object {
 	t.Helper()
@@ -86,25 +82,6 @@ func TestFacadeGenerateDataset(t *testing.T) {
 	res := idx.Search(q, SSSD)
 	if len(res.Candidates) == 0 {
 		t.Fatal("no candidates")
-	}
-}
-
-func TestFacadeReproduceFigure(t *testing.T) {
-	var buf bytes.Buffer
-	if err := ReproduceFigure("10", "tiny", 1, &buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "SSSD") {
-		t.Fatalf("figure output missing operators:\n%s", buf.String())
-	}
-	if err := ReproduceFigure("10", "galactic", 1, &buf); err == nil {
-		t.Fatal("bad scale accepted")
-	}
-	if err := ReproduceFigure("nope", "tiny", 1, &buf); err == nil {
-		t.Fatal("bad figure accepted")
-	}
-	if len(Figures()) == 0 {
-		t.Fatal("no figures listed")
 	}
 }
 
