@@ -44,9 +44,9 @@ race:
 
 # check is the CI gate — the steps of the CI lint and check jobs plus the
 # fuzz smoke, one list: formatting + vet + build + nnclint + race tests + a
-# one-shot Figure 12, disk-cold and commit benchmark smoke so the engine's
-# hot path stays exercised in memory, against a page file and through the
-# WAL write path, the batch scaling gate
+# one-shot Figure 12, disk-cold, P-SD-miss and commit benchmark smoke so the
+# engine's hot path stays exercised in memory, against a page file and
+# through the WAL write path, the batch scaling gate
 # without the race detector (it skips under it) and the parallel-search
 # benchmarks at four procs (the only place the batch path is timed), the
 # server boot smoke, the size count, and a short fuzz pass over the
@@ -58,6 +58,7 @@ check: fmt-check
 	$(GO) test -race ./...
 	$(GO) test -run='^$$' -bench=Fig12 -benchtime=1x .
 	$(GO) test -run='^$$' -bench='SearchK/disk-cold' -benchtime=1x .
+	$(GO) test -run='^$$' -bench='SearchPSDMiss' -benchtime=1x .
 	$(GO) test -run='^$$' -bench='Commit$$' -benchtime=1x .
 	$(GO) test -run=TestSearchParallelScales ./internal/core
 	GOMAXPROCS=4 $(GO) test -run='^$$' -bench=ParallelSearch -benchtime=1x .

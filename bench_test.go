@@ -320,6 +320,30 @@ func BenchmarkBandScan(b *testing.B) {
 	runSearches(b, d, PSD, AllFilters)
 }
 
+// BenchmarkSearchPSDMiss is the handle on what a cache miss of the repo
+// benchmark's served_mixed workload costs the engine (bench/wl_served.go):
+// P-SD, k = 4, over 3 500 anti-correlated 3-d objects of 10 instances with
+// 8-instance queries, where most popped entries are put to the band's
+// entry test and a few dozen pairs reach the Theorem 12 transport.
+func BenchmarkSearchPSDMiss(b *testing.B) {
+	ds := datagen.Generate(datagen.Params{N: 3500, Dim: 3, M: 10, Centers: datagen.AntiCorrelated, Seed: benchSeed})
+	idx, err := core.NewIndex(ds.Objects)
+	if err != nil {
+		b.Fatal(err)
+	}
+	queries := ds.Queries(32, 8, 200, benchSeed+101)
+	var flowSolves, entryTests float64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res := searchK(idx, queries[i%len(queries)], PSD, 4, core.SearchOptions{Filters: AllFilters})
+		flowSolves += float64(res.Stats.FlowSolves)
+		entryTests += float64(res.Stats.HeapPops - int64(res.Examined))
+	}
+	b.ReportMetric(flowSolves/float64(b.N), "flow-solves/query")
+	b.ReportMetric(entryTests/float64(b.N), "entry-tests/query")
+}
+
 // BenchmarkIndexBuild times global R-tree construction.
 func BenchmarkIndexBuild(b *testing.B) {
 	ds := datagen.Generate(defaultParams(datagen.AntiCorrelated, benchN))

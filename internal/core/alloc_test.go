@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"spatialdom/internal/datagen"
 	"spatialdom/internal/geom"
 	"spatialdom/internal/uncertain"
 )
@@ -79,6 +81,41 @@ func TestWarmSearchResetZeroAllocs(t *testing.T) {
 	round() // second round reaches the high-water marks everywhere
 	if avg := testing.AllocsPerRun(10, round); avg != 0 {
 		t.Errorf("warm reset+check rounds allocated %.1f times, want 0", avg)
+	}
+}
+
+// A warm P-SD k=4 search allocates what it returns and nothing else: the
+// Result, the growth steps of its candidate slice, and the one closure the
+// engine hands to Backend.Expand. The entry test over the far slab, the
+// band scan and the transport solves — all of which this search runs —
+// contribute zero.
+func TestWarmPSDSearchAllocatesOnlyItsResult(t *testing.T) {
+	ds := datagen.Generate(datagen.Params{N: 400, M: 10, Centers: datagen.AntiCorrelated, Seed: 43})
+	idx, err := NewIndex(ds.Objects)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := ds.Queries(1, 8, 200, 44)[0]
+	sc := new(searchScratch)
+	var res *Result
+	run := func() {
+		res, _ = searchBackend(context.Background(), sc, idx, q, PSD, 4, SearchOptions{Filters: AllFilters})
+		sc.clear()
+	}
+	run() // grow every slab to this search's high-water mark
+	if res.Stats.FlowSolves == 0 || res.Stats.ObjectPrunes == 0 || len(res.Candidates) < 4 {
+		t.Fatalf("the search exercises too little: %+v, %d candidates", res.Stats, len(res.Candidates))
+	}
+	grows := 0
+	var cands []Candidate
+	for range res.Candidates {
+		if len(cands) == cap(cands) {
+			grows++
+		}
+		cands = append(cands, Candidate{})
+	}
+	if avg, own := testing.AllocsPerRun(20, run), float64(2+grows); avg != own {
+		t.Errorf("warm P-SD k=4 search allocated %.1f times, its result accounts for %.0f", avg, own)
 	}
 }
 

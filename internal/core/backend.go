@@ -23,7 +23,7 @@ func (idx *Index) Expand(n NodeRef, visit func(BackendEntry)) error {
 	node := idx.tree.Node(rtree.NodeID(n.ID))
 	for i, rect := range node.Rects {
 		if node.Leaf {
-			visit(BackendEntry{Rect: rect, Obj: ObjRef{Obj: idx.objects[int(node.Refs[i])]}})
+			visit(BackendEntry{Rect: rect, Obj: ObjRef{Obj: idx.Object(int(node.Refs[i]))}})
 		} else {
 			visit(BackendEntry{Rect: rect, IsNode: true, Node: NodeRef{ID: uint64(node.Refs[i])}})
 		}

@@ -25,9 +25,8 @@ type Checker struct {
 	query   *uncertain.Object
 	cfg     FilterConfig
 	eps     float64
-	statCut bool   // StatPruning is on and the operator implies S-SD
-	hullIdx []int  // indices into query instances used by point-level checks
-	cmpFn   func() // comparison-counting callback for scans, built once per scratch
+	statCut bool  // StatPruning is on and the operator implies S-SD
+	hullIdx []int // indices into query instances used by point-level checks
 
 	// Stats accumulates work counters; reset or read between searches.
 	Stats Stats
@@ -128,8 +127,8 @@ type objCache struct {
 	distQOK    bool
 	distQ      distr.Distribution // U_Q, built from runs when first scanned
 
-	hullD    [][]float64 // per instance: distances to every hull point
-	distTree *rtree.Tree // R-tree over hullD rows (P-SD network construction)
+	hullD    []float64   // per instance, stride len(hullPts): distances to every hull point
+	distTree *rtree.Tree // R-tree over hullD rows (P-SD admissibility rows)
 
 	sphereOK bool
 	sphere   geom.Sphere // bounding sphere, radius under the checker's metric
@@ -223,28 +222,27 @@ func (c *Checker) perQStatLE(su, sv *objCache) bool {
 // perQScanLE reports whether U_q ≤st V_q at every query instance, by scan.
 func (c *Checker) perQScanLE(su, sv *objCache) bool {
 	for j := 0; j < c.query.Len(); j++ {
-		if !distr.StochasticLE(c.perQ(su, j), c.perQ(sv, j), c.eps, c.cmpFn) {
+		if !distr.StochasticLE(c.perQ(su, j), c.perQ(sv, j), c.eps, &c.Stats.InstanceComparisons) {
 			return false
 		}
 	}
 	return true
 }
 
-// hullDists returns, for each instance of o, its distances to every hull
-// point of the query (the k-dimensional distance-space mapping of Section
-// 5.1.2).
-func (c *Checker) hullDists(oc *objCache) [][]float64 {
+// hullDists returns the object's hull-distance matrix, flat: row i, of
+// stride len(hullPts), holds instance i's distances to every hull point of
+// the query (the k-dimensional distance-space mapping of Section 5.1.2).
+func (c *Checker) hullDists(oc *objCache) []float64 {
 	if oc.hullD == nil {
-		o := oc.obj
-		oc.hullD = c.scratch.rows.Alloc(o.Len())
+		o, h := oc.obj, len(c.hullPts)
+		oc.hullD = c.scratch.floats.Alloc(o.Len() * h)
 		for i := 0; i < o.Len(); i++ {
-			row := c.scratch.floats.Alloc(len(c.hullPts))
+			row, p := oc.hullD[i*h:(i+1)*h], o.Instance(i)
 			for k, q := range c.hullPts {
-				row[k] = c.metric.Dist(o.Instance(i), q)
+				row[k] = c.metric.Dist(p, q)
 			}
-			oc.hullD[i] = row
 		}
-		c.Stats.InstanceComparisons += int64(o.Len() * len(c.hullPts))
+		c.Stats.InstanceComparisons += int64(o.Len() * h)
 	}
 	return oc.hullD
 }
@@ -338,7 +336,7 @@ func (c *Checker) ssd(u, v *uncertain.Object) bool {
 		}
 	}
 	du, dv := c.distQ(su), c.distQ(sv)
-	if !distr.StochasticLE(du, dv, c.eps, c.cmpFn) {
+	if !distr.StochasticLE(du, dv, c.eps, &c.Stats.InstanceComparisons) {
 		return false
 	}
 	return !distr.Equal(du, dv, c.eps)
@@ -411,25 +409,44 @@ type rectPred struct {
 	qMBR    geom.Rect
 }
 
+// far is the largest distance from q to a point of r, near the smallest —
+// squared under L2, where only their order matters. Rectangle domination is
+// a component-wise comparison of a's far vector against b's near vector
+// over the hull query instances (Emrich, Kriegel & Züfle).
+func (p *rectPred) far(q geom.Point, r geom.Rect) float64 {
+	if p.euclid {
+		return r.MaxSqDistPoint(q)
+	}
+	return p.metric.MaxDistRect(q, r)
+}
+
+func (p *rectPred) near(q geom.Point, r geom.Rect) float64 {
+	if p.euclid {
+		return r.MinSqDistPoint(q)
+	}
+	return p.metric.MinDistRect(q, r)
+}
+
+// within is one component of the far ≤ near comparison: whether a's far distance f
+// from a query instance is no larger than b's near distance n, recording in
+// strict a component where it is smaller. Both askers — le on two
+// rectangles, band.dominatesRect on the band's far slab — fold it over the
+// hull query instances.
+func within(f, n float64, strict *bool) bool {
+	if f < n {
+		*strict = true
+	}
+	return f <= n
+}
+
 // le reports whether every point of a is at least as close as every point
 // of b to every hull query instance (the MBR-level u ⪯Q v test), with a
 // strictness witness and the number of query instances it looked at.
 func (p *rectPred) le(a, b geom.Rect) (le, strict bool, compared int) {
 	for _, q := range p.hullPts {
 		compared++
-		var maxA, minB float64
-		if p.euclid {
-			maxA = a.MaxSqDistPoint(q)
-			minB = b.MinSqDistPoint(q)
-		} else {
-			maxA = p.metric.MaxDistRect(q, a)
-			minB = p.metric.MinDistRect(q, b)
-		}
-		if maxA > minB {
+		if !within(p.far(q, a), p.near(q, b), &strict) {
 			return false, false, compared
-		}
-		if maxA < minB {
-			strict = true
 		}
 	}
 	return true, strict, compared
@@ -460,7 +477,8 @@ func (p *rectPred) fplus(a, b geom.Rect) (dom bool, compared int) {
 	return le, compared
 }
 
-// rectDominates is the entry-pruning predicate of Algorithm 1.
+// rectDominates is the entry-pruning predicate of Algorithm 1 on one pair of
+// rectangles; band.dominatesRect asks it of a whole band at once.
 func (c *Checker) rectDominates(a, b geom.Rect) bool {
 	dom, compared := c.dominates(a, b)
 	c.Stats.InstanceComparisons += int64(compared)

@@ -124,14 +124,51 @@ func TestFSDImpliesAll(t *testing.T) {
 	}
 }
 
+// chainedPoints returns ten points on a ray away from the query region,
+// each strictly closer to every query instance near the origin than the
+// next: as the instances of a twin pair, every (i, j > i) is a strict ⪯Q pair.
+func chainedPoints() []geom.Point {
+	pts := make([]geom.Point, 10)
+	for i := range pts {
+		pts[i] = geom.Point{5 + float64(i), 5 + float64(i)}
+	}
+	return pts
+}
+
 // No operator may let an object dominate an identical twin (the U_Q ≠ V_Q
-// side condition of Definitions 2, 3 and 5).
+// side condition of Definitions 2, 3 and 5) — also when the twins' instances
+// ⪯Q-dominate one another: the transport then matches every instance to its
+// copy, the strict pairs carry nothing, and only the comparison of the two
+// distributions can settle U_Q ≠ V_Q. Ten atoms a side, so that a row of the
+// flow matrix does not start on a word boundary.
 func TestIdenticalObjectsDontDominate(t *testing.T) {
-	q := uncertain.MustNew(0, []geom.Point{{0, 0}, {2, 2}}, nil)
-	u := uncertain.MustNew(1, []geom.Point{{5, 5}, {6, 6}}, nil)
-	v := uncertain.MustNew(2, []geom.Point{{5, 5}, {6, 6}}, nil)
-	for _, op := range []Operator{SSD, SSSD, PSD} {
-		checkAllConfigs(t, op, q, u, v, false, "twin "+op.String())
+	q := uncertain.MustNew(0, []geom.Point{{0, 0}, {2, 0}, {1, 2}}, nil)
+	for _, twin := range []struct {
+		pts []geom.Point
+		ws  []float64
+	}{
+		{[]geom.Point{{5, 5}, {6, 6}}, nil},
+		{chainedPoints(), nil},
+		{chainedPoints(), []float64{3, 1, 2, 1, 1, 4, 1, 2, 1, 1}},
+	} {
+		u, v := uncertain.MustNew(1, twin.pts, twin.ws), uncertain.MustNew(2, twin.pts, twin.ws)
+		for _, op := range []Operator{SSD, SSSD, PSD} {
+			checkAllConfigs(t, op, q, u, v, false, "twin "+op.String())
+			checkAllConfigs(t, op, q, v, u, false, "twin, swapped "+op.String())
+		}
+	}
+}
+
+// Random twins of 3 to 20 instances, uniform or weighted: neither copy
+// P-SD-dominates the other under any filter configuration.
+func TestRandomTwinsDontDominate(t *testing.T) {
+	rng := rand.New(rand.NewSource(2305))
+	for iter := 0; iter < 200; iter++ {
+		q := randObject(rng, 0, 2, 1+rng.Intn(5), randCenter(rng, 2, 20), 4)
+		u := randObject(rng, 1, 2, 3+rng.Intn(18), randCenter(rng, 2, 20), 8)
+		v := uncertain.MustNew(2, u.Points(), u.Probs())
+		checkAllConfigs(t, PSD, q, u, v, false, "random twin")
+		checkAllConfigs(t, PSD, q, v, u, false, "random twin, swapped")
 	}
 }
 

@@ -74,3 +74,36 @@ func TestPSDDistanceSpacePathMatchesOracle(t *testing.T) {
 		t.Fatalf("one-sided exercise: %d true, %d false", checkedTrue, checkedFalse)
 	}
 }
+
+// widePair returns two objects of m instances each around center, the second
+// the first with every instance pushed a little further from the query. Far
+// enough from the query the identity is then a full ⪯Q match, but the MBRs
+// and the local-tree nodes overlap, so no rung before the exact test can
+// decide P-SD(u, v): with m > 64 that is the distance-space construction
+// writing rows more than one word wide.
+func widePair(rng *rand.Rand, idU, idV, m int, q *uncertain.Object, center geom.Point) (u, v *uncertain.Object) {
+	u = randObject(rng, idU, 2, m, center, 6)
+	qc := q.MBR().Center()
+	pts := make([]geom.Point, m)
+	for i, p := range u.Points() {
+		d := geom.Dist(p, qc)
+		step := 0.5 + rng.Float64()
+		pts[i] = geom.Point{p[0] + (p[0]-qc[0])/d*step, p[1] + (p[1]-qc[1])/d*step}
+	}
+	return u, uncertain.MustNew(idV, pts, u.Probs())
+}
+
+// requireDistSpaceVerdict asserts that the full ladder takes P-SD(u, v) all
+// the way to the distance-space construction, and that its verdict there is
+// the independent all-pairs oracle's.
+func requireDistSpaceVerdict(t *testing.T, q, u, v *uncertain.Object) {
+	t.Helper()
+	c := NewChecker(q, PSD, AllFilters)
+	got := c.Dominates(u, v)
+	if c.cacheOf(u).distTree == nil {
+		t.Fatalf("P-SD(%d,%d) was decided before the distance-space construction: %+v", u.ID(), v.ID(), c.Stats)
+	}
+	if want := oraclePSDMatch(u, v, q, 1e-9); got != want {
+		t.Fatalf("P-SD(%d,%d) = %v, all-pairs oracle %v", u.ID(), v.ID(), got, want)
+	}
+}

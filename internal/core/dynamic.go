@@ -17,10 +17,10 @@ func (idx *Index) Insert(o *uncertain.Object) error {
 	if o.Dim() != idx.dim {
 		return fmt.Errorf("%w: object %d has dim %d, want %d", ErrIndexDimMix, o.ID(), o.Dim(), idx.dim)
 	}
-	if _, dup := idx.objects[o.ID()]; dup {
+	if _, dup := idx.pos[o.ID()]; dup {
 		return fmt.Errorf("%w: %d", ErrDuplicateID, o.ID())
 	}
-	idx.objects[o.ID()] = o
+	idx.pos[o.ID()] = len(idx.list)
 	idx.list = append(idx.list, o)
 	idx.tree.Insert(rtree.Entry{Rect: o.MBR(), ID: int64(o.ID())})
 	// Keep the dense cache table covering every ID (see NewIndex): a
@@ -36,19 +36,19 @@ func (idx *Index) Insert(o *uncertain.Object) error {
 }
 
 // Delete removes the object with the given ID, reporting whether it was
-// present.
+// present. The last object of the list takes the removed one's place, so
+// the list costs O(1) to maintain and loses its order.
 func (idx *Index) Delete(id int) bool {
-	o, ok := idx.objects[id]
+	i, ok := idx.pos[id]
 	if !ok {
 		return false
 	}
-	delete(idx.objects, id)
-	for i, x := range idx.list {
-		if x.ID() == id {
-			idx.list = append(idx.list[:i], idx.list[i+1:]...)
-			break
-		}
-	}
+	o, last := idx.list[i], len(idx.list)-1
+	idx.list[i] = idx.list[last]
+	idx.pos[idx.list[i].ID()] = i
+	idx.list[last] = nil
+	idx.list = idx.list[:last]
+	delete(idx.pos, id)
 	idx.tree.Delete(rtree.Entry{Rect: o.MBR(), ID: int64(id)})
 	return true
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -88,6 +89,60 @@ func TestDynamicIndexMatchesRebuilt(t *testing.T) {
 					t.Fatalf("%v: dynamic %v != rebuilt %v", op, a, b)
 				}
 			}
+		}
+	}
+}
+
+// A thousand interleaved inserts and deletes against a model: after every
+// step Len, Object, Objects and the insert/delete return values agree with
+// a plain map — the list and its position map stay consistent under
+// swap-remove — and at the end the index answers like a fresh one over the
+// survivors.
+func TestInsertDeleteAgainstModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(803))
+	pool := randDataset(rng, 120, 2, 3, 80)
+	idx, err := NewIndex(pool[:1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := map[int]*uncertain.Object{pool[0].ID(): pool[0]}
+	for step := 0; step < 1000; step++ {
+		o := pool[rng.Intn(len(pool))]
+		_, live := model[o.ID()]
+		if rng.Intn(2) == 0 {
+			if err := idx.Insert(o); (err == nil) == live {
+				t.Fatalf("step %d: insert %d with live=%v: %v", step, o.ID(), live, err)
+			}
+			model[o.ID()] = o
+		} else {
+			if idx.Delete(o.ID()) != live {
+				t.Fatalf("step %d: delete %d with live=%v", step, o.ID(), live)
+			}
+			delete(model, o.ID())
+		}
+		if idx.Len() != len(model) || len(idx.Objects()) != len(model) {
+			t.Fatalf("step %d: Len %d, %d listed, model holds %d", step, idx.Len(), len(idx.Objects()), len(model))
+		}
+		if got := idx.Object(o.ID()); got != model[o.ID()] {
+			t.Fatalf("step %d: Object(%d) = %v, model %v", step, o.ID(), got, model[o.ID()])
+		}
+		for _, x := range idx.Objects() {
+			if model[x.ID()] != x || idx.Object(x.ID()) != x {
+				t.Fatalf("step %d: listed object %d is not the model's", step, x.ID())
+			}
+		}
+	}
+	if len(model) == 0 {
+		t.Fatal("the walk emptied the index")
+	}
+	fresh, err := NewIndex(idx.Objects())
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := randObject(rng, 9000, 2, 3, geom.Point{40, 40}, 4)
+	for _, op := range Operators {
+		if got, want := idsOf(idx.Search(q, op).Objects()), idsOf(fresh.Search(q, op).Objects()); !slices.Equal(got, want) {
+			t.Fatalf("%v: evolved index answers %v, rebuilt %v", op, got, want)
 		}
 	}
 }

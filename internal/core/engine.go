@@ -27,7 +27,6 @@ import (
 	"sync"
 	"time"
 
-	"spatialdom/internal/distr"
 	"spatialdom/internal/faults"
 	"spatialdom/internal/geom"
 	"spatialdom/internal/uncertain"
@@ -188,8 +187,8 @@ func (h *searchHeap) pop() searchItem {
 
 // searchScratch pools the engine's per-search slabs so steady-state
 // searches allocate no heap, batch or band backing arrays — and, through
-// the embedded CheckScratch, no checker caches, distribution atoms or flow
-// networks either.
+// the embedded CheckScratch, no checker caches, distribution atoms or
+// transport state either.
 type searchScratch struct {
 	heap  searchHeap
 	batch []searchItem
@@ -197,20 +196,41 @@ type searchScratch struct {
 	check CheckScratch
 }
 
-// band is the k-skyband found so far, struct-of-arrays: next to each member
-// sit the mean and max of its U_Q, so that the commonest verdict of the
-// sweep — "this member's statistics are not ordered against the incoming
-// object's" — is read off two contiguous float slabs without touching the
-// member. The slabs are permuted together with the members.
+// band is the k-skyband found so far, struct-of-arrays, so that the two
+// questions the sweep puts to every member are answered from contiguous
+// float slabs without touching the member.
+//
+// "Can this member dominate the incoming object?" (dominators): next to each
+// member sit the mean and max of its U_Q, and the commonest verdict — the
+// statistics are not ordered — is read off them. These two slabs are
+// permuted together with the members (toFront).
+//
+// "Does this member dominate the popped entry's rectangle?"
+// (dominatesRect): far holds one row per member, of stride len(hullPts) —
+// the far distance (rectPred.far) from each hull query instance to the
+// member's MBR, which depends on the member alone. It stays in insertion
+// order: the entry test counts dominators up to k, whichever members they
+// are, so it never needs to know which row belongs to which member. Under
+// F+SD, whose rectangle predicate is not a far/near comparison, it is empty.
 type band struct {
 	objs      []*uncertain.Object
 	mean, max []float64
+	far       []float64
 }
 
-func (b *band) push(o *uncertain.Object, st distr.Stat) {
+// push appends o, which c has just found to have fewer than k dominators.
+func (b *band) push(c *Checker, o *uncertain.Object) {
+	st := c.summaryOf(o).stat
 	b.objs = append(b.objs, o)
 	b.mean = append(b.mean, st.Mean)
 	b.max = append(b.max, st.Max)
+	if c.op == FPlusSD {
+		return // asked member by member (dominatesRect): no far row to keep
+	}
+	mbr := o.MBR()
+	for _, q := range c.hullPts {
+		b.far = append(b.far, c.far(q, mbr))
+	}
 }
 
 // toFront moves member i to position 0, shifting the members before it.
@@ -226,15 +246,15 @@ func (b *band) toFront(i int) {
 // backing arrays.
 func (b *band) clear() {
 	clear(b.objs)
-	b.objs, b.mean, b.max = b.objs[:0], b.mean[:0], b.max[:0]
+	b.objs, b.mean, b.max, b.far = b.objs[:0], b.mean[:0], b.max[:0], b.far[:0]
 }
 
 // dominators counts, stopping at k, the members of b[:n] that dominate v.
 // It is Checker.Dominates applied to each member in band order with rung 1
-// of the verdict ladder read off the slabs: the members of b[:n] were
-// examined before v, in non-decreasing order of the exact key min(U_Q), so
-// their min statistic is already known to be no larger than v's and only
-// mean and max are compared. The first dominator found moves to the front —
+// of the verdict ladder read off the mean and max slabs: the members of
+// b[:n] were examined before v, in non-decreasing order of the exact key
+// min(U_Q), so their min statistic is already known to be no larger than
+// v's and only mean and max are compared. The first dominator found moves to the front —
 // it tends to dominate the following objects too.
 //
 //nnc:hotpath
@@ -393,7 +413,7 @@ func searchBackend(ctx context.Context, sc *searchScratch, b Backend, q *uncerta
 	expand := func(it searchItem) {
 		switch it.kind {
 		case kindNode:
-			if bandDominatesRect(checker, band.objs, it.rect, k) {
+			if band.dominatesRect(checker, it.rect, k) {
 				checker.Stats.EntryPrunes++
 				return
 			}
@@ -405,7 +425,7 @@ func searchBackend(ctx context.Context, sc *searchScratch, b Backend, q *uncerta
 				expandErr = err
 			}
 		case kindObjLB:
-			if opts.Filters.Geometric && bandDominatesRect(checker, band.objs, it.rect, k) {
+			if opts.Filters.Geometric && band.dominatesRect(checker, it.rect, k) {
 				checker.Stats.ObjectPrunes++
 				return
 			}
@@ -482,7 +502,7 @@ func searchBackend(ctx context.Context, sc *searchScratch, b Backend, q *uncerta
 			if dominators >= k {
 				continue
 			}
-			band.push(obj, checker.summaryOf(obj).stat)
+			band.push(checker, obj)
 			cand := Candidate{
 				Object:     obj,
 				Rank:       len(res.Candidates),
@@ -515,24 +535,57 @@ func partialOrNil(partial *PartialResultError, res *Result) error {
 	return partial
 }
 
-// bandDominatesRect reports whether at least k current candidates dominate
-// the whole entry rectangle — a subtree's or a single object's MBR — by the
-// operator's own rectangle predicate (Checker.rectDominates), in which case
-// every object inside it has >= k dominators and the entry can be discarded
-// (Theorem 4 applied to the k-skyband).
+// dominatesRect reports whether at least k members dominate the whole entry
+// rectangle — a subtree's or a single object's MBR — by the operator's own
+// rectangle predicate (rectPred.dominates), in which case every object
+// inside it has >= k dominators and the entry can be discarded (Theorem 4
+// applied to the k-skyband).
+//
+// For the operators of the cover chain that predicate is "the member's far
+// vector is component-wise <= the rectangle's near vector, strictly
+// somewhere". The near vector is the rectangle's alone, so it is computed
+// once per entry, and the far vectors are the band's slab: the test is one
+// pass over contiguous floats. F+SD compares against the query's MBR, not
+// its instances, and is asked member by member.
 //
 //nnc:hotpath
-func bandDominatesRect(c *Checker, band []*uncertain.Object, r geom.Rect, k int) bool {
+func (b *band) dominatesRect(c *Checker, r geom.Rect, k int) bool {
 	count := 0
-	for _, u := range band {
-		if c.rectDominates(u.MBR(), r) {
-			count++
-			if count >= k {
-				return true
+	if c.op == FPlusSD {
+		for _, u := range b.objs {
+			if c.rectDominates(u.MBR(), r) {
+				count++
+				if count >= k {
+					return true
+				}
 			}
 		}
+		return false
 	}
-	return false
+	if len(b.objs) < k {
+		return false
+	}
+	h := len(c.hullPts)
+	near := growFloats(c.scratch.near, h)
+	c.scratch.near = near
+	for t, q := range c.hullPts {
+		near[t] = c.near(q, r)
+	}
+	compared := 0
+	for i := 0; i < len(b.objs) && count < k; i++ {
+		le, strict := true, false
+		for t, f := range b.far[i*h : (i+1)*h] {
+			compared++
+			if le = within(f, near[t], &strict); !le {
+				break
+			}
+		}
+		if le && strict {
+			count++
+		}
+	}
+	c.Stats.InstanceComparisons += int64(compared)
+	return count >= k
 }
 
 // StreamBackend runs the progressive search over any Backend in a

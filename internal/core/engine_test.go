@@ -3,10 +3,12 @@ package core
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"sync"
 	"testing"
 
 	"spatialdom/internal/datagen"
+	"spatialdom/internal/geom"
 	"spatialdom/internal/uncertain"
 )
 
@@ -149,6 +151,76 @@ func TestSearchHeapOrdering(t *testing.T) {
 	for i := 1; i < len(got); i++ {
 		if got[i] < got[i-1] {
 			t.Fatalf("pop order not sorted: %v", got)
+		}
+	}
+}
+
+// The entry test over the band's far slab is the rectangle predicate asked
+// member by member: for every operator, metric and k it says "k members
+// dominate r" exactly when k members pass rectDominates — on rectangles far
+// from the query, overlapping it, and degenerate (a point, sometimes a
+// member's own), against members some of which are single points themselves,
+// after move-to-front has permuted the members away from the slab's
+// insertion order.
+func TestSlabEntryTestMatchesRectDominates(t *testing.T) {
+	rng := rand.New(rand.NewSource(2303))
+	pruned := map[Operator]int{}
+	for iter := 0; iter < 200; iter++ {
+		q := randObject(rng, 0, 2, 1+rng.Intn(6), geom.Point{50, 50}, 10)
+		members := make([]*uncertain.Object, 1+rng.Intn(12))
+		for i := range members {
+			c := geom.Point{50 + rng.NormFloat64()*15, 50 + rng.NormFloat64()*15}
+			members[i] = randObject(rng, i+1, 2, 1+rng.Intn(4), c, rng.Float64()*6)
+		}
+		rects := make([]geom.Rect, 24)
+		for i := range rects {
+			c := geom.Point{50 + rng.NormFloat64()*60, 50 + rng.NormFloat64()*60}
+			switch i % 8 {
+			case 0, 4:
+				c = q.Instance(rng.Intn(q.Len())).Clone() // overlaps the query
+			case 3:
+				// On a member's instance: against a point member, far equals
+				// near at every query instance and nothing is strict.
+				c = members[rng.Intn(len(members))].Instance(0).Clone()
+			}
+			rects[i] = geom.PointRect(c)
+			if i%3 != 0 {
+				w, h := rng.Float64()*20, rng.Float64()*20
+				rects[i] = geom.Rect{Lo: geom.Point{c[0] - w, c[1] - h}, Hi: geom.Point{c[0] + w, c[1] + h}}
+			}
+		}
+		for _, m := range []geom.Metric{geom.Euclidean, geom.Manhattan, geom.Chebyshev} {
+			for _, op := range Operators {
+				var sc CheckScratch
+				c := sc.Checker(q, op, AllFilters, m)
+				var b band
+				for _, o := range members {
+					b.push(c, o)
+				}
+				b.toFront(rng.Intn(len(members)))
+				for _, r := range rects {
+					count := 0
+					for _, u := range members {
+						if c.rectDominates(u.MBR(), r) {
+							count++
+						}
+					}
+					for _, k := range []int{1, 4} {
+						if got := b.dominatesRect(c, r, k); got != (count >= k) {
+							t.Fatalf("iter %d %s %v k=%d: slab test %v, %d of %d members dominate %v",
+								iter, m.Name(), op, k, got, count, len(members), r)
+						}
+					}
+					if count > 0 {
+						pruned[op]++
+					}
+				}
+			}
+		}
+	}
+	for _, op := range Operators {
+		if pruned[op] < 100 {
+			t.Fatalf("%v: only %d rectangles had a dominator; the generator is lopsided", op, pruned[op])
 		}
 	}
 }

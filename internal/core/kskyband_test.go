@@ -60,11 +60,18 @@ func TestSearchKMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(402))
 	for iter := 0; iter < 10; iter++ {
 		objs := randDataset(rng, 35, 2, 5, 80)
+		q := randObject(rng, 0, 2, 3, randCenter(rng, 2, 80), 4)
+		// Two objects of 70 instances that only the exact P-SD test can
+		// tell apart, well away from the query.
+		far := q.MBR().Center()
+		far[0] += 60
+		u, v := widePair(rng, 1001, 1002, 70, q, far)
+		requireDistSpaceVerdict(t, q, u, v)
+		objs = append(objs, u, v)
 		idx, err := NewIndex(objs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		q := randObject(rng, 0, 2, 3, randCenter(rng, 2, 80), 4)
 		for _, op := range Operators {
 			for _, k := range []int{1, 2, 3, 5} {
 				matchBruteForce(t, fmt.Sprintf("iter %d", iter), idx, objs, q, op, k)

@@ -111,6 +111,41 @@ func TestLadderAgreesWithNoFilter(t *testing.T) {
 	}
 }
 
+// The same agreement on pairs of 70 instances, where the local trees are
+// three levels deep (so G⁻ and G⁺ are solved before the exact test) and the
+// exact test's rows are two words wide. Half the draws are a pair only the
+// exact test can decide; the rest are independent clouds.
+func TestLadderAgreesWithNoFilterWideObjects(t *testing.T) {
+	cfgs := []FilterConfig{AllFilters, AllFilters, AllFilters, AllFilters}
+	cfgs[1].LevelByLevel = false
+	cfgs[2].StatPruning = false
+	cfgs[3].Geometric = false
+	rng := rand.New(rand.NewSource(1705))
+	for iter := 0; iter < 12; iter++ {
+		q := ladderObject(rng, 0, 2+rng.Intn(4), 10, 10)
+		u, v := widePair(rng, 1, 2, 70, q, geom.Point{50 + float64(rng.Intn(20)), 20})
+		if iter%2 == 0 {
+			requireDistSpaceVerdict(t, q, u, v)
+		} else {
+			v = randObject(rng, 2, 2, 70, geom.Point{52 + float64(rng.Intn(20)), 21}, 6)
+		}
+		for _, m := range []geom.Metric{geom.Euclidean, geom.Manhattan} {
+			for _, op := range Operators {
+				want := NewCheckerMetric(q, op, FilterConfig{}, m)
+				for _, cfg := range cfgs {
+					got := NewCheckerMetric(q, op, cfg, m)
+					for _, p := range [][2]*uncertain.Object{{u, v}, {v, u}} {
+						if g, w := got.Dominates(p[0], p[1]), want.Dominates(p[0], p[1]); g != w {
+							t.Fatalf("iter %d %s %v %+v: Dominates(%d,%d) = %v, unfiltered %v",
+								iter, m.Name(), op, cfg, p[0].ID(), p[1].ID(), g, w)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // The summary reads the heap key and the statistics off unsorted atoms:
 // the key is bit-for-bit the minimum of the sorted U_Q, the mean agrees
 // with the sorted sum to rounding, and a zero-probability instance moves
@@ -180,11 +215,13 @@ func TestIsolatedMassAgreesWithMaxFlow(t *testing.T) {
 		return p
 	}
 	fired, held := 0, 0
+	var tr flow.Transport
 	for iter := 0; iter < 10000; iter++ {
 		nu, nv := 1+rng.Intn(6), 1+rng.Intn(6)
 		pu, pv := probs(nu), probs(nv)
 		density := rng.Float64()
-		covered := make([]bool, nu+nv)
+		w := flow.RowWords(nv)
+		rows := make([]uint64, nu*w)
 		g := flow.NewNetwork(nu + nv + 2)
 		s, sink := 0, nu+nv+1
 		for i, p := range pu {
@@ -197,15 +234,15 @@ func TestIsolatedMassAgreesWithMaxFlow(t *testing.T) {
 			for j := 0; j < nv; j++ {
 				if rng.Float64() < density {
 					g.AddEdge(1+i, 1+nu+j, math.Inf(1))
-					covered[i], covered[nu+j] = true, true
+					flow.SetPair(rows, w, i, j)
 				}
 			}
 		}
 		matched := g.MaxFlow(s, sink) >= 1-flowEps
-		if isolatedMass(pu, covered[:nu]) || isolatedMass(pv, covered[nu:]) {
+		if tr.Isolated(pu, pv, rows, flowEps) {
 			fired++
 			if matched {
-				t.Fatalf("iter %d: exit fired on a network whose max flow is 1\npu=%v\npv=%v\ncovered=%v", iter, pu, pv, covered)
+				t.Fatalf("iter %d: exit fired on a network whose max flow is 1\npu=%v\npv=%v\nrows=%b", iter, pu, pv, rows)
 			}
 		} else if matched {
 			held++

@@ -170,11 +170,11 @@ func (c *Checker) levelDecideSSD(cu, cv *objCache) (dec, ok bool) {
 		bu := c.levelQ(cu, lvl)
 		bv := c.levelQ(cv, lvl)
 		// Pruning: LB(U) ≤st UB(V) is necessary for U_Q ≤st V_Q.
-		if !distr.StochasticLE(bu.lbQ, bv.ubQ, c.eps, c.cmpFn) {
+		if !distr.StochasticLE(bu.lbQ, bv.ubQ, c.eps, &c.Stats.InstanceComparisons) {
 			return false, true
 		}
 		// Validation: UB(U) ≤st LB(V) with strictness somewhere.
-		if distr.StochasticLE(bu.ubQ, bv.lbQ, c.eps, c.cmpFn) &&
+		if distr.StochasticLE(bu.ubQ, bv.lbQ, c.eps, &c.Stats.InstanceComparisons) &&
 			!distr.Equal(bu.ubQ, bv.lbQ, c.eps) {
 			return true, true
 		}
@@ -192,11 +192,11 @@ func (c *Checker) levelDecideSSSD(cu, cv *objCache) (dec, ok bool) {
 		valid := true
 		strict := false
 		for j := range bu.perQ {
-			if !distr.StochasticLE(bu.perQ[j][0], bv.perQ[j][1], c.eps, c.cmpFn) {
+			if !distr.StochasticLE(bu.perQ[j][0], bv.perQ[j][1], c.eps, &c.Stats.InstanceComparisons) {
 				return false, true // pruning at instance j
 			}
 			if valid {
-				if !distr.StochasticLE(bu.perQ[j][1], bv.perQ[j][0], c.eps, c.cmpFn) {
+				if !distr.StochasticLE(bu.perQ[j][1], bv.perQ[j][0], c.eps, &c.Stats.InstanceComparisons) {
 					valid = false
 				} else if !distr.Equal(bu.perQ[j][1], bv.perQ[j][0], c.eps) {
 					strict = true

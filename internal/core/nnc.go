@@ -16,10 +16,10 @@ import (
 // An Index is immutable after construction and safe for concurrent
 // searches; each Search uses its own Checker.
 type Index struct {
-	objects map[int]*uncertain.Object
-	list    []*uncertain.Object
-	tree    *rtree.Tree
-	dim     int
+	list []*uncertain.Object
+	pos  map[int]int // object ID → position in list
+	tree *rtree.Tree
+	dim  int
 	// denseSpan is max(ID)+1 when every object ID is non-negative (so IDs
 	// fit a directly indexed cache table), 0 otherwise.
 	denseSpan int
@@ -47,17 +47,17 @@ func NewIndex(objs []*uncertain.Object) (*Index, error) {
 		return nil, ErrNoObjects
 	}
 	dim := objs[0].Dim()
-	byID := make(map[int]*uncertain.Object, len(objs))
+	pos := make(map[int]int, len(objs))
 	entries := make([]rtree.Entry, len(objs))
 	span := 0
 	for i, o := range objs {
 		if o.Dim() != dim {
 			return nil, fmt.Errorf("%w: object %d has dim %d, want %d", ErrIndexDimMix, o.ID(), o.Dim(), dim)
 		}
-		if _, dup := byID[o.ID()]; dup {
+		if _, dup := pos[o.ID()]; dup {
 			return nil, fmt.Errorf("%w: %d", ErrDuplicateID, o.ID())
 		}
-		byID[o.ID()] = o
+		pos[o.ID()] = i
 		entries[i] = rtree.Entry{Rect: o.MBR(), ID: int64(o.ID())}
 		switch {
 		case o.ID() < 0:
@@ -73,8 +73,8 @@ func NewIndex(objs []*uncertain.Object) (*Index, error) {
 	list := make([]*uncertain.Object, len(objs))
 	copy(list, objs)
 	return &Index{
-		objects:   byID,
 		list:      list,
+		pos:       pos,
 		tree:      rtree.Bulk(entries, fan),
 		dim:       dim,
 		denseSpan: span,
@@ -87,12 +87,18 @@ func (idx *Index) Len() int { return len(idx.list) }
 // Dim returns the dimensionality of the indexed objects.
 func (idx *Index) Dim() int { return idx.dim }
 
-// Objects returns the indexed objects. The returned slice must not be
-// modified.
+// Objects returns the indexed objects, in construction order until the
+// first Delete and in no particular order after it. The returned slice must
+// not be modified.
 func (idx *Index) Objects() []*uncertain.Object { return idx.list }
 
 // Object returns the object with the given ID, or nil.
-func (idx *Index) Object(id int) *uncertain.Object { return idx.objects[id] }
+func (idx *Index) Object(id int) *uncertain.Object {
+	if i, ok := idx.pos[id]; ok {
+		return idx.list[i]
+	}
+	return nil
+}
 
 // Candidate is one NN candidate, in emission order.
 type Candidate struct {

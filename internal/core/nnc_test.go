@@ -181,23 +181,27 @@ func TestFirstCandidateIsClosest(t *testing.T) {
 }
 
 // Duplicated objects (identical distributions) must both be candidates:
-// the U_Q ≠ V_Q side condition forbids mutual elimination.
+// the U_Q ≠ V_Q side condition forbids mutual elimination — also for
+// duplicates whose instances strictly ⪯Q-dominate one another, where the
+// exact P-SD test finds a full match between the copies.
 func TestDuplicateObjectsBothSurvive(t *testing.T) {
-	pts := []geom.Point{{5, 5}, {6, 6}}
-	a := uncertain.MustNew(1, pts, nil)
-	b := uncertain.MustNew(2, pts, nil)
-	far := uncertain.MustNew(3, []geom.Point{{100, 100}}, nil)
-	idx, err := NewIndex([]*uncertain.Object{a, b, far})
-	if err != nil {
-		t.Fatal(err)
-	}
 	q := uncertain.MustNew(0, []geom.Point{{0, 0}, {1, 1}}, nil)
-	for _, op := range []Operator{SSD, SSSD, PSD} {
-		res := idx.Search(q, op)
-		got := res.IDs()
-		sort.Ints(got)
-		if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-			t.Fatalf("%v: candidates = %v, want [1 2]", op, got)
+	for _, pts := range [][]geom.Point{{{5, 5}, {6, 6}}, chainedPoints()} {
+		a := uncertain.MustNew(1, pts, nil)
+		b := uncertain.MustNew(2, pts, nil)
+		far := uncertain.MustNew(3, []geom.Point{{100, 100}}, nil)
+		idx, err := NewIndex([]*uncertain.Object{a, b, far})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, op := range []Operator{SSD, SSSD, PSD} {
+			for _, cfg := range []FilterConfig{{}, AllFilters} {
+				got := searchK(idx, q, op, 1, SearchOptions{Filters: cfg}).IDs()
+				sort.Ints(got)
+				if len(got) != 2 || got[0] != 1 || got[1] != 2 {
+					t.Fatalf("%v, %d instances, filters %+v: candidates = %v, want [1 2]", op, len(pts), cfg, got)
+				}
+			}
 		}
 	}
 }

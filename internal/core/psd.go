@@ -1,18 +1,18 @@
 package core
 
 import (
-	"math"
-
 	"spatialdom/internal/distr"
+	"spatialdom/internal/flow"
 	"spatialdom/internal/geom"
 	"spatialdom/internal/rtree"
 	"spatialdom/internal/uncertain"
 )
 
 // This file implements the Peer-SD check (Section 5.1.2). Theorem 12
-// reduces P-SD(U,V,Q) to max-flow: build a bipartite network with source
-// capacities p(u), sink capacities p(v) and an unbounded edge u→v whenever
-// u ⪯Q v; P-SD holds iff the max flow equals 1 (and U_Q ≠ V_Q).
+// reduces P-SD(U,V,Q) to a bipartite transport: the instances of U supply
+// their probabilities, the instances of V demand theirs, u may ship to v
+// whenever u ⪯Q v, and P-SD holds iff the whole unit of mass can be shipped
+// (and U_Q ≠ V_Q).
 //
 // psd runs the verdict ladder of Checker.Dominates from rung 2 on (rung 1,
 // the global statistics, is answered by the caller):
@@ -24,11 +24,20 @@ import (
 //  4. cover-based pruning by scan: ¬SS-SD implies ¬P-SD;
 //  5. the geometric in-hull exit: an instance of V inside the convex hull
 //     of Q can only be matched by a co-located instance of U;
-//  6. level-by-level G⁻ (validation) / G⁺ (pruning) networks over local
+//  6. level-by-level G⁻ (validation) / G⁺ (pruning) transports over local
 //     R-tree nodes;
-//  7. the exact instance network, with admissibility u ⪯Q v decided in the
-//     k-dimensional hull-distance space, abandoned before the solve when a
-//     positive-mass instance has no admissible edge.
+//  7. the exact instance transport, with admissibility u ⪯Q v decided in
+//     the k-dimensional hull-distance space, abandoned before the solve
+//     when a positive-mass instance has no admissible pair.
+//
+// Rungs 6 and 7 are one shape — masses on two sides, a 0/1 matrix of
+// admissible pairs between them — and one solver, flow.Transport. The
+// matrix is written straight into bitset rows (flow.SetPair; flow.RowWords(nv)
+// words per supply atom, whatever nv is) out of the checker's scratch, the solver
+// keeps a dense flow matrix and its search state between solves, and
+// nothing else is built: no vertices, no edge list. Each object's distances
+// to the hull query instances, which decide ⪯Q, are one flat matrix per
+// object and search (objCache.hullD).
 
 const flowEps = 1e-9
 
@@ -90,145 +99,127 @@ func (c *Checker) inHullExit(u, v *uncertain.Object) bool {
 	return false
 }
 
-// instLE reports whether instance ui of u is not farther than instance vi
-// of v from every hull query instance (u ⪯Q v), using the cached
-// hull-distance matrices. strict additionally reports a strictly closer
-// hull instance.
+// instLE reports whether an instance of u is not farther than an instance of
+// v from every hull query instance (u ⪯Q v), given the two instances' rows
+// of the hull-distance matrices. strict additionally reports a strictly
+// closer hull instance.
 func (c *Checker) instLE(du, dv []float64) (le, strict bool) {
-	for k := range du {
-		c.Stats.InstanceComparisons++
-		if du[k] > dv[k]+c.eps {
-			return false, false
+	le = true
+	compared := 0
+	for k, d := range du {
+		compared++
+		if d > dv[k]+c.eps {
+			le, strict = false, false
+			break
 		}
-		if du[k] < dv[k]-c.eps {
+		if d < dv[k]-c.eps {
 			strict = true
 		}
 	}
-	return true, strict
+	c.Stats.InstanceComparisons += int64(compared)
+	return le, strict
 }
 
 // distSpaceThreshold is the instance count beyond which the admissibility
-// matrix is built with range queries over an R-tree in the hull-distance
+// rows are filled by range queries over an R-tree in the hull-distance
 // space instead of all-pairs comparisons (the Section 5.1.2 note: "by
 // taking advantage of the efficient range search in spatial indexing
 // techniques, we can efficiently improve the network construction time").
+// Either way the rows are the same and so is the solver.
 const distSpaceThreshold = 48
 
-// admEdge records one admissible pair u_i ⪯Q v_j of the exact P-SD network:
-// the instance indices, whether some hull instance strictly separates the
-// pair, and — once the network is built — the edge index.
-type admEdge struct {
-	i, j, e int
-	strict  bool
-}
-
-// isolatedMass reports whether some instance carrying more than flowEps of
-// probability is not covered by any admissible pair. Its mass cannot reach
-// the other side, so the max flow falls short of 1 by more than flowEps and
-// the solve would only confirm it.
-func isolatedMass(probs []float64, covered []bool) bool {
-	for i, p := range probs {
-		if p > flowEps && !covered[i] {
-			return true
-		}
-	}
-	return false
-}
-
-// psdExact runs Theorem 12 on the instance-level network. The admissible
-// pairs are collected first, so that a pair with an isolated positive-mass
-// instance on either side is rejected without building or solving a
-// network. The network and the admissible-pair records are carved out of
-// the checker's scratch, so repeat solves do not allocate.
+// psdExact runs Theorem 12 on the instances. The admissible pairs are
+// written first, as bitset rows next to a parallel bitset of the pairs some
+// hull instance strictly separates, so that a pair of objects with an
+// isolated positive-mass instance on either side is rejected without a
+// solve. Rows, flow matrix and solver state are the checker's scratch, so
+// repeat solves do not allocate.
 func (c *Checker) psdExact(su, sv *objCache) bool {
 	u, v := su.obj, sv.obj
 	hu, hv := c.hullDists(su), c.hullDists(sv)
-	nu, nv := u.Len(), v.Len()
-	adm := c.scratch.adm[:0]
-	defer func() { c.scratch.adm = adm[:0] }() // retain capacity growth
-	c.scratch.covered = growBools(c.scratch.covered, nu+nv)
-	coveredU, coveredV := c.scratch.covered[:nu], c.scratch.covered[nu:]
-	clear(c.scratch.covered)
+	nu, nv, h := u.Len(), v.Len(), len(c.hullPts)
+	w := flow.RowWords(nv)
+	adm, strict := c.scratch.bitRows(nu, w)
+	t := &c.scratch.transport
 	if nu >= distSpaceThreshold && nv >= distSpaceThreshold {
 		// Distance-space construction: u ⪯Q v iff u's hull-distance vector
 		// lies inside the box [0, hv[j]] — a range query.
 		tree := c.distSpaceTree(su, hu)
-		lo := growFloats(c.scratch.lo, len(c.hullPts))
-		for k := range lo {
-			lo[k] = 0
-		}
+		lo := growFloats(c.scratch.lo, h)
+		clear(lo)
 		c.scratch.lo = lo
-		hi := growFloats(c.scratch.hi, len(c.hullPts))
+		hi := growFloats(c.scratch.hi, h)
 		c.scratch.hi = hi
 		for j := 0; j < nv; j++ {
 			// Expand the box by eps so the range query is a superset of
 			// the tolerance-aware instLE test, then recheck each hit.
-			for k, d := range hv[j] {
+			dv := hv[j*h : (j+1)*h]
+			for k, d := range dv {
 				hi[k] = d + c.eps
 			}
 			win := geom.Rect{Lo: lo, Hi: hi}
 			c.Stats.InstanceComparisons++ // one range probe
 			tree.Search(win, func(e rtree.Entry) bool {
 				i := int(e.ID)
-				if le, strict := c.instLE(hu[i], hv[j]); le {
-					adm = append(adm, admEdge{i: i, j: j, strict: strict})
-					coveredU[i], coveredV[j] = true, true
+				if le, st := c.instLE(hu[i*h:(i+1)*h], dv); le {
+					flow.SetPair(adm, w, i, j)
+					if st {
+						flow.SetPair(strict, w, i, j)
+					}
 				}
 				return true
 			})
 		}
 	} else {
 		for i := 0; i < nu; i++ {
+			du := hu[i*h : (i+1)*h]
+			isolated := true
 			for j := 0; j < nv; j++ {
-				if le, strict := c.instLE(hu[i], hv[j]); le {
-					adm = append(adm, admEdge{i: i, j: j, strict: strict})
-					coveredU[i], coveredV[j] = true, true
+				if le, st := c.instLE(du, hv[j*h:(j+1)*h]); le {
+					isolated = false
+					flow.SetPair(adm, w, i, j)
+					if st {
+						flow.SetPair(strict, w, i, j)
+					}
 				}
 			}
-			if !coveredU[i] && u.Prob(i) > flowEps {
-				return false // u_i is isolated: no need to look at the rest
+			if isolated && u.Prob(i) > flowEps {
+				return false // no need to look at the rest
 			}
 		}
 	}
-	if isolatedMass(u.Probs(), coveredU) || isolatedMass(v.Probs(), coveredV) {
+	// A positive-mass instance with no admissible pair: the transport would
+	// fall short of 1 by more than flowEps and the solve only confirm it.
+	if t.Isolated(u.Probs(), v.Probs(), adm, flowEps) {
 		return false
 	}
-	g := &c.scratch.exact
-	g.Reuse(nu + nv + 2)
-	s, t := 0, nu+nv+1
-	for i := 0; i < nu; i++ {
-		g.AddEdge(s, 1+i, u.Prob(i))
-	}
-	for j := 0; j < nv; j++ {
-		g.AddEdge(1+nu+j, t, v.Prob(j))
-	}
-	for k := range adm {
-		adm[k].e = g.AddEdge(1+adm[k].i, 1+nu+adm[k].j, math.Inf(1))
-	}
 	c.Stats.FlowSolves++
-	if g.MaxFlow(s, t) < 1-flowEps {
+	if t.Solve(u.Probs(), v.Probs(), adm) < 1-flowEps {
 		return false
 	}
 	// A match exists. The side condition U_Q ≠ V_Q remains: if any matched
 	// tuple is strictly closer at some hull instance, the CDFs differ and
 	// the condition holds for free; otherwise compare the distributions.
-	for _, a := range adm {
-		if a.strict && g.Flow(a.e) > flowEps {
-			return true
-		}
+	// Which of the maximal assignments the solver found does not matter: a
+	// full match with a strict tuple makes some U_q, hence the mixture U_Q,
+	// differ from V's, so distr.Equal would say "different" too.
+	if t.ShipsOver(strict, flowEps) {
+		return true
 	}
 	return !distr.Equal(c.distQ(su), c.distQ(sv), c.eps)
 }
 
 // distSpaceTree returns (building and caching) an R-tree over the object's
-// instances mapped into the k-dimensional hull-distance space.
+// instances mapped into the k-dimensional hull-distance space; hd is the
+// object's flat hull-distance matrix.
 //
 //nnc:coldpath builds once per (object, search) and is cached on the objCache; warm lookups return the cached tree
-func (c *Checker) distSpaceTree(oc *objCache, hd [][]float64) *rtree.Tree {
+func (c *Checker) distSpaceTree(oc *objCache, hd []float64) *rtree.Tree {
 	if oc.distTree == nil {
-		entries := make([]rtree.Entry, len(hd))
-		for i, row := range hd {
-			entries[i] = rtree.Entry{Rect: geom.PointRect(geom.Point(row)), ID: int64(i)}
+		h := len(c.hullPts)
+		entries := make([]rtree.Entry, len(hd)/h)
+		for i := range entries {
+			entries[i] = rtree.Entry{Rect: geom.PointRect(geom.Point(hd[i*h : (i+1)*h])), ID: int64(i)}
 		}
 		oc.distTree = rtree.Bulk(entries, 16)
 	}
@@ -236,57 +227,47 @@ func (c *Checker) distSpaceTree(oc *objCache, hd [][]float64) *rtree.Tree {
 }
 
 // levelDecidePSD attempts the level-by-level G⁻/G⁺ networks of Section
-// 5.1.2 on local R-tree nodes. ok is false when all attempted levels are
-// inconclusive.
+// 5.1.2 on local R-tree nodes: the same transport as the exact test, with
+// node masses for supplies and demands. ok is false when all attempted
+// levels are inconclusive.
 func (c *Checker) levelDecidePSD(cu, cv *objCache) (dec, ok bool) {
 	maxLvl := coarseLevels(cu, cv)
+	t := &c.scratch.transport
 	for lvl := 1; lvl <= maxLvl; lvl++ {
 		bu := c.levelInfo(cu, lvl)
 		bv := c.levelInfo(cv, lvl)
 		nu, nv := len(bu.nodes), len(bv.nodes)
-
-		// G⁻ (validation): an edge U^i→V^j only when EVERY u∈U^i is at
+		w := flow.RowWords(nv)
+		// G⁻ (validation): U^i may ship to V^j only when EVERY u∈U^i is at
 		// least as close as every v∈V^j to every query instance, decided
 		// exactly on node MBRs. |f⁻| = 1 proves a full instance match.
-		gMinus := &c.scratch.gMinus
-		gMinus.Reuse(nu + nv + 2)
-		// G⁺ (pruning): an edge unless some query instance strictly
-		// separates V^j's MBR below U^i's MBR (making u ⪯Q v impossible
-		// for every pair in the nodes). |f⁺| < 1 disproves the match.
-		gPlus := &c.scratch.gPlus
-		gPlus.Reuse(nu + nv + 2)
-		s, t := 0, nu+nv+1
-		for i := 0; i < nu; i++ {
-			gMinus.AddEdge(s, 1+i, bu.masses[i])
-			gPlus.AddEdge(s, 1+i, bu.masses[i])
-		}
-		for j := 0; j < nv; j++ {
-			gMinus.AddEdge(1+nu+j, t, bv.masses[j])
-			gPlus.AddEdge(1+nu+j, t, bv.masses[j])
-		}
+		// G⁺ (pruning): U^i may ship to V^j unless some query instance
+		// strictly separates V^j's MBR below U^i's MBR (making u ⪯Q v
+		// impossible for every pair in the nodes). |f⁺| < 1 disproves the
+		// match.
+		gPlus, gMinus := c.scratch.bitRows(nu, w)
 		minusEdges := 0
 		for i := 0; i < nu; i++ {
 			ri := bu.nodes[i].Rect
 			for j := 0; j < nv; j++ {
 				rj := bv.nodes[j].Rect
-				le, _ := c.rectLE(ri, rj)
-				if le {
-					gMinus.AddEdge(1+i, 1+nu+j, math.Inf(1))
+				if le, _ := c.rectLE(ri, rj); le {
+					flow.SetPair(gMinus, w, i, j)
 					minusEdges++
 				}
-				// Keep the G⁺ edge unless v-side strictly beats u-side.
+				// Keep the G⁺ pair unless v-side strictly beats u-side.
 				if rvLE, rvStrict := c.rectLE(rj, ri); !(rvLE && rvStrict) {
-					gPlus.AddEdge(1+i, 1+nu+j, math.Inf(1))
+					flow.SetPair(gPlus, w, i, j)
 				}
 			}
 		}
 		c.Stats.FlowSolves++
-		if gPlus.MaxFlow(s, t) < 1-flowEps {
+		if t.Solve(bu.masses, bv.masses, gPlus) < 1-flowEps {
 			return false, true
 		}
 		if minusEdges > 0 {
 			c.Stats.FlowSolves++
-			if gMinus.MaxFlow(s, t) >= 1-flowEps {
+			if t.Solve(bu.masses, bv.masses, gMinus) >= 1-flowEps {
 				// The coarse match proves an instance-level match exists;
 				// settle the ≠ side condition on the exact distributions.
 				return !distr.Equal(c.distQ(cu), c.distQ(cv), c.eps), true

@@ -10,13 +10,13 @@ import (
 
 // CheckScratch is the allocation arena behind a Checker: slab arenas for
 // every cached artifact a search builds (distribution atoms, hull-distance
-// matrices, per-object caches, level bounds), reusable flow networks for
-// the P-SD solves, and the dense object-cache table. One scratch backs one
-// live Checker at a time; Checker re-initializes it, releasing everything
-// the previous search cached. The engine pools these alongside its other
-// per-search scratch, which is what makes steady-state searches
-// allocation-free: every slab and table reaches its high-water size and is
-// then recycled verbatim.
+// matrices, per-object caches, level bounds), the transport solver and
+// bitset rows of the P-SD solves, and the dense object-cache table. One
+// scratch backs one live Checker at a time; Checker re-initializes it,
+// releasing everything the previous search cached. The engine pools these
+// alongside its other per-search scratch, which is what makes steady-state
+// searches allocation-free: every slab and table reaches its high-water
+// size and is then recycled verbatim.
 //
 // A CheckScratch is not safe for concurrent use.
 type CheckScratch struct {
@@ -24,7 +24,6 @@ type CheckScratch struct {
 	// contents are fully overwritten before use.
 	pairs     distr.PairArena
 	floats    slab.Arena[float64]
-	rows      slab.Arena[[]float64]
 	distPairs slab.Arena[[2]distr.Distribution]
 	stats     slab.Arena[distr.Stat]
 
@@ -42,13 +41,13 @@ type CheckScratch struct {
 	touched []int
 	sparse  map[int]*objCache
 
-	// Flow-network arenas for P-SD: the exact instance network and the
-	// per-level G⁻/G⁺ pair, each rebuilt in place via Reuse.
-	exact, gMinus, gPlus flow.Network
+	// P-SD: the one transport solver behind the exact test and the
+	// per-level G⁻/G⁺ pair, and the bitset rows it is handed (bitRows).
+	transport flow.Transport
+	bits      []uint64
 
 	// Assorted reusable buffers.
-	adm     []admEdge    // admissible pairs of the exact network
-	covered []bool       // per instance of U then V: has an admissible pair
+	near    geom.Point   // the popped entry's near vector (band.dominatesRect)
 	lo, hi  geom.Point   // range-query corners in hull-distance space
 	ids     []int        // CollectIDs scratch for level masses
 	hullIdx []int        // non-geometric fallback hull index list
@@ -78,7 +77,6 @@ func (sc *CheckScratch) setDenseSpan(n int) {
 func (sc *CheckScratch) reset() {
 	sc.pairs.Reset()
 	sc.floats.Reset()
-	sc.rows.Reset()
 	sc.distPairs.Reset()
 	sc.stats.Reset()
 	sc.caches.ResetZero()
@@ -89,7 +87,6 @@ func (sc *CheckScratch) reset() {
 	}
 	sc.touched = sc.touched[:0]
 	clear(sc.sparse)
-	sc.adm = sc.adm[:0]
 	clear(sc.hullPts[:cap(sc.hullPts)]) // drop references to the previous query
 }
 
@@ -118,11 +115,6 @@ func (sc *CheckScratch) Checker(query *uncertain.Object, op Operator, cfg Filter
 	c.statCut = cfg.StatPruning && (op == SSD || op == SSSD || op == PSD)
 	c.qMBR = query.MBR()
 	c.Stats = Stats{}
-	if c.cmpFn == nil {
-		// One closure for the scratch's lifetime: c is a stable pointer
-		// into sc, so the counter always targets the live search's stats.
-		c.cmpFn = func() { c.Stats.InstanceComparisons++ }
-	}
 	if cfg.Geometric && c.euclid {
 		c.hullIdx = query.HullIndices()
 	} else {
@@ -160,14 +152,18 @@ func growPoints(s []geom.Point, n int) []geom.Point {
 	return s[:n]
 }
 
-// growBools returns s resized to n, reusing its capacity.
+// bitRows returns two cleared pair bitsets of n rows of w words each — the
+// admissible pairs and the strictly separated ones of the exact test, or
+// G⁺ and G⁻ of a level — carved out of one reused buffer.
 //
-//nnc:coldpath amortized buffer growth to the search's high-water size; warm calls reslice
-func growBools(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
+//nnc:coldpath amortized buffer growth to the search's high-water size; warm calls reslice and clear
+func (sc *CheckScratch) bitRows(n, w int) (a, b []uint64) {
+	if cap(sc.bits) < 2*n*w {
+		sc.bits = make([]uint64, 2*n*w)
 	}
-	return s[:n]
+	sc.bits = sc.bits[:2*n*w]
+	clear(sc.bits)
+	return sc.bits[:n*w], sc.bits[n*w:]
 }
 
 // growFloats returns s resized to n, reusing its capacity.

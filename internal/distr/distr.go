@@ -307,40 +307,40 @@ func Equal(x, y Distribution, eps float64) bool {
 // the comparison to be meaningful. The check is a single merge scan over the
 // sorted atoms — O(|X| + |Y|) after sorting, matching Section 5.1.1.
 //
-// cmp, when non-nil, is invoked once per atom consumed so callers can count
-// instance comparisons for the filtering ablation (Appendix C).
-func StochasticLE(x, y Distribution, eps float64, cmp func()) bool {
+// The number of atoms the scan consumed — the instance comparisons of the
+// filtering ablation (Appendix C) — is added to *consumed when it is non-nil.
+func StochasticLE(x, y Distribution, eps float64, consumed *int64) bool {
+	xs, ys := x.pairs, y.pairs
 	i, j := 0, 0
 	var cumX, cumY float64
-	for i < len(x.pairs) || j < len(y.pairs) {
+	le := true
+	for i < len(xs) || j < len(ys) {
 		var v float64
 		switch {
-		case i >= len(x.pairs):
-			v = y.pairs[j].Dist
-		case j >= len(y.pairs):
-			v = x.pairs[i].Dist
+		case i >= len(xs):
+			v = ys[j].Dist
+		case j >= len(ys):
+			v = xs[i].Dist
 		default:
-			v = math.Min(x.pairs[i].Dist, y.pairs[j].Dist)
+			v = min(xs[i].Dist, ys[j].Dist)
 		}
-		for i < len(x.pairs) && x.pairs[i].Dist <= v {
-			cumX += x.pairs[i].Prob
+		for i < len(xs) && xs[i].Dist <= v {
+			cumX += xs[i].Prob
 			i++
-			if cmp != nil {
-				cmp()
-			}
 		}
-		for j < len(y.pairs) && y.pairs[j].Dist <= v {
-			cumY += y.pairs[j].Prob
+		for j < len(ys) && ys[j].Dist <= v {
+			cumY += ys[j].Prob
 			j++
-			if cmp != nil {
-				cmp()
-			}
 		}
 		if cumX < cumY-eps {
-			return false
+			le = false
+			break
 		}
 	}
-	return true
+	if consumed != nil {
+		*consumed += int64(i + j)
+	}
+	return le
 }
 
 // MatchTuple is one tuple t⟨x, y, p⟩ of a match between two distributions:

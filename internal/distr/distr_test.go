@@ -191,9 +191,9 @@ func TestStochasticLEPaperFigure3(t *testing.T) {
 func TestStochasticLECountsComparisons(t *testing.T) {
 	x := dist(1, 2, 3)
 	y := dist(4, 5, 6)
-	n := 0
-	StochasticLE(x, y, Eps, func() { n++ })
-	if n != x.Len()+y.Len() {
+	var n int64
+	StochasticLE(x, y, Eps, &n)
+	if n != int64(x.Len()+y.Len()) {
 		t.Fatalf("comparisons = %d, want %d", n, x.Len()+y.Len())
 	}
 }

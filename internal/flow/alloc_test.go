@@ -27,8 +27,7 @@ func buildBipartite(g *Network, nu, nv int) (s, t int) {
 }
 
 // A warm network — rebuilt in place with Reuse after its arrays have grown
-// — must solve max-flow without allocating. This is the regression guard
-// for the P-SD hot path.
+// — must solve max-flow without allocating.
 func TestWarmMaxFlowZeroAllocs(t *testing.T) {
 	var g Network
 	run := func() {
@@ -38,6 +37,29 @@ func TestWarmMaxFlowZeroAllocs(t *testing.T) {
 	run() // grow edge list, adjacency and Dinic scratch
 	if avg := testing.AllocsPerRun(50, run); avg != 0 {
 		t.Errorf("warm Reuse+MaxFlow allocated %.1f times per round, want 0", avg)
+	}
+}
+
+// The transport kernel the P-SD path solves with holds all its state: a warm
+// solve, at a size whose rows span two words, allocates nothing.
+func TestWarmTransportZeroAllocs(t *testing.T) {
+	const nu, nv = 70, 70
+	w := RowWords(nv)
+	supply, demand, rows := make([]float64, nu), make([]float64, nv), make([]uint64, nu*w)
+	for i := range supply {
+		supply[i] = 1.0 / nu
+		for j := i; j < nv; j += 3 {
+			SetPair(rows, w, i, j)
+		}
+	}
+	for j := range demand {
+		demand[j] = 1.0 / nv
+	}
+	var tr Transport
+	run := func() { tr.Solve(supply, demand, rows) }
+	run()
+	if avg := testing.AllocsPerRun(50, run); avg != 0 {
+		t.Errorf("warm Transport.Solve allocated %.1f times per round, want 0", avg)
 	}
 }
 

@@ -1,11 +1,16 @@
-// Package flow provides the two network-flow solvers the reproduction
-// needs, built from scratch on the standard library:
+// Package flow provides the network-flow solvers the reproduction needs,
+// built from scratch on the standard library:
 //
-//   - Dinic's max-flow on real-valued capacities, used to decide the
-//     Peer-SD operator (Theorem 12 reduces P-SD(U,V,Q) to checking whether
-//     the max-flow of the assignment network equals 1);
-//   - successive-shortest-path min-cost max-flow, used to compute the Earth
-//     Mover's / Netflow distance (Appendix A, Definition 12).
+//   - Transport, the bipartite transport kernel that decides the Peer-SD
+//     operator (Theorem 12 reduces P-SD(U,V,Q) to checking whether the unit
+//     of probability mass can be shipped from U's instances to V's over the
+//     admissible pairs);
+//   - Network.MaxFlow, Dinic's max-flow on real-valued capacities — the
+//     general form of the same question, and the oracle Transport is tested
+//     against;
+//   - Network.MinCostMaxFlow, successive-shortest-path min-cost max-flow,
+//     used to compute the Earth Mover's / Netflow distance (Appendix A,
+//     Definition 12).
 //
 // Probability masses are float64, so all comparisons use a small epsilon;
 // the graphs involved are tiny bipartite networks (instances of two
@@ -57,7 +62,6 @@ func (g *Network) Reuse(n int) {
 	g.n = n
 	g.edges = g.edges[:0]
 	if cap(g.adj) < n {
-		//nnc:allow hotpath-alloc: adjacency rows grow once to the workload's high-water vertex count; warm Reuse only reslices
 		g.adj = append(g.adj[:cap(g.adj)], make([][]int, n-cap(g.adj))...)
 	}
 	g.adj = g.adj[:n]
