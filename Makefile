@@ -44,8 +44,9 @@ race:
 
 # check is the CI gate — the steps of the CI lint and check jobs plus the
 # fuzz smoke, one list: formatting + vet + build + nnclint + race tests + a
-# one-shot Figure 12, disk-cold, P-SD-miss and commit benchmark smoke so the
-# engine's hot path stays exercised in memory, against a page file and
+# one-shot Figure 12, disk-cold, P-SD-miss, wide-object P-SD and commit
+# benchmark smoke so the engine's hot path stays exercised in memory, against
+# a page file, on objects wider than any repo-benchmark workload has and
 # through the WAL write path, the batch scaling gate
 # without the race detector (it skips under it) and the parallel-search
 # benchmarks at four procs (the only place the batch path is timed), the
@@ -59,6 +60,7 @@ check: fmt-check
 	$(GO) test -run='^$$' -bench=Fig12 -benchtime=1x .
 	$(GO) test -run='^$$' -bench='SearchK/disk-cold' -benchtime=1x .
 	$(GO) test -run='^$$' -bench='SearchPSDMiss' -benchtime=1x .
+	$(GO) test -run='^$$' -bench='DominanceCheck/PSD/m=64' -benchtime=1x .
 	$(GO) test -run='^$$' -bench='Commit$$' -benchtime=1x .
 	$(GO) test -run=TestSearchParallelScales ./internal/core
 	GOMAXPROCS=4 $(GO) test -run='^$$' -bench=ParallelSearch -benchtime=1x .
@@ -100,18 +102,24 @@ verify:
 # start with the same dataset flags on two loopback ports. Both must reach
 # /readyz 200, answer /query with the same body (elapsed_us aside), exit
 # on SIGTERM after logging "bye" — and a bad dataset flag must exit 2.
+# Then the crash a reader must not paper over: a third server opens the
+# file -mutable, takes one /insert and is killed with -9, so the insert is
+# in the WAL only. A read-only server on that file must exit 1 naming the
+# log; a -mutable one must replay it and answer /query with the object.
 smoke:
 	@set -eu; d=$$(mktemp -d); trap 'kill $$(cat $$d/*.pid 2>/dev/null) 2>/dev/null || true; rm -rf $$d' EXIT; \
+	ready() { \
+		for try in $$(seq 100); do \
+			[ "$$(curl -s -o /dev/null -w '%{http_code}' 127.0.0.1:$$2/readyz || true)" = 200 ] && return 0; sleep 0.1; \
+		done; \
+		echo "smoke: $$1 server never became ready"; cat $$d/$$1.log; exit 1; \
+	}; \
 	$(GO) build -o $$d/nnc ./cmd/nnc; $(GO) build -o $$d/nncserver ./cmd/nncserver; \
 	data='-n=400 -m=6 -seed=7'; $$d/nnc build $$data -out=$$d/o.pg >/dev/null; \
 	$$d/nncserver $$data -addr=127.0.0.1:18471 2>$$d/mem.log & echo $$! >$$d/mem.pid; \
 	$$d/nncserver -disk=$$d/o.pg -addr=127.0.0.1:18472 2>$$d/disk.log & echo $$! >$$d/disk.pid; \
 	for s in mem:18471 disk:18472; do \
-		for try in $$(seq 100); do \
-			code=$$(curl -s -o /dev/null -w '%{http_code}' 127.0.0.1:$${s#*:}/readyz || true); \
-			[ "$$code" = 200 ] && break; sleep 0.1; \
-		done; \
-		[ "$$code" = 200 ] || { echo "smoke: $${s%:*} server never became ready"; cat $$d/$${s%:*}.log; exit 1; }; \
+		ready $${s%:*} $${s#*:}; \
 		curl -s -X POST 127.0.0.1:$${s#*:}/query -d '{"instances":[[5000,5000,5000],[5100,5050,4900]],"operator":"PSD","k":2}' \
 			| sed -E 's/"elapsed_us":[0-9]+//' >$$d/$${s%:*}.json; \
 	done; \
@@ -120,7 +128,19 @@ smoke:
 	kill -TERM $$(cat $$d/mem.pid $$d/disk.pid); wait; \
 	for s in mem disk; do grep -q ' bye$$' $$d/$$s.log || { echo "smoke: $$s server did not shut down cleanly"; cat $$d/$$s.log; exit 1; }; done; \
 	code=0; $$d/nncserver -n=-1 2>/dev/null || code=$$?; [ $$code = 2 ] || { echo "smoke: nncserver -n=-1 exited $$code, want 2"; exit 1; }; \
-	echo "smoke: memory and disk servers agree, shut down cleanly"
+	$$d/nncserver -disk=$$d/o.pg -mutable -addr=127.0.0.1:18473 2>$$d/crash.log & echo $$! >$$d/crash.pid; \
+	ready crash 18473; \
+	code=$$(curl -s -o /dev/null -w '%{http_code}' -X POST 127.0.0.1:18473/insert -d '{"id":900001,"instances":[[5000,5000,5000]],"probs":[1]}'); \
+	[ "$$code" = 200 ] || { echo "smoke: /insert answered $$code"; cat $$d/crash.log; exit 1; }; \
+	kill -9 $$(cat $$d/crash.pid); wait || true; rm $$d/crash.pid; \
+	code=0; timeout 10 $$d/nncserver -disk=$$d/o.pg -addr=127.0.0.1:18473 2>$$d/ro.log || code=$$?; \
+	[ $$code = 1 ] && grep -q "$$d/o.pg.wal" $$d/ro.log || { echo "smoke: read-only server over a pending WAL exited $$code, want 1 naming the log"; cat $$d/ro.log; exit 1; }; \
+	$$d/nncserver -disk=$$d/o.pg -mutable -addr=127.0.0.1:18473 2>$$d/replay.log & echo $$! >$$d/replay.pid; \
+	ready replay 18473; \
+	curl -s -X POST 127.0.0.1:18473/query -d '{"instances":[[5000,5000,5000]],"operator":"PSD","k":1}' >$$d/replay.json; \
+	grep -q '"id":900001' $$d/replay.json || { echo "smoke: the insert did not survive the crash"; cat $$d/replay.json $$d/replay.log; exit 1; }; \
+	kill -TERM $$(cat $$d/replay.pid); wait; \
+	echo "smoke: memory and disk servers agree, shut down cleanly; a pending WAL is refused read-only and replayed -mutable"
 
 fuzz:
 	$(GO) test -fuzz=FuzzRead -fuzztime=30s ./internal/dataio

@@ -12,6 +12,9 @@ import (
 	"testing"
 
 	"spatialdom/internal/dataio"
+	"spatialdom/internal/diskindex"
+	"spatialdom/internal/geom"
+	"spatialdom/internal/uncertain"
 )
 
 // nnc runs one command line through the verb table.
@@ -114,6 +117,43 @@ func TestQueryMemoryDiskParity(t *testing.T) {
 	}
 	if out, err := nnc(t, "fsck", pg); err == nil || errors.Is(err, dataio.ErrUsage) {
 		t.Fatalf("fsck after a flipped byte: %v\n%s", err, out)
+	}
+}
+
+// A page file a mutable session left with transactions only its WAL holds
+// is not queried read-only as if they had not happened: query fails (exit 1,
+// not a usage error) naming the log, and works again after a checkpoint.
+func TestQueryRefusesPendingWAL(t *testing.T) {
+	dir := t.TempDir()
+	pg, crashed := filepath.Join(dir, "o.pg"), filepath.Join(dir, "crashed.pg")
+	mustNnc(t, with("build", "-out="+pg)...)
+	ix, err := diskindex.OpenFileMutable(pg, &diskindex.MutableOptions{WALLimit: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Insert(uncertain.MustNew(900001, []geom.Point{{5000, 5000, 5000}}, nil)); err != nil {
+		t.Fatal(err)
+	}
+	// The crash: what is on disk while the session is still open.
+	for _, ext := range []string{"", ".wal"} {
+		raw, err := os.ReadFile(pg + ext)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(crashed+ext, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ix.Close(); err != nil {
+		t.Fatal(err)
+	}
+	args := with("query", "-queries=1", "-functions=false", "-disk="+crashed)
+	if out, err := nnc(t, args...); err == nil || errors.Is(err, dataio.ErrUsage) || !strings.Contains(err.Error(), crashed+".wal") {
+		t.Fatalf("query over a pending WAL: err = %v; want a plain failure naming %s.wal\n%s", err, crashed, out)
+	}
+	mustNnc(t, "checkpoint", crashed)
+	if out := mustNnc(t, args...); !strings.Contains(out, "(301 objects)") {
+		t.Fatalf("query after the checkpoint: %s", out)
 	}
 }
 

@@ -47,14 +47,14 @@ func fsck(fs *flag.FlagSet, args []string, out, _ io.Writer) error {
 	}
 
 	// Page bytes verified; now the structural pass — WAL records, tree
-	// reachability, free-list/epoch/tombstone invariants.
+	// reachability, leaf entries against the record heap, free-list/epoch
+	// invariants.
 	srep, err := diskindex.FsckStruct(fs.Arg(0), *frames)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "structure: epoch %d, %d tree + %d store + %d tombstone pages, %d free, %d live objects, %d tombstones\n",
-		srep.Epoch, srep.TreePages, srep.StorePages, srep.TombPages,
-		srep.FreePages, srep.LiveObjects, srep.Tombstones)
+	fmt.Fprintf(out, "structure: epoch %d, %d tree + %d store pages, %d free, %d live objects, %d dead records\n",
+		srep.Epoch, srep.TreePages, srep.StorePages, srep.FreePages, srep.LiveObjects, srep.DeadRecords)
 	if srep.WALRecords > 0 || srep.WALTorn > 0 {
 		fmt.Fprintf(out, "wal: %d records, %d committed transactions pending replay, %d torn bytes\n",
 			srep.WALRecords, srep.WALCommitted, srep.WALTorn)

@@ -69,7 +69,6 @@ import (
 	"spatialdom/internal/cluster"
 	"spatialdom/internal/dataio"
 	"spatialdom/internal/diskindex"
-	"spatialdom/internal/pager"
 	"spatialdom/internal/server"
 	"spatialdom/internal/server/front"
 )
@@ -151,14 +150,8 @@ func main() {
 	case *disk != "":
 		reason = "opening " + *disk
 		open = func() (server.Backend, io.Closer, error) {
-			pf, err := pager.Open(*disk)
+			idx, pf, err := diskindex.OpenFile(*disk, *frames)
 			if err != nil {
-				return nil, nil, err
-			}
-			// The super page is the first page a build allocates.
-			idx, err := diskindex.Open(pager.NewPool(pf, *frames), 1)
-			if err != nil {
-				pf.Close()
 				return nil, nil, err
 			}
 			log.Printf("serving disk index %s", idx)

@@ -41,17 +41,12 @@ func BuildDiskIndex(path string, objs []*Object, frames int) (*DiskIndex, error)
 	return &DiskIndex{inner: idx, file: pf}, nil
 }
 
-// OpenDiskIndex reattaches to a page file previously written by
-// BuildDiskIndex.
+// OpenDiskIndex reattaches read-only to a page file previously written by
+// BuildDiskIndex. A file a mutable session left with a non-empty WAL is
+// refused rather than served from its pre-WAL state.
 func OpenDiskIndex(path string, frames int) (*DiskIndex, error) {
-	pf, err := pager.Open(path)
+	idx, pf, err := diskindex.OpenFile(path, frames)
 	if err != nil {
-		return nil, err
-	}
-	// BuildDiskIndex's super page is always the first allocated page.
-	idx, err := diskindex.Open(pager.NewPool(pf, frames), 1)
-	if err != nil {
-		pf.Close()
 		return nil, err
 	}
 	return &DiskIndex{inner: idx, file: pf}, nil

@@ -3,7 +3,6 @@ package core
 import (
 	"spatialdom/internal/distr"
 	"spatialdom/internal/geom"
-	"spatialdom/internal/rtree"
 	"spatialdom/internal/uncertain"
 )
 
@@ -127,8 +126,7 @@ type objCache struct {
 	distQOK    bool
 	distQ      distr.Distribution // U_Q, built from runs when first scanned
 
-	hullD    []float64   // per instance, stride len(hullPts): distances to every hull point
-	distTree *rtree.Tree // R-tree over hullD rows (P-SD admissibility rows)
+	hullD []float64 // per instance, stride len(hullPts): distances to every hull point
 
 	sphereOK bool
 	sphere   geom.Sphere // bounding sphere, radius under the checker's metric

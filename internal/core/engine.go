@@ -35,13 +35,10 @@ import (
 // tieEps is the slack under which two exact heap keys count as tied.
 const tieEps = 1e-9
 
-// NodeRef identifies a tree node inside a Backend. Both backends in the
-// repo address nodes by number — an rtree.NodeID in memory, a page id on
-// disk — and use ID; P is there for a backend that holds node pointers
-// (storing a pointer in an interface value does not allocate). The engine
-// treats both fields as opaque.
+// NodeRef identifies a tree node inside a Backend by number — an
+// rtree.NodeID in memory, a page id on disk. The engine treats it as
+// opaque.
 type NodeRef struct {
-	P  any
 	ID uint64
 }
 

@@ -66,7 +66,7 @@ func TestSearchKMatchesBruteForce(t *testing.T) {
 		far := q.MBR().Center()
 		far[0] += 60
 		u, v := widePair(rng, 1001, 1002, 70, q, far)
-		requireDistSpaceVerdict(t, q, u, v)
+		requireExactVerdict(t, q, u, v)
 		objs = append(objs, u, v)
 		idx, err := NewIndex(objs)
 		if err != nil {

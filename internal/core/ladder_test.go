@@ -125,7 +125,7 @@ func TestLadderAgreesWithNoFilterWideObjects(t *testing.T) {
 		q := ladderObject(rng, 0, 2+rng.Intn(4), 10, 10)
 		u, v := widePair(rng, 1, 2, 70, q, geom.Point{50 + float64(rng.Intn(20)), 20})
 		if iter%2 == 0 {
-			requireDistSpaceVerdict(t, q, u, v)
+			requireExactVerdict(t, q, u, v)
 		} else {
 			v = randObject(rng, 2, 2, 70, geom.Point{52 + float64(rng.Intn(20)), 21}, 6)
 		}

@@ -4,7 +4,6 @@ import (
 	"spatialdom/internal/distr"
 	"spatialdom/internal/flow"
 	"spatialdom/internal/geom"
-	"spatialdom/internal/rtree"
 	"spatialdom/internal/uncertain"
 )
 
@@ -120,14 +119,6 @@ func (c *Checker) instLE(du, dv []float64) (le, strict bool) {
 	return le, strict
 }
 
-// distSpaceThreshold is the instance count beyond which the admissibility
-// rows are filled by range queries over an R-tree in the hull-distance
-// space instead of all-pairs comparisons (the Section 5.1.2 note: "by
-// taking advantage of the efficient range search in spatial indexing
-// techniques, we can efficiently improve the network construction time").
-// Either way the rows are the same and so is the solver.
-const distSpaceThreshold = 48
-
 // psdExact runs Theorem 12 on the instances. The admissible pairs are
 // written first, as bitset rows next to a parallel bitset of the pairs some
 // hull instance strictly separates, so that a pair of objects with an
@@ -141,51 +132,20 @@ func (c *Checker) psdExact(su, sv *objCache) bool {
 	w := flow.RowWords(nv)
 	adm, strict := c.scratch.bitRows(nu, w)
 	t := &c.scratch.transport
-	if nu >= distSpaceThreshold && nv >= distSpaceThreshold {
-		// Distance-space construction: u ⪯Q v iff u's hull-distance vector
-		// lies inside the box [0, hv[j]] — a range query.
-		tree := c.distSpaceTree(su, hu)
-		lo := growFloats(c.scratch.lo, h)
-		clear(lo)
-		c.scratch.lo = lo
-		hi := growFloats(c.scratch.hi, h)
-		c.scratch.hi = hi
+	for i := 0; i < nu; i++ {
+		du := hu[i*h : (i+1)*h]
+		isolated := true
 		for j := 0; j < nv; j++ {
-			// Expand the box by eps so the range query is a superset of
-			// the tolerance-aware instLE test, then recheck each hit.
-			dv := hv[j*h : (j+1)*h]
-			for k, d := range dv {
-				hi[k] = d + c.eps
-			}
-			win := geom.Rect{Lo: lo, Hi: hi}
-			c.Stats.InstanceComparisons++ // one range probe
-			tree.Search(win, func(e rtree.Entry) bool {
-				i := int(e.ID)
-				if le, st := c.instLE(hu[i*h:(i+1)*h], dv); le {
-					flow.SetPair(adm, w, i, j)
-					if st {
-						flow.SetPair(strict, w, i, j)
-					}
+			if le, st := c.instLE(du, hv[j*h:(j+1)*h]); le {
+				isolated = false
+				flow.SetPair(adm, w, i, j)
+				if st {
+					flow.SetPair(strict, w, i, j)
 				}
-				return true
-			})
+			}
 		}
-	} else {
-		for i := 0; i < nu; i++ {
-			du := hu[i*h : (i+1)*h]
-			isolated := true
-			for j := 0; j < nv; j++ {
-				if le, st := c.instLE(du, hv[j*h:(j+1)*h]); le {
-					isolated = false
-					flow.SetPair(adm, w, i, j)
-					if st {
-						flow.SetPair(strict, w, i, j)
-					}
-				}
-			}
-			if isolated && u.Prob(i) > flowEps {
-				return false // no need to look at the rest
-			}
+		if isolated && u.Prob(i) > flowEps {
+			return false // no need to look at the rest
 		}
 	}
 	// A positive-mass instance with no admissible pair: the transport would
@@ -207,23 +167,6 @@ func (c *Checker) psdExact(su, sv *objCache) bool {
 		return true
 	}
 	return !distr.Equal(c.distQ(su), c.distQ(sv), c.eps)
-}
-
-// distSpaceTree returns (building and caching) an R-tree over the object's
-// instances mapped into the k-dimensional hull-distance space; hd is the
-// object's flat hull-distance matrix.
-//
-//nnc:coldpath builds once per (object, search) and is cached on the objCache; warm lookups return the cached tree
-func (c *Checker) distSpaceTree(oc *objCache, hd []float64) *rtree.Tree {
-	if oc.distTree == nil {
-		h := len(c.hullPts)
-		entries := make([]rtree.Entry, len(hd)/h)
-		for i := range entries {
-			entries[i] = rtree.Entry{Rect: geom.PointRect(geom.Point(hd[i*h : (i+1)*h])), ID: int64(i)}
-		}
-		oc.distTree = rtree.Bulk(entries, 16)
-	}
-	return oc.distTree
 }
 
 // levelDecidePSD attempts the level-by-level G⁻/G⁺ networks of Section

@@ -48,7 +48,6 @@ type CheckScratch struct {
 
 	// Assorted reusable buffers.
 	near    geom.Point   // the popped entry's near vector (band.dominatesRect)
-	lo, hi  geom.Point   // range-query corners in hull-distance space
 	ids     []int        // CollectIDs scratch for level masses
 	hullIdx []int        // non-geometric fallback hull index list
 	hullPts []geom.Point // hull instances of the current query

@@ -10,8 +10,9 @@ import (
 	"spatialdom/internal/uncertain"
 )
 
-// oraclePSDMatch is an independent all-pairs implementation of the
-// Theorem 12 feasibility test (no distance-space tree, no filters).
+// oraclePSDMatch is an independent implementation of the Theorem 12
+// feasibility test: distances recomputed from the points, a general
+// max-flow network, no filters.
 func oraclePSDMatch(u, v, q *uncertain.Object, eps float64) bool {
 	qpts := q.Points()
 	le := func(a, b geom.Point) bool {
@@ -41,14 +42,13 @@ func oraclePSDMatch(u, v, q *uncertain.Object, eps float64) bool {
 	return g.MaxFlow(s, t) >= 1-1e-9
 }
 
-// Large instance counts route P-SD network construction through the
-// distance-space R-tree; the verdicts must match an independent all-pairs
-// oracle.
-func TestPSDDistanceSpacePathMatchesOracle(t *testing.T) {
+// Wide objects (48–77 instances a side, rows one and two words wide) get
+// the exact test's verdict from the independent max-flow oracle.
+func TestPSDWideObjectsMatchFlowOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(1001))
 	checkedTrue, checkedFalse := 0, 0
 	for iter := 0; iter < 40; iter++ {
-		m := distSpaceThreshold + rng.Intn(30) // force the tree path
+		m := 48 + rng.Intn(30)
 		q := randObject(rng, 0, 2, 2+rng.Intn(3), randCenter(rng, 2, 20), 2)
 		base := randCenter(rng, 2, 20)
 		u := randObject(rng, 1, 2, m, base, 3)
@@ -79,8 +79,8 @@ func TestPSDDistanceSpacePathMatchesOracle(t *testing.T) {
 // the first with every instance pushed a little further from the query. Far
 // enough from the query the identity is then a full ⪯Q match, but the MBRs
 // and the local-tree nodes overlap, so no rung before the exact test can
-// decide P-SD(u, v): with m > 64 that is the distance-space construction
-// writing rows more than one word wide.
+// decide P-SD(u, v): with m > 64 that is the exact test writing rows more
+// than one word wide.
 func widePair(rng *rand.Rand, idU, idV, m int, q *uncertain.Object, center geom.Point) (u, v *uncertain.Object) {
 	u = randObject(rng, idU, 2, m, center, 6)
 	qc := q.MBR().Center()
@@ -93,17 +93,33 @@ func widePair(rng *rand.Rand, idU, idV, m int, q *uncertain.Object, center geom.
 	return u, uncertain.MustNew(idV, pts, u.Probs())
 }
 
-// requireDistSpaceVerdict asserts that the full ladder takes P-SD(u, v) all
-// the way to the distance-space construction, and that its verdict there is
-// the independent all-pairs oracle's.
-func requireDistSpaceVerdict(t *testing.T, q, u, v *uncertain.Object) {
+// requireExactVerdict asserts that the full ladder takes P-SD(u, v) all the
+// way to the exact test (the only reader of the hull-distance matrix), and
+// that its verdict there is the independent max-flow oracle's.
+func requireExactVerdict(t *testing.T, q, u, v *uncertain.Object) {
 	t.Helper()
 	c := NewChecker(q, PSD, AllFilters)
 	got := c.Dominates(u, v)
-	if c.cacheOf(u).distTree == nil {
-		t.Fatalf("P-SD(%d,%d) was decided before the distance-space construction: %+v", u.ID(), v.ID(), c.Stats)
+	if c.cacheOf(u).hullD == nil {
+		t.Fatalf("P-SD(%d,%d) was decided before the exact test: %+v", u.ID(), v.ID(), c.Stats)
 	}
 	if want := oraclePSDMatch(u, v, q, 1e-9); got != want {
-		t.Fatalf("P-SD(%d,%d) = %v, all-pairs oracle %v", u.ID(), v.ID(), got, want)
+		t.Fatalf("P-SD(%d,%d) = %v, max-flow oracle %v", u.ID(), v.ID(), got, want)
+	}
+}
+
+// A warm exact test on wide objects allocates nothing: rows, flow matrix
+// and solver state are the checker's scratch at their high-water size.
+func TestPSDExactWideObjectsAllocFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(1003))
+	q := randObject(rng, 0, 2, 4, geom.Point{10, 10}, 3)
+	u, v := widePair(rng, 1, 2, 64, q, geom.Point{60, 20})
+	c := NewChecker(q, PSD, AllFilters)
+	su, sv := c.summaryOf(u), c.summaryOf(v)
+	if !c.psdExact(su, sv) {
+		t.Fatal("the pushed-out copy must be P-SD-dominated")
+	}
+	if n := testing.AllocsPerRun(50, func() { c.psdExact(su, sv) }); n != 0 {
+		t.Fatalf("warm psdExact at m = 64 allocates %v times per check, want 0", n)
 	}
 }

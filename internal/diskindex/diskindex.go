@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -74,11 +75,6 @@ type Index struct {
 	// cacheHits and cacheEvictions are the cumulative decoded-object cache
 	// counters, owned here so they survive cache swaps.
 	cacheHits, cacheEvictions atomic.Int64
-
-	// tombs is the set of deleted record pointers (loaded from the
-	// tombstone log; nil when the file was never mutated). ScanLive skips
-	// them. Mutated only under writeMu.
-	tombs map[diskstore.Ptr]struct{}
 
 	// snap is the current published snapshot of a mutable index; nil on a
 	// read-only one. Searches pin it via acquire/release; the single
@@ -204,17 +200,33 @@ func Open(pool *pager.Pool, super pager.PageID) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix := newIndex(pool, super, store, tree, sb.Span)
-	if sb.TombHead != 0 {
-		// The file was mutated: load the deleted-record set so ScanLive
-		// (and RewriteFile) skips dead records.
-		tombs, _, _, err := readTombChain(pool, sb.TombHead, pool.File().PageSize())
-		if err != nil {
-			return nil, err
-		}
-		ix.tombs = tombs
+	return newIndex(pool, super, store, tree, sb.Span), nil
+}
+
+// OpenFile opens the index file at path read-only behind a buffer pool of
+// the given number of frames; the caller closes the returned page file.
+// A file whose WAL (path + ".wal") holds anything past its header is
+// refused: a mutable session committed transactions the page file may not
+// hold yet, and serving the pages as they are would silently answer from
+// the state before them.
+//
+//nnc:allow ctx-flow: OpenFile reads two metadata pages at startup; it is not on the query path
+func OpenFile(path string, frames int) (*Index, *pager.PageFile, error) {
+	walFile := path + ".wal"
+	if st, err := os.Stat(walFile); err == nil && st.Size() > wal.HeaderSize {
+		return nil, nil, fmt.Errorf("diskindex: %s holds transactions that are not in %s yet: open it mutable (-mutable) or run `nnc checkpoint %s` first",
+			walFile, path, path)
 	}
-	return ix, nil
+	pf, err := pager.Open(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	ix, err := Open(pager.NewPool(pf, frames), SuperPageID)
+	if err != nil {
+		pf.Close()
+		return nil, nil, err
+	}
+	return ix, pf, nil
 }
 
 func newIndex(pool *pager.Pool, super pager.PageID, store *diskstore.Store, tree *diskrtree.Tree, span int) *Index {
@@ -268,18 +280,52 @@ func (ix *Index) curStore() *diskstore.Store {
 	return ix.store
 }
 
-// ScanLive visits every live record in stream order, skipping deleted
-// ones. Not safe concurrently with Insert/Delete — it is the offline
-// enumeration surface (RewriteFile, fsck, open-time id indexing).
+// ScanLive visits every live record in stream order. A record is live
+// exactly when a leaf of the committed tree points at it, so the walk
+// collects the leaves' record pointers, sorts them and reads each record;
+// deleted records are never touched. Not safe concurrently with
+// Insert/Delete — it is the offline enumeration surface (RewriteFile,
+// open-time id indexing).
 //
-//nnc:allow ctx-flow: ScanLive is an offline full-file enumeration (rewrite/fsck/open), not a query; nothing upstream has a ctx to thread
+//nnc:allow ctx-flow: ScanLive is an offline full-file enumeration (rewrite/open), not a query; nothing upstream has a ctx to thread
 func (ix *Index) ScanLive(fn func(diskstore.Ptr, *uncertain.Object) error) error {
-	return ix.curStore().Scan(func(p diskstore.Ptr, o *uncertain.Object) error {
-		if _, dead := ix.tombs[p]; dead {
-			return nil
+	root, height, store := ix.tree.Root(), ix.tree.Height(), ix.store
+	if s := ix.snap.Load(); s != nil {
+		root, height, store = s.root, s.height, s.store
+	}
+	var ptrs []diskstore.Ptr
+	var walk func(page pager.PageID, depth int) error
+	walk = func(page pager.PageID, depth int) error {
+		if depth > height {
+			return fmt.Errorf("diskindex: tree walk below page %d exceeds height %d", page, height)
 		}
-		return fn(p, o)
-	})
+		n, err := ix.tree.ReadNodeVia(ix.pool, page)
+		if err != nil {
+			return err
+		}
+		for _, ref := range n.Refs {
+			if n.Leaf {
+				ptrs = append(ptrs, diskstore.Ptr(ref))
+			} else if err := walk(pager.PageID(ref), depth+1); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := walk(root, 1); err != nil {
+		return err
+	}
+	slices.Sort(ptrs)
+	for _, p := range ptrs {
+		o, err := store.Read(p)
+		if err != nil {
+			return err
+		}
+		if err := fn(p, o); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Dim returns the dimensionality.
@@ -530,16 +576,11 @@ func RewriteFile(path string, frames int) error {
 			return err
 		}
 	}
-	pf, err := pager.Open(path)
+	ix, pf, err := OpenFile(path, frames)
 	if err != nil {
 		return err
 	}
 	physPageSize := pf.PhysicalPageSize()
-	ix, err := Open(pager.NewPool(pf, frames), SuperPageID)
-	if err != nil {
-		pf.Close()
-		return err
-	}
 	objs := make([]*uncertain.Object, 0, ix.Len())
 	serr := ix.ScanLive(func(_ diskstore.Ptr, o *uncertain.Object) error {
 		objs = append(objs, o)
@@ -576,7 +617,7 @@ func RewriteFile(path string, frames int) error {
 }
 
 // recoverForRewrite replays a leftover WAL into the page file and resets
-// it, so RewriteFile (and read-only Open) see the committed state.
+// it, so RewriteFile (and fsck's private copy) see the committed state.
 func recoverForRewrite(path, walFile string) error {
 	pf, err := pager.Open(path)
 	if err != nil {

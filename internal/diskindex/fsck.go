@@ -3,15 +3,17 @@ package diskindex
 // Structural fsck for mutable index files: where pager.Fsck verifies that
 // every page's bytes are what was written (checksums), FsckStruct
 // verifies that what was written makes sense — the WAL's record chain,
-// and the free-list/epoch/tombstone invariants of the post-recovery
-// state. It never mutates the file under inspection: when the WAL holds
-// committed transactions that have not reached the page file yet, the
-// check runs recovery on a private temporary copy.
+// the agreement of the tree's leaves with the record heap, and the
+// free-list/epoch invariants of the post-recovery state. It never mutates
+// the file under inspection: when the WAL holds committed transactions
+// that have not reached the page file yet, the check runs recovery on a
+// private temporary copy.
 
 import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"spatialdom/internal/diskrtree"
 	"spatialdom/internal/diskstore"
@@ -43,10 +45,9 @@ type StructReport struct {
 	Epoch       uint64
 	TreePages   int
 	StorePages  int
-	TombPages   int
 	FreePages   int
-	LiveObjects int
-	Tombstones  int
+	LiveObjects int // leaf entries of the tree
+	DeadRecords int // stored records no leaf entry points at
 }
 
 // Clean reports whether every structural invariant held.
@@ -172,7 +173,7 @@ func FsckStruct(path string, frames int) (*StructReport, error) {
 		rep.flag("tree-open", "%v", err)
 		return rep, nil
 	}
-	leafEntries := 0
+	var leafRefs []diskstore.Ptr
 	var walk func(page pager.PageID, depth int, bound *geom.Rect)
 	walk = func(page pager.PageID, depth int, bound *geom.Rect) {
 		claim(page, "r-tree")
@@ -194,7 +195,9 @@ func FsckStruct(path string, frames int) (*StructReport, error) {
 			}
 		}
 		if n.Leaf {
-			leafEntries += len(n.Rects)
+			for _, ref := range n.Refs {
+				leafRefs = append(leafRefs, diskstore.Ptr(ref))
+			}
 			return
 		}
 		for i, child := range n.Refs {
@@ -204,8 +207,8 @@ func FsckStruct(path string, frames int) (*StructReport, error) {
 	if tree.Len() > 0 || tree.Root() != 0 {
 		walk(tree.Root(), 1, nil)
 	}
-	if leafEntries != tree.Len() {
-		rep.flag("tree-len", "meta declares %d entries, leaves hold %d", tree.Len(), leafEntries)
+	if len(leafRefs) != tree.Len() {
+		rep.flag("tree-len", "meta declares %d entries, leaves hold %d", tree.Len(), len(leafRefs))
 	}
 
 	// Store chains and record stream.
@@ -238,29 +241,20 @@ func FsckStruct(path string, frames int) (*StructReport, error) {
 		rep.flag("store-scan", "%v", serr)
 	}
 
-	// Tombstone chain.
-	tombs, tombPages, tailCount, terr := readTombChain(pool, sb.TombHead, pf.PageSize())
-	if terr != nil {
-		rep.flag("tomb-chain", "%v", terr)
-	} else {
-		for _, id := range tombPages {
-			claim(id, "tombstone log")
-		}
-		rep.TombPages = len(tombPages)
-		rep.Tombstones = len(tombs)
-		if sb.TombHead != 0 && tailCount != sb.TombCount {
-			rep.flag("tomb-count", "tail page holds %d entries, super declares %d", tailCount, sb.TombCount)
-		}
-		for p := range tombs {
-			if !validPtr[p] {
-				rep.flag("tomb-ptr", "tombstone %d does not address a stored record", p)
-			}
+	// The tree is the record of what is live: every leaf entry addresses a
+	// record the scan produced, and no record is indexed twice. The records
+	// no leaf points at are the dead ones.
+	slices.Sort(leafRefs)
+	for i, p := range leafRefs {
+		switch {
+		case i > 0 && p == leafRefs[i-1]:
+			rep.flag("tree-dup-ptr", "record %d is indexed by more than one leaf entry", p)
+		case serr == nil && !validPtr[p]:
+			rep.flag("tree-ptr", "leaf entry %d does not address a stored record", p)
 		}
 	}
-	rep.LiveObjects = records - len(tombs)
-	if serr == nil && terr == nil && rep.LiveObjects != tree.Len() {
-		rep.flag("live-count", "store holds %d live records, tree indexes %d", rep.LiveObjects, tree.Len())
-	}
+	rep.LiveObjects = len(leafRefs)
+	rep.DeadRecords = records - len(leafRefs)
 
 	// Free-list invariants: in range, no duplicates, disjoint from every
 	// reachable page.
@@ -281,8 +275,8 @@ func FsckStruct(path string, frames int) (*StructReport, error) {
 	}
 
 	// Epoch invariants: a never-mutated file has no mutation artifacts.
-	if sb.Epoch == 0 && (sb.TombHead != 0 || len(sb.Free) > 0) {
-		rep.flag("epoch-zero", "epoch 0 file carries tombstones or a free list")
+	if sb.Epoch == 0 && len(sb.Free) > 0 {
+		rep.flag("epoch-zero", "epoch 0 file carries a free list")
 	}
 	return rep, nil
 }

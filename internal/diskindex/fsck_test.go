@@ -7,21 +7,20 @@ import (
 	"testing"
 
 	"spatialdom/internal/datagen"
+	"spatialdom/internal/diskrtree"
+	"spatialdom/internal/diskstore"
 	"spatialdom/internal/pager"
+	"spatialdom/internal/rtree"
+	"spatialdom/internal/uncertain"
 	"spatialdom/internal/wal"
 )
 
-// Tombstone-log page layout helpers (count u16 | next u32 | ptrs u64×count).
-func putTombPtr(buf []byte, i int, v uint64) { binary.LittleEndian.PutUint64(buf[6+8*i:], v) }
-func tombEntryCount(buf []byte) int          { return int(binary.LittleEndian.Uint16(buf)) }
-func setTombEntryCount(buf []byte, n int)    { binary.LittleEndian.PutUint16(buf, uint16(n)) }
-
-// fsckBase builds a mutated index file: enough deletes to grow a
-// tombstone chain and park pages on the free list, then a clean close.
+// fsckBase builds a mutated index file: enough deletes to leave dead
+// records in the heap and park pages on the free list, then a clean close.
 func fsckBase(t *testing.T, dir string) string {
 	t.Helper()
 	path := filepath.Join(dir, "base.pg")
-	ds := datagen.Generate(datagen.Params{N: 90, M: 5, EdgeLen: 400, Seed: 51})
+	ds := datagen.Generate(datagen.Params{N: 200, M: 5, EdgeLen: 400, Seed: 51})
 	ix, err := CreateFileMutable(path, 3, &MutableOptions{Frames: 64})
 	if err != nil {
 		t.Fatal(err)
@@ -76,6 +75,139 @@ func editSuper(t *testing.T, path string, f func(*SuperBlock)) {
 	}
 }
 
+// leafPages returns the page ids of the tree's leaves, left to right.
+func leafPages(t *testing.T, path string) []pager.PageID {
+	t.Helper()
+	ix, pf, err := OpenFile(path, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pf.Close()
+	var leaves []pager.PageID
+	var walk func(page pager.PageID)
+	walk = func(page pager.PageID) {
+		n, err := ix.tree.ReadNodeVia(ix.pool, page)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n.Leaf {
+			leaves = append(leaves, page)
+			return
+		}
+		for _, child := range n.Refs {
+			walk(pager.PageID(child))
+		}
+	}
+	walk(ix.tree.Root())
+	return leaves
+}
+
+// editLeaf rewrites one tree node in place through f, resealing the checksum.
+func editLeaf(t *testing.T, path string, page pager.PageID, f func(*rtree.Node)) {
+	t.Helper()
+	pf, err := pager.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pf.Close()
+	buf := make([]byte, pf.PageSize())
+	if _, err := pf.ReadPage(page, buf); err != nil {
+		t.Fatal(err)
+	}
+	n, err := diskrtree.DecodeNode(buf, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f(n)
+	if err := diskrtree.EncodeNode(buf, 3, n); err != nil {
+		t.Fatal(err)
+	}
+	if err := pf.WritePage(page, buf, pager.PageTreeNode); err != nil {
+		t.Fatal(err)
+	}
+	if err := pf.Sync(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// deadPtrs returns the records of the file's heap no leaf entry points at,
+// in stream order — what the parent format's tombstone log listed.
+func deadPtrs(t *testing.T, path string) []diskstore.Ptr {
+	t.Helper()
+	ix, pf, err := OpenFile(path, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pf.Close()
+	live := make(map[diskstore.Ptr]bool)
+	if err := ix.ScanLive(func(p diskstore.Ptr, _ *uncertain.Object) error { live[p] = true; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	var dead []diskstore.Ptr
+	err = ix.store.Scan(func(p diskstore.Ptr, _ *uncertain.Object) error {
+		if !live[p] {
+			dead = append(dead, p)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dead
+}
+
+// writeTombChain gives the file what the parent format kept beside the
+// tree: a chain of PageMapLog pages (count u16 | next u32 | ptrs u64 × count,
+// each page filled before the next is linked) listing the deleted record
+// pointers, with the chain's head, tail and tail-entry count in super bytes
+// 28–40.
+func writeTombChain(t *testing.T, path string, ptrs []diskstore.Ptr) {
+	t.Helper()
+	pf, err := pager.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pf.Close()
+	per := (pf.PageSize() - 6) / 8
+	var pages []pager.PageID
+	for n := 0; n < len(ptrs); n += per {
+		id, err := pf.Allocate(pager.PageMapLog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pages = append(pages, id)
+	}
+	tailCount := 0
+	buf := make([]byte, pf.PageSize())
+	for i, id := range pages {
+		clear(buf)
+		chunk := ptrs[i*per : min((i+1)*per, len(ptrs))]
+		binary.LittleEndian.PutUint16(buf, uint16(len(chunk)))
+		if i+1 < len(pages) {
+			binary.LittleEndian.PutUint32(buf[2:], uint32(pages[i+1]))
+		}
+		for j, p := range chunk {
+			binary.LittleEndian.PutUint64(buf[6+8*j:], uint64(p))
+		}
+		if err := pf.WritePage(id, buf, pager.PageMapLog); err != nil {
+			t.Fatal(err)
+		}
+		tailCount = len(chunk)
+	}
+	if _, err := pf.ReadPage(SuperPageID, buf); err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(buf[28:], uint32(pages[0]))
+	binary.LittleEndian.PutUint32(buf[32:], uint32(pages[len(pages)-1]))
+	binary.LittleEndian.PutUint32(buf[36:], uint32(tailCount))
+	if err := pf.WritePage(SuperPageID, buf, pager.PageSuper); err != nil {
+		t.Fatal(err)
+	}
+	if err := pf.Sync(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func hasFinding(rep *StructReport, code string) bool {
 	for _, f := range rep.Findings {
 		if f.Code == code {
@@ -102,32 +234,14 @@ func TestFsckStructDetectsSeededCorruption(t *testing.T) {
 	if clean.FreePages == 0 {
 		t.Fatal("base file has no free pages; corruption cases need one")
 	}
-	if clean.Tombstones == 0 || clean.TombPages == 0 {
-		t.Fatal("base file has no tombstones; corruption cases need them")
-	}
-
-	// tombTailPage locates the tombstone chain's tail for in-place edits.
-	tombTail := func(t *testing.T, path string) pager.PageID {
-		pf, err := pager.Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer pf.Close()
-		buf := make([]byte, pf.PageSize())
-		if _, err := pf.ReadPage(SuperPageID, buf); err != nil {
-			t.Fatal(err)
-		}
-		sb, err := DecodeSuper(buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sb.TombTail
+	if clean.LiveObjects != 160 || clean.DeadRecords != 40 {
+		t.Fatalf("base file reports %d live objects and %d dead records, want 160 and 40", clean.LiveObjects, clean.DeadRecords)
 	}
 
 	cases := []struct {
 		name    string
 		corrupt func(t *testing.T, path string)
-		want    string
+		want    string // the finding's code; "" for an edit that must leave the file clean
 	}{
 		{"free-list holds a reachable page", func(t *testing.T, path string) {
 			editSuper(t, path, func(sb *SuperBlock) { sb.Free = append(sb.Free, sb.StoreMeta) })
@@ -138,53 +252,22 @@ func TestFsckStructDetectsSeededCorruption(t *testing.T) {
 		{"free-list id beyond file end", func(t *testing.T, path string) {
 			editSuper(t, path, func(sb *SuperBlock) { sb.Free = append(sb.Free, 1<<20) })
 		}, "free-range"},
-		{"tombstone count mismatch", func(t *testing.T, path string) {
-			editSuper(t, path, func(sb *SuperBlock) { sb.TombCount++ })
-		}, "tomb-count"},
-		{"tombstone pointer to nowhere", func(t *testing.T, path string) {
-			tail := tombTail(t, path)
-			pf, err := pager.Open(path)
-			if err != nil {
-				t.Fatal(err)
+		{"leaf entry past the stream tail", func(t *testing.T, path string) {
+			leaves := leafPages(t, path)
+			editLeaf(t, path, leaves[0], func(n *rtree.Node) { n.Refs[0] = 1 << 40 })
+		}, "tree-ptr"},
+		{"one record referenced from two leaves", func(t *testing.T, path string) {
+			leaves := leafPages(t, path)
+			if len(leaves) < 2 {
+				t.Fatalf("base tree has %d leaves; the case needs two", len(leaves))
 			}
-			defer pf.Close()
-			buf := make([]byte, pf.PageSize())
-			pt, err := pf.ReadPage(tail, buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// First entry now addresses an offset far past the heap tail.
-			putTombPtr(buf, 0, 1<<40)
-			if err := pf.WritePage(tail, buf, pt); err != nil {
-				t.Fatal(err)
-			}
-			if err := pf.Sync(); err != nil {
-				t.Fatal(err)
-			}
-		}, "tomb-ptr"},
-		{"hidden tombstone skews live count", func(t *testing.T, path string) {
-			tail := tombTail(t, path)
-			pf, err := pager.Open(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer pf.Close()
-			buf := make([]byte, pf.PageSize())
-			pt, err := pf.ReadPage(tail, buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			n := tombEntryCount(buf)
-			setTombEntryCount(buf, n-1)
-			if err := pf.WritePage(tail, buf, pt); err != nil {
-				t.Fatal(err)
-			}
-			if err := pf.Sync(); err != nil {
-				t.Fatal(err)
-			}
-			// Keep the super consistent so only the live-count check fires.
-			editSuper(t, path, func(sb *SuperBlock) { sb.TombCount-- })
-		}, "live-count"},
+			var ref rtree.NodeID
+			editLeaf(t, path, leaves[0], func(n *rtree.Node) { ref = n.Refs[0] })
+			editLeaf(t, path, leaves[1], func(n *rtree.Node) { n.Refs[0] = ref })
+		}, "tree-dup-ptr"},
+		{"parent-format super carrying a tombstone chain", func(t *testing.T, path string) {
+			writeTombChain(t, path, deadPtrs(t, path))
+		}, ""},
 		{"epoch zero with mutation artifacts", func(t *testing.T, path string) {
 			editSuper(t, path, func(sb *SuperBlock) { sb.Epoch = 0 })
 		}, "epoch-zero"},
@@ -229,10 +312,14 @@ func TestFsckStructDetectsSeededCorruption(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if rep.Clean() {
+			if tc.want == "" {
+				if !rep.Clean() || rep.DeadRecords != clean.DeadRecords {
+					t.Fatalf("%d dead records, findings %v; want the base file's %d and none",
+						rep.DeadRecords, rep.Findings, clean.DeadRecords)
+				}
+			} else if rep.Clean() {
 				t.Fatalf("corruption %q not detected", tc.name)
-			}
-			if !hasFinding(rep, tc.want) {
+			} else if !hasFinding(rep, tc.want) {
 				t.Fatalf("finding %q missing; got %v", tc.want, rep.Findings)
 			}
 			detected++

@@ -24,7 +24,7 @@ package diskindex
 // sound: a committed transaction only ever Puts page images that no live
 // snapshot can reach — tree nodes and store data pages are rewritten at
 // fresh page ids, and the pages updated in place (super, metadata, store
-// directory, tombstone log) are ones searches never read mid-flight.
+// directory) are ones searches never read mid-flight.
 //
 // # Reclamation
 //
@@ -47,7 +47,6 @@ package diskindex
 // way.
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -149,11 +148,6 @@ type mutState struct {
 	freeBufs  [][]byte       // page buffers between transactions, at most maxFreeBufs
 	superFree []pager.PageID // stageSuper's scratch for the persisted free list
 
-	tombHead  pager.PageID
-	tombTail  pager.PageID
-	tombCount int // entries used in the tail page
-	tombPages []pager.PageID
-
 	byID map[int]diskstore.Ptr
 
 	span    int
@@ -170,25 +164,16 @@ type mutState struct {
 // mutCapture is the rollback record for the mutState fields a transaction
 // mutates before commit.
 type mutCapture struct {
-	tombHead  pager.PageID
-	tombTail  pager.PageID
-	tombCount int
-	tombPages int
-	span      int
-	spanNeg   bool
-	leaked    int
+	span    int
+	spanNeg bool
+	leaked  int
 }
 
 func (m *mutState) capture() mutCapture {
-	return mutCapture{
-		tombHead: m.tombHead, tombTail: m.tombTail, tombCount: m.tombCount,
-		tombPages: len(m.tombPages), span: m.span, spanNeg: m.spanNeg, leaked: m.leakedFree,
-	}
+	return mutCapture{span: m.span, spanNeg: m.spanNeg, leaked: m.leakedFree}
 }
 
 func (m *mutState) restore(c mutCapture) {
-	m.tombHead, m.tombTail, m.tombCount = c.tombHead, c.tombTail, c.tombCount
-	m.tombPages = m.tombPages[:c.tombPages]
 	m.span, m.spanNeg, m.leakedFree = c.span, c.spanNeg, c.leaked
 }
 
@@ -365,21 +350,12 @@ func attachMutable(pf *pager.PageFile, pool *pager.Pool, super pager.PageID,
 	store *diskstore.Store, tree *diskrtree.Tree, sb SuperBlock,
 	wlog *wal.Log, opts *MutableOptions, rec *wal.RecoveryStats) (*Index, error) {
 
-	tombs, tombPages, tailCount, err := readTombChain(pool, sb.TombHead, pf.PageSize())
-	if err != nil {
-		return nil, err
-	}
-	if sb.TombHead != 0 && tailCount != sb.TombCount {
-		return nil, fmt.Errorf("%w: tombstone tail holds %d entries, super says %d", ErrBadSuper, tailCount, sb.TombCount)
-	}
-
 	ix := newIndex(pool, super, store, tree, sb.Span)
-	ix.tombs = tombs
 
 	byID := make(map[int]diskstore.Ptr, tree.Len())
 	spanNeg := false
 	dups := 0
-	err = ix.ScanLive(func(p diskstore.Ptr, o *uncertain.Object) error {
+	err := ix.ScanLive(func(p diskstore.Ptr, o *uncertain.Object) error {
 		if _, ok := byID[o.ID()]; ok {
 			dups++
 		}
@@ -397,12 +373,10 @@ func attachMutable(pf *pager.PageFile, pool *pager.Pool, super pager.PageID,
 	}
 
 	ix.mut = &mutState{
-		wal:      wlog,
-		owned:    pf,
-		walLimit: opts.walLimit(),
-		free:     append([]pager.PageID(nil), sb.Free...),
-		tombHead: sb.TombHead, tombTail: sb.TombTail, tombCount: sb.TombCount,
-		tombPages: tombPages,
+		wal:       wlog,
+		owned:     pf,
+		walLimit:  opts.walLimit(),
+		free:      append([]pager.PageID(nil), sb.Free...),
 		byID:      byID,
 		span:      sb.Span,
 		spanNeg:   spanNeg,
@@ -416,45 +390,6 @@ func attachMutable(pf *pager.PageFile, pool *pager.Pool, super pager.PageID,
 	})
 	return ix, nil
 }
-
-// readTombChain loads the tombstone log: the set of deleted record
-// pointers, the chain's page ids, and the entry count of the tail page.
-func readTombChain(pool *pager.Pool, head pager.PageID, payload int) (map[diskstore.Ptr]struct{}, []pager.PageID, int, error) {
-	tombs := make(map[diskstore.Ptr]struct{})
-	if head == 0 {
-		return tombs, nil, 0, nil
-	}
-	per := tombPerPage(payload)
-	var pages []pager.PageID
-	seen := make(map[pager.PageID]bool)
-	tailCount := 0
-	for id := head; id != 0; {
-		if seen[id] {
-			return nil, nil, 0, fmt.Errorf("diskindex: tombstone chain loops at page %d", id)
-		}
-		seen[id] = true
-		buf, err := pool.Get(id)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		count := int(binary.LittleEndian.Uint16(buf[0:]))
-		next := pager.PageID(binary.LittleEndian.Uint32(buf[2:]))
-		if count > per {
-			pool.Unpin(id)
-			return nil, nil, 0, fmt.Errorf("diskindex: tombstone page %d claims %d entries (max %d)", id, count, per)
-		}
-		for i := 0; i < count; i++ {
-			tombs[diskstore.Ptr(binary.LittleEndian.Uint64(buf[6+8*i:]))] = struct{}{}
-		}
-		pool.Unpin(id)
-		pages = append(pages, id)
-		tailCount = count
-		id = next
-	}
-	return tombs, pages, tailCount, nil
-}
-
-func tombPerPage(payload int) int { return (payload - 6) / 8 }
 
 // --- mutations ---------------------------------------------------------------
 
@@ -555,7 +490,9 @@ func (ix *Index) Delete(id int) (bool, error) {
 		return false, err
 	}
 
-	treeSt, storeSt, cap := ix.tree.State(), ix.store.State(), m.capture()
+	// Removing the leaf entry is the whole delete: the record stays in the
+	// heap, unreferenced, until `nnc rewrite` compacts the file.
+	treeSt, cap := ix.tree.State(), m.capture()
 	tx := m.tx
 	defer tx.release()
 	err = func() error {
@@ -566,12 +503,6 @@ func (ix *Index) Delete(id int) (bool, error) {
 		if !removed {
 			return fmt.Errorf("diskindex: object %d (ptr %d) indexed but absent from tree", id, ptr)
 		}
-		if err := ix.tombAppendTx(tx, ptr); err != nil {
-			return err
-		}
-		if err := ix.store.WriteMetaTx(tx); err != nil {
-			return err
-		}
 		return ix.tree.WriteMetaTx(tx)
 	}()
 	if err == nil {
@@ -579,50 +510,13 @@ func (ix *Index) Delete(id int) (bool, error) {
 	}
 	if err != nil {
 		ix.tree.Restore(treeSt)
-		ix.store.Restore(storeSt)
 		m.restore(cap)
 		tx.abort()
 		return false, err
 	}
 	delete(m.byID, id)
-	ix.tombs[ptr] = struct{}{}
 	ix.maybeCheckpoint()
 	return true, nil
-}
-
-// tombAppendTx appends one deleted record pointer to the tombstone log,
-// growing the chain by a page when the tail is full. Tombstone pages are
-// updated in place (same page id): searches never read them, only Open
-// and fsck do.
-func (ix *Index) tombAppendTx(tx *Tx, ptr diskstore.Ptr) error {
-	m := ix.mut
-	per := tombPerPage(tx.PageSize())
-	if m.tombTail == 0 || m.tombCount >= per {
-		id, _, err := tx.Alloc(pager.PageMapLog)
-		if err != nil {
-			return err
-		}
-		if m.tombTail == 0 {
-			m.tombHead = id
-		} else {
-			prev, err := tx.Stage(m.tombTail, pager.PageMapLog)
-			if err != nil {
-				return err
-			}
-			binary.LittleEndian.PutUint32(prev[2:], uint32(id))
-		}
-		m.tombPages = append(m.tombPages, id)
-		m.tombTail = id
-		m.tombCount = 0
-	}
-	buf, err := tx.Stage(m.tombTail, pager.PageMapLog)
-	if err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint64(buf[6+8*m.tombCount:], uint64(ptr))
-	m.tombCount++
-	binary.LittleEndian.PutUint16(buf[0:], uint16(m.tombCount))
-	return nil
 }
 
 // stageSuper stages the post-transaction super page. The persisted free
@@ -646,9 +540,6 @@ func (ix *Index) stageSuper(tx *Tx, epoch uint64) error {
 		TreeMeta:  ix.tree.Meta(),
 		Span:      m.spanValue(),
 		Epoch:     epoch,
-		TombHead:  m.tombHead,
-		TombTail:  m.tombTail,
-		TombCount: m.tombCount,
 		Free:      m.superFree,
 	})
 	return nil

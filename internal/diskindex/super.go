@@ -3,18 +3,24 @@ package diskindex
 // Super page, format v2. The v1 layout (magic, metadata page ids, dense
 // id span) occupied bytes [0, 20) and left the rest of the page zero, so
 // the mutable-index fields appended here decode as benign zero values on
-// every pre-existing file: epoch 0, no tombstone log, an empty free list.
+// every pre-existing file: epoch 0 and an empty free list.
 //
 //	0  "SDIX"
 //	4  store meta page u32
 //	8  tree meta page  u32
 //	12 dense id span   u64
 //	20 epoch           u64   (commit counter; 0 = never mutated)
-//	28 tombstone head  u32   (first tombstone-log page, 0 = none)
-//	32 tombstone tail  u32   (last chain page, append target)
-//	36 tombstone count u32   (entries used in the tail page)
+//	28 reserved        12 bytes, written zero, ignored on read
 //	40 free count      u32
 //	44 free page ids   u32 × free count
+//
+// Bytes 28–40 held the head, tail and tail-entry count of a tombstone log
+// (a chain of PageMapLog pages listing deleted record pointers) until the
+// tree's leaves became the only record of what is live. A delete always
+// removed the leaf entry in the same transaction as it appended the
+// tombstone, so a file that carries a chain opens to the right live set
+// with the bytes ignored; its chain pages are unreferenced from the first
+// commit on and `nnc rewrite` drops them.
 //
 // The free list caps at the page's remaining capacity; a transaction
 // whose free set would overflow drops the excess ids (they leak until
@@ -38,9 +44,6 @@ type SuperBlock struct {
 	TreeMeta  pager.PageID
 	Span      int
 	Epoch     uint64
-	TombHead  pager.PageID
-	TombTail  pager.PageID
-	TombCount int
 	Free      []pager.PageID
 }
 
@@ -66,15 +69,6 @@ func DecodeSuper(buf []byte) (SuperBlock, error) {
 	}
 	sb.Span = int(rawSpan)
 	sb.Epoch = binary.LittleEndian.Uint64(buf[20:])
-	sb.TombHead = pager.PageID(binary.LittleEndian.Uint32(buf[28:]))
-	sb.TombTail = pager.PageID(binary.LittleEndian.Uint32(buf[32:]))
-	sb.TombCount = int(binary.LittleEndian.Uint32(buf[36:]))
-	if (sb.TombHead == 0) != (sb.TombTail == 0) {
-		return sb, fmt.Errorf("%w: tombstone chain head=%d tail=%d", ErrBadSuper, sb.TombHead, sb.TombTail)
-	}
-	if sb.TombHead == 0 && sb.TombCount != 0 {
-		return sb, fmt.Errorf("%w: %d tombstone entries without a chain", ErrBadSuper, sb.TombCount)
-	}
 	nfree := int(binary.LittleEndian.Uint32(buf[40:]))
 	if nfree > (len(buf)-superFixed)/4 {
 		return sb, fmt.Errorf("%w: free list of %d overflows page", ErrBadSuper, nfree)
@@ -104,9 +98,6 @@ func EncodeSuper(buf []byte, sb SuperBlock) int {
 	binary.LittleEndian.PutUint32(buf[8:], uint32(sb.TreeMeta))
 	binary.LittleEndian.PutUint64(buf[12:], uint64(sb.Span))
 	binary.LittleEndian.PutUint64(buf[20:], sb.Epoch)
-	binary.LittleEndian.PutUint32(buf[28:], uint32(sb.TombHead))
-	binary.LittleEndian.PutUint32(buf[32:], uint32(sb.TombTail))
-	binary.LittleEndian.PutUint32(buf[36:], uint32(sb.TombCount))
 	free := sb.Free
 	dropped := 0
 	if cap := (len(buf) - superFixed) / 4; len(free) > cap {

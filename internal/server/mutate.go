@@ -3,7 +3,7 @@ package server
 // Mutation endpoints over the mutable disk backend:
 //
 //	POST /insert → insert one object (ObjectJSON body)
-//	POST /delete → tombstone one object by id
+//	POST /delete → remove one object by id
 //
 // Both answer 501 unless the backend implements Mutator with Mutable()
 // true — the read-only disk index and the bulk-built in-memory index
