@@ -13,9 +13,10 @@ vet:
 	$(GO) vet ./...
 
 # lint runs nnclint, the repo's own static-analysis suite: hotpath-alloc,
-# scratch-escape, lock-balance, ctx-flow, no-reflect-sort, bench-hygiene,
-# wal-order, snapshot-lifecycle, goroutine-lifecycle, error-taxonomy and
-# atomic-publish, all from one type-checked pass over the module
+# scratch-escape, lock-balance, ctx-flow, snapshot-lifecycle,
+# goroutine-lifecycle, error-taxonomy and atomic-publish — conventions
+# spread over many sites that no Go type states — all from one
+# type-checked pass over the module
 # (internal/lint included — the linter lints itself). Zero findings is
 # the bar; suppress only with an explained //nnc:allow.
 lint:
@@ -57,13 +58,13 @@ check: fmt-check
 	$(GO) build ./...
 	$(GO) run ./cmd/nnclint -root .
 	$(GO) test -race ./...
-	$(GO) test -run='^$$' -bench=Fig12 -benchtime=1x .
-	$(GO) test -run='^$$' -bench='SearchK/disk-cold' -benchtime=1x .
-	$(GO) test -run='^$$' -bench='SearchPSDMiss' -benchtime=1x .
-	$(GO) test -run='^$$' -bench='DominanceCheck/PSD/m=64' -benchtime=1x .
-	$(GO) test -run='^$$' -bench='Commit$$' -benchtime=1x .
+	$(GO) test -run='^$$' -bench=Fig12 -benchtime=1x -benchmem .
+	$(GO) test -run='^$$' -bench='SearchK/disk-cold' -benchtime=1x -benchmem .
+	$(GO) test -run='^$$' -bench='SearchPSDMiss' -benchtime=1x -benchmem .
+	$(GO) test -run='^$$' -bench='DominanceCheck/PSD/m=64' -benchtime=1x -benchmem .
+	$(GO) test -run='^$$' -bench='Commit$$' -benchtime=1x -benchmem .
 	$(GO) test -run=TestSearchParallelScales ./internal/core
-	GOMAXPROCS=4 $(GO) test -run='^$$' -bench=ParallelSearch -benchtime=1x .
+	GOMAXPROCS=4 $(GO) test -run='^$$' -bench=ParallelSearch -benchtime=1x -benchmem .
 	$(MAKE) smoke
 	$(MAKE) loc
 	$(MAKE) fuzz-smoke
@@ -170,7 +171,7 @@ fuzz-smoke:
 # structural fsck's seeded-corruption detection, and the HTTP mutation
 # endpoints.
 wal:
-	$(GO) test -race -run 'WAL|Crash|Snapshot|Mutable|Mutation|FsckStruct|Recover|Scan|Append|Truncated|Dump|Checkpoint' \
+	$(GO) test -race -run 'WAL|Crash|Snapshot|Pin|Mutable|Mutation|FsckStruct|Recover|Scan|Append|Commit|Truncated|Dump|Checkpoint' \
 		./internal/wal ./internal/diskindex ./internal/server
 
 # cluster runs the scatter-gather tier under the race detector: the

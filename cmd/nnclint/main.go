@@ -1,7 +1,8 @@
 // Command nnclint runs the project's static-analysis suite (see
 // internal/lint) over the module tree and prints findings as
 // "file:line:col: [check] message". Exit status: 0 clean, 1 findings,
-// 2 load/type-check failure.
+// 2 usage (an unknown -checks name, before anything is loaded) or
+// load/type-check failure.
 //
 // Usage:
 //
@@ -18,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"spatialdom/internal/lint"
@@ -59,6 +61,25 @@ func annotate(diags []lint.Diagnostic) {
 	}
 }
 
+// selectChecks resolves a -checks list against the registry, in registry
+// order; the empty list is the whole suite. A name the registry does not
+// know is an error here, before anything is loaded or run.
+func selectChecks(list string) ([]lint.Check, error) {
+	all := lint.Checks()
+	if list == "" {
+		return all, nil
+	}
+	want := map[string]bool{}
+	for _, name := range strings.Split(list, ",") {
+		name = strings.TrimSpace(name)
+		if !slices.ContainsFunc(all, func(c lint.Check) bool { return c.Name == name }) {
+			return nil, fmt.Errorf("unknown check %q (use -list)", name)
+		}
+		want[name] = true
+	}
+	return slices.DeleteFunc(all, func(c lint.Check) bool { return !want[c.Name] }), nil
+}
+
 func main() {
 	root := flag.String("root", ".", "module root (directory containing go.mod)")
 	checks := flag.String("checks", "", "comma-separated subset of checks to run (default: all)")
@@ -74,37 +95,17 @@ func main() {
 		return
 	}
 
+	run, err := selectChecks(*checks)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "nnclint:", err)
+		os.Exit(2)
+	}
 	prog, err := lint.LoadModule(*root)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "nnclint:", err)
 		os.Exit(2)
 	}
-
-	var diags []lint.Diagnostic
-	if *checks == "" {
-		diags = lint.Run(prog)
-	} else {
-		want := map[string]bool{}
-		for _, name := range strings.Split(*checks, ",") {
-			want[strings.TrimSpace(name)] = true
-		}
-		r := lint.NewReporter(prog)
-		known := map[string]bool{}
-		for _, c := range lint.Checks() {
-			known[c.Name] = true
-			if want[c.Name] {
-				r.MarkRan(c.Name)
-				c.Run(prog, r)
-			}
-		}
-		for name := range want {
-			if !known[name] {
-				fmt.Fprintf(os.Stderr, "nnclint: unknown check %q (use -list)\n", name)
-				os.Exit(2)
-			}
-		}
-		diags = r.Finish()
-	}
+	diags := lint.Run(prog, run)
 
 	for _, d := range diags {
 		fmt.Println(d)

@@ -508,10 +508,13 @@ func (ix *Index) SearchKCtx(ctx context.Context, q *uncertain.Object, op core.Op
 	// refcount — every page reachable from them, which the writer will not
 	// recycle until the pin drops. core.SearchParallel inherits this per
 	// query because it fans out through SearchKCtx.
-	snap := ix.acquire()
-	defer ix.release(snap)
-	s := &session{ix: ix, snap: snap, lease: ix.pool.NewLeaseCtx(ctx), cache: ix.objCache.Load()}
-	return core.SearchBackend(ctx, s, q, op, k, opts)
+	var res *Result
+	var err error
+	ix.pinned(func(snap *snapshot) {
+		s := &session{ix: ix, snap: snap, lease: ix.pool.NewLeaseCtx(ctx), cache: ix.objCache.Load()}
+		res, err = core.SearchBackend(ctx, s, q, op, k, opts)
+	})
+	return res, err
 }
 
 // String describes the index.

@@ -296,7 +296,7 @@ func TestFsckStructDetectsSeededCorruption(t *testing.T) {
 			if _, err := l.Scan(nil); err != nil {
 				t.Fatal(err)
 			}
-			if err := l.AppendCommit(999); err != nil {
+			if _, err := l.Commit(nil); err != nil {
 				t.Fatal(err)
 			}
 		}, "wal-empty-commit"},

@@ -6,15 +6,15 @@ package diskindex
 // # Write path
 //
 // One writer at a time (writeMu). A mutation stages every page it touches
-// in a Tx, then commits: page images are encoded into the WAL's buffer and
-// written to the log in one write, the commit record is appended and
-// fsynced (the durability point), the images are installed into the
-// buffer pool with Put, and finally a new snapshot is published. The
-// writer reuses one Tx and recycles its page buffers (tx.go): the log and
-// Put both copy, so a staged buffer is the transaction's alone and free
-// again when it ends. The page file itself receives committed images
-// lazily — by buffer-pool eviction or at a checkpoint — which is safe
-// because recovery replays the WAL over the file.
+// in a Tx, then commits: wal.Log.Commit writes the page images to the log
+// in one write, the commit record in a second and fsyncs (the durability
+// point), the images are installed into the buffer pool with Put, and
+// finally a new snapshot is published. The writer reuses one Tx and
+// recycles its page buffers (tx.go): the log and Put both copy, so a staged
+// buffer is the transaction's alone and free again when it ends. The page
+// file itself receives committed images lazily — by buffer-pool eviction
+// or at a checkpoint — which is safe because recovery replays the WAL over
+// the file.
 //
 // # Read path
 //
@@ -37,14 +37,14 @@ package diskindex
 //
 // # Failure
 //
-// An error while appending or writing page images aborts cleanly: nothing
-// was published and no commit record can follow, so whatever reached the
-// log is a torn tail the next write truncates. An error on the commit
-// record's write, its fsync or the cache install poisons the index: the
-// transaction's durability is indeterminate, so further writes are
-// refused while readers continue on the last published snapshot;
-// reopening the file runs WAL recovery and resolves the ambiguity either
-// way.
+// A Log.Commit error from before the commit record's write aborts cleanly:
+// nothing was published and no commit record can follow, so whatever
+// reached the log is a torn tail the next write truncates. One that wraps
+// wal.ErrIndeterminate — the commit record's write or its fsync failed —
+// or a failed cache install poisons the index: the transaction's
+// durability is indeterminate, so further writes are refused while readers
+// continue on the last published snapshot; reopening the file runs WAL
+// recovery and resolves the ambiguity either way.
 
 import (
 	"errors"
@@ -79,8 +79,6 @@ const DefaultWALLimit = 4 << 20
 // MutableOptions configures CreateFileMutable / OpenFileMutable. The zero
 // value (or a nil pointer) picks defaults throughout.
 type MutableOptions struct {
-	// WALPath overrides the log location (default: index path + ".wal").
-	WALPath string
 	// WALLimit is the log size in bytes that triggers an automatic
 	// checkpoint after a commit; 0 means DefaultWALLimit, negative disables
 	// auto-checkpointing.
@@ -93,13 +91,6 @@ type MutableOptions struct {
 	// WALWrap, if non-nil, intercepts the WAL's underlying file — the
 	// crash-injection hook used by the kill-point sweep tests.
 	WALWrap func(*os.File) wal.File
-}
-
-func (o *MutableOptions) walPath(indexPath string) string {
-	if o != nil && o.WALPath != "" {
-		return o.WALPath
-	}
-	return indexPath + ".wal"
 }
 
 func (o *MutableOptions) frames() int {
@@ -184,31 +175,30 @@ func (m *mutState) spanValue() int {
 	return m.span
 }
 
-// --- snapshot acquire / release ----------------------------------------------
+// --- snapshot pin ------------------------------------------------------------
 
-// acquire pins the current snapshot for a search; nil on a read-only
-// index. The add-then-recheck loop closes the race with a concurrent
-// publish: a reader that pinned a just-retired snapshot detects the swap
-// and retries, so the writer's "refs drained" test never misses a reader
-// actually inside the snapshot.
-func (ix *Index) acquire() *snapshot {
-	for {
-		s := ix.snap.Load()
-		if s == nil {
-			return nil
-		}
+// pinned runs fn on the current snapshot (nil on a read-only index), pinned
+// for exactly the call: the pin is a count no caller ever holds, so it
+// cannot leak past an error, a cancellation or a panic in fn. The
+// add-then-recheck loop closes the race with a concurrent publish: a reader
+// that pinned a just-retired snapshot detects the swap and retries, so the
+// writer's "refs drained" test never misses a reader actually inside the
+// snapshot.
+func (ix *Index) pinned(fn func(*snapshot)) {
+	s := ix.snap.Load()
+	for s != nil {
 		s.refs.Add(1)
-		if ix.snap.Load() == s {
-			return s
+		cur := ix.snap.Load()
+		if cur == s {
+			break
 		}
 		s.refs.Add(-1)
+		s = cur
 	}
-}
-
-func (ix *Index) release(s *snapshot) {
 	if s != nil {
-		s.refs.Add(-1)
+		defer s.refs.Add(-1)
 	}
+	fn(s)
 }
 
 // reclaim pops drained retired snapshots (in epoch order) and moves
@@ -244,6 +234,11 @@ func CreateFileMutable(path string, dim int, opts *MutableOptions) (*Index, erro
 	if opts != nil && opts.PageSize > 0 {
 		ps = opts.PageSize
 	}
+	// A stale WAL beside a file we are about to re-create would replay
+	// foreign pages on the next open; drop it first.
+	if err := os.Remove(path + ".wal"); err != nil && !os.IsNotExist(err) {
+		return nil, err
+	}
 	pf, err := pager.Create(path, ps)
 	if err != nil {
 		return nil, err
@@ -271,19 +266,10 @@ func CreateFileMutable(path string, dim int, opts *MutableOptions) (*Index, erro
 		pf.Close()
 		return nil, err
 	}
-	wlog, err := wal.Open(opts.walPath(path), pf.PageSize(), opts.walWrap())
+	wlog, err := wal.Open(path+".wal", pf.PageSize(), opts.walWrap())
 	if err != nil {
 		pf.Close()
 		return nil, err
-	}
-	// A stale WAL beside a file we just re-created would replay foreign
-	// pages on the next open; start it empty.
-	if _, err := wlog.Scan(nil); err == nil && wlog.Size() > wal.HeaderSize {
-		if err := wlog.Reset(); err != nil {
-			wlog.Close()
-			pf.Close()
-			return nil, err
-		}
 	}
 	ix, err := attachMutable(pf, pool, super, store, tree, SuperBlock{}, wlog, opts, nil)
 	if err != nil {
@@ -305,7 +291,13 @@ func OpenFileMutable(path string, opts *MutableOptions) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	wlog, err := wal.Open(opts.walPath(path), pf.PageSize(), opts.walWrap())
+	return openMutable(pf, path, opts)
+}
+
+// openMutable is OpenFileMutable past opening the page file at path; it
+// closes pf on failure.
+func openMutable(pf *pager.PageFile, path string, opts *MutableOptions) (*Index, error) {
+	wlog, err := wal.Open(path+".wal", pf.PageSize(), opts.walWrap())
 	if err != nil {
 		pf.Close()
 		return nil, err
@@ -553,8 +545,8 @@ func (ix *Index) poison(step string, err error) error {
 
 // commitTx makes the transaction durable and publishes the new snapshot.
 // On an error up to and including the image write the caller can abort
-// cleanly; an error from the commit record's write or fsync, or from the
-// cache install, poisons the index (see the package comment).
+// cleanly; wal.ErrIndeterminate or a failed cache install poisons the
+// index (see the package comment).
 //
 //nnc:hotpath
 func (ix *Index) commitTx(tx *Tx) error {
@@ -564,31 +556,16 @@ func (ix *Index) commitTx(tx *Tx) error {
 	if err := ix.stageSuper(tx, newEpoch); err != nil {
 		return err
 	}
-	txid := m.wal.NextTx()
-	for i := range tx.pages {
-		sp := &tx.pages[i]
-		if !sp.live {
-			continue
-		}
-		if err := m.wal.AppendPageImage(txid, sp.id, sp.t, sp.buf); err != nil {
-			//nnc:allow hotpath-alloc: error path
-			return fmt.Errorf("diskindex: wal append: %w", err)
-		}
-	}
-	if err := m.wal.FlushImages(); err != nil {
+	images := tx.liveImages()
+	if _, err := m.wal.Commit(images); errors.Is(err, wal.ErrIndeterminate) {
+		return ix.poison("wal commit", err)
+	} else if err != nil {
 		//nnc:allow hotpath-alloc: error path
 		return fmt.Errorf("diskindex: wal append: %w", err)
 	}
-	if err := m.wal.AppendCommit(txid); err != nil {
-		return ix.poison("wal commit", err)
-	}
 	// Durable. Install the images and publish.
-	for i := range tx.pages {
-		sp := &tx.pages[i]
-		if !sp.live {
-			continue
-		}
-		if err := ix.pool.Put(sp.id, sp.buf, sp.t); err != nil {
+	for _, im := range images {
+		if err := ix.pool.Put(im.ID, im.Data, im.Type); err != nil {
 			return ix.poison("cache install", err)
 		}
 	}
@@ -645,15 +622,8 @@ func (ix *Index) checkpointLocked() error {
 	if err := ix.pool.Flush(); err != nil {
 		return fmt.Errorf("diskindex: checkpoint flush: %w", err)
 	}
-	// The checkpoint record marks "everything ≤ txid is in the page file";
-	// the reset that follows usually removes it at once, but if the reset
-	// is interrupted the record documents the state for wal-dump and the
-	// (idempotent) recovery replay.
-	if err := m.wal.AppendCheckpoint(m.wal.LastTx()); err != nil {
-		return fmt.Errorf("diskindex: checkpoint record: %w", err)
-	}
-	if err := m.wal.Reset(); err != nil {
-		return fmt.Errorf("diskindex: wal reset: %w", err)
+	if err := m.wal.Checkpoint(); err != nil {
+		return fmt.Errorf("diskindex: wal checkpoint: %w", err)
 	}
 	return nil
 }

@@ -354,3 +354,39 @@ func TestMutableAutoCheckpoint(t *testing.T) {
 		t.Fatalf("reopen after checkpoints: len %d != %d", ix2.Len(), len(ds.Objects))
 	}
 }
+
+// TestMutableCreateDropsStaleWAL: a log left beside a path by a session
+// that died must not replay its pages into the file CreateFileMutable
+// writes there next.
+func TestMutableCreateDropsStaleWAL(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "again.pg")
+	ds := datagen.Generate(datagen.Params{N: 8, M: 3, EdgeLen: 400, Seed: 61})
+	old, err := CreateFileMutable(path, 3, &MutableOptions{WALLimit: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range ds.Objects {
+		if err := old.Insert(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The process dies: the commits are in the log only.
+	old.mut.wal.Close()
+	old.mut.owned.Close()
+
+	fresh, err := CreateFileMutable(path, 3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// It dies too, before any checkpoint could truncate the log.
+	fresh.mut.wal.Close()
+	fresh.mut.owned.Close()
+	ix, err := OpenFileMutable(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	if rec := ix.WALRecovery(); ix.Len() != 0 || rec.CommittedTxs != 0 {
+		t.Fatalf("re-created file holds %d objects after replaying %d stale transactions", ix.Len(), rec.CommittedTxs)
+	}
+}

@@ -20,6 +20,7 @@ import (
 	"fmt"
 
 	"spatialdom/internal/pager"
+	"spatialdom/internal/wal"
 )
 
 type stagedPage struct {
@@ -38,7 +39,8 @@ type Tx struct {
 	staged map[pager.PageID]int // page id → index in pages
 	reads  map[pager.PageID][]byte
 	owned  map[pager.PageID]bool
-	bufs   [][]byte // every buffer drawn, for release
+	bufs   [][]byte        // every buffer drawn, for release
+	images []wal.PageImage // liveImages' result, reused
 
 	popped  []pager.PageID // taken off the index free list by Alloc
 	grown   []pager.PageID // appended to the page file by Alloc
@@ -103,10 +105,11 @@ func (tx *Tx) release() {
 	}
 	clear(tx.bufs)
 	clear(tx.pages)
+	clear(tx.images)
 	clear(tx.staged)
 	clear(tx.reads)
 	clear(tx.owned)
-	tx.pages, tx.bufs = tx.pages[:0], tx.bufs[:0]
+	tx.pages, tx.bufs, tx.images = tx.pages[:0], tx.bufs[:0], tx.images[:0]
 	tx.popped, tx.grown, tx.recycle, tx.freed = tx.popped[:0], tx.grown[:0], tx.recycle[:0], tx.freed[:0]
 }
 
@@ -132,6 +135,19 @@ func (tx *Tx) stage(id pager.PageID, buf []byte, t pager.PageType) {
 	//nnc:allow hotpath-alloc: the map is cleared, not remade, between transactions; it grows to a transaction's page count once
 	tx.staged[id] = len(tx.pages)
 	tx.pages = append(tx.pages, stagedPage{id: id, buf: buf, t: t, live: true})
+}
+
+// liveImages returns the pages the transaction leaves staged, in staging
+// order: what commitTx logs and then installs. A page the transaction
+// freed again is neither.
+func (tx *Tx) liveImages() []wal.PageImage {
+	tx.images = tx.images[:0]
+	for i := range tx.pages {
+		if sp := &tx.pages[i]; sp.live {
+			tx.images = append(tx.images, wal.PageImage{ID: sp.id, Type: sp.t, Data: sp.buf})
+		}
+	}
+	return tx.images
 }
 
 // Read returns the staged copy when present, else a private copy of the

@@ -94,3 +94,7 @@ func reportUnwrappedErrorf(info *types.Info, call *ast.CallExpr, r *Reporter) {
 			"fmt.Errorf formats an error value with %v/%s, hiding it from errors.Is/errors.As; wrap it with %w so quarantine routing sees through the message")
 	}
 }
+
+func errorInterface() *types.Interface {
+	return types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
+}

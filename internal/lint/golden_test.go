@@ -3,6 +3,7 @@ package lint
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -18,9 +19,6 @@ var corpusCases = []struct {
 	{"scratchescape", "scratch-escape"},
 	{"lockbalance", "lock-balance"},
 	{"ctxflow", "ctx-flow"},
-	{"reflectsort", "no-reflect-sort"},
-	{"benchhygiene", "bench-hygiene"},
-	{"walorder", "wal-order"},
 	{"snapshotlifecycle", "snapshot-lifecycle"},
 	{"goroutinelifecycle", "goroutine-lifecycle"},
 	// The scatter-gather corpora: HTTP shard RPCs as ctx-carried I/O, and
@@ -109,14 +107,8 @@ func TestGoldenCorpora(t *testing.T) {
 			if err != nil {
 				t.Fatalf("load corpus: %v", err)
 			}
-			r := NewReporter(prog)
-			for _, c := range Checks() {
-				if c.Name == tc.check {
-					r.MarkRan(c.Name)
-					c.Run(prog, r)
-				}
-			}
-			matchFindings(t, parseWants(t, filepath.Join("testdata", tc.dir)), r.Finish())
+			only := slices.DeleteFunc(Checks(), func(c Check) bool { return c.Name != tc.check })
+			matchFindings(t, parseWants(t, filepath.Join("testdata", tc.dir)), Run(prog, only))
 		})
 	}
 }
@@ -173,7 +165,7 @@ func TestRepoCleanUnderLint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load module: %v", err)
 	}
-	for _, d := range Run(prog) {
+	for _, d := range Run(prog, Checks()) {
 		t.Errorf("repo not lint-clean: %s", d.String())
 	}
 }

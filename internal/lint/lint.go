@@ -1,7 +1,10 @@
 // Package lint is nnclint: a project-specific static-analysis suite built
 // entirely on the standard library (go/parser, go/ast, go/types, go/token —
-// no golang.org/x/tools), enforcing the invariants the hot dominance path
-// depends on:
+// no golang.org/x/tools), enforcing eight conventions that are spread over
+// many sites and that no Go type can state. (What one function can own —
+// the WAL's write order, a snapshot pin's release — lives in that function,
+// wal.Log.Commit and diskindex.Index.pinned, not here; what the toolchain
+// already reports — allocs/op under -benchmem — is not re-implemented.)
 //
 //   - hotpath-alloc: functions annotated //nnc:hotpath — and everything they
 //     statically call inside the module — must not contain allocating
@@ -13,21 +16,12 @@
 //     stores, channel sends, or go-statement captures);
 //   - lock-balance: every Lock/RLock in the pager, diskindex, wal and
 //     front packages is released on all return paths, and no page-file
-//     I/O, WAL append or engine search runs while a shard lock is held;
+//     I/O, WAL commit or engine search runs while a shard lock is held;
 //   - ctx-flow: exported engine/backend methods that reach storage I/O take
 //     a context.Context and actually forward it;
-//   - no-reflect-sort: the hot packages never regress to reflection-based
-//     sort.Slice or fmt formatting;
-//   - bench-hygiene: every Benchmark* function reports allocations, so
-//     alloc regressions stay visible in every benchmark run;
-//   - wal-order: commit paths in the wal and diskindex packages append
-//     page images before the commit record and sync the log before a
-//     success return; checkpoint or truncation never precedes the commit
-//     sync while images are pending;
-//   - snapshot-lifecycle: every epoch snapshot acquire is balanced by a
-//     release on all paths (deferred or explicit), and no snapshot
-//     reference escapes its acquire scope (package-level stores, channel
-//     sends, go-statement captures, fields of long-lived structs);
+//   - snapshot-lifecycle: no epoch-snapshot reference escapes the search
+//     that reads through it (package-level stores, channel sends,
+//     go-statement captures, fields of long-lived structs);
 //   - goroutine-lifecycle: every go statement selects on ctx.Done in its
 //     body, is joined by a WaitGroup or channel, or carries an explained
 //     //nnc:detached annotation;
@@ -124,13 +118,11 @@ func NewReporter(prog *Program) *Reporter {
 	for _, c := range Checks() {
 		r.known[c.Name] = true
 	}
-	for _, pkgs := range [][]*Package{prog.Pkgs, prog.TestASTs} {
-		for _, pkg := range pkgs {
-			for _, f := range pkg.Files {
-				for _, cg := range f.Comments {
-					for _, c := range cg.List {
-						r.collect(c)
-					}
+	for _, pkg := range prog.Pkgs {
+		for _, f := range pkg.Files {
+			for _, cg := range f.Comments {
+				for _, c := range cg.List {
+					r.collect(c)
 				}
 			}
 		}
@@ -270,9 +262,6 @@ func Checks() []Check {
 		{Name: "scratch-escape", Run: checkScratchEscape},
 		{Name: "lock-balance", Run: checkLockBalance},
 		{Name: "ctx-flow", Run: checkCtxFlow},
-		{Name: "no-reflect-sort", Run: checkNoReflectSort},
-		{Name: "bench-hygiene", Run: checkBenchHygiene},
-		{Name: "wal-order", Run: checkWALOrder},
 		{Name: "snapshot-lifecycle", Run: checkSnapshotLifecycle},
 		{Name: "goroutine-lifecycle", Run: checkGoroutineLifecycle},
 		{Name: "error-taxonomy", Run: checkErrorTaxonomy},
@@ -280,17 +269,14 @@ func Checks() []Check {
 	}
 }
 
-// Run executes every check over the program and returns the sorted,
-// suppression-filtered findings.
-func Run(prog *Program) []Diagnostic {
+// Run executes the given checks — Checks() or a subset of it — over the
+// program and returns the sorted, suppression-filtered findings. Only the
+// directives of checks that ran are policed for staleness.
+func Run(prog *Program, checks []Check) []Diagnostic {
 	r := NewReporter(prog)
-	for _, c := range Checks() {
-		r.MarkRan(c.Name)
+	for _, c := range checks {
+		r.ran[c.Name] = true
 		c.Run(prog, r)
 	}
 	return r.Finish()
 }
-
-// MarkRan records that a check executed, enabling unused-allow detection
-// for its suppressions.
-func (r *Reporter) MarkRan(check string) { r.ran[check] = true }

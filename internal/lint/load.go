@@ -19,21 +19,20 @@ import (
 type Package struct {
 	ImportPath string
 	Dir        string
-	Files      []*ast.File // non-test files, parse order = sorted file names
+	Files      []*ast.File // parse order = sorted file names
 	FileNames  []string
 	Types      *types.Package
 	Info       *types.Info
 }
 
-// Program is a loaded module: every package type-checked, plus parse-only
-// ASTs of the test files (used by AST-level checks such as bench-hygiene).
+// Program is a loaded module: the non-test files of every package,
+// type-checked. No check reads _test.go files, so the loader does not.
 type Program struct {
-	Fset     *token.FileSet
-	Module   string // module path from go.mod
-	RootDir  string
-	Pkgs     []*Package // sorted by import path
-	ByPath   map[string]*Package
-	TestASTs []*Package // parse-only: _test.go files grouped by directory
+	Fset    *token.FileSet
+	Module  string // module path from go.mod
+	RootDir string
+	Pkgs    []*Package // sorted by import path
+	ByPath  map[string]*Package
 }
 
 // Loader loads and type-checks module packages with the standard library
@@ -45,7 +44,6 @@ type Loader struct {
 	rootDir    string
 	std        types.ImporterFrom
 	pkgs       map[string]*Package
-	testASTs   map[string]*Package // parse-only test packages, by directory
 	loading    map[string]bool
 	mu         sync.Mutex // serializes loads through the shared cache
 	typeChecks int        // module packages actually type-checked (cache misses)
@@ -116,13 +114,12 @@ func NewLoader(rootDir string) (*Loader, error) {
 		return nil, fmt.Errorf("lint: source importer does not implement ImporterFrom")
 	}
 	return &Loader{
-		fset:     fset,
-		module:   module,
-		rootDir:  rootDir,
-		std:      std,
-		pkgs:     map[string]*Package{},
-		testASTs: map[string]*Package{},
-		loading:  map[string]bool{},
+		fset:    fset,
+		module:  module,
+		rootDir: rootDir,
+		std:     std,
+		pkgs:    map[string]*Package{},
+		loading: map[string]bool{},
 	}, nil
 }
 
@@ -145,31 +142,27 @@ func (l *Loader) ImportFrom(path, srcDir string, mode types.ImportMode) (*types.
 	return l.std.ImportFrom(path, srcDir, mode)
 }
 
-// goFilesIn lists the buildable files of dir split into non-test and test
-// files, honoring build constraints for the current platform.
-func (l *Loader) goFilesIn(dir string) (src, tests []string, err error) {
+// goFilesIn lists the buildable non-test files of dir, honoring build
+// constraints for the current platform.
+func (l *Loader) goFilesIn(dir string) (src []string, err error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	ctx := build.Default
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") ||
+			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
 			continue
 		}
 		if match, err := ctx.MatchFile(dir, name); err != nil || !match {
 			continue
 		}
-		if strings.HasSuffix(name, "_test.go") {
-			tests = append(tests, name)
-		} else {
-			src = append(src, name)
-		}
+		src = append(src, name)
 	}
 	sort.Strings(src)
-	sort.Strings(tests)
-	return src, tests, nil
+	return src, nil
 }
 
 // LoadDir parses and type-checks the non-test files of one directory as the
@@ -184,7 +177,7 @@ func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
 	l.loading[importPath] = true
 	defer delete(l.loading, importPath)
 
-	src, _, err := l.goFilesIn(dir)
+	src, err := l.goFilesIn(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -220,34 +213,6 @@ func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
 	return pkg, nil
 }
 
-// parseTestASTs parses (without type-checking) the test files of dir,
-// memoized by directory like LoadDir.
-func (l *Loader) parseTestASTs(dir, importPath string) (*Package, error) {
-	if pkg, ok := l.testASTs[dir]; ok {
-		return pkg, nil
-	}
-	_, tests, err := l.goFilesIn(dir)
-	if err != nil {
-		return nil, err
-	}
-	if len(tests) == 0 {
-		l.testASTs[dir] = nil
-		return nil, nil
-	}
-	pkg := &Package{ImportPath: importPath, Dir: dir}
-	for _, name := range tests {
-		full := filepath.Join(dir, name)
-		f, err := parser.ParseFile(l.fset, full, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		pkg.Files = append(pkg.Files, f)
-		pkg.FileNames = append(pkg.FileNames, full)
-	}
-	l.testASTs[dir] = pkg
-	return pkg, nil
-}
-
 // skipDirs are directory names never descended into during module walks.
 var skipDirs = map[string]bool{
 	"testdata": true,
@@ -270,11 +235,11 @@ func (l *Loader) moduleDirs() ([]string, error) {
 		if path != l.rootDir && (skipDirs[base] || strings.HasPrefix(base, ".") || strings.HasPrefix(base, "_")) {
 			return filepath.SkipDir
 		}
-		src, tests, err := l.goFilesIn(path)
+		src, err := l.goFilesIn(path)
 		if err != nil {
 			return err
 		}
-		if len(src) > 0 || len(tests) > 0 {
+		if len(src) > 0 {
 			dirs = append(dirs, path)
 		}
 		return nil
@@ -296,8 +261,8 @@ func (l *Loader) importPathFor(dir string) (string, error) {
 }
 
 // load builds a Program from the given directories through the
-// process-wide loader cache: type-checked non-test files plus parse-only
-// ASTs of the test files. A nil dirs means every directory of the module.
+// process-wide loader cache. A nil dirs means every directory of the
+// module that holds buildable non-test files.
 func load(rootDir string, dirs []string) (*Program, error) {
 	l, err := sharedLoader(rootDir)
 	if err != nil {
@@ -316,28 +281,13 @@ func load(rootDir string, dirs []string) (*Program, error) {
 		if err != nil {
 			return nil, err
 		}
-		src, tests, err := l.goFilesIn(dir)
+		pkg, err := l.LoadDir(dir, path)
 		if err != nil {
 			return nil, err
 		}
-		if len(src) > 0 {
-			pkg, err := l.LoadDir(dir, path)
-			if err != nil {
-				return nil, err
-			}
-			if prog.ByPath[path] == nil {
-				prog.ByPath[path] = pkg
-				prog.Pkgs = append(prog.Pkgs, pkg)
-			}
-		}
-		if len(tests) > 0 {
-			tp, err := l.parseTestASTs(dir, path)
-			if err != nil {
-				return nil, err
-			}
-			if tp != nil {
-				prog.TestASTs = append(prog.TestASTs, tp)
-			}
+		if prog.ByPath[path] == nil {
+			prog.ByPath[path] = pkg
+			prog.Pkgs = append(prog.Pkgs, pkg)
 		}
 	}
 	return prog, nil

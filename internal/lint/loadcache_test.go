@@ -8,7 +8,7 @@ import (
 // TestLoadCacheTypeChecksOnce is the acceptance gate for the shared
 // load/type-check cache: one full lint run — however many LoadModule and
 // LoadDirs calls it makes — type-checks each module package at most once.
-// Eleven checks over a re-type-checked module would put `make lint` and
+// Eight checks over a re-type-checked module would put `make lint` and
 // the golden tests well past a minute; the cache keeps the whole suite to
 // a single source-importer pass.
 func TestLoadCacheTypeChecksOnce(t *testing.T) {
@@ -36,7 +36,7 @@ func TestLoadCacheTypeChecksOnce(t *testing.T) {
 	if _, err := LoadModule("../.."); err != nil {
 		t.Fatalf("repeat load module: %v", err)
 	}
-	Run(prog)
+	Run(prog, Checks())
 	if got := l.TypeChecks(); got != n {
 		t.Errorf("repeat load + check suite re-type-checked the module: %d -> %d passes", n, got)
 	}

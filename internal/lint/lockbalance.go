@@ -34,20 +34,19 @@ var lockScope = []string{"pager", "diskindex", "wal", "front", "cluster", "lockb
 
 // ioMethods are the blocking storage primitives that must never run under
 // a lock: holding a shard lock across one serializes every concurrent
-// search behind a disk read — and the WAL appends write or sync the log,
-// so one held across them serializes every commit behind that I/O.
+// search behind a disk read — and the WAL's Commit and Checkpoint write
+// and sync the log, so one held across them serializes every commit behind
+// that I/O.
 var ioMethods = map[string]bool{
-	"ReadPage":         true,
-	"ReadPageCtx":      true,
-	"WritePage":        true,
-	"Sync":             true,
-	"Allocate":         true,
-	"ReadVia":          true,
-	"Append":           true,
-	"AppendPageImage":  true,
-	"FlushImages":      true,
-	"AppendCommit":     true,
-	"AppendCheckpoint": true,
+	"ReadPage":    true,
+	"ReadPageCtx": true,
+	"WritePage":   true,
+	"Sync":        true,
+	"Allocate":    true,
+	"ReadVia":     true,
+	"Append":      true,
+	"Commit":      true,
+	"Checkpoint":  true,
 	// An engine search may walk the disk index, so the front door's cache
 	// and coalescer shard locks must never be held across one, or a slow
 	// page read serializes every request hashing to that shard.

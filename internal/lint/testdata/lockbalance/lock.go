@@ -71,39 +71,29 @@ func (s *store) FallsOffEnd() {
 	s.mu.Lock()
 } //wantlint lock-balance: function end reached
 
-// The WAL writer methods stand in for internal/wal's Log appends: each
-// one fsyncs, so holding a lock across them serializes every commit.
-func (file) AppendPageImage(tx uint64, id int, p []byte) error { return nil }
-func (file) FlushImages() error                                { return nil }
-func (file) AppendCommit(tx uint64) error                      { return nil }
-func (file) AppendCheckpoint(tx uint64) error                  { return nil }
+// The WAL writer methods stand in for internal/wal's Log: each one writes
+// and fsyncs, so holding a lock across them serializes every commit.
+func (file) Commit(images [][]byte) (uint64, error) { return 0, nil }
+func (file) Checkpoint() error                      { return nil }
 
-func (s *store) WALImageUnderLock(p []byte) error {
+func (s *store) WALCommitUnderLock(p []byte) error {
 	s.mu.Lock()
-	err := s.f.AppendPageImage(1, 2, p) //wantlint lock-balance: while s.mu is held
+	_, err := s.f.Commit([][]byte{p}) //wantlint lock-balance: while s.mu is held
 	s.mu.Unlock()
 	return err
 }
 
-func (s *store) WALFlushUnderLock() error {
-	s.mu.Lock()
-	err := s.f.FlushImages() //wantlint lock-balance: while s.mu is held
-	s.mu.Unlock()
-	return err
-}
-
-func (s *store) WALCommitUnderRLock() error {
+func (s *store) WALCheckpointUnderRLock() error {
 	s.mu.RLock()
-	err := s.f.AppendCommit(1) //wantlint lock-balance: while s.mu is held
+	err := s.f.Checkpoint() //wantlint lock-balance: while s.mu is held
 	s.mu.RUnlock()
 	return err
 }
 
 func (s *store) WALCheckpointAfterUnlock() error {
 	s.mu.Lock()
-	tx := uint64(7)
 	s.mu.Unlock()
-	return s.f.AppendCheckpoint(tx) // lock released before the fsync: clean
+	return s.f.Checkpoint() // lock released before the fsync: clean
 }
 
 // The engine stand-in mirrors the front door's hazard: SearchKCtx may

@@ -52,13 +52,6 @@ func QuantileDist(phi float64) Func {
 	}
 }
 
-// StableAggregate wraps an arbitrary caller-provided stable aggregate g
-// into an N1 function. The caller is responsible for g actually being
-// stable (Definition 8): X ≤st Y must imply g(X) <= g(Y).
-func StableAggregate(name string, g func(distr.Distribution) float64) Func {
-	return aggFunc{name: name, agg: g}
-}
-
 // N1Suite returns a representative selection of N1 functions used by tests
 // and examples.
 func N1Suite() []Func {

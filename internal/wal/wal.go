@@ -1,15 +1,15 @@
 // Package wal implements the write-ahead log behind the mutable disk
-// index. Every write transaction appends full page images followed by a
-// commit record; the commit append fsyncs, so a transaction is durable
+// index. Every write transaction is one Log.Commit: full page images
+// followed by a commit record, then an fsync, so a transaction is durable
 // exactly when its commit record is on stable storage. A record is
 // encoded once, in place, into one buffer the log owns; a transaction's
-// image records reach the file in one write (FlushImages) and its commit
-// record in a second, so a failed image write promised nothing and a
-// failed commit write or fsync leaves durability indeterminate. Recovery
-// replays the page images of committed transactions into the page file
-// and truncates any torn tail — a crash at any byte offset of the log
-// yields either the pre-transaction or the post-transaction state, never
-// a mixture (see DESIGN.md §2e).
+// image records reach the file in one write and its commit record in a
+// second, so a failed image write promised nothing and a failed commit
+// write or fsync leaves durability indeterminate (ErrIndeterminate).
+// Recovery replays the page images of committed transactions into the
+// page file and truncates any torn tail — a crash at any byte offset of
+// the log yields either the pre-transaction or the post-transaction
+// state, never a mixture (see DESIGN.md §2e).
 //
 // # Record grammar
 //
@@ -25,7 +25,7 @@
 // trailers) covers the record header and payload. Record types:
 //
 //	1 page-image  payload = pageID u32 | pageType u8 | image [page payload]
-//	2 commit      payload empty; the append fsyncs before returning
+//	2 commit      payload empty; Commit fsyncs before returning
 //	3 checkpoint  payload empty; all txids ≤ txid are in the page file
 //
 // A scan stops at the first record that is short, oversized, CRC-corrupt
@@ -70,6 +70,10 @@ var (
 	// ErrCrash is returned by a CrashFile once its write budget is spent —
 	// the injected "process died here" signal of the kill-point sweep.
 	ErrCrash = errors.New("wal: injected crash")
+	// ErrIndeterminate wraps a Commit error raised once the commit record's
+	// write was issued: the record may or may not be on stable storage, so
+	// only a recovery pass can say whether the transaction happened.
+	ErrIndeterminate = errors.New("wal: commit durability indeterminate")
 	// ErrBadMagic is returned by Open on a file that is not a WAL, so
 	// callers can distinguish "wrong file" from I/O failure.
 	ErrBadMagic = errors.New("wal: bad magic")
@@ -101,8 +105,8 @@ type Log struct {
 	// them first: merely overwriting could leave a stale-but-valid old
 	// record beyond a shorter fresh one, and a later scan would replay it.
 	dirtyTail bool
-	// buf holds the records encoded but not yet written, and is reused
-	// across transactions (see maxRetainedRecords).
+	// buf is the encode buffer Commit reuses across transactions (see
+	// maxRetainedRecords).
 	buf []byte
 }
 
@@ -182,76 +186,47 @@ func (l *Log) Path() string { return l.path }
 // Size returns the append offset — the log's valid length in bytes.
 func (l *Log) Size() int64 { return l.off }
 
-// LastTx returns the highest transaction id seen (appended or scanned).
-func (l *Log) LastTx() uint64 { return l.lastTx }
-
-// NextTx reserves and returns the next transaction id.
-func (l *Log) NextTx() uint64 {
-	l.lastTx++
-	return l.lastTx
-}
-
 // Close closes the underlying file without truncating or syncing.
 func (l *Log) Close() error { return l.f.Close() }
 
+// PageImage is one page of a transaction: the full payload image Commit
+// logs under the transaction's id.
+type PageImage struct {
+	ID   pager.PageID
+	Type pager.PageType
+	Data []byte
+}
+
 // maxRetainedRecords bounds the encode buffer kept between transactions,
 // in page-image records: on the repo benchmark's write workload a commit
-// carries 8 at the median and 12 at p99.9. The buffer a larger flush grew
+// carries 8 at the median and 12 at p99.9. The buffer a larger commit grew
 // is let go after it.
 const maxRetainedRecords = 12
 
-// encode appends one record to the log's buffer: header, body (a page
+// appendRecord appends one encoded record to buf: header, body (a page
 // image's id, type and bytes; empty for commit and checkpoint), and the
 // CRC over both.
-//
-//nnc:hotpath
-func (l *Log) encode(typ byte, txid uint64, id pager.PageID, t pager.PageType, image []byte) {
-	start := len(l.buf)
-	l.buf = append(l.buf, typ)
-	l.buf = binary.LittleEndian.AppendUint64(l.buf, txid)
+func appendRecord(buf []byte, typ byte, txid uint64, im PageImage) []byte {
+	start := len(buf)
+	buf = append(buf, typ)
+	buf = binary.LittleEndian.AppendUint64(buf, txid)
 	if typ == RecPageImage {
-		l.buf = binary.LittleEndian.AppendUint32(l.buf, uint32(5+len(image)))
-		l.buf = binary.LittleEndian.AppendUint32(l.buf, uint32(id))
-		l.buf = append(l.buf, byte(t))
-		l.buf = append(l.buf, image...)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(5+len(im.Data)))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(im.ID))
+		buf = append(buf, byte(im.Type))
+		buf = append(buf, im.Data...)
 	} else {
-		l.buf = binary.LittleEndian.AppendUint32(l.buf, 0)
+		buf = binary.LittleEndian.AppendUint32(buf, 0)
 	}
-	l.buf = binary.LittleEndian.AppendUint32(l.buf, crc32.Update(0, castagnoli, l.buf[start:]))
-	l.lastTx = max(l.lastTx, txid)
+	return binary.LittleEndian.AppendUint32(buf, crc32.Update(0, castagnoli, buf[start:]))
 }
 
-// AppendPageImage encodes the full payload image of one page under txid
-// into the log's buffer; the caller's buffer is its own again on return.
-// Nothing reaches the file before FlushImages, and durability comes only
-// from the commit append. An error drops every image still pending.
-//
-//nnc:hotpath
-func (l *Log) AppendPageImage(txid uint64, id pager.PageID, t pager.PageType, image []byte) error {
-	if len(image) != l.payload {
-		l.buf = l.buf[:0]
-		//nnc:allow hotpath-alloc: error path, a caller bug
-		return fmt.Errorf("wal: image size %d != page payload %d", len(image), l.payload)
-	}
-	l.encode(RecPageImage, txid, id, t, image)
-	return nil
-}
-
-// FlushImages writes the buffered records — a transaction's page images —
-// at the append offset in one WriteAt, without syncing, first truncating
-// any bytes a scan or a failed write left past that offset. On error
-// nothing was promised: the records are dropped, the offset has not moved
-// and the tail is dirty — a shorter later append would not cover whatever
-// part of the write landed.
-//
-//nnc:hotpath
-func (l *Log) FlushImages() error {
-	buf := l.buf
-	l.buf = buf[:0]
-	if len(buf) > maxRetainedRecords*int(PageImageRecordSize(l.payload)) {
-		l.buf = nil
-	}
-	if len(buf) == 0 {
+// write puts p at the append offset in one WriteAt, without syncing, first
+// truncating any bytes a scan or a failed write left past that offset. On
+// error the offset has not moved and the tail is dirty — a shorter later
+// write would not cover whatever part of this one landed.
+func (l *Log) write(p []byte) error {
+	if len(p) == 0 {
 		return nil
 	}
 	if l.dirtyTail {
@@ -261,53 +236,80 @@ func (l *Log) FlushImages() error {
 		}
 		l.dirtyTail = false
 	}
-	if _, err := l.f.WriteAt(buf, l.off); err != nil {
+	if _, err := l.f.WriteAt(p, l.off); err != nil {
 		l.dirtyTail = true
 		return err
 	}
-	l.off += int64(len(buf))
+	l.off += int64(len(p))
 	return nil
 }
 
-// appendRecord writes one commit or checkpoint record as a write of its
-// own, after any page images still pending.
-func (l *Log) appendRecord(typ byte, txid uint64) error {
-	if err := l.FlushImages(); err != nil {
-		return err
-	}
-	l.encode(typ, txid, 0, 0, nil)
-	return l.FlushImages()
-}
-
-// AppendCommit appends txid's commit record and fsyncs the log. When it
-// returns nil the transaction is durable.
+// Commit logs one transaction under the next transaction id: its page
+// images in one write, its commit record in a second, then one fsync. It
+// is the only way a page image reaches the log, so an image without its
+// commit record, a commit record ahead of its images and a success return
+// ahead of the fsync are not orders a caller can produce. The images'
+// buffers are the caller's own again on return. A nil error means the
+// transaction is durable. An error up to and including the image write
+// promised nothing — whatever landed is a torn tail the next write
+// truncates; an error from the commit record's write or the fsync wraps
+// ErrIndeterminate.
 //
 //nnc:hotpath
-func (l *Log) AppendCommit(txid uint64) error {
-	if err := l.appendRecord(RecCommit, txid); err != nil {
-		return err
+func (l *Log) Commit(images []PageImage) (txid uint64, err error) {
+	l.lastTx++
+	txid = l.lastTx
+	buf := l.buf[:0]
+	for _, im := range images {
+		if len(im.Data) != l.payload {
+			//nnc:allow hotpath-alloc: error path, a caller bug
+			return txid, fmt.Errorf("wal: image size %d != page payload %d", len(im.Data), l.payload)
+		}
+		buf = appendRecord(buf, RecPageImage, txid, im)
 	}
-	return l.f.Sync()
+	body := len(buf)
+	buf = appendRecord(buf, RecCommit, txid, PageImage{})
+	l.buf = buf
+	if body > maxRetainedRecords*int(PageImageRecordSize(l.payload)) {
+		l.buf = nil
+	}
+	if err = l.write(buf[:body]); err != nil {
+		return txid, err
+	}
+	// The commit point: from this write on a failure cannot say whether
+	// the record is on stable storage.
+	if err = l.write(buf[body:]); err == nil {
+		err = l.f.Sync()
+	}
+	if err != nil {
+		//nnc:allow hotpath-alloc: error path
+		return txid, fmt.Errorf("%w: %w", ErrIndeterminate, err)
+	}
+	return txid, nil
 }
 
-// AppendCheckpoint records that every transaction with id ≤ txid is fully
-// applied and synced in the page file, then fsyncs.
-func (l *Log) AppendCheckpoint(txid uint64) error {
-	if err := l.appendRecord(RecCheckpoint, txid); err != nil {
+// Checkpoint records that every transaction logged so far is applied and
+// synced in the page file, fsyncs, and truncates the log back to its
+// header — valid only when the page file durably holds them. The record
+// usually disappears at once; if the truncation is interrupted it
+// documents the state for wal-dump and the (idempotent) recovery replay.
+func (l *Log) Checkpoint() error {
+	if err := l.write(appendRecord(l.buf[:0], RecCheckpoint, l.lastTx, PageImage{})); err != nil {
 		return err
 	}
-	return l.f.Sync()
+	if err := l.f.Sync(); err != nil {
+		return err
+	}
+	return l.reset()
 }
 
-// Reset truncates the log back to its header — valid only when the page
-// file durably holds every committed transaction (after a checkpoint).
-func (l *Log) Reset() error {
+// reset truncates the log back to its header.
+func (l *Log) reset() error {
 	if err := l.f.Truncate(HeaderSize); err != nil {
 		return err
 	}
 	l.off = HeaderSize
 	l.dirtyTail = false
-	l.buf = l.buf[:0]
 	return l.f.Sync()
 }
 
@@ -450,7 +452,7 @@ func Recover(l *Log, pf *pager.PageFile) (*RecoveryStats, error) {
 	st.CommittedTxs = len(committed)
 	if len(committed) == 0 {
 		if info.Records > 0 || info.Torn > 0 {
-			if err := l.Reset(); err != nil {
+			if err := l.reset(); err != nil {
 				return nil, err
 			}
 		}
@@ -486,7 +488,7 @@ func Recover(l *Log, pf *pager.PageFile) (*RecoveryStats, error) {
 	if err := pf.Sync(); err != nil {
 		return nil, err
 	}
-	if err := l.Reset(); err != nil {
+	if err := l.reset(); err != nil {
 		return nil, err
 	}
 	return st, nil

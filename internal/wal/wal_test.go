@@ -31,22 +31,35 @@ func image(fill byte) []byte {
 	return img
 }
 
+// page is one tree-node page image filled with fill.
+func page(id pager.PageID, fill byte) PageImage {
+	return PageImage{ID: id, Type: pager.PageTreeNode, Data: image(fill)}
+}
+
+// commit logs one transaction and returns its id.
+func commit(t *testing.T, l *Log, images ...PageImage) uint64 {
+	t.Helper()
+	tx, err := l.Commit(images)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tx
+}
+
+// checkpointRecord appends a checkpoint record without the truncation
+// Checkpoint follows it with, so a scan can still see it.
+func checkpointRecord(t *testing.T, l *Log) {
+	t.Helper()
+	if err := l.write(appendRecord(nil, RecCheckpoint, l.lastTx, PageImage{})); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestAppendScanRoundtrip(t *testing.T) {
 	dir := t.TempDir()
 	l := openTestLog(t, dir)
-	tx := l.NextTx()
-	if err := l.AppendPageImage(tx, 3, pager.PageTreeNode, image(0xaa)); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.AppendPageImage(tx, 7, pager.PageStoreData, image(0xbb)); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.AppendCommit(tx); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.AppendCheckpoint(tx); err != nil {
-		t.Fatal(err)
-	}
+	tx := commit(t, l, page(3, 0xaa), PageImage{ID: 7, Type: pager.PageStoreData, Data: image(0xbb)})
+	checkpointRecord(t, l)
 
 	var recs []Rec
 	var images [][]byte
@@ -142,20 +155,8 @@ func TestScanStopsAtCorruption(t *testing.T) {
 	writeTwo := func(t *testing.T) (string, *Log) {
 		dir := t.TempDir()
 		l := openTestLog(t, dir)
-		tx := l.NextTx()
-		if err := l.AppendPageImage(tx, 3, pager.PageTreeNode, image(1)); err != nil {
-			t.Fatal(err)
-		}
-		if err := l.AppendCommit(tx); err != nil {
-			t.Fatal(err)
-		}
-		tx2 := l.NextTx()
-		if err := l.AppendPageImage(tx2, 4, pager.PageTreeNode, image(2)); err != nil {
-			t.Fatal(err)
-		}
-		if err := l.AppendCommit(tx2); err != nil {
-			t.Fatal(err)
-		}
+		commit(t, l, page(3, 1))
+		commit(t, l, page(4, 2))
 		return l.Path(), l
 	}
 
@@ -192,13 +193,7 @@ func TestScanStopsAtCorruption(t *testing.T) {
 				t.Fatal("corruption not reported as torn tail")
 			}
 			// Appends after the scan overwrite the torn tail.
-			tx := l2.NextTx()
-			if err := l2.AppendPageImage(tx, 9, pager.PageTreeNode, image(9)); err != nil {
-				t.Fatal(err)
-			}
-			if err := l2.AppendCommit(tx); err != nil {
-				t.Fatal(err)
-			}
+			commit(t, l2, page(9, 9))
 			info2, err := l2.Scan(nil)
 			if err != nil {
 				t.Fatal(err)
@@ -213,13 +208,7 @@ func TestScanStopsAtCorruption(t *testing.T) {
 func TestTruncatedTail(t *testing.T) {
 	dir := t.TempDir()
 	l := openTestLog(t, dir)
-	tx := l.NextTx()
-	if err := l.AppendPageImage(tx, 3, pager.PageTreeNode, image(1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.AppendCommit(tx); err != nil {
-		t.Fatal(err)
-	}
+	commit(t, l, page(3, 1))
 	path := l.Path()
 	full := l.Size()
 	l.Close()
@@ -270,22 +259,13 @@ func TestRecoverAppliesOnlyCommitted(t *testing.T) {
 	dir := t.TempDir()
 	pf, _ := newPageFile(t, dir, 3)
 	defer pf.Close()
-	l := openTestLog(t, dir)
+	l, of := openOpLog(t, dir)
 
-	// tx1 commits; tx2 has images but no commit record.
-	tx1 := l.NextTx()
-	if err := l.AppendPageImage(tx1, 1, pager.PageTreeNode, image(0x11)); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.AppendCommit(tx1); err != nil {
-		t.Fatal(err)
-	}
-	tx2 := l.NextTx()
-	if err := l.AppendPageImage(tx2, 2, pager.PageTreeNode, image(0x22)); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.FlushImages(); err != nil {
-		t.Fatal(err)
+	// tx1 commits; tx2's images land but its commit record's write fails.
+	commit(t, l, page(1, 0x11))
+	of.failWrite = 2
+	if _, err := l.Commit([]PageImage{page(2, 0x22)}); !errors.Is(err, ErrIndeterminate) || !errors.Is(err, errInjected) {
+		t.Fatalf("commit over a failing commit-record write: %v", err)
 	}
 
 	st, err := Recover(l, pf)
@@ -318,13 +298,7 @@ func TestRecoverGrowsPageFile(t *testing.T) {
 	pf, _ := newPageFile(t, dir, 1)
 	defer pf.Close()
 	l := openTestLog(t, dir)
-	tx := l.NextTx()
-	if err := l.AppendPageImage(tx, 5, pager.PageStoreData, image(0x55)); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.AppendCommit(tx); err != nil {
-		t.Fatal(err)
-	}
+	commit(t, l, PageImage{ID: 5, Type: pager.PageStoreData, Data: image(0x55)})
 	if _, err := Recover(l, pf); err != nil {
 		t.Fatal(err)
 	}
@@ -342,16 +316,13 @@ func TestRecoverLastCommittedWins(t *testing.T) {
 	dir := t.TempDir()
 	pf, _ := newPageFile(t, dir, 3)
 	defer pf.Close()
-	l := openTestLog(t, dir)
+	l, of := openOpLog(t, dir)
 	for i, fill := range []byte{0x0a, 0x0b, 0x0c} {
-		tx := l.NextTx()
-		if err := l.AppendPageImage(tx, 2, pager.PageTreeNode, image(fill)); err != nil {
-			t.Fatal(err)
+		if i == 1 { // the middle tx's commit record never lands
+			of.failWrite = 2
 		}
-		if i != 1 { // middle tx stays uncommitted
-			if err := l.AppendCommit(tx); err != nil {
-				t.Fatal(err)
-			}
+		if _, err := l.Commit([]PageImage{page(2, fill)}); (err != nil) != (i == 1) {
+			t.Fatalf("tx %d: %v", i, err)
 		}
 	}
 	st, err := Recover(l, pf)
@@ -382,20 +353,16 @@ func TestCrashFileTearsWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	tx := l.NextTx()
-	if err := l.AppendPageImage(tx, 1, pager.PageTreeNode, image(1)); err != nil {
-		t.Fatal(err)
-	}
 	// The commit record crosses the limit: torn.
-	if err := l.AppendCommit(tx); !errors.Is(err, ErrCrash) {
+	if _, err := l.Commit([]PageImage{page(1, 1)}); !errors.Is(err, ErrCrash) || !errors.Is(err, ErrIndeterminate) {
 		t.Fatalf("commit past limit: %v", err)
 	}
 	if !cf.Crashed() {
 		t.Fatal("crash did not fire")
 	}
 	// Everything after the crash fails too.
-	if err := l.AppendCommit(tx); !errors.Is(err, ErrCrash) {
-		t.Fatalf("append after crash: %v", err)
+	if _, err := l.Commit([]PageImage{page(1, 1)}); !errors.Is(err, ErrCrash) {
+		t.Fatalf("commit after crash: %v", err)
 	}
 	if err := cf.Sync(); !errors.Is(err, ErrCrash) {
 		t.Fatalf("sync after crash: %v", err)
@@ -429,16 +396,8 @@ func TestCrashFileTearsWrites(t *testing.T) {
 func TestDumpFile(t *testing.T) {
 	dir := t.TempDir()
 	l := openTestLog(t, dir)
-	tx := l.NextTx()
-	if err := l.AppendPageImage(tx, 3, pager.PageTreeNode, image(1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.AppendCommit(tx); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.AppendCheckpoint(tx); err != nil {
-		t.Fatal(err)
-	}
+	commit(t, l, page(3, 1))
+	checkpointRecord(t, l)
 	path := l.Path()
 	size := l.Size()
 	if err := l.Close(); err != nil {
