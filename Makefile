@@ -45,8 +45,8 @@ race:
 
 # check is the CI gate — the steps of the CI lint and check jobs plus the
 # fuzz smoke, one list: formatting + vet + build + nnclint + race tests + a
-# one-shot Figure 12, disk-cold, P-SD-miss, wide-object P-SD and commit
-# benchmark smoke so the engine's hot path stays exercised in memory, against
+# one-shot Figure 12, disk-cold, P-SD-miss, band-scan, wide-object P-SD and
+# commit benchmark smoke so the engine's hot path stays exercised in memory, against
 # a page file, on objects wider than any repo-benchmark workload has and
 # through the WAL write path, the batch scaling gate
 # without the race detector (it skips under it) and the parallel-search
@@ -61,6 +61,7 @@ check: fmt-check
 	$(GO) test -run='^$$' -bench=Fig12 -benchtime=1x -benchmem .
 	$(GO) test -run='^$$' -bench='SearchK/disk-cold' -benchtime=1x -benchmem .
 	$(GO) test -run='^$$' -bench='SearchPSDMiss' -benchtime=1x -benchmem .
+	$(GO) test -run='^$$' -bench='BandScan' -benchtime=1x -benchmem .
 	$(GO) test -run='^$$' -bench='DominanceCheck/PSD/m=64' -benchtime=1x -benchmem .
 	$(GO) test -run='^$$' -bench='Commit$$' -benchtime=1x -benchmem .
 	$(GO) test -run=TestSearchParallelScales ./internal/core

@@ -81,21 +81,23 @@ func searchK(idx *Index, q *Object, op Operator, k int, opts core.SearchOptions)
 	return res
 }
 
-// runSearches runs the workload round-robin for b.N iterations and reports
-// the average candidate count.
-func runSearches(b *testing.B, d benchData, op Operator, cfg FilterConfig) {
+// runSearches runs the workload round-robin for b.N iterations, reports
+// the average candidate count and returns the summed dominance counters.
+func runSearches(b *testing.B, d benchData, op Operator, cfg FilterConfig) core.Stats {
 	b.Helper()
-	var candidates, comparisons float64
+	var candidates float64
+	var st core.Stats
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := d.queries[i%len(d.queries)]
 		res := searchK(d.idx, q, op, 1, core.SearchOptions{Filters: cfg})
 		candidates += float64(len(res.Candidates))
-		comparisons += float64(res.Stats.InstanceComparisons)
+		st.Add(res.Stats)
 	}
 	b.ReportMetric(candidates/float64(b.N), "candidates/query")
-	b.ReportMetric(comparisons/float64(b.N), "comparisons/query")
+	b.ReportMetric(float64(st.InstanceComparisons)/float64(b.N), "comparisons/query")
+	return st
 }
 
 // figure10Datasets mirrors the Figure 10/12 dataset suite.
@@ -351,11 +353,18 @@ func BenchmarkDominanceCheck(b *testing.B) {
 // loop — one object summarised, then tested against the whole band — on
 // the shape where that loop is the whole query: P-SD over 200 heavily
 // overlapping NBA-like objects of 10 instances, where nearly every object is
-// a candidate and no entry is pruned.
+// a candidate and no entry is pruned. On that shape the pairs the statistics
+// let through go to the sweep and the transport, none to an MBR or a level
+// (ten instances have no coarse level): `make check` runs it once and it
+// fails if that stops being what it measures.
 func BenchmarkBandScan(b *testing.B) {
 	p := datagen.Params{N: 200, M: 10, Centers: datagen.NBALike, Seed: benchSeed}
 	d := dataFor(b, "bandscan", p, 8, benchHq)
-	runSearches(b, d, PSD, AllFilters)
+	st := runSearches(b, d, PSD, AllFilters)
+	if st.FlowSolves == 0 || st.MBRValidations+st.LevelDecisions > 0 {
+		b.Fatalf("the band scan no longer ends in the sweep and the transport: %+v", st)
+	}
+	b.ReportMetric(float64(st.FlowSolves)/float64(b.N), "flow-solves/query")
 }
 
 // BenchmarkSearchPSDMiss is the handle on what a cache miss of the repo

@@ -7,8 +7,8 @@ import (
 )
 
 // Checker decides spatial dominance between objects for one fixed query,
-// caching per-object distance distributions, statistics, local-tree level
-// bounds and hull-distance matrices across checks. A Checker is not safe
+// caching per-object distance distributions, statistics, sorted runs and
+// local-tree level bounds across checks. A Checker is not safe
 // for concurrent use.
 //
 // Every cache a checker builds lives in its CheckScratch arena, so a warm
@@ -24,8 +24,9 @@ type Checker struct {
 	query   *uncertain.Object
 	cfg     FilterConfig
 	eps     float64
-	statCut bool  // StatPruning is on and the operator implies S-SD
-	hullIdx []int // indices into query instances used by point-level checks
+	statCut bool   // StatPruning is on and the operator implies S-SD
+	hullIdx []int  // indices into query instances used by point-level checks
+	isHull  []bool // per query instance: whether hullIdx names it
 
 	// Stats accumulates work counters; reset or read between searches.
 	Stats Stats
@@ -65,7 +66,8 @@ func (c *Checker) Operator() Operator { return c.op }
 //  1. global statistics: min/mean/max of U_Q against V_Q (three floats);
 //  2. per-query-instance statistics: the same three of each U_q (SS-SD, P-SD);
 //  3. cover-based validation on MBRs (Theorem 4), then bounding spheres;
-//  4. per-query-instance stochastic scans as cover-based pruning (P-SD);
+//  4. the sweep of the sorted runs: per-query-instance stochastic scans as
+//     cover-based pruning, and the admissibility rows of rung 7 (P-SD);
 //  5. the in-hull exit (P-SD);
 //  6. level-by-level bounds on the local R-trees;
 //  7. the exact test: the sorted-atom scan, or the Theorem 12 max-flow.
@@ -122,11 +124,11 @@ type objCache struct {
 	stat       distr.Stat   // of U_Q; stat.Min is the object's heap key
 	perQStat   []distr.Stat // of U_q per query instance
 	runs       []distr.Pair // |Q| runs of m atoms, one U_q each
-	runsSorted bool         // runs went through distr.SortRuns
+	runsSorted bool         // runs went through distr.SortRuns (SS-SD)
+	sorted     int          // runs [0, sorted) went through sortedRun (P-SD)
+	runInst    []int32      // the instance of each atom of those runs
 	distQOK    bool
 	distQ      distr.Distribution // U_Q, built from runs when first scanned
-
-	hullD []float64 // per instance, stride len(hullPts): distances to every hull point
 
 	sphereOK bool
 	sphere   geom.Sphere // bounding sphere, radius under the checker's metric
@@ -225,24 +227,6 @@ func (c *Checker) perQScanLE(su, sv *objCache) bool {
 		}
 	}
 	return true
-}
-
-// hullDists returns the object's hull-distance matrix, flat: row i, of
-// stride len(hullPts), holds instance i's distances to every hull point of
-// the query (the k-dimensional distance-space mapping of Section 5.1.2).
-func (c *Checker) hullDists(oc *objCache) []float64 {
-	if oc.hullD == nil {
-		o, h := oc.obj, len(c.hullPts)
-		oc.hullD = c.scratch.floats.Alloc(o.Len() * h)
-		for i := 0; i < o.Len(); i++ {
-			row, p := oc.hullD[i*h:(i+1)*h], o.Instance(i)
-			for k, q := range c.hullPts {
-				row[k] = c.metric.Dist(p, q)
-			}
-		}
-		c.Stats.InstanceComparisons += int64(o.Len() * h)
-	}
-	return oc.hullD
 }
 
 // sphereOf returns the object's bounding hypersphere with the radius

@@ -131,9 +131,12 @@ var AllFilters = FilterConfig{
 // Stats counts the work performed by dominance checking; used by the
 // Figure 16 ablation and the efficiency experiments.
 type Stats struct {
-	// InstanceComparisons counts atom consumptions in stochastic-order
-	// scans plus pairwise instance distance evaluations — the metric
-	// reported by Figure 16.
+	// InstanceComparisons counts the instance distances evaluated (once per
+	// object, when it is summarised), the atoms consumed by stochastic-order
+	// scans and by P-SD's sweeps of the sorted runs, and the rectangle and
+	// co-location tests of the geometric rungs — the metric reported by
+	// Figure 16. No rung compares instances pair by pair any more, so under
+	// P-SD the count is not comparable with one taken before PR 26.
 	InstanceComparisons int64
 	// DominanceChecks counts top-level Dominates invocations.
 	DominanceChecks int64
@@ -145,10 +148,15 @@ type Stats struct {
 	SphereValidations int64
 	// StatPrunes counts checks decided by statistic-based and cover-based
 	// pruning: the three statistics of U_Q, the three of some U_q, or (P-SD)
-	// a per-query-instance stochastic scan.
+	// a per-query-instance stochastic scan that failed during the sweep.
 	StatPrunes int64
 	// ScanPrunes is the subset of StatPrunes that needed a scan: the
-	// statistics were ordered and a per-query-instance scan was not.
+	// statistics were ordered and a per-query-instance scan was not. A P-SD
+	// sweep that ends because a positive-mass instance is left without an
+	// admissible pair — before any scan has failed, or with every scan
+	// holding — is a refutation by Theorem 12's rows, not a prune: it is in
+	// DominanceChecks and in no other counter, as it was when the exact test
+	// found it.
 	ScanPrunes int64
 	// LevelDecisions counts checks decided at a non-leaf local-tree level.
 	LevelDecisions int64

@@ -20,23 +20,30 @@ import (
 //     every U_q are necessary for the SS-SD scans of rung 4;
 //  3. cover-based validation on MBRs (Theorem 4) and bounding hyperspheres
 //     [25], with a strictness witness;
-//  4. cover-based pruning by scan: ¬SS-SD implies ¬P-SD;
+//  4. the sweep: one pass per query instance over U_q and V_q sorted by
+//     distance, which decides the SS-SD scan U_q ≤st V_q (cover-based
+//     pruning: ¬SS-SD implies ¬P-SD) and, at hull instances, writes the
+//     admissibility rows of Theorem 12 — abandoned the moment a scan fails
+//     or a positive-mass instance has no admissible pair left;
 //  5. the geometric in-hull exit: an instance of V inside the convex hull
 //     of Q can only be matched by a co-located instance of U;
 //  6. level-by-level G⁻ (validation) / G⁺ (pruning) transports over local
 //     R-tree nodes;
-//  7. the exact instance transport, with admissibility u ⪯Q v decided in
-//     the k-dimensional hull-distance space, abandoned before the solve
-//     when a positive-mass instance has no admissible pair.
+//  7. the exact instance transport over the rows rung 4 wrote.
 //
 // Rungs 6 and 7 are one shape — masses on two sides, a 0/1 matrix of
 // admissible pairs between them — and one solver, flow.Transport. The
-// matrix is written straight into bitset rows (flow.SetPair; flow.RowWords(nv)
-// words per supply atom, whatever nv is) out of the checker's scratch, the solver
-// keeps a dense flow matrix and its search state between solves, and
-// nothing else is built: no vertices, no edge list. Each object's distances
-// to the hull query instances, which decide ⪯Q, are one flat matrix per
-// object and search (objCache.hullD).
+// matrix is bitset rows (flow.RowWords(nv) words per supply atom, whatever
+// nv is) out of the checker's scratch, the solver keeps a dense flow matrix
+// and its search state between solves, and nothing else is built: no
+// vertices, no edge list.
+//
+// Rungs 4 and 7 are Sections 5.1.1 and 5.1.2 read off one object. u ⪯Q v is
+// component-wise order in the space of distances to the hull query
+// instances, so in the run sorted for hull instance q the instances of V
+// that q puts out of u's reach are a prefix, which grows as u moves up its
+// own run: one merge of the two runs clears that prefix from every row, a
+// mask at a time, and no pair of instances is ever compared.
 
 const flowEps = 1e-9
 
@@ -51,9 +58,8 @@ func (c *Checker) psd(u, v *uncertain.Object) bool {
 			return true
 		}
 	}
-	if c.cfg.StatPruning && !c.perQScanLE(su, sv) {
-		c.Stats.StatPrunes++
-		c.Stats.ScanPrunes++
+	adm, strict, ok := c.sweep(su, sv)
+	if !ok {
 		return false
 	}
 	if c.cfg.Geometric && c.euclid && c.query.Dim() == 2 {
@@ -67,7 +73,131 @@ func (c *Checker) psd(u, v *uncertain.Object) bool {
 			return dec
 		}
 	}
-	return c.psdExact(su, sv)
+	return c.psdSolve(su, sv, adm, strict)
+}
+
+// sortedRun returns U_q for query instance j as atoms sorted by distance,
+// with the instance each atom belongs to. A sweep asks for the runs in query
+// order and mostly stops after a few, so they are sorted as it reaches them:
+// runs [0, oc.sorted) are.
+func (c *Checker) sortedRun(oc *objCache, j int) ([]distr.Pair, []int32) {
+	m := oc.obj.Len()
+	if oc.runInst == nil {
+		oc.runInst = c.scratch.insts.Alloc(len(oc.runs))
+	}
+	if oc.sorted <= j {
+		lo, hi := oc.sorted*m, (j+1)*m
+		c.scratch.runSorter.SortRuns(oc.runs[lo:hi], oc.runInst[lo:hi], oc.obj.Probs())
+		oc.sorted = j + 1
+	}
+	return oc.runs[j*m : (j+1)*m], oc.runInst[j*m : (j+1)*m]
+}
+
+// sweepRows is what a sweep carries from one hull instance to the next: the
+// admissible and the strict pairs so far, nu rows of w words over V's
+// instances, and the two prefix masks of sweepInstance, a row wide each.
+type sweepRows struct {
+	w           int
+	adm, strict []uint64
+	out, notFar []uint64
+}
+
+// sweep is rung 4 and the row fill of rung 7 in one pass over the query
+// instances: sweepInstance at each, on the two sorted runs, and after a hull
+// instance the question whether the rows can still carry a full match
+// (flow.Transport.Isolated). ok is false when P-SD is refuted; otherwise adm
+// holds exactly the pairs with u ⪯Q v (within eps at every hull instance)
+// and strict those of them some hull instance separates by more than eps,
+// both out of the scratch's row buffer, and no positive-mass instance is
+// without a pair. The scan verdicts are used under StatPruning only; the
+// rows are complete either way.
+func (c *Checker) sweep(su, sv *objCache) (adm, strict []uint64, ok bool) {
+	var r sweepRows
+	for j, hull := range c.isHull {
+		if !hull && !c.cfg.StatPruning {
+			continue
+		}
+		if hull && r.adm == nil {
+			r = c.scratch.newSweepRows(su.obj.Len(), sv.obj.Len())
+		}
+		us, ui := c.sortedRun(su, j)
+		vs, vi := c.sortedRun(sv, j)
+		if !c.sweepInstance(us, vs, ui, vi, hull, &r) {
+			c.Stats.StatPrunes++
+			c.Stats.ScanPrunes++
+			return nil, nil, false
+		}
+		if hull && c.scratch.transport.Isolated(su.obj.Probs(), sv.obj.Probs(), r.adm, flowEps) {
+			return nil, nil, false
+		}
+	}
+	for i := range r.adm {
+		r.strict[i] &= r.adm[i]
+	}
+	return r.adm, r.strict, true
+}
+
+// sweepInstance is one merge of U_q against V_q, both sorted by distance to
+// the query instance q, walking U's run and three cursors into V's. It
+// reports whether the scan holds (true when StatPruning is off).
+//
+// The scan: U_q ≤st V_q fails iff at some distance λ less mass of U than of
+// V lies within λ, and it is enough to ask just before each atom of U and
+// after the last — with the mass of V strictly nearer than that atom —
+// because between two such points U's side does not move and V's only
+// grows. The running sums are distr.StochasticLE's, term for term, and so is
+// the verdict.
+//
+// The rows (hull instances): with du and dv the distances of u and v to q,
+// the instance forbids the pair when du > dv+eps and witnesses strictness
+// when du < dv−eps. For a given u the forbidden instances of V are a prefix
+// of V's run, the ones not strictly farther a longer prefix, and both only
+// grow as u moves up U's run: they are kept as masks over V's instances, and
+// each row takes one and-not and one or per word.
+func (c *Checker) sweepInstance(us, vs []distr.Pair, ui, vi []int32, hull bool, r *sweepRows) bool {
+	scan := c.cfg.StatPruning
+	var massU, massV float64
+	near, a, b := 0, 0, 0 // cursors into vs: strictly nearer, forbidden, not strictly farther
+	if hull {
+		clear(r.out)
+		clear(r.notFar)
+	}
+	for k, x := range us {
+		if scan {
+			for ; near < len(vs) && vs[near].Dist < x.Dist; near++ {
+				massV += vs[near].Prob
+			}
+			if massU < massV-c.eps {
+				c.Stats.InstanceComparisons += int64(k + max(near, b))
+				return false
+			}
+			massU += x.Prob
+		}
+		if !hull {
+			continue
+		}
+		for ; a < len(vs) && x.Dist > vs[a].Dist+c.eps; a++ {
+			r.out[vi[a]>>6] |= 1 << (vi[a] & 63)
+		}
+		for ; b < len(vs) && !(x.Dist < vs[b].Dist-c.eps); b++ {
+			r.notFar[vi[b]>>6] |= 1 << (vi[b] & 63)
+		}
+		lo := int(ui[k]) * r.w
+		row, srow := r.adm[lo:lo+r.w], r.strict[lo:lo+r.w]
+		for t := range row {
+			row[t] &^= r.out[t]
+			srow[t] |= ^r.notFar[t]
+		}
+	}
+	if !scan {
+		c.Stats.InstanceComparisons += int64(len(us) + b)
+		return true
+	}
+	c.Stats.InstanceComparisons += int64(len(us) + len(vs))
+	for ; near < len(vs); near++ {
+		massV += vs[near].Prob
+	}
+	return !(massU < massV-c.eps)
 }
 
 // inHullExit reports whether some positive-mass instance of V lies inside
@@ -98,63 +228,13 @@ func (c *Checker) inHullExit(u, v *uncertain.Object) bool {
 	return false
 }
 
-// instLE reports whether an instance of u is not farther than an instance of
-// v from every hull query instance (u ⪯Q v), given the two instances' rows
-// of the hull-distance matrices. strict additionally reports a strictly
-// closer hull instance.
-func (c *Checker) instLE(du, dv []float64) (le, strict bool) {
-	le = true
-	compared := 0
-	for k, d := range du {
-		compared++
-		if d > dv[k]+c.eps {
-			le, strict = false, false
-			break
-		}
-		if d < dv[k]-c.eps {
-			strict = true
-		}
-	}
-	c.Stats.InstanceComparisons += int64(compared)
-	return le, strict
-}
-
-// psdExact runs Theorem 12 on the instances. The admissible pairs are
-// written first, as bitset rows next to a parallel bitset of the pairs some
-// hull instance strictly separates, so that a pair of objects with an
-// isolated positive-mass instance on either side is rejected without a
-// solve. Rows, flow matrix and solver state are the checker's scratch, so
-// repeat solves do not allocate.
-func (c *Checker) psdExact(su, sv *objCache) bool {
-	u, v := su.obj, sv.obj
-	hu, hv := c.hullDists(su), c.hullDists(sv)
-	nu, nv, h := u.Len(), v.Len(), len(c.hullPts)
-	w := flow.RowWords(nv)
-	adm, strict := c.scratch.bitRows(nu, w)
+// psdSolve is rung 7: Theorem 12's transport over the rows the sweep wrote.
+// Flow matrix and solver state are the checker's scratch, so repeat solves
+// do not allocate.
+func (c *Checker) psdSolve(su, sv *objCache, adm, strict []uint64) bool {
 	t := &c.scratch.transport
-	for i := 0; i < nu; i++ {
-		du := hu[i*h : (i+1)*h]
-		isolated := true
-		for j := 0; j < nv; j++ {
-			if le, st := c.instLE(du, hv[j*h:(j+1)*h]); le {
-				isolated = false
-				flow.SetPair(adm, w, i, j)
-				if st {
-					flow.SetPair(strict, w, i, j)
-				}
-			}
-		}
-		if isolated && u.Prob(i) > flowEps {
-			return false // no need to look at the rest
-		}
-	}
-	// A positive-mass instance with no admissible pair: the transport would
-	// fall short of 1 by more than flowEps and the solve only confirm it.
-	if t.Isolated(u.Probs(), v.Probs(), adm, flowEps) {
-		return false
-	}
 	c.Stats.FlowSolves++
-	if t.Solve(u.Probs(), v.Probs(), adm) < 1-flowEps {
+	if t.Solve(su.obj.Probs(), sv.obj.Probs(), adm) < 1-flowEps {
 		return false
 	}
 	// A match exists. The side condition U_Q ≠ V_Q remains: if any matched
@@ -188,7 +268,7 @@ func (c *Checker) levelDecidePSD(cu, cv *objCache) (dec, ok bool) {
 		// strictly separates V^j's MBR below U^i's MBR (making u ⪯Q v
 		// impossible for every pair in the nodes). |f⁺| < 1 disproves the
 		// match.
-		gPlus, gMinus := c.scratch.bitRows(nu, w)
+		gPlus, gMinus := c.scratch.levelRows(nu, w)
 		minusEdges := 0
 		for i := 0; i < nu; i++ {
 			ri := bu.nodes[i].Rect

@@ -9,20 +9,21 @@ import (
 )
 
 // CheckScratch is the allocation arena behind a Checker: slab arenas for
-// every cached artifact a search builds (distribution atoms, hull-distance
-// matrices, per-object caches, level bounds), the transport solver and
-// bitset rows of the P-SD solves, and the dense object-cache table. One
-// scratch backs one live Checker at a time; Checker re-initializes it,
-// releasing everything the previous search cached. The engine pools these
-// alongside its other per-search scratch, which is what makes steady-state
-// searches allocation-free: every slab and table reaches its high-water
-// size and is then recycled verbatim.
+// every cached artifact a search builds (distribution atoms and the
+// instance order of sorted runs, per-object caches, level bounds), the
+// transport solver and bitset rows of the P-SD solves, and the dense
+// object-cache table. One scratch backs one live Checker at a time; Checker
+// re-initializes it, releasing everything the previous search cached. The
+// engine pools these alongside its other per-search scratch, which is what
+// makes steady-state searches allocation-free: every slab and table reaches
+// its high-water size and is then recycled verbatim.
 //
 // A CheckScratch is not safe for concurrent use.
 type CheckScratch struct {
 	// Arenas for plain-old-data caches: recycled without clearing, their
 	// contents are fully overwritten before use.
 	pairs     distr.PairArena
+	insts     slab.Arena[int32] // objCache.runInst
 	floats    slab.Arena[float64]
 	distPairs slab.Arena[[2]distr.Distribution]
 	stats     slab.Arena[distr.Stat]
@@ -41,16 +42,21 @@ type CheckScratch struct {
 	touched []int
 	sparse  map[int]*objCache
 
-	// P-SD: the one transport solver behind the exact test and the
-	// per-level G⁻/G⁺ pair, and the bitset rows it is handed (bitRows).
+	// P-SD: the sorter of the sweep's runs, the one transport solver behind
+	// the exact test and the per-level G⁻/G⁺ pair, and the bitset rows it is
+	// handed. The sweep's rows are still live while the levels are tried, so
+	// the two have a buffer each.
+	runSorter distr.RunSorter
 	transport flow.Transport
-	bits      []uint64
+	sweepBits []uint64
+	levelBits []uint64
 
 	// Assorted reusable buffers.
 	near    geom.Point   // the popped entry's near vector (band.dominatesRect)
 	ids     []int        // CollectIDs scratch for level masses
 	hullIdx []int        // non-geometric fallback hull index list
 	hullPts []geom.Point // hull instances of the current query
+	isHull  []bool       // per query instance: whether it is one of them
 
 	checker Checker
 }
@@ -75,6 +81,7 @@ func (sc *CheckScratch) setDenseSpan(n int) {
 // recycled as-is.
 func (sc *CheckScratch) reset() {
 	sc.pairs.Reset()
+	sc.insts.Reset()
 	sc.floats.Reset()
 	sc.distPairs.Reset()
 	sc.stats.Reset()
@@ -124,10 +131,13 @@ func (sc *CheckScratch) Checker(query *uncertain.Object, op Operator, cfg Filter
 		c.hullIdx = sc.hullIdx
 	}
 	sc.hullPts = growPoints(sc.hullPts, len(c.hullIdx))
+	sc.isHull = growBools(sc.isHull, query.Len())
+	clear(sc.isHull)
 	for i, j := range c.hullIdx {
 		sc.hullPts[i] = query.Instance(j)
+		sc.isHull[j] = true
 	}
-	c.hullPts = sc.hullPts
+	c.hullPts, c.isHull = sc.hullPts, sc.isHull
 	return c
 }
 
@@ -151,18 +161,52 @@ func growPoints(s []geom.Point, n int) []geom.Point {
 	return s[:n]
 }
 
-// bitRows returns two cleared pair bitsets of n rows of w words each — the
-// admissible pairs and the strictly separated ones of the exact test, or
-// G⁺ and G⁻ of a level — carved out of one reused buffer.
+// growBools returns s resized to n, reusing its capacity.
 //
-//nnc:coldpath amortized buffer growth to the search's high-water size; warm calls reslice and clear
-func (sc *CheckScratch) bitRows(n, w int) (a, b []uint64) {
-	if cap(sc.bits) < 2*n*w {
-		sc.bits = make([]uint64, 2*n*w)
+//nnc:coldpath amortized buffer growth to the search's high-water size; warm calls reslice
+func growBools(s []bool, n int) []bool {
+	if cap(s) < n {
+		return make([]bool, n)
 	}
-	sc.bits = sc.bits[:2*n*w]
-	clear(sc.bits)
-	return sc.bits[:n*w], sc.bits[n*w:]
+	return s[:n]
+}
+
+// growWords returns s resized to n, reusing its capacity.
+//
+//nnc:coldpath amortized buffer growth to the search's high-water size; warm calls reslice
+func growWords(s []uint64, n int) []uint64 {
+	if cap(s) < n {
+		return make([]uint64, n)
+	}
+	return s[:n]
+}
+
+// levelRows returns two cleared pair bitsets of n rows of w words each, G⁺
+// and G⁻ of a level.
+func (sc *CheckScratch) levelRows(n, w int) (a, b []uint64) {
+	sc.levelBits = growWords(sc.levelBits, 2*n*w)
+	clear(sc.levelBits)
+	return sc.levelBits[:n*w], sc.levelBits[n*w:]
+}
+
+// newSweepRows returns what Checker.sweep starts from: nu rows over nv
+// demand atoms with every pair admissible, as many with none strict, and the
+// two prefix masks.
+func (sc *CheckScratch) newSweepRows(nu, nv int) sweepRows {
+	w := flow.RowWords(nv)
+	sc.sweepBits = growWords(sc.sweepBits, (2*nu+2)*w)
+	rows, masks := sc.sweepBits[:2*nu*w], sc.sweepBits[2*nu*w:]
+	r := sweepRows{w: w, adm: rows[:nu*w], strict: rows[nu*w:], out: masks[:w], notFar: masks[w:]}
+	for i := range r.adm {
+		r.adm[i] = ^uint64(0)
+	}
+	if tail := uint(nv & 63); tail != 0 {
+		for i := w - 1; i < len(r.adm); i += w {
+			r.adm[i] = 1<<tail - 1
+		}
+	}
+	clear(r.strict)
+	return r
 }
 
 // growFloats returns s resized to n, reusing its capacity.

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"spatialdom/internal/flow"
@@ -94,32 +95,66 @@ func widePair(rng *rand.Rand, idU, idV, m int, q *uncertain.Object, center geom.
 }
 
 // requireExactVerdict asserts that the full ladder takes P-SD(u, v) all the
-// way to the exact test (the only reader of the hull-distance matrix), and
-// that its verdict there is the independent max-flow oracle's.
+// way to the exact test — the sweep went through every run of both objects,
+// no filter answered and a transport was solved — and that its verdict
+// there is the independent max-flow oracle's.
 func requireExactVerdict(t *testing.T, q, u, v *uncertain.Object) {
 	t.Helper()
 	c := NewChecker(q, PSD, AllFilters)
 	got := c.Dominates(u, v)
-	if c.cacheOf(u).hullD == nil {
-		t.Fatalf("P-SD(%d,%d) was decided before the exact test: %+v", u.ID(), v.ID(), c.Stats)
+	st := c.Stats
+	if c.cacheOf(u).sorted != q.Len() || c.cacheOf(v).sorted != q.Len() || st.FlowSolves == 0 ||
+		st.StatPrunes+st.MBRValidations+st.SphereValidations+st.LevelDecisions != 0 {
+		t.Fatalf("P-SD(%d,%d) was decided before the exact test: %+v", u.ID(), v.ID(), st)
 	}
 	if want := oraclePSDMatch(u, v, q, 1e-9); got != want {
 		t.Fatalf("P-SD(%d,%d) = %v, max-flow oracle %v", u.ID(), v.ID(), got, want)
 	}
 }
 
-// A warm exact test on wide objects allocates nothing: rows, flow matrix
-// and solver state are the checker's scratch at their high-water size.
+// A warm sweep and solve on wide objects allocate nothing: sorted runs,
+// rows, flow matrix and solver state are the checker's scratch at their
+// high-water size, with rows one word wide and three.
 func TestPSDExactWideObjectsAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(1003))
 	q := randObject(rng, 0, 2, 4, geom.Point{10, 10}, 3)
-	u, v := widePair(rng, 1, 2, 64, q, geom.Point{60, 20})
+	for _, m := range []int{64, 130} {
+		u, v := widePair(rng, 1, 2, m, q, geom.Point{60, 20})
+		c := NewChecker(q, PSD, AllFilters)
+		su, sv := c.summaryOf(u), c.summaryOf(v)
+		exact := func() bool {
+			adm, strict, ok := c.sweep(su, sv)
+			return ok && c.psdSolve(su, sv, adm, strict)
+		}
+		if !exact() {
+			t.Fatalf("m = %d: the pushed-out copy must be P-SD-dominated", m)
+		}
+		if n := testing.AllocsPerRun(50, func() { exact() }); n != 0 {
+			t.Fatalf("warm sweep and solve at m = %d allocate %v times per check, want 0", m, n)
+		}
+	}
+}
+
+// The sweep's rows are still to be solved when the level-by-level rung runs
+// its own transports over rows of its own: on a pair of 70 instances that
+// G⁻ and G⁺ leave undecided, the exact solve that follows must find the
+// rows as the sweep left them.
+func TestLevelRungLeavesSweepRowsIntact(t *testing.T) {
+	rng := rand.New(rand.NewSource(1004))
+	q := randObject(rng, 0, 2, 4, geom.Point{10, 10}, 3)
+	u, v := widePair(rng, 1, 2, 70, q, geom.Point{60, 20})
 	c := NewChecker(q, PSD, AllFilters)
 	su, sv := c.summaryOf(u), c.summaryOf(v)
-	if !c.psdExact(su, sv) {
-		t.Fatal("the pushed-out copy must be P-SD-dominated")
+	adm, _, ok := c.sweep(su, sv)
+	if !ok {
+		t.Fatal("the sweep refuted a pair the identity matches")
 	}
-	if n := testing.AllocsPerRun(50, func() { c.psdExact(su, sv) }); n != 0 {
-		t.Fatalf("warm psdExact at m = 64 allocates %v times per check, want 0", n)
+	want := slices.Clone(adm)
+	if _, decided := c.levelDecidePSD(su, sv); decided || c.Stats.FlowSolves == 0 {
+		t.Fatalf("the level rung must run and leave the pair undecided: %+v", c.Stats)
 	}
+	if !slices.Equal(adm, want) {
+		t.Fatal("the level rung wrote over the sweep's rows")
+	}
+	requireExactVerdict(t, q, u, v)
 }

@@ -3,6 +3,7 @@ package distr
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"spatialdom/internal/geom"
@@ -322,5 +323,38 @@ func TestDistributionString(t *testing.T) {
 	d := MustFromPairs([]Pair{{1, 0.5}, {2, 0.5}})
 	if d.String() != "{(1, 0.5), (2, 0.5)}" {
 		t.Fatalf("String = %q", d.String())
+	}
+}
+
+// RunSorter leaves every run exactly as SortRuns does — tied distances
+// included, on both sides of the insertion-sort cutoff — and names the
+// instance each sorted atom came from.
+func TestRunSorterMatchesSortRuns(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	var s RunSorter
+	for _, m := range []int{1, 2, 10, insertionCutoff, insertionCutoff + 1, 130} {
+		probs := make([]float64, m)
+		for i := range probs {
+			probs[i] = rng.Float64()
+		}
+		runs := make([]Pair, 3*m)
+		for k := range runs {
+			runs[k] = Pair{Dist: float64(rng.Intn(m/2 + 2)), Prob: probs[k%m]} // many ties
+		}
+		want := slices.Clone(runs)
+		SortRuns(want, m)
+		got, inst := slices.Clone(runs), make([]int32, len(runs))
+		s.SortRuns(got, inst, probs)
+		if !slices.Equal(got, want) {
+			t.Fatalf("m = %d: sorted runs differ from SortRuns", m)
+		}
+		for k, a := range got {
+			if from := runs[k/m*m+int(inst[k])]; from != a {
+				t.Fatalf("m = %d: atom %d is %v, instance %d holds %v", m, k, a, inst[k], from)
+			}
+		}
+		if n := testing.AllocsPerRun(10, func() { s.SortRuns(got, inst, probs) }); n != 0 {
+			t.Fatalf("m = %d: a warm sort allocates %v times", m, n)
+		}
 	}
 }

@@ -25,3 +25,56 @@ func sortPairs(p []Pair) {
 	}
 	slices.SortFunc(p, func(a, b Pair) int { return cmp.Compare(a.Dist, b.Dist) })
 }
+
+// RunSorter is SortRuns for a caller that needs to know, after the sort,
+// which instance each atom belongs to. The sort goes through a buffer of
+// (distance, instance) keys the sorter retains, so a warm sort does not
+// allocate. The zero value is ready to use.
+type RunSorter struct{ keys []runKey }
+
+type runKey struct {
+	dist float64
+	inst int32
+}
+
+// SortRuns sorts each run of a Summarize buffer in place — into the same
+// order, ties included, SortRuns leaves it in — and sets inst[k] to the
+// instance of the atom now at position k of its run. probs are the
+// probabilities Summarize filled the runs from, one per instance.
+func (s *RunSorter) SortRuns(runs []Pair, inst []int32, probs []float64) {
+	for lo, m := 0, len(probs); lo < len(runs); lo += m {
+		s.sort(runs[lo:lo+m], inst[lo:lo+m], probs)
+	}
+}
+
+func (s *RunSorter) sort(run []Pair, inst []int32, probs []float64) {
+	keys := s.grow(len(run))
+	for i, p := range run {
+		keys[i] = runKey{p.Dist, int32(i)}
+	}
+	if len(keys) <= insertionCutoff {
+		for i := 1; i < len(keys); i++ {
+			key, j := keys[i], i
+			for ; j > 0 && key.dist < keys[j-1].dist; j-- {
+				keys[j] = keys[j-1]
+			}
+			keys[j] = key
+		}
+	} else {
+		slices.SortFunc(keys, func(a, b runKey) int { return cmp.Compare(a.dist, b.dist) })
+	}
+	for k, key := range keys {
+		run[k] = Pair{Dist: key.dist, Prob: probs[key.inst]}
+		inst[k] = key.inst
+	}
+}
+
+// grow returns the key buffer resized to n.
+//
+//nnc:coldpath amortized buffer growth to the longest run sorted so far; warm calls reslice
+func (s *RunSorter) grow(n int) []runKey {
+	if cap(s.keys) < n {
+		s.keys = make([]runKey, n)
+	}
+	return s.keys[:n]
+}

@@ -2,7 +2,7 @@
 // out of a few large backing arrays, all released at once.
 //
 // The dominance hot path builds thousands of short-lived-per-search slices
-// (distribution atoms, hull-distance rows, per-object caches). Allocating
+// (distribution atoms, sorted-run instance orders, per-object caches). Allocating
 // each with make churns the garbage collector; an Arena instead hands out
 // sub-slices of reusable slabs, and a search-end Reset recycles every slab
 // for the next search. Steady-state searches therefore allocate nothing:
