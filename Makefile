@@ -30,12 +30,16 @@ fmt-check:
 # loc prints the size ROADMAP's "halve the structural code" acceptance is
 # stated in: lines of non-test .go files, nnclint's golden corpora
 # (internal/lint/testdata) excluded — per package directory, then in total,
-# then the share of it under cmd/ and how many binaries that is.
+# then the product graph (what `go list -deps ./cmd/nncserver` pulls from
+# this module: the server and everything it serves with, none of the
+# reference implementations, tools or examples), then the share under cmd/
+# and how many binaries that is.
 loc:
-	@find . -name '*.go' ! -name '*_test.go' ! -path './internal/lint/testdata/*' -exec wc -l {} + \
-	| awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1; if (d ~ /^\.\/cmd\//) c += $$1 } \
+	@p=$$($(GO) list -deps -f '{{if and .Module (not .Standard)}}{{range .GoFiles}}{{$$.Dir}}/{{.}} {{end}}{{end}}' ./cmd/nncserver | xargs cat | wc -l); \
+	find . -name '*.go' ! -name '*_test.go' ! -path './internal/lint/testdata/*' -exec wc -l {} + \
+	| awk -v p=$$p '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1; if (d ~ /^\.\/cmd\//) c += $$1 } \
 		END { for (d in n) { printf "%7d %s\n", n[d], d | "sort -k2"; b += (d ~ /^\.\/cmd\//) }; close("sort -k2"); \
-			printf "%7d total\n%7d cmd/ in %d binaries\n", t, c, b }'
+			printf "%7d total\n%7d product graph (go list -deps ./cmd/nncserver)\n%7d cmd/ in %d binaries\n", t, p, c, b }'
 
 test: vet
 	$(GO) test ./...
@@ -43,16 +47,16 @@ test: vet
 race:
 	$(GO) test -race ./...
 
-# check is the CI gate — the steps of the CI lint and check jobs plus the
-# fuzz smoke, one list: formatting + vet + build + nnclint + race tests + a
+# check is the CI gate, one list: formatting + vet + build + nnclint + race tests + a
 # one-shot Figure 12, disk-cold, P-SD-miss, band-scan, wide-object P-SD and
 # commit benchmark smoke so the engine's hot path stays exercised in memory, against
 # a page file, on objects wider than any repo-benchmark workload has and
 # through the WAL write path, the batch scaling gate
 # without the race detector (it skips under it) and the parallel-search
 # benchmarks at four procs (the only place the batch path is timed), the
-# server boot smoke, the size count, and a short fuzz pass over the
-# on-disk decoders and the request pipeline.
+# server boot smoke, the size count, and a short fuzz pass over every
+# decoder of outside bytes and the request pipeline. CI's check job is
+# `make check`, so this list is the only one.
 check: fmt-check
 	$(GO) vet ./...
 	$(GO) build ./...
@@ -144,26 +148,29 @@ smoke:
 	kill -TERM $$(cat $$d/replay.pid); wait; \
 	echo "smoke: memory and disk servers agree, shut down cleanly; a pending WAL is refused read-only and replayed -mutable"
 
+# The eight fuzz targets: every decoder of bytes this process did not
+# write — the CSV loader, the page-file opener, the object record, the
+# rtree node, the super page, the WAL record scanner, a shard's
+# /shard/query reply as the router decodes it — and the HTTP request
+# pipeline (decodeBody → buildQuery). Never a panic, never garbage accepted.
+# Several corpora seed large inputs; left at its 60s default the fuzzer
+# spends the whole run minimizing mutations of them, hence
+# -fuzzminimizetime. FUZZTIME is per target.
+FUZZTIME ?= 30s
 fuzz:
-	$(GO) test -fuzz=FuzzRead -fuzztime=30s ./internal/dataio
-	$(GO) test -fuzz=FuzzOpen -fuzztime=30s ./internal/pager
-	$(GO) test -fuzz=FuzzRecordDecode -fuzztime=30s ./internal/diskstore
-	$(GO) test -fuzz=FuzzNodeDecode -fuzztime=30s ./internal/diskrtree
-	$(GO) test -fuzz=FuzzSuperDecode -fuzztime=30s ./internal/diskindex
-	$(GO) test -fuzz=FuzzBuildQuery -fuzztime=30s -fuzzminimizetime=1s ./internal/server
+	$(GO) test -run='^$$' -fuzz=FuzzRead -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/dataio
+	$(GO) test -run='^$$' -fuzz=FuzzOpen -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/pager
+	$(GO) test -run='^$$' -fuzz=FuzzRecordDecode -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/diskstore
+	$(GO) test -run='^$$' -fuzz=FuzzNodeDecode -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/diskrtree
+	$(GO) test -run='^$$' -fuzz=FuzzSuperDecode -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/diskindex
+	$(GO) test -run='^$$' -fuzz=FuzzScan -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/wal
+	$(GO) test -run='^$$' -fuzz=FuzzShardReply -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/cluster
+	$(GO) test -run='^$$' -fuzz=FuzzBuildQuery -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/server
 
-# fuzz-smoke is the short decoder pass wired into `make check`: every
-# on-disk decoder (object record, rtree node, super page) and the HTTP
-# request pipeline (decodeBody → buildQuery) survive 10s of
-# coverage-guided input without panicking or accepting garbage. The
-# request corpus seeds a 4097-instance body; left at its 60s default the
-# fuzzer spends the whole run minimizing mutations of it, hence
-# -fuzzminimizetime.
+# fuzz-smoke is the short pass wired into `make check`: the same eight
+# targets at 5s each.
 fuzz-smoke:
-	$(GO) test -run='^$$' -fuzz=FuzzRecordDecode -fuzztime=10s ./internal/diskstore
-	$(GO) test -run='^$$' -fuzz=FuzzNodeDecode -fuzztime=10s ./internal/diskrtree
-	$(GO) test -run='^$$' -fuzz=FuzzSuperDecode -fuzztime=10s ./internal/diskindex
-	$(GO) test -run='^$$' -fuzz=FuzzBuildQuery -fuzztime=10s -fuzzminimizetime=1s ./internal/server
+	$(MAKE) fuzz FUZZTIME=5s
 
 # wal runs the durability suite under the race detector: WAL unit tests,
 # the crash kill-point sweeps (exact pre-or-post transaction recovery at
@@ -185,7 +192,8 @@ cluster:
 	$(GO) test -race ./internal/cluster ./internal/clusterfault
 
 # faults runs the end-to-end fault-injection suite under the race
-# detector: engine degradation, quarantine, retry, fsck, legacy compat.
+# detector: engine degradation, quarantine, retry, fsck, the refused header
+# versions.
 faults:
-	$(GO) test -race -run 'Fault|Faults|Degrad|Partial|Torn|Transient|Quarantine|Legacy|Fsck|Rewrite|Waiter|Panic|Ready|Healthz|Stream|BitFlip|ShortRead|Classify|PageError|Backoff|Sleep' \
+	$(GO) test -race -run 'Fault|Faults|Degrad|Partial|Torn|Transient|Quarantine|Version|Fsck|Rewrite|Waiter|Panic|Ready|Healthz|Stream|BitFlip|ShortRead|Classify|PageError|Backoff|Sleep' \
 		./internal/faults ./internal/faultfile ./internal/pager ./internal/diskindex ./internal/core ./internal/server

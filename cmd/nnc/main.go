@@ -11,7 +11,7 @@
 //	nnc query -n=5000 -op=all -k=3                 # in-memory index
 //	nnc query -n=5000 -disk=objects.pg -queries=4  # same queries, page file
 //	nnc fsck objects.pg                            # checksums + WAL + structure; exit 1 on findings
-//	nnc rewrite objects.pg                         # rebuild in place (upgrades legacy files, drops dead records)
+//	nnc rewrite objects.pg                         # rebuild in place, dropping dead records
 //	nnc checkpoint objects.pg                      # flush the WAL into the page file
 //	nnc wal-dump objects.pg.wal                    # print every WAL record
 //	nnc figure -figure=10 -scale=small             # a figure of the paper's evaluation

@@ -111,6 +111,19 @@ func TestQueryMemoryDiskParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A header claiming another format version — 0 was once "no checksums
+	// to verify" — is a finding to fsck and a refusal to query.
+	raw[12] = 0
+	if err := os.WriteFile(pg, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if out, err := nnc(t, "fsck", "-v", pg); err == nil || errors.Is(err, dataio.ErrUsage) || !strings.Contains(out, "version 0") {
+		t.Fatalf("fsck of a header at version 0: %v\n%s", err, out)
+	}
+	if _, err := nnc(t, with("query", "-disk="+pg)...); err == nil || !strings.Contains(err.Error(), "version 0") {
+		t.Fatalf("query over a header at version 0: %v", err)
+	}
+	raw[12] = 1
 	raw[len(raw)/2] ^= 0x40
 	if err := os.WriteFile(pg, raw, 0o644); err != nil {
 		t.Fatal(err)

@@ -13,7 +13,7 @@ import (
 
 // fsck scans the whole page file, verifies every checksum and reports per
 // page type, then checks the WAL and the structural invariants. Any
-// finding is an error; a legacy, checksum-free file is clean.
+// finding is an error.
 func fsck(fs *flag.FlagSet, args []string, out, _ io.Writer) error {
 	verbose := fs.Bool("v", false, "list every corrupt page")
 	frames := fs.Int("frames", 128, "buffer pool frames for the structural pass")
@@ -26,9 +26,6 @@ func fsck(fs *flag.FlagSet, args []string, out, _ io.Writer) error {
 	}
 	fmt.Fprintf(out, "%s: format v%d, %d pages x %d bytes (%d payload)\n",
 		rep.Path, rep.Version, rep.Pages, rep.PageSize, rep.Payload)
-	if rep.Legacy {
-		fmt.Fprintln(out, "legacy file: no checksums to verify (run `nnc rewrite` to upgrade)")
-	}
 	corruptByType := map[pager.PageType]int{}
 	for _, c := range rep.Corrupt {
 		corruptByType[c.Type]++
@@ -53,8 +50,12 @@ func fsck(fs *flag.FlagSet, args []string, out, _ io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "structure: epoch %d, %d tree + %d store pages, %d free, %d live objects, %d dead records\n",
-		srep.Epoch, srep.TreePages, srep.StorePages, srep.FreePages, srep.LiveObjects, srep.DeadRecords)
+	dead := "dead records not counted (the record scan did not finish)"
+	if srep.StoreScanned {
+		dead = fmt.Sprintf("%d dead records", srep.DeadRecords)
+	}
+	fmt.Fprintf(out, "structure: epoch %d, %d tree + %d store pages, %d free, %d live objects, %s\n",
+		srep.Epoch, srep.TreePages, srep.StorePages, srep.FreePages, srep.LiveObjects, dead)
 	if srep.WALRecords > 0 || srep.WALTorn > 0 {
 		fmt.Fprintf(out, "wal: %d records, %d committed transactions pending replay, %d torn bytes\n",
 			srep.WALRecords, srep.WALCommitted, srep.WALTorn)
@@ -70,7 +71,7 @@ func fsck(fs *flag.FlagSet, args []string, out, _ io.Writer) error {
 }
 
 // rewrite rebuilds the index into a temp file and renames it over the
-// original, upgrading a legacy (pre-checksum) file to the current format.
+// original: the compactor, which leaves dead records and leaked pages behind.
 func rewrite(fs *flag.FlagSet, args []string, out, _ io.Writer) error {
 	frames := fs.Int("frames", 128, "buffer pool frames for the rebuild")
 	if err := parse(fs, args, 1); err != nil {
@@ -98,11 +99,7 @@ func checkpoint(fs *flag.FlagSet, args []string, out, _ io.Writer) error {
 		fmt.Fprintf(out, "recovered %d committed transaction(s), %d page(s) replayed\n",
 			rec.CommittedTxs, rec.PagesApplied)
 	}
-	if err := ix.Checkpoint(); err != nil {
-		ix.Close()
-		return err
-	}
-	if err := ix.Close(); err != nil {
+	if err := ix.Close(); err != nil { // Close checkpoints
 		return err
 	}
 	fmt.Fprintf(out, "checkpointed %s\n", fs.Arg(0))

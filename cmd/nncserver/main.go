@@ -99,12 +99,12 @@ func main() {
 	flag.Parse()
 
 	// open produces the backend, in the boot goroutine, while the listener
-	// already answers /readyz with 503 and the reason; closer is what a
-	// clean shutdown closes after the drain. Everything the command line
-	// can get wrong is checked here, before the port binds.
+	// already answers /readyz with 503 and the reason; a backend that is an
+	// io.Closer (a disk index) is closed after the drain. Everything the
+	// command line can get wrong is checked here, before the port binds.
 	var (
 		reason string
-		open   func() (b server.Backend, closer io.Closer, err error)
+		open   func() (server.Backend, error)
 		rt     *cluster.Router
 	)
 	switch {
@@ -124,38 +124,38 @@ func main() {
 			usage(err)
 		}
 		reason = fmt.Sprintf("asking %d shard(s) what they hold", len(shardURLs))
-		open = func() (server.Backend, io.Closer, error) {
+		open = func() (server.Backend, error) {
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			defer cancel()
 			if err := rt.Refresh(ctx); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			log.Printf("routing %d objects across %d shard(s)", rt.Len(), len(shardURLs))
-			return rt, nil, nil
+			return rt, nil
 		}
 	case *disk != "" && *mutable:
 		reason = "wal replay: " + *disk
-		open = func() (server.Backend, io.Closer, error) {
+		open = func() (server.Backend, error) {
 			idx, err := diskindex.OpenFileMutable(*disk, &diskindex.MutableOptions{Frames: *frames})
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			if rec := idx.WALRecovery(); rec != nil && rec.CommittedTxs > 0 {
 				log.Printf("recovered %d committed transaction(s) from the WAL", rec.CommittedTxs)
 			}
 			log.Printf("serving mutable disk index %s (epoch %d)", idx, idx.Epoch())
 			// Close checkpoints, so a clean shutdown leaves an empty WAL.
-			return idx, idx, nil
+			return idx, nil
 		}
 	case *disk != "":
 		reason = "opening " + *disk
-		open = func() (server.Backend, io.Closer, error) {
-			idx, pf, err := diskindex.OpenFile(*disk, *frames)
+		open = func() (server.Backend, error) {
+			idx, err := diskindex.OpenFile(*disk, *frames)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			log.Printf("serving disk index %s", idx)
-			return idx, pf, nil
+			return idx, nil
 		}
 	default:
 		ds, label, err := src.Load()
@@ -164,13 +164,13 @@ func main() {
 		}
 		reason = "indexing " + label
 		objs := ds.Objects // not ds: the closure outlives the boot, the centres need not
-		open = func() (server.Backend, io.Closer, error) {
+		open = func() (server.Backend, error) {
 			store, err := front.NewMemStore(objs)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			log.Printf("serving %d objects of %s from memory", len(objs), label)
-			return store, nil, nil
+			return store, nil
 		}
 	}
 
@@ -202,11 +202,11 @@ func main() {
 		ReadHeaderTimeout: 5 * time.Second,
 	}
 
-	// booted carries the backend's closer (nil when it owns no file) from
-	// the boot goroutine to the shutdown path.
-	booted := make(chan io.Closer, 1)
+	// booted carries the backend from the boot goroutine to the shutdown
+	// path.
+	booted := make(chan server.Backend, 1)
 	go func() {
-		b, closer, err := open()
+		b, err := open()
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -217,7 +217,7 @@ func main() {
 		door := front.NewDoor(b, doorCfg)
 		fh.AttachDoor(door)
 		srv.Attach(door)
-		booted <- closer
+		booted <- b
 	}()
 
 	// Graceful shutdown: SIGINT/SIGTERM stops accepting connections and
@@ -245,9 +245,9 @@ func main() {
 			log.Printf("drain incomplete: %v", err)
 		}
 		select {
-		case closer := <-booted:
-			if closer != nil {
-				if err := closer.Close(); err != nil {
+		case b := <-booted:
+			if c, ok := b.(io.Closer); ok {
+				if err := c.Close(); err != nil {
 					log.Printf("closing the index: %v", err)
 				}
 			}

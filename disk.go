@@ -16,7 +16,6 @@ import (
 // are identical to serial execution. See internal/diskindex.
 type DiskIndex struct {
 	inner *diskindex.Index
-	file  *pager.PageFile
 }
 
 // DiskResult is a disk search outcome.
@@ -38,18 +37,18 @@ func BuildDiskIndex(path string, objs []*Object, frames int) (*DiskIndex, error)
 		pf.Close()
 		return nil, err
 	}
-	return &DiskIndex{inner: idx, file: pf}, nil
+	return &DiskIndex{inner: idx}, nil
 }
 
 // OpenDiskIndex reattaches read-only to a page file previously written by
 // BuildDiskIndex. A file a mutable session left with a non-empty WAL is
 // refused rather than served from its pre-WAL state.
 func OpenDiskIndex(path string, frames int) (*DiskIndex, error) {
-	idx, pf, err := diskindex.OpenFile(path, frames)
+	idx, err := diskindex.OpenFile(path, frames)
 	if err != nil {
 		return nil, err
 	}
-	return &DiskIndex{inner: idx, file: pf}, nil
+	return &DiskIndex{inner: idx}, nil
 }
 
 // Len returns the number of indexed objects.
@@ -83,4 +82,4 @@ func (d *DiskIndex) ResetCache() { d.inner.ResetCache() }
 func (d *DiskIndex) SetObjCacheCap(n int) { d.inner.SetObjCacheCap(n) }
 
 // Close flushes and closes the underlying page file.
-func (d *DiskIndex) Close() error { return d.file.Close() }
+func (d *DiskIndex) Close() error { return d.inner.Close() }

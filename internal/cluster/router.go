@@ -290,7 +290,7 @@ func (rt *Router) SearchKCtx(ctx context.Context, q *uncertain.Object, op core.O
 			partial.UnreadableNodes += resp.UnreadableNodes
 			partial.UnreadableObjects += resp.UnreadableObjects
 		}
-		objs, err := decodeBand(resp.Candidates)
+		objs, err := decodeBand(resp.Candidates, q.Dim())
 		if err != nil {
 			return nil, err
 		}
@@ -343,8 +343,9 @@ func (rt *Router) encodeQuery(q *uncertain.Object, op core.Operator, k int, opts
 
 // decodeBand rebuilds a shard's k-skyband objects bit-for-bit
 // (uncertain.FromNormalized skips renormalization; JSON float64 encoding
-// round-trips exactly).
-func decodeBand(cands []server.ShardCandidate) ([]*uncertain.Object, error) {
+// round-trips exactly). A candidate of any dimensionality but the query's
+// dim is refused here: the merge would index past its coordinates.
+func decodeBand(cands []server.ShardCandidate, dim int) ([]*uncertain.Object, error) {
 	objs := make([]*uncertain.Object, 0, len(cands))
 	for _, c := range cands {
 		pts := make([]geom.Point, len(c.Instances))
@@ -352,6 +353,9 @@ func decodeBand(cands []server.ShardCandidate) ([]*uncertain.Object, error) {
 			pts[i] = geom.Point(row)
 		}
 		o, err := uncertain.FromNormalized(c.ID, pts, c.Probs)
+		if err == nil && o.Dim() != dim {
+			err = fmt.Errorf("%w: dim %d in answer to a query of dim %d", uncertain.ErrDimMismatch, o.Dim(), dim)
+		}
 		if err != nil {
 			return nil, &stickyError{fmt.Errorf("cluster: shard candidate %d: %w", c.ID, err)}
 		}

@@ -17,7 +17,7 @@ import (
 // transaction, and require that recovery lands on exactly the
 // pre-transaction or the post-transaction state — never a mixture, never
 // an unopenable file. This is the executable form of the commit
-// protocol's central claim (DESIGN.md §2e).
+// protocol's central claim (DESIGN.md §2d).
 
 func copyFile(t *testing.T, src, dst string) {
 	t.Helper()
@@ -95,7 +95,7 @@ func sweepOne(t *testing.T, base string, limit int64, op func(*Index) error,
 	// no pool flush. The page file holds whatever the pool happened to
 	// evict — recovery must cope with any mix.
 	ix.mut.wal.Close()
-	ix.mut.owned.Close()
+	ix.pool.File().Close()
 
 	ix2, err := OpenFileMutable(work, &MutableOptions{Frames: 32})
 	if err != nil {
@@ -157,7 +157,7 @@ func measureTx(t *testing.T, base string, op func(*Index) error) int64 {
 	}
 	n := ix.WALSize() - wal.HeaderSize
 	ix.mut.wal.Close()
-	ix.mut.owned.Close()
+	ix.pool.File().Close()
 	if n <= 0 {
 		t.Fatalf("transaction appended %d WAL bytes", n)
 	}
@@ -257,7 +257,7 @@ func TestCrashRecoveryIdempotent(t *testing.T) {
 	}
 	// Crash with the commit only in the WAL.
 	ix.mut.wal.Close()
-	ix.mut.owned.Close()
+	ix.pool.File().Close()
 
 	for round := 0; round < 3; round++ {
 		ix2, err := OpenFileMutable(work, &MutableOptions{Frames: 32, WALLimit: -1})
@@ -274,7 +274,7 @@ func TestCrashRecoveryIdempotent(t *testing.T) {
 		// Crash again without checkpointing: the next open recovers anew
 		// from a WAL that the previous recovery already reset.
 		ix2.mut.wal.Close()
-		ix2.mut.owned.Close()
+		ix2.pool.File().Close()
 	}
 }
 
@@ -347,7 +347,7 @@ func TestCrashFailedImageWriteAbortsCleanly(t *testing.T) {
 	}
 	// The process dies here: no checkpoint, no pool flush.
 	ix.mut.wal.Close()
-	ix.mut.owned.Close()
+	ix.pool.File().Close()
 
 	ix2, err := OpenFileMutable(path, &MutableOptions{Frames: 64})
 	if err != nil {

@@ -56,14 +56,8 @@ type (
 type Index struct {
 	pool  *pager.Pool
 	super pager.PageID
-	store *diskstore.Store
+	store *diskstore.Store // the writer's handle; reads go through snap's clone
 	tree  *diskrtree.Tree
-
-	// denseSpan is max(object ID)+1, persisted in the super page at Build
-	// time when every ID is non-negative; 0 means unknown (including files
-	// written before the field existed — the bytes were zeroed), in which
-	// case the checker keeps its map-backed cache.
-	denseSpan int
 
 	// objCache holds decoded objects keyed by record pointer, bounded by a
 	// sharded LRU over DefaultObjCacheCap entries (SetObjCacheCap to
@@ -76,25 +70,29 @@ type Index struct {
 	// counters, owned here so they survive cache swaps.
 	cacheHits, cacheEvictions atomic.Int64
 
-	// snap is the current published snapshot of a mutable index; nil on a
-	// read-only one. Searches pin it via acquire/release; the single
-	// writer swaps it at commit (see mutable.go).
+	// snap is the published snapshot every read goes through, set at
+	// construction. Searches pin it (pinned); the single writer of a
+	// mutable index swaps it at commit (see mutable.go); a read-only index
+	// keeps its first one for life.
 	snap    atomic.Pointer[snapshot]
 	writeMu sync.Mutex
 	mut     *mutState
 }
 
-// snapshot is one published, immutable view of a mutable index: the tree
-// root and geometry, the id span, and a store clone whose directory the
-// writer will never mutate in place.
+// snapshot is one published, immutable view of the index: the tree root
+// and geometry, the id span, and a store clone whose directory the writer
+// will never mutate in place.
 type snapshot struct {
 	epoch  uint64
 	root   pager.PageID
 	height int
 	size   int
-	span   int
-	store  *diskstore.Store
-	refs   atomic.Int64
+	// span is max(object ID)+1 when every ID is non-negative, as the super
+	// page persists it; 0 means unknown and the checker keeps its
+	// map-backed cache.
+	span  int
+	store *diskstore.Store
+	refs  atomic.Int64
 }
 
 var _ core.Backend = (*Index)(nil)
@@ -109,19 +107,6 @@ var ErrNoObjects = errors.New("diskindex: no objects")
 // SuperPageID is the fixed page a Build's super block lands on: the first
 // page allocated after the file header.
 const SuperPageID = pager.PageID(1)
-
-// ParseSuper validates and decodes a super-page image into the two
-// metadata page ids and the dense object-ID span. Malformed input yields
-// an error wrapping ErrBadSuper — never a panic. It delegates to
-// DecodeSuper (the full v2 decoder, the single source of super-page
-// decode truth) and remains the surface FuzzSuperDecode exercises.
-func ParseSuper(buf []byte) (storeMeta, treeMeta pager.PageID, span int, err error) {
-	sb, err := DecodeSuper(buf)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	return sb.StoreMeta, sb.TreeMeta, sb.Span, nil
-}
 
 // Build writes the objects and their R-tree into the pool's file and
 // returns the index. The first page Build allocates is the super page;
@@ -170,69 +155,89 @@ func Build(pool *pager.Pool, objs []*uncertain.Object) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	EncodeSuper(buf, SuperBlock{StoreMeta: store.Meta(), TreeMeta: tree.Meta(), Span: span})
+	sb := SuperBlock{StoreMeta: store.Meta(), TreeMeta: tree.Meta(), Span: span}
+	EncodeSuper(buf, sb)
 	pool.MarkDirty(super)
 	pool.Unpin(super)
 	if err := pool.Flush(); err != nil {
 		return nil, err
 	}
-	return newIndex(pool, super, store, tree, span), nil
+	return newIndex(pool, super, store, tree, sb), nil
 }
 
 // Open reattaches to an index previously Built in the pool's file.
 //
-//nnc:allow ctx-flow: Open reads two metadata pages at startup; it is not on the query path
+//nnc:allow ctx-flow: Open reads a few metadata pages at startup; it is not on the query path
 func Open(pool *pager.Pool, super pager.PageID) (*Index, error) {
+	ix, _, err := attach(pool, super)
+	return ix, err
+}
+
+// attach is the one open sequence: super page, then the store and the tree
+// it names. The super block comes back with the index because a mutable
+// open needs its free list.
+func attach(pool *pager.Pool, super pager.PageID) (*Index, SuperBlock, error) {
 	buf, err := pool.Get(super)
 	if err != nil {
-		return nil, err
+		return nil, SuperBlock{}, err
 	}
-	sb, perr := DecodeSuper(buf)
+	sb, err := DecodeSuper(buf)
 	pool.Unpin(super)
-	if perr != nil {
-		return nil, perr
+	if err != nil {
+		return nil, sb, err
 	}
 	store, err := diskstore.Open(pool, sb.StoreMeta)
 	if err != nil {
-		return nil, err
+		return nil, sb, err
 	}
 	tree, err := diskrtree.Open(pool, sb.TreeMeta)
 	if err != nil {
-		return nil, err
+		return nil, sb, err
 	}
-	return newIndex(pool, super, store, tree, sb.Span), nil
+	return newIndex(pool, super, store, tree, sb), sb, nil
+}
+
+// walPending reports whether the WAL beside the page file at path holds
+// anything past its header: transactions the page file may not hold yet.
+func walPending(path string) bool {
+	st, err := os.Stat(path + ".wal")
+	return err == nil && st.Size() > wal.HeaderSize
 }
 
 // OpenFile opens the index file at path read-only behind a buffer pool of
-// the given number of frames; the caller closes the returned page file.
-// A file whose WAL (path + ".wal") holds anything past its header is
-// refused: a mutable session committed transactions the page file may not
-// hold yet, and serving the pages as they are would silently answer from
-// the state before them.
+// the given number of frames; Close releases the file. A file with a
+// pending WAL is refused: serving the pages as they are would silently
+// answer from the state before the logged transactions.
 //
-//nnc:allow ctx-flow: OpenFile reads two metadata pages at startup; it is not on the query path
-func OpenFile(path string, frames int) (*Index, *pager.PageFile, error) {
-	walFile := path + ".wal"
-	if st, err := os.Stat(walFile); err == nil && st.Size() > wal.HeaderSize {
-		return nil, nil, fmt.Errorf("diskindex: %s holds transactions that are not in %s yet: open it mutable (-mutable) or run `nnc checkpoint %s` first",
-			walFile, path, path)
+//nnc:allow ctx-flow: OpenFile reads a few metadata pages at startup; it is not on the query path
+func OpenFile(path string, frames int) (*Index, error) {
+	if walPending(path) {
+		return nil, fmt.Errorf("diskindex: %s.wal holds transactions that are not in %s yet: open it mutable (-mutable) or run `nnc checkpoint %s` first",
+			path, path, path)
 	}
 	pf, err := pager.Open(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	ix, err := Open(pager.NewPool(pf, frames), SuperPageID)
 	if err != nil {
 		pf.Close()
-		return nil, nil, err
+		return nil, err
 	}
-	return ix, pf, nil
+	return ix, nil
 }
 
-func newIndex(pool *pager.Pool, super pager.PageID, store *diskstore.Store, tree *diskrtree.Tree, span int) *Index {
-	ix := &Index{pool: pool, super: super, store: store, tree: tree, denseSpan: span}
+// newIndex publishes the first snapshot: the state sb and the opened
+// structures describe.
+func newIndex(pool *pager.Pool, super pager.PageID, store *diskstore.Store, tree *diskrtree.Tree, sb SuperBlock) *Index {
+	ix := &Index{pool: pool, super: super, store: store, tree: tree}
 	//nnc:publish first store before the Index escapes the constructor; no reader exists yet
 	ix.objCache.Store(newObjLRU(DefaultObjCacheCap, &ix.cacheHits, &ix.cacheEvictions))
+	//nnc:publish first store before the Index escapes the constructor; no reader exists yet
+	ix.snap.Store(&snapshot{
+		epoch: sb.Epoch, root: tree.Root(), height: tree.Height(),
+		size: tree.Len(), span: sb.Span, store: store.Clone(),
+	})
 	return ix
 }
 
@@ -264,21 +269,7 @@ func (ix *Index) SetObjCacheCap(n int) {
 func (ix *Index) objCacheLen() int { return ix.objCache.Load().len() }
 
 // Len returns the number of indexed (live) objects.
-func (ix *Index) Len() int {
-	if s := ix.snap.Load(); s != nil {
-		return s.size
-	}
-	return ix.tree.Len()
-}
-
-// curStore returns the store view current reads should use: the latest
-// snapshot's clone on a mutable index, the shared store otherwise.
-func (ix *Index) curStore() *diskstore.Store {
-	if s := ix.snap.Load(); s != nil {
-		return s.store
-	}
-	return ix.store
-}
+func (ix *Index) Len() int { return ix.snap.Load().size }
 
 // ScanLive visits every live record in stream order. A record is live
 // exactly when a leaf of the committed tree points at it, so the walk
@@ -289,15 +280,12 @@ func (ix *Index) curStore() *diskstore.Store {
 //
 //nnc:allow ctx-flow: ScanLive is an offline full-file enumeration (rewrite/open), not a query; nothing upstream has a ctx to thread
 func (ix *Index) ScanLive(fn func(diskstore.Ptr, *uncertain.Object) error) error {
-	root, height, store := ix.tree.Root(), ix.tree.Height(), ix.store
-	if s := ix.snap.Load(); s != nil {
-		root, height, store = s.root, s.height, s.store
-	}
+	snap := ix.snap.Load()
 	var ptrs []diskstore.Ptr
 	var walk func(page pager.PageID, depth int) error
 	walk = func(page pager.PageID, depth int) error {
-		if depth > height {
-			return fmt.Errorf("diskindex: tree walk below page %d exceeds height %d", page, height)
+		if depth > snap.height {
+			return fmt.Errorf("diskindex: tree walk below page %d exceeds height %d", page, snap.height)
 		}
 		n, err := ix.tree.ReadNodeVia(ix.pool, page)
 		if err != nil {
@@ -312,12 +300,12 @@ func (ix *Index) ScanLive(fn func(diskstore.Ptr, *uncertain.Object) error) error
 		}
 		return nil
 	}
-	if err := walk(root, 1); err != nil {
+	if err := walk(snap.root, 1); err != nil {
 		return err
 	}
 	slices.Sort(ptrs)
 	for _, p := range ptrs {
-		o, err := store.Read(p)
+		o, err := snap.store.Read(p)
 		if err != nil {
 			return err
 		}
@@ -333,33 +321,29 @@ func (ix *Index) Dim() int { return ix.tree.Dim() }
 
 // --- core.Backend ------------------------------------------------------------
 
-// Index itself remains a core.Backend reading through the shared pool
-// with cumulative counters — the compatibility surface for callers that
-// pass it to core.SearchBackend directly. Such direct use is
-// concurrency-safe, but per-search IO deltas then include other searches'
-// traffic; SearchKCtx goes through a per-search session instead and is
-// the entry point that keeps Result.IO exact under concurrency.
+// view is one snapshot read through one pager.Reader: the only place Root,
+// Expand, Resolve and DenseIDSpan are written. A search's session reads
+// through its lease and reports the counts kept here; Index's own Backend
+// methods read through the shared pool, where the pool's and the cache's
+// cumulative counters are the record.
+type view struct {
+	tree  *diskrtree.Tree
+	snap  *snapshot
+	r     pager.Reader
+	cache *objLRU
 
-// Root returns the R-tree root page (of the current snapshot, on a
-// mutable index).
-func (ix *Index) Root() (core.NodeRef, error) {
-	if s := ix.snap.Load(); s != nil {
-		return core.NodeRef{ID: uint64(s.root)}, nil
-	}
-	return core.NodeRef{ID: uint64(ix.tree.Root())}, nil
+	cacheHits, cacheEvictions int64
 }
 
-// Expand reads the node page through the buffer pool (one counted page
-// access) and visits its children: record pointers for a leaf, child pages
-// otherwise.
-func (ix *Index) Expand(n core.NodeRef, visit func(core.BackendEntry)) error {
-	return ix.expandVia(ix.pool, n, visit)
+// Root returns the snapshot's R-tree root page.
+func (v *view) Root() (core.NodeRef, error) {
+	return core.NodeRef{ID: uint64(v.snap.root)}, nil
 }
 
-// expandVia reads the node page through r — the shared pool, or one
-// search's lease so the access is attributed to that search alone.
-func (ix *Index) expandVia(r pager.Reader, n core.NodeRef, visit func(core.BackendEntry)) error {
-	node, err := ix.tree.ReadNodeVia(r, pager.PageID(n.ID))
+// Expand reads the node page (one counted page access) and visits its
+// children: record pointers for a leaf, child pages otherwise.
+func (v *view) Expand(n core.NodeRef, visit func(core.BackendEntry)) error {
+	node, err := v.tree.ReadNodeVia(v.r, pager.PageID(n.ID))
 	if err != nil {
 		return err
 	}
@@ -376,32 +360,50 @@ func (ix *Index) expandVia(r pager.Reader, n core.NodeRef, visit func(core.Backe
 // Resolve materializes a record pointer into an object, through the
 // decoded-object LRU. Loading the object is the paper's "load the local
 // R-tree": it happens only when the MBR could not be pruned.
-//
-//nnc:allow ctx-flow: Resolve implements core.Backend, which is ctx-free by design; the engine checks ctx.Err() around every Resolve call
-func (ix *Index) Resolve(r core.ObjRef) (*uncertain.Object, error) {
+func (v *view) Resolve(r core.ObjRef) (*uncertain.Object, error) {
 	if r.Obj != nil {
 		return r.Obj, nil
 	}
 	ptr := diskstore.Ptr(r.ID)
-	cache := ix.objCache.Load()
-	if o, ok := cache.get(ptr); ok {
+	if o, ok := v.cache.get(ptr); ok {
+		v.cacheHits++
 		return o, nil
 	}
-	o, err := ix.curStore().Read(ptr)
+	o, err := v.snap.store.ReadVia(v.r, ptr)
 	if err != nil {
 		return nil, err
 	}
-	cache.put(ptr, o)
+	v.cacheEvictions += v.cache.put(ptr, o)
 	return o, nil
 }
 
-// DenseIDSpan reports the persisted object-ID span (core.DenseIDSpanner).
-func (ix *Index) DenseIDSpan() int {
-	if s := ix.snap.Load(); s != nil {
-		return s.span
-	}
-	return ix.denseSpan
+// DenseIDSpan reports the snapshot's object-ID span (core.DenseIDSpanner).
+func (v *view) DenseIDSpan() int { return v.snap.span }
+
+// Index itself is a core.Backend over the current snapshot and the shared
+// pool — the surface for callers that pass it to core.SearchBackend
+// directly. Such use is concurrency-safe, but it pins nothing and per-search
+// IO deltas then include other searches' traffic; SearchKCtx goes through a
+// per-search session instead and is the entry point that keeps Result.IO
+// exact under concurrency.
+func (ix *Index) direct() view {
+	return view{tree: ix.tree, snap: ix.snap.Load(), r: ix.pool, cache: ix.objCache.Load()}
 }
+
+func (ix *Index) Root() (core.NodeRef, error) { v := ix.direct(); return v.Root() }
+
+func (ix *Index) Expand(n core.NodeRef, visit func(core.BackendEntry)) error {
+	v := ix.direct()
+	return v.Expand(n, visit)
+}
+
+//nnc:allow ctx-flow: Resolve implements core.Backend, which is ctx-free by design; the engine checks ctx.Err() around every Resolve call
+func (ix *Index) Resolve(r core.ObjRef) (*uncertain.Object, error) {
+	v := ix.direct()
+	return v.Resolve(r)
+}
+
+func (ix *Index) DenseIDSpan() int { v := ix.direct(); return v.DenseIDSpan() }
 
 // AccessStats combines the buffer pool's cumulative counters with the
 // decoded-object cache's; the engine turns them into per-search deltas.
@@ -414,21 +416,15 @@ func (ix *Index) AccessStats() core.IOStats {
 	}
 }
 
-// --- per-search session ------------------------------------------------------
-
-// session is the per-search core.Backend: it reads pages through a
-// pager.Lease and tallies object-cache behavior locally, so the engine's
-// AccessStats delta is exactly this search's I/O no matter how many other
-// searches run concurrently. The decoded-object cache instance is pinned
-// at session creation, keeping one search internally consistent across a
-// concurrent ResetCache/SetObjCacheCap swap.
+// session is the per-search core.Backend: a view of the search's pinned
+// snapshot through a pager.Lease, so the engine's AccessStats delta is
+// exactly this search's I/O no matter how many other searches run
+// concurrently. The decoded-object cache instance is fixed at session
+// creation, keeping one search internally consistent across a concurrent
+// ResetCache/SetObjCacheCap swap.
 type session struct {
-	ix    *Index
-	snap  *snapshot // pinned view of a mutable index; nil when read-only
+	view
 	lease *pager.Lease
-	cache *objLRU
-
-	cacheHits, cacheEvictions int64
 }
 
 var (
@@ -436,50 +432,6 @@ var (
 	_ core.DenseIDSpanner = (*session)(nil)
 	_ core.DenseIDSpanner = (*Index)(nil)
 )
-
-// DenseIDSpan forwards the pinned snapshot's span to the engine.
-func (s *session) DenseIDSpan() int {
-	if s.snap != nil {
-		return s.snap.span
-	}
-	return s.ix.denseSpan
-}
-
-// store returns the store view this search reads records through.
-func (s *session) store() *diskstore.Store {
-	if s.snap != nil {
-		return s.snap.store
-	}
-	return s.ix.store
-}
-
-func (s *session) Root() (core.NodeRef, error) {
-	if s.snap != nil {
-		return core.NodeRef{ID: uint64(s.snap.root)}, nil
-	}
-	return core.NodeRef{ID: uint64(s.ix.tree.Root())}, nil
-}
-
-func (s *session) Expand(n core.NodeRef, visit func(core.BackendEntry)) error {
-	return s.ix.expandVia(s.lease, n, visit)
-}
-
-func (s *session) Resolve(r core.ObjRef) (*uncertain.Object, error) {
-	if r.Obj != nil {
-		return r.Obj, nil
-	}
-	ptr := diskstore.Ptr(r.ID)
-	if o, ok := s.cache.get(ptr); ok {
-		s.cacheHits++
-		return o, nil
-	}
-	o, err := s.store().ReadVia(s.lease, ptr)
-	if err != nil {
-		return nil, err
-	}
-	s.cacheEvictions += s.cache.put(ptr, o)
-	return o, nil
-}
 
 func (s *session) AccessStats() core.IOStats {
 	return core.IOStats{
@@ -503,15 +455,16 @@ func (ix *Index) SearchKCtx(ctx context.Context, q *uncertain.Object, op core.Op
 	if k < 1 {
 		return nil, fmt.Errorf("diskindex: k=%d must be >= 1", k)
 	}
-	// Pinning the snapshot (no-op on a read-only index) freezes this
-	// search's view: the root, the store geometry, and — via the epoch
-	// refcount — every page reachable from them, which the writer will not
-	// recycle until the pin drops. core.SearchParallel inherits this per
-	// query because it fans out through SearchKCtx.
+	// Pinning the snapshot freezes this search's view: the root, the store
+	// geometry, and — via the epoch refcount — every page reachable from
+	// them, which a writer will not recycle until the pin drops.
+	// core.SearchParallel inherits this per query because it fans out
+	// through SearchKCtx.
 	var res *Result
 	var err error
 	ix.pinned(func(snap *snapshot) {
-		s := &session{ix: ix, snap: snap, lease: ix.pool.NewLeaseCtx(ctx), cache: ix.objCache.Load()}
+		lease := ix.pool.NewLeaseCtx(ctx)
+		s := &session{view: view{tree: ix.tree, snap: snap, r: lease, cache: ix.objCache.Load()}, lease: lease}
 		res, err = core.SearchBackend(ctx, s, q, op, k, opts)
 	})
 	return res, err
@@ -519,12 +472,9 @@ func (ix *Index) SearchKCtx(ctx context.Context, q *uncertain.Object, op core.Op
 
 // String describes the index.
 func (ix *Index) String() string {
-	height := ix.tree.Height()
-	if s := ix.snap.Load(); s != nil {
-		height = s.height
-	}
+	s := ix.snap.Load()
 	return fmt.Sprintf("DiskIndex(%d objects, dim %d, tree height %d, %d pages)",
-		ix.Len(), ix.Dim(), height, ix.pool.File().Len())
+		s.size, ix.Dim(), s.height, ix.pool.File().Len())
 }
 
 // --- health & maintenance ----------------------------------------------------
@@ -557,47 +507,52 @@ func (ix *Index) Healthy(ctx context.Context) error {
 	return perr
 }
 
-// RewriteFile rebuilds the index file at path into the current on-disk
-// format via a temp file in the same directory and an atomic rename. The
-// rebuild is logical — every record is decoded from the old file (legacy v0
-// or current) and re-appended through a fresh Build — so it both upgrades
-// pre-checksum files and compacts around any format change, rather than
-// assuming payload geometry is preserved. frames sizes the buffer pools
-// used on both sides (<= 0 picks a default).
+// RewriteFile rebuilds the index file at path via a temp file in the same
+// directory and an atomic rename. The rebuild is logical — every live record
+// is decoded from the old file and re-appended through a fresh Build — so it
+// compacts: dead records, leaked free pages and unreferenced pages of older
+// layouts are left behind. frames sizes the buffer pools used on both sides
+// (<= 0 picks a default).
 //
 //nnc:allow ctx-flow: RewriteFile is an offline maintenance pass (nnc rewrite), not a query; nothing upstream has a ctx to thread
 func RewriteFile(path string, frames int) error {
 	if frames <= 0 {
 		frames = 256
 	}
-	// A WAL beside the file means a mutable session committed transactions
-	// the page file may not hold yet (or died mid-write); recover first so
-	// the rewrite reads the latest committed state.
-	walFile := path + ".wal"
-	if st, err := os.Stat(walFile); err == nil && st.Size() > wal.HeaderSize {
-		if err := recoverForRewrite(path, walFile); err != nil {
-			return err
-		}
-	}
-	ix, pf, err := OpenFile(path, frames)
+	pf, err := pager.Open(path)
 	if err != nil {
 		return err
 	}
-	physPageSize := pf.PhysicalPageSize()
+	// Read side only: replay syncs what it writes, and the rename below
+	// replaces the file.
+	defer pf.Close()
+	// A pending WAL means a mutable session committed transactions the page
+	// file may not hold yet (or died mid-write); replay it so the rewrite
+	// reads the latest committed state.
+	if walPending(path) {
+		wlog, _, err := replayWAL(pf, path, nil)
+		if err != nil {
+			return err
+		}
+		if err := wlog.Close(); err != nil {
+			return err
+		}
+	}
+	ix, err := Open(pager.NewPool(pf, frames), SuperPageID)
+	if err != nil {
+		return err
+	}
 	objs := make([]*uncertain.Object, 0, ix.Len())
-	serr := ix.ScanLive(func(_ diskstore.Ptr, o *uncertain.Object) error {
+	err = ix.ScanLive(func(_ diskstore.Ptr, o *uncertain.Object) error {
 		objs = append(objs, o)
 		return nil
 	})
-	if cerr := pf.Close(); serr == nil {
-		serr = cerr
-	}
-	if serr != nil {
-		return fmt.Errorf("diskindex: rewrite %s: %w", path, serr)
+	if err != nil {
+		return fmt.Errorf("diskindex: rewrite %s: %w", path, err)
 	}
 
 	tmp := path + ".rewrite"
-	nf, err := pager.Create(tmp, physPageSize)
+	nf, err := pager.Create(tmp, pf.PhysicalPageSize())
 	if err != nil {
 		return err
 	}
@@ -613,30 +568,26 @@ func RewriteFile(path string, frames int) error {
 		return err
 	}
 	// The old WAL describes pages of the replaced file; drop it.
-	if err := os.Remove(walFile); err != nil && !os.IsNotExist(err) {
+	if err := os.Remove(path + ".wal"); err != nil && !os.IsNotExist(err) {
 		return err
 	}
 	return nil
 }
 
-// recoverForRewrite replays a leftover WAL into the page file and resets
-// it, so RewriteFile (and fsck's private copy) see the committed state.
-func recoverForRewrite(path, walFile string) error {
-	pf, err := pager.Open(path)
+// replayWAL is the one recovery sequence: open the log beside the page file
+// at path and replay its committed transactions into pf. The log comes back
+// open and reset — a mutable open keeps appending to it, the offline passes
+// (RewriteFile, FsckStruct) close it. wrap is wal.Open's crash-injection
+// hook.
+func replayWAL(pf *pager.PageFile, path string, wrap func(*os.File) wal.File) (*wal.Log, *wal.RecoveryStats, error) {
+	wlog, err := wal.Open(path+".wal", pf.PageSize(), wrap)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	wlog, err := wal.Open(walFile, pf.PageSize(), nil)
+	rec, err := wal.Recover(wlog, pf)
 	if err != nil {
-		pf.Close()
-		return err
+		wlog.Close()
+		return nil, nil, fmt.Errorf("diskindex: wal recovery: %w", err)
 	}
-	_, rerr := wal.Recover(wlog, pf)
-	if cerr := wlog.Close(); rerr == nil {
-		rerr = cerr
-	}
-	if cerr := pf.Close(); rerr == nil {
-		rerr = cerr
-	}
-	return rerr
+	return wlog, rec, nil
 }

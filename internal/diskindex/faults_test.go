@@ -2,9 +2,13 @@ package diskindex
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"io"
+	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -268,83 +272,6 @@ func TestParallelSearchSurvivesDegradation(t *testing.T) {
 	}
 }
 
-// TestLegacyFormatCompat is the end-to-end compatibility check: a
-// pre-checksum (v0) file stays queryable with warnings counted, and
-// `rewrite` upgrades it to the current format with identical logical
-// content and a clean fsck.
-func TestLegacyFormatCompat(t *testing.T) {
-	ds := datagen.Generate(datagen.Params{N: 120, M: 5, EdgeLen: 400, Seed: 95})
-	path := filepath.Join(t.TempDir(), "legacy.pg")
-	pf, err := pager.Create(path, pager.PageSize, pager.WithLegacyFormat())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Build(pager.NewPool(pf, 64), ds.Objects); err != nil {
-		t.Fatal(err)
-	}
-	if err := pf.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Reopen: format detected, queries run, skipped checksums counted.
-	pf2, err := pager.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pf2.FormatVersion() != 0 {
-		t.Fatalf("detected version %d, want 0", pf2.FormatVersion())
-	}
-	ix, err := Open(pager.NewPool(pf2, 64), SuperPageID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries := ds.Queries(3, 4, 200, 21)
-	var legacyWant [][]int
-	for _, q := range queries {
-		res, err := searchK(ix, q, core.PSD, 1)
-		if err != nil {
-			t.Fatalf("legacy search: %v", err)
-		}
-		legacyWant = append(legacyWant, sortedIDs(res))
-	}
-	if st := ix.FaultStats(); st.LegacyReads == 0 {
-		t.Fatalf("legacy reads not counted: %+v", st)
-	}
-	if err := pf2.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Upgrade in place, then verify: v1 format, clean fsck, same answers.
-	if err := RewriteFile(path, 64); err != nil {
-		t.Fatalf("rewrite: %v", err)
-	}
-	rep, err := pager.Fsck(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Legacy || !rep.Clean() || rep.Version != pager.FormatVersion {
-		t.Fatalf("post-rewrite fsck: %+v", rep)
-	}
-	pf3, err := pager.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pf3.Close()
-	ix2, err := Open(pager.NewPool(pf3, 64), SuperPageID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, q := range queries {
-		res, err := searchK(ix2, q, core.PSD, 1)
-		if err != nil {
-			t.Fatalf("post-rewrite search: %v", err)
-		}
-		if got := sortedIDs(res); !equalIDs(got, legacyWant[i]) {
-			t.Fatalf("rewrite changed answers: %v != %v", got, legacyWant[i])
-		}
-	}
-}
-
 // TestRewriteRoundTripsCurrentFormat: rewriting an already-current file is
 // a safe no-op content-wise.
 func TestRewriteRoundTripsCurrentFormat(t *testing.T) {
@@ -369,5 +296,32 @@ func TestRewriteRoundTripsCurrentFormat(t *testing.T) {
 	}
 	if got := sortedIDs(res); !equalIDs(got, want) {
 		t.Fatalf("rewrite changed answers: %v != %v", got, want)
+	}
+}
+
+// TestOpenRefusesOtherFormatVersion: a header whose version byte is not
+// pager.FormatVersion — 0 once meant "verify nothing" — opens through no
+// path, read-only or mutable, and the refusal names the version.
+func TestOpenRefusesOtherFormatVersion(t *testing.T) {
+	for _, v := range []byte{0, 2} {
+		path, _, _ := buildOnDisk(t, 60, 4, 99)
+		f, err := os.OpenFile(path, os.O_RDWR, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteAt([]byte{v}, 12); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+
+		named := fmt.Sprintf("version %d", v)
+		ro, err := OpenFile(path, 32)
+		if !errors.Is(err, pager.ErrBadVersion) || !strings.Contains(err.Error(), named) {
+			t.Errorf("OpenFile with header version %d: index %v, err %v; want pager.ErrBadVersion naming it", v, ro, err)
+		}
+		rw, err := OpenFileMutable(path, nil)
+		if !errors.Is(err, pager.ErrBadVersion) || !strings.Contains(err.Error(), named) {
+			t.Errorf("OpenFileMutable with header version %d: index %v, err %v; want pager.ErrBadVersion naming it", v, rw, err)
+		}
 	}
 }

@@ -47,7 +47,11 @@ type StructReport struct {
 	StorePages  int
 	FreePages   int
 	LiveObjects int // leaf entries of the tree
-	DeadRecords int // stored records no leaf entry points at
+	// DeadRecords counts the stored records no leaf entry points at. It is
+	// set only when StoreScanned: a record scan that stopped early (a
+	// "store-scan" finding) has no total to subtract the live ones from.
+	DeadRecords  int
+	StoreScanned bool
 }
 
 // Clean reports whether every structural invariant held.
@@ -88,16 +92,13 @@ func FsckStruct(path string, frames int) (*StructReport, error) {
 		}
 		rep.WALRecords = info.Records
 		rep.WALTorn = info.Torn
-		for tx := range committed {
-			if images[tx] {
-				rep.WALCommitted++
-			}
-		}
 		if info.Torn > 0 {
 			rep.flag("wal-torn-tail", "%d bytes past the last valid record (recovery would drop them)", info.Torn)
 		}
 		for tx := range committed {
-			if !images[tx] {
+			if images[tx] {
+				rep.WALCommitted++
+			} else {
 				rep.flag("wal-empty-commit", "transaction %d committed without page images", tx)
 			}
 		}
@@ -120,10 +121,6 @@ func FsckStruct(path string, frames int) (*StructReport, error) {
 		if err := copyFsck(walPath, inspect+".wal"); err != nil {
 			return nil, err
 		}
-		if err := recoverForRewrite(inspect, inspect+".wal"); err != nil {
-			rep.flag("wal-replay", "recovery of committed transactions failed: %v", err)
-			return rep, nil
-		}
 	}
 
 	pf, err := pager.Open(inspect)
@@ -131,6 +128,14 @@ func FsckStruct(path string, frames int) (*StructReport, error) {
 		return nil, err
 	}
 	defer pf.Close()
+	if rep.WALCommitted > 0 {
+		wlog, _, err := replayWAL(pf, inspect, nil)
+		if err != nil {
+			rep.flag("wal-replay", "recovery of committed transactions failed: %v", err)
+			return rep, nil
+		}
+		wlog.Close()
+	}
 	pool := pager.NewPool(pf, frames)
 	pageCount := pager.PageID(pf.Len() + 1) // ids 0..Len() are addressable
 
@@ -254,7 +259,10 @@ func FsckStruct(path string, frames int) (*StructReport, error) {
 		}
 	}
 	rep.LiveObjects = len(leafRefs)
-	rep.DeadRecords = records - len(leafRefs)
+	if serr == nil {
+		rep.StoreScanned = true
+		rep.DeadRecords = records - len(leafRefs)
+	}
 
 	// Free-list invariants: in range, no duplicates, disjoint from every
 	// reachable page.

@@ -78,11 +78,11 @@ func editSuper(t *testing.T, path string, f func(*SuperBlock)) {
 // leafPages returns the page ids of the tree's leaves, left to right.
 func leafPages(t *testing.T, path string) []pager.PageID {
 	t.Helper()
-	ix, pf, err := OpenFile(path, 32)
+	ix, err := OpenFile(path, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer pf.Close()
+	defer ix.Close()
 	var leaves []pager.PageID
 	var walk func(page pager.PageID)
 	walk = func(page pager.PageID) {
@@ -134,11 +134,11 @@ func editLeaf(t *testing.T, path string, page pager.PageID, f func(*rtree.Node))
 // in stream order — what the parent format's tombstone log listed.
 func deadPtrs(t *testing.T, path string) []diskstore.Ptr {
 	t.Helper()
-	ix, pf, err := OpenFile(path, 32)
+	ix, err := OpenFile(path, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer pf.Close()
+	defer ix.Close()
 	live := make(map[diskstore.Ptr]bool)
 	if err := ix.ScanLive(func(p diskstore.Ptr, _ *uncertain.Object) error { live[p] = true; return nil }); err != nil {
 		t.Fatal(err)
@@ -265,6 +265,27 @@ func TestFsckStructDetectsSeededCorruption(t *testing.T) {
 			editLeaf(t, path, leaves[0], func(n *rtree.Node) { ref = n.Refs[0] })
 			editLeaf(t, path, leaves[1], func(n *rtree.Node) { n.Refs[0] = ref })
 		}, "tree-dup-ptr"},
+		{"record header damaged under a valid checksum", func(t *testing.T, path string) {
+			ix, err := OpenFile(path, 32)
+			if err != nil {
+				t.Fatal(err)
+			}
+			first := ix.store.DataPages()[0]
+			ix.Close()
+			pf, err := pager.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pf.Close()
+			buf := make([]byte, pf.PageSize())
+			if _, err := pf.ReadPage(first, buf); err != nil {
+				t.Fatal(err)
+			}
+			clear(buf[8:12]) // the stream's first record now declares no instances
+			if err := pf.WritePage(first, buf, pager.PageStoreData); err != nil {
+				t.Fatal(err)
+			}
+		}, "store-scan"},
 		{"parent-format super carrying a tombstone chain", func(t *testing.T, path string) {
 			writeTombChain(t, path, deadPtrs(t, path))
 		}, ""},
@@ -322,6 +343,12 @@ func TestFsckStructDetectsSeededCorruption(t *testing.T) {
 			} else if !hasFinding(rep, tc.want) {
 				t.Fatalf("finding %q missing; got %v", tc.want, rep.Findings)
 			}
+			// A scan that stopped early has no record total: the dead count
+			// stays unset instead of going negative.
+			if scanned := tc.want != "store-scan"; rep.StoreScanned != scanned || (!scanned && rep.DeadRecords != 0) {
+				t.Fatalf("StoreScanned = %v with %d dead records; want %v and a count only after a full scan",
+					rep.StoreScanned, rep.DeadRecords, scanned)
+			}
 			detected++
 		})
 	}
@@ -348,7 +375,7 @@ func TestFsckStructPendingWAL(t *testing.T) {
 	}
 	// Crash: the commit lives only in the WAL.
 	ix.mut.wal.Close()
-	ix.mut.owned.Close()
+	ix.pool.File().Close()
 
 	before, err := os.ReadFile(work)
 	if err != nil {

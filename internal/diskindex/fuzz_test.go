@@ -1,44 +1,47 @@
 package diskindex
 
 import (
-	"encoding/binary"
 	"errors"
 	"testing"
+
+	"spatialdom/internal/pager"
 )
 
-// encodeSuperBytes builds a valid super-page image for seeding the fuzzer:
-// magic | storeMeta u32 | treeMeta u32 | span u64.
-func encodeSuperBytes(storeMeta, treeMeta uint32, span uint64) []byte {
-	buf := make([]byte, 20)
-	copy(buf, superMagic)
-	binary.LittleEndian.PutUint32(buf[4:], storeMeta)
-	binary.LittleEndian.PutUint32(buf[8:], treeMeta)
-	binary.LittleEndian.PutUint64(buf[12:], span)
+// superImage is a valid super-page image for seeding the fuzzer.
+func superImage(sb SuperBlock) []byte {
+	buf := make([]byte, 64)
+	EncodeSuper(buf, sb)
 	return buf
 }
 
 // FuzzSuperDecode drives the super-page decoder with arbitrary bytes: it
 // must never panic, and every accepted image must yield two distinct
-// nonzero metadata pages and a plausible span.
+// nonzero metadata pages, a plausible span and no reserved page on its
+// free list.
 func FuzzSuperDecode(f *testing.F) {
-	f.Add(encodeSuperBytes(2, 17, 1000))
-	f.Add(encodeSuperBytes(3, 4, 0))
+	f.Add(superImage(SuperBlock{StoreMeta: 2, TreeMeta: 17, Span: 1000}))
+	f.Add(superImage(SuperBlock{StoreMeta: 3, TreeMeta: 4, Epoch: 9, Free: []pager.PageID{5, 6}}))
 	f.Add([]byte(superMagic))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, buf []byte) {
-		storeMeta, treeMeta, span, err := ParseSuper(buf)
+		sb, err := DecodeSuper(buf)
 		if err != nil {
 			if !errors.Is(err, ErrBadSuper) {
 				t.Fatalf("decode error does not wrap ErrBadSuper: %v", err)
 			}
 			return
 		}
-		if storeMeta == 0 || treeMeta == 0 || storeMeta == treeMeta {
-			t.Fatalf("accepted super with meta pages %d/%d", storeMeta, treeMeta)
+		if sb.StoreMeta == 0 || sb.TreeMeta == 0 || sb.StoreMeta == sb.TreeMeta {
+			t.Fatalf("accepted super with meta pages %d/%d", sb.StoreMeta, sb.TreeMeta)
 		}
-		if span < 0 || span > 1<<40 {
-			t.Fatalf("accepted implausible span %d", span)
+		if sb.Span < 0 || sb.Span > 1<<40 {
+			t.Fatalf("accepted implausible span %d", sb.Span)
+		}
+		for _, id := range sb.Free {
+			if id <= SuperPageID {
+				t.Fatalf("accepted a free list holding reserved page %d", id)
+			}
 		}
 	})
 }

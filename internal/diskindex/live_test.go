@@ -26,11 +26,11 @@ import (
 // candidates of a few searches.
 func liveState(t *testing.T, path string, queries []*uncertain.Object) string {
 	t.Helper()
-	ix, pf, err := OpenFile(path, 32)
+	ix, err := OpenFile(path, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer pf.Close()
+	defer ix.Close()
 	var b strings.Builder
 	fmt.Fprintf(&b, "len %d\nscan", ix.Len())
 	last := diskstore.Ptr(0)
@@ -201,9 +201,9 @@ func TestReadOnlyOpenRefusesPendingWAL(t *testing.T) {
 	want := idSet(ix)
 	// Crash: the handle is dropped without Close, so nothing was flushed.
 	ix.mut.wal.Close()
-	ix.mut.owned.Close()
+	ix.pool.File().Close()
 
-	_, _, err = OpenFile(base, 32)
+	_, err = OpenFile(base, 32)
 	if err == nil || !strings.Contains(err.Error(), base+".wal") ||
 		!strings.Contains(err.Error(), "-mutable") || !strings.Contains(err.Error(), "nnc checkpoint") {
 		t.Fatalf("read-only open over a pending WAL: err = %v; want a refusal naming %s and both remedies", err, base+".wal")
@@ -216,11 +216,11 @@ func TestReadOnlyOpenRefusesPendingWAL(t *testing.T) {
 	if err := rw.Close(); err != nil { // Close checkpoints
 		t.Fatal(err)
 	}
-	ro, pf, err := OpenFile(base, 32)
+	ro, err := OpenFile(base, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer pf.Close()
+	defer ro.Close()
 	got := map[int]bool{}
 	if err := ro.ScanLive(func(_ diskstore.Ptr, o *uncertain.Object) error { got[o.ID()] = true; return nil }); err != nil {
 		t.Fatal(err)

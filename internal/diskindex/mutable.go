@@ -18,13 +18,14 @@ package diskindex
 //
 // # Read path
 //
-// Readers never lock. A search acquires the current snapshot (epoch, tree
+// Readers never lock. A search pins the current snapshot (epoch, tree
 // root, store clone) with a refcount and walks pages through the buffer
-// pool exactly as the read-only index does. Copy-on-write keeps that
-// sound: a committed transaction only ever Puts page images that no live
-// snapshot can reach — tree nodes and store data pages are rewritten at
-// fresh page ids, and the pages updated in place (super, metadata, store
-// directory) are ones searches never read mid-flight.
+// pool; on a read-only index that snapshot is simply never replaced.
+// Copy-on-write keeps that sound: a committed transaction only ever Puts
+// page images that no live snapshot can reach — tree nodes and store data
+// pages are rewritten at fresh page ids, and the pages updated in place
+// (super, metadata, store directory) are ones searches never read
+// mid-flight.
 //
 // # Reclamation
 //
@@ -85,36 +86,24 @@ type MutableOptions struct {
 	WALLimit int64
 	// Frames bounds the buffer pool (default 256).
 	Frames int
-	// PageSize is the physical page size for CreateFileMutable (default
-	// pager.PageSize); ignored by OpenFileMutable.
-	PageSize int
 	// WALWrap, if non-nil, intercepts the WAL's underlying file — the
 	// crash-injection hook used by the kill-point sweep tests.
 	WALWrap func(*os.File) wal.File
 }
 
-func (o *MutableOptions) frames() int {
-	if o != nil && o.Frames > 0 {
-		return o.Frames
-	}
-	return 256
-}
-
-func (o *MutableOptions) walLimit() int64 {
-	if o == nil || o.WALLimit == 0 {
-		return DefaultWALLimit
-	}
-	if o.WALLimit < 0 {
-		return 0
-	}
-	return o.WALLimit
-}
-
-func (o *MutableOptions) walWrap() func(*os.File) wal.File {
+// resolved returns the options with every default filled in; o may be nil.
+func (o *MutableOptions) resolved() MutableOptions {
+	var r MutableOptions
 	if o != nil {
-		return o.WALWrap
+		r = *o
 	}
-	return nil
+	if r.Frames <= 0 {
+		r.Frames = 256
+	}
+	if r.WALLimit == 0 {
+		r.WALLimit = DefaultWALLimit
+	}
+	return r
 }
 
 // pendingFree is a freed page waiting for readers: reachable by snapshots
@@ -128,8 +117,7 @@ type pendingFree struct {
 // Index.writeMu.
 type mutState struct {
 	wal      *wal.Log
-	owned    *pager.PageFile // closed by Close
-	walLimit int64
+	walLimit int64 // auto-checkpoint threshold; <= 0 disables it
 
 	free    []pager.PageID
 	pending []pendingFree
@@ -144,8 +132,7 @@ type mutState struct {
 	span    int
 	spanNeg bool // a negative object id was seen: span stays unknown
 
-	leakedFree int // free-list ids dropped at super-page overflow
-	ckptFails  int // best-effort auto-checkpoints that failed
+	ckptFails int // best-effort auto-checkpoints that failed
 
 	recovered *wal.RecoveryStats
 	poisoned  error
@@ -157,16 +144,11 @@ type mutState struct {
 type mutCapture struct {
 	span    int
 	spanNeg bool
-	leaked  int
 }
 
-func (m *mutState) capture() mutCapture {
-	return mutCapture{span: m.span, spanNeg: m.spanNeg, leaked: m.leakedFree}
-}
+func (m *mutState) capture() mutCapture { return mutCapture{span: m.span, spanNeg: m.spanNeg} }
 
-func (m *mutState) restore(c mutCapture) {
-	m.span, m.spanNeg, m.leakedFree = c.span, c.spanNeg, c.leaked
-}
+func (m *mutState) restore(c mutCapture) { m.span, m.spanNeg = c.span, c.spanNeg }
 
 func (m *mutState) spanValue() int {
 	if m.spanNeg {
@@ -177,16 +159,15 @@ func (m *mutState) spanValue() int {
 
 // --- snapshot pin ------------------------------------------------------------
 
-// pinned runs fn on the current snapshot (nil on a read-only index), pinned
-// for exactly the call: the pin is a count no caller ever holds, so it
-// cannot leak past an error, a cancellation or a panic in fn. The
-// add-then-recheck loop closes the race with a concurrent publish: a reader
-// that pinned a just-retired snapshot detects the swap and retries, so the
-// writer's "refs drained" test never misses a reader actually inside the
-// snapshot.
+// pinned runs fn on the current snapshot, pinned for exactly the call: the
+// pin is a count no caller ever holds, so it cannot leak past an error, a
+// cancellation or a panic in fn. The add-then-recheck loop closes the race
+// with a concurrent publish: a reader that pinned a just-retired snapshot
+// detects the swap and retries, so the writer's "refs drained" test never
+// misses a reader actually inside the snapshot.
 func (ix *Index) pinned(fn func(*snapshot)) {
 	s := ix.snap.Load()
-	for s != nil {
+	for {
 		s.refs.Add(1)
 		cur := ix.snap.Load()
 		if cur == s {
@@ -195,9 +176,7 @@ func (ix *Index) pinned(fn func(*snapshot)) {
 		s.refs.Add(-1)
 		s = cur
 	}
-	if s != nil {
-		defer s.refs.Add(-1)
-	}
+	defer s.refs.Add(-1)
 	fn(s)
 }
 
@@ -230,20 +209,17 @@ func (m *mutState) reclaim(curEpoch uint64) {
 //
 //nnc:allow ctx-flow: CreateFileMutable is startup file creation, not a query; nothing upstream has a ctx to thread
 func CreateFileMutable(path string, dim int, opts *MutableOptions) (*Index, error) {
-	ps := pager.PageSize
-	if opts != nil && opts.PageSize > 0 {
-		ps = opts.PageSize
-	}
+	o := opts.resolved()
 	// A stale WAL beside a file we are about to re-create would replay
 	// foreign pages on the next open; drop it first.
 	if err := os.Remove(path + ".wal"); err != nil && !os.IsNotExist(err) {
 		return nil, err
 	}
-	pf, err := pager.Create(path, ps)
+	pf, err := pager.Create(path, pager.PageSize)
 	if err != nil {
 		return nil, err
 	}
-	pool := pager.NewPool(pf, opts.frames())
+	pool := pager.NewPool(pf, o.Frames)
 	super, sbuf, err := pool.Allocate(pager.PageSuper)
 	if err != nil {
 		pf.Close()
@@ -266,13 +242,13 @@ func CreateFileMutable(path string, dim int, opts *MutableOptions) (*Index, erro
 		pf.Close()
 		return nil, err
 	}
-	wlog, err := wal.Open(path+".wal", pf.PageSize(), opts.walWrap())
+	wlog, err := wal.Open(path+".wal", pf.PageSize(), o.WALWrap)
 	if err != nil {
 		pf.Close()
 		return nil, err
 	}
-	ix, err := attachMutable(pf, pool, super, store, tree, SuperBlock{}, wlog, opts, nil)
-	if err != nil {
+	ix := newIndex(pool, super, store, tree, SuperBlock{})
+	if err := ix.attachWriter(nil, wlog, o.WALLimit, nil); err != nil {
 		wlog.Close()
 		pf.Close()
 		return nil, err
@@ -297,54 +273,29 @@ func OpenFileMutable(path string, opts *MutableOptions) (*Index, error) {
 // openMutable is OpenFileMutable past opening the page file at path; it
 // closes pf on failure.
 func openMutable(pf *pager.PageFile, path string, opts *MutableOptions) (*Index, error) {
-	wlog, err := wal.Open(path+".wal", pf.PageSize(), opts.walWrap())
+	o := opts.resolved()
+	wlog, rec, err := replayWAL(pf, path, o.WALWrap)
 	if err != nil {
 		pf.Close()
 		return nil, err
 	}
-	fail := func(err error) (*Index, error) {
+	ix, sb, err := attach(pager.NewPool(pf, o.Frames), SuperPageID)
+	if err == nil {
+		err = ix.attachWriter(sb.Free, wlog, o.WALLimit, rec)
+	}
+	if err != nil {
 		wlog.Close()
 		pf.Close()
 		return nil, err
 	}
-	rec, err := wal.Recover(wlog, pf)
-	if err != nil {
-		return fail(fmt.Errorf("diskindex: wal recovery: %w", err))
-	}
-	pool := pager.NewPool(pf, opts.frames())
-	sbuf, err := pool.Get(SuperPageID)
-	if err != nil {
-		return fail(err)
-	}
-	sb, perr := DecodeSuper(sbuf)
-	pool.Unpin(SuperPageID)
-	if perr != nil {
-		return fail(perr)
-	}
-	store, err := diskstore.Open(pool, sb.StoreMeta)
-	if err != nil {
-		return fail(err)
-	}
-	tree, err := diskrtree.Open(pool, sb.TreeMeta)
-	if err != nil {
-		return fail(err)
-	}
-	ix, err := attachMutable(pf, pool, SuperPageID, store, tree, sb, wlog, opts, rec)
-	if err != nil {
-		return fail(err)
-	}
 	return ix, nil
 }
 
-// attachMutable wires the writer-side state onto a freshly opened index
-// and publishes the first snapshot.
-func attachMutable(pf *pager.PageFile, pool *pager.Pool, super pager.PageID,
-	store *diskstore.Store, tree *diskrtree.Tree, sb SuperBlock,
-	wlog *wal.Log, opts *MutableOptions, rec *wal.RecoveryStats) (*Index, error) {
-
-	ix := newIndex(pool, super, store, tree, sb.Span)
-
-	byID := make(map[int]diskstore.Ptr, tree.Len())
+// attachWriter wires the writer-side state onto a freshly constructed
+// index: the id → record map off its live records, the free list the super
+// page persisted, and the open log.
+func (ix *Index) attachWriter(free []pager.PageID, wlog *wal.Log, walLimit int64, rec *wal.RecoveryStats) error {
+	byID := make(map[int]diskstore.Ptr, ix.Len())
 	spanNeg := false
 	dups := 0
 	err := ix.ScanLive(func(p diskstore.Ptr, o *uncertain.Object) error {
@@ -358,41 +309,39 @@ func attachMutable(pf *pager.PageFile, pool *pager.Pool, super pager.PageID,
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if dups > 0 {
-		return nil, fmt.Errorf("diskindex: %d duplicate object ids; a mutable index needs unique ids (rebuild the file)", dups)
+		return fmt.Errorf("diskindex: %d duplicate object ids; a mutable index needs unique ids (rebuild the file)", dups)
 	}
-
 	ix.mut = &mutState{
 		wal:       wlog,
-		owned:     pf,
-		walLimit:  opts.walLimit(),
-		free:      append([]pager.PageID(nil), sb.Free...),
+		walLimit:  walLimit,
+		free:      append([]pager.PageID(nil), free...),
 		byID:      byID,
-		span:      sb.Span,
+		span:      ix.DenseIDSpan(),
 		spanNeg:   spanNeg,
 		recovered: rec,
 	}
 	ix.mut.tx = newTx(ix)
-	//nnc:publish first store before the Index escapes the constructor; no reader exists yet
-	ix.snap.Store(&snapshot{
-		epoch: sb.Epoch, root: tree.Root(), height: tree.Height(),
-		size: tree.Len(), span: sb.Span, store: store.Clone(),
-	})
-	return ix, nil
+	return nil
 }
 
 // --- mutations ---------------------------------------------------------------
 
-func (m *mutState) writeGate() error {
-	if m.closed {
-		return ErrClosed
+// writer returns the writer-side state, or why the index takes no write.
+// The caller holds writeMu.
+func (ix *Index) writer() (*mutState, error) {
+	m := ix.mut
+	switch {
+	case m == nil:
+		return nil, ErrReadOnly
+	case m.closed:
+		return nil, ErrClosed
+	case m.poisoned != nil:
+		return nil, fmt.Errorf("%w: %w", ErrPoisoned, m.poisoned)
 	}
-	if m.poisoned != nil {
-		return fmt.Errorf("%w: %w", ErrPoisoned, m.poisoned)
-	}
-	return nil
+	return m, nil
 }
 
 // Insert adds an object, mirroring the in-memory dynamic API: the
@@ -405,11 +354,8 @@ func (m *mutState) writeGate() error {
 func (ix *Index) Insert(o *uncertain.Object) error {
 	ix.writeMu.Lock()
 	defer ix.writeMu.Unlock()
-	m := ix.mut
-	if m == nil {
-		return ErrReadOnly
-	}
-	if err := m.writeGate(); err != nil {
+	m, err := ix.writer()
+	if err != nil {
 		return err
 	}
 	if o.Dim() != ix.tree.Dim() {
@@ -423,7 +369,7 @@ func (ix *Index) Insert(o *uncertain.Object) error {
 	tx := m.tx
 	defer tx.release()
 	var ptr diskstore.Ptr
-	err := func() error {
+	err = func() error {
 		var err error
 		ptr, err = ix.store.AppendTx(tx, o)
 		if err != nil {
@@ -466,11 +412,8 @@ func (ix *Index) Insert(o *uncertain.Object) error {
 func (ix *Index) Delete(id int) (bool, error) {
 	ix.writeMu.Lock()
 	defer ix.writeMu.Unlock()
-	m := ix.mut
-	if m == nil {
-		return false, ErrReadOnly
-	}
-	if err := m.writeGate(); err != nil {
+	m, err := ix.writer()
+	if err != nil {
 		return false, err
 	}
 	ptr, ok := m.byID[id]
@@ -527,7 +470,7 @@ func (ix *Index) stageSuper(tx *Tx, epoch uint64) error {
 	if err != nil {
 		return err
 	}
-	m.leakedFree += EncodeSuper(buf, SuperBlock{
+	EncodeSuper(buf, SuperBlock{
 		StoreMeta: ix.store.Meta(),
 		TreeMeta:  ix.tree.Meta(),
 		Span:      m.spanValue(),
@@ -607,11 +550,7 @@ func (ix *Index) maybeCheckpoint() {
 func (ix *Index) Checkpoint() error {
 	ix.writeMu.Lock()
 	defer ix.writeMu.Unlock()
-	m := ix.mut
-	if m == nil {
-		return ErrReadOnly
-	}
-	if err := m.writeGate(); err != nil {
+	if _, err := ix.writer(); err != nil {
 		return err
 	}
 	return ix.checkpointLocked()
@@ -628,29 +567,29 @@ func (ix *Index) checkpointLocked() error {
 	return nil
 }
 
-// Close checkpoints (unless poisoned), then closes the WAL and the page
-// file. Only valid on indexes from CreateFileMutable/OpenFileMutable.
+// Close releases the index: a mutable one checkpoints (unless poisoned)
+// and closes its WAL, then the page file under the pool is closed — which
+// is all there is to do for a read-only one. An index handed a pool (Build,
+// Open) whose caller closes the file itself need not be closed.
 //
 //nnc:allow ctx-flow: Close is shutdown teardown, not a query; nothing upstream has a ctx to thread
 func (ix *Index) Close() error {
 	ix.writeMu.Lock()
 	defer ix.writeMu.Unlock()
-	m := ix.mut
-	if m == nil {
-		return ErrReadOnly
-	}
-	if m.closed {
-		return ErrClosed
-	}
-	m.closed = true
 	var first error
-	if m.poisoned == nil {
-		first = ix.checkpointLocked()
+	if m := ix.mut; m != nil {
+		if m.closed {
+			return ErrClosed
+		}
+		m.closed = true
+		if m.poisoned == nil {
+			first = ix.checkpointLocked()
+		}
+		if err := m.wal.Close(); err != nil && first == nil {
+			first = err
+		}
 	}
-	if err := m.wal.Close(); err != nil && first == nil {
-		first = err
-	}
-	if err := m.owned.Close(); err != nil && first == nil {
+	if err := ix.pool.File().Close(); err != nil && first == nil {
 		first = err
 	}
 	return first
@@ -658,14 +597,9 @@ func (ix *Index) Close() error {
 
 // --- introspection -----------------------------------------------------------
 
-// Epoch returns the current snapshot's commit epoch (0 on a read-only
-// index that was never mutated).
-func (ix *Index) Epoch() uint64 {
-	if s := ix.snap.Load(); s != nil {
-		return s.epoch
-	}
-	return 0
-}
+// Epoch returns the current snapshot's commit epoch (0 on a file that was
+// never mutated).
+func (ix *Index) Epoch() uint64 { return ix.snap.Load().epoch }
 
 // Mutable reports whether the index accepts Insert/Delete.
 func (ix *Index) Mutable() bool { return ix.mut != nil }
@@ -687,15 +621,4 @@ func (ix *Index) WALSize() int64 {
 		return 0
 	}
 	return ix.mut.wal.Size()
-}
-
-// LeakedFreePages counts free-list entries dropped because the super
-// page's free list overflowed; `nnc rewrite` reclaims the space.
-func (ix *Index) LeakedFreePages() int {
-	ix.writeMu.Lock()
-	defer ix.writeMu.Unlock()
-	if ix.mut == nil {
-		return 0
-	}
-	return ix.mut.leakedFree
 }

@@ -372,7 +372,7 @@ func TestMutableCreateDropsStaleWAL(t *testing.T) {
 	}
 	// The process dies: the commits are in the log only.
 	old.mut.wal.Close()
-	old.mut.owned.Close()
+	old.pool.File().Close()
 
 	fresh, err := CreateFileMutable(path, 3, nil)
 	if err != nil {
@@ -380,7 +380,7 @@ func TestMutableCreateDropsStaleWAL(t *testing.T) {
 	}
 	// It dies too, before any checkpoint could truncate the log.
 	fresh.mut.wal.Close()
-	fresh.mut.owned.Close()
+	fresh.pool.File().Close()
 	ix, err := OpenFileMutable(path, nil)
 	if err != nil {
 		t.Fatal(err)

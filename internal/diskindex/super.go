@@ -24,9 +24,9 @@ package diskindex
 //
 // The free list caps at the page's remaining capacity; a transaction
 // whose free set would overflow drops the excess ids (they leak until
-// `nnc rewrite` compacts the file) and counts them, preferring a
-// bounded leak over an unbounded on-disk structure for what is, by
-// construction, a short list between checkpoints.
+// `nnc rewrite` compacts the file), preferring a bounded leak over an
+// unbounded on-disk structure for what is, by construction, a short list
+// between checkpoints.
 
 import (
 	"encoding/binary"
@@ -87,9 +87,8 @@ func DecodeSuper(buf []byte) (SuperBlock, error) {
 }
 
 // EncodeSuper serializes sb into a super-page image, zeroing the tail.
-// Free ids beyond the page's capacity are dropped; the count of dropped
-// ids is returned so the caller can account the leak.
-func EncodeSuper(buf []byte, sb SuperBlock) int {
+// Free ids beyond the page's capacity are dropped.
+func EncodeSuper(buf []byte, sb SuperBlock) {
 	for i := range buf {
 		buf[i] = 0
 	}
@@ -99,14 +98,11 @@ func EncodeSuper(buf []byte, sb SuperBlock) int {
 	binary.LittleEndian.PutUint64(buf[12:], uint64(sb.Span))
 	binary.LittleEndian.PutUint64(buf[20:], sb.Epoch)
 	free := sb.Free
-	dropped := 0
 	if cap := (len(buf) - superFixed) / 4; len(free) > cap {
-		dropped = len(free) - cap
 		free = free[:cap]
 	}
 	binary.LittleEndian.PutUint32(buf[40:], uint32(len(free)))
 	for i, id := range free {
 		binary.LittleEndian.PutUint32(buf[superFixed+4*i:], uint32(id))
 	}
-	return dropped
 }

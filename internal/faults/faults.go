@@ -121,10 +121,6 @@ func IsUnavailable(err error) bool { return errors.Is(err, ErrUnavailable) }
 // through the pager and the server's health endpoints. All fields are
 // monotonic.
 type Stats struct {
-	// LegacyReads counts pages read from a pre-checksum (format v0) file,
-	// where verification was skipped — the counted warning of the
-	// compatibility path.
-	LegacyReads int64 `json:"legacy_reads"`
 	// ChecksumFailures counts verification mismatches (first reads;
 	// includes those later healed by the re-read).
 	ChecksumFailures int64 `json:"checksum_failures"`

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -14,7 +16,7 @@ import (
 	"spatialdom/internal/faults"
 )
 
-// buildFile creates a small v1 page file with n data pages of recognizable
+// buildFile creates a small page file with n data pages of recognizable
 // content and returns its path.
 func buildFile(t *testing.T, n int) string {
 	t.Helper()
@@ -78,9 +80,6 @@ func TestBitFlipQuarantinesAsChecksum(t *testing.T) {
 	}
 	if reads, _ := pf.IOCounts(); reads != reads0 {
 		t.Fatal("quarantined read should not touch disk")
-	}
-	if got := pf.Quarantined(); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("Quarantined() = %v, want [2]", got)
 	}
 	st := pf.FaultStats()
 	if st.ChecksumFailures < 2 || st.QuarantinedPages != 1 || st.TornPages != 0 {
@@ -218,51 +217,6 @@ func TestTransientRetrySleepHonorsContext(t *testing.T) {
 	}
 }
 
-func TestLegacyFormatStaysReadable(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "legacy.pg")
-	pf, err := Create(path, 256, WithLegacyFormat())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pf.PageSize() != 256 {
-		t.Fatalf("legacy payload = %d, want full page", pf.PageSize())
-	}
-	id, err := pf.Allocate(PageStoreData)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, pf.PageSize())
-	for i := range buf {
-		buf[i] = 0xAB
-	}
-	if err := pf.WritePage(id, buf, PageStoreData); err != nil {
-		t.Fatal(err)
-	}
-	if err := pf.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	pf2, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pf2.Close()
-	if pf2.FormatVersion() != 0 {
-		t.Fatalf("detected version %d, want 0", pf2.FormatVersion())
-	}
-	got := make([]byte, pf2.PageSize())
-	ptype, err := pf2.ReadPage(id, got)
-	if err != nil || !bytes.Equal(got, buf) {
-		t.Fatalf("legacy read: err=%v equal=%v", err, bytes.Equal(got, buf))
-	}
-	if ptype != PageUnknown {
-		t.Fatalf("legacy ptype = %v, want unknown", ptype)
-	}
-	if st := pf2.FaultStats(); st.LegacyReads != 1 {
-		t.Fatalf("stats = %+v, want LegacyReads=1", st)
-	}
-}
-
 // blockingReader blocks reads of one physical page until released, so a
 // test can hold a pool frame in its loading state.
 type blockingReader struct {
@@ -365,7 +319,7 @@ func TestFsckCleanAndCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Clean() || rep.Legacy || rep.Version != FormatVersion {
+	if !rep.Clean() || rep.Version != FormatVersion {
 		t.Fatalf("fresh file not clean: %+v", rep)
 	}
 	if rep.ByType[PageHeader] != 1 || rep.ByType[PageStoreData] != 4 {
@@ -445,22 +399,39 @@ func TestFsckDetectsEveryInjectedCorruption(t *testing.T) {
 	}
 }
 
-func TestFsckLegacyFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "legacy.pg")
-	pf, err := Create(path, 256, WithLegacyFormat())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pf.Allocate(PageStoreData); err != nil {
-		t.Fatal(err)
-	}
-	pf.Close()
+// TestHeaderVersionRefused: a header whose version byte is not
+// FormatVersion — 0 was once "no checksums to verify" — is refused by Open,
+// and fsck lists the header as a finding while still checking every other
+// page.
+func TestHeaderVersionRefused(t *testing.T) {
+	for _, v := range []byte{0, 2} {
+		path := buildFile(t, 4)
+		f, err := os.OpenFile(path, os.O_RDWR, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteAt([]byte{v}, 12); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
 
-	rep, err := Fsck(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Legacy || !rep.Clean() || rep.Version != 0 {
-		t.Fatalf("legacy fsck report: %+v", rep)
+		named := fmt.Sprintf("version %d", v)
+		if pf, err := Open(path); !errors.Is(err, ErrBadVersion) || !strings.Contains(err.Error(), named) {
+			if pf != nil {
+				pf.Close()
+			}
+			t.Fatalf("Open with header version %d: err = %v, want ErrBadVersion naming it", v, err)
+		}
+		rep, err := Fsck(path)
+		if err != nil {
+			t.Fatalf("Fsck with header version %d: %v", v, err)
+		}
+		if len(rep.Corrupt) != 1 || rep.Corrupt[0].ID != 0 || !errors.Is(rep.Corrupt[0].Err, ErrBadVersion) ||
+			!strings.Contains(rep.Corrupt[0].Err.Error(), named) {
+			t.Fatalf("Fsck with header version %d: findings %v, want the header page alone, naming the version", v, rep.Corrupt)
+		}
+		if rep.ByType[PageStoreData] != 4 {
+			t.Fatalf("Fsck with header version %d verified %d data pages, want 4", v, rep.ByType[PageStoreData])
+		}
 	}
 }

@@ -29,14 +29,12 @@ type FsckReport struct {
 	PageSize int // physical
 	Payload  int
 	Pages    int // allocated pages including the header page
-	// ByType counts verified pages per trailer type. Legacy files report
-	// everything under PageUnknown.
+	// ByType counts verified pages per trailer type.
 	ByType map[PageType]int
-	// Corrupt lists every page whose checksum did not match, in id order.
+	// Corrupt lists every page that failed verification, in id order: a
+	// checksum that did not match, or the header page of a file whose
+	// version byte is not FormatVersion.
 	Corrupt []FsckPage
-	// Legacy is set for format v0 files, whose pages carry no checksums;
-	// the scan can only check geometry, not integrity.
-	Legacy bool
 }
 
 // Clean reports whether the scan found no corruption.
@@ -62,52 +60,32 @@ func Fsck(path string) (*FsckReport, error) {
 		return nil, err
 	}
 	defer f.Close()
-	hdr := make([]byte, 16)
-	if _, err := f.ReadAt(hdr, 0); err != nil {
-		return nil, fmt.Errorf("pager: fsck: reading header: %w", err)
-	}
-	if string(hdr[:4]) != magic {
-		return nil, fmt.Errorf("fsck: %w", ErrBadMagic)
-	}
-	ps := int(le32(hdr[4:8]))
-	pages := int(le32(hdr[8:12]))
-	version := int(hdr[12])
-	const maxPageSize = 1 << 24
-	if ps < 64 || ps > maxPageSize {
-		return nil, fmt.Errorf("pager: fsck: implausible page size %d", ps)
-	}
-	if pages < 1 {
-		return nil, fmt.Errorf("fsck: %w: page count %d", ErrBadGeometry, pages)
-	}
-	if version > FormatVersion {
-		return nil, fmt.Errorf("pager: fsck: format version %d is newer than supported %d", version, FormatVersion)
-	}
-	st, err := f.Stat()
+	ps, pages, version, err := readHeader(f, f)
 	if err != nil {
-		return nil, err
-	}
-	if int64(pages)*int64(ps) > st.Size() {
-		return nil, fmt.Errorf("pager: fsck: header declares %d pages of %d bytes but file has only %d bytes",
-			pages, ps, st.Size())
+		return nil, fmt.Errorf("fsck: %w", err)
 	}
 
 	rep := &FsckReport{
 		Path:     path,
-		Version:  version,
+		Version:  int(version),
 		PageSize: ps,
-		Payload:  ps,
+		Payload:  ps - trailerSize,
 		Pages:    pages,
 		ByType:   make(map[PageType]int),
 	}
-	if version == 0 {
-		rep.Legacy = true
-		rep.ByType[PageUnknown] = pages
-		return rep, nil
+	first := 0
+	if version != FormatVersion {
+		// Open refuses this file. Its other pages are still checked against
+		// the one format there is, so the report says how much of it holds.
+		rep.Corrupt = append(rep.Corrupt, FsckPage{
+			ID: 0, Type: PageHeader,
+			Err: fmt.Errorf("%w %d (this build reads and writes %d)", ErrBadVersion, version, FormatVersion),
+		})
+		first = 1
 	}
-	rep.Payload = ps - trailerSize
 
 	phys := make([]byte, ps)
-	for id := 0; id < pages; id++ {
+	for id := first; id < pages; id++ {
 		if _, err := f.ReadAt(phys, int64(id)*int64(ps)); err != nil {
 			rep.Corrupt = append(rep.Corrupt, FsckPage{
 				ID: PageID(id), Type: PageUnknown,

@@ -8,7 +8,8 @@ import (
 
 // FuzzOpen feeds arbitrary bytes to the page-file opener: it must reject
 // or accept without panicking, and an accepted file must serve reads
-// within its declared bounds without panicking.
+// within its declared bounds without panicking — and serve no page whose
+// bytes do not match the checksum in its own trailer.
 func FuzzOpen(f *testing.F) {
 	// Seed with a genuine header.
 	dir, err := os.MkdirTemp("", "fuzzseed")
@@ -27,6 +28,9 @@ func FuzzOpen(f *testing.F) {
 	}
 	os.RemoveAll(dir)
 	f.Add(raw)
+	downgraded := append([]byte(nil), raw...)
+	downgraded[12] = 0 // once "format v0": every page verified trivially
+	f.Add(downgraded)
 	f.Add([]byte("SDPG"))
 	f.Add([]byte{})
 	f.Add([]byte("SDPGxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx"))
@@ -50,8 +54,16 @@ func FuzzOpen(f *testing.F) {
 			return // absurd but harmless; skip the read probe
 		}
 		buf := make([]byte, pf.PageSize())
+		ps := pf.PhysicalPageSize()
 		for id := PageID(1); int(id) <= pf.Len() && id < 4; id++ {
-			_, _ = pf.ReadPage(id, buf)
+			if _, err := pf.ReadPage(id, buf); err != nil {
+				continue
+			}
+			phys := data[int(id)*ps : (int(id)+1)*ps]
+			tr := phys[len(buf):]
+			if pageCRC(phys[:len(buf)], tr[4], tr[5]) != le32(tr[:4]) {
+				t.Fatalf("page %d was served without a matching checksum", id)
+			}
 		}
 	})
 }

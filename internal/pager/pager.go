@@ -13,9 +13,9 @@
 // (see pool.go). Per-search I/O attribution goes through a Lease (see
 // lease.go), whose counters are goroutine-local.
 //
-// # Page integrity (format v1)
+// # Page integrity
 //
-// Every page written by the current format carries an 8-byte trailer:
+// Every page carries an 8-byte trailer:
 //
 //	crc32c u32 | format version u8 | page type u8 | reserved u16
 //
@@ -29,10 +29,9 @@
 // and friends) are retried with capped exponential backoff and
 // deterministic jitter, honoring the caller's context during every sleep.
 //
-// Files written before the trailer existed (format v0) are detected by the
-// header's version byte and stay fully readable: checksum verification is
-// skipped and counted as a warning (FaultStats().LegacyReads). The
-// `nnc rewrite` tool upgrades such files in place.
+// There is one format. The header's version byte must equal FormatVersion;
+// Open refuses any other value before trusting a byte of the file, so no
+// page is ever served unverified.
 package pager
 
 import (
@@ -43,7 +42,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -51,8 +49,8 @@ import (
 )
 
 // PageSize is the default physical page size, matching the paper's
-// configuration. The usable payload of a v1 page is PageSize minus the
-// 8-byte integrity trailer (see PageFile.PageSize).
+// configuration. The usable payload of a page is PageSize minus the 8-byte
+// integrity trailer (see PageFile.PageSize).
 const PageSize = 4096
 
 // PageID addresses a page within a file.
@@ -62,21 +60,19 @@ type PageID uint32
 // user data never receives it.
 const InvalidPage PageID = 0
 
-// FormatVersion is the on-disk format written by Create: 1 adds the
-// per-page integrity trailer. Version 0 files (no trailer) remain
-// readable.
+// FormatVersion is the on-disk format Create writes and the only one Open
+// accepts: every page ends in the integrity trailer.
 const FormatVersion = 1
 
-// trailerSize is the per-page integrity trailer of format v1.
+// trailerSize is the per-page integrity trailer.
 const trailerSize = 8
 
 // PageType tags what a page holds, stored in the trailer so fsck can
-// report corruption per structure and an upgrade can audit a file without
-// decoding it.
+// report corruption per structure without decoding it.
 type PageType uint8
 
-// Page types. PageUnknown doubles as the tag of legacy (v0) pages, whose
-// format had no type byte.
+// Page types. PageUnknown tags pages appended before their owner is known
+// (WAL replay growing the file).
 const (
 	PageUnknown PageType = iota
 	PageHeader
@@ -125,6 +121,9 @@ var (
 	// ErrBadGeometry is returned when a header's declared geometry fails
 	// plausibility checks before any of it is trusted for allocation.
 	ErrBadGeometry = errors.New("pager: implausible geometry in header")
+	// ErrBadVersion is returned by Open (and listed by Fsck) when the
+	// header's version byte is not FormatVersion.
+	ErrBadVersion = errors.New("pager: unsupported format version")
 )
 
 // castagnoli is the CRC32C table shared by every checksum computation.
@@ -134,9 +133,8 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 type Option func(*fileConfig)
 
 type fileConfig struct {
-	retry   faults.Retry
-	wrap    func(io.ReaderAt) io.ReaderAt
-	version int
+	retry faults.Retry
+	wrap  func(io.ReaderAt) io.ReaderAt
 }
 
 // WithRetry overrides the transient-I/O retry policy (faults.DefaultRetry
@@ -152,13 +150,6 @@ func WithReaderWrapper(wrap func(io.ReaderAt) io.ReaderAt) Option {
 	return func(c *fileConfig) { c.wrap = wrap }
 }
 
-// WithLegacyFormat makes Create write a format v0 file (no integrity
-// trailers). It exists so compatibility tests can produce pre-checksum
-// files; new data should never use it.
-func WithLegacyFormat() Option {
-	return func(c *fileConfig) { c.version = 0 }
-}
-
 // PageFile is a page-granular file. Page 0 holds the file header (magic +
 // page size + page count + format version); user pages start at 1. Reads
 // and writes use positional I/O (pread/pwrite), so concurrent page
@@ -168,8 +159,7 @@ type PageFile struct {
 	f        *os.File
 	r        io.ReaderAt // physical read path; wrapped under fault injection
 	pageSize int         // physical page size
-	payload  int         // usable bytes per page (pageSize - trailer on v1)
-	version  int
+	payload  int         // usable bytes per page: pageSize - trailerSize
 	retry    faults.Retry
 
 	mu     sync.Mutex    // guards Allocate / Sync / Close (header + growth)
@@ -190,7 +180,6 @@ type PageFile struct {
 	quarantined map[PageID]error
 
 	// Fault counters (see faults.Stats).
-	legacyReads      atomic.Int64
 	checksumFailures atomic.Int64
 	tornPages        atomic.Int64
 	shortReads       atomic.Int64
@@ -202,28 +191,24 @@ type PageFile struct {
 const magic = "SDPG"
 
 func applyOptions(opts []Option) fileConfig {
-	cfg := fileConfig{retry: faults.DefaultRetry, version: FormatVersion}
+	cfg := fileConfig{retry: faults.DefaultRetry}
 	for _, o := range opts {
 		o(&cfg)
 	}
 	return cfg
 }
 
-func newPageFile(f *os.File, pageSize, version int, cfg fileConfig) *PageFile {
-	pf := &PageFile{
-		f:        f,
-		r:        io.ReaderAt(f),
-		pageSize: pageSize,
-		payload:  pageSize,
-		version:  version,
-		retry:    cfg.retry,
+// reader is the physical read path over f: f itself, or the fault-injection
+// wrapper around it.
+func (c fileConfig) reader(f *os.File) io.ReaderAt {
+	if c.wrap != nil {
+		return c.wrap(f)
 	}
-	if version >= 1 {
-		pf.payload = pageSize - trailerSize
-	}
-	if cfg.wrap != nil {
-		pf.r = cfg.wrap(f)
-	}
+	return f
+}
+
+func newPageFile(f *os.File, r io.ReaderAt, pageSize int, retry faults.Retry) *PageFile {
+	pf := &PageFile{f: f, r: r, pageSize: pageSize, payload: pageSize - trailerSize, retry: retry}
 	pf.scratch.New = func() any {
 		b := make([]byte, pf.pageSize)
 		return &b
@@ -241,7 +226,7 @@ func Create(path string, pageSize int, opts ...Option) (*PageFile, error) {
 	if err != nil {
 		return nil, err
 	}
-	pf := newPageFile(f, pageSize, cfg.version, cfg)
+	pf := newPageFile(f, cfg.reader(f), pageSize, cfg.retry)
 	pf.pages.Store(1)
 	if err := pf.writeHeader(); err != nil {
 		f.Close()
@@ -250,69 +235,68 @@ func Create(path string, pageSize int, opts ...Option) (*PageFile, error) {
 	return pf, nil
 }
 
-// Open opens an existing page file, auto-detecting its format version.
-func Open(path string, opts ...Option) (*PageFile, error) {
+// readHeader reads and validates what page 0 declares — magic, page size,
+// page count — against sane bounds and the physical file size, so a corrupt
+// header can never trigger absurd allocations or out-of-range I/O. The
+// version byte is returned unjudged: Open refuses a wrong one, Fsck reports
+// it and goes on.
+func readHeader(f *os.File, r io.ReaderAt) (ps, pages int, version byte, err error) {
+	hdr := make([]byte, 16)
+	if _, err := r.ReadAt(hdr, 0); err != nil {
+		return 0, 0, 0, fmt.Errorf("pager: reading header: %w", err)
+	}
+	if string(hdr[:4]) != magic {
+		return 0, 0, 0, ErrBadMagic
+	}
+	ps, pages, version = int(le32(hdr[4:8])), int(le32(hdr[8:12])), hdr[12]
+	const maxPageSize = 1 << 24
+	if ps < 64 || ps > maxPageSize {
+		return 0, 0, 0, fmt.Errorf("pager: implausible page size %d in header", ps)
+	}
+	if pages < 1 {
+		return 0, 0, 0, fmt.Errorf("%w: page count %d", ErrBadGeometry, pages)
+	}
+	st, err := f.Stat()
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	if int64(pages)*int64(ps) > st.Size() {
+		return 0, 0, 0, fmt.Errorf("pager: header declares %d pages of %d bytes but file has only %d bytes",
+			pages, ps, st.Size())
+	}
+	return ps, pages, version, nil
+}
+
+// Open opens an existing page file. The header's version byte must be
+// FormatVersion, and its page is verified like any other before the
+// geometry it declares is trusted.
+func Open(path string, opts ...Option) (pf *PageFile, err error) {
 	cfg := applyOptions(opts)
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
 		return nil, err
 	}
-	var r io.ReaderAt = f
-	if cfg.wrap != nil {
-		r = cfg.wrap(f)
-	}
-	hdr := make([]byte, 16)
-	if _, err := r.ReadAt(hdr, 0); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("pager: reading header: %w", err)
-	}
-	if string(hdr[:4]) != magic {
-		f.Close()
-		return nil, ErrBadMagic
-	}
-	ps := int(le32(hdr[4:8]))
-	pages := PageID(le32(hdr[8:12]))
-	version := int(hdr[12])
-	// Validate the declared geometry against sane bounds and the physical
-	// file size, so a corrupt header can never trigger absurd allocations
-	// or out-of-range I/O.
-	const maxPageSize = 1 << 24
-	if ps < 64 || ps > maxPageSize {
-		f.Close()
-		return nil, fmt.Errorf("pager: implausible page size %d in header", ps)
-	}
-	if pages < 1 {
-		f.Close()
-		return nil, fmt.Errorf("%w: page count %d", ErrBadGeometry, pages)
-	}
-	if version > FormatVersion {
-		f.Close()
-		return nil, fmt.Errorf("pager: format version %d is newer than supported %d", version, FormatVersion)
-	}
-	st, err := f.Stat()
+	defer func() {
+		if err != nil {
+			f.Close()
+		}
+	}()
+	r := cfg.reader(f)
+	ps, pages, version, err := readHeader(f, r)
 	if err != nil {
-		f.Close()
 		return nil, err
 	}
-	if int64(pages)*int64(ps) > st.Size() {
-		f.Close()
-		return nil, fmt.Errorf("pager: header declares %d pages of %d bytes but file has only %d bytes",
-			pages, ps, st.Size())
+	if version != FormatVersion {
+		return nil, fmt.Errorf("%w %d (this build reads and writes %d)", ErrBadVersion, version, FormatVersion)
 	}
-	pf := newPageFile(f, ps, version, cfg)
+	pf = newPageFile(f, r, ps, cfg.retry)
 	pf.pages.Store(uint32(pages))
-	if version >= 1 {
-		// The header page carries a trailer like every other page; verify
-		// it before trusting the geometry it declares.
-		full := make([]byte, ps)
-		if _, err := r.ReadAt(full, 0); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("pager: reading header page: %w", err)
-		}
-		if _, err := pf.verifyPage(InvalidPage, full); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("pager: header page failed verification: %w", err)
-		}
+	full := make([]byte, ps)
+	if _, err := r.ReadAt(full, 0); err != nil {
+		return nil, fmt.Errorf("pager: reading header page: %w", err)
+	}
+	if _, err := pf.verifyPage(InvalidPage, full); err != nil {
+		return nil, fmt.Errorf("pager: header page failed verification: %w", err)
 	}
 	return pf, nil
 }
@@ -324,10 +308,8 @@ func (pf *PageFile) writeHeader() error {
 	copy(hdr, magic)
 	putLE32(hdr[4:8], uint32(pf.pageSize))
 	putLE32(hdr[8:12], pf.pages.Load())
-	hdr[12] = byte(pf.version)
-	if pf.version >= 1 {
-		pf.seal(hdr, PageHeader)
-	}
+	hdr[12] = FormatVersion
+	pf.seal(hdr, PageHeader)
 	_, err := pf.f.WriteAt(hdr, 0)
 	return err
 }
@@ -335,7 +317,7 @@ func (pf *PageFile) writeHeader() error {
 // seal fills the integrity trailer of a physical page image in place.
 func (pf *PageFile) seal(phys []byte, t PageType) {
 	tr := phys[pf.payload:]
-	tr[4] = byte(pf.version)
+	tr[4] = FormatVersion
 	tr[5] = byte(t)
 	tr[6], tr[7] = 0, 0
 	putLE32(tr[0:4], pageCRC(phys[:pf.payload], tr[4], tr[5]))
@@ -348,12 +330,8 @@ func pageCRC(payload []byte, version, ptype byte) uint32 {
 }
 
 // verifyPage checks a physical page image against its trailer, returning
-// the page's type. Legacy files verify trivially (and count a warning at
-// the read site).
+// the page's type.
 func (pf *PageFile) verifyPage(id PageID, phys []byte) (PageType, error) {
-	if pf.version == 0 {
-		return PageUnknown, nil
-	}
 	tr := phys[pf.payload:]
 	want := le32(tr[0:4])
 	got := pageCRC(phys[:pf.payload], tr[4], tr[5])
@@ -365,16 +343,12 @@ func (pf *PageFile) verifyPage(id PageID, phys []byte) (PageType, error) {
 
 // PageSize returns the usable payload bytes per page — what every buffer
 // passed to ReadPage/WritePage must hold, and the unit all page-layout
-// arithmetic (R-tree node capacity, store record packing) is derived from.
-// For v1 files this is the physical page size minus the integrity
-// trailer.
+// arithmetic (R-tree node capacity, store record packing) is derived from:
+// the physical page size minus the integrity trailer.
 func (pf *PageFile) PageSize() int { return pf.payload }
 
 // PhysicalPageSize returns the on-disk page size including the trailer.
 func (pf *PageFile) PhysicalPageSize() int { return pf.pageSize }
-
-// FormatVersion returns the file's on-disk format version.
-func (pf *PageFile) FormatVersion() int { return pf.version }
 
 // Len returns the number of user pages allocated.
 func (pf *PageFile) Len() int { return int(pf.pages.Load()) - 1 }
@@ -387,7 +361,6 @@ func (pf *PageFile) IOCounts() (reads, writes int64) {
 // FaultStats returns the file's cumulative fault counters.
 func (pf *PageFile) FaultStats() faults.Stats {
 	return faults.Stats{
-		LegacyReads:      pf.legacyReads.Load(),
 		ChecksumFailures: pf.checksumFailures.Load(),
 		TornPages:        pf.tornPages.Load(),
 		ShortReads:       pf.shortReads.Load(),
@@ -395,18 +368,6 @@ func (pf *PageFile) FaultStats() faults.Stats {
 		RecoveredReads:   pf.recoveredReads.Load(),
 		QuarantinedPages: pf.quarantinedN.Load(),
 	}
-}
-
-// Quarantined returns the ids of pages withdrawn from service, sorted.
-func (pf *PageFile) Quarantined() []PageID {
-	pf.qmu.Lock()
-	ids := make([]PageID, 0, len(pf.quarantined))
-	for id := range pf.quarantined {
-		ids = append(ids, id)
-	}
-	pf.qmu.Unlock()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }
 
 // QuarantineCount returns the number of quarantined pages.
@@ -444,6 +405,24 @@ func (pf *PageFile) getScratch() *[]byte { return pf.scratch.Get().(*[]byte) }
 
 func (pf *PageFile) putScratch(b *[]byte) { pf.scratch.Put(b) }
 
+// grow appends zeroed pages sealed as type t until the file holds n pages,
+// the header page included. The caller holds pf.mu.
+func (pf *PageFile) grow(n int, t PageType) error {
+	zp := pf.getScratch()
+	defer pf.putScratch(zp)
+	zero := *zp
+	clear(zero)
+	pf.seal(zero, t)
+	for id := int(pf.pages.Load()); id < n; id++ {
+		if _, err := pf.f.WriteAt(zero, int64(id)*int64(pf.pageSize)); err != nil {
+			return err
+		}
+		pf.pages.Add(1)
+		pf.writes.Add(1)
+	}
+	return nil
+}
+
 // Allocate appends a zeroed page tagged with the given type and returns
 // its id.
 func (pf *PageFile) Allocate(t PageType) (PageID, error) {
@@ -453,20 +432,9 @@ func (pf *PageFile) Allocate(t PageType) (PageID, error) {
 	pf.mu.Lock()
 	defer pf.mu.Unlock()
 	id := PageID(pf.pages.Load())
-	zp := pf.getScratch()
-	defer pf.putScratch(zp)
-	zero := *zp
-	for i := range zero {
-		zero[i] = 0
-	}
-	if pf.version >= 1 {
-		pf.seal(zero, t)
-	}
-	if _, err := pf.f.WriteAt(zero, int64(id)*int64(pf.pageSize)); err != nil {
+	if err := pf.grow(int(id)+1, t); err != nil {
 		return InvalidPage, err
 	}
-	pf.pages.Add(1)
-	pf.writes.Add(1)
 	return id, nil
 }
 
@@ -483,22 +451,8 @@ func (pf *PageFile) EnsurePages(n int) error {
 	if int(pf.pages.Load()) >= n {
 		return nil
 	}
-	zp := pf.getScratch()
-	defer pf.putScratch(zp)
-	zero := *zp
-	for i := range zero {
-		zero[i] = 0
-	}
-	if pf.version >= 1 {
-		pf.seal(zero, PageUnknown)
-	}
-	for int(pf.pages.Load()) < n {
-		id := PageID(pf.pages.Load())
-		if _, err := pf.f.WriteAt(zero, int64(id)*int64(pf.pageSize)); err != nil {
-			return err
-		}
-		pf.pages.Add(1)
-		pf.writes.Add(1)
+	if err := pf.grow(n, PageUnknown); err != nil {
+		return err
 	}
 	return pf.writeHeader()
 }
@@ -558,9 +512,6 @@ func (pf *PageFile) ReadPageCtx(ctx context.Context, id PageID, buf []byte) (Pag
 			if verr == nil {
 				if failed {
 					pf.recoveredReads.Add(1)
-				}
-				if pf.version == 0 {
-					pf.legacyReads.Add(1)
 				}
 				copy(buf, phys[:pf.payload])
 				pf.reads.Add(1)
@@ -627,13 +578,6 @@ func (pf *PageFile) WritePage(id PageID, buf []byte, t PageType) error {
 	if len(buf) != pf.payload {
 		return fmt.Errorf("pager: buffer size %d != page payload %d", len(buf), pf.payload)
 	}
-	if pf.version == 0 {
-		if _, err := pf.f.WriteAt(buf, int64(id)*int64(pf.pageSize)); err != nil {
-			return err
-		}
-		pf.writes.Add(1)
-		return nil
-	}
 	pp := pf.getScratch()
 	defer pf.putScratch(pp)
 	phys := *pp
@@ -664,13 +608,12 @@ func (pf *PageFile) Close() error {
 	if pf.closed.Load() {
 		return nil
 	}
-	if err := pf.Sync(); err != nil {
-		pf.closed.Store(true)
-		pf.f.Close()
-		return err
-	}
+	err := pf.Sync()
 	pf.closed.Store(true)
-	return pf.f.Close()
+	if cerr := pf.f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 func le32(b []byte) uint32 {

@@ -34,7 +34,6 @@ const (
 // concurrently pinned pages) frames.
 type Pool struct {
 	file   *PageFile
-	cap    int
 	shards []poolShard
 
 	// hits and misses count logical page requests served from / missing
@@ -79,7 +78,7 @@ func NewPool(file *PageFile, capacity int) *Pool {
 	if nshards < 1 {
 		nshards = 1
 	}
-	p := &Pool{file: file, cap: capacity, shards: make([]poolShard, nshards)}
+	p := &Pool{file: file, shards: make([]poolShard, nshards)}
 	base, rem := capacity/nshards, capacity%nshards
 	for i := range p.shards {
 		sh := &p.shards[i]
@@ -96,9 +95,6 @@ func NewPool(file *PageFile, capacity int) *Pool {
 // File returns the underlying page file.
 func (p *Pool) File() *PageFile { return p.file }
 
-// Capacity returns the pool's steady-state frame capacity.
-func (p *Pool) Capacity() int { return p.cap }
-
 func (p *Pool) shardFor(id PageID) *poolShard {
 	return &p.shards[uint32(id)%uint32(len(p.shards))]
 }
@@ -107,10 +103,7 @@ func (p *Pool) shardFor(id PageID) *poolShard {
 // mutations must be flagged with MarkDirty before Unpin. Safe for
 // concurrent use; per-call hit/miss attribution is available through a
 // Lease.
-func (p *Pool) Get(id PageID) ([]byte, error) {
-	buf, _, err := p.get(context.Background(), id)
-	return buf, err
-}
+func (p *Pool) Get(id PageID) ([]byte, error) { return p.GetCtx(context.Background(), id) }
 
 // GetCtx is Get with a cancellation context: a canceled ctx aborts both
 // the physical read's retry backoff and any wait for another goroutine's

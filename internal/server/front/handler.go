@@ -32,11 +32,11 @@ type Config struct {
 	// MaxInFlight caps concurrently served gated requests process-wide;
 	// 0 means DefaultMaxInFlight(), negative disables the ceiling.
 	MaxInFlight int
-	// ClientHeader names the header identifying a client for rate
-	// limiting; empty means "X-Client-ID", falling back to the remote
-	// address host when the header is absent.
-	ClientHeader string
 }
+
+// clientHeader names the header identifying a client for rate limiting;
+// a request without it is keyed by its remote address host.
+const clientHeader = "X-Client-ID"
 
 // DefaultMaxInFlight is the default global ceiling: generous enough that
 // only genuine overload trips it, bounded so overload sheds instead of
@@ -52,11 +52,10 @@ func DefaultMaxInFlight() int {
 // Handler wraps an API handler with shedding and metrics. Build with
 // NewHandler; it implements http.Handler and server.FrontReporter.
 type Handler struct {
-	inner        http.Handler
-	door         atomic.Pointer[Door] // nil until attached: shedding/metrics only
-	limiter      *rateLimiter
-	gate         *core.Admission // nil when ceiling disabled
-	clientHeader string
+	inner   http.Handler
+	door    atomic.Pointer[Door] // nil until attached: shedding/metrics only
+	limiter *rateLimiter
+	gate    *core.Admission // nil when ceiling disabled
 
 	reg          *Registry
 	shedRate     *Counter
@@ -102,15 +101,11 @@ func classify(path string) string {
 // when present its counters are exported on /metrics and /healthz.
 func NewHandler(inner http.Handler, door *Door, cfg Config) *Handler {
 	h := &Handler{
-		inner:        inner,
-		clientHeader: cfg.ClientHeader,
-		reg:          NewRegistry(),
-		latency:      map[string]*Histogram{},
-		responses:    map[int]*Counter{},
-		now:          time.Now,
-	}
-	if h.clientHeader == "" {
-		h.clientHeader = "X-Client-ID"
+		inner:     inner,
+		reg:       NewRegistry(),
+		latency:   map[string]*Histogram{},
+		responses: map[int]*Counter{},
+		now:       time.Now,
 	}
 	burst := cfg.Burst
 	if burst < 1 {
@@ -235,7 +230,7 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // when present, else the remote host (ignoring the ephemeral port, so
 // one machine's connections share a bucket).
 func (h *Handler) clientKey(r *http.Request) string {
-	if v := r.Header.Get(h.clientHeader); v != "" {
+	if v := r.Header.Get(clientHeader); v != "" {
 		return v
 	}
 	host, _, err := net.SplitHostPort(r.RemoteAddr)

@@ -1,0 +1,85 @@
+package wal
+
+import (
+	"os"
+	"path/filepath"
+	"testing"
+
+	"spatialdom/internal/pager"
+)
+
+// FuzzScan feeds arbitrary bytes to the record scanner as a log file —
+// bytes another process (or a crash) wrote. It must never panic, never
+// deliver a record that does not lie whole inside the file, never hand out
+// an image of any size but the one the header declares (so no buffer is
+// sized by a length the file does not back), and account for every byte:
+// valid prefix plus torn tail is the file.
+func FuzzScan(f *testing.F) {
+	dir := f.TempDir()
+	l, err := Open(filepath.Join(dir, "seed.wal"), testPayload, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, images := range [][]PageImage{
+		{{ID: 3, Type: pager.PageTreeNode, Data: image(0xaa)}},
+		{{ID: 7, Type: pager.PageStoreData, Data: image(0xbb)}, {ID: 9, Type: pager.PageSuper, Data: image(0xcc)}},
+	} {
+		if _, err := l.Commit(images); err != nil {
+			f.Fatal(err)
+		}
+	}
+	l.Close()
+	raw, err := os.ReadFile(filepath.Join(dir, "seed.wal"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(raw)                                    // two committed transactions
+	f.Add(raw[:len(raw)-int(CommitRecordSize)-7]) // the second one torn inside its last image
+	huge := append([]byte(nil), raw...)
+	huge[8], huge[9], huge[10], huge[11] = 0xff, 0xff, 0xff, 0xff // header declares 4 GiB pages
+	f.Add(huge)
+	f.Add(raw[:headerSize])
+	f.Add([]byte(walMagic))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "f.wal")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		size := int64(len(data))
+		delivered, end := 0, HeaderSize
+		var imageLens []int
+		info, declared, err := ScanFile(path, 0, func(r Rec) error {
+			if r.Off != end {
+				t.Fatalf("record at %d does not follow the previous one's end %d", r.Off, end)
+			}
+			end = r.Off + CommitRecordSize
+			if r.Type == RecPageImage {
+				end += int64(5 + len(r.Image))
+				imageLens = append(imageLens, len(r.Image))
+			}
+			if end > size {
+				t.Fatalf("record at %d runs to %d, past the file's %d bytes", r.Off, end, size)
+			}
+			delivered++
+			return nil
+		})
+		if err != nil {
+			return // not a log at all
+		}
+		if size < HeaderSize {
+			if delivered != 0 || info.Records != 0 {
+				t.Fatalf("%d records out of a %d-byte file", delivered, size)
+			}
+			return
+		}
+		if info.Records != delivered || info.End != end || info.End+info.Torn != size {
+			t.Fatalf("scan info %+v after %d records ending at %d in %d bytes", info, delivered, end, size)
+		}
+		for _, n := range imageLens {
+			if n != declared {
+				t.Fatalf("image of %d bytes from a log declaring %d", n, declared)
+			}
+		}
+	})
+}

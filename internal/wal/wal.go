@@ -9,7 +9,7 @@
 // Recovery replays the page images of committed transactions into the
 // page file and truncates any torn tail — a crash at any byte offset of
 // the log yields either the pre-transaction or the post-transaction
-// state, never a mixture (see DESIGN.md §2e).
+// state, never a mixture (see DESIGN.md §2d).
 //
 // # Record grammar
 //
