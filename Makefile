@@ -51,7 +51,8 @@ race:
 # one-shot Figure 12, disk-cold, P-SD-miss, band-scan, wide-object P-SD and
 # commit benchmark smoke so the engine's hot path stays exercised in memory, against
 # a page file, on objects wider than any repo-benchmark workload has and
-# through the WAL write path, the batch scaling gate
+# through the WAL write path, the Figure 16 ablation driver at tiny scale (every
+# filter stack, as `nnc figure` runs it), the batch scaling gate
 # without the race detector (it skips under it) and the parallel-search
 # benchmarks at four procs (the only place the batch path is timed), the
 # server boot smoke, the size count, and a short fuzz pass over every
@@ -68,6 +69,7 @@ check: fmt-check
 	$(GO) test -run='^$$' -bench='BandScan' -benchtime=1x -benchmem .
 	$(GO) test -run='^$$' -bench='DominanceCheck/PSD/m=64' -benchtime=1x -benchmem .
 	$(GO) test -run='^$$' -bench='Commit$$' -benchtime=1x -benchmem .
+	$(GO) run ./cmd/nnc figure -figure=16 -scale=tiny
 	$(GO) test -run=TestSearchParallelScales ./internal/core
 	GOMAXPROCS=4 $(GO) test -run='^$$' -bench=ParallelSearch -benchtime=1x -benchmem .
 	$(MAKE) smoke

@@ -31,7 +31,7 @@ var filterMatrix = map[string]core.FilterConfig{
 	"BF":  {},
 	"L":   {LevelByLevel: true},
 	"P":   {StatPruning: true},
-	"G":   {Geometric: true, SphereValidation: true},
+	"G":   {Geometric: true},
 	"All": core.AllFilters,
 }
 

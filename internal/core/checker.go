@@ -65,11 +65,11 @@ func (c *Checker) Operator() Operator { return c.op }
 //
 //  1. global statistics: min/mean/max of U_Q against V_Q (three floats);
 //  2. per-query-instance statistics: the same three of each U_q (SS-SD, P-SD);
-//  3. cover-based validation on MBRs (Theorem 4), then bounding spheres;
+//  3. cover-based validation on MBRs (Theorem 4);
 //  4. the sweep of the sorted runs: per-query-instance stochastic scans as
 //     cover-based pruning, and the admissibility rows of rung 7 (P-SD);
 //  5. the in-hull exit (P-SD);
-//  6. level-by-level bounds on the local R-trees;
+//  6. level-by-level bounds on the local R-trees (S-SD, SS-SD);
 //  7. the exact test: the sorted-atom scan, or the Theorem 12 max-flow.
 //
 // Rungs 1, 2, 4 and 5 can only answer "no", rung 3 only "yes", so their
@@ -120,18 +120,14 @@ type objCache struct {
 	obj *uncertain.Object
 
 	// The query summary (summaryOf): one pass over the |Q|·m instance pairs.
-	sumOK      bool
-	stat       distr.Stat   // of U_Q; stat.Min is the object's heap key
-	perQStat   []distr.Stat // of U_q per query instance
-	runs       []distr.Pair // |Q| runs of m atoms, one U_q each
-	runsSorted bool         // runs went through distr.SortRuns (SS-SD)
-	sorted     int          // runs [0, sorted) went through sortedRun (P-SD)
-	runInst    []int32      // the instance of each atom of those runs
-	distQOK    bool
-	distQ      distr.Distribution // U_Q, built from runs when first scanned
-
-	sphereOK bool
-	sphere   geom.Sphere // bounding sphere, radius under the checker's metric
+	sumOK    bool
+	stat     distr.Stat   // of U_Q; stat.Min is the object's heap key
+	perQStat []distr.Stat // of U_q per query instance
+	runs     []distr.Pair // |Q| runs of m atoms, one U_q each
+	sorted   int          // runs [0, sorted) went through sortedRun
+	runInst  []int32      // the instance of each atom of those runs
+	distQOK  bool
+	distQ    distr.Distribution // U_Q, built from runs when first scanned
 
 	levels []*levelBounds // local-tree level bounds, index = level
 }
@@ -197,17 +193,6 @@ func (c *Checker) distQ(oc *objCache) distr.Distribution {
 	return oc.distQ
 }
 
-// perQ returns U_q for query instance j, sorting the summary's runs the
-// first time a scan asks.
-func (c *Checker) perQ(oc *objCache, j int) distr.Distribution {
-	m := oc.obj.Len()
-	if !oc.runsSorted {
-		distr.SortRuns(oc.runs, m)
-		oc.runsSorted = true
-	}
-	return distr.Sorted(oc.runs[j*m : (j+1)*m])
-}
-
 // perQStatLE reports whether every U_q's statistics are ordered against
 // V_q's — rung 2, necessary for U_q ≤st V_q at every query instance.
 func (c *Checker) perQStatLE(su, sv *objCache) bool {
@@ -219,96 +204,32 @@ func (c *Checker) perQStatLE(su, sv *objCache) bool {
 	return true
 }
 
-// perQScanLE reports whether U_q ≤st V_q at every query instance, by scan.
-func (c *Checker) perQScanLE(su, sv *objCache) bool {
-	for j := 0; j < c.query.Len(); j++ {
-		if !distr.StochasticLE(c.perQ(su, j), c.perQ(sv, j), c.eps, &c.Stats.InstanceComparisons) {
-			return false
-		}
-	}
-	return true
-}
-
-// sphereOf returns the object's bounding hypersphere with the radius
-// re-measured under the checker's metric (Ritter's center is metric-
-// agnostic; any center yields a valid bound once the radius covers every
-// instance).
-func (c *Checker) sphereOf(o *uncertain.Object) geom.Sphere {
-	oc := c.cacheOf(o)
-	if !oc.sphereOK {
-		s := o.Sphere()
-		if !c.euclid {
-			r := 0.0
-			for i := 0; i < o.Len(); i++ {
-				if d := c.metric.Dist(s.Center, o.Instance(i)); d > r {
-					r = d
-				}
-			}
-			s.Radius = r * (1 + 1e-12)
-		}
-		oc.sphere = s
-		oc.sphereOK = true
-		c.Stats.InstanceComparisons += int64(o.Len())
-	}
-	return oc.sphere
-}
-
-// sphereValidate is cover-based validation on bounding hyperspheres (the
-// Long et al. [25] filter the paper points to after Theorem 4): for every
-// hull query instance, δ(q,c_U)+r_U <= δ(q,c_V)−r_V. Spheres beat MBRs on
-// round instance clouds, whose empty MBR corners inflate the max-distance
-// bound.
-func (c *Checker) sphereValidate(u, v *uncertain.Object) (holds, strict bool) {
-	su, sv := c.sphereOf(u), c.sphereOf(v)
-	holds = true
-	for _, q := range c.hullPts {
-		maxU := c.metric.Dist(q, su.Center) + su.Radius
-		minV := c.metric.Dist(q, sv.Center) - sv.Radius
-		if maxU > minV {
-			return false, false
-		}
-		if maxU < minV {
-			strict = true
-		}
-	}
-	return holds, strict
-}
-
-// geoValidate tries MBR validation, then (when enabled) sphere validation,
-// recording which one fired.
-func (c *Checker) geoValidate(u, v *uncertain.Object) (holds, strict bool) {
-	if holds, strict = c.mbrValidate(u, v); holds {
-		c.Stats.MBRValidations++
-		return holds, strict
-	}
-	if !c.cfg.SphereValidation {
-		return false, false
-	}
-	if holds, strict = c.sphereValidate(u, v); holds {
-		c.Stats.SphereValidations++
-	}
-	return holds, strict
-}
-
 // --- MBR-level validation (Theorem 4) ----------------------------------------
 
-// mbrValidate decides cover-based validation: F-SD between the MBRs of u
-// and v w.r.t. the query instances. It returns (holds, strict): strict
-// means some query instance separates the MBRs with a strict inequality, in
-// which case U_Q ≠ V_Q is guaranteed and the validation may conclude
-// dominance outright.
-func (c *Checker) mbrValidate(u, v *uncertain.Object) (holds, strict bool) {
-	holds, strict, _ = c.le(u.MBR(), v.MBR())
-	return holds, strict
+// mbrValidate is cover-based validation: F-SD between the MBRs of u and v
+// w.r.t. the hull query instances, which the cover chain carries to every
+// operator. With needStrict the cover must also hold strictly at some query
+// instance — the witness that U_Q ≠ V_Q, which S-SD, SS-SD and P-SD require
+// and F-SD does not. A validation is counted where its verdict is taken: a
+// cover without the witness it needs decides nothing and the pair goes on
+// down the ladder.
+func (c *Checker) mbrValidate(u, v *uncertain.Object, needStrict bool) bool {
+	if !c.cfg.Geometric {
+		return false
+	}
+	holds, strict, _ := c.le(u.MBR(), v.MBR())
+	if !holds || (needStrict && !strict) {
+		return false
+	}
+	c.Stats.MBRValidations++
+	return true
 }
 
 // --- S-SD ---------------------------------------------------------------------
 
 func (c *Checker) ssd(u, v *uncertain.Object) bool {
-	if c.cfg.Geometric {
-		if holds, strict := c.geoValidate(u, v); holds && strict {
-			return true
-		}
+	if c.mbrValidate(u, v, true) {
+		return true
 	}
 	su, sv := c.summaryOf(u), c.summaryOf(v)
 	if c.cfg.LevelByLevel {
@@ -332,10 +253,8 @@ func (c *Checker) sssd(u, v *uncertain.Object) bool {
 		c.Stats.StatPrunes++
 		return false
 	}
-	if c.cfg.Geometric {
-		if holds, strict := c.geoValidate(u, v); holds && strict {
-			return true
-		}
+	if c.mbrValidate(u, v, true) {
+		return true
 	}
 	if c.cfg.LevelByLevel {
 		if dec, ok := c.levelDecideSSSD(su, sv); ok {
@@ -343,8 +262,14 @@ func (c *Checker) sssd(u, v *uncertain.Object) bool {
 			return dec
 		}
 	}
-	if !c.perQScanLE(su, sv) {
-		return false
+	// The exact test: U_q ≤st V_q at every query instance, each the scan half
+	// of P-SD's sweep on the two runs, sorted as it reaches them.
+	for j := 0; j < c.query.Len(); j++ {
+		us, _ := c.sortedRun(su, j)
+		vs, _ := c.sortedRun(sv, j)
+		if !c.sweepInstance(us, vs, nil, nil, true, false, nil) {
+			return false
+		}
 	}
 	return !distr.Equal(c.distQ(su), c.distQ(sv), c.eps)
 }
@@ -357,10 +282,8 @@ func (c *Checker) sssd(u, v *uncertain.Object) bool {
 // amortized equivalent of the paper's NN/furthest-neighbor searches on the
 // local R-trees.
 func (c *Checker) fsd(u, v *uncertain.Object) bool {
-	if c.cfg.Geometric {
-		if holds, _ := c.geoValidate(u, v); holds {
-			return true
-		}
+	if c.mbrValidate(u, v, false) {
+		return true
 	}
 	su, sv := c.summaryOf(u), c.summaryOf(v)
 	for j, a := range su.perQStat {

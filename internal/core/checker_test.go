@@ -159,6 +159,26 @@ func TestIdenticalObjectsDontDominate(t *testing.T) {
 	}
 }
 
+// A validation is counted where its verdict is taken. Two co-located point
+// objects cover each other without a strict witness: F-SD takes the bare
+// cover, the operators that need U_Q ≠ V_Q do not — they go on to the exact
+// test, which says no — and must not count a validation they did not use.
+func TestMBRValidationCountedOnlyWhenTaken(t *testing.T) {
+	q := uncertain.MustNew(0, []geom.Point{{0, 0}, {2, 0}, {1, 2}}, nil)
+	u, v := uncertain.MustNew(1, []geom.Point{{5, 5}}, nil), uncertain.MustNew(2, []geom.Point{{5, 5}}, nil)
+	for _, op := range []Operator{SSD, SSSD, PSD, FSD} {
+		c := NewChecker(q, op, AllFilters)
+		wantDom, wantCount := op == FSD, int64(0)
+		if wantDom {
+			wantCount = 1
+		}
+		if got := c.Dominates(u, v); got != wantDom || c.Stats.MBRValidations != wantCount {
+			t.Fatalf("%v: Dominates = %v with %d MBR validations, want %v with %d",
+				op, got, c.Stats.MBRValidations, wantDom, wantCount)
+		}
+	}
+}
+
 // Random twins of 3 to 20 instances, uniform or weighted: neither copy
 // P-SD-dominates the other under any filter configuration.
 func TestRandomTwinsDontDominate(t *testing.T) {

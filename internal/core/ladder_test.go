@@ -82,11 +82,10 @@ func ladderPair(rng *rand.Rand) (q, u, v *uncertain.Object) {
 // exactly, so below 1e-9 its own rungs disagree whatever their order — a
 // numeric-edge item of its own, ROADMAP 5c.)
 func TestLadderAgreesWithNoFilter(t *testing.T) {
-	cfgs := []FilterConfig{AllFilters, AllFilters, AllFilters, AllFilters, AllFilters}
+	cfgs := []FilterConfig{AllFilters, AllFilters, AllFilters, AllFilters}
 	cfgs[1].LevelByLevel = false
 	cfgs[2].StatPruning = false
 	cfgs[3].Geometric = false
-	cfgs[4].SphereValidation = false
 	rng := rand.New(rand.NewSource(1701))
 	for iter := 0; iter < 600; iter++ {
 		q, u, v := ladderPair(rng)
@@ -112,8 +111,8 @@ func TestLadderAgreesWithNoFilter(t *testing.T) {
 }
 
 // The same agreement on pairs of 70 instances, where the local trees are
-// three levels deep (so G⁻ and G⁺ are solved before the exact test) and the
-// exact test's rows are two words wide. Half the draws are a pair only the
+// three levels deep (so S-SD and SS-SD try their coarse levels first) and
+// P-SD's rows are two words wide. Half the draws are a pair only the
 // exact test can decide; the rest are independent clouds.
 func TestLadderAgreesWithNoFilterWideObjects(t *testing.T) {
 	cfgs := []FilterConfig{AllFilters, AllFilters, AllFilters, AllFilters}
@@ -173,7 +172,8 @@ func TestSummaryMatchesSortedDistribution(t *testing.T) {
 			}
 			for j := 0; j < q.Len(); j++ {
 				wj := distr.BetweenInstanceFunc(o, q.Instance(j), m.Dist)
-				if !distr.Equal(c.perQ(oc, j), wj, 0) || oc.perQStat[j].Min != wj.Min() || oc.perQStat[j].Max != wj.Max() {
+				run, _ := c.sortedRun(oc, j)
+				if !distr.Equal(distr.Own(slices.Clone(run)), wj, 0) || oc.perQStat[j].Min != wj.Min() || oc.perQStat[j].Max != wj.Max() {
 					t.Fatalf("iter %d %s: U_q %d differs from distr.BetweenInstance", iter, m.Name(), j)
 				}
 			}

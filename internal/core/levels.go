@@ -7,10 +7,10 @@ import (
 )
 
 // This file implements the level-by-level pruning/validation of Section 5.1
-// ("L" in the Appendix C ablation): dominance checks are first attempted
-// against coarse virtual instances — the nodes of the objects' local R-trees
-// — and only fall through to the exact instance-level algorithms when the
-// coarse level is inconclusive.
+// ("L" in the Appendix C ablation) for S-SD and SS-SD: dominance checks are
+// first attempted against coarse virtual instances — the nodes of the
+// objects' local R-trees — and only fall through to the exact scans when the
+// coarse level is inconclusive. P-SD has no such rung (psd.go).
 //
 // For the stochastic operators, a local-tree level yields two bounding
 // distributions per object: LB replaces every instance distance by the
@@ -24,9 +24,8 @@ import (
 // U_Q ≤st UB(U) ≤st LB(V) ≤st V_Q collapses to equality.
 
 // levelBounds caches what the level-by-level filter knows about one object
-// at one local R-tree level: the nodes and their probability masses (all
-// P-SD reads), and — built only when S-SD or SS-SD asks — the bounding
-// distributions.
+// at one local R-tree level: the nodes and their probability masses, and the
+// bounding distributions S-SD or SS-SD asked for.
 type levelBounds struct {
 	nodes  []rtree.Entry // MBR and NodeID of each local-tree node
 	masses []float64

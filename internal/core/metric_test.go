@@ -27,7 +27,7 @@ func TestMetricFilterConfigsAgree(t *testing.T) {
 			for _, op := range Operators {
 				bare := NewCheckerMetric(q, op, FilterConfig{}, m).Dominates(u, v)
 				for _, cfg := range []FilterConfig{
-					{StatPruning: true}, {Geometric: true}, {Geometric: true, SphereValidation: true}, {LevelByLevel: true}, AllFilters,
+					{StatPruning: true}, {Geometric: true}, {LevelByLevel: true}, AllFilters,
 				} {
 					if got := NewCheckerMetric(q, op, cfg, m).Dominates(u, v); got != bare {
 						t.Fatalf("iter %d %s %v: cfg %+v verdict %v != bare %v",

@@ -104,8 +104,8 @@ func (op Operator) Covers(other Operator) bool {
 // configuration ("BF"); AllFilters enables everything ("All").
 type FilterConfig struct {
 	// LevelByLevel enables level-by-level pruning/validation on the
-	// objects' local R-trees ("L"): bounding distributions for S-SD/SS-SD
-	// and the G⁻/G⁺ coarse flow networks for P-SD.
+	// objects' local R-trees ("L"): bounding distributions for S-SD and
+	// SS-SD. It does not touch P-SD (psd.go says why).
 	LevelByLevel bool
 	// StatPruning enables statistic-based pruning (min/mean/max of the
 	// distance distributions, Theorem 11) and cover-based pruning ("P").
@@ -114,18 +114,13 @@ type FilterConfig struct {
 	// dominance tests to the query's convex hull, the in-hull early exit
 	// for P-SD, and MBR cover validation (Theorem 4).
 	Geometric bool
-	// SphereValidation additionally validates on bounding hyperspheres
-	// (the Long et al. [25] filter the paper points to after Theorem 4);
-	// it only applies when Geometric is enabled.
-	SphereValidation bool
 }
 
 // AllFilters enables every filtering technique (the "All" configuration).
 var AllFilters = FilterConfig{
-	LevelByLevel:     true,
-	StatPruning:      true,
-	Geometric:        true,
-	SphereValidation: true,
+	LevelByLevel: true,
+	StatPruning:  true,
+	Geometric:    true,
 }
 
 // Stats counts the work performed by dominance checking; used by the
@@ -143,8 +138,10 @@ type Stats struct {
 	// MBRValidations counts cover-based validations that short-circuited a
 	// check at the MBR level.
 	MBRValidations int64
-	// SphereValidations counts validations decided by the bounding
-	// hypersphere after the MBR test was inconclusive.
+	// SphereValidations is retired and always 0: the bounding-sphere
+	// validation is deleted (EXPERIMENTS.md). The field stays only because
+	// the frozen bench/wl_mem.go prints it, and leaves with the next
+	// benchmark PR.
 	SphereValidations int64
 	// StatPrunes counts checks decided by statistic-based and cover-based
 	// pruning: the three statistics of U_Q, the three of some U_q, or (P-SD)
@@ -178,7 +175,6 @@ func (s *Stats) Add(other Stats) {
 	s.InstanceComparisons += other.InstanceComparisons
 	s.DominanceChecks += other.DominanceChecks
 	s.MBRValidations += other.MBRValidations
-	s.SphereValidations += other.SphereValidations
 	s.StatPrunes += other.StatPrunes
 	s.ScanPrunes += other.ScanPrunes
 	s.LevelDecisions += other.LevelDecisions

@@ -2,7 +2,6 @@ package core
 
 import (
 	"spatialdom/internal/distr"
-	"spatialdom/internal/flow"
 	"spatialdom/internal/geom"
 	"spatialdom/internal/uncertain"
 )
@@ -18,8 +17,8 @@ import (
 //
 //  2. per-query-instance statistics: P-SD ⊂ SS-SD, and min/mean/max of
 //     every U_q are necessary for the SS-SD scans of rung 4;
-//  3. cover-based validation on MBRs (Theorem 4) and bounding hyperspheres
-//     [25], with a strictness witness;
+//  3. cover-based validation on MBRs (Theorem 4), with a strictness
+//     witness;
 //  4. the sweep: one pass per query instance over U_q and V_q sorted by
 //     distance, which decides the SS-SD scan U_q ≤st V_q (cover-based
 //     pruning: ¬SS-SD implies ¬P-SD) and, at hull instances, writes the
@@ -27,16 +26,19 @@ import (
 //     or a positive-mass instance has no admissible pair left;
 //  5. the geometric in-hull exit: an instance of V inside the convex hull
 //     of Q can only be matched by a co-located instance of U;
-//  6. level-by-level G⁻ (validation) / G⁺ (pruning) transports over local
-//     R-tree nodes;
 //  7. the exact instance transport over the rows rung 4 wrote.
 //
-// Rungs 6 and 7 are one shape — masses on two sides, a 0/1 matrix of
-// admissible pairs between them — and one solver, flow.Transport. The
-// matrix is bitset rows (flow.RowWords(nv) words per supply atom, whatever
-// nv is) out of the checker's scratch, the solver keeps a dense flow matrix
-// and its search state between solves, and nothing else is built: no
-// vertices, no edge list.
+// Rung 6 is S-SD's and SS-SD's only. The paper's level-by-level G⁻/G⁺
+// networks over local R-tree nodes cost more than the sweep and solve they
+// stood in front of at every object size measured (EXPERIMENTS.md, "P-SD
+// level by level"), so FilterConfig.LevelByLevel does not reach this file.
+//
+// The transport is masses on two sides and a 0/1 matrix of admissible pairs
+// between them, solved by flow.Transport. The matrix is bitset rows
+// (flow.RowWords(nv) words per supply atom, whatever nv is) out of the
+// checker's scratch, the solver keeps a dense flow matrix and its search
+// state between solves, and nothing else is built: no vertices, no edge
+// list.
 //
 // Rungs 4 and 7 are Sections 5.1.1 and 5.1.2 read off one object. u ⪯Q v is
 // component-wise order in the space of distances to the hull query
@@ -53,10 +55,8 @@ func (c *Checker) psd(u, v *uncertain.Object) bool {
 		c.Stats.StatPrunes++
 		return false
 	}
-	if c.cfg.Geometric {
-		if holds, strict := c.geoValidate(u, v); holds && strict {
-			return true
-		}
+	if c.mbrValidate(u, v, true) {
+		return true
 	}
 	adm, strict, ok := c.sweep(su, sv)
 	if !ok {
@@ -65,12 +65,6 @@ func (c *Checker) psd(u, v *uncertain.Object) bool {
 	if c.cfg.Geometric && c.euclid && c.query.Dim() == 2 {
 		if c.inHullExit(u, v) {
 			return false
-		}
-	}
-	if c.cfg.LevelByLevel {
-		if dec, ok := c.levelDecidePSD(su, sv); ok {
-			c.Stats.LevelDecisions++
-			return dec
 		}
 	}
 	return c.psdSolve(su, sv, adm, strict)
@@ -122,7 +116,7 @@ func (c *Checker) sweep(su, sv *objCache) (adm, strict []uint64, ok bool) {
 		}
 		us, ui := c.sortedRun(su, j)
 		vs, vi := c.sortedRun(sv, j)
-		if !c.sweepInstance(us, vs, ui, vi, hull, &r) {
+		if !c.sweepInstance(us, vs, ui, vi, c.cfg.StatPruning, hull, &r) {
 			c.Stats.StatPrunes++
 			c.Stats.ScanPrunes++
 			return nil, nil, false
@@ -154,8 +148,7 @@ func (c *Checker) sweep(su, sv *objCache) (adm, strict []uint64, ok bool) {
 // of V's run, the ones not strictly farther a longer prefix, and both only
 // grow as u moves up U's run: they are kept as masks over V's instances, and
 // each row takes one and-not and one or per word.
-func (c *Checker) sweepInstance(us, vs []distr.Pair, ui, vi []int32, hull bool, r *sweepRows) bool {
-	scan := c.cfg.StatPruning
+func (c *Checker) sweepInstance(us, vs []distr.Pair, ui, vi []int32, scan, hull bool, r *sweepRows) bool {
 	var massU, massV float64
 	near, a, b := 0, 0, 0 // cursors into vs: strictly nearer, forbidden, not strictly farther
 	if hull {
@@ -247,62 +240,4 @@ func (c *Checker) psdSolve(su, sv *objCache, adm, strict []uint64) bool {
 		return true
 	}
 	return !distr.Equal(c.distQ(su), c.distQ(sv), c.eps)
-}
-
-// levelDecidePSD attempts the level-by-level G⁻/G⁺ networks of Section
-// 5.1.2 on local R-tree nodes: the same transport as the exact test, with
-// node masses for supplies and demands. ok is false when all attempted
-// levels are inconclusive.
-func (c *Checker) levelDecidePSD(cu, cv *objCache) (dec, ok bool) {
-	maxLvl := coarseLevels(cu, cv)
-	t := &c.scratch.transport
-	for lvl := 1; lvl <= maxLvl; lvl++ {
-		bu := c.levelInfo(cu, lvl)
-		bv := c.levelInfo(cv, lvl)
-		nu, nv := len(bu.nodes), len(bv.nodes)
-		w := flow.RowWords(nv)
-		// G⁻ (validation): U^i may ship to V^j only when EVERY u∈U^i is at
-		// least as close as every v∈V^j to every query instance, decided
-		// exactly on node MBRs. |f⁻| = 1 proves a full instance match.
-		// G⁺ (pruning): U^i may ship to V^j unless some query instance
-		// strictly separates V^j's MBR below U^i's MBR (making u ⪯Q v
-		// impossible for every pair in the nodes). |f⁺| < 1 disproves the
-		// match.
-		gPlus, gMinus := c.scratch.levelRows(nu, w)
-		minusEdges := 0
-		for i := 0; i < nu; i++ {
-			ri := bu.nodes[i].Rect
-			for j := 0; j < nv; j++ {
-				rj := bv.nodes[j].Rect
-				if le, _ := c.rectLE(ri, rj); le {
-					flow.SetPair(gMinus, w, i, j)
-					minusEdges++
-				}
-				// Keep the G⁺ pair unless v-side strictly beats u-side.
-				if rvLE, rvStrict := c.rectLE(rj, ri); !(rvLE && rvStrict) {
-					flow.SetPair(gPlus, w, i, j)
-				}
-			}
-		}
-		c.Stats.FlowSolves++
-		if t.Solve(bu.masses, bv.masses, gPlus) < 1-flowEps {
-			return false, true
-		}
-		if minusEdges > 0 {
-			c.Stats.FlowSolves++
-			if t.Solve(bu.masses, bv.masses, gMinus) >= 1-flowEps {
-				// The coarse match proves an instance-level match exists;
-				// settle the ≠ side condition on the exact distributions.
-				return !distr.Equal(c.distQ(cu), c.distQ(cv), c.eps), true
-			}
-		}
-	}
-	return false, false
-}
-
-// rectLE is the MBR-level u ⪯Q v test on two local-tree nodes, counted.
-func (c *Checker) rectLE(a, b geom.Rect) (le, strict bool) {
-	le, strict, compared := c.le(a, b)
-	c.Stats.InstanceComparisons += int64(compared)
-	return le, strict
 }

@@ -42,14 +42,11 @@ type CheckScratch struct {
 	touched []int
 	sparse  map[int]*objCache
 
-	// P-SD: the sorter of the sweep's runs, the one transport solver behind
-	// the exact test and the per-level G⁻/G⁺ pair, and the bitset rows it is
-	// handed. The sweep's rows are still live while the levels are tried, so
-	// the two have a buffer each.
+	// The sorter of the sweep's runs and, for P-SD, the transport solver of
+	// the exact test and the bitset rows it is handed.
 	runSorter distr.RunSorter
 	transport flow.Transport
 	sweepBits []uint64
-	levelBits []uint64
 
 	// Assorted reusable buffers.
 	near    geom.Point   // the popped entry's near vector (band.dominatesRect)
@@ -179,14 +176,6 @@ func growWords(s []uint64, n int) []uint64 {
 		return make([]uint64, n)
 	}
 	return s[:n]
-}
-
-// levelRows returns two cleared pair bitsets of n rows of w words each, G⁺
-// and G⁻ of a level.
-func (sc *CheckScratch) levelRows(n, w int) (a, b []uint64) {
-	sc.levelBits = growWords(sc.levelBits, 2*n*w)
-	clear(sc.levelBits)
-	return sc.levelBits[:n*w], sc.levelBits[n*w:]
 }
 
 // newSweepRows returns what Checker.sweep starts from: nu rows over nv

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"spatialdom/internal/flow"
@@ -104,7 +103,7 @@ func requireExactVerdict(t *testing.T, q, u, v *uncertain.Object) {
 	got := c.Dominates(u, v)
 	st := c.Stats
 	if c.cacheOf(u).sorted != q.Len() || c.cacheOf(v).sorted != q.Len() || st.FlowSolves == 0 ||
-		st.StatPrunes+st.MBRValidations+st.SphereValidations+st.LevelDecisions != 0 {
+		st.StatPrunes+st.MBRValidations+st.LevelDecisions != 0 {
 		t.Fatalf("P-SD(%d,%d) was decided before the exact test: %+v", u.ID(), v.ID(), st)
 	}
 	if want := oraclePSDMatch(u, v, q, 1e-9); got != want {
@@ -135,26 +134,26 @@ func TestPSDExactWideObjectsAllocFree(t *testing.T) {
 	}
 }
 
-// The sweep's rows are still to be solved when the level-by-level rung runs
-// its own transports over rows of its own: on a pair of 70 instances that
-// G⁻ and G⁺ leave undecided, the exact solve that follows must find the
-// rows as the sweep left them.
-func TestLevelRungLeavesSweepRowsIntact(t *testing.T) {
-	rng := rand.New(rand.NewSource(1004))
-	q := randObject(rng, 0, 2, 4, geom.Point{10, 10}, 3)
-	u, v := widePair(rng, 1, 2, 70, q, geom.Point{60, 20})
-	c := NewChecker(q, PSD, AllFilters)
-	su, sv := c.summaryOf(u), c.summaryOf(v)
-	adm, _, ok := c.sweep(su, sv)
-	if !ok {
-		t.Fatal("the sweep refuted a pair the identity matches")
+// P-SD has no coarse rung: at object sizes on both sides of the height gate
+// and of one mask word, LevelByLevel changes neither the verdict — the
+// max-flow oracle's — nor one counter of the work behind it.
+func TestPSDHasNoCoarseRung(t *testing.T) {
+	rng := rand.New(rand.NewSource(2801))
+	off := AllFilters
+	off.LevelByLevel = false
+	for _, m := range []int{17, 40, 64, 130} {
+		q := randObject(rng, 0, 2, 4, geom.Point{10, 10}, 3)
+		u, pushed := widePair(rng, 1, 2, m, q, geom.Point{60, 20})
+		cloud := randObject(rng, 3, 2, m, geom.Point{61, 21}, 6)
+		with, without := NewChecker(q, PSD, AllFilters), NewChecker(q, PSD, off)
+		for _, p := range [][2]*uncertain.Object{{u, pushed}, {pushed, u}, {u, cloud}, {cloud, u}} {
+			got := with.Dominates(p[0], p[1])
+			if want := oraclePSDMatch(p[0], p[1], q, 1e-9); got != want || without.Dominates(p[0], p[1]) != want {
+				t.Fatalf("m = %d: P-SD(%d,%d) = %v with LevelByLevel, max-flow oracle %v", m, p[0].ID(), p[1].ID(), got, want)
+			}
+		}
+		if with.Stats != without.Stats || with.Stats.LevelDecisions != 0 || with.Stats.FlowSolves == 0 {
+			t.Fatalf("m = %d: LevelByLevel moved P-SD's counters:\non  %+v\noff %+v", m, with.Stats, without.Stats)
+		}
 	}
-	want := slices.Clone(adm)
-	if _, decided := c.levelDecidePSD(su, sv); decided || c.Stats.FlowSolves == 0 {
-		t.Fatalf("the level rung must run and leave the pair undecided: %+v", c.Stats)
-	}
-	if !slices.Equal(adm, want) {
-		t.Fatal("the level rung wrote over the sweep's rows")
-	}
-	requireExactVerdict(t, q, u, v)
 }

@@ -29,7 +29,6 @@ var conformanceConfigs = []struct {
 	{"level", core.FilterConfig{LevelByLevel: true}},
 	{"stat", core.FilterConfig{StatPruning: true}},
 	{"geom", core.FilterConfig{Geometric: true}},
-	{"sphere", core.FilterConfig{SphereValidation: true}},
 }
 
 // emissions flattens a result into comparable (ID, Rank, Dominators)

@@ -88,11 +88,6 @@ func MustFromPairs(pairs []Pair) Distribution {
 	return d
 }
 
-// Sorted wraps atoms that are already in non-decreasing value order — a run
-// sorted by SortRuns — without copying or re-sorting. The slice must not be
-// modified afterwards.
-func Sorted(pairs []Pair) Distribution { return Distribution{pairs: pairs} }
-
 // Between returns U_Q: the distance distribution between object u and query
 // q containing every instance pair (q_j, u_i) with value δ(q_j, u_i) and
 // probability p(q_j)·p(u_i).
@@ -142,8 +137,8 @@ func (s Stat) LE(t Stat, eps float64) bool {
 // everything a dominance check reads about u is derived from. It fills
 // runs (length |Q|·m) with the unsorted-atoms form of the per-query-
 // instance distributions — run j, runs[j·m:(j+1)·m], holds U_{q_j}'s atoms
-// {δ(q_j,u_i), p(u_i)} in instance order, to be sorted by SortRuns only if a
-// scan asks — stores each U_{q_j}'s statistics in perQ[j] (skipped when
+// {δ(q_j,u_i), p(u_i)} in instance order, to be sorted by a RunSorter only if
+// a scan asks — stores each U_{q_j}'s statistics in perQ[j] (skipped when
 // perQ is nil), and returns the statistics of U_Q: its min is the exact
 // key Algorithm 1 orders objects by, its mean is Σ_j p(q_j)·mean_j, so no
 // statistic needs the |Q|·m atoms sorted. A nil dist means Euclidean.
@@ -182,14 +177,6 @@ func Summarize(runs []Pair, perQ []Stat, u, q *uncertain.Object, dist func(a, b 
 		}
 	}
 	return all
-}
-
-// SortRuns sorts each length-m run of a Summarize buffer in place, turning
-// it into |Q| distributions Sorted can wrap.
-func SortRuns(runs []Pair, m int) {
-	for lo := 0; lo < len(runs); lo += m {
-		sortPairs(runs[lo : lo+m])
-	}
 }
 
 // WeightRuns builds U_Q out of a Summarize buffer: the atoms are copied into

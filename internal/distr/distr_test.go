@@ -326,7 +326,7 @@ func TestDistributionString(t *testing.T) {
 	}
 }
 
-// RunSorter leaves every run exactly as SortRuns does — tied distances
+// RunSorter leaves every run exactly as sortPairs does — tied distances
 // included, on both sides of the insertion-sort cutoff — and names the
 // instance each sorted atom came from.
 func TestRunSorterMatchesSortRuns(t *testing.T) {
@@ -342,11 +342,13 @@ func TestRunSorterMatchesSortRuns(t *testing.T) {
 			runs[k] = Pair{Dist: float64(rng.Intn(m/2 + 2)), Prob: probs[k%m]} // many ties
 		}
 		want := slices.Clone(runs)
-		SortRuns(want, m)
+		for lo := 0; lo < len(want); lo += m {
+			sortPairs(want[lo : lo+m])
+		}
 		got, inst := slices.Clone(runs), make([]int32, len(runs))
 		s.SortRuns(got, inst, probs)
 		if !slices.Equal(got, want) {
-			t.Fatalf("m = %d: sorted runs differ from SortRuns", m)
+			t.Fatalf("m = %d: sorted runs differ from sortPairs'", m)
 		}
 		for k, a := range got {
 			if from := runs[k/m*m+int(inst[k])]; from != a {

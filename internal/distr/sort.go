@@ -26,10 +26,10 @@ func sortPairs(p []Pair) {
 	slices.SortFunc(p, func(a, b Pair) int { return cmp.Compare(a.Dist, b.Dist) })
 }
 
-// RunSorter is SortRuns for a caller that needs to know, after the sort,
-// which instance each atom belongs to. The sort goes through a buffer of
-// (distance, instance) keys the sorter retains, so a warm sort does not
-// allocate. The zero value is ready to use.
+// RunSorter sorts the runs of a Summarize buffer, remembering which instance
+// each atom belongs to. The sort goes through a buffer of (distance,
+// instance) keys the sorter retains, so a warm sort does not allocate. The
+// zero value is ready to use.
 type RunSorter struct{ keys []runKey }
 
 type runKey struct {
@@ -37,10 +37,11 @@ type runKey struct {
 	inst int32
 }
 
-// SortRuns sorts each run of a Summarize buffer in place — into the same
-// order, ties included, SortRuns leaves it in — and sets inst[k] to the
-// instance of the atom now at position k of its run. probs are the
-// probabilities Summarize filled the runs from, one per instance.
+// SortRuns sorts each run of a Summarize buffer in place by non-decreasing
+// distance — the order sortPairs leaves the same atoms in, ties included —
+// and sets inst[k] to the instance of the atom now at position k of its run.
+// probs are the probabilities Summarize filled the runs from, one per
+// instance.
 func (s *RunSorter) SortRuns(runs []Pair, inst []int32, probs []float64) {
 	for lo, m := 0, len(probs); lo < len(runs); lo += m {
 		s.sort(runs[lo:lo+m], inst[lo:lo+m], probs)

@@ -55,8 +55,8 @@ func TestFigureTablesAndCSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ab) != 3 {
-		t.Fatalf("figure 16 tables = %d, want one per operator", len(ab))
+	if len(ab) != 6 {
+		t.Fatalf("figure 16 tables = %d, want two per operator (time, comparisons)", len(ab))
 	}
 	sweep, err := FigureTables("11f", Tiny, 5)
 	if err != nil {

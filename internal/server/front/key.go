@@ -90,9 +90,6 @@ func filterByte(f core.FilterConfig) byte {
 	if f.Geometric {
 		b |= 4
 	}
-	if f.SphereValidation {
-		b |= 8
-	}
 	return b
 }
 

@@ -51,9 +51,6 @@ type Object struct {
 
 	hullOnce sync.Once
 	hull     []int
-
-	sphereOnce sync.Once
-	sphere     geom.Sphere
 }
 
 // New builds an object from its instances and optional weights.
@@ -264,17 +261,6 @@ func (o *Object) LocalTree() *rtree.Tree {
 func (o *Object) HullIndices() []int {
 	o.hullOnce.Do(func() { o.hull = geom.ConvexHullIndices(o.pts) })
 	return o.hull
-}
-
-// Sphere returns the Euclidean bounding hypersphere of the instances
-// (Ritter's algorithm), computed on first use. Callers under other metrics
-// must re-measure the radius from the returned center; the center slice
-// must not be modified.
-//
-//nnc:coldpath sync.Once lazy build; every later call returns the cached sphere
-func (o *Object) Sphere() geom.Sphere {
-	o.sphereOnce.Do(func() { o.sphere = geom.BoundingSphere(o.pts) })
-	return o.sphere
 }
 
 // HullPoints returns the hull instances as points.
