@@ -105,11 +105,14 @@ clean:
 verify:
 	$(GO) run ./cmd/nnc verify -scale=small
 
-# smoke is the only coverage cmd/nncserver's boot path has. One dataset:
-# `nnc build` writes it to a page file, then a memory and a disk server
-# start with the same dataset flags on two loopback ports. Both must reach
-# /readyz 200, answer /query with the same body (elapsed_us aside), exit
-# on SIGTERM after logging "bye" — and a bad dataset flag must exit 2.
+# smoke is the only coverage cmd/nncserver's boot path and cmd/nncclient
+# have. One dataset: `nnc build` writes it to a page file, then a memory
+# and a disk server start with the same dataset flags on two loopback
+# ports. Both must reach /readyz 200, answer /query with the same body
+# (elapsed_us aside), exit on SIGTERM after logging "bye" — and a bad
+# dataset flag must exit 2. Before that, nncclient drives the memory
+# server: a -q query that prints a candidates table, a two-query -batch,
+# -health and -smoke, each exiting 0.
 # Then the crash a reader must not paper over: a third server opens the
 # file -mutable, takes one /insert and is killed with -9, so the insert is
 # in the WAL only. A read-only server on that file must exit 1 naming the
@@ -122,7 +125,7 @@ smoke:
 		done; \
 		echo "smoke: $$1 server never became ready"; cat $$d/$$1.log; exit 1; \
 	}; \
-	$(GO) build -o $$d/nnc ./cmd/nnc; $(GO) build -o $$d/nncserver ./cmd/nncserver; \
+	$(GO) build -o $$d/nnc ./cmd/nnc; $(GO) build -o $$d/nncserver ./cmd/nncserver; $(GO) build -o $$d/nncclient ./cmd/nncclient; \
 	data='-n=400 -m=6 -seed=7'; $$d/nnc build $$data -out=$$d/o.pg >/dev/null; \
 	$$d/nncserver $$data -addr=127.0.0.1:18471 2>$$d/mem.log & echo $$! >$$d/mem.pid; \
 	$$d/nncserver -disk=$$d/o.pg -addr=127.0.0.1:18472 2>$$d/disk.log & echo $$! >$$d/disk.pid; \
@@ -133,6 +136,12 @@ smoke:
 	done; \
 	grep -q '"candidates":\[{' $$d/mem.json || { echo "smoke: no candidates"; cat $$d/mem.json; exit 1; }; \
 	cmp $$d/mem.json $$d/disk.json || { echo "smoke: memory and disk servers disagree"; exit 1; }; \
+	client() { $$d/nncclient -addr=http://127.0.0.1:18471 "$$@" >$$d/client.txt 2>&1 || { echo "smoke: nncclient $$* failed"; cat $$d/client.txt; exit 1; }; }; \
+	client -op=PSD -k=2 -q='5000,5000,5000;5100,5050,4900'; \
+	grep -qE '^1 +[0-9]+' $$d/client.txt || { echo "smoke: nncclient -q printed no candidates"; cat $$d/client.txt; exit 1; }; \
+	client -batch -op=SSD -q='5000,5000,5000|2000,8000,3000'; \
+	grep -q 'SSD (k=1): 2 queries' $$d/client.txt || { echo "smoke: nncclient -batch answered otherwise"; cat $$d/client.txt; exit 1; }; \
+	client -health; client -smoke; \
 	kill -TERM $$(cat $$d/mem.pid $$d/disk.pid); wait; \
 	for s in mem disk; do grep -q ' bye$$' $$d/$$s.log || { echo "smoke: $$s server did not shut down cleanly"; cat $$d/$$s.log; exit 1; }; done; \
 	code=0; $$d/nncserver -n=-1 2>/dev/null || code=$$?; [ $$code = 2 ] || { echo "smoke: nncserver -n=-1 exited $$code, want 2"; exit 1; }; \
@@ -148,7 +157,7 @@ smoke:
 	curl -s -X POST 127.0.0.1:18473/query -d '{"instances":[[5000,5000,5000]],"operator":"PSD","k":1}' >$$d/replay.json; \
 	grep -q '"id":900001' $$d/replay.json || { echo "smoke: the insert did not survive the crash"; cat $$d/replay.json $$d/replay.log; exit 1; }; \
 	kill -TERM $$(cat $$d/replay.pid); wait; \
-	echo "smoke: memory and disk servers agree, shut down cleanly; a pending WAL is refused read-only and replayed -mutable"
+	echo "smoke: memory and disk servers agree, nncclient drives them, shut down cleanly; a pending WAL is refused read-only and replayed -mutable"
 
 # The eight fuzz targets: every decoder of bytes this process did not
 # write — the CSV loader, the page-file opener, the object record, the

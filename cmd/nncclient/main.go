@@ -39,6 +39,7 @@ import (
 	"time"
 
 	"spatialdom/internal/cluster"
+	"spatialdom/internal/server"
 )
 
 // maxRetryAfter caps how long a single Retry-After is honored, so a
@@ -87,23 +88,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	body, err := json.Marshal(map[string]interface{}{
-		"instances": instances,
-		"operator":  *op,
-		"k":         *k,
-		"metric":    *metric,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	raw, err := post(client, *addr+"/query", body, *retries)
-	if err != nil {
-		fatal(err)
-	}
-	var out queryResponse
-	if err := json.Unmarshal(raw, &out); err != nil {
-		fatal(err)
-	}
+	var out server.QueryResponse
+	post(client, *addr+"/query", server.QueryRequest{Instances: instances, Operator: *op, K: *k, Metric: *metric}, &out, *retries)
 	fmt.Printf("%s (k=%d): %d candidates, %d objects examined, %dµs server-side\n",
 		out.Operator, out.K, len(out.Candidates), out.Examined, out.ElapsedUS)
 	if out.Incomplete {
@@ -117,26 +103,7 @@ func main() {
 	printCandidates(out.Candidates)
 }
 
-// queryResponse mirrors the server's single-query answer.
-type queryResponse struct {
-	Operator   string      `json:"operator"`
-	K          int         `json:"k"`
-	Candidates []candidate `json:"candidates"`
-	Examined   int         `json:"examined"`
-	ElapsedUS  int64       `json:"elapsed_us"`
-	Incomplete bool        `json:"incomplete,omitempty"`
-
-	UnreachableShards int `json:"unreachable_shards,omitempty"`
-}
-
-type candidate struct {
-	ID         int     `json:"id"`
-	Label      string  `json:"label"`
-	MinDist    float64 `json:"min_dist"`
-	Dominators int     `json:"dominators"`
-}
-
-func printCandidates(cands []candidate) {
+func printCandidates(cands []server.QueryCandidate) {
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "rank\tid\tlabel\tmin dist\tdominators")
 	for i, c := range cands {
@@ -147,36 +114,16 @@ func printCandidates(cands []candidate) {
 
 // runBatch posts every "|"-separated query in one /query/batch request.
 func runBatch(client *http.Client, addr, q, op string, k int, metric string, retries int) {
-	var queries []map[string]interface{}
+	req := server.BatchRequest{Operator: op, K: k, Metric: metric}
 	for _, part := range strings.Split(q, "|") {
 		instances, err := parseInstances(part)
 		if err != nil {
 			fatal(err)
 		}
-		queries = append(queries, map[string]interface{}{"instances": instances})
+		req.Queries = append(req.Queries, server.BatchQuery{Instances: instances})
 	}
-	body, err := json.Marshal(map[string]interface{}{
-		"queries":  queries,
-		"operator": op,
-		"k":        k,
-		"metric":   metric,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	raw, err := post(client, addr+"/query/batch", body, retries)
-	if err != nil {
-		fatal(err)
-	}
-	var out struct {
-		Operator        string          `json:"operator"`
-		K               int             `json:"k"`
-		Results         []queryResponse `json:"results"`
-		IncompleteSlots int             `json:"incomplete_slots,omitempty"`
-	}
-	if err := json.Unmarshal(raw, &out); err != nil {
-		fatal(err)
-	}
+	var out server.BatchResponse
+	post(client, addr+"/query/batch", req, &out, retries)
 	fmt.Printf("%s (k=%d): %d queries", out.Operator, out.K, len(out.Results))
 	if out.IncompleteSlots > 0 {
 		fmt.Printf(", %d incomplete", out.IncompleteSlots)
@@ -188,22 +135,27 @@ func runBatch(client *http.Client, addr, q, op string, k int, metric string, ret
 	}
 }
 
-// post sends the request, honoring Retry-After with capped backoff up to
-// retries attempts, and returns the response body on 2xx. Three statuses
-// are retried: 429 (shedding), 503 (warming/unavailable), and 206 — a
-// degraded cluster's partial answer, retried in the hope a breaker probe
-// readmits the dead shard. A 206 that survives every retry is still a
-// valid (flagged) answer, so it is returned, not failed.
-func post(client *http.Client, url string, body []byte, retries int) ([]byte, error) {
+// post sends req as the JSON body, honoring Retry-After with capped
+// backoff up to retries attempts, and decodes a 2xx answer into out; any
+// other outcome is fatal. Three statuses are retried: 429 (shedding), 503
+// (warming/unavailable), and 206 — a degraded cluster's partial answer,
+// retried in the hope a breaker probe readmits the dead shard. A 206 that
+// survives every retry is still a valid (flagged) answer, so it is
+// decoded, not failed.
+func post(client *http.Client, url string, req, out any, retries int) {
+	body, err := json.Marshal(req)
+	if err != nil {
+		fatal(err)
+	}
 	for attempt := 0; ; attempt++ {
 		resp, err := client.Post(url, "application/json", bytes.NewReader(body))
 		if err != nil {
-			return nil, err
+			fatal(err)
 		}
 		raw, err := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if err != nil {
-			return nil, err
+			fatal(err)
 		}
 		if attempt < retries {
 			switch resp.StatusCode {
@@ -221,13 +173,13 @@ func post(client *http.Client, url string, body []byte, retries int) ([]byte, er
 				continue
 			}
 		}
-		if resp.StatusCode == http.StatusPartialContent {
-			return raw, nil
-		}
 		if resp.StatusCode < 200 || resp.StatusCode >= 300 {
-			return nil, fmt.Errorf("server: %s: %s", resp.Status, strings.TrimSpace(string(raw)))
+			fatal(fmt.Errorf("server: %s: %s", resp.Status, strings.TrimSpace(string(raw))))
 		}
-		return raw, nil
+		if err := json.Unmarshal(raw, out); err != nil {
+			fatal(err)
+		}
+		return
 	}
 }
 
@@ -287,19 +239,13 @@ func smokeOne(tw *tabwriter.Writer, client *http.Client, base, role string) bool
 		return false
 	}
 	defer resp.Body.Close()
+	// /healthz is assembled from what the backend can report and has no
+	// server type; these are the fields the table shows.
 	var body struct {
-		Status  string `json:"status"`
-		Objects int    `json:"objects"`
-		Reason  string `json:"reason"`
-		Cluster *struct {
-			Shards []struct {
-				Shard    int `json:"shard"`
-				Replicas []struct {
-					URL     string `json:"url"`
-					Breaker string `json:"breaker"`
-				} `json:"replicas"`
-			} `json:"shards"`
-		} `json:"cluster"`
+		Status  string          `json:"status"`
+		Objects int             `json:"objects"`
+		Reason  string          `json:"reason"`
+		Cluster *cluster.Health `json:"cluster"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		fmt.Fprintf(tw, "%s\t%s\tBAD\tunparsable healthz: %v\n", base, role, err)

@@ -65,7 +65,7 @@ func (d *DiskIndex) Search(q *Object, op Operator) (*DiskResult, error) {
 
 // SearchKCtx is the full search call: the k-skyband for any k >= 1,
 // context cancellation (the traversal aborts mid-search, returning the
-// partial result with ctx's error), Limit, progressive OnCandidate, metric
+// partial result with ctx's error), progressive OnCandidate, metric
 // and filter selection — the same engine surface the in-memory index
 // exposes. Batches go through SearchParallel, which accepts a *DiskIndex.
 func (d *DiskIndex) SearchKCtx(ctx context.Context, q *Object, op Operator, k int, opts SearchOptions) (*DiskResult, error) {

@@ -34,7 +34,7 @@ func (rt replyTransport) RoundTrip(*http.Request) (*http.Response, error) {
 func FuzzShardReply(f *testing.F) {
 	q := uncertain.MustNew(-1, []geom.Point{{1, 2, 3}, {2, 3, 4}}, nil)
 	good, err := json.Marshal(server.ShardQueryResponse{
-		Candidates: []server.ShardCandidate{
+		Candidates: []server.ObjectJSON{
 			{ID: 4, Label: "a", Instances: [][]float64{{1, 1, 1}, {2, 2, 2}}, Probs: []float64{0.25, 0.75}},
 			{ID: 9, Instances: [][]float64{{5, 5, 5}}, Probs: []float64{1}},
 		},

@@ -37,7 +37,6 @@ import (
 
 	"spatialdom/internal/core"
 	"spatialdom/internal/faults"
-	"spatialdom/internal/geom"
 	"spatialdom/internal/server"
 	"spatialdom/internal/uncertain"
 )
@@ -320,19 +319,14 @@ func (rt *Router) SearchKCtx(ctx context.Context, q *uncertain.Object, op core.O
 // every shard — and the merge — computes with exactly the float64 bits a
 // single node would.
 func (rt *Router) encodeQuery(q *uncertain.Object, op core.Operator, k int, opts core.SearchOptions) ([]byte, error) {
-	inst := make([][]float64, q.Len())
-	probs := make([]float64, q.Len())
-	for i := 0; i < q.Len(); i++ {
-		inst[i] = append([]float64(nil), q.Instance(i)...)
-		probs[i] = q.Prob(i)
-	}
 	metric := ""
 	if opts.Metric != nil {
 		metric = opts.Metric.Name()
 	}
+	w := server.ToJSON(q)
 	return json.Marshal(server.ShardQueryRequest{
-		Instances:  inst,
-		Probs:      probs,
+		Instances:  w.Instances,
+		Probs:      w.Probs,
 		Normalized: true,
 		Operator:   op.String(),
 		K:          k,
@@ -341,28 +335,20 @@ func (rt *Router) encodeQuery(q *uncertain.Object, op core.Operator, k int, opts
 	})
 }
 
-// decodeBand rebuilds a shard's k-skyband objects bit-for-bit
-// (uncertain.FromNormalized skips renormalization; JSON float64 encoding
-// round-trips exactly). A candidate of any dimensionality but the query's
-// dim is refused here: the merge would index past its coordinates.
-func decodeBand(cands []server.ShardCandidate, dim int) ([]*uncertain.Object, error) {
-	objs := make([]*uncertain.Object, 0, len(cands))
-	for _, c := range cands {
-		pts := make([]geom.Point, len(c.Instances))
-		for i, row := range c.Instances {
-			pts[i] = geom.Point(row)
-		}
-		o, err := uncertain.FromNormalized(c.ID, pts, c.Probs)
-		if err == nil && o.Dim() != dim {
-			err = fmt.Errorf("%w: dim %d in answer to a query of dim %d", uncertain.ErrDimMismatch, o.Dim(), dim)
-		}
+// decodeBand rebuilds a shard's k-skyband objects bit for bit through the
+// server's one wire decoder, with the probabilities taken as they stand. A
+// candidate the decoder refuses — of any dimensionality but the query's,
+// which the merge would index past — makes the reply sticky. Replies are
+// not held to the request bound: a shard answers with whatever objects its
+// dataset holds.
+func decodeBand(cands []server.ObjectJSON, dim int) ([]*uncertain.Object, error) {
+	objs := make([]*uncertain.Object, len(cands))
+	for i, c := range cands {
+		o, err := c.Object(dim, true)
 		if err != nil {
 			return nil, &stickyError{fmt.Errorf("cluster: shard candidate %d: %w", c.ID, err)}
 		}
-		if c.Label != "" {
-			o.SetLabel(c.Label)
-		}
-		objs = append(objs, o)
+		objs[i] = o
 	}
 	return objs, nil
 }

@@ -57,8 +57,14 @@ type ShardHealth struct {
 	Replicas []ReplicaHealth `json:"replicas"`
 }
 
-// RouterHealth implements server.RouterReporter: the per-shard breaker
-// map plus the counter snapshot, folded into GET /healthz as "cluster".
+// Health is the router's GET /healthz "cluster" block: the per-shard
+// breaker map plus the counter snapshot.
+type Health struct {
+	Shards []ShardHealth `json:"shards"`
+	Stats  Stats         `json:"stats"`
+}
+
+// RouterHealth implements server.RouterReporter with a Health.
 func (rt *Router) RouterHealth() any {
 	shards := make([]ShardHealth, 0, len(rt.shards))
 	for i, sh := range rt.shards {
@@ -73,10 +79,7 @@ func (rt *Router) RouterHealth() any {
 		}
 		shards = append(shards, h)
 	}
-	return map[string]any{
-		"shards": shards,
-		"stats":  rt.Stats(),
-	}
+	return Health{Shards: shards, Stats: rt.Stats()}
 }
 
 // DegradedShards implements server.RouterReporter: shards with no replica

@@ -186,15 +186,10 @@ func PostQuery(base string, body []byte) (*RawResponse, error) {
 
 // QueryBody builds a /query request body.
 func QueryBody(q *uncertain.Object, operator string, k int) []byte {
-	inst := make([][]float64, q.Len())
-	var weights []float64
-	for i := 0; i < q.Len(); i++ {
-		inst[i] = append([]float64(nil), q.Instance(i)...)
-		weights = append(weights, q.Prob(i))
-	}
+	w := server.ToJSON(q)
 	body, err := json.Marshal(server.QueryRequest{
-		Instances: inst,
-		Weights:   weights,
+		Instances: w.Instances,
+		Weights:   w.Probs,
 		Operator:  operator,
 		K:         k,
 	})

@@ -52,7 +52,7 @@ var _ DenseIDSpanner = (*Index)(nil)
 func (idx *Index) DenseIDSpan() int { return idx.denseSpan }
 
 // SearchKCtx is the full search call on the in-memory index — k, filters,
-// metric, Limit and OnCandidate all ride in the arguments. The traversal
+// metric and OnCandidate all ride in the arguments. The traversal
 // aborts at the next heap pop or candidate emission once ctx is canceled,
 // returning the partial Result together with ctx.Err(). k must be >= 1.
 func (idx *Index) SearchKCtx(ctx context.Context, q *uncertain.Object, op Operator, k int, opts SearchOptions) (*Result, error) {

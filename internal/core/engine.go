@@ -326,9 +326,9 @@ func (sc *searchScratch) release() {
 // unreadable subtree or object is skipped, the traversal continues, and
 // the completed Result is returned together with a *PartialResultError
 // recording what was skipped, so a degraded answer is always flagged and
-// never silently short. SearchOptions.Limit truncates the search after
-// that many candidates; because emission is progressive, the truncated
-// prefix equals the same prefix of the full search.
+// never silently short. Because emission is progressive, a caller that
+// cancels ctx from OnCandidate after n candidates gets exactly the first n
+// of the full search.
 func SearchBackend(ctx context.Context, b Backend, q *uncertain.Object, op Operator, k int, opts SearchOptions) (*Result, error) {
 	sc := scratchPool.Get().(*searchScratch)
 	defer sc.release()
@@ -511,10 +511,6 @@ func searchBackend(ctx context.Context, sc *searchScratch, b Backend, q *uncerta
 			if opts.OnCandidate != nil {
 				opts.OnCandidate(cand)
 			}
-			if opts.Limit > 0 && len(res.Candidates) >= opts.Limit {
-				finish()
-				return res, partialOrNil(partial, res)
-			}
 		}
 	}
 	finish()
@@ -583,37 +579,4 @@ func (b *band) dominatesRect(c *Checker, r geom.Rect, k int) bool {
 	}
 	c.Stats.InstanceComparisons += int64(compared)
 	return count >= k
-}
-
-// StreamBackend runs the progressive search over any Backend in a
-// goroutine and returns a channel that yields each candidate the moment it
-// is proven undominated. The channel is closed when the search completes,
-// the context is canceled (cancellation now aborts the traversal itself,
-// not just the next emission), or the backend fails. The final Result is
-// delivered on the second channel, which receives exactly one value unless
-// the search was canceled or errored.
-func StreamBackend(ctx context.Context, b Backend, q *uncertain.Object, op Operator, opts SearchOptions) (<-chan Candidate, <-chan *Result) {
-	out := make(chan Candidate)
-	done := make(chan *Result, 1)
-	go func() {
-		defer close(out)
-		defer close(done)
-		inner := opts
-		inner.OnCandidate = func(c Candidate) {
-			select {
-			case out <- c:
-				if opts.OnCandidate != nil {
-					opts.OnCandidate(c)
-				}
-			case <-ctx.Done():
-			}
-		}
-		res, err := SearchBackend(ctx, b, q, op, 1, inner)
-		if _, isPartial := AsPartial(err); (err == nil || isPartial) && res != nil {
-			// A degraded search still completed its traversal; the caller
-			// distinguishes it by checking the error separately if needed.
-			done <- res
-		}
-	}()
-	return out, done
 }

@@ -30,7 +30,7 @@ package core
 //
 // Determinism. It is the engine: MergeShardBands presents U as a flat
 // one-node Backend and runs SearchBackend over it, so keys, tie batches,
-// dominator counts, Limit, OnCandidate and cancellation are the
+// dominator counts, OnCandidate and cancellation are the
 // single-node code path, not a copy of it. The merged Result therefore
 // equals the single-node Result candidate-for-candidate — same IDs, ranks,
 // MinDist bits and Dominators — except possibly emission order *within* an
@@ -65,8 +65,8 @@ func (f flatBackend) AccessStats() IOStats { return IOStats{} }
 // candidate sets by running the engine over their union (see the file
 // header for the invariant and its proof sketch). bands holds one slice
 // per responding shard; objects are deduplicated by ID, so hedged
-// duplicate answers are harmless. ctx, opts.Limit and opts.OnCandidate
-// behave as in SearchBackend. Stats.ObjectPrunes + Examined is the size of
+// duplicate answers are harmless. ctx and opts.OnCandidate behave as in
+// SearchBackend. Stats.ObjectPrunes + Examined is the size of
 // the deduplicated union.
 func MergeShardBands(ctx context.Context, q *uncertain.Object, op Operator, k int, opts SearchOptions, bands [][]*uncertain.Object) (*Result, error) {
 	seen := make(map[int]bool)

@@ -165,12 +165,6 @@ type SearchOptions struct {
 	OnCandidate func(Candidate)
 	// Metric selects the instance distance (nil = Euclidean).
 	Metric geom.Metric
-	// Limit, when positive, stops the search after that many candidates
-	// have been emitted. Because Algorithm 1 is progressive — an object is
-	// only emitted once it is proven undominated — the first Limit
-	// candidates of a truncated search are exactly the first Limit of the
-	// full search.
-	Limit int
 }
 
 // metric resolves the options' metric, defaulting to Euclidean.
@@ -183,7 +177,7 @@ func (o SearchOptions) metric() geom.Metric {
 
 // Search is Algorithm 1 as published: every filtering technique enabled,
 // k = 1, no cancellation. It is shorthand for SearchKCtx — the full call,
-// which every other knob (k, filters, metric, Limit, OnCandidate, ctx)
+// which every other knob (k, filters, metric, OnCandidate, ctx)
 // goes through.
 func (idx *Index) Search(q *uncertain.Object, op Operator) *Result {
 	// The memory backend cannot fail and a background context never

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"sort"
@@ -206,8 +207,9 @@ func TestDuplicateObjectsBothSurvive(t *testing.T) {
 	}
 }
 
-// Limit truncation returns exactly the prefix of the full result — the
-// progressive property makes early termination sound.
+// A prefix is taken by cancelling from OnCandidate: the search stops with
+// exactly the first n candidates of the full result — the progressive
+// property makes early termination sound.
 func TestSearchLimit(t *testing.T) {
 	rng := rand.New(rand.NewSource(206))
 	objs := randDataset(rng, 100, 2, 5, 100)
@@ -220,7 +222,7 @@ func TestSearchLimit(t *testing.T) {
 	if len(full.Candidates) < 4 {
 		t.Skipf("only %d candidates; fixture too small", len(full.Candidates))
 	}
-	lim := searchK(idx, q, FPlusSD, 1, SearchOptions{Filters: AllFilters, Limit: 3})
+	lim := searchPrefix(t, idx, q, FPlusSD, 1, 3)
 	if len(lim.Candidates) != 3 {
 		t.Fatalf("limited search returned %d", len(lim.Candidates))
 	}
@@ -229,11 +231,27 @@ func TestSearchLimit(t *testing.T) {
 			t.Fatalf("limited prefix differs at %d", i)
 		}
 	}
-	// Limit must also hold on the k-skyband path.
-	limK := searchK(idx, q, FPlusSD, 2, SearchOptions{Filters: AllFilters, Limit: 2})
-	if len(limK.Candidates) != 2 {
+	// The prefix must also hold on the k-skyband path.
+	if limK := searchPrefix(t, idx, q, FPlusSD, 2, 2); len(limK.Candidates) != 2 {
 		t.Fatalf("limited SearchK returned %d", len(limK.Candidates))
 	}
+}
+
+// searchPrefix runs the search and cancels it once n candidates are out.
+func searchPrefix(t *testing.T, idx *Index, q *uncertain.Object, op Operator, k, n int) *Result {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	emitted := 0
+	res, err := idx.SearchKCtx(ctx, q, op, k, SearchOptions{Filters: AllFilters, OnCandidate: func(Candidate) {
+		if emitted++; emitted == n {
+			cancel()
+		}
+	}})
+	if err != nil && !errors.Is(err, context.Canceled) {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func TestResultAccessors(t *testing.T) {

@@ -135,29 +135,6 @@ func TestSearchBackendCleanHasNoFlag(t *testing.T) {
 	}
 }
 
-func TestStreamBackendDeliversDegradedResult(t *testing.T) {
-	b := &faultyBackend{
-		objs:       []*uncertain.Object{obj1d(t, 1, 1)},
-		badNodeErr: unavailable(7),
-	}
-	q := obj1d(t, 0, 0)
-	out, done := StreamBackend(context.Background(), b, q, PSD, SearchOptions{Filters: AllFilters})
-	got := 0
-	for range out {
-		got++
-	}
-	res, ok := <-done
-	if !ok || res == nil {
-		t.Fatal("degraded stream must still deliver its final result")
-	}
-	if !res.Incomplete {
-		t.Fatal("streamed degraded result not flagged")
-	}
-	if got != len(res.Candidates) {
-		t.Fatalf("streamed %d candidates, result has %d", got, len(res.Candidates))
-	}
-}
-
 // partialSearcher fakes a KSearcher whose designated queries degrade (or
 // fail hard) for SearchParallel semantics tests.
 type partialSearcher struct {

@@ -87,16 +87,17 @@ func TestConformanceLimitPrefixStability(t *testing.T) {
 				t.Fatal(err)
 			}
 			for lim := 1; lim <= len(full.Candidates); lim++ {
-				for name, b := range map[string]func(int) (*core.Result, error){
-					"mem": func(l int) (*core.Result, error) {
-						return mem.SearchKCtx(context.Background(), q, op, 1, core.SearchOptions{Filters: cc.cfg, Limit: l})
-					},
-					"disk": func(l int) (*core.Result, error) {
-						return disk.SearchKCtx(context.Background(), q, op, 1, core.SearchOptions{Filters: cc.cfg, Limit: l})
-					},
-				} {
-					res, err := b(lim)
-					if err != nil {
+				for name, b := range map[string]core.KSearcher{"mem": mem, "disk": disk} {
+					// A prefix is taken by cancelling from OnCandidate.
+					ctx, cancel := context.WithCancel(context.Background())
+					emitted := 0
+					res, err := b.SearchKCtx(ctx, q, op, 1, core.SearchOptions{Filters: cc.cfg, OnCandidate: func(core.Candidate) {
+						if emitted++; emitted == lim {
+							cancel()
+						}
+					}})
+					cancel()
+					if err != nil && !errors.Is(err, context.Canceled) {
 						t.Fatal(err)
 					}
 					if len(res.Candidates) != lim {

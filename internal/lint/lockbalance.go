@@ -47,9 +47,9 @@ var ioMethods = map[string]bool{
 	"Append":      true,
 	"Commit":      true,
 	"Checkpoint":  true,
-	// An engine search may walk the disk index, so the front door's cache
-	// and coalescer shard locks must never be held across one, or a slow
-	// page read serializes every request hashing to that shard.
+	// An engine search may walk the disk index, so the front door's table
+	// shard locks must never be held across one, or a slow page read
+	// serializes every request hashing to that shard.
 	"SearchKCtx": true,
 	// The router's shard RPCs: a replica call or health probe is a full
 	// network round trip — held across the latency-window or breaker

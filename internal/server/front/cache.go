@@ -1,29 +1,33 @@
 package front
 
-// The semantic result cache: a sharded, byte-bounded LRU of finished
-// answers. "Semantic" because invalidation is driven by what a mutation
-// can provably change (core.AnswerShield's dominance geometry + the
-// result-ID membership rule for deletes), not by TTLs or wholesale
-// flushes — and because the correctness bar is exact: a cached answer is
-// served only while it is bit-identical to what a fresh search would
-// return.
+// The door's one table: a sharded, byte-bounded LRU keyed by the canonical
+// query Key that holds the answers in flight and the answers filled.
+// "Semantic" because invalidation is driven by what a mutation can provably
+// change (core.AnswerShield's dominance geometry + the result-ID membership
+// rule for deletes), not by TTLs or wholesale flushes — and because the
+// correctness bar is exact: a kept answer is served only while it is
+// bit-identical to what a fresh search would return.
 //
-// Staleness is made structurally impossible by an epoch tag protocol
-// owned by the Door (door.go):
+// An entry is pending while its leader's search runs — an identical
+// arrival joins it and waits on its done channel — and filled once the
+// leader lands an answer worth keeping. Staleness is made structurally
+// impossible by an epoch tag protocol owned by the Door (door.go):
 //
-//   - every entry carries the Door epoch it was proven current at;
-//   - a lookup only returns entries tagged with the *current* epoch;
+//   - every entry carries the Door epoch it was admitted at;
+//   - a lookup hits, joins or replaces only entries tagged with the
+//     *current* epoch;
 //   - a mutation, under the Door's mutation mutex, sweeps every shard —
-//     evicting entries the mutation could affect and re-tagging the
-//     survivors with the incremented epoch — and only then publishes the
-//     new epoch.
+//     dropping pending entries (their search may straddle it) and entries
+//     whose tag is behind, evicting filled entries the mutation could
+//     affect and re-tagging the survivors with the incremented epoch — and
+//     only then publishes the new epoch;
+//   - a leader's answer is kept only if its own entry is still in the
+//     table: any sweep since its admission has removed it.
 //
-// So an entry's tag equals the current epoch only if every mutation
-// since its fill has individually proven it unaffected. A fill racing a
-// mutation lands tagged with the pre-mutation epoch and is simply never
-// served (the sweep could not have examined it). The shard locks guard
-// map+list manipulation only — no search, no I/O, no allocation beyond
-// list nodes happens under them.
+// So an entry's tag equals the current epoch only if every mutation since
+// its fill has individually proven it unaffected. The shard locks guard
+// map+list manipulation only — no search, no I/O, no allocation beyond a
+// pending entry and list nodes happens under them.
 
 import (
 	"container/list"
@@ -38,35 +42,32 @@ import (
 // cheap and 16 ways is plenty below net/http's per-connection goroutines.
 const cacheShards = 16
 
-// entry is one cached answer.
+// entry is one answer, in flight or kept.
 type entry struct {
 	key Key
-	// res is the finished engine result, served verbatim (callers treat
-	// results as immutable — the HTTP layer already does).
-	res *core.Result
-	// body is the wire encoding of the candidate payload, measured once at
-	// fill time; its length is the entry's cost against the byte budget.
-	bytes int64
-	// shield answers "can this insert change the answer?"; deletes use
-	// ids directly.
-	shield *core.AnswerShield
-	// ids holds the result object IDs for the delete rule (sorted not
-	// required; linear scan — answers are k-sized, k is small).
-	ids []int
-	// tag is the Door epoch this entry was last proven current at; only
-	// entries with tag == current epoch are servable.
+	// tag is the Door epoch this entry was admitted at, or last proven
+	// current at; only entries with tag == current epoch are servable.
 	tag uint64
-	// elem is the entry's LRU list node (front = most recent).
-	elem *list.Element
+	// done is closed by the leader once res and err are final; a waiter
+	// reads them after it. res is served verbatim on a hit (callers treat
+	// results as immutable — the HTTP layer already does).
+	done chan struct{}
+	res  *core.Result
+	err  error
+	// Set when the answer is kept: its cost against the byte budget, the
+	// shield that answers "can this insert change it?" (deletes read the
+	// IDs of res.Candidates), and its LRU list node — nil while pending.
+	bytes  int64
+	shield *core.AnswerShield
+	elem   *list.Element
 }
 
-// affectedBy reports whether a mutation could change this entry's answer:
-// a delete of one of its result objects, or an insert its shield cannot
-// rule out.
+// affectedBy reports whether a mutation could change this kept answer: a
+// delete of one of its candidates, or an insert its shield cannot rule out.
 func (e *entry) affectedBy(m mutation) bool {
 	if m.delete {
-		for _, id := range e.ids {
-			if id == m.id {
+		for _, c := range e.res.Candidates {
+			if c.Object.ID() == m.id {
 				return true
 			}
 		}
@@ -75,13 +76,12 @@ func (e *entry) affectedBy(m mutation) bool {
 	return !e.shield.ShieldsInsert(m.mbr)
 }
 
-// cacheShard is one lock-striped slice of the cache.
+// cacheShard is one lock-striped slice of the table.
 type cacheShard struct {
 	mu      sync.Mutex
 	entries map[Key]*entry
-	lru     *list.List // of *entry
+	lru     *list.List // of the kept *entry, front = most recent
 	bytes   int64
-	budget  int64
 }
 
 // CacheStats is a point-in-time counter snapshot.
@@ -96,10 +96,13 @@ type CacheStats struct {
 	Sweeps        int64 `json:"sweeps"`
 }
 
-// resultCache is the sharded LRU. All epoch decisions live in the Door;
-// the cache only stores and compares tags it is handed.
+// resultCache is the sharded table. All epoch decisions live in the Door;
+// the table only stores and compares tags it is handed.
 type resultCache struct {
 	shards [cacheShards]cacheShard
+	// budget is each shard's byte bound; an answer costing more is not
+	// kept, so a budget below 1 keeps nothing and the table only joins.
+	budget int64
 
 	hits          atomic.Int64
 	misses        atomic.Int64
@@ -109,25 +112,22 @@ type resultCache struct {
 	sweeps        atomic.Int64
 }
 
-// newResultCache builds a cache bounded at maxBytes total (split evenly
-// across shards; < 1 disables storage entirely — every fill is dropped).
+// newResultCache builds a table bounded at maxBytes total, split evenly
+// across shards.
 func newResultCache(maxBytes int64) *resultCache {
-	c := &resultCache{}
-	per := maxBytes / cacheShards
+	c := &resultCache{budget: maxBytes / cacheShards}
 	for i := range c.shards {
-		c.shards[i] = cacheShard{
-			entries: make(map[Key]*entry),
-			lru:     list.New(),
-			budget:  per,
-		}
+		c.shards[i] = cacheShard{entries: make(map[Key]*entry), lru: list.New()}
 	}
 	return c
 }
 
-// get returns the cached result for key if it is tagged current.
-// Entries with stale tags are removed on sight — they were filled
-// concurrently with a mutation and are not servable evidence.
-func (c *resultCache) get(key Key, epoch uint64) (*core.Result, bool) {
+// lookup is the door's one question of the table, under one shard lock: a
+// current kept entry is a hit (res is its answer); a current pending entry
+// is joined (e, and leader false); otherwise the caller leads a new pending
+// entry tagged epoch and must land it. An entry with a stale tag is removed
+// on sight — it is not servable evidence.
+func (c *resultCache) lookup(key Key, epoch uint64) (res *core.Result, e *entry, leader bool) {
 	sh := &c.shards[shardOf(key, cacheShards)]
 	sh.mu.Lock()
 	e, ok := sh.entries[key]
@@ -135,50 +135,59 @@ func (c *resultCache) get(key Key, epoch uint64) (*core.Result, bool) {
 		sh.removeLocked(e)
 		ok = false
 	}
-	if !ok {
-		sh.mu.Unlock()
-		c.misses.Add(1)
-		return nil, false
+	switch {
+	case !ok:
+		e = &entry{key: key, tag: epoch, done: make(chan struct{})}
+		sh.entries[key] = e
+		leader = true
+	case e.elem != nil:
+		sh.lru.MoveToFront(e.elem)
+		res = e.res
 	}
-	sh.lru.MoveToFront(e.elem)
-	res := e.res
 	sh.mu.Unlock()
-	c.hits.Add(1)
-	return res, true
+	if res != nil {
+		c.hits.Add(1)
+		return res, nil, false
+	}
+	c.misses.Add(1)
+	return nil, e, leader
 }
 
-// put stores a finished answer tagged with the epoch captured before its
-// search began. Oversized entries (cost > shard budget) are not stored.
-func (c *resultCache) put(key Key, res *core.Result, cost int64, shield *core.AnswerShield, ids []int, tag uint64) {
-	sh := &c.shards[shardOf(key, cacheShards)]
-	if cost > sh.budget {
-		return
-	}
+// land publishes the leader's outcome to the entry's waiters and keeps the
+// answer when shield is non-nil — the door builds one only for a complete
+// answer whose cost fits the budget — and the entry is still the table's.
+// Otherwise the pending entry leaves the table.
+func (c *resultCache) land(e *entry, res *core.Result, err error, shield *core.AnswerShield, cost int64) {
+	e.res, e.err = res, err
+	sh := &c.shards[shardOf(e.key, cacheShards)]
 	sh.mu.Lock()
-	if old, ok := sh.entries[key]; ok {
-		sh.removeLocked(old)
-	}
-	e := &entry{key: key, res: res, bytes: cost, shield: shield, ids: ids, tag: tag}
-	e.elem = sh.lru.PushFront(e)
-	sh.entries[key] = e
-	sh.bytes += cost
-	for sh.bytes > sh.budget {
-		back := sh.lru.Back()
-		if back == nil {
-			break
+	switch {
+	case sh.entries[e.key] != e:
+		// A sweep dropped it, or a later lookup replaced it: the answer
+		// may straddle a mutation and is not kept.
+	case shield == nil:
+		delete(sh.entries, e.key)
+	default:
+		e.bytes, e.shield = cost, shield
+		e.elem = sh.lru.PushFront(e)
+		sh.bytes += cost
+		for sh.bytes > c.budget {
+			sh.removeLocked(sh.lru.Back().Value.(*entry))
+			c.evictions.Add(1)
 		}
-		sh.removeLocked(back.Value.(*entry))
-		c.evictions.Add(1)
+		c.fills.Add(1)
 	}
 	sh.mu.Unlock()
-	c.fills.Add(1)
+	close(e.done)
 }
 
 // removeLocked unlinks e from its shard; the caller holds the shard lock.
 func (sh *cacheShard) removeLocked(e *entry) {
 	delete(sh.entries, e.key)
-	sh.lru.Remove(e.elem)
-	sh.bytes -= e.bytes
+	if e.elem != nil {
+		sh.lru.Remove(e.elem)
+		sh.bytes -= e.bytes
+	}
 }
 
 // mutation describes one committed dataset change for the sweep.
@@ -188,17 +197,20 @@ type mutation struct {
 	mbr    geom.Rect
 }
 
-// sweep walks every entry once, evicting those the mutation could affect
-// and re-tagging survivors from the current epoch (newTag-1) to the
-// post-mutation one. It runs under the Door's mutation mutex (one sweep at
-// a time); shard locks are taken one at a time, so lookups on other shards
-// proceed concurrently — they can only be answered from entries already
-// re-tagged, because the new epoch is published after the sweep finishes.
+// sweep walks every entry once: pending entries and entries whose tag is
+// not the current epoch (newTag-1) leave — neither counts as an
+// invalidation — kept answers the mutation could affect are evicted, and
+// the survivors are re-tagged to the post-mutation epoch. It runs under
+// the Door's mutation mutex (one sweep at a time); shard locks are taken
+// one at a time, so lookups on other shards proceed concurrently — they can
+// only be answered from entries already re-tagged, because the new epoch
+// is published after the sweep finishes.
 //
-// An entry whose tag is not the current epoch is dead: its fill landed
-// between an earlier sweep and that sweep's epoch store, so it was never
-// tested against that mutation. No lookup can serve it, and re-tagging it
-// here would bring it back to life stale — it is dropped instead.
+// A pending entry's search may have read the dataset before this mutation,
+// so its answer is never kept (its waiters, admitted before the new epoch,
+// still get it). A dead-tagged entry was admitted between an earlier sweep
+// and that sweep's epoch store, so it was never tested against that
+// mutation; re-tagging it here would bring it back to life stale.
 func (c *resultCache) sweep(m mutation, newTag uint64) {
 	c.sweeps.Add(1)
 	for i := range c.shards {
@@ -206,7 +218,7 @@ func (c *resultCache) sweep(m mutation, newTag uint64) {
 		sh.mu.Lock()
 		for _, e := range sh.entries {
 			switch {
-			case e.tag != newTag-1:
+			case e.elem == nil || e.tag != newTag-1:
 				sh.removeLocked(e)
 			case e.affectedBy(m):
 				sh.removeLocked(e)
@@ -219,7 +231,7 @@ func (c *resultCache) sweep(m mutation, newTag uint64) {
 	}
 }
 
-// stats snapshots the counters.
+// stats snapshots the counters; Entries counts kept answers only.
 func (c *resultCache) stats() CacheStats {
 	s := CacheStats{
 		Hits:          c.hits.Load(),
@@ -233,7 +245,7 @@ func (c *resultCache) stats() CacheStats {
 		sh := &c.shards[i]
 		sh.mu.Lock()
 		s.Bytes += sh.bytes
-		s.Entries += int64(len(sh.entries))
+		s.Entries += int64(sh.lru.Len())
 		sh.mu.Unlock()
 	}
 	return s

@@ -3,8 +3,10 @@ package front
 // Door is the front door proper: a server.Backend decorator that answers
 // repeated queries from the semantic result cache, collapses identical
 // concurrent queries into one engine execution, and intercepts mutations
-// to keep the cache precisely correct. It slots between the HTTP server
-// and any real backend:
+// to keep the cache precisely correct. Both halves are one table
+// (cache.go): an answer in flight and an answer kept are the same entry
+// under the same canonical key. It slots between the HTTP server and any
+// real backend:
 //
 //	srv := server.NewBackend(front.NewDoor(backend, front.DoorConfig{}))
 //
@@ -18,7 +20,6 @@ package front
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -47,12 +48,13 @@ type Door struct {
 	inner server.Backend
 	mut   server.Mutator // inner's mutation capability, nil if absent
 
-	cache *resultCache // nil when caching disabled
-	co    *coalescer
+	// cache is the one table of answers in flight and kept; with caching
+	// disabled its budget keeps nothing and it only coalesces.
+	cache *resultCache
 
-	// epoch is the Door's mutation clock. It is read by every lookup and
-	// fill, and advanced only under mutMu after a sweep (see cache.go for
-	// why that ordering makes stale answers unservable).
+	// epoch is the Door's mutation clock. It is read by every lookup, and
+	// advanced only under mutMu after a sweep (see cache.go for why that
+	// ordering makes stale answers unservable).
 	epoch atomic.Uint64
 	// mutMu serializes mutations with their sweeps so two sweeps can
 	// never interleave re-tagging.
@@ -77,16 +79,12 @@ type epocher interface{ Epoch() uint64 }
 
 // NewDoor wraps inner with caching and coalescing.
 func NewDoor(inner server.Backend, cfg DoorConfig) *Door {
-	d := &Door{inner: inner, co: newCoalescer()}
-	if m, ok := inner.(server.Mutator); ok {
-		d.mut = m
+	budget := cfg.CacheBytes
+	if budget == 0 {
+		budget = DefaultCacheBytes
 	}
-	switch {
-	case cfg.CacheBytes == 0:
-		d.cache = newResultCache(DefaultCacheBytes)
-	case cfg.CacheBytes > 0:
-		d.cache = newResultCache(cfg.CacheBytes)
-	}
+	d := &Door{inner: inner, cache: newResultCache(budget)}
+	d.mut, _ = inner.(server.Mutator)
 	if e, ok := inner.(epocher); ok {
 		d.epoch.Store(e.Epoch())
 	}
@@ -105,12 +103,12 @@ func (d *Door) Dim() int { return d.inner.Dim() }
 // Epoch reports the Door's mutation clock (for /healthz and tests).
 func (d *Door) Epoch() uint64 { return d.epoch.Load() }
 
-// SearchKCtx is the read path. Streaming searches (OnCandidate) and
-// limited traversals are pass-through: their observable behavior is the
-// callback sequence, not just the final Result, so sharing another
+// SearchKCtx is the read path: one lookup hits, joins or leads. Streaming
+// searches (OnCandidate) are pass-through: their observable behavior is
+// the callback sequence, not just the final Result, so sharing another
 // request's execution would change what the client sees.
 func (d *Door) SearchKCtx(ctx context.Context, q *uncertain.Object, op core.Operator, k int, opts core.SearchOptions) (*core.Result, error) {
-	if opts.OnCandidate != nil || opts.Limit > 0 {
+	if opts.OnCandidate != nil {
 		d.bypasses.Add(1)
 		return d.inner.SearchKCtx(ctx, q, op, k, opts)
 	}
@@ -119,31 +117,25 @@ func (d *Door) SearchKCtx(ctx context.Context, q *uncertain.Object, op core.Oper
 		m = geom.Euclidean
 	}
 	key := canonicalKey(q, op, k, m, opts.Filters)
-	// The epoch is captured before anything else: a fill is tagged with
-	// the clock as of *before* its search started, so a mutation landing
-	// mid-search leaves the fill unservable rather than stale.
-	e := d.epoch.Load()
-
-	if d.cache != nil {
-		if res, ok := d.cache.get(key, e); ok {
-			if len(res.Candidates) == 0 {
-				d.negativeHits.Add(1)
-			}
-			return res, nil
+	// The lookup is tagged with the clock as of *before* the search, so a
+	// mutation landing mid-search drops the entry rather than keep an
+	// answer that may be stale.
+	res, e, leader := d.cache.lookup(key, d.epoch.Load())
+	switch {
+	case res != nil:
+		if len(res.Candidates) == 0 {
+			d.negativeHits.Add(1)
 		}
-	}
-
-	fk := flightKey{key: key, epoch: e}
-	f, leader := d.co.join(fk)
-	if !leader {
+		return res, nil
+	case !leader:
 		d.coalesceHits.Add(1)
 		select {
-		case <-f.done:
+		case <-e.done:
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
-		if f.err == nil {
-			return f.res, nil
+		if e.err == nil {
+			return e.res, nil
 		}
 		// The leader failed — most often its own client hung up and took
 		// its context with it. This request is still live, so run the
@@ -153,54 +145,37 @@ func (d *Door) SearchKCtx(ctx context.Context, q *uncertain.Object, op core.Oper
 
 	d.coalesceLeaders.Add(1)
 	res, err := d.inner.SearchKCtx(ctx, q, op, k, opts)
-	d.co.land(fk, f, res, err)
-	d.fill(key, e, q, m, k, res, err)
+	// Only a complete answer that fits the budget is kept: a degraded one
+	// (quarantined pages skipped) is already flagged best-effort, and the
+	// pages may heal.
+	var shield *core.AnswerShield
+	var cost int64
+	if err == nil && res != nil && !res.Incomplete {
+		if cost = entryCost(key, res); cost <= d.cache.budget {
+			shield = core.NewAnswerShield(q, res.Operator, m, k, res.Candidates)
+		}
+	}
+	d.cache.land(e, res, err, shield, cost)
 	return res, err
 }
 
-// wireCandidate mirrors the HTTP layer's candidate encoding; the cache
-// costs an entry at the size of this payload, measured by encoding it
-// once at fill time (the one JSON encode happens on the miss path, where
-// a full engine search just ran — it is noise there and buys an honest
-// byte bound).
-type wireCandidate struct {
-	ID         int     `json:"id"`
-	Label      string  `json:"label,omitempty"`
-	MinDist    float64 `json:"min_dist"`
-	Dominators int     `json:"dominators"`
-}
+// Bytes a kept answer retains beyond its key and labels: per candidate a
+// core.Candidate in the result and a rectangle header in the shield (the
+// rectangle's coordinates are the object's MBR, and the objects belong to
+// the index); per entry the entry, its list node and the shield header.
+const (
+	candidateBytes = 40 + 48
+	entryBytes     = 64
+)
 
-// fill stores a completed, non-degraded answer. Degraded results
-// (quarantined pages skipped) are never cached: they are already flagged
-// best-effort, and the pages may heal.
-func (d *Door) fill(key Key, e uint64, q *uncertain.Object, m geom.Metric, k int, res *core.Result, err error) {
-	if d.cache == nil || err != nil || res == nil || res.Incomplete {
-		return
+// entryCost sizes a kept answer from what it retains: its key, its
+// candidates with their labels, and the shield.
+func entryCost(key Key, res *core.Result) int64 {
+	cost := int64(len(key)) + entryBytes
+	for _, c := range res.Candidates {
+		cost += candidateBytes + int64(len(c.Object.Label()))
 	}
-	if d.epoch.Load() != e {
-		// A mutation landed while the search ran; the entry could only
-		// ever be dead weight (its tag can never equal a future epoch).
-		return
-	}
-	wire := make([]wireCandidate, len(res.Candidates))
-	ids := make([]int, len(res.Candidates))
-	for i, c := range res.Candidates {
-		wire[i] = wireCandidate{ID: c.Object.ID(), Label: c.Object.Label(), MinDist: c.MinDist, Dominators: c.Dominators}
-		ids[i] = c.Object.ID()
-	}
-	body, merr := json.Marshal(wire)
-	if merr != nil {
-		return
-	}
-	shield := core.NewAnswerShield(q, res.Operator, m, k, res.Candidates)
-	cost := int64(len(body)) + int64(len(key)) + shieldCost(shield)
-	d.cache.put(key, res, cost, shield, ids, e)
-}
-
-// shieldCost approximates a shield's in-memory footprint for the byte
-// budget: rectangles and hull points, 16 bytes per float64 pair per dim.
-func shieldCost(s *core.AnswerShield) int64 {
-	return int64(s.Candidates())*32 + 64
+	return cost
 }
 
 // --- mutation interception ----------------------------------------------------
@@ -249,9 +224,7 @@ func (d *Door) Delete(id int) (bool, error) {
 // advance runs the sweep-then-publish step; the caller holds mutMu.
 func (d *Door) advance(m mutation) {
 	next := d.epoch.Load() + 1
-	if d.cache != nil {
-		d.cache.sweep(m, next)
-	}
+	d.cache.sweep(m, next)
 	d.epoch.Store(next)
 }
 
@@ -267,18 +240,14 @@ type DoorStats struct {
 	Epoch           uint64     `json:"epoch"`
 }
 
-// Stats snapshots the counters (cache stats are zero when caching is
-// disabled).
+// Stats snapshots the counters.
 func (d *Door) Stats() DoorStats {
-	s := DoorStats{
+	return DoorStats{
+		Cache:           d.cache.stats(),
 		CoalesceHits:    d.coalesceHits.Load(),
 		CoalesceLeaders: d.coalesceLeaders.Load(),
 		Bypasses:        d.bypasses.Load(),
 		NegativeHits:    d.negativeHits.Load(),
 		Epoch:           d.epoch.Load(),
 	}
-	if d.cache != nil {
-		s.Cache = d.cache.stats()
-	}
-	return s
 }

@@ -172,8 +172,7 @@ func (h *Handler) AttachDoor(door *Door) {
 }
 
 // Registry exposes the metrics registry so the process can register
-// additional collectors (backend fault counters, server panic counts)
-// before serving.
+// additional collectors (a router's counters) before serving.
 func (h *Handler) Registry() *Registry { return h.reg }
 
 // exempt paths bypass shedding entirely: health probes and scrapes must
@@ -270,14 +269,9 @@ func (h *Handler) capacityRetry() time.Duration {
 // maxRetryAfter caps capacity-shed backoff advice in seconds.
 const maxRetryAfter = 30
 
-// shed answers 429 with Retry-After (whole seconds, min 1) and the API's
-// JSON error shape.
+// shed answers 429 with Retry-After and the API's JSON error shape.
 func (h *Handler) shed(w http.ResponseWriter, retry time.Duration, code, msg string) {
-	secs := int(retry / time.Second)
-	if retry%time.Second != 0 || secs < 1 {
-		secs++
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
+	server.SetRetryAfter(w, retry)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusTooManyRequests)
 	w.Write([]byte(`{"error":"` + msg + `","code":"` + code + `"}` + "\n"))

@@ -2,27 +2,25 @@
 // between the HTTP handlers and the search backend that makes a skewed
 // query stream cheap without ever changing an answer.
 //
-// Three mechanisms stack, each usable alone:
+// Two mechanisms stack, each usable alone:
 //
-//   - request coalescing (coalesce.go): identical in-flight searches
-//     share one engine execution via a leader/waiter protocol — the same
-//     loading-frame idea the buffer pool uses one level down for page
-//     reads, lifted to whole queries;
-//
-//   - a semantic result cache (cache.go): a sharded, byte-bounded LRU of
-//     finished answers keyed by the canonical query key, invalidated
-//     *precisely* on mutation using the dominance geometry captured in
-//     core.AnswerShield — an insert or delete evicts exactly the entries
-//     whose answer could change, and an epoch tag protocol guarantees a
-//     stale answer is structurally unservable (door.go);
+//   - one table of answers (cache.go) keyed by the canonical query key: a
+//     search in flight is a pending entry that identical arrivals join —
+//     the buffer pool's loading-frame idea lifted from pages to whole
+//     queries — and a finished answer stays as a sharded, byte-bounded LRU
+//     entry, invalidated *precisely* on mutation using the dominance
+//     geometry captured in core.AnswerShield: an insert or delete evicts
+//     exactly the entries whose answer could change, and an epoch tag
+//     protocol guarantees a stale answer is structurally unservable;
 //
 //   - admission control (ratelimit.go, handler.go): per-client token
 //     buckets and a global concurrency ceiling that shed overload with
 //     429 + Retry-After instead of convoying it, plus a Prometheus-format
 //     /metrics endpoint (metrics.go) unifying the serving counters.
 //
-// The Door type composes the first two as a server.Backend decorator;
-// Handler composes the rest as HTTP middleware. Everything is stdlib.
+// The Door type puts the first in front of a server.Backend as a
+// decorator; Handler composes the second as HTTP middleware. Everything is
+// stdlib.
 package front
 
 import (
@@ -93,7 +91,7 @@ func filterByte(f core.FilterConfig) byte {
 	return b
 }
 
-// shardOf hashes a Key onto one of n cache/flight shards (FNV-1a; the
+// shardOf hashes a Key onto one of n table shards (FNV-1a; the
 // map's own bytewise comparison makes collisions harmless here).
 func shardOf(k Key, n int) int {
 	h := fnv.New64a()

@@ -24,9 +24,6 @@ import (
 type MemStore struct {
 	mu  sync.RWMutex
 	idx *core.Index
-	// epoch counts committed mutations, mirroring the disk backend's
-	// snapshot epoch so the Door can seed its clock either way.
-	epoch uint64
 }
 
 // NewMemStore builds a mutable in-memory backend over objs.
@@ -66,29 +63,14 @@ func (s *MemStore) Mutable() bool { return true }
 func (s *MemStore) Insert(o *uncertain.Object) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.idx.Insert(o); err != nil {
-		return err
-	}
-	s.epoch++
-	return nil
+	return s.idx.Insert(o)
 }
 
 // Delete removes one object by ID, reporting whether it existed.
 func (s *MemStore) Delete(id int) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.idx.Delete(id) {
-		return false, nil
-	}
-	s.epoch++
-	return true, nil
-}
-
-// Epoch reports the committed-mutation count.
-func (s *MemStore) Epoch() uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.epoch
+	return s.idx.Delete(id), nil
 }
 
 // Objects and Object implement server.ObjectLister.

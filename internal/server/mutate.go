@@ -2,7 +2,8 @@ package server
 
 // Mutation endpoints over the mutable disk backend:
 //
-//	POST /insert → insert one object (ObjectJSON body)
+//	POST /insert → insert one object (ObjectJSON body, a request object:
+//	               at most maxInstances instances, the dataset's dimensionality)
 //	POST /delete → remove one object by id
 //
 // Both answer 501 unless the backend implements Mutator with Mutable()
@@ -18,7 +19,6 @@ import (
 	"net/http"
 
 	"spatialdom/internal/core"
-	"spatialdom/internal/geom"
 	"spatialdom/internal/uncertain"
 )
 
@@ -72,21 +72,9 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	pts := make([]geom.Point, len(req.Instances))
-	for i, row := range req.Instances {
-		pts[i] = geom.Point(row)
-	}
-	o, err := uncertain.New(req.ID, pts, req.Probs)
+	o, err := requestObject(req, s.backend().Dim(), false)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("building object: %w", err))
-		return
-	}
-	if req.Label != "" {
-		o.SetLabel(req.Label)
-	}
-	if b := s.backend(); b.Len() > 0 && o.Dim() != b.Dim() {
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("object dim %d != dataset dim %d", o.Dim(), b.Dim()))
 		return
 	}
 	if err := m.Insert(o); err != nil {

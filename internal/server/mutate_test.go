@@ -75,7 +75,7 @@ func TestServerMutableDiskBackend(t *testing.T) {
 	// Insert: the committed object is immediately searchable — query at its
 	// own instances, it must appear among the candidates.
 	extra := ds.Objects[50]
-	wantStatus(t, do(t, srv, http.MethodPost, "/insert", toJSON(extra)), http.StatusOK)
+	wantStatus(t, do(t, srv, http.MethodPost, "/insert", ToJSON(extra)), http.StatusOK)
 	if idx.Len() != 51 {
 		t.Fatalf("len after insert = %d, want 51", idx.Len())
 	}
@@ -101,7 +101,7 @@ func TestServerMutableDiskBackend(t *testing.T) {
 
 	// Error mapping: duplicate id → 409, wrong dimensionality → 400,
 	// malformed body → 400, wrong method → 405.
-	rec = do(t, srv, http.MethodPost, "/insert", toJSON(extra))
+	rec = do(t, srv, http.MethodPost, "/insert", ToJSON(extra))
 	wantStatus(t, rec, http.StatusConflict)
 	if c := errCode(t, rec); c != "conflict" {
 		t.Fatalf("duplicate insert code %q, want conflict", c)

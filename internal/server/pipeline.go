@@ -63,10 +63,9 @@ type query struct {
 }
 
 // buildQuery validates the shared wire fields: operator and metric names,
-// k (0 means 1, negative rejected), and each raw query's instances and
-// weights — built with uncertain.New, or FromNormalized when the weights
-// are already probabilities (the shard protocol) — against the dataset
-// dimensionality. Every failure is a 400.
+// k (0 means 1, negative rejected), and each raw query as a request object
+// (requestObject; FromNormalized when the weights are already
+// probabilities, the shard protocol). Every failure is a 400.
 func buildQuery(dim int, operator, metric string, k int, normalized bool, raw ...BatchQuery) (query, error) {
 	op := core.PSD // what a request gets by not naming an operator
 	if strings.TrimSpace(operator) != "" {
@@ -87,27 +86,59 @@ func buildQuery(dim int, operator, metric string, k int, normalized bool, raw ..
 	}
 	objs := make([]*uncertain.Object, len(raw))
 	for i, rq := range raw {
-		if len(rq.Instances) > maxInstances {
-			return query{}, fmt.Errorf("query object %d: %d instances exceed limit %d", i, len(rq.Instances), maxInstances)
-		}
-		pts := make([]geom.Point, len(rq.Instances))
-		for j, row := range rq.Instances {
-			pts[j] = geom.Point(row)
-		}
-		build := uncertain.New
-		if normalized {
-			build = uncertain.FromNormalized
-		}
-		q, err := build(i, pts, rq.Weights)
+		q, err := requestObject(ObjectJSON{ID: i, Instances: rq.Instances, Probs: rq.Weights}, dim, normalized)
 		if err != nil {
 			return query{}, fmt.Errorf("query object %d: %w", i, err)
-		}
-		if q.Dim() != dim {
-			return query{}, fmt.Errorf("query object %d: dim %d != dataset dim %d", i, q.Dim(), dim)
 		}
 		objs[i] = q
 	}
 	return query{op: op, metric: m, k: k, objs: objs}, nil
+}
+
+// Object is the one way a wire object becomes an *uncertain.Object: the
+// rows become its instances, and Probs its weights (uncertain.New) or,
+// when normalized, its probabilities bit for bit (uncertain.FromNormalized);
+// it must have the dataset's dimensionality dim. A shard reply is decoded
+// this way as it stands; a request goes through requestObject's bound.
+func (j ObjectJSON) Object(dim int, normalized bool) (*uncertain.Object, error) {
+	pts := make([]geom.Point, len(j.Instances))
+	for i, row := range j.Instances {
+		pts[i] = geom.Point(row)
+	}
+	build := uncertain.New
+	if normalized {
+		build = uncertain.FromNormalized
+	}
+	o, err := build(j.ID, pts, j.Probs)
+	if err != nil {
+		return nil, err
+	}
+	if o.Dim() != dim {
+		return nil, fmt.Errorf("%w: dim %d != dataset dim %d", uncertain.ErrDimMismatch, o.Dim(), dim)
+	}
+	if j.Label != "" {
+		o.SetLabel(j.Label)
+	}
+	return o, nil
+}
+
+// ToJSON is Object's inverse and the only way an object goes back out:
+// /objects/{id}, a shard's candidates, the router's query.
+func ToJSON(o *uncertain.Object) ObjectJSON {
+	inst := make([][]float64, o.Len())
+	for i := range inst {
+		inst[i] = append([]float64(nil), o.Instance(i)...)
+	}
+	return ObjectJSON{ID: o.ID(), Label: o.Label(), Instances: inst, Probs: append([]float64(nil), o.Probs()...)}
+}
+
+// requestObject is ObjectJSON.Object under the bound every request obeys,
+// query or insert: at most maxInstances instances.
+func requestObject(j ObjectJSON, dim int, normalized bool) (*uncertain.Object, error) {
+	if len(j.Instances) > maxInstances {
+		return nil, fmt.Errorf("%d instances exceed limit %d", len(j.Instances), maxInstances)
+	}
+	return j.Object(dim, normalized)
 }
 
 // searchStatus maps a search outcome to its HTTP face. A clean result is
@@ -130,13 +161,20 @@ func searchStatus(w http.ResponseWriter, r *http.Request, err error) (status int
 		return 0, nil, false
 	}
 	if partial.RetryAfterHint > 0 {
-		secs := int(partial.RetryAfterHint / time.Second)
-		if partial.RetryAfterHint%time.Second != 0 || secs < 1 {
-			secs++
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
+		SetRetryAfter(w, partial.RetryAfterHint)
 	}
 	return http.StatusPartialContent, partial, true
+}
+
+// SetRetryAfter advises the client to come back after d, rounded up to
+// whole seconds (at least 1): the 206 of a degraded answer and the front
+// door's 429 both say it this way.
+func SetRetryAfter(w http.ResponseWriter, d time.Duration) {
+	secs := int(d / time.Second)
+	if d%time.Second != 0 || secs < 1 {
+		secs++
+	}
+	w.Header().Set("Retry-After", strconv.Itoa(secs))
 }
 
 // encodeCandidate is the wire form of one emitted candidate.

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -17,6 +18,7 @@ import (
 
 	"spatialdom/internal/core"
 	"spatialdom/internal/datagen"
+	"spatialdom/internal/geom"
 	"spatialdom/internal/uncertain"
 )
 
@@ -24,33 +26,38 @@ var queryEndpoints = []string{"/query", "/query/stream", "/query/batch", "/shard
 
 // wireBody renders the same logical request for any query endpoint: the
 // batch endpoint nests the instances in a one-query batch, the others
-// carry them at the top level. instances is raw JSON so a case can hold
-// what no Go value marshals to (a NaN token).
+// carry them at the top level, and /insert adds an id. instances is raw
+// JSON so a case can hold what no Go value marshals to (a NaN token).
 func wireBody(endpoint, instances, tail string) string {
-	if endpoint == "/query/batch" {
+	switch endpoint {
+	case "/query/batch":
 		return fmt.Sprintf(`{"queries":[{"instances":%s}]%s}`, instances, tail)
+	case "/insert":
+		return fmt.Sprintf(`{"id":900001,"instances":%s%s}`, instances, tail)
 	}
 	return fmt.Sprintf(`{"instances":%s%s}`, instances, tail)
 }
 
 // malformedInputs is the agreement table: ten ways to get a query wrong,
-// each with the one answer every endpoint must give. FuzzBuildQuery seeds
-// its corpus from it.
+// each with the one answer every endpoint must give — /insert too, on the
+// rows that apply to an object (insert). FuzzBuildQuery seeds its corpus
+// from it.
 var malformedInputs = []struct {
 	name, method, instances, tail string
 	status                        int
 	code                          string
+	insert                        bool
 }{
-	{"unknown field", http.MethodPost, `[[1,2,3]]`, `,"bogus":1`, 400, "bad_request"},
-	{"bad operator", http.MethodPost, `[[1,2,3]]`, `,"operator":"XXX"`, 400, "bad_request"},
-	{"bad metric", http.MethodPost, `[[1,2,3]]`, `,"metric":"warp"`, 400, "bad_request"},
-	{"k below one", http.MethodPost, `[[1,2,3]]`, `,"k":-1`, 400, "bad_request"},
-	{"ragged instances", http.MethodPost, `[[1,2,3],[1,2]]`, ``, 400, "bad_request"},
-	{"NaN coordinate", http.MethodPost, `[[NaN,2,3]]`, ``, 400, "bad_request"},
-	{"no instances", http.MethodPost, `[]`, ``, 400, "bad_request"},
-	{"too many instances", http.MethodPost, "[" + strings.Repeat("[1,2,3],", maxInstances) + "[1,2,3]]", ``, 400, "bad_request"},
-	{"wrong dim", http.MethodPost, `[[1,2]]`, ``, 400, "bad_request"},
-	{"wrong method", http.MethodGet, `[[1,2,3]]`, ``, 405, "method_not_allowed"},
+	{"unknown field", http.MethodPost, `[[1,2,3]]`, `,"bogus":1`, 400, "bad_request", true},
+	{"bad operator", http.MethodPost, `[[1,2,3]]`, `,"operator":"XXX"`, 400, "bad_request", false},
+	{"bad metric", http.MethodPost, `[[1,2,3]]`, `,"metric":"warp"`, 400, "bad_request", false},
+	{"k below one", http.MethodPost, `[[1,2,3]]`, `,"k":-1`, 400, "bad_request", false},
+	{"ragged instances", http.MethodPost, `[[1,2,3],[1,2]]`, ``, 400, "bad_request", true},
+	{"NaN coordinate", http.MethodPost, `[[NaN,2,3]]`, ``, 400, "bad_request", true},
+	{"no instances", http.MethodPost, `[]`, ``, 400, "bad_request", true},
+	{"too many instances", http.MethodPost, "[" + strings.Repeat("[1,2,3],", maxInstances) + "[1,2,3]]", ``, 400, "bad_request", true},
+	{"wrong dim", http.MethodPost, `[[1,2]]`, ``, 400, "bad_request", true},
+	{"wrong method", http.MethodGet, `[[1,2,3]]`, ``, 405, "method_not_allowed", true},
 }
 
 // TestQueryEndpointsAgreeOnMalformedInput posts the same malformed input
@@ -210,54 +217,145 @@ func TestBatchChecksReadinessBeforeDecoding(t *testing.T) {
 }
 
 // FuzzBuildQuery feeds arbitrary bytes through decodeBody → buildQuery,
-// the way every query endpoint does. The pipeline must never panic, and
-// must either refuse the body with a typed 400/413 or hand the engine a
-// query it can trust: 1..maxInstances instances of the dataset's
-// dimensionality, finite coordinates, non-negative weights that sum to 1.
+// the way every query endpoint does, and through decodeBody →
+// requestObject, the way /insert does. The pipeline must never panic, and
+// must either refuse the body with a typed 400/413 or hand on an object it
+// can trust: 1..maxInstances instances of the dataset's dimensionality,
+// finite coordinates, non-negative probabilities that sum to 1.
 func FuzzBuildQuery(f *testing.F) {
 	for _, tc := range malformedInputs {
 		f.Add([]byte(wireBody("/query", tc.instances, tc.tail)))
+		if tc.insert {
+			f.Add([]byte(wireBody("/insert", tc.instances, tc.tail)))
+		}
 	}
 	f.Add([]byte(`{"instances":[[1,2,3],[4,5,6]],"weights":[1e308,1e308],"operator":"PSD","k":2}`))
 	const dim = 3
 	f.Fuzz(func(t *testing.T, body []byte) {
-		rec := httptest.NewRecorder()
 		var req QueryRequest
-		if !decodeBody(rec, httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(body)), &req) {
-			if rec.Code != http.StatusBadRequest && rec.Code != http.StatusRequestEntityTooLarge {
-				t.Fatalf("refused body answered %d", rec.Code)
-			}
-			if c := errCode(t, rec); c != errorCode(rec.Code) {
-				t.Fatalf("status %d carries code %q", rec.Code, c)
-			}
-			return
-		}
-		q, err := buildQuery(dim, req.Operator, req.Metric, req.K, false, BatchQuery{Instances: req.Instances, Weights: req.Weights})
-		if err != nil {
-			return // the endpoint answers 400
-		}
-		if q.k < 1 || q.metric == nil || len(q.objs) != 1 {
-			t.Fatalf("accepted query k=%d metric=%v objs=%d", q.k, q.metric, len(q.objs))
-		}
-		o := q.objs[0]
-		if o.Len() < 1 || o.Len() > maxInstances || o.Dim() != dim {
-			t.Fatalf("accepted %d instances of dim %d", o.Len(), o.Dim())
-		}
-		var sum float64
-		for i := 0; i < o.Len(); i++ {
-			for _, v := range o.Instance(i) {
-				if math.IsNaN(v) || math.IsInf(v, 0) {
-					t.Fatalf("accepted coordinate %v", v)
+		if fuzzDecode(t, body, &req) {
+			q, err := buildQuery(dim, req.Operator, req.Metric, req.K, false, BatchQuery{Instances: req.Instances, Weights: req.Weights})
+			if err == nil { // otherwise the endpoint answers 400
+				if q.k < 1 || q.metric == nil || len(q.objs) != 1 {
+					t.Fatalf("accepted query k=%d metric=%v objs=%d", q.k, q.metric, len(q.objs))
 				}
+				checkRequestObject(t, q.objs[0], dim)
 			}
-			p := o.Prob(i)
-			if !(p >= 0 && p <= 1) {
-				t.Fatalf("accepted probability %v", p)
-			}
-			sum += p
 		}
-		if math.Abs(sum-1) > 1e-9 {
-			t.Fatalf("accepted weights normalise to %v, want 1", sum)
+		var obj ObjectJSON
+		if fuzzDecode(t, body, &obj) {
+			if o, err := requestObject(obj, dim, false); err == nil {
+				checkRequestObject(t, o, dim)
+			}
 		}
 	})
+}
+
+// fuzzDecode runs body through decodeBody into v; a refused body must be
+// answered with a typed 400 or 413.
+func fuzzDecode(t *testing.T, body []byte, v any) bool {
+	rec := httptest.NewRecorder()
+	if decodeBody(rec, httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(body)), v) {
+		return true
+	}
+	if rec.Code != http.StatusBadRequest && rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("refused body answered %d", rec.Code)
+	}
+	if c := errCode(t, rec); c != errorCode(rec.Code) {
+		t.Fatalf("status %d carries code %q", rec.Code, c)
+	}
+	return false
+}
+
+// checkRequestObject is what an accepted request object must be.
+func checkRequestObject(t *testing.T, o *uncertain.Object, dim int) {
+	if o.Len() < 1 || o.Len() > maxInstances || o.Dim() != dim {
+		t.Fatalf("accepted %d instances of dim %d", o.Len(), o.Dim())
+	}
+	var sum float64
+	for i := 0; i < o.Len(); i++ {
+		for _, v := range o.Instance(i) {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("accepted coordinate %v", v)
+			}
+		}
+		p := o.Prob(i)
+		if !(p >= 0 && p <= 1) {
+			t.Fatalf("accepted probability %v", p)
+		}
+		sum += p
+	}
+	if math.Abs(sum-1) > 1e-9 {
+		t.Fatalf("accepted weights normalise to %v, want 1", sum)
+	}
+}
+
+// TestWireObjectRoundTrip: an object sent out with ToJSON and read back in
+// — as a request object under the shard protocol's normalized
+// probabilities, or as a shard reply's candidate — keeps its ID, its label
+// and every coordinate and probability bit, and equals referenceDecode's
+// object bit for bit.
+func TestWireObjectRoundTrip(t *testing.T) {
+	ds := datagen.Generate(datagen.Params{N: 40, M: 6, Seed: 151})
+	rng := rand.New(rand.NewSource(152))
+	for _, base := range ds.Objects {
+		w := make([]float64, base.Len())
+		for i := range w {
+			w[i] = 0.1 + 3*rng.Float64()
+		}
+		o := uncertain.MustNew(base.ID(), base.Points(), w).SetLabel(fmt.Sprintf("obj-%d", base.ID()))
+		raw, err := json.Marshal(ToJSON(o))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wire ObjectJSON
+		if err := json.Unmarshal(raw, &wire); err != nil {
+			t.Fatal(err)
+		}
+		want := referenceDecode(t, wire)
+		reply, err := wire.Object(o.Dim(), true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		request, err := requestObject(wire, o.Dim(), true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for path, got := range map[string]*uncertain.Object{"reply": reply, "request": request} {
+			for _, ref := range []*uncertain.Object{want, o} {
+				if got.ID() != ref.ID() || got.Label() != ref.Label() || got.Len() != ref.Len() {
+					t.Fatalf("%s path: object %d %q with %d instances, want %d %q with %d",
+						path, got.ID(), got.Label(), got.Len(), ref.ID(), ref.Label(), ref.Len())
+				}
+				for i := 0; i < got.Len(); i++ {
+					if math.Float64bits(got.Prob(i)) != math.Float64bits(ref.Prob(i)) {
+						t.Fatalf("%s path: object %d probability %d: %v, want %v", path, o.ID(), i, got.Prob(i), ref.Prob(i))
+					}
+					for j, v := range got.Instance(i) {
+						if math.Float64bits(v) != math.Float64bits(ref.Instance(i)[j]) {
+							t.Fatalf("%s path: object %d instance %d: %v, want %v", path, o.ID(), i, got.Instance(i), ref.Instance(i))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// referenceDecode is the band decode written out by hand: rows as points,
+// probabilities verbatim (FromNormalized), the label set.
+func referenceDecode(t *testing.T, c ObjectJSON) *uncertain.Object {
+	t.Helper()
+	pts := make([]geom.Point, len(c.Instances))
+	for i, row := range c.Instances {
+		pts[i] = geom.Point(row)
+	}
+	o, err := uncertain.FromNormalized(c.ID, pts, c.Probs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Label != "" {
+		o.SetLabel(c.Label)
+	}
+	return o
 }

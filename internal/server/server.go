@@ -345,7 +345,8 @@ type QueryResponse struct {
 	UnreachableShards int `json:"unreachable_shards,omitempty"`
 }
 
-// ObjectJSON is the wire form of an object.
+// ObjectJSON is the wire form of an object: the POST /insert body, GET
+// /objects/{id} and each /shard/query candidate. Object and ToJSON convert.
 type ObjectJSON struct {
 	ID        int         `json:"id"`
 	Label     string      `json:"label,omitempty"`
@@ -528,7 +529,7 @@ func (s *Server) handleObject(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("object %d not found", id))
 		return
 	}
-	writeJSON(w, http.StatusOK, toJSON(o))
+	writeJSON(w, http.StatusOK, ToJSON(o))
 }
 
 // acceptQuery is the front half /query and /query/stream share, since they
@@ -625,16 +626,6 @@ func parseMetric(s string) (geom.Metric, error) {
 		return geom.Chebyshev, nil
 	}
 	return nil, fmt.Errorf("unknown metric %q", s)
-}
-
-func toJSON(o *uncertain.Object) ObjectJSON {
-	inst := make([][]float64, o.Len())
-	probs := make([]float64, o.Len())
-	for i := 0; i < o.Len(); i++ {
-		inst[i] = append([]float64(nil), o.Instance(i)...)
-		probs[i] = o.Prob(i)
-	}
-	return ObjectJSON{ID: o.ID(), Label: o.Label(), Instances: inst, Probs: probs}
 }
 
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {

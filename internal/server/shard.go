@@ -72,27 +72,19 @@ func ShardFiltersFrom(cfg core.FilterConfig) *ShardFilters {
 	}
 }
 
-// ShardCandidate is one k-skyband member with full instance data, enough
-// for the router to rebuild the object exactly (JSON float64 encoding
-// round-trips bit-for-bit).
-type ShardCandidate struct {
-	ID        int         `json:"id"`
-	Label     string      `json:"label,omitempty"`
-	Instances [][]float64 `json:"instances"`
-	Probs     []float64   `json:"probs"`
-}
-
-// ShardQueryResponse is the POST /shard/query response. Incomplete plus
-// the skip counts flag a shard that itself degraded (quarantined pages);
-// the router folds them into the cluster answer.
+// ShardQueryResponse is the POST /shard/query response. Each candidate is
+// a k-skyband member with full instance data, enough for the router to
+// rebuild the object exactly (JSON float64 encoding round-trips bit for
+// bit). Incomplete plus the skip counts flag a shard that itself degraded
+// (quarantined pages); the router folds them into the cluster answer.
 type ShardQueryResponse struct {
-	Candidates        []ShardCandidate `json:"candidates"`
-	Objects           int              `json:"objects"`
-	Examined          int              `json:"examined"`
-	Checks            int64            `json:"dominance_checks"`
-	Incomplete        bool             `json:"incomplete,omitempty"`
-	UnreadableNodes   int              `json:"unreadable_nodes,omitempty"`
-	UnreadableObjects int              `json:"unreadable_objects,omitempty"`
+	Candidates        []ObjectJSON `json:"candidates"`
+	Objects           int          `json:"objects"`
+	Examined          int          `json:"examined"`
+	Checks            int64        `json:"dominance_checks"`
+	Incomplete        bool         `json:"incomplete,omitempty"`
+	UnreadableNodes   int          `json:"unreadable_nodes,omitempty"`
+	UnreadableObjects int          `json:"unreadable_objects,omitempty"`
 }
 
 func (s *Server) handleShardQuery(w http.ResponseWriter, r *http.Request) {
@@ -118,7 +110,7 @@ func (s *Server) handleShardQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := ShardQueryResponse{
-		Candidates: make([]ShardCandidate, len(res.Candidates)),
+		Candidates: make([]ObjectJSON, len(res.Candidates)),
 		Objects:    b.Len(),
 		Examined:   res.Examined,
 		Checks:     res.Stats.DominanceChecks,
@@ -129,7 +121,7 @@ func (s *Server) handleShardQuery(w http.ResponseWriter, r *http.Request) {
 		resp.UnreadableObjects = partial.UnreadableObjects
 	}
 	for i, c := range res.Candidates {
-		resp.Candidates[i] = ShardCandidate(toJSON(c.Object))
+		resp.Candidates[i] = ToJSON(c.Object)
 	}
 	writeJSON(w, status, resp)
 }

@@ -106,7 +106,7 @@ var AllFilters = core.AllFilters
 // DiskIndex are the built-in implementations. Custom storage layers
 // (remote shards, column stores, caches) implement it and pass through
 // SearchBackend to get the full Algorithm 1 feature set — filters,
-// metrics, k-skyband, Limit, cancellation, progressive emission.
+// metrics, k-skyband, cancellation, progressive emission.
 type (
 	Backend      = core.Backend
 	NodeRef      = core.NodeRef
