@@ -48,8 +48,9 @@ import (
 
 // AnswerShield is the per-answer invalidation decider, built once when a
 // result enters the cache and consulted on every subsequent insert. It
-// retains only rectangles and (hull) query points — no objects, no
-// checker arenas — so an entry's shield costs a few hundred bytes.
+// retains the query's MBR and (hull) points and the answer's candidate
+// slice, shared with the cached Result — no copies of the candidates'
+// rectangles, no checker arenas — so an entry's shield costs a header.
 type AnswerShield struct {
 	rectPred
 	k int
@@ -57,8 +58,9 @@ type AnswerShield struct {
 	// object whose MBR lower bound exceeds it cannot dominate anything in
 	// the answer.
 	maxKey float64
-	// band holds the candidates' MBRs for the Theorem 4 test.
-	band []geom.Rect
+	// band is the answer's candidates; their objects' MBRs are the
+	// rectangles of the Theorem 4 test.
+	band []Candidate
 }
 
 // shieldSlack mirrors the tolerances the checker decides dominance under
@@ -67,8 +69,10 @@ type AnswerShield struct {
 const shieldSlack = distr.Eps + tieEps
 
 // NewAnswerShield captures what a cached answer needs to survive
-// mutations: the query's MBR and hull instances, the candidate MBRs and
-// the largest exact candidate key. Under the Euclidean metric the point
+// mutations: the query's MBR and hull instances, the candidates and the
+// largest exact candidate key. cands is kept, not copied — the door hands
+// over the cached Result's own slice, which nothing changes after the
+// search returns. Under the Euclidean metric the point
 // set is reduced to the query's convex hull (the paper's geometric
 // restriction, exact for L2); other metrics keep every instance, exactly
 // as the checker does.
@@ -89,9 +93,8 @@ func NewAnswerShield(q *uncertain.Object, op Operator, m geom.Metric, k int, can
 			s.hullPts = append(s.hullPts, q.Instance(j))
 		}
 	}
-	s.band = make([]geom.Rect, len(cands))
-	for i, c := range cands {
-		s.band[i] = c.Object.MBR()
+	s.band = cands
+	for _, c := range cands {
 		if c.MinDist > s.maxKey {
 			s.maxKey = c.MinDist
 		}
@@ -119,8 +122,8 @@ func (s *AnswerShield) ShieldsInsert(r geom.Rect) bool {
 	// Condition 2: k MBR dominators among the candidates put O outside
 	// the band.
 	count := 0
-	for _, b := range s.band {
-		if dom, _ := s.dominates(b, r); dom {
+	for _, c := range s.band {
+		if dom, _ := s.dominates(c.Object.MBR(), r); dom {
 			count++
 			if count >= s.k {
 				return true
@@ -129,6 +132,3 @@ func (s *AnswerShield) ShieldsInsert(r geom.Rect) bool {
 	}
 	return false
 }
-
-// Candidates reports how many candidate rectangles the shield retains.
-func (s *AnswerShield) Candidates() int { return len(s.band) }

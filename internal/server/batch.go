@@ -106,15 +106,14 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	resp := BatchResponse{Operator: q.op.String(), K: q.k, Results: make([]QueryResponse, len(results))}
-	for i, res := range results {
-		resp.Results[i] = encodeResult(q, res)
+	incomplete := 0
+	for _, res := range results {
 		if res.Incomplete {
-			resp.IncompleteSlots++
+			incomplete++
 		}
 	}
-	if resp.IncompleteSlots > 0 {
+	if incomplete > 0 {
 		status = http.StatusPartialContent
 	}
-	writeJSON(w, status, resp)
+	writeBatch(w, status, q.op.String(), q.k, results, incomplete)
 }

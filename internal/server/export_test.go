@@ -20,3 +20,7 @@ func InsertAgreement() []AgreementCase {
 	}
 	return out
 }
+
+// AppendQuery is the response appender, for the external test package's
+// allocation gate on a repeat's answer.
+var AppendQuery = appendQuery

@@ -28,6 +28,15 @@ package front
 // its fill has individually proven it unaffected. The shard locks guard
 // map+list manipulation only — no search, no I/O, no allocation beyond a
 // pending entry and list nodes happens under them.
+//
+// A kept entry filled by a /query may also carry an alias: the exact bytes
+// of the body that asked for it, in a second table sharded by those bytes,
+// so a byte-identical repeat finds the entry before anything is decoded.
+// An alias is the full body, never a hash, so it cannot name another
+// query's answer; it is served under the same test as the key, and leaves
+// inside the critical section that removes its entry. Alias locks are only
+// ever taken inside an entry shard's lock or alone, never the other way
+// round.
 
 import (
 	"container/list"
@@ -56,10 +65,12 @@ type entry struct {
 	err  error
 	// Set when the answer is kept: its cost against the byte budget, the
 	// shield that answers "can this insert change it?" (deletes read the
-	// IDs of res.Candidates), and its LRU list node — nil while pending.
+	// IDs of res.Candidates), its LRU list node — nil while pending — and
+	// the body of the /query that filled it, if one did.
 	bytes  int64
 	shield *core.AnswerShield
 	elem   *list.Element
+	alias  string
 }
 
 // affectedBy reports whether a mutation could change this kept answer: a
@@ -84,6 +95,13 @@ type cacheShard struct {
 	bytes   int64
 }
 
+// aliasShard is one lock-striped slice of the alias table: filling body →
+// kept entry.
+type aliasShard struct {
+	mu      sync.Mutex
+	entries map[string]*entry
+}
+
 // CacheStats is a point-in-time counter snapshot.
 type CacheStats struct {
 	Hits          int64 `json:"hits"`
@@ -99,7 +117,8 @@ type CacheStats struct {
 // resultCache is the sharded table. All epoch decisions live in the Door;
 // the table only stores and compares tags it is handed.
 type resultCache struct {
-	shards [cacheShards]cacheShard
+	shards  [cacheShards]cacheShard
+	aliases [cacheShards]aliasShard
 	// budget is each shard's byte bound; an answer costing more is not
 	// kept, so a budget below 1 keeps nothing and the table only joins.
 	budget int64
@@ -118,6 +137,7 @@ func newResultCache(maxBytes int64) *resultCache {
 	c := &resultCache{budget: maxBytes / cacheShards}
 	for i := range c.shards {
 		c.shards[i] = cacheShard{entries: make(map[Key]*entry), lru: list.New()}
+		c.aliases[i].entries = make(map[string]*entry)
 	}
 	return c
 }
@@ -132,7 +152,7 @@ func (c *resultCache) lookup(key Key, epoch uint64) (res *core.Result, e *entry,
 	sh.mu.Lock()
 	e, ok := sh.entries[key]
 	if ok && e.tag != epoch {
-		sh.removeLocked(e)
+		c.removeLocked(sh, e)
 		ok = false
 	}
 	switch {
@@ -153,11 +173,49 @@ func (c *resultCache) lookup(key Key, epoch uint64) (res *core.Result, e *entry,
 	return nil, e, leader
 }
 
+// repeat is lookup for a /query body that filled a kept entry: the entry's
+// answer, operator and k when the entry is still the table's, current and
+// asks for k <= n objects. Anything else is no answer and counts nothing —
+// the caller decodes the body and asks lookup — except that a stale entry
+// is removed on sight, as lookup would.
+func (c *resultCache) repeat(body []byte, epoch uint64, n int) (*core.Result, core.Operator, int) {
+	as := &c.aliases[shardOf(body, cacheShards)]
+	as.mu.Lock()
+	e := as.entries[string(body)]
+	as.mu.Unlock()
+	if e == nil {
+		return nil, 0, 0
+	}
+	op, k := e.key.head()
+	if k > n {
+		return nil, 0, 0
+	}
+	var res *core.Result
+	sh := &c.shards[shardOf(e.key, cacheShards)]
+	sh.mu.Lock()
+	switch {
+	case sh.entries[e.key] != e:
+		// It left between the two locks; its alias went with it.
+	case e.tag != epoch:
+		c.removeLocked(sh, e)
+	default:
+		sh.lru.MoveToFront(e.elem)
+		res = e.res
+	}
+	sh.mu.Unlock()
+	if res == nil {
+		return nil, 0, 0
+	}
+	c.hits.Add(1)
+	return res, op, k
+}
+
 // land publishes the leader's outcome to the entry's waiters and keeps the
 // answer when shield is non-nil — the door builds one only for a complete
-// answer whose cost fits the budget — and the entry is still the table's.
-// Otherwise the pending entry leaves the table.
-func (c *resultCache) land(e *entry, res *core.Result, err error, shield *core.AnswerShield, cost int64) {
+// answer whose cost fits the budget — and the entry is still the table's;
+// a non-empty alias is then the body that now finds it. Otherwise the
+// pending entry leaves the table.
+func (c *resultCache) land(e *entry, res *core.Result, err error, shield *core.AnswerShield, cost int64, alias string) {
 	e.res, e.err = res, err
 	sh := &c.shards[shardOf(e.key, cacheShards)]
 	sh.mu.Lock()
@@ -171,8 +229,15 @@ func (c *resultCache) land(e *entry, res *core.Result, err error, shield *core.A
 		e.bytes, e.shield = cost, shield
 		e.elem = sh.lru.PushFront(e)
 		sh.bytes += cost
+		if alias != "" {
+			e.alias = alias
+			as := &c.aliases[shardOf(alias, cacheShards)]
+			as.mu.Lock()
+			as.entries[alias] = e
+			as.mu.Unlock()
+		}
 		for sh.bytes > c.budget {
-			sh.removeLocked(sh.lru.Back().Value.(*entry))
+			c.removeLocked(sh, sh.lru.Back().Value.(*entry))
 			c.evictions.Add(1)
 		}
 		c.fills.Add(1)
@@ -181,12 +246,19 @@ func (c *resultCache) land(e *entry, res *core.Result, err error, shield *core.A
 	close(e.done)
 }
 
-// removeLocked unlinks e from its shard; the caller holds the shard lock.
-func (sh *cacheShard) removeLocked(e *entry) {
+// removeLocked unlinks e from its shard, and its alias from the alias
+// table; the caller holds the shard lock.
+func (c *resultCache) removeLocked(sh *cacheShard, e *entry) {
 	delete(sh.entries, e.key)
 	if e.elem != nil {
 		sh.lru.Remove(e.elem)
 		sh.bytes -= e.bytes
+	}
+	if e.alias != "" {
+		as := &c.aliases[shardOf(e.alias, cacheShards)]
+		as.mu.Lock()
+		delete(as.entries, e.alias)
+		as.mu.Unlock()
 	}
 }
 
@@ -219,9 +291,9 @@ func (c *resultCache) sweep(m mutation, newTag uint64) {
 		for _, e := range sh.entries {
 			switch {
 			case e.elem == nil || e.tag != newTag-1:
-				sh.removeLocked(e)
+				c.removeLocked(sh, e)
 			case e.affectedBy(m):
-				sh.removeLocked(e)
+				c.removeLocked(sh, e)
 				c.invalidations.Add(1)
 			default:
 				e.tag = newTag

@@ -14,7 +14,7 @@ import (
 func (c *resultCache) get(key Key, epoch uint64) (*core.Result, bool) {
 	res, e, leader := c.lookup(key, epoch)
 	if leader {
-		c.land(e, nil, errStaged, nil, 0)
+		c.land(e, nil, errStaged, nil, 0, "")
 	}
 	return res, res != nil
 }
@@ -24,7 +24,7 @@ func (c *resultCache) put(key Key, res *core.Result, cost int64, shield *core.An
 		shield = new(core.AnswerShield)
 	}
 	if _, e, leader := c.lookup(key, tag); leader {
-		c.land(e, res, nil, shield, cost)
+		c.land(e, res, nil, shield, cost, "")
 	}
 }
 

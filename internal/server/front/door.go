@@ -41,9 +41,10 @@ type DoorConfig struct {
 // DefaultCacheBytes is the default result-cache budget (64 MiB).
 const DefaultCacheBytes = 64 << 20
 
-// Door implements server.Backend and server.Mutator over an inner
-// backend. It deliberately implements no other capability interface —
-// the server reaches ObjectLister/HealthChecker/... through Inner().
+// Door implements server.Backend, server.Mutator and server.Repeater over
+// an inner backend. It deliberately implements no other capability
+// interface — the server reaches ObjectLister/HealthChecker/... through
+// Inner().
 type Door struct {
 	inner server.Backend
 	mut   server.Mutator // inner's mutation capability, nil if absent
@@ -103,11 +104,30 @@ func (d *Door) Dim() int { return d.inner.Dim() }
 // Epoch reports the Door's mutation clock (for /healthz and tests).
 func (d *Door) Epoch() uint64 { return d.epoch.Load() }
 
-// SearchKCtx is the read path: one lookup hits, joins or leads. Streaming
-// searches (OnCandidate) are pass-through: their observable behavior is
-// the callback sequence, not just the final Result, so sharing another
-// request's execution would change what the client sees.
+// Repeat implements server.Repeater: the kept answer a byte-identical
+// /query body filled, counted as the cache hit it is, while it is servable
+// exactly as lookup would serve it and its k is at most Len.
+//
+//nnc:hotpath
+func (d *Door) Repeat(body []byte) (*core.Result, core.Operator, int) {
+	res, op, k := d.cache.repeat(body, d.epoch.Load(), d.Len())
+	if res != nil && len(res.Candidates) == 0 {
+		d.negativeHits.Add(1)
+	}
+	return res, op, k
+}
+
+// SearchKCtx is the read path: one lookup hits, joins or leads.
 func (d *Door) SearchKCtx(ctx context.Context, q *uncertain.Object, op core.Operator, k int, opts core.SearchOptions) (*core.Result, error) {
+	return d.SearchBody(ctx, nil, q, op, k, opts)
+}
+
+// SearchBody implements server.Repeater: SearchKCtx for a /query whose
+// body was body, which becomes the alias of the entry its answer fills.
+// Streaming searches (OnCandidate) are pass-through: their observable
+// behavior is the callback sequence, not just the final Result, so sharing
+// another request's execution would change what the client sees.
+func (d *Door) SearchBody(ctx context.Context, body []byte, q *uncertain.Object, op core.Operator, k int, opts core.SearchOptions) (*core.Result, error) {
 	if opts.OnCandidate != nil {
 		d.bypasses.Add(1)
 		return d.inner.SearchKCtx(ctx, q, op, k, opts)
@@ -150,28 +170,30 @@ func (d *Door) SearchKCtx(ctx context.Context, q *uncertain.Object, op core.Oper
 	// pages may heal.
 	var shield *core.AnswerShield
 	var cost int64
+	var alias string
 	if err == nil && res != nil && !res.Incomplete {
-		if cost = entryCost(key, res); cost <= d.cache.budget {
+		if cost = entryCost(key, body, res); cost <= d.cache.budget {
 			shield = core.NewAnswerShield(q, res.Operator, m, k, res.Candidates)
+			alias = string(body) // the caller reuses its buffer
 		}
 	}
-	d.cache.land(e, res, err, shield, cost)
+	d.cache.land(e, res, err, shield, cost, alias)
 	return res, err
 }
 
-// Bytes a kept answer retains beyond its key and labels: per candidate a
-// core.Candidate in the result and a rectangle header in the shield (the
-// rectangle's coordinates are the object's MBR, and the objects belong to
-// the index); per entry the entry, its list node and the shield header.
+// Bytes a kept answer retains beyond its key, alias and labels: per
+// candidate a core.Candidate in the result (the shield shares the slice,
+// and the objects belong to the index); per entry the entry, its list node
+// and the shield header.
 const (
-	candidateBytes = 40 + 48
+	candidateBytes = 40
 	entryBytes     = 64
 )
 
-// entryCost sizes a kept answer from what it retains: its key, its
-// candidates with their labels, and the shield.
-func entryCost(key Key, res *core.Result) int64 {
-	cost := int64(len(key)) + entryBytes
+// entryCost sizes a kept answer from what it retains: its key, its alias,
+// its candidates with their labels, and the shield.
+func entryCost(key Key, alias []byte, res *core.Result) int64 {
+	cost := int64(len(key)+len(alias)) + entryBytes
 	for _, c := range res.Candidates {
 		cost += candidateBytes + int64(len(c.Object.Label()))
 	}

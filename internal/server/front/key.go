@@ -25,7 +25,6 @@ package front
 
 import (
 	"encoding/binary"
-	"hash/fnv"
 	"math"
 
 	"spatialdom/internal/core"
@@ -91,10 +90,23 @@ func filterByte(f core.FilterConfig) byte {
 	return b
 }
 
-// shardOf hashes a Key onto one of n table shards (FNV-1a; the
-// map's own bytewise comparison makes collisions harmless here).
-func shardOf(k Key, n int) int {
-	h := fnv.New64a()
-	h.Write([]byte(k))
-	return int(h.Sum64() % uint64(n))
+// head reads back the operator and k that canonicalKey wrote first.
+func (k Key) head() (core.Operator, int) {
+	var n uint64
+	for i := 9; i >= 2; i-- {
+		n = n<<8 | uint64(k[i])
+	}
+	return core.Operator(k[0]), int(n)
+}
+
+// shardOf hashes a Key, or an alias's body, onto one of n table shards:
+// 64-bit FNV-1a over the bytes, written out so a lookup allocates nothing
+// (the maps' own bytewise comparison makes collisions harmless here).
+func shardOf[B ~string | ~[]byte](b B, n int) int {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(b); i++ {
+		h ^= uint64(b[i])
+		h *= 1099511628211
+	}
+	return int(h % uint64(n))
 }

@@ -1,11 +1,13 @@
 package server
 
-// The request pipeline every body-carrying endpoint shares: one decode,
-// one query construction, one search-outcome → status mapping, one result
-// encoder. What genuinely differs per endpoint (k ≤ Len, wire filters,
-// NDJSON framing, the batch slot loop) stays in the endpoint.
+// The request pipeline every body-carrying endpoint shares: one read, one
+// decode, one query construction, one search-outcome → status mapping and
+// one result writer (encode.go). What genuinely differs per endpoint
+// (k ≤ Len, wire filters, NDJSON framing, the batch slot loop) stays in
+// the endpoint.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -31,26 +33,53 @@ const (
 	maxInstances = 4096
 )
 
-// decodeBody is the one way a request body enters the server: POST only,
-// at most maxBodyBytes, unknown fields rejected. On failure it writes the
-// error response (405, 413 or 400) itself and returns false.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+// errTrailingData refuses a body with more than whitespace after its JSON
+// value: json.Decoder would stop at the value and drop the rest unread.
+var errTrailingData = errors.New("trailing data after the JSON value")
+
+// readBody is the one way a request body enters the server: POST only, at
+// most maxBodyBytes, read whole into buf. On failure it writes the error
+// response (405 or 413) itself and returns false.
+func readBody(w http.ResponseWriter, r *http.Request, buf *bytes.Buffer) bool {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, errors.New("POST only"))
 		return false
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
 		status := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			status = http.StatusRequestEntityTooLarge
 		}
-		writeError(w, status, fmt.Errorf("decoding request: %w", err))
+		writeError(w, status, fmt.Errorf("reading request: %w", err))
 		return false
 	}
 	return true
+}
+
+// decodeJSON decodes one JSON value from body into v: unknown fields and
+// anything but whitespace after the value are rejected. On failure it
+// writes the 400 itself and returns false.
+func decodeJSON(w http.ResponseWriter, body []byte, v any) bool {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil && len(bytes.TrimLeft(body[dec.InputOffset():], " \t\r\n")) > 0 {
+		err = errTrailingData
+	}
+	if err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		return false
+	}
+	return true
+}
+
+// decodeBody is readBody then decodeJSON, for the endpoints that need the
+// body only decoded.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	buf := getBuffer()
+	defer putBuffer(buf)
+	return readBody(w, r, buf) && decodeJSON(w, buf.Bytes(), v)
 }
 
 // query is a validated search request: what buildQuery makes of the wire
@@ -175,31 +204,4 @@ func SetRetryAfter(w http.ResponseWriter, d time.Duration) {
 		secs++
 	}
 	w.Header().Set("Retry-After", strconv.Itoa(secs))
-}
-
-// encodeCandidate is the wire form of one emitted candidate.
-func encodeCandidate(c core.Candidate) QueryCandidate {
-	return QueryCandidate{
-		ID:         c.Object.ID(),
-		Label:      c.Object.Label(),
-		MinDist:    c.MinDist,
-		Dominators: c.Dominators,
-	}
-}
-
-// encodeResult is the wire form of one search result; the skip counts of
-// a degraded result are the caller's to add from its PartialResultError.
-func encodeResult(q query, res *core.Result) QueryResponse {
-	resp := QueryResponse{
-		Operator:   q.op.String(),
-		K:          q.k,
-		Examined:   res.Examined,
-		ElapsedUS:  res.Elapsed.Microseconds(),
-		Checks:     res.Stats.DominanceChecks,
-		Incomplete: res.Incomplete,
-	}
-	for _, c := range res.Candidates {
-		resp.Candidates = append(resp.Candidates, encodeCandidate(c))
-	}
-	return resp
 }

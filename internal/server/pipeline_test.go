@@ -38,7 +38,7 @@ func wireBody(endpoint, instances, tail string) string {
 	return fmt.Sprintf(`{"instances":%s%s}`, instances, tail)
 }
 
-// malformedInputs is the agreement table: ten ways to get a query wrong,
+// malformedInputs is the agreement table: twelve ways to get a query wrong,
 // each with the one answer every endpoint must give — /insert too, on the
 // rows that apply to an object (insert). FuzzBuildQuery seeds its corpus
 // from it.
@@ -58,6 +58,10 @@ var malformedInputs = []struct {
 	{"too many instances", http.MethodPost, "[" + strings.Repeat("[1,2,3],", maxInstances) + "[1,2,3]]", ``, 400, "bad_request", true},
 	{"wrong dim", http.MethodPost, `[[1,2]]`, ``, 400, "bad_request", true},
 	{"wrong method", http.MethodGet, `[[1,2,3]]`, ``, 405, "method_not_allowed", true},
+	// The tail closes the object early: a second value, or bytes that are
+	// no JSON at all, follow the request.
+	{"trailing value", http.MethodPost, `[[1,2,3]]`, `}{"k":-5`, 400, "bad_request", true},
+	{"trailing garbage", http.MethodPost, `[[1,2,3]]`, `} garbage`, 400, "bad_request", true},
 }
 
 // TestQueryEndpointsAgreeOnMalformedInput posts the same malformed input
@@ -86,6 +90,26 @@ func TestQueryEndpointsAgreeOnMalformedInput(t *testing.T) {
 	for _, ep := range queryEndpoints {
 		if rec := do(t, srv, http.MethodPost, ep, wireBody(ep, `[[1,2,3]]`, `,"operator":"SSD","k":2`)); rec.Code != 200 {
 			t.Errorf("well-formed request on %s: status %d (%s)", ep, rec.Code, rec.Body)
+		}
+	}
+}
+
+// TestDeleteRefusesTrailingBytes: /delete, the one body endpoint the
+// agreement table cannot reach, refuses bytes after its value the same
+// way, and still takes trailing whitespace.
+func TestDeleteRefusesTrailingBytes(t *testing.T) {
+	srv := NewBackend(&mutableFake{fakeBackend{dim: 3}})
+	for body, status := range map[string]int{
+		`{"id":5}`:          200,
+		"{\"id\":5} \t\r\n": 200,
+		`{"id":5} garbage`:  400,
+		`{"id":5}{"id":6}`:  400,
+	} {
+		rec := do(t, srv, http.MethodPost, "/delete", body)
+		if rec.Code != status {
+			t.Errorf("/delete %q: status %d, want %d (%s)", body, rec.Code, status, rec.Body)
+		} else if status == 400 && errCode(t, rec) != "bad_request" {
+			t.Errorf("/delete %q: code %q, want bad_request", body, errCode(t, rec))
 		}
 	}
 }

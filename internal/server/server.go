@@ -35,6 +35,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -75,6 +76,21 @@ type Backend interface {
 type ObjectLister interface {
 	Objects() []*uncertain.Object
 	Object(id int) *uncertain.Object
+}
+
+// Repeater is the optional Backend capability behind a repeated /query: a
+// backend that keeps answers (the front door) remembers the exact body
+// that filled each one, so a byte-identical repeat is answered before the
+// body is decoded. Like Mutator it is asked of the outermost backend only:
+// a decorator that does not implement it hides it.
+type Repeater interface {
+	// Repeat returns the kept answer body filled, with its operator and k,
+	// when it is still servable and k <= Len; otherwise a nil Result, and
+	// the caller decodes the body as usual.
+	Repeat(body []byte) (*core.Result, core.Operator, int)
+	// SearchBody is SearchKCtx for a /query whose body was body; body is
+	// not retained.
+	SearchBody(ctx context.Context, body []byte, q *uncertain.Object, op core.Operator, k int, opts core.SearchOptions) (*core.Result, error)
 }
 
 // Optional Backend capabilities surfaced by /healthz and /readyz. The
@@ -532,16 +548,29 @@ func (s *Server) handleObject(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, ToJSON(o))
 }
 
-// acceptQuery is the front half /query and /query/stream share, since they
-// take the same body: readiness, decode, validation, k <= Len. On failure
-// the error response is already written and ok is false.
-func (s *Server) acceptQuery(w http.ResponseWriter, r *http.Request) (b Backend, q query, ok bool) {
+// readQuery is the front half /query and /query/stream share, since they
+// take the same body: readiness, then the body read whole into a pooled
+// buffer the caller puts back. On failure the error response is already
+// written and ok is false.
+func (s *Server) readQuery(w http.ResponseWriter, r *http.Request) (b Backend, body *bytes.Buffer, ok bool) {
 	if b = s.serving(w); b == nil {
-		return nil, q, false
+		return nil, nil, false
 	}
+	body = getBuffer()
+	if !readBody(w, r, body) {
+		putBuffer(body)
+		return nil, nil, false
+	}
+	return b, body, true
+}
+
+// acceptQuery decodes and validates a body readQuery read: decode,
+// validation, k <= Len. On failure the error response is already written
+// and ok is false.
+func acceptQuery(w http.ResponseWriter, b Backend, body []byte) (q query, ok bool) {
 	var req QueryRequest
-	if !decodeBody(w, r, &req) {
-		return nil, q, false
+	if !decodeJSON(w, body, &req) {
+		return q, false
 	}
 	q, err := buildQuery(b.Dim(), req.Operator, req.Metric, req.K, false, BatchQuery{Instances: req.Instances, Weights: req.Weights})
 	if err == nil && q.k > b.Len() {
@@ -549,28 +578,45 @@ func (s *Server) acceptQuery(w http.ResponseWriter, r *http.Request) (b Backend,
 	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
-		return nil, q, false
+		return q, false
 	}
-	return b, q, true
+	return q, true
 }
 
+// handleQuery answers a byte-identical repeat of a kept answer's body from
+// the backend's Repeater before anything is decoded; any other body is
+// decoded, validated and searched, through SearchBody so that its answer
+// can be found by these bytes next time.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	b, q, ok := s.acceptQuery(w, r)
+	b, body, ok := s.readQuery(w, r)
 	if !ok {
 		return
 	}
-	res, err := b.SearchKCtx(r.Context(), q.objs[0], q.op, q.k, core.SearchOptions{Filters: core.AllFilters, Metric: q.metric})
+	defer putBuffer(body)
+	rep, _ := b.(Repeater)
+	if rep != nil {
+		if res, op, k := rep.Repeat(body.Bytes()); res != nil {
+			writeQuery(w, http.StatusOK, op.String(), k, res, nil)
+			return
+		}
+	}
+	q, ok := acceptQuery(w, b, body.Bytes())
+	if !ok {
+		return
+	}
+	opts := core.SearchOptions{Filters: core.AllFilters, Metric: q.metric}
+	var res *core.Result
+	var err error
+	if rep != nil {
+		res, err = rep.SearchBody(r.Context(), body.Bytes(), q.objs[0], q.op, q.k, opts)
+	} else {
+		res, err = b.SearchKCtx(r.Context(), q.objs[0], q.op, q.k, opts)
+	}
 	status, partial, ok := searchStatus(w, r, err)
 	if !ok {
 		return
 	}
-	resp := encodeResult(q, res)
-	if partial != nil {
-		resp.UnreadableNodes = partial.UnreadableNodes
-		resp.UnreadableObjects = partial.UnreadableObjects
-		resp.UnreachableShards = partial.UnreachableShards
-	}
-	writeJSON(w, status, resp)
+	writeQuery(w, status, q.op.String(), q.k, res, partial)
 }
 
 // handleQueryStream is the progressive form of /query: candidates are
@@ -580,7 +626,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // aborts the engine's traversal at its next heap pop; the summary line is
 // only written for a completed search.
 func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
-	b, q, ok := s.acceptQuery(w, r)
+	b, body, ok := s.readQuery(w, r)
+	if !ok {
+		return
+	}
+	defer putBuffer(body)
+	q, ok := acceptQuery(w, b, body.Bytes())
 	if !ok {
 		return
 	}
@@ -588,12 +639,16 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
+	var line []byte
 	res, err := b.SearchKCtx(r.Context(), q.objs[0], q.op, q.k, core.SearchOptions{
 		Filters: core.AllFilters,
 		Metric:  q.metric,
 		OnCandidate: func(c core.Candidate) {
-			enc.Encode(encodeCandidate(c))
+			if !finite(c.MinDist) {
+				return // encoding/json writes no line for it either
+			}
+			line = append(appendCandidate(line[:0], c), '\n')
+			w.Write(line)
 			if flusher != nil {
 				flusher.Flush()
 			}
@@ -610,7 +665,7 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 		if res.Incomplete {
 			summary["incomplete"] = true
 		}
-		enc.Encode(summary)
+		json.NewEncoder(w).Encode(summary)
 	}
 }
 
