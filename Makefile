@@ -52,10 +52,9 @@ race:
 # commit benchmark smoke so the engine's hot path stays exercised in memory, against
 # a page file, on objects wider than any repo-benchmark workload has and
 # through the WAL write path, the Figure 16 ablation driver at tiny scale (every
-# filter stack, as `nnc figure` runs it), the batch scaling gate
+# filter stack, as `nnc figure` runs it), the concurrent-search scaling gate
 # without the race detector (it skips under it) and the parallel-search
-# benchmarks at four procs (the only place the batch path is timed), the
-# server boot smoke, the size count, and a short fuzz pass over every
+# benchmarks at four procs, the server boot smoke, the size count, and a short fuzz pass over every
 # decoder of outside bytes and the request pipeline. CI's check job is
 # `make check`, so this list is the only one.
 check: fmt-check
@@ -70,7 +69,7 @@ check: fmt-check
 	$(GO) test -run='^$$' -bench='DominanceCheck/PSD/m=64' -benchtime=1x -benchmem .
 	$(GO) test -run='^$$' -bench='Commit$$' -benchtime=1x -benchmem .
 	$(GO) run ./cmd/nnc figure -figure=16 -scale=tiny
-	$(GO) test -run=TestSearchParallelScales ./internal/core
+	$(GO) test -run=TestConcurrentSearchScales ./internal/core
 	GOMAXPROCS=4 $(GO) test -run='^$$' -bench=ParallelSearch -benchtime=1x -benchmem .
 	$(MAKE) smoke
 	$(MAKE) loc
@@ -111,8 +110,8 @@ verify:
 # ports. Both must reach /readyz 200, answer /query with the same body
 # (elapsed_us aside), exit on SIGTERM after logging "bye" — and a bad
 # dataset flag must exit 2. Before that, nncclient drives the memory
-# server: a -q query that prints a candidates table, a two-query -batch,
-# -health and -smoke, each exiting 0.
+# server: a -q query that prints a candidates table, -health and -smoke,
+# each exiting 0.
 # Then the crash a reader must not paper over: a third server opens the
 # file -mutable, takes one /insert and is killed with -9, so the insert is
 # in the WAL only. A read-only server on that file must exit 1 naming the
@@ -139,8 +138,6 @@ smoke:
 	client() { $$d/nncclient -addr=http://127.0.0.1:18471 "$$@" >$$d/client.txt 2>&1 || { echo "smoke: nncclient $$* failed"; cat $$d/client.txt; exit 1; }; }; \
 	client -op=PSD -k=2 -q='5000,5000,5000;5100,5050,4900'; \
 	grep -qE '^1 +[0-9]+' $$d/client.txt || { echo "smoke: nncclient -q printed no candidates"; cat $$d/client.txt; exit 1; }; \
-	client -batch -op=SSD -q='5000,5000,5000|2000,8000,3000'; \
-	grep -q 'SSD (k=1): 2 queries' $$d/client.txt || { echo "smoke: nncclient -batch answered otherwise"; cat $$d/client.txt; exit 1; }; \
 	client -health; client -smoke; \
 	kill -TERM $$(cat $$d/mem.pid $$d/disk.pid); wait; \
 	for s in mem disk; do grep -q ' bye$$' $$d/$$s.log || { echo "smoke: $$s server did not shut down cleanly"; cat $$d/$$s.log; exit 1; }; done; \
@@ -206,5 +203,5 @@ cluster:
 # detector: engine degradation, quarantine, retry, fsck, the refused header
 # versions.
 faults:
-	$(GO) test -race -run 'Fault|Faults|Degrad|Partial|Torn|Transient|Quarantine|Version|Fsck|Rewrite|Waiter|Panic|Ready|Healthz|Stream|BitFlip|ShortRead|Classify|PageError|Backoff|Sleep' \
+	$(GO) test -race -run 'Fault|Faults|Degrad|Partial|Torn|Transient|Quarantine|Version|Fsck|Rewrite|Waiter|Panic|Ready|Healthz|BitFlip|ShortRead|Classify|PageError|Backoff|Sleep' \
 		./internal/faults ./internal/faultfile ./internal/pager ./internal/diskindex ./internal/core ./internal/server

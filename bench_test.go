@@ -549,8 +549,7 @@ func BenchmarkEMD(b *testing.B) {
 var parallelWorkers = []int{1, 2, 4, 8}
 
 // runParallelSearches distributes b.N searches over w goroutines via a
-// shared atomic work index — the same fan-out shape as SearchParallel, but
-// sized by the benchmark framework.
+// shared atomic work index, sized by the benchmark framework.
 func runParallelSearches(b *testing.B, s KSearcher, queries []*Object, w int) {
 	b.Helper()
 	b.ReportAllocs()
@@ -602,30 +601,6 @@ func BenchmarkParallelSearchDisk(b *testing.B) {
 	for _, w := range parallelWorkers {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			runParallelSearches(b, disk, queries, w)
-		})
-	}
-}
-
-// BenchmarkSearchParallelBatchMem — the real batch API rather than the
-// hand-rolled fan-out above. One op = one 64-query batch, so ns/op is
-// per-batch and allocs/op shows the whole batch overhead: the workers and
-// the result slice.
-func BenchmarkSearchParallelBatchMem(b *testing.B) {
-	d := dataFor(b, "A-N", defaultParams(datagen.AntiCorrelated, benchN), benchMq, benchHq)
-	batch := make([]*Object, 64)
-	for i := range batch {
-		batch[i] = d.queries[i%len(d.queries)]
-	}
-	for _, w := range parallelWorkers {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := SearchParallel(context.Background(), d.idx, batch, PSD, 1,
-					core.SearchOptions{Filters: AllFilters}, BatchOptions{Workers: w}); err != nil {
-					b.Fatal(err)
-				}
-			}
 		})
 	}
 }

@@ -3,11 +3,7 @@
 // Usage:
 //
 //	nncclient -addr=http://localhost:8080 -op=PSD -q="5000,5000,5000;5100,5050,4900"
-//	nncclient -addr=http://localhost:8080 -batch -q="1,2,3;4,5,6|7,8,9"
 //	nncclient -addr=http://localhost:8080 -health
-//
-// With -batch, -q holds several queries separated by "|" and the client
-// posts them as one POST /query/batch round trip.
 //
 // The client is a well-behaved citizen of a shedding or degraded server:
 // 429 and 503 answers are retried after the server's Retry-After delay
@@ -52,9 +48,8 @@ func main() {
 		op      = flag.String("op", "PSD", "operator: SSD, SSSD, PSD, FSD, F+SD")
 		k       = flag.Int("k", 1, "k-NN candidates")
 		metric  = flag.String("metric", "", "metric: euclidean, manhattan, chebyshev")
-		q       = flag.String("q", "", "query instances, e.g. \"1,2,3;4,5,6\" (with -batch, queries separated by \"|\")")
+		q       = flag.String("q", "", "query instances, e.g. \"1,2,3;4,5,6\"")
 		health  = flag.Bool("health", false, "just check /healthz")
-		batch   = flag.Bool("batch", false, "post all -q queries as one POST /query/batch")
 		retries = flag.Int("retries", 3, "max retries after a 429/503/206 (honoring Retry-After)")
 		smoke   = flag.Bool("smoke", false, "probe /healthz on -addr (and every -shards replica) and print a liveness table")
 		shards  = flag.String("shards", "", "shard replicas for -smoke: ';' separates shards, ',' separates replicas")
@@ -79,11 +74,6 @@ func main() {
 		return
 	}
 
-	if *batch {
-		runBatch(client, *addr, *q, *op, *k, *metric, *retries)
-		return
-	}
-
 	instances, err := parseInstances(*q)
 	if err != nil {
 		fatal(err)
@@ -100,39 +90,12 @@ func main() {
 		}
 	}
 	fmt.Println()
-	printCandidates(out.Candidates)
-}
-
-func printCandidates(cands []server.QueryCandidate) {
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "rank\tid\tlabel\tmin dist\tdominators")
-	for i, c := range cands {
+	for i, c := range out.Candidates {
 		fmt.Fprintf(tw, "%d\t%d\t%s\t%.2f\t%d\n", i+1, c.ID, c.Label, c.MinDist, c.Dominators)
 	}
 	tw.Flush()
-}
-
-// runBatch posts every "|"-separated query in one /query/batch request.
-func runBatch(client *http.Client, addr, q, op string, k int, metric string, retries int) {
-	req := server.BatchRequest{Operator: op, K: k, Metric: metric}
-	for _, part := range strings.Split(q, "|") {
-		instances, err := parseInstances(part)
-		if err != nil {
-			fatal(err)
-		}
-		req.Queries = append(req.Queries, server.BatchQuery{Instances: instances})
-	}
-	var out server.BatchResponse
-	post(client, addr+"/query/batch", req, &out, retries)
-	fmt.Printf("%s (k=%d): %d queries", out.Operator, out.K, len(out.Results))
-	if out.IncompleteSlots > 0 {
-		fmt.Printf(", %d incomplete", out.IncompleteSlots)
-	}
-	fmt.Println()
-	for i, r := range out.Results {
-		fmt.Printf("\nquery %d: %d candidates, %d examined, %dµs\n", i+1, len(r.Candidates), r.Examined, r.ElapsedUS)
-		printCandidates(r.Candidates)
-	}
 }
 
 // post sends req as the JSON body, honoring Retry-After with capped

@@ -67,7 +67,7 @@ func (d *DiskIndex) Search(q *Object, op Operator) (*DiskResult, error) {
 // context cancellation (the traversal aborts mid-search, returning the
 // partial result with ctx's error), progressive OnCandidate, metric
 // and filter selection — the same engine surface the in-memory index
-// exposes. Batches go through SearchParallel, which accepts a *DiskIndex.
+// exposes. Any number of calls may run at once on one DiskIndex.
 func (d *DiskIndex) SearchKCtx(ctx context.Context, q *Object, op Operator, k int, opts SearchOptions) (*DiskResult, error) {
 	return d.inner.SearchKCtx(ctx, q, op, k, opts)
 }

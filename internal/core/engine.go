@@ -81,6 +81,13 @@ type Backend interface {
 	AccessStats() IOStats
 }
 
+// KSearcher is the context-aware search call over a whole index: *Index
+// and diskindex.Index implement it, and both are safe to call from many
+// goroutines at once (DESIGN.md §2f).
+type KSearcher interface {
+	SearchKCtx(ctx context.Context, q *uncertain.Object, op Operator, k int, opts SearchOptions) (*Result, error)
+}
+
 // IOStats reports storage access counters for one search: buffer-pool and
 // page-file traffic plus decoded-object cache behavior. All fields are
 // zero for memory-resident backends.

@@ -135,62 +135,6 @@ func TestSearchBackendCleanHasNoFlag(t *testing.T) {
 	}
 }
 
-// partialSearcher fakes a KSearcher whose designated queries degrade (or
-// fail hard) for SearchParallel semantics tests.
-type partialSearcher struct {
-	partialAt map[int]bool
-	hardAt    map[int]bool
-}
-
-func (s *partialSearcher) SearchKCtx(ctx context.Context, q *uncertain.Object, op Operator, k int, opts SearchOptions) (*Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if s.hardAt[q.ID()] {
-		return nil, errors.New("hard failure")
-	}
-	res := &Result{Operator: op}
-	if s.partialAt[q.ID()] {
-		res.Incomplete = true
-		pe := &PartialResultError{Result: res}
-		pe.note(unavailable(9), true)
-		return res, pe
-	}
-	return res, nil
-}
-
-func TestSearchParallelKeepsGoingOnPartial(t *testing.T) {
-	queries := make([]*uncertain.Object, 6)
-	for i := range queries {
-		queries[i] = obj1d(t, i, float64(i))
-	}
-	s := &partialSearcher{partialAt: map[int]bool{1: true, 4: true}}
-	results, err := SearchParallel(context.Background(), s, queries, PSD, 1, SearchOptions{}, BatchOptions{Workers: 2})
-	if err != nil {
-		t.Fatalf("partial slots must not fail the batch: %v", err)
-	}
-	for i, res := range results {
-		if res == nil {
-			t.Fatalf("slot %d lost its result", i)
-		}
-		if res.Incomplete != s.partialAt[i] {
-			t.Fatalf("slot %d: Incomplete=%v, want %v", i, res.Incomplete, s.partialAt[i])
-		}
-	}
-}
-
-func TestSearchParallelHardErrorStillCancels(t *testing.T) {
-	queries := make([]*uncertain.Object, 8)
-	for i := range queries {
-		queries[i] = obj1d(t, i, float64(i))
-	}
-	s := &partialSearcher{hardAt: map[int]bool{3: true}}
-	_, err := SearchParallel(context.Background(), s, queries, PSD, 1, SearchOptions{}, BatchOptions{Workers: 2})
-	if err == nil {
-		t.Fatal("hard error must surface from the batch")
-	}
-}
-
 func TestAsPartial(t *testing.T) {
 	pe := &PartialResultError{}
 	pe.note(unavailable(1), true)

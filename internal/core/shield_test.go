@@ -255,23 +255,3 @@ func TestShieldInsertSoundnessWideQueryFPlusSD(t *testing.T) {
 	}
 	t.Logf("shielded %d of %d inserts", shielded, 400*2*20)
 }
-
-func TestAdmissionTryAcquire(t *testing.T) {
-	a := NewAdmission(2)
-	if !a.TryAcquire() || !a.TryAcquire() {
-		t.Fatal("fresh gate refused tokens")
-	}
-	if a.TryAcquire() {
-		t.Fatal("over-admitted")
-	}
-	if got := a.InFlight(); got != 2 {
-		t.Fatalf("InFlight = %d, want 2", got)
-	}
-	a.Release()
-	if got := a.InFlight(); got != 1 {
-		t.Fatalf("InFlight after release = %d, want 1", got)
-	}
-	if !a.TryAcquire() {
-		t.Fatal("released token not reusable")
-	}
-}

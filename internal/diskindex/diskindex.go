@@ -6,8 +6,8 @@
 //
 // The search itself is not implemented here: searches run through the
 // shared engine (core.SearchBackend), so the disk path gets tie-batching,
-// k-skyband, filters, metrics, context cancellation and Limit identically
-// to the in-memory index. Per the paper's memory model, an object whose
+// k-skyband, filters, metrics and context cancellation identically to the
+// in-memory index. Per the paper's memory model, an object whose
 // MBR survives pruning is loaded into main memory in full ("we load the
 // whole local R-tree into the main memory if it could not be pruned based
 // on its MBR"); decoded objects are kept in a bounded LRU so long-running
@@ -446,7 +446,7 @@ func (s *session) AccessStats() core.IOStats {
 // --- search entry points -----------------------------------------------------
 
 // SearchKCtx runs the shared engine against the disk structures with full
-// options: context cancellation, Limit, progressive OnCandidate, metrics.
+// options: context cancellation, progressive OnCandidate, metrics.
 // Result.IO carries the per-query page and cache counters — exact even
 // under concurrency, because the search runs over a private session whose
 // counters no other goroutine touches. Any number of SearchKCtx calls may
@@ -458,8 +458,6 @@ func (ix *Index) SearchKCtx(ctx context.Context, q *uncertain.Object, op core.Op
 	// Pinning the snapshot freezes this search's view: the root, the store
 	// geometry, and — via the epoch refcount — every page reachable from
 	// them, which a writer will not recycle until the pin drops.
-	// core.SearchParallel inherits this per query because it fans out
-	// through SearchKCtx.
 	var res *Result
 	var err error
 	ix.pinned(func(snap *snapshot) {

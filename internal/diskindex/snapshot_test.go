@@ -13,8 +13,8 @@ import (
 	"spatialdom/internal/uncertain"
 )
 
-// Snapshot-isolation stress (run under -race): reader goroutines fire
-// core.SearchParallel batches while a writer commits inserts and deletes.
+// Snapshot-isolation stress (run under -race): reader goroutines search
+// while a writer commits inserts and deletes.
 // Every search result must equal the in-memory outcome of exactly one
 // epoch the search could have pinned — bounded by the index epoch
 // sampled before and after the search. A result mixing two epochs, or
@@ -152,15 +152,14 @@ func TestSnapshotIsolationUnderWrites(t *testing.T) {
 				}
 				for _, j := range jobs {
 					e1 := disk.Epoch()
-					batch, err := core.SearchParallel(context.Background(), disk,
-						[]*uncertain.Object{queries[j.qi]}, j.op, j.k,
-						core.SearchOptions{Filters: core.AllFilters}, core.BatchOptions{Workers: 2})
+					res, err := disk.SearchKCtx(context.Background(), queries[j.qi], j.op, j.k,
+						core.SearchOptions{Filters: core.AllFilters})
 					e2 := disk.Epoch()
 					if err != nil {
 						errs <- fmt.Sprintf("reader %d %v/k=%d: %v", g, j.op, j.k, err)
 						return
 					}
-					got := snapKey(sortedIDs(batch[0]))
+					got := snapKey(sortedIDs(res))
 					lo, hi := stepOf(e1), stepOf(e2)
 					matched := false
 					for s := lo; s <= hi; s++ {

@@ -1,14 +1,14 @@
 package server
 
-// The one writer of a QueryResponse: /query answers, hit or miss, every
-// /query/batch slot and every /query/stream candidate line are appended
-// here, without reflection, to exactly the bytes encoding/json writes for
-// the same value. Only a label that needs escaping is handed to
+// The one writer of a QueryResponse: every /query answer, hit or miss, is
+// appended here, without reflection, to exactly the bytes encoding/json
+// writes for the same value. Only a label that needs escaping is handed to
 // encoding/json.
 
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"strconv"
@@ -35,59 +35,39 @@ func putBuffer(b *bytes.Buffer) {
 }
 
 // writeQuery answers one search result as a QueryResponse; partial, when
-// set, adds a degraded result's skip counts.
+// set, adds a degraded result's skip counts. A result with a distance JSON
+// cannot carry is answered 400 instead (overflow).
 func writeQuery(w http.ResponseWriter, status int, op string, k int, res *core.Result, partial *core.PartialResultError) {
+	if err := overflow(res); err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
 	out := getBuffer()
 	defer putBuffer(out)
-	if encodable(res) {
-		out.Write(appendQuery(out.AvailableBuffer(), op, k, res, partial))
-	}
-	writeBody(w, status, out)
-}
-
-// writeBatch answers a batch, one QueryResponse per result in order.
-func writeBatch(w http.ResponseWriter, status int, op string, k int, results []*core.Result, incomplete int) {
-	out := getBuffer()
-	defer putBuffer(out)
-	ok := true
-	for _, res := range results {
-		ok = ok && encodable(res)
-	}
-	if ok {
-		out.Write(appendBatch(out.AvailableBuffer(), op, k, results, incomplete))
-	}
-	writeBody(w, status, out)
-}
-
-// writeBody sends an appended JSON value with encoding/json's trailing
-// newline. An empty out is what encoding/json writes for a value it
-// refuses: the status line and no body.
-func writeBody(w http.ResponseWriter, status int, out *bytes.Buffer) {
-	if out.Len() > 0 {
-		out.WriteByte('\n')
-	}
+	out.Write(appendQuery(out.AvailableBuffer(), op, k, res, partial))
+	out.WriteByte('\n') // encoding/json's trailing newline
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	w.Write(out.Bytes())
 }
 
-// encodable reports whether every number in res has a JSON form:
-// encoding/json refuses a NaN or infinite float, and so does the writer.
-func encodable(res *core.Result) bool {
+// overflow names the first candidate whose MinDist is NaN or infinite,
+// which neither encoding/json nor appendQuery can write. Finite coordinates
+// about 1e154 or more apart get there: their squared distance overflows
+// float64.
+func overflow(res *core.Result) error {
 	for _, c := range res.Candidates {
-		if !finite(c.MinDist) {
-			return false
+		if math.IsNaN(c.MinDist) || math.IsInf(c.MinDist, 0) {
+			return fmt.Errorf("candidate %d: min_dist %v overflows float64: the query is too far from the data", c.Object.ID(), c.MinDist)
 		}
 	}
-	return true
+	return nil
 }
-
-func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
 // appendQuery appends the QueryResponse of one result — op and k as the
 // request named them, the skip counts from partial when it is set — as
 // encoding/json writes it, without the trailing newline. Every MinDist
-// must be finite (encodable).
+// must be finite (overflow).
 //
 //nnc:hotpath
 func appendQuery(dst []byte, op string, k int, res *core.Result, partial *core.PartialResultError) []byte {
@@ -123,25 +103,6 @@ func appendQuery(dst []byte, op string, k int, res *core.Result, partial *core.P
 		dst = appendOmitEmpty(dst, `,"unreadable_objects":`, partial.UnreadableObjects)
 		dst = appendOmitEmpty(dst, `,"unreachable_shards":`, partial.UnreachableShards)
 	}
-	dst = append(dst, '}')
-	return dst
-}
-
-// appendBatch appends the BatchResponse of a batch's results.
-func appendBatch(dst []byte, op string, k int, results []*core.Result, incomplete int) []byte {
-	dst = append(dst, `{"operator":`...)
-	dst = appendString(dst, op)
-	dst = append(dst, `,"k":`...)
-	dst = strconv.AppendInt(dst, int64(k), 10)
-	dst = append(dst, `,"results":[`...)
-	for i, res := range results {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = appendQuery(dst, op, k, res, nil)
-	}
-	dst = append(dst, ']')
-	dst = appendOmitEmpty(dst, `,"incomplete_slots":`, incomplete)
 	dst = append(dst, '}')
 	return dst
 }

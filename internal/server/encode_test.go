@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -125,26 +126,10 @@ func TestQueryResponseBytesMatchEncodingJSON(t *testing.T) {
 		}
 	}
 
-	// A batch mixing complete, empty and degraded slots.
-	slots := []*core.Result{cases[0].res, {Operator: core.SSD}, {Operator: core.SSD, Incomplete: true, Candidates: one("<&>", 3e-8).Candidates}, cases[len(cases)-1].res}
-	for _, incomplete := range []int{0, 2} {
-		ref := BatchResponse{Operator: "SSD", K: 2, Results: make([]QueryResponse, len(slots)), IncompleteSlots: incomplete}
-		for i, res := range slots {
-			ref.Results[i] = referenceResponse("SSD", 2, res, nil)
-		}
-		want := encodingJSON(t, ref)
-		rec := httptest.NewRecorder()
-		writeBatch(rec, 200, "SSD", 2, slots, incomplete)
-		if !bytes.Equal(rec.Body.Bytes(), want) {
-			t.Fatalf("batch:\nappender      %s\nencoding/json %s", rec.Body.Bytes(), want)
-		}
-	}
-
-	// A float encoding/json refuses: it writes no body, and neither does
-	// the writer.
+	// A float encoding/json refuses is answered 400 naming it.
 	rec := httptest.NewRecorder()
 	writeQuery(rec, 200, "PSD", 1, one("", math.Inf(1)), nil)
-	if rec.Body.Len() != 0 {
-		t.Fatalf("an infinite min_dist was written as %s", rec.Body.Bytes())
+	if rec.Code != http.StatusBadRequest || !bytes.Contains(rec.Body.Bytes(), []byte("overflows")) {
+		t.Fatalf("an infinite min_dist was answered %d %s", rec.Code, rec.Body.Bytes())
 	}
 }

@@ -63,7 +63,6 @@ type Door struct {
 
 	coalesceHits    atomic.Int64
 	coalesceLeaders atomic.Int64
-	bypasses        atomic.Int64
 	// negativeHits counts cache hits that served an empty candidate set.
 	// Empty answers are cached like any other (the k-skyband of a region
 	// the dataset does not reach is a real, provable answer, shielded and
@@ -124,14 +123,9 @@ func (d *Door) SearchKCtx(ctx context.Context, q *uncertain.Object, op core.Oper
 
 // SearchBody implements server.Repeater: SearchKCtx for a /query whose
 // body was body, which becomes the alias of the entry its answer fills.
-// Streaming searches (OnCandidate) are pass-through: their observable
-// behavior is the callback sequence, not just the final Result, so sharing
-// another request's execution would change what the client sees.
+// A hit or a join runs no search, so opts.OnCandidate is never called on
+// them.
 func (d *Door) SearchBody(ctx context.Context, body []byte, q *uncertain.Object, op core.Operator, k int, opts core.SearchOptions) (*core.Result, error) {
-	if opts.OnCandidate != nil {
-		d.bypasses.Add(1)
-		return d.inner.SearchKCtx(ctx, q, op, k, opts)
-	}
 	m := opts.Metric
 	if m == nil {
 		m = geom.Euclidean
@@ -257,7 +251,6 @@ type DoorStats struct {
 	Cache           CacheStats `json:"cache"`
 	CoalesceHits    int64      `json:"coalesce_hits"`
 	CoalesceLeaders int64      `json:"coalesce_leaders"`
-	Bypasses        int64      `json:"bypasses"`
 	NegativeHits    int64      `json:"negative_hits"`
 	Epoch           uint64     `json:"epoch"`
 }
@@ -268,7 +261,6 @@ func (d *Door) Stats() DoorStats {
 		Cache:           d.cache.stats(),
 		CoalesceHits:    d.coalesceHits.Load(),
 		CoalesceLeaders: d.coalesceLeaders.Load(),
-		Bypasses:        d.bypasses.Load(),
 		NegativeHits:    d.negativeHits.Load(),
 		Epoch:           d.epoch.Load(),
 	}

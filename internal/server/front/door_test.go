@@ -336,21 +336,6 @@ func TestDoorWaiterHonorsContext(t *testing.T) {
 	<-leaderDone
 }
 
-func TestDoorStreamingBypassesCache(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	d, _ := newTestDoor(t, rng, 30, DoorConfig{})
-	q := testQuery(rng, 50)
-	opts := allOpts
-	opts.OnCandidate = func(core.Candidate) {}
-	if _, err := d.SearchKCtx(context.Background(), q, core.PSD, 2, opts); err != nil {
-		t.Fatal(err)
-	}
-	st := d.Stats()
-	if st.Bypasses != 1 || st.Cache.Fills != 0 || st.Cache.Misses != 0 {
-		t.Fatalf("streaming search touched the cache: %+v", st)
-	}
-}
-
 // A fill whose search straddles a mutation must not become servable.
 func TestDoorFillRacingMutationDropped(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))

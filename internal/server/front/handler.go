@@ -16,7 +16,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"spatialdom/internal/core"
 	"spatialdom/internal/server"
 )
 
@@ -55,7 +54,7 @@ type Handler struct {
 	inner   http.Handler
 	door    atomic.Pointer[Door] // nil until attached: shedding/metrics only
 	limiter *rateLimiter
-	gate    *core.Admission // nil when ceiling disabled
+	gate    *ceiling // nil when ceiling disabled
 
 	reg          *Registry
 	shedRate     *Counter
@@ -76,16 +75,12 @@ type Handler struct {
 
 // endpointClasses are the latency-histogram label values; request paths
 // map onto them in classify.
-var endpointClasses = []string{"query", "query_batch", "query_stream", "insert", "delete", "objects", "other"}
+var endpointClasses = []string{"query", "insert", "delete", "objects", "other"}
 
 func classify(path string) string {
 	switch path {
 	case "/query":
 		return "query"
-	case "/query/batch":
-		return "query_batch"
-	case "/query/stream":
-		return "query_stream"
 	case "/insert":
 		return "insert"
 	case "/delete":
@@ -117,9 +112,9 @@ func NewHandler(inner http.Handler, door *Door, cfg Config) *Handler {
 	h.limiter = newRateLimiter(cfg.RatePerSec, burst)
 	switch {
 	case cfg.MaxInFlight == 0:
-		h.gate = core.NewAdmission(DefaultMaxInFlight())
+		h.gate = newCeiling(DefaultMaxInFlight())
 	case cfg.MaxInFlight > 0:
-		h.gate = core.NewAdmission(cfg.MaxInFlight)
+		h.gate = newCeiling(cfg.MaxInFlight)
 	}
 
 	r := h.reg
@@ -202,12 +197,12 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if h.gate != nil {
-		if !h.gate.TryAcquire() {
+		if !h.gate.tryAcquire() {
 			h.shedCapacity.Inc()
 			h.shed(w, h.capacityRetry(), "overloaded", "server at concurrency ceiling")
 			return
 		}
-		defer h.gate.Release()
+		defer h.gate.release()
 	}
 
 	h.inFlight.Add(1)
@@ -254,8 +249,8 @@ func (h *Handler) capacityRetry() time.Duration {
 		h.winStart.Store(sec)
 		h.winSheds.Store(0)
 	}
-	limit := h.gate.Limit()
-	depth := h.gate.InFlight() + int(h.winSheds.Add(1))
+	limit := cap(h.gate.tokens)
+	depth := h.gate.inFlight() + int(h.winSheds.Add(1))
 	secs := 1 + (depth-limit)/limit
 	if secs > maxRetryAfter {
 		secs = maxRetryAfter
@@ -290,13 +285,36 @@ func (s *statusWriter) WriteHeader(code int) {
 	s.ResponseWriter.WriteHeader(code)
 }
 
-// Flush forwards http.Flusher when the underlying writer supports it —
-// /query/stream needs it through the middleware.
-func (s *statusWriter) Flush() {
-	if f, ok := s.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
+// ceiling is the global in-flight gate: one token per gated request being
+// served. It only ever sheds, so it has no blocking acquire — a request
+// that finds it full is answered 429, never parked.
+type ceiling struct {
+	tokens chan struct{}
+}
+
+func newCeiling(limit int) *ceiling {
+	g := &ceiling{tokens: make(chan struct{}, limit)}
+	for i := 0; i < limit; i++ {
+		g.tokens <- struct{}{}
+	}
+	return g
+}
+
+// tryAcquire claims a token without blocking.
+func (g *ceiling) tryAcquire() bool {
+	select {
+	case <-g.tokens:
+		return true
+	default:
+		return false
 	}
 }
+
+// release returns a token claimed by tryAcquire.
+func (g *ceiling) release() { g.tokens <- struct{}{} }
+
+// inFlight reports how many tokens are held.
+func (g *ceiling) inFlight() int { return cap(g.tokens) - len(g.tokens) }
 
 // --- healthz integration ------------------------------------------------------
 

@@ -130,6 +130,26 @@ func TestHandlerCapacityCeiling(t *testing.T) {
 	wg.Wait()
 }
 
+func TestCeilingTryAcquire(t *testing.T) {
+	g := newCeiling(2)
+	if !g.tryAcquire() || !g.tryAcquire() {
+		t.Fatal("fresh gate refused tokens")
+	}
+	if g.tryAcquire() {
+		t.Fatal("over-admitted")
+	}
+	if got := g.inFlight(); got != 2 {
+		t.Fatalf("inFlight = %d, want 2", got)
+	}
+	g.release()
+	if got := g.inFlight(); got != 1 {
+		t.Fatalf("inFlight after release = %d, want 1", got)
+	}
+	if !g.tryAcquire() {
+		t.Fatal("released token not reusable")
+	}
+}
+
 // TestCapacityRetryAfterScalesWithDepth pins the clock and the gate and
 // walks the queue-depth estimate: each ceiling's worth of sheds within the
 // window pushes Retry-After out another second, a new window resets the
@@ -143,13 +163,13 @@ func TestCapacityRetryAfterScalesWithDepth(t *testing.T) {
 	h.now = func() time.Time { return clock }
 	// Hold both slots so every gated request sheds at the ceiling.
 	for i := 0; i < 2; i++ {
-		if !h.gate.TryAcquire() {
+		if !h.gate.tryAcquire() {
 			t.Fatalf("slot %d not acquirable", i)
 		}
 	}
 	defer func() {
-		h.gate.Release()
-		h.gate.Release()
+		h.gate.release()
+		h.gate.release()
 	}()
 
 	shedRetry := func() int {

@@ -3,8 +3,7 @@ package server
 // The request pipeline every body-carrying endpoint shares: one read, one
 // decode, one query construction, one search-outcome → status mapping and
 // one result writer (encode.go). What genuinely differs per endpoint
-// (k ≤ Len, wire filters, NDJSON framing, the batch slot loop) stays in
-// the endpoint.
+// (k ≤ Len, wire filters, the repeat lookup) stays in the endpoint.
 
 import (
 	"bytes"
@@ -23,8 +22,8 @@ import (
 )
 
 const (
-	// maxBodyBytes bounds every request body. 8 MiB covers a full
-	// 256-query batch of paper-scale objects with room to spare; anything
+	// maxBodyBytes bounds every request body. 8 MiB covers a query or an
+	// insert of maxInstances wide instances with room to spare; anything
 	// larger is answered 413 after reading at most this many bytes.
 	maxBodyBytes = 8 << 20
 	// maxInstances bounds the instances of one query object — an order of
@@ -83,19 +82,19 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 }
 
 // query is a validated search request: what buildQuery makes of the wire
-// fields the four query endpoints share.
+// fields both query endpoints share.
 type query struct {
 	op     core.Operator
 	metric geom.Metric
 	k      int
-	objs   []*uncertain.Object // one per raw query, in request order
+	obj    *uncertain.Object
 }
 
 // buildQuery validates the shared wire fields: operator and metric names,
-// k (0 means 1, negative rejected), and each raw query as a request object
-// (requestObject; FromNormalized when the weights are already
+// k (0 means 1, negative rejected), and the query object as a request
+// object (requestObject; FromNormalized when its weights are already
 // probabilities, the shard protocol). Every failure is a 400.
-func buildQuery(dim int, operator, metric string, k int, normalized bool, raw ...BatchQuery) (query, error) {
+func buildQuery(dim int, operator, metric string, k int, normalized bool, raw ObjectJSON) (query, error) {
 	op := core.PSD // what a request gets by not naming an operator
 	if strings.TrimSpace(operator) != "" {
 		var err error
@@ -113,15 +112,11 @@ func buildQuery(dim int, operator, metric string, k int, normalized bool, raw ..
 	if k < 1 {
 		return query{}, fmt.Errorf("k=%d out of range", k)
 	}
-	objs := make([]*uncertain.Object, len(raw))
-	for i, rq := range raw {
-		q, err := requestObject(ObjectJSON{ID: i, Instances: rq.Instances, Probs: rq.Weights}, dim, normalized)
-		if err != nil {
-			return query{}, fmt.Errorf("query object %d: %w", i, err)
-		}
-		objs[i] = q
+	q, err := requestObject(raw, dim, normalized)
+	if err != nil {
+		return query{}, fmt.Errorf("query object: %w", err)
 	}
-	return query{op: op, metric: m, k: k, objs: objs}, nil
+	return query{op: op, metric: m, k: k, obj: q}, nil
 }
 
 // Object is the one way a wire object becomes an *uncertain.Object: the

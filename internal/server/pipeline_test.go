@@ -1,7 +1,7 @@
 package server
 
-// The shared request pipeline: every query endpoint validates the same
-// way, every body is bounded, and the stream honours k.
+// The shared request pipeline: both query endpoints validate the same
+// way, and every body is bounded.
 
 import (
 	"bytes"
@@ -22,17 +22,13 @@ import (
 	"spatialdom/internal/uncertain"
 )
 
-var queryEndpoints = []string{"/query", "/query/stream", "/query/batch", "/shard/query"}
+var queryEndpoints = []string{"/query", "/shard/query"}
 
-// wireBody renders the same logical request for any query endpoint: the
-// batch endpoint nests the instances in a one-query batch, the others
-// carry them at the top level, and /insert adds an id. instances is raw
-// JSON so a case can hold what no Go value marshals to (a NaN token).
+// wireBody renders the same logical request for any query endpoint, which
+// carries the instances at the top level; /insert adds an id. instances is
+// raw JSON so a case can hold what no Go value marshals to (a NaN token).
 func wireBody(endpoint, instances, tail string) string {
-	switch endpoint {
-	case "/query/batch":
-		return fmt.Sprintf(`{"queries":[{"instances":%s}]%s}`, instances, tail)
-	case "/insert":
+	if endpoint == "/insert" {
 		return fmt.Sprintf(`{"id":900001,"instances":%s%s}`, instances, tail)
 	}
 	return fmt.Sprintf(`{"instances":%s%s}`, instances, tail)
@@ -65,9 +61,8 @@ var malformedInputs = []struct {
 }
 
 // TestQueryEndpointsAgreeOnMalformedInput posts the same malformed input
-// to all four query endpoints and demands the same status and code from
-// each — they share one decodeBody and one buildQuery, so they cannot
-// drift.
+// to both query endpoints and demands the same status and code from each —
+// they share one decodeJSON and one buildQuery, so they cannot drift.
 func TestQueryEndpointsAgreeOnMalformedInput(t *testing.T) {
 	ds := datagen.Generate(datagen.Params{N: 40, M: 4, Seed: 141}) // dim 3
 	srv, err := New(ds.Objects)
@@ -112,64 +107,6 @@ func TestDeleteRefusesTrailingBytes(t *testing.T) {
 			t.Errorf("/delete %q: code %q, want bad_request", body, errCode(t, rec))
 		}
 	}
-}
-
-// TestStreamHonoursK: /query/stream with k=3 streams exactly the ID
-// sequence /query answers for k=3, and applies the same k <= Len bound.
-func TestStreamHonoursK(t *testing.T) {
-	ds := datagen.Generate(datagen.Params{N: 120, M: 6, Seed: 61})
-	srv, err := New(ds.Objects)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := ds.Queries(1, 4, 200, 62)[0]
-	inst := make([][]float64, q.Len())
-	for i := range inst {
-		inst[i] = q.Instance(i)
-	}
-	req := QueryRequest{Instances: inst, Operator: "SSSD", K: 3}
-
-	var plain QueryResponse
-	rec := do(t, srv, http.MethodPost, "/query", req)
-	wantStatus(t, rec, 200)
-	if err := json.Unmarshal(rec.Body.Bytes(), &plain); err != nil {
-		t.Fatal(err)
-	}
-	var band1 QueryResponse
-	req1 := req
-	req1.K = 1
-	if err := json.Unmarshal(do(t, srv, http.MethodPost, "/query", req1).Body.Bytes(), &band1); err != nil {
-		t.Fatal(err)
-	}
-	if len(plain.Candidates) <= len(band1.Candidates) {
-		t.Fatalf("fixture too easy: 3-band has %d candidates, skyline %d", len(plain.Candidates), len(band1.Candidates))
-	}
-
-	rec = do(t, srv, http.MethodPost, "/query/stream", req)
-	wantStatus(t, rec, 200)
-	var streamed []int
-	dec := json.NewDecoder(rec.Body)
-	for dec.More() {
-		var line map[string]interface{}
-		if err := dec.Decode(&line); err != nil {
-			t.Fatal(err)
-		}
-		if line["done"] == true {
-			break
-		}
-		streamed = append(streamed, int(line["id"].(float64)))
-	}
-	if len(streamed) != len(plain.Candidates) {
-		t.Fatalf("stream k=3 yielded %d candidates, /query k=3 %d", len(streamed), len(plain.Candidates))
-	}
-	for i, c := range plain.Candidates {
-		if streamed[i] != c.ID {
-			t.Fatalf("stream k=3 differs from /query k=3 at %d: %v vs %v", i, streamed, plain.Candidates)
-		}
-	}
-
-	req.K = len(ds.Objects) + 1
-	wantStatus(t, do(t, srv, http.MethodPost, "/query/stream", req), 400)
 }
 
 // endlessBody is a well-formed JSON prefix that never ends, counting what
@@ -227,16 +164,18 @@ func TestOversizedBodyAnswers413(t *testing.T) {
 	}
 }
 
-// TestBatchChecksReadinessBeforeDecoding: a warming server answers 503 on
-// /query/batch without touching the body.
-func TestBatchChecksReadinessBeforeDecoding(t *testing.T) {
+// TestQueryChecksReadinessBeforeDecoding: a warming server answers 503 on
+// both query endpoints without touching the body.
+func TestQueryChecksReadinessBeforeDecoding(t *testing.T) {
 	srv := NewWarming("wal replay")
-	body := &endlessBody{prefix: `{"queries":[`}
-	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query/batch", io.NopCloser(body)))
-	wantStatus(t, rec, http.StatusServiceUnavailable)
-	if body.n != 0 {
-		t.Fatalf("warming server read %d body bytes before answering 503", body.n)
+	for _, ep := range queryEndpoints {
+		body := &endlessBody{prefix: `{"instances":[[`}
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, ep, io.NopCloser(body)))
+		wantStatus(t, rec, http.StatusServiceUnavailable)
+		if body.n != 0 {
+			t.Fatalf("%s: warming server read %d body bytes before answering 503", ep, body.n)
+		}
 	}
 }
 
@@ -258,12 +197,12 @@ func FuzzBuildQuery(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var req QueryRequest
 		if fuzzDecode(t, body, &req) {
-			q, err := buildQuery(dim, req.Operator, req.Metric, req.K, false, BatchQuery{Instances: req.Instances, Weights: req.Weights})
+			q, err := buildQuery(dim, req.Operator, req.Metric, req.K, false, ObjectJSON{Instances: req.Instances, Probs: req.Weights})
 			if err == nil { // otherwise the endpoint answers 400
-				if q.k < 1 || q.metric == nil || len(q.objs) != 1 {
-					t.Fatalf("accepted query k=%d metric=%v objs=%d", q.k, q.metric, len(q.objs))
+				if q.k < 1 || q.metric == nil {
+					t.Fatalf("accepted query k=%d metric=%v", q.k, q.metric)
 				}
-				checkRequestObject(t, q.objs[0], dim)
+				checkRequestObject(t, q.obj, dim)
 			}
 		}
 		var obj ObjectJSON

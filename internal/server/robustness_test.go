@@ -1,10 +1,7 @@
 package server
 
 import (
-	"bufio"
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -101,39 +98,6 @@ func TestCompleteResultStays200(t *testing.T) {
 	}
 	if resp.Incomplete {
 		t.Fatal("complete result flagged incomplete")
-	}
-}
-
-func TestStreamSummaryFlagsIncomplete(t *testing.T) {
-	b := &fakeBackend{dim: 2, search: func(ctx context.Context, q *uncertain.Object, op core.Operator, k int, opts core.SearchOptions) (*core.Result, error) {
-		res := &core.Result{Operator: op, Incomplete: true}
-		return res, &core.PartialResultError{Result: res, UnreadableNodes: 1}
-	}}
-	ts := httptest.NewServer(NewBackend(b))
-	defer ts.Close()
-
-	raw, _ := json.Marshal(queryBody())
-	resp, err := http.Post(ts.URL+"/query/stream", "application/json", bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var summary map[string]interface{}
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		var line map[string]interface{}
-		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
-			t.Fatal(err)
-		}
-		if line["done"] == true {
-			summary = line
-		}
-	}
-	if summary == nil {
-		t.Fatal("degraded stream produced no summary line")
-	}
-	if summary["incomplete"] != true {
-		t.Fatalf("summary not flagged: %v", summary)
 	}
 }
 

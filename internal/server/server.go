@@ -6,7 +6,7 @@
 //	GET  /objects              → dataset summary
 //	GET  /objects/{id}         → one object
 //	POST /query                → NN candidates for a query object
-//	POST /query/batch          → many queries at once (admission-gated parallel fan-out)
+//	POST /shard/query          → a shard's k-skyband for the cluster router (shard.go)
 //	POST /insert               → insert one object (mutable disk backend)
 //	POST /delete               → delete one object by id (mutable disk backend)
 //
@@ -24,24 +24,21 @@
 // exact minimum distances, plus timing and dominance-check statistics.
 // Every body-carrying endpoint shares one request pipeline (pipeline.go):
 // bodies are POST-only, bounded (413 payload_too_large past 8 MiB) and
-// strict about field names, and all query endpoints validate alike.
+// strict about field names, and both query endpoints validate alike.
 //
 // Degraded answers are never silent: when the backend had to skip
 // unreadable (quarantined) pages, /query answers 206 Partial Content with
-// "incomplete": true and the skipped-subtree counts, and /query/stream
-// flags its summary line the same way. Handler panics are recovered into
-// 500 JSON responses and counted, so one bad request cannot take the
-// process down.
+// "incomplete": true and the skipped-subtree counts. Handler panics are
+// recovered into 500 JSON responses and counted, so one bad request cannot
+// take the process down.
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -192,12 +189,6 @@ type FrontReporter interface {
 type Server struct {
 	bv  atomic.Value // of backendBox; empty box while warming
 	mux *http.ServeMux
-	// adm gates every /query/batch search: all batch requests share this
-	// token bucket, so their combined executing-query parallelism never
-	// exceeds its limit and single /query traffic keeps CPU headroom.
-	adm *core.Admission
-	// maxBatch bounds the per-request query count on /query/batch.
-	maxBatch int
 	// panics counts handler panics recovered into 500 responses.
 	panics atomic.Int64
 	// warmReason names what boot is waiting on while no backend is
@@ -242,23 +233,13 @@ func NewWarming(reason string) *Server {
 }
 
 func newServer(warmReason string) *Server {
-	// Batch admission is provisioned one token below GOMAXPROCS (min 1):
-	// batches can saturate all but one processor, and that last one stays
-	// schedulable for single /query requests and health probes even while
-	// a huge batch is in flight.
-	limit := runtime.GOMAXPROCS(0) - 1
-	if limit < 1 {
-		limit = 1
-	}
-	s := &Server{mux: http.NewServeMux(), adm: core.NewAdmission(limit), maxBatch: defaultMaxBatch, warmReason: warmReason}
+	s := &Server{mux: http.NewServeMux(), warmReason: warmReason}
 	s.mux.HandleFunc("/healthz", s.handleHealth)
 	s.mux.HandleFunc("/readyz", s.handleReady)
 	s.mux.HandleFunc("/objects", s.handleObjects)
 	s.mux.HandleFunc("/objects/", s.handleObject)
 	s.mux.HandleFunc("/query", s.handleQuery)
 	s.mux.HandleFunc("/shard/query", s.handleShardQuery)
-	s.mux.HandleFunc("/query/batch", s.handleQueryBatch)
-	s.mux.HandleFunc("/query/stream", s.handleQueryStream)
 	s.mux.HandleFunc("/insert", s.handleInsert)
 	s.mux.HandleFunc("/delete", s.handleDelete)
 	return s
@@ -548,51 +529,21 @@ func (s *Server) handleObject(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, ToJSON(o))
 }
 
-// readQuery is the front half /query and /query/stream share, since they
-// take the same body: readiness, then the body read whole into a pooled
-// buffer the caller puts back. On failure the error response is already
-// written and ok is false.
-func (s *Server) readQuery(w http.ResponseWriter, r *http.Request) (b Backend, body *bytes.Buffer, ok bool) {
-	if b = s.serving(w); b == nil {
-		return nil, nil, false
-	}
-	body = getBuffer()
-	if !readBody(w, r, body) {
-		putBuffer(body)
-		return nil, nil, false
-	}
-	return b, body, true
-}
-
-// acceptQuery decodes and validates a body readQuery read: decode,
-// validation, k <= Len. On failure the error response is already written
-// and ok is false.
-func acceptQuery(w http.ResponseWriter, b Backend, body []byte) (q query, ok bool) {
-	var req QueryRequest
-	if !decodeJSON(w, body, &req) {
-		return q, false
-	}
-	q, err := buildQuery(b.Dim(), req.Operator, req.Metric, req.K, false, BatchQuery{Instances: req.Instances, Weights: req.Weights})
-	if err == nil && q.k > b.Len() {
-		err = fmt.Errorf("k=%d out of range", q.k)
-	}
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return q, false
-	}
-	return q, true
-}
-
-// handleQuery answers a byte-identical repeat of a kept answer's body from
-// the backend's Repeater before anything is decoded; any other body is
-// decoded, validated and searched, through SearchBody so that its answer
-// can be found by these bytes next time.
+// handleQuery reads the body whole, then answers a byte-identical repeat
+// of a kept answer's body from the backend's Repeater before anything is
+// decoded; any other body is decoded, validated (k <= Len included) and
+// searched, through SearchBody so that its answer can be found by these
+// bytes next time.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	b, body, ok := s.readQuery(w, r)
-	if !ok {
+	b := s.serving(w)
+	if b == nil {
 		return
 	}
+	body := getBuffer()
 	defer putBuffer(body)
+	if !readBody(w, r, body) {
+		return
+	}
 	rep, _ := b.(Repeater)
 	if rep != nil {
 		if res, op, k := rep.Repeat(body.Bytes()); res != nil {
@@ -600,73 +551,30 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	q, ok := acceptQuery(w, b, body.Bytes())
-	if !ok {
+	var req QueryRequest
+	if !decodeJSON(w, body.Bytes(), &req) {
+		return
+	}
+	q, err := buildQuery(b.Dim(), req.Operator, req.Metric, req.K, false, ObjectJSON{Instances: req.Instances, Probs: req.Weights})
+	if err == nil && q.k > b.Len() {
+		err = fmt.Errorf("k=%d out of range", q.k)
+	}
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	opts := core.SearchOptions{Filters: core.AllFilters, Metric: q.metric}
 	var res *core.Result
-	var err error
 	if rep != nil {
-		res, err = rep.SearchBody(r.Context(), body.Bytes(), q.objs[0], q.op, q.k, opts)
+		res, err = rep.SearchBody(r.Context(), body.Bytes(), q.obj, q.op, q.k, opts)
 	} else {
-		res, err = b.SearchKCtx(r.Context(), q.objs[0], q.op, q.k, opts)
+		res, err = b.SearchKCtx(r.Context(), q.obj, q.op, q.k, opts)
 	}
 	status, partial, ok := searchStatus(w, r, err)
 	if !ok {
 		return
 	}
 	writeQuery(w, status, q.op.String(), q.k, res, partial)
-}
-
-// handleQueryStream is the progressive form of /query: candidates are
-// written as NDJSON lines the moment Algorithm 1 proves them, followed by
-// a summary line — the HTTP face of the paper's progressive property
-// (Figure 14). Closing the connection cancels the request context, which
-// aborts the engine's traversal at its next heap pop; the summary line is
-// only written for a completed search.
-func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
-	b, body, ok := s.readQuery(w, r)
-	if !ok {
-		return
-	}
-	defer putBuffer(body)
-	q, ok := acceptQuery(w, b, body.Bytes())
-	if !ok {
-		return
-	}
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	var line []byte
-	res, err := b.SearchKCtx(r.Context(), q.objs[0], q.op, q.k, core.SearchOptions{
-		Filters: core.AllFilters,
-		Metric:  q.metric,
-		OnCandidate: func(c core.Candidate) {
-			if !finite(c.MinDist) {
-				return // encoding/json writes no line for it either
-			}
-			line = append(appendCandidate(line[:0], c), '\n')
-			w.Write(line)
-			if flusher != nil {
-				flusher.Flush()
-			}
-		},
-	})
-	_, isPartial := core.AsPartial(err)
-	if (err == nil || isPartial) && res != nil {
-		summary := map[string]interface{}{
-			"done":       true,
-			"candidates": len(res.Candidates),
-			"examined":   res.Examined,
-			"elapsed_us": res.Elapsed.Microseconds(),
-		}
-		if res.Incomplete {
-			summary["incomplete"] = true
-		}
-		json.NewEncoder(w).Encode(summary)
-	}
 }
 
 // --- helpers --------------------------------------------------------------------

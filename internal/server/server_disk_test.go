@@ -94,27 +94,6 @@ func TestServerDiskBackend(t *testing.T) {
 			t.Fatalf("%s 501 body = %+v, want non-empty error and code=not_implemented", path, e)
 		}
 	}
-
-	// The stream endpoint serves NDJSON from the disk backend too.
-	rec = httptest.NewRecorder()
-	diskSrv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query/stream", bytes.NewReader(body)))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("stream status %d", rec.Code)
-	}
-	lines := bytes.Split(bytes.TrimSpace(rec.Body.Bytes()), []byte("\n"))
-	if len(lines) != len(want.Candidates)+1 {
-		t.Fatalf("stream wrote %d lines, want %d candidates + summary", len(lines), len(want.Candidates))
-	}
-	var summary struct {
-		Done       bool `json:"done"`
-		Candidates int  `json:"candidates"`
-	}
-	if err := json.Unmarshal(lines[len(lines)-1], &summary); err != nil || !summary.Done {
-		t.Fatalf("bad summary line %q (err %v)", lines[len(lines)-1], err)
-	}
-	if summary.Candidates != len(want.Candidates) {
-		t.Fatalf("summary counted %d candidates, want %d", summary.Candidates, len(want.Candidates))
-	}
 }
 
 var _ core.Backend = (*diskindex.Index)(nil)

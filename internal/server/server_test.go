@@ -2,11 +2,13 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sort"
+	"strings"
 	"testing"
 
 	"spatialdom/internal/core"
@@ -204,69 +206,61 @@ func TestQueryValidation(t *testing.T) {
 	if resp.StatusCode != 405 {
 		t.Fatalf("GET /query = %d", resp.StatusCode)
 	}
+	// /query is the one public query route.
+	for _, path := range []string{"/query/batch", "/query/stream"} {
+		if code := postJSON(t, ts.URL+path, QueryRequest{Instances: [][]float64{{1, 2, 3}}}, nil); code != 404 {
+			t.Errorf("POST %s = %d, want 404", path, code)
+		}
+	}
 }
 
-// The streaming endpoint yields one NDJSON line per candidate plus a
-// summary, and the candidate set matches the non-streaming endpoint.
-func TestQueryStream(t *testing.T) {
-	ts, ds := newTestServer(t)
-	q := ds.Queries(1, 4, 200, 64)[0]
-	inst := make([][]float64, q.Len())
-	for i := 0; i < q.Len(); i++ {
-		inst[i] = append([]float64(nil), q.Instance(i)...)
+// repeatIndex is an in-memory index with a Repeater that keeps every
+// answer under the body that asked for it, and counts what it repeats.
+type repeatIndex struct {
+	*core.Index
+	kept    map[string]*core.Result
+	repeats int
+}
+
+func (r *repeatIndex) Repeat(body []byte) (*core.Result, core.Operator, int) {
+	res := r.kept[string(body)]
+	if res == nil {
+		return nil, 0, 0
 	}
-	raw, _ := json.Marshal(QueryRequest{Instances: inst, Operator: "SSSD"})
-	resp, err := http.Post(ts.URL+"/query/stream", "application/json", bytes.NewReader(raw))
+	r.repeats++
+	return res, res.Operator, 1
+}
+
+func (r *repeatIndex) SearchBody(ctx context.Context, body []byte, q *uncertain.Object, op core.Operator, k int, opts core.SearchOptions) (*core.Result, error) {
+	res, err := r.SearchKCtx(ctx, q, op, k, opts)
+	if err == nil {
+		r.kept[string(body)] = res
+	}
+	return res, err
+}
+
+// TestQueryOverflowIsAnError: a query about 2e200 from the data has a
+// min_dist of +Inf, which JSON cannot carry. Searched and then repeated,
+// it is answered 400 with an error naming the overflow both times.
+func TestQueryOverflowIsAnError(t *testing.T) {
+	idx, err := core.NewIndex([]*uncertain.Object{uncertain.MustNew(1, []geom.Point{{1e200}}, nil)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Fatalf("content type %q", ct)
-	}
-	dec := json.NewDecoder(resp.Body)
-	var streamed []int
-	var summary map[string]interface{}
-	for dec.More() {
-		var line map[string]interface{}
-		if err := dec.Decode(&line); err != nil {
-			t.Fatal(err)
+	b := &repeatIndex{Index: idx, kept: map[string]*core.Result{}}
+	ts := httptest.NewServer(NewBackend(b))
+	defer ts.Close()
+	for i := 0; i < 2; i++ {
+		var e errorJSON
+		if code := postJSON(t, ts.URL+"/query", QueryRequest{Instances: [][]float64{{-1e200}}, Operator: "SSD"}, &e); code != http.StatusBadRequest {
+			t.Fatalf("request %d: status %d, want 400", i, code)
 		}
-		if line["done"] == true {
-			summary = line
-			break
-		}
-		streamed = append(streamed, int(line["id"].(float64)))
-	}
-	if summary == nil {
-		t.Fatal("missing summary line")
-	}
-	if int(summary["candidates"].(float64)) != len(streamed) {
-		t.Fatalf("summary count %v != streamed %d", summary["candidates"], len(streamed))
-	}
-	// Compare with the plain endpoint.
-	var plain QueryResponse
-	postJSON(t, ts.URL+"/query", QueryRequest{Instances: inst, Operator: "SSSD"}, &plain)
-	if len(plain.Candidates) != len(streamed) {
-		t.Fatalf("stream %d candidates, plain %d", len(streamed), len(plain.Candidates))
-	}
-	for i, c := range plain.Candidates {
-		if c.ID != streamed[i] {
-			t.Fatalf("stream order differs at %d", i)
+		if !strings.Contains(e.Error, "overflows") || e.Code != "bad_request" {
+			t.Fatalf("request %d: error %+v does not name the overflow", i, e)
 		}
 	}
-	// Validation errors still work on the stream endpoint.
-	resp2, err := http.Post(ts.URL+"/query/stream", "application/json",
-		bytes.NewReader([]byte(`{"instances":[[1,2,3]],"operator":"XXX"}`)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
-	if resp2.StatusCode != 400 {
-		t.Fatalf("bad operator on stream = %d", resp2.StatusCode)
+	if b.repeats != 1 {
+		t.Fatalf("the second request took the repeat path %d times, want 1", b.repeats)
 	}
 }
 

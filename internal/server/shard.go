@@ -96,12 +96,12 @@ func (s *Server) handleShardQuery(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	q, err := buildQuery(b.Dim(), req.Operator, req.Metric, req.K, req.Normalized, BatchQuery{Instances: req.Instances, Weights: req.Probs})
+	q, err := buildQuery(b.Dim(), req.Operator, req.Metric, req.K, req.Normalized, ObjectJSON{Instances: req.Instances, Probs: req.Probs})
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	res, err := b.SearchKCtx(r.Context(), q.objs[0], q.op, q.k, core.SearchOptions{
+	res, err := b.SearchKCtx(r.Context(), q.obj, q.op, q.k, core.SearchOptions{
 		Filters: req.Filters.Config(),
 		Metric:  q.metric,
 	})

@@ -120,24 +120,10 @@ func SearchBackend(ctx context.Context, b Backend, q *Object, op Operator, k int
 	return core.SearchBackend(ctx, b, q, op, k, opts)
 }
 
-// KSearcher is the minimal concurrent search surface a parallel batch
-// needs; *Index and *DiskIndex both satisfy it.
+// KSearcher is the context-aware search call over a whole index; *Index
+// and *DiskIndex both satisfy it and are safe to call from many goroutines
+// at once.
 type KSearcher = core.KSearcher
-
-// BatchOptions tunes a SearchParallel batch: fan-out width and an
-// optional shared admission gate.
-type BatchOptions = core.BatchOptions
-
-// SearchParallel runs one search per query fanned out over bo.Workers
-// goroutines (<= 0 uses GOMAXPROCS) and returns results in input order.
-// Both built-in backends are safe for this: the in-memory index is
-// immutable during searches, and the disk index's buffer pool and object
-// cache are sharded with per-search I/O attribution, so concurrent
-// batches return byte-for-byte the candidates of serial execution. The
-// first error cancels the rest of the batch; see core.SearchParallel.
-func SearchParallel(ctx context.Context, s KSearcher, queries []*Object, op Operator, k int, opts SearchOptions, bo BatchOptions) ([]*Result, error) {
-	return core.SearchParallel(ctx, s, queries, op, k, opts, bo)
-}
 
 // Metric abstracts the instance distance; the paper's techniques extend to
 // any metric (Section 2.1). Pass one via SearchOptions.Metric or
