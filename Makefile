@@ -48,10 +48,11 @@ race:
 	$(GO) test -race ./...
 
 # check is the CI gate, one list: formatting + vet + build + nnclint + race tests + a
-# one-shot Figure 12, disk-cold, P-SD-miss, band-scan, wide-object P-SD and
-# commit benchmark smoke so the engine's hot path stays exercised in memory, against
-# a page file, on objects wider than any repo-benchmark workload has and
-# through the WAL write path, the Figure 16 ablation driver at tiny scale (every
+# one-shot Figure 12, disk-cold, P-SD-miss, band-scan, wide-object P-SD,
+# commit and door-write benchmark smoke so the engine's hot path stays
+# exercised in memory, against a page file, on objects wider than any
+# repo-benchmark workload has, through the WAL write path and through the
+# front door's write sweep, the Figure 16 ablation driver at tiny scale (every
 # filter stack, as `nnc figure` runs it), the concurrent-search scaling gate
 # without the race detector (it skips under it) and the parallel-search
 # benchmarks at four procs, the server boot smoke, the size count, and a short fuzz pass over every
@@ -68,6 +69,7 @@ check: fmt-check
 	$(GO) test -run='^$$' -bench='BandScan' -benchtime=1x -benchmem .
 	$(GO) test -run='^$$' -bench='DominanceCheck/PSD/m=64' -benchtime=1x -benchmem .
 	$(GO) test -run='^$$' -bench='Commit$$' -benchtime=1x -benchmem .
+	$(GO) test -run='^$$' -bench='DoorWrite' -benchtime=1x -benchmem .
 	$(GO) run ./cmd/nnc figure -figure=16 -scale=tiny
 	$(GO) test -run=TestConcurrentSearchScales ./internal/core
 	GOMAXPROCS=4 $(GO) test -run='^$$' -bench=ParallelSearch -benchtime=1x -benchmem .
@@ -81,9 +83,11 @@ bench:
 # conformance runs the cache-invalidation conformance suite under the
 # race detector: random inserts/deletes interleaved with cached queries,
 # every served answer byte-equal to a fresh uncached search, on both the
-# in-memory and WAL-backed mutable disk backends.
+# in-memory and WAL-backed mutable disk backends. COUNT repeats it (CI
+# runs 5, so the soak phase runs five times a PR).
+COUNT ?= 1
 conformance:
-	$(GO) test -race -run 'InvalidationConformance|Door|Shield' ./internal/server/front ./internal/core
+	$(GO) test -race -count=$(COUNT) -run 'InvalidationConformance|Door|Shield|Cache' ./internal/server/front ./internal/core
 
 cover:
 	$(GO) test -coverprofile=cover.out ./... && $(GO) tool cover -func=cover.out | tail -1

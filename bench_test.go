@@ -27,6 +27,7 @@ import (
 	"spatialdom/internal/diskindex"
 	"spatialdom/internal/geom"
 	"spatialdom/internal/harness"
+	"spatialdom/internal/server/front"
 	"spatialdom/internal/uncertain"
 	"spatialdom/internal/wal"
 )
@@ -390,6 +391,55 @@ func BenchmarkSearchPSDMiss(b *testing.B) {
 	}
 	b.ReportMetric(flowSolves/float64(b.N), "flow-solves/query")
 	b.ReportMetric(entryTests/float64(b.N), "entry-tests/query")
+}
+
+// BenchmarkDoorWrite times what a write costs the front door, the write
+// half of the repo benchmark's served_mixed: one insert and one delete per
+// op, each applied to the in-memory store and swept over a warm table of
+// ≈ 350 kept P-SD k=4 answers (3 500 anti-correlated objects, m = 10, |Q| = 8).
+// Entries a write evicts are re-filled off the clock, so every op sweeps
+// the same table.
+func BenchmarkDoorWrite(b *testing.B) {
+	ds := datagen.Generate(datagen.Params{N: 3500, Dim: 3, M: 10, Centers: datagen.AntiCorrelated, Seed: benchSeed})
+	store, err := front.NewMemStore(ds.Objects)
+	if err != nil {
+		b.Fatal(err)
+	}
+	door := front.NewDoor(store, front.DoorConfig{})
+	queries := ds.Queries(350, 8, 200, benchSeed+101)
+	warm := func() {
+		for _, q := range queries {
+			if _, err := door.SearchKCtx(context.Background(), q, PSD, 4, core.SearchOptions{Filters: AllFilters}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	warm()
+	extra := datagen.Generate(datagen.Params{N: 256, Dim: 3, M: 10, Centers: datagen.AntiCorrelated, Seed: benchSeed + 7})
+	writes := make([]*uncertain.Object, len(extra.Objects))
+	for i, o := range extra.Objects {
+		writes[i] = uncertain.MustNew(len(ds.Objects)+1+i, o.Points(), o.Probs())
+	}
+	start := door.Stats().Cache
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		o := writes[i%len(writes)]
+		if err := door.Insert(o); err != nil {
+			b.Fatal(err)
+		}
+		if ok, err := door.Delete(o.ID()); err != nil || !ok {
+			b.Fatalf("delete(%d) = %v, %v", o.ID(), ok, err)
+		}
+		if door.Stats().Cache.Entries < start.Entries {
+			b.StopTimer()
+			warm()
+			b.StartTimer()
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(start.Entries), "entries")
+	b.ReportMetric(float64(door.Stats().Cache.Invalidations-start.Invalidations)/float64(2*b.N), "invalidations/write")
 }
 
 // BenchmarkIndexBuild times global R-tree construction.

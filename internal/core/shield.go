@@ -26,6 +26,11 @@ package core
 //     tested O against, so the test needs nothing beyond the cached answer
 //     and the operator that produced it.
 //
+//     Under the Euclidean metric the usual verdict takes one O(d) distance:
+//     farK is the k-th smallest MaxSqDistRect(candidate MBR, query MBR),
+//     and an O whose MBR lies farther than that from the query MBR is
+//     strictly dominated by those k candidates at every hull instance.
+//
 // Since O neither joins the band nor dominates a band member, and
 // reported dominator counts only range over band members (every true
 // dominator of a candidate is itself a candidate — see the engine header:
@@ -41,6 +46,9 @@ package core
 // needed beyond that rule, documented where the proof lives.
 
 import (
+	"math"
+	"slices"
+
 	"spatialdom/internal/distr"
 	"spatialdom/internal/geom"
 	"spatialdom/internal/uncertain"
@@ -58,6 +66,13 @@ type AnswerShield struct {
 	// object whose MBR lower bound exceeds it cannot dominate anything in
 	// the answer.
 	maxKey float64
+	// farK is the k-th smallest MaxSqDistRect(candidate MBR, query MBR),
+	// the squared distance of the farthest pair of points: an inserted MBR
+	// whose squared distance to the query MBR exceeds it is strictly
+	// dominated by k candidates (see ShieldsInsert). It is +Inf, so the
+	// radius never decides, with fewer than k candidates, under F+SD, or
+	// off the Euclidean metric.
+	farK float64
 	// band is the answer's candidates; their objects' MBRs are the
 	// rectangles of the Theorem 4 test.
 	band []Candidate
@@ -99,6 +114,18 @@ func NewAnswerShield(q *uncertain.Object, op Operator, m geom.Metric, k int, can
 			s.maxKey = c.MinDist
 		}
 	}
+	s.farK = math.Inf(1)
+	if s.euclid && op != FPlusSD && k >= 1 && k <= len(cands) {
+		far := make([]float64, len(cands))
+		for i, c := range cands {
+			far[i] = c.Object.MBR().MaxSqDistRect(s.qMBR)
+			if math.IsNaN(far[i]) {
+				far[i] = math.Inf(1) // never inside the radius; slices.Sort puts NaN first
+			}
+		}
+		slices.Sort(far)
+		s.farK = far[k-1]
+	}
 	return s
 }
 
@@ -107,7 +134,8 @@ func NewAnswerShield(q *uncertain.Object, op Operator, m geom.Metric, k int, can
 // candidate (statistic necessity against the recorded keys) AND at least
 // k candidates' MBRs dominate r under the answer's operator (Theorem 4, so
 // the new object is outside the k-skyband). A false return means "could affect" — the
-// caller must drop the cached answer.
+// caller must drop the cached answer. r is an object's MBR: Lo ≤ Hi in
+// every dimension.
 func (s *AnswerShield) ShieldsInsert(r geom.Rect) bool {
 	if len(r.Lo) != len(s.qMBR.Lo) {
 		// Dimension mismatch should have been rejected upstream; treat it
@@ -116,11 +144,25 @@ func (s *AnswerShield) ShieldsInsert(r geom.Rect) bool {
 	}
 	// Condition 1: min(O_Q) >= RectMinDist(r, qmbr) > maxKey + slack
 	// means O dominates nothing in the answer.
-	if s.metric.RectMinDist(r, s.qMBR) <= s.maxKey+shieldSlack*(1+s.maxKey) {
+	var sq, near float64
+	if s.euclid {
+		sq = r.MinSqDistRect(s.qMBR)
+		near = math.Sqrt(sq) // = geom.Euclidean.RectMinDist(r, s.qMBR)
+	} else {
+		near = s.metric.RectMinDist(r, s.qMBR) // farK is +Inf: sq is not read
+	}
+	if near <= s.maxKey+shieldSlack*(1+s.maxKey) {
 		return false
 	}
 	// Condition 2: k MBR dominators among the candidates put O outside
-	// the band.
+	// the band. First by radius: every hull instance q lies in qMBR, so
+	// for the k candidates c inside farK, far(q,c) ≤ MaxSqDistRect(c, qMBR)
+	// ≤ farK < sq ≤ near(q,r). Both outer steps hold per dimension before
+	// the sum, and rounding is monotone, so they hold in float64 too: le
+	// with strictness at every q, k times over.
+	if sq > s.farK {
+		return true
+	}
 	count := 0
 	for _, c := range s.band {
 		if dom, _ := s.dominates(c.Object.MBR(), r); dom {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -254,4 +255,163 @@ func TestShieldInsertSoundnessWideQueryFPlusSD(t *testing.T) {
 		t.Fatal("shield never fired — test exercised nothing")
 	}
 	t.Logf("shielded %d of %d inserts", shielded, 400*2*20)
+}
+
+// shieldsInsertLoop is ShieldsInsert without the radius: condition 1, then
+// the Theorem 4 loop over every candidate MBR. It is the oracle the radius
+// must agree with, verdict for verdict.
+func (s *AnswerShield) shieldsInsertLoop(r geom.Rect) bool {
+	if len(r.Lo) != len(s.qMBR.Lo) {
+		return false
+	}
+	if s.metric.RectMinDist(r, s.qMBR) <= s.maxKey+shieldSlack*(1+s.maxKey) {
+		return false
+	}
+	count := 0
+	for _, c := range s.band {
+		if dom, _ := s.dominates(c.Object.MBR(), r); dom {
+			count++
+			if count >= s.k {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// The radius only answers sooner: on random, far, point, touching,
+// radius-edge and non-finite rectangles, over every operator, k in
+// {1, 2, 4} and d in {2, 3}, ShieldsInsert equals the loop it skips.
+func TestShieldRadiusMatchesLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(905))
+	var total, passed, byRadius, edges, kept int
+	for _, d := range []int{2, 3} {
+		idx, err := NewIndex(randDataset(rng, 150, d, 6, 100))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, op := range Operators {
+			for _, k := range []int{1, 2, 4} {
+				for trial := 0; trial < 4; trial++ {
+					m := geom.Euclidean
+					if trial == 3 {
+						m = geom.Manhattan // farK is +Inf: the loop decides every rect
+					}
+					q := randObject(rng, 0, d, 1+rng.Intn(5), randCenter(rng, d, 100), 1+rng.Float64()*8)
+					base := searchK(idx, q, op, k, SearchOptions{Filters: AllFilters, Metric: m})
+					s := NewAnswerShield(q, op, m, k, base.Candidates)
+					for i := 0; i < 1700; i++ {
+						r, edge := shieldProbe(rng, s, i)
+						got, want := s.ShieldsInsert(r), s.shieldsInsertLoop(r)
+						if got != want {
+							t.Fatalf("d=%d %v k=%d %v: rect %v: radius verdict %v, loop %v (farK %v, sq %v)",
+								d, op, k, m, r, got, want, s.farK, r.MinSqDistRect(s.qMBR))
+						}
+						total++
+						if got {
+							kept++
+						}
+						if m.RectMinDist(r, s.qMBR) > s.maxKey+shieldSlack*(1+s.maxKey) {
+							passed++
+							if s.euclid && r.MinSqDistRect(s.qMBR) > s.farK {
+								byRadius++
+							}
+							if edge {
+								edges++
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if edges == 0 || byRadius == 0 {
+		t.Fatalf("the radius edge was never reached (%d edge rects, %d decided by radius)", edges, byRadius)
+	}
+	t.Logf("%d rects agree, %d shielded; %d pass condition 1, the radius decides %d of them (%.0f%%); %d within 1 ulp of farK",
+		total, kept, passed, byRadius, 100*float64(byRadius)/float64(passed), edges)
+}
+
+// shieldProbe draws the i-th test rectangle for s, cycling through six
+// shapes. edge reports a rect whose squared distance to the query MBR is
+// within one ulp of s.farK.
+func shieldProbe(rng *rand.Rand, s *AnswerShield, i int) (r geom.Rect, edge bool) {
+	q := s.qMBR
+	d := len(q.Lo)
+	around := func() geom.Rect { // overlapping q in every dimension
+		r := geom.Rect{Lo: make(geom.Point, d), Hi: make(geom.Point, d)}
+		for j := range r.Lo {
+			r.Lo[j], r.Hi[j] = q.Lo[j]-rng.Float64(), q.Hi[j]+rng.Float64()
+		}
+		return r
+	}
+	box := func(spread, width float64) geom.Rect {
+		lo, hi := make(geom.Point, d), make(geom.Point, d)
+		for j := range lo {
+			lo[j] = q.Lo[j] + (rng.Float64()*2-1)*spread
+			hi[j] = lo[j] + rng.Float64()*width
+		}
+		return geom.Rect{Lo: lo, Hi: hi}
+	}
+	switch i % 6 {
+	case 0: // near the query, or anywhere in the data
+		if rng.Intn(2) == 0 {
+			return box(25, 5), false
+		}
+		return box(150, 20), false
+	case 1: // far away
+		return box(2000, 50), false
+	case 2: // a point
+		r = box(300, 0)
+		copy(r.Hi, r.Lo)
+		return r, false
+	case 3: // touching the query MBR
+		r = around()
+		j := rng.Intn(d)
+		if rng.Intn(2) == 0 {
+			r.Lo[j], r.Hi[j] = q.Hi[j], q.Hi[j]+rng.Float64()*20
+		} else {
+			r.Lo[j], r.Hi[j] = q.Lo[j]-rng.Float64()*20, q.Lo[j]
+		}
+		return r, false
+	case 4: // on the radius: overlap q in every dimension but one, and sit
+		// sqrt(farK) beyond it there, nudged a few ulps either way
+		if math.IsInf(s.farK, 1) {
+			return box(150, 20), false
+		}
+		r = around()
+		j := rng.Intn(d)
+		r.Lo[j] = q.Hi[j] + math.Sqrt(s.farK)
+		for n := rng.Intn(7) - 3; n != 0; {
+			if n > 0 {
+				r.Lo[j], n = math.Nextafter(r.Lo[j], math.Inf(1)), n-1
+			} else {
+				r.Lo[j], n = math.Nextafter(r.Lo[j], math.Inf(-1)), n+1
+			}
+		}
+		r.Hi[j] = r.Lo[j] + rng.Float64()*5
+		sq := r.MinSqDistRect(q)
+		return r, sq == s.farK || sq == math.Nextafter(s.farK, 0) || sq == math.Nextafter(s.farK, math.Inf(1))
+	default: // a non-finite coordinate, near or far
+		r = box(150, 20)
+		if rng.Intn(2) == 0 {
+			r = box(2000, 50)
+		}
+		j := rng.Intn(d)
+		switch rng.Intn(6) {
+		case 0:
+			r.Lo[j] = math.NaN()
+		case 1:
+			r.Hi[j] = math.NaN()
+		case 2:
+			r.Lo[j] = math.Inf(-1)
+		case 3:
+			r.Hi[j] = math.Inf(1)
+		case 4:
+			r.Lo[j], r.Hi[j] = math.Inf(1), math.Inf(1)
+		default:
+			r.Lo[j], r.Hi[j] = math.Inf(-1), math.Inf(-1)
+		}
+		return r, false
+	}
 }

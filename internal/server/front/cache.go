@@ -14,8 +14,8 @@ package front
 // impossible by an epoch tag protocol owned by the Door (door.go):
 //
 //   - every entry carries the Door epoch it was admitted at;
-//   - a lookup hits, joins or replaces only entries tagged with the
-//     *current* epoch;
+//   - a lookup hits or joins an entry tagged with its clock or later, and
+//     replaces only an entry tagged behind it;
 //   - a mutation, under the Door's mutation mutex, sweeps every shard —
 //     dropping pending entries (their search may straddle it) and entries
 //     whose tag is behind, evicting filled entries the mutation could
@@ -25,7 +25,10 @@ package front
 //     table: any sweep since its admission has removed it.
 //
 // So an entry's tag equals the current epoch only if every mutation since
-// its fill has individually proven it unaffected. The shard locks guard
+// its fill has individually proven it unaffected. A reader holding the clock
+// from before an in-flight sweep may meet an entry that sweep has already
+// re-tagged one ahead: it was proven current for both epochs, so it is
+// served, never removed. The shard locks guard
 // map+list manipulation only — no search, no I/O, no allocation beyond a
 // pending entry and list nodes happens under them.
 //
@@ -55,7 +58,7 @@ const cacheShards = 16
 type entry struct {
 	key Key
 	// tag is the Door epoch this entry was admitted at, or last proven
-	// current at; only entries with tag == current epoch are servable.
+	// current at; an entry tagged behind a reader's clock is not servable.
 	tag uint64
 	// done is closed by the leader once res and err are final; a waiter
 	// reads them after it. res is served verbatim on a hit (callers treat
@@ -64,19 +67,28 @@ type entry struct {
 	res  *core.Result
 	err  error
 	// Set when the answer is kept: its cost against the byte budget, the
-	// shield that answers "can this insert change it?" (deletes read the
-	// IDs of res.Candidates), its LRU list node — nil while pending — and
-	// the body of the /query that filled it, if one did.
+	// shield that answers "can this insert change it?", the candidate-ID
+	// signature that answers most deletes (bit id&63 per candidate; a set
+	// bit sends the delete to the IDs of res.Candidates), its LRU list
+	// node — nil while pending — and the body of the /query that filled
+	// it, if one did.
 	bytes  int64
 	shield *core.AnswerShield
+	sig    uint64
 	elem   *list.Element
 	alias  string
 }
+
+// idBit is an object id's bit in an entry's candidate-ID signature.
+func idBit(id int) uint64 { return 1 << (uint(id) & 63) }
 
 // affectedBy reports whether a mutation could change this kept answer: a
 // delete of one of its candidates, or an insert its shield cannot rule out.
 func (e *entry) affectedBy(m mutation) bool {
 	if m.delete {
+		if e.sig&idBit(m.id) == 0 {
+			return false
+		}
 		for _, c := range e.res.Candidates {
 			if c.Object.ID() == m.id {
 				return true
@@ -145,13 +157,14 @@ func newResultCache(maxBytes int64) *resultCache {
 // lookup is the door's one question of the table, under one shard lock: a
 // current kept entry is a hit (res is its answer); a current pending entry
 // is joined (e, and leader false); otherwise the caller leads a new pending
-// entry tagged epoch and must land it. An entry with a stale tag is removed
-// on sight — it is not servable evidence.
+// entry tagged epoch and must land it. Current means tagged epoch or later;
+// an entry tagged behind epoch is removed on sight — it is not servable
+// evidence.
 func (c *resultCache) lookup(key Key, epoch uint64) (res *core.Result, e *entry, leader bool) {
 	sh := &c.shards[shardOf(key, cacheShards)]
 	sh.mu.Lock()
 	e, ok := sh.entries[key]
-	if ok && e.tag != epoch {
+	if ok && e.tag < epoch {
 		c.removeLocked(sh, e)
 		ok = false
 	}
@@ -176,8 +189,8 @@ func (c *resultCache) lookup(key Key, epoch uint64) (res *core.Result, e *entry,
 // repeat is lookup for a /query body that filled a kept entry: the entry's
 // answer, operator and k when the entry is still the table's, current and
 // asks for k <= n objects. Anything else is no answer and counts nothing —
-// the caller decodes the body and asks lookup — except that a stale entry
-// is removed on sight, as lookup would.
+// the caller decodes the body and asks lookup — except that an entry tagged
+// behind epoch is removed on sight, as lookup would.
 func (c *resultCache) repeat(body []byte, epoch uint64, n int) (*core.Result, core.Operator, int) {
 	as := &c.aliases[shardOf(body, cacheShards)]
 	as.mu.Lock()
@@ -196,7 +209,7 @@ func (c *resultCache) repeat(body []byte, epoch uint64, n int) (*core.Result, co
 	switch {
 	case sh.entries[e.key] != e:
 		// It left between the two locks; its alias went with it.
-	case e.tag != epoch:
+	case e.tag < epoch:
 		c.removeLocked(sh, e)
 	default:
 		sh.lru.MoveToFront(e.elem)
@@ -227,6 +240,9 @@ func (c *resultCache) land(e *entry, res *core.Result, err error, shield *core.A
 		delete(sh.entries, e.key)
 	default:
 		e.bytes, e.shield = cost, shield
+		for _, c := range res.Candidates {
+			e.sig |= idBit(c.Object.ID())
+		}
 		e.elem = sh.lru.PushFront(e)
 		sh.bytes += cost
 		if alias != "" {
@@ -283,6 +299,12 @@ type mutation struct {
 // still get it). A dead-tagged entry was admitted between an earlier sweep
 // and that sweep's epoch store, so it was never tested against that
 // mutation; re-tagging it here would bring it back to life stale.
+//
+// A kept entry's verdict is O(d) in the usual case: a delete whose id's
+// signature bit is clear, or an insert its shield decides by distance
+// alone (core.AnswerShield.ShieldsInsert).
+//
+//nnc:hotpath
 func (c *resultCache) sweep(m mutation, newTag uint64) {
 	c.sweeps.Add(1)
 	for i := range c.shards {

@@ -177,11 +177,11 @@ func (d *Door) SearchBody(ctx context.Context, body []byte, q *uncertain.Object,
 
 // Bytes a kept answer retains beyond its key, alias and labels: per
 // candidate a core.Candidate in the result (the shield shares the slice,
-// and the objects belong to the index); per entry the entry, its list node
-// and the shield header.
+// and the objects belong to the index); per entry the entry with its ID
+// signature, its list node and the shield header with its radius.
 const (
 	candidateBytes = 40
-	entryBytes     = 64
+	entryBytes     = 80
 )
 
 // entryCost sizes a kept answer from what it retains: its key, its alias,

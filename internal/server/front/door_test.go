@@ -387,6 +387,93 @@ func TestCacheSweepDropsDeadTags(t *testing.T) {
 	}
 }
 
+// A reader that loaded the clock before a sweep published its epoch can
+// meet an entry that sweep already re-tagged one ahead. The entry was
+// proven current for both epochs: it must be served to that reader, by key
+// and by alias, and not removed from under the readers of the new epoch.
+func TestCacheLookupKeepsEntriesTaggedAhead(t *testing.T) {
+	c := newResultCache(1 << 20)
+	key := canonicalKey(testQuery(rand.New(rand.NewSource(11)), 50), core.PSD, 2, geom.Euclidean, core.AllFilters)
+	_, e, _ := c.lookup(key, 6)
+	c.land(e, &core.Result{}, nil, new(core.AnswerShield), 10, "body")
+	c.sweep(mutation{delete: true, id: 1}, 7) // touches nothing
+	if _, ok := c.get(key, 6); !ok {
+		t.Fatal("a reader one epoch behind missed an entry the sweep proved current")
+	}
+	if res, _, _ := c.repeat([]byte("body"), 6, 10); res == nil {
+		t.Fatal("a reader one epoch behind missed the entry by its alias")
+	}
+	if _, ok := c.get(key, 7); !ok {
+		t.Fatal("the behind reader's lookup removed an entry current at the new epoch")
+	}
+	if _, ok := c.get(key, 8); ok {
+		t.Fatal("an entry tagged behind the clock was served")
+	}
+}
+
+// A delete reads an entry's candidate IDs only when the deleted id's bit
+// (id&63) is set in the entry's signature. A colliding id runs the exact
+// scan and spares the entry; the candidate's own id evicts it; an id whose
+// bit is clear never reaches the scan.
+func TestCacheDeleteSignature(t *testing.T) {
+	for _, tc := range []struct{ cand, collide, clear int }{
+		{5, 69, 6},
+		{-1, 63, -2},
+		{-70, -6, 0},
+	} {
+		if idBit(tc.collide) != idBit(tc.cand) || idBit(tc.clear) == idBit(tc.cand) {
+			t.Fatalf("%+v: the ids do not share, or do not split, a bit", tc)
+		}
+		c := newResultCache(1 << 20)
+		o := uncertain.MustNew(tc.cand, []geom.Point{{0, 0}}, nil)
+		c.put("k", &core.Result{Candidates: []core.Candidate{{Object: o}}}, 10, nil, nil, 1)
+		c.sweep(mutation{delete: true, id: tc.collide}, 2)
+		c.sweep(mutation{delete: true, id: tc.clear}, 3)
+		if _, ok := c.get("k", 3); !ok || c.stats().Invalidations != 0 {
+			t.Fatalf("%+v: deleting a non-candidate evicted the entry", tc)
+		}
+		c.sweep(mutation{delete: true, id: tc.cand}, 4)
+		if _, ok := c.get("k", 4); ok || c.stats().Invalidations != 1 {
+			t.Fatalf("%+v: deleting the candidate kept the entry", tc)
+		}
+		// No answer to read: reaching the scan would dereference nil.
+		e := &entry{sig: idBit(tc.cand)}
+		if e.affectedBy(mutation{delete: true, id: tc.clear}) {
+			t.Fatalf("%+v: a clear bit reported an effect", tc)
+		}
+	}
+}
+
+// A write's sweep over a warm table re-tags, evicts and reads shields and
+// signatures in place: it allocates nothing.
+func TestCacheSweepAllocFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	d, _ := newTestDoor(t, rng, 60, DoorConfig{})
+	for i := 0; i < 40; i++ {
+		if _, err := d.SearchKCtx(context.Background(), testQuery(rng, 50), core.PSD, 2, allOpts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	entries := d.Stats().Cache.Entries
+	if entries < 20 {
+		t.Fatalf("only %d entries kept", entries)
+	}
+	far := geom.NewRect(geom.Point{5000, 5000}, geom.Point{5001, 5001})
+	tag := d.Epoch()
+	allocs := testing.AllocsPerRun(100, func() {
+		tag++
+		d.cache.sweep(mutation{mbr: far}, tag)
+		tag++
+		d.cache.sweep(mutation{delete: true, id: 1 << 20}, tag) // no object has it
+	})
+	if allocs != 0 {
+		t.Fatalf("a sweep over %d entries allocates %.1f times, want 0", entries, allocs)
+	}
+	if st := d.Stats().Cache; st.Entries != entries || st.Invalidations != 0 {
+		t.Fatalf("unaffecting sweeps changed the table: %d entries, %d invalidations", st.Entries, st.Invalidations)
+	}
+}
+
 func TestCacheByteBudgetEvicts(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	// Tiny budget: a few entries per shard at most.
