@@ -84,28 +84,27 @@ func TestWarmSearchResetZeroAllocs(t *testing.T) {
 	}
 }
 
-// A warm P-SD k=4 search allocates what it returns and nothing else: the
+// warmSearchAllocs runs one search over p's objects for an 8-instance
+// query drawn with seed qseed, cold, growing every slab of its scratch to
+// the search's high-water mark, then warm, and returns the cold run's
+// result, what a warm run allocates, and what the result accounts for: the
 // Result, the growth steps of its candidate slice, and the one closure the
-// engine hands to Backend.Expand. The entry test over the far slab, the
-// band scan and the transport solves — all of which this search runs —
-// contribute zero.
-func TestWarmPSDSearchAllocatesOnlyItsResult(t *testing.T) {
-	ds := datagen.Generate(datagen.Params{N: 400, M: 10, Centers: datagen.AntiCorrelated, Seed: 43})
+// engine hands to Backend.Expand.
+func warmSearchAllocs(t *testing.T, p datagen.Params, qseed int64, op Operator, k int) (res *Result, avg, own float64) {
+	t.Helper()
+	ds := datagen.Generate(p)
 	idx, err := NewIndex(ds.Objects)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := ds.Queries(1, 8, 200, 44)[0]
+	q := ds.Queries(1, 8, 200, qseed)[0]
 	sc := new(searchScratch)
-	var res *Result
 	run := func() {
-		res, _ = searchBackend(context.Background(), sc, idx, q, PSD, 4, SearchOptions{Filters: AllFilters})
+		res, _ = searchBackend(context.Background(), sc, idx, q, op, k, SearchOptions{Filters: AllFilters})
 		sc.clear()
 	}
-	run() // grow every slab to this search's high-water mark
-	if res.Stats.FlowSolves == 0 || res.Stats.ObjectPrunes == 0 || len(res.Candidates) < 4 {
-		t.Fatalf("the search exercises too little: %+v, %d candidates", res.Stats, len(res.Candidates))
-	}
+	run()
+	cold := res
 	grows := 0
 	var cands []Candidate
 	for range res.Candidates {
@@ -114,8 +113,35 @@ func TestWarmPSDSearchAllocatesOnlyItsResult(t *testing.T) {
 		}
 		cands = append(cands, Candidate{})
 	}
-	if avg, own := testing.AllocsPerRun(20, run), float64(2+grows); avg != own {
+	return cold, testing.AllocsPerRun(20, run), float64(2 + grows)
+}
+
+// A warm P-SD k=4 search over 400 anti-correlated objects allocates what it
+// returns and nothing else. The entry test over the far slab, the band scan
+// and the transport solves — all of which this search runs — contribute
+// zero.
+func TestWarmPSDSearchAllocatesOnlyItsResult(t *testing.T) {
+	res, avg, own := warmSearchAllocs(t, datagen.Params{N: 400, M: 10, Centers: datagen.AntiCorrelated, Seed: 43}, 44, PSD, 4)
+	if res.Stats.FlowSolves == 0 || res.Stats.ObjectPrunes == 0 || len(res.Candidates) < 4 {
+		t.Fatalf("the search exercises too little: %+v, %d candidates", res.Stats, len(res.Candidates))
+	}
+	if avg != own {
 		t.Errorf("warm P-SD k=4 search allocated %.1f times, its result accounts for %.0f", avg, own)
+	}
+}
+
+// A warm S-SD k=1 search over 200 overlapping NBA-like objects, where about
+// two checks in three reach the exact scan, allocates what it returns and
+// nothing else: the search heap's slab and free list, the runs sorted for
+// U_Q and the merge's second buffer all contribute zero.
+func TestWarmSSDSearchAllocatesOnlyItsResult(t *testing.T) {
+	res, avg, own := warmSearchAllocs(t, datagen.Params{N: 200, M: 10, Centers: datagen.NBALike, Seed: 43}, 47, SSD, 1)
+	st := res.Stats
+	if exact := st.DominanceChecks - st.StatPrunes - st.MBRValidations - st.LevelDecisions; exact == 0 || st.ObjectPrunes == 0 {
+		t.Fatalf("the search exercises too little: %+v", st)
+	}
+	if avg != own {
+		t.Errorf("warm S-SD k=1 search allocated %.1f times, its result accounts for %.0f", avg, own)
 	}
 }
 

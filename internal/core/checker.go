@@ -183,11 +183,16 @@ func (c *Checker) summaryOf(o *uncertain.Object) *objCache {
 	return oc
 }
 
-// distQ returns U_Q as a sorted distribution, weighting and sorting the
-// summary's atoms the first time a scan or distr.Equal asks.
+// distQ returns U_Q as a sorted distribution, built the first time a scan or
+// distr.Equal asks: the |Q| runs are sorted as the sweeps sort them
+// (sortedRun), then weighted and merged (distr.MergeRuns) — U_Q is the
+// mixture of the U_q, so it is never sorted as one slice.
 func (c *Checker) distQ(oc *objCache) distr.Distribution {
 	if !oc.distQOK {
-		oc.distQ = distr.WeightRuns(c.scratch.pairs.Alloc(len(oc.runs)), oc.runs, oc.obj.Len(), c.query)
+		c.sortedRun(oc, c.query.Len()-1)
+		sc := c.scratch
+		sc.mergeBuf = growPairs(sc.mergeBuf, len(oc.runs))
+		oc.distQ = distr.MergeRuns(sc.pairs.Alloc(len(oc.runs)), sc.mergeBuf, oc.runs, oc.obj.Len(), c.query)
 		oc.distQOK = true
 	}
 	return oc.distQ

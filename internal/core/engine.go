@@ -136,55 +136,95 @@ type searchItem struct {
 	obj  ObjRef
 }
 
+// heapKey is what the search heap sifts: an item's key and the slab slot
+// the item waits in. It holds no pointer, so a sift moves 16 bytes and no
+// write barrier runs.
+type heapKey struct {
+	key  float64
+	slot int32
+}
+
 // searchHeap is a plain binary min-heap of searchItems, ordered by key. It
 // is deliberately a concrete type — no container/heap, no generics — so
 // Push/Pop never box items through interface{}; sift order matches
 // container/heap exactly (left child wins key ties), keeping emission
-// order stable across the refactor.
+// order stable. The items themselves never move: each waits in a slot of
+// slab while its heapKey is sifted. A popped slot is zeroed, so the slab
+// pins no object, and reused before the slab grows, so the slab is as long
+// as the heap has ever been, not as the search has pushed.
 type searchHeap struct {
-	s []searchItem
+	keys []heapKey
+	slab []searchItem
+	free []int32 // popped slots, zeroed
 }
 
-func (h *searchHeap) len() int { return len(h.s) }
+func (h *searchHeap) len() int { return len(h.keys) }
 
 // peekKey returns the smallest key; the heap must be non-empty.
-func (h *searchHeap) peekKey() float64 { return h.s[0].key }
+func (h *searchHeap) peekKey() float64 { return h.keys[0].key }
 
+//nnc:hotpath
 func (h *searchHeap) push(it searchItem) {
-	h.s = append(h.s, it)
-	i := len(h.s) - 1
+	var slot int32
+	if n := len(h.free); n > 0 {
+		slot = h.free[n-1]
+		h.free = h.free[:n-1]
+		h.slab[slot] = it
+	} else {
+		slot = int32(len(h.slab))
+		h.slab = append(h.slab, it)
+	}
+	// Sift up: parents move down into the hole and x is written once, where
+	// it stops — the swaps' result with half the stores.
+	x := heapKey{it.key, slot}
+	h.keys = append(h.keys, x)
+	i := len(h.keys) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if h.s[parent].key <= h.s[i].key {
+		if h.keys[parent].key <= x.key {
 			break
 		}
-		h.s[parent], h.s[i] = h.s[i], h.s[parent]
+		h.keys[i] = h.keys[parent]
 		i = parent
 	}
+	h.keys[i] = x
 }
 
+//nnc:hotpath
 func (h *searchHeap) pop() searchItem {
-	top := h.s[0]
-	n := len(h.s) - 1
-	h.s[0] = h.s[n]
-	h.s[n] = searchItem{} // drop references held by the vacated slot
-	h.s = h.s[:n]
+	slot := h.keys[0].slot
+	top := h.slab[slot]
+	h.slab[slot] = searchItem{} // drop references held by the vacated slot
+	h.free = append(h.free, slot)
+	n := len(h.keys) - 1
+	x := h.keys[n] // sifted down from the root
+	h.keys = h.keys[:n]
 	i := 0
 	for {
-		small := i
-		if l := 2*i + 1; l < n && h.s[l].key < h.s[small].key {
-			small = l
+		small, sk := i, x.key
+		if l := 2*i + 1; l < n && h.keys[l].key < sk {
+			small, sk = l, h.keys[l].key
 		}
-		if r := 2*i + 2; r < n && h.s[r].key < h.s[small].key {
+		if r := 2*i + 2; r < n && h.keys[r].key < sk {
 			small = r
 		}
 		if small == i {
 			break
 		}
-		h.s[i], h.s[small] = h.s[small], h.s[i]
+		h.keys[i] = h.keys[small]
 		i = small
 	}
+	if n > 0 {
+		h.keys[i] = x
+	}
 	return top
+}
+
+// clear empties the heap, zeroing the slots still held, and keeps the
+// backing arrays.
+func (h *searchHeap) clear() {
+	clear(h.slab)
+	h.keys, h.slab, h.free = h.keys[:0], h.slab[:0], h.free[:0]
 }
 
 // --- per-search scratch ------------------------------------------------------
@@ -295,10 +335,7 @@ var scratchPool = sync.Pool{New: func() any { return new(searchScratch) }}
 // clear empties every slot (so a recycled scratch doesn't pin objects from
 // finished searches) while keeping the backing arrays for reuse.
 func (sc *searchScratch) clear() {
-	for i := range sc.heap.s {
-		sc.heap.s[i] = searchItem{}
-	}
-	sc.heap.s = sc.heap.s[:0]
+	sc.heap.clear()
 	for i := range sc.batch {
 		sc.batch[i] = searchItem{}
 	}

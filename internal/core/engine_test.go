@@ -1,6 +1,7 @@
 package core
 
 import (
+	"container/heap"
 	"context"
 	"errors"
 	"math/rand"
@@ -130,27 +131,71 @@ func TestIOStatsArithmetic(t *testing.T) {
 	}
 }
 
-// The typed heap must behave exactly like container/heap: min key first,
-// pop order non-decreasing, no loss across interleaved push/pop.
+// refHeap is container/heap over the same keys with the same Less, the
+// reference the search heap's tie order is held to.
+type refHeap []searchItem
+
+func (h refHeap) Len() int           { return len(h) }
+func (h refHeap) Less(i, j int) bool { return h[i].key < h[j].key }
+func (h refHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)        { *h = append(*h, x.(searchItem)) }
+func (h *refHeap) Pop() any {
+	old := *h
+	it := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return it
+}
+
+// The typed heap must behave exactly like container/heap: min key first and,
+// among tied keys, the very item container/heap would pop — across
+// interleaved pushes and pops, with every item tagged by a distinct NodeRef
+// and carrying pointers (an MBR, an object). A drained heap holds no pointer
+// in any slab slot, and the slab is no longer than the heap has ever been.
 func TestSearchHeapOrdering(t *testing.T) {
-	var h searchHeap
-	keys := []float64{5, 1, 4, 1, 3, 9, 2, 6, 0, 7, 8, 2}
-	for _, k := range keys {
-		h.push(searchItem{key: k})
-	}
-	// Interleave: pop two, push one, then drain.
-	var got []float64
-	got = append(got, h.pop().key, h.pop().key)
-	h.push(searchItem{key: 1.5})
-	for h.len() > 0 {
-		got = append(got, h.pop().key)
-	}
-	if len(got) != len(keys)+1 {
-		t.Fatalf("lost items: %v", got)
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i] < got[i-1] {
-			t.Fatalf("pop order not sorted: %v", got)
+	rng := rand.New(rand.NewSource(34))
+	obj := uncertain.MustNew(1, []geom.Point{{0, 0}}, nil)
+	for round := 0; round < 50; round++ {
+		var h searchHeap
+		var ref refHeap
+		tag, live, most := uint64(0), 0, 0
+		push := func() {
+			tag++
+			// Few distinct keys, so most pushes tie with items already held.
+			it := searchItem{key: float64(rng.Intn(4 + round%5)), kind: kindObjLB,
+				rect: obj.MBR(), node: NodeRef{ID: tag}, obj: ObjRef{Obj: obj, ID: tag}}
+			h.push(it)
+			heap.Push(&ref, it)
+			live++
+			most = max(most, live)
+		}
+		pop := func() {
+			got, want := h.pop(), heap.Pop(&ref).(searchItem)
+			live--
+			if got.node != want.node || got.key != want.key {
+				t.Fatalf("round %d: popped %v (key %g), container/heap pops %v (key %g)",
+					round, got.node, got.key, want.node, want.key)
+			}
+			if got.obj.Obj != obj || got.rect.Lo == nil {
+				t.Fatalf("round %d: popped item lost its references: %+v", round, got)
+			}
+		}
+		for step := 0; step < 400; step++ {
+			if live == 0 || rng.Intn(3) > 0 {
+				push()
+			} else {
+				pop()
+			}
+		}
+		for h.len() > 0 {
+			pop()
+		}
+		if len(h.slab) != most {
+			t.Fatalf("round %d: slab of %d slots for at most %d live items", round, len(h.slab), most)
+		}
+		for slot, it := range h.slab {
+			if it.obj.Obj != nil || it.rect.Lo != nil || it.rect.Hi != nil {
+				t.Fatalf("round %d: drained slot %d still holds %+v", round, slot, it)
+			}
 		}
 	}
 }

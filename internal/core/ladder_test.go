@@ -148,12 +148,34 @@ func TestLadderAgreesWithNoFilterWideObjects(t *testing.T) {
 // The summary reads the heap key and the statistics off unsorted atoms:
 // the key is bit-for-bit the minimum of the sorted U_Q, the mean agrees
 // with the sorted sum to rounding, and a zero-probability instance moves
-// neither.
+// neither. U_Q as the checker builds it — the runs sorted one by one, some
+// of them already by a sweep, then merged — is distr.BetweenFunc's, for |Q|
+// of 1 to 9 (every merge-pass count up to four): atom for atom on objects
+// scattered in the plane, and Equal at eps 0 on an integer grid, where many
+// atoms tie. The grid's weights are dyadic, so any order of a tie group
+// sums to the same float64.
 func TestSummaryMatchesSortedDistribution(t *testing.T) {
 	rng := rand.New(rand.NewSource(1702))
+	grid := func(id, m int) *uncertain.Object {
+		pts := make([]geom.Point, m)
+		w := make([]float64, m)
+		sum := 0.0
+		for i := range pts {
+			pts[i] = geom.Point{float64(rng.Intn(5)), float64(rng.Intn(5))}
+			w[i] = float64(1 + rng.Intn(3))
+			sum += w[i]
+		}
+		// Top the weights up to a power-of-two sum, so normalizing is exact.
+		w[0] += math.Exp2(math.Ceil(math.Log2(sum))) - sum
+		return uncertain.MustNew(id, pts, w)
+	}
 	for iter := 0; iter < 500; iter++ {
-		q := randObject(rng, 0, 2, 1+rng.Intn(6), randCenter(rng, 2, 100), 5)
+		nq, onGrid := 1+iter%9, iter%2 == 1
+		q := randObject(rng, 0, 2, nq, randCenter(rng, 2, 100), 5)
 		o := randObject(rng, 1, 2, 1+rng.Intn(30), randCenter(rng, 2, 100), 8)
+		if onGrid {
+			q, o = grid(0, nq), grid(1, 1+rng.Intn(30))
+		}
 		for _, m := range []geom.Metric{geom.Euclidean, geom.Chebyshev} {
 			c := NewCheckerMetric(q, SSD, AllFilters, m)
 			want := distr.BetweenFunc(o, q, m.Dist)
@@ -167,8 +189,12 @@ func TestSummaryMatchesSortedDistribution(t *testing.T) {
 			if d := math.Abs(oc.stat.Mean - want.Mean()); d > 1e-12*(1+want.Mean()) {
 				t.Fatalf("iter %d %s: summary mean off by %g", iter, m.Name(), d)
 			}
-			if !distr.Equal(c.distQ(oc), want, 0) {
-				t.Fatalf("iter %d %s: lazily sorted U_Q differs from distr.Between", iter, m.Name())
+			if pre := rng.Intn(nq + 1); pre > 0 {
+				c.sortedRun(oc, pre-1) // a sweep got this far first
+			}
+			got := c.distQ(oc)
+			if !distr.Equal(got, want, 0) || !onGrid && !slices.Equal(got.Pairs(), want.Pairs()) {
+				t.Fatalf("iter %d %s: merged U_Q differs from distr.BetweenFunc", iter, m.Name())
 			}
 			for j := 0; j < q.Len(); j++ {
 				wj := distr.BetweenInstanceFunc(o, q.Instance(j), m.Dist)

@@ -42,9 +42,11 @@ type CheckScratch struct {
 	touched []int
 	sparse  map[int]*objCache
 
-	// The sorter of the sweep's runs and, for P-SD, the transport solver of
-	// the exact test and the bitset rows it is handed.
+	// The sorter of the sweep's runs, the second buffer of the merge that
+	// builds U_Q out of them (Checker.distQ) and, for P-SD, the transport
+	// solver of the exact test and the bitset rows it is handed.
 	runSorter distr.RunSorter
+	mergeBuf  []distr.Pair
 	transport flow.Transport
 	sweepBits []uint64
 
@@ -164,6 +166,16 @@ func growPoints(s []geom.Point, n int) []geom.Point {
 func growBools(s []bool, n int) []bool {
 	if cap(s) < n {
 		return make([]bool, n)
+	}
+	return s[:n]
+}
+
+// growPairs returns s resized to n, reusing its capacity.
+//
+//nnc:coldpath amortized buffer growth to the search's high-water size; warm calls reslice
+func growPairs(s []distr.Pair, n int) []distr.Pair {
+	if cap(s) < n {
+		return make([]distr.Pair, n)
 	}
 	return s[:n]
 }

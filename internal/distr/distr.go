@@ -41,7 +41,7 @@ type Distribution struct {
 var errBadProb = errors.New("distr: probabilities must be finite and non-negative")
 
 // PairArena is a slab arena of distribution atoms: a search that owns one
-// carves every atom buffer it hands to Summarize, WeightRuns and Own out of
+// carves every atom buffer it hands to Summarize and MergeRuns out of
 // it, so building distributions never touches the heap once the slabs are
 // warm.
 type PairArena = slab.Arena[Pair]
@@ -182,7 +182,8 @@ func Summarize(runs []Pair, perQ []Stat, u, q *uncertain.Object, dist func(a, b 
 // WeightRuns builds U_Q out of a Summarize buffer: the atoms are copied into
 // dst (same length, and it may be runs itself; ownership passes to the
 // result) with run j's probabilities scaled by p(q_j), then sorted as one
-// distribution.
+// distribution. It is BetweenFunc's path, and the reference MergeRuns is
+// held to; a search builds U_Q with MergeRuns.
 func WeightRuns(dst, runs []Pair, m int, q *uncertain.Object) Distribution {
 	for j := 0; j < q.Len(); j++ {
 		qprob := q.Prob(j)
@@ -191,6 +192,58 @@ func WeightRuns(dst, runs []Pair, m int, q *uncertain.Object) Distribution {
 		}
 	}
 	return Own(dst)
+}
+
+// MergeRuns builds U_Q out of a Summarize buffer whose runs are each sorted
+// by distance (RunSorter): run j's atoms, their probabilities scaled by
+// p(q_j), merged pairwise bottom-up into one sorted distribution — WeightRuns
+// without its sort of all |Q|·m atoms. The atoms are WeightRuns', bit for
+// bit; only their order inside equal distances may differ, which nothing
+// that reads a distribution by value (StochasticLE, Equal) can see. dst
+// (len(runs) atoms) becomes the result's storage; tmp, at least as long, is
+// the merge's second buffer and stays the caller's. runs is left as it is.
+//
+//nnc:hotpath
+func MergeRuns(dst, tmp, runs []Pair, m int, q *uncertain.Object) Distribution {
+	n := len(runs)
+	// Each pass moves the atoms to the other buffer: start in whichever one
+	// makes the last pass land in dst.
+	src, out := dst, tmp
+	for w := m; w < n; w *= 2 {
+		src, out = out, src
+	}
+	for j := 0; j < q.Len(); j++ {
+		qprob := q.Prob(j)
+		for i := j * m; i < (j+1)*m; i++ {
+			src[i] = Pair{Dist: runs[i].Dist, Prob: qprob * runs[i].Prob}
+		}
+	}
+	for w := m; w < n; w *= 2 {
+		for lo := 0; lo < n; lo += 2 * w {
+			mid, hi := min(lo+w, n), min(lo+2*w, n)
+			mergeTwo(out[lo:hi], src[lo:mid], src[mid:hi])
+		}
+		src, out = out, src
+	}
+	return Distribution{pairs: dst}
+}
+
+// mergeTwo merges the sorted a and b into out (len(a)+len(b) atoms), a's
+// atom first on equal distances.
+func mergeTwo(out, a, b []Pair) {
+	i, j, k := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		if b[j].Dist < a[i].Dist {
+			out[k] = b[j]
+			j++
+		} else {
+			out[k] = a[i]
+			i++
+		}
+		k++
+	}
+	k += copy(out[k:], a[i:])
+	copy(out[k:], b[j:])
 }
 
 // Len returns the number of atoms.
