@@ -120,6 +120,8 @@ verify:
 # file -mutable, takes one /insert and is killed with -9, so the insert is
 # in the WAL only. A read-only server on that file must exit 1 naming the
 # log; a -mutable one must replay it and answer /query with the object.
+# `nnc fsck` must print "clean" for the file right after the build and
+# again after the replaying server's clean shutdown.
 smoke:
 	@set -eu; d=$$(mktemp -d); trap 'kill $$(cat $$d/*.pid 2>/dev/null) 2>/dev/null || true; rm -rf $$d' EXIT; \
 	ready() { \
@@ -129,7 +131,8 @@ smoke:
 		echo "smoke: $$1 server never became ready"; cat $$d/$$1.log; exit 1; \
 	}; \
 	$(GO) build -o $$d/nnc ./cmd/nnc; $(GO) build -o $$d/nncserver ./cmd/nncserver; $(GO) build -o $$d/nncclient ./cmd/nncclient; \
-	data='-n=400 -m=6 -seed=7'; $$d/nnc build $$data -out=$$d/o.pg >/dev/null; \
+	checkfile() { $$d/nnc fsck $$d/o.pg >$$d/fsck.txt 2>&1 && tail -1 $$d/fsck.txt | grep -qx clean || { echo "smoke: nnc fsck $$1"; cat $$d/fsck.txt; exit 1; }; }; \
+	data='-n=400 -m=6 -seed=7'; $$d/nnc build $$data -out=$$d/o.pg >/dev/null; checkfile "of the built file failed"; \
 	$$d/nncserver $$data -addr=127.0.0.1:18471 2>$$d/mem.log & echo $$! >$$d/mem.pid; \
 	$$d/nncserver -disk=$$d/o.pg -addr=127.0.0.1:18472 2>$$d/disk.log & echo $$! >$$d/disk.pid; \
 	for s in mem:18471 disk:18472; do \
@@ -158,7 +161,9 @@ smoke:
 	curl -s -X POST 127.0.0.1:18473/query -d '{"instances":[[5000,5000,5000]],"operator":"PSD","k":1}' >$$d/replay.json; \
 	grep -q '"id":900001' $$d/replay.json || { echo "smoke: the insert did not survive the crash"; cat $$d/replay.json $$d/replay.log; exit 1; }; \
 	kill -TERM $$(cat $$d/replay.pid); wait; \
-	echo "smoke: memory and disk servers agree, nncclient drives them, shut down cleanly; a pending WAL is refused read-only and replayed -mutable"
+	grep -q ' bye$$' $$d/replay.log || { echo "smoke: the replay server did not shut down cleanly"; cat $$d/replay.log; exit 1; }; \
+	checkfile "after the replay server's shutdown failed"; \
+	echo "smoke: memory and disk servers agree, nncclient drives them, shut down cleanly; a pending WAL is refused read-only and replayed -mutable; nnc fsck finds the file clean after the build and after the replay"
 
 # The eight fuzz targets: every decoder of bytes this process did not
 # write — the CSV loader, the page-file opener, the object record, the

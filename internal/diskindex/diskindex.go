@@ -118,20 +118,27 @@ func Build(pool *pager.Pool, objs []*uncertain.Object) (*Index, error) {
 	if len(objs) == 0 {
 		return nil, ErrNoObjects
 	}
-	super, _, err := pool.Allocate(pager.PageSuper)
+	return create(pool, objs[0].Dim(), objs)
+}
+
+// create is the one sequence that writes a new file, a bulk build's and an
+// empty mutable file's alike: through the build TxPager, the super page,
+// the store and its records, the tree over them, both metas and the super
+// block, then a flush.
+func create(pool *pager.Pool, dim int, objs []*uncertain.Object) (*Index, error) {
+	tx := pager.NewDirect(pool)
+	super, _, err := tx.Alloc(pager.PageSuper)
 	if err != nil {
 		return nil, err
 	}
-	pool.Unpin(super)
-
-	store, err := diskstore.Create(pool)
+	store, err := diskstore.Create(pool, tx)
 	if err != nil {
 		return nil, err
 	}
 	entries := make([]rtree.Entry, len(objs))
 	span := 0
 	for i, o := range objs {
-		ptr, err := store.Append(o)
+		ptr, err := store.AppendTx(tx, o)
 		if err != nil {
 			return nil, err
 		}
@@ -143,29 +150,29 @@ func Build(pool *pager.Pool, objs []*uncertain.Object) (*Index, error) {
 			span = o.ID() + 1
 		}
 	}
-	if span < 0 {
-		span = 0
-	}
-	tree, err := diskrtree.Build(pool, entries)
+	tree, err := diskrtree.Create(pool, tx, dim, entries)
 	if err != nil {
 		return nil, err
 	}
-
-	buf, err := pool.Get(super)
+	if err := store.WriteMetaTx(tx); err != nil {
+		return nil, err
+	}
+	if err := tree.WriteMetaTx(tx); err != nil {
+		return nil, err
+	}
+	buf, err := tx.Stage(super, pager.PageSuper)
 	if err != nil {
 		return nil, err
 	}
-	sb := SuperBlock{StoreMeta: store.Meta(), TreeMeta: tree.Meta(), Span: span}
+	sb := SuperBlock{StoreMeta: store.Meta(), TreeMeta: tree.Meta(), Span: max(span, 0)}
 	EncodeSuper(buf, sb)
-	pool.MarkDirty(super)
-	pool.Unpin(super)
-	if err := pool.Flush(); err != nil {
+	if err := tx.Flush(); err != nil {
 		return nil, err
 	}
 	return newIndex(pool, super, store, tree, sb), nil
 }
 
-// Open reattaches to an index previously Built in the pool's file.
+// Open reattaches to an index previously written in the pool's file.
 //
 //nnc:allow ctx-flow: Open reads a few metadata pages at startup; it is not on the query path
 func Open(pool *pager.Pool, super pager.PageID) (*Index, error) {
@@ -277,8 +284,6 @@ func (ix *Index) Len() int { return ix.snap.Load().size }
 // deleted records are never touched. Not safe concurrently with
 // Insert/Delete — it is the offline enumeration surface (RewriteFile,
 // open-time id indexing).
-//
-//nnc:allow ctx-flow: ScanLive is an offline full-file enumeration (rewrite/open), not a query; nothing upstream has a ctx to thread
 func (ix *Index) ScanLive(fn func(diskstore.Ptr, *uncertain.Object) error) error {
 	snap := ix.snap.Load()
 	var ptrs []diskstore.Ptr
@@ -397,7 +402,6 @@ func (ix *Index) Expand(n core.NodeRef, visit func(core.BackendEntry)) error {
 	return v.Expand(n, visit)
 }
 
-//nnc:allow ctx-flow: Resolve implements core.Backend, which is ctx-free by design; the engine checks ctx.Err() around every Resolve call
 func (ix *Index) Resolve(r core.ObjRef) (*uncertain.Object, error) {
 	v := ix.direct()
 	return v.Resolve(r)

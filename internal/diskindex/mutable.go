@@ -53,7 +53,6 @@ import (
 	"os"
 
 	"spatialdom/internal/core"
-	"spatialdom/internal/diskrtree"
 	"spatialdom/internal/diskstore"
 	"spatialdom/internal/pager"
 	"spatialdom/internal/rtree"
@@ -219,26 +218,8 @@ func CreateFileMutable(path string, dim int, opts *MutableOptions) (*Index, erro
 	if err != nil {
 		return nil, err
 	}
-	pool := pager.NewPool(pf, o.Frames)
-	super, sbuf, err := pool.Allocate(pager.PageSuper)
+	ix, err := create(pager.NewPool(pf, o.Frames), dim, nil)
 	if err != nil {
-		pf.Close()
-		return nil, err
-	}
-	store, err := diskstore.Create(pool)
-	if err != nil {
-		pf.Close()
-		return nil, err
-	}
-	tree, err := diskrtree.CreateEmpty(pool, dim)
-	if err != nil {
-		pf.Close()
-		return nil, err
-	}
-	EncodeSuper(sbuf, SuperBlock{StoreMeta: store.Meta(), TreeMeta: tree.Meta()})
-	pool.MarkDirty(super)
-	pool.Unpin(super)
-	if err := pool.Flush(); err != nil {
 		pf.Close()
 		return nil, err
 	}
@@ -247,7 +228,6 @@ func CreateFileMutable(path string, dim int, opts *MutableOptions) (*Index, erro
 		pf.Close()
 		return nil, err
 	}
-	ix := newIndex(pool, super, store, tree, SuperBlock{})
 	if err := ix.attachWriter(nil, wlog, o.WALLimit, nil); err != nil {
 		wlog.Close()
 		pf.Close()

@@ -3,11 +3,11 @@
 // in 4096-byte pages and query cost is measured in page accesses.
 //
 // Only what is about disk lives here — the node and meta page formats,
-// creating and reopening a tree, and the two stores the shared algorithms
-// run over: fresh pool pages for a bulk load, copy-on-write pages of a
-// transaction for Insert and Delete. Every node visit of a search is a
-// buffer-pool access, so the pool's hit/miss/read counters measure exactly
-// the I/O behavior a disk-backed deployment would see.
+// creating and reopening a tree, and the one store the shared algorithms
+// run over: the pages of a pager.TxPager, fresh ones in a bulk load and
+// copy-on-write ones in a mutation's Insert and Delete. Every node visit of
+// a search is a buffer-pool access, so the pool's hit/miss/read counters
+// measure exactly the I/O behavior a disk-backed deployment would see.
 //
 // Page layout (little endian):
 //
@@ -43,8 +43,7 @@ type Tree struct {
 
 // Errors.
 var (
-	ErrNoEntries = errors.New("diskrtree: no entries")
-	ErrBadMeta   = errors.New("diskrtree: bad meta page")
+	ErrBadMeta = errors.New("diskrtree: bad meta page")
 	// ErrCorruptNode flags a node page whose bytes fail structural
 	// validation — a checksum-clean page can still be logically damaged,
 	// so every decode is bounds-checked.
@@ -54,69 +53,26 @@ var (
 // maxDim bounds plausible dimensionality in persisted metadata.
 const maxDim = 1 << 10
 
-// Build bulk-loads a tree from entries (STR packing), writing nodes to
-// fresh pages of the pool's file, and flushes the pool.
-func Build(pool *pager.Pool, entries []rtree.Entry) (*Tree, error) {
-	if len(entries) == 0 {
-		return nil, ErrNoEntries
-	}
-	t, err := create(pool, entries[0].Rect.Dim(), entries)
-	if err != nil {
-		return nil, err
-	}
-	return t, pool.Flush()
-}
-
-// CreateEmpty writes a fresh empty tree (meta page + zero-entry leaf
-// root) into the pool's file and returns its handle. The caller flushes.
-func CreateEmpty(pool *pager.Pool, dim int) (*Tree, error) {
+// Create writes a tree of the given dimensionality through tx: the meta
+// page first, so it lands before the nodes, then rtree.BulkLoad of entries
+// (STR packing; no entries gives the empty leaf root). As after any
+// mutation, WriteMetaTx writes the header.
+func Create(pool *pager.Pool, tx pager.TxPager, dim int, entries []rtree.Entry) (*Tree, error) {
 	if dim < 1 || dim > maxDim {
 		return nil, fmt.Errorf("diskrtree: implausible dim %d", dim)
 	}
-	return create(pool, dim, nil)
-}
-
-// create allocates the meta page — first, so reopening finds it at a fixed
-// position — bulk-loads the nodes after it and fills the meta page in.
-func create(pool *pager.Pool, dim int, entries []rtree.Entry) (*Tree, error) {
-	t := &Tree{pool: pool, dim: dim, cap: rtree.DefaultFanout(pool.File().PageSize(), dim)}
-	meta, _, err := pool.Allocate(pager.PageTreeMeta)
+	meta, _, err := tx.Alloc(pager.PageTreeMeta)
 	if err != nil {
 		return nil, err
 	}
-	pool.Unpin(meta)
-	t.meta = meta
-	if t.hdr, err = rtree.BulkLoad((*allocator)(t), t.cap, entries); err != nil {
+	t := &Tree{pool: pool, meta: meta, dim: dim, cap: rtree.DefaultFanout(tx.PageSize(), dim)}
+	if t.hdr, err = rtree.BulkLoad(txStore{tx, dim}, t.cap, entries); err != nil {
 		return nil, err
 	}
-	buf, err := pool.Get(meta)
-	if err != nil {
-		return nil, err
-	}
-	t.encodeMeta(buf)
-	pool.MarkDirty(meta)
-	pool.Unpin(meta)
 	return t, nil
 }
 
-// allocator is the Tree as BulkLoad's store: every node goes to a fresh
-// page of the pool.
-type allocator Tree
-
-func (a *allocator) Write(_ rtree.NodeID, n *rtree.Node) (rtree.NodeID, error) {
-	page, buf, err := a.pool.Allocate(pager.PageTreeNode)
-	if err != nil {
-		return rtree.NoNode, err
-	}
-	defer a.pool.Unpin(page)
-	if err := EncodeNode(buf, a.dim, n); err != nil {
-		return rtree.NoNode, err
-	}
-	a.pool.MarkDirty(page)
-	return rtree.NodeID(page), nil
-}
-
-// Open attaches to a tree previously built in the pool's file, given the
+// Open attaches to a tree previously created in the pool's file, given the
 // meta page id returned by Meta().
 func Open(pool *pager.Pool, meta pager.PageID) (*Tree, error) {
 	buf, err := pool.Get(meta)
@@ -174,15 +130,15 @@ func (t *Tree) State() rtree.Header { return t.hdr }
 // Restore rolls the tree's header back to a captured State.
 func (t *Tree) Restore(h rtree.Header) { t.hdr = h }
 
-// --- transactional mutation --------------------------------------------------
+// --- writes through a TxPager ------------------------------------------------
 
-// txStore is the tree's nodes as one transaction sees them. Every
-// modified node is copy-on-written through the pager.TxPager — re-encoded
-// into a fresh page and its old page freed — so the path from the old root
-// stays byte-identical for searches pinned to the pre-transaction
-// snapshot. Pages the transaction itself allocated are rewritten in place
-// (tx.Owned), keeping the page churn of one insert proportional to the
-// tree height.
+// txStore is the tree's nodes as one TxPager sees them. Every modified
+// node is copy-on-written — re-encoded into a fresh page and its old page
+// freed — so the path from the old root stays byte-identical for searches
+// pinned to the pre-transaction snapshot. Pages the transaction itself
+// allocated are rewritten in place (tx.Owned), keeping the page churn of
+// one insert proportional to the tree height; a bulk load only ever
+// allocates.
 type txStore struct {
 	tx  pager.TxPager
 	dim int

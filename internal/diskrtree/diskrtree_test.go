@@ -35,6 +35,23 @@ func randEntries(rng *rand.Rand, n, d int, scale float64) []rtree.Entry {
 	return es
 }
 
+// build bulk-loads es into a fresh tree through a build's TxPager.
+func build(t *testing.T, pool *pager.Pool, es []rtree.Entry) *Tree {
+	t.Helper()
+	tx := pager.NewDirect(pool)
+	tr, err := Create(pool, tx, es[0].Rect.Dim(), es)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.WriteMetaTx(tx); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
 // search is the window query over the page tree: every node visit is one
 // pool access, which is all the tests below need of it.
 func search(t *testing.T, tr *Tree, page pager.PageID, win geom.Rect, fn func(rtree.Entry) bool) bool {
@@ -70,10 +87,7 @@ func TestCapacity(t *testing.T) {
 		for _, e := range es[:fan] {
 			full.Rects, full.Refs = append(full.Rects, e.Rect), append(full.Refs, e.ID)
 		}
-		tr, err := Build(pool, es)
-		if err != nil {
-			t.Fatal(err)
-		}
+		tr := build(t, pool, es)
 		buf := make([]byte, pool.File().PageSize())
 		if err := EncodeNode(buf, tc.dim, full); err != nil {
 			t.Fatalf("page %d dim %d: %d entries do not fit: %v", tc.pageSize, tc.dim, fan, err)
@@ -89,10 +103,35 @@ func TestCapacity(t *testing.T) {
 	}
 }
 
-func TestBuildEmptyFails(t *testing.T) {
+// No entries give the empty tree: a zero-entry leaf root of height 1,
+// which reopens as such. A dimensionality no page can hold is refused.
+func TestCreateWithoutEntries(t *testing.T) {
 	pool := newPool(t, 512, 8)
-	if _, err := Build(pool, nil); err != ErrNoEntries {
-		t.Fatalf("err = %v", err)
+	tx := pager.NewDirect(pool)
+	if _, err := Create(pool, tx, 0, nil); err == nil {
+		t.Fatal("dim 0 accepted")
+	}
+	tr, err := Create(pool, tx, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.WriteMetaTx(tx); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(pool, tr.Meta())
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, err := re.ReadNodeVia(pool, re.Root())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re.Len() != 0 || re.Height() != 1 || re.Dim() != 2 || !root.Leaf || len(root.Refs) != 0 {
+		t.Fatalf("empty tree reopens as len=%d height=%d dim=%d, root leaf=%v with %d entries",
+			re.Len(), re.Height(), re.Dim(), root.Leaf, len(root.Refs))
 	}
 }
 
@@ -100,10 +139,7 @@ func TestSearchMatchesLinearScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	pool := newPool(t, 512, 16)
 	es := randEntries(rng, 500, 2, 100)
-	tr, err := Build(pool, append([]rtree.Entry(nil), es...))
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := build(t, pool, append([]rtree.Entry(nil), es...))
 	if tr.Len() != 500 || tr.Dim() != 2 || tr.Height() < 2 {
 		t.Fatalf("metadata: len=%d dim=%d h=%d", tr.Len(), tr.Dim(), tr.Height())
 	}
@@ -135,10 +171,7 @@ func TestSearchMatchesLinearScan(t *testing.T) {
 func TestSearchEarlyStop(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	pool := newPool(t, 512, 16)
-	tr, err := Build(pool, randEntries(rng, 200, 2, 10))
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := build(t, pool, randEntries(rng, 200, 2, 10))
 	count := 0
 	search(t, tr, tr.Root(), geom.Rect{Lo: geom.Point{0, 0}, Hi: geom.Point{10, 10}}, func(rtree.Entry) bool {
 		count++
@@ -159,14 +192,8 @@ func TestReopen(t *testing.T) {
 	pool := pager.NewPool(pf, 16)
 	rng := rand.New(rand.NewSource(33))
 	es := randEntries(rng, 120, 3, 50)
-	tr, err := Build(pool, append([]rtree.Entry(nil), es...))
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := build(t, pool, append([]rtree.Entry(nil), es...))
 	meta := tr.Meta()
-	if err := pool.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	pf.Close()
 
 	pf2, err := pager.Open(path)
@@ -209,22 +236,19 @@ func TestOpenBadMeta(t *testing.T) {
 func TestIOAccounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	pool := newPool(t, 512, 256) // large enough to hold the whole tree
-	tr, err := Build(pool, randEntries(rng, 800, 2, 100))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool.ResetStats()
+	tr := build(t, pool, randEntries(rng, 800, 2, 100))
+	h0, m0, r0, _ := pool.Stats()
 	all := geom.Rect{Lo: geom.Point{0, 0}, Hi: geom.Point{100, 100}}
 	search(t, tr, tr.Root(), all, func(rtree.Entry) bool { return true })
 	hits, misses, reads, _ := pool.Stats()
-	if hits+misses == 0 {
+	if hits-h0+misses-m0 == 0 {
 		t.Fatal("no pool accesses recorded")
 	}
-	if reads != misses {
-		t.Fatalf("physical reads %d != misses %d", reads, misses)
+	if reads-r0 != misses-m0 {
+		t.Fatalf("physical reads %d != misses %d", reads-r0, misses-m0)
 	}
 	// A second identical search on a warm pool must be mostly hits.
-	h0 := hits
+	h0 = hits
 	search(t, tr, tr.Root(), all, func(rtree.Entry) bool { return true })
 	hits2, misses2, _, _ := pool.Stats()
 	if hits2-h0 == 0 {
@@ -240,10 +264,7 @@ func TestNodeRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	pool := newPool(t, 512, 16)
 	es := randEntries(rng, 60, 2, 50)
-	tr, err := Build(pool, append([]rtree.Entry(nil), es...))
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := build(t, pool, append([]rtree.Entry(nil), es...))
 	// Walk the whole tree; every leaf entry must match an input entry.
 	byID := map[int64]geom.Rect{}
 	for _, e := range es {

@@ -54,7 +54,7 @@ func FuzzNodeDecode(f *testing.F) {
 			}
 			return
 		}
-		// Only a leaf may be empty: CreateEmpty writes a zero-entry leaf
+		// Only a leaf may be empty: Create without entries writes a zero-entry leaf
 		// root, and the decoder accepts exactly that.
 		if n == nil || (len(n.Rects) < 1 && !n.Leaf) {
 			t.Fatal("accepted internal node has no entries")

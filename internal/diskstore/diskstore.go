@@ -1,13 +1,21 @@
 // Package diskstore stores serialized multi-instance objects in a page
 // file: the object heap of the disk-resident index. Records are appended
-// to a logical byte stream laid out over consecutively allocated pages and
-// addressed by their stream offset, so a record fetch touches exactly the
-// ⌈len/pageSize⌉ pages holding it — the unit the paper's disk-bound
-// experiments count.
+// to a logical byte stream laid out over data pages that a page directory
+// lists in stream order, and addressed by their stream offset, so a record
+// fetch touches exactly the ⌈len/pageSize⌉ pages holding it — the unit the
+// paper's disk-bound experiments count. Every write goes through a
+// pager.TxPager: a bulk build's and a mutation's are the same code.
 //
-// Record layout (little endian):
+// Layouts (little endian):
 //
-//	id i64 | m u32 | d u32 | probs m×f64 | coords (m·d)×f64 | label len u16 | label
+//	record:    id i64 | m u32 | d u32 | probs m×f64 | coords (m·d)×f64 | label len u16 | label
+//	meta:      "SDST" | 0 u32 | data pages u32 | tail u64 | records u32 | directory head u32
+//	directory: count u16 | next u32 | data page ids u32 × count
+//
+// Meta bytes 4–8 are written 0. A heap written before the store always kept
+// a directory has none (head 0) and lies in the contiguous pages starting
+// at the id those bytes hold; Open lists them, and the first append
+// persists that directory.
 package diskstore
 
 import (
@@ -25,12 +33,9 @@ const metaMagic = "SDST"
 // Ptr addresses a record by its logical stream offset.
 type Ptr uint64
 
-// Store is an append-only object heap over a buffer pool. Bulk-build
-// appends (Append) require data pages to stay contiguous — build the
-// store fully before building other structures. Transactional appends
-// (AppendTx) lift that restriction by maintaining an explicit page
-// directory, so a mutable index can interleave heap growth with R-tree
-// page allocation.
+// Store is an append-only object heap read through a buffer pool and
+// written through a pager.TxPager (AppendTx, WriteMetaTx). Its page
+// directory lets heap growth interleave with R-tree page allocation.
 //
 // A Store handle is single-writer. Readers run against an immutable
 // Clone taken at snapshot-install time: the writer never mutates a dir
@@ -39,16 +44,12 @@ type Ptr uint64
 type Store struct {
 	pool  *pager.Pool
 	meta  pager.PageID
-	first pager.PageID // first data page (0 until the first append)
-	pages int          // number of data pages
-	tail  uint64       // logical length in bytes
-	count int          // number of records ever appended (deletes don't decrement)
+	tail  uint64 // logical length in bytes
+	count int    // number of records ever appended (deletes don't decrement)
 
-	// dir maps data-page index to page id once the store has gone
-	// through a transactional append; nil means the legacy contiguous
-	// layout [first, first+pages). dirPages is the on-disk chain holding
-	// it; dirtyFrom is the first directory index whose persisted form is
-	// stale (len(dir)+1 when none).
+	// dir maps data-page index to page id. dirPages is the on-disk chain
+	// holding it; dirtyFrom is the first directory index whose persisted
+	// form is stale (len(dir)+1 when none).
 	dir       []pager.PageID
 	dirPages  []pager.PageID
 	dirHead   pager.PageID
@@ -63,14 +64,6 @@ var ErrBadMeta = errors.New("diskstore: bad meta page")
 // decode is bounds-checked and errors.Is(err, ErrCorrupt) identifies it.
 var ErrCorrupt = errors.New("diskstore: corrupt record")
 
-// ErrDirBacked is returned by bulk appends on a directory-backed store,
-// whose data pages are chained rather than contiguous.
-var ErrDirBacked = errors.New("diskstore: bulk append on a directory-backed store")
-
-// ErrNotContiguous is returned when interleaved allocation breaks the
-// bulk-build invariant that data pages come out back-to-back.
-var ErrNotContiguous = errors.New("diskstore: data pages not contiguous (interleaved allocation)")
-
 // Structural plausibility bounds for decoded records. Anything beyond these
 // is treated as corruption rather than allocated.
 const (
@@ -78,15 +71,14 @@ const (
 	maxDim       = 1 << 10
 )
 
-// Create allocates a store (and its meta page) in the pool's file.
-func Create(pool *pager.Pool) (*Store, error) {
-	meta, _, err := pool.Allocate(pager.PageStoreMeta)
+// Create allocates an empty store's meta page through tx; the store reads
+// through pool. As after any append, WriteMetaTx writes the header.
+func Create(pool *pager.Pool, tx pager.TxPager) (*Store, error) {
+	meta, _, err := tx.Alloc(pager.PageStoreMeta)
 	if err != nil {
 		return nil, err
 	}
-	pool.Unpin(meta)
-	s := &Store{pool: pool, meta: meta}
-	return s, s.writeMeta()
+	return &Store{pool: pool, meta: meta}, nil
 }
 
 // Open attaches to an existing store given its meta page id.
@@ -99,33 +91,40 @@ func Open(pool *pager.Pool, meta pager.PageID) (*Store, error) {
 	if string(buf[:4]) != metaMagic {
 		return nil, ErrBadMeta
 	}
+	first := pager.PageID(binary.LittleEndian.Uint32(buf[4:]))
+	pages := int(binary.LittleEndian.Uint32(buf[8:]))
 	s := &Store{
 		pool:    pool,
 		meta:    meta,
-		first:   pager.PageID(binary.LittleEndian.Uint32(buf[4:])),
-		pages:   int(binary.LittleEndian.Uint32(buf[8:])),
 		tail:    binary.LittleEndian.Uint64(buf[12:]),
 		count:   int(binary.LittleEndian.Uint32(buf[20:])),
 		dirHead: pager.PageID(binary.LittleEndian.Uint32(buf[24:])),
 	}
 	ps := uint64(pool.File().PageSize())
-	if s.tail > uint64(s.pages)*ps || (s.pages > 0 && s.first == 0 && s.dirHead == 0) || s.count < 0 {
-		return nil, fmt.Errorf("%w: tail %d beyond %d data pages", ErrBadMeta, s.tail, s.pages)
+	if s.tail > uint64(pages)*ps || (pages > 0 && first == 0 && s.dirHead == 0) || s.count < 0 {
+		return nil, fmt.Errorf("%w: tail %d beyond %d data pages", ErrBadMeta, s.tail, pages)
 	}
-	if s.dirHead != 0 {
-		if err := s.readDir(); err != nil {
-			return nil, err
+	if s.dirHead == 0 {
+		// A heap from before the directory: pages [first, first+pages),
+		// listed here and persisted by the first append.
+		for i := range pages {
+			s.dir = append(s.dir, first+pager.PageID(i))
 		}
+		return s, nil
 	}
-	s.dirtyFrom = s.pages + 1
+	if err := s.readDir(pages); err != nil {
+		return nil, err
+	}
+	s.dirtyFrom = pages + 1
 	return s, nil
 }
 
 // dirPerPage is the directory entries one chain page holds.
 func (s *Store) dirPerPage() int { return (s.pool.File().PageSize() - 6) / 4 }
 
-// readDir walks the on-disk directory chain into s.dir/s.dirPages.
-func (s *Store) readDir() error {
+// readDir walks the on-disk directory chain into s.dir/s.dirPages and
+// checks it lists the meta's count of data pages.
+func (s *Store) readDir(pages int) error {
 	per := s.dirPerPage()
 	seen := make(map[pager.PageID]bool)
 	next := s.dirHead
@@ -156,27 +155,16 @@ func (s *Store) readDir() error {
 		s.dirPages = append(s.dirPages, next)
 		next = link
 	}
-	if len(s.dir) != s.pages {
-		return fmt.Errorf("%w: directory holds %d pages, meta declares %d", ErrBadMeta, len(s.dir), s.pages)
+	if len(s.dir) != pages {
+		return fmt.Errorf("%w: directory holds %d pages, meta declares %d", ErrBadMeta, len(s.dir), pages)
 	}
-	return nil
-}
-
-func (s *Store) writeMeta() error {
-	buf, err := s.pool.Get(s.meta)
-	if err != nil {
-		return err
-	}
-	defer s.pool.Unpin(s.meta)
-	s.encodeMeta(buf)
-	s.pool.MarkDirty(s.meta)
 	return nil
 }
 
 func (s *Store) encodeMeta(buf []byte) {
 	copy(buf, metaMagic)
-	binary.LittleEndian.PutUint32(buf[4:], uint32(s.first))
-	binary.LittleEndian.PutUint32(buf[8:], uint32(s.pages))
+	binary.LittleEndian.PutUint32(buf[4:], 0)
+	binary.LittleEndian.PutUint32(buf[8:], uint32(len(s.dir)))
 	binary.LittleEndian.PutUint64(buf[12:], s.tail)
 	binary.LittleEndian.PutUint32(buf[20:], uint32(s.count))
 	binary.LittleEndian.PutUint32(buf[24:], uint32(s.dirHead))
@@ -187,18 +175,6 @@ func (s *Store) Meta() pager.PageID { return s.meta }
 
 // Len returns the number of stored records.
 func (s *Store) Len() int { return s.count }
-
-// Append serializes the object and returns its record pointer.
-func (s *Store) Append(o *uncertain.Object) (Ptr, error) {
-	rec := encode(o)
-	ptr := Ptr(s.tail)
-	if err := s.writeAt(s.tail, rec); err != nil {
-		return 0, err
-	}
-	s.tail += uint64(len(rec))
-	s.count++
-	return ptr, s.writeMeta()
-}
 
 // Read fetches and decodes the record at ptr, counting page accesses on
 // the shared pool.
@@ -338,59 +314,20 @@ func encode(o *uncertain.Object) []byte {
 	return rec
 }
 
-// page returns the page id holding logical offset off, extending the data
-// area when extend is set (bulk-build path: pages must come out
-// contiguous; transactional appends grow through AppendTx instead).
-func (s *Store) page(off uint64, extend bool) (pager.PageID, int, error) {
+// page returns the page id holding logical offset off and the offset
+// within it.
+func (s *Store) page(off uint64) (pager.PageID, int, error) {
 	ps := uint64(s.pool.File().PageSize())
 	idx := int(off / ps)
-	for extend && idx >= s.pages {
-		if s.dir != nil {
-			return pager.InvalidPage, 0, ErrDirBacked
-		}
-		id, _, err := s.pool.Allocate(pager.PageStoreData)
-		if err != nil {
-			return pager.InvalidPage, 0, err
-		}
-		s.pool.Unpin(id)
-		if s.pages == 0 {
-			s.first = id
-		} else if id != s.first+pager.PageID(s.pages) {
-			return pager.InvalidPage, 0, ErrNotContiguous
-		}
-		s.pages++
-	}
-	if idx >= s.pages {
+	if idx >= len(s.dir) {
 		return pager.InvalidPage, 0, fmt.Errorf("diskstore: offset %d beyond data area", off)
 	}
-	if s.dir != nil {
-		return s.dir[idx], int(off % ps), nil
-	}
-	return s.first + pager.PageID(idx), int(off % ps), nil
-}
-
-func (s *Store) writeAt(off uint64, data []byte) error {
-	for len(data) > 0 {
-		id, inPage, err := s.page(off, true)
-		if err != nil {
-			return err
-		}
-		buf, err := s.pool.Get(id)
-		if err != nil {
-			return err
-		}
-		n := copy(buf[inPage:], data)
-		s.pool.MarkDirty(id)
-		s.pool.Unpin(id)
-		data = data[n:]
-		off += uint64(n)
-	}
-	return nil
+	return s.dir[idx], int(off % ps), nil
 }
 
 func (s *Store) readAtVia(r pager.Reader, off uint64, data []byte) error {
 	for len(data) > 0 {
-		id, inPage, err := s.page(off, false)
+		id, inPage, err := s.page(off)
 		if err != nil {
 			return err
 		}

@@ -24,6 +24,17 @@ func newPool(t *testing.T, pageSize int) (*pager.Pool, string) {
 	return pager.NewPool(pf, 32), path
 }
 
+// create makes an empty store written through a build's TxPager.
+func create(t *testing.T, pool *pager.Pool) (*Store, *pager.Direct) {
+	t.Helper()
+	tx := pager.NewDirect(pool)
+	s, err := Create(pool, tx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, tx
+}
+
 func sameObject(t *testing.T, a, b *uncertain.Object) {
 	t.Helper()
 	if a.ID() != b.ID() || a.Len() != b.Len() || a.Dim() != b.Dim() || a.Label() != b.Label() {
@@ -41,18 +52,15 @@ func sameObject(t *testing.T, a, b *uncertain.Object) {
 
 func TestAppendReadRoundTrip(t *testing.T) {
 	pool, _ := newPool(t, 256)
-	s, err := Create(pool)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, tx := create(t, pool)
 	a := uncertain.MustNew(7, []geom.Point{{1, 2}, {3, 4}}, []float64{1, 3}).SetLabel("alpha")
 	b := uncertain.MustNew(-3, []geom.Point{{9, 9, 9}}, nil)
 	// b has a different dimensionality — the store doesn't care.
-	pa, err := s.Append(a)
+	pa, err := s.AppendTx(tx, a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pb, err := s.Append(b)
+	pb, err := s.AppendTx(tx, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,16 +82,13 @@ func TestAppendReadRoundTrip(t *testing.T) {
 // Records larger than a page must span pages transparently.
 func TestLargeRecordSpansPages(t *testing.T) {
 	pool, _ := newPool(t, 128)
-	s, err := Create(pool)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, tx := create(t, pool)
 	pts := make([]geom.Point, 50) // 50×3×8 = 1200 bytes of coords alone
 	for i := range pts {
 		pts[i] = geom.Point{float64(i), float64(i * 2), float64(i * 3)}
 	}
 	o := uncertain.MustNew(1, pts, nil)
-	ptr, err := s.Append(o)
+	ptr, err := s.AppendTx(tx, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,19 +106,19 @@ func TestPersistAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool := pager.NewPool(pf, 16)
-	s, err := Create(pool)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, tx := create(t, pool)
 	meta := s.Meta()
 	ds := datagen.Generate(datagen.Params{N: 30, M: 5, Seed: 3})
 	ptrs := make([]Ptr, len(ds.Objects))
 	for i, o := range ds.Objects {
-		if ptrs[i], err = s.Append(o); err != nil {
+		if ptrs[i], err = s.AppendTx(tx, o); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := pool.Flush(); err != nil {
+	if err := s.WriteMetaTx(tx); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	pf.Close()
@@ -155,10 +160,7 @@ func TestOpenBadMeta(t *testing.T) {
 
 func TestReadBeyondEnd(t *testing.T) {
 	pool, _ := newPool(t, 256)
-	s, err := Create(pool)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, _ := create(t, pool)
 	if _, err := s.Read(Ptr(9999)); err == nil {
 		t.Fatal("read beyond end accepted")
 	}
@@ -166,10 +168,7 @@ func TestReadBeyondEnd(t *testing.T) {
 
 func TestManyRandomObjects(t *testing.T) {
 	pool, _ := newPool(t, 512)
-	s, err := Create(pool)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, tx := create(t, pool)
 	rng := rand.New(rand.NewSource(44))
 	var objs []*uncertain.Object
 	var ptrs []Ptr
@@ -182,7 +181,7 @@ func TestManyRandomObjects(t *testing.T) {
 			ws[k] = rng.Float64() + 0.01
 		}
 		o := uncertain.MustNew(i, pts, ws)
-		ptr, err := s.Append(o)
+		ptr, err := s.AppendTx(tx, o)
 		if err != nil {
 			t.Fatal(err)
 		}

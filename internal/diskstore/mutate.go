@@ -1,9 +1,9 @@
 package diskstore
 
-// Transactional appends for the mutable disk index. AppendTx writes a
-// record through a pager.TxPager instead of the pool, so nothing touches
-// the WAL, the cache or the file until the surrounding transaction
-// commits. Two disciplines make concurrent readers safe without locks:
+// Appends through a pager.TxPager. Under a build's Direct every page is the
+// build's own and is written in place; under a mutation's transaction
+// nothing touches the WAL, the cache or the file until the transaction
+// commits, and two disciplines make concurrent readers safe without locks:
 //
 //   - Data pages are copy-on-write: extending the partially-filled tail
 //     page re-encodes it into a fresh page and frees the old one, so a
@@ -28,6 +28,7 @@ package diskstore
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"spatialdom/internal/pager"
 	"spatialdom/internal/uncertain"
@@ -43,8 +44,6 @@ func (s *Store) Clone() *Store {
 
 // State captures the store's mutable header for transaction rollback.
 type State struct {
-	First     pager.PageID
-	Pages     int
 	Tail      uint64
 	Count     int
 	Dir       []pager.PageID
@@ -56,61 +55,36 @@ type State struct {
 // State snapshots the mutable fields.
 func (s *Store) State() State {
 	return State{
-		First: s.first, Pages: s.pages, Tail: s.tail, Count: s.count,
+		Tail: s.tail, Count: s.count,
 		Dir: s.dir, DirPages: s.dirPages, DirHead: s.dirHead, DirtyFrom: s.dirtyFrom,
 	}
 }
 
 // Restore rolls the mutable fields back to a captured State.
 func (s *Store) Restore(st State) {
-	s.first, s.pages, s.tail, s.count = st.First, st.Pages, st.Tail, st.Count
+	s.tail, s.count = st.Tail, st.Count
 	s.dir, s.dirPages, s.dirHead, s.dirtyFrom = st.Dir, st.DirPages, st.DirHead, st.DirtyFrom
 }
 
 // DataPages returns the ids of the store's data pages in stream order —
 // the reachability set fsck walks.
-func (s *Store) DataPages() []pager.PageID {
-	out := make([]pager.PageID, s.pages)
-	for i := range out {
-		if s.dir != nil {
-			out[i] = s.dir[i]
-		} else {
-			out[i] = s.first + pager.PageID(i)
-		}
-	}
-	return out
-}
+func (s *Store) DataPages() []pager.PageID { return slices.Clone(s.dir) }
 
-// DirPages returns the ids of the directory chain pages (empty for the
-// contiguous layout).
-func (s *Store) DirPages() []pager.PageID {
-	out := make([]pager.PageID, len(s.dirPages))
-	copy(out, s.dirPages)
-	return out
-}
+// DirPages returns the ids of the directory chain pages (none for a heap
+// from before the directory that no append has touched yet).
+func (s *Store) DirPages() []pager.PageID { return slices.Clone(s.dirPages) }
 
 // Tail returns the logical stream length in bytes.
 func (s *Store) Tail() uint64 { return s.tail }
 
 // AppendTx serializes the object into the staged page set of the
 // surrounding transaction and returns its record pointer. The partially
-// filled tail page, if extended, is copy-on-written; fresh data pages
-// come from the transaction's allocator.
+// filled tail page, if extended, is copy-on-written unless tx owns it;
+// fresh data pages come from the transaction's allocator.
 func (s *Store) AppendTx(tx pager.TxPager, o *uncertain.Object) (Ptr, error) {
 	rec := encode(o)
 	ptr := Ptr(s.tail)
 	ps := uint64(tx.PageSize())
-
-	// Ensure the directory exists: copy-on-write of the tail page (and
-	// any later reopen) needs explicit page ids.
-	if s.dir == nil && s.pages > 0 {
-		s.dir = make([]pager.PageID, s.pages)
-		for i := range s.dir {
-			s.dir[i] = s.first + pager.PageID(i)
-		}
-		s.dirtyFrom = 0
-	}
-
 	off := s.tail
 	data := rec
 	for len(data) > 0 {
@@ -118,7 +92,7 @@ func (s *Store) AppendTx(tx pager.TxPager, o *uncertain.Object) (Ptr, error) {
 		inPage := int(off % ps)
 		var buf []byte
 		switch {
-		case idx < s.pages && inPage > 0:
+		case idx < len(s.dir) && inPage > 0:
 			// Extending the partially filled tail page: copy-on-write
 			// unless this transaction already owns it.
 			old := s.dir[idx]
@@ -142,7 +116,7 @@ func (s *Store) AppendTx(tx pager.TxPager, o *uncertain.Object) (Ptr, error) {
 				tx.Free(old)
 				buf = b
 			}
-		case idx < s.pages:
+		case idx < len(s.dir):
 			// A write at offset 0 of an existing page would mean the tail
 			// sits at or before that page's start — impossible while tail
 			// and the page count agree.
@@ -155,10 +129,6 @@ func (s *Store) AppendTx(tx pager.TxPager, o *uncertain.Object) (Ptr, error) {
 			s.dir = append(s.dir, id)
 			if s.dirtyFrom > idx {
 				s.dirtyFrom = idx
-			}
-			s.pages++
-			if s.pages == 1 {
-				s.first = id
 			}
 			buf = b
 		}
@@ -239,8 +209,7 @@ func (s *Store) syncDirTx(tx pager.TxPager) error {
 	return nil
 }
 
-// WriteMetaTx stages the store's meta page with its current header — the
-// transaction-side counterpart of writeMeta.
+// WriteMetaTx stages the store's meta page with its current header.
 func (s *Store) WriteMetaTx(tx pager.TxPager) error {
 	buf, err := tx.Stage(s.meta, pager.PageStoreMeta)
 	if err != nil {

@@ -55,16 +55,13 @@ func TestQuickRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pf.Close()
-	s, err := Create(pager.NewPool(pf, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, tx := create(t, pager.NewPool(pf, 8))
 	f := func(r rawRecord) bool {
 		o, err := r.object()
 		if err != nil {
 			return false
 		}
-		ptr, err := s.Append(o)
+		ptr, err := s.AppendTx(tx, o)
 		if err != nil {
 			return false
 		}

@@ -90,6 +90,6 @@ func TestPoolGetMissingPage(t *testing.T) {
 func TestMarkDirtyUnknownPage(t *testing.T) {
 	pf := newFile(t, 128)
 	pool := NewPool(pf, 2)
-	pool.MarkDirty(99) // no-op, must not panic
+	pool.markDirty(99) // no-op, must not panic
 	pool.Unpin(99)     // same
 }

@@ -39,9 +39,6 @@ type Lease struct {
 	Hits, Misses, Reads int64
 }
 
-// NewLease returns a fresh per-search lease over the pool.
-func (p *Pool) NewLease() *Lease { return p.NewLeaseCtx(context.Background()) }
-
 // NewLeaseCtx returns a per-search lease whose page waits (transient-retry
 // backoff, in-flight load coalescing) honor ctx — the request context of
 // the search the lease belongs to.
@@ -70,6 +67,3 @@ func (l *Lease) Get(id PageID) ([]byte, error) {
 
 // Unpin releases one pin on the page.
 func (l *Lease) Unpin(id PageID) { l.pool.Unpin(id) }
-
-// Accesses returns the lease's logical page accesses (hits + misses).
-func (l *Lease) Accesses() int64 { return l.Hits + l.Misses }

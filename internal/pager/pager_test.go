@@ -2,6 +2,7 @@ package pager
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math/rand"
 	"os"
@@ -165,7 +166,7 @@ func TestPoolCachesPages(t *testing.T) {
 		t.Fatal(err)
 	}
 	copy(buf, "cached")
-	pool.MarkDirty(id)
+	pool.markDirty(id)
 	pool.Unpin(id)
 
 	// Second access must be a hit with the same content.
@@ -193,7 +194,7 @@ func TestPoolEvictionWritesBack(t *testing.T) {
 			t.Fatal(err)
 		}
 		buf[0] = byte(100 + i)
-		pool.MarkDirty(id)
+		pool.markDirty(id)
 		pool.Unpin(id)
 		ids = append(ids, id)
 	}
@@ -219,7 +220,7 @@ func TestPoolPinnedPagesSurvive(t *testing.T) {
 	pool := NewPool(pf, 2)
 	id1, b1, _ := pool.Allocate(PageUnknown)
 	copy(b1, "pinned")
-	pool.MarkDirty(id1)
+	pool.markDirty(id1)
 	// id1 stays pinned while we churn through other pages.
 	for i := 0; i < 3; i++ {
 		id, _, err := pool.Allocate(PageUnknown)
@@ -277,7 +278,7 @@ func TestPoolFlushPersists(t *testing.T) {
 	pool := NewPool(pf, 4)
 	id, buf, _ := pool.Allocate(PageUnknown)
 	copy(buf, "flushed")
-	pool.MarkDirty(id)
+	pool.markDirty(id)
 	pool.Unpin(id)
 	if err := pool.Flush(); err != nil {
 		t.Fatal(err)
@@ -314,6 +315,7 @@ func TestPoolRandomizedShadow(t *testing.T) {
 		ids = append(ids, id)
 		shadow[id] = 0
 	}
+	h0, m0, _, _ := pool.Stats()
 	for step := 0; step < 500; step++ {
 		id := ids[rng.Intn(len(ids))]
 		buf, err := pool.Get(id)
@@ -327,14 +329,13 @@ func TestPoolRandomizedShadow(t *testing.T) {
 			v := byte(rng.Intn(256))
 			buf[0] = v
 			shadow[id] = v
-			pool.MarkDirty(id)
+			pool.markDirty(id)
 		}
 		pool.Unpin(id)
 	}
-	pool.ResetStats()
-	h, m, r, w := pool.Stats()
-	if h+m+r+w != 0 {
-		t.Fatal("ResetStats did not zero counters")
+	h, m, _, _ := pool.Stats()
+	if got := h - h0 + m - m0; got != 500 {
+		t.Fatalf("500 gets counted %d hits and misses", got)
 	}
 }
 
@@ -363,7 +364,7 @@ func TestPoolConcurrentLeases(t *testing.T) {
 			t.Fatal(err)
 		}
 		buf[0] = byte(id) // stamp each page with its id
-		pool.MarkDirty(id)
+		pool.markDirty(id)
 		pool.Unpin(id)
 		ids = append(ids, id)
 	}
@@ -377,7 +378,7 @@ func TestPoolConcurrentLeases(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			lease := pool.NewLease()
+			lease := pool.NewLeaseCtx(context.Background())
 			rng := rand.New(rand.NewSource(int64(g)))
 			for r := 0; r < rounds; r++ {
 				id := ids[rng.Intn(len(ids))]
@@ -393,7 +394,7 @@ func TestPoolConcurrentLeases(t *testing.T) {
 				}
 				lease.Unpin(id)
 			}
-			if got := lease.Accesses(); got != rounds {
+			if got := lease.Hits + lease.Misses; got != rounds {
 				t.Errorf("lease counted %d accesses, want %d", got, rounds)
 			}
 			mu.Lock()

@@ -99,8 +99,9 @@ func (p *Pool) shardFor(id PageID) *poolShard {
 	return &p.shards[uint32(id)%uint32(len(p.shards))]
 }
 
-// Get pins page id and returns its buffer. The caller must Unpin it;
-// mutations must be flagged with MarkDirty before Unpin. Safe for
+// Get pins page id and returns its buffer. The caller must Unpin it and
+// must not write the buffer: pages change only through Put (a committed
+// transaction's images) and Direct (a build's own frames). Safe for
 // concurrent use; per-call hit/miss attribution is available through a
 // Lease.
 func (p *Pool) Get(id PageID) ([]byte, error) { return p.GetCtx(context.Background(), id) }
@@ -296,8 +297,8 @@ func (p *Pool) Put(id PageID, buf []byte, t PageType) error {
 	return nil
 }
 
-// MarkDirty flags a pinned page as modified.
-func (p *Pool) MarkDirty(id PageID) {
+// markDirty flags a pinned page as modified: Direct's write of a frame.
+func (p *Pool) markDirty(id PageID) {
 	sh := p.shardFor(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -323,7 +324,7 @@ func (p *Pool) Flush() error {
 		sh.mu.Lock()
 		for _, fr := range sh.frames {
 			if fr.dirty {
-				//nnc:allow lock-balance: Flush is a stop-the-world checkpoint off the query path; the write must stay under the shard lock to serialize against MarkDirty
+				//nnc:allow lock-balance: Flush is a stop-the-world checkpoint off the query path; the write must stay under the shard lock to serialize against markDirty
 				if err := p.file.WritePage(fr.id, fr.buf, fr.ptype); err != nil {
 					sh.mu.Unlock()
 					return err
@@ -344,14 +345,6 @@ func (p *Pool) Stats() (hits, misses, reads, writes int64) {
 
 // FaultStats returns the underlying file's cumulative fault counters.
 func (p *Pool) FaultStats() faults.Stats { return p.file.FaultStats() }
-
-// ResetStats zeroes all counters (pool and file).
-func (p *Pool) ResetStats() {
-	p.hits.Store(0)
-	p.misses.Store(0)
-	p.file.reads.Store(0)
-	p.file.writes.Store(0)
-}
 
 // frameCount returns the total number of resident frames (test hook for
 // the overflow-and-shrink behavior).
