@@ -24,6 +24,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"sync"
 	"time"
 
@@ -256,14 +257,24 @@ type searchScratch struct {
 // order: the entry test counts dominators up to k, whichever members they
 // are, so it never needs to know which row belongs to which member. Under
 // F+SD, whose rectangle predicate is not a far/near comparison, it is empty.
+//
+// "Can any entry left in the heap survive?" (the search's stopping test):
+// radius is the square root of the k-th smallest MaxSqDistRect(member MBR,
+// query MBR) — the AnswerShield's farK, kept in nearest by the same helper
+// (keepNearestFar) — and an entry whose min-distance key exceeds it is
+// dominated by k members (shield.go's proof). It is +Inf until k members
+// are in, and stays +Inf under F+SD, off the Euclidean metric and without
+// Filters.Geometric, where farK is +Inf or object entries are not pruned.
 type band struct {
 	objs      []*uncertain.Object
 	mean, max []float64
 	far       []float64
+	nearest   []float64
+	radius    float64
 }
 
 // push appends o, which c has just found to have fewer than k dominators.
-func (b *band) push(c *Checker, o *uncertain.Object) {
+func (b *band) push(c *Checker, o *uncertain.Object, k int) {
 	st := c.summaryOf(o).stat
 	b.objs = append(b.objs, o)
 	b.mean = append(b.mean, st.Mean)
@@ -275,7 +286,17 @@ func (b *band) push(c *Checker, o *uncertain.Object) {
 	for _, q := range c.hullPts {
 		b.far = append(b.far, c.far(q, mbr))
 	}
+	if c.euclid && c.cfg.Geometric {
+		b.nearest = keepNearestFar(b.nearest, k, mbr, c.qMBR)
+		if len(b.nearest) == k {
+			b.radius = math.Sqrt(b.nearest[k-1])
+		}
+	}
 }
+
+// beyond reports whether an entry keyed key lies past the band's radius, so
+// that k members dominate its rectangle whatever the rectangle is.
+func (b *band) beyond(key float64) bool { return key > b.radius }
 
 // toFront moves member i to position 0, shifting the members before it.
 func (b *band) toFront(i int) {
@@ -291,6 +312,7 @@ func (b *band) toFront(i int) {
 func (b *band) clear() {
 	clear(b.objs)
 	b.objs, b.mean, b.max, b.far = b.objs[:0], b.mean[:0], b.max[:0], b.far[:0]
+	b.nearest = b.nearest[:0]
 }
 
 // dominators counts, stopping at k, the members of b[:n] that dominate v.
@@ -359,7 +381,10 @@ func (sc *searchScratch) release() {
 // whose MBR is dominated by k existing candidates (Theorem 4). Surviving
 // objects are resolved and re-keyed by their exact min(U_Q) before
 // evaluation — and exact-key ties are evaluated as one batch — so the
-// transitivity-based correctness argument of Section 5.2 applies.
+// transitivity-based correctness argument of Section 5.2 applies. The
+// traversal stops, without popping, once no exact-keyed object is waiting
+// and the smallest key exceeds the band's radius: everything left would be
+// pruned on its MBR, and is counted as pruned.
 //
 // The context is checked once per heap pop and once per candidate
 // emission; on cancellation the partial Result (with timing, dominance
@@ -406,6 +431,7 @@ func searchBackend(ctx context.Context, sc *searchScratch, b Backend, q *uncerta
 	h := &sc.heap
 	batch := sc.batch
 	band := &sc.band
+	band.radius = math.Inf(1) // no stop until push has seen k members
 	defer func() { sc.batch = batch }()
 
 	finish := func() {
@@ -419,6 +445,7 @@ func searchBackend(ctx context.Context, sc *searchScratch, b Backend, q *uncerta
 	h.push(searchItem{kind: kindNode, node: root})
 
 	var expandErr error
+	exact := 0 // exact-keyed items in the heap
 	// partial accumulates unavailable reads (quarantined pages); non-nil
 	// means the search completed in degraded mode.
 	var partial *PartialResultError
@@ -482,6 +509,7 @@ func searchBackend(ctx context.Context, sc *searchScratch, b Backend, q *uncerta
 			// Re-key by the exact min pair distance so objects are
 			// evaluated in true min(U_Q) order.
 			h.push(searchItem{key: checker.MinPairDist(o), kind: kindObjExact, obj: ObjRef{Obj: o}})
+			exact++
 		}
 	}
 
@@ -489,6 +517,20 @@ func searchBackend(ctx context.Context, sc *searchScratch, b Backend, q *uncerta
 		if ctx.Err() != nil {
 			finish()
 			return res, ctx.Err()
+		}
+		// Stop at the band's radius. Every item left is an entry keyed
+		// above it, hence dominated by k members and pruned when popped;
+		// no exact item is left and none can be made, so the band is
+		// final. Count the prunes the pops would have counted.
+		if exact == 0 && band.beyond(h.peekKey()) {
+			for _, hk := range h.keys {
+				if h.slab[hk.slot].kind == kindNode {
+					checker.Stats.EntryPrunes++
+				} else {
+					checker.Stats.ObjectPrunes++
+				}
+			}
+			break
 		}
 		it := h.pop()
 		checker.Stats.HeapPops++
@@ -499,6 +541,7 @@ func searchBackend(ctx context.Context, sc *searchScratch, b Backend, q *uncerta
 			}
 			continue
 		}
+		exact--
 		// Drain every item whose key ties the batch key: tied exact items
 		// join the batch; tied nodes/LBs may still produce tied exacts.
 		batch = batch[:0]
@@ -508,6 +551,7 @@ func searchBackend(ctx context.Context, sc *searchScratch, b Backend, q *uncerta
 			nxt := h.pop()
 			checker.Stats.HeapPops++
 			if nxt.kind == kindObjExact {
+				exact--
 				batch = append(batch, nxt)
 			} else {
 				expand(nxt)
@@ -543,7 +587,7 @@ func searchBackend(ctx context.Context, sc *searchScratch, b Backend, q *uncerta
 			if dominators >= k {
 				continue
 			}
-			band.push(checker, obj)
+			band.push(checker, obj, k)
 			cand := Candidate{
 				Object:     obj,
 				Rank:       len(res.Candidates),

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -11,22 +10,10 @@ import (
 	"spatialdom/internal/uncertain"
 )
 
-// countingBackend records what the engine asks of a Backend: the object
-// entries Expand hands out (a search that runs to completion pops every one
-// of them exactly once) and the references it resolves.
+// countingBackend records the object IDs the engine resolves.
 type countingBackend struct {
 	Backend
-	entries  int
 	resolved []int
-}
-
-func (c *countingBackend) Expand(n NodeRef, visit func(BackendEntry)) error {
-	return c.Backend.Expand(n, func(e BackendEntry) {
-		if !e.IsNode {
-			c.entries++
-		}
-		visit(e)
-	})
 }
 
 func (c *countingBackend) Resolve(r ObjRef) (*uncertain.Object, error) {
@@ -54,57 +41,6 @@ func bruteForceMetric(objs []*uncertain.Object, q *uncertain.Object, op Operator
 	}
 	slices.Sort(ids)
 	return ids
-}
-
-// Lazy resolve is sound and accounted for: whatever the band rejects on a
-// leaf entry's MBR, the candidates are the brute-force k-skyband, every
-// popped object entry is either pruned or examined, only examined objects
-// are resolved, and with the filters off every entry is resolved as before.
-func TestLazyResolveMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(1801))
-	var pruned int64
-	for iter := 0; iter < 6; iter++ {
-		objs := randDataset(rng, 120, 2, 5, 200)
-		idx, err := NewIndex(objs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		q := randObject(rng, 0, 2, 3, randCenter(rng, 2, 200), 8)
-		for _, m := range []geom.Metric{geom.Euclidean, geom.Manhattan} {
-			for _, op := range Operators {
-				for _, k := range []int{1, 2, 3, 5} {
-					want := bruteForceMetric(objs, q, op, k, m)
-					for _, cfg := range []FilterConfig{AllFilters, {}} {
-						tag := fmt.Sprintf("iter %d %s %v k=%d filters=%v", iter, m.Name(), op, k, cfg.Geometric)
-						cb := &countingBackend{Backend: idx}
-						res, err := SearchBackend(context.Background(), cb, q, op, k, SearchOptions{Filters: cfg, Metric: m})
-						if err != nil {
-							t.Fatal(err)
-						}
-						got := res.IDs()
-						slices.Sort(got)
-						if !slices.Equal(got, want) {
-							t.Fatalf("%s: got %v, want %v", tag, got, want)
-						}
-						if int64(cb.entries) != res.Stats.ObjectPrunes+int64(res.Examined) {
-							t.Fatalf("%s: %d object entries popped, %d pruned + %d examined",
-								tag, cb.entries, res.Stats.ObjectPrunes, res.Examined)
-						}
-						if len(cb.resolved) != res.Examined {
-							t.Fatalf("%s: %d resolves for %d examined", tag, len(cb.resolved), res.Examined)
-						}
-						if !cfg.Geometric && res.Stats.ObjectPrunes != 0 {
-							t.Fatalf("%s: %d object entries pruned with the filters off", tag, res.Stats.ObjectPrunes)
-						}
-						pruned += res.Stats.ObjectPrunes
-					}
-				}
-			}
-		}
-	}
-	if pruned == 0 {
-		t.Fatal("no object entry was ever pruned: the property was not exercised")
-	}
 }
 
 // An exact-key tie batch in which the entry test drops the very object that

@@ -23,8 +23,8 @@ func TestMergeSingleBandIsTheEngine(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				// The flat backend has one node: every union object is a
-				// popped object entry, pruned on its MBR or examined.
+				// The flat backend has one node: every union object is an
+				// object entry, pruned on its MBR or examined.
 				if n := got.Stats.ObjectPrunes + int64(got.Examined); n != int64(len(ds.Objects)) {
 					t.Fatalf("%v k=%d: merge pruned %d + examined %d, want the whole union %d",
 						op, k, got.Stats.ObjectPrunes, got.Examined, len(ds.Objects))

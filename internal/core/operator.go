@@ -161,12 +161,15 @@ type Stats struct {
 	FlowSolves int64
 	// HeapPops and EntryPrunes instrument Algorithm 1: items popped off the
 	// search heap, and tree nodes discarded because k candidates dominate
-	// their MBR.
+	// their MBR. The search stops at the band's radius with every item left
+	// dominated, so HeapPops counts only the items before that point, while
+	// the nodes left unpopped are in EntryPrunes.
 	HeapPops    int64
 	EntryPrunes int64
 	// ObjectPrunes counts object entries discarded the same way, before the
-	// object was resolved. Popped object entries = ObjectPrunes + examined
-	// objects (+ entries skipped as unreadable in a degraded search).
+	// object was resolved, whether popped or left in the heap at the
+	// radius. Object entries handed out by the backend = ObjectPrunes +
+	// examined objects (+ entries skipped as unreadable in a degraded search).
 	ObjectPrunes int64
 }
 

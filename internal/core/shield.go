@@ -47,7 +47,6 @@ package core
 
 import (
 	"math"
-	"slices"
 
 	"spatialdom/internal/distr"
 	"spatialdom/internal/geom"
@@ -116,17 +115,38 @@ func NewAnswerShield(q *uncertain.Object, op Operator, m geom.Metric, k int, can
 	}
 	s.farK = math.Inf(1)
 	if s.euclid && op != FPlusSD && k >= 1 && k <= len(cands) {
-		far := make([]float64, len(cands))
-		for i, c := range cands {
-			far[i] = c.Object.MBR().MaxSqDistRect(s.qMBR)
-			if math.IsNaN(far[i]) {
-				far[i] = math.Inf(1) // never inside the radius; slices.Sort puts NaN first
-			}
+		far := make([]float64, 0, k)
+		for _, c := range cands {
+			far = keepNearestFar(far, k, c.Object.MBR(), s.qMBR)
 		}
-		slices.Sort(far)
 		s.farK = far[k-1]
 	}
 	return s
+}
+
+// keepNearestFar adds MaxSqDistRect(mbr, qMBR) to far, the ascending list
+// of the k smallest such distances seen so far, and returns the list; its
+// k-th element is then the radius farK of the members seen. A NaN distance
+// counts as +Inf: it never brings a rectangle inside the radius. One
+// insertion costs O(k). The answer shield and the search's band (engine.go)
+// both build their radius here.
+func keepNearestFar(far []float64, k int, mbr, qMBR geom.Rect) []float64 {
+	d := mbr.MaxSqDistRect(qMBR)
+	if math.IsNaN(d) {
+		d = math.Inf(1)
+	}
+	if len(far) < k {
+		far = append(far, d)
+	} else if d >= far[k-1] {
+		return far
+	}
+	i := len(far) - 1
+	for i > 0 && far[i-1] > d {
+		far[i] = far[i-1]
+		i--
+	}
+	far[i] = d
+	return far
 }
 
 // ShieldsInsert reports whether inserting an object bounded by r provably

