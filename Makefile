@@ -116,6 +116,11 @@ verify:
 # dataset flag must exit 2. Before that, nncclient drives the memory
 # server: a -q query that prints a candidates table, -health and -smoke,
 # each exiting 0.
+# Then the router: `nnc shard` splits the same dataset in two, two servers
+# load the halves and `nncserver -router` fronts them. Its /query
+# candidates must be the memory server's byte for byte, `nncclient -smoke
+# -shards` must pass, all three must log "bye" on SIGTERM, and the router
+# flags that are gone (-hedge-after, -breaker-threshold) must exit 2.
 # Then the crash a reader must not paper over: a third server opens the
 # file -mutable, takes one /insert and is killed with -9, so the insert is
 # in the WAL only. A read-only server on that file must exit 1 naming the
@@ -149,6 +154,22 @@ smoke:
 	kill -TERM $$(cat $$d/mem.pid $$d/disk.pid); wait; \
 	for s in mem disk; do grep -q ' bye$$' $$d/$$s.log || { echo "smoke: $$s server did not shut down cleanly"; cat $$d/$$s.log; exit 1; }; done; \
 	code=0; $$d/nncserver -n=-1 2>/dev/null || code=$$?; [ $$code = 2 ] || { echo "smoke: nncserver -n=-1 exited $$code, want 2"; exit 1; }; \
+	$$d/nnc shard $$data -shards=2 -out=$$d/shards >/dev/null 2>&1; shards='127.0.0.1:18474;127.0.0.1:18475'; \
+	for s in 0:18474 1:18475; do \
+		$$d/nncserver -input=$$d/shards/shard-00$${s%:*}.csv -addr=127.0.0.1:$${s#*:} 2>$$d/shard$${s%:*}.log & echo $$! >$$d/shard$${s%:*}.pid; \
+		ready shard$${s%:*} $${s#*:}; \
+	done; \
+	$$d/nncserver -router -shards="$$shards" -addr=127.0.0.1:18476 2>$$d/router.log & echo $$! >$$d/router.pid; \
+	ready router 18476; \
+	curl -s -X POST 127.0.0.1:18476/query -d '{"instances":[[5000,5000,5000],[5100,5050,4900]],"operator":"PSD","k":2}' >$$d/router.json; \
+	cands() { sed -E 's/.*"candidates":(\[[^]]*\]).*/\1/' $$1; }; \
+	[ "$$(cands $$d/router.json)" = "$$(cands $$d/mem.json)" ] || { echo "smoke: the router's candidates differ from the memory server's"; cat $$d/router.json $$d/mem.json; exit 1; }; \
+	client -addr=http://127.0.0.1:18476 -smoke -shards="$$shards"; \
+	kill -TERM $$(cat $$d/router.pid $$d/shard0.pid $$d/shard1.pid); wait; \
+	for s in router shard0 shard1; do grep -q ' bye$$' $$d/$$s.log || { echo "smoke: $$s server did not shut down cleanly"; cat $$d/$$s.log; exit 1; }; done; \
+	for f in -hedge-after=1ms -breaker-threshold=3; do \
+		code=0; $$d/nncserver -router -shards="$$shards" $$f 2>/dev/null || code=$$?; [ $$code = 2 ] || { echo "smoke: nncserver -router $$f exited $$code, want 2"; exit 1; }; \
+	done; \
 	$$d/nncserver -disk=$$d/o.pg -mutable -addr=127.0.0.1:18473 2>$$d/crash.log & echo $$! >$$d/crash.pid; \
 	ready crash 18473; \
 	code=$$(curl -s -o /dev/null -w '%{http_code}' -X POST 127.0.0.1:18473/insert -d '{"id":900001,"instances":[[5000,5000,5000]],"probs":[1]}'); \
@@ -163,7 +184,7 @@ smoke:
 	kill -TERM $$(cat $$d/replay.pid); wait; \
 	grep -q ' bye$$' $$d/replay.log || { echo "smoke: the replay server did not shut down cleanly"; cat $$d/replay.log; exit 1; }; \
 	checkfile "after the replay server's shutdown failed"; \
-	echo "smoke: memory and disk servers agree, nncclient drives them, shut down cleanly; a pending WAL is refused read-only and replayed -mutable; nnc fsck finds the file clean after the build and after the replay"
+	echo "smoke: memory and disk servers agree, nncclient drives them, shut down cleanly; a router over two shard servers answers the memory server's candidates; a pending WAL is refused read-only and replayed -mutable; nnc fsck finds the file clean after the build and after the replay"
 
 # The eight fuzz targets: every decoder of bytes this process did not
 # write — the CSV loader, the page-file opener, the object record, the
@@ -202,9 +223,13 @@ wal:
 # cluster runs the scatter-gather tier under the race detector: the
 # merge-invariant property sweep (sharded == single node, byte for byte,
 # shard counts 1–8 × every operator and filter configuration), the
-# breaker state machine, and the seeded chaos suite (drop/delay/5xx/
-# half-response/flap injection, replica kill → failover, shard kill →
-# flagged 206 degradation, restore → probe-driven recovery).
+# breaker state machine and its blame at an attempt's deadline, and the
+# seeded chaos suite (drop/delay/5xx/half-response/flap injection, replica
+# kill → failover, shard kill → flagged 206 degradation, restore →
+# probe-driven recovery, a slow primary → a hedge wins inside its delay,
+# a one-replica shard's 500 → a retry answers 200). The router has no
+# tuning flag beyond -shard-timeout and -breaker-cooldown, so the suite
+# exercises the same envelope a deployment runs.
 cluster:
 	$(GO) test -race ./internal/cluster ./internal/clusterfault
 

@@ -202,19 +202,15 @@ func smokeOne(tw *tabwriter.Writer, client *http.Client, base, role string) bool
 		return false
 	}
 	defer resp.Body.Close()
-	// /healthz is assembled from what the backend can report and has no
-	// server type; these are the fields the table shows.
-	var body struct {
-		Status  string          `json:"status"`
-		Objects int             `json:"objects"`
-		Reason  string          `json:"reason"`
-		Cluster *cluster.Health `json:"cluster"`
-	}
+	var body server.Health
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		fmt.Fprintf(tw, "%s\t%s\tBAD\tunparsable healthz: %v\n", base, role, err)
 		return false
 	}
-	detail := fmt.Sprintf("%d objects", body.Objects)
+	detail := "no dataset"
+	if body.Objects != nil {
+		detail = fmt.Sprintf("%d objects", *body.Objects)
+	}
 	if body.Reason != "" {
 		detail += ", " + body.Reason
 	}

@@ -33,13 +33,15 @@
 // to every shard listed in -shards (';' separates shards, ',' separates
 // replicas of one shard), gathers the per-shard k-skybands and merges
 // them through the core dominance checker — bit-identical to a single
-// node over the union. Each shard call runs inside a fault envelope
-// (per-shard deadline, capped jittered retries, a hedged duplicate after
-// the shard's p95, replica failover behind a consecutive-failure circuit
-// breaker with half-open /healthz probes); dead shards degrade the answer
-// to HTTP 206 with an unreachable_shards count and Retry-After advice
-// instead of failing the query. Router health appears under "cluster" in
-// /healthz and sd_router_* series in /metrics.
+// node over the union. Each shard call runs inside a fault envelope: a
+// per-shard deadline (-shard-timeout), a hedged duplicate after the
+// shard's p95 latency, three jittered retries backing off from that same
+// delay, and replica failover behind a circuit breaker that opens after
+// three consecutive failures and sends a half-open /healthz probe after
+// -breaker-cooldown. Dead shards degrade the answer to HTTP 206 with an
+// unreachable_shards count and Retry-After advice instead of failing the
+// query. Router health appears under "cluster" in /healthz
+// (server.ClusterHealth) and sd_router_* series in /metrics.
 //
 // Every backend serves behind the front door: request coalescing, a
 // semantic result cache with precise invalidation (-cache-mb budget, 0
@@ -86,8 +88,6 @@ func main() {
 		router       = flag.Bool("router", false, "serve as a scatter-gather router over -shards instead of local data")
 		shardsSpec   = flag.String("shards", "", "router shard replicas: ';' separates shards, ',' separates replicas (e.g. \"http://a,http://b;http://c\")")
 		shardTimeout = flag.Duration("shard-timeout", 2*time.Second, "router: per-shard attempt deadline")
-		hedgeAfter   = flag.Duration("hedge-after", 0, "router: fixed hedge delay; 0 adapts to the shard's p95, negative disables hedging")
-		brThreshold  = flag.Int("breaker-threshold", 3, "router: consecutive failures that open a replica's circuit breaker")
 		brCooldown   = flag.Duration("breaker-cooldown", 5*time.Second, "router: open-breaker cooldown before a half-open probe")
 
 		cacheMB     = flag.Int("cache-mb", 64, "semantic result cache budget in MiB; 0 disables the cache")
@@ -114,11 +114,9 @@ func main() {
 			usage(err)
 		}
 		rt, err = cluster.New(cluster.Config{
-			Shards:           shardURLs,
-			ShardTimeout:     *shardTimeout,
-			HedgeAfter:       *hedgeAfter,
-			BreakerThreshold: *brThreshold,
-			BreakerCooldown:  *brCooldown,
+			Shards:          shardURLs,
+			ShardTimeout:    *shardTimeout,
+			BreakerCooldown: *brCooldown,
 		})
 		if err != nil {
 			usage(err)

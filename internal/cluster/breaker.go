@@ -1,7 +1,7 @@
 package cluster
 
-// Per-replica circuit breaker: closed → (threshold consecutive failures)
-// → open → (cooldown elapses) → half-open → closed on a successful
+// Per-replica circuit breaker: closed → (breakerThreshold consecutive
+// failures) → open → (cooldown elapses) → half-open → closed on a successful
 // /healthz probe or reopened on a failed one. The router consults the
 // breaker before every attempt, so a dead replica costs the fleet one
 // failed request per cooldown window instead of one per query — and a
@@ -12,8 +12,8 @@ import (
 	"time"
 )
 
-// breakerState is exported through RouterHealth for operators; the
-// constants are the wire strings.
+// breakerState is reported in /healthz as server.ReplicaHealth.Breaker;
+// String gives the wire strings.
 type breakerState int
 
 const (
@@ -33,28 +33,20 @@ func (s breakerState) String() string {
 	}
 }
 
+// breakerThreshold is the consecutive-failure count that trips a breaker.
+const breakerThreshold = 3
+
 // breaker tracks one replica's health. All methods are safe for
 // concurrent use; the mutex is never held across I/O (the probe itself
 // runs outside, between Acquire-style calls).
 type breaker struct {
-	threshold int
-	cooldown  time.Duration
+	cooldown time.Duration
 
 	mu       sync.Mutex
 	failures int          // consecutive failures while closed
 	state    breakerState // half-open is entered by tryProbe, not by time alone
 	openedAt time.Time
 	probing  bool // a half-open probe is in flight; others keep failing fast
-}
-
-func newBreaker(threshold int, cooldown time.Duration) *breaker {
-	if threshold < 1 {
-		threshold = 1
-	}
-	if cooldown <= 0 {
-		cooldown = 5 * time.Second
-	}
-	return &breaker{threshold: threshold, cooldown: cooldown}
 }
 
 // allow reports whether a request may be sent to this replica right now
@@ -106,8 +98,8 @@ func (b *breaker) success() {
 	}
 }
 
-// failure records a failed request; threshold consecutive failures trip
-// the breaker open. Reports whether this call performed the trip.
+// failure records a failed request; breakerThreshold consecutive failures
+// trip the breaker open. Reports whether this call performed the trip.
 func (b *breaker) failure(now time.Time) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -118,7 +110,7 @@ func (b *breaker) failure(now time.Time) bool {
 		return false
 	}
 	b.failures++
-	if b.failures >= b.threshold {
+	if b.failures >= breakerThreshold {
 		b.state = stateOpen
 		b.openedAt = now
 		return true

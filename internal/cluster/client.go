@@ -31,8 +31,8 @@ type replica struct {
 	br  *breaker
 }
 
-func newReplica(url string, hc *http.Client, threshold int, cooldown time.Duration) *replica {
-	return &replica{url: strings.TrimRight(url, "/"), hc: hc, br: newBreaker(threshold, cooldown)}
+func newReplica(url string, hc *http.Client, cooldown time.Duration) *replica {
+	return &replica{url: strings.TrimRight(url, "/"), hc: hc, br: &breaker{cooldown: cooldown}}
 }
 
 // stickyError marks a failure retrying cannot fix (4xx from the shard);
@@ -114,15 +114,12 @@ func (r *replica) Discover(ctx context.Context) (objects, dim int, err error) {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 		return 0, 0, fmt.Errorf("discover %s: %w: HTTP %d", r.url, faults.ErrUnavailable, resp.StatusCode)
 	}
-	var body struct {
-		Objects int `json:"objects"`
-		Dim     int `json:"dim"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+	var h server.Health
+	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
 		return 0, 0, fmt.Errorf("discover %s: decoding healthz: %w", r.url, err)
 	}
-	if body.Objects == 0 || body.Dim == 0 {
+	if h.Objects == nil || *h.Objects == 0 || h.Dim == nil || *h.Dim == 0 {
 		return 0, 0, fmt.Errorf("discover %s: healthz reports no dataset (still warming?)", r.url)
 	}
-	return body.Objects, body.Dim, nil
+	return *h.Objects, *h.Dim, nil
 }

@@ -53,7 +53,7 @@ func FuzzShardReply(f *testing.F) {
 	f.Add([]byte(`{"candidates":null,"objects":-1}`))
 
 	f.Fuzz(func(t *testing.T, body []byte) {
-		r := newReplica("http://shard.invalid", &http.Client{Transport: replyTransport{body}}, 3, time.Second)
+		r := newReplica("http://shard.invalid", &http.Client{Transport: replyTransport{body}}, time.Second)
 		resp, err := r.ShardQuery(context.Background(), nil)
 		if err != nil {
 			if !faults.IsUnavailable(err) || isSticky(err) {

@@ -6,12 +6,13 @@ package cluster
 // to every shard concurrently; each shard call runs inside the fault
 // envelope, escalating through four stages:
 //
-//	retry    — capped exponential backoff with deterministic jitter
-//	           (faults.Retry) for transient failures: network errors,
-//	           timeouts, 5xx, shed 429s;
-//	hedge    — after a p95-derived delay, a duplicate request to a second
-//	           healthy replica; first answer wins, the loser is canceled
-//	           through the shared attempt context;
+//	retry    — up to three more attempts for transient failures (network
+//	           errors, timeouts, 5xx, shed 429s), after a jittered backoff
+//	           that starts at the hedge delay and doubles up to half the
+//	           attempt deadline (faults.Retry);
+//	hedge    — after the shard's p95 latency, a duplicate request to a
+//	           second healthy replica; first answer wins, the loser is
+//	           canceled through the shared attempt context;
 //	failover — each retry rotates to the next replica whose breaker is
 //	           closed, so a dead primary costs one timeout, not the query;
 //	degrade  — a shard with no usable replica left is *counted*: the
@@ -29,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -41,7 +43,8 @@ import (
 	"spatialdom/internal/uncertain"
 )
 
-// Config tunes a Router. Zero values select the documented defaults.
+// Config is what a deployment sets on a Router. Zero values select the
+// documented defaults.
 type Config struct {
 	// Shards lists each shard's replica base URLs; Shards[i] are
 	// interchangeable replicas serving the same partition i.
@@ -50,24 +53,26 @@ type Config struct {
 	// shard; the effective deadline is the smaller of this and the
 	// request context's. Default 2s.
 	ShardTimeout time.Duration
-	// Retry is the per-shard retry policy across attempts; the zero value
-	// selects DefaultRetry (3 retries, 50ms base, 1s cap).
-	Retry faults.Retry
-	// HedgeAfter is the delay before a duplicate request to a second
-	// replica: 0 derives it from the shard's observed p95 latency
-	// (HedgeFloor-bounded), negative disables hedging.
-	HedgeAfter time.Duration
-	// BreakerThreshold is the consecutive-failure count that trips a
-	// replica's breaker (default 3); BreakerCooldown is how long a
-	// tripped breaker waits before a half-open probe (default 5s).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-	// ProbeTimeout bounds a half-open /healthz probe. Default 1s.
-	ProbeTimeout time.Duration
+	// BreakerCooldown is how long a tripped breaker waits before a
+	// half-open probe. Default 5s.
+	BreakerCooldown time.Duration
 	// Client overrides the HTTP client (tests inject in-process
 	// transports); nil builds one with sane pooling.
 	Client *http.Client
 }
+
+// The rest of the envelope is fixed.
+const (
+	// maxRetries is how many attempts past the first one shard call makes.
+	maxRetries = 3
+	// probeTimeout bounds a half-open /healthz probe.
+	probeTimeout = time.Second
+	// hedgeFloor is the minimum hedge delay: below it, hedging duplicates
+	// every request for no tail to cut.
+	hedgeFloor = 2 * time.Millisecond
+	// coldHedge is the hedge delay before the shard has latency samples.
+	coldHedge = 25 * time.Millisecond
+)
 
 // ParseShards parses the -shards grammar nncserver and nncclient share
 // into Config.Shards: ';' separates shards, ',' separates replicas of one
@@ -94,17 +99,6 @@ func ParseShards(spec string) ([][]string, error) {
 	return out, nil
 }
 
-// DefaultRetry is the router's per-shard retry policy: network-scale
-// backoff, unlike the pager's microsecond-scale DefaultRetry.
-var DefaultRetry = faults.Retry{Max: 3, Base: 50 * time.Millisecond, Cap: time.Second}
-
-// HedgeFloor is the minimum adaptive hedge delay: below this, hedging
-// duplicates every request for no tail to cut.
-const HedgeFloor = 2 * time.Millisecond
-
-// coldHedge is the adaptive hedge delay before any latency sample exists.
-const coldHedge = 25 * time.Millisecond
-
 // shard is one partition: its interchangeable replicas plus the latency
 // window the hedge delay derives from.
 type shard struct {
@@ -122,16 +116,12 @@ type shard struct {
 type Router struct {
 	shards       []*shard
 	shardTimeout time.Duration
-	retry        faults.Retry
-	hedgeAfter   time.Duration // 0 = adaptive, <0 = disabled
-	probeTimeout time.Duration
-	now          func() time.Time // swappable clock for tests
-	salt         atomic.Uint64    // per-call retry-jitter salt sequence
+	salt         atomic.Uint64 // per-call retry-jitter salt sequence
 
 	totalLen atomic.Int64
 	dim      atomic.Int64
 
-	// Counters surfaced by Stats/RouterHealth and /metrics.
+	// Counters surfaced by Stats/ClusterHealth and /metrics.
 	requests     atomic.Int64 // shard attempts issued
 	retries      atomic.Int64
 	hedges       atomic.Int64
@@ -157,32 +147,17 @@ func New(cfg Config) (*Router, error) {
 	if cfg.ShardTimeout <= 0 {
 		cfg.ShardTimeout = 2 * time.Second
 	}
-	if cfg.Retry == (faults.Retry{}) {
-		cfg.Retry = DefaultRetry
-	}
-	if cfg.BreakerThreshold < 1 {
-		cfg.BreakerThreshold = 3
-	}
 	if cfg.BreakerCooldown <= 0 {
 		cfg.BreakerCooldown = 5 * time.Second
 	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = time.Second
-	}
-	rt := &Router{
-		shardTimeout: cfg.ShardTimeout,
-		retry:        cfg.Retry,
-		hedgeAfter:   cfg.HedgeAfter,
-		probeTimeout: cfg.ProbeTimeout,
-		now:          time.Now,
-	}
+	rt := &Router{shardTimeout: cfg.ShardTimeout}
 	for i, urls := range cfg.Shards {
 		if len(urls) == 0 {
 			return nil, fmt.Errorf("cluster: shard %d has no replicas", i)
 		}
 		sh := &shard{}
 		for _, u := range urls {
-			sh.replicas = append(sh.replicas, newReplica(u, hc, cfg.BreakerThreshold, cfg.BreakerCooldown))
+			sh.replicas = append(sh.replicas, newReplica(u, hc, cfg.BreakerCooldown))
 		}
 		rt.shards = append(rt.shards, sh)
 	}
@@ -355,7 +330,8 @@ func decodeBand(cands []server.ObjectJSON, dim int) ([]*uncertain.Object, error)
 
 // callShard drives the fault envelope for one shard: pick a healthy
 // replica (rotating on each attempt → failover), run one hedged attempt,
-// back off with deterministic jitter between attempts, and classify the
+// back off with deterministic jitter between attempts — from the hedge
+// delay, doubling, up to half the attempt deadline — and classify the
 // outcome. The returned error matches faults.ErrUnavailable when the
 // shard is down (degrade) and is sticky when retrying cannot help (abort
 // the query).
@@ -364,13 +340,14 @@ func (rt *Router) callShard(ctx context.Context, si int, body []byte) (*server.S
 	salt := rt.salt.Add(1)
 	var lastErr error
 	var first *replica
-	for attempt := 0; attempt <= rt.retry.Max; attempt++ {
+	for attempt := 0; attempt <= maxRetries; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		if attempt > 0 {
 			rt.retries.Add(1)
-			if err := faults.Sleep(ctx, rt.retry.Backoff(attempt-1, salt)); err != nil {
+			backoff := faults.Retry{Base: sh.hedgeDelay(), Cap: rt.shardTimeout / 2}
+			if err := faults.Sleep(ctx, backoff.Backoff(attempt-1, salt)); err != nil {
 				return nil, err
 			}
 		}
@@ -411,13 +388,13 @@ func (rt *Router) pick(ctx context.Context, sh *shard, attempt int) *replica {
 		}
 	}
 	for _, rep := range sh.replicas {
-		if !rep.br.tryProbe(rt.now()) {
+		if !rep.br.tryProbe(time.Now()) {
 			continue
 		}
-		pctx, cancel := context.WithTimeout(ctx, rt.probeTimeout)
+		pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 		err := rep.ProbeHealth(pctx)
 		cancel()
-		rep.br.probeResult(err == nil, rt.now())
+		rep.br.probeResult(err == nil, time.Now())
 		if err == nil {
 			rt.probeOK.Add(1)
 			return rep
@@ -430,7 +407,9 @@ func (rt *Router) pick(ctx context.Context, sh *shard, attempt int) *replica {
 // attempt runs one deadline-bounded request against primary, hedging to a
 // second healthy replica once the hedge delay elapses. The first answer
 // wins; canceling the attempt context reaps the loser. Returns the
-// serving replica alongside the response.
+// serving replica alongside the response. Each replica that fails is
+// blamed once: when its error arrives, or when the deadline fires while
+// it is still in flight.
 func (rt *Router) attempt(ctx context.Context, sh *shard, primary *replica, body []byte) (*server.ShardQueryResponse, *replica, error) {
 	actx, cancel := context.WithTimeout(ctx, rt.shardTimeout)
 	defer cancel()
@@ -452,77 +431,72 @@ func (rt *Router) attempt(ctx context.Context, sh *shard, primary *replica, body
 		}()
 	}
 
-	start := rt.now()
+	start := time.Now()
 	launch(primary)
-	inflight := 1
-	hedged := false
+	inflight := []*replica{primary}
 
 	var hedgeC <-chan time.Time
-	if hedge := rt.hedgeDelay(sh); hedge >= 0 {
-		if rt.hedgeCandidate(sh, primary) != nil {
-			t := time.NewTimer(hedge)
-			defer t.Stop()
-			hedgeC = t.C
-		}
+	if rt.hedgeCandidate(sh, primary) != nil {
+		t := time.NewTimer(sh.hedgeDelay())
+		defer t.Stop()
+		hedgeC = t.C
 	}
 
 	for {
 		select {
 		case a := <-ch:
-			inflight--
+			inflight = slices.DeleteFunc(inflight, func(r *replica) bool { return r == a.rep })
 			if a.err == nil {
 				a.rep.br.success()
-				sh.lat.observe(rt.now().Sub(start))
-				if hedged && a.rep != primary {
+				sh.lat.observe(time.Since(start))
+				if a.rep != primary {
 					rt.hedgeWins.Add(1)
 				}
 				return a.resp, a.rep, nil
 			}
 			if !isSticky(a.err) {
-				if a.rep.br.failure(rt.now()) {
-					rt.breakerOpens.Add(1)
-				}
+				rt.blame(a.rep)
 			}
-			if inflight == 0 {
+			if len(inflight) == 0 {
 				return nil, nil, a.err
 			}
 		case <-hedgeC:
 			hedgeC = nil
 			if rep := rt.hedgeCandidate(sh, primary); rep != nil {
 				rt.hedges.Add(1)
-				hedged = true
 				launch(rep)
-				inflight++
+				inflight = append(inflight, rep)
 			}
 		case <-actx.Done():
 			// The attempt deadline fired (or the caller gave up). Blame the
-			// primary — it had the full window and did not answer.
+			// replicas still in flight: each had the window and did not answer.
 			if ctx.Err() != nil {
 				return nil, nil, ctx.Err()
 			}
-			if primary.br.failure(rt.now()) {
-				rt.breakerOpens.Add(1)
+			for _, rep := range inflight {
+				rt.blame(rep)
 			}
 			return nil, nil, fmt.Errorf("shard attempt: %w: %w", faults.ErrUnavailable, actx.Err())
 		}
 	}
 }
 
-// hedgeDelay returns the delay before a duplicate request: the configured
-// constant, or the shard's observed p95 (floor-bounded) when adaptive.
-// Negative means hedging is disabled.
-func (rt *Router) hedgeDelay(sh *shard) time.Duration {
-	if rt.hedgeAfter != 0 {
-		return rt.hedgeAfter
+// blame records a failed request against rep's breaker.
+func (rt *Router) blame(rep *replica) {
+	if rep.br.failure(time.Now()) {
+		rt.breakerOpens.Add(1)
 	}
+}
+
+// hedgeDelay returns the delay before a duplicate request: the shard's
+// observed p95, at least hedgeFloor, or coldHedge before it has samples.
+// The retry backoff starts from the same value.
+func (sh *shard) hedgeDelay() time.Duration {
 	p95 := sh.lat.p95()
 	if p95 <= 0 {
 		return coldHedge
 	}
-	if p95 < HedgeFloor {
-		return HedgeFloor
-	}
-	return p95
+	return max(p95, hedgeFloor)
 }
 
 // hedgeCandidate returns a healthy replica other than primary, or nil.
@@ -539,7 +513,7 @@ func (rt *Router) hedgeCandidate(sh *shard, primary *replica) *replica {
 // the soonest the missing capacity can return, surfaced as Retry-After
 // on the 206.
 func (rt *Router) retryHint() time.Duration {
-	now := rt.now()
+	now := time.Now()
 	var min time.Duration
 	for _, sh := range rt.shards {
 		for _, rep := range sh.replicas {

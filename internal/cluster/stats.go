@@ -10,23 +10,9 @@ import (
 	"spatialdom/internal/server/front"
 )
 
-// Stats is a point-in-time snapshot of the router's counters.
-type Stats struct {
-	Requests     int64 `json:"requests"`
-	Retries      int64 `json:"retries"`
-	Hedges       int64 `json:"hedges"`
-	HedgeWins    int64 `json:"hedge_wins"`
-	Failovers    int64 `json:"failovers"`
-	BreakerOpens int64 `json:"breaker_opens"`
-	ProbeOK      int64 `json:"probe_successes"`
-	ProbeFail    int64 `json:"probe_failures"`
-	Unreachable  int64 `json:"unreachable_shard_queries"`
-	Partials     int64 `json:"partial_answers"`
-}
-
 // Stats snapshots the counters.
-func (rt *Router) Stats() Stats {
-	return Stats{
+func (rt *Router) Stats() server.RouterStats {
+	return server.RouterStats{
 		Requests:     rt.requests.Load(),
 		Retries:      rt.retries.Load(),
 		Hedges:       rt.hedges.Load(),
@@ -40,65 +26,29 @@ func (rt *Router) Stats() Stats {
 	}
 }
 
-// ReplicaHealth is one replica's view in RouterHealth.
-type ReplicaHealth struct {
-	URL     string `json:"url"`
-	Breaker string `json:"breaker"`
-	// ProbeAt is when the next half-open probe becomes due (RFC3339),
-	// present only while the breaker is open.
-	ProbeAt string `json:"probe_at,omitempty"`
-}
-
-// ShardHealth is one shard's view in RouterHealth.
-type ShardHealth struct {
-	Shard    int             `json:"shard"`
-	Objects  int64           `json:"objects"`
-	P95US    int64           `json:"p95_us"`
-	Replicas []ReplicaHealth `json:"replicas"`
-}
-
-// Health is the router's GET /healthz "cluster" block: the per-shard
-// breaker map plus the counter snapshot.
-type Health struct {
-	Shards []ShardHealth `json:"shards"`
-	Stats  Stats         `json:"stats"`
-}
-
-// RouterHealth implements server.RouterReporter with a Health.
-func (rt *Router) RouterHealth() any {
-	shards := make([]ShardHealth, 0, len(rt.shards))
+// ClusterHealth implements server.RouterReporter: every replica's breaker,
+// the counters, and how many shards have no replica admitting requests
+// (every breaker open or probing).
+func (rt *Router) ClusterHealth() server.ClusterHealth {
+	h := server.ClusterHealth{Shards: make([]server.ShardHealth, 0, len(rt.shards)), Stats: rt.Stats()}
 	for i, sh := range rt.shards {
-		h := ShardHealth{Shard: i, Objects: sh.objects.Load(), P95US: sh.lat.p95().Microseconds()}
+		s := server.ShardHealth{Shard: i, Objects: sh.objects.Load(), P95US: sh.lat.p95().Microseconds()}
+		usable := false
 		for _, rep := range sh.replicas {
 			st, probeAt := rep.br.snapshot()
-			rh := ReplicaHealth{URL: rep.url, Breaker: st.String()}
+			rh := server.ReplicaHealth{URL: rep.url, Breaker: st.String()}
 			if st == stateOpen {
 				rh.ProbeAt = probeAt.UTC().Format(time.RFC3339)
 			}
-			h.Replicas = append(h.Replicas, rh)
-		}
-		shards = append(shards, h)
-	}
-	return Health{Shards: shards, Stats: rt.Stats()}
-}
-
-// DegradedShards implements server.RouterReporter: shards with no replica
-// currently admitting requests (every breaker open or probing).
-func (rt *Router) DegradedShards() int {
-	n := 0
-	for _, sh := range rt.shards {
-		usable := false
-		for _, rep := range sh.replicas {
-			if rep.br.allow() {
-				usable = true
-				break
-			}
+			usable = usable || st == stateClosed
+			s.Replicas = append(s.Replicas, rh)
 		}
 		if !usable {
-			n++
+			h.Degraded++
 		}
+		h.Shards = append(h.Shards, s)
 	}
-	return n
+	return h
 }
 
 // Interface conformance: the server serves a Router like any backend and
@@ -134,5 +84,5 @@ func (rt *Router) RegisterMetrics(reg *front.Registry) {
 	reg.GaugeFunc("sd_router_shards", "Configured shards.", nil,
 		func() float64 { return float64(len(rt.shards)) })
 	reg.GaugeFunc("sd_router_degraded_shards", "Shards with every replica breaker open.", nil,
-		func() float64 { return float64(rt.DegradedShards()) })
+		func() float64 { return float64(rt.ClusterHealth().Degraded) })
 }

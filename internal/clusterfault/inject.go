@@ -1,6 +1,7 @@
 // Package clusterfault is the deterministic chaos harness for the
 // scatter-gather tier: in-process shard servers wrapped with seeded fault
-// injectors (drop, delay, 5xx, half-response, flap) plus a TestCluster
+// injectors (drop, delay, 5xx, half-response, flap; per replica, kill,
+// slow and fail-next switches) plus a TestCluster
 // builder that wires a Router over them. The suite invariant it exists to
 // drive: never a panic, never silently wrong — every answer the router
 // serves is either byte-equal to the single-node answer or flagged
@@ -65,6 +66,10 @@ type Injector struct {
 	// chaos gates probabilistic injection, so a cluster can boot and be
 	// discovered cleanly before the storm starts.
 	chaos atomic.Bool
+	// slow delays every request (a time.Duration); failNext counts the
+	// requests still to answer 500. Both apply with chaos off.
+	slow     atomic.Int64
+	failNext atomic.Int64
 
 	// flapState counts remaining dropped requests of an active flap.
 	flapState atomic.Int64
@@ -88,6 +93,12 @@ func (in *Injector) Kill() { in.killed.Store(true) }
 
 // Restore brings a killed replica back.
 func (in *Injector) Restore() { in.killed.Store(false) }
+
+// Slow makes the replica answer every request d late (0 restores it).
+func (in *Injector) Slow(d time.Duration) { in.slow.Store(int64(d)) }
+
+// FailNext answers the next n requests 500.
+func (in *Injector) FailNext(n int) { in.failNext.Store(int64(n)) }
 
 // StartChaos enables probabilistic injection; StopChaos disables it.
 func (in *Injector) StartChaos() { in.chaos.Store(true) }
@@ -141,6 +152,13 @@ func (in *Injector) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		abortConn(w)
 		return
 	}
+	if d := time.Duration(in.slow.Load()); d > 0 {
+		faults.Sleep(r.Context(), d)
+	}
+	if in.failNext.Load() > 0 && in.failNext.Add(-1) >= 0 {
+		err500(w)
+		return
+	}
 	if !in.chaos.Load() {
 		in.inner.ServeHTTP(w, r)
 		return
@@ -151,9 +169,7 @@ func (in *Injector) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		abortConn(w)
 	case Err500:
 		in.Errs.Add(1)
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusInternalServerError)
-		w.Write([]byte(`{"error":"injected fault","code":"internal"}` + "\n"))
+		err500(w)
 	case Half:
 		in.Halves.Add(1)
 		halfResponse(w)
@@ -165,6 +181,13 @@ func (in *Injector) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	default:
 		in.inner.ServeHTTP(w, r)
 	}
+}
+
+// err500 answers the way a failing shard server does.
+func err500(w http.ResponseWriter) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusInternalServerError)
+	w.Write([]byte(`{"error":"injected fault","code":"internal"}` + "\n"))
 }
 
 // abortConn kills the TCP connection without a response. Falls back to

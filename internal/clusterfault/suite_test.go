@@ -19,21 +19,14 @@ import (
 	"spatialdom/internal/cluster"
 	"spatialdom/internal/core"
 	"spatialdom/internal/datagen"
-	"spatialdom/internal/faults"
+	"spatialdom/internal/server"
 	"spatialdom/internal/uncertain"
 )
 
-// fastRouter is a Config tuned for test latencies: millisecond backoffs,
-// short breaker cooldown so recovery is testable in-process.
+// fastRouter is the production envelope with a short breaker cooldown, so
+// recovery is testable in-process.
 func fastRouter() cluster.Config {
-	return cluster.Config{
-		ShardTimeout:     2 * time.Second,
-		Retry:            faults.Retry{Max: 4, Base: 2 * time.Millisecond, Cap: 40 * time.Millisecond},
-		HedgeAfter:       10 * time.Millisecond,
-		BreakerThreshold: 3,
-		BreakerCooldown:  150 * time.Millisecond,
-		ProbeTimeout:     time.Second,
-	}
+	return cluster.Config{BreakerCooldown: 150 * time.Millisecond}
 }
 
 func testWorkload(t *testing.T, n int, seed int64) (*datagen.Dataset, []*uncertain.Object) {
@@ -372,13 +365,13 @@ func TestRouterHealthz(t *testing.T) {
 	}
 	defer c.Close()
 
-	health := func() map[string]any {
+	health := func() server.Health {
 		resp, err := http.Get(c.Front.URL + "/healthz")
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		var body map[string]any
+		var body server.Health
 		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 			t.Fatal(err)
 		}
@@ -386,11 +379,11 @@ func TestRouterHealthz(t *testing.T) {
 	}
 
 	body := health()
-	if _, ok := body["cluster"]; !ok {
-		t.Fatal("router-backed /healthz must include the cluster section")
+	if body.Cluster == nil || len(body.Cluster.Shards) != 2 {
+		t.Fatalf("router-backed /healthz must include the cluster section: %+v", body)
 	}
-	if body["status"] != "ok" {
-		t.Fatalf("healthy cluster reports %v", body["status"])
+	if body.Status != "ok" {
+		t.Fatalf("healthy cluster reports %v", body.Status)
 	}
 
 	// Trip shard 0's breakers by querying into a dead shard.
@@ -400,10 +393,85 @@ func TestRouterHealthz(t *testing.T) {
 		PostQuery(c.Front.URL, qbody)
 	}
 	body = health()
-	if body["status"] != "degraded" {
-		t.Fatalf("dark shard: /healthz status %v, want degraded", body["status"])
+	if body.Status != "degraded" {
+		t.Fatalf("dark shard: /healthz status %v, want degraded", body.Status)
 	}
-	if n, ok := body["unreachable_shards"].(float64); !ok || n < 1 {
-		t.Fatalf("dark shard: unreachable_shards=%v", body["unreachable_shards"])
+	if body.UnreachableShards < 1 {
+		t.Fatalf("dark shard: unreachable_shards=%d", body.UnreachableShards)
+	}
+	for _, r := range body.Cluster.Shards[0].Replicas {
+		if r.Breaker != "open" || r.ProbeAt == "" {
+			t.Fatalf("dark shard: replica %s breaker %q, probe at %q", r.URL, r.Breaker, r.ProbeAt)
+		}
+	}
+}
+
+// TestHedgeBeatsSlowReplica: one replica of shard 0 answers every request
+// 400ms late, the other at once. Neither fails, so only the hedge — sent
+// after the shard's p95, or 25ms before it has samples — can bring the
+// answer in well inside the slow delay; the healthy replica must win it
+// byte-equal to the oracle.
+func TestHedgeBeatsSlowReplica(t *testing.T) {
+	ds, queries := testWorkload(t, 120, 808)
+	c, err := Start(ds.Objects, Options{ShardCount: 2, Replicas: 2, Seed: 5, Router: fastRouter()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	const slow = 400 * time.Millisecond
+	c.Injectors[0][0].Slow(slow) // shard 0's primary: every attempt starts there
+	for qi, q := range queries[:3] {
+		body := QueryBody(q, "PSD", 2)
+		oracle, err := PostQuery(c.Single.URL, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		routed, err := PostQuery(c.Front.URL, body)
+		elapsed := time.Since(start)
+		if err != nil {
+			t.Fatalf("q%d: %v", qi, err)
+		}
+		if routed.Status != http.StatusOK {
+			t.Fatalf("q%d: status %d, want 200", qi, routed.Status)
+		}
+		mustByteEqual(t, fmt.Sprintf("hedged q%d", qi), oracle, routed)
+		if elapsed >= slow/2 {
+			t.Fatalf("q%d answered in %v: the slow replica's %v set the pace", qi, elapsed, slow)
+		}
+	}
+	if st := c.Router.Stats(); st.HedgeWins < 1 {
+		t.Fatalf("no hedge won against a slow primary: %+v", st)
+	}
+}
+
+// TestRetryRecoversOneReplicaShard: a one-replica shard's first request
+// answers 500. There is no other replica to hedge or fail over to, so only
+// the retry turns the answer into a byte-equal 200.
+func TestRetryRecoversOneReplicaShard(t *testing.T) {
+	ds, queries := testWorkload(t, 100, 909)
+	c, err := Start(ds.Objects, Options{ShardCount: 2, Replicas: 1, Seed: 9, Router: fastRouter()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	body := QueryBody(queries[0], "PSD", 2)
+	oracle, err := PostQuery(c.Single.URL, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Injectors[1][0].FailNext(1)
+	routed, err := PostQuery(c.Front.URL, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if routed.Status != http.StatusOK {
+		t.Fatalf("status %d (unreachable_shards=%d), want 200", routed.Status, routed.UnreachableShards)
+	}
+	mustByteEqual(t, "retried", oracle, routed)
+	if st := c.Router.Stats(); st.Retries < 1 || st.Failovers != 0 {
+		t.Fatalf("want a retry and no failover: %+v", st)
 	}
 }

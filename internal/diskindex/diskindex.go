@@ -493,18 +493,15 @@ func (ix *Index) String() string {
 
 // --- health & maintenance ----------------------------------------------------
 
-// Quarantined reports how many pages the pager has quarantined as
-// unreadable. Non-zero means searches may return flagged partial results
-// for queries whose traversal touches those pages.
-func (ix *Index) Quarantined() int64 { return ix.pool.File().QuarantineCount() }
-
 // FaultStats returns the cumulative fault counters of the underlying page
-// file (checksum failures, torn pages, retries, recoveries).
+// file (checksum failures, torn pages, retries, recoveries). A non-zero
+// QuarantinedPages means searches may return flagged partial results for
+// queries whose traversal touches those pages.
 func (ix *Index) FaultStats() faults.Stats { return ix.pool.FaultStats() }
 
 // Healthy is a cheap readiness probe: it re-reads and re-validates the
 // super page through the buffer pool. A nil return means the index can
-// serve queries (possibly degraded — check Quarantined for that signal).
+// serve queries (possibly degraded — FaultStats().QuarantinedPages says).
 // On a mutable index it takes the write mutex: the super page is updated
 // in place at commit, so this read must not race the cache install.
 func (ix *Index) Healthy(ctx context.Context) error {

@@ -139,7 +139,7 @@ func TestSearchUnderTransientFaultsIsExact(t *testing.T) {
 	if st := ix.FaultStats(); st.RecoveredReads == 0 {
 		t.Fatalf("no recovered reads despite injected transients: %+v", st)
 	}
-	if ix.Quarantined() != 0 {
+	if ix.FaultStats().QuarantinedPages != 0 {
 		t.Fatal("transient faults must not quarantine")
 	}
 }
@@ -200,7 +200,7 @@ func TestSearchUnderStableCorruptionDegrades(t *testing.T) {
 	if degraded == 0 {
 		t.Fatal("no query degraded despite corrupted tree pages — schedule too weak to test anything")
 	}
-	if ix.Quarantined() == 0 {
+	if ix.FaultStats().QuarantinedPages == 0 {
 		t.Fatal("stable corruption should have quarantined pages")
 	}
 }

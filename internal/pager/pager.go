@@ -370,9 +370,6 @@ func (pf *PageFile) FaultStats() faults.Stats {
 	}
 }
 
-// QuarantineCount returns the number of quarantined pages.
-func (pf *PageFile) QuarantineCount() int64 { return pf.quarantinedN.Load() }
-
 // quarantinePage withdraws the page and returns the unavailable error
 // future reads of it will also see.
 func (pf *PageFile) quarantinePage(id PageID, op string, class error) error {

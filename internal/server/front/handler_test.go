@@ -254,10 +254,7 @@ func TestHealthzCarriesFrontStats(t *testing.T) {
 	req := httptest.NewRequest(http.MethodGet, "/healthz", nil)
 	w := httptest.NewRecorder()
 	h.ServeHTTP(w, req)
-	var body struct {
-		Status string             `json:"status"`
-		Front  *server.FrontStats `json:"front"`
-	}
+	var body server.Health
 	if err := json.Unmarshal(w.Body.Bytes(), &body); err != nil {
 		t.Fatal(err)
 	}

@@ -16,11 +16,10 @@ import (
 // fakeBackend scripts the Backend (and optional capability) surfaces so
 // the HTTP layer's robustness paths can be driven without a real index.
 type fakeBackend struct {
-	dim         int
-	search      func(ctx context.Context, q *uncertain.Object, op core.Operator, k int, opts core.SearchOptions) (*core.Result, error)
-	healthy     error
-	quarantined int64
-	stats       faults.Stats
+	dim     int
+	search  func(ctx context.Context, q *uncertain.Object, op core.Operator, k int, opts core.SearchOptions) (*core.Result, error)
+	healthy error
+	stats   faults.Stats
 }
 
 func (f *fakeBackend) Len() int { return 10 }
@@ -29,7 +28,6 @@ func (f *fakeBackend) SearchKCtx(ctx context.Context, q *uncertain.Object, op co
 	return f.search(ctx, q, op, k, opts)
 }
 func (f *fakeBackend) Healthy(ctx context.Context) error { return f.healthy }
-func (f *fakeBackend) Quarantined() int64                { return f.quarantined }
 func (f *fakeBackend) FaultStats() faults.Stats          { return f.stats }
 
 func queryBody() map[string]interface{} {
@@ -59,12 +57,12 @@ func TestPanicRecoveredAs500(t *testing.T) {
 	}
 
 	// The process keeps serving, and the liveness report turns degraded.
-	var health map[string]interface{}
+	var health Health
 	if code := getJSON(t, ts.URL+"/healthz", &health); code != 200 {
 		t.Fatalf("healthz after panic = %d", code)
 	}
-	if health["status"] != "degraded" || health["panics"].(float64) != 1 {
-		t.Fatalf("health = %v", health)
+	if health.Status != "degraded" || health.Panics != 1 {
+		t.Fatalf("health = %+v", health)
 	}
 }
 
@@ -103,9 +101,8 @@ func TestCompleteResultStays200(t *testing.T) {
 
 func TestHealthzReportsBackendCapabilities(t *testing.T) {
 	b := &fakeBackend{
-		dim:         2,
-		quarantined: 3,
-		stats:       faults.Stats{ChecksumFailures: 4, QuarantinedPages: 3},
+		dim:   2,
+		stats: faults.Stats{ChecksumFailures: 4, QuarantinedPages: 3},
 		search: func(context.Context, *uncertain.Object, core.Operator, int, core.SearchOptions) (*core.Result, error) {
 			return &core.Result{}, nil
 		},
@@ -113,19 +110,18 @@ func TestHealthzReportsBackendCapabilities(t *testing.T) {
 	ts := httptest.NewServer(NewBackend(b))
 	defer ts.Close()
 
-	var health map[string]interface{}
+	var health Health
 	if code := getJSON(t, ts.URL+"/healthz", &health); code != 200 {
 		t.Fatalf("healthz = %d", code)
 	}
-	if health["status"] != "degraded" {
-		t.Fatalf("quarantined pages should degrade status: %v", health)
+	if health.Status != "degraded" || health.Reason != "quarantined_pages" {
+		t.Fatalf("quarantined pages should degrade status: %+v", health)
 	}
-	if health["quarantined_pages"].(float64) != 3 {
-		t.Fatalf("quarantined_pages = %v", health["quarantined_pages"])
+	if health.QuarantinedPages == nil || *health.QuarantinedPages != 3 {
+		t.Fatalf("quarantined_pages = %v", health.QuarantinedPages)
 	}
-	fs, ok := health["faults"].(map[string]interface{})
-	if !ok || fs["checksum_failures"].(float64) != 4 {
-		t.Fatalf("faults = %v", health["faults"])
+	if health.Faults == nil || health.Faults.ChecksumFailures != 4 {
+		t.Fatalf("faults = %+v", health.Faults)
 	}
 }
 

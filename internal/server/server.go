@@ -1,7 +1,7 @@
 // Package server exposes NN-candidate search over HTTP with a small JSON
 // API, turning the library into a queryable service:
 //
-//	GET  /healthz              → liveness: {"status":"ok"|"degraded", ...}
+//	GET  /healthz              → liveness (Health): {"status":"ok"|"degraded", ...}
 //	GET  /readyz               → readiness probe (503 until the backend serves)
 //	GET  /objects              → dataset summary
 //	GET  /objects/{id}         → one object
@@ -91,18 +91,14 @@ type Repeater interface {
 }
 
 // Optional Backend capabilities surfaced by /healthz and /readyz. The
-// disk-resident index implements all three; the in-memory index none —
-// the endpoints degrade gracefully to what the backend can report.
+// disk-resident index implements the first three, the in-memory index
+// AccessReporter, the router RouterReporter — the endpoints degrade
+// gracefully to what the backend can report.
 type (
 	// HealthChecker lets the backend veto readiness (e.g. the disk index
 	// re-validates its super page).
 	HealthChecker interface {
 		Healthy(ctx context.Context) error
-	}
-	// QuarantineReporter exposes the count of pages withdrawn from service
-	// after integrity failures.
-	QuarantineReporter interface {
-		Quarantined() int64
 	}
 	// FaultReporter exposes the cumulative storage fault counters.
 	FaultReporter interface {
@@ -114,14 +110,11 @@ type (
 		AccessStats() core.IOStats
 	}
 	// RouterReporter exposes a scatter-gather router's per-shard health
-	// (breaker states, retries, hedges) for /healthz. Defined here rather
-	// than importing internal/cluster so the dependency keeps pointing
-	// cluster → server.
+	// (breaker states, retries, hedges, degraded shards) for /healthz.
+	// Defined here rather than importing internal/cluster so the
+	// dependency keeps pointing cluster → server.
 	RouterReporter interface {
-		RouterHealth() any
-		// Degraded reports the number of shards currently unreachable
-		// (every replica's breaker open), so /healthz can flip status.
-		DegradedShards() int
+		ClusterHealth() ClusterHealth
 	}
 )
 
@@ -175,6 +168,44 @@ type FrontStats struct {
 // it with SetFront so /healthz can fold the serving stats in.
 type FrontReporter interface {
 	FrontStats() FrontStats
+}
+
+// Health is the GET /healthz body, and what the router's discovery and
+// nncclient -smoke decode. A pointer or omitempty field is present exactly
+// when it has something to say: Objects and Dim once a backend is attached,
+// the storage blocks when the backend reports them, Cluster behind a
+// router, Front behind the front door.
+type Health struct {
+	// Status is "ok" or "degraded"; Reason names why when degraded.
+	Status string `json:"status"`
+	Reason string `json:"reason,omitempty"`
+	Time   string `json:"time"`
+
+	Objects *int `json:"objects,omitempty"`
+	Dim     *int `json:"dim,omitempty"`
+	// Panics counts handler panics recovered into 500s.
+	Panics int64 `json:"panics,omitempty"`
+
+	// QuarantinedPages repeats Faults.QuarantinedPages at top level.
+	QuarantinedPages *int64        `json:"quarantined_pages,omitempty"`
+	Faults           *faults.Stats `json:"faults,omitempty"`
+	IO               *IOHealth     `json:"io,omitempty"`
+
+	Cluster *ClusterHealth `json:"cluster,omitempty"`
+	// UnreachableShards is Cluster.Degraded when non-zero.
+	UnreachableShards int `json:"unreachable_shards,omitempty"`
+
+	Front *FrontStats `json:"front,omitempty"`
+}
+
+// IOHealth is the /healthz "io" block: an AccessReporter's counters.
+type IOHealth struct {
+	PoolHits       int64 `json:"pool_hits"`
+	PoolMisses     int64 `json:"pool_misses"`
+	PageReads      int64 `json:"page_reads"`
+	PageWrites     int64 `json:"page_writes"`
+	CacheHits      int64 `json:"cache_hits"`
+	CacheEvictions int64 `json:"cache_evictions"`
 }
 
 // Server is the HTTP handler set over one backend. Search endpoints work
@@ -391,56 +422,50 @@ func errorCode(status int) string {
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	var reasons []string
 	b := s.backend()
-	body := map[string]interface{}{
-		"status": "ok",
-		"time":   time.Now().UTC().Format(time.RFC3339),
-	}
+	h := Health{Status: "ok", Time: time.Now().UTC().Format(time.RFC3339)}
 	if b == nil {
 		reasons = append(reasons, "warming: "+s.warmReason)
 	} else {
-		body["objects"] = b.Len()
-		body["dim"] = b.Dim()
+		n, d := b.Len(), b.Dim()
+		h.Objects, h.Dim = &n, &d
 	}
-	if n := s.panics.Load(); n > 0 {
+	if h.Panics = s.panics.Load(); h.Panics > 0 {
 		reasons = append(reasons, "recovered_panics")
-		body["panics"] = n
 	}
-	if qr, ok := capability[QuarantineReporter](b); ok {
-		n := qr.Quarantined()
-		body["quarantined_pages"] = n
-		if n > 0 {
+	if fr, ok := capability[FaultReporter](b); ok {
+		st := fr.FaultStats()
+		h.Faults, h.QuarantinedPages = &st, &st.QuarantinedPages
+		if st.QuarantinedPages > 0 {
 			reasons = append(reasons, "quarantined_pages")
 		}
 	}
-	if fr, ok := capability[FaultReporter](b); ok {
-		body["faults"] = fr.FaultStats()
-	}
 	if rr, ok := capability[RouterReporter](b); ok {
-		body["cluster"] = rr.RouterHealth()
-		if n := rr.DegradedShards(); n > 0 {
-			body["unreachable_shards"] = n
+		ch := rr.ClusterHealth()
+		h.Cluster, h.UnreachableShards = &ch, ch.Degraded
+		if ch.Degraded > 0 {
 			reasons = append(reasons, "unreachable_shards")
 		}
 	}
 	if ar, ok := capability[AccessReporter](b); ok {
 		st := ar.AccessStats()
-		body["io"] = map[string]int64{
-			"pool_hits":       st.Hits,
-			"pool_misses":     st.Misses,
-			"page_reads":      st.Reads,
-			"page_writes":     st.Writes,
-			"cache_hits":      st.CacheHits,
-			"cache_evictions": st.CacheEvictions,
+		h.IO = &IOHealth{
+			PoolHits:       st.Hits,
+			PoolMisses:     st.Misses,
+			PageReads:      st.Reads,
+			PageWrites:     st.Writes,
+			CacheHits:      st.CacheHits,
+			CacheEvictions: st.CacheEvictions,
 		}
 	}
 	if fb, ok := s.front.Load().(frontBox); ok {
-		body["front"] = fb.f.FrontStats()
+		fs := fb.f.FrontStats()
+		h.Front = &fs
 	}
 	if len(reasons) > 0 {
-		body["status"] = "degraded"
-		body["reason"] = strings.Join(reasons, ", ")
+		h.Status = "degraded"
+		h.Reason = strings.Join(reasons, ", ")
 	}
-	writeJSON(w, http.StatusOK, body)
+	writeJSON(w, http.StatusOK, h)
 }
 
 // handleReady is the readiness probe: 200 when the backend can serve

@@ -65,12 +65,12 @@ func postJSON(t *testing.T, url string, body, out interface{}) int {
 
 func TestHealthAndObjects(t *testing.T) {
 	ts, _ := newTestServer(t)
-	var health map[string]interface{}
+	var health Health
 	if code := getJSON(t, ts.URL+"/healthz", &health); code != 200 {
 		t.Fatalf("healthz = %d", code)
 	}
-	if health["status"] != "ok" || health["objects"].(float64) != 120 {
-		t.Fatalf("health = %v", health)
+	if health.Status != "ok" || health.Objects == nil || *health.Objects != 120 {
+		t.Fatalf("health = %+v", health)
 	}
 	var sum struct {
 		Objects int `json:"objects"`

@@ -23,6 +23,9 @@ package server
 // pages answers 206 with the skip counts, and the router folds those into
 // the cluster-level PartialResultError alongside its unreachable-shard
 // counts.
+//
+// The router's own health travels the other way: ClusterHealth is the
+// "cluster" block of a router-backed server's /healthz.
 
 import (
 	"net/http"
@@ -85,6 +88,47 @@ type ShardQueryResponse struct {
 	Incomplete        bool         `json:"incomplete,omitempty"`
 	UnreadableNodes   int          `json:"unreadable_nodes,omitempty"`
 	UnreadableObjects int          `json:"unreadable_objects,omitempty"`
+}
+
+// ClusterHealth is a router's /healthz "cluster" block: each shard's
+// replicas and their breakers, plus the router's counters.
+type ClusterHealth struct {
+	Shards []ShardHealth `json:"shards"`
+	Stats  RouterStats   `json:"stats"`
+	// Degraded counts shards with no replica admitting requests (every
+	// breaker open or probing); /healthz reports it as unreachable_shards.
+	Degraded int `json:"-"`
+}
+
+// ShardHealth is one shard's entry in ClusterHealth.
+type ShardHealth struct {
+	Shard    int             `json:"shard"`
+	Objects  int64           `json:"objects"`
+	P95US    int64           `json:"p95_us"`
+	Replicas []ReplicaHealth `json:"replicas"`
+}
+
+// ReplicaHealth is one replica's entry in ShardHealth.
+type ReplicaHealth struct {
+	URL     string `json:"url"`
+	Breaker string `json:"breaker"` // closed | open | half-open
+	// ProbeAt is when the next half-open probe becomes due (RFC3339),
+	// present only while the breaker is open.
+	ProbeAt string `json:"probe_at,omitempty"`
+}
+
+// RouterStats is a point-in-time snapshot of a router's counters.
+type RouterStats struct {
+	Requests     int64 `json:"requests"`
+	Retries      int64 `json:"retries"`
+	Hedges       int64 `json:"hedges"`
+	HedgeWins    int64 `json:"hedge_wins"`
+	Failovers    int64 `json:"failovers"`
+	BreakerOpens int64 `json:"breaker_opens"`
+	ProbeOK      int64 `json:"probe_successes"`
+	ProbeFail    int64 `json:"probe_failures"`
+	Unreachable  int64 `json:"unreachable_shard_queries"`
+	Partials     int64 `json:"partial_answers"`
 }
 
 func (s *Server) handleShardQuery(w http.ResponseWriter, r *http.Request) {
