@@ -344,8 +344,8 @@ func BenchmarkDominanceCheck(b *testing.B) {
 			}
 		}
 		st := checker.Stats
-		if st.MBRValidations > 0 || st.FlowSolves == 0 {
-			b.Fatalf("the MBR validation decided a pair meant for the exact test: %+v", st)
+		if st.MBRValidations > 0 || st.CoverValidations > 0 || st.FlowSolves == 0 {
+			b.Fatalf("a validation decided a pair meant for the exact test: %+v", st)
 		}
 		b.ReportMetric(float64(st.FlowSolves)/float64(b.N), "flow-solves/op")
 	})
@@ -381,16 +381,18 @@ func BenchmarkSearchPSDMiss(b *testing.B) {
 		b.Fatal(err)
 	}
 	queries := ds.Queries(32, 8, 200, benchSeed+101)
-	var flowSolves, entryTests float64
+	var flowSolves, entryTests, covers float64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res := searchK(idx, queries[i%len(queries)], PSD, 4, core.SearchOptions{Filters: AllFilters})
 		flowSolves += float64(res.Stats.FlowSolves)
 		entryTests += float64(res.Stats.HeapPops - int64(res.Examined))
+		covers += float64(res.Stats.CoverValidations)
 	}
 	b.ReportMetric(flowSolves/float64(b.N), "flow-solves/query")
 	b.ReportMetric(entryTests/float64(b.N), "entry-tests/query")
+	b.ReportMetric(covers/float64(b.N), "cover-validations/query")
 }
 
 // BenchmarkDoorWrite times what a write costs the front door, the write
@@ -490,7 +492,7 @@ func BenchmarkSearchK(b *testing.B) {
 		}
 		defer disk.Close()
 		disk.SetObjCacheCap(64)
-		var candidates, examined, reads float64
+		var candidates, examined, reads, covers float64
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -501,10 +503,15 @@ func BenchmarkSearchK(b *testing.B) {
 			candidates += float64(len(res.Candidates))
 			examined += float64(res.Examined)
 			reads += float64(res.IO.Reads)
+			covers += float64(res.Stats.CoverValidations)
+		}
+		if covers == 0 {
+			b.Fatal("no pair was validated on the summary: every S-SD \"yes\" went to the exact test")
 		}
 		b.ReportMetric(candidates/float64(b.N), "candidates/query")
 		b.ReportMetric(examined/float64(b.N), "examined/query")
 		b.ReportMetric(reads/float64(b.N), "page-reads/query")
+		b.ReportMetric(covers/float64(b.N), "cover-validations/query")
 	})
 }
 

@@ -131,13 +131,14 @@ func TestWarmPSDSearchAllocatesOnlyItsResult(t *testing.T) {
 }
 
 // A warm S-SD k=1 search over 200 overlapping NBA-like objects, where about
-// two checks in three reach the exact scan, allocates what it returns and
-// nothing else: the search heap's slab and free list, the runs sorted for
-// U_Q and the merge's second buffer all contribute zero.
+// one check in four is validated on the summary and one in three reaches the
+// exact scan, allocates what it returns and nothing else: the search heap's
+// slab and free list, the runs sorted for U_Q and the merge's second buffer
+// all contribute zero.
 func TestWarmSSDSearchAllocatesOnlyItsResult(t *testing.T) {
 	res, avg, own := warmSearchAllocs(t, datagen.Params{N: 200, M: 10, Centers: datagen.NBALike, Seed: 43}, 47, SSD, 1)
 	st := res.Stats
-	if exact := st.DominanceChecks - st.StatPrunes - st.MBRValidations - st.LevelDecisions; exact == 0 || st.ObjectPrunes == 0 {
+	if exact := st.DominanceChecks - st.StatPrunes - st.MBRValidations - st.CoverValidations - st.LevelDecisions; exact == 0 || st.ObjectPrunes == 0 {
 		t.Fatalf("the search exercises too little: %+v", st)
 	}
 	if avg != own {

@@ -67,23 +67,36 @@ func (c *Checker) Operator() Operator { return c.op }
 //  2. per-query-instance statistics: the same three of each U_q (SS-SD, P-SD);
 //  3. cover-based validation on MBRs (Theorem 4);
 //  4. the sweep of the sorted runs: per-query-instance stochastic scans as
-//     cover-based pruning, and the admissibility rows of rung 7 (P-SD);
+//     cover-based pruning, and the admissibility rows of rung 8 (P-SD);
 //  5. the in-hull exit (P-SD);
 //  6. level-by-level bounds on the local R-trees (S-SD, SS-SD);
-//  7. the exact test: the sorted-atom scan, or the Theorem 12 max-flow.
+//  7. cover validation on the summary (coverValidate): F-SD at the hull
+//     instances or, for S-SD, the SS-SD scans, with a witness U_Q ≠ V_Q;
+//  8. the exact test: the sorted-atom scan, or the Theorem 12 max-flow.
 //
-// Rungs 1, 2, 4 and 5 can only answer "no", rung 3 only "yes", so their
-// order never changes a verdict, only what it costs — provided a "no" rung
-// placed before the validation cannot fire on a pair the validation would
-// have accepted. It cannot: validation holds when every instance of U is at
-// least as close as every instance of V to every hull instance of Q, hence
-// (the bisector halfspaces being convex) to every instance of Q; then each
-// U_q lies entirely at or below V_q, and min, mean and max of U_q and of
-// the mixture U_Q are ordered, which is exactly what rungs 1 and 2 test.
-// Rungs 1 and 2 are in turn necessary for the scans of rungs 4 and 7
+// Rungs 1, 2, 4 and 5 can only answer "no", rungs 3 and 7 only "yes", so
+// their order never changes a verdict, only what it costs — provided a "no"
+// rung placed before a validation cannot fire on a pair the validation
+// would have accepted. It cannot: validation holds when every instance of U
+// is at least as close as every instance of V to every hull instance of Q,
+// hence (the bisector halfspaces being convex) to every instance of Q; then
+// each U_q lies entirely at or below V_q, and min, mean and max of U_q and
+// of the mixture U_Q are ordered, which is exactly what rungs 1 and 2 test.
+// Rungs 1 and 2 are in turn necessary for the scans of rungs 4 and 8
 // (Theorem 11: X ≤st Y implies the statistics are ordered), so a pair they
-// reject is one a scan would have rejected, later and dearer. Each rung is
-// gated by the FilterConfig flag it always was.
+// reject is one a scan would have rejected, later and dearer. Rung 7 is
+// where each operator's own rungs end and the work it saves begins: P-SD
+// reads it before its sweep, S-SD and SS-SD after their level rung. Each
+// rung is gated by the FilterConfig flag it always was, rung 7 by
+// StatPruning.
+//
+// Rung 7 takes only verdicts rung 8 would take. (i) F-SD at the hull
+// instances puts every U_q at or below V_q, and makes every pair of P-SD's
+// rows admissible, so the transport ships all the mass. (ii) Scans that hold
+// within 1e-12 at every instance keep the mixture's scan within 1e-12 plus
+// rounding of zero, far above −eps. (iii) The witness: if every value's
+// masses agree within eps, as distr.Equal asks, the means differ by at most
+// (|U_Q|+|V_Q|)·eps·max, so a larger gap proves U_Q ≠ V_Q.
 //
 //nnc:hotpath
 func (c *Checker) Dominates(u, v *uncertain.Object) bool {
@@ -230,6 +243,81 @@ func (c *Checker) mbrValidate(u, v *uncertain.Object, needStrict bool) bool {
 	return true
 }
 
+// --- cover validation on the summary -----------------------------------------
+
+// coverValidate is rung 7: the cover chain F-SD ⊂ P-SD ⊂ SS-SD ⊂ S-SD read
+// off the two summaries, so that a pair a cheaper operator already decides
+// never reaches the exact test. It needs the witness that U_Q ≠ V_Q
+// (meansApart) and then either F-SD at the hull instances or, with scans
+// (S-SD only), U_q ≤st V_q within roundSlack at every query instance, on
+// the runs a merge of U_Q would sort anyway. Like mbrValidate it is counted
+// where its verdict is taken.
+//
+//nnc:hotpath
+func (c *Checker) coverValidate(su, sv *objCache, scans bool) bool {
+	if !c.cfg.StatPruning || !c.meansApart(su, sv) {
+		return false
+	}
+	if !c.fsdAtHull(su, sv) && !(scans && c.scansHold(su, sv, roundSlack)) {
+		return false
+	}
+	c.Stats.CoverValidations++
+	return true
+}
+
+// roundSlack is rung 7's allowance for rounding: above the last-ulp
+// difference of two sums of the same unit of mass taken in different
+// orders, which would otherwise fail a scan at its end, and a thousand
+// times below eps, so that scans within it leave the mixture's scan far
+// above −eps.
+const roundSlack = 1e-12
+
+// meansApart is the witness that U_Q ≠ V_Q: V's mean exceeds U's by more
+// than distr.Equal's tolerance could hide. With N = |U_Q|+|V_Q| atoms there
+// are at most N distinct values, each at most max from zero, so masses
+// equal within eps move the means apart by at most N·eps·max; roundSlack·max
+// covers the rounding of the two sums.
+func (c *Checker) meansApart(su, sv *objCache) bool {
+	n := float64(len(su.runs) + len(sv.runs))
+	return sv.stat.Mean-su.stat.Mean > max(su.stat.Max, sv.stat.Max)*(n*c.eps+roundSlack)
+}
+
+// fsdAtHull reports F-SD at the hull query instances: every positive-mass
+// instance of U at least as close as every one of V, read off the
+// per-query-instance extremes with no sort.
+func (c *Checker) fsdAtHull(su, sv *objCache) bool {
+	for _, j := range c.hullIdx {
+		if su.perQStat[j].Max > sv.perQStat[j].Min {
+			return false
+		}
+	}
+	return true
+}
+
+// scansHold reports whether U_q ≤st V_q within tol at every query instance:
+// the scan half of P-SD's sweep on each pair of runs, sorted as it reaches
+// them. With tol = eps it is SS-SD's exact test.
+func (c *Checker) scansHold(su, sv *objCache, tol float64) bool {
+	for j := 0; j < c.query.Len(); j++ {
+		us, _ := c.sortedRun(su, j)
+		vs, _ := c.sortedRun(sv, j)
+		if !c.sweepInstance(us, vs, nil, nil, tol, true, false, nil) {
+			return false
+		}
+	}
+	return true
+}
+
+// unequal is the side condition U_Q ≠ V_Q of the exact tests: the witness
+// when StatPruning is on and it holds, otherwise distr.Equal on the merged
+// U_Q and V_Q.
+func (c *Checker) unequal(su, sv *objCache) bool {
+	if c.cfg.StatPruning && c.meansApart(su, sv) {
+		return true
+	}
+	return !distr.Equal(c.distQ(su), c.distQ(sv), c.eps)
+}
+
 // --- S-SD ---------------------------------------------------------------------
 
 func (c *Checker) ssd(u, v *uncertain.Object) bool {
@@ -243,11 +331,13 @@ func (c *Checker) ssd(u, v *uncertain.Object) bool {
 			return dec
 		}
 	}
-	du, dv := c.distQ(su), c.distQ(sv)
-	if !distr.StochasticLE(du, dv, c.eps, &c.Stats.InstanceComparisons) {
+	if c.coverValidate(su, sv, true) {
+		return true
+	}
+	if !distr.StochasticLE(c.distQ(su), c.distQ(sv), c.eps, &c.Stats.InstanceComparisons) {
 		return false
 	}
-	return !distr.Equal(du, dv, c.eps)
+	return c.unequal(su, sv)
 }
 
 // --- SS-SD --------------------------------------------------------------------
@@ -267,16 +357,11 @@ func (c *Checker) sssd(u, v *uncertain.Object) bool {
 			return dec
 		}
 	}
-	// The exact test: U_q ≤st V_q at every query instance, each the scan half
-	// of P-SD's sweep on the two runs, sorted as it reaches them.
-	for j := 0; j < c.query.Len(); j++ {
-		us, _ := c.sortedRun(su, j)
-		vs, _ := c.sortedRun(sv, j)
-		if !c.sweepInstance(us, vs, nil, nil, true, false, nil) {
-			return false
-		}
+	if c.coverValidate(su, sv, false) {
+		return true
 	}
-	return !distr.Equal(c.distQ(su), c.distQ(sv), c.eps)
+	// The exact test: U_q ≤st V_q at every query instance, then U_Q ≠ V_Q.
+	return c.scansHold(su, sv, c.eps) && c.unequal(su, sv)
 }
 
 // --- F-SD (instance level) ----------------------------------------------------

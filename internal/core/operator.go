@@ -138,6 +138,10 @@ type Stats struct {
 	// MBRValidations counts cover-based validations that short-circuited a
 	// check at the MBR level.
 	MBRValidations int64
+	// CoverValidations counts checks validated on the summary before the
+	// exact test (rung 7): F-SD at the hull instances, or S-SD's
+	// per-query-instance scans, with a witness that U_Q ≠ V_Q.
+	CoverValidations int64
 	// SphereValidations is retired and always 0: the bounding-sphere
 	// validation is deleted (EXPERIMENTS.md). The field stays only because
 	// the frozen bench/wl_mem.go prints it, and leaves with the next
@@ -178,6 +182,7 @@ func (s *Stats) Add(other Stats) {
 	s.InstanceComparisons += other.InstanceComparisons
 	s.DominanceChecks += other.DominanceChecks
 	s.MBRValidations += other.MBRValidations
+	s.CoverValidations += other.CoverValidations
 	s.StatPrunes += other.StatPrunes
 	s.ScanPrunes += other.ScanPrunes
 	s.LevelDecisions += other.LevelDecisions

@@ -19,6 +19,10 @@ import (
 //     every U_q are necessary for the SS-SD scans of rung 4;
 //  3. cover-based validation on MBRs (Theorem 4), with a strictness
 //     witness;
+//  7. cover validation on the summary (Checker.coverValidate): F-SD at the
+//     hull instances, read off the per-query-instance extremes, with the
+//     means' witness that U_Q ≠ V_Q — F-SD ⊂ P-SD, so the pair never sorts
+//     a run, writes a row or solves a transport;
 //  4. the sweep: one pass per query instance over U_q and V_q sorted by
 //     distance, which decides the SS-SD scan U_q ≤st V_q (cover-based
 //     pruning: ¬SS-SD implies ¬P-SD) and, at hull instances, writes the
@@ -26,9 +30,11 @@ import (
 //     or a positive-mass instance has no admissible pair left;
 //  5. the geometric in-hull exit: an instance of V inside the convex hull
 //     of Q can only be matched by a co-located instance of U;
-//  7. the exact instance transport over the rows rung 4 wrote.
+//  8. the exact instance transport over the rows rung 4 wrote.
 //
-// Rung 6 is S-SD's and SS-SD's only. The paper's level-by-level G⁻/G⁺
+// Rung 7 runs before the sweep because the sweep is what it saves; a "yes"
+// rung commutes with the "no" rungs around it (Checker.Dominates). Rung 6
+// is S-SD's and SS-SD's only. The paper's level-by-level G⁻/G⁺
 // networks over local R-tree nodes cost more than the sweep and solve they
 // stood in front of at every object size measured (EXPERIMENTS.md, "P-SD
 // level by level"), so FilterConfig.LevelByLevel does not reach this file.
@@ -55,7 +61,7 @@ func (c *Checker) psd(u, v *uncertain.Object) bool {
 		c.Stats.StatPrunes++
 		return false
 	}
-	if c.mbrValidate(u, v, true) {
+	if c.mbrValidate(u, v, true) || c.coverValidate(su, sv, false) {
 		return true
 	}
 	adm, strict, ok := c.sweep(su, sv)
@@ -96,7 +102,7 @@ type sweepRows struct {
 	out, notFar []uint64
 }
 
-// sweep is rung 4 and the row fill of rung 7 in one pass over the query
+// sweep is rung 4 and the row fill of rung 8 in one pass over the query
 // instances: sweepInstance at each, on the two sorted runs, and after a hull
 // instance the question whether the rows can still carry a full match
 // (flow.Transport.Isolated). ok is false when P-SD is refuted; otherwise adm
@@ -116,7 +122,7 @@ func (c *Checker) sweep(su, sv *objCache) (adm, strict []uint64, ok bool) {
 		}
 		us, ui := c.sortedRun(su, j)
 		vs, vi := c.sortedRun(sv, j)
-		if !c.sweepInstance(us, vs, ui, vi, c.cfg.StatPruning, hull, &r) {
+		if !c.sweepInstance(us, vs, ui, vi, c.eps, c.cfg.StatPruning, hull, &r) {
 			c.Stats.StatPrunes++
 			c.Stats.ScanPrunes++
 			return nil, nil, false
@@ -133,7 +139,7 @@ func (c *Checker) sweep(su, sv *objCache) (adm, strict []uint64, ok bool) {
 
 // sweepInstance is one merge of U_q against V_q, both sorted by distance to
 // the query instance q, walking U's run and three cursors into V's. It
-// reports whether the scan holds (true when StatPruning is off).
+// reports whether the scan holds within tol (true when scan is off).
 //
 // The scan: U_q ≤st V_q fails iff at some distance λ less mass of U than of
 // V lies within λ, and it is enough to ask just before each atom of U and
@@ -148,7 +154,7 @@ func (c *Checker) sweep(su, sv *objCache) (adm, strict []uint64, ok bool) {
 // of V's run, the ones not strictly farther a longer prefix, and both only
 // grow as u moves up U's run: they are kept as masks over V's instances, and
 // each row takes one and-not and one or per word.
-func (c *Checker) sweepInstance(us, vs []distr.Pair, ui, vi []int32, scan, hull bool, r *sweepRows) bool {
+func (c *Checker) sweepInstance(us, vs []distr.Pair, ui, vi []int32, tol float64, scan, hull bool, r *sweepRows) bool {
 	var massU, massV float64
 	near, a, b := 0, 0, 0 // cursors into vs: strictly nearer, forbidden, not strictly farther
 	if hull {
@@ -160,7 +166,7 @@ func (c *Checker) sweepInstance(us, vs []distr.Pair, ui, vi []int32, scan, hull 
 			for ; near < len(vs) && vs[near].Dist < x.Dist; near++ {
 				massV += vs[near].Prob
 			}
-			if massU < massV-c.eps {
+			if massU < massV-tol {
 				c.Stats.InstanceComparisons += int64(k + max(near, b))
 				return false
 			}
@@ -190,7 +196,7 @@ func (c *Checker) sweepInstance(us, vs []distr.Pair, ui, vi []int32, scan, hull 
 	for ; near < len(vs); near++ {
 		massV += vs[near].Prob
 	}
-	return !(massU < massV-c.eps)
+	return !(massU < massV-tol)
 }
 
 // inHullExit reports whether some positive-mass instance of V lies inside
@@ -221,7 +227,7 @@ func (c *Checker) inHullExit(u, v *uncertain.Object) bool {
 	return false
 }
 
-// psdSolve is rung 7: Theorem 12's transport over the rows the sweep wrote.
+// psdSolve is rung 8: Theorem 12's transport over the rows the sweep wrote.
 // Flow matrix and solver state are the checker's scratch, so repeat solves
 // do not allocate.
 func (c *Checker) psdSolve(su, sv *objCache, adm, strict []uint64) bool {
@@ -232,12 +238,13 @@ func (c *Checker) psdSolve(su, sv *objCache, adm, strict []uint64) bool {
 	}
 	// A match exists. The side condition U_Q ≠ V_Q remains: if any matched
 	// tuple is strictly closer at some hull instance, the CDFs differ and
-	// the condition holds for free; otherwise compare the distributions.
+	// the condition holds for free; otherwise ask the means' witness, and
+	// failing that compare the distributions.
 	// Which of the maximal assignments the solver found does not matter: a
 	// full match with a strict tuple makes some U_q, hence the mixture U_Q,
 	// differ from V's, so distr.Equal would say "different" too.
 	if t.ShipsOver(strict, flowEps) {
 		return true
 	}
-	return !distr.Equal(c.distQ(su), c.distQ(sv), c.eps)
+	return c.unequal(su, sv)
 }

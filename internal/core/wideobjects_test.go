@@ -103,7 +103,7 @@ func requireExactVerdict(t *testing.T, q, u, v *uncertain.Object) {
 	got := c.Dominates(u, v)
 	st := c.Stats
 	if c.cacheOf(u).sorted != q.Len() || c.cacheOf(v).sorted != q.Len() || st.FlowSolves == 0 ||
-		st.StatPrunes+st.MBRValidations+st.LevelDecisions != 0 {
+		st.StatPrunes+st.MBRValidations+st.CoverValidations+st.LevelDecisions != 0 {
 		t.Fatalf("P-SD(%d,%d) was decided before the exact test: %+v", u.ID(), v.ID(), st)
 	}
 	if want := oraclePSDMatch(u, v, q, 1e-9); got != want {
