@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet lint fmt-check loc bench cover figures examples clean check verify smoke fuzz fuzz-smoke faults wal conformance cluster
+.PHONY: all build test race vet lint fmt-check loc product-graph bench cover figures examples clean check verify smoke fuzz fuzz-smoke faults wal conformance cluster
 
 all: build test
 
@@ -41,6 +41,16 @@ loc:
 		END { for (d in n) { printf "%7d %s\n", n[d], d | "sort -k2"; b += (d ~ /^\.\/cmd\//) }; close("sort -k2"); \
 			printf "%7d total\n%7d product graph (go list -deps ./cmd/nncserver)\n%7d cmd/ in %d binaries\n", t, p, c, b }'
 
+# product-graph fails if the server's dependency graph reaches a reference
+# implementation (nnfunc, nncore, harness), a test-only fault injector
+# (faultfile, clusterfault) or the linter: what the product serves with
+# never includes what it is checked against.
+product-graph:
+	@deps="$$($(GO) list -deps ./cmd/nncserver)"; bad=; \
+	for p in nnfunc nncore harness faultfile clusterfault lint; do \
+		echo "$$deps" | grep -qx "spatialdom/internal/$$p" && bad="$$bad internal/$$p"; done; \
+	[ -z "$$bad" ] || { echo "product-graph: ./cmd/nncserver depends on$$bad"; exit 1; }
+
 test: vet
 	$(GO) test ./...
 
@@ -55,7 +65,8 @@ race:
 # front door's write sweep, the Figure 16 ablation driver at tiny scale (every
 # filter stack, as `nnc figure` runs it), the concurrent-search scaling gate
 # without the race detector (it skips under it) and the parallel-search
-# benchmarks at four procs, the server boot smoke, the size count, and a short fuzz pass over every
+# benchmarks at four procs, the server boot smoke, the size count, the
+# product graph's import rule, and a short fuzz pass over every
 # decoder of outside bytes and the request pipeline. CI's check job is
 # `make check`, so this list is the only one.
 check: fmt-check
@@ -75,6 +86,7 @@ check: fmt-check
 	GOMAXPROCS=4 $(GO) test -run='^$$' -bench=ParallelSearch -benchtime=1x -benchmem .
 	$(MAKE) smoke
 	$(MAKE) loc
+	$(MAKE) product-graph
 	$(MAKE) fuzz-smoke
 
 bench:

@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -64,7 +66,6 @@ func TestWarmCheckZeroAllocs(t *testing.T) {
 func TestWarmSearchResetZeroAllocs(t *testing.T) {
 	q, objs := allocObjs(10, 8, 11)
 	var sc CheckScratch
-	sc.setDenseSpan(64)
 	round := func() {
 		for _, op := range Operators {
 			c := sc.Checker(q, op, AllFilters, geom.Euclidean)
@@ -146,16 +147,15 @@ func TestWarmSSDSearchAllocatesOnlyItsResult(t *testing.T) {
 	}
 }
 
-// Equivalence: a checker backed by one long-lived scratch (arena path,
-// dense cache table) must return exactly the verdicts of a fresh checker
-// per pair (the naive allocation path, map-backed cache), for every
-// operator, on tie-heavy quick-generated inputs.
+// Equivalence: a checker backed by one long-lived scratch (arena path)
+// must return exactly the verdicts of a fresh checker per pair (the naive
+// allocation path), for every operator, on tie-heavy quick-generated
+// inputs.
 func TestQuickArenaNaiveEquivalence(t *testing.T) {
 	for _, op := range Operators {
 		op := op
 		t.Run(op.String(), func(t *testing.T) {
 			var sc CheckScratch
-			sc.setDenseSpan(16)
 			f := func(ru, rv, rq rawObj) bool {
 				q := rq.object(0)
 				u := ru.object(1)
@@ -180,30 +180,53 @@ func TestQuickArenaNaiveEquivalence(t *testing.T) {
 	}
 }
 
-// Dense-table and map-backed object caches must be interchangeable: the
-// same workload run with IDs inside and outside the dense span yields
-// identical verdicts.
-func TestDenseSparseCacheEquivalence(t *testing.T) {
-	q, objs := allocObjs(10, 8, 23)
-	// Shifted copies with IDs far outside any dense span.
-	shifted := make([]*uncertain.Object, len(objs))
-	for i, o := range objs {
-		shifted[i] = uncertain.MustNew(o.ID()+maxDenseSpan+100, o.Points(), nil)
+// A cold search — a fresh scratch, every slab grown from nothing — costs
+// what the objects it examines cost, whatever their IDs: after an insert of
+// a very large ID, after that object's delete, and after an insert of a
+// negative ID, a search over 200 NBA-like objects allocates within 10 % of
+// the bytes it allocated before.
+func TestColdSearchBytesIgnoreIDs(t *testing.T) {
+	ds := datagen.Generate(datagen.Params{N: 200, M: 10, Centers: datagen.NBALike, Seed: 43})
+	idx, err := NewIndex(ds.Objects)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, op := range Operators {
-		var dense, sparse CheckScratch
-		dense.setDenseSpan(len(objs))
-		cd := dense.Checker(q, op, AllFilters, geom.Euclidean)
-		cs := sparse.Checker(q, op, AllFilters, geom.Euclidean)
-		for i := range objs {
-			for j := range objs {
-				if i == j {
-					continue
-				}
-				if got, want := cd.Dominates(objs[i], objs[j]), cs.Dominates(shifted[i], shifted[j]); got != want {
-					t.Fatalf("%s: dense=%v sparse=%v for pair (%d,%d)", op, got, want, i, j)
-				}
-			}
+	q := ds.Queries(1, 8, 200, 47)[0]
+	// The fewest bytes of three searches, so that another goroutine's
+	// allocation cannot fail the test.
+	cold := func() uint64 {
+		least := uint64(math.MaxUint64)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			searchBackend(context.Background(), new(searchScratch), idx, q, PSD, 1, SearchOptions{Filters: AllFilters})
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	far := func(id int) *uncertain.Object {
+		p := make(geom.Point, idx.Dim())
+		for i := range p {
+			p[i] = 1e6
+		}
+		return uncertain.MustNew(id, []geom.Point{p}, nil)
+	}
+	const big = 1<<22 - 1
+	base := cold()
+	for _, step := range []struct {
+		name string
+		do   func() bool
+	}{
+		{"the insert of ID 4 194 303", func() bool { return idx.Insert(far(big)) == nil }},
+		{"the delete of ID 4 194 303", func() bool { return idx.Delete(big) }},
+		{"the insert of ID -7", func() bool { return idx.Insert(far(-7)) == nil }},
+	} {
+		if !step.do() {
+			t.Fatalf("%s failed", step.name)
+		}
+		if got := cold(); got > base+base/10 || got < base-base/10 {
+			t.Errorf("after %s a cold search allocates %d bytes, %d before", step.name, got, base)
 		}
 	}
 }

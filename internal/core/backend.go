@@ -37,19 +37,13 @@ func (idx *Index) Resolve(r ObjRef) (*uncertain.Object, error) { return r.Obj, n
 // AccessStats reports zero: the memory backend performs no storage I/O.
 func (idx *Index) AccessStats() IOStats { return IOStats{} }
 
-// DenseIDSpanner is an optional Backend interface: a backend whose object
-// IDs occupy a dense range [0, n) reports n, letting the engine swap the
-// checker's per-object cache from a hash map to a directly indexed table.
-// A return of 0 means the span is unknown (or IDs are sparse/negative) and
-// the checker stays on the map.
+// DenseIDSpanner is retired: no backend implements it and the engine asks
+// no backend for it, since a search holds each object's summary by handle
+// whatever the object's ID. The type stays only because the frozen
+// bench/trace.go asserts it, and leaves with the next benchmark PR.
 type DenseIDSpanner interface {
 	DenseIDSpan() int
 }
-
-var _ DenseIDSpanner = (*Index)(nil)
-
-// DenseIDSpan reports the object-ID span computed at build time.
-func (idx *Index) DenseIDSpan() int { return idx.denseSpan }
 
 // SearchKCtx is the full search call on the in-memory index — k, filters,
 // metric and OnCandidate all ride in the arguments. The traversal

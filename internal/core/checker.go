@@ -16,8 +16,10 @@ import (
 // heap allocations, and a pooled scratch makes whole steady-state searches
 // allocation-free.
 //
-// Object identity is the object ID: callers must give distinct IDs to
-// distinct objects.
+// The engine hands the checker each object's cache itself (handle), built
+// once when the object is keyed. The exported methods take objects and find
+// their caches by object ID in one map, so callers of those must give
+// distinct IDs to distinct objects.
 type Checker struct {
 	rectPred // op, metric, euclid, hullPts (the points of hullIdx), qMBR
 
@@ -97,31 +99,37 @@ func (c *Checker) Operator() Operator { return c.op }
 // rounding of zero, far above −eps. (iii) The witness: if every value's
 // masses agree within eps, as distr.Equal asks, the means differ by at most
 // (|U_Q|+|V_Q|)·eps·max, so a larger gap proves U_Q ≠ V_Q.
+func (c *Checker) Dominates(u, v *uncertain.Object) bool {
+	return c.sd(c.cacheOf(u), c.cacheOf(v))
+}
+
+// sd is Dominates on two caches, the way a search's tie batch asks.
 //
 //nnc:hotpath
-func (c *Checker) Dominates(u, v *uncertain.Object) bool {
+func (c *Checker) sd(su, sv *objCache) bool {
 	c.Stats.DominanceChecks++
-	if c.statCut && !c.summaryOf(u).stat.LE(c.summaryOf(v).stat, c.eps) {
+	if c.statCut && !c.summary(su).stat.LE(c.summary(sv).stat, c.eps) {
 		c.Stats.StatPrunes++
 		return false
 	}
-	return c.decide(u, v)
+	return c.decide(su, sv)
 }
 
-// decide is Dominates past rung 1, which the band scan answers from its own
-// slabs (engine.go).
-func (c *Checker) decide(u, v *uncertain.Object) bool {
+// decide is sd past rung 1, which the band scan answers from its own
+// slabs (engine.go). A cache whose summary a rung needs is summarised there,
+// so a pair an MBR decides never reads its instances.
+func (c *Checker) decide(su, sv *objCache) bool {
 	switch c.op {
 	case SSD:
-		return c.ssd(u, v)
+		return c.ssd(su, sv)
 	case SSSD:
-		return c.sssd(u, v)
+		return c.sssd(su, sv)
 	case PSD:
-		return c.psd(u, v)
+		return c.psd(su, sv)
 	case FSD:
-		return c.fsd(u, v)
+		return c.fsd(su, sv)
 	case FPlusSD:
-		return c.fplussd(u, v)
+		return c.fplussd(su, sv)
 	default:
 		panic("core: unknown operator")
 	}
@@ -129,10 +137,14 @@ func (c *Checker) decide(u, v *uncertain.Object) bool {
 
 // --- per-object cache --------------------------------------------------------
 
+// objCache is what a checker knows about one object under its query: the
+// object, its query summary and what later rungs build from it. It is the
+// handle the engine carries for an examined object, from keying to the
+// band; the exported methods reach it by ID (cacheOf).
 type objCache struct {
 	obj *uncertain.Object
 
-	// The query summary (summaryOf): one pass over the |Q|·m instance pairs.
+	// The query summary (summary): one pass over the |Q|·m instance pairs.
 	sumOK    bool
 	stat     distr.Stat   // of U_Q; stat.Min is the object's heap key
 	perQStat []distr.Stat // of U_q per query instance
@@ -145,43 +157,40 @@ type objCache struct {
 	levels []*levelBounds // local-tree level bounds, index = level
 }
 
-// cacheOf returns (creating on first use) the per-object cache. Dense IDs
-// hit a slice-backed table — one bounds-checked load instead of a map
-// probe — with the map kept as the fallback for sparse or out-of-range
-// IDs.
+// cacheOf returns (creating on first use) the cache of the object with o's
+// ID, out of the scratch's one map: how the exported methods, which take
+// objects, keep identifying them by ID. A search never comes here.
 func (c *Checker) cacheOf(o *uncertain.Object) *objCache {
 	sc := c.scratch
-	if id := o.ID(); id >= 0 && id < len(sc.dense) {
-		oc := sc.dense[id]
-		if oc == nil {
-			oc = sc.newObjCache(o)
-			sc.dense[id] = oc
-			sc.touched = append(sc.touched, id)
-		}
+	if oc, ok := sc.byID[o.ID()]; ok {
 		return oc
 	}
-	if oc, ok := sc.sparse[o.ID()]; ok {
-		return oc
-	}
-	if sc.sparse == nil {
-		//nnc:allow hotpath-alloc: sparse fallback for negative/out-of-span IDs, built at most once per search; dense-ID searches never reach it
-		sc.sparse = make(map[int]*objCache, 64)
+	if sc.byID == nil {
+		sc.byID = make(map[int]*objCache, 64)
 	}
 	oc := sc.newObjCache(o)
-	//nnc:allow hotpath-alloc: sparse-map insert happens once per out-of-span object per search; the dense table serves the steady state
-	sc.sparse[o.ID()] = oc
+	sc.byID[o.ID()] = oc
 	return oc
 }
 
-// summaryOf returns the object's query summary, building it on first use:
-// the |Q|·m distances are evaluated once and yield the heap key min(U_Q),
-// the statistics of U_Q and of every U_q, and the atoms every later scan
-// sorts on demand. Nothing here touches the object's local R-tree.
+// handle summarises o in a cache of its own, entered in no table: the engine
+// resolves each object once per search and carries the result from then on.
+func (c *Checker) handle(o *uncertain.Object) *objCache {
+	return c.summary(c.scratch.newObjCache(o))
+}
+
+// summaryOf is summary on the cache of the object with o's ID.
+func (c *Checker) summaryOf(o *uncertain.Object) *objCache { return c.summary(c.cacheOf(o)) }
+
+// summary returns oc with its query summary built: the |Q|·m distances are
+// evaluated once and yield the heap key min(U_Q), the statistics of U_Q and
+// of every U_q, and the atoms every later scan sorts on demand. Nothing here
+// touches the object's local R-tree.
 //
 //nnc:hotpath
-func (c *Checker) summaryOf(o *uncertain.Object) *objCache {
-	oc := c.cacheOf(o)
+func (c *Checker) summary(oc *objCache) *objCache {
 	if !oc.sumOK {
+		o := oc.obj
 		n := c.query.Len() * o.Len()
 		oc.runs = c.scratch.pairs.Alloc(n)
 		oc.perQStat = c.scratch.stats.Alloc(c.query.Len())
@@ -231,11 +240,11 @@ func (c *Checker) perQStatLE(su, sv *objCache) bool {
 // and F-SD does not. A validation is counted where its verdict is taken: a
 // cover without the witness it needs decides nothing and the pair goes on
 // down the ladder.
-func (c *Checker) mbrValidate(u, v *uncertain.Object, needStrict bool) bool {
+func (c *Checker) mbrValidate(su, sv *objCache, needStrict bool) bool {
 	if !c.cfg.Geometric {
 		return false
 	}
-	holds, strict, _ := c.le(u.MBR(), v.MBR())
+	holds, strict, _ := c.le(su.obj.MBR(), sv.obj.MBR())
 	if !holds || (needStrict && !strict) {
 		return false
 	}
@@ -320,11 +329,11 @@ func (c *Checker) unequal(su, sv *objCache) bool {
 
 // --- S-SD ---------------------------------------------------------------------
 
-func (c *Checker) ssd(u, v *uncertain.Object) bool {
-	if c.mbrValidate(u, v, true) {
+func (c *Checker) ssd(su, sv *objCache) bool {
+	if c.mbrValidate(su, sv, true) {
 		return true
 	}
-	su, sv := c.summaryOf(u), c.summaryOf(v)
+	su, sv = c.summary(su), c.summary(sv)
 	if c.cfg.LevelByLevel {
 		if dec, ok := c.levelDecideSSD(su, sv); ok {
 			c.Stats.LevelDecisions++
@@ -342,13 +351,13 @@ func (c *Checker) ssd(u, v *uncertain.Object) bool {
 
 // --- SS-SD --------------------------------------------------------------------
 
-func (c *Checker) sssd(u, v *uncertain.Object) bool {
-	su, sv := c.summaryOf(u), c.summaryOf(v)
+func (c *Checker) sssd(su, sv *objCache) bool {
+	su, sv = c.summary(su), c.summary(sv)
 	if c.cfg.StatPruning && !c.perQStatLE(su, sv) {
 		c.Stats.StatPrunes++
 		return false
 	}
-	if c.mbrValidate(u, v, true) {
+	if c.mbrValidate(su, sv, true) {
 		return true
 	}
 	if c.cfg.LevelByLevel {
@@ -371,11 +380,11 @@ func (c *Checker) sssd(u, v *uncertain.Object) bool {
 // of the summary, so each pairwise check costs O(|Q|) comparisons — the
 // amortized equivalent of the paper's NN/furthest-neighbor searches on the
 // local R-trees.
-func (c *Checker) fsd(u, v *uncertain.Object) bool {
-	if c.mbrValidate(u, v, false) {
+func (c *Checker) fsd(su, sv *objCache) bool {
+	if c.mbrValidate(su, sv, false) {
 		return true
 	}
-	su, sv := c.summaryOf(u), c.summaryOf(v)
+	su, sv = c.summary(su), c.summary(sv)
 	for j, a := range su.perQStat {
 		c.Stats.InstanceComparisons++
 		if a.Max > sv.perQStat[j].Min+c.eps {
@@ -387,9 +396,9 @@ func (c *Checker) fsd(u, v *uncertain.Object) bool {
 
 // fplussd is the MBR-only baseline of [16]. F+SD never looks inside an
 // MBR, so on two objects it is the rectangle predicate itself (fplus).
-func (c *Checker) fplussd(u, v *uncertain.Object) bool {
+func (c *Checker) fplussd(su, sv *objCache) bool {
 	c.Stats.InstanceComparisons++
-	return c.rectDominates(u.MBR(), v.MBR())
+	return c.rectDominates(su.obj.MBR(), sv.obj.MBR())
 }
 
 // rectPred is the rectangle-level dominance predicate of one query under

@@ -23,15 +23,6 @@ func (idx *Index) Insert(o *uncertain.Object) error {
 	idx.pos[o.ID()] = len(idx.list)
 	idx.list = append(idx.list, o)
 	idx.tree.Insert(rtree.Entry{Rect: o.MBR(), ID: int64(o.ID())})
-	// Keep the dense cache table covering every ID (see NewIndex): a
-	// stale span would send each later object to the sparse-map fallback
-	// on every search.
-	switch {
-	case o.ID() < 0:
-		idx.denseSpan = 0
-	case idx.denseSpan > 0 && o.ID() >= idx.denseSpan:
-		idx.denseSpan = o.ID() + 1
-	}
 	return nil
 }
 

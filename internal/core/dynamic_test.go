@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"math/rand"
 	"slices"
@@ -221,53 +220,4 @@ func stochLE(t *testing.T, x, y distr.Distribution) bool {
 		}
 	}
 	return true
-}
-
-// Insert must keep the dense cache table covering every object ID: an
-// object inserted beyond the build-time span still lands in the directly
-// indexed table, so a warm search over the grown index allocates no more
-// than before the insert.
-func TestInsertGrowsDenseSpan(t *testing.T) {
-	q, objs := allocObjs(40, 6, 41)
-	idx, err := NewIndex(objs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := idx.DenseIDSpan(); got != len(objs) {
-		t.Fatalf("built span = %d, want %d", got, len(objs))
-	}
-	// One scratch held across the runs instead of the pool's: sync.Pool
-	// drops entries at random under the race detector, and a dropped
-	// scratch is a dozen allocations that have nothing to do with the span.
-	sc := new(searchScratch)
-	search := func() {
-		searchBackend(context.Background(), sc, idx, q, PSD, 1, SearchOptions{Filters: AllFilters})
-		sc.clear()
-	}
-	search() // warm the scratch
-	before := testing.AllocsPerRun(20, search)
-
-	// A fresh max-ID object far from the query: examined (the index is a
-	// single leaf) but dominated, so the candidate set — and with it the
-	// Result's own allocations — stays the same.
-	const id = 90
-	far := uncertain.MustNew(id, []geom.Point{{900, 900}, {901, 901}, {902, 900}}, nil)
-	if err := idx.Insert(far); err != nil {
-		t.Fatal(err)
-	}
-	if got := idx.DenseIDSpan(); got != id+1 {
-		t.Fatalf("span after inserting ID %d = %d, want %d", id, got, id+1)
-	}
-	search()
-	if after := testing.AllocsPerRun(20, search); after > before {
-		t.Errorf("warm search allocates %.1f times after the insert, %.1f before", after, before)
-	}
-
-	// A negative ID makes the span unknown for good.
-	if err := idx.Insert(uncertain.MustNew(-7, []geom.Point{{950, 950}}, nil)); err != nil {
-		t.Fatal(err)
-	}
-	if got := idx.DenseIDSpan(); got != 0 {
-		t.Fatalf("span after a negative ID = %d, want 0", got)
-	}
 }

@@ -135,6 +135,7 @@ type searchItem struct {
 	rect geom.Rect // node/objLB: the entry MBR, for pop-time pruning
 	node NodeRef
 	obj  ObjRef
+	sum  *objCache // objExact: the object's summary, its handle from here on
 }
 
 // heapKey is what the search heap sifts: an item's key and the slab slot
@@ -266,23 +267,23 @@ type searchScratch struct {
 // are in, and stays +Inf under F+SD, off the Euclidean metric and without
 // Filters.Geometric, where farK is +Inf or object entries are not pruned.
 type band struct {
-	objs      []*uncertain.Object
+	objs      []*objCache
 	mean, max []float64
 	far       []float64
 	nearest   []float64
 	radius    float64
 }
 
-// push appends o, which c has just found to have fewer than k dominators.
-func (b *band) push(c *Checker, o *uncertain.Object, k int) {
-	st := c.summaryOf(o).stat
-	b.objs = append(b.objs, o)
-	b.mean = append(b.mean, st.Mean)
-	b.max = append(b.max, st.Max)
+// push appends the summarised object so, which c has just found to have
+// fewer than k dominators.
+func (b *band) push(c *Checker, so *objCache, k int) {
+	b.objs = append(b.objs, so)
+	b.mean = append(b.mean, so.stat.Mean)
+	b.max = append(b.max, so.stat.Max)
 	if c.op == FPlusSD {
 		return // asked member by member (dominatesRect): no far row to keep
 	}
-	mbr := o.MBR()
+	mbr := so.obj.MBR()
 	for _, q := range c.hullPts {
 		b.far = append(b.far, c.far(q, mbr))
 	}
@@ -315,22 +316,19 @@ func (b *band) clear() {
 	b.nearest = b.nearest[:0]
 }
 
-// dominators counts, stopping at k, the members of b[:n] that dominate v.
-// It is Checker.Dominates applied to each member in band order with rung 1
-// of the verdict ladder read off the mean and max slabs: the members of
-// b[:n] were examined before v, in non-decreasing order of the exact key
-// min(U_Q), so their min statistic is already known to be no larger than
-// v's and only mean and max are compared. The first dominator found moves to the front —
-// it tends to dominate the following objects too.
+// dominators counts, stopping at k, the members of b[:n] that dominate the
+// summarised object sv. It is Checker.sd applied to each member in band
+// order with rung 1 of the verdict ladder read off the mean and max slabs:
+// the members of b[:n] were examined before sv, in non-decreasing order of
+// the exact key min(U_Q), so their min statistic is already known to be no
+// larger than sv's and only mean and max are compared. The first dominator
+// found moves to the front — it tends to dominate the following objects
+// too.
 //
 //nnc:hotpath
-func (b *band) dominators(c *Checker, n int, v *uncertain.Object, k int) int {
+func (b *band) dominators(c *Checker, n int, sv *objCache, k int) int {
 	found := 0
-	var vmean, vmax float64
-	if c.statCut {
-		st := c.summaryOf(v).stat
-		vmean, vmax = st.Mean+c.eps, st.Max+c.eps
-	}
+	vmean, vmax := sv.stat.Mean+c.eps, sv.stat.Max+c.eps
 	mean, max := b.mean[:n], b.max[:n]
 	for i, u := range b.objs[:n] {
 		c.Stats.DominanceChecks++
@@ -338,7 +336,7 @@ func (b *band) dominators(c *Checker, n int, v *uncertain.Object, k int) int {
 			c.Stats.StatPrunes++
 			continue
 		}
-		if !c.decide(u, v) {
+		if !c.decide(u, sv) {
 			continue
 		}
 		found++
@@ -424,9 +422,6 @@ func searchBackend(ctx context.Context, sc *searchScratch, b Backend, q *uncerta
 		return nil, err
 	}
 
-	if ds, ok := b.(DenseIDSpanner); ok {
-		sc.check.setDenseSpan(ds.DenseIDSpan())
-	}
 	checker := sc.check.Checker(q, op, opts.Filters, m)
 	h := &sc.heap
 	batch := sc.batch
@@ -507,8 +502,10 @@ func searchBackend(ctx context.Context, sc *searchScratch, b Backend, q *uncerta
 				return
 			}
 			// Re-key by the exact min pair distance so objects are
-			// evaluated in true min(U_Q) order.
-			h.push(searchItem{key: checker.MinPairDist(o), kind: kindObjExact, obj: ObjRef{Obj: o}})
+			// evaluated in true min(U_Q) order. The summary that key comes
+			// from is the object's handle for the rest of the search.
+			so := checker.handle(o)
+			h.push(searchItem{key: so.stat.Min, kind: kindObjExact, sum: so})
 			exact++
 		}
 	}
@@ -571,12 +568,12 @@ func searchBackend(ctx context.Context, sc *searchScratch, b Backend, q *uncerta
 				finish()
 				return res, ctx.Err()
 			}
-			obj := bi.obj.Obj
+			so := bi.sum
 			res.Examined++
-			dominators := band.dominators(checker, preBand, obj, k)
+			dominators := band.dominators(checker, preBand, so, k)
 			if dominators < k {
 				for _, other := range batch {
-					if other.obj.Obj != obj && checker.Dominates(other.obj.Obj, obj) {
+					if other.sum != so && checker.sd(other.sum, so) {
 						dominators++
 						if dominators >= k {
 							break
@@ -587,9 +584,9 @@ func searchBackend(ctx context.Context, sc *searchScratch, b Backend, q *uncerta
 			if dominators >= k {
 				continue
 			}
-			band.push(checker, obj, k)
+			band.push(checker, so, k)
 			cand := Candidate{
-				Object:     obj,
+				Object:     so.obj,
 				Rank:       len(res.Candidates),
 				MinDist:    bi.key,
 				Elapsed:    time.Since(start),
@@ -634,7 +631,7 @@ func (b *band) dominatesRect(c *Checker, r geom.Rect, k int) bool {
 	count := 0
 	if c.op == FPlusSD {
 		for _, u := range b.objs {
-			if c.rectDominates(u.MBR(), r) {
+			if c.rectDominates(u.obj.MBR(), r) {
 				count++
 				if count >= k {
 					return true

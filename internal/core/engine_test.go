@@ -240,7 +240,7 @@ func TestSlabEntryTestMatchesRectDominates(t *testing.T) {
 				c := sc.Checker(q, op, AllFilters, m)
 				var b band
 				for _, o := range members {
-					b.push(c, o, 1)
+					b.push(c, c.summaryOf(o), 1)
 				}
 				b.toFront(rng.Intn(len(members)))
 				for _, r := range rects {

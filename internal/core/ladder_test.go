@@ -338,7 +338,6 @@ func TestSlabBandMatchesBruteForce(t *testing.T) {
 func TestMinPairDistFreshObjectZeroAllocs(t *testing.T) {
 	q, objs := allocObjs(64, 10, 5)
 	var sc CheckScratch
-	sc.setDenseSpan(len(objs))
 	c := sc.Checker(q, SSD, AllFilters, geom.Euclidean)
 	for _, o := range objs {
 		c.MinPairDist(o) // grow the slabs

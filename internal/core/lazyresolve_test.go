@@ -111,7 +111,6 @@ func TestCoarseLevelsHeightGate(t *testing.T) {
 		}
 		for _, op := range []Operator{SSD, SSSD, PSD} {
 			var sc CheckScratch
-			sc.setDenseSpan(len(objs))
 			// allPairs appends c's verdict on every ordered pair to dst.
 			allPairs := func(dst []bool, c *Checker, objs []*uncertain.Object) []bool {
 				for _, u := range objs {

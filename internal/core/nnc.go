@@ -20,9 +20,6 @@ type Index struct {
 	pos  map[int]int // object ID → position in list
 	tree *rtree.Tree
 	dim  int
-	// denseSpan is max(ID)+1 when every object ID is non-negative (so IDs
-	// fit a directly indexed cache table), 0 otherwise.
-	denseSpan int
 }
 
 // GlobalPageBytes is the usable page payload the global R-tree fanout is
@@ -49,7 +46,6 @@ func NewIndex(objs []*uncertain.Object) (*Index, error) {
 	dim := objs[0].Dim()
 	pos := make(map[int]int, len(objs))
 	entries := make([]rtree.Entry, len(objs))
-	span := 0
 	for i, o := range objs {
 		if o.Dim() != dim {
 			return nil, fmt.Errorf("%w: object %d has dim %d, want %d", ErrIndexDimMix, o.ID(), o.Dim(), dim)
@@ -59,25 +55,15 @@ func NewIndex(objs []*uncertain.Object) (*Index, error) {
 		}
 		pos[o.ID()] = i
 		entries[i] = rtree.Entry{Rect: o.MBR(), ID: int64(o.ID())}
-		switch {
-		case o.ID() < 0:
-			span = -1
-		case span >= 0 && o.ID() >= span:
-			span = o.ID() + 1
-		}
-	}
-	if span < 0 {
-		span = 0
 	}
 	fan := rtree.DefaultFanout(GlobalPageBytes, dim)
 	list := make([]*uncertain.Object, len(objs))
 	copy(list, objs)
 	return &Index{
-		list:      list,
-		pos:       pos,
-		tree:      rtree.Bulk(entries, fan),
-		dim:       dim,
-		denseSpan: span,
+		list: list,
+		pos:  pos,
+		tree: rtree.Bulk(entries, fan),
+		dim:  dim,
 	}, nil
 }
 

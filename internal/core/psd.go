@@ -55,13 +55,13 @@ import (
 
 const flowEps = 1e-9
 
-func (c *Checker) psd(u, v *uncertain.Object) bool {
-	su, sv := c.summaryOf(u), c.summaryOf(v)
+func (c *Checker) psd(su, sv *objCache) bool {
+	su, sv = c.summary(su), c.summary(sv)
 	if c.cfg.StatPruning && !c.perQStatLE(su, sv) {
 		c.Stats.StatPrunes++
 		return false
 	}
-	if c.mbrValidate(u, v, true) || c.coverValidate(su, sv, false) {
+	if c.mbrValidate(su, sv, true) || c.coverValidate(su, sv, false) {
 		return true
 	}
 	adm, strict, ok := c.sweep(su, sv)
@@ -69,7 +69,7 @@ func (c *Checker) psd(u, v *uncertain.Object) bool {
 		return false
 	}
 	if c.cfg.Geometric && c.euclid && c.query.Dim() == 2 {
-		if c.inHullExit(u, v) {
+		if c.inHullExit(su.obj, sv.obj) {
 			return false
 		}
 	}

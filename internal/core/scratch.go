@@ -11,12 +11,13 @@ import (
 // CheckScratch is the allocation arena behind a Checker: slab arenas for
 // every cached artifact a search builds (distribution atoms and the
 // instance order of sorted runs, per-object caches, level bounds), the
-// transport solver and bitset rows of the P-SD solves, and the dense
-// object-cache table. One scratch backs one live Checker at a time; Checker
-// re-initializes it, releasing everything the previous search cached. The
-// engine pools these alongside its other per-search scratch, which is what
-// makes steady-state searches allocation-free: every slab and table reaches
-// its high-water size and is then recycled verbatim.
+// transport solver and bitset rows of the P-SD solves, and the ID map of
+// the exported checker methods. Its size follows the objects a search
+// examines, never their IDs. One scratch backs one live Checker at a time;
+// Checker re-initializes it, releasing everything the previous search
+// cached. The engine pools these alongside its other per-search scratch,
+// which is what makes steady-state searches allocation-free: every slab
+// reaches its high-water size and is then recycled verbatim.
 //
 // A CheckScratch is not safe for concurrent use.
 type CheckScratch struct {
@@ -35,12 +36,10 @@ type CheckScratch struct {
 	levels    slab.Arena[levelBounds]
 	levelPtrs slab.Arena[*levelBounds]
 
-	// Object-cache table: IDs inside [0, len(dense)) hit the slice,
-	// everything else falls back to the map. touched records the dense
-	// slots in use so reset clears them without sweeping the whole table.
-	dense   []*objCache
-	touched []int
-	sparse  map[int]*objCache
+	// The caches of the objects the exported methods were handed, by ID
+	// (Checker.cacheOf). A search holds its caches by handle and leaves it
+	// empty.
+	byID map[int]*objCache
 
 	// The sorter of the sweep's runs, the second buffer of the merge that
 	// builds U_Q out of them (Checker.distQ) and, for P-SD, the transport
@@ -60,21 +59,6 @@ type CheckScratch struct {
 	checker Checker
 }
 
-// maxDenseSpan caps the dense table: backends reporting a larger ID span
-// stay on the map so one scratch never holds a giant pointer table.
-const maxDenseSpan = 1 << 22
-
-// setDenseSpan sizes the dense object-cache table for IDs in [0, n).
-func (sc *CheckScratch) setDenseSpan(n int) {
-	if n <= 0 || n > maxDenseSpan {
-		return
-	}
-	if cap(sc.dense) < n {
-		sc.dense = make([]*objCache, n)
-	}
-	sc.dense = sc.dense[:n]
-}
-
 // reset releases everything cached by the current checker so the scratch
 // can back a new search. Pointer-bearing arenas are zeroed; POD arenas are
 // recycled as-is.
@@ -87,11 +71,7 @@ func (sc *CheckScratch) reset() {
 	sc.caches.ResetZero()
 	sc.levels.ResetZero()
 	sc.levelPtrs.ResetZero()
-	for _, id := range sc.touched {
-		sc.dense[id] = nil
-	}
-	sc.touched = sc.touched[:0]
-	clear(sc.sparse)
+	clear(sc.byID)
 	clear(sc.hullPts[:cap(sc.hullPts)]) // drop references to the previous query
 }
 

@@ -306,7 +306,7 @@ func TestShieldRadiusMatchesLoop(t *testing.T) {
 					c := NewCheckerMetric(q, op, AllFilters, m)
 					b := band{radius: math.Inf(1)} // as searchBackend starts it
 					for _, cand := range base.Candidates {
-						b.push(c, cand.Object, k)
+						b.push(c, c.summaryOf(cand.Object), k)
 					}
 					if b.radius != math.Sqrt(s.farK) {
 						t.Fatalf("d=%d %v k=%d %v: band radius %v, shield radius sqrt(%v)", d, op, k, m, b.radius, s.farK)

@@ -202,7 +202,8 @@ func TestSweepRowsMatchAllPairsFill(t *testing.T) {
 						want := open && tr.Solve(u.Probs(), v.Probs(), wantAdm) >= 1-flowEps &&
 							(tr.ShipsOver(wantStrict, flowEps) ||
 								!distr.Equal(distr.BetweenFunc(u, q, metric.Dist), distr.BetweenFunc(v, q, metric.Dist), c.eps))
-						got := NewCheckerMetric(q, PSD, cfg, metric).psd(u, v)
+						pc := NewCheckerMetric(q, PSD, cfg, metric)
+						got := pc.psd(pc.cacheOf(u), pc.cacheOf(v))
 						if got != want {
 							t.Fatalf("%s: psd = %v, reference rows give %v", name, got, want)
 						}

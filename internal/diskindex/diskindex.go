@@ -82,19 +82,15 @@ type Index struct {
 }
 
 // snapshot is one published, immutable view of the index: the tree root
-// and geometry, the id span, and a store clone whose directory the writer
-// will never mutate in place.
+// and geometry, and a store clone whose directory the writer will never
+// mutate in place.
 type snapshot struct {
 	epoch  uint64
 	root   pager.PageID
 	height int
 	size   int
-	// span is max(object ID)+1 when every ID is non-negative, as the super
-	// page persists it; 0 means unknown and the checker keeps its
-	// map-backed cache.
-	span  int
-	store *diskstore.Store
-	refs  atomic.Int64
+	store  *diskstore.Store
+	refs   atomic.Int64
 }
 
 var _ core.Backend = (*Index)(nil)
@@ -144,15 +140,8 @@ func create(pool *pager.Pool, dim int, objs []*uncertain.Object) (*Index, error)
 		return nil, err
 	}
 	rects := make([]geom.Rect, len(objs))
-	span := 0
 	for i, o := range objs {
 		rects[i] = o.MBR()
-		switch {
-		case o.ID() < 0:
-			span = -1
-		case span >= 0 && o.ID() >= span:
-			span = o.ID() + 1
-		}
 	}
 	entries := make([]rtree.Entry, len(objs))
 	for _, i := range rtree.STROrder(rects, rtree.DefaultFanout(tx.PageSize(), dim)) {
@@ -176,7 +165,7 @@ func create(pool *pager.Pool, dim int, objs []*uncertain.Object) (*Index, error)
 	if err != nil {
 		return nil, err
 	}
-	sb := SuperBlock{StoreMeta: store.Meta(), TreeMeta: tree.Meta(), Span: max(span, 0)}
+	sb := SuperBlock{StoreMeta: store.Meta(), TreeMeta: tree.Meta()}
 	EncodeSuper(buf, sb)
 	if err := tx.Flush(); err != nil {
 		return nil, err
@@ -255,7 +244,7 @@ func newIndex(pool *pager.Pool, super pager.PageID, store *diskstore.Store, tree
 	//nnc:publish first store before the Index escapes the constructor; no reader exists yet
 	ix.snap.Store(&snapshot{
 		epoch: sb.Epoch, root: tree.Root(), height: tree.Height(),
-		size: tree.Len(), span: sb.Span, store: store.Clone(),
+		size: tree.Len(), store: store.Clone(),
 	})
 	return ix
 }
@@ -339,7 +328,7 @@ func (ix *Index) Dim() int { return ix.tree.Dim() }
 // --- core.Backend ------------------------------------------------------------
 
 // view is one snapshot read through one pager.Reader: the only place Root,
-// Expand, Resolve and DenseIDSpan are written. A search's session reads
+// Expand and Resolve are written. A search's session reads
 // through its lease and reports the counts kept here; Index's own Backend
 // methods read through the shared pool, where the pool's and the cache's
 // cumulative counters are the record.
@@ -394,9 +383,6 @@ func (v *view) Resolve(r core.ObjRef) (*uncertain.Object, error) {
 	return o, nil
 }
 
-// DenseIDSpan reports the snapshot's object-ID span (core.DenseIDSpanner).
-func (v *view) DenseIDSpan() int { return v.snap.span }
-
 // Index itself is a core.Backend over the current snapshot and the shared
 // pool — the surface for callers that pass it to core.SearchBackend
 // directly. Such use is concurrency-safe, but it pins nothing and per-search
@@ -418,8 +404,6 @@ func (ix *Index) Resolve(r core.ObjRef) (*uncertain.Object, error) {
 	v := ix.direct()
 	return v.Resolve(r)
 }
-
-func (ix *Index) DenseIDSpan() int { v := ix.direct(); return v.DenseIDSpan() }
 
 // AccessStats combines the buffer pool's cumulative counters with the
 // decoded-object cache's; the engine turns them into per-search deltas.
@@ -443,11 +427,7 @@ type session struct {
 	lease *pager.Lease
 }
 
-var (
-	_ core.Backend        = (*session)(nil)
-	_ core.DenseIDSpanner = (*session)(nil)
-	_ core.DenseIDSpanner = (*Index)(nil)
-)
+var _ core.Backend = (*session)(nil)
 
 func (s *session) AccessStats() core.IOStats {
 	return core.IOStats{

@@ -3,11 +3,14 @@ package diskindex
 import (
 	"context"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
 	"spatialdom/internal/core"
 	"spatialdom/internal/datagen"
+	"spatialdom/internal/geom"
 	"spatialdom/internal/pager"
 	"spatialdom/internal/uncertain"
 )
@@ -233,18 +236,12 @@ func TestDiskSearchKMatchesMemory(t *testing.T) {
 	}
 }
 
-// A file whose super page reports span 0 — what a build predating span
-// persistence would read — must still open, advertise no dense ID span,
-// and fall back to the map-backed object-cache table with results
-// identical to the in-memory index under every operator.
-func TestOpenSpanZeroLegacyFallback(t *testing.T) {
+// Super page bytes 12–20 are reserved: a file whose bytes there are all
+// 0xFF — where older writers kept the object-ID span — opens, checks clean
+// and answers like the memory index under every operator.
+func TestOpenIgnoresReservedSuperBytes(t *testing.T) {
 	disk, mem, ds, path := buildBoth(t, 120, 5, 55, 64)
 	super := disk.SuperPage()
-	if disk.DenseIDSpan() <= 0 {
-		t.Fatalf("build persisted span %d, want positive", disk.DenseIDSpan())
-	}
-
-	// Zero the persisted span field (super page bytes 12..20) in place.
 	pf, err := pager.Open(path)
 	if err != nil {
 		t.Fatal(err)
@@ -253,7 +250,9 @@ func TestOpenSpanZeroLegacyFallback(t *testing.T) {
 	if _, err := pf.ReadPage(super, buf); err != nil {
 		t.Fatal(err)
 	}
-	clear(buf[12:20])
+	for i := 12; i < 20; i++ {
+		buf[i] = 0xFF
+	}
 	if err := pf.WritePage(super, buf, pager.PageSuper); err != nil {
 		t.Fatal(err)
 	}
@@ -264,37 +263,84 @@ func TestOpenSpanZeroLegacyFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pf, err = pager.Open(path)
+	if rep, err := FsckStruct(path, 64); err != nil || !rep.Clean() {
+		t.Fatalf("fsck: %v %+v", err, rep)
+	}
+	ix, err := OpenFile(path, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer pf.Close()
-	legacy, err := Open(pager.NewPool(pf, 64), super)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := legacy.DenseIDSpan(); got != 0 {
-		t.Fatalf("legacy DenseIDSpan() = %d, want 0", got)
-	}
+	defer ix.Close()
 	for _, q := range ds.Queries(3, 4, 200, 81) {
 		for _, op := range core.Operators {
 			want := mem.Search(q, op).IDs()
-			res, err := searchK(legacy, q, op, 1)
+			res, err := searchK(ix, q, op, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := res.IDs()
-			sort.Ints(want)
-			sort.Ints(got)
-			if len(got) != len(want) {
-				t.Fatalf("%v: span-0 disk %v != memory %v", op, got, want)
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%v: span-0 disk %v != memory %v", op, got, want)
-				}
+			if got := res.IDs(); !slices.Equal(got, want) {
+				t.Fatalf("%v: disk %v != memory %v", op, got, want)
 			}
 		}
+	}
+}
+
+// An object ID leaves nothing behind in the file: after a mutable session
+// inserts an object with a very large ID and deletes it again, the file,
+// reopened read-only, runs a cold search within 10 % of the bytes the same
+// search took before the session.
+func TestDeletedLargeIDLeavesColdSearchBytes(t *testing.T) {
+	ds := datagen.Generate(datagen.Params{N: 200, M: 10, Centers: datagen.NBALike, Seed: 43})
+	q := ds.Queries(1, 8, 200, 47)[0]
+	path := filepath.Join(t.TempDir(), "ids.pg")
+	pf, err := pager.Create(path, pager.PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Build(pager.NewPool(pf, 64), ds.Objects); err != nil {
+		t.Fatal(err)
+	}
+	if err := pf.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cold := func() uint64 {
+		ix, err := OpenFile(path, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ix.Close()
+		runtime.GC() // twice: the engine's scratch pool keeps a victim cache
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := searchK(ix, q, core.PSD, 1); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	base := cold()
+
+	ix, err := OpenFileMutable(path, &MutableOptions{Frames: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const big = 1<<22 - 1
+	p := make(geom.Point, ix.Dim())
+	for i := range p {
+		p[i] = 1e6
+	}
+	if err := ix.Insert(uncertain.MustNew(big, []geom.Point{p}, nil)); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := ix.Delete(big); err != nil || !ok {
+		t.Fatalf("delete: ok=%v err=%v", ok, err)
+	}
+	if err := ix.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := cold(); got > base+base/10 || got < base-base/10 {
+		t.Fatalf("after an insert and delete of ID %d a cold search allocates %d bytes, %d before", big, got, base)
 	}
 }
 

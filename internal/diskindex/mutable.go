@@ -128,32 +128,11 @@ type mutState struct {
 
 	byID map[int]diskstore.Ptr
 
-	span    int
-	spanNeg bool // a negative object id was seen: span stays unknown
-
 	ckptFails int // best-effort auto-checkpoints that failed
 
 	recovered *wal.RecoveryStats
 	poisoned  error
 	closed    bool
-}
-
-// mutCapture is the rollback record for the mutState fields a transaction
-// mutates before commit.
-type mutCapture struct {
-	span    int
-	spanNeg bool
-}
-
-func (m *mutState) capture() mutCapture { return mutCapture{span: m.span, spanNeg: m.spanNeg} }
-
-func (m *mutState) restore(c mutCapture) { m.span, m.spanNeg = c.span, c.spanNeg }
-
-func (m *mutState) spanValue() int {
-	if m.spanNeg {
-		return 0
-	}
-	return m.span
 }
 
 // --- snapshot pin ------------------------------------------------------------
@@ -276,16 +255,12 @@ func openMutable(pf *pager.PageFile, path string, opts *MutableOptions) (*Index,
 // page persisted, and the open log.
 func (ix *Index) attachWriter(free []pager.PageID, wlog *wal.Log, walLimit int64, rec *wal.RecoveryStats) error {
 	byID := make(map[int]diskstore.Ptr, ix.Len())
-	spanNeg := false
 	dups := 0
 	err := ix.ScanLive(func(p diskstore.Ptr, o *uncertain.Object) error {
 		if _, ok := byID[o.ID()]; ok {
 			dups++
 		}
 		byID[o.ID()] = p
-		if o.ID() < 0 {
-			spanNeg = true
-		}
 		return nil
 	})
 	if err != nil {
@@ -299,8 +274,6 @@ func (ix *Index) attachWriter(free []pager.PageID, wlog *wal.Log, walLimit int64
 		walLimit:  walLimit,
 		free:      append([]pager.PageID(nil), free...),
 		byID:      byID,
-		span:      ix.DenseIDSpan(),
-		spanNeg:   spanNeg,
 		recovered: rec,
 	}
 	ix.mut.tx = newTx(ix)
@@ -345,7 +318,7 @@ func (ix *Index) Insert(o *uncertain.Object) error {
 		return fmt.Errorf("%w: %d", core.ErrDuplicateID, o.ID())
 	}
 
-	treeSt, storeSt, cap := ix.tree.State(), ix.store.State(), m.capture()
+	treeSt, storeSt := ix.tree.State(), ix.store.State()
 	tx := m.tx
 	defer tx.release()
 	var ptr diskstore.Ptr
@@ -358,12 +331,6 @@ func (ix *Index) Insert(o *uncertain.Object) error {
 		if err := ix.tree.InsertTx(tx, rtree.Entry{Rect: o.MBR(), ID: int64(ptr)}); err != nil {
 			return err
 		}
-		switch {
-		case o.ID() < 0:
-			m.spanNeg = true
-		case !m.spanNeg && o.ID() >= m.span:
-			m.span = o.ID() + 1
-		}
 		if err := ix.store.WriteMetaTx(tx); err != nil {
 			return err
 		}
@@ -375,7 +342,6 @@ func (ix *Index) Insert(o *uncertain.Object) error {
 	if err != nil {
 		ix.tree.Restore(treeSt)
 		ix.store.Restore(storeSt)
-		m.restore(cap)
 		tx.abort()
 		return err
 	}
@@ -407,7 +373,7 @@ func (ix *Index) Delete(id int) (bool, error) {
 
 	// Removing the leaf entry is the whole delete: the record stays in the
 	// heap, unreferenced, until `nnc rewrite` compacts the file.
-	treeSt, cap := ix.tree.State(), m.capture()
+	treeSt := ix.tree.State()
 	tx := m.tx
 	defer tx.release()
 	err = func() error {
@@ -425,7 +391,6 @@ func (ix *Index) Delete(id int) (bool, error) {
 	}
 	if err != nil {
 		ix.tree.Restore(treeSt)
-		m.restore(cap)
 		tx.abort()
 		return false, err
 	}
@@ -453,7 +418,6 @@ func (ix *Index) stageSuper(tx *Tx, epoch uint64) error {
 	EncodeSuper(buf, SuperBlock{
 		StoreMeta: ix.store.Meta(),
 		TreeMeta:  ix.tree.Meta(),
-		Span:      m.spanValue(),
 		Epoch:     epoch,
 		Free:      m.superFree,
 	})
@@ -495,7 +459,7 @@ func (ix *Index) commitTx(tx *Tx) error {
 	//nnc:allow hotpath-alloc: the published snapshot is the commit's product; readers hold it until they drain
 	ns := &snapshot{
 		epoch: newEpoch, root: ix.tree.Root(), height: ix.tree.Height(),
-		size: ix.tree.Len(), span: m.spanValue(), store: ix.store.Clone(),
+		size: ix.tree.Len(), store: ix.store.Clone(),
 	}
 	//nnc:publish the commit point: readers acquire either cur or ns, both complete
 	ix.snap.Store(ns)

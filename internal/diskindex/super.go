@@ -8,11 +8,15 @@ package diskindex
 //	0  "SDIX"
 //	4  store meta page u32
 //	8  tree meta page  u32
-//	12 dense id span   u64
+//	12 reserved        8 bytes, written zero, ignored on read
 //	20 epoch           u64   (commit counter; 0 = never mutated)
 //	28 reserved        12 bytes, written zero, ignored on read
 //	40 free count      u32
 //	44 free page ids   u32 × free count
+//
+// Bytes 12–20 held the largest object ID plus one, which sized a search's
+// cache table until searches came to hold each object's cache by handle.
+// Older readers take the zero written here for "span unknown".
 //
 // Bytes 28–40 held the head, tail and tail-entry count of a tombstone log
 // (a chain of PageMapLog pages listing deleted record pointers) until the
@@ -42,7 +46,6 @@ const superFixed = 44
 type SuperBlock struct {
 	StoreMeta pager.PageID
 	TreeMeta  pager.PageID
-	Span      int
 	Epoch     uint64
 	Free      []pager.PageID
 }
@@ -59,15 +62,9 @@ func DecodeSuper(buf []byte) (SuperBlock, error) {
 	}
 	sb.StoreMeta = pager.PageID(binary.LittleEndian.Uint32(buf[4:]))
 	sb.TreeMeta = pager.PageID(binary.LittleEndian.Uint32(buf[8:]))
-	rawSpan := binary.LittleEndian.Uint64(buf[12:])
 	if sb.StoreMeta == 0 || sb.TreeMeta == 0 || sb.StoreMeta == sb.TreeMeta {
 		return sb, fmt.Errorf("%w: metadata pages store=%d tree=%d", ErrBadSuper, sb.StoreMeta, sb.TreeMeta)
 	}
-	const maxSpan = 1 << 40 // plausibility bound well beyond any real dataset
-	if rawSpan > maxSpan {
-		return sb, fmt.Errorf("%w: implausible id span %d", ErrBadSuper, rawSpan)
-	}
-	sb.Span = int(rawSpan)
 	sb.Epoch = binary.LittleEndian.Uint64(buf[20:])
 	nfree := int(binary.LittleEndian.Uint32(buf[40:]))
 	if nfree > (len(buf)-superFixed)/4 {
@@ -95,7 +92,6 @@ func EncodeSuper(buf []byte, sb SuperBlock) {
 	copy(buf, superMagic)
 	binary.LittleEndian.PutUint32(buf[4:], uint32(sb.StoreMeta))
 	binary.LittleEndian.PutUint32(buf[8:], uint32(sb.TreeMeta))
-	binary.LittleEndian.PutUint64(buf[12:], uint64(sb.Span))
 	binary.LittleEndian.PutUint64(buf[20:], sb.Epoch)
 	free := sb.Free
 	if cap := (len(buf) - superFixed) / 4; len(free) > cap {
