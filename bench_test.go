@@ -367,13 +367,16 @@ func BenchmarkBandScan(b *testing.B) {
 		b.Fatalf("the band scan no longer ends in the sweep and the transport: %+v", st)
 	}
 	b.ReportMetric(float64(st.FlowSolves)/float64(b.N), "flow-solves/query")
+	b.ReportMetric(float64(st.CoverValidations)/float64(b.N), "cover-validations/query")
 }
 
 // BenchmarkSearchPSDMiss is the handle on what a cache miss of the repo
 // benchmark's served_mixed workload costs the engine (bench/wl_served.go):
 // P-SD, k = 4, over 3 500 anti-correlated 3-d objects of 10 instances with
 // 8-instance queries, where most popped entries are put to the band's
-// entry test and a few dozen pairs reach the Theorem 12 transport.
+// entry test and some sixty pairs a query reach rung 7. It fails unless rung
+// 7 — most of it the match witness — takes more of them than the Theorem 12
+// transport is left to solve.
 func BenchmarkSearchPSDMiss(b *testing.B) {
 	ds := datagen.Generate(datagen.Params{N: 3500, Dim: 3, M: 10, Centers: datagen.AntiCorrelated, Seed: benchSeed})
 	idx, err := core.NewIndex(ds.Objects)
@@ -389,6 +392,10 @@ func BenchmarkSearchPSDMiss(b *testing.B) {
 		flowSolves += float64(res.Stats.FlowSolves)
 		entryTests += float64(res.Stats.HeapPops - int64(res.Examined))
 		covers += float64(res.Stats.CoverValidations)
+	}
+	if flowSolves >= covers {
+		b.Fatalf("%.1f flow solves against %.1f cover validations a query: the match witness no longer takes the served misses' pairs",
+			flowSolves/float64(b.N), covers/float64(b.N))
 	}
 	b.ReportMetric(flowSolves/float64(b.N), "flow-solves/query")
 	b.ReportMetric(entryTests/float64(b.N), "entry-tests/query")

@@ -74,6 +74,8 @@ func (c *Checker) Operator() Operator { return c.op }
 //  6. level-by-level bounds on the local R-trees (S-SD, SS-SD);
 //  7. cover validation on the summary (coverValidate): F-SD at the hull
 //     instances or, for S-SD, the SS-SD scans, with a witness U_Q ≠ V_Q;
+//     for P-SD then Theorem 1's match, walked over instances in order of
+//     summed distance (matchValidate);
 //  8. the exact test: the sorted-atom scan, or the Theorem 12 max-flow.
 //
 // Rungs 1, 2, 4 and 5 can only answer "no", rungs 3 and 7 only "yes", so
@@ -98,7 +100,11 @@ func (c *Checker) Operator() Operator { return c.op }
 // within 1e-12 at every instance keep the mixture's scan within 1e-12 plus
 // rounding of zero, far above −eps. (iii) The witness: if every value's
 // masses agree within eps, as distr.Equal asks, the means differ by at most
-// (|U_Q|+|V_Q|)·eps·max, so a larger gap proves U_Q ≠ V_Q.
+// (|U_Q|+|V_Q|)·eps·max, so a larger gap proves U_Q ≠ V_Q. (iv) P-SD's match
+// compares the summary's distances with plain ≤, so each of its tuples is a
+// pair the rows admit: shipping 1 − flowEps over them is a flow the
+// transport ships too, and a tuple of more than flowEps separated by more
+// than eps is psdSolve's strict tuple.
 func (c *Checker) Dominates(u, v *uncertain.Object) bool {
 	return c.sd(c.cacheOf(u), c.cacheOf(v))
 }
@@ -154,6 +160,14 @@ type objCache struct {
 	distQOK  bool
 	distQ    distr.Distribution // U_Q, built from runs when first scanned
 
+	// P-SD's match witness: every instance's summed distance to the hull
+	// query instances and the distances of the least (matchFirst, with the
+	// summary); every instance's distances and the positive-mass instances
+	// in order of their sums (matchOrder, when a walk first needs them).
+	sums, first []float64
+	hullD       []float64 // instance after instance
+	order       []int32
+
 	levels []*levelBounds // local-tree level bounds, index = level
 }
 
@@ -184,8 +198,9 @@ func (c *Checker) summaryOf(o *uncertain.Object) *objCache { return c.summary(c.
 
 // summary returns oc with its query summary built: the |Q|·m distances are
 // evaluated once and yield the heap key min(U_Q), the statistics of U_Q and
-// of every U_q, and the atoms every later scan sorts on demand. Nothing here
-// touches the object's local R-tree.
+// of every U_q, the atoms every later scan sorts on demand and, for P-SD,
+// what its match witness reads first (matchFirst). Nothing here touches the
+// object's local R-tree.
 //
 //nnc:hotpath
 func (c *Checker) summary(oc *objCache) *objCache {
@@ -201,6 +216,9 @@ func (c *Checker) summary(oc *objCache) *objCache {
 		}
 		oc.sumOK = true
 		c.Stats.InstanceComparisons += int64(n)
+		if c.op == PSD && c.cfg.StatPruning {
+			c.matchFirst(oc)
+		}
 	}
 	return oc
 }

@@ -86,7 +86,7 @@ func TestCoverValidationEdges(t *testing.T) {
 		{"|Q| = 1", geom.Euclidean, origin,
 			uncertain.MustNew(1, []geom.Point{{3, 0}, {0, 4}}, nil),
 			uncertain.MustNew(2, []geom.Point{{5, 0}, {0, 3.5}}, nil),
-			true, map[Operator]bool{SSD: true}},
+			true, map[Operator]bool{SSD: true, PSD: true}},
 	} {
 		for _, op := range coverOps {
 			dom, fired := coverVerdict(t, tc.name, tc.metric, op, tc.q, tc.u, tc.v)
@@ -117,7 +117,8 @@ func TestCoverValidationEdges(t *testing.T) {
 	// The same crossing on objects: U a point at distance 1, V the same
 	// point with mass p and one at distance 2 with 1−p, so the gap is 1−p.
 	// Bisecting p over adjacent float64s finds the two sides; on both the
-	// verdict stays the exact test's.
+	// verdict stays the exact test's. (P-SD's match witness takes all these
+	// pairs by their strict tuple of 1−p > flowEps: TestMatchWitnessEdges.)
 	pair := func(p float64) (u, v *uncertain.Object) {
 		return uncertain.MustNew(1, []geom.Point{{1, 0}}, nil),
 			normalized(t, 2, []geom.Point{{1, 0}, {2, 0}}, []float64{p, 1 - p})
@@ -130,7 +131,7 @@ func TestCoverValidationEdges(t *testing.T) {
 		}
 		return fired
 	}
-	for _, op := range coverOps {
+	for _, op := range []Operator{SSD, SSSD} {
 		lo, hi := math.Float64bits(0.5), math.Float64bits(1-4e-9)
 		if !fires(op, 0.5) || fires(op, 1-4e-9) {
 			t.Fatalf("%v: the bisection does not bracket the bound", op)

@@ -121,7 +121,13 @@ func TestLadderAgreesWithNoFilterWideObjects(t *testing.T) {
 	cfgs[3].Geometric = false
 	rng := rand.New(rand.NewSource(1705))
 	for iter := 0; iter < 12; iter++ {
+		// A query of one distinct point makes ⪯Q a total order, under which
+		// rung 7's match walk is Theorem 1's and decides every pair the exact
+		// test could: only a wider query has a pair for the exact test alone.
 		q := ladderObject(rng, 0, 2+rng.Intn(4), 10, 10)
+		for len(q.HullIndices()) < 2 {
+			q = ladderObject(rng, 0, 2+rng.Intn(4), 10, 10)
+		}
 		u, v := widePair(rng, 1, 2, 70, q, geom.Point{50 + float64(rng.Intn(20)), 20})
 		if iter%2 == 0 {
 			requireExactVerdict(t, q, u, v)

@@ -140,7 +140,8 @@ type Stats struct {
 	MBRValidations int64
 	// CoverValidations counts checks validated on the summary before the
 	// exact test (rung 7): F-SD at the hull instances, or S-SD's
-	// per-query-instance scans, with a witness that U_Q ≠ V_Q.
+	// per-query-instance scans, with a witness that U_Q ≠ V_Q, or P-SD's
+	// match witness.
 	CoverValidations int64
 	// SphereValidations is retired and always 0: the bounding-sphere
 	// validation is deleted (EXPERIMENTS.md). The field stays only because

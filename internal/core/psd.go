@@ -1,6 +1,9 @@
 package core
 
 import (
+	"cmp"
+	"slices"
+
 	"spatialdom/internal/distr"
 	"spatialdom/internal/geom"
 	"spatialdom/internal/uncertain"
@@ -21,8 +24,10 @@ import (
 //     witness;
 //  7. cover validation on the summary (Checker.coverValidate): F-SD at the
 //     hull instances, read off the per-query-instance extremes, with the
-//     means' witness that U_Q ≠ V_Q — F-SD ⊂ P-SD, so the pair never sorts
-//     a run, writes a row or solves a transport;
+//     means' witness that U_Q ≠ V_Q — F-SD ⊂ P-SD; then the match witness
+//     (matchValidate): Theorem 1's quantile match of the instances, in
+//     order of summed distance, checked tuple by tuple against ⪯Q. Either
+//     way the pair never sorts a run, writes a row or solves a transport;
 //  4. the sweep: one pass per query instance over U_q and V_q sorted by
 //     distance, which decides the SS-SD scan U_q ≤st V_q (cover-based
 //     pruning: ¬SS-SD implies ¬P-SD) and, at hull instances, writes the
@@ -61,7 +66,7 @@ func (c *Checker) psd(su, sv *objCache) bool {
 		c.Stats.StatPrunes++
 		return false
 	}
-	if c.mbrValidate(su, sv, true) || c.coverValidate(su, sv, false) {
+	if c.mbrValidate(su, sv, true) || c.coverValidate(su, sv, false) || c.matchValidate(su, sv) {
 		return true
 	}
 	adm, strict, ok := c.sweep(su, sv)
@@ -74,6 +79,177 @@ func (c *Checker) psd(su, sv *objCache) bool {
 		}
 	}
 	return c.psdSolve(su, sv, adm, strict)
+}
+
+// matchValidate is rung 7's second witness, P-SD's own: Theorem 1's quantile
+// match of U and V (distr.Match's walk, on instances) along one linear
+// extension of ⪯Q, the order of matchOrder. It says "yes" when every tuple
+// has u ⪯Q v exactly, the tuples ship at least 1 − flowEps, and U_Q ≠ V_Q
+// is witnessed: by a tuple of more than flowEps that some hull instance
+// separates by more than eps, or by meansApart. Such a match is a flow over
+// the rows rung 4 would write, so rung 8 would say "yes" too; a pair whose
+// walk fails goes on to the sweep. It is gated and counted like
+// coverValidate.
+//
+//nnc:hotpath
+func (c *Checker) matchValidate(su, sv *objCache) bool {
+	if !c.cfg.StatPruning {
+		return false
+	}
+	h := len(c.hullIdx)
+	// The first tuple pairs the two instances of least sum. Most walks that
+	// fail, fail there, before either order is built.
+	if le, _ := c.distLE(su.first, sv.first); !le {
+		c.Stats.InstanceComparisons++
+		return false
+	}
+	ou, ov := c.matchOrder(su), c.matchOrder(sv)
+	pu, pv := su.obj.Probs(), sv.obj.Probs()
+	i, j := 0, 0
+	remU, remV := pu[ou[0]], pv[ov[0]]
+	var shipped float64
+	strict := false
+	for tuples := int64(1); ; tuples++ {
+		x := min(remU, remV)
+		le, apart := c.distLE(su.hullD[int(ou[i])*h:][:h], sv.hullD[int(ov[j])*h:][:h])
+		if !le {
+			c.Stats.InstanceComparisons += tuples
+			return false
+		}
+		strict = strict || apart && x > flowEps
+		shipped += x
+		// x is one of the two remainders, so at least one drops to zero.
+		if remU -= x; remU <= 0 {
+			if i++; i == len(ou) {
+				c.Stats.InstanceComparisons += tuples
+				break
+			}
+			remU = pu[ou[i]]
+		}
+		if remV -= x; remV <= 0 {
+			if j++; j == len(ov) {
+				c.Stats.InstanceComparisons += tuples
+				break
+			}
+			remV = pv[ov[j]]
+		}
+	}
+	if shipped < 1-flowEps || !strict && !c.meansApart(su, sv) {
+		return false
+	}
+	c.Stats.CoverValidations++
+	return true
+}
+
+// distLE compares two instances at the hull query instances: le when du ≤ dv
+// exactly at every one, apart when some one separates them by more than eps.
+func (c *Checker) distLE(du, dv []float64) (le, apart bool) {
+	for t, d := range du {
+		if d > dv[t] {
+			return false, false
+		}
+		apart = apart || d < dv[t]-c.eps
+	}
+	return true, apart
+}
+
+// matchFirst is what the summary adds for P-SD's match witness, while the
+// runs distr.Summarize has just filled are unsorted and in cache: oc.sums,
+// every instance's summed distance to the hull query instances, and
+// oc.first, the distances of the positive-mass instance of least sum (the
+// earliest, on a tie) — all that the walk's first tuple reads. Every
+// object's sums are taken in the same order of the hull instances, and
+// rounding is monotone, so u ⪯Q v exactly implies sum(u) ≤ sum(v).
+//
+//nnc:hotpath
+func (c *Checker) matchFirst(oc *objCache) {
+	m, runs, hull := oc.obj.Len(), oc.runs, c.hullIdx
+	sums := c.scratch.floats.Alloc(m)
+	for i := range sums {
+		var s float64
+		for _, j := range hull {
+			s += runs[j*m+i].Dist
+		}
+		sums[i] = s
+	}
+	f := -1
+	for i, p := range oc.obj.Probs() {
+		if p > 0 && (f < 0 || sums[i] < sums[f]) {
+			f = i
+		}
+	}
+	first := c.scratch.floats.Alloc(len(hull))
+	for t, j := range hull {
+		first[t] = runs[j*m+f].Dist
+	}
+	oc.sums, oc.first = sums, first
+}
+
+// orderKey is one instance of an object and its summed distance to the hull
+// query instances.
+type orderKey struct {
+	sum  float64
+	inst int32
+}
+
+// matchOrder returns oc's positive-mass instances in order of their sums, a
+// linear extension of ⪯Q (matchFirst), with ties in instance order, so that
+// the first is oc.first's. It builds the order and oc.hullD, every instance's
+// distances to the hull query instances, the first time a walk gets past its
+// first tuple, off runs a sweep may have sorted since (through runInst).
+//
+//nnc:hotpath
+func (c *Checker) matchOrder(oc *objCache) []int32 {
+	if oc.order != nil {
+		return oc.order
+	}
+	sc := c.scratch
+	m, h := oc.obj.Len(), len(c.hullIdx)
+	hullD := sc.floats.Alloc(m * h)
+	for t, j := range c.hullIdx {
+		run := oc.runs[j*m:][:m]
+		if j < oc.sorted {
+			for k, inst := range oc.runInst[j*m:][:m] {
+				hullD[int(inst)*h+t] = run[k].Dist
+			}
+			continue
+		}
+		for i, p := range run {
+			hullD[i*h+t] = p.Dist
+		}
+	}
+	order := sc.insts.Alloc(m)
+	n := 0
+	for i, p := range oc.obj.Probs() {
+		if p > 0 {
+			order[n] = int32(i)
+			n++
+		}
+	}
+	order = order[:n]
+	sums := oc.sums
+	if n <= 24 {
+		for i := 1; i < n; i++ {
+			inst, k := order[i], i
+			for ; k > 0 && sums[inst] < sums[order[k-1]]; k-- {
+				order[k] = order[k-1]
+			}
+			order[k] = inst
+		}
+	} else {
+		sc.orderKeys = growKeys(sc.orderKeys, n)
+		for k, inst := range order {
+			sc.orderKeys[k] = orderKey{sums[inst], inst}
+		}
+		slices.SortFunc(sc.orderKeys, func(a, b orderKey) int {
+			return cmp.Or(cmp.Compare(a.sum, b.sum), cmp.Compare(a.inst, b.inst))
+		})
+		for k, key := range sc.orderKeys {
+			order[k] = key.inst
+		}
+	}
+	oc.hullD, oc.order = hullD, order
+	return order
 }
 
 // sortedRun returns U_q for query instance j as atoms sorted by distance,

@@ -42,10 +42,12 @@ type CheckScratch struct {
 	byID map[int]*objCache
 
 	// The sorter of the sweep's runs, the second buffer of the merge that
-	// builds U_Q out of them (Checker.distQ) and, for P-SD, the transport
-	// solver of the exact test and the bitset rows it is handed.
+	// builds U_Q out of them (Checker.distQ) and, for P-SD, the keys the
+	// match witness sorts a wide object's instances by, the transport solver
+	// of the exact test and the bitset rows it is handed.
 	runSorter distr.RunSorter
 	mergeBuf  []distr.Pair
+	orderKeys []orderKey
 	transport flow.Transport
 	sweepBits []uint64
 
@@ -156,6 +158,16 @@ func growBools(s []bool, n int) []bool {
 func growPairs(s []distr.Pair, n int) []distr.Pair {
 	if cap(s) < n {
 		return make([]distr.Pair, n)
+	}
+	return s[:n]
+}
+
+// growKeys returns s resized to n, reusing its capacity.
+//
+//nnc:coldpath amortized buffer growth to the search's high-water size; warm calls reslice
+func growKeys(s []orderKey, n int) []orderKey {
+	if cap(s) < n {
+		return make([]orderKey, n)
 	}
 	return s[:n]
 }

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"spatialdom/internal/flow"
@@ -14,10 +16,16 @@ import (
 // feasibility test: distances recomputed from the points, a general
 // max-flow network, no filters.
 func oraclePSDMatch(u, v, q *uncertain.Object, eps float64) bool {
+	return oraclePSDMatchMetric(u, v, q, eps, geom.Euclidean)
+}
+
+// oraclePSDMatchMetric is oraclePSDMatch under metric m, at every query
+// instance (no hull reduction).
+func oraclePSDMatchMetric(u, v, q *uncertain.Object, eps float64, m geom.Metric) bool {
 	qpts := q.Points()
 	le := func(a, b geom.Point) bool {
 		for _, qp := range qpts {
-			if geom.Dist(a, qp) > geom.Dist(b, qp)+eps {
+			if m.Dist(a, qp) > m.Dist(b, qp)+eps {
 				return false
 			}
 		}
@@ -81,16 +89,70 @@ func TestPSDWideObjectsMatchFlowOracle(t *testing.T) {
 // and the local-tree nodes overlap, so no rung before the exact test can
 // decide P-SD(u, v): with m > 64 that is the exact test writing rows more
 // than one word wide.
+//
+// The copy crosses the identity in the order of summed distance to the hull
+// query instances, the order P-SD's match witness (rung 7) walks, so that
+// rung cannot decide the pair either. U's nearest instance gets a twin,
+// turned about the query's centre until the two are ⪯Q-incomparable; the
+// second of them (in that order) is pushed by a hair, and every instance U
+// puts before it past it. The walk's first tuple is then U's first instance
+// against V's first, the hair-pushed twin, which the first is not ⪯Q.
 func widePair(rng *rand.Rand, idU, idV, m int, q *uncertain.Object, center geom.Point) (u, v *uncertain.Object) {
 	u = randObject(rng, idU, 2, m, center, 6)
 	qc := q.MBR().Center()
-	pts := make([]geom.Point, m)
-	for i, p := range u.Points() {
-		d := geom.Dist(p, qc)
-		step := 0.5 + rng.Float64()
-		pts[i] = geom.Point{p[0] + (p[0]-qc[0])/d*step, p[1] + (p[1]-qc[1])/d*step}
+	hull := q.HullIndices()
+	sum := func(p geom.Point) (s float64) {
+		for _, j := range hull {
+			s += geom.Dist(q.Instance(j), p)
+		}
+		return s
 	}
-	return u, uncertain.MustNew(idV, pts, u.Probs())
+	// beyond reports whether some hull instance finds p farther than r by
+	// more than the hair.
+	beyond := func(p, r geom.Point) bool {
+		for _, j := range hull {
+			if geom.Dist(q.Instance(j), p) > geom.Dist(q.Instance(j), r)+1e-3 {
+				return true
+			}
+		}
+		return false
+	}
+	up := slices.Clone(u.Points())
+	steps := make([]float64, m)
+	a := 0
+	for i, p := range up {
+		steps[i] = 0.5 + rng.Float64()
+		if sum(p) < sum(up[a]) {
+			a = i
+		}
+	}
+	b := (a + 1) % m
+	for _, turn := range []float64{0.02, -0.02, 0.1, -0.1, 0.3, -0.3} {
+		s, c := math.Sincos(turn)
+		x, y := up[a][0]-qc[0], up[a][1]-qc[1]
+		up[b] = geom.Point{qc[0] + c*x - s*y, qc[1] + s*x + c*y}
+		if beyond(up[a], up[b]) && beyond(up[b], up[a]) {
+			break
+		}
+	}
+	if !beyond(up[a], up[b]) || !beyond(up[b], up[a]) {
+		panic(fmt.Sprintf("widePair: no turn makes U's nearest instance and its twin incomparable under the hull %v", q.Points()))
+	}
+	if sum(up[b]) < sum(up[a]) {
+		a, b = b, a
+	}
+	for i, p := range up {
+		if gap := sum(up[b]) - sum(p); i != b && gap >= 0 {
+			steps[i] = max(steps[i], 2*gap+1)
+		}
+	}
+	steps[b] = 1e-6
+	pts := make([]geom.Point, m)
+	for i, p := range up {
+		d := geom.Dist(p, qc)
+		pts[i] = geom.Point{p[0] + (p[0]-qc[0])/d*steps[i], p[1] + (p[1]-qc[1])/d*steps[i]}
+	}
+	return uncertain.MustNew(idU, up, u.Probs()), uncertain.MustNew(idV, pts, u.Probs())
 }
 
 // requireExactVerdict asserts that the full ladder takes P-SD(u, v) all the

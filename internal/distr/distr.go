@@ -155,7 +155,14 @@ func Summarize(runs []Pair, perQ []Stat, u, q *uncertain.Object, dist func(a, b 
 		for i, p := range pts {
 			var d float64
 			if dist == nil {
-				d = geom.Dist(qp, p)
+				// geom.Dist(qp, p) term for term, without the call.
+				var s float64
+				p := p[:len(qp)]
+				for k, x := range qp {
+					e := x - p[k]
+					s += e * e
+				}
+				d = math.Sqrt(s)
 			} else {
 				d = dist(qp, p)
 			}
