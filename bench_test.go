@@ -355,19 +355,20 @@ func BenchmarkDominanceCheck(b *testing.B) {
 // loop — one object summarised, then tested against the whole band — on
 // the shape where that loop is the whole query: P-SD over 200 heavily
 // overlapping NBA-like objects of 10 instances, where nearly every object is
-// a candidate and no entry is pruned. On that shape the pairs the statistics
-// let through go to the sweep and the transport, none to the MBR validation:
-// `make check` runs it once and it fails if that stops being what it
-// measures.
+// a candidate and no entry is pruned. On that shape most pairs the
+// statistics let through are refuted by an isolated instance (rung 4a), the
+// rest go to the sweep and the transport, none to the MBR validation: `make
+// check` runs it once and it fails if that stops being what it measures.
 func BenchmarkBandScan(b *testing.B) {
 	p := datagen.Params{N: 200, M: 10, Centers: datagen.NBALike, Seed: benchSeed}
 	d := dataFor(b, "bandscan", p, 8, benchHq)
 	st := runSearches(b, d, PSD, AllFilters)
-	if st.FlowSolves == 0 || st.MBRValidations > 0 {
-		b.Fatalf("the band scan no longer ends in the sweep and the transport: %+v", st)
+	if st.FlowSolves == 0 || st.IsolationPrunes == 0 || st.MBRValidations > 0 {
+		b.Fatalf("the band scan no longer ends in the isolation rung, the sweep and the transport: %+v", st)
 	}
 	b.ReportMetric(float64(st.FlowSolves)/float64(b.N), "flow-solves/query")
 	b.ReportMetric(float64(st.CoverValidations)/float64(b.N), "cover-validations/query")
+	b.ReportMetric(float64(st.IsolationPrunes)/float64(b.N), "isolation-prunes/query")
 }
 
 // BenchmarkSearchPSDMiss is the handle on what a cache miss of the repo

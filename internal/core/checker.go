@@ -69,7 +69,9 @@ func (c *Checker) Operator() Operator { return c.op }
 //  2. per-query-instance statistics: the same three of each U_q (SS-SD, P-SD);
 //  3. cover-based validation on MBRs (Theorem 4);
 //  4. the sweep of the sorted runs: per-query-instance stochastic scans as
-//     cover-based pruning, and the admissibility rows of rung 8 (P-SD);
+//     cover-based pruning, and the admissibility rows of rung 8 (P-SD),
+//     which P-SD's rung 4a precedes: an instance of more than flowEps
+//     without a partner under ⪯Q refutes off the summary (isolated);
 //  5. the in-hull exit (P-SD);
 //  6. level-by-level bounds on the local R-trees (S-SD, SS-SD);
 //  7. cover validation on the summary (coverValidate): F-SD at the hull
@@ -78,7 +80,7 @@ func (c *Checker) Operator() Operator { return c.op }
 //     summed distance (matchValidate);
 //  8. the exact test: the sorted-atom scan, or the Theorem 12 max-flow.
 //
-// Rungs 1, 2, 4 and 5 can only answer "no", rungs 3 and 7 only "yes", so
+// Rungs 1, 2, 4, 4a and 5 can only answer "no", rungs 3 and 7 only "yes", so
 // their order never changes a verdict, only what it costs — provided a "no"
 // rung placed before a validation cannot fire on a pair the validation
 // would have accepted. It cannot: validation holds when every instance of U
@@ -90,9 +92,10 @@ func (c *Checker) Operator() Operator { return c.op }
 // (Theorem 11: X ≤st Y implies the statistics are ordered), so a pair they
 // reject is one a scan would have rejected, later and dearer. Rung 7 is
 // where each operator's own rungs end and the work it saves begins: P-SD
-// reads it before its sweep, S-SD and SS-SD after their level rung. Each
-// rung is gated by the FilterConfig flag it always was, rung 7 by
-// StatPruning.
+// reads it before rung 4a and its sweep, S-SD and SS-SD after their level
+// rung. Each rung is gated by the FilterConfig flag it always was, rungs 7
+// and 4a by StatPruning. Rung 4a answers only what rung 8 would: mass
+// without a partner cannot ship, so the transport falls short.
 //
 // Rung 7 takes only verdicts rung 8 would take. (i) F-SD at the hull
 // instances puts every U_q at or below V_q, and makes every pair of P-SD's
@@ -160,13 +163,13 @@ type objCache struct {
 	distQOK  bool
 	distQ    distr.Distribution // U_Q, built from runs when first scanned
 
-	// P-SD's match witness: every instance's summed distance to the hull
-	// query instances and the distances of the least (matchFirst, with the
-	// summary); every instance's distances and the positive-mass instances
-	// in order of their sums (matchOrder, when a walk first needs them).
-	sums, first []float64
-	hullD       []float64 // instance after instance
-	order       []int32
+	// P-SD's rungs 4a and 7, with the summary (matchFirst): every
+	// instance's distances to the hull query instances, instance after
+	// instance, their sums, and the distances of the least; the
+	// positive-mass instances in order of their sums (matchOrder, when a
+	// rung first needs them).
+	hullD, sums, first []float64
+	order              []int32
 
 	levels []*levelBounds // local-tree level bounds, index = level
 }
@@ -199,7 +202,7 @@ func (c *Checker) summaryOf(o *uncertain.Object) *objCache { return c.summary(c.
 // summary returns oc with its query summary built: the |Q|·m distances are
 // evaluated once and yield the heap key min(U_Q), the statistics of U_Q and
 // of every U_q, the atoms every later scan sorts on demand and, for P-SD,
-// what its match witness reads first (matchFirst). Nothing here touches the
+// the hull distances rungs 4a and 7 read (matchFirst). Nothing here touches the
 // object's local R-tree.
 //
 //nnc:hotpath

@@ -153,13 +153,14 @@ type Stats struct {
 	// a per-query-instance stochastic scan that failed during the sweep.
 	StatPrunes int64
 	// ScanPrunes is the subset of StatPrunes that needed a scan: the
-	// statistics were ordered and a per-query-instance scan was not. A P-SD
-	// sweep that ends because a positive-mass instance is left without an
-	// admissible pair — before any scan has failed, or with every scan
-	// holding — is a refutation by Theorem 12's rows, not a prune: it is in
-	// DominanceChecks and in no other counter, as it was when the exact test
-	// found it.
+	// statistics were ordered and a per-query-instance scan was not.
 	ScanPrunes int64
+	// IsolationPrunes counts P-SD checks refuted before the sweep because an
+	// instance of more than flowEps has no partner under ⪯Q (rung 4a, Hall's
+	// condition on one instance). They are in no other counter but
+	// DominanceChecks. Without StatPruning the exact test finds the same
+	// pairs on its rows and counts them nowhere else either.
+	IsolationPrunes int64
 	// LevelDecisions counts checks decided at a non-leaf local-tree level.
 	LevelDecisions int64
 	// FlowSolves counts max-flow invocations (P-SD).
@@ -186,6 +187,7 @@ func (s *Stats) Add(other Stats) {
 	s.CoverValidations += other.CoverValidations
 	s.StatPrunes += other.StatPrunes
 	s.ScanPrunes += other.ScanPrunes
+	s.IsolationPrunes += other.IsolationPrunes
 	s.LevelDecisions += other.LevelDecisions
 	s.FlowSolves += other.FlowSolves
 	s.HeapPops += other.HeapPops

@@ -28,18 +28,24 @@ import (
 //     (matchValidate): Theorem 1's quantile match of the instances, in
 //     order of summed distance, checked tuple by tuple against ⪯Q. Either
 //     way the pair never sorts a run, writes a row or solves a transport;
+//
+// 4a. the isolation test (isolated): an instance of more than flowEps with
+// no partner under ⪯Q fails Hall's condition, so the transport falls
+// short — found on the summary's hull distances, in sum order;
+//
 //  4. the sweep: one pass per query instance over U_q and V_q sorted by
 //     distance, which decides the SS-SD scan U_q ≤st V_q (cover-based
 //     pruning: ¬SS-SD implies ¬P-SD) and, at hull instances, writes the
-//     admissibility rows of Theorem 12 — abandoned the moment a scan fails
-//     or a positive-mass instance has no admissible pair left;
+//     admissibility rows of Theorem 12 — abandoned the moment a scan fails;
 //  5. the geometric in-hull exit: an instance of V inside the convex hull
 //     of Q can only be matched by a co-located instance of U;
-//  8. the exact instance transport over the rows rung 4 wrote.
+//  8. the exact instance transport over the rows rung 4 wrote, refused
+//     without a solve when a positive-mass instance has no admissible pair
+//     (what rung 4a finds first under StatPruning).
 //
-// Rung 7 runs before the sweep because the sweep is what it saves; a "yes"
-// rung commutes with the "no" rungs around it (Checker.Dominates). Rung 6
-// is S-SD's and SS-SD's only. The paper's level-by-level G⁻/G⁺
+// Rungs 7 and 4a run before the sweep because the sweep is what they save;
+// a "yes" rung commutes with the "no" rungs around it (Checker.Dominates).
+// Rung 6 is S-SD's and SS-SD's only. The paper's level-by-level G⁻/G⁺
 // networks over local R-tree nodes cost more than the sweep and solve they
 // stood in front of at every object size measured (EXPERIMENTS.md, "P-SD
 // level by level"), so FilterConfig.LevelByLevel does not reach this file.
@@ -68,6 +74,10 @@ func (c *Checker) psd(su, sv *objCache) bool {
 	}
 	if c.mbrValidate(su, sv, true) || c.coverValidate(su, sv, false) || c.matchValidate(su, sv) {
 		return true
+	}
+	if c.isolated(su, sv) {
+		c.Stats.IsolationPrunes++
+		return false
 	}
 	adm, strict, ok := c.sweep(su, sv)
 	if !ok {
@@ -153,22 +163,25 @@ func (c *Checker) distLE(du, dv []float64) (le, apart bool) {
 	return true, apart
 }
 
-// matchFirst is what the summary adds for P-SD's match witness, while the
-// runs distr.Summarize has just filled are unsorted and in cache: oc.sums,
-// every instance's summed distance to the hull query instances, and
-// oc.first, the distances of the positive-mass instance of least sum (the
-// earliest, on a tie) — all that the walk's first tuple reads. Every
+// matchFirst is what the summary adds for P-SD's rungs 4a and 7, while the
+// runs distr.Summarize has just filled are unsorted and in cache: oc.hullD,
+// every instance's distances to the hull query instances, instance after
+// instance; oc.sums, their sums; and oc.first, the distances of the
+// positive-mass instance of least sum (the earliest, on a tie). Every
 // object's sums are taken in the same order of the hull instances, and
 // rounding is monotone, so u ⪯Q v exactly implies sum(u) ≤ sum(v).
 //
 //nnc:hotpath
 func (c *Checker) matchFirst(oc *objCache) {
 	m, runs, hull := oc.obj.Len(), oc.runs, c.hullIdx
-	sums := c.scratch.floats.Alloc(m)
+	h := len(hull)
+	sums, hullD := c.scratch.floats.Alloc(m), c.scratch.floats.Alloc(m*h)
 	for i := range sums {
+		d := hullD[i*h:][:h]
 		var s float64
-		for _, j := range hull {
-			s += runs[j*m+i].Dist
+		for t, j := range hull {
+			d[t] = runs[j*m+i].Dist
+			s += d[t]
 		}
 		sums[i] = s
 	}
@@ -178,11 +191,7 @@ func (c *Checker) matchFirst(oc *objCache) {
 			f = i
 		}
 	}
-	first := c.scratch.floats.Alloc(len(hull))
-	for t, j := range hull {
-		first[t] = runs[j*m+f].Dist
-	}
-	oc.sums, oc.first = sums, first
+	oc.sums, oc.hullD, oc.first = sums, hullD, hullD[f*h:][:h]
 }
 
 // orderKey is one instance of an object and its summed distance to the hull
@@ -194,9 +203,8 @@ type orderKey struct {
 
 // matchOrder returns oc's positive-mass instances in order of their sums, a
 // linear extension of ⪯Q (matchFirst), with ties in instance order, so that
-// the first is oc.first's. It builds the order and oc.hullD, every instance's
-// distances to the hull query instances, the first time a walk gets past its
-// first tuple, off runs a sweep may have sorted since (through runInst).
+// the first is oc.first's. It is built the first time rung 4a or a walk past
+// its first tuple asks.
 //
 //nnc:hotpath
 func (c *Checker) matchOrder(oc *objCache) []int32 {
@@ -204,21 +212,7 @@ func (c *Checker) matchOrder(oc *objCache) []int32 {
 		return oc.order
 	}
 	sc := c.scratch
-	m, h := oc.obj.Len(), len(c.hullIdx)
-	hullD := sc.floats.Alloc(m * h)
-	for t, j := range c.hullIdx {
-		run := oc.runs[j*m:][:m]
-		if j < oc.sorted {
-			for k, inst := range oc.runInst[j*m:][:m] {
-				hullD[int(inst)*h+t] = run[k].Dist
-			}
-			continue
-		}
-		for i, p := range run {
-			hullD[i*h+t] = p.Dist
-		}
-	}
-	order := sc.insts.Alloc(m)
+	order := sc.insts.Alloc(oc.obj.Len())
 	n := 0
 	for i, p := range oc.obj.Probs() {
 		if p > 0 {
@@ -248,8 +242,92 @@ func (c *Checker) matchOrder(oc *objCache) []int32 {
 			order[k] = key.inst
 		}
 	}
-	oc.hullD, oc.order = hullD, order
+	oc.order = order
 	return order
+}
+
+// isolated is rung 4a, Hall's condition on one instance: Theorem 12's
+// transport can ship all the mass only if every instance of more than
+// flowEps has a partner, an instance of positive mass on the other side
+// that the rows of rung 4 admit with it. One instance without a partner
+// refutes the pair, and the search for it reads only the summary
+// (oc.hullD, oc.sums) and matchOrder, so it sorts no run.
+//
+// It takes V's instances in increasing sum and U's in decreasing, the ones
+// with the fewest partners first, alternating, and stops at the first
+// isolated one. A partner u of v has sum(u) ≤ (sum(v) + h·eps)·sumSlack(h),
+// so v's partners are looked for in U's order from its start up to that
+// bound, and u's in V's order from its end down to it. It is gated like
+// rung 7 and adds the pairs it compares to InstanceComparisons.
+//
+//nnc:hotpath
+func (c *Checker) isolated(su, sv *objCache) bool {
+	if !c.cfg.StatPruning {
+		return false
+	}
+	ou, ov := c.matchOrder(su), c.matchOrder(sv)
+	pu, pv := su.obj.Probs(), sv.obj.Probs()
+	h := len(c.hullIdx)
+	heps, slack := float64(h)*c.eps, sumSlack(h)
+	var tests int64
+	for a, b := 0, len(ou)-1; a < len(ov) || b >= 0; a, b = a+1, b-1 {
+		if a < len(ov) && pv[ov[a]] > flowEps {
+			v := int(ov[a])
+			dv, bound, found := sv.hullD[v*h:][:h], (sv.sums[v]+heps)*slack, false
+			for k := 0; k < len(ou) && !found && su.sums[ou[k]] <= bound; k++ {
+				tests++
+				found = c.admits(su.hullD[int(ou[k])*h:][:h], dv)
+			}
+			if !found {
+				c.Stats.InstanceComparisons += tests
+				return true
+			}
+		}
+		if b >= 0 && pu[ou[b]] > flowEps {
+			u := int(ou[b])
+			du, s, found := su.hullD[u*h:][:h], su.sums[u], false
+			for k := len(ov) - 1; k >= 0 && !found && (sv.sums[ov[k]]+heps)*slack >= s; k-- {
+				tests++
+				found = c.admits(du, sv.hullD[int(ov[k])*h:][:h])
+			}
+			if !found {
+				c.Stats.InstanceComparisons += tests
+				return true
+			}
+		}
+	}
+	c.Stats.InstanceComparisons += tests
+	return false
+}
+
+// admits is the sweep's pair test (sweepInstance) on two instances'
+// distances to the hull query instances: the pair is forbidden when
+// du > dv+eps at some hull instance.
+func (c *Checker) admits(du, dv []float64) bool {
+	for t, d := range du {
+		if d > dv[t]+c.eps {
+			return false
+		}
+	}
+	return true
+}
+
+// sumSlack is the factor of rung 4a's bound on the sums of an instance's
+// partners: if u is admitted with v over h hull instances, then
+//
+//	sum(u) ≤ (sum(v) + h·eps)·sumSlack(h)
+//
+// in floating point, as the rung computes both sides. Proof, with
+// ε = 2⁻⁵³ and a, b the two instances' distances: admission is
+// a_t ≤ fl(b_t + eps) ≤ (b_t + eps)(1+ε) at every t, and matchFirst sums
+// both sides in the same order, so for these non-negative terms
+// sum(u) ≤ (1+ε)^(h−1)·Σa_t and sum(v) ≥ (1−ε)^(h−1)·Σb_t. Hence
+// sum(u) ≤ ((1+ε)/(1−ε))^h·(sum(v) + h·eps). The rung rounds h·eps, the
+// addition and the product once each, down by at most a factor (1−ε)
+// apiece, so the factor must be at least (1+ε)^h/(1−ε)^(h+3) ≈ 1 +
+// (2h+3)ε; 1 + (4h+8)ε, exact in floating point, is.
+func sumSlack(h int) float64 {
+	return 1 + float64(h+2)*0x1p-51
 }
 
 // sortedRun returns U_q for query instance j as atoms sorted by distance,
@@ -279,14 +357,12 @@ type sweepRows struct {
 }
 
 // sweep is rung 4 and the row fill of rung 8 in one pass over the query
-// instances: sweepInstance at each, on the two sorted runs, and after a hull
-// instance the question whether the rows can still carry a full match
-// (flow.Transport.Isolated). ok is false when P-SD is refuted; otherwise adm
-// holds exactly the pairs with u ⪯Q v (within eps at every hull instance)
-// and strict those of them some hull instance separates by more than eps,
-// both out of the scratch's row buffer, and no positive-mass instance is
-// without a pair. The scan verdicts are used under StatPruning only; the
-// rows are complete either way.
+// instances: sweepInstance at each, on the two sorted runs. ok is false when
+// a scan refutes P-SD; otherwise adm holds exactly the pairs with u ⪯Q v
+// (within eps at every hull instance) and strict those of them some hull
+// instance separates by more than eps, both out of the scratch's row
+// buffer. The scan verdicts are used under StatPruning only; the rows are
+// complete either way.
 func (c *Checker) sweep(su, sv *objCache) (adm, strict []uint64, ok bool) {
 	var r sweepRows
 	for j, hull := range c.isHull {
@@ -301,9 +377,6 @@ func (c *Checker) sweep(su, sv *objCache) (adm, strict []uint64, ok bool) {
 		if !c.sweepInstance(us, vs, ui, vi, c.eps, c.cfg.StatPruning, hull, &r) {
 			c.Stats.StatPrunes++
 			c.Stats.ScanPrunes++
-			return nil, nil, false
-		}
-		if hull && c.scratch.transport.Isolated(su.obj.Probs(), sv.obj.Probs(), r.adm, flowEps) {
 			return nil, nil, false
 		}
 	}
@@ -404,12 +477,18 @@ func (c *Checker) inHullExit(u, v *uncertain.Object) bool {
 }
 
 // psdSolve is rung 8: Theorem 12's transport over the rows the sweep wrote.
-// Flow matrix and solver state are the checker's scratch, so repeat solves
-// do not allocate.
+// A positive-mass instance with an empty row or column refutes the pair
+// without a solve (flow.Transport.Isolated); under StatPruning rung 4a has
+// already refuted every such pair. Flow matrix and solver state are the
+// checker's scratch, so repeat solves do not allocate.
 func (c *Checker) psdSolve(su, sv *objCache, adm, strict []uint64) bool {
 	t := &c.scratch.transport
+	pu, pv := su.obj.Probs(), sv.obj.Probs()
+	if t.Isolated(pu, pv, adm, flowEps) {
+		return false
+	}
 	c.Stats.FlowSolves++
-	if t.Solve(su.obj.Probs(), sv.obj.Probs(), adm) < 1-flowEps {
+	if t.Solve(pu, pv, adm) < 1-flowEps {
 		return false
 	}
 	// A match exists. The side condition U_Q ≠ V_Q remains: if any matched

@@ -148,9 +148,10 @@ func sweepPair(rng *rand.Rand, d, m, kind int) (q, u, v *uncertain.Object) {
 }
 
 // The sweep's rows are bit for bit the all-pairs fill's, it refutes a pair
-// exactly when a scan fails or the reference rows isolate a positive mass,
-// and the verdict the ladder reaches over them is the one the reference rows
-// and the independent max-flow oracle give — for objects on both sides of
+// exactly when a scan fails, the exact test over its rows refutes without a
+// solve exactly when the reference rows isolate a positive mass, and the
+// verdict the ladder reaches is the one the reference rows and the
+// independent max-flow oracle give — for objects on both sides of
 // the level-by-level height gate and of one mask word, with the scans on and
 // off, with and without the hull restriction, under L2 and L1.
 func TestSweepRowsMatchAllPairsFill(t *testing.T) {
@@ -181,22 +182,30 @@ func TestSweepRowsMatchAllPairsFill(t *testing.T) {
 							vq := distr.BetweenInstanceFunc(v, q.Instance(j), metric.Dist)
 							scansHold = scansHold && distr.StochasticLE(uq, vq, c.eps, nil)
 						}
-						open := scansHold && !tr.Isolated(u.Probs(), v.Probs(), wantAdm, flowEps)
+						isolated := tr.Isolated(u.Probs(), v.Probs(), wantAdm, flowEps)
+						open := scansHold && !isolated
 
-						adm, strict, ok := c.sweep(c.summaryOf(u), c.summaryOf(v))
-						if ok != open {
-							t.Fatalf("%s: sweep ok = %v; scans hold %v, reference rows open %v", name, ok, scansHold, open)
+						su, sv := c.summaryOf(u), c.summaryOf(v)
+						adm, strict, ok := c.sweep(su, sv)
+						if ok != scansHold {
+							t.Fatalf("%s: sweep ok = %v; scans hold %v", name, ok, scansHold)
 						}
 						if ok && (!slices.Equal(adm, wantAdm) || !slices.Equal(strict, wantStrict)) {
 							t.Fatalf("%s: rows differ from the all-pairs fill\nadm    %x\nwant   %x\nstrict %x\nwant   %x", name, adm, wantAdm, strict, wantStrict)
 						}
-						// A failing scan and an isolated mass can both refute a
-						// pair and the sweep may meet either first, but it
-						// counts a scan prune only for a scan that fails, and
-						// none with the scans off.
-						if st := c.Stats; st.ScanPrunes != st.StatPrunes || st.ScanPrunes > 1 ||
-							(st.ScanPrunes == 1 && (scansHold || !cfg.StatPruning)) {
+						// The sweep counts a scan prune exactly for a scan that
+						// fails, and none with the scans off.
+						if st := c.Stats; st.ScanPrunes != st.StatPrunes || st.ScanPrunes > 1 || (st.ScanPrunes == 1) == scansHold {
 							t.Fatalf("%s: scans hold %v, counted %+v", name, scansHold, st)
+						}
+						// The isolated-mass exit lives in the exact test: over the
+						// sweep's rows it refutes, without a solve, exactly the
+						// pairs the reference rows isolate.
+						if ok {
+							exact := c.psdSolve(su, sv, adm, strict)
+							if isolated && exact || c.Stats.FlowSolves != int64(b2i(!isolated)) {
+								t.Fatalf("%s: reference rows isolated %v; exact test said %v after %d solves", name, isolated, exact, c.Stats.FlowSolves)
+							}
 						}
 
 						want := open && tr.Solve(u.Probs(), v.Probs(), wantAdm) >= 1-flowEps &&
@@ -206,6 +215,12 @@ func TestSweepRowsMatchAllPairsFill(t *testing.T) {
 						got := pc.psd(pc.cacheOf(u), pc.cacheOf(v))
 						if got != want {
 							t.Fatalf("%s: psd = %v, reference rows give %v", name, got, want)
+						}
+						// Under StatPruning a pair the reference rows isolate
+						// never reaches the sweep: rung 2 or rung 4a refutes it.
+						if st := pc.Stats; cfg.StatPruning && isolated &&
+							(st.StatPrunes+st.IsolationPrunes != 1 || st.ScanPrunes != 0 || st.FlowSolves != 0) {
+							t.Fatalf("%s: isolated rows reached the sweep: %+v", name, st)
 						}
 						// Away from the eps thresholds the exact scans and the
 						// eps-tolerant rows cannot disagree, and random clouds
@@ -249,4 +264,11 @@ func edgeHits(c *Checker, u, v *uncertain.Object) int {
 		}
 	}
 	return hits
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
