@@ -452,6 +452,16 @@ func (p *rectPred) near(q geom.Point, r geom.Rect) float64 {
 	return p.metric.MinDistRect(q, r)
 }
 
+// nearDist is the distance from q to the closest point of r: near in the
+// distance domain the summary's distances are in, which the band's entry
+// test compares them against.
+func (p *rectPred) nearDist(q geom.Point, r geom.Rect) float64 {
+	if p.euclid {
+		return r.MinDistPoint(q)
+	}
+	return p.metric.MinDistRect(q, r)
+}
+
 // within is one component of the far ≤ near comparison: whether a's far distance f
 // from a query instance is no larger than b's near distance n, recording in
 // strict a component where it is smaller. Both askers — le on two

@@ -71,7 +71,13 @@ type Backend interface {
 	Root() (NodeRef, error)
 	// Expand enumerates the children of n in storage order. For a
 	// disk-resident backend this is the point where a node page is read
-	// (and counted) through the buffer pool.
+	// (and counted) through the buffer pool. An entry's Rect stays valid
+	// until the search that asked for it returns, not only while visit
+	// runs: the engine keeps it in the heap for pop-time pruning, and a
+	// wrapping backend may hold a node's entries until the inner Expand
+	// has returned (bench/trace.go buffers them so that the engine's own
+	// work is not billed to storage). A disk backend may decode every
+	// rectangle of a search into storage it reuses once the search is over.
 	Expand(n NodeRef, visit func(BackendEntry)) error
 	// Resolve materializes an object reference. References whose Obj is
 	// already set must resolve to it without I/O.
@@ -253,19 +259,40 @@ type searchScratch struct {
 //
 // "Does this member dominate the popped entry's rectangle?"
 // (dominatesRect): far holds one row per member, of stride len(hullPts) —
-// the far distance (rectPred.far) from each hull query instance to the
-// member's MBR, which depends on the member alone. It stays in insertion
-// order: the entry test counts dominators up to k, whichever members they
-// are, so it never needs to know which row belongs to which member. Under
-// F+SD, whose rectangle predicate is not a far/near comparison, it is empty.
+// at each hull query instance q, the member's largest distance to q over
+// its positive-mass instances, perQStat's Max, which depends on the member
+// alone. The member is known instance by instance, so its far vector is
+// read off its instances, not its MBR: never larger, since each instance
+// lies in the MBR, and blind to instances of zero mass, which no
+// distribution holds. It stays in insertion order: the entry test counts
+// dominators up to k, whichever members they are, so it never needs to
+// know which row belongs to which member. Under F+SD, whose rectangle
+// predicate is not a far/near comparison, it is empty.
 //
 // "Can any entry left in the heap survive?" (the search's stopping test):
-// radius is the square root of the k-th smallest MaxSqDistRect(member MBR,
-// query MBR) — the AnswerShield's farK, kept in nearest by the same helper
-// (keepNearestFar) — and an entry whose min-distance key exceeds it is
-// dominated by k members (shield.go's proof). It is +Inf until k members
-// are in, and stays +Inf under F+SD, off the Euclidean metric and without
-// Filters.Geometric, where farK is +Inf or object entries are not pruned.
+// radius is the k-th smallest, over members, of the member's reach — the
+// largest entry of its far row — and an entry whose min-distance key
+// exceeds it is dominated by k members (beyond). It is +Inf until k
+// members are in, and stays +Inf under F+SD, off the Euclidean metric and
+// without Filters.Geometric, where object entries are not pruned.
+//
+// Both tests compare distances, never their squares: the summary computes
+// a distance as the square root of a sum of squares, and squaring it back
+// can round below that sum. In the distance domain each step is monotone.
+// A rectangle's near distance from q (Rect.MinDistPoint) is the root of
+// the same sum in the same order as an instance's distance (distr.
+// Summarize), with each term's gap no larger than the instance's — a
+// rounded subtraction, product, sum and square root never reverse "≤" —
+// so it is no larger than the distance of any instance in the rectangle,
+// as the summary computed it (a term MinSqDistPoint skips adds an exact
+// zero; L1's and L∞'s Dist and MinDistRect fold the same gaps by + and
+// max); and an entry's key (Rect.MinDistRect to the
+// query's MBR) is no larger than the near distance from any q in that MBR
+// by the same argument. Hence far ≤ near at every hull instance, strictly
+// at one, is F-SD at the hull instances in the summary's own floats, with
+// strictness: exactly the MBR test's conclusion, which the cover chain
+// carries to every operator but F+SD. And a key beyond the radius is
+// strictly beyond every hull instance's far distance of k members.
 type band struct {
 	objs      []*objCache
 	mean, max []float64
@@ -283,14 +310,18 @@ func (b *band) push(c *Checker, so *objCache, k int) {
 	if c.op == FPlusSD {
 		return // asked member by member (dominatesRect): no far row to keep
 	}
-	mbr := so.obj.MBR()
-	for _, q := range c.hullPts {
-		b.far = append(b.far, c.far(q, mbr))
+	// Not stat.Max: it skips query instances of zero probability, which
+	// the hull keeps and the entry test compares at.
+	reach := math.Inf(-1)
+	for _, j := range c.hullIdx {
+		f := so.perQStat[j].Max
+		b.far = append(b.far, f)
+		reach = max(reach, f)
 	}
 	if c.euclid && c.cfg.Geometric {
-		b.nearest = keepNearestFar(b.nearest, k, mbr, c.qMBR)
+		b.nearest = keepNearest(b.nearest, k, reach)
 		if len(b.nearest) == k {
-			b.radius = math.Sqrt(b.nearest[k-1])
+			b.radius = b.nearest[k-1]
 		}
 	}
 }
@@ -621,10 +652,11 @@ func partialOrNil(partial *PartialResultError, res *Result) error {
 //
 // For the operators of the cover chain that predicate is "the member's far
 // vector is component-wise <= the rectangle's near vector, strictly
-// somewhere". The near vector is the rectangle's alone, so it is computed
-// once per entry, and the far vectors are the band's slab: the test is one
-// pass over contiguous floats. F+SD compares against the query's MBR, not
-// its instances, and is asked member by member.
+// somewhere", in distances (see band). The near vector is the rectangle's
+// alone, so it is computed once per entry, and the far vectors are the
+// band's slab: the test is one pass over contiguous floats. F+SD compares
+// MBRs against the query's MBR, not instances, and is asked member by
+// member.
 //
 //nnc:hotpath
 func (b *band) dominatesRect(c *Checker, r geom.Rect, k int) bool {
@@ -647,7 +679,7 @@ func (b *band) dominatesRect(c *Checker, r geom.Rect, k int) bool {
 	near := growFloats(c.scratch.near, h)
 	c.scratch.near = near
 	for t, q := range c.hullPts {
-		near[t] = c.near(q, r)
+		near[t] = c.nearDist(q, r)
 	}
 	compared := 0
 	for i := 0; i < len(b.objs) && count < k; i++ {

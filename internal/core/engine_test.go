@@ -200,9 +200,9 @@ func TestSearchHeapOrdering(t *testing.T) {
 	}
 }
 
-// The entry test over the band's far slab is the rectangle predicate asked
-// member by member: for every operator, metric and k it says "k members
-// dominate r" exactly when k members pass rectDominates — on rectangles far
+// The entry test over the band's far slab is its predicate asked member by
+// member: for every operator, metric and k it says "k members dominate r"
+// exactly when k members pass entryDominates — on rectangles far
 // from the query, overlapping it, and degenerate (a point, sometimes a
 // member's own), against members some of which are single points themselves,
 // after move-to-front has permuted the members away from the slab's
@@ -246,7 +246,7 @@ func TestSlabEntryTestMatchesRectDominates(t *testing.T) {
 				for _, r := range rects {
 					count := 0
 					for _, u := range members {
-						if c.rectDominates(u.MBR(), r) {
+						if entryDominates(c, u, r) {
 							count++
 						}
 					}

@@ -46,8 +46,9 @@ func (c *countingBackend) Resolve(r core.ObjRef) (*uncertain.Object, error) {
 // {1, 2, 3, 5}, L2 and L1, and the filters on and off, the candidates are
 // the brute-force k-skyband, only examined objects are resolved, every object
 // entry handed out is pruned or examined, and each one left unresolved —
-// popped and pruned, or never popped — is MBR-dominated by at least k of the
-// returned candidates. Every item the backend hands out is popped unless
+// popped and pruned, or never popped — is dominated by at least k of the
+// returned candidates under the entry test's own predicate (their positive-
+// mass instances against the entry's rectangle, core.RectDominator). Every item the backend hands out is popped unless
 // the search stopped at the radius, which happens only with the geometric
 // filter on, under L2 and outside F+SD.
 func TestLazyResolveMatchesBruteForce(t *testing.T) {
@@ -104,7 +105,7 @@ func TestLazyResolveMatchesBruteForce(t *testing.T) {
 								pruned++
 								n := 0
 								for _, c := range res.Candidates {
-									if dominates(c.Object.MBR(), r) {
+									if dominates(c.Object, r) {
 										n++
 									}
 								}
@@ -132,4 +133,92 @@ func TestLazyResolveMatchesBruteForce(t *testing.T) {
 		t.Fatalf("the property was not exercised: %d entries left unresolved, %d searches stopped at the radius", pruned, stopped)
 	}
 	t.Logf("%d entries left unresolved, all dominated; %d searches stopped at the radius", pruned, stopped)
+}
+
+// The entry test's edges, on two-object datasets where member U is in the
+// band when V's entry pops: the search equals brute force, every entry left
+// unresolved is dominated by k candidates under core.RectDominator, and V is
+// resolved or not as the instance predicate says.
+//
+//   - U's far corner is an instance of zero probability: its instances prune
+//     V, which its MBR would not (L2 and L1). Under F+SD, which keeps MBRs,
+//     V stays a candidate.
+//   - A hull query instance has probability zero: U's reach there puts the
+//     radius past V, which sits near it and is not dominated there.
+//   - U's far distance equals V's near distance and nothing is strict (L2
+//     and L1).
+//   - The same tie where U's distance squared back rounds below the sum it
+//     is the root of: only a comparison of distances sees the tie.
+func TestEntryTestEdges(t *testing.T) {
+	obj := func(id int, probs []float64, pts ...geom.Point) *uncertain.Object {
+		return uncertain.MustNew(id, pts, probs)
+	}
+	origin := obj(0, nil, geom.Point{0, 0})
+	chain := []core.Operator{core.SSD, core.SSSD, core.PSD, core.FSD}
+	// 22.843² + 35.598² rounds to s, and sqrt(s)² to one ulp below s.
+	const a, b = 22.843, 35.598
+	cases := []struct {
+		name     string
+		q        *uncertain.Object
+		u, v     *uncertain.Object
+		metrics  []geom.Metric
+		ops      []core.Operator
+		resolved bool // whether V's entry must be resolved
+	}{
+		{"zero-mass far corner", origin,
+			obj(1, []float64{1, 0}, geom.Point{1, 0}, geom.Point{50, 50}), obj(2, nil, geom.Point{3, 0}),
+			[]geom.Metric{geom.Euclidean, geom.Manhattan}, chain, false},
+		{"zero-mass far corner F+SD", origin,
+			obj(1, []float64{1, 0}, geom.Point{1, 0}, geom.Point{50, 50}), obj(2, nil, geom.Point{3, 0}),
+			[]geom.Metric{geom.Euclidean, geom.Manhattan}, []core.Operator{core.FPlusSD}, true},
+		{"zero-mass hull query instance", obj(0, []float64{1, 0}, geom.Point{0, 0}, geom.Point{100, 0}),
+			obj(1, nil, geom.Point{1, 0}), obj(2, nil, geom.Point{100, 5}),
+			[]geom.Metric{geom.Euclidean}, chain, true},
+		{"far equals near", origin,
+			obj(1, nil, geom.Point{1, 0}, geom.Point{5, 0}), obj(2, nil, geom.Point{0, 5}),
+			[]geom.Metric{geom.Euclidean, geom.Manhattan}, chain, true},
+		{"far equals near, squared below", origin,
+			obj(1, nil, geom.Point{1, 0}, geom.Point{a, b}), obj(2, nil, geom.Point{b, a}),
+			[]geom.Metric{geom.Euclidean}, chain, true},
+	}
+	for _, c := range cases {
+		objs := []*uncertain.Object{c.u, c.v}
+		idx, err := core.NewIndex(objs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range c.metrics {
+			for _, op := range c.ops {
+				tag := fmt.Sprintf("%s %s %v", c.name, m.Name(), op)
+				cb := &countingBackend{Backend: idx, entries: map[core.ObjRef]geom.Rect{}, resolved: map[core.ObjRef]bool{}}
+				res, err := core.SearchBackend(context.Background(), cb, c.q, op, 1, core.SearchOptions{Filters: core.AllFilters, Metric: m})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := res.IDs()
+				slices.Sort(got)
+				if want := core.BruteForceMetric(objs, c.q, op, 1, m); !slices.Equal(got, want) {
+					t.Fatalf("%s: got %v, want %v", tag, got, want)
+				}
+				dominates := core.RectDominator(c.q, op, core.AllFilters, m)
+				for ref, r := range cb.entries {
+					if cb.resolved[ref] {
+						continue
+					}
+					n := 0
+					for _, cand := range res.Candidates {
+						if dominates(cand.Object, r) {
+							n++
+						}
+					}
+					if n < 1 {
+						t.Fatalf("%s: the entry at %v was left unresolved, but no candidate dominates it", tag, r)
+					}
+				}
+				if vResolved := cb.resolved[core.ObjRef{Obj: c.v}]; vResolved != c.resolved {
+					t.Fatalf("%s: V resolved = %v, want %v", tag, vResolved, c.resolved)
+				}
+			}
+		}
+	}
 }

@@ -453,12 +453,12 @@ func (c *Checker) sweepInstance(us, vs []distr.Pair, ui, vi []int32, tol float64
 // which case no match can cover that instance and P-SD fails. (A point in
 // CH(Q) cannot be ⪯Q-dominated by any distinct point: the closed halfspace
 // bounded by their bisector that contains all of Q would have to contain
-// the point itself.)
+// the point itself.) The hull is the checker's hull instances, vertices in
+// order, which are views into the query's coordinate slab.
 func (c *Checker) inHullExit(u, v *uncertain.Object) bool {
-	qpts := c.query.Points()
 	for i := 0; i < v.Len(); i++ {
 		vi := v.Instance(i)
-		if v.Prob(i) <= flowEps || !geom.PointInHull2D(vi, qpts, c.hullIdx) {
+		if v.Prob(i) <= flowEps || !geom.PointInHull2D(vi, c.hullPts) {
 			continue
 		}
 		colocated := false

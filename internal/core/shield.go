@@ -117,21 +117,21 @@ func NewAnswerShield(q *uncertain.Object, op Operator, m geom.Metric, k int, can
 	if s.euclid && op != FPlusSD && k >= 1 && k <= len(cands) {
 		far := make([]float64, 0, k)
 		for _, c := range cands {
-			far = keepNearestFar(far, k, c.Object.MBR(), s.qMBR)
+			far = keepNearest(far, k, c.Object.MBR().MaxSqDistRect(s.qMBR))
 		}
 		s.farK = far[k-1]
 	}
 	return s
 }
 
-// keepNearestFar adds MaxSqDistRect(mbr, qMBR) to far, the ascending list
-// of the k smallest such distances seen so far, and returns the list; its
-// k-th element is then the radius farK of the members seen. A NaN distance
-// counts as +Inf: it never brings a rectangle inside the radius. One
-// insertion costs O(k). The answer shield and the search's band (engine.go)
-// both build their radius here.
-func keepNearestFar(far []float64, k int, mbr, qMBR geom.Rect) []float64 {
-	d := mbr.MaxSqDistRect(qMBR)
+// keepNearest adds d to far, the ascending list of the k smallest
+// distances seen so far, and returns the list; its k-th element is then the
+// radius of the members seen. A NaN distance counts as +Inf: it never
+// brings a rectangle inside the radius. One insertion costs O(k). The
+// answer shield (farK, over MaxSqDistRect(candidate MBR, query MBR)) and
+// the search's band (engine.go, over each member's reach) both build their
+// radius here.
+func keepNearest(far []float64, k int, d float64) []float64 {
 	if math.IsNaN(d) {
 		d = math.Inf(1)
 	}

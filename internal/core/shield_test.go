@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"spatialdom/internal/geom"
@@ -282,9 +283,11 @@ func (s *AnswerShield) shieldsInsertLoop(r geom.Rect) bool {
 // The radius only answers sooner: on random, far, point, touching,
 // radius-edge and non-finite rectangles, over every operator, k in
 // {1, 2, 4} and d in {2, 3}, ShieldsInsert equals the loop it skips. The
-// search's band, built from the same candidates, keeps the same radius, and
-// its stopping test never passes a rectangle the band does not dominate —
-// a key exactly at the radius included.
+// search's band, built from the same candidates, keeps the k-th smallest
+// reach over its instances, never beyond the shield's MBR radius, and its
+// stopping test never passes a rectangle the band does not dominate — on
+// the shield's probes and on rectangles keyed within a few ulps of the
+// band's own radius, a key exactly at it included.
 func TestShieldRadiusMatchesLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(905))
 	var total, passed, byRadius, edges, kept, cuts, atRadius, undominatedAtRadius int
@@ -308,11 +311,15 @@ func TestShieldRadiusMatchesLoop(t *testing.T) {
 					for _, cand := range base.Candidates {
 						b.push(c, c.summaryOf(cand.Object), k)
 					}
-					if b.radius != math.Sqrt(s.farK) {
-						t.Fatalf("d=%d %v k=%d %v: band radius %v, shield radius sqrt(%v)", d, op, k, m, b.radius, s.farK)
+					if want := bandRadius(c, base.Candidates, k); b.radius != want || b.radius > math.Sqrt(s.farK) {
+						t.Fatalf("d=%d %v k=%d %v: band radius %v, want %v within the shield's sqrt(%v)",
+							d, op, k, m, b.radius, want, s.farK)
 					}
-					for i := 0; i < 1700; i++ {
+					for i := 0; i < 1900; i++ {
 						r, edge := shieldProbe(rng, s, i)
+						if i >= 1700 {
+							r, edge = atBandRadius(rng, s.qMBR, b.radius), false
+						}
 						got, want := s.ShieldsInsert(r), s.shieldsInsertLoop(r)
 						if got != want {
 							t.Fatalf("d=%d %v k=%d %v: rect %v: radius verdict %v, loop %v (farK %v, sq %v)",
@@ -361,6 +368,55 @@ func TestShieldRadiusMatchesLoop(t *testing.T) {
 		total, kept, passed, byRadius, 100*float64(byRadius)/float64(passed), edges)
 	t.Logf("the band's radius passes %d rects, all dominated; %d keyed exactly at it, %d of those undominated",
 		cuts, atRadius, undominatedAtRadius)
+}
+
+// bandRadius is the band's stopping radius written from its definition:
+// the k-th smallest, over the candidates, of the largest distance from a
+// hull query instance to a positive-mass instance — +Inf with fewer than k
+// candidates, under F+SD and off the Euclidean metric.
+func bandRadius(c *Checker, cands []Candidate, k int) float64 {
+	if c.op == FPlusSD || !c.euclid || len(cands) < k {
+		return math.Inf(1)
+	}
+	var reach []float64
+	for _, cand := range cands {
+		u, far := cand.Object, math.Inf(-1)
+		for _, q := range c.hullPts {
+			for i := 0; i < u.Len(); i++ {
+				if u.Prob(i) > 0 {
+					far = max(far, geom.Dist(q, u.Instance(i)))
+				}
+			}
+		}
+		reach = append(reach, far)
+	}
+	slices.Sort(reach)
+	return reach[k-1]
+}
+
+// atBandRadius draws a rectangle that overlaps the query MBR in every
+// dimension but one and sits the band's radius beyond it there, nudged a
+// few ulps either way (a random box when the radius is infinite).
+func atBandRadius(rng *rand.Rand, q geom.Rect, radius float64) geom.Rect {
+	d := len(q.Lo)
+	r := geom.Rect{Lo: make(geom.Point, d), Hi: make(geom.Point, d)}
+	for j := range r.Lo {
+		r.Lo[j], r.Hi[j] = q.Lo[j]-rng.Float64(), q.Hi[j]+rng.Float64()
+	}
+	if math.IsInf(radius, 1) {
+		return r
+	}
+	j := rng.Intn(d)
+	r.Lo[j] = q.Hi[j] + radius
+	for n := rng.Intn(7) - 3; n != 0; {
+		if n > 0 {
+			r.Lo[j], n = math.Nextafter(r.Lo[j], math.Inf(1)), n-1
+		} else {
+			r.Lo[j], n = math.Nextafter(r.Lo[j], math.Inf(-1)), n+1
+		}
+	}
+	r.Hi[j] = r.Lo[j] + rng.Float64()*10
+	return r
 }
 
 // shieldProbe draws the i-th test rectangle for s, cycling through six

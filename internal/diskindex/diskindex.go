@@ -13,9 +13,11 @@
 // on its MBR"); decoded objects are kept in a bounded LRU so long-running
 // servers don't grow without limit.
 //
-// Concurrency: an Index holds no global lock. SearchKCtx materializes a
-// per-search session (a pager.Lease over the sharded buffer pool plus
-// local cache counters), so N goroutines search the same Index
+// Concurrency: an Index holds no global lock. SearchKCtx takes a pooled
+// per-search session (a pager.Lease over the sharded buffer pool, local
+// cache counters, and the corner arena and record buffer that keep a warm
+// search from allocating per node entry or per record), so N goroutines
+// search the same Index
 // simultaneously with candidate sets and per-query Result.IO identical to
 // serial execution — a search pins one snapshot, whose tree and store no
 // writer changes (a mutable index publishes each commit as a new epoch),
@@ -332,11 +334,18 @@ func (ix *Index) Dim() int { return ix.tree.Dim() }
 // through its lease and reports the counts kept here; Index's own Backend
 // methods read through the shared pool, where the pool's and the cache's
 // cumulative counters are the record.
+//
+// A session's view also lends its reads the session's buffers: the corner
+// arena node pages decode into and the buffer records are read through.
+// Index's own view has neither, so each node it expands allocates one
+// corner slab and each record it reads one buffer.
 type view struct {
-	tree  *diskrtree.Tree
-	snap  *snapshot
-	r     pager.Reader
-	cache *objLRU
+	tree   *diskrtree.Tree
+	snap   *snapshot
+	r      pager.Reader
+	cache  *objLRU
+	arena  *cornerArena
+	recBuf *[]byte
 
 	cacheHits, cacheEvictions int64
 }
@@ -347,20 +356,19 @@ func (v *view) Root() (core.NodeRef, error) {
 }
 
 // Expand reads the node page (one counted page access) and visits its
-// children: record pointers for a leaf, child pages otherwise.
+// children: record pointers for a leaf, child pages otherwise. Their
+// rectangles are decoded in place into a slab of the view's arena (a
+// fresh one without it), which nothing reuses until the search returns.
+//
+//nnc:hotpath
 func (v *view) Expand(n core.NodeRef, visit func(core.BackendEntry)) error {
-	node, err := v.tree.ReadNodeVia(v.r, pager.PageID(n.ID))
-	if err != nil {
-		return err
-	}
-	for i, rect := range node.Rects {
-		if node.Leaf {
-			visit(core.BackendEntry{Rect: rect, Obj: core.ObjRef{ID: uint64(node.Refs[i])}})
+	return v.tree.VisitNodeVia(v.r, pager.PageID(n.ID), v.arena.take, func(leaf bool, r geom.Rect, ref int64) {
+		if leaf {
+			visit(core.BackendEntry{Rect: r, Obj: core.ObjRef{ID: uint64(ref)}})
 		} else {
-			visit(core.BackendEntry{Rect: rect, IsNode: true, Node: core.NodeRef{ID: uint64(node.Refs[i])}})
+			visit(core.BackendEntry{Rect: r, IsNode: true, Node: core.NodeRef{ID: uint64(ref)}})
 		}
-	}
-	return nil
+	})
 }
 
 // Resolve materializes a record pointer into an object, through the
@@ -375,13 +383,49 @@ func (v *view) Resolve(r core.ObjRef) (*uncertain.Object, error) {
 		v.cacheHits++
 		return o, nil
 	}
-	o, err := v.snap.store.ReadVia(v.r, ptr)
+	o, err := v.snap.store.ReadVia(v.r, ptr, v.recBuf)
 	if err != nil {
 		return nil, err
 	}
 	v.cacheEvictions += v.cache.put(ptr, o)
 	return o, nil
 }
+
+// cornerChunk is the floats a corner arena allocates at a time: about 18
+// node pages of a 3-d tree with 4096-byte pages.
+const cornerChunk = 8192
+
+// cornerArena hands out the slabs a search's node pages decode into. It
+// carves them out of chunks it never reallocates, so a rectangle stays
+// valid until reset, and reset keeps the chunks for the session's next
+// search: a warm search allocates no node storage. A nil arena allocates
+// each slab on its own.
+type cornerArena struct {
+	chunks [][]float64
+	cur    int // the chunk being carved
+	off    int // floats of chunks[cur] handed out
+}
+
+// take returns a slab of n floats that no other take shares until reset.
+func (a *cornerArena) take(n int) []float64 {
+	if a == nil {
+		return make([]float64, n)
+	}
+	for a.cur < len(a.chunks) {
+		if c := a.chunks[a.cur]; a.off+n <= len(c) {
+			a.off += n
+			return c[a.off-n : a.off : a.off]
+		}
+		a.cur++
+		a.off = 0
+	}
+	a.chunks = append(a.chunks, make([]float64, max(n, cornerChunk)))
+	a.off = n
+	return a.chunks[a.cur][:n:n]
+}
+
+// reset hands every chunk out again from the start.
+func (a *cornerArena) reset() { a.cur, a.off = 0, 0 }
 
 // Index itself is a core.Backend over the current snapshot and the shared
 // pool — the surface for callers that pass it to core.SearchBackend
@@ -421,13 +465,39 @@ func (ix *Index) AccessStats() core.IOStats {
 // exactly this search's I/O no matter how many other searches run
 // concurrently. The decoded-object cache instance is fixed at session
 // creation, keeping one search internally consistent across a concurrent
-// ResetCache/SetObjCacheCap swap.
+// ResetCache/SetObjCacheCap swap. Sessions are pooled with their corner
+// arena and record buffer, which is what keeps a warm search from
+// allocating per node entry or per record.
 type session struct {
 	view
-	lease *pager.Lease
+	lease  *pager.Lease
+	arena  cornerArena
+	recBuf []byte
 }
 
 var _ core.Backend = (*session)(nil)
+
+var sessionPool = sync.Pool{New: func() any { return new(session) }}
+
+// newSession takes a pooled session and points it at snap through lease.
+func (ix *Index) newSession(snap *snapshot, lease *pager.Lease) *session {
+	s := sessionPool.Get().(*session)
+	s.view = view{
+		tree: ix.tree, snap: snap, r: lease, cache: ix.objCache.Load(),
+		arena: &s.arena, recBuf: &s.recBuf,
+	}
+	s.lease = lease
+	return s
+}
+
+// release returns the session to the pool once its search has returned:
+// the rectangles it handed out are dead, so the arena starts over.
+func (s *session) release() {
+	s.arena.reset()
+	s.view = view{}
+	s.lease = nil
+	sessionPool.Put(s)
+}
 
 func (s *session) AccessStats() core.IOStats {
 	return core.IOStats{
@@ -457,9 +527,9 @@ func (ix *Index) SearchKCtx(ctx context.Context, q *uncertain.Object, op core.Op
 	var res *Result
 	var err error
 	ix.pinned(func(snap *snapshot) {
-		lease := ix.pool.NewLeaseCtx(ctx)
-		s := &session{view: view{tree: ix.tree, snap: snap, r: lease, cache: ix.objCache.Load()}, lease: lease}
+		s := ix.newSession(snap, ix.pool.NewLeaseCtx(ctx))
 		res, err = core.SearchBackend(ctx, s, q, op, k, opts)
+		s.release()
 	})
 	return res, err
 }

@@ -9,6 +9,12 @@
 // a search is a buffer-pool access, so the pool's hit/miss/read counters
 // measure exactly the I/O behavior a disk-backed deployment would see.
 //
+// A search reads a node in place: VisitNode validates the page once and
+// hands each entry's rectangle and reference to a callback, the corners
+// decoded straight into a slab the caller supplies, so no rtree.Node,
+// rectangle slice or reference slice is built. DecodeNode, which the
+// writers and offline walks use, is VisitNode into a node of its own.
+//
 // Page layout (little endian):
 //
 //	meta page:  "SDRT" | dim u16 | height u16 | size u64 | root u32
@@ -153,7 +159,7 @@ func (s txStore) Read(id rtree.NodeID) (*rtree.Node, error) {
 	}
 	n, err := DecodeNode(buf, s.dim)
 	if err != nil {
-		return nil, fmt.Errorf("diskrtree: page %d: %w", id, err)
+		return nil, pageError(pager.PageID(id), err)
 	}
 	return n, nil
 }
@@ -254,53 +260,116 @@ func (t *Tree) ReadNodeVia(r pager.Reader, page pager.PageID) (*rtree.Node, erro
 	n, derr := DecodeNode(buf, t.dim)
 	r.Unpin(page)
 	if derr != nil {
-		return nil, fmt.Errorf("diskrtree: page %d: %w", page, derr)
+		return nil, pageError(page, derr)
 	}
 	return n, nil
 }
 
-// DecodeNode decodes a node page image with dimensionality dim. The entry
-// count is validated against the page size before any entry is touched, so
-// malformed input yields an error wrapping ErrCorruptNode — never a panic.
-// It is the tree's single source of decode truth (ReadNodeVia routes
-// through it) and the surface FuzzNodeDecode exercises.
+// VisitNodeVia is ReadNodeVia without the node: the page at page is read
+// through r and handed to VisitNode, its corners decoded into the slab
+// corners returns. The page is pinned while visit runs.
+func (t *Tree) VisitNodeVia(r pager.Reader, page pager.PageID, corners func(n int) []float64, visit func(leaf bool, rect geom.Rect, ref int64)) error {
+	buf, err := r.Get(page)
+	if err != nil {
+		return err
+	}
+	derr := VisitNode(buf, t.dim, corners, visit)
+	r.Unpin(page)
+	if derr != nil {
+		return pageError(page, derr)
+	}
+	return nil
+}
+
+// DecodeNode decodes a node page image with dimensionality dim into a node
+// of its own: VisitNode with a fresh corner slab, the entries appended as
+// they are visited.
 func DecodeNode(buf []byte, dim int) (*rtree.Node, error) {
+	n := &rtree.Node{}
+	err := VisitNode(buf, dim, func(size int) []float64 {
+		count := size / (2 * dim)
+		n.Rects = make([]geom.Rect, 0, count)
+		n.Refs = make([]int64, 0, count)
+		return make([]float64, size)
+	}, func(leaf bool, r geom.Rect, ref int64) {
+		n.Rects = append(n.Rects, r)
+		n.Refs = append(n.Refs, ref)
+	})
+	if err != nil {
+		return nil, err
+	}
+	n.Leaf = buf[0] == 1
+	return n, nil
+}
+
+// VisitNode is the tree's single source of decode truth: it validates a
+// node page image with dimensionality dim and then calls visit once per
+// entry, in storage order, with the entry's rectangle and reference (child
+// page id, or record pointer in a leaf). The entry count is validated
+// against the page size before any entry is touched, so malformed input
+// yields an error wrapping ErrCorruptNode — never a panic — and visit is
+// not called. The corners are decoded straight into the slab corners(n)
+// returns, of n = 2·dim·count floats, which the rectangles keep: they stay
+// valid for as long as the caller keeps that slab, and each corner is
+// capacity-limited so an append to one cannot write into its neighbour.
+// DecodeNode, ReadNodeVia and VisitNodeVia all route through it, and
+// FuzzNodeDecode exercises it.
+//
+//nnc:hotpath
+func VisitNode(buf []byte, dim int, corners func(n int) []float64, visit func(leaf bool, r geom.Rect, ref int64)) error {
+	leaf, count, err := nodeHeader(buf, dim)
+	if err != nil {
+		return err
+	}
+	coords := corners(2 * dim * count)
+	off := 3
+	for i := 0; i < count; i++ {
+		c := coords[:2*dim]
+		for j := range c {
+			c[j] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
+			off += 8
+		}
+		coords = coords[2*dim:]
+		ref := int64(binary.LittleEndian.Uint64(buf[off:]))
+		off += 8
+		visit(leaf, geom.Rect{Lo: c[:dim:dim], Hi: c[dim : 2*dim : 2*dim]}, ref)
+	}
+	return nil
+}
+
+// nodeHeader validates a node page image's header against dim and the
+// page's length, and returns its leaf flag and entry count.
+//
+//nnc:coldpath allocates only to format the error of a damaged page; a valid page returns without allocating
+func nodeHeader(buf []byte, dim int) (leaf bool, count int, err error) {
 	if dim < 1 || dim > maxDim {
-		return nil, fmt.Errorf("%w: implausible dim %d", ErrCorruptNode, dim)
+		return false, 0, fmt.Errorf("%w: implausible dim %d", ErrCorruptNode, dim)
 	}
 	if len(buf) < 3 {
-		return nil, fmt.Errorf("%w: %d-byte page too short", ErrCorruptNode, len(buf))
+		return false, 0, fmt.Errorf("%w: %d-byte page too short", ErrCorruptNode, len(buf))
 	}
 	if buf[0] > 1 {
-		return nil, fmt.Errorf("%w: bad leaf flag %d", ErrCorruptNode, buf[0])
+		return false, 0, fmt.Errorf("%w: bad leaf flag %d", ErrCorruptNode, buf[0])
 	}
-	leaf := buf[0] == 1
-	count := int(binary.LittleEndian.Uint16(buf[1:]))
+	leaf = buf[0] == 1
+	count = int(binary.LittleEndian.Uint16(buf[1:]))
 	if count < 1 && !leaf {
 		// Internal nodes always have at least one child. A leaf with zero
 		// entries is legal in exactly one place — the root of an empty
 		// mutable tree — and decodes to an entry-less node.
-		return nil, fmt.Errorf("%w: empty node", ErrCorruptNode)
+		return false, 0, fmt.Errorf("%w: empty node", ErrCorruptNode)
 	}
 	entry := 16*dim + 8
 	if 3+count*entry > len(buf) {
-		return nil, fmt.Errorf("%w: %d entries of %d bytes overflow %d-byte page",
+		return false, 0, fmt.Errorf("%w: %d entries of %d bytes overflow %d-byte page",
 			ErrCorruptNode, count, entry, len(buf))
 	}
-	n := &rtree.Node{Leaf: leaf, Rects: make([]geom.Rect, count), Refs: make([]int64, count)}
-	// Every corner is carved out of one backing array, capacity-limited so
-	// an append to one corner cannot write into its neighbour.
-	coords := make([]float64, 2*dim*count)
-	off := 3
-	for i := 0; i < count; i++ {
-		for j := range coords[:2*dim] {
-			coords[j] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
-			off += 8
-		}
-		n.Rects[i] = geom.Rect{Lo: coords[:dim:dim], Hi: coords[dim : 2*dim : 2*dim]}
-		coords = coords[2*dim:]
-		n.Refs[i] = int64(binary.LittleEndian.Uint64(buf[off:]))
-		off += 8
-	}
-	return n, nil
+	return leaf, count, nil
+}
+
+// pageError names the page a read or decode failed on.
+//
+//nnc:coldpath error formatting for a failed page read or a damaged page
+func pageError(page pager.PageID, err error) error {
+	return fmt.Errorf("diskrtree: page %d: %w", page, err)
 }

@@ -4,7 +4,11 @@
 // lists in stream order, and addressed by their stream offset, so a record
 // fetch touches exactly the ⌈len/pageSize⌉ pages holding it — the unit the
 // paper's disk-bound experiments count. Every write goes through a
-// pager.TxPager: a bulk build's and a mutation's are the same code.
+// pager.TxPager: a bulk build's and a mutation's are the same code. A read
+// copies a record's bytes into a buffer its caller keeps (ReadVia; a search
+// session keeps one for all its records) and decodes them into one slab the
+// object keeps: probabilities, then coordinates, as the record lays them
+// out.
 //
 // Layouts (little endian):
 //
@@ -179,15 +183,19 @@ func (s *Store) Len() int { return s.count }
 // Read fetches and decodes the record at ptr, counting page accesses on
 // the shared pool.
 func (s *Store) Read(ptr Ptr) (*uncertain.Object, error) {
-	return s.ReadVia(s.pool, ptr)
+	return s.ReadVia(s.pool, ptr, nil)
 }
 
 // ReadVia is Read fetching pages through an arbitrary pager.Reader —
 // typically a per-search pager.Lease, so the record's page accesses are
-// attributed to exactly one search even under concurrency. The store's
-// layout fields are immutable after build, so any number of ReadVia calls
-// may run concurrently.
-func (s *Store) ReadVia(r pager.Reader, ptr Ptr) (*uncertain.Object, error) {
+// attributed to exactly one search even under concurrency — and reading
+// the record's bytes into *buf, which is grown when the record is longer
+// and kept by the caller for the next record; a nil buf reads into a
+// buffer of this call's own. The object decoded from the bytes shares
+// nothing with the buffer. The store's layout fields are immutable after
+// build, so any number of ReadVia calls, each with its own buffer, may run
+// concurrently.
+func (s *Store) ReadVia(r pager.Reader, ptr Ptr, buf *[]byte) (*uncertain.Object, error) {
 	var hdr [16]byte
 	if err := s.readAtVia(r, uint64(ptr), hdr[:]); err != nil {
 		return nil, err
@@ -201,7 +209,12 @@ func (s *Store) ReadVia(r pager.Reader, ptr Ptr) (*uncertain.Object, error) {
 	if uint64(ptr)+uint64(need) > s.tail {
 		return nil, fmt.Errorf("%w at %d: %d-byte body overruns stream tail %d", ErrCorrupt, ptr, need, s.tail)
 	}
-	rec := make([]byte, need)
+	var rec []byte
+	if buf != nil {
+		rec = grow((*buf)[:0], need)
+	} else {
+		rec = make([]byte, need)
+	}
 	copy(rec, hdr[:])
 	if err := s.readAtVia(r, uint64(ptr)+16, rec[16:]); err != nil {
 		return nil, err
@@ -210,16 +223,28 @@ func (s *Store) ReadVia(r pager.Reader, ptr Ptr) (*uncertain.Object, error) {
 		if uint64(ptr)+uint64(need)+uint64(labelLen) > s.tail {
 			return nil, fmt.Errorf("%w at %d: label overruns stream tail %d", ErrCorrupt, ptr, s.tail)
 		}
-		rec = append(rec, make([]byte, labelLen)...)
+		rec = grow(rec, need+labelLen)
 		if err := s.readAtVia(r, uint64(ptr)+uint64(need), rec[need:]); err != nil {
 			return nil, err
 		}
+	}
+	if buf != nil {
+		*buf = rec
 	}
 	o, _, err := DecodeRecord(rec)
 	if err != nil {
 		return nil, fmt.Errorf("diskstore: record at %d: %w", ptr, err)
 	}
 	return o, nil
+}
+
+// grow returns b resized to n bytes, keeping its first len(b) bytes and
+// reusing its capacity when it is large enough.
+func grow(b []byte, n int) []byte {
+	if cap(b) < n {
+		return append(b[:cap(b)], make([]byte, n-cap(b))...)[:n]
+	}
+	return b[:n]
 }
 
 // DecodeRecord decodes one serialized record from the front of data,

@@ -141,19 +141,21 @@ func (s Stat) LE(t Stat, eps float64) bool {
 // a scan asks — stores each U_{q_j}'s statistics in perQ[j] (skipped when
 // perQ is nil), and returns the statistics of U_Q: its min is the exact
 // key Algorithm 1 orders objects by, its mean is Σ_j p(q_j)·mean_j, so no
-// statistic needs the |Q|·m atoms sorted. A nil dist means Euclidean.
+// statistic needs the |Q|·m atoms sorted. A nil dist means Euclidean. u's
+// instances are read off its coordinate slab (uncertain.Object.Coords).
 //
 //nnc:hotpath
 func Summarize(runs []Pair, perQ []Stat, u, q *uncertain.Object, dist func(a, b geom.Point) float64) Stat {
-	pts, probs := u.Points(), u.Probs()
-	m := len(pts)
+	coords, probs, d := u.Coords(), u.Probs(), u.Dim()
+	m := len(probs)
 	all := Stat{Min: math.Inf(1), Max: math.Inf(-1)}
 	for j := 0; j < q.Len(); j++ {
 		qp := q.Instance(j)
 		run := runs[j*m : (j+1)*m]
 		st := Stat{Min: math.Inf(1), Max: math.Inf(-1)}
-		for i, p := range pts {
-			var d float64
+		for i, pr := range probs {
+			p := coords[i*d : (i+1)*d : (i+1)*d]
+			var dd float64
 			if dist == nil {
 				// geom.Dist(qp, p) term for term, without the call.
 				var s float64
@@ -162,16 +164,15 @@ func Summarize(runs []Pair, perQ []Stat, u, q *uncertain.Object, dist func(a, b 
 					e := x - p[k]
 					s += e * e
 				}
-				d = math.Sqrt(s)
+				dd = math.Sqrt(s)
 			} else {
-				d = dist(qp, p)
+				dd = dist(qp, p)
 			}
-			pr := probs[i]
-			run[i] = Pair{Dist: d, Prob: pr}
+			run[i] = Pair{Dist: dd, Prob: pr}
 			if pr > 0 {
-				st.Min = min(st.Min, d)
-				st.Max = max(st.Max, d)
-				st.Mean += d * pr
+				st.Min = min(st.Min, dd)
+				st.Max = max(st.Max, dd)
+				st.Mean += dd * pr
 			}
 		}
 		if perQ != nil {

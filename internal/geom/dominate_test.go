@@ -133,10 +133,12 @@ func TestFSDMBRPointsTighterThanRect(t *testing.T) {
 		u := randRect(rng, d, 6)
 		v := randRect(rng, d, 6)
 		qs := make([]Point, 1+rng.Intn(5))
+		var flat []float64
 		for i := range qs {
 			qs[i] = randPoint(rng, d, 4)
+			flat = append(flat, qs[i]...)
 		}
-		qr := BoundingRect(qs)
+		qr := BoundingRect(flat, d)
 		if FSDMBR(u, v, qr) && !FSDMBRPoints(u, v, qs) {
 			t.Fatalf("rect-level dominance must imply point-level dominance")
 		}

@@ -90,8 +90,12 @@ func TestConvexHullContainsAllPoints(t *testing.T) {
 			pts[i] = randPoint(rng, 2, 10)
 		}
 		hull := ConvexHullIndices(pts)
+		poly := make([]Point, len(hull))
+		for i, j := range hull {
+			poly[i] = pts[j]
+		}
 		for i, p := range pts {
-			if !PointInHull2D(p, pts, hull) {
+			if !PointInHull2D(p, poly) {
 				t.Fatalf("iter %d: point %d (%v) outside its own hull %v", iter, i, p, hull)
 			}
 		}
@@ -132,18 +136,17 @@ func TestHullSufficiencyForInstanceDominance(t *testing.T) {
 }
 
 func TestPointInHull2DEdgeCases(t *testing.T) {
-	pts := []Point{{0, 0}, {2, 0}}
-	hull := []int{0, 1}
-	if !PointInHull2D(Point{1, 0}, pts, hull) {
+	hull := []Point{{0, 0}, {2, 0}}
+	if !PointInHull2D(Point{1, 0}, hull) {
 		t.Fatal("midpoint of a segment hull must be inside")
 	}
-	if PointInHull2D(Point{3, 0}, pts, hull) {
+	if PointInHull2D(Point{3, 0}, hull) {
 		t.Fatal("point beyond segment must be outside")
 	}
-	if PointInHull2D(Point{1, 1}, pts, hull) {
+	if PointInHull2D(Point{1, 1}, hull) {
 		t.Fatal("point off segment must be outside")
 	}
-	if PointInHull2D(Point{1, 1, 1}, pts, hull) {
+	if PointInHull2D(Point{1, 1, 1}, hull) {
 		t.Fatal("non-2D point must report false")
 	}
 }

@@ -30,15 +30,19 @@ func NewRect(lo, hi Point) Rect {
 // PointRect returns the degenerate rectangle covering exactly p.
 func PointRect(p Point) Rect { return Rect{Lo: p, Hi: p} }
 
-// BoundingRect returns the MBR of a non-empty point set.
-func BoundingRect(pts []Point) Rect {
-	if len(pts) == 0 {
+// BoundingRect returns the MBR of a non-empty point set held flat: coords
+// is the points one after another, dim coordinates each. The two corners
+// share one allocation, each capacity-limited.
+func BoundingRect(coords []float64, dim int) Rect {
+	if len(coords) == 0 || dim <= 0 {
 		panic("geom: BoundingRect on empty set")
 	}
-	lo := pts[0].Clone()
-	hi := pts[0].Clone()
-	for _, p := range pts[1:] {
-		for i, v := range p {
+	corners := make([]float64, 2*dim)
+	lo, hi := corners[:dim:dim], corners[dim:]
+	copy(lo, coords[:dim])
+	copy(hi, coords[:dim])
+	for off := dim; off < len(coords); off += dim {
+		for i, v := range coords[off : off+dim] {
 			if v < lo[i] {
 				lo[i] = v
 			}

@@ -25,7 +25,7 @@ func TestNewRectPanics(t *testing.T) {
 
 func TestBoundingRect(t *testing.T) {
 	pts := []Point{{1, 5}, {3, 2}, {-1, 4}}
-	r := BoundingRect(pts)
+	r := BoundingRect([]float64{1, 5, 3, 2, -1, 4}, 2)
 	want := NewRect(Point{-1, 2}, Point{3, 5})
 	if !r.Equal(want) {
 		t.Fatalf("BoundingRect = %v, want %v", r, want)
@@ -34,6 +34,9 @@ func TestBoundingRect(t *testing.T) {
 		if !r.ContainsPoint(p) {
 			t.Fatalf("bounding rect misses %v", p)
 		}
+	}
+	if cap(r.Lo) != 2 || cap(r.Hi) != 2 {
+		t.Fatalf("corners of capacity %d and %d: an append reaches the other", cap(r.Lo), cap(r.Hi))
 	}
 }
 

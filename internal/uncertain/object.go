@@ -4,10 +4,14 @@
 // a probability, Section 2.1 of the paper). A query is itself such an
 // object.
 //
-// Each object owns a minimum bounding rectangle, a lazily built local R-tree
-// with fanout 4 (matching the paper's experimental setup), and — for query
-// objects — the convex hull of its instances, which is the only part of the
-// query that dominance checks need to consult (Section 5.1.2).
+// An object is flat: its coordinates are one slab, instance after instance,
+// and an instance is a view into it, so decoding or building an object
+// costs that slab, the object and one allocation for its MBR's two
+// corners. Each object owns that minimum bounding rectangle, a lazily built
+// local R-tree with fanout 4 (matching the paper's experimental setup), and
+// — for query objects — the convex hull of its instances, which is the only
+// part of the query that dominance checks need to consult (Section 5.1.2).
+// The []geom.Point form of the instances is built only on request (Points).
 package uncertain
 
 import (
@@ -39,12 +43,16 @@ var (
 // the zero value is not usable. Objects are immutable after construction and
 // safe for concurrent use.
 type Object struct {
-	id    int
-	label string
-	pts   []geom.Point
-	probs []float64
-	mass  float64 // original total weight before normalization
-	mbr   geom.Rect
+	id     int
+	label  string
+	dim    int
+	coords []float64 // len(probs)·dim coordinates, instance after instance
+	probs  []float64
+	mass   float64 // original total weight before normalization
+	mbr    geom.Rect
+
+	ptsOnce sync.Once
+	pts     []geom.Point
 
 	treeOnce sync.Once
 	tree     *rtree.Tree
@@ -66,23 +74,15 @@ func New(id int, pts []geom.Point, weights []float64) (*Object, error) {
 	if weights != nil && len(weights) != len(pts) {
 		return nil, fmt.Errorf("%w: %d weights for %d instances", ErrWeightCount, len(weights), len(pts))
 	}
-	d := len(pts[0])
-	if d == 0 {
-		return nil, ErrDimMismatch
+	probs, coords, err := flatten(pts)
+	if err != nil {
+		return nil, err
 	}
-	cp := make([]geom.Point, len(pts))
-	for i, p := range pts {
-		if len(p) != d {
-			return nil, fmt.Errorf("%w: instance %d has dim %d, want %d", ErrDimMismatch, i, len(p), d)
+	for i, v := range coords {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("%w: instance %d", ErrBadCoordinate, i/len(pts[0]))
 		}
-		for _, v := range p {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, fmt.Errorf("%w: instance %d", ErrBadCoordinate, i)
-			}
-		}
-		cp[i] = p.Clone()
 	}
-	probs := make([]float64, len(pts))
 	var mass float64
 	if weights == nil {
 		mass = 1
@@ -109,13 +109,25 @@ func New(id int, pts []geom.Point, weights []float64) (*Object, error) {
 			probs[i] /= mass
 		}
 	}
-	return &Object{
-		id:    id,
-		pts:   cp,
-		probs: probs,
-		mass:  mass,
-		mbr:   geom.BoundingRect(cp),
-	}, nil
+	return newFlat(id, len(pts[0]), coords, probs, mass), nil
+}
+
+// flatten copies pts into one slab laid out as a stored record is: len(pts)
+// probabilities, left for the caller to fill, then the coordinates.
+func flatten(pts []geom.Point) (probs, coords []float64, err error) {
+	d := len(pts[0])
+	if d == 0 {
+		return nil, nil, ErrDimMismatch
+	}
+	m := len(pts)
+	slab := make([]float64, m, m+m*d)
+	for i, p := range pts {
+		if len(p) != d {
+			return nil, nil, fmt.Errorf("%w: instance %d has dim %d, want %d", ErrDimMismatch, i, len(p), d)
+		}
+		slab = append(slab, p...)
+	}
+	return slab[:m:m], slab[m:], nil
 }
 
 // FromNormalized builds an object from instances whose probabilities are
@@ -134,24 +146,22 @@ func FromNormalized(id int, pts []geom.Point, probs []float64) (*Object, error) 
 	if len(probs) != len(pts) {
 		return nil, fmt.Errorf("%w: %d probabilities for %d instances", ErrWeightCount, len(probs), len(pts))
 	}
-	d := len(pts[0])
-	coords := make([]float64, 0, len(pts)*d)
-	for i, p := range pts {
-		if len(p) != d {
-			return nil, fmt.Errorf("%w: instance %d has dim %d, want %d", ErrDimMismatch, i, len(p), d)
-		}
-		coords = append(coords, p...)
+	ps, coords, err := flatten(pts)
+	if err != nil {
+		return nil, err
 	}
-	return FromSlabs(id, d, coords, append([]float64(nil), probs...))
+	copy(ps, probs)
+	return FromSlabs(id, len(pts[0]), coords, ps)
 }
 
 // FromSlabs is FromNormalized for a caller that already holds the object in
 // its flat form — one slab of len(probs)·dim coordinates, instance after
 // instance, and one slab of normalized probabilities — and gives both up:
-// the object keeps the slabs and its instances are views into coords, so
-// neither may be touched afterwards. Like FromNormalized it keeps the
-// probability bits verbatim and reports Mass 1. Coordinates must be finite,
-// probabilities finite and non-negative with a positive sum.
+// the object keeps the slabs as they are, without a copy, and its instances
+// are views into coords, so neither may be touched afterwards. Like
+// FromNormalized it keeps the probability bits verbatim and reports Mass 1.
+// Coordinates must be finite, probabilities finite and non-negative with a
+// positive sum.
 func FromSlabs(id, dim int, coords, probs []float64) (*Object, error) {
 	if len(probs) == 0 {
 		return nil, ErrNoInstances
@@ -174,17 +184,20 @@ func FromSlabs(id, dim int, coords, probs []float64) (*Object, error) {
 	if mass <= 0 {
 		return nil, ErrZeroMass
 	}
-	pts := make([]geom.Point, len(probs))
-	for i := range pts {
-		pts[i] = coords[i*dim : (i+1)*dim : (i+1)*dim]
-	}
+	return newFlat(id, dim, coords, probs, 1), nil
+}
+
+// newFlat wraps validated slabs in an object; the MBR's corners share one
+// allocation.
+func newFlat(id, dim int, coords, probs []float64, mass float64) *Object {
 	return &Object{
-		id:    id,
-		pts:   pts,
-		probs: probs,
-		mass:  1,
-		mbr:   geom.BoundingRect(pts),
-	}, nil
+		id:     id,
+		dim:    dim,
+		coords: coords,
+		probs:  probs,
+		mass:   mass,
+		mbr:    geom.BoundingRect(coords, dim),
+	}
 }
 
 // MustNew is New that panics on error; intended for tests and examples.
@@ -210,21 +223,37 @@ func (o *Object) SetLabel(s string) *Object {
 }
 
 // Len returns the number of instances.
-func (o *Object) Len() int { return len(o.pts) }
+func (o *Object) Len() int { return len(o.probs) }
 
 // Dim returns the dimensionality of the instances.
-func (o *Object) Dim() int { return len(o.pts[0]) }
+func (o *Object) Dim() int { return o.dim }
 
-// Instance returns the i-th instance point. The returned slice must not be
-// modified.
-func (o *Object) Instance(i int) geom.Point { return o.pts[i] }
+// Instance returns the i-th instance point, a view into the coordinate
+// slab. The returned slice must not be modified.
+func (o *Object) Instance(i int) geom.Point {
+	return o.coords[i*o.dim : (i+1)*o.dim : (i+1)*o.dim]
+}
+
+// Coords returns the coordinate slab: instance i is Coords()[i·Dim() :
+// (i+1)·Dim()]. The returned slice must not be modified.
+func (o *Object) Coords() []float64 { return o.coords }
 
 // Prob returns the probability of the i-th instance.
 func (o *Object) Prob(i int) float64 { return o.probs[i] }
 
-// Points returns the instance points. The returned slice must not be
-// modified.
-func (o *Object) Points() []geom.Point { return o.pts }
+// Points returns the instance points, views into the coordinate slab. The
+// slice is built on the first call, and every call returns that slice; it
+// must not be modified.
+func (o *Object) Points() []geom.Point {
+	o.ptsOnce.Do(func() {
+		pts := make([]geom.Point, o.Len())
+		for i := range pts {
+			pts[i] = o.Instance(i)
+		}
+		o.pts = pts
+	})
+	return o.pts
+}
 
 // Probs returns the instance probabilities. The returned slice must not be
 // modified.
@@ -244,9 +273,9 @@ func (o *Object) MBR() geom.Rect { return o.mbr }
 //nnc:coldpath sync.Once lazy build; every later call returns the cached tree
 func (o *Object) LocalTree() *rtree.Tree {
 	o.treeOnce.Do(func() {
-		entries := make([]rtree.Entry, len(o.pts))
-		for i, p := range o.pts {
-			entries[i] = rtree.Entry{Rect: geom.PointRect(p), ID: int64(i)}
+		entries := make([]rtree.Entry, o.Len())
+		for i := range entries {
+			entries[i] = rtree.Entry{Rect: geom.PointRect(o.Instance(i)), ID: int64(i)}
 		}
 		o.tree = rtree.Bulk(entries, LocalTreeFanout)
 	})
@@ -259,7 +288,7 @@ func (o *Object) LocalTree() *rtree.Tree {
 //
 //nnc:coldpath sync.Once lazy build; every later call returns the cached indices
 func (o *Object) HullIndices() []int {
-	o.hullOnce.Do(func() { o.hull = geom.ConvexHullIndices(o.pts) })
+	o.hullOnce.Do(func() { o.hull = geom.ConvexHullIndices(o.Points()) })
 	return o.hull
 }
 
@@ -268,19 +297,19 @@ func (o *Object) HullPoints() []geom.Point {
 	idx := o.HullIndices()
 	pts := make([]geom.Point, len(idx))
 	for i, j := range idx {
-		pts[i] = o.pts[j]
+		pts[i] = o.Instance(j)
 	}
 	return pts
 }
 
 // MinDist returns δmin(q, O): the distance from q to the closest instance.
 func (o *Object) MinDist(q geom.Point) float64 {
-	return math.Sqrt(geom.MinSqDistToPoints(q, o.pts))
+	return math.Sqrt(geom.MinSqDistToPoints(q, o.Points()))
 }
 
 // MaxDist returns δmax(q, O): the distance from q to the farthest instance.
 func (o *Object) MaxDist(q geom.Point) float64 {
-	return math.Sqrt(geom.MaxSqDistToPoints(q, o.pts))
+	return math.Sqrt(geom.MaxSqDistToPoints(q, o.Points()))
 }
 
 // String formats a short description of the object.
@@ -303,8 +332,8 @@ func SameDistribution(a, b *Object, eps float64) bool {
 	// Aggregate duplicate points so representation differences don't matter.
 	acc := func(o *Object) map[string]float64 {
 		m := make(map[string]float64, o.Len())
-		for i, p := range o.pts {
-			m[pointKey(p)] += o.probs[i]
+		for i, pr := range o.probs {
+			m[pointKey(o.Instance(i))] += pr
 		}
 		return m
 	}

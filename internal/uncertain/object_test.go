@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"spatialdom/internal/geom"
@@ -267,5 +268,76 @@ func TestStringAndLabel(t *testing.T) {
 	}
 	if o.String() == "" {
 		t.Fatal("empty labeled String")
+	}
+}
+
+// An object is one coordinate slab, whichever constructor built it:
+// Instance(i), Points()[i] and Coords()[i·d:(i+1)·d] are the same floats
+// at the same address; Points is built once and every call returns that
+// slice, also when eight goroutines race on the first call (run under
+// -race); FromSlabs keeps the caller's slab; and FromSlabs allocates only
+// the object and one slab for the MBR's two corners.
+func TestFlatObjectViews(t *testing.T) {
+	pts := []geom.Point{{1, 5, 2}, {-3, 4, 0}, {7, 7, 7}, {0, -1, 9}}
+	probs := []float64{0.1, 0.2, 0.3, 0.4}
+	var coords []float64
+	for _, p := range pts {
+		coords = append(coords, p...)
+	}
+	build := map[string]func() *Object{
+		"New":            func() *Object { return MustNew(3, pts, probs) },
+		"FromNormalized": func() *Object { o, _ := FromNormalized(3, pts, probs); return o },
+		"FromSlabs": func() *Object {
+			o, _ := FromSlabs(3, 3, append([]float64(nil), coords...), append([]float64(nil), probs...))
+			return o
+		},
+	}
+	for name, mk := range build {
+		o := mk()
+		d := o.Dim()
+		var wg sync.WaitGroup
+		got := make([][]geom.Point, 8)
+		for g := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[g] = o.Points()
+			}()
+		}
+		wg.Wait()
+		for g, p := range got {
+			if len(p) != o.Len() || &p[0] != &got[0][0] {
+				t.Fatalf("%s: goroutine %d got another Points slice", name, g)
+			}
+		}
+		if again := o.Points(); &again[0] != &got[0][0] {
+			t.Fatalf("%s: Points built a second slice", name)
+		}
+		for i := 0; i < o.Len(); i++ {
+			in, pt, slab := o.Instance(i), o.Points()[i], o.Coords()[i*d:(i+1)*d]
+			if !in.Equal(pts[i]) || &in[0] != &pt[0] || &in[0] != &slab[0] || len(pt) != d || cap(in) != d {
+				t.Fatalf("%s: instance %d: Instance %v, Points %v, Coords %v", name, i, in, pt, slab)
+			}
+		}
+		mbr := o.MBR()
+		if !mbr.Equal(geom.NewRect(geom.Point{-3, -1, 0}, geom.Point{7, 7, 9})) {
+			t.Fatalf("%s: MBR %v", name, mbr)
+		}
+	}
+	// The object and its MBR's corners: two allocations over slabs given up.
+	if n := testing.AllocsPerRun(10, func() {
+		if _, err := FromSlabs(5, 3, coords, probs); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 2 {
+		t.Fatalf("FromSlabs allocates %v times, want 2", n)
+	}
+	own := append([]float64(nil), coords...)
+	o, err := FromSlabs(4, 3, own, append([]float64(nil), probs...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &o.Coords()[0] != &own[0] || &o.Points()[2][0] != &own[6] {
+		t.Fatal("FromSlabs copied the coordinate slab it was given")
 	}
 }
