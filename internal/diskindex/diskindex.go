@@ -344,7 +344,7 @@ type view struct {
 	snap   *snapshot
 	r      pager.Reader
 	cache  *objLRU
-	arena  *cornerArena
+	arena  *diskrtree.Arena
 	recBuf *[]byte
 
 	cacheHits, cacheEvictions int64
@@ -362,7 +362,7 @@ func (v *view) Root() (core.NodeRef, error) {
 //
 //nnc:hotpath
 func (v *view) Expand(n core.NodeRef, visit func(core.BackendEntry)) error {
-	return v.tree.VisitNodeVia(v.r, pager.PageID(n.ID), v.arena.take, func(leaf bool, r geom.Rect, ref int64) {
+	return v.tree.VisitNodeVia(v.r, pager.PageID(n.ID), v.arena.Corners, func(leaf bool, r geom.Rect, ref int64) {
 		if leaf {
 			visit(core.BackendEntry{Rect: r, Obj: core.ObjRef{ID: uint64(ref)}})
 		} else {
@@ -390,42 +390,6 @@ func (v *view) Resolve(r core.ObjRef) (*uncertain.Object, error) {
 	v.cacheEvictions += v.cache.put(ptr, o)
 	return o, nil
 }
-
-// cornerChunk is the floats a corner arena allocates at a time: about 18
-// node pages of a 3-d tree with 4096-byte pages.
-const cornerChunk = 8192
-
-// cornerArena hands out the slabs a search's node pages decode into. It
-// carves them out of chunks it never reallocates, so a rectangle stays
-// valid until reset, and reset keeps the chunks for the session's next
-// search: a warm search allocates no node storage. A nil arena allocates
-// each slab on its own.
-type cornerArena struct {
-	chunks [][]float64
-	cur    int // the chunk being carved
-	off    int // floats of chunks[cur] handed out
-}
-
-// take returns a slab of n floats that no other take shares until reset.
-func (a *cornerArena) take(n int) []float64 {
-	if a == nil {
-		return make([]float64, n)
-	}
-	for a.cur < len(a.chunks) {
-		if c := a.chunks[a.cur]; a.off+n <= len(c) {
-			a.off += n
-			return c[a.off-n : a.off : a.off]
-		}
-		a.cur++
-		a.off = 0
-	}
-	a.chunks = append(a.chunks, make([]float64, max(n, cornerChunk)))
-	a.off = n
-	return a.chunks[a.cur][:n:n]
-}
-
-// reset hands every chunk out again from the start.
-func (a *cornerArena) reset() { a.cur, a.off = 0, 0 }
 
 // Index itself is a core.Backend over the current snapshot and the shared
 // pool — the surface for callers that pass it to core.SearchBackend
@@ -471,7 +435,7 @@ func (ix *Index) AccessStats() core.IOStats {
 type session struct {
 	view
 	lease  *pager.Lease
-	arena  cornerArena
+	arena  diskrtree.Arena
 	recBuf []byte
 }
 
@@ -493,7 +457,7 @@ func (ix *Index) newSession(snap *snapshot, lease *pager.Lease) *session {
 // release returns the session to the pool once its search has returned:
 // the rectangles it handed out are dead, so the arena starts over.
 func (s *session) release() {
-	s.arena.reset()
+	s.arena.Reset()
 	s.view = view{}
 	s.lease = nil
 	sessionPool.Put(s)

@@ -53,6 +53,7 @@ import (
 	"os"
 
 	"spatialdom/internal/core"
+	"spatialdom/internal/diskrtree"
 	"spatialdom/internal/diskstore"
 	"spatialdom/internal/pager"
 	"spatialdom/internal/rtree"
@@ -122,9 +123,10 @@ type mutState struct {
 	pending []pendingFree
 	retired []*snapshot
 
-	tx        *Tx            // the one transaction, emptied by release
-	freeBufs  [][]byte       // page buffers between transactions, at most maxFreeBufs
-	superFree []pager.PageID // stageSuper's scratch for the persisted free list
+	tx        *Tx             // the one transaction, emptied by release
+	freeBufs  [][]byte        // page buffers between transactions, at most maxFreeBufs
+	superFree []pager.PageID  // stageSuper's scratch for the persisted free list
+	arena     diskrtree.Arena // the nodes and rectangles of one mutation, reset by release
 
 	byID map[int]diskstore.Ptr
 
@@ -328,7 +330,7 @@ func (ix *Index) Insert(o *uncertain.Object) error {
 		if err != nil {
 			return err
 		}
-		if err := ix.tree.InsertTx(tx, rtree.Entry{Rect: o.MBR(), ID: int64(ptr)}); err != nil {
+		if err := ix.tree.InsertTx(tx, &m.arena, rtree.Entry{Rect: o.MBR(), ID: int64(ptr)}); err != nil {
 			return err
 		}
 		if err := ix.store.WriteMetaTx(tx); err != nil {
@@ -366,18 +368,20 @@ func (ix *Index) Delete(id int) (bool, error) {
 	if !ok {
 		return false, nil
 	}
-	o, err := ix.Resolve(core.ObjRef{ID: uint64(ptr)})
-	if err != nil {
-		return false, err
-	}
 
 	// Removing the leaf entry is the whole delete: the record stays in the
-	// heap, unreferenced, until `nnc rewrite` compacts the file.
+	// heap, unreferenced, until `nnc rewrite` compacts the file. The entry
+	// is found by the record's MBR, read without decoding the object or
+	// touching the object cache, into the mutation's arena.
 	treeSt := ix.tree.State()
 	tx := m.tx
 	defer tx.release()
 	err = func() error {
-		removed, err := ix.tree.DeleteTx(tx, rtree.Entry{Rect: o.MBR(), ID: int64(ptr)})
+		mbr, err := ix.store.ReadMBR(ptr, m.arena.Corners)
+		if err != nil {
+			return err
+		}
+		removed, err := ix.tree.DeleteTx(tx, &m.arena, rtree.Entry{Rect: mbr, ID: int64(ptr)})
 		if err != nil {
 			return err
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"path/filepath"
 	"runtime"
-	"runtime/debug"
 	"slices"
 	"testing"
 
@@ -102,12 +101,8 @@ func TestWarmDiskSearchAllocates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 10 000-object file")
 	}
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		for _, s := range bi.Settings {
-			if s.Key == "-race" && s.Value == "true" {
-				t.Skip("the race detector's sync.Pool drops pooled sessions at random")
-			}
-		}
+	if raceBuild() {
+		t.Skip("the race detector's sync.Pool drops pooled sessions at random")
 	}
 	ds := datagen.Generate(datagen.Params{N: 10000, Dim: 3, M: 10, Centers: datagen.AntiCorrelated, Seed: 4403})
 	queries := ds.Queries(32, 8, 200, 4404)

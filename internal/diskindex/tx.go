@@ -11,7 +11,9 @@ package diskindex
 // transaction ends either way (release). That is sound because nothing
 // keeps a transaction buffer past its transaction: the WAL and Pool.Put
 // copy, a decoded node copies its coordinates out, and snapshots hold page
-// ids, never buffers.
+// ids, never buffers. The nodes a mutation decodes live in the writer's
+// arena (diskrtree.Arena) until release resets it: nothing keeps a node or
+// a rectangle of one past its mutation either.
 //
 // A Tx lives entirely under the index's write mutex; none of this is
 // concurrency-safe on its own.
@@ -91,10 +93,16 @@ func (tx *Tx) buffer() []byte {
 }
 
 // release ends the transaction, committed or aborted: its page buffers go
-// back to the free list, up to the bound, and its maps and slices are
-// emptied for the next mutation — keeping no reference to a buffer.
+// back to the free list, up to the bound, its maps and slices are emptied
+// for the next mutation — keeping no reference to a buffer — and the
+// writer's arena, whose nodes and rectangles were the mutation's alone,
+// is reset.
 func (tx *Tx) release() {
 	m := tx.ix.mut
+	if poisonFreeBufs {
+		m.arena.Poison()
+	}
+	m.arena.Reset()
 	for _, buf := range tx.bufs[:min(len(tx.bufs), maxFreeBufs-len(m.freeBufs))] {
 		if poisonFreeBufs {
 			for j := range buf {

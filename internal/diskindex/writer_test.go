@@ -1,0 +1,163 @@
+package diskindex
+
+import (
+	"context"
+	"fmt"
+	"hash/fnv"
+	"os"
+	"path/filepath"
+	"slices"
+	"testing"
+
+	"spatialdom/internal/core"
+	"spatialdom/internal/datagen"
+	"spatialdom/internal/diskstore"
+	"spatialdom/internal/uncertain"
+)
+
+// Golden digests of TestCommitSameBytesOnDisk: the FNV-64a of the page
+// file and of the WAL its fixed sequence leaves behind, captured before
+// the writer decoded into an arena and stopped copying the heap
+// directory. A change to the write path that is not meant to change the
+// format must leave both in place.
+const (
+	goldenPageFile = 0xb52013890584efbb
+	goldenWAL      = 0xb0e81bfae623833d
+)
+
+// TestCommitSameBytesOnDisk runs a fixed insert/delete/checkpoint sequence
+// on a small mutable file — leaf and root splits, deletes that dissolve
+// underfull nodes and reinsert their entries, tail pages extended and
+// copy-on-written, records of several lengths and labels, pool evictions
+// through a 24-frame pool — and compares the page file and the WAL, byte
+// for byte by digest, with the ones captured before.
+func TestCommitSameBytesOnDisk(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "golden.pg")
+	ix, err := CreateFileMutable(path, 3, &MutableOptions{Frames: 24, WALLimit: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	batch := func(n, m int, seed int64, firstID int) []*uncertain.Object {
+		objs := datagen.Generate(datagen.Params{N: n, M: m, EdgeLen: 400, Seed: seed}).Objects
+		for i, o := range objs {
+			objs[i] = uncertain.MustNew(firstID+i, o.Points(), o.Probs())
+			if i%7 == 0 {
+				objs[i].SetLabel(fmt.Sprintf("object-%d", firstID+i))
+			}
+		}
+		return objs
+	}
+	insert := func(objs []*uncertain.Object) {
+		for _, o := range objs {
+			if err := ix.Insert(o); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	del := func(objs []*uncertain.Object) {
+		for _, o := range objs {
+			if ok, err := ix.Delete(o.ID()); err != nil || !ok {
+				t.Fatalf("delete %d: %v %v", o.ID(), ok, err)
+			}
+		}
+	}
+	first := batch(500, 4, 4501, 0)
+	insert(first)
+	del(first[50:350]) // most of the tree: whole leaves dissolve
+	if err := ix.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	second := batch(200, 9, 4502, 1000)
+	insert(second)
+	for i := 0; i < len(second); i += 3 {
+		del(second[i : i+1])
+	}
+	insert(first[60:120])
+
+	digest := func(name string) uint64 {
+		b, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		h.Write(b)
+		return h.Sum64()
+	}
+	pageFile, walFile := digest(path), digest(path+".wal")
+	t.Logf("page file %#x, WAL %#x", pageFile, walFile)
+	if pageFile != goldenPageFile || walFile != goldenWAL {
+		t.Fatalf("page file %#x and WAL %#x, want %#x and %#x", pageFile, walFile, uint64(goldenPageFile), uint64(goldenWAL))
+	}
+}
+
+// cachedPtrs lists the decoded-object cache's entries shard by shard, most
+// recently used first: what it holds and in which order it would evict.
+func cachedPtrs(ix *Index) []diskstore.Ptr {
+	var out []diskstore.Ptr
+	c := ix.objCache.Load()
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.Lock()
+		for el := sh.ll.Front(); el != nil; el = el.Next() {
+			out = append(out, el.Value.(*lruEntry).ptr)
+		}
+		sh.mu.Unlock()
+	}
+	return out
+}
+
+// TestDeleteLeavesObjectCache: a delete finds its tree entry by the
+// record's MBR without resolving the object, so it neither evicts a live
+// object from a full cache nor refreshes a cached one — the cache holds
+// the same entries in the same order, and no counter moves.
+func TestDeleteLeavesObjectCache(t *testing.T) {
+	ds := datagen.Generate(datagen.Params{N: 200, M: 5, EdgeLen: 400, Seed: 4511})
+	ix, err := CreateFileMutable(filepath.Join(t.TempDir(), "c.pg"), 3, &MutableOptions{Frames: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	for _, o := range ds.Objects {
+		if err := ix.Insert(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ix.SetObjCacheCap(16)
+	for _, q := range ds.Queries(6, 4, 200, 4512) {
+		if _, err := ix.SearchKCtx(context.Background(), q, core.SSD, 2, core.SearchOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held := cachedPtrs(ix)
+	if len(held) != 16 {
+		t.Fatalf("the searches left %d cached objects, want a full cache of 16", len(held))
+	}
+	cached, uncached := -1, -1
+	ix.writeMu.Lock()
+	for id, ptr := range ix.mut.byID {
+		if slices.Contains(held, ptr) {
+			cached = id
+		} else {
+			uncached = id
+		}
+	}
+	ix.writeMu.Unlock()
+	if cached < 0 || uncached < 0 {
+		t.Fatalf("no cached (%d) or no uncached (%d) object to delete", cached, uncached)
+	}
+	for _, id := range []int{uncached, cached} {
+		before := ix.AccessStats()
+		if ok, err := ix.Delete(id); err != nil || !ok {
+			t.Fatalf("delete %d: %v %v", id, ok, err)
+		}
+		after := ix.AccessStats()
+		if after.CacheEvictions != before.CacheEvictions || after.CacheHits != before.CacheHits {
+			t.Errorf("deleting %d moved the cache counters: evictions %d → %d, hits %d → %d",
+				id, before.CacheEvictions, after.CacheEvictions, before.CacheHits, after.CacheHits)
+		}
+		if now := cachedPtrs(ix); !slices.Equal(now, held) {
+			t.Errorf("deleting %d changed the cache: %v, was %v", id, now, held)
+		}
+	}
+}

@@ -12,8 +12,12 @@
 // A search reads a node in place: VisitNode validates the page once and
 // hands each entry's rectangle and reference to a callback, the corners
 // decoded straight into a slab the caller supplies, so no rtree.Node,
-// rectangle slice or reference slice is built. DecodeNode, which the
-// writers and offline walks use, is VisitNode into a node of its own.
+// rectangle slice or reference slice is built. A writer's Insert and Delete
+// need whole nodes, and decode them with VisitNode into an Arena the
+// writer keeps: node, rectangles, references and corners carved from slabs
+// that live until the operation ends, so a warm commit allocates no node
+// storage. DecodeNode, which offline walks use, is the same decode with no
+// arena, into a node of its own.
 //
 // Page layout (little endian):
 //
@@ -31,6 +35,7 @@ import (
 	"spatialdom/internal/geom"
 	"spatialdom/internal/pager"
 	"spatialdom/internal/rtree"
+	"spatialdom/internal/slab"
 )
 
 const metaMagic = "SDRT"
@@ -72,7 +77,7 @@ func Create(pool *pager.Pool, tx pager.TxPager, dim int, entries []rtree.Entry) 
 		return nil, err
 	}
 	t := &Tree{pool: pool, meta: meta, dim: dim, cap: rtree.DefaultFanout(tx.PageSize(), dim)}
-	if t.hdr, err = rtree.BulkLoad(txStore{tx, dim}, t.cap, entries); err != nil {
+	if t.hdr, err = rtree.BulkLoad(txStore{tx: tx, dim: dim}, t.cap, entries); err != nil {
 		return nil, err
 	}
 	return t, nil
@@ -144,20 +149,26 @@ func (t *Tree) Restore(h rtree.Header) { t.hdr = h }
 // pinned to the pre-transaction snapshot. Pages the transaction itself
 // allocated are rewritten in place (tx.Owned), keeping the page churn of
 // one insert proportional to the tree height; a bulk load only ever
-// allocates.
+// allocates. The nodes Read returns are carved from the writer's arena
+// (nil in a bulk load, which never reads).
 type txStore struct {
 	tx  pager.TxPager
 	dim int
+	a   *Arena
 }
 
 var _ rtree.Store = txStore{}
 
+// Read decodes the node at id into the arena; it lives until the arena's
+// next reset, which the writer does only after the operation returns.
+//
+//nnc:hotpath
 func (s txStore) Read(id rtree.NodeID) (*rtree.Node, error) {
 	buf, err := s.tx.Read(pager.PageID(id))
 	if err != nil {
 		return nil, err
 	}
-	n, err := DecodeNode(buf, s.dim)
+	n, err := s.a.node(buf, s.dim)
 	if err != nil {
 		return nil, pageError(pager.PageID(id), err)
 	}
@@ -187,22 +198,29 @@ func (s txStore) Write(old rtree.NodeID, n *rtree.Node) (rtree.NodeID, error) {
 
 func (s txStore) Free(id rtree.NodeID) { s.tx.Free(pager.PageID(id)) }
 
-// InsertTx adds one entry inside the surrounding transaction.
-func (t *Tree) InsertTx(tx pager.TxPager, e rtree.Entry) error {
+// Corners hands Insert and Delete the corners of the MBRs they compute
+// for parent entries out of the arena too.
+func (s txStore) Corners(n int) []float64 { return s.a.Corners(n) }
+
+// InsertTx adds one entry inside the surrounding transaction, decoding the
+// nodes it reads into a. Nothing the arena hands out may be reset before
+// InsertTx returns.
+func (t *Tree) InsertTx(tx pager.TxPager, a *Arena, e rtree.Entry) error {
 	if e.Rect.Dim() != t.dim {
 		return fmt.Errorf("diskrtree: entry dim %d != tree dim %d", e.Rect.Dim(), t.dim)
 	}
-	return rtree.Insert(txStore{tx, t.dim}, &t.hdr, t.cap, e)
+	return rtree.Insert(txStore{tx, t.dim, a}, &t.hdr, t.cap, e)
 }
 
 // DeleteTx removes the entry with e.ID whose stored rectangle equals
 // e.Rect inside the surrounding transaction, reporting whether it was
-// found.
-func (t *Tree) DeleteTx(tx pager.TxPager, e rtree.Entry) (bool, error) {
+// found. Like InsertTx it decodes into a, and the entries of a node it
+// dissolves stay in a until they are reinserted, before DeleteTx returns.
+func (t *Tree) DeleteTx(tx pager.TxPager, a *Arena, e rtree.Entry) (bool, error) {
 	if e.Rect.Dim() != t.dim {
 		return false, fmt.Errorf("diskrtree: entry dim %d != tree dim %d", e.Rect.Dim(), t.dim)
 	}
-	return rtree.Delete(txStore{tx, t.dim}, &t.hdr, t.cap, e)
+	return rtree.Delete(txStore{tx, t.dim, a}, &t.hdr, t.cap, e)
 }
 
 // WriteMetaTx stages the meta page with the tree's current header — the
@@ -282,15 +300,63 @@ func (t *Tree) VisitNodeVia(r pager.Reader, page pager.PageID, corners func(n in
 }
 
 // DecodeNode decodes a node page image with dimensionality dim into a node
-// of its own: VisitNode with a fresh corner slab, the entries appended as
-// they are visited.
+// of its own: the arena decode with no arena.
 func DecodeNode(buf []byte, dim int) (*rtree.Node, error) {
-	n := &rtree.Node{}
+	var a *Arena
+	return a.node(buf, dim)
+}
+
+// Arena is the memory node pages decode into. Corners is VisitNode's
+// corner slab; a writer's nodes (node, rectangles, references, corners)
+// come from node. Everything it hands out stays valid until Reset, which
+// makes the slabs available again: a search session resets when its search
+// returns, the mutable index's writer when its operation does. A nil
+// *Arena allocates each piece on its own. An Arena is not safe for
+// concurrent use.
+type Arena struct {
+	corners slab.Arena[float64]
+	rects   slab.Arena[geom.Rect]
+	refs    slab.Arena[int64]
+	nodes   slab.Arena[rtree.Node]
+}
+
+// arenaKeep bounds what Reset keeps, in node entries: 4 096, the entries
+// of 56 full nodes of a 3-d tree on 4096-byte pages, more than an insert
+// or an ordinary delete reads. An operation that read more — a delete that
+// dissolves an internal node reinserts every leaf entry below it, and can
+// read thousands of nodes — leaves the arena back at about the bound
+// instead of at its high-water mark.
+const arenaKeep = 4096
+
+// Corners returns a slab of n floats that nothing else is handed until
+// Reset: the corners argument of VisitNode and VisitNodeVia.
+//
+//nnc:hotpath
+func (a *Arena) Corners(n int) []float64 {
+	if a == nil {
+		return own[float64](n)
+	}
+	return a.corners.Alloc(n)
+}
+
+// own returns n zero elements of the caller's own, where there is no
+// arena to carve them from.
+//
+//nnc:coldpath no arena: DecodeNode's offline walks and Index's own Backend methods, outside any search session or mutation, decode into storage of their own
+func own[T any](n int) []T { return make([]T, n) }
+
+// node decodes a node page image with VisitNode into a node carved from
+// the arena. Rects and Refs hold one spare slot, so the one append Insert
+// makes to a node it reads — the new entry at the leaf, a split sibling
+// at the parent — never reallocates.
+//
+//nnc:hotpath
+func (a *Arena) node(buf []byte, dim int) (*rtree.Node, error) {
+	n := a.carveNode()
 	err := VisitNode(buf, dim, func(size int) []float64 {
-		count := size / (2 * dim)
-		n.Rects = make([]geom.Rect, 0, count)
-		n.Refs = make([]int64, 0, count)
-		return make([]float64, size)
+		count := size/(2*dim) + 1
+		n.Rects, n.Refs = a.carveEntries(count)
+		return a.Corners(size)
 	}, func(leaf bool, r geom.Rect, ref int64) {
 		n.Rects = append(n.Rects, r)
 		n.Refs = append(n.Refs, ref)
@@ -300,6 +366,51 @@ func DecodeNode(buf []byte, dim int) (*rtree.Node, error) {
 	}
 	n.Leaf = buf[0] == 1
 	return n, nil
+}
+
+// carveNode returns a zero node from the arena.
+//
+//nnc:hotpath
+func (a *Arena) carveNode() *rtree.Node {
+	if a == nil {
+		return &own[rtree.Node](1)[0]
+	}
+	n := &a.nodes.Alloc(1)[0]
+	*n = rtree.Node{}
+	return n
+}
+
+// carveEntries returns empty rectangle and reference slices of capacity
+// count from the arena.
+//
+//nnc:hotpath
+func (a *Arena) carveEntries(count int) ([]geom.Rect, []int64) {
+	if a == nil {
+		return own[geom.Rect](count)[:0], own[int64](count)[:0]
+	}
+	return a.rects.Alloc(count)[:0], a.refs.Alloc(count)[:0]
+}
+
+// Reset makes everything the arena handed out available again, keeping
+// the slabs of about arenaKeep entries. The rectangles and nodes handed
+// out are cleared first: a stale one would keep the corner or entry slabs
+// it points into alive after Trim let them go.
+func (a *Arena) Reset() {
+	a.rects.ResetZero()
+	a.nodes.ResetZero()
+	a.corners.Trim(8 * arenaKeep)
+	a.rects.Trim(arenaKeep)
+	a.refs.Trim(arenaKeep)
+	a.nodes.Trim(arenaKeep / 64)
+}
+
+// Poison fills the corners and references handed out since the last
+// Reset with values no decoded node holds — NaN and -1 — so that, with the
+// rectangles and nodes Reset clears, a node or rectangle kept past its
+// lifetime reads garbage. For tests.
+func (a *Arena) Poison() {
+	a.corners.Fill(math.NaN())
+	a.refs.Fill(-1)
 }
 
 // VisitNode is the tree's single source of decode truth: it validates a

@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"math"
 
+	"spatialdom/internal/geom"
 	"spatialdom/internal/pager"
 	"spatialdom/internal/uncertain"
 )
@@ -43,21 +44,28 @@ type Ptr uint64
 //
 // A Store handle is single-writer. Readers run against an immutable
 // Clone taken at snapshot-install time: the writer never mutates a dir
-// slot a clone can see (tail-page rewrites copy the directory first),
-// so concurrent ReadVia through a clone is race-free by construction.
+// slot a clone can see (the one page it rewrites, the tail, is held
+// outside dir), so concurrent ReadVia through a clone is race-free by
+// construction.
 type Store struct {
 	pool  *pager.Pool
 	meta  pager.PageID
 	tail  uint64 // logical length in bytes
 	count int    // number of records ever appended (deletes don't decrement)
 
-	// dir maps data-page index to page id. dirPages is the on-disk chain
-	// holding it; dirtyFrom is the first directory index whose persisted
-	// form is stale (len(dir)+1 when none).
+	// The page directory maps data-page index to page id: dir lists every
+	// data page but the last, which is last (InvalidPage while there is
+	// none). Appends only ever rewrite the last page, so dir only grows.
+	// dirPages is the on-disk chain holding the directory; dirtyFrom is the
+	// first directory index whose persisted form is stale (pages()+1 when
+	// none).
 	dir       []pager.PageID
+	last      pager.PageID
 	dirPages  []pager.PageID
 	dirHead   pager.PageID
 	dirtyFrom int
+
+	enc []byte // the writer's record buffer: AppendTx encodes into it, ReadMBR reads into it
 }
 
 // ErrBadMeta is returned by Open on a non-store meta page.
@@ -112,7 +120,7 @@ func Open(pool *pager.Pool, meta pager.PageID) (*Store, error) {
 		// A heap from before the directory: pages [first, first+pages),
 		// listed here and persisted by the first append.
 		for i := range pages {
-			s.dir = append(s.dir, first+pager.PageID(i))
+			s.addPage(first + pager.PageID(i))
 		}
 		return s, nil
 	}
@@ -126,7 +134,31 @@ func Open(pool *pager.Pool, meta pager.PageID) (*Store, error) {
 // dirPerPage is the directory entries one chain page holds.
 func (s *Store) dirPerPage() int { return (s.pool.File().PageSize() - 6) / 4 }
 
-// readDir walks the on-disk directory chain into s.dir/s.dirPages and
+// pages returns the number of data pages.
+func (s *Store) pages() int {
+	if s.last == pager.InvalidPage {
+		return 0
+	}
+	return len(s.dir) + 1
+}
+
+// pageAt returns the id of data page i, for i < pages().
+func (s *Store) pageAt(i int) pager.PageID {
+	if i == len(s.dir) {
+		return s.last
+	}
+	return s.dir[i]
+}
+
+// addPage appends data page id to the directory, after the last one.
+func (s *Store) addPage(id pager.PageID) {
+	if s.last != pager.InvalidPage {
+		s.dir = append(s.dir, s.last)
+	}
+	s.last = id
+}
+
+// readDir walks the on-disk directory chain into the directory and
 // checks it lists the meta's count of data pages.
 func (s *Store) readDir(pages int) error {
 	per := s.dirPerPage()
@@ -153,14 +185,14 @@ func (s *Store) readDir(pages int) error {
 				s.pool.Unpin(next)
 				return fmt.Errorf("%w: directory page %d holds invalid page id", ErrBadMeta, next)
 			}
-			s.dir = append(s.dir, id)
+			s.addPage(id)
 		}
 		s.pool.Unpin(next)
 		s.dirPages = append(s.dirPages, next)
 		next = link
 	}
-	if len(s.dir) != pages {
-		return fmt.Errorf("%w: directory holds %d pages, meta declares %d", ErrBadMeta, len(s.dir), pages)
+	if s.pages() != pages {
+		return fmt.Errorf("%w: directory holds %d pages, meta declares %d", ErrBadMeta, s.pages(), pages)
 	}
 	return nil
 }
@@ -168,7 +200,7 @@ func (s *Store) readDir(pages int) error {
 func (s *Store) encodeMeta(buf []byte) {
 	copy(buf, metaMagic)
 	binary.LittleEndian.PutUint32(buf[4:], 0)
-	binary.LittleEndian.PutUint32(buf[8:], uint32(len(s.dir)))
+	binary.LittleEndian.PutUint32(buf[8:], uint32(s.pages()))
 	binary.LittleEndian.PutUint64(buf[12:], s.tail)
 	binary.LittleEndian.PutUint32(buf[20:], uint32(s.count))
 	binary.LittleEndian.PutUint32(buf[24:], uint32(s.dirHead))
@@ -196,6 +228,42 @@ func (s *Store) Read(ptr Ptr) (*uncertain.Object, error) {
 // build, so any number of ReadVia calls, each with its own buffer, may run
 // concurrently.
 func (s *Store) ReadVia(r pager.Reader, ptr Ptr, buf *[]byte) (*uncertain.Object, error) {
+	rec, err := s.readRecord(r, ptr, buf)
+	if err != nil {
+		return nil, err
+	}
+	o, _, err := DecodeRecord(rec)
+	if err != nil {
+		return nil, fmt.Errorf("diskstore: record at %d: %w", ptr, err)
+	}
+	return o, nil
+}
+
+// ReadMBR reads the record at ptr through the buffer AppendTx encodes
+// into and returns the bounding rectangle of its instances — the one the
+// decoded object's MBR would be — without building the object: the
+// coordinates are decoded into floats(m·d + 2·d), whose last 2·d floats
+// become the rectangle's corners. It is the writer's read, on the
+// writer's handle: like AppendTx it is not for concurrent use.
+func (s *Store) ReadMBR(ptr Ptr, floats func(n int) []float64) (geom.Rect, error) {
+	rec, err := s.readRecord(s.pool, ptr, &s.enc)
+	if err != nil {
+		return geom.Rect{}, err
+	}
+	m := int(binary.LittleEndian.Uint32(rec[8:]))
+	d := int(binary.LittleEndian.Uint32(rec[12:]))
+	f := floats(m*d + 2*d)
+	coords := f[:m*d]
+	for i := range coords {
+		coords[i] = math.Float64frombits(binary.LittleEndian.Uint64(rec[16+8*m+8*i:]))
+	}
+	return geom.BoundingRectIn(f[m*d:], coords, d), nil
+}
+
+// readRecord reads the whole record at ptr — header, body and label —
+// into *buf (grown when too short; nil: a buffer of the call's own) and
+// returns it, after checking its shape and that it ends before the tail.
+func (s *Store) readRecord(r pager.Reader, ptr Ptr, buf *[]byte) ([]byte, error) {
 	var hdr [16]byte
 	if err := s.readAtVia(r, uint64(ptr), hdr[:]); err != nil {
 		return nil, err
@@ -231,11 +299,7 @@ func (s *Store) ReadVia(r pager.Reader, ptr Ptr, buf *[]byte) (*uncertain.Object
 	if buf != nil {
 		*buf = rec
 	}
-	o, _, err := DecodeRecord(rec)
-	if err != nil {
-		return nil, fmt.Errorf("diskstore: record at %d: %w", ptr, err)
-	}
-	return o, nil
+	return rec, nil
 }
 
 // grow returns b resized to n bytes, keeping its first len(b) bytes and
@@ -314,10 +378,12 @@ func (s *Store) Scan(fn func(Ptr, *uncertain.Object) error) error {
 	return nil
 }
 
-func encode(o *uncertain.Object) []byte {
+// encode serializes o's record into rec, grown when too short, and
+// returns it.
+func encode(rec []byte, o *uncertain.Object) []byte {
 	m, d := o.Len(), o.Dim()
 	label := o.Label()
-	rec := make([]byte, 16+8*m+8*m*d+2+len(label))
+	rec = grow(rec[:0], EncodedLen(o))
 	binary.LittleEndian.PutUint64(rec, uint64(int64(o.ID())))
 	binary.LittleEndian.PutUint32(rec[8:], uint32(m))
 	binary.LittleEndian.PutUint32(rec[12:], uint32(d))
@@ -344,10 +410,10 @@ func encode(o *uncertain.Object) []byte {
 func (s *Store) page(off uint64) (pager.PageID, int, error) {
 	ps := uint64(s.pool.File().PageSize())
 	idx := int(off / ps)
-	if idx >= len(s.dir) {
+	if idx >= s.pages() {
 		return pager.InvalidPage, 0, fmt.Errorf("diskstore: offset %d beyond data area", off)
 	}
-	return s.dir[idx], int(off % ps), nil
+	return s.pageAt(idx), int(off % ps), nil
 }
 
 func (s *Store) readAtVia(r pager.Reader, off uint64, data []byte) error {

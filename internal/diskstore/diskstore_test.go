@@ -188,13 +188,21 @@ func TestManyRandomObjects(t *testing.T) {
 		objs = append(objs, o)
 		ptrs = append(ptrs, ptr)
 	}
-	// Random-order reads.
+	// Random-order reads, and the MBR a delete reads without the object:
+	// the stored object's, bit for bit.
 	for _, i := range rng.Perm(len(objs)) {
 		got, err := s.Read(ptrs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
 		sameObject(t, objs[i], got)
+		mbr, err := s.ReadMBR(ptrs[i], func(n int) []float64 { return make([]float64, n) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !mbr.Equal(objs[i].MBR()) {
+			t.Fatalf("object %d: ReadMBR %v, stored MBR %v", i, mbr, objs[i].MBR())
+		}
 	}
 }
 
@@ -206,7 +214,7 @@ func TestManyRandomObjects(t *testing.T) {
 func TestDecodeRecordBitExact(t *testing.T) {
 	ds := datagen.Generate(datagen.Params{N: 50, M: 10, Centers: datagen.AntiCorrelated, Seed: 1})
 	for _, o := range ds.Objects {
-		rec := encode(o)
+		rec := encode(nil, o)
 		got, n, err := DecodeRecord(rec)
 		if err != nil {
 			t.Fatal(err)
@@ -228,11 +236,11 @@ func TestDecodeRecordBitExact(t *testing.T) {
 		if !got.MBR().Equal(o.MBR()) {
 			t.Fatalf("object %d: MBR %v, stored %v", o.ID(), got.MBR(), o.MBR())
 		}
-		if !bytes.Equal(encode(got), rec) {
+		if !bytes.Equal(encode(nil, got), rec) {
 			t.Fatalf("object %d: re-encoding drifts", o.ID())
 		}
 	}
-	rec := encode(ds.Objects[0])
+	rec := encode(nil, ds.Objects[0])
 	if avg := testing.AllocsPerRun(20, func() {
 		if _, _, err := DecodeRecord(rec); err != nil {
 			t.Fatal(err)

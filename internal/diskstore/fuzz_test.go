@@ -23,7 +23,7 @@ func FuzzRecordDecode(f *testing.F) {
 		if label != "" {
 			o.SetLabel(label)
 		}
-		return encode(o)
+		return encode(nil, o)
 	}
 	f.Add(mk(1, []geom.Point{{1, 2}, {3, 4}}, nil, ""))
 	f.Add(mk(-7, []geom.Point{{0.5}}, []float64{1}, "labelled"))

@@ -13,11 +13,12 @@ package diskstore
 //     install copies the whole page — a write the race detector rightly
 //     flags.)
 //
-//   - The page directory is persistent-in-memory: appends grow the dir
-//     slice (shared backing stays valid for clones, which never index
-//     past their own length), and rewriting an existing slot copies the
-//     slice first. A Clone taken at snapshot install is therefore
-//     immutable for free.
+//   - The page directory is persistent-in-memory: the only slot an
+//     append rewrites is the tail page's, which the Store holds by value
+//     outside the dir slice, and the slice itself only grows (shared
+//     backing stays valid for clones, which never index past their own
+//     length). A Clone taken at snapshot install is therefore immutable
+//     for free, and no append copies the directory.
 //
 // Record pointers are logical stream offsets and the stream only grows,
 // so a Ptr is valid forever — deleted records simply become unreferenced
@@ -47,6 +48,7 @@ type State struct {
 	Tail      uint64
 	Count     int
 	Dir       []pager.PageID
+	Last      pager.PageID
 	DirPages  []pager.PageID
 	DirHead   pager.PageID
 	DirtyFrom int
@@ -56,19 +58,25 @@ type State struct {
 func (s *Store) State() State {
 	return State{
 		Tail: s.tail, Count: s.count,
-		Dir: s.dir, DirPages: s.dirPages, DirHead: s.dirHead, DirtyFrom: s.dirtyFrom,
+		Dir: s.dir, Last: s.last, DirPages: s.dirPages, DirHead: s.dirHead, DirtyFrom: s.dirtyFrom,
 	}
 }
 
 // Restore rolls the mutable fields back to a captured State.
 func (s *Store) Restore(st State) {
 	s.tail, s.count = st.Tail, st.Count
-	s.dir, s.dirPages, s.dirHead, s.dirtyFrom = st.Dir, st.DirPages, st.DirHead, st.DirtyFrom
+	s.dir, s.last, s.dirPages, s.dirHead, s.dirtyFrom = st.Dir, st.Last, st.DirPages, st.DirHead, st.DirtyFrom
 }
 
 // DataPages returns the ids of the store's data pages in stream order —
 // the reachability set fsck walks.
-func (s *Store) DataPages() []pager.PageID { return slices.Clone(s.dir) }
+func (s *Store) DataPages() []pager.PageID {
+	out := make([]pager.PageID, s.pages())
+	for i := range out {
+		out[i] = s.pageAt(i)
+	}
+	return out
+}
 
 // DirPages returns the ids of the directory chain pages (none for a heap
 // from before the directory that no append has touched yet).
@@ -80,9 +88,11 @@ func (s *Store) Tail() uint64 { return s.tail }
 // AppendTx serializes the object into the staged page set of the
 // surrounding transaction and returns its record pointer. The partially
 // filled tail page, if extended, is copy-on-written unless tx owns it;
-// fresh data pages come from the transaction's allocator.
+// fresh data pages come from the transaction's allocator. The record is
+// encoded into the store's kept buffer, which the staged pages copy.
 func (s *Store) AppendTx(tx pager.TxPager, o *uncertain.Object) (Ptr, error) {
-	rec := encode(o)
+	s.enc = encode(s.enc, o)
+	rec := s.enc
 	ptr := Ptr(s.tail)
 	ps := uint64(tx.PageSize())
 	off := s.tail
@@ -92,10 +102,10 @@ func (s *Store) AppendTx(tx pager.TxPager, o *uncertain.Object) (Ptr, error) {
 		inPage := int(off % ps)
 		var buf []byte
 		switch {
-		case idx < len(s.dir) && inPage > 0:
+		case idx == s.pages()-1 && inPage > 0:
 			// Extending the partially filled tail page: copy-on-write
 			// unless this transaction already owns it.
-			old := s.dir[idx]
+			old := s.last
 			if tx.Owned(old) {
 				b, err := tx.Stage(old, pager.PageStoreData)
 				if err != nil {
@@ -112,24 +122,23 @@ func (s *Store) AppendTx(tx pager.TxPager, o *uncertain.Object) (Ptr, error) {
 					return 0, err
 				}
 				copy(b[:inPage], prev[:inPage])
-				s.setDirEntry(idx, id)
+				s.last = id
+				s.dirtyFrom = min(s.dirtyFrom, idx)
 				tx.Free(old)
 				buf = b
 			}
-		case idx < len(s.dir):
-			// A write at offset 0 of an existing page would mean the tail
-			// sits at or before that page's start — impossible while tail
-			// and the page count agree.
+		case idx < s.pages():
+			// A write at offset 0 of an existing page, or anywhere in one
+			// before the last, would mean the tail sits before the last
+			// page's end — impossible while tail and the page count agree.
 			return 0, fmt.Errorf("diskstore: append offset %d inside committed page %d", off, idx)
 		default:
 			id, b, err := tx.Alloc(pager.PageStoreData)
 			if err != nil {
 				return 0, err
 			}
-			s.dir = append(s.dir, id)
-			if s.dirtyFrom > idx {
-				s.dirtyFrom = idx
-			}
+			s.addPage(id)
+			s.dirtyFrom = min(s.dirtyFrom, idx)
 			buf = b
 		}
 		n := copy(buf[inPage:], data)
@@ -144,29 +153,18 @@ func (s *Store) AppendTx(tx pager.TxPager, o *uncertain.Object) (Ptr, error) {
 	return ptr, nil
 }
 
-// setDirEntry rewrites one directory slot, copying the slice first so
-// reader clones sharing the old backing never observe the change.
-func (s *Store) setDirEntry(i int, id pager.PageID) {
-	nd := make([]pager.PageID, len(s.dir))
-	copy(nd, s.dir)
-	nd[i] = id
-	s.dir = nd
-	if s.dirtyFrom > i {
-		s.dirtyFrom = i
-	}
-}
-
 // syncDirTx re-persists every directory chain page covering entries at or
 // past dirtyFrom, allocating chain pages as the directory grows. Chain
 // pages are updated in place (no copy-on-write): readers never touch the
 // directory mid-search — they carry the decoded dir slice in their
 // snapshot's store clone.
 func (s *Store) syncDirTx(tx pager.TxPager) error {
-	if s.dirtyFrom > len(s.dir) {
+	n := s.pages()
+	if s.dirtyFrom > n {
 		return nil
 	}
 	per := s.dirPerPage()
-	needPages := (len(s.dir) + per - 1) / per
+	needPages := (n + per - 1) / per
 	for len(s.dirPages) < needPages {
 		id, _, err := tx.Alloc(pager.PageStoreDir)
 		if err != nil {
@@ -191,10 +189,7 @@ func (s *Store) syncDirTx(tx pager.TxPager) error {
 			return err
 		}
 		lo := p * per
-		hi := lo + per
-		if hi > len(s.dir) {
-			hi = len(s.dir)
-		}
+		hi := min(lo+per, n)
 		binary.LittleEndian.PutUint16(buf[0:], uint16(hi-lo))
 		var next pager.PageID
 		if p+1 < len(s.dirPages) {
@@ -202,10 +197,10 @@ func (s *Store) syncDirTx(tx pager.TxPager) error {
 		}
 		binary.LittleEndian.PutUint32(buf[2:], uint32(next))
 		for i := lo; i < hi; i++ {
-			binary.LittleEndian.PutUint32(buf[6+4*(i-lo):], uint32(s.dir[i]))
+			binary.LittleEndian.PutUint32(buf[6+4*(i-lo):], uint32(s.pageAt(i)))
 		}
 	}
-	s.dirtyFrom = len(s.dir) + 1
+	s.dirtyFrom = n + 1
 	return nil
 }
 

@@ -37,8 +37,17 @@ func BoundingRect(coords []float64, dim int) Rect {
 	if len(coords) == 0 || dim <= 0 {
 		panic("geom: BoundingRect on empty set")
 	}
-	corners := make([]float64, 2*dim)
-	lo, hi := corners[:dim:dim], corners[dim:]
+	return BoundingRectIn(make([]float64, 2*dim), coords, dim)
+}
+
+// BoundingRectIn is BoundingRect with the corners written into corners,
+// which must hold 2·dim floats: the same floats BoundingRect returns, in
+// the caller's storage.
+func BoundingRectIn(corners, coords []float64, dim int) Rect {
+	if len(coords) == 0 || dim <= 0 {
+		panic("geom: BoundingRect on empty set")
+	}
+	lo, hi := corners[:dim:dim], corners[dim:2*dim:2*dim]
 	copy(lo, coords[:dim])
 	copy(hi, coords[:dim])
 	for off := dim; off < len(coords); off += dim {

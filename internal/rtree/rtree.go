@@ -195,10 +195,36 @@ func pow(b, e int) int {
 //
 //nnc:hotpath
 func mbr(n *Node) geom.Rect {
-	d := n.Rects[0].Dim()
 	//nnc:allow hotpath-alloc: the result, which the parent node keeps; nothing else is built on the way to it
-	c := make(geom.Point, 2*d)
-	r := geom.Rect{Lo: c[:d:d], Hi: c[d:]}
+	return mbrIn(make(geom.Point, 2*n.Rects[0].Dim()), n)
+}
+
+// cornerSource is a Store that also hands out the corners of the MBRs
+// Insert and Delete compute for the parents of the nodes they write:
+// storage that lives as long as the nodes its Read returns
+// (internal/diskrtree's writer arena). From any other store each such MBR
+// has corners of its own.
+type cornerSource interface {
+	Corners(n int) []float64
+}
+
+// parentRect returns n's MBR for the entry its parent keeps, in corners
+// from s when s is a cornerSource.
+//
+//nnc:hotpath
+func parentRect(s Store, n *Node) geom.Rect {
+	if cs, ok := s.(cornerSource); ok {
+		return mbrIn(cs.Corners(2*n.Rects[0].Dim()), n)
+	}
+	return mbr(n)
+}
+
+// mbrIn is mbr into corners, which holds 2·dim floats.
+//
+//nnc:hotpath
+func mbrIn(c []float64, n *Node) geom.Rect {
+	d := n.Rects[0].Dim()
+	r := geom.Rect{Lo: c[:d:d], Hi: c[d : 2*d : 2*d]}
 	copy(r.Lo, n.Rects[0].Lo)
 	copy(r.Hi, n.Rects[0].Hi)
 	for _, s := range n.Rects[1:] {
@@ -223,7 +249,8 @@ type crumb struct {
 // split reaches the top. Every node on the path is written exactly once,
 // leaf first, a split sibling right after the node it was split from.
 func Insert(s Store, h *Header, fanout int, e Entry) error {
-	var path []crumb
+	var stack [8]crumb // the descent of a tree up to 8 levels, on the stack
+	path := stack[:0]
 	for cur := h.Root; ; {
 		n, err := s.Read(cur)
 		if err != nil {
@@ -272,7 +299,7 @@ func Insert(s Store, h *Header, fanout int, e Entry) error {
 func writeSplitting(s Store, old NodeID, n *Node, fanout int) (a, b Entry, split bool, err error) {
 	if len(n.Rects) <= fanout {
 		a.ID, err = s.Write(old, n)
-		a.Rect = mbr(n)
+		a.Rect = parentRect(s, n)
 		return a, b, false, err
 	}
 	groupA, groupB := QuadraticSplit(n.Rects, minFill(fanout))
@@ -283,7 +310,7 @@ func writeSplitting(s Store, old NodeID, n *Node, fanout int) (a, b Entry, split
 	if b.ID, err = s.Write(NoNode, nb); err != nil {
 		return a, b, false, err
 	}
-	a.Rect, b.Rect = mbr(na), mbr(nb)
+	a.Rect, b.Rect = parentRect(s, na), parentRect(s, nb)
 	return a, b, true, nil
 }
 
@@ -426,7 +453,7 @@ func Delete(s Store, h *Header, fanout int, e Entry) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		parent.n.Rects[parent.child], parent.n.Refs[parent.child] = mbr(c.n), id
+		parent.n.Rects[parent.child], parent.n.Refs[parent.child] = parentRect(s, c.n), id
 	}
 
 	root := path[0].n

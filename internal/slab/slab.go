@@ -50,7 +50,7 @@ func (a *Arena[T]) AllocZeroed(n int) []T {
 // grow advances to the next slab that can hold n elements, appending a new
 // power-of-two slab when none of the retained ones fits.
 //
-//nnc:coldpath amortized slab growth: doubling slabs are retained across Reset, so warm searches never reach this make
+//nnc:coldpath amortized slab growth: slabs are retained across Reset (and by Trim up to its bound), so warm searches and warm commits never reach this make
 func (a *Arena[T]) grow(n int) {
 	for a.active+1 < len(a.slabs) {
 		a.active++
@@ -90,6 +90,41 @@ func (a *Arena[T]) ResetZero() {
 	if a.active < len(a.slabs) {
 		s := a.slabs[a.active]
 		clear(s[:len(s)-len(a.free)])
+	}
+	a.Reset()
+}
+
+// Fill sets every element handed out since the previous reset to v (and,
+// in slabs the arena stepped over, the elements it skipped). A test fills
+// a reset arena with poison so that a slice kept past its lifetime reads
+// garbage instead of the values it was handed.
+func (a *Arena[T]) Fill(v T) {
+	for _, s := range a.slabs[:a.active] {
+		fill(s, v)
+	}
+	if a.active < len(a.slabs) {
+		s := a.slabs[a.active]
+		fill(s[:len(s)-len(a.free)], v)
+	}
+}
+
+func fill[T any](s []T, v T) {
+	for i := range s {
+		s[i] = v
+	}
+}
+
+// Trim is Reset that also drops slabs once the ones kept hold max
+// elements: an arena whose last round outgrew max falls back to about max
+// instead of keeping its high-water mark. The first slab is always kept.
+func (a *Arena[T]) Trim(max int) {
+	n := 0
+	for i, s := range a.slabs {
+		if n += len(s); i > 0 && n > max {
+			clear(a.slabs[i:])
+			a.slabs = a.slabs[:i]
+			break
+		}
 	}
 	a.Reset()
 }

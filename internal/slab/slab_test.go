@@ -90,3 +90,54 @@ func TestResetZeroClearsHandedOutElements(t *testing.T) {
 		}
 	}
 }
+
+func TestFillReachesEveryHandedOutElement(t *testing.T) {
+	var a Arena[float64]
+	p := a.Alloc(700)
+	q := a.Alloc(700) // does not fit the first slab's rest: a second slab
+	untouched := a.Alloc(10)
+	a.Fill(-1)
+	for i := range p {
+		if p[i] != -1 || q[i] != -1 {
+			t.Fatalf("element %d not filled: %v %v", i, p[i], q[i])
+		}
+	}
+	for i := range untouched {
+		if untouched[i] != -1 {
+			t.Fatalf("element %d of the active slab not filled", i)
+		}
+	}
+	if rest := a.Alloc(5); rest[0] == -1 {
+		t.Fatal("Fill reached past what was handed out")
+	}
+}
+
+func TestTrimFallsBackToBound(t *testing.T) {
+	var a Arena[int64]
+	for i := 0; i < 9; i++ {
+		a.Alloc(minSlab)
+	}
+	if got := a.Footprint(); got != 9*minSlab {
+		t.Fatalf("footprint %d, want %d", got, 9*minSlab)
+	}
+	a.Trim(3 * minSlab)
+	if got := a.Footprint(); got != 3*minSlab {
+		t.Fatalf("trimmed footprint %d, want %d", got, 3*minSlab)
+	}
+	// A round inside the bound keeps its slabs and allocates nothing.
+	round := func() {
+		a.Alloc(minSlab)
+		a.Alloc(minSlab)
+		a.Trim(3 * minSlab)
+	}
+	if n := testing.AllocsPerRun(20, round); n != 0 {
+		t.Fatalf("rounds inside the bound allocate %v times", n)
+	}
+	// The first slab stays even when it alone is over the bound.
+	var b Arena[int64]
+	b.Alloc(4 * minSlab)
+	b.Trim(minSlab)
+	if got := b.Footprint(); got != 4*minSlab {
+		t.Fatalf("first slab dropped: footprint %d", got)
+	}
+}
