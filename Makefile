@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet lint fmt-check loc product-graph bench cover figures examples clean check verify smoke fuzz fuzz-smoke faults wal conformance cluster
+.PHONY: all build test race vet lint fmt-check loc product-graph tolerances bench cover figures examples clean check verify smoke fuzz fuzz-smoke faults wal conformance cluster
 
 all: build test
 
@@ -51,6 +51,16 @@ product-graph:
 		echo "$$deps" | grep -qx "spatialdom/internal/$$p" && bad="$$bad internal/$$p"; done; \
 	[ -z "$$bad" ] || { echo "product-graph: ./cmd/nncserver depends on$$bad"; exit 1; }
 
+# tolerances fails if a decimal float literal with a negative exponent
+# (1e-9 and the like) appears in non-test Go under internal/core,
+# internal/distr or internal/flow: the dominance checks compare distances
+# exactly and mass under uncertain.MassBound, and no other tolerance. The
+# one exception is flow.go, whose Network is the reference the transport is
+# tested against and keeps its own Eps.
+tolerances:
+	@hits="$$(grep -rnE '[0-9]e-[0-9]' --include='*.go' --exclude='*_test.go' internal/core internal/distr internal/flow | grep -v '^internal/flow/flow.go:')"; \
+	[ -z "$$hits" ] || { echo "tolerances: a decimal tolerance in the dominance checks:"; echo "$$hits"; exit 1; }
+
 test: vet
 	$(GO) test ./...
 
@@ -87,6 +97,7 @@ check: fmt-check
 	$(MAKE) smoke
 	$(MAKE) loc
 	$(MAKE) product-graph
+	$(MAKE) tolerances
 	$(MAKE) fuzz-smoke
 
 bench:

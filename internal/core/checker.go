@@ -25,7 +25,6 @@ type Checker struct {
 
 	query   *uncertain.Object
 	cfg     FilterConfig
-	eps     float64
 	statCut bool   // StatPruning is on and the operator implies S-SD
 	hullIdx []int  // indices into query instances used by point-level checks
 	isHull  []bool // per query instance: whether hullIdx names it
@@ -70,9 +69,10 @@ func (c *Checker) Operator() Operator { return c.op }
 //  3. cover-based validation on MBRs (Theorem 4);
 //  4. the sweep of the sorted runs: per-query-instance stochastic scans as
 //     cover-based pruning, and the admissibility rows of rung 8 (P-SD),
-//     which P-SD's rung 4a precedes: an instance of more than flowEps
-//     without a partner under ⪯Q refutes off the summary (isolated);
-//  5. the in-hull exit (P-SD);
+//     which P-SD's rung 4a precedes: an instance of positive mass without
+//     a partner under ⪯Q refutes off the summary (isolated);
+//  5. the in-hull exit (P-SD): the same refutation for an instance of V
+//     inside the query's hull, read off the rows;
 //  6. level-by-level bounds on the local R-trees (S-SD, SS-SD);
 //  7. cover validation on the summary (coverValidate): F-SD at the hull
 //     instances or, for S-SD, the SS-SD scans, with a witness U_Q ≠ V_Q;
@@ -97,17 +97,17 @@ func (c *Checker) Operator() Operator { return c.op }
 // and 4a by StatPruning. Rung 4a answers only what rung 8 would: mass
 // without a partner cannot ship, so the transport falls short.
 //
-// Rung 7 takes only verdicts rung 8 would take. (i) F-SD at the hull
-// instances puts every U_q at or below V_q, and makes every pair of P-SD's
-// rows admissible, so the transport ships all the mass. (ii) Scans that hold
-// within 1e-12 at every instance keep the mixture's scan within 1e-12 plus
-// rounding of zero, far above −eps. (iii) The witness: if every value's
-// masses agree within eps, as distr.Equal asks, the means differ by at most
-// (|U_Q|+|V_Q|)·eps·max, so a larger gap proves U_Q ≠ V_Q. (iv) P-SD's match
-// compares the summary's distances with plain ≤, so each of its tuples is a
-// pair the rows admit: shipping 1 − flowEps over them is a flow the
-// transport ships too, and a tuple of more than flowEps separated by more
-// than eps is psdSolve's strict tuple.
+// Every rung compares by one rule (distr's package comment): distances
+// exactly, accumulated mass under uncertain.MassBound of the atoms summed,
+// a single atom's mass exactly. Rung 7 takes only verdicts rung 8 would
+// take. (i) F-SD at the hull instances puts every U_q at or below V_q, and
+// makes every pair of P-SD's rows admissible, so the transport ships all
+// the mass. (ii) Scans that hold within roundSlack at every instance keep
+// the mixture's scan within its bound (roundSlack's proof). (iii) The
+// witness meansApart is a gap distr.Equal cannot leave (distr.MeanBound).
+// (iv) P-SD's match compares the summary's distances exactly, so each of
+// its tuples is a pair the rows admit, and it visits every positive-mass
+// instance and leaves at most half the bound unshipped (matchValidate).
 func (c *Checker) Dominates(u, v *uncertain.Object) bool {
 	return c.sd(c.cacheOf(u), c.cacheOf(v))
 }
@@ -117,9 +117,12 @@ func (c *Checker) Dominates(u, v *uncertain.Object) bool {
 //nnc:hotpath
 func (c *Checker) sd(su, sv *objCache) bool {
 	c.Stats.DominanceChecks++
-	if c.statCut && !c.summary(su).stat.LE(c.summary(sv).stat, c.eps) {
-		c.Stats.StatPrunes++
-		return false
+	if c.statCut {
+		su, sv = c.summary(su), c.summary(sv)
+		if !su.stat.LE(sv.stat, len(su.runs)+len(sv.runs)) {
+			c.Stats.StatPrunes++
+			return false
+		}
 	}
 	return c.decide(su, sv)
 }
@@ -244,8 +247,9 @@ func (c *Checker) distQ(oc *objCache) distr.Distribution {
 // perQStatLE reports whether every U_q's statistics are ordered against
 // V_q's — rung 2, necessary for U_q ≤st V_q at every query instance.
 func (c *Checker) perQStatLE(su, sv *objCache) bool {
+	n := su.obj.Len() + sv.obj.Len()
 	for j, a := range su.perQStat {
-		if !a.LE(sv.perQStat[j], c.eps) {
+		if !a.LE(sv.perQStat[j], n) {
 			return false
 		}
 	}
@@ -279,37 +283,42 @@ func (c *Checker) mbrValidate(su, sv *objCache, needStrict bool) bool {
 // off the two summaries, so that a pair a cheaper operator already decides
 // never reaches the exact test. It needs the witness that U_Q ≠ V_Q
 // (meansApart) and then either F-SD at the hull instances or, with scans
-// (S-SD only), U_q ≤st V_q within roundSlack at every query instance, on
-// the runs a merge of U_Q would sort anyway. Like mbrValidate it is counted
-// where its verdict is taken.
+// (S-SD only, and a query of more than one instance, where one run's scan
+// is the mixture's), U_q ≤st V_q within roundSlack at every query
+// instance, on the runs a merge of U_Q would sort anyway. Like mbrValidate
+// it is counted where its verdict is taken.
 //
 //nnc:hotpath
 func (c *Checker) coverValidate(su, sv *objCache, scans bool) bool {
 	if !c.cfg.StatPruning || !c.meansApart(su, sv) {
 		return false
 	}
-	if !c.fsdAtHull(su, sv) && !(scans && c.scansHold(su, sv, roundSlack)) {
+	if !c.fsdAtHull(su, sv) && !(scans && c.query.Len() > 1 && c.scansHold(su, sv, roundSlack(su.obj.Len()+sv.obj.Len()))) {
 		return false
 	}
 	c.Stats.CoverValidations++
 	return true
 }
 
-// roundSlack is rung 7's allowance for rounding: above the last-ulp
-// difference of two sums of the same unit of mass taken in different
-// orders, which would otherwise fail a scan at its end, and a thousand
-// times below eps, so that scans within it leave the mixture's scan far
-// above −eps.
-const roundSlack = 1e-12
+// roundSlack is rung 7's tolerance on the per-run scans of two objects of
+// n instances in all: half their MassBound, so that scans holding within
+// it leave the mixture's scan within the mixture's bound, for |Q| ≥ 2.
+// Proof, with u = 2⁻⁵³ and N = |Q|·n the mixture's atoms, to first order:
+// a run's scan sums at most n atoms, so where it holds within T the exact
+// CDFs of U_q and V_q are at most T + (n−2)·u apart the wrong way; the
+// mixture's atoms fl(p(q)·p) add u on each side, so its exact CDFs are at
+// most T + n·u apart; its own scan sums at most N atoms and errs by at
+// most (N−2)·u. With T = n·u that is (N + 2n − 2)·u ≤ 2N·u =
+// uncertain.MassBound(N) whenever |Q| ≥ 2, with 2·u to spare for the
+// second-order terms. It is not the scans' own tolerance: it only makes
+// rung 7 say "yes" less often.
+func roundSlack(n int) float64 { return uncertain.MassBound(n) / 2 }
 
 // meansApart is the witness that U_Q ≠ V_Q: V's mean exceeds U's by more
-// than distr.Equal's tolerance could hide. With N = |U_Q|+|V_Q| atoms there
-// are at most N distinct values, each at most max from zero, so masses
-// equal within eps move the means apart by at most N·eps·max; roundSlack·max
-// covers the rounding of the two sums.
+// than distr.Equal could leave between two distributions it calls equal
+// (distr.MeanBound).
 func (c *Checker) meansApart(su, sv *objCache) bool {
-	n := float64(len(su.runs) + len(sv.runs))
-	return sv.stat.Mean-su.stat.Mean > max(su.stat.Max, sv.stat.Max)*(n*c.eps+roundSlack)
+	return sv.stat.Mean-su.stat.Mean > distr.MeanBound(len(su.runs)+len(sv.runs), max(su.stat.Max, sv.stat.Max))
 }
 
 // fsdAtHull reports F-SD at the hull query instances: every positive-mass
@@ -324,10 +333,20 @@ func (c *Checker) fsdAtHull(su, sv *objCache) bool {
 	return true
 }
 
+// scanBound is the tolerance of the per-run scans of su against sv: the
+// mass bound of the instances of both.
+func scanBound(su, sv *objCache) float64 {
+	return uncertain.MassBound(su.obj.Len() + sv.obj.Len())
+}
+
 // scansHold reports whether U_q ≤st V_q within tol at every query instance:
+// the statistics of rung 2, whose min and max the scans leave to it, then
 // the scan half of P-SD's sweep on each pair of runs, sorted as it reaches
-// them. With tol = eps it is SS-SD's exact test.
+// them. With tol = scanBound it is SS-SD's exact test.
 func (c *Checker) scansHold(su, sv *objCache, tol float64) bool {
+	if !c.perQStatLE(su, sv) {
+		return false
+	}
 	for j := 0; j < c.query.Len(); j++ {
 		us, _ := c.sortedRun(su, j)
 		vs, _ := c.sortedRun(sv, j)
@@ -345,7 +364,7 @@ func (c *Checker) unequal(su, sv *objCache) bool {
 	if c.cfg.StatPruning && c.meansApart(su, sv) {
 		return true
 	}
-	return !distr.Equal(c.distQ(su), c.distQ(sv), c.eps)
+	return !distr.Equal(c.distQ(su), c.distQ(sv))
 }
 
 // --- S-SD ---------------------------------------------------------------------
@@ -364,7 +383,7 @@ func (c *Checker) ssd(su, sv *objCache) bool {
 	if c.coverValidate(su, sv, true) {
 		return true
 	}
-	if !distr.StochasticLE(c.distQ(su), c.distQ(sv), c.eps, &c.Stats.InstanceComparisons) {
+	if !distr.StochasticLE(c.distQ(su), c.distQ(sv), &c.Stats.InstanceComparisons) {
 		return false
 	}
 	return c.unequal(su, sv)
@@ -391,7 +410,7 @@ func (c *Checker) sssd(su, sv *objCache) bool {
 		return true
 	}
 	// The exact test: U_q ≤st V_q at every query instance, then U_Q ≠ V_Q.
-	return c.scansHold(su, sv, c.eps) && c.unequal(su, sv)
+	return c.scansHold(su, sv, scanBound(su, sv)) && c.unequal(su, sv)
 }
 
 // --- F-SD (instance level) ----------------------------------------------------
@@ -408,7 +427,7 @@ func (c *Checker) fsd(su, sv *objCache) bool {
 	su, sv = c.summary(su), c.summary(sv)
 	for j, a := range su.perQStat {
 		c.Stats.InstanceComparisons++
-		if a.Max > sv.perQStat[j].Min+c.eps {
+		if a.Max > sv.perQStat[j].Min {
 			return false
 		}
 	}

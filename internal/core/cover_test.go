@@ -42,15 +42,15 @@ func coverVerdict(t *testing.T, label string, m geom.Metric, op Operator, q, u, 
 // Rung 7 on the pairs at its edges, under S-SD, SS-SD and P-SD: each verdict
 // is the unfiltered checker's, and each case states whether the rung took
 // it. The witness must refuse every pair whose U_Q and V_Q distr.Equal could
-// call equal — duplicates, twins moved by a tenth of tieEps, 1e-10 of mass
-// moved outward — and must change its answer exactly at its bound.
+// call equal — duplicates — and must change its answer exactly at its
+// bound, which twins moved by 1e-10 and 1e-10 of mass moved outward clear.
 func TestCoverValidationEdges(t *testing.T) {
 	tri := uncertain.MustNew(0, []geom.Point{{0, 0}, {2, 0}, {1, 2}}, nil)
 	origin := uncertain.MustNew(0, []geom.Point{{0, 0}}, nil)
 	chain := chainedPoints()
 	moved := make([]geom.Point, len(chain))
 	for i, p := range chain {
-		moved[i] = geom.Point{p[0] + tieEps/10, p[1]}
+		moved[i] = geom.Point{p[0] + 1e-10, p[1]}
 	}
 	weights := []float64{3, 1, 2, 1, 1, 4, 1, 2, 1, 1}
 	none := map[Operator]bool{}
@@ -68,13 +68,13 @@ func TestCoverValidationEdges(t *testing.T) {
 		{"duplicate chains", geom.Euclidean, tri,
 			uncertain.MustNew(1, chain, weights), uncertain.MustNew(2, chain, weights),
 			false, none},
-		{"twin moved by tieEps/10", geom.Euclidean, tri,
+		{"twin moved by 1e-10", geom.Euclidean, tri,
 			uncertain.MustNew(1, chain, nil), uncertain.MustNew(2, moved, nil),
-			true, none},
+			true, map[Operator]bool{SSD: true, PSD: true}},
 		{"1e-10 of mass moved outward", geom.Euclidean, tri,
 			uncertain.MustNew(1, []geom.Point{{5, 5}}, nil),
 			normalized(t, 2, []geom.Point{{5, 5}, {6, 6}}, []float64{1 - 1e-10, 1e-10}),
-			false, none},
+			true, all},
 		{"zero-probability instance nearest the query", geom.Euclidean, tri,
 			uncertain.MustNew(1, []geom.Point{{3, 3}}, nil),
 			uncertain.MustNew(2, []geom.Point{{0.5, 0.5}, {6, 6}, {7, 6}}, []float64{0, 1, 1}),
@@ -86,7 +86,7 @@ func TestCoverValidationEdges(t *testing.T) {
 		{"|Q| = 1", geom.Euclidean, origin,
 			uncertain.MustNew(1, []geom.Point{{3, 0}, {0, 4}}, nil),
 			uncertain.MustNew(2, []geom.Point{{5, 0}, {0, 3.5}}, nil),
-			true, map[Operator]bool{SSD: true, PSD: true}},
+			true, map[Operator]bool{PSD: true}},
 	} {
 		for _, op := range coverOps {
 			dom, fired := coverVerdict(t, tc.name, tc.metric, op, tc.q, tc.u, tc.v)
@@ -101,7 +101,7 @@ func TestCoverValidationEdges(t *testing.T) {
 	for _, n := range []int{2, 3, 80, 8192} {
 		su := &objCache{runs: make([]distr.Pair, n/2), stat: distr.Stat{Max: 7}}
 		sv := &objCache{runs: make([]distr.Pair, n-n/2), stat: distr.Stat{Max: 9}}
-		bound := 9 * (float64(n)*distr.Eps + roundSlack)
+		bound := distr.MeanBound(n, 9)
 		c := NewChecker(origin, SSD, AllFilters)
 		for _, tc := range []struct {
 			gap  float64
@@ -117,8 +117,8 @@ func TestCoverValidationEdges(t *testing.T) {
 	// The same crossing on objects: U a point at distance 1, V the same
 	// point with mass p and one at distance 2 with 1−p, so the gap is 1−p.
 	// Bisecting p over adjacent float64s finds the two sides; on both the
-	// verdict stays the exact test's. (P-SD's match witness takes all these
-	// pairs by their strict tuple of 1−p > flowEps: TestMatchWitnessEdges.)
+	// verdict stays the exact test's. (P-SD's match witness is the same
+	// witness on these pairs: TestMatchWitnessEdges.)
 	pair := func(p float64) (u, v *uncertain.Object) {
 		return uncertain.MustNew(1, []geom.Point{{1, 0}}, nil),
 			normalized(t, 2, []geom.Point{{1, 0}, {2, 0}}, []float64{p, 1 - p})
@@ -127,13 +127,13 @@ func TestCoverValidationEdges(t *testing.T) {
 		u, v := pair(p)
 		dom, fired := coverVerdict(t, "gap at the bound", geom.Euclidean, op, origin, u, v)
 		if !dom {
-			t.Fatalf("%v at p = %v: V's mass at distance 1 is short by more than eps, so U must dominate", op, p)
+			t.Fatalf("%v at p = %v: V's mass at distance 1 is short by more than MassBound(3), so U must dominate", op, p)
 		}
 		return fired
 	}
 	for _, op := range []Operator{SSD, SSSD} {
-		lo, hi := math.Float64bits(0.5), math.Float64bits(1-4e-9)
-		if !fires(op, 0.5) || fires(op, 1-4e-9) {
+		lo, hi := math.Float64bits(0.5), math.Float64bits(1-0x1p-50)
+		if !fires(op, 0.5) || fires(op, 1-0x1p-50) {
 			t.Fatalf("%v: the bisection does not bracket the bound", op)
 		}
 		for hi-lo > 1 {
@@ -149,8 +149,8 @@ func TestCoverValidationEdges(t *testing.T) {
 		c = NewChecker(origin, op, AllFilters)
 		u, v = pair(math.Float64frombits(hi))
 		gapHi := c.summaryOf(v).stat.Mean - c.summaryOf(u).stat.Mean
-		n := 3.0 // atoms: one of U, two of V
-		if bound := 2 * (n*distr.Eps + roundSlack); !(gapHi <= bound && bound < gapLo) {
+		// Three atoms: one of U, two of V; values in [0, 2].
+		if bound := distr.MeanBound(3, 2); !(gapHi <= bound && bound < gapLo) {
 			t.Errorf("%v: the rung changes its answer between gaps %v and %v, not at its bound %v", op, gapHi, gapLo, bound)
 		}
 	}

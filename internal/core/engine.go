@@ -16,11 +16,12 @@ package core
 // extension, its first k elements each have < k dominators themselves and
 // hence are band members.
 //
-// Ties. Objects whose exact keys coincide (within tieEps) could pop in
-// either order, so they are drained into one batch and each member counts
-// dominators over band ∪ batch: a batch member's true dominators all have
-// keys <= the batch key and therefore sit in the band or the batch, and
-// any counted dominator — band or not — witnesses a true domination.
+// Ties. Objects whose exact keys coincide could pop in either order, so
+// they are drained into one batch and each member counts dominators over
+// band ∪ batch: a batch member's true dominators all have keys <= the
+// batch key (the min statistic compares exactly, distr.Stat.LE) and
+// therefore sit in the band or the batch, and any counted dominator — band
+// or not — witnesses a true domination.
 
 import (
 	"context"
@@ -28,13 +29,11 @@ import (
 	"sync"
 	"time"
 
+	"spatialdom/internal/distr"
 	"spatialdom/internal/faults"
 	"spatialdom/internal/geom"
 	"spatialdom/internal/uncertain"
 )
-
-// tieEps is the slack under which two exact heap keys count as tied.
-const tieEps = 1e-9
 
 // NodeRef identifies a tree node inside a Backend by number — an
 // rtree.NodeID in memory, a page id on disk. The engine treats it as
@@ -296,6 +295,7 @@ type searchScratch struct {
 type band struct {
 	objs      []*objCache
 	mean, max []float64
+	atoms     int // the most atoms any member's U_Q has (dominators)
 	far       []float64
 	nearest   []float64
 	radius    float64
@@ -307,6 +307,7 @@ func (b *band) push(c *Checker, so *objCache, k int) {
 	b.objs = append(b.objs, so)
 	b.mean = append(b.mean, so.stat.Mean)
 	b.max = append(b.max, so.stat.Max)
+	b.atoms = max(b.atoms, len(so.runs))
 	if c.op == FPlusSD {
 		return // asked member by member (dominatesRect): no far row to keep
 	}
@@ -344,6 +345,7 @@ func (b *band) toFront(i int) {
 func (b *band) clear() {
 	clear(b.objs)
 	b.objs, b.mean, b.max, b.far = b.objs[:0], b.mean[:0], b.max[:0], b.far[:0]
+	b.atoms = 0
 	b.nearest = b.nearest[:0]
 }
 
@@ -352,14 +354,18 @@ func (b *band) clear() {
 // order with rung 1 of the verdict ladder read off the mean and max slabs:
 // the members of b[:n] were examined before sv, in non-decreasing order of
 // the exact key min(U_Q), so their min statistic is already known to be no
-// larger than sv's and only mean and max are compared. The first dominator
+// larger than sv's and only mean and max are compared, the means under the
+// distr.MeanBound of the band's largest member, which is never smaller than
+// the bound Stat.LE would use (and a pair the slab lets through still meets
+// every later rung). The first dominator
 // found moves to the front — it tends to dominate the following objects
 // too.
 //
 //nnc:hotpath
 func (b *band) dominators(c *Checker, n int, sv *objCache, k int) int {
 	found := 0
-	vmean, vmax := sv.stat.Mean+c.eps, sv.stat.Max+c.eps
+	vmax := sv.stat.Max
+	vmean := sv.stat.Mean + distr.MeanBound(b.atoms+len(sv.runs), vmax)
 	mean, max := b.mean[:n], b.max[:n]
 	for i, u := range b.objs[:n] {
 		c.Stats.DominanceChecks++
@@ -574,8 +580,7 @@ func searchBackend(ctx context.Context, sc *searchScratch, b Backend, q *uncerta
 		// join the batch; tied nodes/LBs may still produce tied exacts.
 		batch = batch[:0]
 		batch = append(batch, it)
-		limit := it.key + tieEps
-		for h.len() > 0 && h.peekKey() <= limit {
+		for h.len() > 0 && h.peekKey() <= it.key {
 			nxt := h.pop()
 			checker.Stats.HeapPops++
 			if nxt.kind == kindObjExact {

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"spatialdom/internal/distr"
 	"spatialdom/internal/geom"
 	"spatialdom/internal/uncertain"
 )
@@ -27,8 +26,8 @@ const (
 var isoNames = [isoKinds]string{"pushed", "cloud", "pulled", "duplicate", "coincident", "threshold"}
 
 // Probability modes: uniform, skewed, zeros, and tiny — skewed, with V given
-// one more instance of mass flowEps/2 in [5, 8]^d, which no instance of U
-// can partner.
+// one more instance of mass 2⁻⁵⁶ in [5, 8]^d, below any MassBound, which no
+// instance of U can partner.
 const (
 	probsUniform = iota
 	probsSkewed
@@ -92,17 +91,17 @@ func isoPair(rng *rand.Rand, c *Checker, kind, dim, m, probs int) (u, v *uncerta
 	}
 	u, v = uncertain.MustNew(1, up, ws), uncertain.MustNew(2, vp, ws)
 	if probs == probsTiny {
-		pv := v.Probs()
-		for i := range pv {
-			pv[i] *= 1 - flowEps/2
+		var err error
+		v, err = uncertain.FromNormalized(2, append(vp, box(1, 5, 3)[0]), append(v.Probs(), 0x1p-56))
+		if err != nil {
+			panic(err)
 		}
-		v, _ = uncertain.FromNormalized(2, append(vp, box(1, 5, 3)[0]), append(pv, flowEps/2))
 	}
 	return u, v
 }
 
 // farthestAdmitted returns v moved up in its first coordinate to the last
-// float the reference pair test (instLE) admits against v: du ≤ dv+eps at every
+// float the reference pair test (instLE) admits against v: du ≤ dv at every
 // hull instance, with equality in floating point at the tightest one. Every
 // distance grows with that coordinate, so the floats it admits are an
 // interval, bisected here on their bit patterns.
@@ -111,8 +110,7 @@ func farthestAdmitted(c *Checker, v geom.Point) geom.Point {
 	u := v.Clone()
 	admitted := func(x float64) bool {
 		u[0] = x
-		le, _ := instLE(c, pointHullDists(c, u), dv)
-		return le
+		return instLE(pointHullDists(c, u), dv)
 	}
 	lo, hi := math.Float64bits(v[0]), math.Float64bits(v[0]+1)
 	for hi-lo > 1 {
@@ -137,19 +135,19 @@ func pointHullDists(c *Checker, p geom.Point) []float64 {
 
 // Rung 4a is sound: over 2-D and 3-D, L2 and L1, |Q| of 1, 3 and 8, m from 1
 // to 70 (rows one and two words wide), the probability modes and the pair
-// shapes above, every pair it refutes is refuted by the unfiltered checker,
-// and the max-flow oracle at eps, over every query instance, ships less than
-// 1 − flowEps on it. It refutes every pulled pair (the pulled instance has
-// no partner), and none of the shapes where every instance of more than
-// flowEps has one — the tiny mode's extra instance has none and must not
-// count. The threshold shape puts each pair exactly on the pair test's
-// bound, where the sums of the two instances can round either way.
-// (Negative probes, each verified to fail this test: zero slack in
-// sumSlack, on the threshold pairs under L1; p > 0 for p > flowEps, on the
-// tiny mode; d > dv for d > dv+eps in admits, on the threshold pairs.)
+// shapes above, every pair it refutes is refuted by the unfiltered checker
+// and by the max-flow oracle over every query instance. It refutes every
+// pulled pair and every pair of the tiny mode (an instance without a
+// partner, however light), and no other pair of the shapes where every
+// instance has one. The threshold shape puts each pair exactly on the pair
+// test's bound, where only exact comparisons keep the sums ordered.
+// (Negative probes, each verified to fail this test: p > MassBound for
+// p > 0 in the rung, on the tiny mode; d >= dv for d > dv in admits, on
+// the threshold pairs.)
 func TestIsolationRungSound(t *testing.T) {
 	rng := rand.New(rand.NewSource(4201))
 	var drawn, fired [isoKinds]int
+	tinyDrawn, tinyFired := 0, 0
 	for _, dim := range []int{2, 3} {
 		for _, metric := range []geom.Metric{geom.Euclidean, geom.Manhattan} {
 			for _, nq := range []int{1, 3, 8} {
@@ -159,22 +157,31 @@ func TestIsolationRungSound(t *testing.T) {
 						for kind := 0; kind < isoKinds; kind++ {
 							c := NewCheckerMetric(q, PSD, AllFilters, metric)
 							u, v := isoPair(rng, c, kind, dim, m, probs)
-							drawn[kind]++
 							su, sv := c.summaryOf(u), c.summaryOf(v)
 							before := c.Stats.InstanceComparisons
 							refuted := c.isolated(su, sv)
 							tag := fmt.Sprintf("%s d=%d %s |Q|=%d m=%d probs=%d", isoNames[kind], dim, metric.Name(), nq, m, probs)
+							if probs == probsTiny {
+								tinyDrawn++
+								if refuted {
+									tinyFired++
+								}
+							} else {
+								drawn[kind]++
+								if refuted {
+									fired[kind]++
+								}
+							}
 							if !refuted {
-								// Each instance of more than flowEps took at least one
+								// Each instance of positive mass took at least one
 								// comparison to find its partner.
 								if n := heavy(u) + heavy(v); c.Stats.InstanceComparisons-before < int64(n) {
 									t.Fatalf("%s: %d comparisons counted for %d partners found", tag, c.Stats.InstanceComparisons-before, n)
 								}
 								continue
 							}
-							fired[kind]++
-							if oraclePSDMatchMetric(u, v, q, c.eps, metric) {
-								t.Fatalf("%s: refuted, but the max-flow oracle at eps ships the mass", tag)
+							if oraclePSDMatchMetric(u, v, q, metric) {
+								t.Fatalf("%s: refuted, but the max-flow oracle ships the mass", tag)
 							}
 							if NewCheckerMetric(q, PSD, FilterConfig{}, metric).Dominates(u, v) {
 								t.Fatalf("%s: refuted, but the unfiltered checker says yes", tag)
@@ -185,9 +192,10 @@ func TestIsolationRungSound(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("refuted per shape: %v of %v", fired, drawn)
-	if fired[isoPulled] != drawn[isoPulled] {
-		t.Fatalf("pulled: refuted %d of %d pairs with an instance no instance of U partners", fired[isoPulled], drawn[isoPulled])
+	t.Logf("refuted per shape: %v of %v; tiny mode %d of %d", fired, drawn, tinyFired, tinyDrawn)
+	if fired[isoPulled] != drawn[isoPulled] || tinyFired != tinyDrawn {
+		t.Fatalf("refuted %d of %d pulled pairs and %d of %d tiny-mode pairs, each with an instance no instance of the other side partners",
+			fired[isoPulled], drawn[isoPulled], tinyFired, tinyDrawn)
 	}
 	for _, kind := range []int{isoPushed, isoDuplicate, isoCoincident, isoThreshold} {
 		if fired[kind] != 0 {
@@ -203,55 +211,53 @@ func TestIsolationRungSound(t *testing.T) {
 	}
 }
 
-// heavy counts o's instances of more than flowEps.
+// heavy counts o's instances of positive mass.
 func heavy(o *uncertain.Object) (n int) {
 	for _, p := range o.Probs() {
-		if p > flowEps {
+		if p > 0 {
 			n++
 		}
 	}
 	return n
 }
 
-// Rung 4a at its edges: pairs it must leave to the rungs after it.
+// Rung 4a at its edges, each verdict the unfiltered checker's.
 func TestIsolationRungEdges(t *testing.T) {
-	silent := func(label string, m geom.Metric, q, u, v *uncertain.Object, want bool) {
+	edge := func(label string, m geom.Metric, q, u, v *uncertain.Object, refutes bool) {
 		t.Helper()
 		c := NewCheckerMetric(q, PSD, AllFilters, m)
-		if c.isolated(c.summaryOf(u), c.summaryOf(v)) {
-			t.Errorf("%s: the rung refuted a pair whose every instance has a partner", label)
+		if got := c.isolated(c.summaryOf(u), c.summaryOf(v)); got != refutes {
+			t.Errorf("%s: the rung refuted %v, want %v", label, got, refutes)
 		}
-		if got := NewCheckerMetric(q, PSD, FilterConfig{}, m).Dominates(u, v); got != want {
-			t.Errorf("%s: the unfiltered checker says %v, want %v", label, got, want)
+		if got := NewCheckerMetric(q, PSD, FilterConfig{}, m).Dominates(u, v); got == refutes {
+			t.Errorf("%s: the unfiltered checker says %v, want %v", label, got, !refutes)
 		}
 	}
 
-	// du = dv + eps/2 at every hull instance (L1, everything above and to the
-	// right of Q): admitted, though sum(u) > sum(v). The rows admit every
-	// copy, and distr.Equal compares values exactly, so the unfiltered checker
-	// lets the farther copy dominate — eps's tolerance, not this rung's.
+	// du = dv + 5e-10 at every hull instance (L1, everything above and to
+	// the right of Q): no instance of U is admitted with any of V.
 	q := uncertain.MustNew(0, []geom.Point{{0, 0}, {1, 0}, {0, 1}}, nil)
 	vp := []geom.Point{{20, 20}, {24, 17}, {17, 26}}
 	up := make([]geom.Point, len(vp))
 	for i, p := range vp {
-		up[i] = geom.Point{p[0] + distr.Eps/2, p[1]}
+		up[i] = geom.Point{p[0] + 5e-10, p[1]}
 	}
-	silent("eps/2 out", geom.Manhattan, q, uncertain.MustNew(1, up, nil), uncertain.MustNew(2, vp, nil), true)
+	edge("5e-10 out", geom.Manhattan, q, uncertain.MustNew(1, up, nil), uncertain.MustNew(2, vp, nil), true)
+	// The other way round: every instance of V has its copy, 5e-10 nearer
+	// every hull instance, for a partner.
+	edge("5e-10 in", geom.Manhattan, q, uncertain.MustNew(1, vp, nil), uncertain.MustNew(2, up, nil), false)
 
-	// An instance of mass ≤ flowEps nearer the query than all of U: it has no
-	// partner, and the transport may leave it unshipped.
+	// An instance of mass 5e-10 nearer the query than all of U: it has no
+	// partner, and the transport leaves it unshipped, however light.
 	u := uncertain.MustNew(1, []geom.Point{{20, 20}}, nil)
-	v := normalized(t, 2, []geom.Point{{21, 21}, {2, 2}}, []float64{1 - flowEps/2, flowEps / 2})
-	silent("tiny isolated mass", geom.Euclidean, q, u, v, true)
+	v := normalized(t, 2, []geom.Point{{21, 21}, {2, 2}}, []float64{1 - 5e-10, 5e-10})
+	edge("light isolated mass", geom.Euclidean, q, u, v, true)
 
-	// ROADMAP 4(b)'s in-hull counterexample: V's first instance lies inside
-	// CH(Q), and U's first sits 1e-11 from it, within eps at every hull
-	// instance, so each instance has a partner and the transport ships the
-	// mass. Rung 4's scan at (0, 0) compares distances exactly and rung 5
-	// asks for exact co-location, so either refutes the pair; this rung
-	// must not.
+	// Counterexample B of the agreement table: V's first instance lies
+	// inside CH(Q), and U's first sits 1e-11 farther from (0, 0), so V's
+	// first instance has no partner.
 	q = uncertain.MustNew(0, []geom.Point{{0, 0}, {10, 0}, {0, 10}}, nil)
 	u = uncertain.MustNew(1, []geom.Point{{2 + 1e-11, 2}, {3, 3}}, nil)
 	v = uncertain.MustNew(2, []geom.Point{{2, 2}, {30, 30}}, nil)
-	silent("in-hull counterexample", geom.Euclidean, q, u, v, true)
+	edge("counterexample B", geom.Euclidean, q, u, v, true)
 }

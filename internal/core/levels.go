@@ -92,8 +92,11 @@ func (c *Checker) levelQ(o *objCache, level int) *levelBounds {
 		}
 	}
 	c.Stats.InstanceComparisons += int64(2 * len(lb.nodes) * c.query.Len())
-	lb.lbQ = ownNonNeg(lbPairs)
-	lb.ubQ = ownNonNeg(ubPairs)
+	// Each atom is the mass of a node's instances: the bounds stand for the
+	// |Q|·m instance pairs of U_Q.
+	terms := c.query.Len() * o.obj.Len()
+	lb.lbQ = ownNonNeg(lbPairs).WithTerms(terms)
+	lb.ubQ = ownNonNeg(ubPairs).WithTerms(terms)
 	lb.qOK = true
 	return lb
 }
@@ -119,6 +122,7 @@ func (c *Checker) levelPerQ(o *objCache, level int) *levelBounds {
 		return lb
 	}
 	lb.perQ = c.scratch.distPairs.Alloc(c.query.Len())
+	m := o.obj.Len() // the instances each bound stands for
 	for j := 0; j < c.query.Len(); j++ {
 		q := c.query.Instance(j)
 		lo := c.scratch.pairs.Alloc(len(lb.nodes))
@@ -128,7 +132,7 @@ func (c *Checker) levelPerQ(o *objCache, level int) *levelBounds {
 			lo[i] = distr.Pair{Dist: c.metric.MinDistRect(q, r), Prob: lb.masses[i]}
 			hi[i] = distr.Pair{Dist: c.metric.MaxDistRect(q, r), Prob: lb.masses[i]}
 		}
-		lb.perQ[j] = [2]distr.Distribution{ownNonNeg(lo), ownNonNeg(hi)}
+		lb.perQ[j] = [2]distr.Distribution{ownNonNeg(lo).WithTerms(m), ownNonNeg(hi).WithTerms(m)}
 	}
 	c.Stats.InstanceComparisons += int64(2 * len(lb.nodes) * c.query.Len())
 	lb.perQOK = true
@@ -169,12 +173,12 @@ func (c *Checker) levelDecideSSD(cu, cv *objCache) (dec, ok bool) {
 		bu := c.levelQ(cu, lvl)
 		bv := c.levelQ(cv, lvl)
 		// Pruning: LB(U) ≤st UB(V) is necessary for U_Q ≤st V_Q.
-		if !distr.StochasticLE(bu.lbQ, bv.ubQ, c.eps, &c.Stats.InstanceComparisons) {
+		if !distr.StochasticLE(bu.lbQ, bv.ubQ, &c.Stats.InstanceComparisons) {
 			return false, true
 		}
 		// Validation: UB(U) ≤st LB(V) with strictness somewhere.
-		if distr.StochasticLE(bu.ubQ, bv.lbQ, c.eps, &c.Stats.InstanceComparisons) &&
-			!distr.Equal(bu.ubQ, bv.lbQ, c.eps) {
+		if distr.StochasticLE(bu.ubQ, bv.lbQ, &c.Stats.InstanceComparisons) &&
+			!distr.Equal(bu.ubQ, bv.lbQ) {
 			return true, true
 		}
 	}
@@ -191,13 +195,13 @@ func (c *Checker) levelDecideSSSD(cu, cv *objCache) (dec, ok bool) {
 		valid := true
 		strict := false
 		for j := range bu.perQ {
-			if !distr.StochasticLE(bu.perQ[j][0], bv.perQ[j][1], c.eps, &c.Stats.InstanceComparisons) {
+			if !distr.StochasticLE(bu.perQ[j][0], bv.perQ[j][1], &c.Stats.InstanceComparisons) {
 				return false, true // pruning at instance j
 			}
 			if valid {
-				if !distr.StochasticLE(bu.perQ[j][1], bv.perQ[j][0], c.eps, &c.Stats.InstanceComparisons) {
+				if !distr.StochasticLE(bu.perQ[j][1], bv.perQ[j][0], &c.Stats.InstanceComparisons) {
 					valid = false
-				} else if !distr.Equal(bu.perQ[j][1], bv.perQ[j][0], c.eps) {
+				} else if !distr.Equal(bu.perQ[j][1], bv.perQ[j][0]) {
 					strict = true
 				}
 			}

@@ -84,7 +84,7 @@ func TestSSDCompleteness(t *testing.T) {
 		}
 		uq := distr.Between(u, q)
 		vq := distr.Between(v, q)
-		if distr.Equal(uq, vq, 1e-9) {
+		if distr.Equal(uq, vq) {
 			continue // mutual equality: no function can separate them
 		}
 		exercised++
@@ -135,14 +135,14 @@ func TestSSSDCompleteness(t *testing.T) {
 			continue
 		}
 		// Skip pairs failing only the ≠ side condition.
-		if distr.Equal(distr.Between(u, q), distr.Between(v, q), 1e-9) {
+		if distr.Equal(distr.Between(u, q), distr.Between(v, q)) {
 			continue
 		}
 		perQEqual := true
 		for j := 0; j < q.Len(); j++ {
 			uq := distr.BetweenInstance(u, q.Instance(j))
 			vq := distr.BetweenInstance(v, q.Instance(j))
-			if !distr.Equal(uq, vq, 1e-9) {
+			if !distr.Equal(uq, vq) {
 				perQEqual = false
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"spatialdom/internal/distr"
+	"spatialdom/internal/flow"
 	"spatialdom/internal/geom"
 	"spatialdom/internal/uncertain"
 )
@@ -29,19 +30,22 @@ import (
 //     order of summed distance, checked tuple by tuple against ⪯Q. Either
 //     way the pair never sorts a run, writes a row or solves a transport;
 //
-// 4a. the isolation test (isolated): an instance of more than flowEps with
-// no partner under ⪯Q fails Hall's condition, so the transport falls
-// short — found on the summary's hull distances, in sum order;
+// 4a. the isolation test (isolated): an instance of positive mass with no
+// partner under ⪯Q fails Hall's condition, so the transport leaves at
+// least its mass unshipped — found on the summary's hull distances, in sum
+// order;
 //
 //  4. the sweep: one pass per query instance over U_q and V_q sorted by
 //     distance, which decides the SS-SD scan U_q ≤st V_q (cover-based
 //     pruning: ¬SS-SD implies ¬P-SD) and, at hull instances, writes the
 //     admissibility rows of Theorem 12 — abandoned the moment a scan fails;
-//  5. the geometric in-hull exit: an instance of V inside the convex hull
-//     of Q can only be matched by a co-located instance of U;
-//  8. the exact instance transport over the rows rung 4 wrote, refused
-//     without a solve when a positive-mass instance has no admissible pair
-//     (what rung 4a finds first under StatPruning).
+//  5. the in-hull exit: an instance of V inside the convex hull of Q, which
+//     only a co-located instance can precede under ⪯Q, refutes when no
+//     row admits it (inHullExit);
+//  8. the exact instance transport over the rows rung 4 wrote: refused
+//     without a solve when a positive-mass instance has no admissible
+//     partner (what rungs 4a and 5 find first), and otherwise when it
+//     leaves more than uncertain.MassBound of the instances unshipped.
 //
 // Rungs 7 and 4a run before the sweep because the sweep is what they save;
 // a "yes" rung commutes with the "no" rungs around it (Checker.Dominates).
@@ -64,8 +68,6 @@ import (
 // own run: one merge of the two runs clears that prefix from every row, a
 // mask at a time, and no pair of instances is ever compared.
 
-const flowEps = 1e-9
-
 func (c *Checker) psd(su, sv *objCache) bool {
 	su, sv = c.summary(su), c.summary(sv)
 	if c.cfg.StatPruning && !c.perQStatLE(su, sv) {
@@ -79,25 +81,28 @@ func (c *Checker) psd(su, sv *objCache) bool {
 		c.Stats.IsolationPrunes++
 		return false
 	}
-	adm, strict, ok := c.sweep(su, sv)
+	adm, ok := c.sweep(su, sv)
 	if !ok {
 		return false
 	}
 	if c.cfg.Geometric && c.euclid && c.query.Dim() == 2 {
-		if c.inHullExit(su.obj, sv.obj) {
+		if c.inHullExit(su.obj, sv.obj, adm) {
+			c.Stats.InHullPrunes++
 			return false
 		}
 	}
-	return c.psdSolve(su, sv, adm, strict)
+	return c.psdSolve(su, sv, adm)
 }
 
 // matchValidate is rung 7's second witness, P-SD's own: Theorem 1's quantile
 // match of U and V (distr.Match's walk, on instances) along one linear
 // extension of ⪯Q, the order of matchOrder. It says "yes" when every tuple
-// has u ⪯Q v exactly, the tuples ship at least 1 − flowEps, and U_Q ≠ V_Q
-// is witnessed: by a tuple of more than flowEps that some hull instance
-// separates by more than eps, or by meansApart. Such a match is a flow over
-// the rows rung 4 would write, so rung 8 would say "yes" too; a pair whose
+// has u ⪯Q v exactly, the walk ends on the last instance of both sides —
+// so every instance of positive mass is in an admitted tuple — with at most
+// half of uncertain.MassBound of the instances left over, and U_Q ≠ V_Q is
+// witnessed by meansApart. Such a match is a flow over the rows rung 4
+// would write, which the transport's bound admits with the other half to
+// spare for its own rounding, so rung 8 would say "yes" too; a pair whose
 // walk fails goes on to the sweep. It is gated and counted like
 // coverValidate.
 //
@@ -109,58 +114,41 @@ func (c *Checker) matchValidate(su, sv *objCache) bool {
 	h := len(c.hullIdx)
 	// The first tuple pairs the two instances of least sum. Most walks that
 	// fail, fail there, before either order is built.
-	if le, _ := c.distLE(su.first, sv.first); !le {
+	if !c.admits(su.first, sv.first) {
 		c.Stats.InstanceComparisons++
 		return false
 	}
 	ou, ov := c.matchOrder(su), c.matchOrder(sv)
 	pu, pv := su.obj.Probs(), sv.obj.Probs()
+	lastU, lastV := len(ou)-1, len(ov)-1
+	half := uncertain.MassBound(len(pu)+len(pv)) / 2
 	i, j := 0, 0
 	remU, remV := pu[ou[0]], pv[ov[0]]
-	var shipped float64
-	strict := false
 	for tuples := int64(1); ; tuples++ {
-		x := min(remU, remV)
-		le, apart := c.distLE(su.hullD[int(ou[i])*h:][:h], sv.hullD[int(ov[j])*h:][:h])
-		if !le {
+		if !c.admits(su.hullD[int(ou[i])*h:][:h], sv.hullD[int(ov[j])*h:][:h]) {
 			c.Stats.InstanceComparisons += tuples
 			return false
 		}
-		strict = strict || apart && x > flowEps
-		shipped += x
 		// x is one of the two remainders, so at least one drops to zero.
-		if remU -= x; remU <= 0 {
-			if i++; i == len(ou) {
-				c.Stats.InstanceComparisons += tuples
-				break
+		x := min(remU, remV)
+		remU, remV = remU-x, remV-x
+		if remU <= 0 && i == lastU || remV <= 0 && j == lastV {
+			c.Stats.InstanceComparisons += tuples
+			if i != lastU || j != lastV || max(remU, remV) > half || !c.meansApart(su, sv) {
+				return false
 			}
+			c.Stats.CoverValidations++
+			return true
+		}
+		if remU <= 0 {
+			i++
 			remU = pu[ou[i]]
 		}
-		if remV -= x; remV <= 0 {
-			if j++; j == len(ov) {
-				c.Stats.InstanceComparisons += tuples
-				break
-			}
+		if remV <= 0 {
+			j++
 			remV = pv[ov[j]]
 		}
 	}
-	if shipped < 1-flowEps || !strict && !c.meansApart(su, sv) {
-		return false
-	}
-	c.Stats.CoverValidations++
-	return true
-}
-
-// distLE compares two instances at the hull query instances: le when du ≤ dv
-// exactly at every one, apart when some one separates them by more than eps.
-func (c *Checker) distLE(du, dv []float64) (le, apart bool) {
-	for t, d := range du {
-		if d > dv[t] {
-			return false, false
-		}
-		apart = apart || d < dv[t]-c.eps
-	}
-	return true, apart
 }
 
 // matchFirst is what the summary adds for P-SD's rungs 4a and 7, while the
@@ -168,8 +156,9 @@ func (c *Checker) distLE(du, dv []float64) (le, apart bool) {
 // every instance's distances to the hull query instances, instance after
 // instance; oc.sums, their sums; and oc.first, the distances of the
 // positive-mass instance of least sum (the earliest, on a tie). Every
-// object's sums are taken in the same order of the hull instances, and
-// rounding is monotone, so u ⪯Q v exactly implies sum(u) ≤ sum(v).
+// object's sums are taken in the same order of the hull instances, and a
+// rounded sum is monotone in each term, so u ⪯Q v, compared exactly,
+// implies sum(u) ≤ sum(v) as computed.
 //
 //nnc:hotpath
 func (c *Checker) matchFirst(oc *objCache) {
@@ -247,18 +236,19 @@ func (c *Checker) matchOrder(oc *objCache) []int32 {
 }
 
 // isolated is rung 4a, Hall's condition on one instance: Theorem 12's
-// transport can ship all the mass only if every instance of more than
-// flowEps has a partner, an instance of positive mass on the other side
-// that the rows of rung 4 admit with it. One instance without a partner
-// refutes the pair, and the search for it reads only the summary
+// transport can ship all the mass only if every instance of positive mass
+// has a partner, an instance of positive mass on the other side that the
+// rows of rung 4 admit with it. One instance without a partner refutes the
+// pair — the transport leaves at least its mass unshipped, which its
+// Isolated test refuses — and the search for it reads only the summary
 // (oc.hullD, oc.sums) and matchOrder, so it sorts no run.
 //
 // It takes V's instances in increasing sum and U's in decreasing, the ones
 // with the fewest partners first, alternating, and stops at the first
-// isolated one. A partner u of v has sum(u) ≤ (sum(v) + h·eps)·sumSlack(h),
-// so v's partners are looked for in U's order from its start up to that
-// bound, and u's in V's order from its end down to it. It is gated like
-// rung 7 and adds the pairs it compares to InstanceComparisons.
+// isolated one. A partner u of v has sum(u) ≤ sum(v) (matchFirst), so v's
+// partners are looked for in U's order from its start up to sum(v), and
+// u's in V's order from its end down to sum(u). It is gated like rung 7 and
+// adds the pairs it compares to InstanceComparisons.
 //
 //nnc:hotpath
 func (c *Checker) isolated(su, sv *objCache) bool {
@@ -266,14 +256,12 @@ func (c *Checker) isolated(su, sv *objCache) bool {
 		return false
 	}
 	ou, ov := c.matchOrder(su), c.matchOrder(sv)
-	pu, pv := su.obj.Probs(), sv.obj.Probs()
 	h := len(c.hullIdx)
-	heps, slack := float64(h)*c.eps, sumSlack(h)
 	var tests int64
 	for a, b := 0, len(ou)-1; a < len(ov) || b >= 0; a, b = a+1, b-1 {
-		if a < len(ov) && pv[ov[a]] > flowEps {
+		if a < len(ov) {
 			v := int(ov[a])
-			dv, bound, found := sv.hullD[v*h:][:h], (sv.sums[v]+heps)*slack, false
+			dv, bound, found := sv.hullD[v*h:][:h], sv.sums[v], false
 			for k := 0; k < len(ou) && !found && su.sums[ou[k]] <= bound; k++ {
 				tests++
 				found = c.admits(su.hullD[int(ou[k])*h:][:h], dv)
@@ -283,10 +271,10 @@ func (c *Checker) isolated(su, sv *objCache) bool {
 				return true
 			}
 		}
-		if b >= 0 && pu[ou[b]] > flowEps {
+		if b >= 0 {
 			u := int(ou[b])
 			du, s, found := su.hullD[u*h:][:h], su.sums[u], false
-			for k := len(ov) - 1; k >= 0 && !found && (sv.sums[ov[k]]+heps)*slack >= s; k-- {
+			for k := len(ov) - 1; k >= 0 && !found && sv.sums[ov[k]] >= s; k-- {
 				tests++
 				found = c.admits(du, sv.hullD[int(ov[k])*h:][:h])
 			}
@@ -301,33 +289,14 @@ func (c *Checker) isolated(su, sv *objCache) bool {
 }
 
 // admits is the sweep's pair test (sweepInstance) on two instances'
-// distances to the hull query instances: the pair is forbidden when
-// du > dv+eps at some hull instance.
+// distances to the hull query instances: u ⪯Q v, du ≤ dv at every one.
 func (c *Checker) admits(du, dv []float64) bool {
 	for t, d := range du {
-		if d > dv[t]+c.eps {
+		if d > dv[t] {
 			return false
 		}
 	}
 	return true
-}
-
-// sumSlack is the factor of rung 4a's bound on the sums of an instance's
-// partners: if u is admitted with v over h hull instances, then
-//
-//	sum(u) ≤ (sum(v) + h·eps)·sumSlack(h)
-//
-// in floating point, as the rung computes both sides. Proof, with
-// ε = 2⁻⁵³ and a, b the two instances' distances: admission is
-// a_t ≤ fl(b_t + eps) ≤ (b_t + eps)(1+ε) at every t, and matchFirst sums
-// both sides in the same order, so for these non-negative terms
-// sum(u) ≤ (1+ε)^(h−1)·Σa_t and sum(v) ≥ (1−ε)^(h−1)·Σb_t. Hence
-// sum(u) ≤ ((1+ε)/(1−ε))^h·(sum(v) + h·eps). The rung rounds h·eps, the
-// addition and the product once each, down by at most a factor (1−ε)
-// apiece, so the factor must be at least (1+ε)^h/(1−ε)^(h+3) ≈ 1 +
-// (2h+3)ε; 1 + (4h+8)ε, exact in floating point, is.
-func sumSlack(h int) float64 {
-	return 1 + float64(h+2)*0x1p-51
 }
 
 // sortedRun returns U_q for query instance j as atoms sorted by distance,
@@ -348,23 +317,21 @@ func (c *Checker) sortedRun(oc *objCache, j int) ([]distr.Pair, []int32) {
 }
 
 // sweepRows is what a sweep carries from one hull instance to the next: the
-// admissible and the strict pairs so far, nu rows of w words over V's
-// instances, and the two prefix masks of sweepInstance, a row wide each.
+// admissible pairs so far, nu rows of w words over V's instances, and
+// sweepInstance's forbidden-prefix mask, a row wide.
 type sweepRows struct {
-	w           int
-	adm, strict []uint64
-	out, notFar []uint64
+	w        int
+	adm, out []uint64
 }
 
 // sweep is rung 4 and the row fill of rung 8 in one pass over the query
 // instances: sweepInstance at each, on the two sorted runs. ok is false when
-// a scan refutes P-SD; otherwise adm holds exactly the pairs with u ⪯Q v
-// (within eps at every hull instance) and strict those of them some hull
-// instance separates by more than eps, both out of the scratch's row
-// buffer. The scan verdicts are used under StatPruning only; the rows are
-// complete either way.
-func (c *Checker) sweep(su, sv *objCache) (adm, strict []uint64, ok bool) {
+// a scan refutes P-SD; otherwise adm, out of the scratch's row buffer,
+// holds exactly the pairs with u ⪯Q v. The scan verdicts are used under
+// StatPruning only; the rows are complete either way.
+func (c *Checker) sweep(su, sv *objCache) (adm []uint64, ok bool) {
 	var r sweepRows
+	tol := scanBound(su, sv)
 	for j, hull := range c.isHull {
 		if !hull && !c.cfg.StatPruning {
 			continue
@@ -374,41 +341,38 @@ func (c *Checker) sweep(su, sv *objCache) (adm, strict []uint64, ok bool) {
 		}
 		us, ui := c.sortedRun(su, j)
 		vs, vi := c.sortedRun(sv, j)
-		if !c.sweepInstance(us, vs, ui, vi, c.eps, c.cfg.StatPruning, hull, &r) {
+		if !c.sweepInstance(us, vs, ui, vi, tol, c.cfg.StatPruning, hull, &r) {
 			c.Stats.StatPrunes++
 			c.Stats.ScanPrunes++
-			return nil, nil, false
+			return nil, false
 		}
 	}
-	for i := range r.adm {
-		r.strict[i] &= r.adm[i]
-	}
-	return r.adm, r.strict, true
+	return r.adm, true
 }
 
 // sweepInstance is one merge of U_q against V_q, both sorted by distance to
-// the query instance q, walking U's run and three cursors into V's. It
+// the query instance q, walking U's run and two cursors into V's. It
 // reports whether the scan holds within tol (true when scan is off).
 //
 // The scan: U_q ≤st V_q fails iff at some distance λ less mass of U than of
 // V lies within λ, and it is enough to ask just before each atom of U and
 // after the last — with the mass of V strictly nearer than that atom —
 // because between two such points U's side does not move and V's only
-// grows. The running sums are distr.StochasticLE's, term for term, and so is
-// the verdict.
+// grows. The masses compare under tol; the rest of distr.StochasticLE's
+// rule — no positive mass of V nearer than all of U's, none of U beyond all
+// of V's — is the per-query-instance statistics' min and max, which every
+// caller has compared first (rung 2 under StatPruning, or scansHold).
 //
 // The rows (hull instances): with du and dv the distances of u and v to q,
-// the instance forbids the pair when du > dv+eps and witnesses strictness
-// when du < dv−eps. For a given u the forbidden instances of V are a prefix
-// of V's run, the ones not strictly farther a longer prefix, and both only
-// grow as u moves up U's run: they are kept as masks over V's instances, and
-// each row takes one and-not and one or per word.
+// the instance forbids the pair when du > dv. For a given u the forbidden
+// instances of V are a prefix of V's run, which only grows as u moves up
+// U's run: it is kept as a mask over V's instances, and each row takes one
+// and-not per word.
 func (c *Checker) sweepInstance(us, vs []distr.Pair, ui, vi []int32, tol float64, scan, hull bool, r *sweepRows) bool {
 	var massU, massV float64
-	near, a, b := 0, 0, 0 // cursors into vs: strictly nearer, forbidden, not strictly farther
+	near, a := 0, 0 // cursors into vs: strictly nearer, forbidden
 	if hull {
 		clear(r.out)
-		clear(r.notFar)
 	}
 	for k, x := range us {
 		if scan {
@@ -416,7 +380,7 @@ func (c *Checker) sweepInstance(us, vs []distr.Pair, ui, vi []int32, tol float64
 				massV += vs[near].Prob
 			}
 			if massU < massV-tol {
-				c.Stats.InstanceComparisons += int64(k + max(near, b))
+				c.Stats.InstanceComparisons += int64(k + max(near, a))
 				return false
 			}
 			massU += x.Prob
@@ -424,21 +388,17 @@ func (c *Checker) sweepInstance(us, vs []distr.Pair, ui, vi []int32, tol float64
 		if !hull {
 			continue
 		}
-		for ; a < len(vs) && x.Dist > vs[a].Dist+c.eps; a++ {
+		for ; a < len(vs) && x.Dist > vs[a].Dist; a++ {
 			r.out[vi[a]>>6] |= 1 << (vi[a] & 63)
 		}
-		for ; b < len(vs) && !(x.Dist < vs[b].Dist-c.eps); b++ {
-			r.notFar[vi[b]>>6] |= 1 << (vi[b] & 63)
-		}
 		lo := int(ui[k]) * r.w
-		row, srow := r.adm[lo:lo+r.w], r.strict[lo:lo+r.w]
+		row := r.adm[lo : lo+r.w]
 		for t := range row {
 			row[t] &^= r.out[t]
-			srow[t] |= ^r.notFar[t]
 		}
 	}
 	if !scan {
-		c.Stats.InstanceComparisons += int64(len(us) + b)
+		c.Stats.InstanceComparisons += int64(len(us) + a)
 		return true
 	}
 	c.Stats.InstanceComparisons += int64(len(us) + len(vs))
@@ -449,27 +409,26 @@ func (c *Checker) sweepInstance(us, vs []distr.Pair, ui, vi []int32, tol float64
 }
 
 // inHullExit reports whether some positive-mass instance of V lies inside
-// the convex hull of the query without a co-located instance of U — in
-// which case no match can cover that instance and P-SD fails. (A point in
-// CH(Q) cannot be ⪯Q-dominated by any distinct point: the closed halfspace
-// bounded by their bisector that contains all of Q would have to contain
-// the point itself.) The hull is the checker's hull instances, vertices in
-// order, which are views into the query's coordinate slab.
-func (c *Checker) inHullExit(u, v *uncertain.Object) bool {
+// the convex hull of the query with no row of a positive-mass instance of
+// U admitting it — in which case no match can cover that instance and
+// P-SD fails. (A point in CH(Q) cannot be ⪯Q-dominated by any distinct
+// point: the closed halfspace bounded by their bisector that contains all
+// of Q would have to contain the point itself. So the rows admit only
+// co-located instances there, and those whose distances round to a tie.)
+// The hull is the checker's hull instances, vertices in order, which are
+// views into the query's coordinate slab.
+func (c *Checker) inHullExit(u, v *uncertain.Object, adm []uint64) bool {
+	w := flow.RowWords(v.Len())
 	for i := 0; i < v.Len(); i++ {
-		vi := v.Instance(i)
-		if v.Prob(i) <= flowEps || !geom.PointInHull2D(vi, c.hullPts) {
+		if v.Prob(i) == 0 || !geom.PointInHull2D(v.Instance(i), c.hullPts) {
 			continue
 		}
-		colocated := false
-		for j := 0; j < u.Len(); j++ {
-			if u.Prob(j) > 0 && u.Instance(j).Equal(vi) {
-				colocated = true
-				break
-			}
+		admitted := false
+		for j := 0; j < u.Len() && !admitted; j++ {
+			admitted = u.Prob(j) > 0 && adm[j*w+i>>6]&(1<<(i&63)) != 0
 		}
 		c.Stats.InstanceComparisons += int64(u.Len())
-		if !colocated {
+		if !admitted {
 			return true
 		}
 	}
@@ -477,29 +436,22 @@ func (c *Checker) inHullExit(u, v *uncertain.Object) bool {
 }
 
 // psdSolve is rung 8: Theorem 12's transport over the rows the sweep wrote.
-// A positive-mass instance with an empty row or column refutes the pair
-// without a solve (flow.Transport.Isolated); under StatPruning rung 4a has
-// already refuted every such pair. Flow matrix and solver state are the
-// checker's scratch, so repeat solves do not allocate.
-func (c *Checker) psdSolve(su, sv *objCache, adm, strict []uint64) bool {
+// A positive-mass instance with no admissible partner refutes the pair
+// without a solve (flow.Transport.Isolated; under StatPruning rung 4a has
+// already refuted every such pair), and so does a solve that leaves more
+// than uncertain.MassBound of the instances unshipped. The side condition
+// U_Q ≠ V_Q remains for a pair that ships (unequal). Flow matrix and solver
+// state are the checker's scratch, so repeat solves do not allocate.
+func (c *Checker) psdSolve(su, sv *objCache, adm []uint64) bool {
 	t := &c.scratch.transport
 	pu, pv := su.obj.Probs(), sv.obj.Probs()
-	if t.Isolated(pu, pv, adm, flowEps) {
+	if t.Isolated(pu, pv, adm) {
 		return false
 	}
 	c.Stats.FlowSolves++
-	if t.Solve(pu, pv, adm) < 1-flowEps {
+	t.Solve(pu, pv, adm)
+	if t.Unshipped() > uncertain.MassBound(len(pu)+len(pv)) {
 		return false
-	}
-	// A match exists. The side condition U_Q ≠ V_Q remains: if any matched
-	// tuple is strictly closer at some hull instance, the CDFs differ and
-	// the condition holds for free; otherwise ask the means' witness, and
-	// failing that compare the distributions.
-	// Which of the maximal assignments the solver found does not matter: a
-	// full match with a strict tuple makes some U_q, hence the mixture U_Q,
-	// differ from V's, so distr.Equal would say "different" too.
-	if t.ShipsOver(strict, flowEps) {
-		return true
 	}
 	return c.unequal(su, sv)
 }

@@ -96,7 +96,6 @@ func (sc *CheckScratch) Checker(query *uncertain.Object, op Operator, cfg Filter
 	c.query = query
 	c.op = op
 	c.cfg = cfg
-	c.eps = distr.Eps
 	c.metric = m
 	c.euclid = m == geom.Euclidean
 	c.statCut = cfg.StatPruning && (op == SSD || op == SSSD || op == PSD)
@@ -183,13 +182,11 @@ func growWords(s []uint64, n int) []uint64 {
 }
 
 // newSweepRows returns what Checker.sweep starts from: nu rows over nv
-// demand atoms with every pair admissible, as many with none strict, and the
-// two prefix masks.
+// demand atoms with every pair admissible, and the forbidden-prefix mask.
 func (sc *CheckScratch) newSweepRows(nu, nv int) sweepRows {
 	w := flow.RowWords(nv)
-	sc.sweepBits = growWords(sc.sweepBits, (2*nu+2)*w)
-	rows, masks := sc.sweepBits[:2*nu*w], sc.sweepBits[2*nu*w:]
-	r := sweepRows{w: w, adm: rows[:nu*w], strict: rows[nu*w:], out: masks[:w], notFar: masks[w:]}
+	sc.sweepBits = growWords(sc.sweepBits, (nu+1)*w)
+	r := sweepRows{w: w, adm: sc.sweepBits[:nu*w], out: sc.sweepBits[nu*w:]}
 	for i := range r.adm {
 		r.adm[i] = ^uint64(0)
 	}
@@ -198,7 +195,6 @@ func (sc *CheckScratch) newSweepRows(nu, nv int) sweepRows {
 			r.adm[i] = 1<<tail - 1
 		}
 	}
-	clear(r.strict)
 	return r
 }
 

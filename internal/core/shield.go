@@ -48,7 +48,6 @@ package core
 import (
 	"math"
 
-	"spatialdom/internal/distr"
 	"spatialdom/internal/geom"
 	"spatialdom/internal/uncertain"
 )
@@ -76,11 +75,6 @@ type AnswerShield struct {
 	// rectangles of the Theorem 4 test.
 	band []Candidate
 }
-
-// shieldSlack mirrors the tolerances the checker decides dominance under
-// (distr.Eps on statistic comparisons, tieEps on heap-key ties): the
-// necessity bound must clear both before an insert is declared harmless.
-const shieldSlack = distr.Eps + tieEps
 
 // NewAnswerShield captures what a cached answer needs to survive
 // mutations: the query's MBR and hull instances, the candidates and the
@@ -162,8 +156,11 @@ func (s *AnswerShield) ShieldsInsert(r geom.Rect) bool {
 		// as unshielded so a bad insert can never preserve a stale answer.
 		return false
 	}
-	// Condition 1: min(O_Q) >= RectMinDist(r, qmbr) > maxKey + slack
-	// means O dominates nothing in the answer.
+	// Condition 1: min(O_Q) >= RectMinDist(r, qmbr) > maxKey means O
+	// dominates nothing in the answer. The minimum statistic compares
+	// exactly, and near is no larger than any distance the summary computes
+	// from an instance in r to a query instance (the band's comment in
+	// engine.go), so no slack is needed.
 	var sq, near float64
 	if s.euclid {
 		sq = r.MinSqDistRect(s.qMBR)
@@ -171,7 +168,7 @@ func (s *AnswerShield) ShieldsInsert(r geom.Rect) bool {
 	} else {
 		near = s.metric.RectMinDist(r, s.qMBR) // farK is +Inf: sq is not read
 	}
-	if near <= s.maxKey+shieldSlack*(1+s.maxKey) {
+	if near <= s.maxKey {
 		return false
 	}
 	// Condition 2: k MBR dominators among the candidates put O outside

@@ -265,7 +265,7 @@ func (s *AnswerShield) shieldsInsertLoop(r geom.Rect) bool {
 	if len(r.Lo) != len(s.qMBR.Lo) {
 		return false
 	}
-	if s.metric.RectMinDist(r, s.qMBR) <= s.maxKey+shieldSlack*(1+s.maxKey) {
+	if s.metric.RectMinDist(r, s.qMBR) <= s.maxKey {
 		return false
 	}
 	count := 0
@@ -343,7 +343,7 @@ func TestShieldRadiusMatchesLoop(t *testing.T) {
 						if got {
 							kept++
 						}
-						if m.RectMinDist(r, s.qMBR) > s.maxKey+shieldSlack*(1+s.maxKey) {
+						if m.RectMinDist(r, s.qMBR) > s.maxKey {
 							passed++
 							if s.euclid && r.MinSqDistRect(s.qMBR) > s.farK {
 								byRadius++

@@ -31,44 +31,37 @@ func hullDists(c *Checker, o *uncertain.Object) []float64 {
 
 // instLE reports whether an instance of u is not farther than an instance
 // of v from every hull query instance (u ⪯Q v), given the two instances' rows
-// of the hull-distance matrices; strict additionally reports a strictly
-// closer hull instance.
-func instLE(c *Checker, du, dv []float64) (le, strict bool) {
+// of the hull-distance matrices.
+func instLE(du, dv []float64) bool {
 	for k, d := range du {
-		if d > dv[k]+c.eps {
-			return false, false
-		}
-		if d < dv[k]-c.eps {
-			strict = true
+		if d > dv[k] {
+			return false
 		}
 	}
-	return true, strict
+	return true
 }
 
-func refRows(c *Checker, u, v *uncertain.Object) (adm, strict []uint64) {
+func refRows(c *Checker, u, v *uncertain.Object) []uint64 {
 	hu, hv := hullDists(c, u), hullDists(c, v)
 	nu, nv, h := u.Len(), v.Len(), len(c.hullPts)
 	w := flow.RowWords(nv)
-	adm, strict = make([]uint64, nu*w), make([]uint64, nu*w)
+	adm := make([]uint64, nu*w)
 	for i := 0; i < nu; i++ {
 		for j := 0; j < nv; j++ {
-			if le, st := instLE(c, hu[i*h:(i+1)*h], hv[j*h:(j+1)*h]); le {
+			if instLE(hu[i*h:(i+1)*h], hv[j*h:(j+1)*h]) {
 				flow.SetPair(adm, w, i, j)
-				if st {
-					flow.SetPair(strict, w, i, j)
-				}
 			}
 		}
 	}
-	return adm, strict
+	return adm
 }
 
 // sweepPair draws a query and two objects of different sizes around m
 // instances in d dimensions. kind picks what the pair is there to stress:
 // independent clouds, V a pushed-out copy of U (a full match exists),
 // zero-mass instances, coincident instances within and across the objects
-// (tied distances in scans that hold), and distances sitting on the ±eps
-// thresholds of the two row predicates.
+// (tied distances in scans that hold), and distances within two ulps of
+// the row predicate's threshold du = dv.
 func sweepPair(rng *rand.Rand, d, m, kind int) (q, u, v *uncertain.Object) {
 	center := func(lo, span float64) geom.Point {
 		c := make(geom.Point, d)
@@ -133,11 +126,9 @@ func sweepPair(rng *rand.Rand, d, m, kind int) (q, u, v *uncertain.Object) {
 		}
 		pts[m], ws[m] = pushed(0, 60), 0.1
 	case 4:
-		// Around u's instances at distance ±eps, and one and two ulps either
-		// side of it, measured from the first query instance.
+		// On u's instances, and one and two ulps either side of them.
 		for j := range pts {
-			t := []float64{distr.Eps, -distr.Eps}[rng.Intn(2)]
-			p := pushed(j%m, t)
+			p := u.Instance(j % m).Clone()
 			for n := rng.Intn(5) - 2; n != 0; n -= n / max(n, -n) {
 				p[0] = math.Nextafter(p[0], p[0]+float64(n))
 			}
@@ -172,7 +163,7 @@ func TestSweepRowsMatchAllPairsFill(t *testing.T) {
 						}
 						name := fmt.Sprintf("m=%d d=%d kind=%d %+v %s", m, d, kind, cfg, metric.Name())
 						c := NewCheckerMetric(q, PSD, cfg, metric)
-						wantAdm, wantStrict := refRows(c, u, v)
+						wantAdm := refRows(c, u, v)
 						if kind == 4 {
 							onEdge += edgeHits(c, u, v)
 						}
@@ -180,18 +171,18 @@ func TestSweepRowsMatchAllPairsFill(t *testing.T) {
 						for j := 0; cfg.StatPruning && j < q.Len(); j++ {
 							uq := distr.BetweenInstanceFunc(u, q.Instance(j), metric.Dist)
 							vq := distr.BetweenInstanceFunc(v, q.Instance(j), metric.Dist)
-							scansHold = scansHold && distr.StochasticLE(uq, vq, c.eps, nil)
+							scansHold = scansHold && distr.StochasticLE(uq, vq, nil)
 						}
-						isolated := tr.Isolated(u.Probs(), v.Probs(), wantAdm, flowEps)
+						isolated := tr.Isolated(u.Probs(), v.Probs(), wantAdm)
 						open := scansHold && !isolated
 
 						su, sv := c.summaryOf(u), c.summaryOf(v)
-						adm, strict, ok := c.sweep(su, sv)
+						adm, ok := c.sweep(su, sv)
 						if ok != scansHold {
 							t.Fatalf("%s: sweep ok = %v; scans hold %v", name, ok, scansHold)
 						}
-						if ok && (!slices.Equal(adm, wantAdm) || !slices.Equal(strict, wantStrict)) {
-							t.Fatalf("%s: rows differ from the all-pairs fill\nadm    %x\nwant   %x\nstrict %x\nwant   %x", name, adm, wantAdm, strict, wantStrict)
+						if ok && !slices.Equal(adm, wantAdm) {
+							t.Fatalf("%s: rows differ from the all-pairs fill\nadm    %x\nwant   %x", name, adm, wantAdm)
 						}
 						// The sweep counts a scan prune exactly for a scan that
 						// fails, and none with the scans off.
@@ -202,15 +193,18 @@ func TestSweepRowsMatchAllPairsFill(t *testing.T) {
 						// sweep's rows it refutes, without a solve, exactly the
 						// pairs the reference rows isolate.
 						if ok {
-							exact := c.psdSolve(su, sv, adm, strict)
+							exact := c.psdSolve(su, sv, adm)
 							if isolated && exact || c.Stats.FlowSolves != int64(b2i(!isolated)) {
 								t.Fatalf("%s: reference rows isolated %v; exact test said %v after %d solves", name, isolated, exact, c.Stats.FlowSolves)
 							}
 						}
 
-						want := open && tr.Solve(u.Probs(), v.Probs(), wantAdm) >= 1-flowEps &&
-							(tr.ShipsOver(wantStrict, flowEps) ||
-								!distr.Equal(distr.BetweenFunc(u, q, metric.Dist), distr.BetweenFunc(v, q, metric.Dist), c.eps))
+						want := open
+						if want {
+							tr.Solve(u.Probs(), v.Probs(), wantAdm)
+							want = tr.Unshipped() <= uncertain.MassBound(u.Len()+v.Len()) &&
+								!distr.Equal(distr.BetweenFunc(u, q, metric.Dist), distr.BetweenFunc(v, q, metric.Dist))
+						}
 						pc := NewCheckerMetric(q, PSD, cfg, metric)
 						got := pc.psd(pc.cacheOf(u), pc.cacheOf(v))
 						if got != want {
@@ -222,11 +216,10 @@ func TestSweepRowsMatchAllPairsFill(t *testing.T) {
 							(st.StatPrunes+st.IsolationPrunes != 1 || st.ScanPrunes != 0 || st.FlowSolves != 0) {
 							t.Fatalf("%s: isolated rows reached the sweep: %+v", name, st)
 						}
-						// Away from the eps thresholds the exact scans and the
-						// eps-tolerant rows cannot disagree, and random clouds
-						// never have U_Q = V_Q: P-SD is the oracle's match.
+						// Away from the ulp-level ties, random clouds never have
+						// U_Q = V_Q: P-SD is the oracle's match.
 						if kind != 4 && metric == geom.Euclidean {
-							if oracle := oraclePSDMatch(u, v, q, c.eps); got != oracle {
+							if oracle := oraclePSDMatch(u, v, q); got != oracle {
 								t.Fatalf("%s: psd = %v, max-flow oracle %v", name, got, oracle)
 							}
 						}
@@ -246,7 +239,7 @@ func TestSweepRowsMatchAllPairsFill(t *testing.T) {
 }
 
 // edgeHits counts the (u, v, hull instance) triples whose two distances sit
-// within two ulps of one of the thresholds du = dv+eps, du = dv−eps.
+// within two ulps of the threshold du = dv.
 func edgeHits(c *Checker, u, v *uncertain.Object) int {
 	hu, hv := hullDists(c, u), hullDists(c, v)
 	h, hits := len(c.hullPts), 0
@@ -257,7 +250,7 @@ func edgeHits(c *Checker, u, v *uncertain.Object) int {
 		for j := 0; j < v.Len(); j++ {
 			for k := 0; k < h; k++ {
 				du, dv := hu[i*h+k], hv[j*h+k]
-				if near(du, dv+c.eps) || near(du, dv-c.eps) {
+				if near(du, dv) || near(dv, du) {
 					hits++
 				}
 			}

@@ -15,23 +15,44 @@ import (
 // oraclePSDMatch is an independent implementation of the Theorem 12
 // feasibility test: distances recomputed from the points, a general
 // max-flow network, no filters.
-func oraclePSDMatch(u, v, q *uncertain.Object, eps float64) bool {
-	return oraclePSDMatchMetric(u, v, q, eps, geom.Euclidean)
+func oraclePSDMatch(u, v, q *uncertain.Object) bool {
+	return oraclePSDMatchMetric(u, v, q, geom.Euclidean)
 }
 
 // oraclePSDMatchMetric is oraclePSDMatch under metric m, at every query
 // instance (no hull reduction).
-func oraclePSDMatchMetric(u, v, q *uncertain.Object, eps float64, m geom.Metric) bool {
+func oraclePSDMatchMetric(u, v, q *uncertain.Object, m geom.Metric) bool {
 	qpts := q.Points()
 	le := func(a, b geom.Point) bool {
 		for _, qp := range qpts {
-			if m.Dist(a, qp) > m.Dist(b, qp)+eps {
+			if m.Dist(a, qp) > m.Dist(b, qp) {
 				return false
 			}
 		}
 		return true
 	}
 	nu, nv := u.Len(), v.Len()
+	// Hall's condition on single instances, which masses below the
+	// network's Eps would slip past: an instance of positive mass without a
+	// partner of positive mass refutes.
+	for i := 0; i < nu; i++ {
+		found := u.Prob(i) == 0
+		for j := 0; j < nv && !found; j++ {
+			found = v.Prob(j) > 0 && le(u.Instance(i), v.Instance(j))
+		}
+		if !found {
+			return false
+		}
+	}
+	for j := 0; j < nv; j++ {
+		found := v.Prob(j) == 0
+		for i := 0; i < nu && !found; i++ {
+			found = u.Prob(i) > 0 && le(u.Instance(i), v.Instance(j))
+		}
+		if !found {
+			return false
+		}
+	}
 	g := flow.NewNetwork(nu + nv + 2)
 	s, t := 0, nu+nv+1
 	for i := 0; i < nu; i++ {
@@ -47,7 +68,7 @@ func oraclePSDMatchMetric(u, v, q *uncertain.Object, eps float64, m geom.Metric)
 			}
 		}
 	}
-	return g.MaxFlow(s, t) >= 1-1e-9
+	return g.MaxFlow(s, t) >= 1-1e-12
 }
 
 // Wide objects (48–77 instances a side, rows one and two words wide) get
@@ -67,7 +88,7 @@ func TestPSDWideObjectsMatchFlowOracle(t *testing.T) {
 		// Disable filters so the exact network path always runs.
 		c := NewChecker(q, PSD, FilterConfig{})
 		got := c.Dominates(u, v)
-		matchable := oraclePSDMatch(u, v, q, 1e-9)
+		matchable := oraclePSDMatch(u, v, q)
 		// P-SD = matchable AND U_Q != V_Q; random float data never ties.
 		if got != matchable {
 			t.Fatalf("iter %d (m=%d): checker %v, oracle %v", iter, m, got, matchable)
@@ -168,7 +189,7 @@ func requireExactVerdict(t *testing.T, q, u, v *uncertain.Object) {
 		st.StatPrunes+st.MBRValidations+st.CoverValidations+st.LevelDecisions != 0 {
 		t.Fatalf("P-SD(%d,%d) was decided before the exact test: %+v", u.ID(), v.ID(), st)
 	}
-	if want := oraclePSDMatch(u, v, q, 1e-9); got != want {
+	if want := oraclePSDMatch(u, v, q); got != want {
 		t.Fatalf("P-SD(%d,%d) = %v, max-flow oracle %v", u.ID(), v.ID(), got, want)
 	}
 }
@@ -184,8 +205,8 @@ func TestPSDExactWideObjectsAllocFree(t *testing.T) {
 		c := NewChecker(q, PSD, AllFilters)
 		su, sv := c.summaryOf(u), c.summaryOf(v)
 		exact := func() bool {
-			adm, strict, ok := c.sweep(su, sv)
-			return ok && c.psdSolve(su, sv, adm, strict)
+			adm, ok := c.sweep(su, sv)
+			return ok && c.psdSolve(su, sv, adm)
 		}
 		if !exact() {
 			t.Fatalf("m = %d: the pushed-out copy must be P-SD-dominated", m)
@@ -210,7 +231,7 @@ func TestPSDHasNoCoarseRung(t *testing.T) {
 		with, without := NewChecker(q, PSD, AllFilters), NewChecker(q, PSD, off)
 		for _, p := range [][2]*uncertain.Object{{u, pushed}, {pushed, u}, {u, cloud}, {cloud, u}} {
 			got := with.Dominates(p[0], p[1])
-			if want := oraclePSDMatch(p[0], p[1], q, 1e-9); got != want || without.Dominates(p[0], p[1]) != want {
+			if want := oraclePSDMatch(p[0], p[1], q); got != want || without.Dominates(p[0], p[1]) != want {
 				t.Fatalf("m = %d: P-SD(%d,%d) = %v with LevelByLevel, max-flow oracle %v", m, p[0].ID(), p[1].ID(), got, want)
 			}
 		}

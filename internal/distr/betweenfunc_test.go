@@ -30,7 +30,7 @@ func TestBetweenFuncMatchesBetween(t *testing.T) {
 	if l1.Min() != 7 {
 		t.Fatalf("L1 min = %g, want 7", l1.Min())
 	}
-	if Equal(l1, l2, 1e-9) {
+	if Equal(l1, l2) {
 		t.Fatal("L1 and L2 distributions should differ")
 	}
 }
@@ -63,12 +63,12 @@ func TestEqualDifferentSupports(t *testing.T) {
 	// Atoms present on only one side with non-negligible mass.
 	a := MustFromPairs([]Pair{{1, 0.5}, {2, 0.5}})
 	b := MustFromPairs([]Pair{{1, 0.5}, {3, 0.5}})
-	if Equal(a, b, 1e-9) {
+	if Equal(a, b) {
 		t.Fatal("different supports compare equal")
 	}
 	// One-sided leftovers after the shared prefix.
 	c := MustFromPairs([]Pair{{1, 0.5}})
-	if Equal(a, c, 1e-9) || Equal(c, a, 1e-9) {
+	if Equal(a, c) || Equal(c, a) {
 		t.Fatal("sub-distribution compares equal")
 	}
 	if math.Abs(a.TotalProb()-1) > 1e-12 {

@@ -20,10 +20,14 @@ import (
 	"spatialdom/internal/uncertain"
 )
 
-// Eps is the default tolerance used when comparing accumulated probability
-// mass, so that floating-point rounding never flips a dominance verdict on
-// exactly tied mass.
-const Eps = 1e-9
+// The comparison rule. Distances are the float64s Summarize stores and are
+// compared exactly. Accumulated probability mass is compared under
+// uncertain.MassBound of the number of atoms summed, and under nothing
+// else; a single atom's mass is compared exactly. A scan therefore fails
+// where one side's mass falls short of the other's by more than the bound,
+// and also wherever a positive atom of one side lies beyond every positive
+// atom of the other — a shortfall no rounding can cause, and the one the
+// min and max statistics (Stat.LE) read.
 
 // Pair is one atom of a distribution: a value (a distance) with its
 // probability.
@@ -36,7 +40,20 @@ type Pair struct {
 // by non-decreasing value. The zero value is an empty distribution.
 type Distribution struct {
 	pairs []Pair
+	terms int // probabilities summed into the atoms when above len(pairs)
 }
+
+// WithTerms returns d marked as standing for n probabilities summed into
+// its atoms — an atom that is itself the mass of many instances counts
+// each — so that a scan or Equal compares its mass under the MassBound of
+// the probabilities summed, not of the atoms.
+func (d Distribution) WithTerms(n int) Distribution {
+	d.terms = n
+	return d
+}
+
+// summed is the number of probabilities summed into d's atoms.
+func (d Distribution) summed() int { return max(d.terms, len(d.pairs)) }
 
 var errBadProb = errors.New("distr: probabilities must be finite and non-negative")
 
@@ -126,11 +143,28 @@ func BetweenInstanceFunc(u *uncertain.Object, q geom.Point, dist func(a, b geom.
 // so it must not move a statistic that claims to be necessary for one.
 type Stat struct{ Min, Mean, Max float64 }
 
-// LE reports whether every statistic of s is within eps of being no larger
-// than t's — the necessary condition for s's distribution to be
-// stochastically no larger than t's.
-func (s Stat) LE(t Stat, eps float64) bool {
-	return s.Min <= t.Min+eps && s.Mean <= t.Mean+eps && s.Max <= t.Max+eps
+// LE reports whether s's statistics are ordered against t's, for two
+// distributions of n atoms in all: the necessary condition for s's
+// distribution to be stochastically no larger than t's (StochasticLE).
+// Min and Max compare exactly, as the scan's extremes do; the means
+// compare under MeanBound.
+func (s Stat) LE(t Stat, n int) bool {
+	return s.Min <= t.Min && s.Max <= t.Max && s.Mean <= t.Mean+MeanBound(n, t.Max)
+}
+
+// MeanBound is how far the means Summarize computes of two distributions
+// of n atoms in all, with values in [0, mx], can lie apart the wrong way
+// when StochasticLE holds, or either way when Equal holds. With u = 2⁻⁵³
+// and B = MassBound(n) = 2n·u: a scan that holds keeps each exact CDF gap
+// within B + n·u (its own sums' rounding), and the totals within 2·
+// MassBound(n+1) of each other, so the exact means, ∫(M − F) over [0, mx],
+// move at most mx·(B + n·u + 2·MassBound(n+1)) = mx·(7n+4)·u; Equal's
+// per-value gaps, at most n values of them, move them at most mx·(n·B +
+// 2n·u). Computing the two means errs by at most mx·(n + 2|Q| + 4)·u with
+// 2|Q| ≤ n. Both sums stay below mx·(n+4)·MassBound(n+1) = mx·(2n² + 10n
+// + 8)·u for every n ≥ 2, with room for the rounding of this product.
+func MeanBound(n int, mx float64) float64 {
+	return mx * float64(n+4) * uncertain.MassBound(n+1)
 }
 
 // Summarize is the one pass over the |Q|·m instance pairs of u and q that
@@ -298,9 +332,10 @@ func (d Distribution) Quantile(phi float64) float64 {
 		panic("distr: Quantile phi=" + strconv.FormatFloat(phi, 'g', -1, 64) + " outside (0,1]")
 	}
 	var cum float64
+	bound := uncertain.MassBound(len(d.pairs))
 	for _, p := range d.pairs {
 		cum += p.Prob
-		if cum >= phi-Eps {
+		if cum >= phi-bound {
 			return p.Dist
 		}
 	}
@@ -320,9 +355,10 @@ func (d Distribution) CDF(x float64) float64 {
 }
 
 // Equal reports whether two distributions carry the same probability mass at
-// the same values, merging atoms with equal values and comparing with eps
-// tolerance.
-func Equal(x, y Distribution, eps float64) bool {
+// the same values, merging atoms with equal values and comparing the masses
+// under MassBound of the probabilities summed into both.
+func Equal(x, y Distribution) bool {
+	bound := uncertain.MassBound(x.summed() + y.summed())
 	i, j := 0, 0
 	for i < len(x.pairs) || j < len(y.pairs) {
 		var v float64
@@ -343,7 +379,7 @@ func Equal(x, y Distribution, eps float64) bool {
 			py += y.pairs[j].Prob
 			j++
 		}
-		if math.Abs(px-py) > eps {
+		if math.Abs(px-py) > bound {
 			return false
 		}
 	}
@@ -351,18 +387,22 @@ func Equal(x, y Distribution, eps float64) bool {
 }
 
 // StochasticLE reports whether X ≤st Y: Pr(X <= λ) >= Pr(Y <= λ) for every
-// λ. Both distributions must carry (approximately) the same total mass for
-// the comparison to be meaningful. The check is a single merge scan over the
+// λ, under the package's comparison rule — the masses within λ compared
+// under MassBound of the probabilities summed into both, and no positive atom of Y below
+// every positive one of X, or of X above every positive one of Y. Both
+// distributions must carry the same total mass (within the bound) for the
+// comparison to be meaningful. The check is a single merge scan over the
 // sorted atoms — O(|X| + |Y|) after sorting, matching Section 5.1.1.
 //
 // The number of atoms the scan consumed — the instance comparisons of the
 // filtering ablation (Appendix C) — is added to *consumed when it is non-nil.
-func StochasticLE(x, y Distribution, eps float64, consumed *int64) bool {
+func StochasticLE(x, y Distribution, consumed *int64) bool {
 	xs, ys := x.pairs, y.pairs
+	bound := uncertain.MassBound(x.summed() + y.summed())
 	i, j := 0, 0
 	var cumX, cumY float64
-	le := true
-	for i < len(xs) || j < len(ys) {
+	le := posMax(xs) <= posMax(ys)
+	for le && (i < len(xs) || j < len(ys)) {
 		var v float64
 		switch {
 		case i >= len(xs):
@@ -380,15 +420,26 @@ func StochasticLE(x, y Distribution, eps float64, consumed *int64) bool {
 			cumY += ys[j].Prob
 			j++
 		}
-		if cumX < cumY-eps {
-			le = false
-			break
-		}
+		// A sum of non-negative floats is zero only if every term is, so
+		// cumX == 0 < cumY is Y's positive mass below all of X's, exactly.
+		le = !(cumX < cumY-bound || cumX == 0 && cumY > 0)
 	}
 	if consumed != nil {
 		*consumed += int64(i + j)
 	}
 	return le
+}
+
+// posMax returns the value of the last atom of positive mass in sorted
+// atoms, −Inf when there is none: the max statistic of Stat, which a scan
+// compares exactly.
+func posMax(pairs []Pair) float64 {
+	for k := len(pairs) - 1; k >= 0; k-- {
+		if pairs[k].Prob > 0 {
+			return pairs[k].Dist
+		}
+	}
+	return math.Inf(-1)
 }
 
 // MatchTuple is one tuple t⟨x, y, p⟩ of a match between two distributions:
@@ -402,8 +453,8 @@ type MatchTuple struct {
 // every tuple satisfies value(x) <= value(y). ok is false when X ≤st Y does
 // not hold (no such match exists). The construction visits the atoms of both
 // distributions in non-decreasing order, splitting atoms as needed.
-func Match(x, y Distribution, eps float64) (match []MatchTuple, ok bool) {
-	if !StochasticLE(x, y, eps, nil) {
+func Match(x, y Distribution) (match []MatchTuple, ok bool) {
+	if !StochasticLE(x, y, nil) {
 		return nil, false
 	}
 	i, j := 0, 0

@@ -140,13 +140,13 @@ func TestEqual(t *testing.T) {
 	b := MustFromPairs([]Pair{{1, 0.25}, {1, 0.25}, {2, 0.5}}) // split atom
 	c := MustFromPairs([]Pair{{1, 0.5}, {2.5, 0.5}})
 	d := MustFromPairs([]Pair{{1, 0.6}, {2, 0.4}})
-	if !Equal(a, b, Eps) {
+	if !Equal(a, b) {
 		t.Fatal("split atoms must compare equal")
 	}
-	if Equal(a, c, Eps) || Equal(a, d, Eps) {
+	if Equal(a, c) || Equal(a, d) {
 		t.Fatal("different distributions compare equal")
 	}
-	if !Equal(Distribution{}, Distribution{}, Eps) {
+	if !Equal(Distribution{}, Distribution{}) {
 		t.Fatal("empty distributions must be equal")
 	}
 }
@@ -154,20 +154,20 @@ func TestEqual(t *testing.T) {
 func TestStochasticLEBasic(t *testing.T) {
 	x := dist(1, 2, 3)
 	y := dist(2, 3, 4)
-	if !StochasticLE(x, y, Eps, nil) {
+	if !StochasticLE(x, y, nil) {
 		t.Fatal("shifted-up distribution must dominate")
 	}
-	if StochasticLE(y, x, Eps, nil) {
+	if StochasticLE(y, x, nil) {
 		t.Fatal("reverse must fail")
 	}
 	// Crossing CDFs: neither dominates.
 	u := dist(1, 10)
 	v := dist(4, 5)
-	if StochasticLE(u, v, Eps, nil) || StochasticLE(v, u, Eps, nil) {
+	if StochasticLE(u, v, nil) || StochasticLE(v, u, nil) {
 		t.Fatal("crossing CDFs must be incomparable")
 	}
 	// Reflexive.
-	if !StochasticLE(x, x, Eps, nil) {
+	if !StochasticLE(x, x, nil) {
 		t.Fatal("X <=st X must hold")
 	}
 }
@@ -181,10 +181,10 @@ func TestStochasticLEPaperFigure3(t *testing.T) {
 	A := MustFromPairs([]Pair{{1, 0.25}, {2, 0.25}, {4, 0.25}, {5, 0.25}})
 	B := MustFromPairs([]Pair{{2, 0.25}, {3, 0.25}, {5, 0.25}, {6, 0.25}})
 	C := MustFromPairs([]Pair{{1.5, 0.25}, {2.5, 0.25}, {7, 0.25}, {8, 0.25}})
-	if !StochasticLE(A, B, Eps, nil) || !StochasticLE(A, C, Eps, nil) {
+	if !StochasticLE(A, B, nil) || !StochasticLE(A, C, nil) {
 		t.Fatal("A must stochastically dominate B and C")
 	}
-	if StochasticLE(B, C, Eps, nil) || StochasticLE(C, B, Eps, nil) {
+	if StochasticLE(B, C, nil) || StochasticLE(C, B, nil) {
 		t.Fatal("B and C must be incomparable")
 	}
 }
@@ -193,7 +193,7 @@ func TestStochasticLECountsComparisons(t *testing.T) {
 	x := dist(1, 2, 3)
 	y := dist(4, 5, 6)
 	var n int64
-	StochasticLE(x, y, Eps, &n)
+	StochasticLE(x, y, &n)
 	if n != int64(x.Len()+y.Len()) {
 		t.Fatalf("comparisons = %d, want %d", n, x.Len()+y.Len())
 	}
@@ -220,8 +220,8 @@ func TestMatchEquivalentToStochasticOrder(t *testing.T) {
 	for iter := 0; iter < 2000; iter++ {
 		x := randDist(1 + rng.Intn(8))
 		y := randDist(1 + rng.Intn(8))
-		le := StochasticLE(x, y, Eps, nil)
-		m, ok := Match(x, y, Eps)
+		le := StochasticLE(x, y, nil)
+		m, ok := Match(x, y)
 		if ok != le {
 			t.Fatalf("iter %d: Match ok=%v but StochasticLE=%v", iter, ok, le)
 		}
@@ -275,7 +275,7 @@ func TestStableAggregatesRespectOrder(t *testing.T) {
 		}
 		x := MustFromPairs(pairsX)
 		y := MustFromPairs(pairsY)
-		if !StochasticLE(x, y, Eps, nil) {
+		if !StochasticLE(x, y, nil) {
 			continue
 		}
 		tested++
@@ -307,9 +307,9 @@ func TestStochasticLETransitive(t *testing.T) {
 			return MustFromPairs(pairs)
 		}
 		x, y, z := mk(0), mk(2), mk(4)
-		if StochasticLE(x, y, Eps, nil) && StochasticLE(y, z, Eps, nil) {
+		if StochasticLE(x, y, nil) && StochasticLE(y, z, nil) {
 			tested++
-			if !StochasticLE(x, z, Eps, nil) {
+			if !StochasticLE(x, z, nil) {
 				t.Fatalf("transitivity violated")
 			}
 		}

@@ -112,7 +112,7 @@ func TestMergeRunsMatchesWeightedSort(t *testing.T) {
 					if mc.name == "distinct" && !slices.Equal(got, want) {
 						t.Fatalf("|Q|=%d m=%d: distinct distances, yet the merge's order is not the sort's", nq, m)
 					}
-					if !Equal(mg, st, 0) {
+					if !Equal(mg, st) {
 						t.Fatalf("%s |Q|=%d m=%d: merged and sorted U_Q differ", mc.name, nq, m)
 					}
 					merged, sorted = append(merged, mg), append(sorted, st)
@@ -124,12 +124,12 @@ func TestMergeRunsMatchesWeightedSort(t *testing.T) {
 				for a := range merged {
 					for b := range merged {
 						var nm, ns int64
-						le := StochasticLE(merged[a], merged[b], Eps, &nm)
-						if le != StochasticLE(sorted[a], sorted[b], Eps, &ns) || nm != ns {
+						le := StochasticLE(merged[a], merged[b], &nm)
+						if le != StochasticLE(sorted[a], sorted[b], &ns) || nm != ns {
 							t.Fatalf("%s |Q|=%d m=%d pair (%d,%d): StochasticLE differs or consumes differently", mc.name, nq, m, a, b)
 						}
-						eq := Equal(merged[a], merged[b], Eps)
-						if eq != Equal(sorted[a], sorted[b], Eps) {
+						eq := Equal(merged[a], merged[b])
+						if eq != Equal(sorted[a], sorted[b]) {
 							t.Fatalf("%s |Q|=%d m=%d pair (%d,%d): Equal differs", mc.name, nq, m, a, b)
 						}
 						if a != b {

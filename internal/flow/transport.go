@@ -33,6 +33,7 @@ type Transport struct {
 	// each was reached from, the demand atom each supply atom was reached
 	// back through (−1 for a root), and the queue of supply atoms.
 	seenV []uint64
+	posV  []uint64 // Isolated: the demand atoms of positive mass
 	fromU []int32
 	viaV  []int32
 	queue []int32
@@ -57,15 +58,20 @@ func (t *Transport) size(nu, nv int) {
 		t.d = make([]float64, nv)
 		t.fromU = make([]int32, nv)
 		t.seenV = make([]uint64, RowWords(nv))
+		t.posV = make([]uint64, RowWords(nv))
 	}
-	t.d, t.fromU, t.seenV = t.d[:nv], t.fromU[:nv], t.seenV[:RowWords(nv)]
+	t.d, t.fromU = t.d[:nv], t.fromU[:nv]
+	t.seenV, t.posV = t.seenV[:RowWords(nv)], t.posV[:RowWords(nv)]
 }
 
 // Solve ships as much mass as the admissible pairs allow and returns the
-// total, leaving the assignment readable through Flow. rows holds
-// len(supply) rows of RowWords(len(demand)) words each; bits at or beyond
-// len(demand) must be clear. Residuals at or below Eps count as empty,
-// exactly as in Network.MaxFlow.
+// total, leaving the assignment readable through Flow and what is left
+// through Unshipped. rows holds len(supply) rows of RowWords(len(demand))
+// words each; bits at or beyond len(demand) must be clear. A residual is
+// empty when it is exactly zero: every push takes the whole of its
+// bottleneck, which a − a leaves at exactly zero, so each augmentation
+// saturates an arc as in exact arithmetic and shortest paths bound their
+// number as they do there.
 //
 //nnc:hotpath
 func (t *Transport) Solve(supply, demand []float64, rows []uint64) float64 {
@@ -83,10 +89,10 @@ func (t *Transport) Solve(supply, demand []float64, rows []uint64) float64 {
 	var total float64
 	for i := 0; i < nu; i++ {
 		row, fi := rows[i*w:(i+1)*w], f[i*nv:(i+1)*nv]
-		for wi := 0; wi < w && s[i] > Eps; wi++ {
-			for word := row[wi]; word != 0 && s[i] > Eps; word &= word - 1 {
+		for wi := 0; wi < w && s[i] > 0; wi++ {
+			for word := row[wi]; word != 0 && s[i] > 0; word &= word - 1 {
 				j := wi<<6 | bits.TrailingZeros64(word)
-				if x := min(s[i], d[j]); x > Eps {
+				if x := min(s[i], d[j]); x > 0 {
 					fi[j] += x
 					s[i] -= x
 					d[j] -= x
@@ -97,7 +103,7 @@ func (t *Transport) Solve(supply, demand []float64, rows []uint64) float64 {
 	}
 	for {
 		x := t.augment(rows, w)
-		if x <= Eps {
+		if x == 0 {
 			return total
 		}
 		total += x
@@ -116,7 +122,7 @@ func (t *Transport) augment(rows []uint64, w int) float64 {
 	clear(seenV)
 	queue := t.queue[:0]
 	for i := 0; i < nu; i++ {
-		if s[i] > Eps {
+		if s[i] > 0 {
 			viaV[i] = -1
 			queue = append(queue, int32(i))
 		} else {
@@ -135,14 +141,14 @@ func (t *Transport) augment(rows []uint64, w int) float64 {
 			for ; fresh != 0; fresh &= fresh - 1 {
 				j := wi<<6 | bits.TrailingZeros64(fresh)
 				fromU[j] = int32(i)
-				if d[j] > Eps {
+				if d[j] > 0 {
 					t.queue = queue
 					return t.push(j)
 				}
 				// Demand atom j is full: its mass can be taken back from
 				// any supply atom shipping to it.
 				for i2 := 0; i2 < nu; i2++ {
-					if viaV[i2] == -2 && f[i2*nv+j] > Eps {
+					if viaV[i2] == -2 && f[i2*nv+j] > 0 {
 						viaV[i2] = int32(j)
 						queue = append(queue, int32(i2))
 					}
@@ -187,44 +193,52 @@ func (t *Transport) push(end int) float64 {
 // atom j.
 func (t *Transport) Flow(i, j int) float64 { return t.f[i*t.nv+j] }
 
-// ShipsOver reports whether the last solve ships more than eps over some
-// pair of the given bitset (shaped like the rows it solved).
-func (t *Transport) ShipsOver(pairs []uint64, eps float64) bool {
-	w := RowWords(t.nv)
-	for i := 0; i < t.nu; i++ {
-		fi := t.f[i*t.nv : (i+1)*t.nv]
-		for wi, word := range pairs[i*w : (i+1)*w] {
-			for ; word != 0; word &= word - 1 {
-				if j := wi<<6 | bits.TrailingZeros64(word); fi[j] > eps {
-					return true
-				}
-			}
-		}
+// Unshipped returns what the last solve left on the fuller side: the larger
+// of the supply and the demand it did not ship, each summed over its atoms.
+// A sum of non-negative floats is monotone in every term, so it is at least
+// the mass of any one atom left whole.
+func (t *Transport) Unshipped() float64 {
+	var s, d float64
+	for _, x := range t.s {
+		s += x
 	}
-	return false
+	for _, x := range t.d {
+		d += x
+	}
+	return max(s, d)
 }
 
-// Isolated reports whether some atom carrying more than eps of mass has no
-// admissible pair: a supply atom whose row is empty, or a demand atom whose
-// column is. Its mass cannot reach the other side, so Solve would fall short
-// of the total by more than eps; asking first saves the solve.
-func (t *Transport) Isolated(supply, demand []float64, rows []uint64, eps float64) bool {
+// Isolated reports whether some atom of positive mass has no admissible
+// pair with a positive-mass atom of the other side. Its mass cannot ship,
+// so Solve would leave at least that much unshipped; asking first saves
+// the solve.
+func (t *Transport) Isolated(supply, demand []float64, rows []uint64) bool {
 	t.size(len(supply), len(demand))
-	cols := t.seenV // the union of the rows
+	pos, cols := t.posV, t.seenV // cols: what rows of positive supply reach
+	clear(pos)
 	clear(cols)
 	w := len(cols)
+	for j, p := range demand {
+		if p > 0 {
+			pos[j>>6] |= 1 << (j & 63)
+		}
+	}
 	for i, p := range supply {
+		if p == 0 {
+			continue
+		}
 		var any uint64
 		for wi, word := range rows[i*w : (i+1)*w] {
+			word &= pos[wi]
 			cols[wi] |= word
 			any |= word
 		}
-		if any == 0 && p > eps {
+		if any == 0 {
 			return true
 		}
 	}
-	for j, p := range demand {
-		if p > eps && cols[j>>6]&(1<<(j&63)) == 0 {
+	for wi, word := range pos {
+		if word&^cols[wi] != 0 {
 			return true
 		}
 	}

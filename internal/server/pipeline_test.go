@@ -322,3 +322,32 @@ func referenceDecode(t *testing.T, c ObjectJSON) *uncertain.Object {
 	}
 	return o
 }
+
+// TestShardQueryRefusesUnnormalizedProbs: probabilities sent as normalized
+// must sum to one within uncertain.MassBound — half a unit is a 400 naming
+// the sum, not a query that silently never dominates — while the same
+// vector as weights is normalized and served.
+func TestShardQueryRefusesUnnormalizedProbs(t *testing.T) {
+	ds := datagen.Generate(datagen.Params{N: 40, M: 4, Seed: 141}) // dim 3
+	srv, err := New(ds.Objects)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		body   string
+		status int
+	}{
+		{`{"instances":[[1,2,3],[4,5,6]],"probs":[0.25,0.25],"normalized":true,"operator":"PSD"}`, 400},
+		{`{"instances":[[1,2,3],[4,5,6]],"probs":[0.25,0.25],"operator":"PSD"}`, 200},
+		{`{"instances":[[1,2,3],[4,5,6]],"probs":[0.5,0.5],"normalized":true,"operator":"PSD"}`, 200},
+	} {
+		rec := do(t, srv, http.MethodPost, "/shard/query", tc.body)
+		if rec.Code != tc.status {
+			t.Errorf("%s: status %d, want %d (%s)", tc.body, rec.Code, tc.status, rec.Body)
+			continue
+		}
+		if tc.status == 400 && (errCode(t, rec) != "bad_request" || !strings.Contains(rec.Body.String(), "sum")) {
+			t.Errorf("%s: %s, want a bad_request naming the sum", tc.body, rec.Body)
+		}
+	}
+}

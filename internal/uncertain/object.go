@@ -35,6 +35,7 @@ var (
 	ErrDimMismatch   = errors.New("uncertain: instances disagree in dimensionality")
 	ErrBadWeight     = errors.New("uncertain: weights must be finite and non-negative")
 	ErrZeroMass      = errors.New("uncertain: total weight mass must be positive")
+	ErrNotNormalized = errors.New("uncertain: probabilities must sum to one")
 	ErrBadCoordinate = errors.New("uncertain: coordinates must be finite")
 	ErrWeightCount   = errors.New("uncertain: weight count must match instance count")
 )
@@ -130,6 +131,24 @@ func flatten(pts []geom.Point) (probs, coords []float64, err error) {
 	return slab[:m:m], slab[m:], nil
 }
 
+// MassBound is the one tolerance on probability mass: the most that
+// rounding can move a sum of n probabilities whose exact total is at most
+// one, n·2⁻⁵². Everything that compares accumulated mass — the stochastic
+// scans, distr.Equal, the transport's shipped total — compares it under
+// this bound and nothing else; distances and single masses compare exactly.
+//
+// Derivation, with u = 2⁻⁵³ the unit roundoff: summing k non-negative terms
+// left to right errs by at most (k−1)·u times their exact sum (each of the
+// k−1 additions rounds its partial sum, which is at most the total, by at
+// most u relatively), to first order. So two such sums over n terms in all
+// — the two sides of a scan, say — are each within (n−2)·u of their exact
+// values, and the objects New makes carry a total within m·u of one (each
+// w_i/Σw rounds by at most u relatively, and Σw by (m−1)·u), so that
+// their probabilities, summed in any order, come to within (2m−1)·u of one.
+// n·2⁻⁵² = 2n·u exceeds both, and the spare u covers the second-order terms
+// for any n below 2²⁶.
+func MassBound(n int) float64 { return float64(n) * 0x1p-52 }
+
 // FromNormalized builds an object from instances whose probabilities are
 // already normalized, copying the probability bits verbatim — no ÷mass
 // renormalization. This is the wire-decode constructor: a router
@@ -137,8 +156,9 @@ func flatten(pts []geom.Point) (probs, coords []float64, err error) {
 // exact float64 values the shard engine computed with, and New's
 // renormalization (w/Σw with Σw ≈ 1 but rarely exactly 1) would perturb
 // the low bits and with them every downstream dominance decision. The
-// probabilities must be finite and non-negative with a positive sum, which
-// is otherwise trusted, and Mass reports 1. Instance slices are copied.
+// probabilities must be finite and non-negative and sum to one within
+// MassBound(len(probs)) — every object New makes does — and Mass reports 1.
+// Instance slices are copied.
 func FromNormalized(id int, pts []geom.Point, probs []float64) (*Object, error) {
 	if len(pts) == 0 {
 		return nil, ErrNoInstances
@@ -161,7 +181,7 @@ func FromNormalized(id int, pts []geom.Point, probs []float64) (*Object, error) 
 // are views into coords, so neither may be touched afterwards. Like
 // FromNormalized it keeps the probability bits verbatim and reports Mass 1.
 // Coordinates must be finite, probabilities finite and non-negative with a
-// positive sum.
+// sum within MassBound(len(probs)) of one.
 func FromSlabs(id, dim int, coords, probs []float64) (*Object, error) {
 	if len(probs) == 0 {
 		return nil, ErrNoInstances
@@ -183,6 +203,9 @@ func FromSlabs(id, dim int, coords, probs []float64) (*Object, error) {
 	}
 	if mass <= 0 {
 		return nil, ErrZeroMass
+	}
+	if math.Abs(mass-1) > MassBound(len(probs)) {
+		return nil, fmt.Errorf("%w: the sum is %v", ErrNotNormalized, mass)
 	}
 	return newFlat(id, dim, coords, probs, 1), nil
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -144,6 +145,7 @@ func TestFromNormalizedAndFromSlabs(t *testing.T) {
 		{"nan probability", 1, []float64{0}, []float64{nan}, ErrBadWeight},
 		{"inf probability", 1, []float64{0}, []float64{inf}, ErrBadWeight},
 		{"zero mass", 1, []float64{0, 1}, []float64{0, 0}, ErrZeroMass},
+		{"half a unit", 1, []float64{0, 1}, []float64{0.25, 0.25}, ErrNotNormalized},
 	}
 	for _, c := range cases {
 		if _, err := FromSlabs(0, c.dim, c.coords, c.probs); !errors.Is(err, c.want) {
@@ -158,6 +160,49 @@ func TestFromNormalizedAndFromSlabs(t *testing.T) {
 	}
 	if _, err := FromNormalized(0, []geom.Point{{}}, []float64{1}); !errors.Is(err, ErrDimMismatch) {
 		t.Errorf("FromNormalized zero-dim: err = %v", err)
+	}
+}
+
+// FromSlabs accepts a sum within MassBound(m) of one and refuses one ulp
+// past it, on either side. Every partial sum below is exact, so the sums are
+// 1 ± 4·2⁻⁵², the bound for m = 4, and one ulp further out.
+func TestFromSlabsAtTheMassBound(t *testing.T) {
+	for _, c := range []struct {
+		first float64 // the other three probabilities are ¼
+		ok    bool
+	}{
+		{0.25 + 0x1p-50, true},
+		{0.25 + 5*0x1p-52, false},
+		{0.25 - 0x1p-50, true},
+		{0.25 - 9*0x1p-53, false},
+	} {
+		probs := []float64{c.first, 0.25, 0.25, 0.25}
+		sum := ((probs[0] + probs[1]) + probs[2]) + probs[3]
+		if d := math.Abs(sum - 1); c.ok != (d <= MassBound(4)) || d == 0 {
+			t.Fatalf("probabilities %v sum to %v: not the case the table means", probs, sum)
+		}
+		_, err := FromSlabs(0, 1, []float64{0, 1, 2, 3}, probs)
+		if c.ok != (err == nil) || err != nil && !errors.Is(err, ErrNotNormalized) {
+			t.Errorf("sum 1%+g: err = %v, want accepted %v", sum-1, err, c.ok)
+		}
+	}
+}
+
+// Every object New makes passes FromSlabs' test, whatever its weights: up
+// to 4 096 instances, weights spread over twenty orders of magnitude.
+func TestNewObjectsAreNormalized(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	for iter := 0; iter < 300; iter++ {
+		m := 1 + rng.Intn([]int{4, 64, 4096}[iter%3])
+		pts, ws := make([]geom.Point, m), make([]float64, m)
+		for i := range pts {
+			pts[i] = geom.Point{rng.Float64()}
+			ws[i] = math.Exp(46 * (rng.Float64() - 0.5))
+		}
+		o := MustNew(iter, pts, ws)
+		if _, err := FromSlabs(iter, 1, slices.Clone(o.Coords()), slices.Clone(o.Probs())); err != nil {
+			t.Fatalf("m = %d: %v", m, err)
+		}
 	}
 }
 
