@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"spatialdom/internal/distr"
 	"spatialdom/internal/geom"
 	"spatialdom/internal/uncertain"
@@ -71,8 +73,7 @@ func (c *Checker) Operator() Operator { return c.op }
 //     cover-based pruning, and the admissibility rows of rung 8 (P-SD),
 //     which P-SD's rung 4a precedes: an instance of positive mass without
 //     a partner under ⪯Q refutes off the summary (isolated);
-//  5. the in-hull exit (P-SD): the same refutation for an instance of V
-//     inside the query's hull, read off the rows;
+//  5. (the in-hull exit, now rung 8's partner test);
 //  6. level-by-level bounds on the local R-trees (S-SD, SS-SD);
 //  7. cover validation on the summary (coverValidate): F-SD at the hull
 //     instances or, for S-SD, the SS-SD scans, with a witness U_Q ≠ V_Q;
@@ -80,7 +81,7 @@ func (c *Checker) Operator() Operator { return c.op }
 //     summed distance (matchValidate);
 //  8. the exact test: the sorted-atom scan, or the Theorem 12 max-flow.
 //
-// Rungs 1, 2, 4, 4a and 5 can only answer "no", rungs 3 and 7 only "yes", so
+// Rungs 1, 2, 4 and 4a can only answer "no", rungs 3 and 7 only "yes", so
 // their order never changes a verdict, only what it costs — provided a "no"
 // rung placed before a validation cannot fire on a pair the validation
 // would have accepted. It cannot: validation holds when every instance of U
@@ -114,22 +115,33 @@ func (c *Checker) Dominates(u, v *uncertain.Object) bool {
 
 // sd is Dominates on two caches, the way a search's tie batch asks.
 //
+// Every verdict keeps the key order: a dominator's min(U_Q) is no larger
+// than the dominated object's, compared exactly. Algorithm 1's heap, its
+// tie batch and the answer shield rely on it (engine.go, shield.go). Rung 1
+// asks it, and the scans of S-SD and SS-SD imply it; but P-SD's rows,
+// F-SD's and rung 3's hull instances and F+SD's per-dimension sums imply
+// it in real arithmetic only — the minimum may lie at a query instance off
+// the hull, or round an ulp the other way — so without rung 1 it is asked
+// on its own. The search's band asks decide directly: its members were
+// popped first, in key order.
+//
 //nnc:hotpath
 func (c *Checker) sd(su, sv *objCache) bool {
 	c.Stats.DominanceChecks++
+	su, sv = c.summary(su), c.summary(sv)
 	if c.statCut {
-		su, sv = c.summary(su), c.summary(sv)
 		if !su.stat.LE(sv.stat, len(su.runs)+len(sv.runs)) {
 			c.Stats.StatPrunes++
 			return false
 		}
+	} else if su.stat.Min > sv.stat.Min {
+		return false
 	}
 	return c.decide(su, sv)
 }
 
 // decide is sd past rung 1, which the band scan answers from its own
-// slabs (engine.go). A cache whose summary a rung needs is summarised there,
-// so a pair an MBR decides never reads its instances.
+// slabs (engine.go). Both askers hand it summarised caches.
 func (c *Checker) decide(su, sv *objCache) bool {
 	switch c.op {
 	case SSD:
@@ -373,7 +385,6 @@ func (c *Checker) ssd(su, sv *objCache) bool {
 	if c.mbrValidate(su, sv, true) {
 		return true
 	}
-	su, sv = c.summary(su), c.summary(sv)
 	if c.cfg.LevelByLevel {
 		if dec, ok := c.levelDecideSSD(su, sv); ok {
 			c.Stats.LevelDecisions++
@@ -392,7 +403,6 @@ func (c *Checker) ssd(su, sv *objCache) bool {
 // --- SS-SD --------------------------------------------------------------------
 
 func (c *Checker) sssd(su, sv *objCache) bool {
-	su, sv = c.summary(su), c.summary(sv)
 	if c.cfg.StatPruning && !c.perQStatLE(su, sv) {
 		c.Stats.StatPrunes++
 		return false
@@ -424,7 +434,6 @@ func (c *Checker) fsd(su, sv *objCache) bool {
 	if c.mbrValidate(su, sv, false) {
 		return true
 	}
-	su, sv = c.summary(su), c.summary(sv)
 	for j, a := range su.perQStat {
 		c.Stats.InstanceComparisons++
 		if a.Max > sv.perQStat[j].Min {
@@ -454,7 +463,7 @@ type rectPred struct {
 }
 
 // far is the largest distance from q to a point of r, near the smallest —
-// squared under L2, where only their order matters. Rectangle domination is
+// squared under L2, where le reads their order. Rectangle domination is
 // a component-wise comparison of a's far vector against b's near vector
 // over the hull query instances (Emrich, Kriegel & Züfle).
 func (p *rectPred) far(q geom.Point, r geom.Rect) float64 {
@@ -483,9 +492,8 @@ func (p *rectPred) nearDist(q geom.Point, r geom.Rect) float64 {
 
 // within is one component of the far ≤ near comparison: whether a's far distance f
 // from a query instance is no larger than b's near distance n, recording in
-// strict a component where it is smaller. Both askers — le on two
-// rectangles, band.dominatesRect on the band's far slab — fold it over the
-// hull query instances.
+// strict a component where it is smaller. band.dominatesRect folds it over
+// the hull query instances on the band's far slab.
 func within(f, n float64, strict *bool) bool {
 	if f < n {
 		*strict = true
@@ -496,12 +504,19 @@ func within(f, n float64, strict *bool) bool {
 // le reports whether every point of a is at least as close as every point
 // of b to every hull query instance (the MBR-level u ⪯Q v test), with a
 // strictness witness and the number of query instances it looked at.
+// Under L2 far and near are squares. "≤" between two squares survives the
+// square roots the summary's distances are (rounding is monotone), but a
+// gap may round away there, so a component is strict only where the roots
+// differ: the roots bound every instance distance the summary computes
+// from q into a and into b (band's comment in engine.go).
 func (p *rectPred) le(a, b geom.Rect) (le, strict bool, compared int) {
 	for _, q := range p.hullPts {
 		compared++
-		if !within(p.far(q, a), p.near(q, b), &strict) {
+		f, n := p.far(q, a), p.near(q, b)
+		if f > n {
 			return false, false, compared
 		}
+		strict = strict || f < n && (!p.euclid || math.Sqrt(f) < math.Sqrt(n))
 	}
 	return true, strict, compared
 }

@@ -401,38 +401,11 @@ func TestOperatorString(t *testing.T) {
 func TestStatsAdd(t *testing.T) {
 	a := Stats{InstanceComparisons: 1, DominanceChecks: 2, MBRValidations: 3, StatPrunes: 4,
 		LevelDecisions: 5, FlowSolves: 6, HeapPops: 7, EntryPrunes: 8, ScanPrunes: 9, ObjectPrunes: 10,
-		CoverValidations: 11, IsolationPrunes: 12, InHullPrunes: 13}
+		CoverValidations: 11, IsolationPrunes: 12}
 	b := a
 	a.Add(b)
 	if a.InstanceComparisons != 2 || a.EntryPrunes != 16 || a.FlowSolves != 12 || a.ScanPrunes != 18 || a.ObjectPrunes != 20 ||
-		a.CoverValidations != 22 || a.IsolationPrunes != 24 || a.InHullPrunes != 26 {
+		a.CoverValidations != 22 || a.IsolationPrunes != 24 {
 		t.Fatalf("Add wrong: %+v", a)
-	}
-}
-
-// The in-hull exit (rung 5) counts what it refutes, and only that: V's
-// instance at (2, 2) lies inside the query's hull with no partner. Under
-// StatPruning an earlier rung takes the same pair first; without it the
-// exit does, before any solve.
-func TestInHullExitCounted(t *testing.T) {
-	q := uncertain.MustNew(0, []geom.Point{{0, 0}, {10, 0}, {0, 10}}, nil)
-	u := uncertain.MustNew(1, []geom.Point{{20, 20}}, nil)
-	v := uncertain.MustNew(2, []geom.Point{{2, 2}, {30, 30}}, nil)
-	for _, tc := range []struct {
-		cfg    FilterConfig
-		inHull int64
-	}{{FilterConfig{Geometric: true}, 1}, {AllFilters, 0}, {FilterConfig{}, 0}} {
-		c := NewChecker(q, PSD, tc.cfg)
-		if c.Dominates(u, v) {
-			t.Fatalf("%+v: U dominates V, whose instance in the hull has no partner", tc.cfg)
-		}
-		if st := c.Stats; st.InHullPrunes != tc.inHull || tc.inHull == 1 && st.FlowSolves != 0 {
-			t.Fatalf("%+v: counted %+v, want %d in-hull prunes", tc.cfg, st, tc.inHull)
-		}
-	}
-	// A pair whose in-hull instance has its copy for a partner passes on.
-	c := NewChecker(q, PSD, FilterConfig{Geometric: true})
-	if !c.Dominates(uncertain.MustNew(1, []geom.Point{{2, 2}, {20, 20}}, nil), v) || c.Stats.InHullPrunes != 0 {
-		t.Fatalf("copy in the hull: counted %+v", c.Stats)
 	}
 }

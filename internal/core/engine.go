@@ -19,7 +19,7 @@ package core
 // Ties. Objects whose exact keys coincide could pop in either order, so
 // they are drained into one batch and each member counts dominators over
 // band ∪ batch: a batch member's true dominators all have keys <= the
-// batch key (the min statistic compares exactly, distr.Stat.LE) and
+// batch key (every verdict keeps the key order exactly, Checker.sd) and
 // therefore sit in the band or the batch, and any counted dominator — band
 // or not — witnesses a true domination.
 

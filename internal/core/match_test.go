@@ -206,4 +206,32 @@ func TestMatchWitnessEdges(t *testing.T) {
 			}
 		}
 	}
+
+	// What the walk leaves over: one instance each, U's at distance 1 and
+	// V's at 2, with totals each within its own MassBound(1) of one. The
+	// walk ships V's whole mass and leaves U's excess, which it takes up to
+	// half of MassBound(2) and no more; the transport, which tolerates all
+	// of it, says yes either way.
+	for _, tc := range []struct {
+		pu, pv float64
+		fires  bool
+	}{{1 + 0x1p-52, 1, true}, {1 + 0x1p-52, 1 - 0x1p-52, false}} {
+		u, err := uncertain.FromSlabs(1, 2, []float64{1, 0}, []float64{tc.pu})
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := uncertain.FromSlabs(2, 2, []float64{2, 0}, []float64{tc.pv})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := NewChecker(origin, PSD, AllFilters)
+		if got := c.matchValidate(c.summaryOf(u), c.summaryOf(v)); got != tc.fires {
+			t.Errorf("%v left over: the walk fired %v, want %v", tc.pu-tc.pv, got, tc.fires)
+		}
+		for _, cfg := range []FilterConfig{AllFilters, {}} {
+			if !NewChecker(origin, PSD, cfg).Dominates(u, v) {
+				t.Errorf("%v left over, %+v: U does not dominate V", tc.pu-tc.pv, cfg)
+			}
+		}
+	}
 }

@@ -111,8 +111,8 @@ type FilterConfig struct {
 	// distance distributions, Theorem 11) and cover-based pruning ("P").
 	StatPruning bool
 	// Geometric enables the geometric techniques ("G"): restriction of
-	// dominance tests to the query's convex hull, the in-hull early exit
-	// for P-SD, and MBR cover validation (Theorem 4).
+	// dominance tests to the query's convex hull and MBR cover validation
+	// (Theorem 4).
 	Geometric bool
 }
 
@@ -129,7 +129,7 @@ type Stats struct {
 	// InstanceComparisons counts the instance distances evaluated (once per
 	// object, when it is summarised), the atoms consumed by stochastic-order
 	// scans and by P-SD's sweeps of the sorted runs, and the rectangle and
-	// in-hull tests of the geometric rungs — the metric reported by
+	// rectangle tests of the geometric rungs — the metric reported by
 	// Figure 16. No rung compares instances pair by pair any more, so under
 	// P-SD the count is not comparable with one taken before PR 26.
 	InstanceComparisons int64
@@ -161,10 +161,6 @@ type Stats struct {
 	// DominanceChecks. Without StatPruning the exact test finds the same
 	// pairs on its rows and counts them nowhere else either.
 	IsolationPrunes int64
-	// InHullPrunes counts P-SD checks refuted by the in-hull exit (rung 5,
-	// under Geometric): an instance of V inside the query's hull that no
-	// row admits. They too are in no other counter but DominanceChecks.
-	InHullPrunes int64
 	// LevelDecisions counts checks decided at a non-leaf local-tree level.
 	LevelDecisions int64
 	// FlowSolves counts max-flow invocations (P-SD).
@@ -192,7 +188,6 @@ func (s *Stats) Add(other Stats) {
 	s.StatPrunes += other.StatPrunes
 	s.ScanPrunes += other.ScanPrunes
 	s.IsolationPrunes += other.IsolationPrunes
-	s.InHullPrunes += other.InHullPrunes
 	s.LevelDecisions += other.LevelDecisions
 	s.FlowSolves += other.FlowSolves
 	s.HeapPops += other.HeapPops

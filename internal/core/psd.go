@@ -5,8 +5,6 @@ import (
 	"slices"
 
 	"spatialdom/internal/distr"
-	"spatialdom/internal/flow"
-	"spatialdom/internal/geom"
 	"spatialdom/internal/uncertain"
 )
 
@@ -39,13 +37,13 @@ import (
 //     distance, which decides the SS-SD scan U_q ≤st V_q (cover-based
 //     pruning: ¬SS-SD implies ¬P-SD) and, at hull instances, writes the
 //     admissibility rows of Theorem 12 — abandoned the moment a scan fails;
-//  5. the in-hull exit: an instance of V inside the convex hull of Q, which
-//     only a co-located instance can precede under ⪯Q, refutes when no
-//     row admits it (inHullExit);
 //  8. the exact instance transport over the rows rung 4 wrote: refused
 //     without a solve when a positive-mass instance has no admissible
-//     partner (what rungs 4a and 5 find first), and otherwise when it
-//     leaves more than uncertain.MassBound of the instances unshipped.
+//     partner (what rung 4a finds first), and otherwise when it leaves
+//     more than uncertain.MassBound of the instances unshipped. Rung 5,
+//     the in-hull exit, was that partner test for an instance of V inside
+//     the query's hull on the same rows, so rung 8's is all that is left
+//     of it.
 //
 // Rungs 7 and 4a run before the sweep because the sweep is what they save;
 // a "yes" rung commutes with the "no" rungs around it (Checker.Dominates).
@@ -69,7 +67,6 @@ import (
 // mask at a time, and no pair of instances is ever compared.
 
 func (c *Checker) psd(su, sv *objCache) bool {
-	su, sv = c.summary(su), c.summary(sv)
 	if c.cfg.StatPruning && !c.perQStatLE(su, sv) {
 		c.Stats.StatPrunes++
 		return false
@@ -84,12 +81,6 @@ func (c *Checker) psd(su, sv *objCache) bool {
 	adm, ok := c.sweep(su, sv)
 	if !ok {
 		return false
-	}
-	if c.cfg.Geometric && c.euclid && c.query.Dim() == 2 {
-		if c.inHullExit(su.obj, sv.obj, adm) {
-			c.Stats.InHullPrunes++
-			return false
-		}
 	}
 	return c.psdSolve(su, sv, adm)
 }
@@ -406,33 +397,6 @@ func (c *Checker) sweepInstance(us, vs []distr.Pair, ui, vi []int32, tol float64
 		massV += vs[near].Prob
 	}
 	return !(massU < massV-tol)
-}
-
-// inHullExit reports whether some positive-mass instance of V lies inside
-// the convex hull of the query with no row of a positive-mass instance of
-// U admitting it — in which case no match can cover that instance and
-// P-SD fails. (A point in CH(Q) cannot be ⪯Q-dominated by any distinct
-// point: the closed halfspace bounded by their bisector that contains all
-// of Q would have to contain the point itself. So the rows admit only
-// co-located instances there, and those whose distances round to a tie.)
-// The hull is the checker's hull instances, vertices in order, which are
-// views into the query's coordinate slab.
-func (c *Checker) inHullExit(u, v *uncertain.Object, adm []uint64) bool {
-	w := flow.RowWords(v.Len())
-	for i := 0; i < v.Len(); i++ {
-		if v.Prob(i) == 0 || !geom.PointInHull2D(v.Instance(i), c.hullPts) {
-			continue
-		}
-		admitted := false
-		for j := 0; j < u.Len() && !admitted; j++ {
-			admitted = u.Prob(j) > 0 && adm[j*w+i>>6]&(1<<(i&63)) != 0
-		}
-		c.Stats.InstanceComparisons += int64(u.Len())
-		if !admitted {
-			return true
-		}
-	}
-	return false
 }
 
 // psdSolve is rung 8: Theorem 12's transport over the rows the sweep wrote.

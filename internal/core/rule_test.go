@@ -22,6 +22,7 @@ func TestFilterConfigsAgreeAtTheRule(t *testing.T) {
 
 	origin := uncertain.MustNew(0, []geom.Point{{0, 0}}, nil)
 	tri := uncertain.MustNew(0, []geom.Point{{0, 0}, {10, 0}, {0, 10}}, nil)
+	quad := uncertain.MustNew(0, []geom.Point{{0, 0}, {200, 0}, {100, 200}, {54.20342084195679, 54.78224869580793}}, nil)
 	pts := func(ps ...float64) []geom.Point {
 		out := make([]geom.Point, len(ps)/2)
 		for i := range out {
@@ -58,7 +59,7 @@ func TestFilterConfigsAgreeAtTheRule(t *testing.T) {
 			obj(1, pts(2+1e-11, 2, 3, 3)), obj(2, pts(2, 2, 30, 30)),
 			map[Operator]bool{PSD: false}},
 		// B with U's second instance at (1, 2.5): the statistics and the
-		// scans hold, so only ⪯Q itself — rungs 4a, 5, 7 and 8 — sees that
+		// scans hold, so only ⪯Q itself — rungs 4a, 7 and 8 — sees that
 		// nothing partners V's (2, 2).
 		{"counterexample B past the statistics", tri,
 			obj(1, pts(2+1e-11, 2, 1, 2.5)), obj(2, pts(2, 2, 30, 30)),
@@ -87,6 +88,18 @@ func TestFilterConfigsAgreeAtTheRule(t *testing.T) {
 			uncertain.MustNew(1, pts(5, 5, 5, 5, 8, 8), []float64{1, 2, 1}),
 			uncertain.MustNew(2, pts(5, 5, 9, 9), []float64{3, 1}),
 			map[Operator]bool{SSD: true, SSSD: true, PSD: true, FSD: false}},
+		// Under L2, F+SD's per-dimension sums accept U over V, but U's
+		// distance to the origin rounds one ulp above V's: the key order
+		// (Checker.sd) refutes.
+		{"F+SD over keys an ulp apart", origin,
+			obj(1, pts(6.227283173637045, 3.696928436398219)), obj(2, pts(2.368225468054852, 6.843817919916428)),
+			map[Operator]bool{SSD: false, SSSD: false, PSD: false, FSD: false, FPlusSD: false}},
+		// V is U moved by an ulp in each coordinate, and every distance the
+		// summary takes rounds to U's, so U_Q = V_Q. Under L2 the MBR test's
+		// squares differ at the hull instances; their roots do not.
+		{"twin whose squares differ and distances do not", quad,
+			obj(1, pts(57.136106947917895, 57.57760358006369)), obj(2, pts(57.13610694791789, 57.577603580063695)),
+			map[Operator]bool{SSD: false, SSSD: false, PSD: false}},
 		{"coincident objects", tri,
 			uncertain.MustNew(1, pts(5, 5, 8, 8), []float64{3, 1}),
 			uncertain.MustNew(2, pts(8, 8, 5, 5), []float64{1, 3}),

@@ -27,7 +27,7 @@ package core
 //     and the operator that produced it.
 //
 //     Under the Euclidean metric the usual verdict takes one O(d) distance:
-//     farK is the k-th smallest MaxSqDistRect(candidate MBR, query MBR),
+//     farK is the k-th smallest MaxDistRect(candidate MBR, query MBR),
 //     and an O whose MBR lies farther than that from the query MBR is
 //     strictly dominated by those k candidates at every hull instance.
 //
@@ -64,10 +64,10 @@ type AnswerShield struct {
 	// object whose MBR lower bound exceeds it cannot dominate anything in
 	// the answer.
 	maxKey float64
-	// farK is the k-th smallest MaxSqDistRect(candidate MBR, query MBR),
-	// the squared distance of the farthest pair of points: an inserted MBR
-	// whose squared distance to the query MBR exceeds it is strictly
-	// dominated by k candidates (see ShieldsInsert). It is +Inf, so the
+	// farK is the k-th smallest MaxDistRect(candidate MBR, query MBR), the
+	// distance of the farthest pair of points: an inserted MBR whose
+	// distance to the query MBR exceeds it is strictly dominated by k
+	// candidates (see ShieldsInsert). It is +Inf, so the
 	// radius never decides, with fewer than k candidates, under F+SD, or
 	// off the Euclidean metric.
 	farK float64
@@ -113,7 +113,7 @@ func NewAnswerShield(q *uncertain.Object, op Operator, m geom.Metric, k int, can
 		for _, c := range cands {
 			far = keepNearest(far, k, c.Object.MBR().MaxSqDistRect(s.qMBR))
 		}
-		s.farK = far[k-1]
+		s.farK = math.Sqrt(far[k-1])
 	}
 	return s
 }
@@ -157,27 +157,23 @@ func (s *AnswerShield) ShieldsInsert(r geom.Rect) bool {
 		return false
 	}
 	// Condition 1: min(O_Q) >= RectMinDist(r, qmbr) > maxKey means O
-	// dominates nothing in the answer. The minimum statistic compares
-	// exactly, and near is no larger than any distance the summary computes
-	// from an instance in r to a query instance (the band's comment in
-	// engine.go), so no slack is needed.
-	var sq, near float64
-	if s.euclid {
-		sq = r.MinSqDistRect(s.qMBR)
-		near = math.Sqrt(sq) // = geom.Euclidean.RectMinDist(r, s.qMBR)
-	} else {
-		near = s.metric.RectMinDist(r, s.qMBR) // farK is +Inf: sq is not read
-	}
+	// dominates nothing in the answer. Every verdict keeps the key order —
+	// a dominator's min(U_Q) is no larger than the dominated object's,
+	// compared exactly (Checker.sd) — and near is no larger than any
+	// distance the summary computes from an instance in r to a query
+	// instance (the band's comment in engine.go), so no slack is needed.
+	near := s.metric.RectMinDist(r, s.qMBR)
 	if near <= s.maxKey {
 		return false
 	}
 	// Condition 2: k MBR dominators among the candidates put O outside
 	// the band. First by radius: every hull instance q lies in qMBR, so
 	// for the k candidates c inside farK, far(q,c) ≤ MaxSqDistRect(c, qMBR)
-	// ≤ farK < sq ≤ near(q,r). Both outer steps hold per dimension before
-	// the sum, and rounding is monotone, so they hold in float64 too: le
-	// with strictness at every q, k times over.
-	if sq > s.farK {
+	// ≤ farK² and near² ≤ near(q,r), in squares; both steps hold per
+	// dimension before the sum, and rounding (square roots included) is
+	// monotone, so farK < near puts the roots of far(q,c) and near(q,r)
+	// apart: le with strictness at every q, k times over. (+Inf off L2.)
+	if near > s.farK {
 		return true
 	}
 	count := 0

@@ -311,8 +311,8 @@ func TestShieldRadiusMatchesLoop(t *testing.T) {
 					for _, cand := range base.Candidates {
 						b.push(c, c.summaryOf(cand.Object), k)
 					}
-					if want := bandRadius(c, base.Candidates, k); b.radius != want || b.radius > math.Sqrt(s.farK) {
-						t.Fatalf("d=%d %v k=%d %v: band radius %v, want %v within the shield's sqrt(%v)",
+					if want := bandRadius(c, base.Candidates, k); b.radius != want || b.radius > s.farK {
+						t.Fatalf("d=%d %v k=%d %v: band radius %v, want %v within the shield's %v",
 							d, op, k, m, b.radius, want, s.farK)
 					}
 					for i := 0; i < 1900; i++ {
@@ -322,8 +322,8 @@ func TestShieldRadiusMatchesLoop(t *testing.T) {
 						}
 						got, want := s.ShieldsInsert(r), s.shieldsInsertLoop(r)
 						if got != want {
-							t.Fatalf("d=%d %v k=%d %v: rect %v: radius verdict %v, loop %v (farK %v, sq %v)",
-								d, op, k, m, r, got, want, s.farK, r.MinSqDistRect(s.qMBR))
+							t.Fatalf("d=%d %v k=%d %v: rect %v: radius verdict %v, loop %v (farK %v, near %v)",
+								d, op, k, m, r, got, want, s.farK, m.RectMinDist(r, s.qMBR))
 						}
 						key := m.RectMinDist(r, s.qMBR) // the engine's heap key for r
 						if b.beyond(key) {
@@ -345,7 +345,7 @@ func TestShieldRadiusMatchesLoop(t *testing.T) {
 						}
 						if m.RectMinDist(r, s.qMBR) > s.maxKey {
 							passed++
-							if s.euclid && r.MinSqDistRect(s.qMBR) > s.farK {
+							if s.euclid && m.RectMinDist(r, s.qMBR) > s.farK {
 								byRadius++
 							}
 							if edge {
@@ -420,8 +420,8 @@ func atBandRadius(rng *rand.Rand, q geom.Rect, radius float64) geom.Rect {
 }
 
 // shieldProbe draws the i-th test rectangle for s, cycling through six
-// shapes. edge reports a rect whose squared distance to the query MBR is
-// within one ulp of s.farK.
+// shapes. edge reports a rect whose distance to the query MBR is within one
+// ulp of s.farK.
 func shieldProbe(rng *rand.Rand, s *AnswerShield, i int) (r geom.Rect, edge bool) {
 	q := s.qMBR
 	d := len(q.Lo)
@@ -462,13 +462,13 @@ func shieldProbe(rng *rand.Rand, s *AnswerShield, i int) (r geom.Rect, edge bool
 		}
 		return r, false
 	case 4: // on the radius: overlap q in every dimension but one, and sit
-		// sqrt(farK) beyond it there, nudged a few ulps either way
+		// farK beyond it there, nudged a few ulps either way
 		if math.IsInf(s.farK, 1) {
 			return box(150, 20), false
 		}
 		r = around()
 		j := rng.Intn(d)
-		r.Lo[j] = q.Hi[j] + math.Sqrt(s.farK)
+		r.Lo[j] = q.Hi[j] + s.farK
 		for n := rng.Intn(7) - 3; n != 0; {
 			if n > 0 {
 				r.Lo[j], n = math.Nextafter(r.Lo[j], math.Inf(1)), n-1
@@ -477,8 +477,8 @@ func shieldProbe(rng *rand.Rand, s *AnswerShield, i int) (r geom.Rect, edge bool
 			}
 		}
 		r.Hi[j] = r.Lo[j] + rng.Float64()*5
-		sq := r.MinSqDistRect(q)
-		return r, sq == s.farK || sq == math.Nextafter(s.farK, 0) || sq == math.Nextafter(s.farK, math.Inf(1))
+		near := r.MinDistRect(q)
+		return r, near == s.farK || near == math.Nextafter(s.farK, 0) || near == math.Nextafter(s.farK, math.Inf(1))
 	default: // a non-finite coordinate, near or far
 		r = box(150, 20)
 		if rng.Intn(2) == 0 {
@@ -500,5 +500,42 @@ func shieldProbe(rng *rand.Rand, s *AnswerShield, i int) (r geom.Rect, edge bool
 			r.Lo[j], r.Hi[j] = math.Inf(-1), math.Inf(-1)
 		}
 		return r, false
+	}
+}
+
+// The key order at an ulp (Checker.sd). Under L2, F+SD's per-dimension
+// sums accept U over V although U's distance to the query rounds one ulp
+// above V's, so no verdict lets U dominate V: the search and the oracle
+// agree on {U, V}, and a shield over the answer on {V} that keeps it when
+// U is inserted keeps what the search then returns.
+func TestShieldInsertKeyOrderAtAnUlp(t *testing.T) {
+	q := uncertain.MustNew(0, []geom.Point{{0, 0}}, nil)
+	u := uncertain.MustNew(1, []geom.Point{{6.227283173637045, 3.696928436398219}}, nil)
+	v := uncertain.MustNew(2, []geom.Point{{2.368225468054852, 6.843817919916428}}, nil)
+	c := NewChecker(q, FPlusSD, AllFilters)
+	if du, dv := c.MinPairDist(u), c.MinPairDist(v); du != math.Nextafter(dv, math.Inf(1)) || !geom.FSDMBR(u.MBR(), v.MBR(), q.MBR()) {
+		t.Fatalf("keys %v and %v are not an ulp apart under an F+SD verdict", du, dv)
+	}
+	if c.Dominates(u, v) {
+		t.Fatal("U dominates V with the larger key")
+	}
+	onV, err := NewIndex([]*uncertain.Object{v})
+	if err != nil {
+		t.Fatal(err)
+	}
+	onUV, err := NewIndex([]*uncertain.Object{u, v})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 1; k <= 2; k++ {
+		base := searchK(onV, q, FPlusSD, k, SearchOptions{Filters: AllFilters})
+		after := searchK(onUV, q, FPlusSD, k, SearchOptions{Filters: AllFilters})
+		want := idsOf(BruteForceK([]*uncertain.Object{u, v}, q, FPlusSD, k, AllFilters))
+		if got := idsOf(after.Objects()); !slices.Equal(got, want) {
+			t.Fatalf("k=%d: search %v, oracle %v", k, got, want)
+		}
+		if NewAnswerShield(q, FPlusSD, geom.Euclidean, k, base.Candidates).ShieldsInsert(u.MBR()) && !sameCandidates(base, after) {
+			t.Fatalf("k=%d: the shield kept %v, the search after the insert gives %v", k, base.IDs(), after.IDs())
+		}
 	}
 }

@@ -206,7 +206,7 @@ func TestSweepRowsMatchAllPairsFill(t *testing.T) {
 								!distr.Equal(distr.BetweenFunc(u, q, metric.Dist), distr.BetweenFunc(v, q, metric.Dist))
 						}
 						pc := NewCheckerMetric(q, PSD, cfg, metric)
-						got := pc.psd(pc.cacheOf(u), pc.cacheOf(v))
+						got := pc.psd(pc.summaryOf(u), pc.summaryOf(v))
 						if got != want {
 							t.Fatalf("%s: psd = %v, reference rows give %v", name, got, want)
 						}
