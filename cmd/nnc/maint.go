@@ -56,9 +56,9 @@ func fsck(fs *flag.FlagSet, args []string, out, _ io.Writer) error {
 	}
 	fmt.Fprintf(out, "structure: epoch %d, %d tree + %d store pages, %d free, %d live objects, %s\n",
 		srep.Epoch, srep.TreePages, srep.StorePages, srep.FreePages, srep.LiveObjects, dead)
-	if srep.WALRecords > 0 || srep.WALTorn > 0 {
-		fmt.Fprintf(out, "wal: %d records, %d committed transactions pending replay, %d torn bytes\n",
-			srep.WALRecords, srep.WALCommitted, srep.WALTorn)
+	if srep.WALRecords > 0 || srep.WALTorn > 0 || srep.WALStale > 0 {
+		fmt.Fprintf(out, "wal: %d records, %d committed transactions pending replay, %d torn bytes, %d bytes of older generations\n",
+			srep.WALRecords, srep.WALCommitted, srep.WALTorn, srep.WALStale)
 	}
 	for _, f := range srep.Findings {
 		fmt.Fprintf(out, "finding: %s\n", f)
@@ -84,8 +84,8 @@ func rewrite(fs *flag.FlagSet, args []string, out, _ io.Writer) error {
 	return nil
 }
 
-// checkpoint flushes every committed page into the page file and
-// truncates the WAL, so the page file alone carries the index.
+// checkpoint flushes every committed page into the page file and trims
+// the WAL to its header, so the page file alone carries the index.
 func checkpoint(fs *flag.FlagSet, args []string, out, _ io.Writer) error {
 	frames := fs.Int("frames", 128, "buffer pool frames")
 	if err := parse(fs, args, 1); err != nil {

@@ -13,11 +13,13 @@ import (
 )
 
 // The kill-point sweep: run one write transaction against a WAL whose
-// backing file dies at byte offset K, for K stepped across the whole
-// transaction, and require that recovery lands on exactly the
+// backing file dies after K bytes of writes, for K stepped across the
+// whole transaction, and require that recovery lands on exactly the
 // pre-transaction or the post-transaction state — never a mixture, never
 // an unopenable file. This is the executable form of the commit
-// protocol's central claim (DESIGN.md §2d).
+// protocol's central claim (DESIGN.md §2d). The sweeps run over a log
+// holding only its header, and over recycled logs whose older generations
+// left records where the transaction lands.
 
 func copyFile(t *testing.T, src, dst string) {
 	t.Helper()
@@ -70,9 +72,28 @@ func setsEqual(a, b map[int]bool) bool {
 	return true
 }
 
-// sweepOne copies the base file, opens it with a WAL that crashes at
-// limit, runs op (one transaction), kills the process state without a
-// checkpoint, reopens cleanly, and classifies the recovered state.
+// crashAfter opens the base's work copy with a WAL that dies after budget
+// bytes of writes.
+func crashAfter(budget int64) *MutableOptions {
+	return &MutableOptions{
+		Frames:   32,
+		WALLimit: -1, // no auto-checkpoint: the WAL alone carries the commit
+		WALWrap:  func(f *os.File) wal.File { return wal.NewCrashFile(f, budget) },
+	}
+}
+
+// crash drops a mutable index the way a dead process does: the raw files
+// close; no checkpoint, no pool flush. The page file holds whatever the
+// pool happened to evict — recovery must cope with any mix.
+func crash(ix *Index) {
+	ix.mut.wal.Close()
+	ix.pool.File().Close()
+}
+
+// sweepOne copies the base file, opens it with a WAL that crashes after
+// limit bytes of writes, runs op (one transaction), kills the process
+// state without a checkpoint, reopens cleanly, and classifies the
+// recovered state.
 func sweepOne(t *testing.T, base string, limit int64, op func(*Index) error,
 	pre, post map[int]bool) (recoveredPost bool) {
 	t.Helper()
@@ -81,21 +102,12 @@ func sweepOne(t *testing.T, base string, limit int64, op func(*Index) error,
 	copyFile(t, base, work)
 	copyFile(t, base+".wal", work+".wal")
 
-	opts := &MutableOptions{
-		Frames:   32,
-		WALLimit: -1, // no auto-checkpoint: the WAL alone carries the commit
-		WALWrap:  func(f *os.File) wal.File { return wal.NewCrashFile(f, limit) },
-	}
-	ix, err := OpenFileMutable(work, opts)
+	ix, err := OpenFileMutable(work, crashAfter(limit))
 	if err != nil {
 		t.Fatalf("limit %d: open with crash file: %v", limit, err)
 	}
 	opErr := op(ix)
-	// Simulate the process dying here: close the raw files; no checkpoint,
-	// no pool flush. The page file holds whatever the pool happened to
-	// evict — recovery must cope with any mix.
-	ix.mut.wal.Close()
-	ix.pool.File().Close()
+	crash(ix)
 
 	ix2, err := OpenFileMutable(work, &MutableOptions{Frames: 32})
 	if err != nil {
@@ -126,42 +138,111 @@ func sweepOne(t *testing.T, base string, limit int64, op func(*Index) error,
 	}
 }
 
-// killPoints covers [HeaderSize, HeaderSize+txBytes+slack] with a stride
-// coprime to the record sizes plus the exact end of the transaction.
-func killPoints(txBytes int64) []int64 {
+// killPoints covers [open, open+txBytes+slack] — the transaction's bytes
+// after the open's own — with a stride coprime to the record sizes plus
+// the exact end of the transaction.
+func killPoints(open, txBytes int64) []int64 {
 	var pts []int64
 	stride := int64(127)
 	if testing.Short() {
 		stride = 911
 	}
 	for d := int64(0); d <= txBytes; d += stride {
-		pts = append(pts, wal.HeaderSize+d)
+		pts = append(pts, open+d)
 	}
-	return append(pts, wal.HeaderSize+txBytes-1, wal.HeaderSize+txBytes, wal.HeaderSize+txBytes+64)
+	return append(pts, open+txBytes-1, open+txBytes, open+txBytes+64)
 }
 
-// measureTx runs op once against an unlimited WAL and returns the bytes
-// the transaction appended.
-func measureTx(t *testing.T, base string, op func(*Index) error) int64 {
+// countingWAL counts the bytes written through it.
+type countingWAL struct {
+	*os.File
+	n int64
+}
+
+func (c *countingWAL) WriteAt(p []byte, off int64) (int, error) {
+	c.n += int64(len(p))
+	return c.File.WriteAt(p, off)
+}
+
+// measureTx runs op once against an unlimited WAL over a copy of base and
+// returns the bytes the open wrote to the log (a recovery's new
+// generation) and the bytes the transaction appended.
+func measureTx(t *testing.T, base string, op func(*Index) error) (open, tx int64) {
 	t.Helper()
 	dir := filepath.Dir(base)
 	work := filepath.Join(dir, "work.pg")
 	copyFile(t, base, work)
 	copyFile(t, base+".wal", work+".wal")
-	ix, err := OpenFileMutable(work, &MutableOptions{Frames: 32, WALLimit: -1})
+	var c *countingWAL
+	ix, err := OpenFileMutable(work, &MutableOptions{Frames: 32, WALLimit: -1,
+		WALWrap: func(f *os.File) wal.File { c = &countingWAL{File: f}; return c }})
 	if err != nil {
 		t.Fatal(err)
 	}
+	open = c.n
 	if err := op(ix); err != nil {
 		t.Fatal(err)
 	}
-	n := ix.WALSize() - wal.HeaderSize
-	ix.mut.wal.Close()
-	ix.pool.File().Close()
-	if n <= 0 {
-		t.Fatalf("transaction appended %d WAL bytes", n)
+	tx = ix.WALSize() - wal.HeaderSize
+	crash(ix)
+	if tx <= 0 || c.n != open+tx {
+		t.Fatalf("transaction appended %d WAL bytes and wrote %d", tx, c.n-open)
 	}
-	return n
+	return open, tx
+}
+
+// runSweep kills op at every kill point over a copy of base and returns
+// the bytes the transaction appends. At least one point must land post
+// (the full transaction fits under the largest budgets) and one pre.
+func runSweep(t *testing.T, name, base string, op func(*Index) error, pre, post map[int]bool) int64 {
+	t.Helper()
+	open, txBytes := measureTx(t, base, op)
+	committed := 0
+	pts := killPoints(open, txBytes)
+	for _, limit := range pts {
+		if sweepOne(t, base, limit, op, pre, post) {
+			committed++
+		}
+	}
+	if committed == 0 || committed == len(pts) {
+		t.Fatalf("%s sweep degenerate: %d/%d points committed", name, committed, len(pts))
+	}
+	t.Logf("%s sweep: %d kill points, %d recovered post-state, tx=%d WAL bytes",
+		name, len(pts), committed, txBytes)
+	return txBytes
+}
+
+// ids returns the id set of objs plus extra.
+func ids(objs []*uncertain.Object, extra ...*uncertain.Object) map[int]bool {
+	s := make(map[int]bool, len(objs)+len(extra))
+	for _, o := range append(objs[:len(objs):len(objs)], extra...) {
+		s[o.ID()] = true
+	}
+	return s
+}
+
+func without(s map[int]bool, id int) map[int]bool {
+	out := make(map[int]bool, len(s))
+	for k := range s {
+		if k != id {
+			out[k] = true
+		}
+	}
+	return out
+}
+
+func insertOp(o *uncertain.Object) func(*Index) error {
+	return func(ix *Index) error { return ix.Insert(o) }
+}
+
+func deleteOp(id int) func(*Index) error {
+	return func(ix *Index) error {
+		ok, err := ix.Delete(id)
+		if err == nil && !ok {
+			return fmt.Errorf("object %d missing", id)
+		}
+		return err
+	}
 }
 
 func TestCrashKillPointSweepInsert(t *testing.T) {
@@ -169,72 +250,142 @@ func TestCrashKillPointSweepInsert(t *testing.T) {
 	ds := datagen.Generate(datagen.Params{N: 31, M: 5, EdgeLen: 400, Seed: 41})
 	baseObjs, probe := ds.Objects[:30], ds.Objects[30]
 	base := crashBase(t, dir, baseObjs)
-
-	pre := make(map[int]bool)
-	for _, o := range baseObjs {
-		pre[o.ID()] = true
-	}
-	post := make(map[int]bool)
-	for id := range pre {
-		post[id] = true
-	}
-	post[probe.ID()] = true
-
-	insert := func(ix *Index) error { return ix.Insert(probe) }
-	txBytes := measureTx(t, base, insert)
-	committed := 0
-	pts := killPoints(txBytes)
-	for _, limit := range pts {
-		if sweepOne(t, base, limit, insert, pre, post) {
-			committed++
-		}
-	}
-	// The full transaction fits under the largest limits, so at least one
-	// point must land post; the earliest points must land pre.
-	if committed == 0 || committed == len(pts) {
-		t.Fatalf("sweep degenerate: %d/%d points committed", committed, len(pts))
-	}
-	t.Logf("insert sweep: %d kill points, %d recovered post-state, tx=%d WAL bytes",
-		len(pts), committed, txBytes)
+	runSweep(t, "insert", base, insertOp(probe), ids(baseObjs), ids(baseObjs, probe))
 }
 
 func TestCrashKillPointSweepDelete(t *testing.T) {
 	dir := t.TempDir()
 	ds := datagen.Generate(datagen.Params{N: 30, M: 5, EdgeLen: 400, Seed: 43})
 	base := crashBase(t, dir, ds.Objects)
-
-	pre := make(map[int]bool)
-	for _, o := range ds.Objects {
-		pre[o.ID()] = true
-	}
 	victim := ds.Objects[12].ID()
-	post := make(map[int]bool)
-	for id := range pre {
-		if id != victim {
-			post[id] = true
-		}
-	}
+	runSweep(t, "delete", base, deleteOp(victim), ids(ds.Objects), without(ids(ds.Objects), victim))
+}
 
-	del := func(ix *Index) error {
-		ok, err := ix.Delete(victim)
-		if err == nil && !ok {
-			return fmt.Errorf("victim %d missing", victim)
+// recycledBase builds a clean base holding objs, runs churn on it — one
+// transaction each — and checkpoints without the clean close that would
+// trim the log: the base's WAL is a new generation with churn's records,
+// a generation old, where the next transaction lands. It returns the
+// base and churn's record boundaries in the log.
+func recycledBase(t *testing.T, dir string, objs []*uncertain.Object, churn ...func(*Index) error) (string, map[int64]bool) {
+	t.Helper()
+	base := crashBase(t, dir, objs)
+	ix, err := OpenFileMutable(base, &MutableOptions{Frames: 32, WALLimit: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := wal.PageImageRecordSize(ix.pool.File().PageSize())
+	bounds := map[int64]bool{wal.HeaderSize: true}
+	for _, op := range churn {
+		start := ix.WALSize()
+		if err := op(ix); err != nil {
+			t.Fatal(err)
 		}
-		return err
+		end := ix.WALSize()
+		for b := start; b < end; b += rec {
+			bounds[b] = true
+		}
+		bounds[end-wal.CommitRecordSize], bounds[end] = true, true
 	}
-	txBytes := measureTx(t, base, del)
-	committed := 0
-	pts := killPoints(txBytes)
-	for _, limit := range pts {
-		if sweepOne(t, base, limit, del, pre, post) {
-			committed++
+	if err := ix.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	crash(ix)
+	if rep, err := FsckStruct(base, 32); err != nil || !rep.Clean() || rep.WALRecords != 0 || rep.WALStale == 0 {
+		t.Fatalf("fsck of the recycled base: %v %+v; want it clean, no record and an older generation's bytes", err, rep)
+	}
+	return base, bounds
+}
+
+// TestCrashSweepRecycledOnBoundary: the transaction swept is as long as
+// the older generation's first one, so it ends exactly where the older
+// generation's next transaction — a whole record, valid under its own
+// generation, deleting the object just inserted — begins. A scan that
+// read past the new generation's end would replay that delete.
+func TestCrashSweepRecycledOnBoundary(t *testing.T) {
+	ds := datagen.Generate(datagen.Params{N: 31, M: 5, EdgeLen: 400, Seed: 45})
+	baseObjs, probe := ds.Objects[:30], ds.Objects[30]
+	base, bounds := recycledBase(t, t.TempDir(), baseObjs, insertOp(probe), deleteOp(probe.ID()))
+	tx := runSweep(t, "recycled, on a boundary", base, insertOp(probe), ids(baseObjs), ids(baseObjs, probe))
+	if !bounds[wal.HeaderSize+tx] {
+		t.Fatalf("the transaction ends at %d, not on an older record's boundary: the test lost its premise", wal.HeaderSize+tx)
+	}
+}
+
+// TestCrashSweepRecycledInside: the transaction swept ends inside an older
+// generation's record.
+func TestCrashSweepRecycledInside(t *testing.T) {
+	ds := datagen.Generate(datagen.Params{N: 34, M: 5, EdgeLen: 400, Seed: 49})
+	baseObjs, extra := ds.Objects[:30], ds.Objects[30:]
+	churn := make([]func(*Index) error, len(extra))
+	for i, o := range extra {
+		churn[i] = insertOp(o)
+	}
+	base, bounds := recycledBase(t, t.TempDir(), baseObjs, churn...)
+	pre := ids(baseObjs, extra...)
+	victim := baseObjs[7].ID()
+	tx := runSweep(t, "recycled, inside a record", base, deleteOp(victim), pre, without(pre, victim))
+	end, inside := wal.HeaderSize+tx, false
+	for b := range bounds {
+		inside = inside || b > end
+	}
+	if bounds[end] || !inside {
+		t.Fatalf("the transaction ends at %d, on a boundary or past every older record: the test lost its premise", end)
+	}
+}
+
+// TestCrashCheckpointHeaderTorn kills a checkpoint at every byte of the
+// header write that starts its new generation. The transaction before it
+// was committed, so every point recovers it. The next transaction, killed
+// after its commit, must then recover alone: whichever generation the torn
+// header names, no record of an older one replays with it.
+func TestCrashCheckpointHeaderTorn(t *testing.T) {
+	dir := t.TempDir()
+	ds := datagen.Generate(datagen.Params{N: 22, M: 4, EdgeLen: 400, Seed: 53})
+	baseObjs, first, second := ds.Objects[:20], ds.Objects[20], ds.Objects[21]
+	base := crashBase(t, dir, baseObjs)
+	open, tx := measureTx(t, base, insertOp(first))
+	work := filepath.Join(dir, "work.pg")
+	for k := int64(0); k <= wal.HeaderSize; k++ {
+		copyFile(t, base, work)
+		copyFile(t, base+".wal", work+".wal")
+		ix, err := OpenFileMutable(work, crashAfter(open+tx+wal.CommitRecordSize+k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ix.Insert(first); err != nil {
+			t.Fatalf("header byte %d: %v", k, err)
+		}
+		if err := ix.Checkpoint(); (err == nil) != (k == wal.HeaderSize) {
+			t.Fatalf("header byte %d: checkpoint %v", k, err)
+		}
+		crash(ix)
+
+		ix2, err := OpenFileMutable(work, &MutableOptions{Frames: 32, WALLimit: -1})
+		if err != nil {
+			t.Fatalf("header byte %d: reopen: %v", k, err)
+		}
+		if err := ix2.Insert(second); err != nil {
+			t.Fatal(err)
+		}
+		crash(ix2)
+
+		ix3, err := OpenFileMutable(work, &MutableOptions{Frames: 32})
+		if err != nil {
+			t.Fatalf("header byte %d: second reopen: %v", k, err)
+		}
+		if rec := ix3.WALRecovery(); rec.CommittedTxs != 1 {
+			t.Fatalf("header byte %d: recovery %+v, want the second transaction alone", k, rec)
+		}
+		if got := idSet(ix3); !setsEqual(got, ids(baseObjs, first, second)) {
+			t.Fatalf("header byte %d: recovered %d ids, want the base and both inserts", k, len(got))
+		}
+		if err := ix3.Healthy(t.Context()); err != nil {
+			t.Fatal(err)
+		}
+		if err := ix3.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if committed == 0 || committed == len(pts) {
-		t.Fatalf("sweep degenerate: %d/%d points committed", committed, len(pts))
-	}
-	t.Logf("delete sweep: %d kill points, %d recovered post-state, tx=%d WAL bytes",
-		len(pts), committed, txBytes)
 }
 
 // TestCrashMidRecovery kills the WAL once, recovers, and verifies a second

@@ -207,11 +207,16 @@ func attach(pool *pager.Pool, super pager.PageID) (*Index, SuperBlock, error) {
 	return newIndex(pool, super, store, tree, sb), sb, nil
 }
 
-// walPending reports whether the WAL beside the page file at path holds
-// anything past its header: transactions the page file may not hold yet.
-func walPending(path string) bool {
-	st, err := os.Stat(path + ".wal")
-	return err == nil && st.Size() > wal.HeaderSize
+// walPending reports whether the WAL beside the page file at path scans
+// to a valid record: transactions the page file may not hold yet. A
+// missing log holds none; bytes a recycled log's older generations left
+// are not records.
+func walPending(path string) (bool, error) {
+	pending, err := wal.Pending(path + ".wal")
+	if errors.Is(err, os.ErrNotExist) {
+		return false, nil
+	}
+	return pending, err
 }
 
 // OpenFile opens the index file at path read-only behind a buffer pool of
@@ -221,7 +226,11 @@ func walPending(path string) bool {
 //
 //nnc:allow ctx-flow: OpenFile reads a few metadata pages at startup; it is not on the query path
 func OpenFile(path string, frames int) (*Index, error) {
-	if walPending(path) {
+	pending, err := walPending(path)
+	if err != nil {
+		return nil, err
+	}
+	if pending {
 		return nil, fmt.Errorf("diskindex: %s.wal holds transactions that are not in %s yet: open it mutable (-mutable) or run `nnc checkpoint %s` first",
 			path, path, path)
 	}
@@ -555,7 +564,11 @@ func RewriteFile(path string, frames int) error {
 	// A pending WAL means a mutable session committed transactions the page
 	// file may not hold yet (or died mid-write); replay it so the rewrite
 	// reads the latest committed state.
-	if walPending(path) {
+	pending, err := walPending(path)
+	if err != nil {
+		return err
+	}
+	if pending {
 		wlog, _, err := replayWAL(pf, path, nil)
 		if err != nil {
 			return err

@@ -38,8 +38,9 @@ type StructReport struct {
 
 	// WAL summary (zero values when no WAL file exists).
 	WALRecords   int
-	WALCommitted int // committed transactions pending replay
-	WALTorn      int64
+	WALCommitted int   // committed transactions pending replay
+	WALTorn      int64 // bytes of a torn append past the last record
+	WALStale     int64 // bytes older generations left past the last record
 
 	// Post-recovery structure counts.
 	Epoch       uint64
@@ -91,7 +92,7 @@ func FsckStruct(path string, frames int) (*StructReport, error) {
 			return rep, nil
 		}
 		rep.WALRecords = info.Records
-		rep.WALTorn = info.Torn
+		rep.WALTorn, rep.WALStale = info.Torn, info.Stale
 		if info.Torn > 0 {
 			rep.flag("wal-torn-tail", "%d bytes past the last valid record (recovery would drop them)", info.Torn)
 		}

@@ -2,6 +2,7 @@ package diskindex
 
 import (
 	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -39,6 +40,32 @@ func fsckBase(t *testing.T, dir string) string {
 		t.Fatal(err)
 	}
 	return path
+}
+
+// logSuper opens the WAL beside the page file at path, positioned after
+// its records and wrapped by wrap, and hands fn the log and an image of
+// the super page as the page file holds it.
+func logSuper(t *testing.T, path string, wrap func(*os.File) wal.File, fn func(*wal.Log, wal.PageImage)) {
+	t.Helper()
+	pf, err := pager.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	im := wal.PageImage{ID: SuperPageID, Data: make([]byte, pf.PageSize())}
+	im.Type, err = pf.ReadPage(SuperPageID, im.Data)
+	pf.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := wal.Open(path+".wal", len(im.Data), wrap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if _, err := l.Scan(nil); err != nil {
+		t.Fatal(err)
+	}
+	fn(l, im)
 }
 
 func fsckCopy(t *testing.T, base, dst string) {
@@ -293,15 +320,25 @@ func TestFsckStructDetectsSeededCorruption(t *testing.T) {
 			editSuper(t, path, func(sb *SuperBlock) { sb.Epoch = 0 })
 		}, "epoch-zero"},
 		{"wal torn tail", func(t *testing.T, path string) {
-			f, err := os.OpenFile(path+".wal", os.O_APPEND|os.O_WRONLY, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer f.Close()
-			if _, err := f.Write([]byte("garbage tail bytes")); err != nil {
-				t.Fatal(err)
-			}
+			// The log dies 40 bytes into a transaction's image write.
+			logSuper(t, path, func(f *os.File) wal.File { return wal.NewCrashFile(f, 40) }, func(l *wal.Log, im wal.PageImage) {
+				if _, err := l.Commit([]wal.PageImage{im}); !errors.Is(err, wal.ErrCrash) {
+					t.Fatalf("commit over a crashing log: %v", err)
+				}
+			})
 		}, "wal-torn-tail"},
+		{"wal bytes of an older generation", func(t *testing.T, path string) {
+			// A transaction rewriting the super page as it is, then a
+			// checkpoint: its records stay in the file, a generation old.
+			logSuper(t, path, nil, func(l *wal.Log, im wal.PageImage) {
+				if _, err := l.Commit([]wal.PageImage{im}); err != nil {
+					t.Fatal(err)
+				}
+				if err := l.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}, ""},
 		{"wal commit without images", func(t *testing.T, path string) {
 			pf, err := pager.Open(path)
 			if err != nil {

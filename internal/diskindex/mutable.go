@@ -491,8 +491,9 @@ func (ix *Index) maybeCheckpoint() {
 }
 
 // Checkpoint flushes every committed page into the page file, fsyncs it,
-// and truncates the WAL. After a clean checkpoint the page file alone
-// holds the index.
+// and resets the WAL to a new generation, keeping its file space for the
+// next commits. After a clean checkpoint the page file alone holds the
+// index.
 //
 //nnc:allow ctx-flow: Checkpoint is an offline maintenance flush, not a query; interrupting it mid-flush is the crash path recovery handles
 func (ix *Index) Checkpoint() error {
@@ -515,10 +516,11 @@ func (ix *Index) checkpointLocked() error {
 	return nil
 }
 
-// Close releases the index: a mutable one checkpoints (unless poisoned)
-// and closes its WAL, then the page file under the pool is closed — which
-// is all there is to do for a read-only one. An index handed a pool (Build,
-// Open) whose caller closes the file itself need not be closed.
+// Close releases the index: a mutable one checkpoints (unless poisoned),
+// trims its WAL to the header and closes it, then the page file under the
+// pool is closed — which is all there is to do for a read-only one. An
+// index handed a pool (Build, Open) whose caller closes the file itself
+// need not be closed.
 //
 //nnc:allow ctx-flow: Close is shutdown teardown, not a query; nothing upstream has a ctx to thread
 func (ix *Index) Close() error {
@@ -531,7 +533,9 @@ func (ix *Index) Close() error {
 		}
 		m.closed = true
 		if m.poisoned == nil {
-			first = ix.checkpointLocked()
+			if first = ix.checkpointLocked(); first == nil {
+				first = m.wal.Trim()
+			}
 		}
 		if err := m.wal.Close(); err != nil && first == nil {
 			first = err

@@ -148,8 +148,9 @@ func TestCommitFailureClass(t *testing.T) {
 	}
 }
 
-// TestCheckpointOrder: the record is written and synced before the log is
-// truncated, and the truncation is synced too.
+// TestCheckpointOrder: the record is written and synced before the
+// header names the next generation, and the header write is synced too.
+// The file keeps its length: the next transaction overwrites it in place.
 func TestCheckpointOrder(t *testing.T) {
 	l, of := openOpLog(t, t.TempDir())
 	commit(t, l, page(1, 1))
@@ -157,18 +158,23 @@ func TestCheckpointOrder(t *testing.T) {
 	if err := l.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if want := []string{"write", "sync", "truncate", "sync"}; !slices.Equal(of.ops, want) {
+	if want := []string{"write", "sync", "write", "sync"}; !slices.Equal(of.ops, want) {
 		t.Fatalf("checkpoint issued %v, want %v", of.ops, want)
 	}
 	st, err := of.Stat()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.Size() != HeaderSize || st.Size() != HeaderSize {
-		t.Fatalf("after checkpoint: log %d bytes, file %d, want the header alone", l.Size(), st.Size())
+	full := HeaderSize + PageImageRecordSize(testPayload) + 2*CommitRecordSize
+	if l.Size() != HeaderSize || st.Size() != full || l.gen != 1 {
+		t.Fatalf("after checkpoint: log %d bytes, file %d, generation %d; want the header alone, the file's %d bytes kept, generation 1",
+			l.Size(), st.Size(), l.gen, full)
 	}
 	if tx := commit(t, l, page(1, 2)); tx != 2 {
 		t.Fatalf("first transaction after a checkpoint is %d, want 2", tx)
+	}
+	if st, err = of.Stat(); err != nil || st.Size() != full {
+		t.Fatalf("the next transaction grew the file to %d bytes (%v), want it overwritten in place", st.Size(), err)
 	}
 }
 

@@ -1,44 +1,49 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
 )
 
-// CrashFile wraps a log's backing file and kills the writer at a chosen
-// byte offset: writes that would extend the file past Limit are applied
-// only up to Limit and then fail with ErrCrash, and every later write or
-// sync fails too. Reads are unaffected, so the recovery pass that follows
-// sees exactly the prefix a real crash would have left. This is the WAL
-// counterpart of internal/faultfile's read-side injection: faultfile
-// tears pages on the way in, CrashFile tears the log on the way out.
+// CrashFile wraps a log's backing file and kills the writer after a
+// budget of written bytes: the write that would exceed it lands only up to
+// the budget and then fails with ErrCrash, and every later write, truncate
+// or sync fails too. Reads are unaffected, so the recovery pass that
+// follows sees exactly the bytes a real crash would have left — wherever
+// in the file the writes went, so a crash can tear an append into
+// recycled space or a generation's header write as well as an append past
+// the end. This is the WAL counterpart of internal/faultfile's read-side
+// injection: faultfile tears pages on the way in, CrashFile tears the log
+// on the way out.
 type CrashFile struct {
 	f       *os.File
-	limit   int64
+	budget  int64
 	crashed bool
 }
 
-// NewCrashFile wraps f so cumulative file content stops growing at limit
-// bytes.
-func NewCrashFile(f *os.File, limit int64) *CrashFile {
-	return &CrashFile{f: f, limit: limit}
+// NewCrashFile wraps f so the writer dies once budget more bytes have been
+// written through it.
+func NewCrashFile(f *os.File, budget int64) *CrashFile {
+	return &CrashFile{f: f, budget: budget}
 }
 
 // Crashed reports whether the injected crash has fired.
 func (c *CrashFile) Crashed() bool { return c.crashed }
 
-// WriteAt applies the write up to the crash limit, then fails.
+// WriteAt applies the write up to the remaining budget, then fails.
 func (c *CrashFile) WriteAt(p []byte, off int64) (int, error) {
-	if c.crashed || off >= c.limit {
+	if c.crashed || c.budget <= 0 {
 		c.crashed = true
 		return 0, ErrCrash
 	}
-	if off+int64(len(p)) > c.limit {
-		n, _ := c.f.WriteAt(p[:c.limit-off], off)
+	if int64(len(p)) > c.budget {
+		n, _ := c.f.WriteAt(p[:c.budget], off)
 		c.crashed = true
 		return n, ErrCrash
 	}
+	c.budget -= int64(len(p))
 	return c.f.WriteAt(p, off)
 }
 
@@ -67,70 +72,83 @@ func (c *CrashFile) Stat() (os.FileInfo, error) { return c.f.Stat() }
 // Close closes the real file.
 func (c *CrashFile) Close() error { return c.f.Close() }
 
+// openRead opens the log at path read-only for a scan: a Log over the
+// file, positioned nowhere, and its header. payload <= 0 means "trust the
+// header's declared payload". A file too short to hold a header yields a
+// nil Log and no error.
+func openRead(path string, payload int) (*Log, header, int64, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, header{}, 0, err
+	}
+	st, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, header{}, 0, err
+	}
+	if st.Size() < HeaderSize {
+		f.Close()
+		return nil, header{}, st.Size(), nil
+	}
+	h, err := readHeader(f)
+	if err != nil {
+		f.Close()
+		return nil, header{}, 0, fmt.Errorf("%s: %w", path, err)
+	}
+	if payload <= 0 {
+		payload = h.payload
+	}
+	return &Log{f: roFile{f}, path: path, payload: payload, gen: h.gen}, h, st.Size(), nil
+}
+
 // ScanFile reads the log at path without opening it for writing and
 // delivers every valid record to fn — the programmatic face of DumpFile,
 // used by fsck. payload ≤ 0 means "trust the header's declared payload".
 // It returns the scan summary and the declared payload. A file too short
 // to hold a header yields an empty ScanInfo, not an error.
 func ScanFile(path string, payload int, fn func(Rec) error) (*ScanInfo, int, error) {
-	f, err := os.Open(path)
+	l, h, size, err := openRead(path, payload)
 	if err != nil {
 		return nil, 0, err
 	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return nil, 0, err
+	if l == nil {
+		return &ScanInfo{End: size}, 0, nil
 	}
-	if st.Size() < HeaderSize {
-		return &ScanInfo{End: st.Size(), Torn: 0}, 0, nil
-	}
-	hdr := make([]byte, headerSize)
-	if _, err := f.ReadAt(hdr, 0); err != nil {
-		return nil, 0, err
-	}
-	if string(hdr[:4]) != walMagic {
-		return nil, 0, fmt.Errorf("wal: %s: bad magic", path)
-	}
-	declared := int(le32(hdr[8:12]))
-	if payload <= 0 {
-		payload = declared
-	}
-	l := &Log{f: roFile{f}, path: path, payload: payload}
+	defer l.Close()
 	info, err := l.Scan(fn)
-	return info, declared, err
+	return info, h.payload, err
+}
+
+// errFound stops Pending's scan at the first record.
+var errFound = errors.New("wal: a record")
+
+// Pending reports whether the log at path holds a valid record of its
+// current generation: transactions the page file may not hold yet. A log
+// that holds only its header, or only bytes older generations and torn
+// appends left, holds none.
+func Pending(path string) (bool, error) {
+	_, _, err := ScanFile(path, 0, func(Rec) error { return errFound })
+	if errors.Is(err, errFound) {
+		return true, nil
+	}
+	return false, err
 }
 
 // DumpFile pretty-prints every valid record of the log at path — the
-// engine behind `nnc wal-dump`. It opens the file read-only and
-// reports the torn tail, if any, without truncating it.
+// engine behind `nnc wal-dump`. It opens the file read-only and says what
+// lies past the last valid record — a torn append, or bytes an older
+// generation left — without touching it.
 func DumpFile(path string, payload int, w io.Writer) error {
-	f, err := os.Open(path)
+	l, h, size, err := openRead(path, payload)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return err
-	}
-	if st.Size() < HeaderSize {
-		fmt.Fprintf(w, "%s: empty or torn header (%d bytes)\n", path, st.Size())
+	if l == nil {
+		fmt.Fprintf(w, "%s: empty or torn header (%d bytes)\n", path, size)
 		return nil
 	}
-	hdr := make([]byte, headerSize)
-	if _, err := f.ReadAt(hdr, 0); err != nil {
-		return err
-	}
-	if string(hdr[:4]) != walMagic {
-		return fmt.Errorf("wal: %s: bad magic", path)
-	}
-	declared := int(le32(hdr[8:12]))
-	if payload <= 0 {
-		payload = declared
-	}
-	fmt.Fprintf(w, "%s: wal v%d, page payload %d, %d bytes\n", path, hdr[4], declared, st.Size())
-	l := &Log{f: roFile{f}, path: path, payload: payload}
+	defer l.Close()
+	fmt.Fprintf(w, "%s: wal v%d, generation %d, page payload %d, %d bytes\n", path, h.version, h.gen, h.payload, size)
 	info, err := l.Scan(func(r Rec) error {
 		switch r.Type {
 		case RecPageImage:
@@ -146,8 +164,11 @@ func DumpFile(path string, payload int, w io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(w, "  %d records, valid through %d", info.Records, info.End)
-	if info.Torn > 0 {
+	switch {
+	case info.Torn > 0:
 		fmt.Fprintf(w, ", TORN TAIL: %d bytes", info.Torn)
+	case info.Stale > 0:
+		fmt.Fprintf(w, ", then %d bytes of older generations", info.Stale)
 	}
 	fmt.Fprintln(w)
 	return nil

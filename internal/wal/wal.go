@@ -7,32 +7,58 @@
 // second, so a failed image write promised nothing and a failed commit
 // write or fsync leaves durability indeterminate (ErrIndeterminate).
 // Recovery replays the page images of committed transactions into the
-// page file and truncates any torn tail — a crash at any byte offset of
+// page file and starts a new generation — a crash at any byte offset of
 // the log yields either the pre-transaction or the post-transaction
 // state, never a mixture (see DESIGN.md §2d).
 //
-// # Record grammar
+// # Record grammar (version 2)
 //
 // The file opens with a 16-byte header:
 //
-//	"SDWL" | version u8 | reserved u8×3 | page payload u32 | reserved u32
+//	"SDWL" | version u8 | reserved u8×3 | page payload u32 | generation u32
 //
 // followed by a sequence of records:
 //
 //	type u8 | txid u64 | plen u32 | payload [plen] | crc32c u32
 //
 // The CRC32C (Castagnoli — the same polynomial as the pager's page
-// trailers) covers the record header and payload. Record types:
+// trailers) covers the record header and payload and is seeded with the
+// header's generation, so a record verifies only in the generation that
+// wrote it. Record types:
 //
 //	1 page-image  payload = pageID u32 | pageType u8 | image [page payload]
 //	2 commit      payload empty; Commit fsyncs before returning
 //	3 checkpoint  payload empty; all txids ≤ txid are in the page file
 //
-// A scan stops at the first record that is short, oversized, CRC-corrupt
-// or of unknown type: everything beyond that point is a torn tail from an
-// interrupted append and is truncated by recovery. Because images are
-// whole pages (physical redo), replay is idempotent — applying a
-// committed transaction twice converges to the same bytes.
+// Version 1 had no generation: its reserved header word is zero and its
+// CRCs are seeded with zero, so a version-1 log reads as generation 0 and
+// replays unchanged; the first reset rewrites its header as version 2.
+//
+// # Recycling
+//
+// A checkpoint does not truncate the log. It bumps the generation in the
+// header — one small write in place, then an fsync — and appends from the
+// header again, so a commit overwrites file pages the log already owns
+// instead of allocating new ones and changing the file's size. Whatever
+// the older generations left past the current one's end no longer
+// verifies. The generation is stored big-endian and only ever grows by
+// one: a header write torn at any byte leaves the old value or one at
+// least the new, never the value of a generation whose records could
+// still lie in the file. (It wraps after 2³² checkpoints.)
+//
+// A scan stops at the first record that is short, oversized, of unknown
+// type or whose CRC fails under the current generation. The bytes past
+// that point are a torn append of the current generation, or bytes an
+// older generation left (ScanInfo.Torn, ScanInfo.Stale); recovery drops
+// both. Because images are whole pages (physical redo), replay is
+// idempotent — applying a committed transaction twice converges to the
+// same bytes.
+//
+// One write path still truncates: a write that failed part-way, or a scan
+// that stopped short, may leave records of the current generation past
+// the append offset, and a shorter append over them could leave a stale
+// but valid record beyond its end for a later scan to replay. The next
+// write truncates them first.
 package wal
 
 import (
@@ -59,8 +85,8 @@ const (
 	recHeaderSize = 13 // type u8 | txid u64 | plen u32
 	crcSize       = 4
 	walMagic      = "SDWL"
-	// Version is the log format version written by Open.
-	Version = 1
+	// Version is the log format version written by Open and by a reset.
+	Version = 2
 )
 
 var (
@@ -77,6 +103,8 @@ var (
 	// ErrBadMagic is returned by Open on a file that is not a WAL, so
 	// callers can distinguish "wrong file" from I/O failure.
 	ErrBadMagic = errors.New("wal: bad magic")
+	// errNotReset refuses a Trim that would cut records off.
+	errNotReset = errors.New("wal: trim of a log that was not just reset")
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -91,20 +119,27 @@ type File interface {
 	Close() error
 }
 
-// Log is an append-only write-ahead log. A Log belongs to one writer
-// goroutine at a time (the index serializes writers on its own mutex);
-// none of its methods lock.
+// Log is an append-only write-ahead log over a recycled file. A Log
+// belongs to one writer goroutine at a time (the index serializes writers
+// on its own mutex); none of its methods lock.
 type Log struct {
 	f       File
 	path    string
-	payload int   // page payload bytes carried by each page-image record
-	off     int64 // append offset = end of last valid record
+	payload int    // page payload bytes carried by each page-image record
+	gen     uint32 // the header's generation; seeds every record's CRC
+	off     int64  // append offset = end of last valid record
 	lastTx  uint64
-	// dirtyTail records that bytes may lie past the append offset: a scan
-	// saw a torn tail, or a write failed part-way. The next write truncates
-	// them first: merely overwriting could leave a stale-but-valid old
-	// record beyond a shorter fresh one, and a later scan would replay it.
+	// dirtyTail records that records of the current generation may lie
+	// past the append offset: a scan stopped short of the file's end, or a
+	// write failed part-way. The next write truncates them first: merely
+	// overwriting could leave a stale-but-valid record beyond a shorter
+	// fresh one, and a later scan would replay it.
 	dirtyTail bool
+	// staleHeader records that a reset's header write or fsync failed: the
+	// file may still name the previous generation. The next write writes
+	// and syncs the header first, so no record of the new generation lands
+	// under a header that would not verify it.
+	staleHeader bool
 	// buf is the encode buffer Commit reuses across transactions (see
 	// maxRetainedRecords).
 	buf []byte
@@ -146,44 +181,67 @@ func Open(path string, payload int, wrap func(*os.File) File) (*Log, error) {
 		// Fresh (or torn-at-birth) log: write the header. A header torn by
 		// a crash is indistinguishable from an empty log, which is correct:
 		// no record can precede a complete header.
-		hdr := make([]byte, headerSize)
-		copy(hdr, walMagic)
-		hdr[4] = Version
-		binary.LittleEndian.PutUint32(hdr[8:12], uint32(payload))
-		if _, err := f.WriteAt(hdr, 0); err != nil {
-			f.Close()
-			return nil, err
-		}
-		if err := f.Sync(); err != nil {
+		if err := l.writeHeader(); err != nil {
 			f.Close()
 			return nil, err
 		}
 		return l, nil
 	}
+	h, err := readHeader(f)
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	if h.payload != payload {
+		f.Close()
+		return nil, fmt.Errorf("wal: log page payload %d != page file payload %d", h.payload, payload)
+	}
+	l.gen = h.gen
+	return l, nil
+}
+
+// header is the decoded file header.
+type header struct {
+	version byte
+	payload int
+	gen     uint32
+}
+
+// readHeader reads and checks the header of an existing log: the magic,
+// and a version this code can read.
+func readHeader(f io.ReaderAt) (header, error) {
 	hdr := make([]byte, headerSize)
 	if _, err := f.ReadAt(hdr, 0); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("wal: reading header: %w", err)
+		return header{}, fmt.Errorf("wal: reading header: %w", err)
 	}
 	if string(hdr[:4]) != walMagic {
-		f.Close()
-		return nil, ErrBadMagic
+		return header{}, ErrBadMagic
 	}
 	if hdr[4] > Version {
-		f.Close()
-		return nil, fmt.Errorf("wal: format version %d is newer than supported %d", hdr[4], Version)
+		return header{}, fmt.Errorf("wal: format version %d is newer than supported %d", hdr[4], Version)
 	}
-	if got := int(le32(hdr[8:12])); got != payload {
-		f.Close()
-		return nil, fmt.Errorf("wal: log page payload %d != page file payload %d", got, payload)
+	return header{version: hdr[4], payload: int(le32(hdr[8:12])), gen: binary.BigEndian.Uint32(hdr[12:16])}, nil
+}
+
+// writeHeader writes the version-2 header naming the log's generation in
+// place and syncs it.
+func (l *Log) writeHeader() error {
+	var hdr [headerSize]byte
+	copy(hdr[:], walMagic)
+	hdr[4] = Version
+	binary.LittleEndian.PutUint32(hdr[8:12], uint32(l.payload))
+	binary.BigEndian.PutUint32(hdr[12:16], l.gen)
+	if _, err := l.f.WriteAt(hdr[:], 0); err != nil {
+		return err
 	}
-	return l, nil
+	return l.f.Sync()
 }
 
 // Path returns the log's file path.
 func (l *Log) Path() string { return l.path }
 
-// Size returns the append offset — the log's valid length in bytes.
+// Size returns the append offset — the log's valid length in bytes. The
+// file may be longer: a checkpoint recycles it rather than truncating.
 func (l *Log) Size() int64 { return l.off }
 
 // Close closes the underlying file without truncating or syncing.
@@ -205,8 +263,8 @@ const maxRetainedRecords = 12
 
 // appendRecord appends one encoded record to buf: header, body (a page
 // image's id, type and bytes; empty for commit and checkpoint), and the
-// CRC over both.
-func appendRecord(buf []byte, typ byte, txid uint64, im PageImage) []byte {
+// CRC over both, seeded with the generation gen.
+func appendRecord(buf []byte, gen uint32, typ byte, txid uint64, im PageImage) []byte {
 	start := len(buf)
 	buf = append(buf, typ)
 	buf = binary.LittleEndian.AppendUint64(buf, txid)
@@ -218,16 +276,24 @@ func appendRecord(buf []byte, typ byte, txid uint64, im PageImage) []byte {
 	} else {
 		buf = binary.LittleEndian.AppendUint32(buf, 0)
 	}
-	return binary.LittleEndian.AppendUint32(buf, crc32.Update(0, castagnoli, buf[start:]))
+	return binary.LittleEndian.AppendUint32(buf, crc32.Update(gen, castagnoli, buf[start:]))
 }
 
 // write puts p at the append offset in one WriteAt, without syncing, first
-// truncating any bytes a scan or a failed write left past that offset. On
-// error the offset has not moved and the tail is dirty — a shorter later
-// write would not cover whatever part of this one landed.
+// rewriting a header a failed reset left behind and truncating any bytes a
+// scan or a failed write left past that offset. On error the offset has
+// not moved and the tail is dirty — a shorter later write would not cover
+// whatever part of this one landed.
 func (l *Log) write(p []byte) error {
 	if len(p) == 0 {
 		return nil
+	}
+	if l.staleHeader {
+		if err := l.writeHeader(); err != nil {
+			//nnc:allow hotpath-alloc: error path
+			return fmt.Errorf("wal: rewriting the header before append: %w", err)
+		}
+		l.staleHeader = false
 	}
 	if l.dirtyTail {
 		if err := l.f.Truncate(l.off); err != nil {
@@ -265,10 +331,10 @@ func (l *Log) Commit(images []PageImage) (txid uint64, err error) {
 			//nnc:allow hotpath-alloc: error path, a caller bug
 			return txid, fmt.Errorf("wal: image size %d != page payload %d", len(im.Data), l.payload)
 		}
-		buf = appendRecord(buf, RecPageImage, txid, im)
+		buf = appendRecord(buf, l.gen, RecPageImage, txid, im)
 	}
 	body := len(buf)
-	buf = appendRecord(buf, RecCommit, txid, PageImage{})
+	buf = appendRecord(buf, l.gen, RecCommit, txid, PageImage{})
 	l.buf = buf
 	if body > maxRetainedRecords*int(PageImageRecordSize(l.payload)) {
 		l.buf = nil
@@ -289,12 +355,13 @@ func (l *Log) Commit(images []PageImage) (txid uint64, err error) {
 }
 
 // Checkpoint records that every transaction logged so far is applied and
-// synced in the page file, fsyncs, and truncates the log back to its
-// header — valid only when the page file durably holds them. The record
-// usually disappears at once; if the truncation is interrupted it
-// documents the state for wal-dump and the (idempotent) recovery replay.
+// synced in the page file, fsyncs, and resets the log to a new generation
+// — valid only when the page file durably holds them. The record stops
+// verifying as soon as the new header is on disk; if the header write is
+// interrupted it documents the state for wal-dump and the (idempotent)
+// recovery replay.
 func (l *Log) Checkpoint() error {
-	if err := l.write(appendRecord(l.buf[:0], RecCheckpoint, l.lastTx, PageImage{})); err != nil {
+	if err := l.write(appendRecord(l.buf[:0], l.gen, RecCheckpoint, l.lastTx, PageImage{})); err != nil {
 		return err
 	}
 	if err := l.f.Sync(); err != nil {
@@ -303,12 +370,35 @@ func (l *Log) Checkpoint() error {
 	return l.reset()
 }
 
-// reset truncates the log back to its header.
+// reset starts the next generation: the header names it, the append
+// offset returns to the header's end, and every record in the file stops
+// verifying. Nothing is truncated, so the next commits overwrite file
+// space the log already owns. If the header write or its fsync fails the
+// log is still reset in memory and the next write retries the header
+// before any record of the new generation lands: the older records are
+// all in the page file, so the file may name either generation meanwhile.
 func (l *Log) reset() error {
+	l.gen++
+	l.off = HeaderSize
+	l.dirtyTail = false
+	if err := l.writeHeader(); err != nil {
+		l.staleHeader = true
+		return err
+	}
+	l.staleHeader = false
+	return nil
+}
+
+// Trim truncates the file to its header and syncs it: a log that holds
+// no record — right after a checkpoint or a recovery — gives back the
+// file space it recycles, as a clean shutdown does.
+func (l *Log) Trim() error {
+	if l.off != HeaderSize || l.staleHeader {
+		return errNotReset
+	}
 	if err := l.f.Truncate(HeaderSize); err != nil {
 		return err
 	}
-	l.off = HeaderSize
 	l.dirtyTail = false
 	return l.f.Sync()
 }
@@ -325,17 +415,27 @@ type Rec struct {
 	Image []byte
 }
 
-// ScanInfo summarizes a sequential scan.
+// ScanInfo summarizes a sequential scan. End+Torn+Stale is the file's
+// size, and at most one of Torn and Stale is nonzero.
 type ScanInfo struct {
 	Records int   // valid records delivered
 	End     int64 // offset one past the last valid record
-	Torn    int64 // bytes beyond End (0 on a clean log)
+	// Torn counts the bytes past End when they begin with a torn append of
+	// the current generation: a record header no older generation wrote.
+	// In a log that was never recycled (generation 0) every byte past End
+	// is torn.
+	Torn int64
+	// Stale counts the bytes past End when an older generation left them:
+	// the record there is whole and verifies under an older generation, or
+	// no record header lies there at all (End fell inside an older record).
+	Stale int64
 }
 
 // Scan reads every valid record in order, invoking fn for each, and stops
-// at the first torn or corrupt record. It positions the log's append
-// offset at the end of the valid prefix; the first append after a scan
-// that saw a torn tail truncates the tail before writing.
+// at the first torn, corrupt or older-generation record. It positions the
+// log's append offset at the end of the valid prefix; the first append
+// after a scan that stopped short of the file's end truncates the rest
+// before writing.
 func (l *Log) Scan(fn func(Rec) error) (*ScanInfo, error) {
 	size := fileSize(l.f)
 	info := &ScanInfo{End: HeaderSize}
@@ -343,7 +443,11 @@ func (l *Log) Scan(fn func(Rec) error) (*ScanInfo, error) {
 	hdr := make([]byte, recHeaderSize)
 	var payload []byte
 	maxPlen := 5 + l.payload
+	// older says what stopped the scan: bytes an older generation left.
+	// Until a record header is read, that is any tail of a recycled log.
+	var older bool
 	for {
+		older = l.gen > 0
 		if off+int64(recHeaderSize+crcSize) > size {
 			break // not even a minimal record fits: tail
 		}
@@ -371,6 +475,8 @@ func (l *Log) Scan(fn func(Rec) error) (*ScanInfo, error) {
 		if typ == 0 {
 			break // unknown type or type/length mismatch
 		}
+		// A well-formed header: some generation began a record here.
+		older = false
 		recLen := int64(recHeaderSize + plen + crcSize)
 		if off+recLen > size {
 			break // record runs past EOF: torn append
@@ -382,10 +488,12 @@ func (l *Log) Scan(fn func(Rec) error) (*ScanInfo, error) {
 		if _, err := l.f.ReadAt(body, off+int64(recHeaderSize)); err != nil {
 			break
 		}
-		crc := crc32.Update(0, castagnoli, hdr)
+		crc := crc32.Update(l.gen, castagnoli, hdr)
 		crc = crc32.Update(crc, castagnoli, body[:plen])
-		if crc != le32(body[plen:]) {
-			break // torn or corrupt record
+		if stored := le32(body[plen:]); crc != stored {
+			// Torn or corrupt, or whole under an older generation.
+			older = seedOf(stored, crc, l.gen, recHeaderSize+plen) < l.gen
+			break
 		}
 		r := Rec{Off: off, Type: typ, TxID: txid}
 		if typ == RecPageImage {
@@ -405,27 +513,58 @@ func (l *Log) Scan(fn func(Rec) error) (*ScanInfo, error) {
 			l.lastTx = txid
 		}
 	}
-	info.Torn = size - info.End
+	if older {
+		info.Stale = size - info.End
+	} else {
+		info.Torn = size - info.End
+	}
 	l.off = info.End
-	l.dirtyTail = info.Torn > 0
+	l.dirtyTail = info.End < size
 	return info, nil
 }
+
+// seedOf returns the generation whose seed gives a record of n bytes the
+// CRC stored, given crc, its CRC under the seed gen. The table is linear,
+// so the CRC of p seeded with g is its CRC seeded with 0 XOR g pushed
+// through n zero-byte steps of the register; a zero-byte step is a
+// bijection — the top byte of castagnoli[i] names i — so stored XOR crc
+// runs back to the XOR of the two seeds. Only a scan's last, failed record
+// pays for it.
+func seedOf(stored, crc, gen uint32, n int) uint32 {
+	s := stored ^ crc
+	for ; n > 0; n-- {
+		i := castagnoliTop[s>>24]
+		s = (s^castagnoli[i])<<8 | uint32(i)
+	}
+	return s ^ gen
+}
+
+// castagnoliTop inverts the top byte of the CRC table: castagnoli[i]>>24
+// is distinct for every i.
+var castagnoliTop = func() (inv [256]byte) {
+	for i, v := range castagnoli {
+		inv[v>>24] = byte(i)
+	}
+	return inv
+}()
 
 // RecoveryStats reports what Recover did.
 type RecoveryStats struct {
 	Records      int   // valid records scanned
 	CommittedTxs int   // transactions replayed into the page file
 	PagesApplied int   // page images written during replay
-	TornBytes    int64 // torn-tail bytes truncated
+	TornBytes    int64 // bytes of a torn append dropped past the last record
 	DroppedTxs   int   // transactions with images but no commit record
 }
 
 // Recover makes the page file consistent with the log: it scans the
-// valid record prefix, truncates any torn tail, replays the page images
-// of every committed transaction in log order (growing the page file as
-// needed), syncs the page file, and finally resets the log — at which
-// point the page file alone holds the latest committed state. Replay is
-// idempotent, so a crash during Recover is repaired by running it again.
+// valid record prefix, replays the page images of every committed
+// transaction in log order (growing the page file as needed), syncs the
+// page file, and finally resets the log to a new generation — at which
+// point the page file alone holds the latest committed state, and neither
+// the replayed records nor a torn tail past them verify any more. Replay
+// is idempotent, so a crash during Recover is repaired by running it
+// again.
 func Recover(l *Log, pf *pager.PageFile) (*RecoveryStats, error) {
 	// Pass 1: find the committed transaction set and the valid prefix.
 	committed := make(map[uint64]bool)
@@ -444,14 +583,11 @@ func Recover(l *Log, pf *pager.PageFile) (*RecoveryStats, error) {
 		return nil, err
 	}
 	st := &RecoveryStats{Records: info.Records, TornBytes: info.Torn, DroppedTxs: len(pending)}
-	if info.Torn > 0 {
-		if err := l.f.Truncate(info.End); err != nil {
-			return nil, fmt.Errorf("wal: truncating torn tail: %w", err)
-		}
-	}
 	st.CommittedTxs = len(committed)
 	if len(committed) == 0 {
-		if info.Records > 0 || info.Torn > 0 {
+		// Anything in the file past the header that is not the current
+		// generation's: a new generation makes sure it never verifies.
+		if info.Records > 0 || info.Torn+info.Stale > 0 {
 			if err := l.reset(); err != nil {
 				return nil, err
 			}

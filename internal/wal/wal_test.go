@@ -46,11 +46,11 @@ func commit(t *testing.T, l *Log, images ...PageImage) uint64 {
 	return tx
 }
 
-// checkpointRecord appends a checkpoint record without the truncation
+// checkpointRecord appends a checkpoint record without the reset
 // Checkpoint follows it with, so a scan can still see it.
 func checkpointRecord(t *testing.T, l *Log) {
 	t.Helper()
-	if err := l.write(appendRecord(nil, RecCheckpoint, l.lastTx, PageImage{})); err != nil {
+	if err := l.write(appendRecord(nil, l.gen, RecCheckpoint, l.lastTx, PageImage{})); err != nil {
 		t.Fatal(err)
 	}
 }
