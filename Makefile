@@ -150,6 +150,10 @@ verify:
 # log; a -mutable one must replay it and answer /query with the object.
 # `nnc fsck` must print "clean" for the file right after the build and
 # again after the replaying server's clean shutdown.
+# Last, a rebuild over a pending WAL: one more -mutable server takes an
+# /insert and is killed with -9, then `nnc build` writes the file afresh.
+# The rebuilt file must fsck clean, and a read-only server must boot on it
+# and answer the memory server's candidates: the build dropped the old log.
 smoke:
 	@set -eu; d=$$(mktemp -d); trap 'kill $$(cat $$d/*.pid 2>/dev/null) 2>/dev/null || true; rm -rf $$d' EXIT; \
 	ready() { \
@@ -207,7 +211,19 @@ smoke:
 	kill -TERM $$(cat $$d/replay.pid); wait; \
 	grep -q ' bye$$' $$d/replay.log || { echo "smoke: the replay server did not shut down cleanly"; cat $$d/replay.log; exit 1; }; \
 	checkfile "after the replay server's shutdown failed"; \
-	echo "smoke: memory and disk servers agree, nncclient drives them, shut down cleanly; a router over two shard servers answers the memory server's candidates; a pending WAL is refused read-only and replayed -mutable; nnc fsck finds the file clean after the build and after the replay"
+	$$d/nncserver -disk=$$d/o.pg -mutable -addr=127.0.0.1:18473 2>$$d/pending.log & echo $$! >$$d/pending.pid; \
+	ready pending 18473; \
+	code=$$(curl -s -o /dev/null -w '%{http_code}' -X POST 127.0.0.1:18473/insert -d '{"id":900002,"instances":[[5000,5000,5000]],"probs":[1]}'); \
+	[ "$$code" = 200 ] || { echo "smoke: /insert before the rebuild answered $$code"; cat $$d/pending.log; exit 1; }; \
+	kill -9 $$(cat $$d/pending.pid); wait || true; rm $$d/pending.pid; \
+	$$d/nnc build $$data -out=$$d/o.pg >/dev/null; checkfile "of the file rebuilt over a pending WAL failed"; \
+	$$d/nncserver -disk=$$d/o.pg -addr=127.0.0.1:18472 2>$$d/rebuilt.log & echo $$! >$$d/rebuilt.pid; \
+	ready rebuilt 18472; \
+	curl -s -X POST 127.0.0.1:18472/query -d '{"instances":[[5000,5000,5000],[5100,5050,4900]],"operator":"PSD","k":2}' >$$d/rebuilt.json; \
+	[ "$$(cands $$d/rebuilt.json)" = "$$(cands $$d/mem.json)" ] || { echo "smoke: the rebuilt file's candidates differ from the memory server's"; cat $$d/rebuilt.json $$d/mem.json; exit 1; }; \
+	kill -TERM $$(cat $$d/rebuilt.pid); wait; \
+	grep -q ' bye$$' $$d/rebuilt.log || { echo "smoke: the server on the rebuilt file did not shut down cleanly"; cat $$d/rebuilt.log; exit 1; }; \
+	echo "smoke: memory and disk servers agree, nncclient drives them, shut down cleanly; a router over two shard servers answers the memory server's candidates; a pending WAL is refused read-only and replayed -mutable; nnc fsck finds the file clean after the build and after the replay; a rebuild over a pending WAL drops it and serves read-only"
 
 # The eight fuzz targets: every decoder of bytes this process did not
 # write — the CSV loader, the page-file opener, the object record, the

@@ -481,8 +481,8 @@ func BenchmarkSearchK(b *testing.B) {
 		})
 	}
 	// The shape of the repo benchmark's disk_cold workload (bench/wl_disk.go):
-	// S-SD on a 10 000 × 10 page file reopened with a 64-frame pool and a
-	// 64-object cache, so that every query goes to the file for its objects.
+	// S-SD on a 10 000 × 10 page file reopened with a 64-frame pool, so that
+	// every query goes to the file for its objects.
 	b.Run("disk-cold", func(b *testing.B) {
 		ds := datagen.Generate(datagen.Params{N: 10000, Dim: 3, M: 10, Centers: datagen.AntiCorrelated, Seed: benchSeed})
 		queries := ds.Queries(32, 8, 200, benchSeed+101)
@@ -499,7 +499,6 @@ func BenchmarkSearchK(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer disk.Close()
-		disk.SetObjCacheCap(64)
 		var candidates, examined, reads, covers float64
 		b.ReportAllocs()
 		b.ResetTimer()

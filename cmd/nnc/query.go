@@ -11,7 +11,6 @@ import (
 	"spatialdom"
 	"spatialdom/internal/core"
 	"spatialdom/internal/dataio"
-	"spatialdom/internal/diskindex"
 	"spatialdom/internal/nnfunc"
 )
 
@@ -32,8 +31,6 @@ func query(fs *flag.FlagSet, args []string, out, _ io.Writer) error {
 		functions   = fs.Bool("functions", true, "also print the nearest neighbor under each implemented NN function")
 		disk        = fs.String("disk", "", "search this page file (`nnc build -out` with the same dataset flags) instead of an in-memory index")
 		frames      = fs.Int("frames", 128, "buffer pool frames for -disk")
-		objCap      = fs.Int("objcache", diskindex.DefaultObjCacheCap, "decoded-object LRU capacity for -disk (0 disables)")
-		warm        = fs.Bool("warm", false, "keep the -disk object cache warm across queries (default: cold per query)")
 	)
 	if err := parse(fs, args, 0); err != nil {
 		return err
@@ -67,17 +64,12 @@ func query(fs *flag.FlagSet, args []string, out, _ io.Writer) error {
 	}
 
 	var idx core.KSearcher
-	cold := func() {}
 	if *disk != "" {
 		ix, err := spatialdom.OpenDiskIndex(*disk, *frames)
 		if err != nil {
 			return err
 		}
 		defer ix.Close()
-		ix.SetObjCacheCap(*objCap)
-		if !*warm {
-			cold = ix.ResetCache
-		}
 		idx, label = ix, fmt.Sprintf("%s in %s (%d objects)", label, *disk, ix.Len())
 	} else if idx, err = core.NewIndex(ds.Objects); err != nil {
 		return err
@@ -85,7 +77,7 @@ func query(fs *flag.FlagSet, args []string, out, _ io.Writer) error {
 	fmt.Fprintf(out, "dataset %s: %d queries, k=%d\n\n", label, len(queries), *k)
 
 	tw := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "query\toperator\tcoverage\tcandidates\tpage accesses\treads\thit rate\tobj cache hits\tevictions\ttime\tIDs (first 12)")
+	fmt.Fprintln(tw, "query\toperator\tcoverage\tcandidates\tpage accesses\treads\thit rate\ttime\tIDs (first 12)")
 	for qi, q := range queries {
 		for _, o := range ops {
 			opts := core.SearchOptions{Filters: core.AllFilters}
@@ -95,7 +87,6 @@ func query(fs *flag.FlagSet, args []string, out, _ io.Writer) error {
 						qi, o, c.Elapsed.Round(0), c.Rank+1, c.Object.ID(), c.MinDist)
 				}
 			}
-			cold()
 			res, err := idx.SearchKCtx(context.Background(), q, o, *k, opts)
 			if err != nil {
 				return err
@@ -110,9 +101,8 @@ func query(fs *flag.FlagSet, args []string, out, _ io.Writer) error {
 			if acc > 0 {
 				rate = float64(res.IO.Hits) / float64(acc) * 100
 			}
-			fmt.Fprintf(tw, "%d\t%s\t%s\t%d\t%d\t%d\t%.0f%%\t%d\t%d\t%v\t%v\n",
-				qi, o, coverage[o], len(res.Candidates), acc, res.IO.Reads, rate,
-				res.IO.CacheHits, res.IO.CacheEvictions, res.Elapsed.Round(0), ids)
+			fmt.Fprintf(tw, "%d\t%s\t%s\t%d\t%d\t%d\t%.0f%%\t%v\t%v\n",
+				qi, o, coverage[o], len(res.Candidates), acc, res.IO.Reads, rate, res.Elapsed.Round(0), ids)
 		}
 	}
 	if err := tw.Flush(); err != nil || !*functions {

@@ -10,7 +10,7 @@ import (
 
 // Emission-order digests of three small fixed searches, one per engine shape
 // the repo benchmark measures: S-SD k=1 on a page file read through a small
-// pool and object cache (disk_cold), P-SD k=4 on the anti-correlated memory
+// pool (disk_cold), P-SD k=4 on the anti-correlated memory
 // index (a served_mixed miss), and P-SD k=1 on overlapping NBA-like clouds
 // (mem_overlap). Each digest folds every answer's candidate IDs in the order
 // the engine emitted them, then the answer's length, so a change meant to
@@ -41,8 +41,7 @@ func TestEmissionOrderDigests(t *testing.T) {
 }
 
 // diskSSDDigest runs S-SD k=1, for sixteen 8-instance queries, over a page
-// file of 2 000 anti-correlated objects reopened with a 64-frame pool and a
-// 64-object cache.
+// file of 2 000 anti-correlated objects reopened with a 64-frame pool.
 func diskSSDDigest(t *testing.T) uint64 {
 	ds := datagen.Generate(datagen.Params{N: 2000, Dim: 3, M: 10, Centers: datagen.AntiCorrelated, Seed: 42})
 	path := filepath.Join(t.TempDir(), "digest.pg")
@@ -58,7 +57,6 @@ func diskSSDDigest(t *testing.T) uint64 {
 		t.Fatal(err)
 	}
 	defer disk.Close()
-	disk.SetObjCacheCap(64)
 	h := uint64(digestOffset)
 	for _, q := range ds.Queries(16, 8, 200, 45) {
 		res, err := disk.SearchKCtx(context.Background(), q, SSD, 1, SearchOptions{Filters: AllFilters})

@@ -5,15 +5,17 @@ import (
 
 	"spatialdom/internal/core"
 	"spatialdom/internal/diskindex"
-	"spatialdom/internal/pager"
 )
 
 // DiskIndex is the disk-resident form of the index: objects and the global
 // R-tree live in a page file (4096-byte pages) behind a sharded LRU buffer
-// pool, and every search reports its exact I/O profile. All search methods
-// are safe to call from any number of goroutines — each search runs over a
-// private page lease, so concurrent results (candidates, order, Result.IO)
-// are identical to serial execution. See internal/diskindex.
+// pool, the one cache a search reads through. An object whose MBR survives
+// pruning is read from its record and decoded for that search alone, so
+// the pages a search touches depend on the query and the file alone, and
+// every search reports its exact I/O profile. All search methods are safe
+// to call from any number of goroutines — each search runs over a private
+// page lease, so concurrent results (candidates, order, Result.IO) are
+// identical to serial execution. See internal/diskindex.
 type DiskIndex struct {
 	inner *diskindex.Index
 }
@@ -25,16 +27,12 @@ type DiskResult = diskindex.Result
 type DiskIOStats = diskindex.IOStats
 
 // BuildDiskIndex creates (or truncates) a page file at path and writes the
-// objects and their R-tree into it. frames bounds the buffer pool (each
-// frame holds one 4096-byte page).
+// objects and their R-tree into it, dropping any WAL an earlier file at
+// path left. frames bounds the buffer pool (each frame holds one 4096-byte
+// page). An empty object set is refused before the file is touched.
 func BuildDiskIndex(path string, objs []*Object, frames int) (*DiskIndex, error) {
-	pf, err := pager.Create(path, pager.PageSize)
+	idx, err := diskindex.CreateFile(path, objs, frames)
 	if err != nil {
-		return nil, err
-	}
-	idx, err := diskindex.Build(pager.NewPool(pf, frames), objs)
-	if err != nil {
-		pf.Close()
 		return nil, err
 	}
 	return &DiskIndex{inner: idx}, nil
@@ -71,15 +69,6 @@ func (d *DiskIndex) Search(q *Object, op Operator) (*DiskResult, error) {
 func (d *DiskIndex) SearchKCtx(ctx context.Context, q *Object, op Operator, k int, opts SearchOptions) (*DiskResult, error) {
 	return d.inner.SearchKCtx(ctx, q, op, k, opts)
 }
-
-// ResetCache drops the decoded-object cache for cold-cache measurements.
-func (d *DiskIndex) ResetCache() { d.inner.ResetCache() }
-
-// SetObjCacheCap re-bounds the decoded-object LRU (default
-// diskindex.DefaultObjCacheCap entries); n <= 0 disables object caching.
-// Safe while searches are in flight: the cache is swapped atomically and
-// racing searches finish against the instance they started with.
-func (d *DiskIndex) SetObjCacheCap(n int) { d.inner.SetObjCacheCap(n) }
 
 // Close flushes and closes the underlying page file.
 func (d *DiskIndex) Close() error { return d.inner.Close() }

@@ -45,7 +45,6 @@ func TestDiskIndexFacade(t *testing.T) {
 	if len(resK.Candidates) < len(res.Candidates) {
 		t.Fatal("2-band smaller than skyline")
 	}
-	disk.ResetCache()
 	if err := disk.Close(); err != nil {
 		t.Fatal(err)
 	}

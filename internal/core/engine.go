@@ -95,14 +95,16 @@ type KSearcher interface {
 }
 
 // IOStats reports storage access counters for one search: buffer-pool and
-// page-file traffic plus decoded-object cache behavior. All fields are
-// zero for memory-resident backends.
+// page-file traffic. All fields are zero for memory-resident backends.
 type IOStats struct {
 	// Hits and Misses count logical page requests served from / missing
 	// the buffer pool; Reads and Writes count physical page transfers.
 	Hits, Misses, Reads, Writes int64
-	// CacheHits and CacheEvictions count decoded-object LRU cache hits and
-	// capacity evictions.
+	// CacheHits and CacheEvictions are retired and always 0: the
+	// decoded-object cache they counted is deleted, and a disk search
+	// resolves every object through the buffer pool. The fields stay only
+	// because the frozen bench/wl_disk.go reads them, and leave with the
+	// next benchmark PR.
 	CacheHits, CacheEvictions int64
 }
 
@@ -110,12 +112,10 @@ type IOStats struct {
 // into per-search deltas.
 func (s IOStats) Sub(o IOStats) IOStats {
 	return IOStats{
-		Hits:           s.Hits - o.Hits,
-		Misses:         s.Misses - o.Misses,
-		Reads:          s.Reads - o.Reads,
-		Writes:         s.Writes - o.Writes,
-		CacheHits:      s.CacheHits - o.CacheHits,
-		CacheEvictions: s.CacheEvictions - o.CacheEvictions,
+		Hits:   s.Hits - o.Hits,
+		Misses: s.Misses - o.Misses,
+		Reads:  s.Reads - o.Reads,
+		Writes: s.Writes - o.Writes,
 	}
 }
 

@@ -3,7 +3,7 @@ package diskindex
 // Concurrency stress suite (run it under -race): the conformance query
 // set executed from many goroutines must return, per query, exactly the
 // serial outcome on both backends — candidates, emission order, and (on
-// disk, with the object cache disabled) the logical page-access count.
+// disk) the logical page-access count.
 // The hit/miss split within Accesses is interleaving-dependent (another
 // goroutine may have faulted a page in first), so the assertion is on
 // Hits+Misses, which the traversal alone determines.
@@ -20,9 +20,6 @@ import (
 func TestConcurrentSearchesMatchSerial(t *testing.T) {
 	const goroutines = 8
 	disk, mem, ds, _ := buildBoth(t, 140, 6, 71, 64)
-	// Deterministic per-query I/O: without object caching, every resolve
-	// walks the same pages regardless of concurrent traffic.
-	disk.SetObjCacheCap(0)
 	queries := ds.Queries(3, 4, 200, 72)
 
 	type job struct {
@@ -117,60 +114,4 @@ func TestConcurrentSearchesMatchSerial(t *testing.T) {
 			t.FailNow()
 		}
 	}
-}
-
-// Cache reconfiguration racing live searches must neither crash nor change
-// any result (satellite of the atomic-swap SetObjCacheCap design).
-func TestConcurrentCacheSwapDuringSearches(t *testing.T) {
-	disk, _, ds, _ := buildBoth(t, 120, 5, 73, 64)
-	q := ds.Queries(1, 4, 200, 74)[0]
-	want, err := disk.SearchKCtx(context.Background(), q, core.PSD, 1, core.SearchOptions{Filters: core.AllFilters})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantEm := emissions(want)
-
-	stop := make(chan struct{})
-	swapperDone := make(chan struct{})
-	go func() {
-		defer close(swapperDone)
-		caps := []int{0, 1, 8, 4096}
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			disk.SetObjCacheCap(caps[i%len(caps)])
-			disk.ResetCache()
-		}
-	}()
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 30; i++ {
-				res, err := disk.SearchKCtx(context.Background(), q, core.PSD, 1, core.SearchOptions{Filters: core.AllFilters})
-				if err != nil {
-					t.Errorf("search during cache swap: %v", err)
-					return
-				}
-				got := emissions(res)
-				if len(got) != len(wantEm) {
-					t.Errorf("cache swap changed the result: %d candidates, want %d", len(got), len(wantEm))
-					return
-				}
-				for j := range got {
-					if got[j] != wantEm[j] {
-						t.Errorf("cache swap changed emission %d: %q != %q", j, got[j], wantEm[j])
-						return
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(stop)
-	<-swapperDone
 }

@@ -10,11 +10,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"spatialdom/internal/core"
-	"spatialdom/internal/datagen"
-	"spatialdom/internal/pager"
 )
 
 // conformanceConfigs is every filter configuration exercised by the suite:
@@ -178,7 +177,6 @@ func TestConformanceIOStats(t *testing.T) {
 		t.Fatalf("memory backend reported I/O: %+v", memRes.IO)
 	}
 
-	disk.ResetCache()
 	cold, err := disk.SearchKCtx(context.Background(), q, core.PSD, 1, none)
 	if err != nil {
 		t.Fatal(err)
@@ -192,61 +190,41 @@ func TestConformanceIOStats(t *testing.T) {
 	if cold.IO.Reads != cold.IO.Misses {
 		t.Fatalf("reads %d != misses %d", cold.IO.Reads, cold.IO.Misses)
 	}
-	if cold.IO.CacheHits != 0 {
-		t.Fatalf("cold search hit the object cache: %+v", cold.IO)
-	}
-
-	// Warm repeat: decoded objects come from the LRU.
-	warm, err := disk.SearchKCtx(context.Background(), q, core.PSD, 1, none)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.IO.CacheHits == 0 {
-		t.Fatalf("warm search never hit the object cache: %+v", warm.IO)
-	}
-	if warm.IO.Misses > cold.IO.Misses {
-		t.Fatalf("warm search missed more (%d) than cold (%d)", warm.IO.Misses, cold.IO.Misses)
-	}
 }
 
-func TestObjCacheEviction(t *testing.T) {
-	ds := datagen.Generate(datagen.Params{N: 120, M: 5, EdgeLen: 400, Seed: 69})
-	path := t.TempDir() + "/evict.pg"
-	pf, err := pager.Create(path, pager.PageSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pf.Close()
-	disk, err := Build(pager.NewPool(pf, 64), ds.Objects)
-	if err != nil {
-		t.Fatal(err)
-	}
-	disk.SetObjCacheCap(8) // far below the number of resolved objects (filters off: all of them)
-	q := ds.Queries(1, 4, 200, 70)[0]
-	res, err := disk.SearchKCtx(context.Background(), q, core.FPlusSD, 1, core.SearchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.IO.CacheEvictions == 0 {
-		t.Fatalf("capped cache never evicted: %+v", res.IO)
-	}
-	if got := disk.objCacheLen(); got > 8 {
-		t.Fatalf("cache grew past its cap: %d entries", got)
-	}
-	// Capped caching must not change results.
-	uncapped, _, _, _ := buildBoth(t, 120, 5, 69, 64)
-	want, err := uncapped.SearchKCtx(context.Background(), q, core.FPlusSD, 1, core.SearchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want.Candidates) != len(res.Candidates) {
-		t.Fatalf("capped cache changed the candidate set: %d vs %d", len(res.Candidates), len(want.Candidates))
+// A search's page accesses are a function of the query and the snapshot
+// alone: every resolve reads its record through the buffer pool, so
+// running the same query again on a warm index touches the same pages
+// (Hits+Misses; only the split moves as the pool warms) and emits the same
+// candidates in the same order.
+func TestRepeatSearchSameAccesses(t *testing.T) {
+	disk, _, ds, _ := buildBoth(t, 200, 6, 67, 16)
+	for _, q := range ds.Queries(3, 4, 200, 68) {
+		for _, op := range []core.Operator{core.SSD, core.PSD} {
+			for _, cc := range conformanceConfigs[:2] { // none, all
+				opts := core.SearchOptions{Filters: cc.cfg}
+				first, err := disk.SearchKCtx(context.Background(), q, op, 2, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				again, err := disk.SearchKCtx(context.Background(), q, op, 2, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if first.IO.Accesses() != again.IO.Accesses() {
+					t.Fatalf("%v, filters %s: %d page accesses, then %d on the same query", op, cc.name, first.IO.Accesses(), again.IO.Accesses())
+				}
+				if a, b := emissions(first), emissions(again); !slices.Equal(a, b) {
+					t.Fatalf("%v, filters %s: emissions %v, then %v on the same query", op, cc.name, a, b)
+				}
+			}
+		}
 	}
 }
 
 // An S-SD search with the level-by-level filter off has no use for any
-// object's local R-tree, so it must not build one: with the object cache off
-// every examined object is decoded afresh, and decoding is all a query may
+// object's local R-tree, so it must not build one: every examined object is
+// decoded afresh, and decoding is all a query may
 // allocate per object. At the commit before the query summary the same
 // search made 4469 allocations (72 objects examined: 23 to decode a
 // six-instance record, 39 to bulk-load its tree for the heap key); the bound
@@ -254,7 +232,6 @@ func TestObjCacheEviction(t *testing.T) {
 func TestConformanceNoLocalTreeWithoutLevelFilter(t *testing.T) {
 	const parentAllocsPerQuery = 4469
 	disk, _, ds, _ := buildBoth(t, 140, 6, 61, 64)
-	disk.SetObjCacheCap(0)
 	q := ds.Queries(1, 4, 200, 62)[0]
 	cfg := core.AllFilters
 	cfg.LevelByLevel = false

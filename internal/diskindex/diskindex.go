@@ -10,19 +10,20 @@
 // in-memory index. Per the paper's memory model, an object whose
 // MBR survives pruning is loaded into main memory in full ("we load the
 // whole local R-tree into the main memory if it could not be pruned based
-// on its MBR"); decoded objects are kept in a bounded LRU so long-running
-// servers don't grow without limit.
+// on its MBR"): every resolve reads its record through the buffer pool,
+// which is the one cache of the disk path, and decodes it for that search
+// alone. The pages a search touches (Result.IO's Hits+Misses) thus depend
+// on the query and the pinned snapshot alone.
 //
 // Concurrency: an Index holds no global lock. SearchKCtx takes a pooled
-// per-search session (a pager.Lease over the sharded buffer pool, local
-// cache counters, and the corner arena and record buffer that keep a warm
-// search from allocating per node entry or per record), so N goroutines
-// search the same Index
+// per-search session (a pager.Lease over the sharded buffer pool, and the
+// corner arena and record buffer that keep a warm search from allocating
+// per node entry or per record), so N goroutines search the same Index
 // simultaneously with candidate sets and per-query Result.IO identical to
 // serial execution — a search pins one snapshot, whose tree and store no
 // writer changes (a mutable index publishes each commit as a new epoch),
-// the buffer pool and the decoded-object LRU are sharded, and every counter
-// a search reports is goroutine-local.
+// the buffer pool is sharded, and every counter a search reports is
+// goroutine-local.
 package diskindex
 
 import (
@@ -62,17 +63,6 @@ type Index struct {
 	super pager.PageID
 	store *diskstore.Store // the writer's handle; reads go through snap's clone
 	tree  *diskrtree.Tree
-
-	// objCache holds decoded objects keyed by record pointer, bounded by a
-	// sharded LRU over DefaultObjCacheCap entries (SetObjCacheCap to
-	// tune). The pointer is swapped atomically on reset/re-cap so
-	// in-flight searches keep a consistent cache instance; fetches go
-	// through the buffer pool and are counted there.
-	objCache atomic.Pointer[objLRU]
-
-	// cacheHits and cacheEvictions are the cumulative decoded-object cache
-	// counters, owned here so they survive cache swaps.
-	cacheHits, cacheEvictions atomic.Int64
 
 	// snap is the published snapshot every read goes through, set at
 	// construction. Searches pin it (pinned); the single writer of a
@@ -119,6 +109,40 @@ func Build(pool *pager.Pool, objs []*uncertain.Object) (*Index, error) {
 		return nil, ErrNoObjects
 	}
 	return create(pool, objs[0].Dim(), objs)
+}
+
+// CreateFile creates (or truncates) the index file at path and writes the
+// objects and their R-tree into it behind a buffer pool of the given number
+// of frames; Close releases the file. An empty object set is refused before
+// anything at path is touched.
+//
+//nnc:allow ctx-flow: CreateFile is an offline bulk-load, not a query; nothing upstream has a ctx to thread
+func CreateFile(path string, objs []*uncertain.Object, frames int) (*Index, error) {
+	if len(objs) == 0 {
+		return nil, ErrNoObjects
+	}
+	return createFile(path, frames, objs[0].Dim(), objs)
+}
+
+// createFile makes a new index file at path, for CreateFile and
+// CreateFileMutable alike. A WAL left beside an older
+// file there goes first: it describes that file's pages, so a read-only
+// open would refuse the new file over it and a mutable one would replay
+// the old pages into it.
+func createFile(path string, frames, dim int, objs []*uncertain.Object) (*Index, error) {
+	if err := os.Remove(path + ".wal"); err != nil && !os.IsNotExist(err) {
+		return nil, err
+	}
+	pf, err := pager.Create(path, pager.PageSize)
+	if err != nil {
+		return nil, err
+	}
+	ix, err := create(pager.NewPool(pf, frames), dim, objs)
+	if err != nil {
+		pf.Close()
+		return nil, err
+	}
+	return ix, nil
 }
 
 // create is the one sequence that writes a new file, a bulk build's and an
@@ -251,8 +275,6 @@ func OpenFile(path string, frames int) (*Index, error) {
 func newIndex(pool *pager.Pool, super pager.PageID, store *diskstore.Store, tree *diskrtree.Tree, sb SuperBlock) *Index {
 	ix := &Index{pool: pool, super: super, store: store, tree: tree}
 	//nnc:publish first store before the Index escapes the constructor; no reader exists yet
-	ix.objCache.Store(newObjLRU(DefaultObjCacheCap, &ix.cacheHits, &ix.cacheEvictions))
-	//nnc:publish first store before the Index escapes the constructor; no reader exists yet
 	ix.snap.Store(&snapshot{
 		epoch: sb.Epoch, root: tree.Root(), height: tree.Height(),
 		size: tree.Len(), store: store.Clone(),
@@ -263,29 +285,11 @@ func newIndex(pool *pager.Pool, super pager.PageID, store *diskstore.Store, tree
 // SuperPage returns the id to pass to Open.
 func (ix *Index) SuperPage() pager.PageID { return ix.super }
 
-// ResetCache drops the decoded-object cache (capacity and cumulative
-// hit/evict counters are kept), so the next search re-fetches objects
-// through the buffer pool (used by cold-cache measurements). The cache is
-// swapped atomically: searches already in flight keep resolving against
-// the old instance; searches started afterwards see the empty one.
-func (ix *Index) ResetCache() {
-	cap := ix.objCache.Load().capacity
-	//nnc:publish swap-on-reset: in-flight searches keep the instance they loaded
-	ix.objCache.Store(newObjLRU(cap, &ix.cacheHits, &ix.cacheEvictions))
-}
-
-// SetObjCacheCap re-bounds the decoded-object LRU. cap <= 0 disables
-// caching entirely; the cache is cleared either way. Safe to call while
-// searches are in flight: the new cache is swapped in atomically, racing
-// searches finish against the instance they started with, and the
-// cumulative counters (shared across instances) lose nothing.
-func (ix *Index) SetObjCacheCap(n int) {
-	//nnc:publish swap-on-rebound: racing searches finish against the old instance
-	ix.objCache.Store(newObjLRU(n, &ix.cacheHits, &ix.cacheEvictions))
-}
-
-// objCacheLen reports the entries cached right now (test hook).
-func (ix *Index) objCacheLen() int { return ix.objCache.Load().len() }
+// SetObjCacheCap is retired and does nothing: a resolve reads through the
+// buffer pool, with no object cache to bound. The method stays only
+// because the frozen bench/wl_disk.go calls it, and leaves with the next
+// benchmark PR.
+func (ix *Index) SetObjCacheCap(int) {}
 
 // Len returns the number of indexed (live) objects.
 func (ix *Index) Len() int { return ix.snap.Load().size }
@@ -339,10 +343,9 @@ func (ix *Index) Dim() int { return ix.tree.Dim() }
 // --- core.Backend ------------------------------------------------------------
 
 // view is one snapshot read through one pager.Reader: the only place Root,
-// Expand and Resolve are written. A search's session reads
-// through its lease and reports the counts kept here; Index's own Backend
-// methods read through the shared pool, where the pool's and the cache's
-// cumulative counters are the record.
+// Expand and Resolve are written. A search's session reads through its
+// lease and reports the lease's counts; Index's own Backend methods read
+// through the shared pool, whose cumulative counters are the record.
 //
 // A session's view also lends its reads the session's buffers: the corner
 // arena node pages decode into and the buffer records are read through.
@@ -352,11 +355,8 @@ type view struct {
 	tree   *diskrtree.Tree
 	snap   *snapshot
 	r      pager.Reader
-	cache  *objLRU
 	arena  *diskrtree.Arena
 	recBuf *[]byte
-
-	cacheHits, cacheEvictions int64
 }
 
 // Root returns the snapshot's R-tree root page.
@@ -380,24 +380,15 @@ func (v *view) Expand(n core.NodeRef, visit func(core.BackendEntry)) error {
 	})
 }
 
-// Resolve materializes a record pointer into an object, through the
-// decoded-object LRU. Loading the object is the paper's "load the local
-// R-tree": it happens only when the MBR could not be pruned.
+// Resolve materializes a record pointer into an object, reading the
+// record through the view's reader. Loading the object is the paper's
+// "load the local R-tree": it happens only when the MBR could not be
+// pruned.
 func (v *view) Resolve(r core.ObjRef) (*uncertain.Object, error) {
 	if r.Obj != nil {
 		return r.Obj, nil
 	}
-	ptr := diskstore.Ptr(r.ID)
-	if o, ok := v.cache.get(ptr); ok {
-		v.cacheHits++
-		return o, nil
-	}
-	o, err := v.snap.store.ReadVia(v.r, ptr, v.recBuf)
-	if err != nil {
-		return nil, err
-	}
-	v.cacheEvictions += v.cache.put(ptr, o)
-	return o, nil
+	return v.snap.store.ReadVia(v.r, diskstore.Ptr(r.ID), v.recBuf)
 }
 
 // Index itself is a core.Backend over the current snapshot and the shared
@@ -407,7 +398,7 @@ func (v *view) Resolve(r core.ObjRef) (*uncertain.Object, error) {
 // per-search session instead and is the entry point that keeps Result.IO
 // exact under concurrency.
 func (ix *Index) direct() view {
-	return view{tree: ix.tree, snap: ix.snap.Load(), r: ix.pool, cache: ix.objCache.Load()}
+	return view{tree: ix.tree, snap: ix.snap.Load(), r: ix.pool}
 }
 
 func (ix *Index) Root() (core.NodeRef, error) { v := ix.direct(); return v.Root() }
@@ -422,25 +413,19 @@ func (ix *Index) Resolve(r core.ObjRef) (*uncertain.Object, error) {
 	return v.Resolve(r)
 }
 
-// AccessStats combines the buffer pool's cumulative counters with the
-// decoded-object cache's; the engine turns them into per-search deltas.
+// AccessStats reports the buffer pool's cumulative counters; the engine
+// turns them into per-search deltas.
 func (ix *Index) AccessStats() core.IOStats {
 	hits, misses, reads, writes := ix.pool.Stats()
-	return core.IOStats{
-		Hits: hits, Misses: misses, Reads: reads, Writes: writes,
-		CacheHits:      ix.cacheHits.Load(),
-		CacheEvictions: ix.cacheEvictions.Load(),
-	}
+	return core.IOStats{Hits: hits, Misses: misses, Reads: reads, Writes: writes}
 }
 
 // session is the per-search core.Backend: a view of the search's pinned
 // snapshot through a pager.Lease, so the engine's AccessStats delta is
 // exactly this search's I/O no matter how many other searches run
-// concurrently. The decoded-object cache instance is fixed at session
-// creation, keeping one search internally consistent across a concurrent
-// ResetCache/SetObjCacheCap swap. Sessions are pooled with their corner
-// arena and record buffer, which is what keeps a warm search from
-// allocating per node entry or per record.
+// concurrently. Sessions are pooled with their corner arena and record
+// buffer, which is what keeps a warm search from allocating per node entry
+// or per record.
 type session struct {
 	view
 	lease  *pager.Lease
@@ -456,7 +441,7 @@ var sessionPool = sync.Pool{New: func() any { return new(session) }}
 func (ix *Index) newSession(snap *snapshot, lease *pager.Lease) *session {
 	s := sessionPool.Get().(*session)
 	s.view = view{
-		tree: ix.tree, snap: snap, r: lease, cache: ix.objCache.Load(),
+		tree: ix.tree, snap: snap, r: lease,
 		arena: &s.arena, recBuf: &s.recBuf,
 	}
 	s.lease = lease
@@ -473,20 +458,14 @@ func (s *session) release() {
 }
 
 func (s *session) AccessStats() core.IOStats {
-	return core.IOStats{
-		Hits:           s.lease.Hits,
-		Misses:         s.lease.Misses,
-		Reads:          s.lease.Reads,
-		CacheHits:      s.cacheHits,
-		CacheEvictions: s.cacheEvictions,
-	}
+	return core.IOStats{Hits: s.lease.Hits, Misses: s.lease.Misses, Reads: s.lease.Reads}
 }
 
 // --- search entry points -----------------------------------------------------
 
 // SearchKCtx runs the shared engine against the disk structures with full
 // options: context cancellation, progressive OnCandidate, metrics.
-// Result.IO carries the per-query page and cache counters — exact even
+// Result.IO carries the per-query page counters — exact even
 // under concurrency, because the search runs over a private session whose
 // counters no other goroutine touches. Any number of SearchKCtx calls may
 // run in parallel on one Index.

@@ -245,9 +245,6 @@ func TestWriterHeapDoesNotGrowWithDeletes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ix.Close()
-	// Delete resolves its victim through the decoded-object LRU, which at
-	// its default 4 096 entries would still be filling at 10 000 pairs.
-	ix.SetObjCacheCap(16)
 	for _, o := range ds.Objects[:32] {
 		if err := ix.Insert(o); err != nil {
 			t.Fatal(err)

@@ -190,20 +190,11 @@ func (m *mutState) reclaim(curEpoch uint64) {
 //nnc:allow ctx-flow: CreateFileMutable is startup file creation, not a query; nothing upstream has a ctx to thread
 func CreateFileMutable(path string, dim int, opts *MutableOptions) (*Index, error) {
 	o := opts.resolved()
-	// A stale WAL beside a file we are about to re-create would replay
-	// foreign pages on the next open; drop it first.
-	if err := os.Remove(path + ".wal"); err != nil && !os.IsNotExist(err) {
-		return nil, err
-	}
-	pf, err := pager.Create(path, pager.PageSize)
+	ix, err := createFile(path, o.Frames, dim, nil)
 	if err != nil {
 		return nil, err
 	}
-	ix, err := create(pager.NewPool(pf, o.Frames), dim, nil)
-	if err != nil {
-		pf.Close()
-		return nil, err
-	}
+	pf := ix.pool.File()
 	wlog, err := wal.Open(path+".wal", pf.PageSize(), o.WALWrap)
 	if err != nil {
 		pf.Close()
@@ -371,8 +362,8 @@ func (ix *Index) Delete(id int) (bool, error) {
 
 	// Removing the leaf entry is the whole delete: the record stays in the
 	// heap, unreferenced, until `nnc rewrite` compacts the file. The entry
-	// is found by the record's MBR, read without decoding the object or
-	// touching the object cache, into the mutation's arena.
+	// is found by the record's MBR, read without decoding the object, into
+	// the mutation's arena.
 	treeSt := ix.tree.State()
 	tx := m.tx
 	defer tx.release()

@@ -390,3 +390,64 @@ func TestMutableCreateDropsStaleWAL(t *testing.T) {
 		t.Fatalf("re-created file holds %d objects after replaying %d stale transactions", ix.Len(), rec.CommittedTxs)
 	}
 }
+
+// TestCreateFileDropsStaleWAL: a bulk build over a path whose mutable
+// session died with commits in its log gets the same treatment as
+// CreateFileMutable. Neither a read-only nor a mutable open of the rebuilt
+// file sees the old log, and an empty object set is refused before the
+// rebuilt file is touched.
+func TestCreateFileDropsStaleWAL(t *testing.T) {
+	ds := datagen.Generate(datagen.Params{N: 60, M: 3, EdgeLen: 400, Seed: 63})
+	path := crashBase(t, t.TempDir(), ds.Objects)
+	old, err := OpenFileMutable(path, &MutableOptions{Frames: 32, WALLimit: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range ds.Objects[:20] {
+		if ok, err := old.Delete(o.ID()); err != nil || !ok {
+			t.Fatalf("delete %d: %v %v", o.ID(), ok, err)
+		}
+	}
+	crash(old) // the deletes are in the log only
+
+	other := datagen.Generate(datagen.Params{N: 25, M: 4, EdgeLen: 400, Seed: 64}).Objects
+	built, err := CreateFile(path, other, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := built.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ro, err := OpenFile(path, 32)
+	if err != nil {
+		t.Fatalf("read-only open of the rebuilt file: %v", err)
+	}
+	if ro.Len() != len(other) {
+		t.Errorf("rebuilt file opens read-only with %d objects, want %d", ro.Len(), len(other))
+	}
+	if err := ro.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ix, err := OpenFileMutable(path, nil)
+	if err != nil {
+		t.Fatalf("mutable open of the rebuilt file: %v", err)
+	}
+	if rec := ix.WALRecovery(); ix.Len() != len(other) || rec.CommittedTxs != 0 {
+		t.Errorf("rebuilt file holds %d objects after replaying %d stale transactions, want %d and 0", ix.Len(), rec.CommittedTxs, len(other))
+	}
+	if err := ix.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := CreateFile(path, nil, 32); !errors.Is(err, ErrNoObjects) {
+		t.Fatalf("CreateFile with no objects: %v, want %v", err, ErrNoObjects)
+	}
+	again, err := OpenFile(path, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	if again.Len() != len(other) {
+		t.Fatalf("a refused empty build left %d objects, want %d", again.Len(), len(other))
+	}
+}

@@ -78,18 +78,18 @@ func TestRectsOutliveExpand(t *testing.T) {
 }
 
 // warmAllocsPerObject and warmAllocsConst bound a warm disk search's
-// allocations: per resolved object a coordinate slab, the object, its MBR
-// and the decoded-object cache's entry; per search the lease, the result
-// and its candidate list, and the engine's closures.
+// allocations: per resolved object a coordinate slab, the object and its
+// MBR; per search the lease, the result and its candidate list, and the
+// engine's closures.
 const (
-	warmAllocsPerObject = 7
+	warmAllocsPerObject = 4
 	warmAllocsConst     = 40
 	warmBytesPerQuery   = 40 << 10
 )
 
 // A warm disk search allocates for the objects it examines and for little
-// else: on a 10 000 × 10 file behind a 64-frame pool and a 64-object cache
-// (the disk_cold shape), after one pass over the queries has filled the
+// else: on a 10 000 × 10 file behind a 64-frame pool (the disk_cold shape),
+// after one pass over the queries has filled the
 // pooled session and scratch, allocations per query stay within
 // warmAllocsPerObject per resolved object plus warmAllocsConst, and bytes
 // per query within warmBytesPerQuery. A node page decoded into storage of
@@ -122,7 +122,6 @@ func TestWarmDiskSearchAllocates(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ix.Close()
-	ix.SetObjCacheCap(64)
 	opts := core.SearchOptions{Filters: core.AllFilters}
 	pass := func() (examined int) {
 		for _, q := range queries {

@@ -2,11 +2,11 @@ package diskindex
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"os"
 	"path/filepath"
-	"slices"
 	"testing"
 
 	"spatialdom/internal/core"
@@ -94,73 +94,37 @@ func TestCommitSameBytesOnDisk(t *testing.T) {
 	}
 }
 
-// cachedPtrs lists the decoded-object cache's entries shard by shard, most
-// recently used first: what it holds and in which order it would evict.
-func cachedPtrs(ix *Index) []diskstore.Ptr {
-	var out []diskstore.Ptr
-	c := ix.objCache.Load()
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		for el := sh.ll.Front(); el != nil; el = el.Next() {
-			out = append(out, el.Value.(*lruEntry).ptr)
-		}
-		sh.mu.Unlock()
-	}
-	return out
-}
-
-// TestDeleteLeavesObjectCache: a delete finds its tree entry by the
-// record's MBR without resolving the object, so it neither evicts a live
-// object from a full cache nor refreshes a cached one — the cache holds
-// the same entries in the same order, and no counter moves.
-func TestDeleteLeavesObjectCache(t *testing.T) {
+// TestDeleteNeverDecodesRecord: a delete finds its tree entry by the
+// record's MBR (Store.ReadMBR), without decoding the object. The victim's
+// record holds a negative probability, which every decode refuses and the
+// MBR read never looks at: the delete succeeds, and a search that resolves
+// every live object afterwards no longer meets the record.
+func TestDeleteNeverDecodesRecord(t *testing.T) {
 	ds := datagen.Generate(datagen.Params{N: 200, M: 5, EdgeLen: 400, Seed: 4511})
 	ix, err := CreateFileMutable(filepath.Join(t.TempDir(), "c.pg"), 3, &MutableOptions{Frames: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ix.Close()
+	victim := ds.Objects[0]
+	victim.Probs()[0] = -victim.Probs()[0] // Insert encodes the slab as it is
 	for _, o := range ds.Objects {
 		if err := ix.Insert(o); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ix.SetObjCacheCap(16)
+	ix.writeMu.Lock()
+	ptr := ix.mut.byID[victim.ID()]
+	ix.writeMu.Unlock()
+	if _, err := ix.store.Read(ptr); !errors.Is(err, diskstore.ErrCorrupt) {
+		t.Fatalf("decoding the victim's record: %v, want %v", err, diskstore.ErrCorrupt)
+	}
+	if ok, err := ix.Delete(victim.ID()); err != nil || !ok {
+		t.Fatalf("delete %d: %v %v", victim.ID(), ok, err)
+	}
 	for _, q := range ds.Queries(6, 4, 200, 4512) {
 		if _, err := ix.SearchKCtx(context.Background(), q, core.SSD, 2, core.SearchOptions{}); err != nil {
 			t.Fatal(err)
-		}
-	}
-	held := cachedPtrs(ix)
-	if len(held) != 16 {
-		t.Fatalf("the searches left %d cached objects, want a full cache of 16", len(held))
-	}
-	cached, uncached := -1, -1
-	ix.writeMu.Lock()
-	for id, ptr := range ix.mut.byID {
-		if slices.Contains(held, ptr) {
-			cached = id
-		} else {
-			uncached = id
-		}
-	}
-	ix.writeMu.Unlock()
-	if cached < 0 || uncached < 0 {
-		t.Fatalf("no cached (%d) or no uncached (%d) object to delete", cached, uncached)
-	}
-	for _, id := range []int{uncached, cached} {
-		before := ix.AccessStats()
-		if ok, err := ix.Delete(id); err != nil || !ok {
-			t.Fatalf("delete %d: %v %v", id, ok, err)
-		}
-		after := ix.AccessStats()
-		if after.CacheEvictions != before.CacheEvictions || after.CacheHits != before.CacheHits {
-			t.Errorf("deleting %d moved the cache counters: evictions %d → %d, hits %d → %d",
-				id, before.CacheEvictions, after.CacheEvictions, before.CacheHits, after.CacheHits)
-		}
-		if now := cachedPtrs(ix); !slices.Equal(now, held) {
-			t.Errorf("deleting %d changed the cache: %v, was %v", id, now, held)
 		}
 	}
 }

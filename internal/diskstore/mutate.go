@@ -23,8 +23,8 @@ package diskstore
 // Record pointers are logical stream offsets and the stream only grows,
 // so a Ptr is valid forever — deleted records simply become unreferenced
 // garbage between live ones (reclaimed by `nnc rewrite`). That
-// immutability is what lets the decoded-object cache stay keyed by Ptr
-// across epochs with no invalidation protocol.
+// immutability is what lets a reader pinned to an older epoch resolve its
+// leaves' pointers while the writer appends, with no invalidation protocol.
 
 import (
 	"encoding/binary"

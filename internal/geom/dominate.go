@@ -87,16 +87,3 @@ func FSDMBR(u, v, q Rect) bool {
 	}
 	return worst <= 0
 }
-
-// FSDMBRPoints reports whether rectangle U fully spatially dominates
-// rectangle V with respect to a finite set of query instances (rather than a
-// whole query rectangle): MaxDist(q,U) <= MinDist(q,V) for every q. It is
-// tighter than FSDMBR with the bounding rectangle of the instances.
-func FSDMBRPoints(u, v Rect, qs []Point) bool {
-	for _, q := range qs {
-		if u.MaxSqDistPoint(q) > v.MinSqDistPoint(q) {
-			return false
-		}
-	}
-	return true
-}

@@ -124,27 +124,6 @@ func TestFSDMBRConstructedPositive(t *testing.T) {
 	}
 }
 
-// FSDMBRPoints must be at least as permissive as FSDMBR on the bounding
-// rect of the instances (checking fewer query positions).
-func TestFSDMBRPointsTighterThanRect(t *testing.T) {
-	rng := rand.New(rand.NewSource(44))
-	for iter := 0; iter < 1000; iter++ {
-		d := 1 + rng.Intn(3)
-		u := randRect(rng, d, 6)
-		v := randRect(rng, d, 6)
-		qs := make([]Point, 1+rng.Intn(5))
-		var flat []float64
-		for i := range qs {
-			qs[i] = randPoint(rng, d, 4)
-			flat = append(flat, qs[i]...)
-		}
-		qr := BoundingRect(flat, d)
-		if FSDMBR(u, v, qr) && !FSDMBRPoints(u, v, qs) {
-			t.Fatalf("rect-level dominance must imply point-level dominance")
-		}
-	}
-}
-
 func TestFSDMBRTransitivity(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	checked := 0

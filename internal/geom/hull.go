@@ -108,45 +108,3 @@ func hull2D(pts []Point) []int {
 	}
 	return hull[:len(hull)-1] // last point repeats the first
 }
-
-// PointInHull2D reports whether p lies inside or on the boundary of the
-// counter-clockwise 2-D convex polygon whose vertices, in order, are hull.
-// For dimensionalities other than 2 it conservatively returns false (the
-// test is only ever used as an optional early-exit optimization).
-func PointInHull2D(p Point, hull []Point) bool {
-	if len(p) != 2 || len(hull) == 0 {
-		return false
-	}
-	if len(hull) == 1 {
-		return p.Equal(hull[0])
-	}
-	if len(hull) == 2 {
-		a, b := hull[0], hull[1]
-		if cross(a, b, p) != 0 {
-			return false
-		}
-		// On the segment a-b?
-		return minf(a[0], b[0]) <= p[0] && p[0] <= maxf(a[0], b[0]) &&
-			minf(a[1], b[1]) <= p[1] && p[1] <= maxf(a[1], b[1])
-	}
-	for i, a := range hull {
-		if cross(a, hull[(i+1)%len(hull)], p) < 0 {
-			return false
-		}
-	}
-	return true
-}
-
-func minf(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}

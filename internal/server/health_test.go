@@ -29,7 +29,7 @@ func TestHealthzIsHealth(t *testing.T) {
 	ds := datagen.Generate(datagen.Params{N: 60, M: 4, Seed: 5})
 	base := []string{"status", "time"}
 	data := []string{"objects", "dim"}
-	io := block("io", "pool_hits", "pool_misses", "page_reads", "page_writes", "cache_hits", "cache_evictions")
+	io := block("io", "pool_hits", "pool_misses", "page_reads", "page_writes")
 	frontKeys := block("front", "cache_hits", "cache_misses", "cache_evictions", "cache_invalidations", "cache_bytes",
 		"cache_entries", "coalesce_hits", "cache_negative_hits", "shed_rate_limited", "shed_capacity", "in_flight", "epoch")
 	faultKeys := slices.Concat([]string{"quarantined_pages"}, block("faults", "checksum_failures", "torn_pages",

@@ -104,8 +104,8 @@ type (
 	FaultReporter interface {
 		FaultStats() faults.Stats
 	}
-	// AccessReporter exposes cumulative storage access counters (buffer
-	// pool and decoded-object cache).
+	// AccessReporter exposes cumulative storage access counters (the
+	// buffer pool's).
 	AccessReporter interface {
 		AccessStats() core.IOStats
 	}
@@ -200,12 +200,10 @@ type Health struct {
 
 // IOHealth is the /healthz "io" block: an AccessReporter's counters.
 type IOHealth struct {
-	PoolHits       int64 `json:"pool_hits"`
-	PoolMisses     int64 `json:"pool_misses"`
-	PageReads      int64 `json:"page_reads"`
-	PageWrites     int64 `json:"page_writes"`
-	CacheHits      int64 `json:"cache_hits"`
-	CacheEvictions int64 `json:"cache_evictions"`
+	PoolHits   int64 `json:"pool_hits"`
+	PoolMisses int64 `json:"pool_misses"`
+	PageReads  int64 `json:"page_reads"`
+	PageWrites int64 `json:"page_writes"`
 }
 
 // Server is the HTTP handler set over one backend. Search endpoints work
@@ -449,12 +447,10 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if ar, ok := capability[AccessReporter](b); ok {
 		st := ar.AccessStats()
 		h.IO = &IOHealth{
-			PoolHits:       st.Hits,
-			PoolMisses:     st.Misses,
-			PageReads:      st.Reads,
-			PageWrites:     st.Writes,
-			CacheHits:      st.CacheHits,
-			CacheEvictions: st.CacheEvictions,
+			PoolHits:   st.Hits,
+			PoolMisses: st.Misses,
+			PageReads:  st.Reads,
+			PageWrites: st.Writes,
 		}
 	}
 	if fb, ok := s.front.Load().(frontBox); ok {

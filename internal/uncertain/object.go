@@ -315,16 +315,6 @@ func (o *Object) HullIndices() []int {
 	return o.hull
 }
 
-// HullPoints returns the hull instances as points.
-func (o *Object) HullPoints() []geom.Point {
-	idx := o.HullIndices()
-	pts := make([]geom.Point, len(idx))
-	for i, j := range idx {
-		pts[i] = o.Instance(j)
-	}
-	return pts
-}
-
 // MinDist returns δmin(q, O): the distance from q to the closest instance.
 func (o *Object) MinDist(q geom.Point) float64 {
 	return math.Sqrt(geom.MinSqDistToPoints(q, o.Points()))

@@ -268,9 +268,6 @@ func TestHull(t *testing.T) {
 	if len(hull) != 4 {
 		t.Fatalf("hull = %v", hull)
 	}
-	if len(o.HullPoints()) != 4 {
-		t.Fatal("HullPoints size")
-	}
 	// Cached.
 	if &hull[0] != &o.HullIndices()[0] {
 		t.Fatal("hull not cached")
