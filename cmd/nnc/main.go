@@ -13,7 +13,7 @@
 //	nnc fsck objects.pg                            # checksums + WAL + structure; exit 1 on findings
 //	nnc rewrite objects.pg                         # rebuild in place, dropping dead records
 //	nnc checkpoint objects.pg                      # flush the WAL into the page file
-//	nnc wal-dump objects.pg.wal                    # print every WAL record
+//	nnc wal-dump objects.pg.wal                    # print every WAL record, images with their logged length
 //	nnc figure -figure=10 -scale=small             # a figure of the paper's evaluation
 //	nnc verify -scale=small                        # Appendix C.2 shape checks
 //

@@ -139,13 +139,16 @@ func sweepOne(t *testing.T, base string, limit int64, op func(*Index) error,
 }
 
 // killPoints covers [open, open+txBytes+slack] — the transaction's bytes
-// after the open's own — with a stride coprime to the record sizes plus
-// the exact end of the transaction.
+// after the open's own — with a prime stride plus the exact end of the
+// transaction. The stride shrank with the transactions when the log
+// stopped logging zero tails (127 → 13 bytes; the insert swept here
+// 24 677 → 3 540 bytes), so every sweep keeps at least the points it had
+// when the log held whole pages.
 func killPoints(open, txBytes int64) []int64 {
 	var pts []int64
-	stride := int64(127)
+	stride := int64(13)
 	if testing.Short() {
-		stride = 911
+		stride = 127
 	}
 	for d := int64(0); d <= txBytes; d += stride {
 		pts = append(pts, open+d)
@@ -265,7 +268,7 @@ func TestCrashKillPointSweepDelete(t *testing.T) {
 // transaction each — and checkpoints without the clean close that would
 // trim the log: the base's WAL is a new generation with churn's records,
 // a generation old, where the next transaction lands. It returns the
-// base and churn's record boundaries in the log.
+// base and churn's record boundaries in the log, read off a scan.
 func recycledBase(t *testing.T, dir string, objs []*uncertain.Object, churn ...func(*Index) error) (string, map[int64]bool) {
 	t.Helper()
 	base := crashBase(t, dir, objs)
@@ -273,18 +276,14 @@ func recycledBase(t *testing.T, dir string, objs []*uncertain.Object, churn ...f
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := wal.PageImageRecordSize(ix.pool.File().PageSize())
-	bounds := map[int64]bool{wal.HeaderSize: true}
 	for _, op := range churn {
-		start := ix.WALSize()
 		if err := op(ix); err != nil {
 			t.Fatal(err)
 		}
-		end := ix.WALSize()
-		for b := start; b < end; b += rec {
-			bounds[b] = true
-		}
-		bounds[end-wal.CommitRecordSize], bounds[end] = true, true
+	}
+	bounds := map[int64]bool{ix.WALSize(): true}
+	if _, _, err := wal.ScanFile(base+".wal", 0, func(r wal.Rec) error { bounds[r.Off] = true; return nil }); err != nil {
+		t.Fatal(err)
 	}
 	if err := ix.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -296,16 +295,21 @@ func recycledBase(t *testing.T, dir string, objs []*uncertain.Object, churn ...f
 	return base, bounds
 }
 
-// TestCrashSweepRecycledOnBoundary: the transaction swept is as long as
-// the older generation's first one, so it ends exactly where the older
-// generation's next transaction — a whole record, valid under its own
-// generation, deleting the object just inserted — begins. A scan that
-// read past the new generation's end would replay that delete.
+// TestCrashSweepRecycledOnBoundary: the transaction swept is a delete, as
+// was the older generation's first one, which a second inserted another
+// object after. A delete logs no store page, and the insert put back as
+// many entries as the first delete took away, so the swept delete logs the
+// pages the older one did at the lengths it did, and ends exactly where the
+// older insert — a whole record, valid under its own generation, whose
+// tree holds the object the sweep deletes — begins. A scan that read past
+// the new generation's end would replay that insert.
 func TestCrashSweepRecycledOnBoundary(t *testing.T) {
 	ds := datagen.Generate(datagen.Params{N: 31, M: 5, EdgeLen: 400, Seed: 45})
-	baseObjs, probe := ds.Objects[:30], ds.Objects[30]
-	base, bounds := recycledBase(t, t.TempDir(), baseObjs, insertOp(probe), deleteOp(probe.ID()))
-	tx := runSweep(t, "recycled, on a boundary", base, insertOp(probe), ids(baseObjs), ids(baseObjs, probe))
+	baseObjs, extra := ds.Objects[:30], ds.Objects[30]
+	gone, victim := baseObjs[3].ID(), baseObjs[12].ID()
+	base, bounds := recycledBase(t, t.TempDir(), baseObjs, deleteOp(gone), insertOp(extra))
+	pre := without(ids(baseObjs, extra), gone)
+	tx := runSweep(t, "recycled, on a boundary", base, deleteOp(victim), pre, without(pre, victim))
 	if !bounds[wal.HeaderSize+tx] {
 		t.Fatalf("the transaction ends at %d, not on an older record's boundary: the test lost its premise", wal.HeaderSize+tx)
 	}
@@ -479,15 +483,16 @@ func TestCrashFailedImageWriteAbortsCleanly(t *testing.T) {
 	want := idSet(ix)
 	want[small.ID()] = true
 
-	// The big object's transaction spans well over 12 pages; 12 whole
-	// image records land before the write fails.
+	// The big object's transaction spans well over 12 pages, most of them
+	// store pages its record fills to the end; 12 full-page records' worth
+	// of bytes land before the write fails.
 	fw.armed, fw.land = true, 12*wal.PageImageRecordSize(ix.pool.File().PageSize())
 	err = ix.Insert(big)
 	if !errors.Is(err, errFlakyWAL) || errors.Is(err, ErrPoisoned) {
 		t.Fatalf("insert over a failing image write: %v, want the injected error and no poison", err)
 	}
 	if fw.armed {
-		t.Fatal("the big transaction's image write was shorter than 12 records; the test lost its premise")
+		t.Fatal("the big transaction's image write was shorter than 12 full-page records; the test lost its premise")
 	}
 	// The small object's transaction is shorter than what landed.
 	if err := ix.Insert(small); err != nil {

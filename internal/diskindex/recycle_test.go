@@ -76,32 +76,40 @@ func TestWALFileRecycled(t *testing.T) {
 // first 20 objects of datagen seed 4701 (N 21, M 4, edge 400) inserted and
 // checkpointed, then object 20 inserted and object 3 deleted, and the
 // process killed — two committed transactions in the log and not in the
-// page file. A read-only open refuses the file; a mutable open replays both
-// and leaves a version-2 log.
-func TestV1WALReplays(t *testing.T) {
-	ds := datagen.Generate(datagen.Params{N: 21, M: 4, EdgeLen: 400, Seed: 4701})
+// page file.
+func TestV1WALReplays(t *testing.T) { pendingFixtureReplays(t, "v1-pending", 1, 4701) }
+
+// TestV2WALReplays opens testdata/v2-pending.pg and its log, written by
+// the version-2 log format (a generation seeding every CRC, full page
+// images): the first 20 objects of datagen seed 4702 (N 21, M 4, edge 400)
+// inserted and the file closed, then reopened, object 20 inserted, object
+// 3 deleted and the process killed — two committed transactions of
+// generation 1 in the log and not in the page file.
+func TestV2WALReplays(t *testing.T) { pendingFixtureReplays(t, "v2-pending", 2, 4702) }
+
+// pendingFixtureReplays checks a testdata fixture of an older log version
+// holding two committed, unapplied transactions over datagen seed's first
+// 20 objects: object 20 inserted, then object 3 deleted. A read-only open
+// refuses the file, fsck finds it clean with both pending, and a mutable
+// open replays both, leaves a log of the current version and answers as
+// the in-memory index over the same set.
+func pendingFixtureReplays(t *testing.T, fixture string, version byte, seed int64) {
+	t.Helper()
+	ds := datagen.Generate(datagen.Params{N: 21, M: 4, EdgeLen: 400, Seed: seed})
 	want := without(ids(ds.Objects[:20], ds.Objects[20]), ds.Objects[3].ID())
-	path := filepath.Join(t.TempDir(), "v1.pg")
-	copyFile(t, filepath.Join("testdata", "v1-pending.pg"), path)
-	copyFile(t, filepath.Join("testdata", "v1-pending.pg.wal"), path+".wal")
-	version := func() byte {
-		t.Helper()
-		raw, err := os.ReadFile(path + ".wal")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return raw[4]
-	}
-	if v := version(); v != 1 {
-		t.Fatalf("fixture log is version %d, want 1", v)
+	path := filepath.Join(t.TempDir(), fixture+".pg")
+	copyFile(t, filepath.Join("testdata", fixture+".pg"), path)
+	copyFile(t, filepath.Join("testdata", fixture+".pg.wal"), path+".wal")
+	if v := walVersion(t, path); v != version {
+		t.Fatalf("fixture log is version %d, want %d", v, version)
 	}
 
 	if _, err := OpenFile(path, 32); err == nil || !strings.Contains(err.Error(), "holds transactions") {
-		t.Fatalf("read-only open of a pending v1 log: %v", err)
+		t.Fatalf("read-only open of a pending v%d log: %v", version, err)
 	}
 	rep, err := FsckStruct(path, 32)
 	if err != nil || !rep.Clean() || rep.WALCommitted != 2 || rep.WALTorn != 0 {
-		t.Fatalf("fsck of the pending v1 log: %v %+v", err, rep)
+		t.Fatalf("fsck of the pending v%d log: %v %+v", version, err, rep)
 	}
 
 	ix, err := OpenFileMutable(path, &MutableOptions{Frames: 32})
@@ -114,7 +122,7 @@ func TestV1WALReplays(t *testing.T) {
 	if got := idSet(ix); !setsEqual(got, want) {
 		t.Fatalf("recovered %d ids, want %d", len(got), len(want))
 	}
-	if v := version(); v != wal.Version {
+	if v := walVersion(t, path); v != wal.Version {
 		t.Fatalf("after the replay the log is version %d, want %d", v, wal.Version)
 	}
 	if err := ix.Close(); err != nil {
@@ -147,5 +155,73 @@ func TestV1WALReplays(t *testing.T) {
 				t.Fatalf("q%d %v: disk %v != memory %v", qi, op, got, want)
 			}
 		}
+	}
+}
+
+// walVersion returns the format version the header of the log beside the
+// page file at path names.
+func walVersion(t *testing.T, path string) byte {
+	t.Helper()
+	raw, err := os.ReadFile(path + ".wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw[4]
+}
+
+// TestV2WALHeaderOnlyGetsV3Header: a version-2 log that holds only its
+// header needs no recovery, so opening it mutable writes nothing. Its
+// first commit must still land under the current version's header: a
+// trimmed record under a version-2 header is one a version-2 binary takes
+// for a torn tail. The commit dies right after the header write, so the
+// header alone is on disk; then a commit lands whole and replays.
+func TestV2WALHeaderOnlyGetsV3Header(t *testing.T) {
+	ds := datagen.Generate(datagen.Params{N: 22, M: 4, EdgeLen: 400, Seed: 4703})
+	base := crashBase(t, t.TempDir(), ds.Objects[:20])
+	raw, err := os.ReadFile(base + ".wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(raw)) != wal.HeaderSize {
+		t.Fatalf("a closed index left a %d-byte log, want the header alone", len(raw))
+	}
+	raw[4] = 2
+	if err := os.WriteFile(base+".wal", raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	ix, err := OpenFileMutable(base, crashAfter(wal.HeaderSize))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := walVersion(t, base); v != 2 {
+		t.Fatalf("opening the header-only log rewrote it as version %d", v)
+	}
+	if err := ix.Insert(ds.Objects[20]); err == nil {
+		t.Fatal("the insert survived a log that dies after the header")
+	}
+	crash(ix)
+	if v := walVersion(t, base); v != wal.Version {
+		t.Fatalf("the first commit's header write left version %d, want %d", v, wal.Version)
+	}
+
+	ix, err = OpenFileMutable(base, &MutableOptions{Frames: 32, WALLimit: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Insert(ds.Objects[21]); err != nil {
+		t.Fatal(err)
+	}
+	crash(ix)
+	ix, err = OpenFileMutable(base, &MutableOptions{Frames: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	if rec := ix.WALRecovery(); rec.CommittedTxs != 1 {
+		t.Fatalf("recovery %+v, want the second insert", rec)
+	}
+	if got := idSet(ix); !setsEqual(got, ids(ds.Objects[:20], ds.Objects[21])) {
+		t.Fatalf("recovered %d ids, want the base and the second insert", len(got))
 	}
 }

@@ -118,10 +118,18 @@ func TestSnapshotIsolationUnderWrites(t *testing.T) {
 	}
 
 	done := make(chan struct{})
+	// started holds the writer's last step until every reader has finished
+	// its first check, so each reader overlaps the writer however fast the
+	// commits are.
+	var started sync.WaitGroup
+	started.Add(readers)
 	var writerErr error
 	go func() {
 		defer close(done)
 		for i, st := range schedule {
+			if i == len(schedule)-1 {
+				started.Wait()
+			}
 			if st.insert != nil {
 				if err := disk.Insert(st.insert); err != nil {
 					writerErr = fmt.Errorf("step %d insert: %w", i, err)
@@ -141,6 +149,11 @@ func TestSnapshotIsolationUnderWrites(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			checks := 0
+			defer func() {
+				if checks == 0 {
+					started.Done()
+				}
+			}()
 			for round := 0; ; round++ {
 				select {
 				case <-done:
@@ -173,7 +186,9 @@ func TestSnapshotIsolationUnderWrites(t *testing.T) {
 							g, j.op, j.k, j.qi, got, e1, e2, lo, hi)
 						return
 					}
-					checks++
+					if checks++; checks == 1 {
+						started.Done()
+					}
 				}
 			}
 		}(g)

@@ -18,14 +18,15 @@ import (
 // Golden digests of TestCommitSameBytesOnDisk: the FNV-64a of the page
 // file and of the WAL its fixed sequence leaves behind. The page file's
 // was captured before the writer decoded into an arena and stopped copying
-// the heap directory; the WAL's when the log became version 2 (a
-// generation in the header seeding every CRC, and a checkpoint that
+// the heap directory; the WAL's when the log became version 3 (a page
+// image logged up to its last non-zero byte). Version 2 had added the
+// generation in the header seeding every CRC and the checkpoint that
 // recycles the file, so the second half of the sequence overwrites the
-// first's records). A change to the write path that is not meant to change
+// first's records. A change to the write path that is not meant to change
 // the format must leave both in place.
 const (
 	goldenPageFile = 0xb52013890584efbb
-	goldenWAL      = 0xa3ffdd00f1e6bc0a
+	goldenWAL      = 0x97cda98a6c4141c6
 )
 
 // TestCommitSameBytesOnDisk runs a fixed insert/delete/checkpoint sequence

@@ -152,7 +152,7 @@ func DumpFile(path string, payload int, w io.Writer) error {
 	info, err := l.Scan(func(r Rec) error {
 		switch r.Type {
 		case RecPageImage:
-			fmt.Fprintf(w, "  @%-8d tx %-6d page-image  page %d (%s)\n", r.Off, r.TxID, r.Page, r.PType)
+			fmt.Fprintf(w, "  @%-8d tx %-6d page-image  page %d (%s), %d bytes logged\n", r.Off, r.TxID, r.Page, r.PType, len(r.Image))
 		case RecCommit:
 			fmt.Fprintf(w, "  @%-8d tx %-6d commit\n", r.Off, r.TxID)
 		case RecCheckpoint:

@@ -230,8 +230,9 @@ func TestCheckpointHeaderTorn(t *testing.T) {
 	}
 }
 
-// TestDumpFileLabelsTail: wal-dump names the generation and tells bytes an
-// older generation left from a torn append.
+// TestDumpFileLabelsTail: wal-dump names the version and the generation,
+// prints each image's logged length, and tells bytes an older generation
+// left from a torn append.
 func TestDumpFileLabelsTail(t *testing.T) {
 	dir := t.TempDir()
 	l := openTestLog(t, dir)
@@ -239,7 +240,12 @@ func TestDumpFileLabelsTail(t *testing.T) {
 	if err := l.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	commit(t, l, page(3, 3))
+	// The older generation: two whole pages, a commit and a checkpoint.
+	size := HeaderSize + 2*PageImageRecordSize(testPayload) + 2*CommitRecordSize
+	im := page(3, 3)
+	clear(im.Data[100:])
+	commit(t, l, im)
+	end := HeaderSize + imageRecordSize(im) + CommitRecordSize
 	dump := func() string {
 		var out strings.Builder
 		if err := DumpFile(l.Path(), 0, &out); err != nil {
@@ -247,9 +253,13 @@ func TestDumpFileLabelsTail(t *testing.T) {
 		}
 		return out.String()
 	}
-	if d := dump(); !strings.Contains(d, "wal v2, generation 1") || !strings.Contains(d, "2 records") ||
-		!strings.Contains(d, "bytes of older generations") || strings.Contains(d, "TORN") {
-		t.Fatalf("recycled log:\n%s", d)
+	want := fmt.Sprintf("%s: wal v3, generation 1, page payload 256, %d bytes\n"+
+		"  @16       tx 2      page-image  page 3 (tree-node), 100 bytes logged\n"+
+		"  @%-8d tx 2      commit\n"+
+		"  2 records, valid through %d, then %d bytes of older generations\n",
+		l.Path(), size, HeaderSize+imageRecordSize(im), end, size-end)
+	if d := dump(); d != want {
+		t.Fatalf("recycled log:\n%s\nwant\n%s", d, want)
 	}
 
 	// The next transaction dies inside its image: a torn append over the

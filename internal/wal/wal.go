@@ -1,17 +1,17 @@
 // Package wal implements the write-ahead log behind the mutable disk
-// index. Every write transaction is one Log.Commit: full page images
-// followed by a commit record, then an fsync, so a transaction is durable
-// exactly when its commit record is on stable storage. A record is
-// encoded once, in place, into one buffer the log owns; a transaction's
-// image records reach the file in one write and its commit record in a
-// second, so a failed image write promised nothing and a failed commit
-// write or fsync leaves durability indeterminate (ErrIndeterminate).
-// Recovery replays the page images of committed transactions into the
-// page file and starts a new generation — a crash at any byte offset of
-// the log yields either the pre-transaction or the post-transaction
-// state, never a mixture (see DESIGN.md §2d).
+// index. Every write transaction is one Log.Commit: page images followed
+// by a commit record, then an fsync, so a transaction is durable exactly
+// when its commit record is on stable storage. A record is encoded once,
+// in place, into one buffer the log owns; a transaction's image records
+// reach the file in one write and its commit record in a second, so a
+// failed image write promised nothing and a failed commit write or fsync
+// leaves durability indeterminate (ErrIndeterminate). Recovery replays the
+// page images of committed transactions into the page file and starts a
+// new generation — a crash at any byte offset of the log yields either the
+// pre-transaction or the post-transaction state, never a mixture (see
+// DESIGN.md §2d).
 //
-// # Record grammar (version 2)
+// # Record grammar (version 3)
 //
 // The file opens with a 16-byte header:
 //
@@ -26,13 +26,24 @@
 // header's generation, so a record verifies only in the generation that
 // wrote it. Record types:
 //
-//	1 page-image  payload = pageID u32 | pageType u8 | image [page payload]
+//	1 page-image  payload = pageID u32 | pageType u8 | image prefix [plen−5]
 //	2 commit      payload empty; Commit fsyncs before returning
 //	3 checkpoint  payload empty; all txids ≤ txid are in the page file
 //
-// Version 1 had no generation: its reserved header word is zero and its
-// CRCs are seeded with zero, so a version-1 log reads as generation 0 and
-// replays unchanged; the first reset rewrites its header as version 2.
+// An image is still a whole page of the header's payload size: the logged
+// prefix runs to the page's last non-zero byte and the zeros after it are
+// implied, so 5 ≤ plen ≤ 5 + page payload. An all-zero page logs no byte
+// of image; a page with no zero tail logs all of it. Only Recover pads an
+// image back to a page, into a buffer sized by the page file — never by a
+// length the log declares.
+//
+// Version 2 always logged the full page, plen = 5 + page payload. Version
+// 1 had no generation either: its reserved header word is zero and its
+// CRCs are seeded with zero, so a version-1 log reads as generation 0.
+// Both are version-3 logs whose images have no implied zeros, and replay
+// unchanged. A log opened at an older version gets the version-3 header
+// before its first record lands, so no binary that reads only full images
+// takes a prefix for a torn tail.
 //
 // # Recycling
 //
@@ -50,9 +61,9 @@
 // type or whose CRC fails under the current generation. The bytes past
 // that point are a torn append of the current generation, or bytes an
 // older generation left (ScanInfo.Torn, ScanInfo.Stale); recovery drops
-// both. Because images are whole pages (physical redo), replay is
-// idempotent — applying a committed transaction twice converges to the
-// same bytes.
+// both. Because every image is a whole page — its prefix followed by
+// zeros (physical redo) — replay is idempotent: applying a committed
+// transaction twice converges to the same bytes.
 //
 // One write path still truncates: a write that failed part-way, or a scan
 // that stopped short, may leave records of the current generation past
@@ -62,6 +73,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -86,7 +98,7 @@ const (
 	crcSize       = 4
 	walMagic      = "SDWL"
 	// Version is the log format version written by Open and by a reset.
-	Version = 2
+	Version = 3
 )
 
 var (
@@ -135,18 +147,21 @@ type Log struct {
 	// overwriting could leave a stale-but-valid record beyond a shorter
 	// fresh one, and a later scan would replay it.
 	dirtyTail bool
-	// staleHeader records that a reset's header write or fsync failed: the
-	// file may still name the previous generation. The next write writes
-	// and syncs the header first, so no record of the new generation lands
-	// under a header that would not verify it.
+	// staleHeader records that the file may not hold the header this log
+	// writes: a reset's header write or fsync failed, so the file may still
+	// name the previous generation, or the log was opened at an older
+	// format version. The next write writes and syncs the header first, so
+	// no record lands under a header that would not verify it or whose
+	// version does not admit a trimmed image.
 	staleHeader bool
 	// buf is the encode buffer Commit reuses across transactions (see
 	// maxRetainedRecords).
 	buf []byte
 }
 
-// PageImageRecordSize returns the encoded size of one page-image record
-// for the given page payload — the unit the kill-point sweep steps by.
+// PageImageRecordSize returns the encoded size of the largest page-image
+// record for the given page payload: the record of a page with no zero
+// tail. A record of a page whose tail is zero is shorter by the tail.
 func PageImageRecordSize(payload int) int64 {
 	return int64(recHeaderSize + 5 + payload + crcSize)
 }
@@ -197,6 +212,7 @@ func Open(path string, payload int, wrap func(*os.File) File) (*Log, error) {
 		return nil, fmt.Errorf("wal: log page payload %d != page file payload %d", h.payload, payload)
 	}
 	l.gen = h.gen
+	l.staleHeader = h.version < Version
 	return l, nil
 }
 
@@ -223,7 +239,7 @@ func readHeader(f io.ReaderAt) (header, error) {
 	return header{version: hdr[4], payload: int(le32(hdr[8:12])), gen: binary.BigEndian.Uint32(hdr[12:16])}, nil
 }
 
-// writeHeader writes the version-2 header naming the log's generation in
+// writeHeader writes the current version's header naming the log's generation in
 // place and syncs it.
 func (l *Log) writeHeader() error {
 	var hdr [headerSize]byte
@@ -247,8 +263,8 @@ func (l *Log) Size() int64 { return l.off }
 // Close closes the underlying file without truncating or syncing.
 func (l *Log) Close() error { return l.f.Close() }
 
-// PageImage is one page of a transaction: the full payload image Commit
-// logs under the transaction's id.
+// PageImage is one page of a transaction: the page's whole payload, which
+// Commit logs under the transaction's id up to its last non-zero byte.
 type PageImage struct {
 	ID   pager.PageID
 	Type pager.PageType
@@ -262,21 +278,43 @@ type PageImage struct {
 const maxRetainedRecords = 12
 
 // appendRecord appends one encoded record to buf: header, body (a page
-// image's id, type and bytes; empty for commit and checkpoint), and the
-// CRC over both, seeded with the generation gen.
+// image's id, type and bytes up to the last non-zero one; empty for commit
+// and checkpoint), and the CRC over both, seeded with the generation gen.
 func appendRecord(buf []byte, gen uint32, typ byte, txid uint64, im PageImage) []byte {
 	start := len(buf)
 	buf = append(buf, typ)
 	buf = binary.LittleEndian.AppendUint64(buf, txid)
 	if typ == RecPageImage {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(5+len(im.Data)))
+		img := im.Data[:imageLen(im.Data)]
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(5+len(img)))
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(im.ID))
 		buf = append(buf, byte(im.Type))
-		buf = append(buf, im.Data...)
+		buf = append(buf, img...)
 	} else {
 		buf = binary.LittleEndian.AppendUint32(buf, 0)
 	}
 	return binary.LittleEndian.AppendUint32(buf, crc32.Update(gen, castagnoli, buf[start:]))
+}
+
+// zeroBlock is the zero tail imageLen compares a page against, a block at
+// a time.
+var zeroBlock [256]byte
+
+// imageLen returns the length of p up to its last non-zero byte: the
+// prefix of a page a page-image record logs. It steps back over the zero
+// tail a block at a time, then a word, then a byte.
+func imageLen(p []byte) int {
+	n := len(p)
+	for n >= len(zeroBlock) && bytes.Equal(p[n-len(zeroBlock):n], zeroBlock[:]) {
+		n -= len(zeroBlock)
+	}
+	for n >= 8 && binary.LittleEndian.Uint64(p[n-8:n]) == 0 {
+		n -= 8
+	}
+	for n > 0 && p[n-1] == 0 {
+		n--
+	}
+	return n
 }
 
 // write puts p at the append offset in one WriteAt, without syncing, first
@@ -404,8 +442,9 @@ func (l *Log) Trim() error {
 }
 
 // Rec is one decoded record delivered by Scan. Image fields are only set
-// for page-image records; Image aliases a scan-internal buffer, valid
-// only during the callback.
+// for page-image records. Image is the logged prefix of the page, at most
+// the log's page payload long; the page's bytes past it are zero. It
+// aliases a scan-internal buffer, valid only during the callback.
 type Rec struct {
 	Off   int64 // file offset of the record
 	Type  byte
@@ -462,7 +501,7 @@ func (l *Log) Scan(fn func(Rec) error) (*ScanInfo, error) {
 		}
 		switch typ {
 		case RecPageImage:
-			if plen != maxPlen {
+			if plen < 5 {
 				typ = 0
 			}
 		case RecCommit, RecCheckpoint:
@@ -559,7 +598,9 @@ type RecoveryStats struct {
 
 // Recover makes the page file consistent with the log: it scans the
 // valid record prefix, replays the page images of every committed
-// transaction in log order (growing the page file as needed), syncs the
+// transaction in log order (growing the page file as needed) — each
+// logged prefix padded with zeros to a whole page of the page file's
+// payload, in one buffer sized by the page file — syncs the
 // page file, and finally resets the log to a new generation — at which
 // point the page file alone holds the latest committed state, and neither
 // the replayed records nor a torn tail past them verify any more. Replay
@@ -598,17 +639,23 @@ func Recover(l *Log, pf *pager.PageFile) (*RecoveryStats, error) {
 	// overwrite earlier images of the same page, converging on the newest
 	// committed version.
 	var applyErr error
+	page := make([]byte, pf.PageSize())
 	_, err = l.Scan(func(r Rec) error {
 		if r.Type != RecPageImage || !committed[r.TxID] {
 			return nil
 		}
+		if len(r.Image) > len(page) {
+			applyErr = fmt.Errorf("page %d: a %d-byte image for a %d-byte page payload", r.Page, len(r.Image), len(page))
+			return applyErr
+		}
+		clear(page[copy(page, r.Image):])
 		if need := int(r.Page) + 1; need > int(pfPages(pf)) {
 			if err := pf.EnsurePages(need); err != nil {
 				applyErr = err
 				return err
 			}
 		}
-		if err := pf.WritePage(r.Page, r.Image, r.PType); err != nil {
+		if err := pf.WritePage(r.Page, page, r.PType); err != nil {
 			applyErr = err
 			return err
 		}

@@ -31,6 +31,12 @@ func image(fill byte) []byte {
 	return img
 }
 
+// imageRecordSize is the size of the record that logs im: its page up to
+// the last non-zero byte.
+func imageRecordSize(im PageImage) int64 {
+	return PageImageRecordSize(len(bytes.TrimRight(im.Data, "\x00")))
+}
+
 // page is one tree-node page image filled with fill.
 func page(id pager.PageID, fill byte) PageImage {
 	return PageImage{ID: id, Type: pager.PageTreeNode, Data: image(fill)}
