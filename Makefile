@@ -253,11 +253,12 @@ fuzz-smoke:
 # the crash kill-point sweeps (exact pre-or-post transaction recovery at
 # every byte offset the log can die at), snapshot-isolated readers under
 # a concurrent writer, the mutable/in-memory conformance suite, the
-# structural fsck's seeded-corruption detection, and the HTTP mutation
-# endpoints.
+# structural fsck's seeded-corruption detection, the HTTP mutation
+# endpoints, and the buffer pool's page ownership (a commit's Put takes the
+# staged buffer as the frame unless a reader holds the page pinned).
 wal:
 	$(GO) test -race -run 'WAL|Crash|Snapshot|Pin|Mutable|Mutation|FsckStruct|Recover|Scan|Append|Commit|Truncated|Dump|Checkpoint' \
-		./internal/wal ./internal/diskindex ./internal/server
+		./internal/wal ./internal/diskindex ./internal/server ./internal/pager
 
 # cluster runs the scatter-gather tier under the race detector: the
 # merge-invariant property sweep (sharded == single node, byte for byte,

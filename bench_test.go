@@ -542,7 +542,9 @@ func (c *countingWAL) WriteAt(p []byte, off int64) (int, error) {
 // (bench/wl_disk.go), a 10 000 × 10 page file opened writable with a pool
 // that holds all of it, objects from the same distribution inserted and
 // then deleted again. allocs/op and B/op are per commit, and so are the
-// log's writes and bytes (wal-writes/commit, wal-bytes/commit), which are
+// log's writes and bytes (wal-writes/commit, wal-bytes/commit) and the
+// page installs that found their frame pinned and fell back to a copy
+// (frame-copies/commit, 0 with a single writer and no reader), which are
 // what this benchmark is for. Its ns/op measures the fsync of the file
 // system b.TempDir() sits on: ≈ 175–240 µs/op on an ext4 virtual disk
 // against ≈ 40 µs on tmpfs (TMPDIR=/dev/shm), 2-proc x86-64. The repo
@@ -587,6 +589,7 @@ func BenchmarkCommit(b *testing.B) {
 	}
 	b.ReportMetric(float64(log.writes)/float64(b.N), "wal-writes/commit")
 	b.ReportMetric(float64(log.bytes)/float64(b.N), "wal-bytes/commit")
+	b.ReportMetric(float64(ix.FrameCopies())/float64(b.N), "frame-copies/commit")
 }
 
 // BenchmarkTable2 — one search at the paper's Table 2 object and query

@@ -1,6 +1,7 @@
 package diskindex
 
 import (
+	"bytes"
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
@@ -12,16 +13,21 @@ import (
 )
 
 // Every test of this package runs with recycled transaction buffers filled
-// with 0xDB on their way back to the free list, and the writer's arena
-// filled with NaN corners and -1 references when it is reset: a decoded
-// node, a rectangle, a snapshot or a pool frame that kept a transaction's
-// memory past the transaction would read poison, and the conformance,
-// crash-sweep and snapshot-isolation suites would fail on it.
+// with 0xDB on their way back to the free list, Tx.Read's result filled
+// with 0xDB at the transaction's next call, and the writer's arena filled
+// with NaN corners and -1 references when it is reset: a decoded node, a
+// rectangle, a snapshot or a pool frame that kept a transaction's memory
+// past the transaction, or a caller that kept a Read result past its
+// contract, would read poison, and the conformance, crash-sweep and
+// snapshot-isolation suites would fail on it.
 func init() { poisonFreeBufs = true }
 
 // TestRecycledBuffersPoisoned checks the hook itself: after a commit the
 // free list holds the transaction's buffers, within its bound, every byte
-// poisoned — and the committed state reads back intact all the same.
+// poisoned — and the committed state reads back intact all the same, so
+// the buffers a commit installed as pool frames were not among them. A
+// single writer never finds a page it installs pinned, so no install fell
+// back to a copy.
 func TestRecycledBuffersPoisoned(t *testing.T) {
 	ds := datagen.Generate(datagen.Params{N: 60, M: 5, EdgeLen: 400, Seed: 91})
 	ix, err := CreateFileMutable(filepath.Join(t.TempDir(), "p.pg"), 3, &MutableOptions{Frames: 64})
@@ -50,6 +56,93 @@ func TestRecycledBuffersPoisoned(t *testing.T) {
 	}
 	if n := len(idSet(ix)); n != len(ds.Objects) {
 		t.Fatalf("%d live objects, want %d", n, len(ds.Objects))
+	}
+	if n := ix.pool.FrameCopies(); n != 0 {
+		t.Fatalf("%d installs copied into a pinned frame, want 0", n)
+	}
+}
+
+// TestTxReadPinEndsAtNextCall holds Tx.Read to the pager.TxPager
+// contract: a committed page comes back as its pool frame itself, pinned
+// until the transaction's next call and no longer — a Put into the frame
+// copies while the pin lasts and swaps after. Under poisonFreeBufs, which
+// every other test of this package runs with, Read hands out a private
+// copy instead and the next call fills it with 0xDB.
+func TestTxReadPinEndsAtNextCall(t *testing.T) {
+	ds := datagen.Generate(datagen.Params{N: 40, M: 5, EdgeLen: 400, Seed: 93})
+	ix, err := CreateFileMutable(filepath.Join(t.TempDir(), "r.pg"), 3, &MutableOptions{Frames: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	for _, o := range ds.Objects {
+		if err := ix.Insert(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ix.writeMu.Lock()
+	defer ix.writeMu.Unlock()
+	tx, pool := ix.mut.tx, ix.pool
+	defer tx.release()
+	root := pager.PageID(ix.snap.Load().root)
+	frame, err := pool.Get(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := bytes.Clone(frame)
+	pool.Unpin(root)
+	// pinned reports whether root's frame is pinned: a Put of its own bytes
+	// then copies instead of taking the buffer.
+	pinned := func() bool {
+		before := pool.FrameCopies()
+		if _, err := pool.Put(root, bytes.Clone(want), pager.PageTreeNode); err != nil {
+			t.Fatal(err)
+		}
+		return pool.FrameCopies() > before
+	}
+
+	got, err := tx.Read(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) || pinned() {
+		t.Fatal("poisoned Read: not the committed bytes, or a pin left on the frame")
+	}
+	if _, err := tx.Read(ix.super); err != nil {
+		t.Fatal(err)
+	}
+	if got[0] != 0xDB || !bytes.Equal(got, bytes.Repeat([]byte{0xDB}, len(got))) {
+		t.Fatal("the next call left a poisoned Read's copy unpoisoned")
+	}
+
+	poisonFreeBufs = false
+	defer func() { poisonFreeBufs = true }()
+	frame, err = pool.Get(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool.Unpin(root)
+	if got, err = tx.Read(root); err != nil {
+		t.Fatal(err)
+	}
+	if &got[0] != &frame[0] {
+		t.Fatal("Read copied a committed page instead of handing out its frame")
+	}
+	if !pinned() {
+		t.Fatal("Read's frame is not pinned until the next call")
+	}
+	if _, err := tx.Read(ix.super); err != nil {
+		t.Fatal(err)
+	}
+	if pinned() {
+		t.Fatal("Read's pin outlived the transaction's next call")
+	}
+	if _, err := tx.Read(root); err != nil {
+		t.Fatal(err)
+	}
+	tx.release()
+	if pinned() {
+		t.Fatal("Read's pin outlived the transaction")
 	}
 }
 

@@ -10,8 +10,9 @@ package diskindex
 // in one write, the commit record in a second and fsyncs (the durability
 // point), the images are installed into the buffer pool with Put, and
 // finally a new snapshot is published. The writer reuses one Tx and
-// recycles its page buffers (tx.go): the log and Put both copy, so a staged
-// buffer is the transaction's alone and free again when it ends. The page
+// recycles its page buffers (tx.go): the log copies, and Put takes each
+// staged buffer as the page's frame and hands back the frame's old one, so
+// every buffer the Tx holds is its alone and free again when it ends. The page
 // file itself receives committed images lazily — by buffer-pool eviction
 // or at a checkpoint — which is safe because recovery replays the WAL over
 // the file.
@@ -445,9 +446,17 @@ func (ix *Index) commitTx(tx *Tx) error {
 		//nnc:allow hotpath-alloc: error path
 		return fmt.Errorf("diskindex: wal append: %w", err)
 	}
-	// Durable. Install the images and publish.
-	for _, im := range images {
-		if err := ix.pool.Put(im.ID, im.Data, im.Type); err != nil {
+	// Durable. Install the images — each staged buffer becomes its page's
+	// frame, and the frame's old buffer takes its place in the Tx — and
+	// publish.
+	tx.unhold()
+	for i := range tx.pages {
+		sp := &tx.pages[i]
+		if !sp.live {
+			continue
+		}
+		var err error
+		if sp.buf, err = ix.pool.Put(sp.id, sp.buf, sp.t); err != nil {
 			return ix.poison("cache install", err)
 		}
 	}
@@ -555,6 +564,11 @@ func (ix *Index) WALRecovery() *wal.RecoveryStats {
 	}
 	return ix.mut.recovered
 }
+
+// FrameCopies returns how many page installs found their pool frame
+// pinned by a reader and copied the image instead of taking the staged
+// buffer as the frame (pager.Pool.Put).
+func (ix *Index) FrameCopies() int64 { return ix.pool.FrameCopies() }
 
 // WALSize returns the WAL's current valid length in bytes.
 func (ix *Index) WALSize() int64 {

@@ -2,6 +2,7 @@ package diskindex
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"sort"
@@ -9,6 +10,7 @@ import (
 
 	"spatialdom/internal/core"
 	"spatialdom/internal/datagen"
+	"spatialdom/internal/geom"
 	"spatialdom/internal/uncertain"
 )
 
@@ -165,4 +167,172 @@ func sameShape(t *testing.T, mem, disk core.Backend, resolve bool) (leaves, heig
 	}
 	walk(mr, dr, 1)
 	return leaves, height
+}
+
+// TestParentRectsBitForBit runs a seeded insert/delete sequence of objects
+// whose coordinates repeat and include both −0 and +0 through the
+// in-memory index and a mutable disk index, and checks after every
+// operation that each rectangle either tree keeps for a child node is that
+// child's MBR bit for bit, and that the two trees have one shape. Insert
+// grows a parent rectangle by the new entry and Delete keeps one when the
+// removed entry lay strictly inside it, so the sequence deletes entries
+// strictly inside their leaf's rectangle and entries on its bound — among
+// them entries on a zero bound, where −0 and +0 are equal as numbers and
+// still not the same bound.
+func TestParentRectsBitForBit(t *testing.T) {
+	rng := rand.New(rand.NewSource(64))
+	coord := func() float64 { // −0 or +0 one time in five, else 1…300
+		switch rng.Intn(10) {
+		case 0:
+			return math.Copysign(0, -1)
+		case 1:
+			return 0
+		}
+		return float64(1 + rng.Intn(300))
+	}
+	object := func(id int) *uncertain.Object {
+		m := 1 + rng.Intn(2)
+		pts := make([]geom.Point, m)
+		for i := range pts {
+			pts[i] = geom.Point{coord(), coord()}
+		}
+		probs := []float64{1, 0.5, 0.5}[m-1 : 2*m-1]
+		return uncertain.MustNew(id, pts, probs)
+	}
+	first := object(0)
+	mem, err := core.NewIndex([]*uncertain.Object{first})
+	if err != nil {
+		t.Fatal(err)
+	}
+	disk, err := CreateFileMutable(filepath.Join(t.TempDir(), "zeros.pg"), 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disk.Close()
+	if err := disk.Insert(first); err != nil {
+		t.Fatal(err)
+	}
+	live := []*uncertain.Object{first}
+	var inside, touching, onZero int
+	for op, next := 0, 1; op < 1200; op++ {
+		grow := op/400%2 == 0
+		if len(live) == 0 || rng.Intn(5) < map[bool]int{true: 4, false: 1}[grow] {
+			o := object(next)
+			next++
+			if err := mem.Insert(o); err != nil {
+				t.Fatal(err)
+			}
+			if err := disk.Insert(o); err != nil {
+				t.Fatal(err)
+			}
+			live = append(live, o)
+		} else {
+			k := rng.Intn(len(live))
+			o := live[k]
+			if r, ok := leafRect(t, mem, o.ID()); ok {
+				e := o.MBR()
+				switch {
+				case e.Lo[0] > r.Lo[0] && e.Lo[1] > r.Lo[1] && e.Hi[0] < r.Hi[0] && e.Hi[1] < r.Hi[1]:
+					inside++
+				case e.Lo[0] == 0 && r.Lo[0] == 0, e.Lo[1] == 0 && r.Lo[1] == 0, e.Hi[0] == 0 && r.Hi[0] == 0, e.Hi[1] == 0 && r.Hi[1] == 0:
+					onZero++
+					fallthrough
+				default:
+					touching++
+				}
+			}
+			removed, err := disk.Delete(o.ID())
+			if err != nil || !removed || !mem.Delete(o.ID()) {
+				t.Fatalf("op %d: delete %d: removed %v, err %v", op, o.ID(), removed, err)
+			}
+			live = append(live[:k], live[k+1:]...)
+		}
+		exactRects(t, "memory", mem)
+		exactRects(t, "disk", disk)
+		sameShape(t, mem, disk, false)
+		if t.Failed() {
+			t.Fatalf("after op %d", op)
+		}
+	}
+	t.Logf("deletes from a leaf below the root: %d strictly inside its rectangle, %d on its bound (%d on a zero bound)", inside, touching, onZero)
+	if inside < 50 || touching < 50 || onZero < 10 {
+		t.Fatalf("sequence too tame: %d deletes strictly inside, %d on a bound, %d on a zero bound", inside, touching, onZero)
+	}
+}
+
+// exactRects walks b from its root and reports, as a test error, every
+// rectangle a node keeps for a child node that is not the child's MBR bit
+// for bit.
+func exactRects(t *testing.T, name string, b core.Backend) {
+	t.Helper()
+	var walk func(n core.NodeRef) geom.Rect
+	walk = func(n core.NodeRef) geom.Rect {
+		var es []core.BackendEntry
+		if err := b.Expand(n, func(e core.BackendEntry) { es = append(es, e) }); err != nil {
+			t.Fatal(err)
+		}
+		var mbr geom.Rect
+		for i, e := range es {
+			if e.IsNode {
+				if got := walk(e.Node); !sameRectBits(got, e.Rect) {
+					t.Errorf("%s: node %d keeps %v for a child whose MBR is %v", name, n.ID, e.Rect, got)
+				}
+			}
+			if i == 0 {
+				mbr = e.Rect.Clone()
+			} else {
+				mbr.Expand(e.Rect)
+			}
+		}
+		return mbr
+	}
+	root, err := b.Root()
+	if err != nil {
+		t.Fatal(err)
+	}
+	walk(root)
+}
+
+// sameRectBits reports whether two rectangles have the same corners bit
+// for bit: unlike geom.Rect.Equal, −0 and +0 differ.
+func sameRectBits(a, b geom.Rect) bool {
+	if len(a.Lo) != len(b.Lo) {
+		return false
+	}
+	for i := range a.Lo {
+		if math.Float64bits(a.Lo[i]) != math.Float64bits(b.Lo[i]) || math.Float64bits(a.Hi[i]) != math.Float64bits(b.Hi[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// leafRect returns the rectangle the in-memory index's tree keeps for the
+// leaf holding object id, or false when that leaf is the root.
+func leafRect(t *testing.T, mem core.Backend, id int) (geom.Rect, bool) {
+	t.Helper()
+	var find func(n core.NodeRef, kept geom.Rect) (geom.Rect, bool)
+	find = func(n core.NodeRef, kept geom.Rect) (geom.Rect, bool) {
+		var es []core.BackendEntry
+		if err := mem.Expand(n, func(e core.BackendEntry) { es = append(es, e) }); err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range es {
+			if !e.IsNode {
+				if e.Obj.Obj.ID() == id {
+					return kept, kept.Lo != nil
+				}
+				continue
+			}
+			if r, ok := find(e.Node, e.Rect); ok {
+				return r, true
+			}
+		}
+		return geom.Rect{}, false
+	}
+	root, err := mem.Root()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return find(root, geom.Rect{})
 }

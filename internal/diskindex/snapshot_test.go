@@ -14,7 +14,9 @@ import (
 )
 
 // Snapshot-isolation stress (run under -race): reader goroutines search
-// while a writer commits inserts and deletes.
+// while a writer commits inserts and deletes, and every commit hands its
+// staged buffers to the pool as frames (the package's tests poison every
+// buffer the writer gets back).
 // Every search result must equal the in-memory outcome of exactly one
 // epoch the search could have pinned — bounded by the index epoch
 // sampled before and after the search. A result mixing two epochs, or
@@ -235,5 +237,11 @@ func TestSnapshotIsolationUnderWrites(t *testing.T) {
 	}
 	if err := disk.Healthy(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+	// Copy-on-write installs only pages no live snapshot reaches, so no
+	// search held one pinned: every commit took its staged buffers as the
+	// frames, and none fell back to a copy.
+	if n := disk.pool.FrameCopies(); n != 0 {
+		t.Fatalf("%d installs found their page pinned by a search", n)
 	}
 }

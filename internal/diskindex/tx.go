@@ -8,12 +8,17 @@ package diskindex
 //
 // The index has one Tx, emptied at the end of every mutation, and its page
 // buffers come off a free list on mutState and go back when the
-// transaction ends either way (release). That is sound because nothing
-// keeps a transaction buffer past its transaction: the WAL and Pool.Put
-// copy, a decoded node copies its coordinates out, and snapshots hold page
-// ids, never buffers. The nodes a mutation decodes live in the writer's
-// arena (diskrtree.Arena) until release resets it: nothing keeps a node or
-// a rectangle of one past its mutation either.
+// transaction ends either way (release). A commit moves each page once:
+// Pool.Put takes a staged buffer as the page's frame and hands back the
+// frame's old buffer, which takes the staged one's place in the Tx, so
+// release recycles only buffers the Tx owns. Read copies nothing: it
+// returns the committed frame itself, pinned until the transaction's next
+// call. That is sound because nothing keeps a transaction buffer past its
+// transaction, or a Read result past the next call: the WAL copies, a
+// decoded node copies its coordinates out, and snapshots hold page ids,
+// never buffers. The nodes a mutation decodes live in the writer's arena
+// (diskrtree.Arena) until release resets it: nothing keeps a node or a
+// rectangle of one past its mutation either.
 //
 // A Tx lives entirely under the index's write mutex; none of this is
 // concurrency-safe on its own.
@@ -39,10 +44,16 @@ type Tx struct {
 	ix     *Index
 	pages  []stagedPage         // in staging order, the WAL append order
 	staged map[pager.PageID]int // page id → index in pages
-	reads  map[pager.PageID][]byte
 	owned  map[pager.PageID]bool
-	bufs   [][]byte        // every buffer drawn, for release
 	images []wal.PageImage // liveImages' result, reused
+
+	// held is the committed page the last Read returned, pinned until the
+	// transaction's next call; InvalidPage when none. Under poisonFreeBufs
+	// that Read handed out heldCopy, a private copy, instead of the frame,
+	// and the next call moves the copy, poisoned, to spent until release.
+	held     pager.PageID
+	heldCopy []byte
+	spent    [][]byte
 
 	popped  []pager.PageID // taken off the index free list by Alloc
 	grown   []pager.PageID // appended to the page file by Alloc
@@ -53,22 +64,26 @@ type Tx struct {
 var _ pager.TxPager = (*Tx)(nil)
 
 // maxFreeBufs bounds the page buffers kept between transactions. On the
-// repo benchmark's write workload a mutation draws 12 at the median, 14 at
-// p99 and 25 at most; a larger transaction allocates its surplus and
-// drops it afterwards.
-const maxFreeBufs = 24
+// repo benchmark's write workload (two passes on each of seeds 1 and 13)
+// a mutation stages 8 pages at the median, 9 at p99 and 15 or 56 at most,
+// the most a delete that dissolves a node and reinserts its entries. A
+// larger transaction allocates its surplus and drops it afterwards.
+const maxFreeBufs = 16
 
 // poisonFreeBufs makes release fill every buffer it takes back with 0xDB,
 // so anything still aliasing a transaction buffer after the transaction
-// reads garbage. Set by this package's tests only.
+// reads garbage, and makes Read hand out a private copy that the
+// transaction's next call fills with 0xDB, so a caller that keeps a Read
+// result past its contract reads garbage too. Set by this package's tests
+// only.
 var poisonFreeBufs bool
 
 func newTx(ix *Index) *Tx {
 	return &Tx{
 		ix:     ix,
 		staged: make(map[pager.PageID]int),
-		reads:  make(map[pager.PageID][]byte),
 		owned:  make(map[pager.PageID]bool),
+		held:   pager.InvalidPage,
 	}
 }
 
@@ -79,17 +94,52 @@ func (tx *Tx) PageSize() int { return tx.ix.pool.File().PageSize() }
 func (tx *Tx) Owned(id pager.PageID) bool { return tx.owned[id] }
 
 // buffer draws one page buffer, contents unspecified, off the free list.
+// Every buffer the Tx draws is staged, or is a Read copy under
+// poisonFreeBufs, until it goes back through keep.
 func (tx *Tx) buffer() []byte {
 	m := tx.ix.mut
-	var buf []byte
-	if n := len(m.freeBufs); n > 0 {
-		buf, m.freeBufs = m.freeBufs[n-1], m.freeBufs[:n-1]
-	} else {
+	n := len(m.freeBufs)
+	if n == 0 {
 		//nnc:allow hotpath-alloc: first-use growth of the free list; warm transactions draw recycled buffers
-		buf = make([]byte, tx.PageSize())
+		return make([]byte, tx.PageSize())
 	}
-	tx.bufs = append(tx.bufs, buf)
+	buf := m.freeBufs[n-1]
+	m.freeBufs = m.freeBufs[:n-1]
 	return buf
+}
+
+// keep puts a buffer the Tx owns back on the free list, up to its bound,
+// filled with 0xDB under poisonFreeBufs.
+func (tx *Tx) keep(buf []byte) {
+	m := tx.ix.mut
+	if poisonFreeBufs {
+		for j := range buf {
+			buf[j] = 0xDB
+		}
+	}
+	if len(m.freeBufs) < maxFreeBufs {
+		m.freeBufs = append(m.freeBufs, buf)
+	}
+}
+
+// unhold ends the buffer the last Read returned: it unpins the committed
+// frame, or poisons the private copy poisonFreeBufs handed out instead.
+// Every TxPager call that reads or writes a page, release and commitTx
+// call it first.
+func (tx *Tx) unhold() {
+	if tx.held == pager.InvalidPage {
+		return
+	}
+	if tx.heldCopy != nil {
+		for j := range tx.heldCopy {
+			tx.heldCopy[j] = 0xDB
+		}
+		tx.spent = append(tx.spent, tx.heldCopy)
+		tx.heldCopy = nil
+	} else {
+		tx.ix.pool.Unpin(tx.held)
+	}
+	tx.held = pager.InvalidPage
 }
 
 // release ends the transaction, committed or aborted: its page buffers go
@@ -98,44 +148,26 @@ func (tx *Tx) buffer() []byte {
 // writer's arena, whose nodes and rectangles were the mutation's alone,
 // is reset.
 func (tx *Tx) release() {
+	tx.unhold()
 	m := tx.ix.mut
 	if poisonFreeBufs {
 		m.arena.Poison()
 	}
 	m.arena.Reset()
-	for _, buf := range tx.bufs[:min(len(tx.bufs), maxFreeBufs-len(m.freeBufs))] {
-		if poisonFreeBufs {
-			for j := range buf {
-				buf[j] = 0xDB
-			}
-		}
-		m.freeBufs = append(m.freeBufs, buf)
+	for i := range tx.pages {
+		tx.keep(tx.pages[i].buf)
 	}
-	clear(tx.bufs)
+	for _, buf := range tx.spent {
+		tx.keep(buf)
+	}
+	clear(tx.spent)
+	tx.spent = tx.spent[:0]
 	clear(tx.pages)
 	clear(tx.images)
 	clear(tx.staged)
-	clear(tx.reads)
 	clear(tx.owned)
-	tx.pages, tx.bufs, tx.images = tx.pages[:0], tx.bufs[:0], tx.images[:0]
+	tx.pages, tx.images = tx.pages[:0], tx.images[:0]
 	tx.popped, tx.grown, tx.recycle, tx.freed = tx.popped[:0], tx.grown[:0], tx.recycle[:0], tx.freed[:0]
-}
-
-// committedCopy reads page id from the buffer pool into a private buffer.
-func (tx *Tx) committedCopy(id pager.PageID) ([]byte, error) {
-	if buf, ok := tx.reads[id]; ok {
-		return buf, nil
-	}
-	src, err := tx.ix.pool.Get(id)
-	if err != nil {
-		return nil, err
-	}
-	buf := tx.buffer()
-	copy(buf, src)
-	tx.ix.pool.Unpin(id)
-	//nnc:allow hotpath-alloc: the map is cleared, not remade, between transactions; it grows to a transaction's page count once
-	tx.reads[id] = buf
-	return buf, nil
 }
 
 // stage records buf as page id's pending image.
@@ -158,16 +190,28 @@ func (tx *Tx) liveImages() []wal.PageImage {
 	return tx.images
 }
 
-// Read returns the staged copy when present, else a private copy of the
-// committed page.
+// Read returns the staged copy when present, else the committed page's
+// frame, pinned until the transaction's next call.
 //
 //nnc:hotpath
 //nnc:allow ctx-flow: Tx implements pager.TxPager, which is ctx-free by design — a single-writer transaction is never cancelled mid-flight, only committed or aborted
 func (tx *Tx) Read(id pager.PageID) ([]byte, error) {
+	tx.unhold()
 	if i, ok := tx.staged[id]; ok && tx.pages[i].live {
 		return tx.pages[i].buf, nil
 	}
-	return tx.committedCopy(id)
+	buf, err := tx.ix.pool.Get(id)
+	if err != nil {
+		return nil, err
+	}
+	tx.held = id
+	if poisonFreeBufs {
+		tx.heldCopy = tx.buffer()
+		copy(tx.heldCopy, buf)
+		tx.ix.pool.Unpin(id)
+		return tx.heldCopy, nil
+	}
+	return buf, nil
 }
 
 // Stage returns the writable staged copy of page id, creating it from the
@@ -176,6 +220,7 @@ func (tx *Tx) Read(id pager.PageID) ([]byte, error) {
 //nnc:hotpath
 //nnc:allow ctx-flow: Tx implements pager.TxPager, which is ctx-free by design — a single-writer transaction is never cancelled mid-flight, only committed or aborted
 func (tx *Tx) Stage(id pager.PageID, t pager.PageType) ([]byte, error) {
+	tx.unhold()
 	if i, ok := tx.staged[id]; ok {
 		if !tx.pages[i].live {
 			//nnc:allow hotpath-alloc: error path, a structure bug
@@ -183,10 +228,13 @@ func (tx *Tx) Stage(id pager.PageID, t pager.PageType) ([]byte, error) {
 		}
 		return tx.pages[i].buf, nil
 	}
-	buf, err := tx.committedCopy(id)
+	src, err := tx.ix.pool.Get(id)
 	if err != nil {
 		return nil, err
 	}
+	buf := tx.buffer()
+	copy(buf, src)
+	tx.ix.pool.Unpin(id)
 	tx.stage(id, buf, t)
 	return buf, nil
 }
@@ -200,6 +248,7 @@ func (tx *Tx) Stage(id pager.PageID, t pager.PageType) ([]byte, error) {
 //nnc:hotpath
 //nnc:allow ctx-flow: Tx implements pager.TxPager, which is ctx-free by design — a single-writer transaction is never cancelled mid-flight, only committed or aborted
 func (tx *Tx) Alloc(t pager.PageType) (pager.PageID, []byte, error) {
+	tx.unhold()
 	if n := len(tx.recycle); n > 0 {
 		id := tx.recycle[n-1]
 		tx.recycle = tx.recycle[:n-1]
@@ -236,6 +285,7 @@ func (tx *Tx) Alloc(t pager.PageType) (pager.PageID, []byte, error) {
 // owned page never committed, so it is reusable at once; a committed page
 // waits for every snapshot that can still reach it to drain.
 func (tx *Tx) Free(id pager.PageID) {
+	tx.unhold()
 	if i, ok := tx.staged[id]; ok {
 		tx.pages[i].live = false
 	}

@@ -159,8 +159,11 @@ type txStore struct {
 
 var _ rtree.Store = txStore{}
 
-// Read decodes the node at id into the arena; it lives until the arena's
-// next reset, which the writer does only after the operation returns.
+// Read decodes the node at id into the arena, straight from the buffer
+// the TxPager's Read returns — under a Tx the committed page's pinned pool
+// frame, which the decode copies out of before the next call ends the pin.
+// The node lives until the arena's next reset, which the writer does only
+// after the operation returns.
 //
 //nnc:hotpath
 func (s txStore) Read(id rtree.NodeID) (*rtree.Node, error) {

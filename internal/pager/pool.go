@@ -39,6 +39,8 @@ type Pool struct {
 	// hits and misses count logical page requests served from / missing
 	// the cache; physical transfers are counted on the PageFile.
 	hits, misses atomic.Int64
+	// frameCopies counts the Puts that found the page pinned and copied.
+	frameCopies atomic.Int64
 }
 
 type poolShard struct {
@@ -129,10 +131,12 @@ func (p *Pool) get(ctx context.Context, id PageID) (buf []byte, hit bool, err er
 		p.hits.Add(1)
 		fr.pins++
 		sh.lru.MoveToFront(fr.elem)
-		ch := fr.loading
+		// Taken under the lock: a Put may give the frame another buffer
+		// while this pin lasts, but never writes the one pinned here.
+		buf, ch := fr.buf, fr.loading
 		sh.mu.Unlock()
 		if ch == nil {
-			return fr.buf, true, nil
+			return buf, true, nil
 		}
 		// Page in flight: wait for the loader — but never past our own
 		// context. A canceled waiter releases its pin and leaves; the load
@@ -151,7 +155,7 @@ func (p *Pool) get(ctx context.Context, id PageID) (buf []byte, hit bool, err er
 			sh.mu.Unlock()
 			return nil, false, lerr
 		}
-		return fr.buf, true, nil
+		return buf, true, nil
 	}
 	p.misses.Add(1)
 	fr, err := sh.victim(p.file)
@@ -166,10 +170,10 @@ func (p *Pool) get(ctx context.Context, id PageID) (buf []byte, hit bool, err er
 	fr.loading = make(chan struct{})
 	fr.loadErr = nil
 	sh.frames[id] = fr
-	ch := fr.loading
+	buf, ch := fr.buf, fr.loading
 	sh.mu.Unlock()
 
-	ptype, rerr := p.file.ReadPageCtx(ctx, id, fr.buf)
+	ptype, rerr := p.file.ReadPageCtx(ctx, id, buf)
 
 	sh.mu.Lock()
 	fr.ptype = ptype
@@ -188,7 +192,7 @@ func (p *Pool) get(ctx context.Context, id PageID) (buf []byte, hit bool, err er
 		return nil, false, rerr
 	}
 	sh.mu.Unlock()
-	return fr.buf, false, nil
+	return buf, false, nil
 }
 
 // Allocate creates a new zeroed page of the given type, pins it and
@@ -260,41 +264,52 @@ func (sh *poolShard) victim(file *PageFile) (*frame, error) {
 // Put installs buf as the cached content of page id, marking the frame
 // dirty without touching the disk — the commit-apply path of a write
 // transaction: the WAL already holds the image durably, so the page file
-// can receive it lazily via eviction write-back or Flush. The caller
-// must guarantee no concurrent reader dereferences the page's buffer
-// while Put copies into it (the mutable index's copy-on-write discipline:
-// a committed transaction only ever Puts pages that live searches cannot
-// reach from their snapshot root).
+// can receive it lazily via eviction write-back or Flush.
+//
+// Put takes buf by ownership: buf becomes the page's frame, and Put
+// returns the buffer the frame held before, which is the caller's from
+// then on. No reader can hold that buffer, because a reader uses a frame's
+// buffer only while it holds a pin, and Put swaps only an unpinned frame,
+// under the shard lock. When a reader holds the page pinned, Put leaves
+// that reader's buffer alone: the frame gets a fresh copy of buf, and buf
+// comes back to the caller. Such a fallback is counted (FrameCopies). On
+// an error buf comes back too.
 //
 //nnc:coldpath buffer-pool boundary: frames are allocated once, up to the pool's capacity, and reused by eviction; below this the only other allocations are the physical-read miss path and error formatting
-func (p *Pool) Put(id PageID, buf []byte, t PageType) error {
+func (p *Pool) Put(id PageID, buf []byte, t PageType) ([]byte, error) {
 	sh := p.shardFor(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if fr, ok := sh.frames[id]; ok {
-		if ch := fr.loading; ch != nil {
-			// A reader is mid-load of this page. Under the copy-on-write
-			// discipline this cannot happen for a page a committed write
-			// touches; refuse rather than race the loader's buffer fill.
-			return fmt.Errorf("pager: Put(%d) raced an in-flight load", id)
-		}
-		copy(fr.buf, buf)
-		fr.ptype = t
-		fr.dirty = true
+	fr, ok := sh.frames[id]
+	switch {
+	case len(buf) != p.file.PageSize():
+		return buf, fmt.Errorf("pager: Put(%d) of a %d-byte buffer, page payload %d", id, len(buf), p.file.PageSize())
+	case ok && fr.loading != nil:
+		// A reader is mid-load of this page. Under the copy-on-write
+		// discipline this cannot happen for a page a committed write
+		// touches; refuse rather than race the loader's buffer fill.
+		return buf, fmt.Errorf("pager: Put(%d) raced an in-flight load", id)
+	case ok:
 		sh.lru.MoveToFront(fr.elem)
-		return nil
+	default:
+		var err error
+		if fr, err = sh.victim(p.file); err != nil {
+			return buf, err
+		}
+		fr.id = id
+		fr.pins = 0
+		sh.frames[id] = fr
 	}
-	fr, err := sh.victim(p.file)
-	if err != nil {
-		return err
-	}
-	copy(fr.buf, buf)
-	fr.id = id
 	fr.ptype = t
 	fr.dirty = true
-	fr.pins = 0
-	sh.frames[id] = fr
-	return nil
+	if fr.pins > 0 {
+		p.frameCopies.Add(1)
+		fr.buf = append(make([]byte, 0, len(buf)), buf...)
+		return buf, nil
+	}
+	old := fr.buf
+	fr.buf = buf
+	return old, nil
 }
 
 // markDirty flags a pinned page as modified: Direct's write of a frame.
@@ -342,6 +357,10 @@ func (p *Pool) Stats() (hits, misses, reads, writes int64) {
 	r, w := p.file.IOCounts()
 	return p.hits.Load(), p.misses.Load(), r, w
 }
+
+// FrameCopies returns how many Puts found their page pinned by a reader
+// and installed a copy instead of the caller's buffer.
+func (p *Pool) FrameCopies() int64 { return p.frameCopies.Load() }
 
 // FaultStats returns the underlying file's cumulative fault counters.
 func (p *Pool) FaultStats() faults.Stats { return p.file.FaultStats() }

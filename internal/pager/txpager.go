@@ -16,16 +16,21 @@ package pager
 // and a mutation run the same code and stay ignorant of WAL framing,
 // free-list policy and epoch bookkeeping.
 //
-// A buffer a TxPager returns lives for the transaction under a Tx, but only
-// until the next call under Direct: every structure writes a buffer before
-// its next call on the TxPager.
+// A buffer Read returns lives until the next call on the TxPager, under
+// either implementation: it may be the committed page's pool frame, pinned
+// for exactly that long, so a structure decodes or copies what it needs
+// before its next call and never writes it. A buffer Stage or Alloc
+// returns lives for the transaction under a Tx, but only until the next
+// call under Direct: every structure writes a buffer before its next call
+// on the TxPager.
 //
 // All methods are single-goroutine: a transaction belongs to the one
 // writer the index admits at a time.
 type TxPager interface {
-	// Read returns page id's payload: the staged copy when the
-	// transaction already touched it, else a private copy of the committed
-	// page. The returned buffer must not be mutated; use Stage for that.
+	// Read returns page id's payload, valid until the next call: the
+	// staged copy when the transaction already touched it, else the
+	// committed page's frame, pinned until then. The returned buffer must
+	// not be mutated; use Stage for that.
 	Read(id PageID) ([]byte, error)
 
 	// Stage returns a writable staged copy of page id, creating it from

@@ -15,6 +15,7 @@ package rtree
 
 import (
 	"cmp"
+	"math"
 	"slices"
 
 	"spatialdom/internal/geom"
@@ -208,15 +209,60 @@ type cornerSource interface {
 	Corners(n int) []float64
 }
 
-// parentRect returns n's MBR for the entry its parent keeps, in corners
-// from s when s is a cornerSource.
+// corners returns n floats for the corners of a rectangle a parent keeps:
+// from s when s is a cornerSource, else of their own.
+//
+//nnc:hotpath
+func corners(s Store, n int) []float64 {
+	if cs, ok := s.(cornerSource); ok {
+		return cs.Corners(n)
+	}
+	//nnc:allow hotpath-alloc: the result, which the parent node keeps; nothing else is built on the way to it
+	return make([]float64, n)
+}
+
+// parentRect returns n's MBR for the entry its parent keeps, rescanned from
+// n's entries.
 //
 //nnc:hotpath
 func parentRect(s Store, n *Node) geom.Rect {
-	if cs, ok := s.(cornerSource); ok {
-		return mbrIn(cs.Corners(2*n.Rects[0].Dim()), n)
+	return mbrIn(corners(s, 2*n.Rects[0].Dim()), n)
+}
+
+// grown returns old ∪ r, the rectangle a parent keeps for a node whose
+// entries gained r below them (Guttman's AdjustTree): old itself when the
+// union leaves every bound's bits as they are, else the union in fresh
+// corners. Bounds are combined with min and max, which are exact and treat
+// −0 as below +0, so when old is the exact MBR of the node's entries the
+// result is the bits a rescan of the grown node would give.
+//
+//nnc:hotpath
+func grown(s Store, old, r geom.Rect) geom.Rect {
+	for i := range old.Lo {
+		if math.Float64bits(min(old.Lo[i], r.Lo[i])) != math.Float64bits(old.Lo[i]) ||
+			math.Float64bits(max(old.Hi[i], r.Hi[i])) != math.Float64bits(old.Hi[i]) {
+			d := old.Dim()
+			c := corners(s, 2*d)
+			g := geom.Rect{Lo: c[:d:d], Hi: c[d : 2*d : 2*d]}
+			copy(g.Lo, old.Lo)
+			copy(g.Hi, old.Hi)
+			g.Expand(r)
+			return g
+		}
 	}
-	return mbr(n)
+	return old
+}
+
+// strictlyInside reports whether r lies strictly inside out on every side:
+// then each bound of out is attained by some rectangle other than r, and
+// removing r from the rectangles out bounds leaves out their exact MBR.
+func strictlyInside(r, out geom.Rect) bool {
+	for i := range r.Lo {
+		if !(r.Lo[i] > out.Lo[i] && r.Hi[i] < out.Hi[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // mbrIn is mbr into corners, which holds 2·dim floats.
@@ -247,7 +293,10 @@ type crumb struct {
 // ChooseSubtree remembering the path, then write the path back bottom-up,
 // splitting a node that overflows fanout and growing a new root when the
 // split reaches the top. Every node on the path is written exactly once,
-// leaf first, a split sibling right after the node it was split from.
+// leaf first, a split sibling right after the node it was split from. The
+// rectangle a parent keeps for a path node that did not split is the one
+// it kept before, grown by e (AdjustTree): whatever happened below it, the
+// node's entries now bound exactly its old entries and e.
 func Insert(s Store, h *Header, fanout int, e Entry) error {
 	var stack [8]crumb // the descent of a tree up to 8 levels, on the stack
 	path := stack[:0]
@@ -275,8 +324,12 @@ func Insert(s Store, h *Header, fanout int, e Entry) error {
 				c.n.Rects, c.n.Refs = append(c.n.Rects, b.Rect), append(c.n.Refs, b.ID)
 			}
 		}
+		var rect geom.Rect // what c's parent keeps for c; nothing keeps the root's
+		if i > 0 {
+			rect = path[i-1].n.Rects[path[i-1].child]
+		}
 		var err error
-		if a, b, split, err = writeSplitting(s, c.id, c.n, fanout); err != nil {
+		if a, b, split, err = writeSplitting(s, c.id, c.n, fanout, rect, e.Rect); err != nil {
 			return err
 		}
 	}
@@ -295,11 +348,15 @@ func Insert(s Store, h *Header, fanout int, e Entry) error {
 
 // writeSplitting persists a node that may have outgrown fanout and returns
 // the parent entry it now needs — two of them, after a QuadraticSplit,
-// when it had.
-func writeSplitting(s Store, old NodeID, n *Node, fanout int) (a, b Entry, split bool, err error) {
+// when it had. rect is the rectangle n's parent kept for it before r was
+// added below it; a node that does not split gets rect grown by r, and
+// the root (rect empty) no rectangle at all. Split halves are rescanned.
+func writeSplitting(s Store, old NodeID, n *Node, fanout int, rect, r geom.Rect) (a, b Entry, split bool, err error) {
 	if len(n.Rects) <= fanout {
 		a.ID, err = s.Write(old, n)
-		a.Rect = parentRect(s, n)
+		if rect.Lo != nil {
+			a.Rect = grown(s, rect, r)
+		}
 		return a, b, false, err
 	}
 	groupA, groupB := QuadraticSplit(n.Rects, minFill(fanout))
@@ -426,7 +483,10 @@ func pickSeeds(rects []geom.Rect) (int, int) {
 // bottom-up — a non-root node left under minFill is dissolved, its
 // subtree's entries queued and its nodes freed; a survivor is written back
 // with its parent's rectangle tightened — the root shrinks while it is an
-// internal node with one child, and the queued entries are reinserted.
+// internal node with one child, and the queued entries are reinserted. A
+// survivor's rectangle is kept as it was when e lay strictly inside it and
+// nothing dissolved below it, since then e attained none of its bounds;
+// otherwise it is rescanned.
 func Delete(s Store, h *Header, fanout int, e Entry) (bool, error) {
 	path, at, err := findLeaf(s, h.Root, e, nil)
 	if err != nil || path == nil {
@@ -437,23 +497,28 @@ func Delete(s Store, h *Header, fanout int, e Entry) (bool, error) {
 	leaf.Refs = slices.Delete(leaf.Refs, at, at+1)
 
 	var orphans []Entry
+	dissolved := false
 	for i := len(path) - 1; i >= 1; i-- {
 		c, parent := path[i], path[i-1]
+		j := parent.child
 		if len(c.n.Rects) < minFill(fanout) {
 			if orphans, err = dissolve(s, c.n, orphans); err != nil {
 				return false, err
 			}
 			s.Free(c.id)
-			j := parent.child
 			parent.n.Rects = slices.Delete(parent.n.Rects, j, j+1)
 			parent.n.Refs = slices.Delete(parent.n.Refs, j, j+1)
+			dissolved = true
 			continue
 		}
 		id, err := s.Write(c.id, c.n)
 		if err != nil {
 			return false, err
 		}
-		parent.n.Rects[parent.child], parent.n.Refs[parent.child] = parentRect(s, c.n), id
+		if dissolved || !strictlyInside(e.Rect, parent.n.Rects[j]) {
+			parent.n.Rects[j] = parentRect(s, c.n)
+		}
+		parent.n.Refs[j] = id
 	}
 
 	root := path[0].n

@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -37,9 +38,21 @@ func pointEntries(r *rand.Rand, n, d int, scale float64) []Entry {
 	return es
 }
 
+// sameBits reports whether two rectangles have the same corners bit for
+// bit: unlike Rect.Equal, −0 and +0 differ.
+func sameBits(a, b geom.Rect) bool {
+	for i := range a.Lo {
+		if math.Float64bits(a.Lo[i]) != math.Float64bits(b.Lo[i]) ||
+			math.Float64bits(a.Hi[i]) != math.Float64bits(b.Hi[i]) {
+			return false
+		}
+	}
+	return len(a.Lo) == len(b.Lo)
+}
+
 // checkInvariants walks the tree validating structural invariants:
 // balance, occupancy bounds, parent rectangles that are exactly their
-// child's MBR, and the entry count.
+// child's MBR, bit for bit, and the entry count.
 func checkInvariants(t *testing.T, tr *Tree) {
 	t.Helper()
 	leafDepth := -1
@@ -65,7 +78,7 @@ func checkInvariants(t *testing.T, tr *Tree) {
 		}
 		total := 0
 		for i, c := range n.Refs {
-			if !n.Rects[i].Equal(mbr(tr.Node(c))) {
+			if !sameBits(n.Rects[i], mbr(tr.Node(c))) {
 				t.Fatalf("node %d: rect %v of child %d is not its MBR %v", id, n.Rects[i], c, mbr(tr.Node(c)))
 			}
 			total += walk(c, depth+1)
@@ -322,5 +335,70 @@ func TestInsertGrowsHeight(t *testing.T) {
 	}
 	if tr.Height() < 3 {
 		t.Fatalf("height = %d after 100 fanout-4 inserts", tr.Height())
+	}
+}
+
+// TestParentRectsBitForBit drives a seeded insert/delete sequence through
+// a fanout-12 tree whose coordinates repeat and include both −0 and +0, and
+// checks after every operation that each parent rectangle is its child's
+// MBR bit for bit. Insert grows a parent rectangle by the new entry and
+// Delete keeps one when the removed entry lay strictly inside it, so the
+// sequence must delete both entries strictly inside their leaf's rectangle
+// and entries on its bound — among them entries on a zero bound, where a
+// −0 and a +0 are equal as numbers and still not the same bound.
+func TestParentRectsBitForBit(t *testing.T) {
+	rng := rand.New(rand.NewSource(50))
+	values := []float64{math.Copysign(0, -1), 0}
+	for v := 1.0; v <= 6; v++ {
+		values = append(values, v, -v)
+	}
+	tr := New(12)
+	var live []Entry
+	var inside, touching, onZero int
+	for op, next := 0, int64(0); op < 3000; op++ {
+		grow := op/600%2 == 0
+		if len(live) == 0 || rng.Intn(4) < map[bool]int{true: 3, false: 1}[grow] {
+			lo, hi := make(geom.Point, 2), make(geom.Point, 2)
+			for d := range lo {
+				a := values[rng.Intn(len(values))]
+				b := a + float64(rng.Intn(3)/2)
+				lo[d], hi[d] = a, b
+			}
+			e := Entry{Rect: geom.Rect{Lo: lo, Hi: hi}, ID: next}
+			next++
+			tr.Insert(e)
+			live = append(live, e)
+		} else {
+			k := rng.Intn(len(live))
+			e := live[k]
+			if path, _, _ := findLeaf(&tr.store, tr.Root(), e, nil); len(path) >= 2 {
+				p := path[len(path)-2]
+				r := p.n.Rects[p.child]
+				if strictlyInside(e.Rect, r) {
+					inside++
+				} else {
+					touching++
+					for d := range r.Lo {
+						if e.Rect.Lo[d] == 0 && r.Lo[d] == 0 || e.Rect.Hi[d] == 0 && r.Hi[d] == 0 {
+							onZero++
+							break
+						}
+					}
+				}
+			}
+			if !tr.Delete(e) {
+				t.Fatalf("op %d: delete of entry %d failed", op, e.ID)
+			}
+			live = append(live[:k], live[k+1:]...)
+		}
+		checkInvariants(t, tr)
+		if tr.Len() != len(live) {
+			t.Fatalf("op %d: Len %d, want %d", op, tr.Len(), len(live))
+		}
+	}
+	t.Logf("deletes from a leaf below the root: %d strictly inside its rectangle, %d on its bound (%d on a zero bound); height %d",
+		inside, touching, onZero, tr.Height())
+	if inside < 50 || touching < 50 || onZero < 20 {
+		t.Fatalf("sequence too tame: %d deletes strictly inside, %d on a bound, %d on a zero bound", inside, touching, onZero)
 	}
 }
