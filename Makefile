@@ -69,9 +69,10 @@ race:
 
 # check is the CI gate, one list: formatting + vet + build + nnclint + race tests + a
 # one-shot Figure 12, disk-cold, P-SD-miss, band-scan, wide-object P-SD,
-# commit and door-write benchmark smoke so the engine's hot path stays
-# exercised in memory, against a page file, on objects wider than any
-# repo-benchmark workload has, through the WAL write path and through the
+# Table 2, commit and door-write benchmark smoke so the engine's hot path
+# stays exercised in memory, against a page file, on objects wider than any
+# repo-benchmark workload has (Table 2's sizes, with its flow-solve gate and
+# candidate digests), through the WAL write path and through the
 # front door's write sweep, the Figure 16 ablation driver at tiny scale (every
 # filter stack, as `nnc figure` runs it), the concurrent-search scaling gate
 # without the race detector (it skips under it) and the parallel-search
@@ -89,6 +90,7 @@ check: fmt-check
 	$(GO) test -run='^$$' -bench='SearchPSDMiss' -benchtime=1x -benchmem .
 	$(GO) test -run='^$$' -bench='BandScan' -benchtime=1x -benchmem .
 	$(GO) test -run='^$$' -bench='DominanceCheck/PSD/m=64' -benchtime=1x -benchmem .
+	$(GO) test -run='^$$' -bench=Table2 -benchtime=1x .
 	$(GO) test -run='^$$' -bench='Commit$$' -benchtime=1x -benchmem .
 	$(GO) test -run='^$$' -bench='DoorWrite' -benchtime=1x -benchmem .
 	$(GO) run ./cmd/nnc figure -figure=16 -scale=tiny

@@ -276,9 +276,8 @@ func BenchmarkFig14(b *testing.B) {
 }
 
 // BenchmarkFig16 — the Appendix C filtering ablation as wall time: each
-// filter stack of harness.AblationConfigs (the paper's build-up BF, L, LP,
-// LG, All, then All with one technique left out) for the three proposed
-// operators on HOUSE-like data.
+// filter stack of harness.AblationConfigs (brute force, each technique
+// alone, and both) for the three proposed operators on HOUSE-like data.
 func BenchmarkFig16(b *testing.B) {
 	p := defaultParams(datagen.HouseLike, benchN/2)
 	for _, op := range []Operator{SSD, SSSD, PSD} {
@@ -595,13 +594,15 @@ func BenchmarkCommit(b *testing.B) {
 // BenchmarkTable2 — one search at the paper's Table 2 object and query
 // sizes, m_d ∈ {20, 40} and m_q = 30, for each operator, over an
 // anti-correlated and a HOUSE-like dataset in turn (fixed seed). At these
-// sizes S-SD's local-tree levels decide checks and P-SD's transport is
-// |hull| × m wide, which no m = 10 benchmark reaches. It reports the
+// sizes S-SD's and SS-SD's scans run over |Q|·m atoms and P-SD's transport
+// is |hull| × m wide, which no m = 10 benchmark reaches. It reports the
 // dominance counters per query and a digest of every query's candidate
 // IDs, so a change to the kernels can show the answers did not move; it
-// fails if S-SD at m_d = 40 makes no level decision. The datasets are
+// fails if P-SD at m_d = 40 makes no flow solve, the sign that the
+// benchmark has left the regime it was sized for. The datasets are
 // scaled down from the paper's 100 000 objects so that
 // `go test -bench Table2 -benchtime 20x` finishes in well under a minute.
+// `make check` runs it once (-benchtime 1x).
 func BenchmarkTable2(b *testing.B) {
 	const n, mq = 10000, 30
 	for _, md := range []int{20, 40} {
@@ -629,12 +630,12 @@ func BenchmarkTable2(b *testing.B) {
 					st.Add(searchK(d.idx, d.queries[i/len(sets)%len(d.queries)], op, 1, opts).Stats)
 				}
 				b.StopTimer()
-				if op == SSD && md == 40 && st.LevelDecisions == 0 {
-					b.Fatal("S-SD at m_d = 40 made no level decision: the local trees' levels never ran")
+				if op == PSD && md == 40 && st.FlowSolves == 0 {
+					b.Fatal("P-SD at m_d = 40 made no flow solve: no check reached the exact transport")
 				}
 				perQuery := func(v int64, unit string) { b.ReportMetric(float64(v)/float64(b.N), unit) }
 				perQuery(st.FlowSolves, "flow-solves/query")
-				perQuery(st.LevelDecisions, "level-decisions/query")
+				perQuery(st.MBRValidations, "mbr-validations/query")
 				perQuery(st.CoverValidations, "cover-validations/query")
 				perQuery(st.IsolationPrunes, "isolation-prunes/query")
 				perQuery(st.ScanPrunes, "scan-prunes/query")

@@ -29,7 +29,6 @@ var allOperators = []core.Operator{core.SSD, core.SSSD, core.PSD, core.FSD, core
 // brute force, each family alone, and everything.
 var filterMatrix = map[string]core.FilterConfig{
 	"BF":  {},
-	"L":   {LevelByLevel: true},
 	"P":   {StatPruning: true},
 	"G":   {Geometric: true},
 	"All": core.AllFilters,

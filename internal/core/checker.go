@@ -9,9 +9,8 @@ import (
 )
 
 // Checker decides spatial dominance between objects for one fixed query,
-// caching per-object distance distributions, statistics, sorted runs and
-// local-tree level bounds across checks. A Checker is not safe
-// for concurrent use.
+// caching per-object distance distributions, statistics and sorted runs
+// across checks. A Checker is not safe for concurrent use.
 //
 // Every cache a checker builds lives in its CheckScratch arena, so a warm
 // check — one whose pair of objects has been seen before — performs zero
@@ -45,8 +44,7 @@ func NewChecker(query *uncertain.Object, op Operator, cfg FilterConfig) *Checker
 
 // NewCheckerMetric is NewChecker under an arbitrary metric. Non-Euclidean
 // metrics disable the convex-hull reduction (its bisector argument is
-// L2-specific) and the local-R-tree shortcuts whose bounds assume L2, but
-// keep every other filter; verdicts are metric-exact.
+// L2-specific) but keep every other filter; verdicts are metric-exact.
 //
 // The checker owns a private CheckScratch; searches that run many checkers
 // should pool scratches and use CheckScratch.Checker instead, which is what
@@ -74,7 +72,8 @@ func (c *Checker) Operator() Operator { return c.op }
 //     which P-SD's rung 4a precedes: an instance of positive mass without
 //     a partner under ⪯Q refutes off the summary (isolated);
 //  5. (the in-hull exit, now rung 8's partner test);
-//  6. level-by-level bounds on the local R-trees (S-SD, SS-SD);
+//  6. (level-by-level bounds on the local R-trees, measured slower than
+//     the rungs around them and deleted: EXPERIMENTS.md);
 //  7. cover validation on the summary (coverValidate): F-SD at the hull
 //     instances or, for S-SD, the SS-SD scans, with a witness U_Q ≠ V_Q;
 //     for P-SD then Theorem 1's match, walked over instances in order of
@@ -93,8 +92,8 @@ func (c *Checker) Operator() Operator { return c.op }
 // (Theorem 11: X ≤st Y implies the statistics are ordered), so a pair they
 // reject is one a scan would have rejected, later and dearer. Rung 7 is
 // where each operator's own rungs end and the work it saves begins: P-SD
-// reads it before rung 4a and its sweep, S-SD and SS-SD after their level
-// rung. Each rung is gated by the FilterConfig flag it always was, rungs 7
+// reads it before rung 4a and its sweep, S-SD and SS-SD after rung 3.
+// Each rung is gated by the FilterConfig flag it always was, rungs 7
 // and 4a by StatPruning. Rung 4a answers only what rung 8 would: mass
 // without a partner cannot ship, so the transport falls short.
 //
@@ -185,8 +184,6 @@ type objCache struct {
 	// rung first needs them).
 	hullD, sums, first []float64
 	order              []int32
-
-	levels []*levelBounds // local-tree level bounds, index = level
 }
 
 // cacheOf returns (creating on first use) the cache of the object with o's
@@ -217,8 +214,7 @@ func (c *Checker) summaryOf(o *uncertain.Object) *objCache { return c.summary(c.
 // summary returns oc with its query summary built: the |Q|·m distances are
 // evaluated once and yield the heap key min(U_Q), the statistics of U_Q and
 // of every U_q, the atoms every later scan sorts on demand and, for P-SD,
-// the hull distances rungs 4a and 7 read (matchFirst). Nothing here touches the
-// object's local R-tree.
+// the hull distances rungs 4a and 7 read (matchFirst).
 //
 //nnc:hotpath
 func (c *Checker) summary(oc *objCache) *objCache {
@@ -385,12 +381,6 @@ func (c *Checker) ssd(su, sv *objCache) bool {
 	if c.mbrValidate(su, sv, true) {
 		return true
 	}
-	if c.cfg.LevelByLevel {
-		if dec, ok := c.levelDecideSSD(su, sv); ok {
-			c.Stats.LevelDecisions++
-			return dec
-		}
-	}
 	if c.coverValidate(su, sv, true) {
 		return true
 	}
@@ -409,12 +399,6 @@ func (c *Checker) sssd(su, sv *objCache) bool {
 	}
 	if c.mbrValidate(su, sv, true) {
 		return true
-	}
-	if c.cfg.LevelByLevel {
-		if dec, ok := c.levelDecideSSSD(su, sv); ok {
-			c.Stats.LevelDecisions++
-			return dec
-		}
 	}
 	if c.coverValidate(su, sv, false) {
 		return true

@@ -29,7 +29,6 @@ func checkAllConfigs(t *testing.T, op Operator, q, u, v *uncertain.Object, want 
 		{},
 		{StatPruning: true},
 		{Geometric: true},
-		{LevelByLevel: true},
 		AllFilters,
 	} {
 		c := NewChecker(q, op, cfg)
@@ -230,9 +229,6 @@ func TestFilterConfigsAgree(t *testing.T) {
 		{},
 		{StatPruning: true},
 		{Geometric: true},
-		{LevelByLevel: true},
-		{LevelByLevel: true, Geometric: true},
-		{LevelByLevel: true, StatPruning: true},
 		AllFilters,
 	}
 	for iter := 0; iter < 300; iter++ {
@@ -400,7 +396,7 @@ func TestOperatorString(t *testing.T) {
 
 func TestStatsAdd(t *testing.T) {
 	a := Stats{InstanceComparisons: 1, DominanceChecks: 2, MBRValidations: 3, StatPrunes: 4,
-		LevelDecisions: 5, FlowSolves: 6, HeapPops: 7, EntryPrunes: 8, ScanPrunes: 9, ObjectPrunes: 10,
+		FlowSolves: 6, HeapPops: 7, EntryPrunes: 8, ScanPrunes: 9, ObjectPrunes: 10,
 		CoverValidations: 11, IsolationPrunes: 12}
 	b := a
 	a.Add(b)

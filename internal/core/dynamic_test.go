@@ -7,7 +7,6 @@ import (
 	"sort"
 	"testing"
 
-	"spatialdom/internal/distr"
 	"spatialdom/internal/geom"
 	"spatialdom/internal/uncertain"
 )
@@ -174,50 +173,4 @@ func TestCheckerCacheIntegrity(t *testing.T) {
 			}
 		}
 	}
-}
-
-// White-box: the level-by-level bounding distributions must bracket the
-// exact distribution in stochastic order (LB ≤st U_Q ≤st UB) at every
-// coarse level.
-func TestLevelBoundsBracketExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(804))
-	for iter := 0; iter < 100; iter++ {
-		q := randObject(rng, 0, 2, 1+rng.Intn(4), randCenter(rng, 2, 30), 3)
-		o := randObject(rng, 1, 2, 5+rng.Intn(20), randCenter(rng, 2, 30), 5)
-		c := NewChecker(q, SSD, AllFilters)
-		oc := c.summaryOf(o)
-		exact := c.distQ(oc)
-		maxLvl := o.LocalTree().Height() - 1
-		if maxLvl > maxCoarseLevel {
-			maxLvl = maxCoarseLevel
-		}
-		for lvl := 1; lvl <= maxLvl; lvl++ {
-			b := c.levelQ(oc, lvl)
-			if !stochLE(t, b.lbQ, exact) {
-				t.Fatalf("iter %d lvl %d: LB not ≤st exact", iter, lvl)
-			}
-			if !stochLE(t, exact, b.ubQ) {
-				t.Fatalf("iter %d lvl %d: exact not ≤st UB", iter, lvl)
-			}
-		}
-	}
-}
-
-// stochLE re-implements X ≤st Y independently as a CDF comparison over
-// the grid of all atom values.
-func stochLE(t *testing.T, x, y distr.Distribution) bool {
-	t.Helper()
-	var vals []float64
-	for i := 0; i < x.Len(); i++ {
-		vals = append(vals, x.Pair(i).Dist)
-	}
-	for i := 0; i < y.Len(); i++ {
-		vals = append(vals, y.Pair(i).Dist)
-	}
-	for _, v := range vals {
-		if x.CDF(v) < y.CDF(v)-1e-9 {
-			return false
-		}
-	}
-	return true
 }

@@ -80,10 +80,9 @@ func ladderPair(rng *rand.Rand) (q, u, v *uncertain.Object) {
 // unfiltered verdict, the moved twins included: every rung compares
 // distances exactly.
 func TestLadderAgreesWithNoFilter(t *testing.T) {
-	cfgs := []FilterConfig{AllFilters, AllFilters, AllFilters, AllFilters}
-	cfgs[1].LevelByLevel = false
-	cfgs[2].StatPruning = false
-	cfgs[3].Geometric = false
+	cfgs := []FilterConfig{AllFilters, AllFilters, AllFilters}
+	cfgs[1].StatPruning = false
+	cfgs[2].Geometric = false
 	rng := rand.New(rand.NewSource(1701))
 	for iter := 0; iter < 600; iter++ {
 		q, u, v := ladderPair(rng)
@@ -104,15 +103,13 @@ func TestLadderAgreesWithNoFilter(t *testing.T) {
 	}
 }
 
-// The same agreement on pairs of 70 instances, where the local trees are
-// three levels deep (so S-SD and SS-SD try their coarse levels first) and
-// P-SD's rows are two words wide. Half the draws are a pair only the
+// The same agreement on pairs of 70 instances, where P-SD's rows are two
+// words wide. Half the draws are a pair only the
 // exact test can decide; the rest are independent clouds.
 func TestLadderAgreesWithNoFilterWideObjects(t *testing.T) {
-	cfgs := []FilterConfig{AllFilters, AllFilters, AllFilters, AllFilters}
-	cfgs[1].LevelByLevel = false
-	cfgs[2].StatPruning = false
-	cfgs[3].Geometric = false
+	cfgs := []FilterConfig{AllFilters, AllFilters, AllFilters}
+	cfgs[1].StatPruning = false
+	cfgs[2].Geometric = false
 	rng := rand.New(rand.NewSource(1705))
 	for iter := 0; iter < 12; iter++ {
 		// A query of one distinct point makes ⪯Q a total order, under which
@@ -334,8 +331,7 @@ func TestSlabBandMatchesBruteForce(t *testing.T) {
 }
 
 // Keying a freshly constructed object reads its summary and nothing else:
-// with the scratch slabs grown, MinPairDist allocates nothing — in
-// particular it does not bulk-load the object's local R-tree.
+// with the scratch slabs grown, MinPairDist allocates nothing.
 func TestMinPairDistFreshObjectZeroAllocs(t *testing.T) {
 	q, objs := allocObjs(64, 10, 5)
 	var sc CheckScratch

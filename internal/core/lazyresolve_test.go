@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"math/rand"
 	"slices"
 	"testing"
 
@@ -84,74 +83,6 @@ func TestLazyResolveTieBatchWitness(t *testing.T) {
 			}
 			if vResolved := slices.Contains(cb.resolved, vID); vResolved != (k == 3) {
 				t.Fatalf("%v k=%d: V resolved = %v", op, k, vResolved)
-			}
-		}
-	}
-}
-
-// The height gate: level-by-level never changes a verdict, an object of at
-// most fanout² instances never has its local tree built for it, and larger
-// objects still reach the coarse levels.
-func TestCoarseLevelsHeightGate(t *testing.T) {
-	// No Geometric flag: the hull is built lazily on the object too, and
-	// would hide a tree in the allocation count.
-	on := FilterConfig{LevelByLevel: true, StatPruning: true}
-	off := FilterConfig{StatPruning: true}
-	for _, m := range []int{1, 4, 5, 16, 17, 64} {
-		rng := rand.New(rand.NewSource(int64(1900 + m)))
-		mk := func(id int) *uncertain.Object {
-			// Clouds that overlap some and clear each other some: checks that
-			// get past the statistics, and coarse levels that can decide them.
-			return randObject(rng, id, 2, m, geom.Point{50 + rng.Float64()*30, 50 + rng.Float64()*30}, 10)
-		}
-		q := randObject(rng, 1000, 2, 3, geom.Point{40, 40}, 3)
-		objs := make([]*uncertain.Object, 12)
-		for i := range objs {
-			objs[i] = mk(i)
-		}
-		for _, op := range []Operator{SSD, SSSD, PSD} {
-			var sc CheckScratch
-			// allPairs appends c's verdict on every ordered pair to dst.
-			allPairs := func(dst []bool, c *Checker, objs []*uncertain.Object) []bool {
-				for _, u := range objs {
-					for _, v := range objs {
-						if u != v {
-							dst = append(dst, c.Dominates(u, v))
-						}
-					}
-				}
-				return dst
-			}
-			want := allPairs(nil, NewChecker(q, op, off), objs)
-			c := sc.Checker(q, op, on, geom.Euclidean)
-			got := allPairs(nil, c, objs) // also grows the scratch slabs
-			if !slices.Equal(got, want) {
-				t.Fatalf("m=%d %v: verdicts differ with LevelByLevel on", m, op)
-			}
-			decided := c.Stats.LevelDecisions
-			if op != PSD && m > uncertain.LocalTreeFanout*uncertain.LocalTreeFanout {
-				if decided == 0 {
-					t.Fatalf("m=%d %v: no check was decided level by level", m, op)
-				}
-				continue
-			}
-			if decided != 0 {
-				t.Fatalf("m=%d %v: %d level decisions on objects with no coarse level", m, op, decided)
-			}
-			// Fresh copies per measured run (AllocsPerRun's warm-up call
-			// would otherwise build whatever the objects build lazily).
-			fresh := make([][]*uncertain.Object, 3)
-			for r := range fresh {
-				for _, o := range objs {
-					fresh[r] = append(fresh[r], uncertain.MustNew(o.ID(), o.Points(), o.Probs()))
-				}
-			}
-			next := 0
-			if avg := testing.AllocsPerRun(len(fresh)-1, func() {
-				got = allPairs(got[:0], sc.Checker(q, op, on, geom.Euclidean), fresh[next])
-				next++
-			}); avg != 0 {
-				t.Fatalf("m=%d %v: %.0f allocations checking fresh objects, want 0 (a local tree was built)", m, op, avg)
 			}
 		}
 	}

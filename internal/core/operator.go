@@ -102,11 +102,11 @@ func (op Operator) Covers(other Operator) bool {
 // FilterConfig toggles the Section 5.1 filtering techniques, enabling the
 // Appendix C (Figure 16) ablation. The zero value is the brute-force
 // configuration ("BF"); AllFilters enables everything ("All").
+//
+// The paper's third technique, level-by-level pruning on the objects'
+// local R-trees ("L"), is deleted: at every object size measured it cost
+// more than the exact tests it stood in front of (EXPERIMENTS.md).
 type FilterConfig struct {
-	// LevelByLevel enables level-by-level pruning/validation on the
-	// objects' local R-trees ("L"): bounding distributions for S-SD and
-	// SS-SD. It does not touch P-SD (psd.go says why).
-	LevelByLevel bool
 	// StatPruning enables statistic-based pruning (min/mean/max of the
 	// distance distributions, Theorem 11) and cover-based pruning ("P").
 	StatPruning bool
@@ -118,9 +118,8 @@ type FilterConfig struct {
 
 // AllFilters enables every filtering technique (the "All" configuration).
 var AllFilters = FilterConfig{
-	LevelByLevel: true,
-	StatPruning:  true,
-	Geometric:    true,
+	StatPruning: true,
+	Geometric:   true,
 }
 
 // Stats counts the work performed by dominance checking; used by the
@@ -161,7 +160,9 @@ type Stats struct {
 	// DominanceChecks. Without StatPruning the exact test finds the same
 	// pairs on its rows and counts them nowhere else either.
 	IsolationPrunes int64
-	// LevelDecisions counts checks decided at a non-leaf local-tree level.
+	// LevelDecisions is retired and always 0: the level-by-level rung is
+	// deleted (EXPERIMENTS.md). The field stays only because the frozen
+	// bench/wl_mem.go prints it, and leaves with the next change to bench/.
 	LevelDecisions int64
 	// FlowSolves counts max-flow invocations (P-SD).
 	FlowSolves int64
@@ -188,7 +189,6 @@ func (s *Stats) Add(other Stats) {
 	s.StatPrunes += other.StatPrunes
 	s.ScanPrunes += other.ScanPrunes
 	s.IsolationPrunes += other.IsolationPrunes
-	s.LevelDecisions += other.LevelDecisions
 	s.FlowSolves += other.FlowSolves
 	s.HeapPops += other.HeapPops
 	s.EntryPrunes += other.EntryPrunes

@@ -47,10 +47,9 @@ import (
 //
 // Rungs 7 and 4a run before the sweep because the sweep is what they save;
 // a "yes" rung commutes with the "no" rungs around it (Checker.Dominates).
-// Rung 6 is S-SD's and SS-SD's only. The paper's level-by-level G⁻/G⁺
-// networks over local R-tree nodes cost more than the sweep and solve they
-// stood in front of at every object size measured (EXPERIMENTS.md, "P-SD
-// level by level"), so FilterConfig.LevelByLevel does not reach this file.
+// There is no rung 6: the paper's level-by-level bounds (for P-SD its
+// G⁻/G⁺ networks) cost more than the rungs they stood in front of at every
+// object size measured (EXPERIMENTS.md, "P-SD level by level").
 //
 // The transport is masses on two sides and a 0/1 matrix of admissible pairs
 // between them, solved by flow.Transport. The matrix is bitset rows

@@ -87,7 +87,7 @@ func TestQuickFilterAgreement(t *testing.T) {
 		for _, op := range Operators {
 			base := NewChecker(q, op, FilterConfig{}).Dominates(u, v)
 			for _, cfg := range []FilterConfig{
-				{StatPruning: true}, {Geometric: true}, {LevelByLevel: true}, AllFilters,
+				{StatPruning: true}, {Geometric: true}, AllFilters,
 			} {
 				if NewChecker(q, op, cfg).Dominates(u, v) != base {
 					return false

@@ -15,10 +15,9 @@ import (
 // they are the exact definitions' reading and every configuration must
 // reach them.
 func TestFilterConfigsAgreeAtTheRule(t *testing.T) {
-	cfgs := []FilterConfig{AllFilters, AllFilters, AllFilters, AllFilters}
-	cfgs[1].LevelByLevel = false
-	cfgs[2].StatPruning = false
-	cfgs[3].Geometric = false
+	cfgs := []FilterConfig{AllFilters, AllFilters, AllFilters}
+	cfgs[1].StatPruning = false
+	cfgs[2].Geometric = false
 
 	origin := uncertain.MustNew(0, []geom.Point{{0, 0}}, nil)
 	tri := uncertain.MustNew(0, []geom.Point{{0, 0}, {10, 0}, {0, 10}}, nil)

@@ -10,7 +10,7 @@ import (
 
 // CheckScratch is the allocation arena behind a Checker: slab arenas for
 // every cached artifact a search builds (distribution atoms and the
-// instance order of sorted runs, per-object caches, level bounds), the
+// instance order of sorted runs, per-object caches), the
 // transport solver and bitset rows of the P-SD solves, and the ID map of
 // the exported checker methods. Its size follows the objects a search
 // examines, never their IDs. One scratch backs one live Checker at a time;
@@ -23,18 +23,14 @@ import (
 type CheckScratch struct {
 	// Arenas for plain-old-data caches: recycled without clearing, their
 	// contents are fully overwritten before use.
-	pairs     distr.PairArena
-	insts     slab.Arena[int32] // objCache.runInst
-	floats    slab.Arena[float64]
-	distPairs slab.Arena[[2]distr.Distribution]
-	stats     slab.Arena[distr.Stat]
+	pairs  distr.PairArena
+	insts  slab.Arena[int32] // objCache.runInst
+	floats slab.Arena[float64]
+	stats  slab.Arena[distr.Stat]
 
-	// Arenas whose elements hold pointers (objects, local-tree nodes):
-	// cleared on reset so a pooled scratch never pins a finished search's
-	// object graph.
-	caches    slab.Arena[objCache]
-	levels    slab.Arena[levelBounds]
-	levelPtrs slab.Arena[*levelBounds]
+	// The arena whose elements hold pointers (objects): cleared on reset so
+	// a pooled scratch never pins a finished search's object graph.
+	caches slab.Arena[objCache]
 
 	// The caches of the objects the exported methods were handed, by ID
 	// (Checker.cacheOf). A search holds its caches by handle and leaves it
@@ -53,7 +49,6 @@ type CheckScratch struct {
 
 	// Assorted reusable buffers.
 	near    geom.Point   // the popped entry's near vector (band.dominatesRect)
-	ids     []int        // CollectIDs scratch for level masses
 	hullIdx []int        // non-geometric fallback hull index list
 	hullPts []geom.Point // hull instances of the current query
 	isHull  []bool       // per query instance: whether it is one of them
@@ -62,17 +57,14 @@ type CheckScratch struct {
 }
 
 // reset releases everything cached by the current checker so the scratch
-// can back a new search. Pointer-bearing arenas are zeroed; POD arenas are
+// can back a new search. The pointer-bearing arena is zeroed; POD arenas are
 // recycled as-is.
 func (sc *CheckScratch) reset() {
 	sc.pairs.Reset()
 	sc.insts.Reset()
 	sc.floats.Reset()
-	sc.distPairs.Reset()
 	sc.stats.Reset()
 	sc.caches.ResetZero()
-	sc.levels.ResetZero()
-	sc.levelPtrs.ResetZero()
 	clear(sc.byID)
 	clear(sc.hullPts[:cap(sc.hullPts)]) // drop references to the previous query
 }

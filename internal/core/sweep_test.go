@@ -142,8 +142,8 @@ func sweepPair(rng *rand.Rand, d, m, kind int) (q, u, v *uncertain.Object) {
 // exactly when a scan fails, the exact test over its rows refutes without a
 // solve exactly when the reference rows isolate a positive mass, and the
 // verdict the ladder reaches is the one the reference rows and the
-// independent max-flow oracle give — for objects on both sides of
-// the level-by-level height gate and of one mask word, with the scans on and
+// independent max-flow oracle give — for objects on both sides of one
+// mask word, with the scans on and
 // off, with and without the hull restriction, under L2 and L1.
 func TestSweepRowsMatchAllPairsFill(t *testing.T) {
 	cfgs := []FilterConfig{AllFilters, AllFilters, AllFilters}

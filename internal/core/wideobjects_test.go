@@ -186,7 +186,7 @@ func requireExactVerdict(t *testing.T, q, u, v *uncertain.Object) {
 	got := c.Dominates(u, v)
 	st := c.Stats
 	if c.cacheOf(u).sorted != q.Len() || c.cacheOf(v).sorted != q.Len() || st.FlowSolves == 0 ||
-		st.StatPrunes+st.MBRValidations+st.CoverValidations+st.LevelDecisions != 0 {
+		st.StatPrunes+st.MBRValidations+st.CoverValidations != 0 {
 		t.Fatalf("P-SD(%d,%d) was decided before the exact test: %+v", u.ID(), v.ID(), st)
 	}
 	if want := oraclePSDMatch(u, v, q); got != want {
@@ -217,26 +217,23 @@ func TestPSDExactWideObjectsAllocFree(t *testing.T) {
 	}
 }
 
-// P-SD has no coarse rung: at object sizes on both sides of the height gate
-// and of one mask word, LevelByLevel changes neither the verdict — the
-// max-flow oracle's — nor one counter of the work behind it.
+// P-SD has no coarse rung: at object sizes on both sides of one mask word,
+// the full ladder's verdict is the max-flow oracle's, and the pairs reach
+// the transport.
 func TestPSDHasNoCoarseRung(t *testing.T) {
 	rng := rand.New(rand.NewSource(2801))
-	off := AllFilters
-	off.LevelByLevel = false
 	for _, m := range []int{17, 40, 64, 130} {
 		q := randObject(rng, 0, 2, 4, geom.Point{10, 10}, 3)
 		u, pushed := widePair(rng, 1, 2, m, q, geom.Point{60, 20})
 		cloud := randObject(rng, 3, 2, m, geom.Point{61, 21}, 6)
-		with, without := NewChecker(q, PSD, AllFilters), NewChecker(q, PSD, off)
+		c := NewChecker(q, PSD, AllFilters)
 		for _, p := range [][2]*uncertain.Object{{u, pushed}, {pushed, u}, {u, cloud}, {cloud, u}} {
-			got := with.Dominates(p[0], p[1])
-			if want := oraclePSDMatch(p[0], p[1], q); got != want || without.Dominates(p[0], p[1]) != want {
-				t.Fatalf("m = %d: P-SD(%d,%d) = %v with LevelByLevel, max-flow oracle %v", m, p[0].ID(), p[1].ID(), got, want)
+			if got, want := c.Dominates(p[0], p[1]), oraclePSDMatch(p[0], p[1], q); got != want {
+				t.Fatalf("m = %d: P-SD(%d,%d) = %v, max-flow oracle %v", m, p[0].ID(), p[1].ID(), got, want)
 			}
 		}
-		if with.Stats != without.Stats || with.Stats.LevelDecisions != 0 || with.Stats.FlowSolves == 0 {
-			t.Fatalf("m = %d: LevelByLevel moved P-SD's counters:\non  %+v\noff %+v", m, with.Stats, without.Stats)
+		if c.Stats.FlowSolves == 0 {
+			t.Fatalf("m = %d: no pair reached the transport: %+v", m, c.Stats)
 		}
 	}
 }

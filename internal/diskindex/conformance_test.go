@@ -25,7 +25,6 @@ var conformanceConfigs = []struct {
 }{
 	{"none", core.FilterConfig{}},
 	{"all", core.AllFilters},
-	{"level", core.FilterConfig{LevelByLevel: true}},
 	{"stat", core.FilterConfig{StatPruning: true}},
 	{"geom", core.FilterConfig{Geometric: true}},
 }
@@ -222,21 +221,18 @@ func TestRepeatSearchSameAccesses(t *testing.T) {
 	}
 }
 
-// An S-SD search with the level-by-level filter off has no use for any
-// object's local R-tree, so it must not build one: every examined object is
-// decoded afresh, and decoding is all a query may
-// allocate per object. At the commit before the query summary the same
-// search made 4469 allocations (72 objects examined: 23 to decode a
-// six-instance record, 39 to bulk-load its tree for the heap key); the bound
-// leaves room for the decode and none for a tree.
-func TestConformanceNoLocalTreeWithoutLevelFilter(t *testing.T) {
+// A disk S-SD search allocates only the decodes of the records it reads:
+// every examined object is decoded afresh, and nothing else is built per
+// object. At the commit before the query summary the same search made 4469
+// allocations (72 objects examined: 23 to decode a six-instance record, 39
+// to bulk-load a local R-tree for the heap key); the bound leaves room for
+// the decode and none for any per-object structure.
+func TestConformanceDiskSearchAllocatesOnlyDecodes(t *testing.T) {
 	const parentAllocsPerQuery = 4469
 	disk, _, ds, _ := buildBoth(t, 140, 6, 61, 64)
 	q := ds.Queries(1, 4, 200, 62)[0]
-	cfg := core.AllFilters
-	cfg.LevelByLevel = false
 	search := func() {
-		if _, err := disk.SearchKCtx(context.Background(), q, core.SSD, 1, core.SearchOptions{Filters: cfg}); err != nil {
+		if _, err := disk.SearchKCtx(context.Background(), q, core.SSD, 1, core.SearchOptions{Filters: core.AllFilters}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"testing"
 
@@ -94,7 +95,11 @@ const (
 // warmAllocsPerObject per resolved object plus warmAllocsConst, and bytes
 // per query within warmBytesPerQuery. A node page decoded into storage of
 // its own (≈ 1 KB a page), or a record read into a fresh buffer, breaks the
-// byte bound. Under the race detector sync.Pool drops a share of what is put
+// byte bound. Garbage collection is off from the warm-up pass to the end of
+// the measured one: a collection empties the sync.Pool that holds the pooled
+// sessions, and the searches after it would rebuild them inside the measured
+// window (two forced between its 16th and 17th query add about 21 KB a
+// query). Under the race detector sync.Pool drops a share of what is put
 // back, so pooled sessions and scratches are rebuilt at random and the test
 // skips.
 func TestWarmDiskSearchAllocates(t *testing.T) {
@@ -133,11 +138,15 @@ func TestWarmDiskSearchAllocates(t *testing.T) {
 		}
 		return examined
 	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	pass() // warm the pooled session, the engine's scratch and the pool
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	examined := pass()
 	runtime.ReadMemStats(&after)
+	if after.NumGC != before.NumGC {
+		t.Fatalf("%d collections ran inside the measured pass", after.NumGC-before.NumGC)
+	}
 	n := float64(len(queries))
 	allocs := float64(after.Mallocs-before.Mallocs) / n
 	bytes := float64(after.TotalAlloc-before.TotalAlloc) / n

@@ -40,20 +40,7 @@ type Pair struct {
 // by non-decreasing value. The zero value is an empty distribution.
 type Distribution struct {
 	pairs []Pair
-	terms int // probabilities summed into the atoms when above len(pairs)
 }
-
-// WithTerms returns d marked as standing for n probabilities summed into
-// its atoms — an atom that is itself the mass of many instances counts
-// each — so that a scan or Equal compares its mass under the MassBound of
-// the probabilities summed, not of the atoms.
-func (d Distribution) WithTerms(n int) Distribution {
-	d.terms = n
-	return d
-}
-
-// summed is the number of probabilities summed into d's atoms.
-func (d Distribution) summed() int { return max(d.terms, len(d.pairs)) }
 
 var errBadProb = errors.New("distr: probabilities must be finite and non-negative")
 
@@ -356,9 +343,9 @@ func (d Distribution) CDF(x float64) float64 {
 
 // Equal reports whether two distributions carry the same probability mass at
 // the same values, merging atoms with equal values and comparing the masses
-// under MassBound of the probabilities summed into both.
+// under MassBound of the atoms of both.
 func Equal(x, y Distribution) bool {
-	bound := uncertain.MassBound(x.summed() + y.summed())
+	bound := uncertain.MassBound(len(x.pairs) + len(y.pairs))
 	i, j := 0, 0
 	for i < len(x.pairs) || j < len(y.pairs) {
 		var v float64
@@ -388,7 +375,7 @@ func Equal(x, y Distribution) bool {
 
 // StochasticLE reports whether X ≤st Y: Pr(X <= λ) >= Pr(Y <= λ) for every
 // λ, under the package's comparison rule — the masses within λ compared
-// under MassBound of the probabilities summed into both, and no positive atom of Y below
+// under MassBound of the atoms of both, and no positive atom of Y below
 // every positive one of X, or of X above every positive one of Y. Both
 // distributions must carry the same total mass (within the bound) for the
 // comparison to be meaningful. The check is a single merge scan over the
@@ -398,7 +385,7 @@ func Equal(x, y Distribution) bool {
 // filtering ablation (Appendix C) — is added to *consumed when it is non-nil.
 func StochasticLE(x, y Distribution, consumed *int64) bool {
 	xs, ys := x.pairs, y.pairs
-	bound := uncertain.MassBound(x.summed() + y.summed())
+	bound := uncertain.MassBound(len(xs) + len(ys))
 	i, j := 0, 0
 	var cumX, cumY float64
 	le := posMax(xs) <= posMax(ys)

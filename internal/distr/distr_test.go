@@ -360,22 +360,3 @@ func TestRunSorterMatchesSortRuns(t *testing.T) {
 		}
 	}
 }
-
-// WithTerms moves the mass bound, and only it: V's mass at 1 exceeds U's
-// by 5·2⁻⁵², past MassBound(4) of the four atoms but within MassBound(20)
-// of the twenty probabilities a level bound's atoms may stand for. The
-// level rung's scans read their bound this way (core's levels.go).
-func TestWithTermsWidensTheBound(t *testing.T) {
-	d := 5 * 0x1p-52
-	x := MustFromPairs([]Pair{{1, 0.5 - d}, {2, 0.5 + d}})
-	y := MustFromPairs([]Pair{{1, 0.5}, {2, 0.5}})
-	if StochasticLE(x, y, nil) || Equal(x, y) {
-		t.Fatal("a deficit past the atoms' bound passed")
-	}
-	if !StochasticLE(x.WithTerms(10), y.WithTerms(10), nil) || !Equal(x.WithTerms(10), y.WithTerms(10)) {
-		t.Fatal("a deficit within the terms' bound failed")
-	}
-	if StochasticLE(x.WithTerms(1), y.WithTerms(1), nil) {
-		t.Fatal("fewer terms than atoms widened the bound")
-	}
-}

@@ -483,8 +483,9 @@ func figProgressive(sp spec, seed int64) ([]Table, error) {
 }
 
 // AblationConfigs lists the Figure 16 filter stacks in presentation order:
-// the paper's build-up from brute force (its LGP is All here), then All with
-// one technique left out.
+// brute force, each technique alone, and both (the paper's LGP without its
+// L, which is deleted: EXPERIMENTS.md). With two techniques, All with one
+// left out is the other alone.
 func AblationConfigs() []struct {
 	Label string
 	Cfg   core.FilterConfig
@@ -494,21 +495,17 @@ func AblationConfigs() []struct {
 		Cfg   core.FilterConfig
 	}{
 		{"BF", core.FilterConfig{}},
-		{"L", core.FilterConfig{LevelByLevel: true}},
-		{"LP", core.FilterConfig{LevelByLevel: true, StatPruning: true}},
-		{"LG", core.FilterConfig{LevelByLevel: true, Geometric: true}},
+		{"P", core.FilterConfig{StatPruning: true}},
+		{"G", core.FilterConfig{Geometric: true}},
 		{"All", core.AllFilters},
-		{"All-L", core.FilterConfig{StatPruning: true, Geometric: true}},
-		{"All-P", core.FilterConfig{LevelByLevel: true, Geometric: true}},
-		{"All-G", core.FilterConfig{LevelByLevel: true, StatPruning: true}},
 	}
 }
 
 // figAblation is Figure 16 as wall time — what a filter costs or saves is
 // what it does to a query — with the paper's metric, instance comparisons, in
 // a second table per operator. A cell is the faster of two passes over the
-// queries, so that no stack is charged for the local trees and hulls the
-// objects build on first use.
+// queries, so that no stack is charged for the hulls the queries build on
+// first use.
 func figAblation(sp spec, seed int64) ([]Table, error) {
 	ops := []core.Operator{core.SSD, core.SSSD, core.PSD}
 	cfgs := AblationConfigs()

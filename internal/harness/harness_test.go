@@ -53,7 +53,7 @@ func TestAllFiguresRenderTiny(t *testing.T) {
 				t.Fatalf("figure 14 missing progressive header:\n%s", out)
 			}
 		case "16":
-			for _, label := range []string{"BF", "All-L", "avg time (ms)", "avg instance comparisons"} {
+			for _, label := range []string{"BF", "P", "G", "All", "avg time (ms)", "avg instance comparisons"} {
 				if !strings.Contains(out, label) {
 					t.Fatalf("figure 16 missing config %s:\n%s", label, out)
 				}

@@ -1,14 +1,10 @@
 package rtree
 
-import (
-	"sync/atomic"
-
-	"spatialdom/internal/geom"
-)
+import "spatialdom/internal/geom"
 
 // Tree is the in-memory R-tree: a memStore, the header and fanout the
 // shared algorithms work from, and the read paths the searches use (the
-// root/children walk, the per-level pyramid, window search). The zero
+// root/children walk and window search). The zero
 // value is not usable; construct with New or Bulk. Tree is not safe for
 // concurrent mutation; concurrent readers are safe once construction
 // finishes.
@@ -16,10 +12,6 @@ type Tree struct {
 	store  memStore
 	hdr    Header
 	fanout int
-
-	// levels memoizes NodesAtLevel's per-level lists; it is populated
-	// lazily (safely under concurrent readers) and dropped on any mutation.
-	levels atomic.Pointer[[][]Entry]
 }
 
 // memStore keeps nodes in a slice indexed by NodeID and writes them in
@@ -81,16 +73,12 @@ func (t *Tree) Node(id NodeID) *Node { return &t.store.nodes[id] }
 
 // Insert adds an entry to the tree.
 func (t *Tree) Insert(e Entry) {
-	//nnc:publish invalidation: nil forces the next reader to rebuild the pyramid
-	t.levels.Store(nil)
 	_ = Insert(&t.store, &t.hdr, t.fanout, e)
 }
 
 // Delete removes the entry with e.ID whose rectangle equals e.Rect. It
 // reports whether an entry was removed.
 func (t *Tree) Delete(e Entry) bool {
-	//nnc:publish invalidation: nil forces the next reader to rebuild the pyramid
-	t.levels.Store(nil)
 	removed, _ := Delete(&t.store, &t.hdr, t.fanout, e)
 	return removed
 }
@@ -116,64 +104,4 @@ func (t *Tree) search(id NodeID, r geom.Rect, fn func(Entry) bool) bool {
 		}
 	}
 	return true
-}
-
-// CollectIDs appends the IDs of every entry in the subtree under node id
-// to dst.
-func (t *Tree) CollectIDs(id NodeID, dst []int) []int {
-	n := t.Node(id)
-	for _, ref := range n.Refs {
-		if n.Leaf {
-			dst = append(dst, int(ref))
-		} else {
-			dst = t.CollectIDs(ref, dst)
-		}
-	}
-	return dst
-}
-
-// NodesAtLevel returns the nodes at the given level as their parents see
-// them — MBR plus NodeID — where level 0 is the root; levels past the
-// leaves return the leaf level, and an empty tree has none. The per-level
-// lists are memoized on the tree (and invalidated by Insert/Delete), so
-// repeated calls — the level-by-level dominance filters ask for the same
-// levels on every search — return shared slices without allocating. The
-// returned slice must not be modified.
-func (t *Tree) NodesAtLevel(level int) []Entry {
-	if t.hdr.Size == 0 {
-		return nil
-	}
-	lc := t.levels.Load()
-	if lc == nil {
-		pyramid := t.buildLevels()
-		// Concurrent readers may race to build; the CAS keeps one winner
-		// and every built pyramid is identical.
-		//nnc:publish lazy-build CAS: losers discard their pyramid and load the winner's
-		if !t.levels.CompareAndSwap(nil, &pyramid) {
-			lc = t.levels.Load()
-		} else {
-			lc = &pyramid
-		}
-	}
-	levels := *lc
-	return levels[min(level, len(levels)-1)]
-}
-
-// buildLevels materializes every level 0..height-1 in one pass.
-//
-//nnc:coldpath one-time pyramid build, memoized in levels until the next tree mutation
-func (t *Tree) buildLevels() [][]Entry {
-	levels := make([][]Entry, 1, t.hdr.Height)
-	levels[0] = []Entry{{Rect: mbr(t.Node(t.hdr.Root)), ID: t.hdr.Root}}
-	for l := 1; l < t.hdr.Height; l++ {
-		next := make([]Entry, 0, len(levels[l-1])*t.fanout)
-		for _, parent := range levels[l-1] {
-			n := t.Node(parent.ID)
-			for i, ref := range n.Refs {
-				next = append(next, Entry{Rect: n.Rects[i], ID: ref})
-			}
-		}
-		levels = append(levels, next)
-	}
-	return levels
 }

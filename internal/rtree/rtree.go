@@ -4,10 +4,9 @@
 // each written once over a Store — the seam that says where nodes live.
 //
 // Two stores exist, mirroring Section 6 of the paper. The in-memory Tree of
-// mem.go (a slice of nodes written in place) serves the global index over
-// object MBRs with a page-derived fanout, the per-object local trees over
-// instances with fanout 4, and the P-SD distance-space trees; the page
-// store of internal/diskrtree (one node per page, copy-on-write inside a
+// mem.go (a slice of nodes written in place) serves the in-memory global
+// index over object MBRs with a page-derived fanout; the page store of
+// internal/diskrtree (one node per page, copy-on-write inside a
 // transaction) serves the disk-resident global index. The algorithms never
 // ask which one they are on, so the same sequence of operations yields the
 // same tree, node for node, in memory and on disk.

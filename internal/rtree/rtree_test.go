@@ -241,13 +241,7 @@ func TestEmptyTreeQueries(t *testing.T) {
 	if root := tr.Node(tr.Root()); !root.Leaf || len(root.Refs) != 0 || tr.Height() != 1 {
 		t.Fatalf("empty tree root = %+v, height %d; want an entry-less leaf", root, tr.Height())
 	}
-	if ids := tr.CollectIDs(tr.Root(), nil); len(ids) != 0 {
-		t.Fatalf("CollectIDs on empty = %v", ids)
-	}
 	tr.Search(geom.PointRect(geom.Point{0}), func(Entry) bool { t.Fatal("visited"); return false })
-	if tr.NodesAtLevel(0) != nil {
-		t.Fatal("NodesAtLevel on empty")
-	}
 }
 
 func TestDelete(t *testing.T) {
@@ -286,43 +280,14 @@ func TestDeleteMissing(t *testing.T) {
 	}
 }
 
-func TestNodesAtLevel(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	es := pointEntries(rng, 64, 2, 10)
-	tr := Bulk(es, 4)
-	if tr.Height() < 3 {
-		t.Fatalf("expected height >= 3, got %d", tr.Height())
-	}
-	for lvl := 0; lvl <= tr.Height()+1; lvl++ {
-		nodes := tr.NodesAtLevel(lvl)
-		if len(nodes) == 0 {
-			t.Fatalf("no nodes at level %d", lvl)
-		}
-		// Union of IDs across the level must be the full entry set.
-		var ids []int
-		for _, n := range nodes {
-			ids = tr.CollectIDs(n.ID, ids)
-			if !n.Rect.Equal(mbr(tr.Node(n.ID))) {
-				t.Fatalf("level %d: node %d listed with rect %v, MBR %v", lvl, n.ID, n.Rect, mbr(tr.Node(n.ID)))
-			}
-		}
-		if len(ids) != tr.Len() {
-			t.Fatalf("level %d covers %d entries, want %d", lvl, len(ids), tr.Len())
-		}
-	}
-	if got := tr.NodesAtLevel(0); len(got) != 1 || got[0].ID != tr.Root() {
-		t.Fatal("level 0 must be the root")
-	}
-}
-
 func TestBulkSingleEntryAndHeight(t *testing.T) {
 	e := Entry{Rect: geom.PointRect(geom.Point{1, 2}), ID: 0}
 	tr := Bulk([]Entry{e}, 4)
 	if tr.Height() != 1 || tr.Len() != 1 {
 		t.Fatalf("height=%d len=%d", tr.Height(), tr.Len())
 	}
-	if got := tr.CollectIDs(tr.Root(), nil); len(got) != 1 || got[0] != 0 {
-		t.Fatalf("CollectIDs = %v", got)
+	if root := tr.Node(tr.Root()); !root.Leaf || len(root.Refs) != 1 || root.Refs[0] != 0 {
+		t.Fatalf("root = %+v, want a leaf holding entry 0", root)
 	}
 }
 

@@ -88,6 +88,13 @@ func TestDoorKeyDiscriminates(t *testing.T) {
 		},
 		func() (*core.Result, error) { return d.SearchKCtx(ctx, testQuery(rng, 50), core.PSD, 2, allOpts) },
 	}
+	// Each filter configuration is its own key byte: the two filters alone
+	// and none miss the entry All filled, and each other's.
+	for _, cfg := range []core.FilterConfig{{StatPruning: true}, {Geometric: true}, {}} {
+		variants = append(variants, func() (*core.Result, error) {
+			return d.SearchKCtx(ctx, q, core.PSD, 2, core.SearchOptions{Filters: cfg})
+		})
+	}
 	for i, f := range variants {
 		if _, err := f(); err != nil {
 			t.Fatalf("variant %d: %v", i, err)

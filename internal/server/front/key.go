@@ -78,9 +78,6 @@ func canonicalKey(q *uncertain.Object, op core.Operator, k int, m geom.Metric, f
 // byte-identical to what a fresh search would produce.
 func filterByte(f core.FilterConfig) byte {
 	var b byte
-	if f.LevelByLevel {
-		b |= 1
-	}
 	if f.StatPruning {
 		b |= 2
 	}

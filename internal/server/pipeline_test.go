@@ -351,3 +351,24 @@ func TestShardQueryRefusesUnnormalizedProbs(t *testing.T) {
 		}
 	}
 }
+
+// TestShardQueryRefusesRetiredFilterField: the level-by-level rung and its
+// wire field are gone, so a shard refuses a filters object that still
+// carries the field with a 400 naming it, rather than serving the query
+// under a configuration the sender did not ask for. The rest of the filters
+// object is still served.
+func TestShardQueryRefusesRetiredFilterField(t *testing.T) {
+	ds := datagen.Generate(datagen.Params{N: 40, M: 4, Seed: 141}) // dim 3
+	srv, err := New(ds.Objects)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const body = `{"instances":[[1,2,3]],"operator":"SSD","filters":{%s"stat_pruning":true,"geometric":true}}`
+	rec := do(t, srv, http.MethodPost, "/shard/query", fmt.Sprintf(body, `"level_by_level":true,`))
+	if rec.Code != 400 || errCode(t, rec) != "bad_request" || !strings.Contains(rec.Body.String(), "level_by_level") {
+		t.Errorf("filters with the retired field: status %d (%s), want a bad_request naming it", rec.Code, rec.Body)
+	}
+	if rec := do(t, srv, http.MethodPost, "/shard/query", fmt.Sprintf(body, "")); rec.Code != 200 {
+		t.Errorf("filters without it: status %d (%s)", rec.Code, rec.Body)
+	}
+}

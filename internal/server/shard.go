@@ -49,9 +49,8 @@ type ShardQueryRequest struct {
 
 // ShardFilters mirrors core.FilterConfig on the wire; nil means AllFilters.
 type ShardFilters struct {
-	LevelByLevel bool `json:"level_by_level"`
-	StatPruning  bool `json:"stat_pruning"`
-	Geometric    bool `json:"geometric"`
+	StatPruning bool `json:"stat_pruning"`
+	Geometric   bool `json:"geometric"`
 }
 
 // Config converts the wire form back to the engine's.
@@ -60,18 +59,16 @@ func (f *ShardFilters) Config() core.FilterConfig {
 		return core.AllFilters
 	}
 	return core.FilterConfig{
-		LevelByLevel: f.LevelByLevel,
-		StatPruning:  f.StatPruning,
-		Geometric:    f.Geometric,
+		StatPruning: f.StatPruning,
+		Geometric:   f.Geometric,
 	}
 }
 
 // ShardFiltersFrom converts a core.FilterConfig to its wire form.
 func ShardFiltersFrom(cfg core.FilterConfig) *ShardFilters {
 	return &ShardFilters{
-		LevelByLevel: cfg.LevelByLevel,
-		StatPruning:  cfg.StatPruning,
-		Geometric:    cfg.Geometric,
+		StatPruning: cfg.StatPruning,
+		Geometric:   cfg.Geometric,
 	}
 }
 

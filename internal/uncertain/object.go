@@ -7,10 +7,9 @@
 // An object is flat: its coordinates are one slab, instance after instance,
 // and an instance is a view into it, so decoding or building an object
 // costs that slab, the object and one allocation for its MBR's two
-// corners. Each object owns that minimum bounding rectangle, a lazily built
-// local R-tree with fanout 4 (matching the paper's experimental setup), and
-// — for query objects — the convex hull of its instances, which is the only
-// part of the query that dominance checks need to consult (Section 5.1.2).
+// corners. Each object owns that minimum bounding rectangle and — for query
+// objects — the convex hull of its instances, which is the only part of the
+// query that dominance checks need to consult (Section 5.1.2).
 // The []geom.Point form of the instances is built only on request (Points).
 package uncertain
 
@@ -21,13 +20,7 @@ import (
 	"sync"
 
 	"spatialdom/internal/geom"
-	"spatialdom/internal/rtree"
 )
-
-// LocalTreeFanout is the fanout of the per-object instance R-tree, matching
-// the paper's experiments ("its instances are kept in a local R-Tree with
-// fan-out 4").
-const LocalTreeFanout = 4
 
 // Common construction errors.
 var (
@@ -54,9 +47,6 @@ type Object struct {
 
 	ptsOnce sync.Once
 	pts     []geom.Point
-
-	treeOnce sync.Once
-	tree     *rtree.Tree
 
 	hullOnce sync.Once
 	hull     []int
@@ -289,21 +279,6 @@ func (o *Object) Mass() float64 { return o.mass }
 
 // MBR returns the minimum bounding rectangle of the instances.
 func (o *Object) MBR() geom.Rect { return o.mbr }
-
-// LocalTree returns the per-object instance R-tree (fanout 4), building it
-// on first use. Entry IDs are instance indices.
-//
-//nnc:coldpath sync.Once lazy build; every later call returns the cached tree
-func (o *Object) LocalTree() *rtree.Tree {
-	o.treeOnce.Do(func() {
-		entries := make([]rtree.Entry, o.Len())
-		for i := range entries {
-			entries[i] = rtree.Entry{Rect: geom.PointRect(o.Instance(i)), ID: int64(i)}
-		}
-		o.tree = rtree.Bulk(entries, LocalTreeFanout)
-	})
-	return o.tree
-}
 
 // HullIndices returns the indices of the instances on the convex hull (see
 // geom.ConvexHullIndices for the per-dimensionality guarantees), computing

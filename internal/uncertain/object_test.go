@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"spatialdom/internal/geom"
-	"spatialdom/internal/rtree"
 )
 
 func TestNewUniform(t *testing.T) {
@@ -224,42 +223,6 @@ func TestMinMaxDist(t *testing.T) {
 	if d := o.MaxDist(q); d != 5 {
 		t.Fatalf("MaxDist = %g", d)
 	}
-}
-
-func TestLocalTreeAgreesWithDirectScan(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	pts := make([]geom.Point, 60)
-	for i := range pts {
-		pts[i] = geom.Point{rng.Float64() * 10, rng.Float64() * 10, rng.Float64() * 10}
-	}
-	o := MustNew(0, pts, nil)
-	tr := o.LocalTree()
-	if tr.Len() != len(pts) {
-		t.Fatalf("local tree size = %d", tr.Len())
-	}
-	if tr != o.LocalTree() {
-		t.Fatal("LocalTree not cached")
-	}
-	for k := 0; k < 20; k++ {
-		q := geom.Point{rng.Float64() * 12, rng.Float64() * 12, rng.Float64() * 12}
-		tmin, tmax, n := localTreeMinMax(o, q)
-		if n != len(pts) || math.Abs(tmin-o.MinDist(q)) > 1e-9 || math.Abs(tmax-o.MaxDist(q)) > 1e-9 {
-			t.Fatalf("tree: %d entries, min %g max %g; scan: %d, min %g max %g",
-				n, tmin, tmax, len(pts), o.MinDist(q), o.MaxDist(q))
-		}
-	}
-}
-
-// localTreeMinMax returns the extreme distances from q over the entries a
-// window search of the whole MBR finds in o's local tree, and their count.
-func localTreeMinMax(o *Object, q geom.Point) (dmin, dmax float64, n int) {
-	dmin = math.Inf(1)
-	o.LocalTree().Search(o.MBR(), func(e rtree.Entry) bool {
-		d := geom.Dist(q, e.Rect.Lo)
-		dmin, dmax, n = math.Min(dmin, d), math.Max(dmax, d), n+1
-		return true
-	})
-	return dmin, dmax, n
 }
 
 func TestHull(t *testing.T) {

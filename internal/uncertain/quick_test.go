@@ -112,19 +112,3 @@ func TestQuickSameDistributionSymmetry(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// The local R-tree agrees with linear scans for quick-generated objects.
-func TestQuickLocalTreeAgrees(t *testing.T) {
-	f := func(r rawObj, qx, qy uint8) bool {
-		o, err := r.build(1)
-		if err != nil {
-			return false
-		}
-		q := geom.Point{float64(qx % 48), float64(qy % 48)}
-		tmin, tmax, n := localTreeMinMax(o, q)
-		return n == o.Len() && math.Abs(tmin-o.MinDist(q)) < 1e-9 && math.Abs(tmax-o.MaxDist(q)) < 1e-9
-	}
-	if err := quick.Check(f, quickCfg); err != nil {
-		t.Fatal(err)
-	}
-}
