@@ -345,7 +345,7 @@ func BenchmarkDominanceCheck(b *testing.B) {
 			}
 		}
 		st := checker.Stats
-		if st.MBRValidations > 0 || st.CoverValidations > 0 || st.FlowSolves == 0 {
+		if st.CoverValidations > 0 || st.FlowSolves == 0 {
 			b.Fatalf("a validation decided a pair meant for the exact test: %+v", st)
 		}
 		b.ReportMetric(float64(st.FlowSolves)/float64(b.N), "flow-solves/op")
@@ -358,13 +358,13 @@ func BenchmarkDominanceCheck(b *testing.B) {
 // overlapping NBA-like objects of 10 instances, where nearly every object is
 // a candidate and no entry is pruned. On that shape most pairs the
 // statistics let through are refuted by an isolated instance (rung 4a), the
-// rest go to the sweep and the transport, none to the MBR validation: `make
-// check` runs it once and it fails if that stops being what it measures.
+// rest go to the sweep and the transport: `make check` runs it once and it
+// fails if that stops being what it measures.
 func BenchmarkBandScan(b *testing.B) {
 	p := datagen.Params{N: 200, M: 10, Centers: datagen.NBALike, Seed: benchSeed}
 	d := dataFor(b, "bandscan", p, 8, benchHq)
 	st := runSearches(b, d, PSD, AllFilters)
-	if st.FlowSolves == 0 || st.IsolationPrunes == 0 || st.MBRValidations > 0 {
+	if st.FlowSolves == 0 || st.IsolationPrunes == 0 {
 		b.Fatalf("the band scan no longer ends in the isolation rung, the sweep and the transport: %+v", st)
 	}
 	b.ReportMetric(float64(st.FlowSolves)/float64(b.N), "flow-solves/query")
@@ -635,7 +635,6 @@ func BenchmarkTable2(b *testing.B) {
 				}
 				perQuery := func(v int64, unit string) { b.ReportMetric(float64(v)/float64(b.N), unit) }
 				perQuery(st.FlowSolves, "flow-solves/query")
-				perQuery(st.MBRValidations, "mbr-validations/query")
 				perQuery(st.CoverValidations, "cover-validations/query")
 				perQuery(st.IsolationPrunes, "isolation-prunes/query")
 				perQuery(st.ScanPrunes, "scan-prunes/query")

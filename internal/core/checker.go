@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math"
-
 	"spatialdom/internal/distr"
 	"spatialdom/internal/geom"
 	"spatialdom/internal/uncertain"
@@ -66,25 +64,25 @@ func (c *Checker) Operator() Operator { return c.op }
 //
 //  1. global statistics: min/mean/max of U_Q against V_Q (three floats);
 //  2. per-query-instance statistics: the same three of each U_q (SS-SD, P-SD);
-//  3. cover-based validation on MBRs (Theorem 4);
 //  4. the sweep of the sorted runs: per-query-instance stochastic scans as
 //     cover-based pruning, and the admissibility rows of rung 8 (P-SD),
 //     which P-SD's rung 4a precedes: an instance of positive mass without
 //     a partner under ⪯Q refutes off the summary (isolated);
-//  5. (the in-hull exit, now rung 8's partner test);
-//  6. (level-by-level bounds on the local R-trees, measured slower than
-//     the rungs around them and deleted: EXPERIMENTS.md);
 //  7. cover validation on the summary (coverValidate): F-SD at the hull
 //     instances or, for S-SD, the SS-SD scans, with a witness U_Q ≠ V_Q;
 //     for P-SD then Theorem 1's match, walked over instances in order of
 //     summed distance (matchValidate);
 //  8. the exact test: the sorted-atom scan, or the Theorem 12 max-flow.
 //
-// Rungs 1, 2, 4 and 4a can only answer "no", rungs 3 and 7 only "yes", so
-// their order never changes a verdict, only what it costs — provided a "no"
-// rung placed before a validation cannot fire on a pair the validation
-// would have accepted. It cannot: validation holds when every instance of U
-// is at least as close as every instance of V to every hull instance of Q,
+// Missing numbers are deleted rungs; the documents cite the others by
+// number. Cover validation on MBRs (Theorem 4) is the band's entry test,
+// asked before an object is read (engine.go).
+//
+// Rungs 1, 2, 4 and 4a can only answer "no", rung 7 only "yes", so their
+// order never changes a verdict, only what it costs — provided a "no" rung
+// placed before a validation cannot fire on a pair the validation would
+// have accepted. It cannot: validation holds when every instance of U is
+// at least as close as every instance of V to every hull instance of Q,
 // hence (the bisector halfspaces being convex) to every instance of Q; then
 // each U_q lies entirely at or below V_q, and min, mean and max of U_q and
 // of the mixture U_Q are ordered, which is exactly what rungs 1 and 2 test.
@@ -92,10 +90,10 @@ func (c *Checker) Operator() Operator { return c.op }
 // (Theorem 11: X ≤st Y implies the statistics are ordered), so a pair they
 // reject is one a scan would have rejected, later and dearer. Rung 7 is
 // where each operator's own rungs end and the work it saves begins: P-SD
-// reads it before rung 4a and its sweep, S-SD and SS-SD after rung 3.
-// Each rung is gated by the FilterConfig flag it always was, rungs 7
-// and 4a by StatPruning. Rung 4a answers only what rung 8 would: mass
-// without a partner cannot ship, so the transport falls short.
+// reads it before rung 4a and its sweep. Each rung is gated by the
+// FilterConfig flag it always was, rungs 7 and 4a by StatPruning. Rung 4a
+// answers only what rung 8 would: mass without a partner cannot ship, so
+// the transport falls short.
 //
 // Every rung compares by one rule (distr's package comment): distances
 // exactly, accumulated mass under uncertain.MassBound of the atoms summed,
@@ -118,11 +116,11 @@ func (c *Checker) Dominates(u, v *uncertain.Object) bool {
 // than the dominated object's, compared exactly. Algorithm 1's heap, its
 // tie batch and the answer shield rely on it (engine.go, shield.go). Rung 1
 // asks it, and the scans of S-SD and SS-SD imply it; but P-SD's rows,
-// F-SD's and rung 3's hull instances and F+SD's per-dimension sums imply
-// it in real arithmetic only — the minimum may lie at a query instance off
-// the hull, or round an ulp the other way — so without rung 1 it is asked
-// on its own. The search's band asks decide directly: its members were
-// popped first, in key order.
+// F-SD's hull instances and F+SD's per-dimension sums imply it in real
+// arithmetic only — the minimum may lie at a query instance off the hull,
+// or round an ulp the other way — so without rung 1 it is asked on its
+// own. The search's band asks decide directly: its members were popped
+// first, in key order.
 //
 //nnc:hotpath
 func (c *Checker) sd(su, sv *objCache) bool {
@@ -264,27 +262,6 @@ func (c *Checker) perQStatLE(su, sv *objCache) bool {
 	return true
 }
 
-// --- MBR-level validation (Theorem 4) ----------------------------------------
-
-// mbrValidate is cover-based validation: F-SD between the MBRs of u and v
-// w.r.t. the hull query instances, which the cover chain carries to every
-// operator. With needStrict the cover must also hold strictly at some query
-// instance — the witness that U_Q ≠ V_Q, which S-SD, SS-SD and P-SD require
-// and F-SD does not. A validation is counted where its verdict is taken: a
-// cover without the witness it needs decides nothing and the pair goes on
-// down the ladder.
-func (c *Checker) mbrValidate(su, sv *objCache, needStrict bool) bool {
-	if !c.cfg.Geometric {
-		return false
-	}
-	holds, strict, _ := c.le(su.obj.MBR(), sv.obj.MBR())
-	if !holds || (needStrict && !strict) {
-		return false
-	}
-	c.Stats.MBRValidations++
-	return true
-}
-
 // --- cover validation on the summary -----------------------------------------
 
 // coverValidate is rung 7: the cover chain F-SD ⊂ P-SD ⊂ SS-SD ⊂ S-SD read
@@ -293,8 +270,8 @@ func (c *Checker) mbrValidate(su, sv *objCache, needStrict bool) bool {
 // (meansApart) and then either F-SD at the hull instances or, with scans
 // (S-SD only, and a query of more than one instance, where one run's scan
 // is the mixture's), U_q ≤st V_q within roundSlack at every query
-// instance, on the runs a merge of U_Q would sort anyway. Like mbrValidate
-// it is counted where its verdict is taken.
+// instance, on the runs a merge of U_Q would sort anyway. It is counted
+// where its verdict is taken.
 //
 //nnc:hotpath
 func (c *Checker) coverValidate(su, sv *objCache, scans bool) bool {
@@ -378,9 +355,6 @@ func (c *Checker) unequal(su, sv *objCache) bool {
 // --- S-SD ---------------------------------------------------------------------
 
 func (c *Checker) ssd(su, sv *objCache) bool {
-	if c.mbrValidate(su, sv, true) {
-		return true
-	}
 	if c.coverValidate(su, sv, true) {
 		return true
 	}
@@ -397,9 +371,6 @@ func (c *Checker) sssd(su, sv *objCache) bool {
 		c.Stats.StatPrunes++
 		return false
 	}
-	if c.mbrValidate(su, sv, true) {
-		return true
-	}
 	if c.coverValidate(su, sv, false) {
 		return true
 	}
@@ -415,9 +386,6 @@ func (c *Checker) sssd(su, sv *objCache) bool {
 // amortized equivalent of the paper's NN/furthest-neighbor searches on the
 // local R-trees.
 func (c *Checker) fsd(su, sv *objCache) bool {
-	if c.mbrValidate(su, sv, false) {
-		return true
-	}
 	for j, a := range su.perQStat {
 		c.Stats.InstanceComparisons++
 		if a.Max > sv.perQStat[j].Min {
@@ -446,28 +414,20 @@ type rectPred struct {
 	qMBR    geom.Rect
 }
 
-// far is the largest distance from q to a point of r, near the smallest —
-// squared under L2, where le reads their order. Rectangle domination is
-// a component-wise comparison of a's far vector against b's near vector
-// over the hull query instances (Emrich, Kriegel & Züfle).
+// far is the largest distance from q to a point of r, near the smallest.
+// Rectangle domination is a component-wise comparison of a's far vector
+// against b's near vector over the hull query instances (Emrich, Kriegel &
+// Züfle), in distances, the domain of the summary's: near is never larger
+// than a distance the summary computes from q to an instance in the
+// rectangle, far never smaller (band's comment in engine.go).
 func (p *rectPred) far(q geom.Point, r geom.Rect) float64 {
 	if p.euclid {
-		return r.MaxSqDistPoint(q)
+		return r.MaxDistPoint(q)
 	}
 	return p.metric.MaxDistRect(q, r)
 }
 
 func (p *rectPred) near(q geom.Point, r geom.Rect) float64 {
-	if p.euclid {
-		return r.MinSqDistPoint(q)
-	}
-	return p.metric.MinDistRect(q, r)
-}
-
-// nearDist is the distance from q to the closest point of r: near in the
-// distance domain the summary's distances are in, which the band's entry
-// test compares them against.
-func (p *rectPred) nearDist(q geom.Point, r geom.Rect) float64 {
 	if p.euclid {
 		return r.MinDistPoint(q)
 	}
@@ -476,8 +436,8 @@ func (p *rectPred) nearDist(q geom.Point, r geom.Rect) float64 {
 
 // within is one component of the far ≤ near comparison: whether a's far distance f
 // from a query instance is no larger than b's near distance n, recording in
-// strict a component where it is smaller. band.dominatesRect folds it over
-// the hull query instances on the band's far slab.
+// strict a component where it is smaller. le folds it over the hull query
+// instances, band.dominatesRect over the band's far slab.
 func within(f, n float64, strict *bool) bool {
 	if f < n {
 		*strict = true
@@ -488,19 +448,12 @@ func within(f, n float64, strict *bool) bool {
 // le reports whether every point of a is at least as close as every point
 // of b to every hull query instance (the MBR-level u ⪯Q v test), with a
 // strictness witness and the number of query instances it looked at.
-// Under L2 far and near are squares. "≤" between two squares survives the
-// square roots the summary's distances are (rounding is monotone), but a
-// gap may round away there, so a component is strict only where the roots
-// differ: the roots bound every instance distance the summary computes
-// from q into a and into b (band's comment in engine.go).
 func (p *rectPred) le(a, b geom.Rect) (le, strict bool, compared int) {
 	for _, q := range p.hullPts {
 		compared++
-		f, n := p.far(q, a), p.near(q, b)
-		if f > n {
+		if !within(p.far(q, a), p.near(q, b), &strict) {
 			return false, false, compared
 		}
-		strict = strict || f < n && (!p.euclid || math.Sqrt(f) < math.Sqrt(n))
 	}
 	return true, strict, compared
 }

@@ -285,13 +285,15 @@ type searchScratch struct {
 // so it is no larger than the distance of any instance in the rectangle,
 // as the summary computed it (a term MinSqDistPoint skips adds an exact
 // zero; L1's and L∞'s Dist and MinDistRect fold the same gaps by + and
-// max); and an entry's key (Rect.MinDistRect to the
-// query's MBR) is no larger than the near distance from any q in that MBR
-// by the same argument. Hence far ≤ near at every hull instance, strictly
-// at one, is F-SD at the hull instances in the summary's own floats, with
-// strictness: exactly the MBR test's conclusion, which the cover chain
-// carries to every operator but F+SD. And a key beyond the radius is
-// strictly beyond every hull instance's far distance of k members.
+// max). By the same steps a far distance (Rect.MaxDistPoint, each gap no
+// smaller) is no smaller than any of them, and an entry's key
+// (Rect.MinDistRect to the query's MBR) is no larger than the near
+// distance from any q in that MBR. Hence far ≤ near at every hull
+// instance, strictly at one, is F-SD at the hull instances in the
+// summary's own floats, with strictness: exactly the MBR test's
+// conclusion, which the cover chain carries to every operator but F+SD.
+// And a key beyond the radius is strictly beyond every hull instance's far
+// distance of k members.
 type band struct {
 	objs      []*objCache
 	mean, max []float64
@@ -502,8 +504,8 @@ func searchBackend(ctx context.Context, sc *searchScratch, b Backend, q *uncerta
 	// strictly more than testing at push — and an object entry is asked
 	// first, exactly like a node: its rectangle is the object's MBR, so k
 	// band members that dominate the rectangle dominate the object, and it
-	// is dropped before it is read, summarised or keyed (rung 3 of the
-	// verdict ladder, under the Filters.Geometric flag that rung obeys).
+	// is dropped before it is read, summarised or keyed (Theorem 4's cover
+	// validation on MBRs, under Filters.Geometric).
 	// Dropping it cannot change a tie batch it would have joined: whatever
 	// it would have dominated there is dominated, by transitivity, by the
 	// same k band members, all of them in the pre-batch band every batch
@@ -684,7 +686,7 @@ func (b *band) dominatesRect(c *Checker, r geom.Rect, k int) bool {
 	near := growFloats(c.scratch.near, h)
 	c.scratch.near = near
 	for t, q := range c.hullPts {
-		near[t] = c.nearDist(q, r)
+		near[t] = c.near(q, r)
 	}
 	compared := 0
 	for i := 0; i < len(b.objs) && count < k; i++ {

@@ -206,10 +206,14 @@ func TestSearchHeapOrdering(t *testing.T) {
 // from the query, overlapping it, and degenerate (a point, sometimes a
 // member's own), against members some of which are single points themselves,
 // after move-to-front has permuted the members away from the slab's
-// insertion order.
+// insertion order. And the entry test subsumes cover validation on MBRs
+// (Theorem 4), which is why the checker has no such rung: wherever a
+// member's MBR dominates r for an operator of the cover chain, the member
+// passes entryDominates against r, and rung 7's F-SD at the hull instances
+// holds between it and an object whose MBR is r.
 func TestSlabEntryTestMatchesRectDominates(t *testing.T) {
 	rng := rand.New(rand.NewSource(2303))
-	pruned := map[Operator]int{}
+	pruned, subsumed := map[Operator]int{}, map[Operator]int{}
 	for iter := 0; iter < 200; iter++ {
 		q := randObject(rng, 0, 2, 1+rng.Intn(6), geom.Point{50, 50}, 10)
 		members := make([]*uncertain.Object, 1+rng.Intn(12))
@@ -243,11 +247,20 @@ func TestSlabEntryTestMatchesRectDominates(t *testing.T) {
 					b.push(c, c.summaryOf(o), 1)
 				}
 				b.toFront(rng.Intn(len(members)))
-				for _, r := range rects {
+				for i, r := range rects {
+					v := uncertain.MustNew(100+i, []geom.Point{r.Lo, r.Hi}, nil) // its MBR is r
 					count := 0
 					for _, u := range members {
-						if entryDominates(c, u, r) {
+						entry := entryDominates(c, u, r)
+						if entry {
 							count++
+						}
+						if dom, _ := c.dominates(u.MBR(), r); dom && op != FPlusSD {
+							subsumed[op]++
+							if !entry || !c.fsdAtHull(c.summaryOf(u), c.summaryOf(v)) {
+								t.Fatalf("iter %d %s %v: MBR of %d dominates %v, entry test %v, F-SD at the hull %v",
+									iter, m.Name(), op, u.ID(), r, entry, c.fsdAtHull(c.summaryOf(u), c.summaryOf(v)))
+							}
 						}
 					}
 					for _, k := range []int{1, 4} {
@@ -264,8 +277,10 @@ func TestSlabEntryTestMatchesRectDominates(t *testing.T) {
 		}
 	}
 	for _, op := range Operators {
-		if pruned[op] < 100 {
-			t.Fatalf("%v: only %d rectangles had a dominator; the generator is lopsided", op, pruned[op])
+		if pruned[op] < 100 || op != FPlusSD && subsumed[op] < 100 {
+			t.Fatalf("%v: only %d rectangles had a dominator, %d an MBR dominator; the generator is lopsided",
+				op, pruned[op], subsumed[op])
 		}
 	}
+	t.Logf("rectangles with a dominator %v, member-rectangle pairs with an MBR dominator %v", pruned, subsumed)
 }

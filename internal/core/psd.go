@@ -19,8 +19,6 @@ import (
 //
 //  2. per-query-instance statistics: P-SD ⊂ SS-SD, and min/mean/max of
 //     every U_q are necessary for the SS-SD scans of rung 4;
-//  3. cover-based validation on MBRs (Theorem 4), with a strictness
-//     witness;
 //  7. cover validation on the summary (Checker.coverValidate): F-SD at the
 //     hull instances, read off the per-query-instance extremes, with the
 //     means' witness that U_Q ≠ V_Q — F-SD ⊂ P-SD; then the match witness
@@ -40,16 +38,10 @@ import (
 //  8. the exact instance transport over the rows rung 4 wrote: refused
 //     without a solve when a positive-mass instance has no admissible
 //     partner (what rung 4a finds first), and otherwise when it leaves
-//     more than uncertain.MassBound of the instances unshipped. Rung 5,
-//     the in-hull exit, was that partner test for an instance of V inside
-//     the query's hull on the same rows, so rung 8's is all that is left
-//     of it.
+//     more than uncertain.MassBound of the instances unshipped.
 //
 // Rungs 7 and 4a run before the sweep because the sweep is what they save;
 // a "yes" rung commutes with the "no" rungs around it (Checker.Dominates).
-// There is no rung 6: the paper's level-by-level bounds (for P-SD its
-// G⁻/G⁺ networks) cost more than the rungs they stood in front of at every
-// object size measured (EXPERIMENTS.md, "P-SD level by level").
 //
 // The transport is masses on two sides and a 0/1 matrix of admissible pairs
 // between them, solved by flow.Transport. The matrix is bitset rows
@@ -70,7 +62,7 @@ func (c *Checker) psd(su, sv *objCache) bool {
 		c.Stats.StatPrunes++
 		return false
 	}
-	if c.mbrValidate(su, sv, true) || c.coverValidate(su, sv, false) || c.matchValidate(su, sv) {
+	if c.coverValidate(su, sv, false) || c.matchValidate(su, sv) {
 		return true
 	}
 	if c.isolated(su, sv) {

@@ -111,9 +111,9 @@ func NewAnswerShield(q *uncertain.Object, op Operator, m geom.Metric, k int, can
 	if s.euclid && op != FPlusSD && k >= 1 && k <= len(cands) {
 		far := make([]float64, 0, k)
 		for _, c := range cands {
-			far = keepNearest(far, k, c.Object.MBR().MaxSqDistRect(s.qMBR))
+			far = keepNearest(far, k, c.Object.MBR().MaxDistRect(s.qMBR))
 		}
-		s.farK = math.Sqrt(far[k-1])
+		s.farK = far[k-1]
 	}
 	return s
 }
@@ -122,7 +122,7 @@ func NewAnswerShield(q *uncertain.Object, op Operator, m geom.Metric, k int, can
 // distances seen so far, and returns the list; its k-th element is then the
 // radius of the members seen. A NaN distance counts as +Inf: it never
 // brings a rectangle inside the radius. One insertion costs O(k). The
-// answer shield (farK, over MaxSqDistRect(candidate MBR, query MBR)) and
+// answer shield (farK, over MaxDistRect(candidate MBR, query MBR)) and
 // the search's band (engine.go, over each member's reach) both build their
 // radius here.
 func keepNearest(far []float64, k int, d float64) []float64 {
@@ -167,12 +167,12 @@ func (s *AnswerShield) ShieldsInsert(r geom.Rect) bool {
 		return false
 	}
 	// Condition 2: k MBR dominators among the candidates put O outside
-	// the band. First by radius: every hull instance q lies in qMBR, so
-	// for the k candidates c inside farK, far(q,c) ≤ MaxSqDistRect(c, qMBR)
-	// ≤ farK² and near² ≤ near(q,r), in squares; both steps hold per
-	// dimension before the sum, and rounding (square roots included) is
-	// monotone, so farK < near puts the roots of far(q,c) and near(q,r)
-	// apart: le with strictness at every q, k times over. (+Inf off L2.)
+	// the band. First by radius: every hull instance q lies in qMBR, so for
+	// the k candidates c inside farK, far(q,c) ≤ MaxDistRect(c, qMBR) ≤ farK
+	// and near ≤ near(q,r); both steps hold gap by gap before the sum, and
+	// rounding (the square root included) is monotone, so farK < near puts
+	// far(q,c) < near(q,r): le with strictness at every q, k times over.
+	// (+Inf off L2.)
 	if near > s.farK {
 		return true
 	}

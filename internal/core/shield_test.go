@@ -539,3 +539,49 @@ func TestShieldInsertKeyOrderAtAnUlp(t *testing.T) {
 		}
 	}
 }
+
+// The rule table's twin whose squares differ and distances do not
+// (TestFilterConfigsAgreeAtTheRule), against the shield: V is U moved by an
+// ulp in each coordinate, every distance from a query instance rounds to
+// U's, and under L2 U's far squares lie below V's near squares at the hull
+// instances. So neither object dominates the other, and V's insert joins a
+// k = 1 answer holding U (under F-SD each dominates the other: the answer
+// changes too). Condition 1 already refuses V, whose key is U's; condition
+// 2, the rectangle predicate in distances, must refuse it on its own too.
+func TestShieldInsertTwinAtTheSquares(t *testing.T) {
+	q := uncertain.MustNew(0, []geom.Point{{0, 0}, {200, 0}, {100, 200}, {54.20342084195679, 54.78224869580793}}, nil)
+	u := uncertain.MustNew(1, []geom.Point{{57.136106947917895, 57.57760358006369}}, nil)
+	v := uncertain.MustNew(2, []geom.Point{{57.13610694791789, 57.577603580063695}}, nil)
+	squaresApart := false
+	for _, j := range q.HullIndices() {
+		p := q.Instance(j)
+		if u.MBR().MaxDistPoint(p) != v.MBR().MinDistPoint(p) {
+			t.Fatalf("the twin's distances from %v differ", p)
+		}
+		squaresApart = squaresApart || u.MBR().MaxSqDistPoint(p) < v.MBR().MinSqDistPoint(p)
+	}
+	if !squaresApart {
+		t.Fatal("the twin's squares are equal at every hull instance")
+	}
+	onU, err := NewIndex([]*uncertain.Object{u})
+	if err != nil {
+		t.Fatal(err)
+	}
+	onUV, err := NewIndex([]*uncertain.Object{u, v})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range []Operator{SSD, SSSD, PSD, FSD} {
+		base := searchK(onU, q, op, 1, SearchOptions{Filters: AllFilters})
+		if after := searchK(onUV, q, op, 1, SearchOptions{Filters: AllFilters}); sameCandidates(base, after) {
+			t.Fatalf("%v: inserting the twin left the answer %v unchanged", op, base.IDs())
+		}
+		s := NewAnswerShield(q, op, geom.Euclidean, 1, base.Candidates)
+		if s.ShieldsInsert(v.MBR()) {
+			t.Fatalf("%v: the answer on U shields its twin's insert", op)
+		}
+		if dom, _ := s.dominates(u.MBR(), v.MBR()); dom {
+			t.Fatalf("%v: U's MBR dominates its twin's under the shield's predicate", op)
+		}
+	}
+}
