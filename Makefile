@@ -42,23 +42,19 @@ loc:
 			printf "%7d total\n%7d product graph (go list -deps ./cmd/nncserver)\n%7d cmd/ in %d binaries\n", t, p, c, b }'
 
 # product-graph fails if the server's dependency graph reaches a reference
-# implementation (nnfunc, nncore, harness), a test-only fault injector
+# implementation (anything under internal/ref/), a test-only fault injector
 # (faultfile, clusterfault) or the linter: what the product serves with
 # never includes what it is checked against.
 product-graph:
-	@deps="$$($(GO) list -deps ./cmd/nncserver)"; bad=; \
-	for p in nnfunc nncore harness faultfile clusterfault lint; do \
-		echo "$$deps" | grep -qx "spatialdom/internal/$$p" && bad="$$bad internal/$$p"; done; \
-	[ -z "$$bad" ] || { echo "product-graph: ./cmd/nncserver depends on$$bad"; exit 1; }
+	@bad="$$($(GO) list -deps ./cmd/nncserver | grep -E '^spatialdom/internal/(ref/|(faultfile|clusterfault|lint)$$)' | xargs)"; \
+	[ -z "$$bad" ] || { echo "product-graph: ./cmd/nncserver depends on $$bad"; exit 1; }
 
 # tolerances fails if a decimal float literal with a negative exponent
 # (1e-9 and the like) appears in non-test Go under internal/core,
 # internal/distr or internal/flow: the dominance checks compare distances
-# exactly and mass under uncertain.MassBound, and no other tolerance. The
-# one exception is flow.go, whose Network is the reference the transport is
-# tested against and keeps its own Eps.
+# exactly and mass under uncertain.MassBound, and no other tolerance.
 tolerances:
-	@hits="$$(grep -rnE '[0-9]e-[0-9]' --include='*.go' --exclude='*_test.go' internal/core internal/distr internal/flow | grep -v '^internal/flow/flow.go:')"; \
+	@hits="$$(grep -rnE '[0-9]e-[0-9]' --include='*.go' --exclude='*_test.go' internal/core internal/distr internal/flow)"; \
 	[ -z "$$hits" ] || { echo "tolerances: a decimal tolerance in the dominance checks:"; echo "$$hits"; exit 1; }
 
 test: vet

@@ -1,7 +1,7 @@
 package spatialdom
 
 // Benchmarks regenerating the paper's evaluation, one per figure (see
-// DESIGN.md §3 and EXPERIMENTS.md). Dataset sizes are scaled down from the
+// DESIGN.md §14 and EXPERIMENTS.md). Dataset sizes are scaled down from the
 // paper's 100k×40 grid so the whole suite runs in minutes on one core; the
 // comparison SHAPES between operators are the reproduction target. Custom
 // metrics report the figure's y-axis: candidates/query for the
@@ -28,7 +28,7 @@ import (
 	"spatialdom/internal/datagen"
 	"spatialdom/internal/diskindex"
 	"spatialdom/internal/geom"
-	"spatialdom/internal/harness"
+	"spatialdom/internal/ref/harness"
 	"spatialdom/internal/server/front"
 	"spatialdom/internal/uncertain"
 	"spatialdom/internal/wal"

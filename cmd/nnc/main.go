@@ -35,7 +35,7 @@ import (
 	"spatialdom/internal/cluster"
 	"spatialdom/internal/datagen"
 	"spatialdom/internal/dataio"
-	"spatialdom/internal/harness"
+	"spatialdom/internal/ref/harness"
 	"spatialdom/internal/uncertain"
 )
 

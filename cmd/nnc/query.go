@@ -11,7 +11,7 @@ import (
 	"spatialdom"
 	"spatialdom/internal/core"
 	"spatialdom/internal/dataio"
-	"spatialdom/internal/nnfunc"
+	"spatialdom/internal/ref/nnfunc"
 )
 
 // query prints the candidate sets of every dominance operator side by

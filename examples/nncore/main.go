@@ -14,7 +14,7 @@ import (
 	"log"
 
 	"spatialdom"
-	"spatialdom/internal/nncore"
+	"spatialdom/internal/ref/nncore"
 	"spatialdom/internal/uncertain"
 )
 

@@ -16,7 +16,7 @@ import (
 
 	"spatialdom"
 	"spatialdom/internal/datagen"
-	"spatialdom/internal/nnfunc"
+	"spatialdom/internal/ref/nnfunc"
 )
 
 func main() {

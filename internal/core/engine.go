@@ -89,7 +89,7 @@ type Backend interface {
 
 // KSearcher is the context-aware search call over a whole index: *Index
 // and diskindex.Index implement it, and both are safe to call from many
-// goroutines at once (DESIGN.md §2f).
+// goroutines at once (DESIGN.md §6).
 type KSearcher interface {
 	SearchKCtx(ctx context.Context, q *uncertain.Object, op Operator, k int, opts SearchOptions) (*Result, error)
 }

@@ -8,7 +8,7 @@ import (
 	"testing"
 
 	"spatialdom/internal/geom"
-	"spatialdom/internal/nnfunc"
+	"spatialdom/internal/ref/nnfunc"
 	"spatialdom/internal/uncertain"
 )
 

@@ -12,6 +12,8 @@ import (
 	"spatialdom/internal/distr"
 	"spatialdom/internal/flow"
 	"spatialdom/internal/geom"
+	"spatialdom/internal/ref/maxflow"
+	"spatialdom/internal/ref/nnfunc"
 	"spatialdom/internal/uncertain"
 )
 
@@ -146,7 +148,7 @@ func TestLadderAgreesWithNoFilterWideObjects(t *testing.T) {
 // the key is bit-for-bit the minimum of the sorted U_Q, the mean agrees
 // with the sorted sum to rounding, and a zero-probability instance moves
 // neither. U_Q as the checker builds it — the runs sorted one by one, some
-// of them already by a sweep, then merged — is distr.BetweenFunc's, for |Q|
+// of them already by a sweep, then merged — is nnfunc.BetweenFunc's, for |Q|
 // of 1 to 9 (every merge-pass count up to four): atom for atom on objects
 // scattered in the plane, and Equal at eps 0 on an integer grid, where many
 // atoms tie. The grid's weights are dyadic, so any order of a tie group
@@ -175,7 +177,7 @@ func TestSummaryMatchesSortedDistribution(t *testing.T) {
 		}
 		for _, m := range []geom.Metric{geom.Euclidean, geom.Chebyshev} {
 			c := NewCheckerMetric(q, SSD, AllFilters, m)
-			want := distr.BetweenFunc(o, q, m.Dist)
+			want := nnfunc.BetweenFunc(o, q, m.Dist)
 			if got := c.MinPairDist(o); got != want.Min() {
 				t.Fatalf("iter %d %s: MinPairDist = %v, sorted min = %v", iter, m.Name(), got, want.Min())
 			}
@@ -191,13 +193,13 @@ func TestSummaryMatchesSortedDistribution(t *testing.T) {
 			}
 			got := c.distQ(oc)
 			if !sameAtoms(got, want) || !onGrid && !slices.Equal(got.Pairs(), want.Pairs()) {
-				t.Fatalf("iter %d %s: merged U_Q differs from distr.BetweenFunc", iter, m.Name())
+				t.Fatalf("iter %d %s: merged U_Q differs from nnfunc.BetweenFunc", iter, m.Name())
 			}
 			for j := 0; j < q.Len(); j++ {
-				wj := distr.BetweenInstanceFunc(o, q.Instance(j), m.Dist)
+				wj := nnfunc.BetweenInstanceFunc(o, q.Instance(j), m.Dist)
 				run, _ := c.sortedRun(oc, j)
 				if !sameAtoms(distr.Own(slices.Clone(run)), wj) || oc.perQStat[j].Min != wj.Min() || oc.perQStat[j].Max != wj.Max() {
-					t.Fatalf("iter %d %s: U_q %d differs from distr.BetweenInstance", iter, m.Name(), j)
+					t.Fatalf("iter %d %s: U_q %d differs from nnfunc.BetweenInstance", iter, m.Name(), j)
 				}
 			}
 		}
@@ -246,7 +248,7 @@ func TestIsolatedMassAgreesWithMaxFlow(t *testing.T) {
 		density := rng.Float64()
 		w := flow.RowWords(nv)
 		rows := make([]uint64, nu*w)
-		g := flow.NewNetwork(nu + nv + 2)
+		g := maxflow.NewNetwork(nu + nv + 2)
 		s, sink := 0, nu+nv+1
 		for i, p := range pu {
 			g.AddEdge(s, 1+i, p)

@@ -6,8 +6,8 @@ import (
 	"sort"
 	"testing"
 
-	"spatialdom/internal/distr"
 	"spatialdom/internal/geom"
+	"spatialdom/internal/ref/nnfunc"
 )
 
 var nonEuclidean = []geom.Metric{geom.Manhattan, geom.Chebyshev}
@@ -146,8 +146,8 @@ func TestMetricStableAggregatesRespectDominance(t *testing.T) {
 				continue
 			}
 			exercised++
-			uq := distr.BetweenFunc(u, q, m.Dist)
-			vq := distr.BetweenFunc(v, q, m.Dist)
+			uq := nnfunc.BetweenFunc(u, q, m.Dist)
+			vq := nnfunc.BetweenFunc(v, q, m.Dist)
 			if uq.Min() > vq.Min()+1e-9 || uq.Mean() > vq.Mean()+1e-9 || uq.Max() > vq.Max()+1e-9 {
 				t.Fatalf("%s: stable aggregate inverted under dominance", m.Name())
 			}

@@ -6,7 +6,7 @@ import (
 
 	"spatialdom/internal/distr"
 	"spatialdom/internal/geom"
-	"spatialdom/internal/nnfunc"
+	"spatialdom/internal/ref/nnfunc"
 	"spatialdom/internal/uncertain"
 )
 
@@ -82,8 +82,8 @@ func TestSSDCompleteness(t *testing.T) {
 		if c.Dominates(u, v) {
 			continue
 		}
-		uq := distr.Between(u, q)
-		vq := distr.Between(v, q)
+		uq := nnfunc.Between(u, q)
+		vq := nnfunc.Between(v, q)
 		if distr.Equal(uq, vq) {
 			continue // mutual equality: no function can separate them
 		}
@@ -135,13 +135,13 @@ func TestSSSDCompleteness(t *testing.T) {
 			continue
 		}
 		// Skip pairs failing only the ≠ side condition.
-		if distr.Equal(distr.Between(u, q), distr.Between(v, q)) {
+		if distr.Equal(nnfunc.Between(u, q), nnfunc.Between(v, q)) {
 			continue
 		}
 		perQEqual := true
 		for j := 0; j < q.Len(); j++ {
-			uq := distr.BetweenInstance(u, q.Instance(j))
-			vq := distr.BetweenInstance(v, q.Instance(j))
+			uq := nnfunc.BetweenInstance(u, q.Instance(j))
+			vq := nnfunc.BetweenInstance(v, q.Instance(j))
 			if !distr.Equal(uq, vq) {
 				perQEqual = false
 			}
@@ -154,8 +154,8 @@ func TestSSSDCompleteness(t *testing.T) {
 		found := false
 	search:
 		for j := 0; j < q.Len(); j++ {
-			vq := distr.BetweenInstance(v, q.Instance(j))
-			uq := distr.BetweenInstance(u, q.Instance(j))
+			vq := nnfunc.BetweenInstance(v, q.Instance(j))
+			uq := nnfunc.BetweenInstance(u, q.Instance(j))
 			for _, dd := range []distr.Distribution{vq, uq} {
 				for i := 0; i < dd.Len(); i++ {
 					f := nnfunc.WorldThreshold(j, dd.Pair(i).Dist)

@@ -10,6 +10,7 @@ import (
 	"spatialdom/internal/distr"
 	"spatialdom/internal/flow"
 	"spatialdom/internal/geom"
+	"spatialdom/internal/ref/nnfunc"
 	"spatialdom/internal/uncertain"
 )
 
@@ -169,8 +170,8 @@ func TestSweepRowsMatchAllPairsFill(t *testing.T) {
 						}
 						scansHold := true
 						for j := 0; cfg.StatPruning && j < q.Len(); j++ {
-							uq := distr.BetweenInstanceFunc(u, q.Instance(j), metric.Dist)
-							vq := distr.BetweenInstanceFunc(v, q.Instance(j), metric.Dist)
+							uq := nnfunc.BetweenInstanceFunc(u, q.Instance(j), metric.Dist)
+							vq := nnfunc.BetweenInstanceFunc(v, q.Instance(j), metric.Dist)
 							scansHold = scansHold && distr.StochasticLE(uq, vq, nil)
 						}
 						isolated := tr.Isolated(u.Probs(), v.Probs(), wantAdm)
@@ -203,7 +204,7 @@ func TestSweepRowsMatchAllPairsFill(t *testing.T) {
 						if want {
 							tr.Solve(u.Probs(), v.Probs(), wantAdm)
 							want = tr.Unshipped() <= uncertain.MassBound(u.Len()+v.Len()) &&
-								!distr.Equal(distr.BetweenFunc(u, q, metric.Dist), distr.BetweenFunc(v, q, metric.Dist))
+								!distr.Equal(nnfunc.BetweenFunc(u, q, metric.Dist), nnfunc.BetweenFunc(v, q, metric.Dist))
 						}
 						pc := NewCheckerMetric(q, PSD, cfg, metric)
 						got := pc.psd(pc.summaryOf(u), pc.summaryOf(v))

@@ -7,8 +7,8 @@ import (
 	"slices"
 	"testing"
 
-	"spatialdom/internal/flow"
 	"spatialdom/internal/geom"
+	"spatialdom/internal/ref/maxflow"
 	"spatialdom/internal/uncertain"
 )
 
@@ -53,7 +53,7 @@ func oraclePSDMatchMetric(u, v, q *uncertain.Object, m geom.Metric) bool {
 			return false
 		}
 	}
-	g := flow.NewNetwork(nu + nv + 2)
+	g := maxflow.NewNetwork(nu + nv + 2)
 	s, t := 0, nu+nv+1
 	for i := 0; i < nu; i++ {
 		g.AddEdge(s, 1+i, u.Prob(i))

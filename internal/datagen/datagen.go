@@ -9,7 +9,7 @@
 // h_d/2, truncated to the box (the "N" instance distribution).
 //
 // The real datasets are replaced by generators that reproduce their role
-// in the evaluation (see DESIGN.md §5): HOUSE → 3-d simplex shares, CA/USA
+// in the evaluation (see DESIGN.md §14): HOUSE → 3-d simplex shares, CA/USA
 // → clustered 2-d locations at two scales, NBA → heavily overlapping 3-d
 // stat clouds, GW → hotspot-sharing 2-d check-in clouds.
 package datagen

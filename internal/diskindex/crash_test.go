@@ -17,7 +17,7 @@ import (
 // whole transaction, and require that recovery lands on exactly the
 // pre-transaction or the post-transaction state — never a mixture, never
 // an unopenable file. This is the executable form of the commit
-// protocol's central claim (DESIGN.md §2d). The sweeps run over a log
+// protocol's central claim (DESIGN.md §11). The sweeps run over a log
 // holding only its header, and over recycled logs whose older generations
 // left records where the transaction lands.
 

@@ -51,12 +51,10 @@ var errBadProb = errors.New("distr: probabilities must be finite and non-negativ
 type PairArena = slab.Arena[Pair]
 
 // Own builds a distribution that takes ownership of the given atom slice,
-// sorting it in place with no copy and no validation. It is the arena-path
-// counterpart of the Between* constructors for atoms the caller has already
-// computed from validated objects (finite values, non-negative
-// probabilities); unlike FromPairs it keeps zero-probability atoms, exactly
-// as the Between* constructors always have. The slice must not be used by
-// the caller afterwards.
+// sorting it in place with no copy and no validation, for atoms the caller
+// has already computed from validated objects (finite values, non-negative
+// probabilities); unlike FromPairs it keeps zero-probability atoms. The
+// slice must not be used by the caller afterwards.
 func Own(pairs []Pair) Distribution {
 	sortPairs(pairs)
 	return Distribution{pairs: pairs}
@@ -90,38 +88,6 @@ func MustFromPairs(pairs []Pair) Distribution {
 		panic(err)
 	}
 	return d
-}
-
-// Between returns U_Q: the distance distribution between object u and query
-// q containing every instance pair (q_j, u_i) with value δ(q_j, u_i) and
-// probability p(q_j)·p(u_i).
-func Between(u, q *uncertain.Object) Distribution { return BetweenFunc(u, q, geom.Dist) }
-
-// BetweenFunc is Between under an arbitrary instance distance function —
-// the extension point for non-Euclidean metrics (Section 2.1 notes the
-// techniques carry over to any metric).
-func BetweenFunc(u, q *uncertain.Object, dist func(a, b geom.Point) float64) Distribution {
-	m := u.Len()
-	runs := make([]Pair, m*q.Len())
-	Summarize(runs, nil, u, q, dist)
-	return WeightRuns(runs, runs, m, q)
-}
-
-// BetweenInstance returns U_q: the distance distribution between object u
-// and a single query instance, each atom carrying the instance probability
-// p(u_i).
-func BetweenInstance(u *uncertain.Object, q geom.Point) Distribution {
-	return BetweenInstanceFunc(u, q, geom.Dist)
-}
-
-// BetweenInstanceFunc is BetweenInstance under an arbitrary instance
-// distance function.
-func BetweenInstanceFunc(u *uncertain.Object, q geom.Point, dist func(a, b geom.Point) float64) Distribution {
-	pairs := make([]Pair, u.Len())
-	for i := range pairs {
-		pairs[i] = Pair{Dist: dist(q, u.Instance(i)), Prob: u.Prob(i)}
-	}
-	return Own(pairs)
 }
 
 // Stat is the min, mean and max of a distribution over its positive-mass
@@ -208,29 +174,15 @@ func Summarize(runs []Pair, perQ []Stat, u, q *uncertain.Object, dist func(a, b 
 	return all
 }
 
-// WeightRuns builds U_Q out of a Summarize buffer: the atoms are copied into
-// dst (same length, and it may be runs itself; ownership passes to the
-// result) with run j's probabilities scaled by p(q_j), then sorted as one
-// distribution. It is BetweenFunc's path, and the reference MergeRuns is
-// held to; a search builds U_Q with MergeRuns.
-func WeightRuns(dst, runs []Pair, m int, q *uncertain.Object) Distribution {
-	for j := 0; j < q.Len(); j++ {
-		qprob := q.Prob(j)
-		for i := j * m; i < (j+1)*m; i++ {
-			dst[i] = Pair{Dist: runs[i].Dist, Prob: qprob * runs[i].Prob}
-		}
-	}
-	return Own(dst)
-}
-
 // MergeRuns builds U_Q out of a Summarize buffer whose runs are each sorted
 // by distance (RunSorter): run j's atoms, their probabilities scaled by
-// p(q_j), merged pairwise bottom-up into one sorted distribution — WeightRuns
-// without its sort of all |Q|·m atoms. The atoms are WeightRuns', bit for
-// bit; only their order inside equal distances may differ, which nothing
-// that reads a distribution by value (StochasticLE, Equal) can see. dst
-// (len(runs) atoms) becomes the result's storage; tmp, at least as long, is
-// the merge's second buffer and stays the caller's. runs is left as it is.
+// p(q_j), merged pairwise bottom-up into one sorted distribution — the
+// reference nnfunc.WeightRuns without its sort of all |Q|·m atoms. The atoms
+// are WeightRuns', bit for bit; only their order inside equal distances may
+// differ, which nothing that reads a distribution by value (StochasticLE,
+// Equal) can see. dst (len(runs) atoms) becomes the result's storage; tmp,
+// at least as long, is the merge's second buffer and stays the caller's.
+// runs is left as it is.
 //
 //nnc:hotpath
 func MergeRuns(dst, tmp, runs []Pair, m int, q *uncertain.Object) Distribution {

@@ -5,9 +5,6 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
-
-	"spatialdom/internal/geom"
-	"spatialdom/internal/uncertain"
 )
 
 func dist(vals ...float64) Distribution {
@@ -48,30 +45,6 @@ func TestMustFromPairsPanics(t *testing.T) {
 		}
 	}()
 	MustFromPairs([]Pair{{1, -1}})
-}
-
-// Paper Example 1 (Figure 6(b)): A_Q = {(5,.25),(8,.25),(10,.25),(23,.25)},
-// A_{q1} = {(5,.5),(8,.5)}. We reconstruct coordinates that realize those
-// distances on a line.
-func TestBetweenPaperExample1(t *testing.T) {
-	q := uncertain.MustNew(0, []geom.Point{{0}, {15}}, nil) // q1=0, q2=15
-	a := uncertain.MustNew(1, []geom.Point{{5}, {-8}}, nil) // δ(q1,a1)=5, δ(q1,a2)=8, δ(q2,a1)=10, δ(q2,a2)=23
-	aq := Between(a, q)
-	want := []Pair{{5, 0.25}, {8, 0.25}, {10, 0.25}, {23, 0.25}}
-	if aq.Len() != 4 {
-		t.Fatalf("A_Q = %v", aq)
-	}
-	for i, w := range want {
-		got := aq.Pair(i)
-		if math.Abs(got.Dist-w.Dist) > 1e-9 || math.Abs(got.Prob-w.Prob) > 1e-9 {
-			t.Fatalf("A_Q[%d] = %v, want %v", i, got, w)
-		}
-	}
-	aq1 := BetweenInstance(a, geom.Point{0})
-	if aq1.Len() != 2 || aq1.Pair(0).Dist != 5 || aq1.Pair(1).Dist != 8 ||
-		aq1.Pair(0).Prob != 0.5 {
-		t.Fatalf("A_q1 = %v", aq1)
-	}
 }
 
 func TestStats(t *testing.T) {

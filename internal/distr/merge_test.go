@@ -1,4 +1,4 @@
-package distr
+package distr_test
 
 import (
 	"cmp"
@@ -6,7 +6,9 @@ import (
 	"slices"
 	"testing"
 
+	"spatialdom/internal/distr"
 	"spatialdom/internal/geom"
+	"spatialdom/internal/ref/nnfunc"
 	"spatialdom/internal/uncertain"
 )
 
@@ -67,13 +69,13 @@ func mergeObject(rng *rand.Rand, mc mergeCase, id, n int, s float64) *uncertain.
 // mergedAndSorted returns U_Q of u built both ways: the runs sorted one by
 // one and merged (what a search does), and weighted then sorted whole (the
 // reference).
-func mergedAndSorted(u, q *uncertain.Object, s *RunSorter, tmp []Pair) (merged, sorted Distribution) {
+func mergedAndSorted(u, q *uncertain.Object, s *distr.RunSorter, tmp []distr.Pair) (merged, sorted distr.Distribution) {
 	m := u.Len()
-	runs := make([]Pair, m*q.Len())
-	Summarize(runs, nil, u, q, nil)
-	sorted = WeightRuns(make([]Pair, len(runs)), runs, m, q)
+	runs := make([]distr.Pair, m*q.Len())
+	distr.Summarize(runs, nil, u, q, nil)
+	sorted = nnfunc.WeightRuns(make([]distr.Pair, len(runs)), runs, m, q)
 	s.SortRuns(runs, make([]int32, len(runs)), u.Probs())
-	return MergeRuns(make([]Pair, len(runs)), tmp, runs, m, q), sorted
+	return distr.MergeRuns(make([]distr.Pair, len(runs)), tmp, runs, m, q), sorted
 }
 
 // MergeRuns builds the U_Q that WeightRuns + Own builds: the same atoms, in
@@ -85,22 +87,22 @@ func mergedAndSorted(u, q *uncertain.Object, s *RunSorter, tmp []Pair) (merged, 
 // zero-probability instances on both sides.
 func TestMergeRunsMatchesWeightedSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
-	var s RunSorter
-	tmp := make([]Pair, 9*130)
+	var s distr.RunSorter
+	tmp := make([]distr.Pair, 9*130)
 	verdicts := map[bool]int{}
 	for _, mc := range mergeCases {
 		for _, nq := range []int{1, 2, 3, 8, 9} {
 			for _, m := range []int{1, 10, 24, 25, 130} {
 				q := mergeObject(rng, mc, 0, nq, 0)
-				var merged, sorted []Distribution
+				var merged, sorted []distr.Distribution
 				for id := 1; id <= 4; id++ {
 					u := mergeObject(rng, mc, id, m, float64(rng.Intn(3)))
 					mg, st := mergedAndSorted(u, q, &s, tmp)
 					got, want := mg.Pairs(), st.Pairs()
-					if !slices.IsSortedFunc(got, func(a, b Pair) int { return cmp.Compare(a.Dist, b.Dist) }) {
+					if !slices.IsSortedFunc(got, func(a, b distr.Pair) int { return cmp.Compare(a.Dist, b.Dist) }) {
 						t.Fatalf("%s |Q|=%d m=%d: merged atoms out of order", mc.name, nq, m)
 					}
-					byValue := func(a, b Pair) int {
+					byValue := func(a, b distr.Pair) int {
 						return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.Prob, b.Prob))
 					}
 					g, w := slices.Clone(got), slices.Clone(want)
@@ -112,7 +114,7 @@ func TestMergeRunsMatchesWeightedSort(t *testing.T) {
 					if mc.name == "distinct" && !slices.Equal(got, want) {
 						t.Fatalf("|Q|=%d m=%d: distinct distances, yet the merge's order is not the sort's", nq, m)
 					}
-					if !Equal(mg, st) {
+					if !distr.Equal(mg, st) {
 						t.Fatalf("%s |Q|=%d m=%d: merged and sorted U_Q differ", mc.name, nq, m)
 					}
 					merged, sorted = append(merged, mg), append(sorted, st)
@@ -124,12 +126,12 @@ func TestMergeRunsMatchesWeightedSort(t *testing.T) {
 				for a := range merged {
 					for b := range merged {
 						var nm, ns int64
-						le := StochasticLE(merged[a], merged[b], &nm)
-						if le != StochasticLE(sorted[a], sorted[b], &ns) || nm != ns {
+						le := distr.StochasticLE(merged[a], merged[b], &nm)
+						if le != distr.StochasticLE(sorted[a], sorted[b], &ns) || nm != ns {
 							t.Fatalf("%s |Q|=%d m=%d pair (%d,%d): StochasticLE differs or consumes differently", mc.name, nq, m, a, b)
 						}
-						eq := Equal(merged[a], merged[b])
-						if eq != Equal(sorted[a], sorted[b]) {
+						eq := distr.Equal(merged[a], merged[b])
+						if eq != distr.Equal(sorted[a], sorted[b]) {
 							t.Fatalf("%s |Q|=%d m=%d pair (%d,%d): Equal differs", mc.name, nq, m, a, b)
 						}
 						if a != b {
@@ -148,11 +150,11 @@ func TestMergeRunsMatchesWeightedSort(t *testing.T) {
 	// Warm, the merge touches only the two buffers it is handed.
 	q := mergeObject(rng, mergeCases[1], 0, 9, 0)
 	u := mergeObject(rng, mergeCases[1], 1, 25, 0)
-	runs := make([]Pair, u.Len()*q.Len())
-	Summarize(runs, nil, u, q, nil)
+	runs := make([]distr.Pair, u.Len()*q.Len())
+	distr.Summarize(runs, nil, u, q, nil)
 	s.SortRuns(runs, make([]int32, len(runs)), u.Probs())
-	dst := make([]Pair, len(runs))
-	if n := testing.AllocsPerRun(10, func() { MergeRuns(dst, tmp, runs, u.Len(), q) }); n != 0 {
+	dst := make([]distr.Pair, len(runs))
+	if n := testing.AllocsPerRun(10, func() { distr.MergeRuns(dst, tmp, runs, u.Len(), q) }); n != 0 {
 		t.Fatalf("a warm merge allocates %v times", n)
 	}
 }

@@ -1,3 +1,6 @@
+// Package flow is Transport, the kernel that decides P-SD by Theorem 12. It
+// has no epsilon: a residual is empty at exactly zero, and its caller
+// compares the mass left Unshipped under uncertain.MassBound.
 package flow
 
 import "math/bits"

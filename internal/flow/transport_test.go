@@ -5,10 +5,12 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"spatialdom/internal/ref/maxflow"
 )
 
 // transportCase is one bipartite transport instance in both forms: bitset
-// rows for Transport, and the admissible pairs for the Network oracle.
+// rows for Transport, and the admissible pairs for the max-flow oracle.
 type transportCase struct {
 	supply, demand []float64
 	rows           []uint64
@@ -67,7 +69,7 @@ func (c transportCase) admissible(i, j int) bool {
 // oracle solves the instance as a general network with Dinic.
 func (c transportCase) oracle() float64 {
 	nu, nv := len(c.supply), len(c.demand)
-	g := NewNetwork(nu + nv + 2)
+	g := maxflow.NewNetwork(nu + nv + 2)
 	s, t := 0, nu+nv+1
 	for i, p := range c.supply {
 		g.AddEdge(s, 1+i, p)
@@ -90,7 +92,7 @@ func (c transportCase) oracle() float64 {
 func (c transportCase) check(tr *Transport) string {
 	total := tr.Solve(c.supply, c.demand, c.rows)
 	if want := c.oracle(); math.Abs(total-want) > 1e-12 {
-		return "total differs from Network.MaxFlow"
+		return "total differs from the Dinic max-flow"
 	}
 	var routed float64
 	in := make([]float64, len(c.demand))

@@ -1,7 +1,7 @@
 package lint
 
 // checkSnapshotLifecycle enforces the one reader-side rule of DESIGN.md
-// §2d's epoch snapshots that no type states: a snapshot reference may not
+// §8's epoch snapshots that no type states: a snapshot reference may not
 // outlive the search that reads through it — scanEscapes with the
 // snapshot predicate. (That every pin is dropped is not a convention any
 // more: diskindex.Index.pinned is the only code that counts one, and it

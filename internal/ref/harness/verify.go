@@ -6,7 +6,7 @@ import (
 
 	"spatialdom/internal/core"
 	"spatialdom/internal/datagen"
-	"spatialdom/internal/nnfunc"
+	"spatialdom/internal/ref/nnfunc"
 )
 
 // VerifyShapes programmatically checks the qualitative claims of the

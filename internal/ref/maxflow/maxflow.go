@@ -1,21 +1,11 @@
-// Package flow provides the network-flow solvers the reproduction needs,
-// built from scratch on the standard library:
-//
-//   - Transport, the bipartite transport kernel that decides the Peer-SD
-//     operator (Theorem 12 reduces P-SD(U,V,Q) to checking whether the unit
-//     of probability mass can be shipped from U's instances to V's over the
-//     admissible pairs);
-//   - Network.MaxFlow, Dinic's max-flow on real-valued capacities — the
-//     general form of the same question, and the oracle Transport is tested
-//     against;
-//   - Network.MinCostMaxFlow, successive-shortest-path min-cost max-flow,
-//     used to compute the Earth Mover's / Netflow distance (Appendix A,
-//     Definition 12).
-//
-// Probability masses are float64, so all comparisons use a small epsilon;
-// the graphs involved are tiny bipartite networks (instances of two
-// objects), which keeps accumulated rounding far below the epsilon.
-package flow
+// Package maxflow is the reference network-flow solver, imported by nothing
+// the server runs: Network.MaxFlow is Dinic's max-flow on real capacities,
+// the general form of the question flow.Transport answers for P-SD (Theorem
+// 12) and its test oracle; Network.MinCostMaxFlow is successive-shortest-path
+// min-cost flow, the engine of nnfunc's EMD and Netflow (Appendix A).
+// Residual capacities compare under Eps; the networks are tiny bipartite
+// graphs over two objects' instances, so rounding stays far below it.
+package maxflow
 
 import (
 	"math"

@@ -7,7 +7,7 @@ import (
 
 	"spatialdom/internal/core"
 	"spatialdom/internal/geom"
-	"spatialdom/internal/nnfunc"
+	"spatialdom/internal/ref/nnfunc"
 	"spatialdom/internal/uncertain"
 )
 

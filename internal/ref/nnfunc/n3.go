@@ -3,8 +3,8 @@ package nnfunc
 import (
 	"math"
 
-	"spatialdom/internal/flow"
 	"spatialdom/internal/geom"
+	"spatialdom/internal/ref/maxflow"
 	"spatialdom/internal/uncertain"
 )
 
@@ -89,7 +89,7 @@ func Netflow() Func {
 // edge costs δ(u, q).
 func EMDValue(u, q *uncertain.Object) float64 {
 	nu, nq := u.Len(), q.Len()
-	g := flow.NewNetwork(nu + nq + 2)
+	g := maxflow.NewNetwork(nu + nq + 2)
 	s, t := 0, nu+nq+1
 	for j := 0; j < nq; j++ {
 		g.AddEdgeCost(s, 1+j, q.Prob(j), 0)

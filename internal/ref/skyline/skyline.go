@@ -1,6 +1,9 @@
-package core
+// Package skyline is the spatial skyline of [30], which the root package
+// serves and the server does not import.
+package skyline
 
 import (
+	"spatialdom/internal/core"
 	"spatialdom/internal/geom"
 	"spatialdom/internal/uncertain"
 )
@@ -29,11 +32,11 @@ func SpatialSkyline(points []geom.Point, query []geom.Point) []int {
 		objs[i] = uncertain.MustNew(i, []geom.Point{p}, nil)
 	}
 	q := uncertain.MustNew(-1, query, nil)
-	idx, err := NewIndex(objs)
+	idx, err := core.NewIndex(objs)
 	if err != nil {
 		panic(err) // construction above guarantees validity
 	}
-	res := idx.Search(q, PSD)
+	res := idx.Search(q, core.PSD)
 	out := make([]int, 0, len(res.Candidates))
 	for _, c := range res.Candidates {
 		out = append(out, c.Object.ID())

@@ -1,4 +1,4 @@
-package core
+package skyline
 
 import (
 	"math/rand"

@@ -9,7 +9,7 @@
 // page images of committed transactions into the page file and starts a
 // new generation — a crash at any byte offset of the log yields either the
 // pre-transaction or the post-transaction state, never a mixture (see
-// DESIGN.md §2d).
+// DESIGN.md §11).
 //
 // # Record grammar (version 3)
 //

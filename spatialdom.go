@@ -26,8 +26,9 @@
 //
 // The facade re-exports the stable surface of the internal packages:
 // internal/core (dominance operators, Algorithm 1, k-skybands, streaming),
-// internal/uncertain (the object model), internal/nnfunc (the NN-function
-// families), internal/datagen (evaluation datasets), internal/dataio (CSV
+// internal/uncertain (the object model), internal/ref/nnfunc (the
+// NN-function families), internal/ref/skyline (the spatial skyline),
+// internal/datagen (evaluation datasets), internal/dataio (CSV
 // import/export) and internal/diskindex (the page-file-resident index,
 // see BuildDiskIndex). The paper's figures are `nnc figure`.
 package spatialdom
@@ -39,7 +40,8 @@ import (
 	"spatialdom/internal/datagen"
 	"spatialdom/internal/dataio"
 	"spatialdom/internal/geom"
-	"spatialdom/internal/nnfunc"
+	"spatialdom/internal/ref/nnfunc"
+	"spatialdom/internal/ref/skyline"
 	"spatialdom/internal/uncertain"
 )
 
@@ -229,7 +231,7 @@ func SpatialSkyline(points, query [][]float64) []int {
 	for i, row := range query {
 		qs[i] = geom.Point(row)
 	}
-	return core.SpatialSkyline(ps, qs)
+	return skyline.SpatialSkyline(ps, qs)
 }
 
 // LoadObjectsCSV reads objects from a CSV file in the dataio format
