@@ -39,6 +39,7 @@ package core
 
 import (
 	"context"
+	"sync"
 
 	"spatialdom/internal/uncertain"
 )
@@ -61,6 +62,16 @@ func (f flatBackend) Resolve(r ObjRef) (*uncertain.Object, error) { return r.Obj
 
 func (f flatBackend) AccessStats() IOStats { return IOStats{} }
 
+// mergeScratch is the union a merge builds, pooled: the objects and the
+// IDs already in it. Nothing of it outlives the merge — the Result holds
+// the candidates' objects, not the union.
+type mergeScratch struct {
+	union flatBackend
+	seen  map[int]struct{}
+}
+
+var mergePool = sync.Pool{New: func() any { return &mergeScratch{seen: make(map[int]struct{})} }}
+
 // MergeShardBands computes the global k-skyband from per-shard k-skyband
 // candidate sets by running the engine over their union (see the file
 // header for the invariant and its proof sketch). bands holds one slice
@@ -69,16 +80,24 @@ func (f flatBackend) AccessStats() IOStats { return IOStats{} }
 // SearchBackend. Stats.ObjectPrunes + Examined is the size of
 // the deduplicated union.
 func MergeShardBands(ctx context.Context, q *uncertain.Object, op Operator, k int, opts SearchOptions, bands [][]*uncertain.Object) (*Result, error) {
-	seen := make(map[int]bool)
-	var union flatBackend
+	ms := mergePool.Get().(*mergeScratch)
+	defer func() {
+		clear(ms.union)
+		ms.union = ms.union[:0]
+		clear(ms.seen)
+		mergePool.Put(ms)
+	}()
 	for _, band := range bands {
 		for _, o := range band {
-			if o == nil || seen[o.ID()] {
+			if o == nil {
 				continue
 			}
-			seen[o.ID()] = true
-			union = append(union, o)
+			if _, dup := ms.seen[o.ID()]; dup {
+				continue
+			}
+			ms.seen[o.ID()] = struct{}{}
+			ms.union = append(ms.union, o)
 		}
 	}
-	return SearchBackend(ctx, union, q, op, k, opts)
+	return SearchBackend(ctx, &ms.union, q, op, k, opts)
 }

@@ -1,7 +1,8 @@
 package core
 
-// Answer shielding: the geometry behind the serving tier's precise cache
-// invalidation. A cached k-candidate answer for query Q survives a dataset
+// Answer shielding: the geometry that tells the serving tier which cached
+// answers a mutation may change (the front door repairs or evicts exactly
+// those). A cached k-candidate answer for query Q survives a dataset
 // mutation exactly when the mutation provably cannot change the candidate
 // set or any candidate's dominator count:
 //
@@ -54,9 +55,10 @@ import (
 
 // AnswerShield is the per-answer invalidation decider, built once when a
 // result enters the cache and consulted on every subsequent insert. It
-// retains the query's MBR and (hull) points and the answer's candidate
-// slice, shared with the cached Result — no copies of the candidates'
-// rectangles, no checker arenas — so an entry's shield costs a header.
+// retains a copy of the query's (hull) points and MBR corners in one slab of
+// its own — so a kept answer does not pin the query object — and the
+// answer's candidate slice, shared with the cached Result: no copies of the
+// candidates' rectangles, no checker arenas.
 type AnswerShield struct {
 	rectPred
 	k int
@@ -74,11 +76,15 @@ type AnswerShield struct {
 	// band is the answer's candidates; their objects' MBRs are the
 	// rectangles of the Theorem 4 test.
 	band []Candidate
+	// slab holds the coordinates hullPts and qMBR view: the points, then
+	// the MBR's low and high corners.
+	slab []float64
 }
 
 // NewAnswerShield captures what a cached answer needs to survive
-// mutations: the query's MBR and hull instances, the candidates and the
-// largest exact candidate key. cands is kept, not copied — the door hands
+// mutations: the query's MBR and hull instances, copied into the shield's
+// slab, the candidates and the largest exact candidate key. cands is kept,
+// not copied — the door hands
 // over the cached Result's own slice, which nothing changes after the
 // search returns. Under the Euclidean metric the point
 // set is reduced to the query's convex hull (the paper's geometric
@@ -89,18 +95,28 @@ func NewAnswerShield(q *uncertain.Object, op Operator, m geom.Metric, k int, can
 		m = geom.Euclidean
 	}
 	s := &AnswerShield{
-		rectPred: rectPred{op: op, metric: m, euclid: m == geom.Euclidean, qMBR: q.MBR()},
+		rectPred: rectPred{op: op, metric: m, euclid: m == geom.Euclidean},
 		k:        k,
 	}
+	n, d := q.Len(), q.Dim()
+	var hull []int
 	if s.euclid {
-		for _, j := range q.HullIndices() {
-			s.hullPts = append(s.hullPts, q.Instance(j))
-		}
-	} else {
-		for j := 0; j < q.Len(); j++ {
-			s.hullPts = append(s.hullPts, q.Instance(j))
-		}
+		hull = q.HullIndices()
+		n = len(hull)
 	}
+	s.slab = make([]float64, 0, (n+2)*d)
+	s.hullPts = make([]geom.Point, n)
+	for i := range s.hullPts {
+		j := i
+		if s.euclid {
+			j = hull[i]
+		}
+		s.slab = append(s.slab, q.Instance(j)...)
+		s.hullPts[i] = s.slab[i*d : (i+1)*d : (i+1)*d]
+	}
+	qmbr := q.MBR()
+	s.slab = append(append(s.slab, qmbr.Lo...), qmbr.Hi...)
+	s.qMBR = geom.Rect{Lo: s.slab[n*d : (n+1)*d : (n+1)*d], Hi: s.slab[(n+1)*d:]}
 	s.band = cands
 	for _, c := range cands {
 		if c.MinDist > s.maxKey {
@@ -117,6 +133,19 @@ func NewAnswerShield(q *uncertain.Object, op Operator, m geom.Metric, k int, can
 	}
 	return s
 }
+
+// Bytes is what a shield retains of its own: its header, the hull point
+// views and the slab behind them. The candidates belong to the answer.
+func (s *AnswerShield) Bytes() int64 {
+	return shieldHeaderBytes + int64(cap(s.hullPts))*pointHeaderBytes + int64(cap(s.slab))*8
+}
+
+// The sizes behind Bytes on a 64-bit platform: the AnswerShield struct, and
+// one slice header per hull point.
+const (
+	shieldHeaderBytes = 176
+	pointHeaderBytes  = 24
+)
 
 // keepNearest adds d to far, the ascending list of the k smallest
 // distances seen so far, and returns the list; its k-th element is then the
@@ -148,7 +177,7 @@ func keepNearest(far []float64, k int, d float64) []float64 {
 // candidate (statistic necessity against the recorded keys) AND at least
 // k candidates' MBRs dominate r under the answer's operator (Theorem 4, so
 // the new object is outside the k-skyband). A false return means "could affect" — the
-// caller must drop the cached answer. r is an object's MBR: Lo ≤ Hi in
+// caller must rebuild or drop the cached answer. r is an object's MBR: Lo ≤ Hi in
 // every dimension.
 func (s *AnswerShield) ShieldsInsert(r geom.Rect) bool {
 	if len(r.Lo) != len(s.qMBR.Lo) {

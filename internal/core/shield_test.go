@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"spatialdom/internal/geom"
 	"spatialdom/internal/uncertain"
@@ -582,6 +583,44 @@ func TestShieldInsertTwinAtTheSquares(t *testing.T) {
 		}
 		if dom, _ := s.dominates(u.MBR(), v.MBR()); dom {
 			t.Fatalf("%v: U's MBR dominates its twin's under the shield's predicate", op)
+		}
+	}
+}
+
+// A shield holds the query's hull points and MBR in a slab of its own —
+// equal to the query's, sharing none of its memory, so a kept answer does
+// not pin the query — and Bytes counts its header and views exactly.
+func TestShieldOwnSlab(t *testing.T) {
+	if unsafe.Sizeof(AnswerShield{}) != shieldHeaderBytes || unsafe.Sizeof(geom.Point{}) != pointHeaderBytes {
+		t.Fatalf("AnswerShield is %d bytes and a point view %d; Bytes counts %d and %d",
+			unsafe.Sizeof(AnswerShield{}), unsafe.Sizeof(geom.Point{}), shieldHeaderBytes, pointHeaderBytes)
+	}
+	rng := rand.New(rand.NewSource(17))
+	q := randObject(rng, 0, 2, 9, geom.Point{15, 15}, 3)
+	for _, m := range []geom.Metric{geom.Euclidean, geom.Manhattan} {
+		s := NewAnswerShield(q, PSD, m, 2, nil)
+		want := q.HullIndices()
+		if m != geom.Euclidean {
+			want = []int{0, 1, 2, 3, 4, 5, 6, 7, 8}
+		}
+		if len(s.hullPts) != len(want) {
+			t.Fatalf("%s: %d points, want %d", m.Name(), len(s.hullPts), len(want))
+		}
+		for i, j := range want {
+			if !slices.Equal(s.hullPts[i], q.Instance(j)) {
+				t.Fatalf("%s: point %d is not a copy of instance %d", m.Name(), i, j)
+			}
+			for k := 0; k < q.Len(); k++ {
+				if &s.hullPts[i][0] == &q.Instance(k)[0] {
+					t.Fatalf("%s: point %d views instance %d", m.Name(), i, k)
+				}
+			}
+		}
+		if !s.qMBR.Equal(q.MBR()) || &s.qMBR.Lo[0] == &q.MBR().Lo[0] || &s.qMBR.Hi[0] == &q.MBR().Hi[0] {
+			t.Fatalf("%s: the MBR is not a copy of the query's", m.Name())
+		}
+		if got := s.Bytes(); got != shieldHeaderBytes+int64(len(want))*pointHeaderBytes+int64(len(want)+2)*int64(q.Dim())*8 {
+			t.Fatalf("%s: Bytes %d", m.Name(), got)
 		}
 	}
 }

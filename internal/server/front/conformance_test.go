@@ -102,8 +102,8 @@ func TestInvalidationConformanceWideFPlusSD(t *testing.T) {
 			checkQueryByteEqual(t, ts, store, q, "F+SD", 1+i%2, queryBody(q, "F+SD", 1+i%2))
 		}
 	}
-	if st := door.Stats().Cache; st.Hits == 0 || st.Invalidations == 0 {
-		t.Fatalf("walk proved nothing: %d hits, %d invalidations", st.Hits, st.Invalidations)
+	if st := door.Stats().Cache; st.Hits == 0 || st.Repairs == 0 {
+		t.Fatalf("walk proved nothing: %d hits, %d repairs", st.Hits, st.Repairs)
 	}
 }
 
@@ -162,8 +162,8 @@ func runConformance(t *testing.T, rng *rand.Rand, backend mutableBackend) {
 	if door.Stats().Cache.Hits == 0 {
 		t.Fatal("conformance walk never hit the cache — it proved nothing")
 	}
-	if door.Stats().Cache.Invalidations == 0 {
-		t.Fatal("conformance walk never invalidated — mutations missed the hot region")
+	if door.Stats().Cache.Repairs == 0 {
+		t.Fatal("conformance walk never repaired — mutations missed the hot region")
 	}
 
 	// Phase 2: concurrent soak, then quiesced byte-check.

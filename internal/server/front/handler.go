@@ -154,6 +154,8 @@ func (h *Handler) AttachDoor(door *Door) {
 		func() float64 { return float64(door.Stats().Cache.Evictions) })
 	r.CounterFunc("sd_cache_invalidations_total", "Cache entries invalidated by mutations.", nil,
 		func() float64 { return float64(door.Stats().Cache.Invalidations) })
+	r.CounterFunc("sd_cache_repairs_total", "Cache entries a mutation changed that were rebuilt in place.", nil,
+		func() float64 { return float64(door.Stats().Cache.Repairs) })
 	r.GaugeFunc("sd_cache_bytes", "Bytes held by the result cache.", nil,
 		func() float64 { return float64(door.Stats().Cache.Bytes) })
 	r.GaugeFunc("sd_cache_entries", "Entries held by the result cache.", nil,
@@ -332,6 +334,8 @@ func (h *Handler) FrontStats() server.FrontStats {
 		fs.CacheMisses = ds.Cache.Misses
 		fs.CacheEvictions = ds.Cache.Evictions
 		fs.CacheInvalidations = ds.Cache.Invalidations
+		fs.CacheRepairs = ds.Cache.Repairs
+		fs.CacheRepairFallbacks = ds.Cache.RepairFallbacks
 		fs.CacheBytes = ds.Cache.Bytes
 		fs.CacheEntries = ds.Cache.Entries
 		fs.CoalesceHits = ds.CoalesceHits

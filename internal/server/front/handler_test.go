@@ -232,6 +232,8 @@ func TestMetricsEndpointExposition(t *testing.T) {
 		"# TYPE sd_cache_hits_total counter",
 		"sd_cache_hits_total 1",
 		"sd_cache_misses_total 1",
+		"# TYPE sd_cache_repairs_total counter",
+		"sd_cache_repairs_total 0",
 		"sd_shed_rate_limited_total 0",
 		"sd_inflight_requests 0",
 		"sd_coalesce_hits_total 0",

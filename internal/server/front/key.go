@@ -8,10 +8,12 @@
 //     search in flight is a pending entry that identical arrivals join —
 //     the buffer pool's loading-frame idea lifted from pages to whole
 //     queries — and a finished answer stays as a sharded, byte-bounded LRU
-//     entry, invalidated *precisely* on mutation using the dominance
-//     geometry captured in core.AnswerShield: an insert or delete evicts
-//     exactly the entries whose answer could change, and an epoch tag
-//     protocol guarantees a stale answer is structurally unservable;
+//     entry, kept exact on mutation: the dominance geometry captured in
+//     core.AnswerShield picks out exactly the entries whose answer an
+//     insert or delete could change, those are repaired from the
+//     k-skyband they were filled with (repair.go) or evicted, and an
+//     epoch tag protocol guarantees a stale answer is structurally
+//     unservable;
 //
 //   - admission control (ratelimit.go, handler.go): per-client token
 //     buckets and a global concurrency ceiling that shed overload with
@@ -85,6 +87,46 @@ func filterByte(f core.FilterConfig) byte {
 		b |= 4
 	}
 	return b
+}
+
+// query rebuilds the search canonicalKey serialized, bit for bit: the
+// query object from its coordinates and normalized probabilities, the
+// operator, k, and the options' filters and metric. ok is false when the
+// metric is none of geom's — the key holds only its name — or the object
+// does not rebuild.
+func (k Key) query() (q *uncertain.Object, op core.Operator, kk int, opts core.SearchOptions, ok bool) {
+	op, kk = k.head()
+	f := k[1]
+	opts.Filters = core.FilterConfig{StatPruning: f&2 != 0, Geometric: f&4 != 0}
+	nl := int(k[10])
+	switch string(k[11 : 11+nl]) {
+	case geom.Euclidean.Name():
+		opts.Metric = geom.Euclidean
+	case geom.Manhattan.Name():
+		opts.Metric = geom.Manhattan
+	case geom.Chebyshev.Name():
+		opts.Metric = geom.Chebyshev
+	default:
+		return nil, 0, 0, opts, false
+	}
+	at := 11 + nl
+	d := int(k[at])
+	n := int(binary.LittleEndian.Uint64([]byte(k[at+1 : at+9])))
+	at += 9
+	coords, probs := make([]float64, 0, n*d), make([]float64, 0, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j <= d; j++ {
+			v := math.Float64frombits(binary.LittleEndian.Uint64([]byte(k[at : at+8])))
+			at += 8
+			if j < d {
+				coords = append(coords, v)
+			} else {
+				probs = append(probs, v)
+			}
+		}
+	}
+	q, err := uncertain.FromSlabs(0, d, coords, probs)
+	return q, op, kk, opts, err == nil
 }
 
 // head reads back the operator and k that canonicalKey wrote first.

@@ -150,18 +150,23 @@ func capability[T any](b Backend) (T, bool) {
 // FrontStats is the serving-tier counter block a front door reports into
 // /healthz (the same numbers /metrics exposes individually).
 type FrontStats struct {
-	CacheHits          int64  `json:"cache_hits"`
-	CacheMisses        int64  `json:"cache_misses"`
-	CacheEvictions     int64  `json:"cache_evictions"`
-	CacheInvalidations int64  `json:"cache_invalidations"`
-	CacheBytes         int64  `json:"cache_bytes"`
-	CacheEntries       int64  `json:"cache_entries"`
-	CoalesceHits       int64  `json:"coalesce_hits"`
-	CacheNegativeHits  int64  `json:"cache_negative_hits"`
-	ShedRateLimited    int64  `json:"shed_rate_limited"`
-	ShedCapacity       int64  `json:"shed_capacity"`
-	InFlight           int64  `json:"in_flight"`
-	Epoch              uint64 `json:"epoch"`
+	CacheHits          int64 `json:"cache_hits"`
+	CacheMisses        int64 `json:"cache_misses"`
+	CacheEvictions     int64 `json:"cache_evictions"`
+	CacheInvalidations int64 `json:"cache_invalidations"`
+	// CacheRepairs counts the kept answers mutations changed that were
+	// rebuilt in place; CacheRepairFallbacks the part of
+	// CacheInvalidations that were due for a repair but evicted.
+	CacheRepairs         int64  `json:"cache_repairs"`
+	CacheRepairFallbacks int64  `json:"cache_repair_fallbacks"`
+	CacheBytes           int64  `json:"cache_bytes"`
+	CacheEntries         int64  `json:"cache_entries"`
+	CoalesceHits         int64  `json:"coalesce_hits"`
+	CacheNegativeHits    int64  `json:"cache_negative_hits"`
+	ShedRateLimited      int64  `json:"shed_rate_limited"`
+	ShedCapacity         int64  `json:"shed_capacity"`
+	InFlight             int64  `json:"in_flight"`
+	Epoch                uint64 `json:"epoch"`
 }
 
 // FrontReporter is implemented by the front-door HTTP middleware; wire
