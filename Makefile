@@ -71,7 +71,8 @@ race:
 # candidate digests), through the WAL write path and through the
 # front door's write sweep, the Figure 16 ablation driver at tiny scale (every
 # filter stack, as `nnc figure` runs it), the concurrent-search scaling gate
-# without the race detector (it skips under it) and the parallel-search
+# and the result cache's entry-cost gate without the race detector (both
+# skip under it) and the parallel-search
 # benchmarks at four procs, the server boot smoke, the size count, the
 # product graph's import rule, and a short fuzz pass over every
 # decoder of outside bytes and the request pipeline. CI's check job is
@@ -91,6 +92,7 @@ check: fmt-check
 	$(GO) test -run='^$$' -bench='DoorWrite' -benchtime=1x -benchmem .
 	$(GO) run ./cmd/nnc figure -figure=16 -scale=tiny
 	$(GO) test -run=TestConcurrentSearchScales ./internal/core
+	$(GO) test -run=TestCacheEntryCostMatchesHeap ./internal/server/front
 	GOMAXPROCS=4 $(GO) test -run='^$$' -bench=ParallelSearch -benchtime=1x -benchmem .
 	$(MAKE) smoke
 	$(MAKE) loc
