@@ -90,6 +90,7 @@ check: fmt-check
 	$(GO) test -run='^$$' -bench=Table2 -benchtime=1x .
 	$(GO) test -run='^$$' -bench='Commit$$' -benchtime=1x -benchmem .
 	$(GO) test -run='^$$' -bench='DoorWrite' -benchtime=1x -benchmem .
+	$(GO) test -run='^$$' -bench='BandStep' -benchtime=1x -benchmem .
 	$(GO) run ./cmd/nnc figure -figure=16 -scale=tiny
 	$(GO) test -run=TestConcurrentSearchScales ./internal/core
 	$(GO) test -run=TestCacheEntryCostMatchesHeap ./internal/server/front
@@ -107,10 +108,11 @@ bench:
 # race detector: random inserts/deletes interleaved with cached queries,
 # every served answer byte-equal to a fresh uncached search, on both the
 # in-memory and WAL-backed mutable disk backends. COUNT repeats it (CI
-# runs 5, so the soak phase runs five times a PR).
+# runs 5, so the soak phase runs five times a PR). BandStep adds core's
+# walk of the step a door repair runs.
 COUNT ?= 1
 conformance:
-	$(GO) test -race -count=$(COUNT) -run 'InvalidationConformance|Door|Shield|Cache' ./internal/server/front ./internal/core
+	$(GO) test -race -count=$(COUNT) -run 'InvalidationConformance|Door|Shield|Cache|BandStep' ./internal/server/front ./internal/core
 
 cover:
 	$(GO) test -coverprofile=cover.out ./... && $(GO) tool cover -func=cover.out | tail -1

@@ -408,11 +408,13 @@ func BenchmarkSearchPSDMiss(b *testing.B) {
 // half of the repo benchmark's served_mixed: one insert and one delete per
 // op, each applied to the in-memory store, swept over a warm table of
 // ≈ 350 kept P-SD k=4 answers (3 500 anti-correlated objects, m = 10,
-// |Q| = 8), and followed by the repairs the sweep queued — a merge of the
-// answer's basis with the inserts since its base for every answer the
-// insert joins, and again when the delete takes the object back out. Entries
-// a write evicts are re-filled off the clock, so every op sweeps the same
-// table; repairs/write and invalidations/write say what the time bought.
+// |Q| = 8), and followed by the repairs the sweep queued — a step of the
+// answer's tracked set (core.StepBand) for every answer the insert may
+// join, and again when the delete takes the object back out. Entries a
+// write evicts are re-filled off the clock, so every op sweeps the same
+// table; repairs/write, invalidations/write, fallbacks/write (the part of
+// the invalidations a repair could not make) and evictions/write (answers
+// the byte budget dropped) say what the time bought.
 func BenchmarkDoorWrite(b *testing.B) {
 	ds := datagen.Generate(datagen.Params{N: 3500, Dim: 3, M: 10, Centers: datagen.AntiCorrelated, Seed: benchSeed})
 	store, err := front.NewMemStore(ds.Objects)
@@ -455,7 +457,94 @@ func BenchmarkDoorWrite(b *testing.B) {
 	b.ReportMetric(float64(start.Entries), "entries")
 	end := door.Stats().Cache
 	b.ReportMetric(float64(end.Invalidations-start.Invalidations)/float64(2*b.N), "invalidations/write")
+	b.ReportMetric(float64(end.RepairFallbacks-start.RepairFallbacks)/float64(2*b.N), "fallbacks/write")
+	b.ReportMetric(float64(end.Evictions-start.Evictions)/float64(2*b.N), "evictions/write")
 	b.ReportMetric(float64(end.Repairs-start.Repairs)/float64(2*b.N), "repairs/write")
+}
+
+// BenchmarkBandStep is the repair layer of BenchmarkDoorWrite on its own:
+// it folds one insert into a kept basis, by core.StepBand and, for
+// comparison, by core.MergeShardBands over the same union. Each of the 350
+// P-SD queries of BenchmarkDoorWrite keeps its (k+4)-skyband at k = 4 —
+// the answer and the out members a widened fill tracks — and is given the
+// first object of a second draw that its answer's shield cannot rule out.
+// checks/op counts the dominance checks one fold asks, stat-prunes/op the
+// part of them rung 1 decides.
+func BenchmarkBandStep(b *testing.B) {
+	const k, spare = 4, 4
+	ds := datagen.Generate(datagen.Params{N: 3500, Dim: 3, M: 10, Centers: datagen.AntiCorrelated, Seed: benchSeed})
+	idx, err := core.NewIndex(ds.Objects)
+	if err != nil {
+		b.Fatal(err)
+	}
+	extra := datagen.Generate(datagen.Params{N: 2000, Dim: 3, M: 10, Centers: datagen.AntiCorrelated, Seed: benchSeed + 7})
+	opts := core.SearchOptions{Filters: AllFilters}
+	type basis struct {
+		q     *uncertain.Object
+		band  core.TrackedBand
+		union []*uncertain.Object
+		add   []*uncertain.Object
+	}
+	var bases []basis
+	for _, q := range ds.Queries(350, 8, 200, benchSeed+101) {
+		wide := searchK(idx, q, PSD, k+spare, opts)
+		var bs basis
+		bs.q = q
+		for _, c := range wide.Candidates {
+			bs.union = append(bs.union, c.Object)
+			if c.Dominators < k {
+				c.Rank = len(bs.band.Answer)
+				bs.band.Answer = append(bs.band.Answer, c)
+			} else {
+				bs.band.Out = append(bs.band.Out, c.Object)
+				bs.band.OutDominators = append(bs.band.OutDominators, int32(c.Dominators))
+			}
+		}
+		shield := core.NewAnswerShield(q, PSD, nil, k, bs.band.Answer)
+		for i, o := range extra.Objects {
+			if !shield.ShieldsInsert(o.MBR()) {
+				bs.add = []*uncertain.Object{uncertain.MustNew(len(ds.Objects)+1+i, o.Points(), o.Probs())}
+				break
+			}
+		}
+		if bs.add != nil {
+			bases = append(bases, bs)
+		}
+	}
+	if len(bases) == 0 {
+		b.Fatal("every insert was shielded")
+	}
+	b.Run("step", func(b *testing.B) {
+		var checks, prunes int64
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			bs := &bases[i%len(bases)]
+			_, res, _ := core.StepBand(bs.q, PSD, k, opts, bs.band, bs.add, nil)
+			checks += res.Stats.DominanceChecks
+			prunes += res.Stats.StatPrunes
+		}
+		b.ReportMetric(float64(len(bases)), "bases")
+		b.ReportMetric(float64(checks)/float64(b.N), "checks/op")
+		b.ReportMetric(float64(prunes)/float64(b.N), "stat-prunes/op")
+	})
+	b.Run("merge", func(b *testing.B) {
+		var checks, prunes int64
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			bs := &bases[i%len(bases)]
+			res, err := core.MergeShardBands(context.Background(), bs.q, PSD, k, opts, [][]*uncertain.Object{bs.union, bs.add})
+			if err != nil {
+				b.Fatal(err)
+			}
+			checks += res.Stats.DominanceChecks
+			prunes += res.Stats.StatPrunes
+		}
+		b.ReportMetric(float64(len(bases)), "bases")
+		b.ReportMetric(float64(checks)/float64(b.N), "checks/op")
+		b.ReportMetric(float64(prunes)/float64(b.N), "stat-prunes/op")
+	})
 }
 
 // BenchmarkIndexBuild times global R-tree construction.

@@ -20,7 +20,7 @@ import (
 // their caches by object ID in one map, so callers of those must give
 // distinct IDs to distinct objects.
 type Checker struct {
-	rectPred // op, metric, euclid, hullPts (the points of hullIdx), qMBR
+	rectPred // op, metric, euclid, hull (the points of hullIdx), qMBR
 
 	query   *uncertain.Object
 	cfg     FilterConfig
@@ -407,11 +407,22 @@ func (c *Checker) fplussd(su, sv *objCache) bool {
 // pruning (Checker, which embeds it) and the front door's insert
 // invalidation (AnswerShield).
 type rectPred struct {
-	op      Operator
-	metric  geom.Metric
-	euclid  bool         // fast paths for the default metric
-	hullPts []geom.Point // query instances the point-level tests range over
-	qMBR    geom.Rect
+	op     Operator
+	metric geom.Metric
+	euclid bool // fast paths for the default metric
+	// hull holds the query instances the point-level tests range over, one
+	// after another, each of the query's dimension — len(qMBR.Lo).
+	hull []float64
+	qMBR geom.Rect
+}
+
+// hullLen is how many query instances hull holds.
+func (p *rectPred) hullLen() int { return len(p.hull) / len(p.qMBR.Lo) }
+
+// hullPt is hull's query instance t, a view of the slab.
+func (p *rectPred) hullPt(t int) geom.Point {
+	d := len(p.qMBR.Lo)
+	return p.hull[t*d : (t+1)*d : (t+1)*d]
 }
 
 // far is the largest distance from q to a point of r, near the smallest.
@@ -449,7 +460,8 @@ func within(f, n float64, strict *bool) bool {
 // of b to every hull query instance (the MBR-level u ⪯Q v test), with a
 // strictness witness and the number of query instances it looked at.
 func (p *rectPred) le(a, b geom.Rect) (le, strict bool, compared int) {
-	for _, q := range p.hullPts {
+	for t := range p.hullLen() {
+		q := p.hullPt(t)
 		compared++
 		if !within(p.far(q, a), p.near(q, b), &strict) {
 			return false, false, compared

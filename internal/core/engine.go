@@ -257,7 +257,7 @@ type searchScratch struct {
 // permuted together with the members (toFront).
 //
 // "Does this member dominate the popped entry's rectangle?"
-// (dominatesRect): far holds one row per member, of stride len(hullPts) —
+// (dominatesRect): far holds one row per member, of stride hullLen() —
 // at each hull query instance q, the member's largest distance to q over
 // its positive-mass instances, perQStat's Max, which depends on the member
 // alone. The member is known instance by instance, so its far vector is
@@ -682,11 +682,11 @@ func (b *band) dominatesRect(c *Checker, r geom.Rect, k int) bool {
 	if len(b.objs) < k {
 		return false
 	}
-	h := len(c.hullPts)
+	h := c.hullLen()
 	near := growFloats(c.scratch.near, h)
 	c.scratch.near = near
-	for t, q := range c.hullPts {
-		near[t] = c.near(q, r)
+	for t := range near {
+		near[t] = c.near(c.hullPt(t), r)
 	}
 	compared := 0
 	for i := 0; i < len(b.objs) && count < k; i++ {

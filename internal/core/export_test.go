@@ -33,7 +33,8 @@ func entryDominates(c *Checker, u *uncertain.Object, r geom.Rect) bool {
 		return dom
 	}
 	strict := false
-	for _, q := range c.hullPts {
+	for t := range c.hullLen() {
+		q := c.hullPt(t)
 		far := math.Inf(-1)
 		for i := 0; i < u.Len(); i++ {
 			if u.Prob(i) > 0 {

@@ -126,9 +126,9 @@ func farthestAdmitted(c *Checker, v geom.Point) geom.Point {
 
 // pointHullDists is hullDists for one point: the floats the summary holds.
 func pointHullDists(c *Checker, p geom.Point) []float64 {
-	d := make([]float64, len(c.hullPts))
-	for t, q := range c.hullPts {
-		d[t] = c.metric.Dist(p, q)
+	d := make([]float64, c.hullLen())
+	for t := range d {
+		d[t] = c.metric.Dist(p, c.hullPt(t))
 	}
 	return d
 }

@@ -1,6 +1,8 @@
 package core
 
-// Cross-shard merge for the scatter-gather router (internal/cluster).
+// Cross-shard merge for the scatter-gather router (internal/cluster), and
+// the step that folds single writes into a kept band (StepBand, the front
+// door's repair), both resting on one invariant.
 //
 // Merge invariant. Partition the dataset D into shards D_1..D_N. For any
 // query Q, operator, and k, let band_i be the k-skyband of D_i (the
@@ -38,8 +40,11 @@ package core
 // has measure zero on continuous workloads and never changes a count.
 
 import (
+	"cmp"
 	"context"
+	"slices"
 	"sync"
+	"time"
 
 	"spatialdom/internal/uncertain"
 )
@@ -100,4 +105,150 @@ func MergeShardBands(ctx context.Context, q *uncertain.Object, op Operator, k in
 		}
 	}
 	return SearchBackend(ctx, &ms.union, q, op, k, opts)
+}
+
+// TrackedBand is a kept k-skyband and the objects tracked beside it that a
+// later write may lift into it. Answer is the band as a search reports it,
+// in key order, each candidate's Dominators its exact count; Out holds the
+// other tracked objects, and OutDominators the exact dominator count of
+// each over the whole tracked set (Answer and Out), k or more.
+type TrackedBand struct {
+	Answer        []Candidate
+	Out           []*uncertain.Object
+	OutDominators []int32
+}
+
+// StepRejects reports whether inserting o leaves a band's answer exactly as
+// it is: o's key exceeds every candidate's, so o dominates none of them (a
+// dominator's key is never larger), and k candidates dominate o, so it is
+// outside the band. It is AnswerShield.ShieldsInsert decided by the checker
+// instead of by rectangles, at the cost of o's summary and one check per
+// candidate, in key order, until k dominate. The answer must be in key
+// order. Other objects a band tracks are not asked: o may dominate some.
+func StepRejects(q *uncertain.Object, op Operator, k int, opts SearchOptions, answer []Candidate, o *uncertain.Object) bool {
+	if k < 1 || len(answer) < k {
+		return false
+	}
+	sc := scratchPool.Get().(*searchScratch)
+	defer sc.release()
+	c := sc.check.Checker(q, op, opts.Filters, opts.metric())
+	so := c.handle(o)
+	if so.stat.Min <= answer[len(answer)-1].MinDist {
+		return false
+	}
+	n := 0
+	for _, a := range answer {
+		if c.sd(sc.check.newObjCache(a.Object), so) {
+			if n++; n == k {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// stepMember is one object of the tracked set during a step: its cache,
+// its key min(U_Q) once known, and its dominator count over the set.
+type stepMember struct {
+	oc    *objCache
+	key   float64
+	keyed bool
+	count int32
+}
+
+// StepBand updates a tracked band by writes: each member whose ID is in
+// drop leaves the tracked set, then each object of adds joins it. A write is
+// checked against the members alone, one direction per pair by key order —
+// a dominator's min(U_Q) is no larger than the dominated object's, compared
+// exactly (Checker.sd), so both directions are asked only at equal keys.
+// An add costs one check per member, a drop one per member at or after it
+// in key order; MergeShardBands would check every pair of the set again.
+//
+// Every count stays exact over the tracked set. So when that set is a union
+// MergeShardBands merges to the fresh answer (this file's invariant; the
+// front door's repair keeps one, front/repair.go), the returned Answer is
+// that answer: the same IDs, ranks, MinDist bits and Dominators, in key
+// order. The step does not decide what rests on two members at one
+// MinDist, and tied reports such a pair: a search emits two candidates at
+// one key as its heap pops them, and under F-SD and F+SD two objects at
+// equal distances from every query instance dominate each other, so the
+// invariant's transitivity argument — which needs a strict order — no
+// longer gives the search's counts, the merge's included. A tied band is
+// not to be served as a search's answer, nor stepped again.
+//
+// The returned band's slices are new; b's are only read. Out is in key
+// order. res is the answer as a Result, with the step's statistics;
+// Examined is the tracked set's size.
+func StepBand(q *uncertain.Object, op Operator, k int, opts SearchOptions, b TrackedBand, adds []*uncertain.Object, drop []int) (nb TrackedBand, res *Result, tied bool) {
+	if k < 1 {
+		panic("core: StepBand requires k >= 1")
+	}
+	if len(b.Out) != len(b.OutDominators) {
+		panic("core: StepBand needs one count per out member")
+	}
+	start := time.Now()
+	sc := scratchPool.Get().(*searchScratch)
+	defer sc.release()
+	c := sc.check.Checker(q, op, opts.Filters, opts.metric())
+	key := func(m *stepMember) float64 {
+		if !m.keyed {
+			m.key, m.keyed = c.summary(m.oc).stat.Min, true
+		}
+		return m.key
+	}
+
+	ms := make([]stepMember, 0, len(b.Answer)+len(b.Out)+len(adds))
+	for _, a := range b.Answer {
+		ms = append(ms, stepMember{oc: sc.check.newObjCache(a.Object), key: a.MinDist, keyed: true, count: int32(a.Dominators)})
+	}
+	for i, o := range b.Out {
+		ms = append(ms, stepMember{oc: sc.check.newObjCache(o), count: b.OutDominators[i]})
+	}
+	for _, id := range drop {
+		i := slices.IndexFunc(ms, func(m stepMember) bool { return m.oc.obj.ID() == id })
+		if i < 0 {
+			continue
+		}
+		x := ms[i]
+		ms = slices.Delete(ms, i, i+1)
+		xk := key(&x)
+		for j := range ms {
+			if y := &ms[j]; key(y) >= xk && c.sd(x.oc, y.oc) {
+				y.count--
+			}
+		}
+	}
+	for _, o := range adds {
+		a := stepMember{oc: c.handle(o)}
+		ak := key(&a)
+		for i := range ms {
+			y := &ms[i]
+			yk := key(y)
+			if yk <= ak && c.sd(y.oc, a.oc) {
+				a.count++
+			}
+			if ak <= yk && c.sd(a.oc, y.oc) {
+				y.count++
+			}
+		}
+		ms = append(ms, a)
+	}
+
+	for i := range ms {
+		key(&ms[i])
+	}
+	slices.SortStableFunc(ms, func(a, b stepMember) int { return cmp.Compare(a.key, b.key) })
+	elapsed := time.Since(start)
+	for i := range ms {
+		m := &ms[i]
+		tied = tied || i > 0 && ms[i-1].key == m.key
+		if int(m.count) < k {
+			nb.Answer = append(nb.Answer, Candidate{Object: m.oc.obj, Rank: len(nb.Answer), MinDist: m.key, Elapsed: elapsed, Dominators: int(m.count)})
+		} else {
+			nb.Out = append(nb.Out, m.oc.obj)
+			nb.OutDominators = append(nb.OutDominators, m.count)
+		}
+	}
+	res = &Result{Operator: op, Candidates: nb.Answer, Examined: len(ms), Stats: c.Stats, Elapsed: elapsed}
+	return nb, res, tied
 }

@@ -48,10 +48,10 @@ type CheckScratch struct {
 	sweepBits []uint64
 
 	// Assorted reusable buffers.
-	near    geom.Point   // the popped entry's near vector (band.dominatesRect)
-	hullIdx []int        // non-geometric fallback hull index list
-	hullPts []geom.Point // hull instances of the current query
-	isHull  []bool       // per query instance: whether it is one of them
+	near    geom.Point // the popped entry's near vector (band.dominatesRect)
+	hullIdx []int      // non-geometric fallback hull index list
+	hull    []float64  // hull instances of the current query, in hullIdx order
+	isHull  []bool     // per query instance: whether it is one of them
 
 	checker Checker
 }
@@ -66,7 +66,6 @@ func (sc *CheckScratch) reset() {
 	sc.stats.Reset()
 	sc.caches.ResetZero()
 	clear(sc.byID)
-	clear(sc.hullPts[:cap(sc.hullPts)]) // drop references to the previous query
 }
 
 // newObjCache carves a zeroed per-object cache out of the arena.
@@ -102,14 +101,14 @@ func (sc *CheckScratch) Checker(query *uncertain.Object, op Operator, cfg Filter
 		}
 		c.hullIdx = sc.hullIdx
 	}
-	sc.hullPts = growPoints(sc.hullPts, len(c.hullIdx))
 	sc.isHull = growBools(sc.isHull, query.Len())
 	clear(sc.isHull)
-	for i, j := range c.hullIdx {
-		sc.hullPts[i] = query.Instance(j)
+	sc.hull = sc.hull[:0]
+	for _, j := range c.hullIdx {
 		sc.isHull[j] = true
+		sc.hull = append(sc.hull, query.Instance(j)...)
 	}
-	c.hullPts, c.isHull = sc.hullPts, sc.isHull
+	c.hull, c.isHull = sc.hull, sc.isHull
 	return c
 }
 
@@ -119,16 +118,6 @@ func (sc *CheckScratch) Checker(query *uncertain.Object, op Operator, cfg Filter
 func growInts(s []int, n int) []int {
 	if cap(s) < n {
 		return make([]int, n)
-	}
-	return s[:n]
-}
-
-// growPoints returns s resized to n, reusing its capacity.
-//
-//nnc:coldpath amortized buffer growth to the search's high-water size; warm calls reslice
-func growPoints(s []geom.Point, n int) []geom.Point {
-	if cap(s) < n {
-		return make([]geom.Point, n)
 	}
 	return s[:n]
 }

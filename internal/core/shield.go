@@ -56,9 +56,10 @@ import (
 // AnswerShield is the per-answer invalidation decider, built once when a
 // result enters the cache and consulted on every subsequent insert. It
 // retains a copy of the query's (hull) points and MBR corners in one slab of
-// its own — so a kept answer does not pin the query object — and the
-// answer's candidate slice, shared with the cached Result: no copies of the
-// candidates' rectangles, no checker arenas.
+// its own — rectPred's hull, then the corners qMBR views, so a kept answer
+// does not pin the query object — and the answer's candidate slice, shared
+// with the cached Result: no copies of the candidates' rectangles, no
+// checker arenas.
 type AnswerShield struct {
 	rectPred
 	k int
@@ -76,9 +77,6 @@ type AnswerShield struct {
 	// band is the answer's candidates; their objects' MBRs are the
 	// rectangles of the Theorem 4 test.
 	band []Candidate
-	// slab holds the coordinates hullPts and qMBR view: the points, then
-	// the MBR's low and high corners.
-	slab []float64
 }
 
 // NewAnswerShield captures what a cached answer needs to survive
@@ -104,19 +102,18 @@ func NewAnswerShield(q *uncertain.Object, op Operator, m geom.Metric, k int, can
 		hull = q.HullIndices()
 		n = len(hull)
 	}
-	s.slab = make([]float64, 0, (n+2)*d)
-	s.hullPts = make([]geom.Point, n)
-	for i := range s.hullPts {
-		j := i
-		if s.euclid {
-			j = hull[i]
+	slab := make([]float64, 0, (n+2)*d)
+	if s.euclid {
+		for _, j := range hull {
+			slab = append(slab, q.Instance(j)...)
 		}
-		s.slab = append(s.slab, q.Instance(j)...)
-		s.hullPts[i] = s.slab[i*d : (i+1)*d : (i+1)*d]
+	} else {
+		slab = append(slab, q.Coords()...)
 	}
 	qmbr := q.MBR()
-	s.slab = append(append(s.slab, qmbr.Lo...), qmbr.Hi...)
-	s.qMBR = geom.Rect{Lo: s.slab[n*d : (n+1)*d : (n+1)*d], Hi: s.slab[(n+1)*d:]}
+	slab = append(append(slab, qmbr.Lo...), qmbr.Hi...)
+	s.hull = slab[: n*d : n*d]
+	s.qMBR = geom.Rect{Lo: slab[n*d : (n+1)*d : (n+1)*d], Hi: slab[(n+1)*d:]}
 	s.band = cands
 	for _, c := range cands {
 		if c.MinDist > s.maxKey {
@@ -134,18 +131,16 @@ func NewAnswerShield(q *uncertain.Object, op Operator, m geom.Metric, k int, can
 	return s
 }
 
-// Bytes is what a shield retains of its own: its header, the hull point
-// views and the slab behind them. The candidates belong to the answer.
+// Bytes is what a shield retains of its own: its header and the slab of
+// the hull points and the MBR's corners. The candidates belong to the
+// answer.
 func (s *AnswerShield) Bytes() int64 {
-	return shieldHeaderBytes + int64(cap(s.hullPts))*pointHeaderBytes + int64(cap(s.slab))*8
+	return shieldHeaderBytes + int64(len(s.hull)+2*len(s.qMBR.Lo))*8
 }
 
-// The sizes behind Bytes on a 64-bit platform: the AnswerShield struct, and
-// one slice header per hull point.
-const (
-	shieldHeaderBytes = 176
-	pointHeaderBytes  = 24
-)
+// shieldHeaderBytes is the size of the AnswerShield struct on a 64-bit
+// platform.
+const shieldHeaderBytes = 152
 
 // keepNearest adds d to far, the ascending list of the k smallest
 // distances seen so far, and returns the list; its k-th element is then the

@@ -20,11 +20,11 @@ import (
 // compared component by component (instLE).
 
 func hullDists(c *Checker, o *uncertain.Object) []float64 {
-	h := len(c.hullPts)
+	h := c.hullLen()
 	d := make([]float64, o.Len()*h)
 	for i := 0; i < o.Len(); i++ {
-		for k, q := range c.hullPts {
-			d[i*h+k] = c.metric.Dist(o.Instance(i), q)
+		for k := range h {
+			d[i*h+k] = c.metric.Dist(o.Instance(i), c.hullPt(k))
 		}
 	}
 	return d
@@ -44,7 +44,7 @@ func instLE(du, dv []float64) bool {
 
 func refRows(c *Checker, u, v *uncertain.Object) []uint64 {
 	hu, hv := hullDists(c, u), hullDists(c, v)
-	nu, nv, h := u.Len(), v.Len(), len(c.hullPts)
+	nu, nv, h := u.Len(), v.Len(), c.hullLen()
 	w := flow.RowWords(nv)
 	adm := make([]uint64, nu*w)
 	for i := 0; i < nu; i++ {
@@ -243,7 +243,7 @@ func TestSweepRowsMatchAllPairsFill(t *testing.T) {
 // within two ulps of the threshold du = dv.
 func edgeHits(c *Checker, u, v *uncertain.Object) int {
 	hu, hv := hullDists(c, u), hullDists(c, v)
-	h, hits := len(c.hullPts), 0
+	h, hits := c.hullLen(), 0
 	near := func(a, b float64) bool {
 		return a == b || math.Nextafter(a, b) == b || math.Nextafter(math.Nextafter(a, b), b) == b
 	}

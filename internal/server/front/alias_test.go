@@ -318,7 +318,7 @@ func TestDoorBodyAliasFollowsEntry(t *testing.T) {
 			c := newResultCache(1 << 20)
 			key := canonicalKey(testQuery(rand.New(rand.NewSource(81)), 50), core.PSD, 2, geom.Euclidean, core.AllFilters)
 			_, e, _ := c.lookup(key, 5)
-			c.land(e, &core.Result{}, nil, new(core.AnswerShield), 10, "body", nil, 0)
+			c.land(e, &core.Result{}, nil, new(core.AnswerShield), 10, "body", nil, nil, 0)
 			if res, _, _ := c.repeat([]byte("body"), 5, 10); res == nil {
 				t.Fatal("a current entry was not found by its alias")
 			}

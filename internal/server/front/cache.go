@@ -83,15 +83,17 @@ type entry struct {
 	sig    uint64
 	elem   *list.Element
 	alias  string
-	// The repair basis (repair.go): the answer's candidates and out — the
-	// members of the basis the answer leaves out — which hold the
-	// (k+spare)-skyband of the dataset at epoch base, less the objects
-	// inserted since. joined marks an answer holding an object inserted
-	// after base.
-	base   uint64
-	out    []*uncertain.Object
-	spare  int32
-	joined bool
+	// The repair basis (repair.go): the tracked set — the answer's
+	// candidates and out, the other tracked objects, with outDom their
+	// exact dominator counts over it — which with the inserts logged after
+	// epoch folded holds the (k+spare)-skyband of the dataset at epoch base,
+	// less the objects deleted since, and every live object inserted since.
+	// joined marks an answer holding an object inserted after base.
+	base, folded uint64
+	out          []*uncertain.Object
+	outDom       []int32
+	spare        int32
+	joined       bool
 }
 
 // idBit is an object id's bit in an entry's ID signature.
@@ -102,7 +104,7 @@ type verdict uint8
 
 // The mutation cannot change the answer (keep), or it may and the entry is
 // rebuilt (repair.go), or it may and the entry cannot be rebuilt (evict),
-// or it may and a merge could rebuild the entry but the door has forgotten
+// or it may and a step could rebuild the entry but the door has forgotten
 // an insert since its base (fallback).
 const (
 	keep verdict = iota
@@ -111,11 +113,11 @@ const (
 	fallback
 )
 
-// verdictOn decides what m does to this kept answer. A delete of a
-// candidate inserted after the base is repaired; of any other candidate,
-// or of an out member — a base member either way — repaired while the
-// basis has spare, evicted once it has none; of anything else it changes
-// nothing. An insert the shield cannot rule out is repaired.
+// verdictOn decides what m does to this kept answer. A delete of a tracked
+// object inserted after the base is repaired; of any other candidate or out
+// member — a base member either way — repaired while the basis has spare,
+// evicted once it has none; of anything else it changes nothing. An insert
+// the shield cannot rule out is repaired.
 func (e *entry) verdictOn(m mutation) verdict {
 	if m.delete {
 		if e.sig&idBit(m.id) == 0 || !e.holds(m.id) {
@@ -304,10 +306,10 @@ func (c *resultCache) repeat(body []byte, epoch uint64, n int) (*core.Result, co
 // answer when shield is non-nil — the door builds one only for a complete
 // answer whose cost fits the budget — and the entry is still the table's;
 // a non-empty alias is then the body that now finds it. The kept answer
-// with out is its repair basis, holding its (k+spare)-skyband, at the
-// epoch the entry was admitted at. Otherwise the pending entry leaves the
-// table.
-func (c *resultCache) land(e *entry, res *core.Result, err error, shield *core.AnswerShield, cost int64, alias string, out []*uncertain.Object, spare int) {
+// with out, whose counts outDom holds, is its repair basis, holding its
+// (k+spare)-skyband, at the epoch the entry was admitted at. Otherwise the
+// pending entry leaves the table.
+func (c *resultCache) land(e *entry, res *core.Result, err error, shield *core.AnswerShield, cost int64, alias string, out []*uncertain.Object, outDom []int32, spare int) {
 	sh := &c.shards[shardOf(e.key, cacheShards)]
 	sh.mu.Lock()
 	e.res, e.err = res, err
@@ -319,8 +321,8 @@ func (c *resultCache) land(e *entry, res *core.Result, err error, shield *core.A
 	case shield == nil:
 		delete(sh.entries, e.key)
 	default:
-		e.bytes, e.shield, e.base, e.done = cost, shield, e.tag, nil
-		e.out, e.spare = out, int32(spare)
+		e.bytes, e.shield, e.base, e.folded, e.done = cost, shield, e.tag, e.tag, nil
+		e.out, e.outDom, e.spare = out, outDom, int32(spare)
 		e.sig = signature(res.Candidates, out)
 		e.elem = sh.lru.PushFront(e)
 		sh.bytes += cost
@@ -407,8 +409,8 @@ type mutation struct {
 // signature bit is clear, or an insert its shield decides by distance
 // alone (core.AnswerShield.ShieldsInsert). A survivor whose answer is its
 // whole basis — no spare, no object inserted since the base joined it,
-// none pushed out — is the k-skyband of the new dataset, and becomes its
-// own basis at the new epoch.
+// none out — is the k-skyband of the new dataset, and becomes its own
+// basis at the new epoch.
 //
 //nnc:hotpath
 func (c *resultCache) sweep(m mutation, newTag uint64) {
@@ -425,7 +427,7 @@ func (c *resultCache) sweep(m mutation, newTag uint64) {
 			case keep:
 				e.tag = newTag
 				if !e.joined && e.out == nil && e.spare == 0 {
-					e.base = newTag
+					e.base, e.folded = newTag, newTag
 				}
 			case repair:
 				c.queue = append(c.queue, e)
@@ -459,7 +461,8 @@ func (c *resultCache) install(e *entry, r *repaired, newTag uint64) {
 	}
 	sh.bytes += r.cost - e.bytes
 	e.res, e.shield, e.bytes = r.res, r.shield, r.cost
-	e.out, e.spare, e.joined, e.base = r.out, r.spare, r.joined, r.base
+	e.out, e.outDom, e.spare, e.joined = r.out, r.outDom, r.spare, r.joined
+	e.base, e.folded = r.base, r.folded
 	e.sig = signature(r.res.Candidates, r.out)
 	e.tag = newTag
 	c.repairs.Add(1)

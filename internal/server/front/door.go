@@ -13,7 +13,7 @@ package front
 // Correctness contract: a Door-served answer is always bit-identical to
 // what a fresh search against the current snapshot would return.
 // Volatile statistics (elapsed time, examined counts) are whatever the
-// search that filled the entry measured, or the merge that last repaired
+// search that filled the entry measured, or the step that last repaired
 // it — a cached Result is the same Result object, so even those bytes are
 // reproduced verbatim; only the candidate list carries semantic weight and
 // its exactness is what the epoch/shield/repair machinery guarantees (see
@@ -171,18 +171,19 @@ func (d *Door) SearchBody(ctx context.Context, body []byte, q *uncertain.Object,
 	var cost int64
 	var alias string
 	var out []*uncertain.Object
+	var outDom []int32
 	var spare int
 	if err == nil && res != nil && !res.Incomplete && d.cache.budget > 0 {
 		res.Candidates = exact(res.Candidates)
-		out, spare = d.widen(ctx, q, op, k, opts, res)
+		out, outDom, spare = d.widen(ctx, q, op, k, opts, res)
 		shield = core.NewAnswerShield(q, res.Operator, m, k, res.Candidates)
-		if cost = entryCost(key, len(body), res, shield, len(out)); cost <= d.cache.budget {
+		if cost = entryCost(key, len(body), res, shield, out, outDom); cost <= d.cache.budget {
 			alias = string(body) // the caller reuses its buffer
 		} else {
 			shield = nil
 		}
 	}
-	d.cache.land(e, res, err, shield, cost, alias, out, spare)
+	d.cache.land(e, res, err, shield, cost, alias, out, outDom, spare)
 	return res, err
 }
 
@@ -191,12 +192,13 @@ func (d *Door) SearchBody(ctx context.Context, body []byte, q *uncertain.Object,
 // allocation size class: the entry, its LRU list node and its two map
 // slots (key or alias header and entry pointer, at the maps' mean load);
 // the core.Result; per candidate a core.Candidate, per out member a
-// pointer. The objects belong to the index.
+// pointer and its count. The objects belong to the index.
 const (
-	entryBytes     = 144 + 48 + 2*64
+	entryBytes     = 176 + 48 + 2*64
 	resultBytes    = 208
 	candidateBytes = 40
 	pointerBytes   = 8
+	countBytes     = 4
 )
 
 // exact is cands in a slice of their own length: a kept answer does not
@@ -209,11 +211,11 @@ func exact(cands []core.Candidate) []core.Candidate {
 }
 
 // entryCost sizes a kept entry from what it retains: its key, its alias,
-// the answer with the capacity of its candidate slice, the shield and out
-// members of its repair basis.
-func entryCost(key Key, alias int, res *core.Result, shield *core.AnswerShield, out int) int64 {
+// the answer with the capacity of its candidate slice, the shield, and the
+// out members of its repair basis with their counts.
+func entryCost(key Key, alias int, res *core.Result, shield *core.AnswerShield, out []*uncertain.Object, outDom []int32) int64 {
 	return int64(len(key)+alias) + entryBytes + resultBytes + int64(cap(res.Candidates))*candidateBytes +
-		shield.Bytes() + int64(out)*pointerBytes
+		shield.Bytes() + int64(cap(out))*pointerBytes + int64(cap(outDom))*countBytes
 }
 
 // --- mutation interception ----------------------------------------------------

@@ -1,14 +1,14 @@
 package front
 
-// Repair: a kept answer that a write may change is rebuilt in place
-// instead of being evicted, from what its entry kept, with no tree search.
+// Repair: a kept answer that a write may change is stepped to its new value
+// in place instead of being evicted, from what its entry tracks, with no
+// tree search.
 //
 // Each kept entry carries a basis: the epoch base, a spare s ≥ 0, and a set
 // B of objects of the dataset D₀ at that epoch that holds its
-// (k+s)-skyband — stored as the current answer plus out, the members of B
-// the answer leaves out. The door logs the objects inserted through it that
-// are still live, with the epoch each insert published (insertLog). Then
-// the current dataset is
+// (k+s)-skyband. The door logs the objects inserted through it that are
+// still live, with the epoch each insert published (insertLog). Then the
+// current dataset is
 //
 //	D = (D₀ − X) ∪ I,
 //
@@ -18,44 +18,58 @@ package front
 // so it lifts nothing. Deleting a member of B leaves B less it holding the
 // (k+s−1)-skyband of what is left — an object with fewer than k+s−1
 // dominators there has fewer than k+s in D₀ — so each such delete spends
-// one of the spare; with none left it evicts. While s ≥ 0, B ∪ I holds the
-// k-skyband of D and lies in D; a dominator of a k-skyband member is itself
-// a member (transitivity of the operators), so every member keeps its
-// dominators in B ∪ I and every other object k of them, and
+// one of the spare; with none left it evicts. While s ≥ 0 the union
+// U = (B − X) ∪ I holds the k-skyband of D and lies in D; a dominator of a
+// k-skyband member is itself a member (transitivity of the operators), so
 //
-//	k-skyband(D) = k-skyband(B ∪ I)
+//	k-skyband(D) = k-skyband(U)
 //
-// with every candidate's dominator count exact — the merge invariant of
-// core/merge.go. core.MergeShardBands over B ∪ I is therefore the fresh
-// answer, candidate for candidate: same IDs, ranks, MinDist bits and
-// counts, in the same order except possibly within a batch of equal keys
-// (the merge's one caveat).
+// with every candidate's dominator count over U exact — the merge
+// invariant of core/merge.go.
+//
+// The entry tracks U itself: the answer's candidates, and out, the other
+// members, each with its exact dominator count over the tracked set (outDom;
+// a candidate's is its Dominators). A write changes only the pairs that
+// hold the written object, so core.StepBand folds it in: an insert is
+// checked once against each member, in the direction key order allows, and
+// a delete against the members after it in key order, whose counts it
+// lowers. The members with fewer than k dominators are the fresh answer,
+// candidate for candidate. An insert the entry's shield rules out, or that
+// core.StepRejects finds outside the answer, is not folded then: k tracked
+// objects dominate it, so it changes no candidate and no candidate's count,
+// and it waits in the log. Only out counts miss it, and the next delete
+// repair folds every insert logged after folded before it lowers a count;
+// an insert repair folds only its own object.
 //
 // A fill's basis is its own answer, with no spare — unless that answer
 // holds objects the door inserted, which insert-then-delete churn deletes
 // again. Then the fill runs a second search, at k+s for those s objects,
-// and keeps its candidates beyond the answer as out: the deletes of its own
-// inserts cannot evict it.
+// and tracks its candidates beyond the answer as out, with the counts that
+// search reports: the deletes of its own inserts cannot evict it.
 //
 // So a sweep queues an entry for repair when an insert is not ruled out by
-// its shield, or a delete removes a candidate inserted after the base, or
-// a member of B while the spare lasts; the merge runs outside the shard
+// its shield, or a delete removes a tracked object inserted after the base,
+// or a member of B while the spare lasts; the step runs outside the shard
 // locks, under the mutation mutex, and the entry is re-shielded, re-tagged
 // and installed before the new epoch is published — if it is still the
-// table's. A delete of a member of B with no spare left may lift into the
-// k-skyband objects outside B ∪ I, so no merge can answer it: it evicts,
-// and so do
+// table's. The entry is evicted instead when
 //
-//   - a merged answer with two candidates at one MinDist: their order may
-//     differ from a fresh search's;
-//   - a basis older than an insert the log has forgotten (it holds
-//     maxInserts), or whose key names a metric the door cannot rebuild.
+//   - a delete takes a member of B with no spare left: objects outside U
+//     may lift into the k-skyband;
+//   - two tracked objects have one MinDist (core.StepBand's tied): a search
+//     emits two candidates at one key in heap order, which neither the step
+//     nor a merge over U knows, and under F-SD and F+SD two objects at equal
+//     distances dominate each other, which the transitivity argument above
+//     does not cover;
+//   - its base is older than an insert the log has forgotten (it holds
+//     maxInserts), or its key names a metric the door cannot rebuild.
 //
 // A kept answer whose basis is exactly itself — no spare, no object
-// inserted since the base joined it, none pushed out — is the k-skyband of
-// the dataset at every epoch it survives, so the sweep moves its base
-// forward (cache.go): its repairs merge only the inserts since the last
-// write it survived.
+// inserted since the base joined it, none out — is the k-skyband of the
+// dataset at every epoch it survives, so the sweep moves its base forward
+// (cache.go). A repair makes such a basis once the spare is spent and no
+// candidate is an insert since the base: a delete can then only evict or
+// take an out member, which lifts nothing, so out is dropped.
 
 import (
 	"context"
@@ -71,15 +85,16 @@ import (
 const maxInserts = 256
 
 // insertLog is the live objects inserted through the door, in insert
-// order, with the epoch each insert published. floor is the epoch of the
-// newest insert dropped to keep the bound: every insert after floor is
-// still in the log, or deleted. Only the holder of the door's mutation
-// mutex changes the log, under mu; fills read it under mu, repairs under
-// the mutation mutex alone.
+// order, with the epoch each insert published, and that epoch by ID. floor
+// is the epoch of the newest insert dropped to keep the bound: every insert
+// after floor is still in the log, or deleted. Only the holder of the
+// door's mutation mutex changes the log, under mu; fills read it under mu,
+// repairs under the mutation mutex alone.
 type insertLog struct {
 	mu    sync.Mutex
 	objs  []*uncertain.Object
-	born  []uint64
+	born  []uint64 // ascending: each insert publishes its own epoch
+	at    map[int]uint64
 	floor uint64
 }
 
@@ -87,12 +102,17 @@ type insertLog struct {
 func (l *insertLog) add(o *uncertain.Object, epoch uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.at == nil {
+		l.at = make(map[int]uint64, maxInserts)
+	}
 	if len(l.objs) == maxInserts {
 		l.floor = l.born[0]
+		delete(l.at, l.objs[0].ID())
 		l.objs, l.born = slices.Delete(l.objs, 0, 1), slices.Delete(l.born, 0, 1)
 	}
 	l.objs = append(l.objs, o)
 	l.born = append(l.born, epoch)
+	l.at[o.ID()] = epoch
 }
 
 // remove forgets a deleted object and returns the epoch of its insert, 0
@@ -100,11 +120,12 @@ func (l *insertLog) add(o *uncertain.Object, epoch uint64) {
 func (l *insertLog) remove(id int) uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	i := l.index(id)
-	if i < 0 {
+	born, ok := l.at[id]
+	if !ok {
 		return 0
 	}
-	born := l.born[i]
+	i, _ := slices.BinarySearch(l.born, born)
+	delete(l.at, id)
 	l.objs, l.born = slices.Delete(l.objs, i, i+1), slices.Delete(l.born, i, i+1)
 	return born
 }
@@ -115,67 +136,66 @@ func (l *insertLog) count(cands []core.Candidate) int {
 	defer l.mu.Unlock()
 	n := 0
 	for _, c := range cands {
-		if l.index(c.Object.ID()) >= 0 {
+		if _, ok := l.at[c.Object.ID()]; ok {
 			n++
 		}
 	}
 	return n
 }
 
-// bornOf is the epoch of a logged object's insert, 0 when the log does
-// not hold it.
-func (l *insertLog) bornOf(id int) uint64 {
-	if i := l.index(id); i >= 0 {
-		return l.born[i]
+// after reports whether the log holds one of cands inserted after epoch.
+// The caller holds the door's mutation mutex.
+func (l *insertLog) after(cands []core.Candidate, epoch uint64) bool {
+	for _, c := range cands {
+		if l.at[c.Object.ID()] > epoch {
+			return true
+		}
 	}
-	return 0
-}
-
-// index is the position of the logged object id, -1 when there is none.
-func (l *insertLog) index(id int) int {
-	return slices.IndexFunc(l.objs, func(o *uncertain.Object) bool { return o.ID() == id })
+	return false
 }
 
 // since is the logged objects inserted after epoch.
 func (l *insertLog) since(epoch uint64) []*uncertain.Object {
-	i := len(l.born)
-	for i > 0 && l.born[i-1] > epoch {
-		i--
-	}
+	i, _ := slices.BinarySearch(l.born, epoch+1)
 	return l.objs[i:]
 }
 
 // widen gives a fill's basis a spare when its answer res holds objects
 // the door inserted: a search at k plus their number, whose candidates
-// beyond the answer become out. It returns a spare of 0 when the answer
-// holds none, or the wider search fails. The search runs under the fill's
-// pending entry, so a write between it and the fill keeps neither.
-func (d *Door) widen(ctx context.Context, q *uncertain.Object, op core.Operator, k int, opts core.SearchOptions, res *core.Result) (out []*uncertain.Object, spare int) {
+// beyond the answer become out, with their counts. It returns a spare of 0
+// when the answer holds none, or the wider search fails or has two
+// candidates at one MinDist, which its next step could not take (see
+// core.StepBand). The search runs under the fill's pending entry, so a
+// write between it and the fill keeps neither.
+func (d *Door) widen(ctx context.Context, q *uncertain.Object, op core.Operator, k int, opts core.SearchOptions, res *core.Result) (out []*uncertain.Object, outDom []int32, spare int) {
 	s := d.inserts.count(res.Candidates)
 	if s == 0 {
-		return nil, 0
+		return nil, nil, 0
 	}
 	opts.OnCandidate = nil // the client had its candidates from the first search
 	wide, err := d.inner.SearchKCtx(ctx, q, op, k+s, opts)
-	if err != nil || wide.Incomplete {
-		return nil, 0
+	if err != nil || wide.Incomplete || tied(wide.Candidates) {
+		return nil, nil, 0
 	}
 	for _, c := range wide.Candidates {
 		if !answers(res, c.Object.ID()) {
 			out = append(out, c.Object)
+			outDom = append(outDom, int32(c.Dominators))
 		}
 	}
-	return out, s
+	return out, outDom, s
 }
 
-// repaired is a rebuilt answer with its new basis, ready to install.
+// repaired is a stepped answer with its new basis, ready to install.
 type repaired struct {
 	res    *core.Result
 	shield *core.AnswerShield
 	out    []*uncertain.Object
+	outDom []int32
 	spare  int32
 	joined bool
 	base   uint64
+	folded uint64
 	cost   int64
 }
 
@@ -191,72 +211,75 @@ func (d *Door) repairQueued(m mutation, newTag uint64) {
 	c.queue = c.queue[:0]
 }
 
-// rebuild makes e's answer at newTag, re-shielded and sized. It is nil
-// when that answer cannot be trusted to be the fresh search's (see the
-// file header).
+// rebuild steps e's tracked set by m, and returns the answer at newTag, re-shielded and sized,
+// with its new basis. It is nil when that answer cannot be trusted to be
+// the fresh search's (see the file header).
+//
+// An insert repair folds in m's object alone, and not even that when
+// core.StepRejects finds it outside the answer. Each insert the shield
+// passed over since the entry last folded, or StepRejects did, has k
+// dominators among the tracked objects, which stay tracked until a delete
+// repair folds it, so it is outside the answer and dominates no candidate;
+// only out counts wait for it. A delete repair folds them all
+// before the delete lowers a count.
 func (d *Door) rebuild(e *entry, m mutation, newTag uint64) *repaired {
 	q, op, k, opts, ok := e.key.query()
 	if !ok {
 		return nil
 	}
-	r := d.merge(e, m, q, op, k, opts, newTag)
-	if r == nil {
-		return nil
+	r := &repaired{res: e.res, shield: e.shield, out: e.out, outDom: e.outDom, spare: e.spare,
+		joined: e.joined, base: e.base, folded: e.folded}
+	// An insert outside the answer, with k tracked dominators, waits
+	// unfolded, as if the shield had passed it over.
+	if m.delete || !core.StepRejects(q, op, k, opts, e.res.Candidates, d.inserts.since(newTag - 1)[0]) {
+		if !d.step(e, m, newTag, q, op, k, opts, r) {
+			return nil
+		}
 	}
-	r.res.Candidates = exact(r.res.Candidates)
-	r.shield = core.NewAnswerShield(q, op, opts.Metric, k, r.res.Candidates)
-	r.cost = entryCost(e.key, len(e.alias), r.res, r.shield, len(r.out))
+	// With no spare left, a delete of a member of the basis evicts; so
+	// unless a candidate is an insert since the base, whose delete repairs,
+	// nothing can lift out a member, and the answer is a basis of its own.
+	if !r.joined && r.spare == 0 {
+		r.base, r.folded, r.out, r.outDom = newTag, newTag, nil, nil
+	}
+	if r.res != e.res {
+		r.res.Candidates = exact(r.res.Candidates)
+		r.shield = core.NewAnswerShield(q, op, opts.Metric, k, r.res.Candidates)
+	}
+	r.cost = entryCost(e.key, len(e.alias), r.res, r.shield, r.out, r.outDom)
 	return r
 }
 
-// merge rebuilds e's answer from its basis and the live inserts since its
-// base, less the object m deletes, and works out the new basis: the base
-// members the answer leaves out, the spare, and whether an insert joined
-// it.
-func (d *Door) merge(e *entry, m mutation, q *uncertain.Object, op core.Operator, k int, opts core.SearchOptions, newTag uint64) *repaired {
-	kept := make([]*uncertain.Object, 0, len(e.res.Candidates)+len(e.out))
-	for _, c := range e.res.Candidates {
-		kept = append(kept, c.Object)
-	}
-	kept = append(kept, e.out...)
+// step folds m into r, e's basis, by core.StepBand: m's object joins or
+// leaves, and a delete also folds every insert still unfolded. It is false
+// when the stepped band is tied.
+func (d *Door) step(e *entry, m mutation, newTag uint64, q *uncertain.Object, op core.Operator, k int, opts core.SearchOptions, r *repaired) bool {
+	var drop []int
+	adds := d.inserts.since(newTag - 1)
 	if m.delete {
-		kept = slices.DeleteFunc(kept, func(o *uncertain.Object) bool { return o.ID() == m.id })
-	}
-	res, err := core.MergeShardBands(context.Background(), q, op, k, opts, [][]*uncertain.Object{kept, d.inserts.since(e.base)})
-	if err != nil || tied(res.Candidates) {
-		return nil
-	}
-	r := &repaired{res: res, base: e.base, spare: e.spare}
-	if m.delete && m.born <= e.base {
-		r.spare-- // m took a member of the basis
-	}
-	for _, c := range res.Candidates {
-		if d.inserts.bornOf(c.Object.ID()) > e.base {
-			r.joined = true
-			break
+		drop = []int{m.id}
+		adds, r.folded = nil, newTag
+		for _, o := range d.inserts.since(e.folded) {
+			if !e.holds(o.ID()) {
+				adds = append(adds, o)
+			}
+		}
+		if m.born <= e.base {
+			r.spare-- // m took a member of the basis
 		}
 	}
-	// The base members left out: the kept objects not inserted since the
-	// base (each once — the candidates and out are disjoint) and not
-	// answered.
-	for _, o := range kept {
-		if d.inserts.bornOf(o.ID()) <= e.base && !answers(res, o.ID()) {
-			r.out = append(r.out, o)
-		}
-	}
-	if !r.joined && r.out == nil && r.spare == 0 {
-		r.base = newTag
-	}
-	return r
+	band, res, tied := core.StepBand(q, op, k, opts, core.TrackedBand{Answer: e.res.Candidates, Out: e.out, OutDominators: e.outDom}, adds, drop)
+	r.res, r.out, r.outDom = res, band.Out, band.OutDominators
+	r.joined = d.inserts.after(res.Candidates, e.base)
+	return !tied
 }
 
-// tied reports whether two candidates share a MinDist.
+// tied reports whether two candidates of a search, in its key order, share
+// a MinDist.
 func tied(cands []core.Candidate) bool {
-	for i := range cands {
-		for j := i + 1; j < len(cands); j++ {
-			if cands[i].MinDist == cands[j].MinDist {
-				return true
-			}
+	for i := 1; i < len(cands); i++ {
+		if cands[i].MinDist == cands[i-1].MinDist {
+			return true
 		}
 	}
 	return false
