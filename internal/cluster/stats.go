@@ -61,28 +61,28 @@ var (
 // RegisterMetrics exports the router's counters on the front door's
 // /metrics registry (Prometheus text format).
 func (rt *Router) RegisterMetrics(reg *front.Registry) {
-	reg.CounterFunc("sd_router_shard_requests_total", "Shard requests issued (including retries and hedges).", nil,
+	reg.CounterFunc("sd_router_shard_requests_total", "Shard requests issued (including retries and hedges).",
 		func() float64 { return float64(rt.requests.Load()) })
-	reg.CounterFunc("sd_router_retries_total", "Shard attempts beyond the first.", nil,
+	reg.CounterFunc("sd_router_retries_total", "Shard attempts beyond the first.",
 		func() float64 { return float64(rt.retries.Load()) })
-	reg.CounterFunc("sd_router_hedges_total", "Hedged duplicate requests issued.", nil,
+	reg.CounterFunc("sd_router_hedges_total", "Hedged duplicate requests issued.",
 		func() float64 { return float64(rt.hedges.Load()) })
-	reg.CounterFunc("sd_router_hedge_wins_total", "Hedged requests that answered first.", nil,
+	reg.CounterFunc("sd_router_hedge_wins_total", "Hedged requests that answered first.",
 		func() float64 { return float64(rt.hedgeWins.Load()) })
-	reg.CounterFunc("sd_router_failovers_total", "Shard answers served by a non-primary replica.", nil,
+	reg.CounterFunc("sd_router_failovers_total", "Shard answers served by a non-primary replica.",
 		func() float64 { return float64(rt.failovers.Load()) })
-	reg.CounterFunc("sd_router_breaker_opens_total", "Replica circuit breakers tripped open.", nil,
+	reg.CounterFunc("sd_router_breaker_opens_total", "Replica circuit breakers tripped open.",
 		func() float64 { return float64(rt.breakerOpens.Load()) })
-	reg.CounterFunc("sd_router_probe_successes_total", "Half-open health probes that revived a replica.", nil,
+	reg.CounterFunc("sd_router_probe_successes_total", "Half-open health probes that revived a replica.",
 		func() float64 { return float64(rt.probeOK.Load()) })
-	reg.CounterFunc("sd_router_probe_failures_total", "Half-open health probes that failed.", nil,
+	reg.CounterFunc("sd_router_probe_failures_total", "Half-open health probes that failed.",
 		func() float64 { return float64(rt.probeFail.Load()) })
-	reg.CounterFunc("sd_router_unreachable_shard_queries_total", "Shard queries no replica could answer.", nil,
+	reg.CounterFunc("sd_router_unreachable_shard_queries_total", "Shard queries no replica could answer.",
 		func() float64 { return float64(rt.unreachable.Load()) })
-	reg.CounterFunc("sd_router_partial_answers_total", "Searches degraded to a 206 partial answer.", nil,
+	reg.CounterFunc("sd_router_partial_answers_total", "Searches degraded to a 206 partial answer.",
 		func() float64 { return float64(rt.partials.Load()) })
-	reg.GaugeFunc("sd_router_shards", "Configured shards.", nil,
+	reg.GaugeFunc("sd_router_shards", "Configured shards.",
 		func() float64 { return float64(len(rt.shards)) })
-	reg.GaugeFunc("sd_router_degraded_shards", "Shards with every replica breaker open.", nil,
+	reg.GaugeFunc("sd_router_degraded_shards", "Shards with every replica breaker open.",
 		func() float64 { return float64(rt.ClusterHealth().Degraded) })
 }

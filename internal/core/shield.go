@@ -72,7 +72,10 @@ type AnswerShield struct {
 	// distance to the query MBR exceeds it is strictly dominated by k
 	// candidates (see ShieldsInsert). It is +Inf, so the
 	// radius never decides, with fewer than k candidates, under F+SD, or
-	// off the Euclidean metric.
+	// off the Euclidean metric. Off L2 the loop is the only cheap decider:
+	// a probe that computed the radius under L1 too kept a rectangle the
+	// loop rejects (S-SD, k = 1, d = 2, near − farK ≈ 2.8 × 10⁻¹⁴), so the
+	// radius is not the loop's verdict there and is not computed.
 	farK float64
 	// band is the answer's candidates; their objects' MBRs are the
 	// rectangles of the Theorem 4 test.

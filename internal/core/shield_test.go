@@ -283,7 +283,8 @@ func (s *AnswerShield) shieldsInsertLoop(r geom.Rect) bool {
 
 // The radius only answers sooner: on random, far, point, touching,
 // radius-edge and non-finite rectangles, over every operator, k in
-// {1, 2, 4} and d in {2, 3}, ShieldsInsert equals the loop it skips. The
+// {1, 2, 4}, d in {2, 3} and the L2, L1 and L∞ metrics, ShieldsInsert
+// equals the loop it skips. The
 // search's band, built from the same candidates, keeps the k-th smallest
 // reach over its instances, never beyond the shield's MBR radius, and its
 // stopping test never passes a rectangle the band does not dominate — on
@@ -299,10 +300,13 @@ func TestShieldRadiusMatchesLoop(t *testing.T) {
 		}
 		for _, op := range Operators {
 			for _, k := range []int{1, 2, 4} {
-				for trial := 0; trial < 4; trial++ {
+				for trial := 0; trial < 5; trial++ {
 					m := geom.Euclidean
-					if trial == 3 {
-						m = geom.Manhattan // farK is +Inf: the loop decides every rect
+					switch trial { // off L2 farK is +Inf: the loop decides every rect
+					case 3:
+						m = geom.Manhattan
+					case 4:
+						m = geom.Chebyshev
 					}
 					q := randObject(rng, 0, d, 1+rng.Intn(5), randCenter(rng, d, 100), 1+rng.Float64()*8)
 					base := searchK(idx, q, op, k, SearchOptions{Filters: AllFilters, Metric: m})

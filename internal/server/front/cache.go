@@ -186,7 +186,6 @@ type CacheStats struct {
 	RepairFallbacks int64 `json:"repair_fallbacks"`
 	Bytes           int64 `json:"bytes"`
 	Entries         int64 `json:"entries"`
-	Sweeps          int64 `json:"sweeps"`
 }
 
 // resultCache is the sharded table. All epoch decisions live in the Door;
@@ -209,7 +208,6 @@ type resultCache struct {
 	invalidations   atomic.Int64
 	repairs         atomic.Int64
 	repairFallbacks atomic.Int64
-	sweeps          atomic.Int64
 }
 
 // newResultCache builds a table bounded at maxBytes total, split evenly
@@ -407,14 +405,10 @@ type mutation struct {
 //
 // A kept entry's verdict is O(d) in the usual case: a delete whose id's
 // signature bit is clear, or an insert its shield decides by distance
-// alone (core.AnswerShield.ShieldsInsert). A survivor whose answer is its
-// whole basis — no spare, no object inserted since the base joined it,
-// none out — is the k-skyband of the new dataset, and becomes its own
-// basis at the new epoch.
+// alone (core.AnswerShield.ShieldsInsert).
 //
 //nnc:hotpath
 func (c *resultCache) sweep(m mutation, newTag uint64) {
-	c.sweeps.Add(1)
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
@@ -426,9 +420,6 @@ func (c *resultCache) sweep(m mutation, newTag uint64) {
 			switch e.verdictOn(m) {
 			case keep:
 				e.tag = newTag
-				if !e.joined && e.out == nil && e.spare == 0 {
-					e.base, e.folded = newTag, newTag
-				}
 			case repair:
 				c.queue = append(c.queue, e)
 			case fallback:
@@ -479,14 +470,20 @@ func (c *resultCache) stats() CacheStats {
 		Invalidations:   c.invalidations.Load(),
 		Repairs:         c.repairs.Load(),
 		RepairFallbacks: c.repairFallbacks.Load(),
-		Sweeps:          c.sweeps.Load(),
 	}
+	s.Bytes, s.Entries = c.size()
+	return s
+}
+
+// size is the bytes and the number of the kept answers, each shard locked
+// once.
+func (c *resultCache) size() (bytes, entries int64) {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		s.Bytes += sh.bytes
-		s.Entries += int64(sh.lru.Len())
+		bytes += sh.bytes
+		entries += int64(sh.lru.Len())
 		sh.mu.Unlock()
 	}
-	return s
+	return bytes, entries
 }

@@ -66,15 +66,7 @@ type Door struct {
 	// fills and repairs read (repair.go).
 	inserts insertLog
 
-	coalesceHits    atomic.Int64
-	coalesceLeaders atomic.Int64
-	// negativeHits counts cache hits that served an empty candidate set.
-	// Empty answers are cached like any other (the k-skyband of a region
-	// the dataset does not reach is a real, provable answer, shielded and
-	// repaired the same way) — the separate counter exists because a
-	// high negative rate is an operational signal: clients probing space
-	// the deployment does not cover.
-	negativeHits atomic.Int64
+	coalesceHits atomic.Int64
 }
 
 // epocher is the optional inner-backend epoch capability (the mutable
@@ -114,11 +106,7 @@ func (d *Door) Epoch() uint64 { return d.epoch.Load() }
 //
 //nnc:hotpath
 func (d *Door) Repeat(body []byte) (*core.Result, core.Operator, int) {
-	res, op, k := d.cache.repeat(body, d.epoch.Load(), d.Len())
-	if res != nil && len(res.Candidates) == 0 {
-		d.negativeHits.Add(1)
-	}
-	return res, op, k
+	return d.cache.repeat(body, d.epoch.Load(), d.Len())
 }
 
 // SearchKCtx is the read path: one lookup hits, joins or leads.
@@ -142,9 +130,6 @@ func (d *Door) SearchBody(ctx context.Context, body []byte, q *uncertain.Object,
 	res, e, wait := d.cache.lookup(key, d.epoch.Load())
 	switch {
 	case res != nil:
-		if len(res.Candidates) == 0 {
-			d.negativeHits.Add(1)
-		}
 		return res, nil
 	case wait != nil:
 		d.coalesceHits.Add(1)
@@ -162,7 +147,6 @@ func (d *Door) SearchBody(ctx context.Context, body []byte, q *uncertain.Object,
 		return d.inner.SearchKCtx(ctx, q, op, k, opts)
 	}
 
-	d.coalesceLeaders.Add(1)
 	res, err := d.inner.SearchKCtx(ctx, q, op, k, opts)
 	// Only a complete answer that fits the budget is kept: a degraded one
 	// (quarantined pages skipped) is already flagged best-effort, and the
@@ -278,20 +262,16 @@ func (d *Door) advance(m mutation) {
 
 // DoorStats snapshots the Door's serving counters.
 type DoorStats struct {
-	Cache           CacheStats `json:"cache"`
-	CoalesceHits    int64      `json:"coalesce_hits"`
-	CoalesceLeaders int64      `json:"coalesce_leaders"`
-	NegativeHits    int64      `json:"negative_hits"`
-	Epoch           uint64     `json:"epoch"`
+	Cache        CacheStats `json:"cache"`
+	CoalesceHits int64      `json:"coalesce_hits"`
+	Epoch        uint64     `json:"epoch"`
 }
 
 // Stats snapshots the counters.
 func (d *Door) Stats() DoorStats {
 	return DoorStats{
-		Cache:           d.cache.stats(),
-		CoalesceHits:    d.coalesceHits.Load(),
-		CoalesceLeaders: d.coalesceLeaders.Load(),
-		NegativeHits:    d.negativeHits.Load(),
-		Epoch:           d.epoch.Load(),
+		Cache:        d.cache.stats(),
+		CoalesceHits: d.coalesceHits.Load(),
+		Epoch:        d.epoch.Load(),
 	}
 }

@@ -120,13 +120,12 @@ func NewHandler(inner http.Handler, door *Door, cfg Config) *Handler {
 	r := h.reg
 	h.shedRate = r.Counter("sd_shed_rate_limited_total", "Requests shed by per-client rate limiting.")
 	h.shedCapacity = r.Counter("sd_shed_capacity_total", "Requests shed by the global in-flight ceiling.")
-	r.GaugeFunc("sd_inflight_requests", "Gated requests currently being served.", nil,
-		func() float64 { return float64(h.inFlight.Load()) })
-	r.GaugeFunc("sd_rate_limited_clients", "Client token buckets currently tracked.", nil,
+	r.GaugeFunc("sd_inflight_requests", "Gated requests currently being served.", load(&h.inFlight))
+	r.GaugeFunc("sd_rate_limited_clients", "Client token buckets currently tracked.",
 		func() float64 { return float64(h.limiter.clients()) })
 	for _, class := range endpointClasses {
 		h.latency[class] = r.Histogram("sd_request_duration_seconds",
-			"Wall time per served request.", map[string]string{"op": class}, DefBuckets)
+			"Wall time per served request.", class, DefBuckets)
 	}
 	for _, code := range []int{200, 300, 400, 500} {
 		h.responses[code] = r.Counter("sd_responses_total_"+strconv.Itoa(code/100)+"xx",
@@ -139,33 +138,32 @@ func NewHandler(inner http.Handler, door *Door, cfg Config) *Handler {
 // AttachDoor wires a Door created after the Handler — the warming-boot
 // path, where the mutable index (and hence the Door over it) exists only
 // once WAL replay finishes. The first attach wins and registers the
-// door's counters on /metrics; later calls are no-ops.
+// door's counters on /metrics; later calls are no-ops. Each series reads
+// its own atomic, and the two size gauges lock each cache shard once: a
+// scrape takes no lock a lookup waits on beyond those.
 func (h *Handler) AttachDoor(door *Door) {
 	//nnc:publish first-attach CAS: requests either shed on nil or see the wired door
 	if door == nil || !h.door.CompareAndSwap(nil, door) {
 		return
 	}
-	r := h.reg
-	r.CounterFunc("sd_cache_hits_total", "Semantic result cache hits.", nil,
-		func() float64 { return float64(door.Stats().Cache.Hits) })
-	r.CounterFunc("sd_cache_misses_total", "Semantic result cache misses.", nil,
-		func() float64 { return float64(door.Stats().Cache.Misses) })
-	r.CounterFunc("sd_cache_evictions_total", "Cache entries evicted by the byte budget.", nil,
-		func() float64 { return float64(door.Stats().Cache.Evictions) })
-	r.CounterFunc("sd_cache_invalidations_total", "Cache entries invalidated by mutations.", nil,
-		func() float64 { return float64(door.Stats().Cache.Invalidations) })
-	r.CounterFunc("sd_cache_repairs_total", "Cache entries a mutation changed that were rebuilt in place.", nil,
-		func() float64 { return float64(door.Stats().Cache.Repairs) })
-	r.GaugeFunc("sd_cache_bytes", "Bytes held by the result cache.", nil,
-		func() float64 { return float64(door.Stats().Cache.Bytes) })
-	r.GaugeFunc("sd_cache_entries", "Entries held by the result cache.", nil,
-		func() float64 { return float64(door.Stats().Cache.Entries) })
-	r.CounterFunc("sd_coalesce_hits_total", "Searches answered by joining an in-flight identical search.", nil,
-		func() float64 { return float64(door.Stats().CoalesceHits) })
-	r.CounterFunc("sd_cache_negative_hits_total", "Cache hits that served an empty candidate set.", nil,
-		func() float64 { return float64(door.Stats().NegativeHits) })
-	r.CounterFunc("sd_mutation_epoch", "Door mutation clock.", nil,
-		func() float64 { return float64(door.Stats().Epoch) })
+	r, c := h.reg, door.cache
+	r.CounterFunc("sd_cache_hits_total", "Semantic result cache hits.", load(&c.hits))
+	r.CounterFunc("sd_cache_misses_total", "Semantic result cache misses.", load(&c.misses))
+	r.CounterFunc("sd_cache_evictions_total", "Cache entries evicted by the byte budget.", load(&c.evictions))
+	r.CounterFunc("sd_cache_invalidations_total", "Cache entries invalidated by mutations.", load(&c.invalidations))
+	r.CounterFunc("sd_cache_repairs_total", "Cache entries a mutation changed that were rebuilt in place.", load(&c.repairs))
+	r.GaugeFunc("sd_cache_bytes", "Bytes held by the result cache.",
+		func() float64 { b, _ := c.size(); return float64(b) })
+	r.GaugeFunc("sd_cache_entries", "Entries held by the result cache.",
+		func() float64 { _, n := c.size(); return float64(n) })
+	r.CounterFunc("sd_coalesce_hits_total", "Searches answered by joining an in-flight identical search.", load(&door.coalesceHits))
+	r.CounterFunc("sd_mutation_epoch", "Door mutation clock.",
+		func() float64 { return float64(door.epoch.Load()) })
+}
+
+// load pulls a counter's value at scrape time.
+func load(v *atomic.Int64) func() float64 {
+	return func() float64 { return float64(v.Load()) }
 }
 
 // Registry exposes the metrics registry so the process can register
@@ -339,7 +337,6 @@ func (h *Handler) FrontStats() server.FrontStats {
 		fs.CacheBytes = ds.Cache.Bytes
 		fs.CacheEntries = ds.Cache.Entries
 		fs.CoalesceHits = ds.CoalesceHits
-		fs.CacheNegativeHits = ds.NegativeHits
 		fs.Epoch = ds.Epoch
 	}
 	return fs

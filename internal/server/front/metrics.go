@@ -10,18 +10,17 @@ package front
 import (
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
 
-// metric is anything that can render itself in exposition format.
-// Implementations render their own HELP/TYPE header.
+// metric is anything that can render its samples in exposition format
+// under a family header the registry writes.
 type metric interface {
+	family() (name, help, typ string)
 	render(w io.Writer)
 }
 
@@ -29,13 +28,10 @@ type metric interface {
 type Registry struct {
 	mu      sync.Mutex
 	metrics []metric
-	seen    map[string]bool // family names that already rendered a header
 }
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{seen: map[string]bool{}}
-}
+func NewRegistry() *Registry { return &Registry{} }
 
 func (r *Registry) add(m metric) {
 	r.mu.Lock()
@@ -52,61 +48,42 @@ func (r *Registry) Counter(name, help string) *Counter {
 
 // CounterFunc registers a counter whose value is pulled from f at scrape
 // time — for counters that already live elsewhere as atomics.
-func (r *Registry) CounterFunc(name, help string, labels map[string]string, f func() float64) {
-	r.add(&funcMetric{name: name, help: help, typ: "counter", labels: labels, f: f})
+func (r *Registry) CounterFunc(name, help string, f func() float64) {
+	r.add(&funcMetric{name: name, help: help, typ: "counter", f: f})
 }
 
 // GaugeFunc registers a gauge pulled from f at scrape time.
-func (r *Registry) GaugeFunc(name, help string, labels map[string]string, f func() float64) {
-	r.add(&funcMetric{name: name, help: help, typ: "gauge", labels: labels, f: f})
+func (r *Registry) GaugeFunc(name, help string, f func() float64) {
+	r.add(&funcMetric{name: name, help: help, typ: "gauge", f: f})
 }
 
-// Histogram registers a cumulative histogram with the given upper
-// bounds (ascending; +Inf is implicit).
-func (r *Registry) Histogram(name, help string, labels map[string]string, buckets []float64) *Histogram {
-	h := &Histogram{name: name, help: help, labels: labels, bounds: buckets}
+// Histogram registers a cumulative histogram labelled op="op" with the
+// given upper bounds (ascending; +Inf is implicit); op is written as it
+// is, so it is a plain word (the handler's endpoint classes). The members
+// of one family — one name under several op values — register one after
+// another, so the family renders one header.
+func (r *Registry) Histogram(name, help, op string, buckets []float64) *Histogram {
+	h := &Histogram{name: name, help: help, op: op, bounds: buckets}
 	h.counts = make([]atomic.Int64, len(buckets)+1)
 	r.add(h)
 	return h
 }
 
-// ServeHTTP renders every registered metric.
+// ServeHTTP renders every registered metric, each family's HELP/TYPE
+// header once, before its first member.
 func (r *Registry) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	r.mu.Lock()
 	ms := append([]metric(nil), r.metrics...)
 	r.mu.Unlock()
-	// Families sharing a name (same counter under different labels) must
-	// render one header; each metric re-renders it, so dedupe by
-	// buffering name-first order. Families are registered adjacently in
-	// practice; a simple seen-set on header emission suffices.
-	hw := &headerDedupWriter{w: w, seen: map[string]bool{}}
+	last := ""
 	for _, m := range ms {
-		m.render(hw)
-	}
-}
-
-// headerDedupWriter drops repeated "# HELP"/"# TYPE" lines for a family
-// so multi-label families registered as separate metrics stay legal.
-type headerDedupWriter struct {
-	w    io.Writer
-	seen map[string]bool
-}
-
-func (h *headerDedupWriter) Write(p []byte) (int, error) {
-	s := string(p)
-	if strings.HasPrefix(s, "# ") {
-		// "# HELP name ..." / "# TYPE name ..."
-		fields := strings.Fields(s)
-		if len(fields) >= 3 {
-			key := fields[1] + " " + fields[2]
-			if h.seen[key] {
-				return len(p), nil
-			}
-			h.seen[key] = true
+		if name, help, typ := m.family(); name != last {
+			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+			last = name
 		}
+		m.render(w)
 	}
-	return h.w.Write(p)
 }
 
 // Counter is an atomic monotone counter.
@@ -115,28 +92,26 @@ type Counter struct {
 	v          atomic.Int64
 }
 
-// Inc adds 1; Add adds n.
+// Inc adds 1; Value reads the count.
 func (c *Counter) Inc()         { c.v.Add(1) }
-func (c *Counter) Add(n int64)  { c.v.Add(n) }
 func (c *Counter) Value() int64 { return c.v.Load() }
 
+func (c *Counter) family() (string, string, string) { return c.name, c.help, "counter" }
+
 func (c *Counter) render(w io.Writer) {
-	fmt.Fprintf(w, "# HELP %s %s\n", c.name, c.help)
-	fmt.Fprintf(w, "# TYPE %s counter\n", c.name)
 	fmt.Fprintf(w, "%s %d\n", c.name, c.v.Load())
 }
 
 // funcMetric is a pull-valued counter or gauge.
 type funcMetric struct {
 	name, help, typ string
-	labels          map[string]string
 	f               func() float64
 }
 
+func (m *funcMetric) family() (string, string, string) { return m.name, m.help, m.typ }
+
 func (m *funcMetric) render(w io.Writer) {
-	fmt.Fprintf(w, "# HELP %s %s\n", m.name, m.help)
-	fmt.Fprintf(w, "# TYPE %s %s\n", m.name, m.typ)
-	fmt.Fprintf(w, "%s%s %s\n", m.name, renderLabels(m.labels, "", 0), formatFloat(m.f()))
+	fmt.Fprintf(w, "%s %s\n", m.name, formatFloat(m.f()))
 }
 
 // Histogram is a fixed-bucket cumulative histogram. Observations are
@@ -144,12 +119,11 @@ func (m *funcMetric) render(w io.Writer) {
 // value, plus sum/count atomics (sum in microseconds of fixed point to
 // stay integer).
 type Histogram struct {
-	name, help string
-	labels     map[string]string
-	bounds     []float64
-	counts     []atomic.Int64 // per-bucket (non-cumulative); last = +Inf
-	sumMicro   atomic.Int64   // sum × 1e6, rendered back to seconds
-	count      atomic.Int64
+	name, help, op string
+	bounds         []float64
+	counts         []atomic.Int64 // per-bucket (non-cumulative); last = +Inf
+	sumMicro       atomic.Int64   // sum × 1e6, rendered back to seconds
+	count          atomic.Int64
 }
 
 // Observe records one value (seconds for latency histograms).
@@ -160,66 +134,18 @@ func (h *Histogram) Observe(v float64) {
 	h.count.Add(1)
 }
 
-// Count reports total observations (for tests and gates).
-func (h *Histogram) Count() int64 { return h.count.Load() }
+func (h *Histogram) family() (string, string, string) { return h.name, h.help, "histogram" }
 
 func (h *Histogram) render(w io.Writer) {
-	fmt.Fprintf(w, "# HELP %s %s\n", h.name, h.help)
-	fmt.Fprintf(w, "# TYPE %s histogram\n", h.name)
 	cum := int64(0)
 	for i, b := range h.bounds {
 		cum += h.counts[i].Load()
-		fmt.Fprintf(w, "%s_bucket%s %d\n", h.name, renderLabels(h.labels, "le", b), cum)
+		fmt.Fprintf(w, "%s_bucket{op=\"%s\",le=\"%s\"} %d\n", h.name, h.op, formatFloat(b), cum)
 	}
 	cum += h.counts[len(h.bounds)].Load()
-	fmt.Fprintf(w, "%s_bucket%s %d\n", h.name, renderLabels(h.labels, "le", math.Inf(1)), cum)
-	fmt.Fprintf(w, "%s_sum%s %s\n", h.name, renderLabels(h.labels, "", 0), formatFloat(float64(h.sumMicro.Load())/1e6))
-	fmt.Fprintf(w, "%s_count%s %d\n", h.name, renderLabels(h.labels, "", 0), h.count.Load())
-}
-
-// renderLabels formats {a="x",le="0.5"} with keys sorted, le appended
-// last per convention; empty labels and no le renders "".
-func renderLabels(labels map[string]string, leKey string, le float64) string {
-	if len(labels) == 0 && leKey == "" {
-		return ""
-	}
-	keys := make([]string, 0, len(labels))
-	for k := range labels {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var sb strings.Builder
-	sb.WriteByte('{')
-	for i, k := range keys {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		sb.WriteString(k)
-		sb.WriteString(`="`)
-		sb.WriteString(escapeLabel(labels[k]))
-		sb.WriteString(`"`)
-	}
-	if leKey != "" {
-		if len(keys) > 0 {
-			sb.WriteByte(',')
-		}
-		sb.WriteString(leKey)
-		sb.WriteString(`="`)
-		if math.IsInf(le, 1) {
-			sb.WriteString("+Inf")
-		} else {
-			sb.WriteString(formatFloat(le))
-		}
-		sb.WriteString(`"`)
-	}
-	sb.WriteByte('}')
-	return sb.String()
-}
-
-func escapeLabel(s string) string {
-	s = strings.ReplaceAll(s, `\`, `\\`)
-	s = strings.ReplaceAll(s, `"`, `\"`)
-	return strings.ReplaceAll(s, "\n", `\n`)
+	fmt.Fprintf(w, "%s_bucket{op=\"%s\",le=\"+Inf\"} %d\n", h.name, h.op, cum)
+	fmt.Fprintf(w, "%s_sum{op=\"%s\"} %s\n", h.name, h.op, formatFloat(float64(h.sumMicro.Load())/1e6))
+	fmt.Fprintf(w, "%s_count{op=\"%s\"} %d\n", h.name, h.op, h.count.Load())
 }
 
 func formatFloat(f float64) string {

@@ -64,12 +64,10 @@ package front
 //   - its base is older than an insert the log has forgotten (it holds
 //     maxInserts), or its key names a metric the door cannot rebuild.
 //
-// A kept answer whose basis is exactly itself — no spare, no object
-// inserted since the base joined it, none out — is the k-skyband of the
-// dataset at every epoch it survives, so the sweep moves its base forward
-// (cache.go). A repair makes such a basis once the spare is spent and no
-// candidate is an insert since the base: a delete can then only evict or
-// take an out member, which lifts nothing, so out is dropped.
+// A repair rebases an entry — its answer becomes its whole basis, at the
+// repair's epoch — once the spare is spent and no candidate is an insert
+// since the base: a delete can then only evict or take an out member,
+// which lifts nothing, so out is dropped.
 
 import (
 	"context"

@@ -31,7 +31,7 @@ func TestHealthzIsHealth(t *testing.T) {
 	data := []string{"objects", "dim"}
 	io := block("io", "pool_hits", "pool_misses", "page_reads", "page_writes")
 	frontKeys := block("front", "cache_hits", "cache_misses", "cache_evictions", "cache_invalidations", "cache_repairs", "cache_repair_fallbacks", "cache_bytes",
-		"cache_entries", "coalesce_hits", "cache_negative_hits", "shed_rate_limited", "shed_capacity", "in_flight", "epoch")
+		"cache_entries", "coalesce_hits", "shed_rate_limited", "shed_capacity", "in_flight", "epoch")
 	faultKeys := slices.Concat([]string{"quarantined_pages"}, block("faults", "checksum_failures", "torn_pages",
 		"short_reads", "transient_retries", "recovered_reads", "quarantined_pages"))
 	clusterKeys := slices.Concat(block("cluster", "shards"),

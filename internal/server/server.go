@@ -162,7 +162,6 @@ type FrontStats struct {
 	CacheBytes           int64  `json:"cache_bytes"`
 	CacheEntries         int64  `json:"cache_entries"`
 	CoalesceHits         int64  `json:"coalesce_hits"`
-	CacheNegativeHits    int64  `json:"cache_negative_hits"`
 	ShedRateLimited      int64  `json:"shed_rate_limited"`
 	ShedCapacity         int64  `json:"shed_capacity"`
 	InFlight             int64  `json:"in_flight"`
