@@ -411,11 +411,27 @@ func BenchmarkSearchPSDMiss(b *testing.B) {
 // |Q| = 8), and followed by the repairs the sweep queued — a step of the
 // answer's tracked set (core.StepBand) for every answer the insert may
 // join, and again when the delete takes the object back out. Entries a
-// write evicts are re-filled off the clock, so every op sweeps the same
-// table; repairs/write, invalidations/write, fallbacks/write (the part of
-// the invalidations a repair could not make) and evictions/write (answers
-// the byte budget dropped) say what the time bought.
+// write evicts are re-filled off the clock between batches of ops, so
+// every batch sweeps the same table; repairs/write, invalidations/write,
+// fallbacks/write (the part of the invalidations a repair could not make)
+// and evictions/write (answers the byte budget dropped) say what the time
+// bought.
 func BenchmarkDoorWrite(b *testing.B) {
+	benchDoorWrite(b, PSD, nil)
+}
+
+// BenchmarkDoorWriteOffL2 is BenchmarkDoorWrite where the shield's radius
+// farK is +Inf and its rectangle loop alone rules inserts out: P-SD under
+// L1, and F+SD under L2.
+func BenchmarkDoorWriteOffL2(b *testing.B) {
+	b.Run("L1", func(b *testing.B) { benchDoorWrite(b, PSD, geom.Manhattan) })
+	b.Run("FPlusSD", func(b *testing.B) { benchDoorWrite(b, FPlusSD, nil) })
+}
+
+// benchDoorWrite is BenchmarkDoorWrite with its answers' operator and
+// metric (nil for Euclidean).
+func benchDoorWrite(b *testing.B, op core.Operator, m geom.Metric) {
+	const batch = 64 // ops between two reads of the table's size
 	ds := datagen.Generate(datagen.Params{N: 3500, Dim: 3, M: 10, Centers: datagen.AntiCorrelated, Seed: benchSeed})
 	store, err := front.NewMemStore(ds.Objects)
 	if err != nil {
@@ -423,9 +439,10 @@ func BenchmarkDoorWrite(b *testing.B) {
 	}
 	door := front.NewDoor(store, front.DoorConfig{})
 	queries := ds.Queries(350, 8, 200, benchSeed+101)
+	opts := core.SearchOptions{Filters: AllFilters, Metric: m}
 	warm := func() {
 		for _, q := range queries {
-			if _, err := door.SearchKCtx(context.Background(), q, PSD, 4, core.SearchOptions{Filters: AllFilters}); err != nil {
+			if _, err := door.SearchKCtx(context.Background(), q, op, 4, opts); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -447,9 +464,11 @@ func BenchmarkDoorWrite(b *testing.B) {
 		if ok, err := door.Delete(o.ID()); err != nil || !ok {
 			b.Fatalf("delete(%d) = %v, %v", o.ID(), ok, err)
 		}
-		if door.Stats().Cache.Entries < start.Entries {
+		if (i+1)%batch == 0 {
 			b.StopTimer()
-			warm()
+			if door.Stats().Cache.Entries < start.Entries {
+				warm()
+			}
 			b.StartTimer()
 		}
 	}

@@ -243,7 +243,7 @@ func (c *Checker) distQ(oc *objCache) distr.Distribution {
 	if !oc.distQOK {
 		c.sortedRun(oc, c.query.Len()-1)
 		sc := c.scratch
-		sc.mergeBuf = growPairs(sc.mergeBuf, len(oc.runs))
+		sc.mergeBuf = grow(sc.mergeBuf, len(oc.runs))
 		oc.distQ = distr.MergeRuns(sc.pairs.Alloc(len(oc.runs)), sc.mergeBuf, oc.runs, oc.obj.Len(), c.query)
 		oc.distQOK = true
 	}

@@ -683,7 +683,7 @@ func (b *band) dominatesRect(c *Checker, r geom.Rect, k int) bool {
 		return false
 	}
 	h := c.hullLen()
-	near := growFloats(c.scratch.near, h)
+	near := grow(c.scratch.near, h)
 	c.scratch.near = near
 	for t := range near {
 		near[t] = c.near(c.hullPt(t), r)

@@ -202,7 +202,7 @@ func (c *Checker) matchOrder(oc *objCache) []int32 {
 			order[k] = inst
 		}
 	} else {
-		sc.orderKeys = growKeys(sc.orderKeys, n)
+		sc.orderKeys = grow(sc.orderKeys, n)
 		for k, inst := range order {
 			sc.orderKeys[k] = orderKey{sums[inst], inst}
 		}

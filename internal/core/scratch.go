@@ -95,13 +95,13 @@ func (sc *CheckScratch) Checker(query *uncertain.Object, op Operator, cfg Filter
 	if cfg.Geometric && c.euclid {
 		c.hullIdx = query.HullIndices()
 	} else {
-		sc.hullIdx = growInts(sc.hullIdx, query.Len())
+		sc.hullIdx = grow(sc.hullIdx, query.Len())
 		for i := range sc.hullIdx {
 			sc.hullIdx[i] = i
 		}
 		c.hullIdx = sc.hullIdx
 	}
-	sc.isHull = growBools(sc.isHull, query.Len())
+	sc.isHull = grow(sc.isHull, query.Len())
 	clear(sc.isHull)
 	sc.hull = sc.hull[:0]
 	for _, j := range c.hullIdx {
@@ -112,61 +112,11 @@ func (sc *CheckScratch) Checker(query *uncertain.Object, op Operator, cfg Filter
 	return c
 }
 
-// growInts returns s resized to n, reusing its capacity.
-//
-//nnc:coldpath amortized buffer growth to the search's high-water size; warm calls reslice
-func growInts(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	return s[:n]
-}
-
-// growBools returns s resized to n, reusing its capacity.
-//
-//nnc:coldpath amortized buffer growth to the search's high-water size; warm calls reslice
-func growBools(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	return s[:n]
-}
-
-// growPairs returns s resized to n, reusing its capacity.
-//
-//nnc:coldpath amortized buffer growth to the search's high-water size; warm calls reslice
-func growPairs(s []distr.Pair, n int) []distr.Pair {
-	if cap(s) < n {
-		return make([]distr.Pair, n)
-	}
-	return s[:n]
-}
-
-// growKeys returns s resized to n, reusing its capacity.
-//
-//nnc:coldpath amortized buffer growth to the search's high-water size; warm calls reslice
-func growKeys(s []orderKey, n int) []orderKey {
-	if cap(s) < n {
-		return make([]orderKey, n)
-	}
-	return s[:n]
-}
-
-// growWords returns s resized to n, reusing its capacity.
-//
-//nnc:coldpath amortized buffer growth to the search's high-water size; warm calls reslice
-func growWords(s []uint64, n int) []uint64 {
-	if cap(s) < n {
-		return make([]uint64, n)
-	}
-	return s[:n]
-}
-
 // newSweepRows returns what Checker.sweep starts from: nu rows over nv
 // demand atoms with every pair admissible, and the forbidden-prefix mask.
 func (sc *CheckScratch) newSweepRows(nu, nv int) sweepRows {
 	w := flow.RowWords(nv)
-	sc.sweepBits = growWords(sc.sweepBits, (nu+1)*w)
+	sc.sweepBits = grow(sc.sweepBits, (nu+1)*w)
 	r := sweepRows{w: w, adm: sc.sweepBits[:nu*w], out: sc.sweepBits[nu*w:]}
 	for i := range r.adm {
 		r.adm[i] = ^uint64(0)
@@ -179,12 +129,12 @@ func (sc *CheckScratch) newSweepRows(nu, nv int) sweepRows {
 	return r
 }
 
-// growFloats returns s resized to n, reusing its capacity.
+// grow returns s resized to n, reusing its capacity.
 //
 //nnc:coldpath amortized buffer growth to the search's high-water size; warm calls reslice
-func growFloats(s geom.Point, n int) geom.Point {
+func grow[S ~[]E, E any](s S, n int) S {
 	if cap(s) < n {
-		return make(geom.Point, n)
+		return make(S, n)
 	}
 	return s[:n]
 }

@@ -17,17 +17,23 @@ import (
 	"spatialdom/internal/uncertain"
 )
 
-// countingStore is a MemStore that counts Dim calls: building a query asks
-// Dim of every body it decodes, and a repeat answered from its alias asks
-// nothing.
+// countingStore is a MemStore that counts Dim calls and searches: building
+// a query asks Dim of every body it decodes, a repeat answered from its
+// alias asks nothing, and a cache hit searches nothing.
 type countingStore struct {
 	*MemStore
-	dims atomic.Int64
+	dims     atomic.Int64
+	searches atomic.Int64
 }
 
 func (s *countingStore) Dim() int {
 	s.dims.Add(1)
 	return s.MemStore.Dim()
+}
+
+func (s *countingStore) SearchKCtx(ctx context.Context, q *uncertain.Object, op core.Operator, k int, opts core.SearchOptions) (*core.Result, error) {
+	s.searches.Add(1)
+	return s.MemStore.SearchKCtx(ctx, q, op, k, opts)
 }
 
 // scriptedBackend answers every search with the one object it holds as its
@@ -318,7 +324,8 @@ func TestDoorBodyAliasFollowsEntry(t *testing.T) {
 			c := newResultCache(1 << 20)
 			key := canonicalKey(testQuery(rand.New(rand.NewSource(81)), 50), core.PSD, 2, geom.Euclidean, core.AllFilters)
 			_, e, _ := c.lookup(key, 5)
-			c.land(e, &core.Result{}, nil, new(core.AnswerShield), 10, "body", nil, nil, 0)
+			res := &core.Result{}
+			c.land(e, res, nil, &kept{res: res, shield: new(core.AnswerShield), base: 5, bytes: 10}, "body")
 			if res, _, _ := c.repeat([]byte("body"), 5, 10); res == nil {
 				t.Fatal("a current entry was not found by its alias")
 			}

@@ -66,34 +66,39 @@ type entry struct {
 	tag uint64
 	// done is closed by the leader once res and err are final; lookup hands
 	// it to every waiter, which then reads them through answer. A kept
-	// entry drops it. res is served verbatim on a hit (callers treat
-	// results as immutable — the HTTP layer already does); a repair
-	// replaces it under the shard lock.
+	// entry drops it.
 	done chan struct{}
-	res  *core.Result
 	err  error
-	// Set when the answer is kept: its cost against the byte budget, the
-	// shield that answers "can this insert change it?", the ID signature
-	// that answers most deletes (bit id&63 per candidate and per out
-	// member; a set bit sends the delete to their IDs), its LRU list
-	// node — nil while pending — and the body of the /query that filled
-	// it, if one did.
-	bytes  int64
+	// kept is the answer once kept; while the entry is pending only res is
+	// set, by the leader's land.
+	kept
+	// Set when the answer is kept: the ID signature that answers most
+	// deletes (bit id&63 per candidate and per out member; a set bit sends
+	// the delete to their IDs), its LRU list node — nil while pending —
+	// and the body of the /query that filled it, if one did.
+	sig   uint64
+	elem  *list.Element
+	alias string
+}
+
+// kept is what a kept answer holds, built by the fill (Door.SearchBody)
+// and by a repair (Door.rebuild) and installed by keepLocked. res is served
+// verbatim on a hit (callers treat results as immutable — the HTTP layer
+// already does); shield answers "can this insert change it?"; bytes is its
+// cost against the byte budget (entryCost). The rest is the repair basis
+// (repair.go): the tracked set — the answer's candidates and out, the
+// other tracked objects, with outDom their exact dominator counts over
+// it — which with the live inserts logged after epoch base holds the
+// (k+spare)-skyband of the dataset at base, less the objects deleted
+// since, and every live object inserted since.
+type kept struct {
+	res    *core.Result
 	shield *core.AnswerShield
-	sig    uint64
-	elem   *list.Element
-	alias  string
-	// The repair basis (repair.go): the tracked set — the answer's
-	// candidates and out, the other tracked objects, with outDom their
-	// exact dominator counts over it — which with the inserts logged after
-	// epoch folded holds the (k+spare)-skyband of the dataset at epoch base,
-	// less the objects deleted since, and every live object inserted since.
-	// joined marks an answer holding an object inserted after base.
-	base, folded uint64
-	out          []*uncertain.Object
-	outDom       []int32
-	spare        int32
-	joined       bool
+	out    []*uncertain.Object
+	outDom []int32
+	spare  int32
+	base   uint64
+	bytes  int64
 }
 
 // idBit is an object id's bit in an entry's ID signature.
@@ -103,14 +108,12 @@ func idBit(id int) uint64 { return 1 << (uint(id) & 63) }
 type verdict uint8
 
 // The mutation cannot change the answer (keep), or it may and the entry is
-// rebuilt (repair.go), or it may and the entry cannot be rebuilt (evict),
-// or it may and a step could rebuild the entry but the door has forgotten
-// an insert since its base (fallback).
+// rebuilt (repair.go) — which evicts it when its basis turns out unable to
+// — or it may and the basis cannot rebuild it (evict).
 const (
 	keep verdict = iota
 	repair
 	evict
-	fallback
 )
 
 // verdictOn decides what m does to this kept answer. A delete of a tracked
@@ -124,14 +127,14 @@ func (e *entry) verdictOn(m mutation) verdict {
 			return keep
 		}
 		if m.born > e.base || e.spare > 0 {
-			return e.repairable(m)
+			return repair
 		}
 		return evict
 	}
 	if e.shield.ShieldsInsert(m.mbr) {
 		return keep
 	}
-	return e.repairable(m)
+	return repair
 }
 
 // holds reports whether id is one of the answer's candidates or out
@@ -146,15 +149,6 @@ func (e *entry) holds(id int) bool {
 		}
 	}
 	return false
-}
-
-// repairable is repair while the door still tracks every insert since the
-// entry's base, fallback once it has forgotten one.
-func (e *entry) repairable(m mutation) verdict {
-	if e.base < m.floor {
-		return fallback
-	}
-	return repair
 }
 
 // cacheShard is one lock-striped slice of the table.
@@ -300,14 +294,12 @@ func (c *resultCache) repeat(body []byte, epoch uint64, n int) (*core.Result, co
 	return res, op, k
 }
 
-// land publishes the leader's outcome to the entry's waiters and keeps the
-// answer when shield is non-nil — the door builds one only for a complete
-// answer whose cost fits the budget — and the entry is still the table's;
-// a non-empty alias is then the body that now finds it. The kept answer
-// with out, whose counts outDom holds, is its repair basis, holding its
-// (k+spare)-skyband, at the epoch the entry was admitted at. Otherwise the
+// land publishes the leader's outcome to the entry's waiters and keeps k
+// when it is non-nil — the door builds one only for a complete answer res
+// whose cost fits the budget — and the entry is still the table's; a
+// non-empty alias is then the body that now finds it. Otherwise the
 // pending entry leaves the table.
-func (c *resultCache) land(e *entry, res *core.Result, err error, shield *core.AnswerShield, cost int64, alias string, out []*uncertain.Object, outDom []int32, spare int) {
+func (c *resultCache) land(e *entry, res *core.Result, err error, k *kept, alias string) {
 	sh := &c.shards[shardOf(e.key, cacheShards)]
 	sh.mu.Lock()
 	e.res, e.err = res, err
@@ -316,14 +308,11 @@ func (c *resultCache) land(e *entry, res *core.Result, err error, shield *core.A
 	case sh.entries[e.key] != e:
 		// A sweep dropped it, or a later lookup replaced it: the answer
 		// may straddle a mutation and is not kept.
-	case shield == nil:
+	case k == nil:
 		delete(sh.entries, e.key)
 	default:
-		e.bytes, e.shield, e.base, e.folded, e.done = cost, shield, e.tag, e.tag, nil
-		e.out, e.outDom, e.spare = out, outDom, int32(spare)
-		e.sig = signature(res.Candidates, out)
+		e.done = nil
 		e.elem = sh.lru.PushFront(e)
-		sh.bytes += cost
 		if alias != "" {
 			e.alias = alias
 			as := &c.aliases[shardOf(alias, cacheShards)]
@@ -331,11 +320,22 @@ func (c *resultCache) land(e *entry, res *core.Result, err error, shield *core.A
 			as.entries[alias] = e
 			as.mu.Unlock()
 		}
-		c.trimLocked(sh)
+		c.keepLocked(sh, e, k)
 		c.fills.Add(1)
 	}
 	sh.mu.Unlock()
 	close(done)
+}
+
+// keepLocked makes k e's kept answer — its record, its ID signature and
+// its share of the shard's bytes — then trims the shard to its budget,
+// which may evict e itself. The caller holds the shard lock, and e is in
+// the LRU list.
+func (c *resultCache) keepLocked(sh *cacheShard, e *entry, k *kept) {
+	sh.bytes += k.bytes - e.bytes
+	e.kept = *k
+	e.sig = signature(k.res.Candidates, k.out)
+	c.trimLocked(sh)
 }
 
 // signature is the ID signature of an answer's candidates and out members.
@@ -377,14 +377,12 @@ func (c *resultCache) removeLocked(sh *cacheShard, e *entry) {
 
 // mutation describes one committed dataset change for the sweep: the
 // deleted id, or the inserted object's MBR. born is the epoch the deleted
-// object's insert published, if the door still tracks it (0 if not), and
-// floor the door's insert-tracking floor (insertLog).
+// object's insert published, if the door still tracks it (0 if not).
 type mutation struct {
 	delete bool
 	id     int
 	mbr    geom.Rect
 	born   uint64
-	floor  uint64
 }
 
 // sweep walks every entry once: pending entries and entries whose tag is
@@ -422,9 +420,6 @@ func (c *resultCache) sweep(m mutation, newTag uint64) {
 				e.tag = newTag
 			case repair:
 				c.queue = append(c.queue, e)
-			case fallback:
-				c.repairFallbacks.Add(1)
-				fallthrough
 			case evict:
 				c.removeLocked(sh, e)
 				c.invalidations.Add(1)
@@ -434,30 +429,25 @@ func (c *resultCache) sweep(m mutation, newTag uint64) {
 	}
 }
 
-// install puts a repaired answer r into e and re-tags it newTag, or, with
-// r nil, evicts e as a repair fallback — either only while e is still the
-// table's: it may have left since the sweep queued it.
-func (c *resultCache) install(e *entry, r *repaired, newTag uint64) {
+// install makes k, a repaired answer, e's kept answer re-tagged newTag,
+// or, with k nil, evicts e as a repair fallback — either only while e is
+// still the table's: it may have left since the sweep queued it.
+func (c *resultCache) install(e *entry, k *kept, newTag uint64) {
 	sh := &c.shards[shardOf(e.key, cacheShards)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if sh.entries[e.key] != e {
 		return
 	}
-	if r == nil {
+	if k == nil {
 		c.removeLocked(sh, e)
 		c.invalidations.Add(1)
 		c.repairFallbacks.Add(1)
 		return
 	}
-	sh.bytes += r.cost - e.bytes
-	e.res, e.shield, e.bytes = r.res, r.shield, r.cost
-	e.out, e.outDom, e.spare, e.joined = r.out, r.outDom, r.spare, r.joined
-	e.base, e.folded = r.base, r.folded
-	e.sig = signature(r.res.Candidates, r.out)
 	e.tag = newTag
 	c.repairs.Add(1)
-	c.trimLocked(sh)
+	c.keepLocked(sh, e, k)
 }
 
 // stats snapshots the counters; Entries counts kept answers only.

@@ -14,7 +14,7 @@ import (
 func (c *resultCache) get(key Key, epoch uint64) (*core.Result, bool) {
 	res, e, wait := c.lookup(key, epoch)
 	if res == nil && wait == nil {
-		c.land(e, nil, errStaged, nil, 0, "", nil, nil, 0)
+		c.land(e, nil, errStaged, nil, "")
 	}
 	return res, res != nil
 }
@@ -24,7 +24,7 @@ func (c *resultCache) put(key Key, res *core.Result, cost int64, shield *core.An
 		shield = new(core.AnswerShield)
 	}
 	if hit, e, wait := c.lookup(key, tag); hit == nil && wait == nil {
-		c.land(e, res, nil, shield, cost, "", nil, nil, 0)
+		c.land(e, res, nil, &kept{res: res, shield: shield, base: tag, bytes: cost}, "")
 	}
 }
 

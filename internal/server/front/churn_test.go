@@ -19,10 +19,10 @@ import (
 // again: the answer must equal a fresh search on the store candidate for
 // candidate (IDs, order, MinDist bits, Dominators), and every kept entry's
 // answer must equal core.MergeShardBands over the union its basis stands
-// for — its tracked objects and the inserts logged since it last folded
-// them. The walk must spend a basis's spare, outlive the 256-insert log
-// (so some repair falls back) and lift into an answer an insert its shield
-// passed over, once that insert's dominators are deleted.
+// for — its tracked objects and the inserts logged since its base. The
+// walk must spend a basis's spare, outlive the 256-insert log (so some
+// repair falls back) and lift into an answer an insert its shield passed
+// over, once that insert's dominators are deleted.
 func TestDoorChurnWalk(t *testing.T) {
 	if testing.Short() {
 		t.Skip("a 1 000-write walk")
@@ -134,7 +134,7 @@ func TestDoorChurnWalk(t *testing.T) {
 				if b := snap[i]; b.e == e && e.spare < b.spare {
 					spent++
 				}
-				union := [][]*uncertain.Object{tracked(e), d.inserts.since(e.folded)}
+				union := [][]*uncertain.Object{tracked(e), d.inserts.since(e.base)}
 				merged, err := core.MergeShardBands(context.Background(), h.q, h.op, h.k, h.opts, union)
 				if err != nil {
 					t.Fatal(err)

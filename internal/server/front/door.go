@@ -127,7 +127,8 @@ func (d *Door) SearchBody(ctx context.Context, body []byte, q *uncertain.Object,
 	// The lookup is tagged with the clock as of *before* the search, so a
 	// mutation landing mid-search drops the entry rather than keep an
 	// answer that may be stale.
-	res, e, wait := d.cache.lookup(key, d.epoch.Load())
+	epoch := d.epoch.Load()
+	res, e, wait := d.cache.lookup(key, epoch)
 	switch {
 	case res != nil:
 		return res, nil
@@ -150,24 +151,20 @@ func (d *Door) SearchBody(ctx context.Context, body []byte, q *uncertain.Object,
 	res, err := d.inner.SearchKCtx(ctx, q, op, k, opts)
 	// Only a complete answer that fits the budget is kept: a degraded one
 	// (quarantined pages skipped) is already flagged best-effort, and the
-	// pages may heal.
-	var shield *core.AnswerShield
-	var cost int64
+	// pages may heal. Its basis is at the epoch the entry was admitted at.
+	var kp *kept
 	var alias string
-	var out []*uncertain.Object
-	var outDom []int32
-	var spare int
 	if err == nil && res != nil && !res.Incomplete && d.cache.budget > 0 {
 		res.Candidates = exact(res.Candidates)
-		out, outDom, spare = d.widen(ctx, q, op, k, opts, res)
-		shield = core.NewAnswerShield(q, res.Operator, m, k, res.Candidates)
-		if cost = entryCost(key, len(body), res, shield, out, outDom); cost <= d.cache.budget {
+		kp = &kept{res: res, shield: core.NewAnswerShield(q, res.Operator, m, k, res.Candidates), base: epoch}
+		kp.out, kp.outDom, kp.spare = d.widen(ctx, q, op, k, opts, res)
+		if kp.bytes = entryCost(key, len(body), kp); kp.bytes <= d.cache.budget {
 			alias = string(body) // the caller reuses its buffer
 		} else {
-			shield = nil
+			kp = nil
 		}
 	}
-	d.cache.land(e, res, err, shield, cost, alias, out, outDom, spare)
+	d.cache.land(e, res, err, kp, alias)
 	return res, err
 }
 
@@ -197,9 +194,9 @@ func exact(cands []core.Candidate) []core.Candidate {
 // entryCost sizes a kept entry from what it retains: its key, its alias,
 // the answer with the capacity of its candidate slice, the shield, and the
 // out members of its repair basis with their counts.
-func entryCost(key Key, alias int, res *core.Result, shield *core.AnswerShield, out []*uncertain.Object, outDom []int32) int64 {
-	return int64(len(key)+alias) + entryBytes + resultBytes + int64(cap(res.Candidates))*candidateBytes +
-		shield.Bytes() + int64(cap(out))*pointerBytes + int64(cap(outDom))*countBytes
+func entryCost(key Key, alias int, k *kept) int64 {
+	return int64(len(key)+alias) + entryBytes + resultBytes + int64(cap(k.res.Candidates))*candidateBytes +
+		k.shield.Bytes() + int64(cap(k.out))*pointerBytes + int64(cap(k.outDom))*countBytes
 }
 
 // --- mutation interception ----------------------------------------------------
@@ -252,7 +249,6 @@ func (d *Door) Delete(id int) (bool, error) {
 // advance runs the sweep-repair-publish step; the caller holds mutMu.
 func (d *Door) advance(m mutation) {
 	next := d.epoch.Load() + 1
-	m.floor = d.inserts.floor
 	d.cache.sweep(m, next)
 	d.repairQueued(m, next)
 	d.epoch.Store(next)

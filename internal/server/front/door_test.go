@@ -402,7 +402,8 @@ func TestCacheLookupKeepsEntriesTaggedAhead(t *testing.T) {
 	c := newResultCache(1 << 20)
 	key := canonicalKey(testQuery(rand.New(rand.NewSource(11)), 50), core.PSD, 2, geom.Euclidean, core.AllFilters)
 	_, e, _ := c.lookup(key, 6)
-	c.land(e, &core.Result{}, nil, new(core.AnswerShield), 10, "body", nil, nil, 0)
+	res := &core.Result{}
+	c.land(e, res, nil, &kept{res: res, shield: new(core.AnswerShield), base: 6, bytes: 10}, "body")
 	c.sweep(mutation{delete: true, id: 1}, 7) // touches nothing
 	if _, ok := c.get(key, 6); !ok {
 		t.Fatal("a reader one epoch behind missed an entry the sweep proved current")

@@ -326,13 +326,23 @@ func TestCapabilityUnwrapThroughDoor(t *testing.T) {
 }
 
 // The serving gate: N distinct P-SD k=4 queries through the whole stack
-// (Handler → Server → Door → MemStore), then the same N replayed. Nothing
-// may error, every replay must be a cache hit that reproduces the miss's
-// bytes, and the replay pass must run at least 3× faster than the first —
-// a hit skips the engine entirely, so the ratio holds on any machine.
+// (Handler → Server → Door → MemStore), then the same N replayed several
+// times. Nothing may error, every replay must be a cache hit that
+// reproduces the miss's bytes and runs no search below the door, and the
+// fastest replay pass must run at least 3× faster than the first — a hit
+// skips the engine entirely, so the ratio holds on any machine; the
+// fastest of several passes is the one a busy machine disturbed least.
 func TestCachedReplayBeatsUncached(t *testing.T) {
-	const n = 48
-	h, _, door, _ := newStack(t, 30, 1500, Config{MaxInFlight: -1})
+	const n, replays = 48, 5
+	ms, err := NewMemStore(testObjects(rand.New(rand.NewSource(30)), 1500, 4, 50))
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := &countingStore{MemStore: ms}
+	door := NewDoor(store, DoorConfig{})
+	srv := server.NewBackend(door)
+	h := NewHandler(srv, door, Config{MaxInFlight: -1})
+	srv.SetFront(h)
 	rng := rand.New(rand.NewSource(31))
 	bodies := make([]string, n)
 	for i := range bodies {
@@ -352,20 +362,29 @@ func TestCachedReplayBeatsUncached(t *testing.T) {
 	}
 
 	misses, cold := pass()
-	if s := door.Stats().Cache; s.Hits != 0 || s.Misses != n {
-		t.Fatalf("first pass: %d hits, %d misses, want 0 and %d", s.Hits, s.Misses, n)
+	if s := door.Stats().Cache; s.Hits != 0 || s.Misses != n || store.searches.Load() != n {
+		t.Fatalf("first pass: %d hits, %d misses, %d searches, want 0, %d and %d", s.Hits, s.Misses, store.searches.Load(), n, n)
 	}
-	hits, hot := pass()
-	if got := door.Stats().Cache.Hits; got != n {
-		t.Fatalf("replay: %d cache hits, want %d", got, n)
-	}
-	for i := range hits {
-		if hits[i] != misses[i] {
-			t.Fatalf("query %d: hit body differs from miss body\nhit  %s\nmiss %s", i, hits[i], misses[i])
+	var hot time.Duration
+	for r := 0; r < replays; r++ {
+		hits, took := pass()
+		for i := range hits {
+			if hits[i] != misses[i] {
+				t.Fatalf("replay %d, query %d: hit body differs from miss body\nhit  %s\nmiss %s", r, i, hits[i], misses[i])
+			}
+		}
+		if r == 0 || took < hot {
+			hot = took
 		}
 	}
-	if hot*3 > cold {
-		t.Fatalf("replay took %v, first pass %v: cached answers are not 3x faster", hot, cold)
+	if got := door.Stats().Cache.Hits; got != replays*n {
+		t.Fatalf("replays: %d cache hits, want %d", got, replays*n)
 	}
-	t.Logf("first pass %v, replay %v (%.0fx)", cold, hot, float64(cold)/float64(hot))
+	if got := store.searches.Load() - n; got != 0 {
+		t.Fatalf("the replays ran %d searches below the door", got)
+	}
+	if hot*3 > cold {
+		t.Fatalf("fastest replay took %v, first pass %v: cached answers are not 3x faster", hot, cold)
+	}
+	t.Logf("first pass %v, fastest of %d replays %v (%.0fx)", cold, replays, hot, float64(cold)/float64(hot))
 }

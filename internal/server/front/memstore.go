@@ -13,6 +13,7 @@ package front
 
 import (
 	"context"
+	"slices"
 	"sync"
 
 	"spatialdom/internal/core"
@@ -73,11 +74,13 @@ func (s *MemStore) Delete(id int) (bool, error) {
 	return s.idx.Delete(id), nil
 }
 
-// Objects and Object implement server.ObjectLister.
+// Objects and Object implement server.ObjectLister. Objects is a copy
+// made under the read lock: the index's own slice is rearranged in place
+// by every delete.
 func (s *MemStore) Objects() []*uncertain.Object {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.idx.Objects()
+	return slices.Clone(s.idx.Objects())
 }
 
 func (s *MemStore) Object(id int) *uncertain.Object {

@@ -38,8 +38,9 @@ package front
 // core.StepRejects finds outside the answer, is not folded then: k tracked
 // objects dominate it, so it changes no candidate and no candidate's count,
 // and it waits in the log. Only out counts miss it, and the next delete
-// repair folds every insert logged after folded before it lowers a count;
-// an insert repair folds only its own object.
+// repair folds, before it lowers a count, every insert logged after base
+// that the entry does not track; an insert repair folds only its own
+// object.
 //
 // A fill's basis is its own answer, with no spare — unless that answer
 // holds objects the door inserted, which insert-then-delete churn deletes
@@ -55,14 +56,15 @@ package front
 // table's. The entry is evicted instead when
 //
 //   - a delete takes a member of B with no spare left: objects outside U
-//     may lift into the k-skyband;
+//     may lift into the k-skyband (the sweep decides this one);
 //   - two tracked objects have one MinDist (core.StepBand's tied): a search
 //     emits two candidates at one key in heap order, which neither the step
 //     nor a merge over U knows, and under F-SD and F+SD two objects at equal
 //     distances dominate each other, which the transitivity argument above
 //     does not cover;
 //   - its base is older than an insert the log has forgotten (it holds
-//     maxInserts), or its key names a metric the door cannot rebuild.
+//     maxInserts), so I is no longer known, or its key names a metric the
+//     door cannot rebuild — Door.rebuild decides these before it steps.
 //
 // A repair rebases an entry — its answer becomes its whole basis, at the
 // repair's epoch — once the spare is spent and no candidate is an insert
@@ -87,7 +89,7 @@ const maxInserts = 256
 // is the epoch of the newest insert dropped to keep the bound: every insert
 // after floor is still in the log, or deleted. Only the holder of the
 // door's mutation mutex changes the log, under mu; fills read it under mu,
-// repairs under the mutation mutex alone.
+// and repairs, which hold the mutation mutex, may read it without.
 type insertLog struct {
 	mu    sync.Mutex
 	objs  []*uncertain.Object
@@ -128,28 +130,18 @@ func (l *insertLog) remove(id int) uint64 {
 	return born
 }
 
-// count is how many of cands the log holds.
-func (l *insertLog) count(cands []core.Candidate) int {
+// after is how many of cands the log holds inserted after epoch; after
+// epoch 0, how many it holds at all.
+func (l *insertLog) after(cands []core.Candidate, epoch uint64) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	n := 0
 	for _, c := range cands {
-		if _, ok := l.at[c.Object.ID()]; ok {
+		if l.at[c.Object.ID()] > epoch {
 			n++
 		}
 	}
 	return n
-}
-
-// after reports whether the log holds one of cands inserted after epoch.
-// The caller holds the door's mutation mutex.
-func (l *insertLog) after(cands []core.Candidate, epoch uint64) bool {
-	for _, c := range cands {
-		if l.at[c.Object.ID()] > epoch {
-			return true
-		}
-	}
-	return false
 }
 
 // since is the logged objects inserted after epoch.
@@ -165,8 +157,8 @@ func (l *insertLog) since(epoch uint64) []*uncertain.Object {
 // candidates at one MinDist, which its next step could not take (see
 // core.StepBand). The search runs under the fill's pending entry, so a
 // write between it and the fill keeps neither.
-func (d *Door) widen(ctx context.Context, q *uncertain.Object, op core.Operator, k int, opts core.SearchOptions, res *core.Result) (out []*uncertain.Object, outDom []int32, spare int) {
-	s := d.inserts.count(res.Candidates)
+func (d *Door) widen(ctx context.Context, q *uncertain.Object, op core.Operator, k int, opts core.SearchOptions, res *core.Result) (out []*uncertain.Object, outDom []int32, spare int32) {
+	s := d.inserts.after(res.Candidates, 0)
 	if s == 0 {
 		return nil, nil, 0
 	}
@@ -181,20 +173,7 @@ func (d *Door) widen(ctx context.Context, q *uncertain.Object, op core.Operator,
 			outDom = append(outDom, int32(c.Dominators))
 		}
 	}
-	return out, outDom, s
-}
-
-// repaired is a stepped answer with its new basis, ready to install.
-type repaired struct {
-	res    *core.Result
-	shield *core.AnswerShield
-	out    []*uncertain.Object
-	outDom []int32
-	spare  int32
-	joined bool
-	base   uint64
-	folded uint64
-	cost   int64
+	return out, outDom, int32(s)
 }
 
 // repairQueued rebuilds every entry the sweep for m queued and installs
@@ -209,55 +188,65 @@ func (d *Door) repairQueued(m mutation, newTag uint64) {
 	c.queue = c.queue[:0]
 }
 
-// rebuild steps e's tracked set by m, and returns the answer at newTag, re-shielded and sized,
-// with its new basis. It is nil when that answer cannot be trusted to be
-// the fresh search's (see the file header).
+// rebuild steps e's tracked set by m, and returns the kept answer at
+// newTag, re-shielded and sized, with its new basis. It is nil when that
+// answer cannot be trusted to be the fresh search's (see the file header):
+// the key names a metric the door cannot rebuild, the step is tied, or the
+// log has forgotten an insert since the base, so the inserts the basis
+// stands for are no longer known.
 //
 // An insert repair folds in m's object alone, and not even that when
 // core.StepRejects finds it outside the answer. Each insert the shield
-// passed over since the entry last folded, or StepRejects did, has k
-// dominators among the tracked objects, which stay tracked until a delete
-// repair folds it, so it is outside the answer and dominates no candidate;
-// only out counts wait for it. A delete repair folds them all
-// before the delete lowers a count.
-func (d *Door) rebuild(e *entry, m mutation, newTag uint64) *repaired {
+// passed over, or StepRejects did, has k dominators among the tracked
+// objects, which stay tracked until a delete repair folds it, so it is
+// outside the answer and dominates no candidate; only out counts wait for
+// it. A delete repair folds them all before the delete lowers a count.
+func (d *Door) rebuild(e *entry, m mutation, newTag uint64) *kept {
 	q, op, k, opts, ok := e.key.query()
-	if !ok {
+	if !ok || e.base < d.inserts.floor {
 		return nil
 	}
-	r := &repaired{res: e.res, shield: e.shield, out: e.out, outDom: e.outDom, spare: e.spare,
-		joined: e.joined, base: e.base, folded: e.folded}
+	r := e.kept
 	// An insert outside the answer, with k tracked dominators, waits
 	// unfolded, as if the shield had passed it over.
 	if m.delete || !core.StepRejects(q, op, k, opts, e.res.Candidates, d.inserts.since(newTag - 1)[0]) {
-		if !d.step(e, m, newTag, q, op, k, opts, r) {
+		if !d.step(e, m, newTag, q, op, k, opts, &r) {
 			return nil
 		}
 	}
 	// With no spare left, a delete of a member of the basis evicts; so
 	// unless a candidate is an insert since the base, whose delete repairs,
 	// nothing can lift out a member, and the answer is a basis of its own.
-	if !r.joined && r.spare == 0 {
-		r.base, r.folded, r.out, r.outDom = newTag, newTag, nil, nil
+	// The base is at or above the log's floor, so the log names every such
+	// insert that is still live.
+	if r.spare == 0 && d.inserts.after(r.res.Candidates, e.base) == 0 {
+		r.base, r.out, r.outDom = newTag, nil, nil
 	}
 	if r.res != e.res {
 		r.res.Candidates = exact(r.res.Candidates)
 		r.shield = core.NewAnswerShield(q, op, opts.Metric, k, r.res.Candidates)
 	}
-	r.cost = entryCost(e.key, len(e.alias), r.res, r.shield, r.out, r.outDom)
-	return r
+	r.bytes = entryCost(e.key, len(e.alias), &r)
+	return &r
 }
 
 // step folds m into r, e's basis, by core.StepBand: m's object joins or
 // leaves, and a delete also folds every insert still unfolded. It is false
 // when the stepped band is tied.
-func (d *Door) step(e *entry, m mutation, newTag uint64, q *uncertain.Object, op core.Operator, k int, opts core.SearchOptions, r *repaired) bool {
+//
+// The unfolded inserts are the live ones logged after the base that e does
+// not hold. A delete repair folds every insert logged after the base into
+// the tracked set, and nothing but the insert's own delete takes it out
+// again — a drop only ever removes the deleted object, and a rebase moves
+// the base past it — so every live insert logged after the base that an
+// earlier delete repair saw is tracked.
+func (d *Door) step(e *entry, m mutation, newTag uint64, q *uncertain.Object, op core.Operator, k int, opts core.SearchOptions, r *kept) bool {
 	var drop []int
 	adds := d.inserts.since(newTag - 1)
 	if m.delete {
 		drop = []int{m.id}
-		adds, r.folded = nil, newTag
-		for _, o := range d.inserts.since(e.folded) {
+		adds = nil
+		for _, o := range d.inserts.since(e.base) {
 			if !e.holds(o.ID()) {
 				adds = append(adds, o)
 			}
@@ -268,7 +257,6 @@ func (d *Door) step(e *entry, m mutation, newTag uint64, q *uncertain.Object, op
 	}
 	band, res, tied := core.StepBand(q, op, k, opts, core.TrackedBand{Answer: e.res.Candidates, Out: e.out, OutDominators: e.outDom}, adds, drop)
 	r.res, r.out, r.outDom = res, band.Out, band.OutDominators
-	r.joined = d.inserts.after(res.Candidates, e.base)
 	return !tied
 }
 
