@@ -709,7 +709,8 @@ func BenchmarkCommit(b *testing.B) {
 // anti-correlated and a HOUSE-like dataset in turn (fixed seed). At these
 // sizes S-SD's and SS-SD's scans run over |Q|·m atoms and P-SD's transport
 // is |hull| × m wide, which no m = 10 benchmark reaches. It reports the
-// dominance counters per query and a digest of every query's candidate
+// dominance counters and the examined objects per query (S-SD's mass
+// prunes among them) and a digest of every query's candidate
 // IDs, so a change to the kernels can show the answers did not move; it
 // fails if P-SD at m_d = 40 makes no flow solve, the sign that the
 // benchmark has left the regime it was sized for. The datasets are
@@ -736,11 +737,14 @@ func BenchmarkTable2(b *testing.B) {
 					}
 				}
 				var st core.Stats
+				examined := 0
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					d := sets[i%len(sets)]
-					st.Add(searchK(d.idx, d.queries[i/len(sets)%len(d.queries)], op, 1, opts).Stats)
+					res := searchK(d.idx, d.queries[i/len(sets)%len(d.queries)], op, 1, opts)
+					st.Add(res.Stats)
+					examined += res.Examined
 				}
 				b.StopTimer()
 				if op == PSD && md == 40 && st.FlowSolves == 0 {
@@ -751,6 +755,8 @@ func BenchmarkTable2(b *testing.B) {
 				perQuery(st.CoverValidations, "cover-validations/query")
 				perQuery(st.IsolationPrunes, "isolation-prunes/query")
 				perQuery(st.ScanPrunes, "scan-prunes/query")
+				perQuery(st.MassPrunes, "mass-prunes/query")
+				perQuery(int64(examined), "examined/query")
 				b.ReportMetric(float64(h.Sum32()), "candidate-digest")
 			})
 		}

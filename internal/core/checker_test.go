@@ -381,11 +381,11 @@ func TestOperatorString(t *testing.T) {
 func TestStatsAdd(t *testing.T) {
 	a := Stats{InstanceComparisons: 1, DominanceChecks: 2, StatPrunes: 4,
 		FlowSolves: 6, HeapPops: 7, EntryPrunes: 8, ScanPrunes: 9, ObjectPrunes: 10,
-		CoverValidations: 11, IsolationPrunes: 12}
+		CoverValidations: 11, IsolationPrunes: 12, MassPrunes: 13}
 	b := a
 	a.Add(b)
 	if a.InstanceComparisons != 2 || a.EntryPrunes != 16 || a.FlowSolves != 12 || a.ScanPrunes != 18 || a.ObjectPrunes != 20 ||
-		a.CoverValidations != 22 || a.IsolationPrunes != 24 {
+		a.CoverValidations != 22 || a.IsolationPrunes != 24 || a.MassPrunes != 26 {
 		t.Fatalf("Add wrong: %+v", a)
 	}
 }

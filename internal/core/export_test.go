@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 
+	"spatialdom/internal/distr"
 	"spatialdom/internal/geom"
 	"spatialdom/internal/uncertain"
 )
@@ -26,7 +27,8 @@ func RectDominator(q *uncertain.Object, op Operator, cfg FilterConfig, m geom.Me
 // at every hull query instance q, u's largest distance to q over its
 // positive-mass instances (the metric's Dist, which is the summary's
 // distance term for term) is at most r's near distance from q
-// (MinDistRect), strictly at one — distances, never squares.
+// (MinDistRect), strictly at one — distances, never squares. Under S-SD a
+// member that fails that row still dominates r by massBelowNear.
 func entryDominates(c *Checker, u *uncertain.Object, r geom.Rect) bool {
 	if c.op == FPlusSD {
 		dom, _ := c.dominates(u.MBR(), r)
@@ -42,8 +44,42 @@ func entryDominates(c *Checker, u *uncertain.Object, r geom.Rect) bool {
 			}
 		}
 		if !within(far, c.metric.MinDistRect(q, r), &strict) {
-			return false
+			strict = false
+			break
 		}
 	}
-	return strict
+	return strict || c.op == SSD && massBelowNear(c, u, r)
+}
+
+// massBelowNear is S-SD's mass test from its definition: N_r, the near
+// distance from every query instance weighted by its probability
+// (distr.FromPairs, which drops zero masses), and u's U_Q. U_Q's largest
+// positive value is at most N_r's; at every value of either, U_Q's CDF is
+// at least N_r's less MassBound(|U_Q|)/2; and some atom of U_Q below N_r's
+// least value carries more than massWitness.
+func massBelowNear(c *Checker, u *uncertain.Object, r geom.Rect) bool {
+	q := c.query
+	atoms := make([]distr.Pair, q.Len())
+	for j := range atoms {
+		atoms[j] = distr.Pair{Dist: c.metric.MinDistRect(q.Instance(j), r), Prob: q.Prob(j)}
+	}
+	n := distr.MustFromPairs(atoms)
+	su := c.summaryOf(u)
+	uq := c.distQ(su)
+	if su.stat.Max > n.Max() {
+		return false
+	}
+	tol := uncertain.MassBound(uq.Len()) / 2
+	witness := false
+	for _, a := range uq.Pairs() {
+		witness = witness || a.Dist < n.Min() && a.Prob > massWitness
+	}
+	for _, d := range []distr.Distribution{uq, n} {
+		for _, a := range d.Pairs() {
+			if uq.CDF(a.Dist) < n.CDF(a.Dist)-tol {
+				return false
+			}
+		}
+	}
+	return witness
 }

@@ -170,16 +170,22 @@ type Stats struct {
 	FlowSolves int64
 	// HeapPops and EntryPrunes instrument Algorithm 1: items popped off the
 	// search heap, and tree nodes discarded because k candidates dominate
-	// their MBR. The search stops at the band's radius with every item left
-	// dominated, so HeapPops counts only the items before that point, while
-	// the nodes left unpopped are in EntryPrunes.
+	// their MBR — by their F-SD rows or, under S-SD, by the mass test
+	// against the MBR's near distribution (band.dominatesRect). The search
+	// stops at the band's radius with every item left dominated, so
+	// HeapPops counts only the items before that point, while the nodes
+	// left unpopped are in EntryPrunes.
 	HeapPops    int64
 	EntryPrunes int64
-	// ObjectPrunes counts object entries discarded the same way, before the
-	// object was resolved, whether popped or left in the heap at the
+	// ObjectPrunes counts object entries discarded by the same test, before
+	// the object was resolved, whether popped or left in the heap at the
 	// radius. Object entries handed out by the backend = ObjectPrunes +
 	// examined objects (+ entries skipped as unreadable in a degraded search).
 	ObjectPrunes int64
+	// MassPrunes is the subset of EntryPrunes and ObjectPrunes whose k-th
+	// dominator came from S-SD's mass test: the F-SD rows alone found fewer
+	// than k (band.massDominates).
+	MassPrunes int64
 }
 
 // Add accumulates other into s.
@@ -194,4 +200,5 @@ func (s *Stats) Add(other Stats) {
 	s.HeapPops += other.HeapPops
 	s.EntryPrunes += other.EntryPrunes
 	s.ObjectPrunes += other.ObjectPrunes
+	s.MassPrunes += other.MassPrunes
 }

@@ -149,6 +149,11 @@ func TestLazyResolveMatchesBruteForce(t *testing.T) {
 //     and L1).
 //   - The same tie where U's distance squared back rounds below the sum it
 //     is the root of: only a comparison of distances sees the tie.
+//
+// In the last three, S-SD prunes V all the same: its mass test weighs each
+// query instance by its probability and U_Q lies below N_r, with U's
+// nearer instance as the witness — in the third only if the tie compares
+// as one (distances again).
 func TestEntryTestEdges(t *testing.T) {
 	obj := func(id int, probs []float64, pts ...geom.Point) *uncertain.Object {
 		return uncertain.MustNew(id, pts, probs)
@@ -164,22 +169,25 @@ func TestEntryTestEdges(t *testing.T) {
 		metrics  []geom.Metric
 		ops      []core.Operator
 		resolved bool // whether V's entry must be resolved
+		// ssdPruned: S-SD's mass test prunes V all the same, because U_Q ≤st
+		// N_r with an atom below it, where the F-SD row keeps V.
+		ssdPruned bool
 	}{
 		{"zero-mass far corner", origin,
 			obj(1, []float64{1, 0}, geom.Point{1, 0}, geom.Point{50, 50}), obj(2, nil, geom.Point{3, 0}),
-			[]geom.Metric{geom.Euclidean, geom.Manhattan}, chain, false},
+			[]geom.Metric{geom.Euclidean, geom.Manhattan}, chain, false, false},
 		{"zero-mass far corner F+SD", origin,
 			obj(1, []float64{1, 0}, geom.Point{1, 0}, geom.Point{50, 50}), obj(2, nil, geom.Point{3, 0}),
-			[]geom.Metric{geom.Euclidean, geom.Manhattan}, []core.Operator{core.FPlusSD}, true},
+			[]geom.Metric{geom.Euclidean, geom.Manhattan}, []core.Operator{core.FPlusSD}, true, false},
 		{"zero-mass hull query instance", obj(0, []float64{1, 0}, geom.Point{0, 0}, geom.Point{100, 0}),
 			obj(1, nil, geom.Point{1, 0}), obj(2, nil, geom.Point{100, 5}),
-			[]geom.Metric{geom.Euclidean}, chain, true},
+			[]geom.Metric{geom.Euclidean}, chain, true, true},
 		{"far equals near", origin,
 			obj(1, nil, geom.Point{1, 0}, geom.Point{5, 0}), obj(2, nil, geom.Point{0, 5}),
-			[]geom.Metric{geom.Euclidean, geom.Manhattan}, chain, true},
+			[]geom.Metric{geom.Euclidean, geom.Manhattan}, chain, true, true},
 		{"far equals near, squared below", origin,
 			obj(1, nil, geom.Point{1, 0}, geom.Point{a, b}), obj(2, nil, geom.Point{b, a}),
-			[]geom.Metric{geom.Euclidean}, chain, true},
+			[]geom.Metric{geom.Euclidean}, chain, true, true},
 	}
 	for _, c := range cases {
 		objs := []*uncertain.Object{c.u, c.v}
@@ -215,8 +223,9 @@ func TestEntryTestEdges(t *testing.T) {
 						t.Fatalf("%s: the entry at %v was left unresolved, but no candidate dominates it", tag, r)
 					}
 				}
-				if vResolved := cb.resolved[core.ObjRef{Obj: c.v}]; vResolved != c.resolved {
-					t.Fatalf("%s: V resolved = %v, want %v", tag, vResolved, c.resolved)
+				want := c.resolved && !(c.ssdPruned && op == core.SSD)
+				if vResolved := cb.resolved[core.ObjRef{Obj: c.v}]; vResolved != want {
+					t.Fatalf("%s: V resolved = %v, want %v", tag, vResolved, want)
 				}
 			}
 		}
