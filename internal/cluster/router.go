@@ -306,7 +306,6 @@ func (rt *Router) encodeQuery(q *uncertain.Object, op core.Operator, k int, opts
 		Operator:   op.String(),
 		K:          k,
 		Metric:     metric,
-		Filters:    server.ShardFiltersFrom(opts.Filters),
 	})
 }
 

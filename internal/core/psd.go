@@ -77,7 +77,7 @@ func (c *Checker) psd(su, sv *objCache) bool {
 }
 
 // matchValidate is rung 7's second witness, P-SD's own: Theorem 1's quantile
-// match of U and V (distr.Match's walk, on instances) along one linear
+// match of U and V (walked over instances, not distances) along one linear
 // extension of ⪯Q, the order of matchOrder. It says "yes" when every tuple
 // has u ⪯Q v exactly, the walk ends on the last instance of both sides —
 // so every instance of positive mass is in an admitted tuple — with at most

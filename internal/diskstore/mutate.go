@@ -82,9 +82,6 @@ func (s *Store) DataPages() []pager.PageID {
 // from before the directory that no append has touched yet).
 func (s *Store) DirPages() []pager.PageID { return slices.Clone(s.dirPages) }
 
-// Tail returns the logical stream length in bytes.
-func (s *Store) Tail() uint64 { return s.tail }
-
 // AppendTx serializes the object into the staged page set of the
 // surrounding transaction and returns its record pointer. The partially
 // filled tail page, if extended, is copy-on-written unless tx owns it;

@@ -381,54 +381,6 @@ func posMax(pairs []Pair) float64 {
 	return math.Inf(-1)
 }
 
-// MatchTuple is one tuple t⟨x, y, p⟩ of a match between two distributions:
-// indices into the sorted atoms plus the shared probability mass.
-type MatchTuple struct {
-	XI, YI int
-	P      float64
-}
-
-// Match constructs the Theorem 1 witness match for X ≤st Y: a match whose
-// every tuple satisfies value(x) <= value(y). ok is false when X ≤st Y does
-// not hold (no such match exists). The construction visits the atoms of both
-// distributions in non-decreasing order, splitting atoms as needed.
-func Match(x, y Distribution) (match []MatchTuple, ok bool) {
-	if !StochasticLE(x, y, nil) {
-		return nil, false
-	}
-	i, j := 0, 0
-	remX := 0.0
-	if len(x.pairs) > 0 {
-		remX = x.pairs[0].Prob
-	}
-	remY := 0.0
-	if len(y.pairs) > 0 {
-		remY = y.pairs[0].Prob
-	}
-	for i < len(x.pairs) && j < len(y.pairs) {
-		m := math.Min(remX, remY)
-		if m > 0 {
-			match = append(match, MatchTuple{XI: i, YI: j, P: m})
-		}
-		remX -= m
-		remY -= m
-		// m == min(remX, remY), so at least one remainder is exactly zero.
-		if remX <= 0 {
-			i++
-			if i < len(x.pairs) {
-				remX = x.pairs[i].Prob
-			}
-		}
-		if remY <= 0 {
-			j++
-			if j < len(y.pairs) {
-				remY = y.pairs[j].Prob
-			}
-		}
-	}
-	return match, true
-}
-
 // String formats the distribution as "{(d1, p1), (d2, p2), ...}".
 func (d Distribution) String() string {
 	s := "{"

@@ -172,64 +172,6 @@ func TestStochasticLECountsComparisons(t *testing.T) {
 	}
 }
 
-// Theorem 1: the match order is equivalent to the usual stochastic order.
-// We verify constructively on random distributions: Match succeeds iff
-// StochasticLE holds, and when it succeeds every tuple has x <= y and the
-// marginals are preserved.
-func TestMatchEquivalentToStochasticOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	randDist := func(n int) Distribution {
-		pairs := make([]Pair, n)
-		total := 0.0
-		for i := range pairs {
-			pairs[i] = Pair{Dist: float64(rng.Intn(20)), Prob: rng.Float64() + 0.01}
-			total += pairs[i].Prob
-		}
-		for i := range pairs {
-			pairs[i].Prob /= total
-		}
-		return MustFromPairs(pairs)
-	}
-	for iter := 0; iter < 2000; iter++ {
-		x := randDist(1 + rng.Intn(8))
-		y := randDist(1 + rng.Intn(8))
-		le := StochasticLE(x, y, nil)
-		m, ok := Match(x, y)
-		if ok != le {
-			t.Fatalf("iter %d: Match ok=%v but StochasticLE=%v", iter, ok, le)
-		}
-		if !ok {
-			continue
-		}
-		// Every tuple respects the order.
-		for _, tp := range m {
-			if x.Pair(tp.XI).Dist > y.Pair(tp.YI).Dist+1e-9 {
-				t.Fatalf("iter %d: tuple value %g > %g", iter, x.Pair(tp.XI).Dist, y.Pair(tp.YI).Dist)
-			}
-			if tp.P <= 0 {
-				t.Fatalf("iter %d: non-positive tuple mass", iter)
-			}
-		}
-		// Marginals are preserved.
-		mx := make([]float64, x.Len())
-		my := make([]float64, y.Len())
-		for _, tp := range m {
-			mx[tp.XI] += tp.P
-			my[tp.YI] += tp.P
-		}
-		for i := range mx {
-			if math.Abs(mx[i]-x.Pair(i).Prob) > 1e-6 {
-				t.Fatalf("iter %d: X marginal %d = %g, want %g", iter, i, mx[i], x.Pair(i).Prob)
-			}
-		}
-		for j := range my {
-			if math.Abs(my[j]-y.Pair(j).Prob) > 1e-6 {
-				t.Fatalf("iter %d: Y marginal %d = %g, want %g", iter, j, my[j], y.Pair(j).Prob)
-			}
-		}
-	}
-}
-
 // Stable aggregate functions (Definition 8): X <=st Y implies min, mean,
 // max, and every quantile are ordered (Theorem 11 pruning rule relies on
 // this).

@@ -135,26 +135,4 @@ func TestQuickQuantileInvertsCDF(t *testing.T) {
 	}
 }
 
-// Match tuples always cover exactly the two marginals when they exist.
-func TestQuickMatchMarginals(t *testing.T) {
-	f := func(a, b rawDist) bool {
-		x, y := a.dist(), b.dist()
-		m, ok := Match(x, y)
-		if !ok {
-			return true
-		}
-		var total float64
-		for _, tp := range m {
-			if tp.P < 0 {
-				return false
-			}
-			total += tp.P
-		}
-		return math.Abs(total-1) < 1e-6
-	}
-	if err := quick.Check(f, quickCfg); err != nil {
-		t.Fatal(err)
-	}
-}
-
 var _ = reflect.TypeOf(rawDist{}) // quick uses reflection on the generator type

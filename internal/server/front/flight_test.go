@@ -161,7 +161,7 @@ func TestDoorLeaderFailureFallsBack(t *testing.T) {
 	if got := be.searches.Load(); got != 1+n {
 		t.Fatalf("backend ran %d searches, want the leader's and one per waiter (%d)", got, 1+n)
 	}
-	if st := d.Stats().Cache; st.Fills != 0 || st.Entries != 0 {
+	if st := d.Stats().Cache; st.Entries != 0 {
 		t.Fatalf("a failed flight left answers behind: %+v", st)
 	}
 }

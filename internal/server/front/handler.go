@@ -3,12 +3,13 @@ package front
 // Handler is the HTTP face of the front door: per-client rate limiting,
 // a global in-flight ceiling, request metrics and GET /metrics — wrapped
 // around the API server (or any http.Handler). Overload policy: shed
-// early, shed cheap. A shed request costs one map lookup and one atomic;
-// it never touches the engine, never queues, and always carries
-// Retry-After so well-behaved clients (cmd/nncclient) back off instead
-// of retrying hot.
+// early, shed cheap. A shed request costs at most one map lookup under
+// one lock and one compare-and-swap; it never touches the engine, never
+// queues, and always carries Retry-After so well-behaved clients
+// (cmd/nncclient) back off instead of retrying hot.
 
 import (
+	"math"
 	"net"
 	"net/http"
 	"runtime"
@@ -20,7 +21,8 @@ import (
 )
 
 // Config tunes a Handler. The zero value enables the global ceiling at
-// its default and disables per-client limiting.
+// its default and disables per-client limiting: no limiter is built and
+// no request is keyed by client.
 type Config struct {
 	// RatePerSec grants each client this many requests per second
 	// (token bucket); <= 0 disables per-client limiting.
@@ -53,21 +55,26 @@ func DefaultMaxInFlight() int {
 type Handler struct {
 	inner   http.Handler
 	door    atomic.Pointer[Door] // nil until attached: shedding/metrics only
-	limiter *rateLimiter
-	gate    *ceiling // nil when ceiling disabled
+	limiter *rateLimiter         // nil when per-client limiting is off
+
+	// inFlight counts the gated requests being served, and is the
+	// ceiling: admit raises it only while it stays at or below
+	// maxInFlight (math.MaxInt64 when the ceiling is off). The gauge,
+	// /healthz and capacityRetry read the same number.
+	inFlight    atomic.Int64
+	maxInFlight int64
 
 	reg          *Registry
 	shedRate     *Counter
 	shedCapacity *Counter
-	inFlight     atomic.Int64
 	latency      map[string]*Histogram // by endpoint class
 	responses    map[int]*Counter      // by status bucket (2xx..5xx)
 
-	// Capacity-shed Retry-After derivation: while the gate is full the
-	// in-flight count is pinned at the ceiling, so the demand beyond
-	// capacity is only observable as the sheds landing in the current
-	// one-second window. winStart/winSheds track that window; now is the
-	// clock, swappable by tests.
+	// Capacity-shed Retry-After derivation: while the ceiling is reached
+	// the in-flight count is pinned at it, so the demand beyond capacity
+	// is only observable as the sheds landing in the current one-second
+	// window. winStart/winSheds track that window; now is the clock,
+	// swappable by tests.
 	winStart atomic.Int64 // unix second the window covers
 	winSheds atomic.Int64 // capacity sheds observed in that window
 	now      func() time.Time
@@ -112,9 +119,11 @@ func NewHandler(inner http.Handler, door *Door, cfg Config) *Handler {
 	h.limiter = newRateLimiter(cfg.RatePerSec, burst)
 	switch {
 	case cfg.MaxInFlight == 0:
-		h.gate = newCeiling(DefaultMaxInFlight())
+		h.maxInFlight = int64(DefaultMaxInFlight())
 	case cfg.MaxInFlight > 0:
-		h.gate = newCeiling(cfg.MaxInFlight)
+		h.maxInFlight = int64(cfg.MaxInFlight)
+	default:
+		h.maxInFlight = math.MaxInt64
 	}
 
 	r := h.reg
@@ -191,25 +200,23 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	if ok, retry := h.limiter.allow(h.clientKey(r)); !ok {
-		h.shedRate.Inc()
-		h.shed(w, retry, "rate_limited", "per-client rate limit exceeded")
-		return
-	}
-	if h.gate != nil {
-		if !h.gate.tryAcquire() {
-			h.shedCapacity.Inc()
-			h.shed(w, h.capacityRetry(), "overloaded", "server at concurrency ceiling")
+	if h.limiter != nil {
+		if ok, retry := h.limiter.allow(h.clientKey(r)); !ok {
+			h.shedRate.Inc()
+			h.shed(w, retry, "rate_limited", "per-client rate limit exceeded")
 			return
 		}
-		defer h.gate.release()
 	}
+	if !h.admit() {
+		h.shedCapacity.Inc()
+		h.shed(w, h.capacityRetry(), "overloaded", "server at concurrency ceiling")
+		return
+	}
+	defer h.inFlight.Add(-1)
 
-	h.inFlight.Add(1)
 	start := time.Now()
 	sw := &statusWriter{ResponseWriter: w}
 	h.inner.ServeHTTP(sw, r)
-	h.inFlight.Add(-1)
 	h.latency[classify(path)].Observe(time.Since(start).Seconds())
 	status := sw.status
 	if status == 0 {
@@ -217,6 +224,22 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	if c, ok := h.responses[(status/100)*100]; ok {
 		c.Inc()
+	}
+}
+
+// admit counts one more gated request in flight unless that would pass
+// the ceiling. It only ever sheds, so nothing waits: a request that finds
+// the ceiling reached is answered 429, never parked. The caller
+// decrements inFlight when the request is done.
+func (h *Handler) admit() bool {
+	for {
+		n := h.inFlight.Load()
+		if n >= h.maxInFlight {
+			return false
+		}
+		if h.inFlight.CompareAndSwap(n, n+1) {
+			return true
+		}
 	}
 }
 
@@ -249,8 +272,8 @@ func (h *Handler) capacityRetry() time.Duration {
 		h.winStart.Store(sec)
 		h.winSheds.Store(0)
 	}
-	limit := cap(h.gate.tokens)
-	depth := h.gate.inFlight() + int(h.winSheds.Add(1))
+	limit := h.maxInFlight
+	depth := h.inFlight.Load() + h.winSheds.Add(1)
 	secs := 1 + (depth-limit)/limit
 	if secs > maxRetryAfter {
 		secs = maxRetryAfter
@@ -284,37 +307,6 @@ func (s *statusWriter) WriteHeader(code int) {
 	}
 	s.ResponseWriter.WriteHeader(code)
 }
-
-// ceiling is the global in-flight gate: one token per gated request being
-// served. It only ever sheds, so it has no blocking acquire — a request
-// that finds it full is answered 429, never parked.
-type ceiling struct {
-	tokens chan struct{}
-}
-
-func newCeiling(limit int) *ceiling {
-	g := &ceiling{tokens: make(chan struct{}, limit)}
-	for i := 0; i < limit; i++ {
-		g.tokens <- struct{}{}
-	}
-	return g
-}
-
-// tryAcquire claims a token without blocking.
-func (g *ceiling) tryAcquire() bool {
-	select {
-	case <-g.tokens:
-		return true
-	default:
-		return false
-	}
-}
-
-// release returns a token claimed by tryAcquire.
-func (g *ceiling) release() { g.tokens <- struct{}{} }
-
-// inFlight reports how many tokens are held.
-func (g *ceiling) inFlight() int { return cap(g.tokens) - len(g.tokens) }
 
 // --- healthz integration ------------------------------------------------------
 

@@ -126,34 +126,51 @@ func TestHandlerCapacityCeiling(t *testing.T) {
 	if h2.shedCapacity.Value() != 1 {
 		t.Fatalf("capacity shed counter = %d", h2.shedCapacity.Value())
 	}
+	if got := h2.inFlight.Load(); got != 1 {
+		t.Fatalf("a shed request moved the in-flight count to %d, want 1", got)
+	}
 	close(block)
 	wg.Wait()
+	// The released slot admits the next request.
+	if got := h2.inFlight.Load(); got != 0 {
+		t.Fatalf("in-flight after release = %d, want 0", got)
+	}
+	if w := postQuery(t, h2, simpleQuery, nil); w.Code != http.StatusOK {
+		t.Fatalf("request after release answered %d", w.Code)
+	}
+	if h2.shedCapacity.Value() != 1 {
+		t.Fatalf("capacity shed counter after release = %d", h2.shedCapacity.Value())
+	}
 }
 
+// TestCeilingTryAcquire: admit claims in-flight slots up to the ceiling
+// without blocking, refuses past it without moving the count, and a
+// released slot is admitted again.
 func TestCeilingTryAcquire(t *testing.T) {
-	g := newCeiling(2)
-	if !g.tryAcquire() || !g.tryAcquire() {
-		t.Fatal("fresh gate refused tokens")
+	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {})
+	h := NewHandler(inner, nil, Config{MaxInFlight: 2})
+	if !h.admit() || !h.admit() {
+		t.Fatal("fresh ceiling refused slots")
 	}
-	if g.tryAcquire() {
+	if h.admit() {
 		t.Fatal("over-admitted")
 	}
-	if got := g.inFlight(); got != 2 {
+	if got := h.inFlight.Load(); got != 2 {
 		t.Fatalf("inFlight = %d, want 2", got)
 	}
-	g.release()
-	if got := g.inFlight(); got != 1 {
+	h.inFlight.Add(-1)
+	if got := h.inFlight.Load(); got != 1 {
 		t.Fatalf("inFlight after release = %d, want 1", got)
 	}
-	if !g.tryAcquire() {
-		t.Fatal("released token not reusable")
+	if !h.admit() {
+		t.Fatal("released slot not reusable")
 	}
 }
 
-// TestCapacityRetryAfterScalesWithDepth pins the clock and the gate and
-// walks the queue-depth estimate: each ceiling's worth of sheds within the
-// window pushes Retry-After out another second, a new window resets the
-// advice, and the cap bounds a thundering herd's backoff.
+// TestCapacityRetryAfterScalesWithDepth pins the clock and the in-flight
+// count and walks the queue-depth estimate: each ceiling's worth of sheds
+// within the window pushes Retry-After out another second, a new window
+// resets the advice, and the cap bounds a thundering herd's backoff.
 func TestCapacityRetryAfterScalesWithDepth(t *testing.T) {
 	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
@@ -163,14 +180,11 @@ func TestCapacityRetryAfterScalesWithDepth(t *testing.T) {
 	h.now = func() time.Time { return clock }
 	// Hold both slots so every gated request sheds at the ceiling.
 	for i := 0; i < 2; i++ {
-		if !h.gate.tryAcquire() {
+		if !h.admit() {
 			t.Fatalf("slot %d not acquirable", i)
 		}
 	}
-	defer func() {
-		h.gate.release()
-		h.gate.release()
-	}()
+	defer h.inFlight.Add(-2)
 
 	shedRetry := func() int {
 		t.Helper()

@@ -16,11 +16,10 @@ import (
 // well-distributed (remote addresses / header values).
 const rateShards = 16
 
-// bucket is one client's token bucket. Levels are in tokens scaled by
-// nanosecond fixed point: level is "tokens × 1e9" so refill math stays
-// in integers.
+// bucket is one client's token bucket, read and written only under its
+// shard's lock. Levels are in tokens scaled by nanosecond fixed point:
+// level is "tokens × 1e9" so refill math stays in integers.
 type bucket struct {
-	mu    sync.Mutex
 	level int64 // current tokens × 1e9
 	last  int64 // UnixNano of the last refill
 }
@@ -30,7 +29,6 @@ type rateLimiter struct {
 	ratePerSec float64 // tokens added per second
 	burst      int64   // bucket capacity in tokens
 	maxIdle    time.Duration
-	now        func() time.Time // injectable clock for tests
 
 	shards [rateShards]struct {
 		mu      sync.Mutex
@@ -39,9 +37,12 @@ type rateLimiter struct {
 }
 
 // newRateLimiter builds a limiter granting ratePerSec requests/second
-// with the given burst per client key. rate <= 0 disables limiting
-// (allow always returns true).
+// with the given burst per client key; rate <= 0 means no limiting and
+// returns nil.
 func newRateLimiter(ratePerSec float64, burst int) *rateLimiter {
+	if ratePerSec <= 0 {
+		return nil
+	}
 	if burst < 1 {
 		burst = 1
 	}
@@ -49,7 +50,6 @@ func newRateLimiter(ratePerSec float64, burst int) *rateLimiter {
 		ratePerSec: ratePerSec,
 		burst:      int64(burst),
 		maxIdle:    time.Minute,
-		now:        time.Now,
 	}
 	for i := range rl.shards {
 		rl.shards[i].buckets = make(map[string]*bucket)
@@ -61,18 +61,31 @@ const tokenScale = int64(time.Second) // 1 token == 1e9 fixed-point units
 
 // allow takes one token from key's bucket if available. The second
 // return is the suggested wait until a token will exist — the
-// Retry-After the shed response carries.
+// Retry-After the shed response carries. A new client starts with a full
+// burst, and its bucket's creation sweeps a few idle buckets from the
+// shard — O(1) amortized table hygiene with no background work.
 func (rl *rateLimiter) allow(key string) (ok bool, retryAfter time.Duration) {
-	if rl.ratePerSec <= 0 {
-		return true, 0
+	now := time.Now().UnixNano()
+	sh := &rl.shards[shardOf(key, rateShards)]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	b := sh.buckets[key]
+	if b == nil {
+		cutoff := now - int64(rl.maxIdle)
+		scanned := 0
+		for k, idle := range sh.buckets {
+			if idle.last < cutoff {
+				delete(sh.buckets, k)
+			}
+			if scanned++; scanned >= 8 {
+				break
+			}
+		}
+		b = &bucket{level: rl.burst * tokenScale, last: now}
+		sh.buckets[key] = b
 	}
-	b := rl.bucketFor(key)
-	now := rl.now().UnixNano()
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	// Lazy refill since the last observation, capped at burst.
-	elapsed := now - b.last
-	if elapsed > 0 {
+	if elapsed := now - b.last; elapsed > 0 {
 		b.level += int64(float64(elapsed) * rl.ratePerSec)
 		if max := rl.burst * tokenScale; b.level > max {
 			b.level = max
@@ -84,37 +97,15 @@ func (rl *rateLimiter) allow(key string) (ok bool, retryAfter time.Duration) {
 		return true, 0
 	}
 	deficit := tokenScale - b.level
-	wait := time.Duration(float64(deficit) / rl.ratePerSec)
-	return false, wait
+	return false, time.Duration(float64(deficit) / rl.ratePerSec)
 }
 
-// bucketFor returns (creating if needed) key's bucket. New clients start
-// with a full burst. Creation also sweeps a few idle buckets from the
-// shard — O(1) amortized table hygiene with no background work.
-func (rl *rateLimiter) bucketFor(key string) *bucket {
-	sh := &rl.shards[shardOf(Key(key), rateShards)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if b, ok := sh.buckets[key]; ok {
-		return b
-	}
-	cutoff := rl.now().Add(-rl.maxIdle).UnixNano()
-	scanned := 0
-	for k, b := range sh.buckets {
-		if b.last < cutoff {
-			delete(sh.buckets, k)
-		}
-		if scanned++; scanned >= 8 {
-			break
-		}
-	}
-	b := &bucket{level: rl.burst * tokenScale, last: rl.now().UnixNano()}
-	sh.buckets[key] = b
-	return b
-}
-
-// clients reports the tracked client count (for /metrics).
+// clients reports the tracked client count (for /metrics); 0 when
+// limiting is off.
 func (rl *rateLimiter) clients() int {
+	if rl == nil {
+		return 0
+	}
 	n := 0
 	for i := range rl.shards {
 		sh := &rl.shards[i]

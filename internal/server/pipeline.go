@@ -3,7 +3,7 @@ package server
 // The request pipeline every body-carrying endpoint shares: one read, one
 // decode, one query construction, one search-outcome → status mapping and
 // one result writer (encode.go). What genuinely differs per endpoint
-// (k ≤ Len, wire filters, the repeat lookup) stays in the endpoint.
+// (k ≤ Len, the repeat lookup) stays in the endpoint.
 
 import (
 	"bytes"

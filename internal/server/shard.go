@@ -36,40 +36,15 @@ import (
 // ShardQueryRequest is the POST /shard/query body. Probs must be the
 // already-normalized probabilities when Normalized is set; otherwise they
 // are treated as weights and normalized here (useful for debugging a
-// shard directly).
+// shard directly). A shard searches with core.AllFilters, as /query does:
+// no filter changes a candidate, so there is no filter field to send.
 type ShardQueryRequest struct {
-	Instances  [][]float64   `json:"instances"`
-	Probs      []float64     `json:"probs,omitempty"`
-	Normalized bool          `json:"normalized,omitempty"`
-	Operator   string        `json:"operator"`
-	K          int           `json:"k,omitempty"`
-	Metric     string        `json:"metric,omitempty"`
-	Filters    *ShardFilters `json:"filters,omitempty"`
-}
-
-// ShardFilters mirrors core.FilterConfig on the wire; nil means AllFilters.
-type ShardFilters struct {
-	StatPruning bool `json:"stat_pruning"`
-	Geometric   bool `json:"geometric"`
-}
-
-// Config converts the wire form back to the engine's.
-func (f *ShardFilters) Config() core.FilterConfig {
-	if f == nil {
-		return core.AllFilters
-	}
-	return core.FilterConfig{
-		StatPruning: f.StatPruning,
-		Geometric:   f.Geometric,
-	}
-}
-
-// ShardFiltersFrom converts a core.FilterConfig to its wire form.
-func ShardFiltersFrom(cfg core.FilterConfig) *ShardFilters {
-	return &ShardFilters{
-		StatPruning: cfg.StatPruning,
-		Geometric:   cfg.Geometric,
-	}
+	Instances  [][]float64 `json:"instances"`
+	Probs      []float64   `json:"probs,omitempty"`
+	Normalized bool        `json:"normalized,omitempty"`
+	Operator   string      `json:"operator"`
+	K          int         `json:"k,omitempty"`
+	Metric     string      `json:"metric,omitempty"`
 }
 
 // ShardQueryResponse is the POST /shard/query response. Each candidate is
@@ -142,10 +117,7 @@ func (s *Server) handleShardQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	res, err := b.SearchKCtx(r.Context(), q.obj, q.op, q.k, core.SearchOptions{
-		Filters: req.Filters.Config(),
-		Metric:  q.metric,
-	})
+	res, err := b.SearchKCtx(r.Context(), q.obj, q.op, q.k, core.SearchOptions{Filters: core.AllFilters, Metric: q.metric})
 	status, partial, ok := searchStatus(w, r, err)
 	if !ok {
 		return

@@ -307,44 +307,3 @@ func (o *Object) String() string {
 	}
 	return fmt.Sprintf("Object(%d, %d×%dd)", o.id, o.Len(), o.Dim())
 }
-
-// SameDistribution reports whether two objects define exactly the same
-// discrete distribution over points (same instance/probability multiset).
-// It is used by the SD operators' U_Q ≠ V_Q side condition. Instances are
-// matched by exact coordinates; probabilities are compared with eps
-// tolerance.
-func SameDistribution(a, b *Object, eps float64) bool {
-	if a.Dim() != b.Dim() {
-		return false
-	}
-	// Aggregate duplicate points so representation differences don't matter.
-	acc := func(o *Object) map[string]float64 {
-		m := make(map[string]float64, o.Len())
-		for i, pr := range o.probs {
-			m[pointKey(o.Instance(i))] += pr
-		}
-		return m
-	}
-	ma, mb := acc(a), acc(b)
-	if len(ma) != len(mb) {
-		return false
-	}
-	for k, va := range ma {
-		vb, ok := mb[k]
-		if !ok || math.Abs(va-vb) > eps {
-			return false
-		}
-	}
-	return true
-}
-
-func pointKey(p geom.Point) string {
-	b := make([]byte, 0, len(p)*8)
-	for _, v := range p {
-		u := math.Float64bits(v)
-		for s := 0; s < 64; s += 8 {
-			b = append(b, byte(u>>s))
-		}
-	}
-	return string(b)
-}

@@ -237,31 +237,6 @@ func TestHull(t *testing.T) {
 	}
 }
 
-func TestSameDistribution(t *testing.T) {
-	a := MustNew(0, []geom.Point{{0, 0}, {1, 1}}, []float64{1, 3})
-	b := MustNew(1, []geom.Point{{1, 1}, {0, 0}}, []float64{3, 1}) // permuted
-	c := MustNew(2, []geom.Point{{0, 0}, {1, 1}}, []float64{2, 2})
-	d := MustNew(3, []geom.Point{{0, 0}, {2, 2}}, []float64{1, 3})
-	if !SameDistribution(a, b, 1e-9) {
-		t.Fatal("permutation must be the same distribution")
-	}
-	if SameDistribution(a, c, 1e-9) {
-		t.Fatal("different probabilities")
-	}
-	if SameDistribution(a, d, 1e-9) {
-		t.Fatal("different support")
-	}
-	// Duplicated instance vs merged instance.
-	e := MustNew(4, []geom.Point{{0, 0}, {0, 0}, {1, 1}}, []float64{0.5, 0.5, 3})
-	if !SameDistribution(a, e, 1e-9) {
-		t.Fatal("split duplicate instances must compare equal")
-	}
-	f := MustNew(5, []geom.Point{{0}}, nil)
-	if SameDistribution(a, f, 1e-9) {
-		t.Fatal("dimension mismatch must differ")
-	}
-}
-
 func TestStringAndLabel(t *testing.T) {
 	o := MustNew(7, []geom.Point{{0, 0}}, nil)
 	if o.String() == "" {

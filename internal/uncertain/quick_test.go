@@ -86,29 +86,3 @@ func TestQuickMBRAndDistBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// SameDistribution is reflexive and symmetric under permutation of
-// instances.
-func TestQuickSameDistributionSymmetry(t *testing.T) {
-	f := func(r rawObj, permSeed int64) bool {
-		o, err := r.build(1)
-		if err != nil {
-			return false
-		}
-		rng := rand.New(rand.NewSource(permSeed))
-		perm := rng.Perm(o.Len())
-		pts := make([]geom.Point, o.Len())
-		ws := make([]float64, o.Len())
-		for i, pi := range perm {
-			pts[i] = o.Instance(pi)
-			ws[i] = o.Prob(pi)
-		}
-		shuffled := MustNew(2, pts, ws)
-		return SameDistribution(o, o, 1e-9) &&
-			SameDistribution(o, shuffled, 1e-9) &&
-			SameDistribution(shuffled, o, 1e-9)
-	}
-	if err := quick.Check(f, quickCfg); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -102,9 +102,6 @@ const (
 )
 
 var (
-	// ErrTornTail marks a scan that stopped before EOF: the bytes past the
-	// scan end are a torn append, dropped by recovery.
-	ErrTornTail = errors.New("wal: torn tail")
 	// ErrCrash is returned by a CrashFile once its write budget is spent —
 	// the injected "process died here" signal of the kill-point sweep.
 	ErrCrash = errors.New("wal: injected crash")
