@@ -227,14 +227,16 @@ smoke:
 	grep -q ' bye$$' $$d/rebuilt.log || { echo "smoke: the server on the rebuilt file did not shut down cleanly"; cat $$d/rebuilt.log; exit 1; }; \
 	echo "smoke: memory and disk servers agree, nncclient drives them, shut down cleanly; a router over two shard servers answers the memory server's candidates; a pending WAL is refused read-only and replayed -mutable; nnc fsck finds the file clean after the build and after the replay; a rebuild over a pending WAL drops it and serves read-only"
 
-# The nine fuzz targets: eight decoders of bytes this process did not
+# The ten fuzz targets: eight decoders of bytes this process did not
 # write — the CSV loader, the page-file opener, the object record, the
 # rtree node, the super page, the WAL record scanner, a shard's
 # /shard/query reply as the router decodes it — and the HTTP request
 # pipeline (decodeBody → buildQuery): never a panic, never garbage
-# accepted. The ninth is a property target: whenever S-SD's entry test
-# counts a band member against a rectangle, the checker finds that member
-# dominating the objects inside it (FuzzSSDEntryTest).
+# accepted. The ninth and tenth are property targets: whenever S-SD's
+# entry test counts a band member against a rectangle, the checker finds
+# that member dominating the objects inside it (FuzzSSDEntryTest), and
+# wherever S-SD's mass rung decides, on bucket masses, a pair of objects or
+# an object against an entry's N_r, the exact scan agrees (FuzzSSDBucketRung).
 # Several corpora seed large inputs; left at its 60s default the fuzzer
 # spends the whole run minimizing mutations of them, hence
 # -fuzzminimizetime. FUZZTIME is per target.
@@ -249,8 +251,9 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzShardReply -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/cluster
 	$(GO) test -run='^$$' -fuzz=FuzzBuildQuery -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzSSDEntryTest -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzSSDBucketRung -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/core
 
-# fuzz-smoke is the short pass wired into `make check`: the same nine
+# fuzz-smoke is the short pass wired into `make check`: the same ten
 # targets at 5s each.
 fuzz-smoke:
 	$(MAKE) fuzz FUZZTIME=5s

@@ -613,7 +613,7 @@ func BenchmarkSearchK(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer disk.Close()
-		var candidates, examined, reads, covers float64
+		var candidates, examined, reads, covers, buckets, builds float64
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -625,14 +625,18 @@ func BenchmarkSearchK(b *testing.B) {
 			examined += float64(res.Examined)
 			reads += float64(res.IO.Reads)
 			covers += float64(res.Stats.CoverValidations)
+			buckets += float64(res.Stats.BucketDecisions)
+			builds += float64(res.Stats.MixtureBuilds)
 		}
-		if covers == 0 {
-			b.Fatal("no pair was validated on the summary: every S-SD \"yes\" went to the exact test")
+		if covers+buckets == 0 {
+			b.Fatal("no pair was decided on the summary: every S-SD check went to the exact test")
 		}
 		b.ReportMetric(candidates/float64(b.N), "candidates/query")
 		b.ReportMetric(examined/float64(b.N), "examined/query")
 		b.ReportMetric(reads/float64(b.N), "page-reads/query")
 		b.ReportMetric(covers/float64(b.N), "cover-validations/query")
+		b.ReportMetric(buckets/float64(b.N), "bucket-decisions/query")
+		b.ReportMetric(builds/float64(b.N), "mixture-builds/query")
 	})
 }
 
@@ -710,7 +714,8 @@ func BenchmarkCommit(b *testing.B) {
 // sizes S-SD's and SS-SD's scans run over |Q|·m atoms and P-SD's transport
 // is |hull| × m wide, which no m = 10 benchmark reaches. It reports the
 // dominance counters and the examined objects per query (S-SD's mass
-// prunes among them) and a digest of every query's candidate
+// prunes, its mass rung's decisions and its U_Q builds among them) and a
+// digest of every query's candidate
 // IDs, so a change to the kernels can show the answers did not move; it
 // fails if P-SD at m_d = 40 makes no flow solve, the sign that the
 // benchmark has left the regime it was sized for. The datasets are
@@ -756,6 +761,8 @@ func BenchmarkTable2(b *testing.B) {
 				perQuery(st.IsolationPrunes, "isolation-prunes/query")
 				perQuery(st.ScanPrunes, "scan-prunes/query")
 				perQuery(st.MassPrunes, "mass-prunes/query")
+				perQuery(st.BucketDecisions, "bucket-decisions/query")
+				perQuery(st.MixtureBuilds, "mixture-builds/query")
 				perQuery(int64(examined), "examined/query")
 				b.ReportMetric(float64(h.Sum32()), "candidate-digest")
 			})

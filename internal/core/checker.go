@@ -28,6 +28,11 @@ type Checker struct {
 	hullIdx []int  // indices into query instances used by point-level checks
 	isHull  []bool // per query instance: whether hullIdx names it
 
+	// The bucket edges of S-SD's mass rung (massOrder), fixed by the first
+	// object summarised when bkPending; bk.N = 0 while there are none.
+	bk        distr.Buckets
+	bkPending bool
+
 	// Stats accumulates work counters; reset or read between searches.
 	Stats Stats
 
@@ -63,6 +68,10 @@ func (c *Checker) Operator() Operator { return c.op }
 // first, and the first rung that can answer does:
 //
 //  1. global statistics: min/mean/max of U_Q against V_Q (three floats);
+//     1a. S-SD's mass rung (massOrder): U_Q ≤st V_Q read off the two
+//     objects' bucket summaries, then off their atoms in the buckets the
+//     summaries leave open, with meansApart as the witness of U_Q ≠ V_Q —
+//     U_Q is built only for an object whose open atoms it needs twice;
 //  2. per-query-instance statistics: the same three of each U_q (SS-SD, P-SD);
 //  4. the sweep of the sorted runs: per-query-instance stochastic scans as
 //     cover-based pruning, and the admissibility rows of rung 8 (P-SD),
@@ -81,7 +90,9 @@ func (c *Checker) Operator() Operator { return c.op }
 // rectangle's near distribution, whose proof ends in this ladder's
 // rungs 1 and 8 (band's comment).
 //
-// Rungs 1, 2, 4 and 4a can only answer "no", rung 7 only "yes", so their
+// Rung 1a answers both ways, but only where rung 8's scan answers the same
+// (band's comment has the proof), so it changes no verdict either. Rungs
+// 1, 2, 4 and 4a can only answer "no", rung 7 only "yes", so their
 // order never changes a verdict, only what it costs — provided a "no" rung
 // placed before a validation cannot fire on a pair the validation would
 // have accepted. It cannot: validation holds when every instance of U is
@@ -176,6 +187,7 @@ type objCache struct {
 	sorted   int          // runs [0, sorted) went through sortedRun
 	runInst  []int32      // the instance of each atom of those runs
 	distQOK  bool
+	gathered bool               // massOrder gathered its open atoms once (openAtoms)
 	distQ    distr.Distribution // U_Q, built from runs when first scanned
 
 	// P-SD's rungs 4a and 7, with the summary (matchFirst): every
@@ -185,6 +197,8 @@ type objCache struct {
 	// rung first needs them).
 	hullD, sums, first []float64
 	order              []int32
+
+	buckets []distr.Bucket // U_Q's bucket summary under bk, or nil
 }
 
 // cacheOf returns (creating on first use) the cache of the object with o's
@@ -214,8 +228,9 @@ func (c *Checker) summaryOf(o *uncertain.Object) *objCache { return c.summary(c.
 
 // summary returns oc with its query summary built: the |Q|·m distances are
 // evaluated once and yield the heap key min(U_Q), the statistics of U_Q and
-// of every U_q, the atoms every later scan sorts on demand and, for P-SD,
-// the hull distances rungs 4a and 7 read (matchFirst).
+// of every U_q, the atoms every later scan sorts on demand, for S-SD the
+// bucket masses of its mass rung and, for P-SD, the hull distances rungs
+// 4a and 7 read (matchFirst).
 //
 //nnc:hotpath
 func (c *Checker) summary(oc *objCache) *objCache {
@@ -229,6 +244,12 @@ func (c *Checker) summary(oc *objCache) *objCache {
 		} else {
 			oc.stat = distr.Summarize(oc.runs, oc.perQStat, o, c.query, c.metric.Dist)
 		}
+		if c.bkPending {
+			c.fixBuckets(oc)
+		}
+		if c.bk.N > 0 {
+			c.bin(oc)
+		}
 		oc.sumOK = true
 		c.Stats.InstanceComparisons += int64(n)
 		if c.op == PSD && c.cfg.StatPruning {
@@ -238,12 +259,40 @@ func (c *Checker) summary(oc *objCache) *objCache {
 	return oc
 }
 
+// massBuckets is how many buckets S-SD's mass rung splits distances into
+// (EXPERIMENTS.md sizes it).
+const massBuckets = 32
+
+// fixBuckets fixes the search's bucket edges from its first summary, oc:
+// massBuckets buckets over [min, 2·max − min] of U_Q, none when that span
+// is degenerate.
+func (c *Checker) fixBuckets(oc *objCache) {
+	c.bkPending = false
+	if bk, ok := distr.NewBuckets(oc.stat.Min, 2*oc.stat.Max-oc.stat.Min, massBuckets); ok {
+		c.bk = bk
+	}
+}
+
+// bin builds oc's bucket summary from its runs, in a pass of its own after
+// the summary's, which leaves distr.Summarize — every operator's distance
+// loop — as it was: binning inside it measured no faster for S-SD and
+// slower for P-SD (EXPERIMENTS.md).
+func (c *Checker) bin(oc *objCache) {
+	oc.buckets = c.scratch.buckets.AllocZeroed(c.bk.N + 1)
+	m := oc.obj.Len()
+	for j := range c.query.Len() {
+		c.bk.Add(oc.buckets, oc.runs[j*m:(j+1)*m], c.query.Prob(j))
+	}
+	c.bk.Finish(oc.buckets)
+}
+
 // distQ returns U_Q as a sorted distribution, built the first time a scan or
 // distr.Equal asks: the |Q| runs are sorted as the sweeps sort them
 // (sortedRun), then weighted and merged (distr.MergeRuns) — U_Q is the
 // mixture of the U_q, so it is never sorted as one slice.
 func (c *Checker) distQ(oc *objCache) distr.Distribution {
 	if !oc.distQOK {
+		c.Stats.MixtureBuilds++
 		c.sortedRun(oc, c.query.Len()-1)
 		sc := c.scratch
 		sc.mergeBuf = grow(sc.mergeBuf, len(oc.runs))
@@ -326,29 +375,55 @@ func (c *Checker) fsdAtHull(su, sv *objCache) bool {
 // the tolerance of any distr.Equal under MassBound's premise.
 const massWitness = 0x1p-26
 
-// belowNear is the scan of band.massDominates: whether U_Q ≤st N_r, the
-// masses within MassBound(|U_Q|)/2, with the witness that U_Q ≠ V_Q for
-// every V inside the rectangle — an atom of U_Q below nmin, N_r's least
-// positive atom, heavier than massWitness (band's comment has the proof).
-// ns is N_r, sorted, one atom per query instance. Its cumulative mass only
-// steps at its own atoms, and U_Q's only grows, so the scan compares at
-// N_r's atoms alone. U_Q's largest positive atom is the caller's: the max
-// slab against N_r's.
-func (c *Checker) belowNear(su *objCache, ns []distr.Pair, nmin float64) bool {
-	us := c.distQ(su).Pairs()
-	witness := false
-	for _, a := range us {
-		if a.Dist >= nmin {
-			break
-		}
-		if a.Prob > massWitness {
-			witness = true
-			break
-		}
-	}
-	if !witness {
+// belowNear is band.massDominates' test of one member: whether U_Q ≤st
+// N_r, the masses within MassBound(|U_Q|)/2, with the witness that U_Q ≠
+// V_Q for every V inside the rectangle — an atom of U_Q below nmin, N_r's
+// least positive atom, heavier than massWitness (band's comment has the
+// proof). ns is N_r, sorted, one atom per query instance, and bn its
+// bucket summary (nearBuckets, nil without buckets): the mass rung asks
+// them first (nearOrder), and U_Q is built only for the scan it leaves
+// undecided (nearScan). U_Q's largest positive atom is the caller's: the
+// max slab against N_r's.
+func (c *Checker) belowNear(su *objCache, ns []distr.Pair, nmin float64, bn []distr.Bucket) bool {
+	if !c.witnessBelow(su, nmin) {
 		return false
 	}
+	if bn != nil {
+		if le, decided := c.nearOrder(su, bn, len(ns)); decided {
+			c.Stats.BucketDecisions++
+			return le
+		}
+	}
+	return c.nearScan(su, ns)
+}
+
+// nearBuckets returns the bucket summary of N_r, ns (nq atoms of mass
+// p(q)), in the scratch, or nil when the search has no buckets.
+func (c *Checker) nearBuckets(ns []distr.Pair) []distr.Bucket {
+	if c.bk.N == 0 {
+		return nil
+	}
+	bn := grow(c.scratch.massB, c.bk.N+1)
+	c.scratch.massB = bn
+	clear(bn)
+	c.bk.Add(bn, ns, 1)
+	c.bk.Finish(bn)
+	return bn
+}
+
+// nearOrder is the mass rung against N_r, of nq atoms, with the bounds
+// under which it agrees with nearScan (band's comment).
+func (c *Checker) nearOrder(su *objCache, bn []distr.Bucket, nq int) (le, decided bool) {
+	rej, acc := distr.Units(uncertain.MassBound(2*len(su.runs)+nq)), distr.Units(uncertain.MassBound(nq))
+	le, decided, _ = c.bk.Order(su.buckets, bn, rej, acc)
+	return le, decided
+}
+
+// nearScan is belowNear's exact scan of U_Q against N_r, ns. N_r's
+// cumulative mass only steps at its own atoms, and U_Q's only grows, so it
+// compares at N_r's atoms alone.
+func (c *Checker) nearScan(su *objCache, ns []distr.Pair) bool {
+	us := c.distQ(su).Pairs()
 	tol := uncertain.MassBound(len(us)) / 2
 	i, j, le := 0, 0, true
 	var cu, cn float64
@@ -364,6 +439,25 @@ func (c *Checker) belowNear(su *objCache, ns []distr.Pair, nmin float64) bool {
 	}
 	c.Stats.InstanceComparisons += int64(i + j)
 	return le
+}
+
+// witnessBelow reports whether U_Q has an atom below nmin heavier than
+// massWitness, read off the runs in whatever order they are: U_Q's atoms
+// are their distances with the products MergeRuns weighs them by.
+func (c *Checker) witnessBelow(su *objCache, nmin float64) bool {
+	if su.stat.Min >= nmin {
+		return false
+	}
+	m := su.obj.Len()
+	for j := range c.query.Len() {
+		qprob := c.query.Prob(j)
+		for _, a := range su.runs[j*m : (j+1)*m] {
+			if a.Dist < nmin && qprob*a.Prob > massWitness {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // scanBound is the tolerance of the per-run scans of su against sv: the
@@ -402,7 +496,16 @@ func (c *Checker) unequal(su, sv *objCache) bool {
 
 // --- S-SD ---------------------------------------------------------------------
 
+// ssd is S-SD past rung 1: rung 1a when the search has buckets, then rungs
+// 7 and 8.
 func (c *Checker) ssd(su, sv *objCache) bool {
+	if su.buckets != nil && sv.buckets != nil {
+		le, decided := c.massOrder(su, sv)
+		if decided && (!le || c.meansApart(su, sv)) {
+			c.Stats.BucketDecisions++
+			return le
+		}
+	}
 	if c.coverValidate(su, sv, true) {
 		return true
 	}
@@ -410,6 +513,39 @@ func (c *Checker) ssd(su, sv *objCache) bool {
 		return false
 	}
 	return c.unequal(su, sv)
+}
+
+// massOrder is rung 1a on two objects: Order on their bucket summaries,
+// then Scan on their atoms in the buckets Order leaves open (openAtoms) —
+// unless both U_Q are built already, when the exact scan is the cheaper.
+// It rejects where U's mass falls short of V's by 2·MassBound(|U_Q|+|V_Q|)
+// and accepts where it never falls short by a quarter of it: either way
+// StochasticLE, at its bound of MassBound(|U_Q|+|V_Q|), answers the same
+// (band's comment).
+//
+//nnc:hotpath
+func (c *Checker) massOrder(su, sv *objCache) (le, decided bool) {
+	n := uncertain.MassBound(len(su.runs) + len(sv.runs))
+	rej, acc := distr.Units(2*n), -distr.Units(n/4)
+	le, decided, open := c.bk.Order(su.buckets, sv.buckets, rej, acc)
+	if decided || su.distQOK && sv.distQOK {
+		return le, decided
+	}
+	sc := c.scratch
+	sc.openU = grow(sc.openU, len(su.runs))
+	sc.openV = grow(sc.openV, len(sv.runs))
+	return c.bk.Scan(su.buckets, sv.buckets, c.openAtoms(su, sc.openU, open), c.openAtoms(sv, sc.openV, open), rej, acc)
+}
+
+// openAtoms returns oc's atoms in the open buckets, sorted: gathered from
+// the runs the first time, filtered from U_Q after that — built then, once,
+// rather than sorting what the open buckets hold for every pair.
+func (c *Checker) openAtoms(oc *objCache, dst []distr.Pair, open uint64) []distr.Pair {
+	if oc.distQOK || oc.gathered {
+		return c.bk.Filter(dst, c.distQ(oc).Pairs(), open)
+	}
+	oc.gathered = true
+	return c.bk.Gather(dst, oc.runs, oc.obj.Len(), c.query, oc.perQStat, open)
 }
 
 // --- SS-SD --------------------------------------------------------------------
@@ -429,22 +565,30 @@ func (c *Checker) sssd(su, sv *objCache) bool {
 // --- F-SD (instance level) ----------------------------------------------------
 
 // fsd decides instance-level full spatial dominance: δmax(q,U) <= δmin(q,V)
-// for every query instance. Both extremes are per-query-instance statistics
-// of the summary, so each pairwise check costs O(|Q|) comparisons — the
+// for every query instance, with the witness that U_Q ≠ V_Q: one strict
+// row, or one query instance at which either object's distances spread
+// (δmin < δmax). Rows that are all equalities with no spread make U_q and
+// V_q one point mass at every q, so U_Q = V_Q: co-located copies do not
+// dominate each other. Both extremes are per-query-instance statistics of
+// the summary, so each pairwise check costs O(|Q|) comparisons — the
 // amortized equivalent of the paper's NN/furthest-neighbor searches on the
 // local R-trees.
 func (c *Checker) fsd(su, sv *objCache) bool {
+	witness := false
 	for j, a := range su.perQStat {
 		c.Stats.InstanceComparisons++
-		if a.Max > sv.perQStat[j].Min {
+		b := sv.perQStat[j]
+		if a.Max > b.Min {
 			return false
 		}
+		witness = witness || a.Max < b.Min || a.Min < a.Max || b.Min < b.Max
 	}
-	return true
+	return witness
 }
 
 // fplussd is the MBR-only baseline of [16]. F+SD never looks inside an
-// MBR, so on two objects it is the rectangle predicate itself (fplus).
+// MBR, so on two objects it is the rectangle predicate itself (fplus),
+// whose witness of U_Q ≠ V_Q is a strict row.
 func (c *Checker) fplussd(su, sv *objCache) bool {
 	c.Stats.InstanceComparisons++
 	return c.rectDominates(su.obj.MBR(), sv.obj.MBR())
@@ -534,13 +678,26 @@ func (p *rectPred) dominates(a, b geom.Rect) (dom bool, compared int) {
 
 // fplus is F+SD on two rectangles: the two MBRs against the query's MBR
 // (Euclidean), or against the query instances with metric rectangle bounds
-// for other metrics. It carries no U_Q ≠ V_Q side condition.
+// for other metrics, with le's witness of U_Q ≠ V_Q for every pair of
+// objects inside them: a hull query instance strictly nearer to all of a
+// than to any of b. A spread inside a rectangle is no witness: a point
+// object at a's far corner and its copy at b's near corner spread nowhere.
 func (p *rectPred) fplus(a, b geom.Rect) (dom bool, compared int) {
-	if p.euclid {
-		return geom.FSDMBR(a, b, p.qMBR), 0
+	if !p.euclid {
+		le, strict, compared := p.le(a, b)
+		return le && strict, compared
 	}
-	le, _, compared := p.le(a, b)
-	return le, compared
+	if !geom.FSDMBR(a, b, p.qMBR) {
+		return false, 0
+	}
+	for t := range p.hullLen() {
+		q := p.hullPt(t)
+		compared++
+		if p.far(q, a) < p.near(q, b) {
+			return true, compared
+		}
+	}
+	return false, compared
 }
 
 // rectDominates is the entry-pruning predicate of Algorithm 1 on one pair of

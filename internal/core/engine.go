@@ -317,6 +317,36 @@ type searchScratch struct {
 // forgives that much at one value. It cannot be a mean gap in the manner
 // of meansApart: MeanBound grows with V's atoms, which an entry does not
 // know.
+//
+// The mass rung (rung 1a: Checker.massOrder, and nearOrder against N_r)
+// reads distr.Buckets summaries. Bucket and cell are floor((d−lo)·inv)
+// clamped: a rounded subtraction, a product by a positive constant, the
+// clamps and the truncation never reverse "≤", so both are non-decreasing
+// in the distance, and the atoms of the buckets below i are those below
+// some value — the same value for every object under one search's edges.
+// Each atom's mass a = fl(p(q)·p(u)), MergeRuns' product, enters as
+// ⌊a·2⁶⁰⌋ units: scaling by a power of two is exact, so the integer C(i)
+// is the exact mass of the atoms below edge i less under one unit (u/128,
+// u = 2⁻⁵³) an atom, in any order of summation. At an atom value λ in
+// bucket i, F(λ) lies between C(i) and C(i+1), and reaches C(i+1) once λ is
+// past the object's last atom in the bucket; the cells, ordered the same
+// way, tell where that lies against the other object's first atom there.
+// So Order's conditions, and Scan's exact prefix sums inside a bucket they
+// leave open, bound F_U(λ) − F_V(λ) at every λ the scan visits by the
+// tested difference within N units, N·u/128 for N = |U_Q|+|V_Q|.
+// StochasticLE's sums are within (n−1)·u of exact (uncertain.MassBound's
+// derivation), so its difference at λ is the tested one within
+// (N + N/128)·u, to first order with room for the second: acceptance at
+// −MassBound(N)/4 = −N·u/2 keeps it above −MassBound(N), the scan's
+// bound, and rejection below −2·MassBound(N) keeps it below. Exact ties — co-located instances, equal
+// masses — land on the accepting side, as in the scan. The scan's other
+// refusals, V's mass below all of U's or U's above all of V's, are rung 1's
+// (no product of positive masses underflowing). Against N_r, belowNear's
+// scan sums U_Q in sorted order and N_r within (|Q|−1)·u, under T =
+// MassBound(|U_Q|)/2: acceptance at +MassBound(|Q|) and rejection below
+// −MassBound(2|U_Q| + |Q|) agree with it the same way. That acceptance
+// almost never fires: past N_r's last atom both totals are one up to their
+// rounding, and no bucket shows U ahead by |Q|·u there.
 type band struct {
 	objs      []*objCache
 	mean, max []float64
@@ -751,9 +781,10 @@ func (b *band) dominatesRect(c *Checker, r geom.Rect, k int) bool {
 // cheapest rung first, until need more of them count. N_r's statistics
 // against the mean and max slabs come first, necessary for the scan
 // (Theorem 11, under distr.MeanBound of the band's largest member); N_r is
-// sorted only once some member gets past them; then one merge scan of the
-// member's U_Q (Checker.belowNear). An entry whose k-th dominator this
-// pass finds is counted in MassPrunes.
+// sorted and binned only once some member gets past them; then the mass
+// rung on the member's bucket masses and N_r's, and one merge scan of the
+// member's U_Q where the rung leaves the pair open (Checker.belowNear). An
+// entry whose k-th dominator this pass finds is counted in MassPrunes.
 //
 //nnc:hotpath
 func (b *band) massDominates(c *Checker, r geom.Rect, need int, failed []int32) bool {
@@ -772,14 +803,16 @@ func (b *band) massDominates(c *Checker, r geom.Rect, need int, failed []int32) 
 	c.Stats.InstanceComparisons += int64(nq)
 	meanCut := nmean + distr.MeanBound(b.atoms+nq, nmax)
 	sorted := false
+	var bn []distr.Bucket
 	for _, i := range failed {
 		if b.max[i] > nmax || b.mean[i] > meanCut {
 			continue
 		}
 		if !sorted {
 			ns, sorted = distr.Own(ns).Pairs(), true
+			bn = c.nearBuckets(ns)
 		}
-		if c.belowNear(b.objs[i], ns, nmin) {
+		if c.belowNear(b.objs[i], ns, nmin, bn) {
 			if need--; need == 0 {
 				c.Stats.MassPrunes++
 				return true

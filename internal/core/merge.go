@@ -170,11 +170,11 @@ type stepMember struct {
 // that answer: the same IDs, ranks, MinDist bits and Dominators, in key
 // order. The step does not decide what rests on two members at one
 // MinDist, and tied reports such a pair: a search emits two candidates at
-// one key as its heap pops them, and under F-SD and F+SD two objects at
-// equal distances from every query instance dominate each other, so the
-// invariant's transitivity argument — which needs a strict order — no
-// longer gives the search's counts, the merge's included. A tied band is
-// not to be served as a search's answer, nor stepped again.
+// one key as its heap pops them, an order neither the step nor a merge
+// knows. (Two objects at equal distances from every query instance no
+// longer dominate each other under F-SD and F+SD, which was the rule's
+// other reason.) A tied band is not to be served as a search's answer,
+// nor stepped again.
 //
 // The returned band's slices are new; b's are only read. Out is in key
 // order. res is the answer as a Result, with the step's statistics;

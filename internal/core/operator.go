@@ -186,6 +186,13 @@ type Stats struct {
 	// dominator came from S-SD's mass test: the F-SD rows alone found fewer
 	// than k (band.massDominates).
 	MassPrunes int64
+	// BucketDecisions counts the S-SD checks, of two objects or of a band
+	// member against an entry's N_r, that the mass rung decided on bucket
+	// masses, with no sorted run (Checker.ssd, Checker.belowNear).
+	BucketDecisions int64
+	// MixtureBuilds counts the U_Q built out of sorted runs for a scan or
+	// distr.Equal (Checker.distQ): one per object at most.
+	MixtureBuilds int64
 }
 
 // Add accumulates other into s.
@@ -201,4 +208,6 @@ func (s *Stats) Add(other Stats) {
 	s.EntryPrunes += other.EntryPrunes
 	s.ObjectPrunes += other.ObjectPrunes
 	s.MassPrunes += other.MassPrunes
+	s.BucketDecisions += other.BucketDecisions
+	s.MixtureBuilds += other.MixtureBuilds
 }

@@ -27,6 +27,8 @@ type CheckScratch struct {
 	insts  slab.Arena[int32] // objCache.runInst
 	floats slab.Arena[float64]
 	stats  slab.Arena[distr.Stat]
+	// objCache.buckets
+	buckets slab.Arena[distr.Bucket]
 
 	// The arena whose elements hold pointers (objects): cleared on reset so
 	// a pooled scratch never pins a finished search's object graph.
@@ -48,12 +50,15 @@ type CheckScratch struct {
 	sweepBits []uint64
 
 	// Assorted reusable buffers.
-	near    geom.Point   // the popped entry's near vector (band.dominatesRect)
-	massN   []distr.Pair // its N_r under S-SD, one atom per query instance (band.massDominates)
-	failed  []int32      // the band members that fail their F-SD rows against it, under S-SD (band.dominatesRect)
-	hullIdx []int        // non-geometric fallback hull index list
-	hull    []float64    // hull instances of the current query, in hullIdx order
-	isHull  []bool       // per query instance: whether it is one of them
+	near    geom.Point     // the popped entry's near vector (band.dominatesRect)
+	massN   []distr.Pair   // its N_r under S-SD, one atom per query instance (band.massDominates)
+	massB   []distr.Bucket // N_r's bucket summary (band.massDominates)
+	openU   []distr.Pair   // the atoms of two objects in the buckets the mass rung leaves open (Checker.massOrder)
+	openV   []distr.Pair
+	failed  []int32   // the band members that fail their F-SD rows against it, under S-SD (band.dominatesRect)
+	hullIdx []int     // non-geometric fallback hull index list
+	hull    []float64 // hull instances of the current query, in hullIdx order
+	isHull  []bool    // per query instance: whether it is one of them
 
 	checker Checker
 }
@@ -66,6 +71,7 @@ func (sc *CheckScratch) reset() {
 	sc.insts.Reset()
 	sc.floats.Reset()
 	sc.stats.Reset()
+	sc.buckets.Reset()
 	sc.caches.ResetZero()
 	clear(sc.byID)
 }
@@ -92,6 +98,7 @@ func (sc *CheckScratch) Checker(query *uncertain.Object, op Operator, cfg Filter
 	c.metric = m
 	c.euclid = m == geom.Euclidean
 	c.statCut = cfg.StatPruning && (op == SSD || op == SSSD || op == PSD)
+	c.bk, c.bkPending = distr.Buckets{}, op == SSD && cfg.StatPruning
 	c.qMBR = query.MBR()
 	c.Stats = Stats{}
 	if cfg.Geometric && c.euclid {

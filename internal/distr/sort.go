@@ -1,9 +1,6 @@
 package distr
 
-import (
-	"cmp"
-	"slices"
-)
+import "slices"
 
 // insertionCutoff is the length below which straight insertion sort beats
 // the general sorter. The bulk of the hot path sorts U_q distributions of
@@ -16,14 +13,22 @@ const insertionCutoff = 24
 // boxes the slice through reflect nor allocates.
 func sortPairs(p []Pair) {
 	if len(p) <= insertionCutoff {
-		for i := 1; i < len(p); i++ {
-			for j := i; j > 0 && p[j].Dist < p[j-1].Dist; j-- {
-				p[j], p[j-1] = p[j-1], p[j]
-			}
-		}
+		insertionSort(p)
 		return
 	}
-	slices.SortFunc(p, func(a, b Pair) int { return cmp.Compare(a.Dist, b.Dist) })
+	slices.SortFunc(p, func(a, b Pair) int { return order(a.Dist, b.Dist) })
+}
+
+// insertionSort sorts atoms by non-decreasing value, shifting each into
+// place, stably.
+func insertionSort(p []Pair) {
+	for i := 1; i < len(p); i++ {
+		a, j := p[i], i
+		for ; j > 0 && a.Dist < p[j-1].Dist; j-- {
+			p[j] = p[j-1]
+		}
+		p[j] = a
+	}
 }
 
 // RunSorter sorts the runs of a Summarize buffer, remembering which instance
@@ -62,7 +67,7 @@ func (s *RunSorter) sort(run []Pair, inst []int32, probs []float64) {
 			keys[j] = key
 		}
 	} else {
-		slices.SortFunc(keys, func(a, b runKey) int { return cmp.Compare(a.dist, b.dist) })
+		slices.SortFunc(keys, func(a, b runKey) int { return order(a.dist, b.dist) })
 	}
 	for k, key := range keys {
 		run[k] = Pair{Dist: key.dist, Prob: probs[key.inst]}
@@ -78,4 +83,16 @@ func (s *RunSorter) grow(n int) []runKey {
 		s.keys = make([]runKey, n)
 	}
 	return s.keys[:n]
+}
+
+// order is cmp.Compare for distances, which are never NaN: plain
+// comparisons, without the NaN tests cmp.Compare makes.
+func order(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
 }

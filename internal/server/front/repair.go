@@ -59,9 +59,7 @@ package front
 //     may lift into the k-skyband (the sweep decides this one);
 //   - two tracked objects have one MinDist (core.StepBand's tied): a search
 //     emits two candidates at one key in heap order, which neither the step
-//     nor a merge over U knows, and under F-SD and F+SD two objects at equal
-//     distances dominate each other, which the transitivity argument above
-//     does not cover;
+//     nor a merge over U knows;
 //   - its base is older than an insert the log has forgotten (it holds
 //     maxInserts), so I is no longer known, or its key names a metric the
 //     door cannot rebuild — Door.rebuild decides these before it steps.
