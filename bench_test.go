@@ -539,7 +539,7 @@ func BenchmarkBandStep(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			bs := &bases[i%len(bases)]
-			_, res, _ := core.StepBand(bs.q, PSD, k, opts, bs.band, bs.add, nil)
+			_, res := core.StepBand(bs.q, PSD, k, opts, bs.band, bs.add, nil)
 			checks += res.Stats.DominanceChecks
 			prunes += res.Stats.StatPrunes
 		}

@@ -15,6 +15,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"spatialdom/internal/core"
@@ -127,6 +128,55 @@ func TestMergeInvariantProperty(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestMergeInvariantTiesAndCopies holds the merge to the single-node
+// search where keys tie: grid points, each held by 1–3 single-instance
+// copies under their own IDs, shuffled, and a two-instance query. A tie
+// batch is emitted in ID order by both, whatever tree each runs over, so
+// the answers are equal candidate for candidate.
+func TestMergeInvariantTiesAndCopies(t *testing.T) {
+	rng := rand.New(rand.NewSource(2106))
+	merges, tied := 0, 0
+	for set := range 25 {
+		var objs []*uncertain.Object
+		for range 30 {
+			p := geom.Point{float64(rng.Intn(8)), float64(rng.Intn(8))}
+			for range 1 + rng.Intn(3) {
+				objs = append(objs, uncertain.MustNew(len(objs)+1, []geom.Point{p}, nil))
+			}
+		}
+		rng.Shuffle(len(objs), func(i, j int) { objs[i], objs[j] = objs[j], objs[i] })
+		q := uncertain.MustNew(0, []geom.Point{{rng.Float64() * 8, rng.Float64() * 8}, {rng.Float64() * 8, rng.Float64() * 8}}, nil)
+		single, err := core.NewIndex(objs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, op := range allOperators {
+			for k := 1; k <= 4; k++ {
+				opts := core.SearchOptions{Filters: core.AllFilters}
+				want, err := single.SearchKCtx(context.Background(), q, op, k, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for shards := 1; shards <= 8; shards++ {
+					got := shardedSearch(t, objs, shards, q, op, k, opts)
+					mustEqualResults(t, fmt.Sprintf("set %d %s k=%d shards=%d", set, op, k, shards), want, got)
+					merges++
+					for i := 1; i < len(want.Candidates); i++ {
+						if want.Candidates[i].MinDist == want.Candidates[i-1].MinDist {
+							tied++
+							break
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d merges equal to the single-node search, %d of them tied", merges, tied)
+	if tied == 0 {
+		t.Fatal("no answer was tied")
 	}
 }
 

@@ -78,9 +78,9 @@ func (c *Checker) Operator() Operator { return c.op }
 //     which P-SD's rung 4a precedes: an instance of positive mass without
 //     a partner under ⪯Q refutes off the summary (isolated);
 //  7. cover validation on the summary (coverValidate): F-SD at the hull
-//     instances or, for S-SD, the SS-SD scans, with a witness U_Q ≠ V_Q;
-//     for P-SD then Theorem 1's match, walked over instances in order of
-//     summed distance (matchValidate);
+//     instances, with a witness U_Q ≠ V_Q; for P-SD then Theorem 1's
+//     match, walked over instances in order of summed distance
+//     (matchValidate);
 //  8. the exact test: the sorted-atom scan, or the Theorem 12 max-flow.
 //
 // Missing numbers are deleted rungs; the documents cite the others by
@@ -114,12 +114,11 @@ func (c *Checker) Operator() Operator { return c.op }
 // a single atom's mass exactly. Rung 7 takes only verdicts rung 8 would
 // take. (i) F-SD at the hull instances puts every U_q at or below V_q, and
 // makes every pair of P-SD's rows admissible, so the transport ships all
-// the mass. (ii) Scans that hold within roundSlack at every instance keep
-// the mixture's scan within its bound (roundSlack's proof). (iii) The
-// witness meansApart is a gap distr.Equal cannot leave (distr.MeanBound).
-// (iv) P-SD's match compares the summary's distances exactly, so each of
-// its tuples is a pair the rows admit, and it visits every positive-mass
-// instance and leaves at most half the bound unshipped (matchValidate).
+// the mass. (ii) The witness meansApart is a gap distr.Equal cannot leave
+// (distr.MeanBound). (iii) P-SD's match compares the summary's distances
+// exactly, so each of its tuples is a pair the rows admit, and it visits
+// every positive-mass instance and leaves at most half the bound unshipped
+// (matchValidate).
 func (c *Checker) Dominates(u, v *uncertain.Object) bool {
 	return c.sd(c.cacheOf(u), c.cacheOf(v))
 }
@@ -318,38 +317,17 @@ func (c *Checker) perQStatLE(su, sv *objCache) bool {
 
 // coverValidate is rung 7: the cover chain F-SD ⊂ P-SD ⊂ SS-SD ⊂ S-SD read
 // off the two summaries, so that a pair a cheaper operator already decides
-// never reaches the exact test. It needs the witness that U_Q ≠ V_Q
-// (meansApart) and then either F-SD at the hull instances or, with scans
-// (S-SD only, and a query of more than one instance, where one run's scan
-// is the mixture's), U_q ≤st V_q within roundSlack at every query
-// instance, on the runs a merge of U_Q would sort anyway. It is counted
-// where its verdict is taken.
+// never reaches the exact test: the witness that U_Q ≠ V_Q (meansApart)
+// and F-SD at the hull instances. It is counted where its verdict is taken.
 //
 //nnc:hotpath
-func (c *Checker) coverValidate(su, sv *objCache, scans bool) bool {
-	if !c.cfg.StatPruning || !c.meansApart(su, sv) {
-		return false
-	}
-	if !c.fsdAtHull(su, sv) && !(scans && c.query.Len() > 1 && c.scansHold(su, sv, roundSlack(su.obj.Len()+sv.obj.Len()))) {
+func (c *Checker) coverValidate(su, sv *objCache) bool {
+	if !c.cfg.StatPruning || !c.meansApart(su, sv) || !c.fsdAtHull(su, sv) {
 		return false
 	}
 	c.Stats.CoverValidations++
 	return true
 }
-
-// roundSlack is rung 7's tolerance on the per-run scans of two objects of
-// n instances in all: half their MassBound, so that scans holding within
-// it leave the mixture's scan within the mixture's bound, for |Q| ≥ 2.
-// Proof, with u = 2⁻⁵³ and N = |Q|·n the mixture's atoms, to first order:
-// a run's scan sums at most n atoms, so where it holds within T the exact
-// CDFs of U_q and V_q are at most T + (n−2)·u apart the wrong way; the
-// mixture's atoms fl(p(q)·p) add u on each side, so its exact CDFs are at
-// most T + n·u apart; its own scan sums at most N atoms and errs by at
-// most (N−2)·u. With T = n·u that is (N + 2n − 2)·u ≤ 2N·u =
-// uncertain.MassBound(N) whenever |Q| ≥ 2, with 2·u to spare for the
-// second-order terms. It is not the scans' own tolerance: it only makes
-// rung 7 say "yes" less often.
-func roundSlack(n int) float64 { return uncertain.MassBound(n) / 2 }
 
 // meansApart is the witness that U_Q ≠ V_Q: V's mean exceeds U's by more
 // than distr.Equal could leave between two distributions it calls equal
@@ -466,14 +444,15 @@ func scanBound(su, sv *objCache) float64 {
 	return uncertain.MassBound(su.obj.Len() + sv.obj.Len())
 }
 
-// scansHold reports whether U_q ≤st V_q within tol at every query instance:
-// the statistics of rung 2, whose min and max the scans leave to it, then
-// the scan half of P-SD's sweep on each pair of runs, sorted as it reaches
-// them. With tol = scanBound it is SS-SD's exact test.
-func (c *Checker) scansHold(su, sv *objCache, tol float64) bool {
+// scansHold is SS-SD's exact test, U_q ≤st V_q within scanBound at every
+// query instance: the statistics of rung 2, whose min and max the scans
+// leave to it, then the scan half of P-SD's sweep on each pair of runs,
+// sorted as it reaches them.
+func (c *Checker) scansHold(su, sv *objCache) bool {
 	if !c.perQStatLE(su, sv) {
 		return false
 	}
+	tol := scanBound(su, sv)
 	for j := 0; j < c.query.Len(); j++ {
 		us, _ := c.sortedRun(su, j)
 		vs, _ := c.sortedRun(sv, j)
@@ -506,7 +485,7 @@ func (c *Checker) ssd(su, sv *objCache) bool {
 			return le
 		}
 	}
-	if c.coverValidate(su, sv, true) {
+	if c.coverValidate(su, sv) {
 		return true
 	}
 	if !distr.StochasticLE(c.distQ(su), c.distQ(sv), &c.Stats.InstanceComparisons) {
@@ -555,11 +534,11 @@ func (c *Checker) sssd(su, sv *objCache) bool {
 		c.Stats.StatPrunes++
 		return false
 	}
-	if c.coverValidate(su, sv, false) {
+	if c.coverValidate(su, sv) {
 		return true
 	}
 	// The exact test: U_q ≤st V_q at every query instance, then U_Q ≠ V_Q.
-	return c.scansHold(su, sv, scanBound(su, sv)) && c.unequal(su, sv)
+	return c.scansHold(su, sv) && c.unequal(su, sv)
 }
 
 // --- F-SD (instance level) ----------------------------------------------------

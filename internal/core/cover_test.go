@@ -38,7 +38,7 @@ func coverVerdict(t *testing.T, label string, m geom.Metric, op Operator, q, u, 
 		t.Fatalf("%s %s %v: %d cover validations for one check", label, m.Name(), op, c.Stats.CoverValidations)
 	}
 	if c.Stats.BucketDecisions == 1 {
-		return dom, c.coverValidate(c.summaryOf(u), c.summaryOf(v), true)
+		return dom, c.coverValidate(c.summaryOf(u), c.summaryOf(v))
 	}
 	return dom, c.Stats.CoverValidations == 1
 }
@@ -74,7 +74,7 @@ func TestCoverValidationEdges(t *testing.T) {
 			false, none},
 		{"twin moved by 1e-10", geom.Euclidean, tri,
 			uncertain.MustNew(1, chain, nil), uncertain.MustNew(2, moved, nil),
-			true, map[Operator]bool{SSD: true, PSD: true}},
+			true, map[Operator]bool{PSD: true}},
 		{"1e-10 of mass moved outward", geom.Euclidean, tri,
 			uncertain.MustNew(1, []geom.Point{{5, 5}}, nil),
 			normalized(t, 2, []geom.Point{{5, 5}, {6, 6}}, []float64{1 - 1e-10, 1e-10}),

@@ -16,14 +16,18 @@ package core
 // extension, its first k elements each have < k dominators themselves and
 // hence are band members.
 //
-// Ties. Objects whose exact keys coincide could pop in either order, so
-// they are drained into one batch and each member counts dominators over
-// band ∪ batch: a batch member's true dominators all have keys <= the
-// batch key (every verdict keeps the key order exactly, Checker.sd) and
-// therefore sit in the band or the batch, and any counted dominator — band
-// or not — witnesses a true domination.
+// Ties. Objects whose exact keys coincide are drained into one batch and
+// each member counts dominators over band ∪ batch: a batch member's true
+// dominators all have keys <= the batch key (every verdict keeps the key
+// order exactly, Checker.sd) and therefore sit in the band or the batch,
+// and any counted dominator — band or not — witnesses a true domination.
+// The counts do not depend on the order a batch is evaluated in, so it is
+// evaluated in object ID order: candidates are emitted in (key, ID) order
+// whatever the tree's shape, and a search, a merge of shard bands and a
+// stepped band agree at ties.
 
 import (
+	"cmp"
 	"context"
 	"math"
 	"slices"
@@ -155,11 +159,11 @@ type heapKey struct {
 // searchHeap is a plain binary min-heap of searchItems, ordered by key. It
 // is deliberately a concrete type — no container/heap, no generics — so
 // Push/Pop never box items through interface{}; sift order matches
-// container/heap exactly (left child wins key ties), keeping emission
-// order stable. The items themselves never move: each waits in a slot of
-// slab while its heapKey is sifted. A popped slot is zeroed, so the slab
-// pins no object, and reused before the slab grows, so the slab is as long
-// as the heap has ever been, not as the search has pushed.
+// container/heap exactly (left child wins key ties). The items themselves
+// never move: each waits in a slot of slab while its heapKey is sifted. A
+// popped slot is zeroed, so the slab pins no object, and reused before the
+// slab grows, so the slab is as long as the heap has ever been, not as the
+// search has pushed.
 type searchHeap struct {
 	keys []heapKey
 	slab []searchItem
@@ -476,11 +480,11 @@ func (sc *searchScratch) release() {
 // subtrees and single objects alike, before anything below them is read —
 // whose MBR is dominated by k existing candidates (Theorem 4). Surviving
 // objects are resolved and re-keyed by their exact min(U_Q) before
-// evaluation — and exact-key ties are evaluated as one batch — so the
-// transitivity-based correctness argument of Section 5.2 applies. The
-// traversal stops, without popping, once no exact-keyed object is waiting
-// and the smallest key exceeds the band's radius: everything left would be
-// pruned on its MBR, and is counted as pruned.
+// evaluation — and exact-key ties are evaluated as one batch, in ID order —
+// so the transitivity-based correctness argument of Section 5.2 applies.
+// The traversal stops, without popping, once no exact-keyed object is
+// waiting and the smallest key exceeds the band's radius: everything left
+// would be pruned on its MBR, and is counted as pruned.
 //
 // The context is checked once per heap pop and once per candidate
 // emission; on cancellation the partial Result (with timing, dominance
@@ -654,11 +658,14 @@ func searchBackend(ctx context.Context, sc *searchScratch, b Backend, q *uncerta
 				}
 			}
 		}
-		// Evaluate the batch: dominators are counted over the pre-batch
-		// band plus the other batch members (see the header comment for
-		// why that is the exact dominator count). Batch members emitted
-		// into the band during this batch must not be counted twice, so
-		// the band scan stops at its pre-batch length.
+		// Evaluate the batch in ID order: dominators are counted over the
+		// pre-batch band plus the other batch members (see the header
+		// comment for why that is the exact dominator count). Batch
+		// members emitted into the band during this batch must not be
+		// counted twice, so the band scan stops at its pre-batch length.
+		if len(batch) > 1 {
+			slices.SortFunc(batch, func(a, b searchItem) int { return cmp.Compare(a.sum.obj.ID(), b.sum.obj.ID()) })
+		}
 		preBand := len(band.objs)
 		for _, bi := range batch {
 			if ctx.Err() != nil {

@@ -35,9 +35,8 @@ package core
 // dominator counts, OnCandidate and cancellation are the
 // single-node code path, not a copy of it. The merged Result therefore
 // equals the single-node Result candidate-for-candidate — same IDs, ranks,
-// MinDist bits and Dominators — except possibly emission order *within* an
-// exact-key tie batch (heap pop order over a different tree shape), which
-// has measure zero on continuous workloads and never changes a count.
+// MinDist bits and Dominators — ties included: a search emits a tie batch
+// in ID order, whatever the tree it runs over.
 
 import (
 	"cmp"
@@ -168,18 +167,12 @@ type stepMember struct {
 // MergeShardBands merges to the fresh answer (this file's invariant; the
 // front door's repair keeps one, front/repair.go), the returned Answer is
 // that answer: the same IDs, ranks, MinDist bits and Dominators, in key
-// order. The step does not decide what rests on two members at one
-// MinDist, and tied reports such a pair: a search emits two candidates at
-// one key as its heap pops them, an order neither the step nor a merge
-// knows. (Two objects at equal distances from every query instance no
-// longer dominate each other under F-SD and F+SD, which was the rule's
-// other reason.) A tied band is not to be served as a search's answer,
-// nor stepped again.
+// order and, at one key, in ID order, as a search emits them.
 //
-// The returned band's slices are new; b's are only read. Out is in key
-// order. res is the answer as a Result, with the step's statistics;
+// The returned band's slices are new; b's are only read. Out is in the
+// same order. res is the answer as a Result, with the step's statistics;
 // Examined is the tracked set's size.
-func StepBand(q *uncertain.Object, op Operator, k int, opts SearchOptions, b TrackedBand, adds []*uncertain.Object, drop []int) (nb TrackedBand, res *Result, tied bool) {
+func StepBand(q *uncertain.Object, op Operator, k int, opts SearchOptions, b TrackedBand, adds []*uncertain.Object, drop []int) (nb TrackedBand, res *Result) {
 	if k < 1 {
 		panic("core: StepBand requires k >= 1")
 	}
@@ -237,11 +230,12 @@ func StepBand(q *uncertain.Object, op Operator, k int, opts SearchOptions, b Tra
 	for i := range ms {
 		key(&ms[i])
 	}
-	slices.SortStableFunc(ms, func(a, b stepMember) int { return cmp.Compare(a.key, b.key) })
+	slices.SortFunc(ms, func(a, b stepMember) int {
+		return cmp.Or(cmp.Compare(a.key, b.key), cmp.Compare(a.oc.obj.ID(), b.oc.obj.ID()))
+	})
 	elapsed := time.Since(start)
 	for i := range ms {
 		m := &ms[i]
-		tied = tied || i > 0 && ms[i-1].key == m.key
 		if int(m.count) < k {
 			nb.Answer = append(nb.Answer, Candidate{Object: m.oc.obj, Rank: len(nb.Answer), MinDist: m.key, Elapsed: elapsed, Dominators: int(m.count)})
 		} else {
@@ -250,5 +244,5 @@ func StepBand(q *uncertain.Object, op Operator, k int, opts SearchOptions, b Tra
 		}
 	}
 	res = &Result{Operator: op, Candidates: nb.Answer, Examined: len(ms), Stats: c.Stats, Elapsed: elapsed}
-	return nb, res, tied
+	return nb, res
 }

@@ -62,7 +62,7 @@ func (c *Checker) psd(su, sv *objCache) bool {
 		c.Stats.StatPrunes++
 		return false
 	}
-	if c.coverValidate(su, sv, false) || c.matchValidate(su, sv) {
+	if c.coverValidate(su, sv) || c.matchValidate(su, sv) {
 		return true
 	}
 	if c.isolated(su, sv) {

@@ -10,10 +10,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
+	"path/filepath"
 	"slices"
 	"testing"
 
 	"spatialdom/internal/core"
+	"spatialdom/internal/geom"
+	"spatialdom/internal/pager"
+	"spatialdom/internal/uncertain"
 )
 
 // conformanceConfigs is every filter configuration exercised by the suite:
@@ -39,9 +44,47 @@ func emissions(res *core.Result) []string {
 	return out
 }
 
+// TestConformanceCandidatesAndOrder holds the disk backend's emissions to
+// the memory backend's on two datasets: generated clouds, and grid points
+// each held by 1–3 single-instance copies, shuffled, on 512-byte pages so
+// the two trees differ in shape. The copies tie keys, and a tie batch must
+// still come out in one order on both. Only trees of one shape examine the
+// same objects: a smaller node is pruned where a larger one is not.
 func TestConformanceCandidatesAndOrder(t *testing.T) {
 	disk, mem, ds, _ := buildBoth(t, 140, 6, 61, 64)
-	queries := ds.Queries(3, 4, 200, 62)
+	conformEmissions(t, "clouds", disk, mem, ds.Queries(3, 4, 200, 62), true)
+
+	rng := rand.New(rand.NewSource(67))
+	var objs []*uncertain.Object
+	for range 60 {
+		p := geom.Point{float64(rng.Intn(8)), float64(rng.Intn(8))}
+		for range 1 + rng.Intn(3) {
+			objs = append(objs, uncertain.MustNew(len(objs)+1, []geom.Point{p}, nil))
+		}
+	}
+	rng.Shuffle(len(objs), func(i, j int) { objs[i], objs[j] = objs[j], objs[i] })
+	mem, err := core.NewIndex(objs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pf, err := pager.Create(filepath.Join(t.TempDir(), "grid.pg"), 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { pf.Close() })
+	disk, err = Build(pager.NewPool(pf, 64), objs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var queries []*uncertain.Object
+	for range 3 {
+		queries = append(queries, uncertain.MustNew(0, []geom.Point{{rng.Float64() * 8, rng.Float64() * 8}, {rng.Float64() * 8, rng.Float64() * 8}}, nil))
+	}
+	conformEmissions(t, "grid with copies", disk, mem, queries, false)
+}
+
+func conformEmissions(t *testing.T, set string, disk *Index, mem *core.Index, queries []*uncertain.Object, sameShape bool) {
+	t.Helper()
 	for _, q := range queries {
 		for _, op := range core.Operators {
 			for _, cc := range conformanceConfigs {
@@ -57,17 +100,17 @@ func TestConformanceCandidatesAndOrder(t *testing.T) {
 					}
 					we, ge := emissions(want), emissions(got)
 					if len(we) != len(ge) {
-						t.Fatalf("%v/%s k=%d: disk emitted %v, memory %v", op, cc.name, k, ge, we)
+						t.Fatalf("%s %v/%s k=%d: disk emitted %v, memory %v", set, op, cc.name, k, ge, we)
 					}
 					for i := range we {
 						if we[i] != ge[i] {
-							t.Fatalf("%v/%s k=%d: emission %d differs: disk %q, memory %q",
-								op, cc.name, k, i, ge[i], we[i])
+							t.Fatalf("%s %v/%s k=%d: emission %d differs: disk %q, memory %q",
+								set, op, cc.name, k, i, ge[i], we[i])
 						}
 					}
-					if want.Examined != got.Examined {
-						t.Fatalf("%v/%s k=%d: disk examined %d, memory %d",
-							op, cc.name, k, got.Examined, want.Examined)
+					if sameShape && want.Examined != got.Examined {
+						t.Fatalf("%s %v/%s k=%d: disk examined %d, memory %d",
+							set, op, cc.name, k, got.Examined, want.Examined)
 					}
 				}
 			}

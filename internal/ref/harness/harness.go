@@ -393,16 +393,25 @@ type ProgressivePoint struct {
 
 // Progressive measures the progressive property of Algorithm 1 under P-SD
 // (Figure 14): for each decile of returned candidates, the fraction of the
-// total query time elapsed and the average candidate quality.
+// total query time elapsed and the average candidate quality. Each query
+// runs three times and the fastest run is measured: a run the machine
+// interrupts stretches some of its intervals, not its emission order.
 func Progressive(idx *core.Index, queries []*uncertain.Object) []ProgressivePoint {
 	const buckets = 10
 	agg := make([]ProgressivePoint, buckets)
 	for _, q := range queries {
+		var res *core.Result
 		var emits []time.Duration
-		res := mustSearch(idx, q, core.PSD, 1, core.SearchOptions{
-			Filters:     core.AllFilters,
-			OnCandidate: func(c core.Candidate) { emits = append(emits, c.Elapsed) },
-		})
+		for range 3 {
+			var run []time.Duration
+			r := mustSearch(idx, q, core.PSD, 1, core.SearchOptions{
+				Filters:     core.AllFilters,
+				OnCandidate: func(c core.Candidate) { run = append(run, c.Elapsed) },
+			})
+			if res == nil || r.Elapsed < res.Elapsed {
+				res, emits = r, run
+			}
+		}
 		if len(emits) == 0 {
 			continue
 		}

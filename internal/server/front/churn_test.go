@@ -19,10 +19,11 @@ import (
 // again: the answer must equal a fresh search on the store candidate for
 // candidate (IDs, order, MinDist bits, Dominators), and every kept entry's
 // answer must equal core.MergeShardBands over the union its basis stands
-// for — its tracked objects and the inserts logged since its base. The
-// walk must spend a basis's spare, outlive the 256-insert log (so some
-// repair falls back) and lift into an answer an insert its shield passed
-// over, once that insert's dominators are deleted.
+// for — its tracked objects and the inserts logged since its base. Some
+// inserts copy a candidate of a hot answer, so answers tie. The walk must
+// serve tied answers, spend a basis's spare, outlive the 256-insert log (so
+// some repair falls back) and lift into an answer an insert its shield
+// passed over, once that insert's dominators are deleted.
 func TestDoorChurnWalk(t *testing.T) {
 	if testing.Short() {
 		t.Skip("a 1 000-write walk")
@@ -67,7 +68,7 @@ func TestDoorChurnWalk(t *testing.T) {
 
 	var inserted []int // the door's live inserts
 	nextID := 1 << 20
-	var spent, lifted int
+	var spent, lifted, tied int
 	for w := 0; w < 1000; w++ {
 		// What each kept entry tracks before the write.
 		type before struct {
@@ -114,15 +115,25 @@ func TestDoorChurnWalk(t *testing.T) {
 			inserted = slices.DeleteFunc(inserted, func(x int) bool { return x == id })
 		} else {
 			// Around a hot query's first instance, so that shields often
-			// cannot rule the object out.
-			at := hots[rng.Intn(len(hots))].q.Instance(0)
+			// cannot rule the object out, or a copy of a hot candidate.
+			h := hots[rng.Intn(len(hots))]
+			at := h.q.Instance(0)
 			cx, cy := at[0]+(rng.Float64()*2-1)*12, at[1]+(rng.Float64()*2-1)*12
 			pts := make([]geom.Point, 1+rng.Intn(4))
 			for j := range pts {
 				pts[j] = geom.Point{cx + rng.Float64()*3, cy + rng.Float64()*3}
 			}
+			var probs []float64
+			if rng.Intn(5) == 0 {
+				res, err := store.SearchKCtx(context.Background(), h.q, h.op, h.k, h.opts)
+				if err != nil || len(res.Candidates) == 0 {
+					t.Fatal(err)
+				}
+				src := res.Candidates[rng.Intn(len(res.Candidates))].Object
+				pts, probs = src.Points(), src.Probs()
+			}
 			nextID++
-			if err := d.Insert(uncertain.MustNew(nextID, pts, nil)); err != nil {
+			if err := d.Insert(uncertain.MustNew(nextID, pts, probs)); err != nil {
 				t.Fatal(err)
 			}
 			inserted = append(inserted, nextID)
@@ -150,6 +161,12 @@ func TestDoorChurnWalk(t *testing.T) {
 				t.Fatal(err)
 			}
 			sameAnswer(t, at+": served vs fresh", served.Candidates, fresh.Candidates)
+			for j := 1; j < len(served.Candidates); j++ {
+				if served.Candidates[j].MinDist == served.Candidates[j-1].MinDist {
+					tied++
+					break
+				}
+			}
 			if b := snap[i]; del && b.e != nil && b.e == entryOf(h.key) {
 				for _, c := range served.Candidates {
 					if id := c.Object.ID(); slices.Contains(inserted, id) && !slices.Contains(b.ids, id) {
@@ -160,10 +177,10 @@ func TestDoorChurnWalk(t *testing.T) {
 		}
 	}
 	st := d.Stats().Cache
-	t.Logf("%d repairs, %d invalidations, %d fallbacks, floor %d; spare spent %d times, %d shielded inserts lifted",
-		st.Repairs, st.Invalidations, st.RepairFallbacks, d.inserts.floor, spent, lifted)
-	if st.Repairs == 0 || spent == 0 || lifted == 0 || d.inserts.floor == 0 || st.RepairFallbacks == 0 {
-		t.Fatal("the walk missed one of: a repair, a spare spent, a shielded insert lifted, the log's bound, a fallback")
+	t.Logf("%d repairs, %d invalidations, %d fallbacks, floor %d; %d tied answers served, spare spent %d times, %d shielded inserts lifted",
+		st.Repairs, st.Invalidations, st.RepairFallbacks, d.inserts.floor, tied, spent, lifted)
+	if st.Repairs == 0 || tied == 0 || spent == 0 || lifted == 0 || d.inserts.floor == 0 || st.RepairFallbacks == 0 {
+		t.Fatal("the walk missed one of: a repair, a tied answer, a spare spent, a shielded insert lifted, the log's bound, a fallback")
 	}
 }
 

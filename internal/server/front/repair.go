@@ -57,9 +57,6 @@ package front
 //
 //   - a delete takes a member of B with no spare left: objects outside U
 //     may lift into the k-skyband (the sweep decides this one);
-//   - two tracked objects have one MinDist (core.StepBand's tied): a search
-//     emits two candidates at one key in heap order, which neither the step
-//     nor a merge over U knows;
 //   - its base is older than an insert the log has forgotten (it holds
 //     maxInserts), so I is no longer known, or its key names a metric the
 //     door cannot rebuild — Door.rebuild decides these before it steps.
@@ -151,10 +148,9 @@ func (l *insertLog) since(epoch uint64) []*uncertain.Object {
 // widen gives a fill's basis a spare when its answer res holds objects
 // the door inserted: a search at k plus their number, whose candidates
 // beyond the answer become out, with their counts. It returns a spare of 0
-// when the answer holds none, or the wider search fails or has two
-// candidates at one MinDist, which its next step could not take (see
-// core.StepBand). The search runs under the fill's pending entry, so a
-// write between it and the fill keeps neither.
+// when the answer holds none, or the wider search fails. The search runs
+// under the fill's pending entry, so a write between it and the fill keeps
+// neither.
 func (d *Door) widen(ctx context.Context, q *uncertain.Object, op core.Operator, k int, opts core.SearchOptions, res *core.Result) (out []*uncertain.Object, outDom []int32, spare int32) {
 	s := d.inserts.after(res.Candidates, 0)
 	if s == 0 {
@@ -162,7 +158,7 @@ func (d *Door) widen(ctx context.Context, q *uncertain.Object, op core.Operator,
 	}
 	opts.OnCandidate = nil // the client had its candidates from the first search
 	wide, err := d.inner.SearchKCtx(ctx, q, op, k+s, opts)
-	if err != nil || wide.Incomplete || tied(wide.Candidates) {
+	if err != nil || wide.Incomplete {
 		return nil, nil, 0
 	}
 	for _, c := range wide.Candidates {
@@ -189,9 +185,9 @@ func (d *Door) repairQueued(m mutation, newTag uint64) {
 // rebuild steps e's tracked set by m, and returns the kept answer at
 // newTag, re-shielded and sized, with its new basis. It is nil when that
 // answer cannot be trusted to be the fresh search's (see the file header):
-// the key names a metric the door cannot rebuild, the step is tied, or the
-// log has forgotten an insert since the base, so the inserts the basis
-// stands for are no longer known.
+// the key names a metric the door cannot rebuild, or the log has forgotten
+// an insert since the base, so the inserts the basis stands for are no
+// longer known.
 //
 // An insert repair folds in m's object alone, and not even that when
 // core.StepRejects finds it outside the answer. Each insert the shield
@@ -208,9 +204,7 @@ func (d *Door) rebuild(e *entry, m mutation, newTag uint64) *kept {
 	// An insert outside the answer, with k tracked dominators, waits
 	// unfolded, as if the shield had passed it over.
 	if m.delete || !core.StepRejects(q, op, k, opts, e.res.Candidates, d.inserts.since(newTag - 1)[0]) {
-		if !d.step(e, m, newTag, q, op, k, opts, &r) {
-			return nil
-		}
+		d.step(e, m, newTag, q, op, k, opts, &r)
 	}
 	// With no spare left, a delete of a member of the basis evicts; so
 	// unless a candidate is an insert since the base, whose delete repairs,
@@ -229,8 +223,7 @@ func (d *Door) rebuild(e *entry, m mutation, newTag uint64) *kept {
 }
 
 // step folds m into r, e's basis, by core.StepBand: m's object joins or
-// leaves, and a delete also folds every insert still unfolded. It is false
-// when the stepped band is tied.
+// leaves, and a delete also folds every insert still unfolded.
 //
 // The unfolded inserts are the live ones logged after the base that e does
 // not hold. A delete repair folds every insert logged after the base into
@@ -238,7 +231,7 @@ func (d *Door) rebuild(e *entry, m mutation, newTag uint64) *kept {
 // again — a drop only ever removes the deleted object, and a rebase moves
 // the base past it — so every live insert logged after the base that an
 // earlier delete repair saw is tracked.
-func (d *Door) step(e *entry, m mutation, newTag uint64, q *uncertain.Object, op core.Operator, k int, opts core.SearchOptions, r *kept) bool {
+func (d *Door) step(e *entry, m mutation, newTag uint64, q *uncertain.Object, op core.Operator, k int, opts core.SearchOptions, r *kept) {
 	var drop []int
 	adds := d.inserts.since(newTag - 1)
 	if m.delete {
@@ -253,20 +246,8 @@ func (d *Door) step(e *entry, m mutation, newTag uint64, q *uncertain.Object, op
 			r.spare-- // m took a member of the basis
 		}
 	}
-	band, res, tied := core.StepBand(q, op, k, opts, core.TrackedBand{Answer: e.res.Candidates, Out: e.out, OutDominators: e.outDom}, adds, drop)
+	band, res := core.StepBand(q, op, k, opts, core.TrackedBand{Answer: e.res.Candidates, Out: e.out, OutDominators: e.outDom}, adds, drop)
 	r.res, r.out, r.outDom = res, band.Out, band.OutDominators
-	return !tied
-}
-
-// tied reports whether two candidates of a search, in its key order, share
-// a MinDist.
-func tied(cands []core.Candidate) bool {
-	for i := 1; i < len(cands); i++ {
-		if cands[i].MinDist == cands[i-1].MinDist {
-			return true
-		}
-	}
-	return false
 }
 
 // answers reports whether res holds the object id.

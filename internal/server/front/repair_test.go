@@ -207,15 +207,15 @@ func runRepairCases(t *testing.T, open func(*testing.T, []*uncertain.Object) mut
 			t.Fatalf("answer %v lacks the object the delete lifted", ids)
 		}
 	})
-	t.Run("a merged answer with a MinDist tie evicts", func(t *testing.T) {
+	t.Run("a merged answer with a MinDist tie repairs", func(t *testing.T) {
 		f := newRepairFixture(t, 54, open)
 		f.insert(joiner, f.q.Instance(0))
 		f.insert(twin, f.q.Instance(0))
-		f.counts(1, 1, 1)
-		if ids := f.served(false); !containsID(ids, joiner) || !containsID(ids, twin) {
+		f.counts(2, 0, 0)
+		if ids := f.served(true); !containsID(ids, joiner) || !containsID(ids, twin) {
 			t.Fatalf("answer %v lacks one of the two objects at distance 0", ids)
 		}
-		f.reported(1, 1)
+		f.reported(2, 0)
 	})
 	t.Run("a base older than the insert log's bound evicts", func(t *testing.T) {
 		f := newRepairFixture(t, 55, open)
