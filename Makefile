@@ -235,8 +235,8 @@ smoke:
 # accepted. The ninth and tenth are property targets: whenever S-SD's
 # entry test counts a band member against a rectangle, the checker finds
 # that member dominating the objects inside it (FuzzSSDEntryTest), and
-# wherever S-SD's mass rung decides, on bucket masses, a pair of objects or
-# an object against an entry's N_r, the exact scan agrees (FuzzSSDBucketRung).
+# wherever S-SD's mass rung decides a pair of objects on bucket masses, the
+# exact scan agrees (FuzzSSDBucketRung).
 # Several corpora seed large inputs; left at its 60s default the fuzzer
 # spends the whole run minimizing mutations of them, hence
 # -fuzzminimizetime. FUZZTIME is per target.

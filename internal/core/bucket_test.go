@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"spatialdom/internal/distr"
@@ -11,16 +10,15 @@ import (
 	"spatialdom/internal/uncertain"
 )
 
-// FuzzSSDBucketRung holds S-SD's mass rung to the exact scans it stands in
+// FuzzSSDBucketRung holds S-SD's mass rung to the exact scan it stands in
 // for. Wherever it decides a pair of objects (Checker.massOrder: the
 // bucket summaries, then the atoms of the buckets they leave open) and
 // rung 1 lets the pair through, distr.StochasticLE on the built U_Q and V_Q
-// gives the same verdict; wherever it decides an object against an entry's
-// N_r (nearOrder), belowNear's own scan (nearScan) does. The data is made
-// to tie: integer coordinates, copies and copies nudged by an ulp, objects
-// that mirror each other through the query, uniform weights (equal masses
-// at equal distances, where the two orders of the sums differ in their
-// last bits) beside skewed and zero ones, and objects far past the edges.
+// gives the same verdict. The data is made to tie: integer coordinates,
+// copies and copies nudged by an ulp, objects that mirror each other
+// through the query, uniform weights (equal masses at equal distances,
+// where the two orders of the sums differ in their last bits) beside
+// skewed and zero ones, and objects far past the edges.
 func FuzzSSDBucketRung(f *testing.F) {
 	for seed := range int64(64) {
 		f.Add(seed)
@@ -102,25 +100,6 @@ func FuzzSSDBucketRung(f *testing.F) {
 					}
 				}
 			}
-			rects := []geom.Rect{
-				objs[rng.Intn(len(objs))].MBR(),
-				{Lo: geom.Point{coord(20, 8), coord(20, 8)}, Hi: geom.Point{40, 40}},
-				{Lo: q.Instance(0).Clone(), Hi: q.Instance(0).Clone()},
-			}
-			nears := make([][]distr.Pair, len(rects))
-			near := make([]verdict, len(rects)*len(objs))
-			for r, rect := range rects {
-				ns := make([]distr.Pair, q.Len())
-				for j := range ns {
-					ns[j] = distr.Pair{Dist: c.near(q.Instance(j), rect), Prob: q.Prob(j)}
-				}
-				nears[r] = distr.Own(ns).Pairs()
-				bn := slices.Clone(c.nearBuckets(nears[r]))
-				for i, su := range sums {
-					le, decided := c.nearOrder(su, bn, q.Len())
-					near[r*len(objs)+i] = verdict{le, decided}
-				}
-			}
 			for i, su := range sums {
 				for j, sv := range sums {
 					v := pairs[i*len(objs)+j]
@@ -129,17 +108,6 @@ func FuzzSSDBucketRung(f *testing.F) {
 					}
 					if exact := distr.StochasticLE(c.distQ(su), c.distQ(sv), nil); exact != v.le {
 						t.Fatalf("%s: the mass rung says %v ≤st %v is %v, the scan %v", m.Name(), objs[i], objs[j], v.le, exact)
-					}
-				}
-			}
-			for r := range rects {
-				for i, su := range sums {
-					v := near[r*len(objs)+i]
-					if !v.decided {
-						continue
-					}
-					if exact := c.nearScan(su, nears[r]); exact != v.le {
-						t.Fatalf("%s: the mass rung says %v ≤st N_r of %v is %v, the scan %v", m.Name(), objs[i], rects[r], v.le, exact)
 					}
 				}
 			}

@@ -77,10 +77,9 @@ func (c *Checker) Operator() Operator { return c.op }
 //     cover-based pruning, and the admissibility rows of rung 8 (P-SD),
 //     which P-SD's rung 4a precedes: an instance of positive mass without
 //     a partner under ⪯Q refutes off the summary (isolated);
-//  7. cover validation on the summary (coverValidate): F-SD at the hull
-//     instances, with a witness U_Q ≠ V_Q; for P-SD then Theorem 1's
-//     match, walked over instances in order of summed distance
-//     (matchValidate);
+//  7. P-SD's match witness (matchValidate): Theorem 1's match, walked
+//     over instances in order of summed distance, with meansApart as the
+//     witness of U_Q ≠ V_Q;
 //  8. the exact test: the sorted-atom scan, or the Theorem 12 max-flow.
 //
 // Missing numbers are deleted rungs; the documents cite the others by
@@ -92,30 +91,22 @@ func (c *Checker) Operator() Operator { return c.op }
 //
 // Rung 1a answers both ways, but only where rung 8's scan answers the same
 // (band's comment has the proof), so it changes no verdict either. Rungs
-// 1, 2, 4 and 4a can only answer "no", rung 7 only "yes", so their
-// order never changes a verdict, only what it costs — provided a "no" rung
-// placed before a validation cannot fire on a pair the validation would
-// have accepted. It cannot: validation holds when every instance of U is
-// at least as close as every instance of V to every hull instance of Q,
-// hence (the bisector halfspaces being convex) to every instance of Q; then
-// each U_q lies entirely at or below V_q, and min, mean and max of U_q and
-// of the mixture U_Q are ordered, which is exactly what rungs 1 and 2 test.
-// Rungs 1 and 2 are in turn necessary for the scans of rungs 4 and 8
+// 1, 2, 4 and 4a can only answer "no", rung 7 only "yes", and each only
+// where rung 8 would, so their order never changes a verdict, only what it
+// costs. Rungs 1 and 2 are necessary for the scans of rungs 4 and 8
 // (Theorem 11: X ≤st Y implies the statistics are ordered), so a pair they
-// reject is one a scan would have rejected, later and dearer. Rung 7 is
-// where each operator's own rungs end and the work it saves begins: P-SD
-// reads it before rung 4a and its sweep. Each rung is gated by the
-// FilterConfig flag it always was, rungs 7 and 4a by StatPruning. Rung 4a
+// reject is one a scan would have rejected, later and dearer. Rung 4a
 // answers only what rung 8 would: mass without a partner cannot ship, so
-// the transport falls short.
+// the transport falls short. Rung 7 is where P-SD's own rungs end and the
+// work it saves begins: P-SD reads it before rung 4a and its sweep. Each
+// rung is gated by the FilterConfig flag it always was, rungs 7 and 4a by
+// StatPruning.
 //
 // Every rung compares by one rule (distr's package comment): distances
 // exactly, accumulated mass under uncertain.MassBound of the atoms summed,
 // a single atom's mass exactly. Rung 7 takes only verdicts rung 8 would
-// take. (i) F-SD at the hull instances puts every U_q at or below V_q, and
-// makes every pair of P-SD's rows admissible, so the transport ships all
-// the mass. (ii) The witness meansApart is a gap distr.Equal cannot leave
-// (distr.MeanBound). (iii) P-SD's match compares the summary's distances
+// take. (i) The witness meansApart is a gap distr.Equal cannot leave
+// (distr.MeanBound). (ii) P-SD's match compares the summary's distances
 // exactly, so each of its tuples is a pair the rows admit, and it visits
 // every positive-mass instance and leaves at most half the bound unshipped
 // (matchValidate).
@@ -313,22 +304,6 @@ func (c *Checker) perQStatLE(su, sv *objCache) bool {
 	return true
 }
 
-// --- cover validation on the summary -----------------------------------------
-
-// coverValidate is rung 7: the cover chain F-SD ⊂ P-SD ⊂ SS-SD ⊂ S-SD read
-// off the two summaries, so that a pair a cheaper operator already decides
-// never reaches the exact test: the witness that U_Q ≠ V_Q (meansApart)
-// and F-SD at the hull instances. It is counted where its verdict is taken.
-//
-//nnc:hotpath
-func (c *Checker) coverValidate(su, sv *objCache) bool {
-	if !c.cfg.StatPruning || !c.meansApart(su, sv) || !c.fsdAtHull(su, sv) {
-		return false
-	}
-	c.Stats.CoverValidations++
-	return true
-}
-
 // meansApart is the witness that U_Q ≠ V_Q: V's mean exceeds U's by more
 // than distr.Equal could leave between two distributions it calls equal
 // (distr.MeanBound).
@@ -336,70 +311,16 @@ func (c *Checker) meansApart(su, sv *objCache) bool {
 	return sv.stat.Mean-su.stat.Mean > distr.MeanBound(len(su.runs)+len(sv.runs), max(su.stat.Max, sv.stat.Max))
 }
 
-// fsdAtHull reports F-SD at the hull query instances: every positive-mass
-// instance of U at least as close as every one of V, read off the
-// per-query-instance extremes with no sort.
-func (c *Checker) fsdAtHull(su, sv *objCache) bool {
-	for _, j := range c.hullIdx {
-		if su.perQStat[j].Max > sv.perQStat[j].Min {
-			return false
-		}
-	}
-	return true
-}
-
 // massWitness is the mass one atom must exceed to witness U_Q ≠ V_Q at a
 // value where V_Q has none, whatever V is: MassBound of 2²⁶ atoms, above
 // the tolerance of any distr.Equal under MassBound's premise.
 const massWitness = 0x1p-26
 
-// belowNear is band.massDominates' test of one member: whether U_Q ≤st
-// N_r, the masses within MassBound(|U_Q|)/2, with the witness that U_Q ≠
-// V_Q for every V inside the rectangle — an atom of U_Q below nmin, N_r's
-// least positive atom, heavier than massWitness (band's comment has the
-// proof). ns is N_r, sorted, one atom per query instance, and bn its
-// bucket summary (nearBuckets, nil without buckets): the mass rung asks
-// them first (nearOrder), and U_Q is built only for the scan it leaves
-// undecided (nearScan). U_Q's largest positive atom is the caller's: the
-// max slab against N_r's.
-func (c *Checker) belowNear(su *objCache, ns []distr.Pair, nmin float64, bn []distr.Bucket) bool {
-	if !c.witnessBelow(su, nmin) {
-		return false
-	}
-	if bn != nil {
-		if le, decided := c.nearOrder(su, bn, len(ns)); decided {
-			c.Stats.BucketDecisions++
-			return le
-		}
-	}
-	return c.nearScan(su, ns)
-}
-
-// nearBuckets returns the bucket summary of N_r, ns (nq atoms of mass
-// p(q)), in the scratch, or nil when the search has no buckets.
-func (c *Checker) nearBuckets(ns []distr.Pair) []distr.Bucket {
-	if c.bk.N == 0 {
-		return nil
-	}
-	bn := grow(c.scratch.massB, c.bk.N+1)
-	c.scratch.massB = bn
-	clear(bn)
-	c.bk.Add(bn, ns, 1)
-	c.bk.Finish(bn)
-	return bn
-}
-
-// nearOrder is the mass rung against N_r, of nq atoms, with the bounds
-// under which it agrees with nearScan (band's comment).
-func (c *Checker) nearOrder(su *objCache, bn []distr.Bucket, nq int) (le, decided bool) {
-	rej, acc := distr.Units(uncertain.MassBound(2*len(su.runs)+nq)), distr.Units(uncertain.MassBound(nq))
-	le, decided, _ = c.bk.Order(su.buckets, bn, rej, acc)
-	return le, decided
-}
-
-// nearScan is belowNear's exact scan of U_Q against N_r, ns. N_r's
-// cumulative mass only steps at its own atoms, and U_Q's only grows, so it
-// compares at N_r's atoms alone.
+// nearScan is band.massDominates' exact scan of U_Q against N_r, ns,
+// sorted, one atom per query instance: whether U_Q's mass reaches N_r's
+// within MassBound(|U_Q|)/2 at every value (band's comment), asked once
+// witnessBelow holds. N_r's cumulative mass only steps at its own atoms,
+// and U_Q's only grows, so it compares at N_r's atoms alone.
 func (c *Checker) nearScan(su *objCache, ns []distr.Pair) bool {
 	us := c.distQ(su).Pairs()
 	tol := uncertain.MassBound(len(us)) / 2
@@ -419,9 +340,11 @@ func (c *Checker) nearScan(su *objCache, ns []distr.Pair) bool {
 	return le
 }
 
-// witnessBelow reports whether U_Q has an atom below nmin heavier than
-// massWitness, read off the runs in whatever order they are: U_Q's atoms
-// are their distances with the products MergeRuns weighs them by.
+// witnessBelow is band.massDominates' witness that U_Q ≠ V_Q for every V
+// inside the rectangle: an atom of U_Q below nmin, N_r's least positive
+// atom, heavier than massWitness (band's comment). It reads the runs in
+// whatever order they are: U_Q's atoms are their distances with the
+// products MergeRuns weighs them by.
 func (c *Checker) witnessBelow(su *objCache, nmin float64) bool {
 	if su.stat.Min >= nmin {
 		return false
@@ -475,8 +398,8 @@ func (c *Checker) unequal(su, sv *objCache) bool {
 
 // --- S-SD ---------------------------------------------------------------------
 
-// ssd is S-SD past rung 1: rung 1a when the search has buckets, then rungs
-// 7 and 8.
+// ssd is S-SD past rung 1: rung 1a when the search has buckets, then
+// rung 8.
 func (c *Checker) ssd(su, sv *objCache) bool {
 	if su.buckets != nil && sv.buckets != nil {
 		le, decided := c.massOrder(su, sv)
@@ -484,9 +407,6 @@ func (c *Checker) ssd(su, sv *objCache) bool {
 			c.Stats.BucketDecisions++
 			return le
 		}
-	}
-	if c.coverValidate(su, sv) {
-		return true
 	}
 	if !distr.StochasticLE(c.distQ(su), c.distQ(sv), &c.Stats.InstanceComparisons) {
 		return false
@@ -533,9 +453,6 @@ func (c *Checker) sssd(su, sv *objCache) bool {
 	if c.cfg.StatPruning && !c.perQStatLE(su, sv) {
 		c.Stats.StatPrunes++
 		return false
-	}
-	if c.coverValidate(su, sv) {
-		return true
 	}
 	// The exact test: U_q ≤st V_q at every query instance, then U_Q ≠ V_Q.
 	return c.scansHold(su, sv) && c.unequal(su, sv)

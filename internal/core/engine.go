@@ -322,11 +322,11 @@ type searchScratch struct {
 // of meansApart: MeanBound grows with V's atoms, which an entry does not
 // know.
 //
-// The mass rung (rung 1a: Checker.massOrder, and nearOrder against N_r)
-// reads distr.Buckets summaries. Bucket and cell are floor((d−lo)·inv)
-// clamped: a rounded subtraction, a product by a positive constant, the
-// clamps and the truncation never reverse "≤", so both are non-decreasing
-// in the distance, and the atoms of the buckets below i are those below
+// The mass rung (rung 1a, Checker.massOrder) reads distr.Buckets
+// summaries. Bucket and cell are floor((d−lo)·inv) clamped: a rounded
+// subtraction, a product by a positive constant, the clamps and the
+// truncation never reverse "≤", so both are non-decreasing in the
+// distance, and the atoms of the buckets below i are those below
 // some value — the same value for every object under one search's edges.
 // Each atom's mass a = fl(p(q)·p(u)), MergeRuns' product, enters as
 // ⌊a·2⁶⁰⌋ units: scaling by a power of two is exact, so the integer C(i)
@@ -345,12 +345,7 @@ type searchScratch struct {
 // bound, and rejection below −2·MassBound(N) keeps it below. Exact ties — co-located instances, equal
 // masses — land on the accepting side, as in the scan. The scan's other
 // refusals, V's mass below all of U's or U's above all of V's, are rung 1's
-// (no product of positive masses underflowing). Against N_r, belowNear's
-// scan sums U_Q in sorted order and N_r within (|Q|−1)·u, under T =
-// MassBound(|U_Q|)/2: acceptance at +MassBound(|Q|) and rejection below
-// −MassBound(2|U_Q| + |Q|) agree with it the same way. That acceptance
-// almost never fires: past N_r's last atom both totals are one up to their
-// rounding, and no bucket shows U ahead by |Q|·u there.
+// (no product of positive masses underflowing).
 type band struct {
 	objs      []*objCache
 	mean, max []float64
@@ -785,13 +780,13 @@ func (b *band) dominatesRect(c *Checker, r geom.Rect, k int) bool {
 // massDominates is dominatesRect's second pass under S-SD, after the F-SD
 // rows counted fewer than k members: it asks the members that failed their
 // rows (failed, band indices) the mass test against N_r (band's comment),
-// cheapest rung first, until need more of them count. N_r's statistics
+// cheapest test first, until need more of them count. N_r's statistics
 // against the mean and max slabs come first, necessary for the scan
 // (Theorem 11, under distr.MeanBound of the band's largest member); N_r is
-// sorted and binned only once some member gets past them; then the mass
-// rung on the member's bucket masses and N_r's, and one merge scan of the
-// member's U_Q where the rung leaves the pair open (Checker.belowNear). An
-// entry whose k-th dominator this pass finds is counted in MassPrunes.
+// sorted only once some member gets past them; then the witness of U_Q ≠
+// V_Q on the member's runs (Checker.witnessBelow) and one merge scan of its
+// U_Q (Checker.nearScan). An entry whose k-th dominator this pass finds is
+// counted in MassPrunes.
 //
 //nnc:hotpath
 func (b *band) massDominates(c *Checker, r geom.Rect, need int, failed []int32) bool {
@@ -810,16 +805,14 @@ func (b *band) massDominates(c *Checker, r geom.Rect, need int, failed []int32) 
 	c.Stats.InstanceComparisons += int64(nq)
 	meanCut := nmean + distr.MeanBound(b.atoms+nq, nmax)
 	sorted := false
-	var bn []distr.Bucket
 	for _, i := range failed {
 		if b.max[i] > nmax || b.mean[i] > meanCut {
 			continue
 		}
 		if !sorted {
 			ns, sorted = distr.Own(ns).Pairs(), true
-			bn = c.nearBuckets(ns)
 		}
-		if c.belowNear(b.objs[i], ns, nmin, bn) {
+		if su := b.objs[i]; c.witnessBelow(su, nmin) && c.nearScan(su, ns) {
 			if need--; need == 0 {
 				c.Stats.MassPrunes++
 				return true

@@ -210,7 +210,7 @@ func TestSearchHeapOrdering(t *testing.T) {
 // insertion order. And the entry test subsumes cover validation on MBRs
 // (Theorem 4), which is why the checker has no such rung: wherever a
 // member's MBR dominates r for an operator of the cover chain, the member
-// passes entryDominates against r, and rung 7's F-SD at the hull instances
+// passes entryDominates against r, and F-SD at the hull instances (hullFSD)
 // holds between it and an object whose MBR is r.
 func TestSlabEntryTestMatchesRectDominates(t *testing.T) {
 	rng := rand.New(rand.NewSource(2303))
@@ -259,9 +259,9 @@ func TestSlabEntryTestMatchesRectDominates(t *testing.T) {
 						}
 						if dom, _ := c.dominates(u.MBR(), r); dom && op != FPlusSD {
 							subsumed[op]++
-							if !entry || !c.fsdAtHull(c.summaryOf(u), c.summaryOf(v)) {
+							if !entry || !hullFSD(c, c.summaryOf(u), c.summaryOf(v)) {
 								t.Fatalf("iter %d %s %v: MBR of %d dominates %v, entry test %v, F-SD at the hull %v",
-									iter, m.Name(), op, u.ID(), r, entry, c.fsdAtHull(c.summaryOf(u), c.summaryOf(v)))
+									iter, m.Name(), op, u.ID(), r, entry, hullFSD(c, c.summaryOf(u), c.summaryOf(v)))
 							}
 						}
 					}

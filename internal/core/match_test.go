@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"spatialdom/internal/distr"
 	"spatialdom/internal/geom"
 	"spatialdom/internal/uncertain"
 )
@@ -20,10 +21,12 @@ const (
 	pairCoincident        // pushed, with U's first and last instances coincident
 	pairNudged            // pushed, but the copy of U's least-sum instance moved 1e-11 toward Q
 	pairStray             // pushed, with a tenth of U's mass on an instance beyond all of V
+	pairApart             // V a cloud beyond all of U: F-SD at every query instance
+	pairTouching          // apart, V's first and last instances on U's far corner, which U holds
 	pairKinds
 )
 
-var pairNames = [pairKinds]string{"pushed", "cloud", "duplicate", "coincident", "nudged", "stray"}
+var pairNames = [pairKinds]string{"pushed", "cloud", "duplicate", "coincident", "nudged", "stray", "apart", "touching"}
 
 // matchPair draws one pair of the grid: m instances a side in dim
 // dimensions, probabilities uniform (probs 0), skewed (1) or with zeros (2).
@@ -56,6 +59,27 @@ func matchPair(rng *rand.Rand, kind, dim, m, probs int) (u, v *uncertain.Object)
 	up := box(15, 10)
 	if kind == pairCoincident && m > 1 {
 		up[m-1] = up[0].Clone()
+	}
+	if kind == pairApart || kind == pairTouching {
+		corner := func(x float64) geom.Point {
+			p := make(geom.Point, dim)
+			for k := range p {
+				p[k] = x
+			}
+			return p
+		}
+		vp := box(25, 10)
+		if kind == pairTouching {
+			up[0], vp[0], vp[m-1] = corner(25), corner(25), corner(25)
+		}
+		// Zero masses where they would break F-SD if they counted: U's
+		// beyond all of V, V's nearer the query than all of U.
+		for i, w := range ws {
+			if w == 0 {
+				up[i], vp[i] = corner(40), corner(0)
+			}
+		}
+		return uncertain.MustNew(1, up, ws), uncertain.MustNew(2, vp, ws)
 	}
 	u = uncertain.MustNew(1, up, ws)
 	if kind == pairCloud {
@@ -106,18 +130,12 @@ func sumAll(p geom.Point) (s float64) {
 	return s
 }
 
-// Rung 7's match witness is sound: over 2-D and 3-D, L2 and L1, |Q| of 1, 3
-// and 8, m from 1 to 70 (rows one and two words wide), uniform, skewed and
-// zero probabilities and the pair shapes above, every pair it validates is
-// P-SD-dominated by the unfiltered checker and has an exact ⪯Q match under
-// the max-flow oracle at every query instance with no tolerance at all —
-// the walk compares with plain ≤, so it owes no eps. It fires on a fair
-// share of the pushed copies. (Negative probes, each verified to fail this
-// test: ≤ dv+eps in the walk's comparison, on the nudged pairs; no
-// meansApart, on the duplicates.)
-func TestMatchWitnessSound(t *testing.T) {
-	rng := rand.New(rand.NewSource(4101))
-	var drawn, fired [pairKinds]int
+// eachMatchPair calls f on the grid of pairs the match witness is tested
+// on: 2-D and 3-D, L2 and L1, |Q| of 1, 3 and 8, m from 1 to 70 (rows one
+// and two words wide), uniform, skewed and zero probabilities, and every
+// pair shape above.
+func eachMatchPair(seed int64, f func(tag string, metric geom.Metric, kind int, q, u, v *uncertain.Object)) {
+	rng := rand.New(rand.NewSource(seed))
 	for _, dim := range []int{2, 3} {
 		for _, metric := range []geom.Metric{geom.Euclidean, geom.Manhattan} {
 			for _, nq := range []int{1, 3, 8} {
@@ -126,25 +144,38 @@ func TestMatchWitnessSound(t *testing.T) {
 						q := randObject(rng, 0, dim, nq, make(geom.Point, dim), 3)
 						for kind := 0; kind < pairKinds; kind++ {
 							u, v := matchPair(rng, kind, dim, m, probs)
-							c := NewCheckerMetric(q, PSD, AllFilters, metric)
-							drawn[kind]++
-							if !c.matchValidate(c.summaryOf(u), c.summaryOf(v)) {
-								continue
-							}
-							fired[kind]++
-							tag := fmt.Sprintf("%s d=%d %s |Q|=%d m=%d probs=%d", pairNames[kind], dim, metric.Name(), nq, m, probs)
-							if !oraclePSDMatchMetric(u, v, q, metric) {
-								t.Fatalf("%s: validated, but no exact ⪯Q match ships the mass", tag)
-							}
-							if !NewCheckerMetric(q, PSD, FilterConfig{}, metric).Dominates(u, v) {
-								t.Fatalf("%s: validated, but the unfiltered checker says no", tag)
-							}
+							f(fmt.Sprintf("%s d=%d %s |Q|=%d m=%d probs=%d", pairNames[kind], dim, metric.Name(), nq, m, probs), metric, kind, q, u, v)
 						}
 					}
 				}
 			}
 		}
 	}
+}
+
+// Rung 7's match witness is sound: on every pair of eachMatchPair it
+// validates, the pair is P-SD-dominated by the unfiltered checker and has
+// an exact ⪯Q match under the max-flow oracle at every query instance with
+// no tolerance at all — the walk compares with plain ≤, so it owes no eps.
+// It fires on a fair share of the pushed copies. (Negative probes, each
+// verified to fail this test: ≤ dv+eps in the walk's comparison, on the
+// nudged pairs; no meansApart, on the duplicates.)
+func TestMatchWitnessSound(t *testing.T) {
+	var drawn, fired [pairKinds]int
+	eachMatchPair(4101, func(tag string, metric geom.Metric, kind int, q, u, v *uncertain.Object) {
+		c := NewCheckerMetric(q, PSD, AllFilters, metric)
+		drawn[kind]++
+		if !c.matchValidate(c.summaryOf(u), c.summaryOf(v)) {
+			return
+		}
+		fired[kind]++
+		if !oraclePSDMatchMetric(u, v, q, metric) {
+			t.Fatalf("%s: validated, but no exact ⪯Q match ships the mass", tag)
+		}
+		if !NewCheckerMetric(q, PSD, FilterConfig{}, metric).Dominates(u, v) {
+			t.Fatalf("%s: validated, but the unfiltered checker says no", tag)
+		}
+	})
 	t.Logf("validated per shape: %v of %v", fired, drawn)
 	if fired[pairPushed]*5 < drawn[pairPushed] {
 		t.Fatalf("the witness validated %d of %d pushed copies, want at least a fifth", fired[pairPushed], drawn[pairPushed])
@@ -153,6 +184,98 @@ func TestMatchWitnessSound(t *testing.T) {
 		if fired[kind] != 0 {
 			t.Fatalf("%s: %d validations of pairs the witness must refuse", pairNames[kind], fired[kind])
 		}
+	}
+}
+
+// normalized builds an object whose probabilities are taken bit for bit.
+func normalized(t *testing.T, id int, pts []geom.Point, probs []float64) *uncertain.Object {
+	t.Helper()
+	o, err := uncertain.FromNormalized(id, pts, probs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return o
+}
+
+// hullFSD reports F-SD at the hull query instances on two summaries: every
+// positive-mass instance of U at least as close to each hull instance as
+// every one of V, read off the per-query-instance extremes.
+func hullFSD(c *Checker, su, sv *objCache) bool {
+	for _, j := range c.hullIdx {
+		if su.perQStat[j].Max > sv.perQStat[j].Min {
+			return false
+		}
+	}
+	return true
+}
+
+// hullFacts checks, on one pair under metric m, the two facts that leave
+// the ladder no rung for F-SD at the hull instances: wherever it holds and
+// meansApart does, (a) P-SD's match witness validates the pair, and (b)
+// under S-SD rung 1a decides it "yes" whenever the search has buckets —
+// fixed by U's summary or by V's. Every operator that asks meansApart, and
+// the unfiltered checker, says U dominates V. held reports whether the
+// premise held, binned how many of the two S-SD checks had buckets.
+func hullFacts(t *testing.T, tag string, m geom.Metric, q, u, v *uncertain.Object) (held bool, binned int) {
+	t.Helper()
+	c := NewCheckerMetric(q, PSD, AllFilters, m)
+	su, sv := c.summaryOf(u), c.summaryOf(v)
+	if !hullFSD(c, su, sv) || !c.meansApart(su, sv) {
+		return false, 0
+	}
+	if !c.matchValidate(su, sv) {
+		t.Fatalf("%s %s: F-SD at the hull and the means apart, but the match witness refuses\nq=%v\nu=%v\nv=%v", tag, m.Name(), q, u, v)
+	}
+	c = NewCheckerMetric(q, PSD, AllFilters, m)
+	if !c.Dominates(u, v) || c.Stats.CoverValidations != 1 {
+		t.Fatalf("%s %s: P-SD's ladder did not validate the pair at rung 7: %+v", tag, m.Name(), c.Stats)
+	}
+	for _, first := range []*uncertain.Object{u, v} {
+		c = NewCheckerMetric(q, SSD, AllFilters, m)
+		c.summaryOf(first)
+		if !c.Dominates(u, v) {
+			t.Fatalf("%s %s: S-SD says no to a pair with F-SD at the hull", tag, m.Name())
+		}
+		if c.bk.N > 0 {
+			binned++
+			if c.Stats.BucketDecisions != 1 {
+				t.Fatalf("%s %s: buckets fixed by object %d, but rung 1a left the pair to the exact scan: %+v", tag, m.Name(), first.ID(), c.Stats)
+			}
+		}
+	}
+	if !NewCheckerMetric(q, SSSD, AllFilters, m).Dominates(u, v) {
+		t.Fatalf("%s %s: SS-SD says no to a pair with F-SD at the hull", tag, m.Name())
+	}
+	for _, op := range []Operator{SSD, SSSD, PSD} {
+		if !NewCheckerMetric(q, op, FilterConfig{}, m).Dominates(u, v) {
+			t.Fatalf("%s %s %v: the unfiltered checker says no to a pair with F-SD at the hull", tag, m.Name(), op)
+		}
+	}
+	return true, binned
+}
+
+// Wherever F-SD holds at the hull instances and the means are apart, P-SD's
+// match witness and S-SD's rung 1a decide the pair "yes" before the exact
+// test, so the ladder needs no rung of its own for F-SD at the hull:
+// hullFacts holds on every pair of eachMatchPair, whose apart and touching
+// shapes carry the premise — with co-located copies inside V and across
+// the pair, and zero masses placed where they would break F-SD if they
+// counted. (A negative probe, verified to fail this test: a match walk
+// that ends one instance of U early.)
+func TestFSDAtHullDecidedEarly(t *testing.T) {
+	var drawn, held [pairKinds]int
+	binned := 0
+	eachMatchPair(6501, func(tag string, metric geom.Metric, kind int, q, u, v *uncertain.Object) {
+		drawn[kind]++
+		if ok, b := hullFacts(t, tag, metric, q, u, v); ok {
+			held[kind]++
+			binned += b
+		}
+	})
+	t.Logf("premise held per shape: %v of %v; rung 1a had buckets %d times", held, drawn, binned)
+	if held[pairApart] != drawn[pairApart] || held[pairTouching]*4 < drawn[pairTouching]*3 || binned < held[pairApart] {
+		t.Fatalf("the premise held on %d of %d apart and %d of %d touching pairs, rung 1a had buckets %d times",
+			held[pairApart], drawn[pairApart], held[pairTouching], drawn[pairTouching], binned)
 	}
 }
 
@@ -231,6 +354,88 @@ func TestMatchWitnessEdges(t *testing.T) {
 		for _, cfg := range []FilterConfig{AllFilters, {}} {
 			if !NewChecker(origin, PSD, cfg).Dominates(u, v) {
 				t.Errorf("%v left over, %+v: U does not dominate V", tc.pu-tc.pv, cfg)
+			}
+		}
+	}
+}
+
+// Rung 7 on the pairs at its edges, under S-SD, SS-SD and P-SD: each
+// verdict is the unfiltered checker's, the match witness validates exactly
+// the dominated pairs under P-SD and is asked by no other operator, and the
+// pairs with F-SD at the hull satisfy hullFacts. The witness must refuse
+// every pair whose U_Q and V_Q distr.Equal could call equal — duplicates —
+// and must change its answer exactly at its bound, which twins moved by
+// 1e-10 and 1e-10 of mass moved outward clear.
+func TestCoverValidationEdges(t *testing.T) {
+	origin := uncertain.MustNew(0, []geom.Point{{0, 0}}, nil)
+	tri := uncertain.MustNew(0, []geom.Point{{0, 0}, {2, 0}, {1, 2}}, nil)
+	chain := chainedPoints()
+	moved := make([]geom.Point, len(chain))
+	for i, p := range chain {
+		moved[i] = geom.Point{p[0] + 1e-10, p[1]}
+	}
+	weights := []float64{3, 1, 2, 1, 1, 4, 1, 2, 1, 1}
+	for _, tc := range []struct {
+		name      string
+		metric    geom.Metric
+		q, u, v   *uncertain.Object
+		dom, hull bool
+	}{
+		{"duplicate points", geom.Euclidean, tri,
+			uncertain.MustNew(1, []geom.Point{{5, 5}}, nil), uncertain.MustNew(2, []geom.Point{{5, 5}}, nil),
+			false, false},
+		{"duplicate chains", geom.Euclidean, tri,
+			uncertain.MustNew(1, chain, weights), uncertain.MustNew(2, chain, weights),
+			false, false},
+		{"twin moved by 1e-10", geom.Euclidean, tri,
+			uncertain.MustNew(1, chain, nil), uncertain.MustNew(2, moved, nil),
+			true, false},
+		{"1e-10 of mass moved outward", geom.Euclidean, tri,
+			uncertain.MustNew(1, []geom.Point{{5, 5}}, nil),
+			normalized(t, 2, []geom.Point{{5, 5}, {6, 6}}, []float64{1 - 1e-10, 1e-10}),
+			true, true},
+		{"zero-probability instance nearest the query", geom.Euclidean, tri,
+			uncertain.MustNew(1, []geom.Point{{3, 3}}, nil),
+			uncertain.MustNew(2, []geom.Point{{0.5, 0.5}, {6, 6}, {7, 6}}, []float64{0, 1, 1}),
+			true, true},
+		{"Manhattan", geom.Manhattan, uncertain.MustNew(0, []geom.Point{{0, 0}, {1, 0}, {0, 1}}, nil),
+			uncertain.MustNew(1, []geom.Point{{3, 3}, {4, 4}}, nil),
+			uncertain.MustNew(2, []geom.Point{{10, 1}, {1, 10}}, nil),
+			true, true},
+		{"|Q| = 1", geom.Euclidean, origin,
+			uncertain.MustNew(1, []geom.Point{{3, 0}, {0, 4}}, nil),
+			uncertain.MustNew(2, []geom.Point{{5, 0}, {0, 3.5}}, nil),
+			true, false},
+	} {
+		for _, op := range []Operator{SSD, SSSD, PSD} {
+			c := NewCheckerMetric(tc.q, op, AllFilters, tc.metric)
+			dom := c.Dominates(tc.u, tc.v)
+			if want := NewCheckerMetric(tc.q, op, FilterConfig{}, tc.metric).Dominates(tc.u, tc.v); dom != want || dom != tc.dom {
+				t.Errorf("%s %v: Dominates = %v, unfiltered %v, want %v", tc.name, op, dom, want, tc.dom)
+			}
+			if fired := c.Stats.CoverValidations == 1; fired != (op == PSD && tc.dom) {
+				t.Errorf("%s %v: the match witness fired %v (%+v)", tc.name, op, fired, c.Stats)
+			}
+		}
+		if held, _ := hullFacts(t, tc.name, tc.metric, tc.q, tc.u, tc.v); held != tc.hull {
+			t.Errorf("%s: F-SD at the hull with the means apart %v, want %v", tc.name, held, tc.hull)
+		}
+	}
+
+	// The witness at its bound: a mean gap equal to it refuses, one ulp above
+	// it validates.
+	for _, n := range []int{2, 3, 80, 8192} {
+		su := &objCache{runs: make([]distr.Pair, n/2), stat: distr.Stat{Max: 7}}
+		sv := &objCache{runs: make([]distr.Pair, n-n/2), stat: distr.Stat{Max: 9}}
+		bound := distr.MeanBound(n, 9)
+		c := NewChecker(origin, SSD, AllFilters)
+		for _, tc := range []struct {
+			gap  float64
+			want bool
+		}{{bound, false}, {math.Nextafter(bound, math.Inf(1)), true}} {
+			sv.stat.Mean = tc.gap
+			if got := c.meansApart(su, sv); got != tc.want {
+				t.Errorf("N = %d: meansApart at gap %v (bound %v) = %v, want %v", n, tc.gap, bound, got, tc.want)
 			}
 		}
 	}

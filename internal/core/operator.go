@@ -139,10 +139,9 @@ type Stats struct {
 	// deleted (EXPERIMENTS.md). The field stays only because the frozen
 	// bench/wl_mem.go prints it, and leaves with the next change to bench/.
 	MBRValidations int64
-	// CoverValidations counts checks validated on the summary before the
-	// exact test (rung 7): F-SD at the hull instances, or S-SD's
-	// per-query-instance scans, with a witness that U_Q ≠ V_Q, or P-SD's
-	// match witness.
+	// CoverValidations counts the P-SD checks that the match witness
+	// validated on the summary, before the exact test (rung 7,
+	// Checker.matchValidate); the other operators have no rung 7.
 	CoverValidations int64
 	// SphereValidations is retired and always 0: the bounding-sphere
 	// validation is deleted (EXPERIMENTS.md). The field stays only because
@@ -186,9 +185,9 @@ type Stats struct {
 	// dominator came from S-SD's mass test: the F-SD rows alone found fewer
 	// than k (band.massDominates).
 	MassPrunes int64
-	// BucketDecisions counts the S-SD checks, of two objects or of a band
-	// member against an entry's N_r, that the mass rung decided on bucket
-	// masses, with no sorted run (Checker.ssd, Checker.belowNear).
+	// BucketDecisions counts the S-SD checks of two objects that the mass
+	// rung decided on bucket masses, with no sorted run (rung 1a,
+	// Checker.ssd).
 	BucketDecisions int64
 	// MixtureBuilds counts the U_Q built out of sorted runs for a scan or
 	// distr.Equal (Checker.distQ): one per object at most.

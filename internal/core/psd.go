@@ -19,12 +19,10 @@ import (
 //
 //  2. per-query-instance statistics: P-SD ⊂ SS-SD, and min/mean/max of
 //     every U_q are necessary for the SS-SD scans of rung 4;
-//  7. cover validation on the summary (Checker.coverValidate): F-SD at the
-//     hull instances, read off the per-query-instance extremes, with the
-//     means' witness that U_Q ≠ V_Q — F-SD ⊂ P-SD; then the match witness
-//     (matchValidate): Theorem 1's quantile match of the instances, in
-//     order of summed distance, checked tuple by tuple against ⪯Q. Either
-//     way the pair never sorts a run, writes a row or solves a transport;
+//  7. the match witness (matchValidate): Theorem 1's quantile match of
+//     the instances, in order of summed distance, checked tuple by tuple
+//     against ⪯Q, with the means' witness that U_Q ≠ V_Q. A pair it
+//     validates never sorts a run, writes a row or solves a transport;
 //
 // 4a. the isolation test (isolated): an instance of positive mass with no
 // partner under ⪯Q fails Hall's condition, so the transport leaves at
@@ -62,7 +60,7 @@ func (c *Checker) psd(su, sv *objCache) bool {
 		c.Stats.StatPrunes++
 		return false
 	}
-	if c.coverValidate(su, sv) || c.matchValidate(su, sv) {
+	if c.matchValidate(su, sv) {
 		return true
 	}
 	if c.isolated(su, sv) {
@@ -76,7 +74,7 @@ func (c *Checker) psd(su, sv *objCache) bool {
 	return c.psdSolve(su, sv, adm)
 }
 
-// matchValidate is rung 7's second witness, P-SD's own: Theorem 1's quantile
+// matchValidate is rung 7, P-SD's match witness: Theorem 1's quantile
 // match of U and V (walked over instances, not distances) along one linear
 // extension of ⪯Q, the order of matchOrder. It says "yes" when every tuple
 // has u ⪯Q v exactly, the walk ends on the last instance of both sides —
@@ -85,8 +83,8 @@ func (c *Checker) psd(su, sv *objCache) bool {
 // witnessed by meansApart. Such a match is a flow over the rows rung 4
 // would write, which the transport's bound admits with the other half to
 // spare for its own rounding, so rung 8 would say "yes" too; a pair whose
-// walk fails goes on to the sweep. It is gated and counted like
-// coverValidate.
+// walk fails goes on to the sweep. It is gated by StatPruning and counted
+// in CoverValidations.
 //
 //nnc:hotpath
 func (c *Checker) matchValidate(su, sv *objCache) bool {

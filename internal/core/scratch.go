@@ -50,10 +50,9 @@ type CheckScratch struct {
 	sweepBits []uint64
 
 	// Assorted reusable buffers.
-	near    geom.Point     // the popped entry's near vector (band.dominatesRect)
-	massN   []distr.Pair   // its N_r under S-SD, one atom per query instance (band.massDominates)
-	massB   []distr.Bucket // N_r's bucket summary (band.massDominates)
-	openU   []distr.Pair   // the atoms of two objects in the buckets the mass rung leaves open (Checker.massOrder)
+	near    geom.Point   // the popped entry's near vector (band.dominatesRect)
+	massN   []distr.Pair // its N_r under S-SD, one atom per query instance (band.massDominates)
+	openU   []distr.Pair // the atoms of two objects in the buckets the mass rung leaves open (Checker.massOrder)
 	openV   []distr.Pair
 	failed  []int32   // the band members that fail their F-SD rows against it, under S-SD (band.dominatesRect)
 	hullIdx []int     // non-geometric fallback hull index list
