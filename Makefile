@@ -49,13 +49,17 @@ product-graph:
 	@bad="$$($(GO) list -deps ./cmd/nncserver | grep -E '^spatialdom/internal/(ref/|(faultfile|clusterfault|lint)$$)' | xargs)"; \
 	[ -z "$$bad" ] || { echo "product-graph: ./cmd/nncserver depends on $$bad"; exit 1; }
 
-# tolerances fails if a decimal float literal with a negative exponent
-# (1e-9 and the like) appears in non-test Go under internal/core,
-# internal/distr or internal/flow: the dominance checks compare distances
-# exactly and mass under uncertain.MassBound, and no other tolerance.
+# tolerances fails if a float literal with a negative exponent, decimal
+# (1e-9 and the like) or hex (0x1p-26), appears in non-test Go under
+# internal/core, internal/distr or internal/flow, but for two named
+# constants: the unit of the bucket rung's integer masses, distr.MassUnit,
+# and the entry test's mass witness, core's massWitness. The dominance
+# checks compare distances exactly and mass under uncertain.MassBound, and
+# no other tolerance.
 tolerances:
-	@hits="$$(grep -rnE '[0-9]e-[0-9]' --include='*.go' --exclude='*_test.go' internal/core internal/distr internal/flow)"; \
-	[ -z "$$hits" ] || { echo "tolerances: a decimal tolerance in the dominance checks:"; echo "$$hits"; exit 1; }
+	@hits="$$(grep -rnE '[0-9]e-[0-9]|0[xX][0-9a-fA-F_.]*[pP]-[0-9]' --include='*.go' --exclude='*_test.go' internal/core internal/distr internal/flow \
+		| grep -vE '^internal/(distr/buckets\.go:[0-9]+:const MassUnit = 0x1p-60|core/checker\.go:[0-9]+:const massWitness = 0x1p-26)$$')"; \
+	[ -z "$$hits" ] || { echo "tolerances: a tolerance in the dominance checks:"; echo "$$hits"; exit 1; }
 
 test: vet
 	$(GO) test ./...

@@ -722,6 +722,15 @@ func BenchmarkCommit(b *testing.B) {
 // `make check` runs it once (-benchtime 1x).
 func BenchmarkTable2(b *testing.B) {
 	const n, mq = 10000, 30
+	// The candidate digest of each operator and m_d: a change that moves
+	// one changes some answer, and fails the run.
+	digests := map[string]uint32{
+		"SSD/md=20": 3088908217, "SSD/md=40": 3959687459,
+		"SSSD/md=20": 3973768685, "SSSD/md=40": 288590128,
+		"PSD/md=20": 2854367143, "PSD/md=40": 925129024,
+		"FSD/md=20": 2903378244, "FSD/md=40": 1138188213,
+		"F+SD/md=20": 859986554, "F+SD/md=40": 3253167144,
+	}
 	for _, md := range []int{20, 40} {
 		var sets []benchData
 		for _, c := range []datagen.CenterDist{datagen.AntiCorrelated, datagen.HouseLike} {
@@ -729,7 +738,8 @@ func BenchmarkTable2(b *testing.B) {
 			sets = append(sets, dataFor(b, fmt.Sprintf("table2/%v/md=%d", c, md), p, mq, benchHq))
 		}
 		for _, op := range Operators {
-			b.Run(fmt.Sprintf("%s/md=%d", op, md), func(b *testing.B) {
+			name := fmt.Sprintf("%s/md=%d", op, md)
+			b.Run(name, func(b *testing.B) {
 				opts := core.SearchOptions{Filters: AllFilters}
 				h := fnv.New32a()
 				for _, d := range sets {
@@ -738,6 +748,9 @@ func BenchmarkTable2(b *testing.B) {
 						slices.Sort(ids)
 						fmt.Fprint(h, ids, ";")
 					}
+				}
+				if got := h.Sum32(); got != digests[name] {
+					b.Fatalf("candidate digest %d, want %d: some answer moved", got, digests[name])
 				}
 				var st core.Stats
 				examined := 0

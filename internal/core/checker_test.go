@@ -1,11 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
+	"spatialdom/internal/distr"
 	"spatialdom/internal/geom"
+	"spatialdom/internal/ref/nnfunc"
 	"spatialdom/internal/uncertain"
 )
 
@@ -334,6 +337,75 @@ func TestTransitivity(t *testing.T) {
 			t.Fatalf("%v transitivity never exercised (%v)", op, exercised)
 		}
 	}
+}
+
+// S-SD, SS-SD and P-SD on chains U, V, W whose mass gaps each lie inside
+// uncertain.MassBound of their atoms: one query instance and, on a ray
+// from it, three objects that share a near point, where U carries δ less
+// mass than V there and V δ less than W, and whose far points lie in the
+// order U, V, W. δ is above half the bound, so distr.StochasticLE takes
+// both links and refuses U ≤st W. Every pair of the three is checked for
+// irreflexivity and asymmetry, and each "yes" for P-SD ⇒ SS-SD ⇒ S-SD,
+// under L2 and L1, filtered and not. Transitivity does not hold on these
+// chains under the float rule; the test reports how often it breaks.
+func TestChainAcrossTheFloatBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(2501))
+	ops := []Operator{SSD, SSSD, PSD}
+	broken, intransitive := 0, map[Operator]int{}
+	for iter := range 200 {
+		q0 := geom.Point{rng.Float64()*20 - 10, rng.Float64()*20 - 10}
+		a := rng.Float64() * 2 * math.Pi
+		at := func(d float64) geom.Point { return geom.Point{q0[0] + d*math.Cos(a), q0[1] + d*math.Sin(a)} }
+		near, far := 1+rng.Float64()*5, 7+rng.Float64()*5
+		delta := float64(5+rng.Intn(4)) * uncertain.MassBound(1) / 2 // in (MassBound(4)/2, MassBound(4)]
+		chain := make([]*uncertain.Object, 3)
+		for s := range chain {
+			shift := float64(s-1) * delta
+			chain[s] = normalized(t, s+1, []geom.Point{at(near), at(far + float64(s))}, []float64{0.5 + shift, 0.5 - shift})
+		}
+		q := uncertain.MustNew(0, []geom.Point{q0}, nil)
+		for _, m := range []geom.Metric{geom.Euclidean, geom.Manhattan} {
+			d := func(o *uncertain.Object) distr.Distribution { return nnfunc.BetweenFunc(o, q, m.Dist) }
+			le := func(x, y int) bool { return distr.StochasticLE(d(chain[x]), d(chain[y]), nil) }
+			if le(0, 1) && le(1, 2) && !le(0, 2) {
+				broken++
+			}
+			for _, cfg := range []FilterConfig{AllFilters, {}} {
+				var dom [3][3][3]bool // operator (ops), dominator, dominated
+				for o, op := range ops {
+					c := NewCheckerMetric(q, op, cfg, m)
+					for i, u := range chain {
+						for j, v := range chain {
+							dom[o][i][j] = c.Dominates(u, v)
+						}
+					}
+				}
+				tag := fmt.Sprintf("iter %d %s %+v", iter, m.Name(), cfg)
+				for o, op := range ops {
+					if !dom[o][0][1] || !dom[o][1][2] {
+						t.Fatalf("%s %v: the chain's links are %v and %v", tag, op, dom[o][0][1], dom[o][1][2])
+					}
+					if !dom[o][0][2] {
+						intransitive[op]++
+					}
+					for i := range 3 {
+						for j := range 3 {
+							if dom[o][i][j] && dom[o][j][i] {
+								t.Fatalf("%s %v: %d and %d dominate each other", tag, op, i, j)
+							}
+							if o > 0 && dom[o][i][j] && !dom[o-1][i][j] {
+								t.Fatalf("%s: %v says %d over %d and %v does not", tag, op, i, j, ops[o-1])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if broken == 0 {
+		t.Fatal("no chain breaks the float rule: the generator is not adversarial")
+	}
+	t.Logf("%d of 400 chains break the float rule; U over W missing: %v", broken, intransitive)
 }
 
 // The dominance frequency ordering also holds pairwise with Covers.

@@ -105,6 +105,32 @@ func TestLadderAgreesWithNoFilter(t *testing.T) {
 	}
 }
 
+// Theorem 2's chain over ladderPair's draws, moved twins and duplicates
+// included, both ways round, under L2 and L1: every P-SD "yes" is an SS-SD
+// "yes", and every SS-SD "yes" an S-SD one.
+func TestLadderCoverChain(t *testing.T) {
+	rng := rand.New(rand.NewSource(1706))
+	held := 0
+	for iter := 0; iter < 2000; iter++ {
+		q, u, v := ladderPair(rng)
+		for _, m := range []geom.Metric{geom.Euclidean, geom.Manhattan} {
+			p, ss, s := NewCheckerMetric(q, PSD, AllFilters, m), NewCheckerMetric(q, SSSD, AllFilters, m), NewCheckerMetric(q, SSD, AllFilters, m)
+			for _, o := range [][2]*uncertain.Object{{u, v}, {v, u}} {
+				pd, ssd, sd := p.Dominates(o[0], o[1]), ss.Dominates(o[0], o[1]), s.Dominates(o[0], o[1])
+				if pd && !ssd || ssd && !sd {
+					t.Fatalf("iter %d %s: P-SD %v, SS-SD %v, S-SD %v\nq=%v\nu=%v\nv=%v", iter, m.Name(), pd, ssd, sd, q, o[0], o[1])
+				}
+				if pd {
+					held++
+				}
+			}
+		}
+	}
+	if held == 0 {
+		t.Fatal("no draw has a P-SD pair")
+	}
+}
+
 // The same agreement on pairs of 70 instances, where P-SD's rows are two
 // words wide. Half the draws are a pair only the
 // exact test can decide; the rest are independent clouds.

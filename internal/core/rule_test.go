@@ -69,6 +69,15 @@ func TestFilterConfigsAgreeAtTheRule(t *testing.T) {
 		{"mass deficit one ulp past the bound", origin,
 			obj(1, pts(1, 0, 3, 0), pastBound, 1-atBound), obj(2, pts(2, 0, 4, 0), 0.5, 0.5),
 			map[Operator]bool{SSD: false, SSSD: false, PSD: false, FSD: false}},
+		{"mass deficit of 1e-10", origin,
+			obj(1, pts(1, 0, 3, 0), 0.5-1e-10, 0.5+1e-10), obj(2, pts(2, 0, 4, 0), 0.5, 0.5),
+			map[Operator]bool{SSD: false, SSSD: false, PSD: false, FSD: false}},
+		// V is U with 1e-12 of mass moved from the near instance to the far
+		// one: U_Q ≤st V_Q and U_Q ≠ V_Q, far past MassBound and
+		// distr.MeanBound.
+		{"mass moved 1e-12 outward", origin,
+			obj(1, pts(1, 0, 2, 0), 0.5, 0.5), obj(2, pts(1, 0, 2, 0), 0.5-1e-12, 0.5+1e-12),
+			map[Operator]bool{SSD: true, SSSD: true, PSD: true, FSD: false}},
 		{"distance nudged by one ulp", origin,
 			obj(1, pts(1, 0)), obj(2, pts(next, 0)),
 			map[Operator]bool{SSD: true, SSSD: true, PSD: true, FSD: true}},
@@ -99,12 +108,29 @@ func TestFilterConfigsAgreeAtTheRule(t *testing.T) {
 		{"twin whose squares differ and distances do not", quad,
 			obj(1, pts(57.136106947917895, 57.57760358006369)), obj(2, pts(57.13610694791789, 57.577603580063695)),
 			map[Operator]bool{SSD: false, SSSD: false, PSD: false}},
+		// U and V mirror each other through the query's one instance of
+		// mass, and only its instance of no mass tells them apart: U_Q =
+		// V_Q.
+		{"strict only at a query instance of no mass", uncertain.MustNew(0, pts(0, 0, 10, 0), []float64{1, 0}),
+			obj(1, pts(1, 0)), obj(2, pts(-1, 0)),
+			map[Operator]bool{SSD: false, SSSD: false, PSD: false}},
 		{"coincident objects", tri,
 			uncertain.MustNew(1, pts(5, 5, 8, 8), []float64{3, 1}),
 			uncertain.MustNew(2, pts(8, 8, 5, 5), []float64{1, 3}),
 			map[Operator]bool{SSD: false, SSSD: false, PSD: false}},
 	} {
 		for _, m := range []geom.Metric{geom.Euclidean, geom.Manhattan} {
+			// The cover chain: a P-SD "yes" is an SS-SD "yes", and an SS-SD
+			// "yes" an S-SD one.
+			for _, p := range [][2]*uncertain.Object{{row.u, row.v}, {row.v, row.u}} {
+				var yes [3]bool
+				for i, op := range []Operator{PSD, SSSD, SSD} {
+					yes[i] = NewCheckerMetric(row.q, op, FilterConfig{}, m).Dominates(p[0], p[1])
+				}
+				if yes[0] && !yes[1] || yes[1] && !yes[2] {
+					t.Errorf("%s, %s: Dominates(%d, %d) under P-SD, SS-SD, S-SD = %v", row.name, m.Name(), p[0].ID(), p[1].ID(), yes)
+				}
+			}
 			for _, op := range Operators {
 				for _, p := range [][2]*uncertain.Object{{row.u, row.v}, {row.v, row.u}} {
 					want := NewCheckerMetric(row.q, op, FilterConfig{}, m).Dominates(p[0], p[1])
