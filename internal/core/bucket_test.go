@@ -12,21 +12,18 @@ import (
 	"spatialdom/internal/uncertain"
 )
 
-// FuzzSSDBucketRung holds S-SD's mass rung to the exact scan it stands in
-// for, and that scan and SS-SD to exact rationals of the stored
-// probabilities (ratQ). Wherever the rung decides a pair of objects
-// (Checker.massOrder: the bucket summaries, then the atoms of the buckets
-// they leave open) and rung 1 lets the pair through, distr.StochasticLE on
-// the built U_Q and V_Q gives the same verdict. On every pair the scan
-// accepts where the exact normalised order holds and refuses where U_Q's
-// mass falls short of V_Q's by more than twice its MassBound somewhere.
-// An S-SD or SS-SD "yes" has U_Q ≠ V_Q exactly, an SS-SD "yes" is an S-SD
-// one, and SS-SD falls short at no query instance by more than twice the
-// bound. The data is made to tie: integer coordinates, copies, copies
-// nudged by an ulp and copies with 2⁻⁵² to 2⁻¹⁷ of mass moved, objects
-// that mirror each other through the query, uniform weights (equal masses
-// at equal distances, where the two orders of the sums differ in their
-// last bits) beside skewed and zero ones, and objects far past the edges.
+// FuzzSSDBucketRung holds S-SD's mass rung, the scan and SS-SD to a
+// rational reference of the integer-mass rule (ratQ): each stored
+// probability p stands for c(p) = distr.Units(p) of its object's total.
+// Wherever the rung decides a pair of objects (Checker.massOrder: the
+// bucket summaries, then the atoms of the buckets they leave open), its
+// U_Q ≤st V_Q and its strict point are the reference's; so are the scan's
+// on the built U_Q and V_Q, and the S-SD and SS-SD verdicts, which are
+// never "yes" on U_Q = V_Q. The data is made to tie: integer coordinates,
+// copies, copies nudged by an ulp and copies with 2⁻⁵² to 2⁻¹⁷ of mass
+// moved, objects that mirror each other through the query, uniform
+// weights (equal masses at equal distances) beside skewed and zero ones,
+// and objects far past the edges.
 func FuzzSSDBucketRung(f *testing.F) {
 	for seed := range int64(64) {
 		f.Add(seed)
@@ -102,13 +99,13 @@ func FuzzSSDBucketRung(f *testing.F) {
 			// Every verdict of the rung first, while no U_Q is built and
 			// massOrder scans the open buckets; none where the first
 			// object's span is degenerate.
-			type verdict struct{ le, decided bool }
+			type verdict struct{ le, strict, decided bool }
 			pairs := make([]verdict, len(objs)*len(objs))
 			for i, su := range sums {
 				for j, sv := range sums {
 					if i != j && c.bk.N > 0 {
-						le, decided := c.massOrder(su, sv)
-						pairs[i*len(objs)+j] = verdict{le, decided}
+						le, strict, decided := c.massOrder(su, sv)
+						pairs[i*len(objs)+j] = verdict{le, strict, decided}
 					}
 				}
 			}
@@ -121,26 +118,24 @@ func FuzzSSDBucketRung(f *testing.F) {
 			for i, su := range sums {
 				for j, sv := range sums {
 					u, v := objs[i], objs[j]
-					le := distr.StochasticLE(c.distQ(su), c.distQ(sv), nil)
-					if r := pairs[i*len(objs)+j]; r.decided && (!r.le || su.stat.LE(sv.stat, len(su.runs)+len(sv.runs))) && r.le != le {
-						t.Fatalf("%s: the mass rung says %v ≤st %v is %v, the scan %v", m.Name(), u, v, r.le, le)
+					wantLE, eq := exact[i].deficit(exact[j]).Sign() <= 0, exact[i].equal(exact[j])
+					le, strict, _ := c.qNorm(su, sv).StochasticLE(c.distQ(su), c.distQ(sv), distr.Mass{}, distr.Mass{}, true)
+					if le != wantLE || le && strict == eq {
+						t.Fatalf("%s: the scan says %v ≤st %v is %v, strictly %v; exactly %v, equal %v", m.Name(), u, v, le, strict, wantLE, eq)
 					}
-					if def := exact[i].deficit(exact[j]); def.Sign() <= 0 && !le || def.Cmp(ratBound(2*(len(su.runs)+len(sv.runs)))) > 0 && le {
-						f, _ := def.Float64()
-						t.Fatalf("%s: the scan says %v ≤st %v is %v, and V_Q's normalised CDF exceeds U_Q's by %g at most", m.Name(), u, v, le, f)
+					if r := pairs[i*len(objs)+j]; r.decided && (r.le != wantLE || r.le && r.strict == eq) {
+						t.Fatalf("%s: the mass rung says %v ≤st %v is %v, strictly %v; exactly %v, equal %v", m.Name(), u, v, r.le, r.strict, wantLE, eq)
 					}
 					s, ss := c.Dominates(u, v), cs.Dominates(u, v)
-					if (s || ss) && exact[i].equal(exact[j]) {
-						t.Fatalf("%s: S-SD %v, SS-SD %v over %v and %v, whose U_Q are equal", m.Name(), s, ss, u, v)
+					if s != (wantLE && !eq) {
+						t.Fatalf("%s: S-SD says %v over %v is %v; exactly ≤st %v, equal %v", m.Name(), u, v, s, wantLE, eq)
 					}
-					if ss && !s {
-						t.Fatalf("%s: SS-SD says %v over %v, S-SD does not", m.Name(), u, v)
+					wantSS := !eq
+					for k := 0; k < q.Len(); k++ {
+						wantSS = wantSS && ratQ(q, u, m, k).deficit(ratQ(q, v, m, k)).Sign() <= 0
 					}
-					for k := 0; ss && k < q.Len(); k++ {
-						if def := ratQ(q, u, m, k).deficit(ratQ(q, v, m, k)); def.Cmp(ratBound(2*(u.Len()+v.Len()))) > 0 {
-							f, _ := def.Float64()
-							t.Fatalf("%s: SS-SD says %v over %v, short by %g at query instance %d", m.Name(), u, v, f, k)
-						}
+					if ss != wantSS {
+						t.Fatalf("%s: SS-SD says %v over %v is %v, exactly %v", m.Name(), u, v, ss, wantSS)
 					}
 				}
 			}
@@ -157,8 +152,8 @@ type ratDist struct {
 
 // ratQ is U_Q of u from its definition, or U_q for query instance j ≥ 0:
 // the distance from every query instance (or q_j) to every instance of u,
-// weighed by the exact product of the two stored probabilities (or u's
-// alone), its values of no mass dropped.
+// weighed by the product of the two integer masses distr.Units gives the
+// stored probabilities (or u's alone), its values of no mass dropped.
 func ratQ(q, u *uncertain.Object, m geom.Metric, j int) ratDist {
 	at := map[float64]*big.Rat{}
 	for k := range q.Len() {
@@ -167,17 +162,22 @@ func ratQ(q, u *uncertain.Object, m geom.Metric, j int) ratDist {
 		}
 		pq := big.NewRat(1, 1)
 		if j < 0 {
-			pq.SetFloat64(q.Prob(k))
+			pq.SetUint64(distr.Units(q.Prob(k)))
 		}
 		for i := range u.Len() {
 			d := m.Dist(q.Instance(k), u.Instance(i))
 			if at[d] == nil {
 				at[d] = new(big.Rat)
 			}
-			p := new(big.Rat).SetFloat64(u.Prob(i))
+			p := new(big.Rat).SetUint64(distr.Units(u.Prob(i)))
 			at[d].Add(at[d], p.Mul(p, pq))
 		}
 	}
+	return newRatDist(at)
+}
+
+// newRatDist is the ratDist of the masses at holds by value.
+func newRatDist(at map[float64]*big.Rat) ratDist {
 	var r ratDist
 	for d, a := range at {
 		if a.Sign() > 0 {
@@ -228,10 +228,7 @@ func (x ratDist) deficit(y ratDist) *big.Rat {
 	return worst
 }
 
-// equal reports whether x and y put the same mass at every value.
+// equal reports whether x and y put the same normalised mass at every value.
 func (x ratDist) equal(y ratDist) bool {
-	return slices.Equal(x.vals, y.vals) && slices.EqualFunc(x.mass, y.mass, func(a, b *big.Rat) bool { return a.Cmp(b) == 0 })
+	return slices.Equal(x.vals, y.vals) && slices.EqualFunc(x.cdf, y.cdf, func(a, b *big.Rat) bool { return a.Cmp(b) == 0 })
 }
-
-// ratBound is uncertain.MassBound(n) as a rational.
-func ratBound(n int) *big.Rat { return new(big.Rat).SetFloat64(uncertain.MassBound(n)) }

@@ -24,9 +24,11 @@ type Checker struct {
 
 	query   *uncertain.Object
 	cfg     FilterConfig
-	statCut bool   // StatPruning is on and the operator implies S-SD
-	hullIdx []int  // indices into query instances used by point-level checks
-	isHull  []bool // per query instance: whether hullIdx names it
+	statCut bool     // StatPruning is on and the operator implies S-SD
+	hullIdx []int    // indices into query instances used by point-level checks, rectPred's order
+	isHull  []bool   // per query instance: whether hullIdx names it
+	qMass   []uint64 // per query instance: its integer mass c(p) (distr.Units)
+	qTotal  uint64   // their sum, T_Q
 
 	// The bucket edges of S-SD's mass rung (massOrder), fixed by the first
 	// object summarised when bkPending; bk.N = 0 while there are none.
@@ -68,48 +70,38 @@ func (c *Checker) Operator() Operator { return c.op }
 // first, and the first rung that can answer does:
 //
 //  1. global statistics: min/mean/max of U_Q against V_Q (three floats);
-//     1a. S-SD's mass rung (massOrder): U_Q ≤st V_Q read off the two
-//     objects' bucket summaries, then off their atoms in the buckets the
-//     summaries leave open, with meansApart as the witness of U_Q ≠ V_Q —
-//     U_Q is built only for an object whose open atoms it needs twice;
+//     1a. S-SD's mass rung (massOrder): U_Q ≤st V_Q and a strict point read
+//     off the two objects' bucket summaries, then off their atoms in the
+//     buckets the summaries leave open — U_Q is built only for an object
+//     whose open atoms it needs twice;
 //  2. per-query-instance statistics: the same three of each U_q (SS-SD, P-SD);
 //  4. the sweep of the sorted runs: per-query-instance stochastic scans as
 //     cover-based pruning, and the admissibility rows of rung 8 (P-SD),
 //     which P-SD's rung 4a precedes: an instance of positive mass without
 //     a partner under ⪯Q refutes off the summary (isolated);
 //  7. P-SD's match witness (matchValidate): Theorem 1's match, walked
-//     over instances in order of summed distance, with meansApart as the
-//     witness of U_Q ≠ V_Q;
-//  8. the exact test: the sorted-atom scan, or the Theorem 12 max-flow.
+//     over instances in order of summed distance;
+//  8. the exact test: the scan of U_Q, or the Theorem 12 max-flow.
 //
 // Missing numbers are deleted rungs; the documents cite the others by
 // number. Cover validation on MBRs (Theorem 4) is the band's entry test,
 // asked before an object is read (engine.go): F-SD between member and
 // rectangle for the cover chain, and under S-SD also U_Q ≤st N_r, the
-// rectangle's near distribution, whose proof ends in this ladder's
-// rungs 1 and 8 (band's comment).
+// rectangle's near distribution (band's comment).
 //
-// Rung 1a answers both ways, but only where rung 8's scan answers the same
-// (band's comment has the proof), so it changes no verdict either. Rungs
-// 1, 2, 4 and 4a can only answer "no", rung 7 only "yes", and each only
-// where rung 8 would, so their order never changes a verdict, only what it
-// costs. Rungs 1 and 2 are necessary for the scans of rungs 4 and 8
-// (Theorem 11: X ≤st Y implies the statistics are ordered), so a pair they
-// reject is one a scan would have rejected, later and dearer. Rung 4a
-// answers only what rung 8 would: mass without a partner cannot ship, so
-// the transport falls short. Rung 7 is where P-SD's own rungs end and the
-// work it saves begins: P-SD reads it before rung 4a and its sweep. Each
-// rung is gated by the FilterConfig flag it always was, rungs 7 and 4a by
-// StatPruning.
-//
-// Every rung compares by one rule (distr's package comment): distances
-// exactly, accumulated mass under uncertain.MassBound of the atoms summed,
-// a single atom's mass exactly. Rung 7 takes only verdicts rung 8 would
-// take. (i) The witness meansApart is a gap distr.Equal cannot leave
-// (distr.MeanBound). (ii) P-SD's match compares the summary's distances
-// exactly, so each of its tuples is a pair the rows admit, and it visits
-// every positive-mass instance and leaves at most half the bound unshipped
-// (matchValidate).
+// Every mass comparison is exact, on the integer masses of distr's rule
+// (mass.go), so S-SD, SS-SD and P-SD are strict partial orders with P-SD ⇒
+// SS-SD ⇒ S-SD, and a rung that answers answers as rung 8 would. Rung 1a
+// compares the same integers as rung 8's scan. Rungs 1, 2, 4 and 4a can
+// only answer "no": the statistics are necessary for the scans (Theorem
+// 11, the means under distr.MeanBound), a failed per-instance scan refutes
+// SS-SD and so P-SD, and mass without a partner cannot ship. Rung 7 only
+// answers "yes", with a match that is a flow over the rows rung 8 solves.
+// U_Q ≠ V_Q is read off the comparison made: a strict point (S-SD), a
+// strict run at a query instance of positive mass (SS-SD, P-SD's sweep), a
+// tuple strictly nearer at a hull instance of positive mass (rung 7), and
+// otherwise the scan of U_Q. Each rung is gated by the FilterConfig flag
+// it always was, rungs 7 and 4a by StatPruning.
 func (c *Checker) Dominates(u, v *uncertain.Object) bool {
 	return c.sd(c.cacheOf(u), c.cacheOf(v))
 }
@@ -173,12 +165,13 @@ type objCache struct {
 	sumOK    bool
 	stat     distr.Stat   // of U_Q; stat.Min is the object's heap key
 	perQStat []distr.Stat // of U_q per query instance
-	runs     []distr.Pair // |Q| runs of m atoms, one U_q each
+	runs     []distr.Atom // |Q| runs of m atoms of mass c(p), one U_q each
+	mass     []uint64     // each instance's integer mass c(p)
+	total    uint64       // their sum, T
 	sorted   int          // runs [0, sorted) went through sortedRun
 	runInst  []int32      // the instance of each atom of those runs
-	distQOK  bool
-	gathered bool               // massOrder gathered its open atoms once (openAtoms)
-	distQ    distr.Distribution // U_Q, built from runs when first scanned
+	gathered bool         // massOrder gathered its open atoms once (openAtoms)
+	distQ    []distr.Atom // U_Q, built from atoms when first scanned
 
 	// P-SD's rungs 4a and 7, with the summary (matchFirst): every
 	// instance's distances to the hull query instances, instance after
@@ -218,7 +211,8 @@ func (c *Checker) summaryOf(o *uncertain.Object) *objCache { return c.summary(c.
 
 // summary returns oc with its query summary built: the |Q|·m distances are
 // evaluated once and yield the heap key min(U_Q), the statistics of U_Q and
-// of every U_q, the atoms every later scan sorts on demand, for S-SD the
+// of every U_q, the atoms every later scan sorts on demand, the integer
+// masses of the instances, for S-SD the
 // bucket masses of its mass rung and, for P-SD, the hull distances rungs
 // 4a and 7 read (matchFirst).
 //
@@ -227,12 +221,14 @@ func (c *Checker) summary(oc *objCache) *objCache {
 	if !oc.sumOK {
 		o := oc.obj
 		n := c.query.Len() * o.Len()
-		oc.runs = c.scratch.pairs.Alloc(n)
+		oc.runs = c.scratch.atoms.Alloc(n)
 		oc.perQStat = c.scratch.stats.Alloc(c.query.Len())
+		oc.mass = c.scratch.masses.Alloc(o.Len())
+		oc.total = distr.Masses(oc.mass, o.Probs())
 		if c.euclid {
-			oc.stat = distr.Summarize(oc.runs, oc.perQStat, o, c.query, nil)
+			oc.stat = distr.Summarize(oc.runs, oc.perQStat, o, c.query, oc.mass, nil)
 		} else {
-			oc.stat = distr.Summarize(oc.runs, oc.perQStat, o, c.query, c.metric.Dist)
+			oc.stat = distr.Summarize(oc.runs, oc.perQStat, o, c.query, oc.mass, c.metric.Dist)
 		}
 		if c.bkPending {
 			c.fixBuckets(oc)
@@ -263,33 +259,39 @@ func (c *Checker) fixBuckets(oc *objCache) {
 	}
 }
 
-// bin builds oc's bucket summary from its runs, in a pass of its own after
-// the summary's, which leaves distr.Summarize — every operator's distance
-// loop — as it was: binning inside it measured no faster for S-SD and
-// slower for P-SD (EXPERIMENTS.md).
+// bin builds oc's bucket summary from its runs of positive query mass, in
+// a pass of its own after the summary's, which leaves distr.Summarize —
+// every operator's distance loop — as it was: binning inside it measured
+// no faster for S-SD and slower for P-SD (EXPERIMENTS.md).
 func (c *Checker) bin(oc *objCache) {
 	oc.buckets = c.scratch.buckets.AllocZeroed(c.bk.N + 1)
 	m := oc.obj.Len()
-	for j := range c.query.Len() {
-		c.bk.Add(oc.buckets, oc.runs[j*m:(j+1)*m], c.query.Prob(j))
+	for j, w := range c.qMass {
+		if w > 0 {
+			c.bk.Add(oc.buckets, oc.runs[j*m:(j+1)*m], w)
+		}
 	}
 	c.bk.Finish(oc.buckets)
 }
 
-// distQ returns U_Q as a sorted distribution, built the first time a scan or
-// distr.Equal asks: the |Q| runs are sorted as the sweeps sort them
-// (sortedRun), then weighted and merged (distr.MergeRuns) — U_Q is the
-// mixture of the U_q, so it is never sorted as one slice.
-func (c *Checker) distQ(oc *objCache) distr.Distribution {
-	if !oc.distQOK {
+// distQ returns U_Q's atoms sorted, built the first time a scan asks: the
+// |Q| runs are sorted as the sweeps sort them (sortedRun), then weighted
+// and merged (distr.MergeRuns) — U_Q is the mixture of the U_q, so it is
+// never sorted as one slice.
+func (c *Checker) distQ(oc *objCache) []distr.Atom {
+	if oc.distQ == nil {
 		c.Stats.MixtureBuilds++
 		c.sortedRun(oc, c.query.Len()-1)
 		sc := c.scratch
 		sc.mergeBuf = grow(sc.mergeBuf, len(oc.runs))
-		oc.distQ = distr.MergeRuns(sc.pairs.Alloc(len(oc.runs)), sc.mergeBuf, oc.runs, oc.obj.Len(), c.query)
-		oc.distQOK = true
+		oc.distQ = distr.MergeRuns(sc.atoms.Alloc(len(oc.runs)), sc.mergeBuf, oc.runs, oc.obj.Len(), c.qMass)
 	}
 	return oc.distQ
+}
+
+// qNorm compares su's U_Q against sv's: totals T_Q·T_U and T_Q·T_V.
+func (c *Checker) qNorm(su, sv *objCache) distr.Norm {
+	return distr.NewNorm(su.total, sv.total, c.qTotal)
 }
 
 // perQStatLE reports whether every U_q's statistics are ordered against
@@ -304,56 +306,97 @@ func (c *Checker) perQStatLE(su, sv *objCache) bool {
 	return true
 }
 
-// meansApart is the witness that U_Q ≠ V_Q: V's mean exceeds U's by more
-// than distr.Equal could leave between two distributions it calls equal
-// (distr.MeanBound).
-func (c *Checker) meansApart(su, sv *objCache) bool {
-	return sv.stat.Mean-su.stat.Mean > distr.MeanBound(len(su.runs)+len(sv.runs), max(su.stat.Max, sv.stat.Max))
-}
-
-// massWitness is the mass one atom must exceed to witness U_Q ≠ V_Q at a
-// value where V_Q has none, whatever V is: MassBound of 2²⁶ atoms, above
-// the tolerance of any distr.Equal under MassBound's premise.
-const massWitness = 0x1p-26
-
-// nearScan is band.massDominates' exact scan of U_Q against N_r, ns,
-// sorted, one atom per query instance: whether U_Q's mass reaches N_r's
-// within MassBound(|U_Q|)/2 at every value (band's comment), asked once
-// witnessBelow holds. N_r's cumulative mass only steps at its own atoms,
-// and U_Q's only grows, so it compares at N_r's atoms alone.
-func (c *Checker) nearScan(su *objCache, ns []distr.Pair) bool {
-	us := c.distQ(su).Pairs()
-	tol := uncertain.MassBound(len(us)) / 2
-	i, j, le := 0, 0, true
-	var cu, cn float64
-	for le && j < len(ns) {
-		v := ns[j].Dist
-		for ; i < len(us) && us[i].Dist <= v; i++ {
-			cu += us[i].Prob
-		}
-		for ; j < len(ns) && ns[j].Dist <= v; j++ {
-			cn += ns[j].Prob
-		}
-		le = cu >= cn-tol
-	}
-	c.Stats.InstanceComparisons += int64(i + j)
+// nearScan is band.massDominates' exact test U_Q ≤st N_r, asked once U_Q
+// has an atom below N_r's least (band's comment): ns is N_r sorted, an atom
+// of mass c(p_q) at each query instance's near distance, of the total T_Q
+// where U_Q's is T_Q·T_U.
+func (c *Checker) nearScan(su *objCache, ns []distr.Atom) bool {
+	le, _, n := distr.NewNorm(su.total, 1, c.qTotal).StochasticLE(c.distQ(su), ns, distr.Mass{}, distr.Mass{}, false)
+	c.Stats.InstanceComparisons += int64(n)
 	return le
 }
 
-// witnessBelow is band.massDominates' witness that U_Q ≠ V_Q for every V
-// inside the rectangle: an atom of U_Q below nmin, N_r's least positive
-// atom, heavier than massWitness (band's comment). It reads the runs in
-// whatever order they are: U_Q's atoms are their distances with the
-// products MergeRuns weighs them by.
-func (c *Checker) witnessBelow(su *objCache, nmin float64) bool {
-	if su.stat.Min >= nmin {
+// unequal is U_Q ≠ V_Q, for P-SD without the sweep's scans: the exact scan
+// of U_Q against V_Q fails or finds a strict point.
+func (c *Checker) unequal(su, sv *objCache) bool {
+	le, strict, _ := c.qNorm(su, sv).StochasticLE(c.distQ(su), c.distQ(sv), distr.Mass{}, distr.Mass{}, true)
+	return !le || strict
+}
+
+// --- S-SD ---------------------------------------------------------------------
+
+// ssd is S-SD past rung 1: rung 1a when the search has buckets, then
+// rung 8, the scan of U_Q against V_Q, whose strict point is U_Q ≠ V_Q.
+func (c *Checker) ssd(su, sv *objCache) bool {
+	if su.buckets != nil && sv.buckets != nil {
+		if le, strict, decided := c.massOrder(su, sv); decided {
+			c.Stats.BucketDecisions++
+			return le && strict
+		}
+	}
+	le, strict, n := c.qNorm(su, sv).StochasticLE(c.distQ(su), c.distQ(sv), distr.Mass{}, distr.Mass{}, true)
+	c.Stats.InstanceComparisons += int64(n)
+	return le && strict
+}
+
+// massOrder is rung 1a on two objects: Order on their bucket summaries,
+// then Scan on their atoms in the buckets Order leaves open (openAtoms) —
+// unless both U_Q are built already, when the exact scan is the cheaper.
+// Between them they compare F_U against F_V at every value, as rung 8's
+// scan does, on the same integers; a strict point inside a clear bucket
+// is one Order names (distr.Buckets.Order).
+//
+//nnc:hotpath
+func (c *Checker) massOrder(su, sv *objCache) (le, strict, decided bool) {
+	n := c.qNorm(su, sv)
+	le, strict, open := c.bk.Order(su.buckets, sv.buckets, n)
+	if !le || open == 0 {
+		return le, strict, true
+	}
+	if su.distQ != nil && sv.distQ != nil {
+		return false, false, false
+	}
+	sc := c.scratch
+	sc.openU = grow(sc.openU, len(su.runs))
+	sc.openV = grow(sc.openV, len(sv.runs))
+	le, s := c.bk.Scan(su.buckets, sv.buckets, c.openAtoms(su, sc.openU, open), c.openAtoms(sv, sc.openV, open), open, n)
+	return le, strict || s, true
+}
+
+// openAtoms returns oc's atoms in the open buckets, sorted: gathered from
+// the runs the first time, filtered from U_Q after that — built then, once,
+// rather than sorting what the open buckets hold for every pair.
+func (c *Checker) openAtoms(oc *objCache, dst []distr.Atom, open uint64) []distr.Atom {
+	if oc.distQ != nil || oc.gathered {
+		return c.bk.Filter(dst, c.distQ(oc), open)
+	}
+	oc.gathered = true
+	return c.bk.Gather(dst, oc.runs, oc.obj.Len(), c.qMass, oc.perQStat, open)
+}
+
+// --- SS-SD --------------------------------------------------------------------
+
+// sssd is SS-SD past rung 1: rung 2, then the exact test, U_q ≤st V_q at
+// every query instance with a strict run at one of positive mass.
+func (c *Checker) sssd(su, sv *objCache) bool {
+	if c.cfg.StatPruning && !c.perQStatLE(su, sv) {
+		c.Stats.StatPrunes++
 		return false
 	}
-	m := su.obj.Len()
-	for j := range c.query.Len() {
-		qprob := c.query.Prob(j)
-		for _, a := range su.runs[j*m : (j+1)*m] {
-			if a.Dist < nmin && qprob*a.Prob > massWitness {
+	_, ok := c.sweep(su, sv, true, false)
+	return ok && c.strictRun(su, sv)
+}
+
+// strictRun reports a query instance of positive mass at which U_q's mass
+// exceeds V_q's somewhere. With U_q ≤st V_q at every instance, that is
+// U_Q ≠ V_Q exactly, as U_Q mixes the U_q by the query's masses.
+func (c *Checker) strictRun(su, sv *objCache) bool {
+	n := distr.NewNorm(su.total, sv.total, 1)
+	for j, w := range c.qMass {
+		if w > 0 {
+			us, _ := c.sortedRun(su, j)
+			vs, _ := c.sortedRun(sv, j)
+			if _, strict, _ := n.StochasticLE(us, vs, distr.Mass{}, distr.Mass{}, true); strict {
 				return true
 			}
 		}
@@ -361,111 +404,15 @@ func (c *Checker) witnessBelow(su *objCache, nmin float64) bool {
 	return false
 }
 
-// scanBound is the tolerance of the per-run scans of su against sv: the
-// mass bound of the instances of both.
-func scanBound(su, sv *objCache) float64 {
-	return uncertain.MassBound(su.obj.Len() + sv.obj.Len())
-}
-
-// scansHold is SS-SD's exact test, U_q ≤st V_q within scanBound at every
-// query instance: the statistics of rung 2, whose min and max the scans
-// leave to it, then the scan half of P-SD's sweep on each pair of runs,
-// sorted as it reaches them.
-func (c *Checker) scansHold(su, sv *objCache) bool {
-	if !c.perQStatLE(su, sv) {
-		return false
-	}
-	tol := scanBound(su, sv)
-	for j := 0; j < c.query.Len(); j++ {
-		us, _ := c.sortedRun(su, j)
-		vs, _ := c.sortedRun(sv, j)
-		if !c.sweepInstance(us, vs, nil, nil, tol, true, false, nil) {
-			return false
-		}
-	}
-	return true
-}
-
-// unequal is the side condition U_Q ≠ V_Q of the exact tests: the witness
-// when StatPruning is on and it holds, otherwise distr.Equal on the merged
-// U_Q and V_Q.
-func (c *Checker) unequal(su, sv *objCache) bool {
-	if c.cfg.StatPruning && c.meansApart(su, sv) {
-		return true
-	}
-	return !distr.Equal(c.distQ(su), c.distQ(sv))
-}
-
-// --- S-SD ---------------------------------------------------------------------
-
-// ssd is S-SD past rung 1: rung 1a when the search has buckets, then
-// rung 8.
-func (c *Checker) ssd(su, sv *objCache) bool {
-	if su.buckets != nil && sv.buckets != nil {
-		le, decided := c.massOrder(su, sv)
-		if decided && (!le || c.meansApart(su, sv)) {
-			c.Stats.BucketDecisions++
-			return le
-		}
-	}
-	if !distr.StochasticLE(c.distQ(su), c.distQ(sv), &c.Stats.InstanceComparisons) {
-		return false
-	}
-	return c.unequal(su, sv)
-}
-
-// massOrder is rung 1a on two objects: Order on their bucket summaries,
-// then Scan on their atoms in the buckets Order leaves open (openAtoms) —
-// unless both U_Q are built already, when the exact scan is the cheaper.
-// It rejects where U's mass falls short of V's by 2·MassBound(|U_Q|+|V_Q|)
-// and accepts where it never falls short by a quarter of it: either way
-// StochasticLE, at its bound of MassBound(|U_Q|+|V_Q|), answers the same
-// (band's comment).
-//
-//nnc:hotpath
-func (c *Checker) massOrder(su, sv *objCache) (le, decided bool) {
-	n := uncertain.MassBound(len(su.runs) + len(sv.runs))
-	rej, acc := distr.Units(2*n), -distr.Units(n/4)
-	le, decided, open := c.bk.Order(su.buckets, sv.buckets, rej, acc)
-	if decided || su.distQOK && sv.distQOK {
-		return le, decided
-	}
-	sc := c.scratch
-	sc.openU = grow(sc.openU, len(su.runs))
-	sc.openV = grow(sc.openV, len(sv.runs))
-	return c.bk.Scan(su.buckets, sv.buckets, c.openAtoms(su, sc.openU, open), c.openAtoms(sv, sc.openV, open), rej, acc)
-}
-
-// openAtoms returns oc's atoms in the open buckets, sorted: gathered from
-// the runs the first time, filtered from U_Q after that — built then, once,
-// rather than sorting what the open buckets hold for every pair.
-func (c *Checker) openAtoms(oc *objCache, dst []distr.Pair, open uint64) []distr.Pair {
-	if oc.distQOK || oc.gathered {
-		return c.bk.Filter(dst, c.distQ(oc).Pairs(), open)
-	}
-	oc.gathered = true
-	return c.bk.Gather(dst, oc.runs, oc.obj.Len(), c.query, oc.perQStat, open)
-}
-
-// --- SS-SD --------------------------------------------------------------------
-
-func (c *Checker) sssd(su, sv *objCache) bool {
-	if c.cfg.StatPruning && !c.perQStatLE(su, sv) {
-		c.Stats.StatPrunes++
-		return false
-	}
-	// The exact test: U_q ≤st V_q at every query instance, then U_Q ≠ V_Q.
-	return c.scansHold(su, sv) && c.unequal(su, sv)
-}
-
 // --- F-SD (instance level) ----------------------------------------------------
 
 // fsd decides instance-level full spatial dominance: δmax(q,U) <= δmin(q,V)
 // for every query instance, with the witness that U_Q ≠ V_Q: one strict
 // row, or one query instance at which either object's distances spread
-// (δmin < δmax). Rows that are all equalities with no spread make U_q and
-// V_q one point mass at every q, so U_Q = V_Q: co-located copies do not
-// dominate each other. Both extremes are per-query-instance statistics of
+// (δmin < δmax), at a query instance of positive mass. Without one, U_q
+// and V_q are one point mass at every such q, so U_Q = V_Q: co-located
+// copies do not dominate each other, nor do objects told apart only where
+// the query has no mass. Both extremes are per-query-instance statistics of
 // the summary, so each pairwise check costs O(|Q|) comparisons — the
 // amortized equivalent of the paper's NN/furthest-neighbor searches on the
 // local R-trees.
@@ -477,14 +424,15 @@ func (c *Checker) fsd(su, sv *objCache) bool {
 		if a.Max > b.Min {
 			return false
 		}
-		witness = witness || a.Max < b.Min || a.Min < a.Max || b.Min < b.Max
+		witness = witness || c.qMass[j] > 0 && (a.Max < b.Min || a.Min < a.Max || b.Min < b.Max)
 	}
 	return witness
 }
 
 // fplussd is the MBR-only baseline of [16]. F+SD never looks inside an
 // MBR, so on two objects it is the rectangle predicate itself (fplus),
-// whose witness of U_Q ≠ V_Q is a strict row.
+// whose witness of U_Q ≠ V_Q is a strict row at a query instance of
+// positive mass.
 func (c *Checker) fplussd(su, sv *objCache) bool {
 	c.Stats.InstanceComparisons++
 	return c.rectDominates(su.obj.MBR(), sv.obj.MBR())
@@ -499,9 +447,37 @@ type rectPred struct {
 	metric geom.Metric
 	euclid bool // fast paths for the default metric
 	// hull holds the query instances the point-level tests range over, one
-	// after another, each of the query's dimension — len(qMBR.Lo).
+	// after another, each of the query's dimension — len(qMBR.Lo); the
+	// first pos of them have positive mass (massFirst).
 	hull []float64
+	pos  int
 	qMBR geom.Rect
+}
+
+// massFirst appends to dst the query instances idx names — every one when
+// idx is nil — those of positive mass first, each group in idx's order, and
+// returns them with the number of positive mass: the order of rectPred's
+// hull, in which a strict row counts only among the first pos.
+func massFirst(dst []int, q *uncertain.Object, idx []int) (order []int, pos int) {
+	n := len(idx)
+	if idx == nil {
+		n = q.Len()
+	}
+	for _, positive := range [2]bool{true, false} {
+		for k := range n {
+			j := k
+			if idx != nil {
+				j = idx[k]
+			}
+			if (q.Prob(j) > 0) == positive {
+				dst = append(dst, j)
+			}
+		}
+		if positive {
+			pos = len(dst)
+		}
+	}
+	return dst, pos
 }
 
 // hullLen is how many query instances hull holds.
@@ -535,10 +511,11 @@ func (p *rectPred) near(q geom.Point, r geom.Rect) float64 {
 
 // within is one component of the far ≤ near comparison: whether a's far distance f
 // from a query instance is no larger than b's near distance n, recording in
-// strict a component where it is smaller. le folds it over the hull query
-// instances, band.dominatesRect over the band's far slab.
-func within(f, n float64, strict *bool) bool {
-	if f < n {
+// strict a component where it is smaller at an instance of positive mass.
+// le folds it over the hull query instances, band.dominatesRect over the
+// band's far slab.
+func within(f, n float64, positive bool, strict *bool) bool {
+	if f < n && positive {
 		*strict = true
 	}
 	return f <= n
@@ -551,7 +528,7 @@ func (p *rectPred) le(a, b geom.Rect) (le, strict bool, compared int) {
 	for t := range p.hullLen() {
 		q := p.hullPt(t)
 		compared++
-		if !within(p.far(q, a), p.near(q, b), &strict) {
+		if !within(p.far(q, a), p.near(q, b), t < p.pos, &strict) {
 			return false, false, compared
 		}
 	}
@@ -575,9 +552,10 @@ func (p *rectPred) dominates(a, b geom.Rect) (dom bool, compared int) {
 // fplus is F+SD on two rectangles: the two MBRs against the query's MBR
 // (Euclidean), or against the query instances with metric rectangle bounds
 // for other metrics, with le's witness of U_Q ≠ V_Q for every pair of
-// objects inside them: a hull query instance strictly nearer to all of a
-// than to any of b. A spread inside a rectangle is no witness: a point
-// object at a's far corner and its copy at b's near corner spread nowhere.
+// objects inside them: a hull query instance of positive mass strictly
+// nearer to all of a than to any of b. A spread inside a rectangle is no
+// witness: a point object at a's far corner and its copy at b's near
+// corner spread nowhere.
 func (p *rectPred) fplus(a, b geom.Rect) (dom bool, compared int) {
 	if !p.euclid {
 		le, strict, compared := p.le(a, b)
@@ -586,7 +564,7 @@ func (p *rectPred) fplus(a, b geom.Rect) (dom bool, compared int) {
 	if !geom.FSDMBR(a, b, p.qMBR) {
 		return false, 0
 	}
-	for t := range p.hullLen() {
+	for t := range p.pos {
 		q := p.hullPt(t)
 		compared++
 		if p.far(q, a) < p.near(q, b) {

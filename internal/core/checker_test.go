@@ -6,9 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"spatialdom/internal/distr"
 	"spatialdom/internal/geom"
-	"spatialdom/internal/ref/nnfunc"
 	"spatialdom/internal/uncertain"
 )
 
@@ -172,7 +170,7 @@ func TestRandomTwinsDontDominate(t *testing.T) {
 	for iter := 0; iter < 200; iter++ {
 		q := randObject(rng, 0, 2, 1+rng.Intn(5), randCenter(rng, 2, 20), 4)
 		u := randObject(rng, 1, 2, 3+rng.Intn(18), randCenter(rng, 2, 20), 8)
-		v := uncertain.MustNew(2, u.Points(), u.Probs())
+		v := normalized(t, 2, u.Points(), u.Probs()) // bit for bit: a renormalised copy may differ
 		checkAllConfigs(t, PSD, q, u, v, false, "random twin")
 		checkAllConfigs(t, PSD, q, v, u, false, "random twin, swapped")
 	}
@@ -340,61 +338,67 @@ func TestTransitivity(t *testing.T) {
 }
 
 // S-SD, SS-SD and P-SD on chains U, V, W whose mass gaps each lie inside
-// uncertain.MassBound of their atoms: one query instance and, on a ray
-// from it, three objects that share a near point, where U carries δ less
-// mass than V there and V δ less than W, and whose far points lie in the
-// order U, V, W. δ is above half the bound, so distr.StochasticLE takes
-// both links and refuses U ≤st W. Every pair of the three is checked for
-// irreflexivity and asymmetry, and each "yes" for P-SD ⇒ SS-SD ⇒ S-SD,
-// under L2 and L1, filtered and not. Transitivity does not hold on these
-// chains under the float rule; the test reports how often it breaks.
+// the float rule's old tolerance, 2⁻⁵² an atom: one query instance and, on
+// a ray from it, three objects that share a near point, where the mass
+// there steps by δ of 5–8·2⁻⁵³ from one object to the next, and whose far
+// points lie in the order U, V, W. The exact integer masses see every such
+// gap. Where each object carries δ less near mass than the next, the
+// links U over V and V over W are deficits the rule refuses; the mirrored
+// chain, with mass moved outward from one object to the next, takes both
+// links and U over W. On every chain, under L2 and L1, filtered and not,
+// each operator is irreflexive, asymmetric and transitive, and a P-SD
+// "yes" is an SS-SD one, an SS-SD "yes" an S-SD one.
 func TestChainAcrossTheFloatBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(2501))
 	ops := []Operator{SSD, SSSD, PSD}
-	broken, intransitive := 0, map[Operator]int{}
 	for iter := range 200 {
 		q0 := geom.Point{rng.Float64()*20 - 10, rng.Float64()*20 - 10}
 		a := rng.Float64() * 2 * math.Pi
 		at := func(d float64) geom.Point { return geom.Point{q0[0] + d*math.Cos(a), q0[1] + d*math.Sin(a)} }
 		near, far := 1+rng.Float64()*5, 7+rng.Float64()*5
-		delta := float64(5+rng.Intn(4)) * uncertain.MassBound(1) / 2 // in (MassBound(4)/2, MassBound(4)]
-		chain := make([]*uncertain.Object, 3)
-		for s := range chain {
-			shift := float64(s-1) * delta
-			chain[s] = normalized(t, s+1, []geom.Point{at(near), at(far + float64(s))}, []float64{0.5 + shift, 0.5 - shift})
-		}
+		delta := float64(5+rng.Intn(4)) * 0x1p-53
 		q := uncertain.MustNew(0, []geom.Point{q0}, nil)
-		for _, m := range []geom.Metric{geom.Euclidean, geom.Manhattan} {
-			d := func(o *uncertain.Object) distr.Distribution { return nnfunc.BetweenFunc(o, q, m.Dist) }
-			le := func(x, y int) bool { return distr.StochasticLE(d(chain[x]), d(chain[y]), nil) }
-			if le(0, 1) && le(1, 2) && !le(0, 2) {
-				broken++
+		for _, outward := range []bool{false, true} {
+			chain := make([]*uncertain.Object, 3)
+			for s := range chain {
+				shift := float64(s-1) * delta
+				if outward {
+					shift = -shift
+				}
+				chain[s] = normalized(t, s+1, []geom.Point{at(near), at(far + float64(s))}, []float64{0.5 + shift, 0.5 - shift})
 			}
-			for _, cfg := range []FilterConfig{AllFilters, {}} {
-				var dom [3][3][3]bool // operator (ops), dominator, dominated
-				for o, op := range ops {
-					c := NewCheckerMetric(q, op, cfg, m)
-					for i, u := range chain {
-						for j, v := range chain {
-							dom[o][i][j] = c.Dominates(u, v)
+			for _, m := range []geom.Metric{geom.Euclidean, geom.Manhattan} {
+				for _, cfg := range []FilterConfig{AllFilters, {}} {
+					var dom [3][3][3]bool // operator (ops), dominator, dominated
+					for o, op := range ops {
+						c := NewCheckerMetric(q, op, cfg, m)
+						for i, u := range chain {
+							for j, v := range chain {
+								dom[o][i][j] = c.Dominates(u, v)
+							}
 						}
 					}
-				}
-				tag := fmt.Sprintf("iter %d %s %+v", iter, m.Name(), cfg)
-				for o, op := range ops {
-					if !dom[o][0][1] || !dom[o][1][2] {
-						t.Fatalf("%s %v: the chain's links are %v and %v", tag, op, dom[o][0][1], dom[o][1][2])
-					}
-					if !dom[o][0][2] {
-						intransitive[op]++
-					}
-					for i := range 3 {
-						for j := range 3 {
-							if dom[o][i][j] && dom[o][j][i] {
-								t.Fatalf("%s %v: %d and %d dominate each other", tag, op, i, j)
+					tag := fmt.Sprintf("iter %d outward %v %s %+v", iter, outward, m.Name(), cfg)
+					for o, op := range ops {
+						if links := dom[o][0][1] && dom[o][1][2] && dom[o][0][2]; links != outward || dom[o][0][1] != outward || dom[o][1][2] != outward {
+							t.Fatalf("%s %v: the chain's links are %v, %v and %v over the two", tag, op, dom[o][0][1], dom[o][1][2], dom[o][0][2])
+						}
+						for i := range 3 {
+							if dom[o][i][i] {
+								t.Fatalf("%s %v: %d dominates itself", tag, op, i)
 							}
-							if o > 0 && dom[o][i][j] && !dom[o-1][i][j] {
-								t.Fatalf("%s: %v says %d over %d and %v does not", tag, op, i, j, ops[o-1])
+							for j := range 3 {
+								if dom[o][i][j] && dom[o][j][i] {
+									t.Fatalf("%s %v: %d and %d dominate each other", tag, op, i, j)
+								}
+								for k := range 3 {
+									if dom[o][i][j] && dom[o][j][k] && !dom[o][i][k] {
+										t.Fatalf("%s %v: %d over %d over %d, but not %d over %d", tag, op, i, j, k, i, k)
+									}
+								}
+								if o > 0 && dom[o][i][j] && !dom[o-1][i][j] {
+									t.Fatalf("%s: %v says %d over %d and %v does not", tag, op, i, j, ops[o-1])
+								}
 							}
 						}
 					}
@@ -402,10 +406,6 @@ func TestChainAcrossTheFloatBound(t *testing.T) {
 			}
 		}
 	}
-	if broken == 0 {
-		t.Fatal("no chain breaks the float rule: the generator is not adversarial")
-	}
-	t.Logf("%d of 400 chains break the float rule; U over W missing: %v", broken, intransitive)
 }
 
 // The dominance frequency ordering also holds pairwise with Covers.

@@ -299,53 +299,20 @@ type searchScratch struct {
 // And a key beyond the radius is strictly beyond every hull instance's far
 // distance of k members.
 //
-// Under S-SD a member that fails its F-SD row may still dominate the
-// rectangle in distribution (massDominates): N_r puts p(q) on near(q, r) at
-// every query instance q, and every object V inside r has V_Q ≥st N_r, so
-// U_Q ≤st N_r with U_Q ≠ N_r makes U dominate V. In the summary's floats,
-// with u = 2⁻⁵³, to first order, under uncertain.MassBound's premises
-// (objects carry a total within m·u of one, a comparison sums fewer than
-// 2²⁶ atoms) and with no product of two positive masses underflowing:
-// V's atoms of positive mass at or below λ all belong to query instances
-// with near(q, r) ≤ λ (the near distances above), so their exact mass is
-// at most N_r's there times (1 + (m_V+1)·u), and the checker's scan sums
-// them within (|Q|·m_V−1)·u. N_r's own sum errs by at most (|Q|−1)·u.
-// The test demands U_Q's mass at every λ to reach N_r's within T =
-// MassBound(|U_Q|)/2, so U_Q's mass stays above V_Q's minus
-// MassBound(|U_Q|+|V_Q|), the checker's tolerance, with (|Q|·m_U +
-// (|Q|−1)·(m_V−1))·u to spare: StochasticLE(U_Q, V_Q) holds, and with it
-// rung 1 (Theorem 11, distr.MeanBound), once U's max slab is at most N_r's
-// largest positive atom, which V_Q reaches. The witness of U_Q ≠ V_Q is an
-// atom of U_Q strictly below N_r's least positive atom and heavier than
-// massWitness: V has no mass there, and no distr.Equal the premise allows
-// forgives that much at one value. It cannot be a mean gap in the manner
-// of meansApart: MeanBound grows with V's atoms, which an entry does not
-// know.
+// The strictness counts only at hull instances of positive mass, the first
+// pos of the hull (massFirst): only there does a strict row make U_Q ≠ V_Q.
+// So radius stays +Inf when the hull has none.
 //
-// The mass rung (rung 1a, Checker.massOrder) reads distr.Buckets
-// summaries. Bucket and cell are floor((d−lo)·inv) clamped: a rounded
-// subtraction, a product by a positive constant, the clamps and the
-// truncation never reverse "≤", so both are non-decreasing in the
-// distance, and the atoms of the buckets below i are those below
-// some value — the same value for every object under one search's edges.
-// Each atom's mass a = fl(p(q)·p(u)), MergeRuns' product, enters as
-// ⌊a·2⁶⁰⌋ units: scaling by a power of two is exact, so the integer C(i)
-// is the exact mass of the atoms below edge i less under one unit (u/128,
-// u = 2⁻⁵³) an atom, in any order of summation. At an atom value λ in
-// bucket i, F(λ) lies between C(i) and C(i+1), and reaches C(i+1) once λ is
-// past the object's last atom in the bucket; the cells, ordered the same
-// way, tell where that lies against the other object's first atom there.
-// So Order's conditions, and Scan's exact prefix sums inside a bucket they
-// leave open, bound F_U(λ) − F_V(λ) at every λ the scan visits by the
-// tested difference within N units, N·u/128 for N = |U_Q|+|V_Q|.
-// StochasticLE's sums are within (n−1)·u of exact (uncertain.MassBound's
-// derivation), so its difference at λ is the tested one within
-// (N + N/128)·u, to first order with room for the second: acceptance at
-// −MassBound(N)/4 = −N·u/2 keeps it above −MassBound(N), the scan's
-// bound, and rejection below −2·MassBound(N) keeps it below. Exact ties — co-located instances, equal
-// masses — land on the accepting side, as in the scan. The scan's other
-// refusals, V's mass below all of U's or U's above all of V's, are rung 1's
-// (no product of positive masses underflowing).
+// Under S-SD a member that fails its F-SD row may still dominate the
+// rectangle in distribution (massDominates): N_r puts the mass c(p_q) on
+// near(q, r) at every query instance q, and every object V inside r has
+// V_Q ≥st N_r exactly — V's atoms at q lie at or beyond near(q, r) and
+// weigh c(p_q)/T_Q in all, normalised, on the integer masses of distr's
+// rule — so U_Q ≤st N_r makes U_Q ≤st V_Q by transitivity. An atom of U_Q
+// of positive mass below N_r's least is where no such V has mass, so U_Q ≠
+// V_Q: the test is that U's min statistic lies below N_r's and one exact
+// scan of U_Q against N_r (Checker.nearScan), after rung 1's statistics
+// against N_r's, which are necessary for it.
 type band struct {
 	objs      []*objCache
 	mean, max []float64
@@ -373,7 +340,7 @@ func (b *band) push(c *Checker, so *objCache, k int) {
 		b.far = append(b.far, f)
 		reach = max(reach, f)
 	}
-	if c.euclid && c.cfg.Geometric {
+	if c.euclid && c.cfg.Geometric && c.pos > 0 {
 		b.nearest = keepNearest(b.nearest, k, reach)
 		if len(b.nearest) == k {
 			b.radius = b.nearest[k-1]
@@ -760,7 +727,7 @@ func (b *band) dominatesRect(c *Checker, r geom.Rect, k int) bool {
 		le, strict := true, false
 		for t, f := range b.far[i*h : (i+1)*h] {
 			compared++
-			if le = within(f, near[t], &strict); !le {
+			if le = within(f, near[t], t < c.pos, &strict); !le {
 				break
 			}
 		}
@@ -784,8 +751,8 @@ func (b *band) dominatesRect(c *Checker, r geom.Rect, k int) bool {
 // against the mean and max slabs come first, necessary for the scan
 // (Theorem 11, under distr.MeanBound of the band's largest member); N_r is
 // sorted only once some member gets past them; then the witness of U_Q ≠
-// V_Q on the member's runs (Checker.witnessBelow) and one merge scan of its
-// U_Q (Checker.nearScan). An entry whose k-th dominator this pass finds is
+// V_Q, U's min statistic below N_r's, and one scan of its U_Q
+// (Checker.nearScan). An entry whose k-th dominator this pass finds is
 // counted in MassPrunes.
 //
 //nnc:hotpath
@@ -796,7 +763,7 @@ func (b *band) massDominates(c *Checker, r geom.Rect, need int, failed []int32) 
 	nmin, nmax, nmean := math.Inf(1), math.Inf(-1), 0.0
 	for j := range ns {
 		d, p := c.near(c.query.Instance(j), r), c.query.Prob(j)
-		ns[j] = distr.Pair{Dist: d, Prob: p}
+		ns[j] = distr.Atom{Dist: d, Mass: distr.Mass{Lo: c.qMass[j]}}
 		if p > 0 { // Summarize's statistics of a one-instance object
 			nmin, nmax = min(nmin, d), max(nmax, d)
 			nmean += p * d
@@ -810,9 +777,10 @@ func (b *band) massDominates(c *Checker, r geom.Rect, need int, failed []int32) 
 			continue
 		}
 		if !sorted {
-			ns, sorted = distr.Own(ns).Pairs(), true
+			distr.SortAtoms(ns)
+			sorted = true
 		}
-		if su := b.objs[i]; c.witnessBelow(su, nmin) && c.nearScan(su, ns) {
+		if su := b.objs[i]; su.stat.Min < nmin && c.nearScan(su, ns) {
 			if need--; need == 0 {
 				c.Stats.MassPrunes++
 				return true

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/big"
 
 	"spatialdom/internal/distr"
 	"spatialdom/internal/geom"
@@ -27,7 +28,8 @@ func RectDominator(q *uncertain.Object, op Operator, cfg FilterConfig, m geom.Me
 // at every hull query instance q, u's largest distance to q over its
 // positive-mass instances (the metric's Dist, which is the summary's
 // distance term for term) is at most r's near distance from q
-// (MinDistRect), strictly at one — distances, never squares. Under S-SD a
+// (MinDistRect), strictly at one of positive mass — distances, never
+// squares. Under S-SD a
 // member that fails that row still dominates r by massBelowNear.
 func entryDominates(c *Checker, u *uncertain.Object, r geom.Rect) bool {
 	if c.op == FPlusSD {
@@ -43,7 +45,7 @@ func entryDominates(c *Checker, u *uncertain.Object, r geom.Rect) bool {
 				far = max(far, c.metric.Dist(q, u.Instance(i)))
 			}
 		}
-		if !within(far, c.metric.MinDistRect(q, r), &strict) {
+		if !within(far, c.metric.MinDistRect(q, r), t < c.pos, &strict) {
 			strict = false
 			break
 		}
@@ -51,35 +53,20 @@ func entryDominates(c *Checker, u *uncertain.Object, r geom.Rect) bool {
 	return strict || c.op == SSD && massBelowNear(c, u, r)
 }
 
-// massBelowNear is S-SD's mass test from its definition: N_r, the near
-// distance from every query instance weighted by its probability
-// (distr.FromPairs, which drops zero masses), and u's U_Q. U_Q's largest
-// positive value is at most N_r's; at every value of either, U_Q's CDF is
-// at least N_r's less MassBound(|U_Q|)/2; and some atom of U_Q below N_r's
-// least value carries more than massWitness.
+// massBelowNear is S-SD's mass test from its definition, on ratQ's exact
+// rationals: N_r puts the integer mass of each query instance at its near
+// distance to r, u's U_Q lies stochastically below it, and U_Q's least
+// value lies below N_r's.
 func massBelowNear(c *Checker, u *uncertain.Object, r geom.Rect) bool {
 	q := c.query
-	atoms := make([]distr.Pair, q.Len())
-	for j := range atoms {
-		atoms[j] = distr.Pair{Dist: c.metric.MinDistRect(q.Instance(j), r), Prob: q.Prob(j)}
-	}
-	n := distr.MustFromPairs(atoms)
-	su := c.summaryOf(u)
-	uq := c.distQ(su)
-	if su.stat.Max > n.Max() {
-		return false
-	}
-	tol := uncertain.MassBound(uq.Len()) / 2
-	witness := false
-	for _, a := range uq.Pairs() {
-		witness = witness || a.Dist < n.Min() && a.Prob > massWitness
-	}
-	for _, d := range []distr.Distribution{uq, n} {
-		for _, a := range d.Pairs() {
-			if uq.CDF(a.Dist) < n.CDF(a.Dist)-tol {
-				return false
-			}
+	at := map[float64]*big.Rat{}
+	for j := range q.Len() {
+		d := c.metric.MinDistRect(q.Instance(j), r)
+		if at[d] == nil {
+			at[d] = new(big.Rat)
 		}
+		at[d].Add(at[d], new(big.Rat).SetUint64(distr.Units(q.Prob(j))))
 	}
-	return witness
+	n, uq := newRatDist(at), ratQ(q, u, c.metric, -1)
+	return uq.deficit(n).Sign() <= 0 && uq.vals[0] < n.vals[0]
 }

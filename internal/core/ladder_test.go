@@ -174,11 +174,11 @@ func TestLadderAgreesWithNoFilterWideObjects(t *testing.T) {
 // the key is bit-for-bit the minimum of the sorted U_Q, the mean agrees
 // with the sorted sum to rounding, and a zero-probability instance moves
 // neither. U_Q as the checker builds it — the runs sorted one by one, some
-// of them already by a sweep, then merged — is nnfunc.BetweenFunc's, for |Q|
-// of 1 to 9 (every merge-pass count up to four): atom for atom on objects
-// scattered in the plane, and Equal at eps 0 on an integer grid, where many
-// atoms tie. The grid's weights are dyadic, so any order of a tie group
-// sums to the same float64.
+// of them already by a sweep, then merged — holds the distances of
+// nnfunc.BetweenFunc, each pair of instances weighing the product of their
+// integer masses, for |Q| of 1 to 9 (every merge-pass count up to four):
+// atom for atom on objects scattered in the plane, and up to the order of
+// ties on an integer grid, where many atoms tie.
 func TestSummaryMatchesSortedDistribution(t *testing.T) {
 	rng := rand.New(rand.NewSource(1702))
 	grid := func(id, m int) *uncertain.Object {
@@ -217,14 +217,19 @@ func TestSummaryMatchesSortedDistribution(t *testing.T) {
 			if pre := rng.Intn(nq + 1); pre > 0 {
 				c.sortedRun(oc, pre-1) // a sweep got this far first
 			}
-			got := c.distQ(oc)
-			if !sameAtoms(got, want) || !onGrid && !slices.Equal(got.Pairs(), want.Pairs()) {
-				t.Fatalf("iter %d %s: merged U_Q differs from nnfunc.BetweenFunc", iter, m.Name())
+			got, ref := c.distQ(oc), refAtoms(q, o, m, -1)
+			if !sameAtoms(got, ref) || !onGrid && !slices.Equal(got, ref) {
+				t.Fatalf("iter %d %s: merged U_Q differs from the weighted atoms", iter, m.Name())
+			}
+			for k, a := range got {
+				if a.Dist != want.Pair(k).Dist {
+					t.Fatalf("iter %d %s: U_Q's atom %d lies at %v, nnfunc.BetweenFunc's at %v", iter, m.Name(), k, a.Dist, want.Pair(k).Dist)
+				}
 			}
 			for j := 0; j < q.Len(); j++ {
 				wj := nnfunc.BetweenInstanceFunc(o, q.Instance(j), m.Dist)
 				run, _ := c.sortedRun(oc, j)
-				if !sameAtoms(distr.Own(slices.Clone(run)), wj) || oc.perQStat[j].Min != wj.Min() || oc.perQStat[j].Max != wj.Max() {
+				if !sameAtoms(run, refAtoms(q, o, m, j)) || oc.perQStat[j].Min != wj.Min() || oc.perQStat[j].Max != wj.Max() {
 					t.Fatalf("iter %d %s: U_q %d differs from nnfunc.BetweenInstance", iter, m.Name(), j)
 				}
 			}
@@ -291,7 +296,7 @@ func TestIsolatedMassAgreesWithMaxFlow(t *testing.T) {
 			}
 		}
 		matched := g.MaxFlow(s, sink) >= 1-1e-11
-		if tr.Isolated(pu, pv, rows) {
+		if tr.Isolated(units(pu), units(pv), rows) {
 			fired++
 			if matched {
 				t.Fatalf("iter %d: exit fired on a network whose max flow is 1\npu=%v\npv=%v\nrows=%b", iter, pu, pv, rows)
@@ -442,15 +447,51 @@ func TestScanPrunesSubsetOfStatPrunes(t *testing.T) {
 	}
 }
 
-// sameAtoms reports whether two distributions hold the same atoms, bit for
-// bit, in whatever order their ties fell.
-func sameAtoms(x, y distr.Distribution) bool {
-	order := func(d distr.Distribution) []distr.Pair {
-		ps := slices.Clone(d.Pairs())
-		slices.SortFunc(ps, func(a, b distr.Pair) int {
-			return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.Prob, b.Prob))
-		})
-		return ps
+// units returns the integer masses of probabilities p.
+func units(p []float64) []uint64 {
+	c := make([]uint64, len(p))
+	distr.Masses(c, p)
+	return c
+}
+
+// total is the sum of integer masses c.
+func total(c []uint64) (t uint64) {
+	for _, x := range c {
+		t += x
 	}
-	return slices.Equal(order(x), order(y))
+	return t
+}
+
+// refAtoms is U_Q of o, or U_q for query instance j ≥ 0, from the
+// definition: every pair of instances at its distance under m, weighing
+// the product of the two integer masses (o's alone for U_q), sorted.
+func refAtoms(q, o *uncertain.Object, m geom.Metric, j int) []distr.Atom {
+	var atoms []distr.Atom
+	for k := range q.Len() {
+		if j >= 0 && k != j {
+			continue
+		}
+		w := uint64(1)
+		if j < 0 {
+			w = distr.Units(q.Prob(k))
+		}
+		for i := range o.Len() {
+			atoms = append(atoms, distr.Atom{Dist: m.Dist(q.Instance(k), o.Instance(i)), Mass: distr.Mul(w, distr.Units(o.Prob(i)))})
+		}
+	}
+	slices.SortStableFunc(atoms, func(a, b distr.Atom) int { return cmp.Compare(a.Dist, b.Dist) })
+	return atoms
+}
+
+// sameAtoms reports whether two sorted atom lists hold the same atoms, bit
+// for bit, in whatever order their ties fell.
+func sameAtoms(x, y []distr.Atom) bool {
+	order := func(a []distr.Atom) []distr.Atom {
+		a = slices.Clone(a)
+		slices.SortFunc(a, func(a, b distr.Atom) int {
+			return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.Mass.Hi, b.Mass.Hi), cmp.Compare(a.Mass.Lo, b.Mass.Lo))
+		})
+		return a
+	}
+	return slices.IsSortedFunc(x, func(a, b distr.Atom) int { return cmp.Compare(a.Dist, b.Dist) }) && slices.Equal(order(x), order(y))
 }

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"spatialdom/internal/distr"
 	"spatialdom/internal/geom"
 	"spatialdom/internal/uncertain"
 )
@@ -105,7 +104,12 @@ func matchPair(rng *rand.Rand, kind, dim, m, probs int) (u, v *uncertain.Object)
 			vp[least][k] = up[least][k] - 1e-11
 		}
 	}
-	v = uncertain.MustNew(2, vp, u.Probs())
+	// V takes U's probabilities bit for bit: a renormalised copy may stand
+	// for other masses.
+	v, err := uncertain.FromNormalized(2, vp, u.Probs())
+	if err != nil {
+		panic(err)
+	}
 	if kind == pairStray {
 		stray := make([]float64, m+1)
 		for i, p := range u.Probs() {
@@ -159,7 +163,7 @@ func eachMatchPair(seed int64, f func(tag string, metric geom.Metric, kind int, 
 // no tolerance at all — the walk compares with plain ≤, so it owes no eps.
 // It fires on a fair share of the pushed copies. (Negative probes, each
 // verified to fail this test: ≤ dv+eps in the walk's comparison, on the
-// nudged pairs; no meansApart, on the duplicates.)
+// nudged pairs; no strict tuple, on the duplicates.)
 func TestMatchWitnessSound(t *testing.T) {
 	var drawn, fired [pairKinds]int
 	eachMatchPair(4101, func(tag string, metric geom.Metric, kind int, q, u, v *uncertain.Object) {
@@ -199,32 +203,36 @@ func normalized(t *testing.T, id int, pts []geom.Point, probs []float64) *uncert
 
 // hullFSD reports F-SD at the hull query instances on two summaries: every
 // positive-mass instance of U at least as close to each hull instance as
-// every one of V, read off the per-query-instance extremes.
+// every one of V, read off the per-query-instance extremes, with fsd's
+// witness at a hull instance of positive mass — a strict row or a spread.
 func hullFSD(c *Checker, su, sv *objCache) bool {
-	for _, j := range c.hullIdx {
-		if su.perQStat[j].Max > sv.perQStat[j].Min {
+	strict := false
+	for t, j := range c.hullIdx {
+		a, b := su.perQStat[j], sv.perQStat[j]
+		if a.Max > b.Min {
 			return false
 		}
+		strict = strict || t < c.pos && (a.Max < b.Min || a.Min < a.Max || b.Min < b.Max)
 	}
-	return true
+	return strict
 }
 
 // hullFacts checks, on one pair under metric m, the two facts that leave
-// the ladder no rung for F-SD at the hull instances: wherever it holds and
-// meansApart does, (a) P-SD's match witness validates the pair, and (b)
-// under S-SD rung 1a decides it "yes" whenever the search has buckets —
-// fixed by U's summary or by V's. Every operator that asks meansApart, and
-// the unfiltered checker, says U dominates V. held reports whether the
-// premise held, binned how many of the two S-SD checks had buckets.
+// the ladder no rung for F-SD at the hull instances: wherever it holds,
+// (a) P-SD's match witness validates the pair, and (b) under S-SD rung 1a
+// decides it "yes" whenever the search has buckets — fixed by U's summary
+// or by V's. Every operator, and the unfiltered checker, says U dominates
+// V. held reports whether the premise held, binned how many of the two
+// S-SD checks had buckets.
 func hullFacts(t *testing.T, tag string, m geom.Metric, q, u, v *uncertain.Object) (held bool, binned int) {
 	t.Helper()
 	c := NewCheckerMetric(q, PSD, AllFilters, m)
 	su, sv := c.summaryOf(u), c.summaryOf(v)
-	if !hullFSD(c, su, sv) || !c.meansApart(su, sv) {
+	if !hullFSD(c, su, sv) {
 		return false, 0
 	}
 	if !c.matchValidate(su, sv) {
-		t.Fatalf("%s %s: F-SD at the hull and the means apart, but the match witness refuses\nq=%v\nu=%v\nv=%v", tag, m.Name(), q, u, v)
+		t.Fatalf("%s %s: F-SD at the hull, but the match witness refuses\nq=%v\nu=%v\nv=%v", tag, m.Name(), q, u, v)
 	}
 	c = NewCheckerMetric(q, PSD, AllFilters, m)
 	if !c.Dominates(u, v) || c.Stats.CoverValidations != 1 {
@@ -254,7 +262,7 @@ func hullFacts(t *testing.T, tag string, m geom.Metric, q, u, v *uncertain.Objec
 	return true, binned
 }
 
-// Wherever F-SD holds at the hull instances and the means are apart, P-SD's
+// Wherever F-SD holds at the hull instances, P-SD's
 // match witness and S-SD's rung 1a decide the pair "yes" before the exact
 // test, so the ladder needs no rung of its own for F-SD at the hull:
 // hullFacts holds on every pair of eachMatchPair, whose apart and touching
@@ -307,16 +315,15 @@ func TestMatchWitnessEdges(t *testing.T) {
 		t.Fatal("tolerance counterexample: the walk validated a tuple with du > dv")
 	}
 
-	// The witness either side of its bounds: U a point at distance 1, V the
-	// same point and, with the moved mass, one at distance 2. The walk ships
-	// everything, so meansApart decides: a gap of 1e-10 clears
-	// distr.MeanBound(3, 2) ≈ 1.2e-14, one of 1e-14 does not, and the exact
-	// test still finds U_Q ≠ V_Q there; 4e-16 is within MassBound(3) of no
-	// mass at all, so distr.Equal calls the two equal.
+	// The witness on mass moved out: U a point at distance 1, V the same
+	// point and, with the moved mass, one at distance 2. The walk ships
+	// everything, and its tuple to V's second instance is strictly nearer
+	// wherever that instance has mass, however little: 4e-16 is 461 units
+	// of 2⁻⁶⁰. Without any, U_Q = V_Q.
 	for _, tc := range []struct {
 		moved      float64
 		fires, dom bool
-	}{{1e-10, true, true}, {1e-14, false, true}, {4e-16, false, false}} {
+	}{{1e-10, true, true}, {1e-14, true, true}, {4e-16, true, true}, {0, false, false}} {
 		u := uncertain.MustNew(1, []geom.Point{{1, 0}}, nil)
 		v := normalized(t, 2, []geom.Point{{1, 0}, {2, 0}}, []float64{1 - tc.moved, tc.moved})
 		c := NewChecker(origin, PSD, AllFilters)
@@ -330,15 +337,13 @@ func TestMatchWitnessEdges(t *testing.T) {
 		}
 	}
 
-	// What the walk leaves over: one instance each, U's at distance 1 and
-	// V's at 2, with totals each within its own MassBound(1) of one. The
-	// walk ships V's whole mass and leaves U's excess, which it takes up to
-	// half of MassBound(2) and no more; the transport, which tolerates all
-	// of it, says yes either way.
+	// Totals off one: one instance each, U's at distance 1 and V's at 2,
+	// with probabilities an ulp or two from one. Each stands for all of its
+	// object's mass, so the walk ships everything and nothing is left over.
 	for _, tc := range []struct {
 		pu, pv float64
 		fires  bool
-	}{{1 + 0x1p-52, 1, true}, {1 + 0x1p-52, 1 - 0x1p-52, false}} {
+	}{{1 + 0x1p-52, 1, true}, {1 + 0x1p-52, 1 - 0x1p-52, true}} {
 		u, err := uncertain.FromSlabs(1, 2, []float64{1, 0}, []float64{tc.pu})
 		if err != nil {
 			t.Fatal(err)
@@ -363,9 +368,8 @@ func TestMatchWitnessEdges(t *testing.T) {
 // verdict is the unfiltered checker's, the match witness validates exactly
 // the dominated pairs under P-SD and is asked by no other operator, and the
 // pairs with F-SD at the hull satisfy hullFacts. The witness must refuse
-// every pair whose U_Q and V_Q distr.Equal could call equal — duplicates —
-// and must change its answer exactly at its bound, which twins moved by
-// 1e-10 and 1e-10 of mass moved outward clear.
+// every pair whose U_Q equals V_Q — duplicates — and take twins moved by
+// 1e-10 and 1e-10 of mass moved outward.
 func TestCoverValidationEdges(t *testing.T) {
 	origin := uncertain.MustNew(0, []geom.Point{{0, 0}}, nil)
 	tri := uncertain.MustNew(0, []geom.Point{{0, 0}, {2, 0}, {1, 2}}, nil)
@@ -418,25 +422,7 @@ func TestCoverValidationEdges(t *testing.T) {
 			}
 		}
 		if held, _ := hullFacts(t, tc.name, tc.metric, tc.q, tc.u, tc.v); held != tc.hull {
-			t.Errorf("%s: F-SD at the hull with the means apart %v, want %v", tc.name, held, tc.hull)
-		}
-	}
-
-	// The witness at its bound: a mean gap equal to it refuses, one ulp above
-	// it validates.
-	for _, n := range []int{2, 3, 80, 8192} {
-		su := &objCache{runs: make([]distr.Pair, n/2), stat: distr.Stat{Max: 7}}
-		sv := &objCache{runs: make([]distr.Pair, n-n/2), stat: distr.Stat{Max: 9}}
-		bound := distr.MeanBound(n, 9)
-		c := NewChecker(origin, SSD, AllFilters)
-		for _, tc := range []struct {
-			gap  float64
-			want bool
-		}{{bound, false}, {math.Nextafter(bound, math.Inf(1)), true}} {
-			sv.stat.Mean = tc.gap
-			if got := c.meansApart(su, sv); got != tc.want {
-				t.Errorf("N = %d: meansApart at gap %v (bound %v) = %v, want %v", n, tc.gap, bound, got, tc.want)
-			}
+			t.Errorf("%s: F-SD at the hull %v, want %v", tc.name, held, tc.hull)
 		}
 	}
 }

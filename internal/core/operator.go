@@ -189,8 +189,8 @@ type Stats struct {
 	// rung decided on bucket masses, with no sorted run (rung 1a,
 	// Checker.ssd).
 	BucketDecisions int64
-	// MixtureBuilds counts the U_Q built out of sorted runs for a scan or
-	// distr.Equal (Checker.distQ): one per object at most.
+	// MixtureBuilds counts the U_Q built out of sorted runs for a scan
+	// (Checker.distQ): one per object at most.
 	MixtureBuilds int64
 }
 

@@ -84,7 +84,7 @@ func TestSSDCompleteness(t *testing.T) {
 		}
 		uq := nnfunc.Between(u, q)
 		vq := nnfunc.Between(v, q)
-		if distr.Equal(uq, vq) {
+		if ratQ(q, u, geom.Euclidean, -1).equal(ratQ(q, v, geom.Euclidean, -1)) {
 			continue // mutual equality: no function can separate them
 		}
 		exercised++
@@ -135,14 +135,12 @@ func TestSSSDCompleteness(t *testing.T) {
 			continue
 		}
 		// Skip pairs failing only the ≠ side condition.
-		if distr.Equal(nnfunc.Between(u, q), nnfunc.Between(v, q)) {
+		if ratQ(q, u, geom.Euclidean, -1).equal(ratQ(q, v, geom.Euclidean, -1)) {
 			continue
 		}
 		perQEqual := true
 		for j := 0; j < q.Len(); j++ {
-			uq := nnfunc.BetweenInstance(u, q.Instance(j))
-			vq := nnfunc.BetweenInstance(v, q.Instance(j))
-			if !distr.Equal(uq, vq) {
+			if !ratQ(q, u, geom.Euclidean, j).equal(ratQ(q, v, geom.Euclidean, j)) {
 				perQEqual = false
 			}
 		}

@@ -5,14 +5,15 @@ import (
 	"slices"
 
 	"spatialdom/internal/distr"
-	"spatialdom/internal/uncertain"
 )
 
 // This file implements the Peer-SD check (Section 5.1.2). Theorem 12
 // reduces P-SD(U,V,Q) to a bipartite transport: the instances of U supply
-// their probabilities, the instances of V demand theirs, u may ship to v
-// whenever u ⪯Q v, and P-SD holds iff the whole unit of mass can be shipped
-// (and U_Q ≠ V_Q).
+// their masses, the instances of V demand theirs, u may ship to v whenever
+// u ⪯Q v, and P-SD holds iff the whole mass can be shipped (and U_Q ≠
+// V_Q). The masses are the integers c(p) of distr's rule, each side scaled
+// to the common total T_U·T_V: u supplies c(p_u)·T_V and v demands
+// c(p_v)·T_U, so shipping everything is exact.
 //
 // psd runs the verdict ladder of Checker.Dominates from rung 2 on (rung 1,
 // the global statistics, is answered by the caller):
@@ -21,8 +22,9 @@ import (
 //     every U_q are necessary for the SS-SD scans of rung 4;
 //  7. the match witness (matchValidate): Theorem 1's quantile match of
 //     the instances, in order of summed distance, checked tuple by tuple
-//     against ⪯Q, with the means' witness that U_Q ≠ V_Q. A pair it
-//     validates never sorts a run, writes a row or solves a transport;
+//     against ⪯Q, with a tuple strictly nearer at a hull instance of
+//     positive mass as the witness that U_Q ≠ V_Q. A pair it validates
+//     never sorts a run, writes a row or solves a transport;
 //
 // 4a. the isolation test (isolated): an instance of positive mass with no
 // partner under ⪯Q fails Hall's condition, so the transport leaves at
@@ -35,8 +37,8 @@ import (
 //     admissibility rows of Theorem 12 — abandoned the moment a scan fails;
 //  8. the exact instance transport over the rows rung 4 wrote: refused
 //     without a solve when a positive-mass instance has no admissible
-//     partner (what rung 4a finds first), and otherwise when it leaves
-//     more than uncertain.MassBound of the instances unshipped.
+//     partner (what rung 4a finds first), and otherwise when it leaves any
+//     mass unshipped.
 //
 // Rungs 7 and 4a run before the sweep because the sweep is what they save;
 // a "yes" rung commutes with the "no" rungs around it (Checker.Dominates).
@@ -67,7 +69,7 @@ func (c *Checker) psd(su, sv *objCache) bool {
 		c.Stats.IsolationPrunes++
 		return false
 	}
-	adm, ok := c.sweep(su, sv)
+	adm, ok := c.sweep(su, sv, c.cfg.StatPruning, true)
 	if !ok {
 		return false
 	}
@@ -76,15 +78,16 @@ func (c *Checker) psd(su, sv *objCache) bool {
 
 // matchValidate is rung 7, P-SD's match witness: Theorem 1's quantile
 // match of U and V (walked over instances, not distances) along one linear
-// extension of ⪯Q, the order of matchOrder. It says "yes" when every tuple
-// has u ⪯Q v exactly, the walk ends on the last instance of both sides —
-// so every instance of positive mass is in an admitted tuple — with at most
-// half of uncertain.MassBound of the instances left over, and U_Q ≠ V_Q is
-// witnessed by meansApart. Such a match is a flow over the rows rung 4
-// would write, which the transport's bound admits with the other half to
-// spare for its own rounding, so rung 8 would say "yes" too; a pair whose
-// walk fails goes on to the sweep. It is gated by StatPruning and counted
-// in CoverValidations.
+// extension of ⪯Q, the order of matchOrder, on the transport's scaled
+// masses. It says "yes" when every tuple has u ⪯Q v exactly — the two sides'
+// equal totals make the walk end on the last instance of both, so every
+// instance of positive mass is in an admitted tuple — and one tuple is
+// strictly nearer at a hull instance of positive mass: at that instance
+// the match couples U_q below V_q with a strict gap of positive mass, so
+// U_q ≠ V_q and U_Q ≠ V_Q, through the hull reduction the rows rest on.
+// Such a match is a flow over the rows rung 4 would write, so rung 8 would
+// say "yes" too; a pair whose walk fails goes on to the sweep. It is gated
+// by StatPruning and counted in CoverValidations.
 //
 //nnc:hotpath
 func (c *Checker) matchValidate(su, sv *objCache) bool {
@@ -99,34 +102,36 @@ func (c *Checker) matchValidate(su, sv *objCache) bool {
 		return false
 	}
 	ou, ov := c.matchOrder(su), c.matchOrder(sv)
-	pu, pv := su.obj.Probs(), sv.obj.Probs()
 	lastU, lastV := len(ou)-1, len(ov)-1
-	half := uncertain.MassBound(len(pu)+len(pv)) / 2
-	i, j := 0, 0
-	remU, remV := pu[ou[0]], pv[ov[0]]
+	i, j, strict := 0, 0, false
+	remU, remV := distr.Mul(su.mass[ou[0]], sv.total), distr.Mul(sv.mass[ov[0]], su.total)
 	for tuples := int64(1); ; tuples++ {
-		if !c.admits(su.hullD[int(ou[i])*h:][:h], sv.hullD[int(ov[j])*h:][:h]) {
+		du, dv := su.hullD[int(ou[i])*h:][:h], sv.hullD[int(ov[j])*h:][:h]
+		if !c.admits(du, dv) {
 			c.Stats.InstanceComparisons += tuples
 			return false
 		}
+		for t := 0; t < c.pos && !strict; t++ {
+			strict = du[t] < dv[t]
+		}
 		// x is one of the two remainders, so at least one drops to zero.
-		x := min(remU, remV)
-		remU, remV = remU-x, remV-x
-		if remU <= 0 && i == lastU || remV <= 0 && j == lastV {
+		x := remU.Min(remV)
+		remU, remV = remU.Sub(x), remV.Sub(x)
+		if i == lastU && remU.IsZero() || j == lastV && remV.IsZero() {
 			c.Stats.InstanceComparisons += tuples
-			if i != lastU || j != lastV || max(remU, remV) > half || !c.meansApart(su, sv) {
+			if !strict {
 				return false
 			}
 			c.Stats.CoverValidations++
 			return true
 		}
-		if remU <= 0 {
+		if remU.IsZero() {
 			i++
-			remU = pu[ou[i]]
+			remU = distr.Mul(su.mass[ou[i]], sv.total)
 		}
-		if remV <= 0 {
+		if remV.IsZero() {
 			j++
-			remV = pv[ov[j]]
+			remV = distr.Mul(sv.mass[ov[j]], su.total)
 		}
 	}
 }
@@ -268,8 +273,8 @@ func (c *Checker) isolated(su, sv *objCache) bool {
 	return false
 }
 
-// admits is the sweep's pair test (sweepInstance) on two instances'
-// distances to the hull query instances: u ⪯Q v, du ≤ dv at every one.
+// admits is the rows' pair test (fillRows) on two instances' distances to
+// the hull query instances: u ⪯Q v, du ≤ dv at every one.
 func (c *Checker) admits(du, dv []float64) bool {
 	for t, d := range du {
 		if d > dv[t] {
@@ -283,14 +288,14 @@ func (c *Checker) admits(du, dv []float64) bool {
 // with the instance each atom belongs to. A sweep asks for the runs in query
 // order and mostly stops after a few, so they are sorted as it reaches them:
 // runs [0, oc.sorted) are.
-func (c *Checker) sortedRun(oc *objCache, j int) ([]distr.Pair, []int32) {
+func (c *Checker) sortedRun(oc *objCache, j int) ([]distr.Atom, []int32) {
 	m := oc.obj.Len()
 	if oc.runInst == nil {
 		oc.runInst = c.scratch.insts.Alloc(len(oc.runs))
 	}
 	if oc.sorted <= j {
 		lo, hi := oc.sorted*m, (j+1)*m
-		c.scratch.runSorter.SortRuns(oc.runs[lo:hi], oc.runInst[lo:hi], oc.obj.Probs())
+		c.scratch.runSorter.SortRuns(oc.runs[lo:hi], oc.runInst[lo:hi], oc.mass)
 		oc.sorted = j + 1
 	}
 	return oc.runs[j*m : (j+1)*m], oc.runInst[j*m : (j+1)*m]
@@ -298,113 +303,88 @@ func (c *Checker) sortedRun(oc *objCache, j int) ([]distr.Pair, []int32) {
 
 // sweepRows is what a sweep carries from one hull instance to the next: the
 // admissible pairs so far, nu rows of w words over V's instances, and
-// sweepInstance's forbidden-prefix mask, a row wide.
+// fillRows' forbidden-prefix mask, a row wide.
 type sweepRows struct {
 	w        int
 	adm, out []uint64
 }
 
-// sweep is rung 4 and the row fill of rung 8 in one pass over the query
-// instances: sweepInstance at each, on the two sorted runs. ok is false when
-// a scan refutes P-SD; otherwise adm, out of the scratch's row buffer,
-// holds exactly the pairs with u ⪯Q v. The scan verdicts are used under
-// StatPruning only; the rows are complete either way.
-func (c *Checker) sweep(su, sv *objCache) (adm []uint64, ok bool) {
+// sweep is the pass over the query instances that SS-SD's exact test and
+// P-SD's rungs 4 and 8 share, on the two sorted runs of each: when scan,
+// the scan U_q ≤st V_q; when rows, at hull instances, the row fill. ok is
+// false when a scan fails; otherwise adm, out of the scratch's row buffer,
+// holds exactly the pairs with u ⪯Q v. A failed scan of P-SD's is counted
+// as a scan prune.
+func (c *Checker) sweep(su, sv *objCache, scan, rows bool) (adm []uint64, ok bool) {
 	var r sweepRows
-	tol := scanBound(su, sv)
+	n := distr.NewNorm(su.total, sv.total, 1)
 	for j, hull := range c.isHull {
-		if !hull && !c.cfg.StatPruning {
+		fill := rows && hull
+		if !scan && !fill {
 			continue
 		}
-		if hull && r.adm == nil {
+		if fill && r.adm == nil {
 			r = c.scratch.newSweepRows(su.obj.Len(), sv.obj.Len())
 		}
 		us, ui := c.sortedRun(su, j)
 		vs, vi := c.sortedRun(sv, j)
-		if !c.sweepInstance(us, vs, ui, vi, tol, c.cfg.StatPruning, hull, &r) {
-			c.Stats.StatPrunes++
-			c.Stats.ScanPrunes++
-			return nil, false
+		if scan {
+			le, _, k := n.StochasticLE(us, vs, distr.Mass{}, distr.Mass{}, false)
+			c.Stats.InstanceComparisons += int64(k)
+			if !le {
+				if rows {
+					c.Stats.StatPrunes++
+					c.Stats.ScanPrunes++
+				}
+				return nil, false
+			}
+		}
+		if fill {
+			c.Stats.InstanceComparisons += int64(fillRows(us, vs, ui, vi, &r))
 		}
 	}
 	return r.adm, true
 }
 
-// sweepInstance is one merge of U_q against V_q, both sorted by distance to
-// the query instance q, walking U's run and two cursors into V's. It
-// reports whether the scan holds within tol (true when scan is off).
-//
-// The scan: U_q ≤st V_q fails iff at some distance λ less mass of U than of
-// V lies within λ, and it is enough to ask just before each atom of U and
-// after the last — with the mass of V strictly nearer than that atom —
-// because between two such points U's side does not move and V's only
-// grows. The masses compare under tol; the rest of distr.StochasticLE's
-// rule — no positive mass of V nearer than all of U's, none of U beyond all
-// of V's — is the per-query-instance statistics' min and max, which every
-// caller has compared first (rung 2 under StatPruning, or scansHold).
-//
-// The rows (hull instances): with du and dv the distances of u and v to q,
-// the instance forbids the pair when du > dv. For a given u the forbidden
-// instances of V are a prefix of V's run, which only grows as u moves up
-// U's run: it is kept as a mask over V's instances, and each row takes one
-// and-not per word.
-func (c *Checker) sweepInstance(us, vs []distr.Pair, ui, vi []int32, tol float64, scan, hull bool, r *sweepRows) bool {
-	var massU, massV float64
-	near, a := 0, 0 // cursors into vs: strictly nearer, forbidden
-	if hull {
-		clear(r.out)
-	}
+// fillRows clears from the rows the pairs one hull instance q forbids, u
+// farther from q than v, and returns the atoms it read. For a given u the
+// forbidden instances of V are a prefix of V's run, which only grows as u
+// moves up U's run: it is kept as a mask over V's instances, and each row
+// takes one and-not per word.
+func fillRows(us, vs []distr.Atom, ui, vi []int32, r *sweepRows) int {
+	clear(r.out)
+	a := 0
 	for k, x := range us {
-		if scan {
-			for ; near < len(vs) && vs[near].Dist < x.Dist; near++ {
-				massV += vs[near].Prob
-			}
-			if massU < massV-tol {
-				c.Stats.InstanceComparisons += int64(k + max(near, a))
-				return false
-			}
-			massU += x.Prob
-		}
-		if !hull {
-			continue
-		}
 		for ; a < len(vs) && x.Dist > vs[a].Dist; a++ {
 			r.out[vi[a]>>6] |= 1 << (vi[a] & 63)
 		}
-		lo := int(ui[k]) * r.w
-		row := r.adm[lo : lo+r.w]
+		row := r.adm[int(ui[k])*r.w:][:r.w]
 		for t := range row {
 			row[t] &^= r.out[t]
 		}
 	}
-	if !scan {
-		c.Stats.InstanceComparisons += int64(len(us) + a)
-		return true
-	}
-	c.Stats.InstanceComparisons += int64(len(us) + len(vs))
-	for ; near < len(vs); near++ {
-		massV += vs[near].Prob
-	}
-	return !(massU < massV-tol)
+	return len(us) + a
 }
 
 // psdSolve is rung 8: Theorem 12's transport over the rows the sweep wrote.
 // A positive-mass instance with no admissible partner refutes the pair
 // without a solve (flow.Transport.Isolated; under StatPruning rung 4a has
-// already refuted every such pair), and so does a solve that leaves more
-// than uncertain.MassBound of the instances unshipped. The side condition
-// U_Q ≠ V_Q remains for a pair that ships (unequal). Flow matrix and solver
-// state are the checker's scratch, so repeat solves do not allocate.
+// already refuted every such pair), and so does a solve that leaves any
+// mass unshipped. U_Q ≠ V_Q is a strict run (strictRun) under
+// StatPruning, where the sweep scanned every instance; without it, the
+// scan of U_Q (unequal). Flow matrix and solver state are the checker's
+// scratch, so repeat solves do not allocate.
 func (c *Checker) psdSolve(su, sv *objCache, adm []uint64) bool {
 	t := &c.scratch.transport
-	pu, pv := su.obj.Probs(), sv.obj.Probs()
-	if t.Isolated(pu, pv, adm) {
+	if t.Isolated(su.mass, sv.mass, adm) {
 		return false
 	}
 	c.Stats.FlowSolves++
-	t.Solve(pu, pv, adm)
-	if t.Unshipped() > uncertain.MassBound(len(pu)+len(pv)) {
+	if !t.Solve(su.mass, sv.total, sv.mass, su.total, adm) {
 		return false
+	}
+	if c.cfg.StatPruning {
+		return c.strictRun(su, sv)
 	}
 	return c.unequal(su, sv)
 }

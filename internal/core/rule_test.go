@@ -37,11 +37,17 @@ func TestFilterConfigsAgreeAtTheRule(t *testing.T) {
 	}
 	// The deficit rows: U = {1: a, 3: 1−a}, V = {2: ½, 4: ½} on a line
 	// through the query point, so that V's mass within 2 exceeds U's by
-	// ½ − a, with nothing rounded: exactly MassBound(4) = 2⁻⁵⁰, and one
-	// ulp of a more.
-	bound := uncertain.MassBound(4)
-	atBound, pastBound := 0.5-bound, math.Nextafter(0.5-bound, 0)
+	// ½ − a, with nothing rounded: exactly 2⁻⁵⁰, the float rule's old
+	// tolerance for four atoms, and one ulp of a more. The integer masses
+	// see both deficits.
+	atBound := 0.5 - 0x1p-50
+	pastBound := math.Nextafter(atBound, 0)
 	next := math.Nextafter(1, 2)
+	// A copy renormalised by New: its probabilities move by an ulp each,
+	// by different shares of their size, and V's masses put more of it
+	// farther out, so the copy dominates.
+	orig := uncertain.MustNew(2, pts(1, 0, 2, 0, 3, 0), []float64{9, 6, 3})
+	copied := uncertain.MustNew(1, orig.Points(), orig.Probs())
 
 	for _, row := range []struct {
 		name string
@@ -65,7 +71,7 @@ func TestFilterConfigsAgreeAtTheRule(t *testing.T) {
 			map[Operator]bool{PSD: false}},
 		{"mass deficit at the bound", origin,
 			obj(1, pts(1, 0, 3, 0), atBound, 1-atBound), obj(2, pts(2, 0, 4, 0), 0.5, 0.5),
-			map[Operator]bool{SSD: true, SSSD: true, PSD: true, FSD: false}},
+			map[Operator]bool{SSD: false, SSSD: false, PSD: false, FSD: false}},
 		{"mass deficit one ulp past the bound", origin,
 			obj(1, pts(1, 0, 3, 0), pastBound, 1-atBound), obj(2, pts(2, 0, 4, 0), 0.5, 0.5),
 			map[Operator]bool{SSD: false, SSSD: false, PSD: false, FSD: false}},
@@ -73,8 +79,7 @@ func TestFilterConfigsAgreeAtTheRule(t *testing.T) {
 			obj(1, pts(1, 0, 3, 0), 0.5-1e-10, 0.5+1e-10), obj(2, pts(2, 0, 4, 0), 0.5, 0.5),
 			map[Operator]bool{SSD: false, SSSD: false, PSD: false, FSD: false}},
 		// V is U with 1e-12 of mass moved from the near instance to the far
-		// one: U_Q ≤st V_Q and U_Q ≠ V_Q, far past MassBound and
-		// distr.MeanBound.
+		// one: U_Q ≤st V_Q and U_Q ≠ V_Q.
 		{"mass moved 1e-12 outward", origin,
 			obj(1, pts(1, 0, 2, 0), 0.5, 0.5), obj(2, pts(1, 0, 2, 0), 0.5-1e-12, 0.5+1e-12),
 			map[Operator]bool{SSD: true, SSSD: true, PSD: true, FSD: false}},
@@ -88,6 +93,10 @@ func TestFilterConfigsAgreeAtTheRule(t *testing.T) {
 			map[Operator]bool{SSD: false, SSSD: false, PSD: false, FSD: false}},
 		{"light instance of U with no partner", tri,
 			obj(1, pts(20, 20, 40, 40), 1, 0x1p-56), obj(2, pts(21, 21)),
+			map[Operator]bool{SSD: false, SSSD: false, PSD: false, FSD: false}},
+		// 2⁻⁷⁰ is below the unit 2⁻⁶⁰, and still one unit of mass.
+		{"light instance of U past the unit", tri,
+			obj(1, pts(20, 20, 40, 40), 1, 0x1p-70), obj(2, pts(21, 21)),
 			map[Operator]bool{SSD: false, SSSD: false, PSD: false, FSD: false}},
 		{"zero-probability nearest instance", tri,
 			obj(1, pts(3, 3)), uncertain.MustNew(2, pts(0.5, 0.5, 16, 16, 17, 16), []float64{0, 1, 1}),
@@ -113,11 +122,24 @@ func TestFilterConfigsAgreeAtTheRule(t *testing.T) {
 		// V_Q.
 		{"strict only at a query instance of no mass", uncertain.MustNew(0, pts(0, 0, 10, 0), []float64{1, 0}),
 			obj(1, pts(1, 0)), obj(2, pts(-1, 0)),
-			map[Operator]bool{SSD: false, SSSD: false, PSD: false}},
+			map[Operator]bool{SSD: false, SSSD: false, PSD: false, FSD: false, FPlusSD: false}},
 		{"coincident objects", tri,
 			uncertain.MustNew(1, pts(5, 5, 8, 8), []float64{3, 1}),
 			uncertain.MustNew(2, pts(8, 8, 5, 5), []float64{1, 3}),
 			map[Operator]bool{SSD: false, SSSD: false, PSD: false}},
+		// The same instances in another order, with weights whose
+		// normalisation rounds: each instance keeps its probability's bits,
+		// so the masses are equal and U_Q = V_Q.
+		{"coincident objects in thirds", tri,
+			uncertain.MustNew(1, pts(5, 5, 8, 8, 9, 7), []float64{1, 1, 1}),
+			uncertain.MustNew(2, pts(9, 7, 5, 5, 8, 8), []float64{1, 1, 1}),
+			map[Operator]bool{SSD: false, SSSD: false, PSD: false, FSD: false, FPlusSD: false}},
+		{"coincident objects in thirds, the other way", tri,
+			uncertain.MustNew(1, pts(9, 7, 5, 5, 8, 8), []float64{1, 1, 1}),
+			uncertain.MustNew(2, pts(5, 5, 8, 8, 9, 7), []float64{1, 1, 1}),
+			map[Operator]bool{SSD: false, SSSD: false, PSD: false, FSD: false, FPlusSD: false}},
+		{"renormalised copy", origin, copied, orig,
+			map[Operator]bool{SSD: true, SSSD: true, PSD: true, FSD: false}},
 	} {
 		for _, m := range []geom.Metric{geom.Euclidean, geom.Manhattan} {
 			// The cover chain: a P-SD "yes" is an SS-SD "yes", and an SS-SD
@@ -141,6 +163,36 @@ func TestFilterConfigsAgreeAtTheRule(t *testing.T) {
 						if got := NewCheckerMetric(row.q, op, cfg, m).Dominates(p[0], p[1]); got != want {
 							t.Errorf("%s, %s %v %+v: Dominates(%d, %d) = %v, unfiltered %v", row.name, m.Name(), op, cfg, p[0].ID(), p[1].ID(), got, want)
 						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// Two objects told apart only at a query instance of no mass have U_Q =
+// V_Q, so neither dominates the other, and every operator's search and its
+// brute force return both, filtered and not, under L2 and L1.
+func TestNoMassInstanceKeepsBoth(t *testing.T) {
+	q := uncertain.MustNew(0, []geom.Point{{0, 0}, {10, 0}}, []float64{1, 0})
+	objs := []*uncertain.Object{
+		uncertain.MustNew(1, []geom.Point{{1, 0}}, nil),
+		uncertain.MustNew(2, []geom.Point{{-1, 0}}, nil),
+	}
+	idx, err := NewIndex(objs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []geom.Metric{geom.Euclidean, geom.Manhattan} {
+		for _, op := range Operators {
+			for _, cfg := range []FilterConfig{AllFilters, {}} {
+				got := idsOf(searchK(idx, q, op, 1, SearchOptions{Filters: cfg, Metric: m}).Objects())
+				if len(got) != 2 {
+					t.Errorf("%s %v %+v: the search returns %v, want both", m.Name(), op, cfg, got)
+				}
+				if m == geom.Euclidean {
+					if bf := idsOf(BruteForceK(objs, q, op, 1, cfg)); len(bf) != 2 {
+						t.Errorf("%v %+v: BruteForceK returns %v, want both", op, cfg, bf)
 					}
 				}
 			}

@@ -23,8 +23,9 @@ import (
 type CheckScratch struct {
 	// Arenas for plain-old-data caches: recycled without clearing, their
 	// contents are fully overwritten before use.
-	pairs  distr.PairArena
-	insts  slab.Arena[int32] // objCache.runInst
+	atoms  slab.Arena[distr.Atom] // objCache.runs and distQ
+	insts  slab.Arena[int32]      // objCache.runInst
+	masses slab.Arena[uint64]     // objCache.mass
 	floats slab.Arena[float64]
 	stats  slab.Arena[distr.Stat]
 	// objCache.buckets
@@ -44,20 +45,21 @@ type CheckScratch struct {
 	// match witness sorts a wide object's instances by, the transport solver
 	// of the exact test and the bitset rows it is handed.
 	runSorter distr.RunSorter
-	mergeBuf  []distr.Pair
+	mergeBuf  []distr.Atom
 	orderKeys []orderKey
 	transport flow.Transport
 	sweepBits []uint64
 
 	// Assorted reusable buffers.
 	near    geom.Point   // the popped entry's near vector (band.dominatesRect)
-	massN   []distr.Pair // its N_r under S-SD, one atom per query instance (band.massDominates)
-	openU   []distr.Pair // the atoms of two objects in the buckets the mass rung leaves open (Checker.massOrder)
-	openV   []distr.Pair
+	massN   []distr.Atom // its N_r under S-SD, one atom per query instance (band.massDominates)
+	openU   []distr.Atom // the atoms of two objects in the buckets the mass rung leaves open (Checker.massOrder)
+	openV   []distr.Atom
 	failed  []int32   // the band members that fail their F-SD rows against it, under S-SD (band.dominatesRect)
-	hullIdx []int     // non-geometric fallback hull index list
+	hullIdx []int     // the hull index list, positive mass first (massFirst)
 	hull    []float64 // hull instances of the current query, in hullIdx order
 	isHull  []bool    // per query instance: whether it is one of them
+	qMass   []uint64  // the query's integer masses
 
 	checker Checker
 }
@@ -66,8 +68,9 @@ type CheckScratch struct {
 // can back a new search. The pointer-bearing arena is zeroed; POD arenas are
 // recycled as-is.
 func (sc *CheckScratch) reset() {
-	sc.pairs.Reset()
+	sc.atoms.Reset()
 	sc.insts.Reset()
+	sc.masses.Reset()
 	sc.floats.Reset()
 	sc.stats.Reset()
 	sc.buckets.Reset()
@@ -100,15 +103,14 @@ func (sc *CheckScratch) Checker(query *uncertain.Object, op Operator, cfg Filter
 	c.bk, c.bkPending = distr.Buckets{}, op == SSD && cfg.StatPruning
 	c.qMBR = query.MBR()
 	c.Stats = Stats{}
-	if cfg.Geometric && c.euclid {
-		c.hullIdx = query.HullIndices()
-	} else {
-		sc.hullIdx = grow(sc.hullIdx, query.Len())
-		for i := range sc.hullIdx {
-			sc.hullIdx[i] = i
-		}
-		c.hullIdx = sc.hullIdx
+	sc.qMass = grow(sc.qMass, query.Len())
+	c.qMass, c.qTotal = sc.qMass, distr.Masses(sc.qMass, query.Probs())
+	var hull []int // every instance: F+SD's witness of U_Q ≠ V_Q ranges over all
+	if cfg.Geometric && c.euclid && op != FPlusSD {
+		hull = query.HullIndices()
 	}
+	sc.hullIdx, c.pos = massFirst(sc.hullIdx[:0], query, hull)
+	c.hullIdx = sc.hullIdx
 	sc.isHull = grow(sc.isHull, query.Len())
 	clear(sc.isHull)
 	sc.hull = sc.hull[:0]

@@ -71,8 +71,9 @@ type AnswerShield struct {
 	// distance of the farthest pair of points: an inserted MBR whose
 	// distance to the query MBR exceeds it is strictly dominated by k
 	// candidates (see ShieldsInsert). It is +Inf, so the
-	// radius never decides, with fewer than k candidates, under F+SD, or
-	// off the Euclidean metric. Off L2 the loop is the only cheap decider:
+	// radius never decides, with fewer than k candidates, under F+SD, off
+	// the Euclidean metric, or with no hull instance of positive mass.
+	// Off L2 the loop is the only cheap decider:
 	// a probe that computed the radius under L1 too kept a rectangle the
 	// loop rejects (S-SD, k = 1, d = 2, near − farK ≈ 2.8 × 10⁻¹⁴), so the
 	// radius is not the loop's verdict there and is not computed.
@@ -89,8 +90,9 @@ type AnswerShield struct {
 // over the cached Result's own slice, which nothing changes after the
 // search returns. Under the Euclidean metric the point
 // set is reduced to the query's convex hull (the paper's geometric
-// restriction, exact for L2); other metrics keep every instance, exactly
-// as the checker does.
+// restriction, exact for L2); other metrics and F+SD keep every instance,
+// exactly as the checker does. Either way the instances of positive mass
+// come first (massFirst).
 func NewAnswerShield(q *uncertain.Object, op Operator, m geom.Metric, k int, cands []Candidate) *AnswerShield {
 	if m == nil {
 		m = geom.Euclidean
@@ -99,19 +101,15 @@ func NewAnswerShield(q *uncertain.Object, op Operator, m geom.Metric, k int, can
 		rectPred: rectPred{op: op, metric: m, euclid: m == geom.Euclidean},
 		k:        k,
 	}
-	n, d := q.Len(), q.Dim()
-	var hull []int
-	if s.euclid {
+	var hull []int // every instance, as the checker keeps for F+SD
+	if s.euclid && op != FPlusSD {
 		hull = q.HullIndices()
-		n = len(hull)
 	}
+	hull, s.pos = massFirst(nil, q, hull)
+	n, d := len(hull), q.Dim()
 	slab := make([]float64, 0, (n+2)*d)
-	if s.euclid {
-		for _, j := range hull {
-			slab = append(slab, q.Instance(j)...)
-		}
-	} else {
-		slab = append(slab, q.Coords()...)
+	for _, j := range hull {
+		slab = append(slab, q.Instance(j)...)
 	}
 	qmbr := q.MBR()
 	slab = append(append(slab, qmbr.Lo...), qmbr.Hi...)
@@ -124,7 +122,7 @@ func NewAnswerShield(q *uncertain.Object, op Operator, m geom.Metric, k int, can
 		}
 	}
 	s.farK = math.Inf(1)
-	if s.euclid && op != FPlusSD && k >= 1 && k <= len(cands) {
+	if s.euclid && op != FPlusSD && s.pos > 0 && k >= 1 && k <= len(cands) {
 		far := make([]float64, 0, k)
 		for _, c := range cands {
 			far = keepNearest(far, k, c.Object.MBR().MaxDistRect(s.qMBR))
@@ -143,7 +141,7 @@ func (s *AnswerShield) Bytes() int64 {
 
 // shieldHeaderBytes is the size of the AnswerShield struct on a 64-bit
 // platform.
-const shieldHeaderBytes = 152
+const shieldHeaderBytes = 160
 
 // keepNearest adds d to far, the ascending list of the k smallest
 // distances seen so far, and returns the list; its k-th element is then the

@@ -7,10 +7,8 @@ import (
 	"slices"
 	"testing"
 
-	"spatialdom/internal/distr"
 	"spatialdom/internal/flow"
 	"spatialdom/internal/geom"
-	"spatialdom/internal/ref/nnfunc"
 	"spatialdom/internal/uncertain"
 )
 
@@ -170,15 +168,14 @@ func TestSweepRowsMatchAllPairsFill(t *testing.T) {
 						}
 						scansHold := true
 						for j := 0; cfg.StatPruning && j < q.Len(); j++ {
-							uq := nnfunc.BetweenInstanceFunc(u, q.Instance(j), metric.Dist)
-							vq := nnfunc.BetweenInstanceFunc(v, q.Instance(j), metric.Dist)
-							scansHold = scansHold && distr.StochasticLE(uq, vq, nil)
+							scansHold = scansHold && ratQ(q, u, metric, j).deficit(ratQ(q, v, metric, j)).Sign() <= 0
 						}
-						isolated := tr.Isolated(u.Probs(), v.Probs(), wantAdm)
+						cu, cv := units(u.Probs()), units(v.Probs())
+						isolated := tr.Isolated(cu, cv, wantAdm)
 						open := scansHold && !isolated
 
 						su, sv := c.summaryOf(u), c.summaryOf(v)
-						adm, ok := c.sweep(su, sv)
+						adm, ok := c.sweep(su, sv, cfg.StatPruning, true)
 						if ok != scansHold {
 							t.Fatalf("%s: sweep ok = %v; scans hold %v", name, ok, scansHold)
 						}
@@ -202,9 +199,8 @@ func TestSweepRowsMatchAllPairsFill(t *testing.T) {
 
 						want := open
 						if want {
-							tr.Solve(u.Probs(), v.Probs(), wantAdm)
-							want = tr.Unshipped() <= uncertain.MassBound(u.Len()+v.Len()) &&
-								!distr.Equal(nnfunc.BetweenFunc(u, q, metric.Dist), nnfunc.BetweenFunc(v, q, metric.Dist))
+							want = tr.Solve(cu, total(cv), cv, total(cu), wantAdm) &&
+								!ratQ(q, u, metric, -1).equal(ratQ(q, v, metric, -1))
 						}
 						pc := NewCheckerMetric(q, PSD, cfg, metric)
 						got := pc.psd(pc.summaryOf(u), pc.summaryOf(v))

@@ -205,7 +205,7 @@ func TestPSDExactWideObjectsAllocFree(t *testing.T) {
 		c := NewChecker(q, PSD, AllFilters)
 		su, sv := c.summaryOf(u), c.summaryOf(v)
 		exact := func() bool {
-			adm, ok := c.sweep(su, sv)
+			adm, ok := c.sweep(su, sv, true, true)
 			return ok && c.psdSolve(su, sv, adm)
 		}
 		if !exact() {

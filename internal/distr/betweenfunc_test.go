@@ -17,12 +17,12 @@ func TestEqualDifferentSupports(t *testing.T) {
 	// Atoms present on only one side with non-negligible mass.
 	a := MustFromPairs([]Pair{{1, 0.5}, {2, 0.5}})
 	b := MustFromPairs([]Pair{{1, 0.5}, {3, 0.5}})
-	if Equal(a, b) {
+	if equal(a, b) {
 		t.Fatal("different supports compare equal")
 	}
 	// One-sided leftovers after the shared prefix.
 	c := MustFromPairs([]Pair{{1, 0.5}})
-	if Equal(a, c) || Equal(c, a) {
+	if equal(a, c) || equal(c, a) {
 		t.Fatal("sub-distribution compares equal")
 	}
 	if math.Abs(a.TotalProb()-1) > 1e-12 {

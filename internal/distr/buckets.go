@@ -3,8 +3,6 @@ package distr
 import (
 	"math"
 	"math/bits"
-
-	"spatialdom/internal/uncertain"
 )
 
 // Buckets splits distances into N buckets of equal width from Lo, each of
@@ -15,11 +13,10 @@ import (
 // cell, those past the last edge into the last.
 //
 // A distribution's bucket summary is N+1 Bucket entries: entry i holds
-// C(i), the mass of the buckets below i, and which cells of bucket i hold
-// an atom of positive mass. The masses are integers: each atom's mass in
-// MassUnits, truncated (Units), so that they sum exactly in any order, and
-// C(i) undershoots the exact mass of its atoms by less than one unit an
-// atom. Order compares two summaries.
+// C(i), the exact integer mass of the buckets below i, and which cells of
+// bucket i hold an atom of positive mass. Order compares two summaries,
+// and Scan the atoms of the buckets Order leaves open, on the masses and
+// by the Norm the full scan uses, so the two decide alike.
 type Buckets struct {
 	Lo, Inv float64 // the first edge, and 64·N over the span the edges cover
 	N       int
@@ -27,17 +24,9 @@ type Buckets struct {
 
 // Bucket is one entry of a bucket summary.
 type Bucket struct {
-	Cum   int64  // the mass of the buckets below this one, in MassUnits
-	Cells uint64 // bit c: cell c of this bucket holds an atom
+	Cum   Mass   // the mass of the buckets below this one
+	Cells uint64 // bit c: cell c of this bucket holds an atom of positive mass
 }
-
-// MassUnit is the unit of a bucket summary's masses, 2⁻⁶⁰: u/128 for the
-// unit roundoff u = 2⁻⁵³, and a total mass below 8 sums without overflow.
-const MassUnit = 0x1p-60
-
-// Units returns mass x in MassUnits, truncated: scaling by a power of two
-// is exact, so it loses less than one unit.
-func Units(x float64) int64 { return int64(x * (1 / MassUnit)) }
 
 // NewBuckets returns n buckets over [lo, hi], or false when the span is
 // degenerate: empty, or too narrow or too wide for the cells' width to be
@@ -59,16 +48,16 @@ func (b Buckets) Cell(d float64) int {
 	return max(int(x), 0)
 }
 
-// Add enters the atoms into the summary s, each of mass w·p, after
-// clear(s): bucket i's mass goes to s[i+1].Cum until Finish. A Summarize
-// buffer's run j enters with w = p(q_j), so its masses are MergeRuns'
-// products. Atoms of no mass are left out.
-func (b Buckets) Add(s []Bucket, atoms []Pair, w float64) {
-	for _, a := range atoms {
-		if a.Prob > 0 {
-			c := b.Cell(a.Dist)
-			s[c>>6].Cells |= 1 << (c & 63)
-			s[c>>6+1].Cum += Units(w * a.Prob)
+// Add enters a run's atoms into the summary s, after clear(s), each
+// weighing w times its mass, so a Summarize buffer's run j entering with w
+// = cq[j] gives MergeRuns' masses. Bucket i's mass goes to s[i+1].Cum
+// until Finish. Atoms of no mass are left out.
+func (b Buckets) Add(s []Bucket, run []Atom, w uint64) {
+	for _, a := range run {
+		if a.Mass.Lo > 0 {
+			k := b.Cell(a.Dist)
+			s[k>>6].Cells |= 1 << (k & 63)
+			s[k>>6+1].Cum = s[k>>6+1].Cum.Add(Mul(w, a.Mass.Lo))
 		}
 	}
 }
@@ -76,82 +65,82 @@ func (b Buckets) Add(s []Bucket, atoms []Pair, w float64) {
 // Finish turns the bucket masses Add left in s into cumulative ones.
 func (b Buckets) Finish(s []Bucket) {
 	for i := 1; i < len(s); i++ {
-		s[i].Cum += s[i-1].Cum
+		s[i].Cum = s[i].Cum.Add(s[i-1].Cum)
 	}
 }
 
-// Order decides U ≤st V, where it can, on the bucket summaries su of U and
-// sv of V, rej and acc in MassUnits. It fails (le false) where C_U(i) <
-// C_V(i) − rej at some edge i. It holds where every bucket i is clear: V
-// has no unit below its upper edge, or C_U(i) ≥ C_V(i) + acc (or C_V(i) =
-// 0), C_U(i+1) ≥ C_V(i+1) + acc and, unless every cell of U in the bucket
-// lies below every cell of V in it, C_U(i) ≥ C_V(i+1) + acc — then at every
-// λ in the bucket F_U(λ) ≥ F_V(λ) + acc up to the truncation of the units
-// (core's band comment has the proof, and what rej and acc must be).
-// Otherwise decided is false and open has bit i set for each bucket i that
-// is not clear, for Scan.
+// Order decides what it can of X ≤st Y on the bucket summaries sx and sy,
+// compared by n. It fails (le false) where an edge has C_X(i) below
+// C_Y(i). Otherwise bucket i is clear when at every λ in it F_X(λ) ≥
+// F_Y(λ): Y has no atom in it, so that F_Y is flat there; or X's cells in
+// it all lie below Y's, so that F_X reaches C_X(i+1) ≥ C_Y(i+1) before F_Y
+// leaves C_Y(i) ≤ C_X(i) — and exceeds it in between, a strict point; or
+// C_X(i) ≥ C_Y(i+1). strict reports a strict point at an edge or in a
+// bucket of the second kind; open has bit i set for each bucket that is
+// not clear, for Scan.
 //
 //nnc:hotpath
-func (b Buckets) Order(su, sv []Bucket, rej, acc int64) (le, decided bool, open uint64) {
-	for i := 0; i+1 < len(su) && i+1 < len(sv); i++ {
-		cu0, cv0, cu1, cv1 := su[i].Cum, sv[i].Cum, su[i+1].Cum, sv[i+1].Cum
-		if cu1 < cv1-rej {
-			return false, true, 0
+func (b Buckets) Order(sx, sy []Bucket, n Norm) (le, strict bool, open uint64) {
+	for i := 0; i+1 < len(sx) && i+1 < len(sy); i++ {
+		if n.Below(sx[i+1].Cum, sy[i+1].Cum) {
+			return false, strict, 0
 		}
-		if cv1 != 0 && !((cv0 == 0 || cu0 >= cv0+acc) && cu1 >= cv1+acc && (below(su[i].Cells, sv[i].Cells) || cu0 >= cv1+acc)) {
+		switch y := sy[i].Cells; {
+		case y == 0:
+		case below(sx[i].Cells, y):
+			strict = true
+		case n.Below(sx[i].Cum, sy[i+1].Cum):
 			open |= 1 << i
 		}
+		strict = strict || n.Above(sx[i+1].Cum, sy[i+1].Cum)
 	}
-	return open == 0, open == 0, open
+	return true, strict, open
 }
 
-// below reports whether every cell set in u lies below every cell set in
-// v: then every atom of U in the bucket is below every atom of V in it.
-func below(u, v uint64) bool {
-	return u == 0 || v == 0 || bits.Len64(u) <= bits.TrailingZeros64(v)
+// below reports whether every cell set in x lies below every cell set in
+// y: then every atom of X in the bucket is below every atom of Y in it.
+func below(x, y uint64) bool {
+	return x == 0 || y == 0 || bits.Len64(x) <= bits.TrailingZeros64(y)
 }
 
 // Gather fills dst (as long as runs) with the atoms of positive mass of a
-// Summarize buffer — run j of m atoms, weighted by p(q_j) as MergeRuns
-// weighs them — whose bucket is open, sorted by distance, and returns
-// them. perQ holds each run's least and largest distance of positive
-// mass: a run whose range lies outside the open buckets is skipped whole.
+// Summarize buffer — run j of m atoms, each weighed by cq[j] as in
+// MergeRuns — whose bucket is open, sorted by distance, and returns them.
+// perQ holds each run's least and largest distance of positive mass: a
+// run whose range lies outside the open buckets is skipped whole.
 //
 //nnc:hotpath
-func (b Buckets) Gather(dst, runs []Pair, m int, q *uncertain.Object, perQ []Stat, open uint64) []Pair {
+func (b Buckets) Gather(dst, runs []Atom, m int, cq []uint64, perQ []Stat, open uint64) []Atom {
 	first, last := bits.TrailingZeros64(open), bits.Len64(open)-1
 	n := 0
 	for j, st := range perQ {
-		if w := q.Prob(j); w > 0 && b.Cell(st.Max)>>6 >= first && b.Cell(st.Min)>>6 <= last {
+		if w := cq[j]; w > 0 && b.Cell(st.Max)>>6 >= first && b.Cell(st.Min)>>6 <= last {
 			for _, a := range runs[j*m : (j+1)*m] {
-				if p := w * a.Prob; p > 0 && open>>(b.Cell(a.Dist)>>6)&1 != 0 {
-					dst[n] = Pair{Dist: a.Dist, Prob: p}
+				if a.Mass.Lo > 0 && open>>(b.Cell(a.Dist)>>6)&1 != 0 {
+					dst[n] = Atom{Dist: a.Dist, Mass: Mul(w, a.Mass.Lo)}
 					n++
 				}
 			}
 		}
 	}
-	if n <= gatherInsertion {
-		insertionSort(dst[:n])
-	} else {
-		sortPairs(dst[:n])
-	}
+	SortAtoms(dst[:n])
 	return dst[:n]
 }
 
-// gatherInsertion is the most atoms Gather sorts by insertion. It is above
-// sortPairs' cutoff: on the disk_cold shape a scan gathers ≈ 45 atoms, and
-// insertion sorts them in under half of pdqsort's time (EXPERIMENTS.md).
+// gatherInsertion is the most atoms SortAtoms sorts by insertion. It is
+// above sortPairs' cutoff: on the disk_cold shape a scan gathers ≈ 45
+// atoms, and insertion sorts them in under half of pdqsort's time
+// (EXPERIMENTS.md).
 const gatherInsertion = 64
 
 // Filter fills dst with the atoms of positive mass of sorted (a built
 // U_Q) whose bucket is open, in their order, and returns them.
 //
 //nnc:hotpath
-func (b Buckets) Filter(dst, sorted []Pair, open uint64) []Pair {
+func (b Buckets) Filter(dst, sorted []Atom, open uint64) []Atom {
 	n := 0
 	for _, a := range sorted {
-		if a.Prob > 0 && open>>(b.Cell(a.Dist)>>6)&1 != 0 {
+		if !a.Mass.IsZero() && open>>(b.Cell(a.Dist)>>6)&1 != 0 {
 			dst[n] = a
 			n++
 		}
@@ -159,41 +148,32 @@ func (b Buckets) Filter(dst, sorted []Pair, open uint64) []Pair {
 	return dst[:n]
 }
 
-// Scan finishes what Order left open. us and vs are U's and V's atoms in
-// the open buckets (Gather); Scan walks them bucket by bucket, from each
-// bucket's cumulative masses at its lower edge, and compares the two
-// cumulative masses at every atom, as StochasticLE does, under Order's rej
-// and acc. It fails where one falls short by more than rej, and holds
-// where none falls short by acc; otherwise decided is false.
+// Scan finishes what Order left open: xs and ys are X's and Y's atoms in
+// the open buckets (Gather), and each open bucket is one StochasticLE from
+// its lower edge's cumulative masses over the atoms in it. It reports
+// whether every scan held and whether one found a strict point.
 //
 //nnc:hotpath
-func (b Buckets) Scan(su, sv []Bucket, us, vs []Pair, rej, acc int64) (le, decided bool) {
-	i, j, bucket := 0, 0, -1
-	le = true
-	var fu, fv int64
-	for i < len(us) || j < len(vs) {
-		var x float64
-		switch {
-		case i >= len(us):
-			x = vs[j].Dist
-		case j >= len(vs):
-			x = us[i].Dist
-		default:
-			x = min(us[i].Dist, vs[j].Dist)
+func (b Buckets) Scan(sx, sy []Bucket, xs, ys []Atom, open uint64, n Norm) (le, strict bool) {
+	for ; open != 0; open &= open - 1 {
+		k := bits.TrailingZeros64(open)
+		i, j := b.inBucket(xs, k), b.inBucket(ys, k)
+		le, s, _ := n.StochasticLE(xs[:i], ys[:j], sx[k].Cum, sy[k].Cum, true)
+		if !le {
+			return false, strict
 		}
-		if k := b.Cell(x) >> 6; k != bucket {
-			bucket, fu, fv = k, su[k].Cum, sv[k].Cum
-		}
-		for ; i < len(us) && us[i].Dist <= x; i++ {
-			fu += Units(us[i].Prob)
-		}
-		for ; j < len(vs) && vs[j].Dist <= x; j++ {
-			fv += Units(vs[j].Prob)
-		}
-		if fu < fv-rej {
-			return false, true
-		}
-		le = le && (fv == 0 || fu >= fv+acc)
+		strict = strict || s
+		xs, ys = xs[i:], ys[j:]
 	}
-	return le, le
+	return true, strict
+}
+
+// inBucket returns how many of the sorted atoms, whose buckets are k or
+// above, lie in bucket k.
+func (b Buckets) inBucket(atoms []Atom, k int) int {
+	i := 0
+	for i < len(atoms) && b.Cell(atoms[i].Dist)>>6 == k {
+		i++
+	}
+	return i
 }

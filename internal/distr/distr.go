@@ -1,12 +1,13 @@
 // Package distr implements the discrete distance distributions of the paper
-// (U_Q and U_q, Section 2.1) and the two equivalent orders used by the
-// dominance operators: the usual stochastic order (Definition 1) and the
-// match order (Definition 9, Theorem 1).
+// (U_Q and U_q, Section 2.1) and the usual stochastic order (Definition 1)
+// the dominance operators compare them by.
 //
-// A Distribution is a univariate discrete random variable kept as
-// probability-weighted values sorted in non-decreasing order, which lets
-// every comparison run as one linear scan (the paper's optimal-in-the-worst-
-// case dominance check of Section 5.1.1 / Theorem 10).
+// The checker's distributions are Atoms on an exact integer mass scale,
+// compared by one linear scan (Norm.StochasticLE; the paper's optimal-in-
+// the-worst-case dominance check of Section 5.1.1 / Theorem 10) — mass.go
+// states the rule. A Distribution is the float form the nearest-neighbour
+// functions of the reference read: probability-weighted values sorted in
+// non-decreasing order.
 package distr
 
 import (
@@ -16,18 +17,8 @@ import (
 	"strconv"
 
 	"spatialdom/internal/geom"
-	"spatialdom/internal/slab"
 	"spatialdom/internal/uncertain"
 )
-
-// The comparison rule. Distances are the float64s Summarize stores and are
-// compared exactly. Accumulated probability mass is compared under
-// uncertain.MassBound of the number of atoms summed, and under nothing
-// else; a single atom's mass is compared exactly. A scan therefore fails
-// where one side's mass falls short of the other's by more than the bound,
-// and also wherever a positive atom of one side lies beyond every positive
-// atom of the other — a shortfall no rounding can cause, and the one the
-// min and max statistics (Stat.LE) read.
 
 // Pair is one atom of a distribution: a value (a distance) with its
 // probability.
@@ -43,12 +34,6 @@ type Distribution struct {
 }
 
 var errBadProb = errors.New("distr: probabilities must be finite and non-negative")
-
-// PairArena is a slab arena of distribution atoms: a search that owns one
-// carves every atom buffer it hands to Summarize and MergeRuns out of
-// it, so building distributions never touches the heap once the slabs are
-// warm.
-type PairArena = slab.Arena[Pair]
 
 // Own builds a distribution that takes ownership of the given atom slice,
 // sorting it in place with no copy and no validation, for atoms the caller
@@ -98,41 +83,41 @@ type Stat struct{ Min, Mean, Max float64 }
 
 // LE reports whether s's statistics are ordered against t's, for two
 // distributions of n atoms in all: the necessary condition for s's
-// distribution to be stochastically no larger than t's (StochasticLE).
-// Min and Max compare exactly, as the scan's extremes do; the means
-// compare under MeanBound.
+// distribution to be stochastically no larger than t's. Min and Max
+// compare exactly, as the scan's extremes do; the means compare under
+// MeanBound.
 func (s Stat) LE(t Stat, n int) bool {
 	return s.Min <= t.Min && s.Max <= t.Max && s.Mean <= t.Mean+MeanBound(n, t.Max)
 }
 
-// MeanBound is how far the means Summarize computes of two distributions
-// of n atoms in all, with values in [0, mx], can lie apart the wrong way
-// when StochasticLE holds, or either way when Equal holds. With u = 2⁻⁵³
-// and B = MassBound(n) = 2n·u: a scan that holds keeps each exact CDF gap
-// within B + n·u (its own sums' rounding), and the totals within 2·
-// MassBound(n+1) of each other, so the exact means, ∫(M − F) over [0, mx],
-// move at most mx·(B + n·u + 2·MassBound(n+1)) = mx·(7n+4)·u; Equal's
-// per-value gaps, at most n values of them, move them at most mx·(n·B +
-// 2n·u). Computing the two means errs by at most mx·(n + 2|Q| + 4)·u with
-// 2|Q| ≤ n. Both sums stay below mx·(n+4)·MassBound(n+1) = mx·(2n² + 10n
-// + 8)·u for every n ≥ 2, with room for the rounding of this product.
+// MeanBound is how far the float means Summarize computes of two
+// distributions of n atoms in all, with values in [0, mx], can lie apart
+// the wrong way when X ≤st Y holds on their integer masses. With u = 2⁻⁵³:
+// an object's stored probabilities sum to within 3m·u of one (uncertain.
+// FromSlabs), and each c(p) is p·2⁶⁰ within one unit, u/128, so c/T
+// differs from p by under 3.1m·u·p + u/64. The exact means of the integer
+// masses, which X ≤st Y orders, thus lie within mx·4.1(n + 2|Q|)·u of the
+// stored floats' exact means, and Summarize computes these within mx·(n +
+// 2|Q| + 4)·u, with 2|Q| ≤ n. Together that stays below mx·(n+4)·(n+1)·
+// 2⁻⁵² = mx·(2n² + 10n + 8)·u for every n ≥ 2.
 func MeanBound(n int, mx float64) float64 {
-	return mx * float64(n+4) * uncertain.MassBound(n+1)
+	return mx * float64(n+4) * (float64(n+1) * (256 * MassUnit))
 }
 
 // Summarize is the one pass over the |Q|·m instance pairs of u and q that
 // everything a dominance check reads about u is derived from. It fills
 // runs (length |Q|·m) with the unsorted-atoms form of the per-query-
 // instance distributions — run j, runs[j·m:(j+1)·m], holds U_{q_j}'s atoms
-// {δ(q_j,u_i), p(u_i)} in instance order, to be sorted by a RunSorter only if
-// a scan asks — stores each U_{q_j}'s statistics in perQ[j] (skipped when
-// perQ is nil), and returns the statistics of U_Q: its min is the exact
-// key Algorithm 1 orders objects by, its mean is Σ_j p(q_j)·mean_j, so no
-// statistic needs the |Q|·m atoms sorted. A nil dist means Euclidean. u's
-// instances are read off its coordinate slab (uncertain.Object.Coords).
+// {δ(q_j,u_i), c[i]} in instance order, c being u's integer masses
+// (Masses), to be sorted by a RunSorter only if a scan asks — stores each
+// U_{q_j}'s statistics in perQ[j], and returns the statistics of U_Q: its
+// min is the exact key Algorithm 1 orders objects by, its mean is Σ_j
+// p(q_j)·mean_j, so no statistic needs the |Q|·m atoms sorted. A nil dist
+// means Euclidean. u's instances are read off its coordinate slab
+// (uncertain.Object.Coords).
 //
 //nnc:hotpath
-func Summarize(runs []Pair, perQ []Stat, u, q *uncertain.Object, dist func(a, b geom.Point) float64) Stat {
+func Summarize(runs []Atom, perQ []Stat, u, q *uncertain.Object, c []uint64, dist func(a, b geom.Point) float64) Stat {
 	coords, probs, d := u.Coords(), u.Probs(), u.Dim()
 	m := len(probs)
 	all := Stat{Min: math.Inf(1), Max: math.Inf(-1)}
@@ -155,16 +140,14 @@ func Summarize(runs []Pair, perQ []Stat, u, q *uncertain.Object, dist func(a, b 
 			} else {
 				dd = dist(qp, p)
 			}
-			run[i] = Pair{Dist: dd, Prob: pr}
+			run[i] = Atom{Dist: dd, Mass: Mass{Lo: c[i]}}
 			if pr > 0 {
 				st.Min = min(st.Min, dd)
 				st.Max = max(st.Max, dd)
 				st.Mean += dd * pr
 			}
 		}
-		if perQ != nil {
-			perQ[j] = st
-		}
+		perQ[j] = st
 		if qprob := q.Prob(j); qprob > 0 {
 			all.Min = min(all.Min, st.Min)
 			all.Max = max(all.Max, st.Max)
@@ -174,18 +157,16 @@ func Summarize(runs []Pair, perQ []Stat, u, q *uncertain.Object, dist func(a, b 
 	return all
 }
 
-// MergeRuns builds U_Q out of a Summarize buffer whose runs are each sorted
-// by distance (RunSorter): run j's atoms, their probabilities scaled by
-// p(q_j), merged pairwise bottom-up into one sorted distribution — the
-// reference nnfunc.WeightRuns without its sort of all |Q|·m atoms. The atoms
-// are WeightRuns', bit for bit; only their order inside equal distances may
-// differ, which nothing that reads a distribution by value (StochasticLE,
-// Equal) can see. dst (len(runs) atoms) becomes the result's storage; tmp,
-// at least as long, is the merge's second buffer and stays the caller's.
-// runs is left as it is.
+// MergeRuns builds U_Q out of runs sorted by RunSorter, m atoms each of
+// mass c(p_u): run j's atoms weighed by query instance j's mass cq[j],
+// merged pairwise bottom-up into one sorted slice — without a sort of all
+// |Q|·m atoms. Inside equal distances the order is the runs', which no scan
+// can see. dst (len(runs) atoms) becomes the result's storage; tmp, at
+// least as long, is the merge's second buffer and stays the caller's. runs
+// is left as it is.
 //
 //nnc:hotpath
-func MergeRuns(dst, tmp, runs []Pair, m int, q *uncertain.Object) Distribution {
+func MergeRuns(dst, tmp, runs []Atom, m int, cq []uint64) []Atom {
 	n := len(runs)
 	// Each pass moves the atoms to the other buffer: start in whichever one
 	// makes the last pass land in dst.
@@ -193,10 +174,9 @@ func MergeRuns(dst, tmp, runs []Pair, m int, q *uncertain.Object) Distribution {
 	for w := m; w < n; w *= 2 {
 		src, out = out, src
 	}
-	for j := 0; j < q.Len(); j++ {
-		qprob := q.Prob(j)
+	for j, w := range cq {
 		for i := j * m; i < (j+1)*m; i++ {
-			src[i] = Pair{Dist: runs[i].Dist, Prob: qprob * runs[i].Prob}
+			src[i] = Atom{Dist: runs[i].Dist, Mass: Mul(w, runs[i].Mass.Lo)}
 		}
 	}
 	for w := m; w < n; w *= 2 {
@@ -206,12 +186,12 @@ func MergeRuns(dst, tmp, runs []Pair, m int, q *uncertain.Object) Distribution {
 		}
 		src, out = out, src
 	}
-	return Distribution{pairs: dst}
+	return dst
 }
 
 // mergeTwo merges the sorted a and b into out (len(a)+len(b) atoms), a's
 // atom first on equal distances.
-func mergeTwo(out, a, b []Pair) {
+func mergeTwo(out, a, b []Atom) {
 	i, j, k := 0, 0, 0
 	for i < len(a) && j < len(b) {
 		if b[j].Dist < a[i].Dist {
@@ -291,94 +271,6 @@ func (d Distribution) CDF(x float64) float64 {
 		cum += p.Prob
 	}
 	return cum
-}
-
-// Equal reports whether two distributions carry the same probability mass at
-// the same values, merging atoms with equal values and comparing the masses
-// under MassBound of the atoms of both.
-func Equal(x, y Distribution) bool {
-	bound := uncertain.MassBound(len(x.pairs) + len(y.pairs))
-	i, j := 0, 0
-	for i < len(x.pairs) || j < len(y.pairs) {
-		var v float64
-		switch {
-		case i >= len(x.pairs):
-			v = y.pairs[j].Dist
-		case j >= len(y.pairs):
-			v = x.pairs[i].Dist
-		default:
-			v = math.Min(x.pairs[i].Dist, y.pairs[j].Dist)
-		}
-		var px, py float64
-		for i < len(x.pairs) && x.pairs[i].Dist == v {
-			px += x.pairs[i].Prob
-			i++
-		}
-		for j < len(y.pairs) && y.pairs[j].Dist == v {
-			py += y.pairs[j].Prob
-			j++
-		}
-		if math.Abs(px-py) > bound {
-			return false
-		}
-	}
-	return true
-}
-
-// StochasticLE reports whether X ≤st Y: Pr(X <= λ) >= Pr(Y <= λ) for every
-// λ, under the package's comparison rule — the masses within λ compared
-// under MassBound of the atoms of both, and no positive atom of Y below
-// every positive one of X, or of X above every positive one of Y. Both
-// distributions must carry the same total mass (within the bound) for the
-// comparison to be meaningful. The check is a single merge scan over the
-// sorted atoms — O(|X| + |Y|) after sorting, matching Section 5.1.1.
-//
-// The number of atoms the scan consumed — the instance comparisons of the
-// filtering ablation (Appendix C) — is added to *consumed when it is non-nil.
-func StochasticLE(x, y Distribution, consumed *int64) bool {
-	xs, ys := x.pairs, y.pairs
-	bound := uncertain.MassBound(len(xs) + len(ys))
-	i, j := 0, 0
-	var cumX, cumY float64
-	le := posMax(xs) <= posMax(ys)
-	for le && (i < len(xs) || j < len(ys)) {
-		var v float64
-		switch {
-		case i >= len(xs):
-			v = ys[j].Dist
-		case j >= len(ys):
-			v = xs[i].Dist
-		default:
-			v = min(xs[i].Dist, ys[j].Dist)
-		}
-		for i < len(xs) && xs[i].Dist <= v {
-			cumX += xs[i].Prob
-			i++
-		}
-		for j < len(ys) && ys[j].Dist <= v {
-			cumY += ys[j].Prob
-			j++
-		}
-		// A sum of non-negative floats is zero only if every term is, so
-		// cumX == 0 < cumY is Y's positive mass below all of X's, exactly.
-		le = !(cumX < cumY-bound || cumX == 0 && cumY > 0)
-	}
-	if consumed != nil {
-		*consumed += int64(i + j)
-	}
-	return le
-}
-
-// posMax returns the value of the last atom of positive mass in sorted
-// atoms, −Inf when there is none: the max statistic of Stat, which a scan
-// compares exactly.
-func posMax(pairs []Pair) float64 {
-	for k := len(pairs) - 1; k >= 0; k-- {
-		if pairs[k].Prob > 0 {
-			return pairs[k].Dist
-		}
-	}
-	return math.Inf(-1)
 }
 
 // String formats the distribution as "{(d1, p1), (d2, p2), ...}".

@@ -7,6 +7,41 @@ import (
 	"testing"
 )
 
+// exact is d on the exact scale: one atom of mass Units(p) for each of its
+// atoms, and their total.
+func exact(d Distribution) ([]Atom, uint64) {
+	atoms := make([]Atom, d.Len())
+	var t uint64
+	for i, p := range d.Pairs() {
+		atoms[i] = Atom{Dist: p.Dist, Mass: Mass{Lo: Units(p.Prob)}}
+		t += atoms[i].Mass.Lo
+	}
+	return atoms, t
+}
+
+// compare is the one scan on x and y read on the exact scale, the atoms
+// it consumed added to *consumed when that is non-nil.
+func compare(x, y Distribution, consumed *int64) (le, strict bool) {
+	xs, tx := exact(x)
+	ys, ty := exact(y)
+	le, strict, n := NewNorm(tx, ty, 1).StochasticLE(xs, ys, Mass{}, Mass{}, true)
+	if consumed != nil {
+		*consumed += int64(n)
+	}
+	return le, strict
+}
+
+func stochasticLE(x, y Distribution, consumed *int64) bool {
+	le, _ := compare(x, y, consumed)
+	return le
+}
+
+// equal is X = Y: the scan holds with no strict point.
+func equal(x, y Distribution) bool {
+	le, strict := compare(x, y, nil)
+	return le && !strict
+}
+
 func dist(vals ...float64) Distribution {
 	pairs := make([]Pair, len(vals))
 	p := 1 / float64(len(vals))
@@ -113,13 +148,13 @@ func TestEqual(t *testing.T) {
 	b := MustFromPairs([]Pair{{1, 0.25}, {1, 0.25}, {2, 0.5}}) // split atom
 	c := MustFromPairs([]Pair{{1, 0.5}, {2.5, 0.5}})
 	d := MustFromPairs([]Pair{{1, 0.6}, {2, 0.4}})
-	if !Equal(a, b) {
+	if !equal(a, b) {
 		t.Fatal("split atoms must compare equal")
 	}
-	if Equal(a, c) || Equal(a, d) {
+	if equal(a, c) || equal(a, d) {
 		t.Fatal("different distributions compare equal")
 	}
-	if !Equal(Distribution{}, Distribution{}) {
+	if !equal(Distribution{}, Distribution{}) {
 		t.Fatal("empty distributions must be equal")
 	}
 }
@@ -127,20 +162,20 @@ func TestEqual(t *testing.T) {
 func TestStochasticLEBasic(t *testing.T) {
 	x := dist(1, 2, 3)
 	y := dist(2, 3, 4)
-	if !StochasticLE(x, y, nil) {
+	if !stochasticLE(x, y, nil) {
 		t.Fatal("shifted-up distribution must dominate")
 	}
-	if StochasticLE(y, x, nil) {
+	if stochasticLE(y, x, nil) {
 		t.Fatal("reverse must fail")
 	}
 	// Crossing CDFs: neither dominates.
 	u := dist(1, 10)
 	v := dist(4, 5)
-	if StochasticLE(u, v, nil) || StochasticLE(v, u, nil) {
+	if stochasticLE(u, v, nil) || stochasticLE(v, u, nil) {
 		t.Fatal("crossing CDFs must be incomparable")
 	}
 	// Reflexive.
-	if !StochasticLE(x, x, nil) {
+	if !stochasticLE(x, x, nil) {
 		t.Fatal("X <=st X must hold")
 	}
 }
@@ -154,10 +189,10 @@ func TestStochasticLEPaperFigure3(t *testing.T) {
 	A := MustFromPairs([]Pair{{1, 0.25}, {2, 0.25}, {4, 0.25}, {5, 0.25}})
 	B := MustFromPairs([]Pair{{2, 0.25}, {3, 0.25}, {5, 0.25}, {6, 0.25}})
 	C := MustFromPairs([]Pair{{1.5, 0.25}, {2.5, 0.25}, {7, 0.25}, {8, 0.25}})
-	if !StochasticLE(A, B, nil) || !StochasticLE(A, C, nil) {
+	if !stochasticLE(A, B, nil) || !stochasticLE(A, C, nil) {
 		t.Fatal("A must stochastically dominate B and C")
 	}
-	if StochasticLE(B, C, nil) || StochasticLE(C, B, nil) {
+	if stochasticLE(B, C, nil) || stochasticLE(C, B, nil) {
 		t.Fatal("B and C must be incomparable")
 	}
 }
@@ -166,7 +201,7 @@ func TestStochasticLECountsComparisons(t *testing.T) {
 	x := dist(1, 2, 3)
 	y := dist(4, 5, 6)
 	var n int64
-	StochasticLE(x, y, &n)
+	stochasticLE(x, y, &n)
 	if n != int64(x.Len()+y.Len()) {
 		t.Fatalf("comparisons = %d, want %d", n, x.Len()+y.Len())
 	}
@@ -190,7 +225,7 @@ func TestStableAggregatesRespectOrder(t *testing.T) {
 		}
 		x := MustFromPairs(pairsX)
 		y := MustFromPairs(pairsY)
-		if !StochasticLE(x, y, nil) {
+		if !stochasticLE(x, y, nil) {
 			continue
 		}
 		tested++
@@ -222,9 +257,9 @@ func TestStochasticLETransitive(t *testing.T) {
 			return MustFromPairs(pairs)
 		}
 		x, y, z := mk(0), mk(2), mk(4)
-		if StochasticLE(x, y, nil) && StochasticLE(y, z, nil) {
+		if stochasticLE(x, y, nil) && stochasticLE(y, z, nil) {
 			tested++
-			if !StochasticLE(x, z, nil) {
+			if !stochasticLE(x, z, nil) {
 				t.Fatalf("transitivity violated")
 			}
 		}
@@ -241,9 +276,10 @@ func TestDistributionString(t *testing.T) {
 	}
 }
 
-// RunSorter leaves every run exactly as sortPairs does — tied distances
-// included, on both sides of the insertion-sort cutoff — and names the
-// instance each sorted atom came from.
+// RunSorter leaves every run in the order sortPairs leaves the same
+// distances in — ties included, on both sides of the insertion-sort cutoff
+// — each atom of its instance's integer mass, and names the instance each
+// sorted atom came from.
 func TestRunSorterMatchesSortRuns(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	var s RunSorter
@@ -252,25 +288,27 @@ func TestRunSorterMatchesSortRuns(t *testing.T) {
 		for i := range probs {
 			probs[i] = rng.Float64()
 		}
-		runs := make([]Pair, 3*m)
+		c := make([]uint64, m)
+		Masses(c, probs)
+		runs := make([]Atom, 3*m)
+		want := make([]Pair, 3*m)
 		for k := range runs {
-			runs[k] = Pair{Dist: float64(rng.Intn(m/2 + 2)), Prob: probs[k%m]} // many ties
+			d := float64(rng.Intn(m/2 + 2)) // many ties
+			runs[k] = Atom{Dist: d, Mass: Mass{Lo: c[k%m]}}
+			want[k] = Pair{Dist: d, Prob: probs[k%m]}
 		}
-		want := slices.Clone(runs)
 		for lo := 0; lo < len(want); lo += m {
 			sortPairs(want[lo : lo+m])
 		}
 		got, inst := slices.Clone(runs), make([]int32, len(runs))
-		s.SortRuns(got, inst, probs)
-		if !slices.Equal(got, want) {
-			t.Fatalf("m = %d: sorted runs differ from sortPairs'", m)
-		}
+		s.SortRuns(got, inst, c)
 		for k, a := range got {
-			if from := runs[k/m*m+int(inst[k])]; from != a {
-				t.Fatalf("m = %d: atom %d is %v, instance %d holds %v", m, k, a, inst[k], from)
+			from := runs[k/m*m+int(inst[k])]
+			if a != from || a.Dist != want[k].Dist || a.Mass.Lo != Units(want[k].Prob) {
+				t.Fatalf("m = %d: atom %d is %v from instance %d, which holds %v; sortPairs has %v", m, k, a, inst[k], from, want[k])
 			}
 		}
-		if n := testing.AllocsPerRun(10, func() { s.SortRuns(got, inst, probs) }); n != 0 {
+		if n := testing.AllocsPerRun(10, func() { s.SortRuns(got, inst, c) }); n != 0 {
 			t.Fatalf("m = %d: a warm sort allocates %v times", m, n)
 		}
 	}

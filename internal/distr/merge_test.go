@@ -8,7 +8,6 @@ import (
 
 	"spatialdom/internal/distr"
 	"spatialdom/internal/geom"
-	"spatialdom/internal/ref/nnfunc"
 	"spatialdom/internal/uncertain"
 )
 
@@ -39,7 +38,7 @@ var mergeCases = []mergeCase{
 	// atoms, within a run and across runs. The weights are dyadic (integers
 	// summing to a power of two, so each probability and each product is
 	// exact), so every summation order of a tie group gives the same float64
-	// and Equal at eps 0 is a fair demand.
+	// and exact equality is a fair demand.
 	{"ties", func(rng *rand.Rand, s float64) float64 { return s + float64(rng.Intn(6)) },
 		func(rng *rand.Rand, n int) []float64 {
 			w := make([]float64, n)
@@ -66,21 +65,28 @@ func mergeObject(rng *rand.Rand, mc mergeCase, id, n int, s float64) *uncertain.
 	return uncertain.MustNew(id, pts, mc.weights(rng, n))
 }
 
-// mergedAndSorted returns U_Q of u built both ways: the runs sorted one by
-// one and merged (what a search does), and weighted then sorted whole (the
-// reference).
-func mergedAndSorted(u, q *uncertain.Object, s *distr.RunSorter, tmp []distr.Pair) (merged, sorted distr.Distribution) {
+// mergedAndSorted returns U_Q of u built both ways — the runs sorted one
+// by one and merged (what a search does), and weighted then sorted whole
+// (the reference) — and u's total.
+func mergedAndSorted(u, q *uncertain.Object, s *distr.RunSorter, tmp []distr.Atom) (merged, sorted []distr.Atom, total uint64) {
 	m := u.Len()
-	runs := make([]distr.Pair, m*q.Len())
-	distr.Summarize(runs, nil, u, q, nil)
-	sorted = nnfunc.WeightRuns(make([]distr.Pair, len(runs)), runs, m, q)
-	s.SortRuns(runs, make([]int32, len(runs)), u.Probs())
-	return distr.MergeRuns(make([]distr.Pair, len(runs)), tmp, runs, m, q), sorted
+	runs := make([]distr.Atom, m*q.Len())
+	c, cq := make([]uint64, m), make([]uint64, q.Len())
+	total = distr.Masses(c, u.Probs())
+	distr.Masses(cq, q.Probs())
+	distr.Summarize(runs, make([]distr.Stat, q.Len()), u, q, c, nil)
+	sorted = make([]distr.Atom, len(runs))
+	for k, a := range runs {
+		sorted[k] = distr.Atom{Dist: a.Dist, Mass: distr.Mul(cq[k/m], c[k%m])}
+	}
+	slices.SortStableFunc(sorted, func(a, b distr.Atom) int { return cmp.Compare(a.Dist, b.Dist) })
+	s.SortRuns(runs, make([]int32, len(runs)), c)
+	return distr.MergeRuns(make([]distr.Atom, len(runs)), tmp, runs, m, cq), sorted, total
 }
 
-// MergeRuns builds the U_Q that WeightRuns + Own builds: the same atoms, in
-// non-decreasing order, Equal at eps 0 — and so every StochasticLE and
-// Equal verdict, and the atoms a scan consumes, are the same on pairs of
+// MergeRuns builds the U_Q that weighing every atom and sorting them all
+// builds: the same atoms, in non-decreasing order — and so every verdict
+// of the scan, and the atoms it consumes, are the same on pairs of
 // distributions built either way. Checked over |Q| of 1, 2, 3, 8 and 9
 // (zero, one, two and four merge passes, with an odd run left over), m on
 // both sides of the insertion-sort cutoff, tie-heavy runs and
@@ -88,22 +94,24 @@ func mergedAndSorted(u, q *uncertain.Object, s *distr.RunSorter, tmp []distr.Pai
 func TestMergeRunsMatchesWeightedSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	var s distr.RunSorter
-	tmp := make([]distr.Pair, 9*130)
+	tmp := make([]distr.Atom, 9*130)
 	verdicts := map[bool]int{}
 	for _, mc := range mergeCases {
 		for _, nq := range []int{1, 2, 3, 8, 9} {
 			for _, m := range []int{1, 10, 24, 25, 130} {
 				q := mergeObject(rng, mc, 0, nq, 0)
-				var merged, sorted []distr.Distribution
+				cq := make([]uint64, nq)
+				tq := distr.Masses(cq, q.Probs())
+				var merged, sorted [][]distr.Atom
+				var totals []uint64
 				for id := 1; id <= 4; id++ {
 					u := mergeObject(rng, mc, id, m, float64(rng.Intn(3)))
-					mg, st := mergedAndSorted(u, q, &s, tmp)
-					got, want := mg.Pairs(), st.Pairs()
-					if !slices.IsSortedFunc(got, func(a, b distr.Pair) int { return cmp.Compare(a.Dist, b.Dist) }) {
+					got, want, tu := mergedAndSorted(u, q, &s, tmp)
+					if !slices.IsSortedFunc(got, func(a, b distr.Atom) int { return cmp.Compare(a.Dist, b.Dist) }) {
 						t.Fatalf("%s |Q|=%d m=%d: merged atoms out of order", mc.name, nq, m)
 					}
-					byValue := func(a, b distr.Pair) int {
-						return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.Prob, b.Prob))
+					byValue := func(a, b distr.Atom) int {
+						return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.Mass.Hi, b.Mass.Hi), cmp.Compare(a.Mass.Lo, b.Mass.Lo))
 					}
 					g, w := slices.Clone(got), slices.Clone(want)
 					slices.SortFunc(g, byValue)
@@ -114,28 +122,23 @@ func TestMergeRunsMatchesWeightedSort(t *testing.T) {
 					if mc.name == "distinct" && !slices.Equal(got, want) {
 						t.Fatalf("|Q|=%d m=%d: distinct distances, yet the merge's order is not the sort's", nq, m)
 					}
-					if !distr.Equal(mg, st) {
-						t.Fatalf("%s |Q|=%d m=%d: merged and sorted U_Q differ", mc.name, nq, m)
-					}
-					merged, sorted = append(merged, mg), append(sorted, st)
-					// The copy of u is the pair Equal says yes to.
+					merged, sorted, totals = append(merged, got), append(sorted, want), append(totals, tu)
+					// A renormalised copy of u: equal to u, or an ulp of
+					// mass apart.
 					twin := uncertain.MustNew(id+10, u.Points(), u.Probs())
-					mt, tt := mergedAndSorted(twin, q, &s, tmp)
-					merged, sorted = append(merged, mt), append(sorted, tt)
+					mt, tt, tw := mergedAndSorted(twin, q, &s, tmp)
+					merged, sorted, totals = append(merged, mt), append(sorted, tt), append(totals, tw)
 				}
 				for a := range merged {
 					for b := range merged {
-						var nm, ns int64
-						le := distr.StochasticLE(merged[a], merged[b], &nm)
-						if le != distr.StochasticLE(sorted[a], sorted[b], &ns) || nm != ns {
-							t.Fatalf("%s |Q|=%d m=%d pair (%d,%d): StochasticLE differs or consumes differently", mc.name, nq, m, a, b)
-						}
-						eq := distr.Equal(merged[a], merged[b])
-						if eq != distr.Equal(sorted[a], sorted[b]) {
-							t.Fatalf("%s |Q|=%d m=%d pair (%d,%d): Equal differs", mc.name, nq, m, a, b)
+						n := distr.NewNorm(totals[a], totals[b], tq)
+						le, strict, nm := n.StochasticLE(merged[a], merged[b], distr.Mass{}, distr.Mass{}, true)
+						le2, strict2, ns := n.StochasticLE(sorted[a], sorted[b], distr.Mass{}, distr.Mass{}, true)
+						if le != le2 || strict != strict2 || nm != ns {
+							t.Fatalf("%s |Q|=%d m=%d pair (%d,%d): the scan differs or consumes differently", mc.name, nq, m, a, b)
 						}
 						if a != b {
-							verdicts[le && !eq]++
+							verdicts[le && strict]++
 						}
 					}
 				}
@@ -150,11 +153,14 @@ func TestMergeRunsMatchesWeightedSort(t *testing.T) {
 	// Warm, the merge touches only the two buffers it is handed.
 	q := mergeObject(rng, mergeCases[1], 0, 9, 0)
 	u := mergeObject(rng, mergeCases[1], 1, 25, 0)
-	runs := make([]distr.Pair, u.Len()*q.Len())
-	distr.Summarize(runs, nil, u, q, nil)
-	s.SortRuns(runs, make([]int32, len(runs)), u.Probs())
-	dst := make([]distr.Pair, len(runs))
-	if n := testing.AllocsPerRun(10, func() { distr.MergeRuns(dst, tmp, runs, u.Len(), q) }); n != 0 {
+	runs := make([]distr.Atom, u.Len()*q.Len())
+	c, cq := make([]uint64, u.Len()), make([]uint64, q.Len())
+	distr.Masses(c, u.Probs())
+	distr.Masses(cq, q.Probs())
+	distr.Summarize(runs, make([]distr.Stat, q.Len()), u, q, c, nil)
+	s.SortRuns(runs, make([]int32, len(runs)), c)
+	dst := make([]distr.Atom, len(runs))
+	if n := testing.AllocsPerRun(10, func() { distr.MergeRuns(dst, tmp, runs, u.Len(), cq) }); n != 0 {
 		t.Fatalf("a warm merge allocates %v times", n)
 	}
 }

@@ -39,7 +39,7 @@ var quickCfg = &quick.Config{
 func TestQuickStochasticReflexive(t *testing.T) {
 	f := func(r rawDist) bool {
 		x := r.dist()
-		return StochasticLE(x, x, nil)
+		return stochasticLE(x, x, nil)
 	}
 	if err := quick.Check(f, quickCfg); err != nil {
 		t.Fatal(err)
@@ -50,8 +50,8 @@ func TestQuickStochasticReflexive(t *testing.T) {
 func TestQuickStochasticAntisymmetric(t *testing.T) {
 	f := func(a, b rawDist) bool {
 		x, y := a.dist(), b.dist()
-		if StochasticLE(x, y, nil) && StochasticLE(y, x, nil) {
-			return Equal(x, y)
+		if stochasticLE(x, y, nil) && stochasticLE(y, x, nil) {
+			return equal(x, y)
 		}
 		return true
 	}
@@ -71,7 +71,7 @@ func TestQuickShiftDominates(t *testing.T) {
 			pairs[i] = Pair{Dist: p.Dist + c, Prob: p.Prob}
 		}
 		y := MustFromPairs(pairs)
-		return StochasticLE(x, y, nil)
+		return stochasticLE(x, y, nil)
 	}
 	if err := quick.Check(f, quickCfg); err != nil {
 		t.Fatal(err)

@@ -31,10 +31,10 @@ func insertionSort(p []Pair) {
 	}
 }
 
-// RunSorter sorts the runs of a Summarize buffer, remembering which instance
-// each atom belongs to. The sort goes through a buffer of (distance,
-// instance) keys the sorter retains, so a warm sort does not allocate. The
-// zero value is ready to use.
+// RunSorter sorts the runs of a Summarize buffer, remembering which
+// instance each atom belongs to. The sort goes
+// through a buffer of (distance, instance) keys the sorter retains, so a
+// warm sort does not allocate. The zero value is ready to use.
 type RunSorter struct{ keys []runKey }
 
 type runKey struct {
@@ -43,17 +43,17 @@ type runKey struct {
 }
 
 // SortRuns sorts each run of a Summarize buffer in place by non-decreasing
-// distance — the order sortPairs leaves the same atoms in, ties included —
-// and sets inst[k] to the instance of the atom now at position k of its run.
-// probs are the probabilities Summarize filled the runs from, one per
+// distance — the order sortPairs leaves the same distances in, ties
+// included — and sets inst[k] to the instance of the atom now at position
+// k of its run. c are the masses Summarize filled the runs from, one per
 // instance.
-func (s *RunSorter) SortRuns(runs []Pair, inst []int32, probs []float64) {
-	for lo, m := 0, len(probs); lo < len(runs); lo += m {
-		s.sort(runs[lo:lo+m], inst[lo:lo+m], probs)
+func (s *RunSorter) SortRuns(runs []Atom, inst []int32, c []uint64) {
+	for lo, m := 0, len(c); lo < len(runs); lo += m {
+		s.sort(runs[lo:lo+m], inst[lo:lo+m], c)
 	}
 }
 
-func (s *RunSorter) sort(run []Pair, inst []int32, probs []float64) {
+func (s *RunSorter) sort(run []Atom, inst []int32, c []uint64) {
 	keys := s.grow(len(run))
 	for i, p := range run {
 		keys[i] = runKey{p.Dist, int32(i)}
@@ -70,7 +70,7 @@ func (s *RunSorter) sort(run []Pair, inst []int32, probs []float64) {
 		slices.SortFunc(keys, func(a, b runKey) int { return order(a.dist, b.dist) })
 	}
 	for k, key := range keys {
-		run[k] = Pair{Dist: key.dist, Prob: probs[key.inst]}
+		run[k] = Atom{Dist: key.dist, Mass: Mass{Lo: c[key.inst]}}
 		inst[k] = key.inst
 	}
 }

@@ -1,9 +1,13 @@
-// Package flow is Transport, the kernel that decides P-SD by Theorem 12. It
-// has no epsilon: a residual is empty at exactly zero, and its caller
-// compares the mass left Unshipped under uncertain.MassBound.
+// Package flow is Transport, the kernel that decides P-SD by Theorem 12. Its
+// masses are integers (distr.Mass), so it has no epsilon: a residual is
+// empty at exactly zero, and P-SD holds iff nothing is left unshipped.
 package flow
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"spatialdom/internal/distr"
+)
 
 // RowWords returns the number of 64-bit words in one row of a pair bitset
 // over nv demand atoms.
@@ -19,7 +23,7 @@ func SetPair(rows []uint64, w, i, j int) { rows[i*w+j>>6] |= 1 << (j & 63) }
 // max-flow on the network source → supplies → demands → sink whose middle
 // arcs are unbounded, specialised to that shape: the admissible pairs are
 // bitset rows (RowWords(nv) words per supply atom, bit j of row i set when
-// i may ship to j), the flow is a dense nu×nv matrix, and a solve is a
+// i may ship to j), the flow is a dense nv×nu matrix, and a solve is a
 // greedy fill followed by shortest augmenting paths found by a BFS that
 // walks the residual graph a word of admissible arcs at a time.
 //
@@ -29,8 +33,8 @@ func SetPair(rows []uint64, w, i, j int) { rows[i*w+j>>6] |= 1 << (j & 63) }
 // use; a Transport is not safe for concurrent use.
 type Transport struct {
 	nu, nv int
-	f      []float64 // nu×nv, row-major: mass shipped from i to j
-	s, d   []float64 // residual supply and demand
+	f      []distr.Mass // nv×nu, column after column: f[j*nu+i] is the mass shipped from i to j
+	s, d   []distr.Mass // residual supply and demand
 
 	// BFS state: the demand atoms already reached (bitset), the supply atom
 	// each was reached from, the demand atom each supply atom was reached
@@ -48,17 +52,17 @@ type Transport struct {
 func (t *Transport) size(nu, nv int) {
 	t.nu, t.nv = nu, nv
 	if cap(t.f) < nu*nv {
-		t.f = make([]float64, nu*nv)
+		t.f = make([]distr.Mass, nu*nv)
 	}
 	t.f = t.f[:nu*nv]
 	if cap(t.s) < nu {
-		t.s = make([]float64, nu)
+		t.s = make([]distr.Mass, nu)
 		t.viaV = make([]int32, nu)
 		t.queue = make([]int32, 0, nu)
 	}
 	t.s, t.viaV = t.s[:nu], t.viaV[:nu]
 	if cap(t.d) < nv {
-		t.d = make([]float64, nv)
+		t.d = make([]distr.Mass, nv)
 		t.fromU = make([]int32, nv)
 		t.seenV = make([]uint64, RowWords(nv))
 		t.posV = make([]uint64, RowWords(nv))
@@ -67,65 +71,72 @@ func (t *Transport) size(nu, nv int) {
 	t.seenV, t.posV = t.seenV[:RowWords(nv)], t.posV[:RowWords(nv)]
 }
 
-// Solve ships as much mass as the admissible pairs allow and returns the
-// total, leaving the assignment readable through Flow and what is left
-// through Unshipped. rows holds len(supply) rows of RowWords(len(demand))
-// words each; bits at or beyond len(demand) must be clear. A residual is
-// empty when it is exactly zero: every push takes the whole of its
-// bottleneck, which a − a leaves at exactly zero, so each augmentation
-// saturates an arc as in exact arithmetic and shortest paths bound their
-// number as they do there.
+// Solve ships as much mass as the admissible pairs allow, supply atom i
+// holding supply[i]·ws and demand atom j demand[j]·wd, and reports whether
+// it ships everything: no supply and no demand left. The assignment stays
+// readable through Flow. rows holds len(supply) rows of
+// RowWords(len(demand)) words each; bits at or beyond len(demand) must be
+// clear. Each push takes the whole of its bottleneck, so each augmentation
+// saturates an arc, and shortest paths bound their number.
 //
 //nnc:hotpath
-func (t *Transport) Solve(supply, demand []float64, rows []uint64) float64 {
+func (t *Transport) Solve(supply []uint64, ws uint64, demand []uint64, wd uint64, rows []uint64) bool {
 	nu, nv := len(supply), len(demand)
 	t.size(nu, nv)
 	w := RowWords(nv)
 	f, s, d := t.f, t.s, t.d
 	clear(f)
-	copy(s, supply)
-	copy(d, demand)
+	for i, x := range supply {
+		s[i] = distr.Mul(x, ws)
+	}
+	for j, x := range demand {
+		d[j] = distr.Mul(x, wd)
+	}
 
 	// Greedy fill: each supply atom pours into its admissible demand atoms
 	// in index order. On the instances P-SD produces this already routes
 	// most of the mass, and what it strands the augmenting paths re-route.
-	var total float64
 	for i := 0; i < nu; i++ {
-		row, fi := rows[i*w:(i+1)*w], f[i*nv:(i+1)*nv]
-		for wi := 0; wi < w && s[i] > 0; wi++ {
-			for word := row[wi]; word != 0 && s[i] > 0; word &= word - 1 {
+		row := rows[i*w : (i+1)*w]
+		for wi := 0; wi < w && !s[i].IsZero(); wi++ {
+			for word := row[wi]; word != 0 && !s[i].IsZero(); word &= word - 1 {
 				j := wi<<6 | bits.TrailingZeros64(word)
-				if x := min(s[i], d[j]); x > 0 {
-					fi[j] += x
-					s[i] -= x
-					d[j] -= x
-					total += x
+				if x := s[i].Min(d[j]); !x.IsZero() {
+					f[j*nu+i] = f[j*nu+i].Add(x)
+					s[i] = s[i].Sub(x)
+					d[j] = d[j].Sub(x)
 				}
 			}
 		}
 	}
-	for {
-		x := t.augment(rows, w)
-		if x == 0 {
-			return total
-		}
-		total += x
+	for t.augment(rows, w) {
 	}
+	for _, x := range s {
+		if !x.IsZero() {
+			return false
+		}
+	}
+	for _, x := range d {
+		if !x.IsZero() {
+			return false
+		}
+	}
+	return true
 }
 
 // augment finds a shortest residual path from a supply atom with mass left
-// to a demand atom with room left, pushes its bottleneck along it and
-// returns the amount (0 when no path exists). Forward arcs i→j are the
+// to a demand atom with room left and pushes its bottleneck along it, or
+// reports that no path exists. Forward arcs i→j are the
 // admissible pairs and never saturate; backward arcs j→i carry what i
 // currently ships to j.
-func (t *Transport) augment(rows []uint64, w int) float64 {
-	nu, nv := t.nu, t.nv
+func (t *Transport) augment(rows []uint64, w int) bool {
+	nu := t.nu
 	f, s, d := t.f, t.s, t.d
 	seenV, fromU, viaV := t.seenV, t.fromU, t.viaV
 	clear(seenV)
 	queue := t.queue[:0]
 	for i := 0; i < nu; i++ {
-		if s[i] > 0 {
+		if !s[i].IsZero() {
 			viaV[i] = -1
 			queue = append(queue, int32(i))
 		} else {
@@ -144,14 +155,15 @@ func (t *Transport) augment(rows []uint64, w int) float64 {
 			for ; fresh != 0; fresh &= fresh - 1 {
 				j := wi<<6 | bits.TrailingZeros64(fresh)
 				fromU[j] = int32(i)
-				if d[j] > 0 {
+				if !d[j].IsZero() {
 					t.queue = queue
-					return t.push(j)
+					t.push(j)
+					return true
 				}
 				// Demand atom j is full: its mass can be taken back from
-				// any supply atom shipping to it.
-				for i2 := 0; i2 < nu; i2++ {
-					if viaV[i2] == -2 && f[i2*nv+j] > 0 {
+				// any supply atom shipping to it, down its column.
+				for i2, x := range f[j*nu : (j+1)*nu] {
+					if viaV[i2] == -2 && !x.IsZero() {
 						viaV[i2] = int32(j)
 						queue = append(queue, int32(i2))
 					}
@@ -160,62 +172,46 @@ func (t *Transport) augment(rows []uint64, w int) float64 {
 		}
 	}
 	t.queue = queue
-	return 0
+	return false
 }
 
 // push augments along the path the BFS recorded from a root supply atom to
 // demand atom end.
-func (t *Transport) push(end int) float64 {
-	nv := t.nv
+func (t *Transport) push(end int) {
+	nu := t.nu
 	f, fromU, viaV := t.f, t.fromU, t.viaV
 	x := t.d[end]
 	i := int(fromU[end])
 	for viaV[i] >= 0 {
 		j := int(viaV[i])
-		x = min(x, f[i*nv+j])
+		x = x.Min(f[j*nu+i])
 		i = int(fromU[j])
 	}
-	x = min(x, t.s[i])
+	x = x.Min(t.s[i])
 
-	t.d[end] -= x
+	t.d[end] = t.d[end].Sub(x)
 	j := end
 	for {
 		i = int(fromU[j])
-		f[i*nv+j] += x
+		f[j*nu+i] = f[j*nu+i].Add(x)
 		if viaV[i] < 0 {
 			break
 		}
 		j = int(viaV[i])
-		f[i*nv+j] -= x
+		f[j*nu+i] = f[j*nu+i].Sub(x)
 	}
-	t.s[i] -= x
-	return x
+	t.s[i] = t.s[i].Sub(x)
 }
 
 // Flow returns the mass the last solve ships from supply atom i to demand
 // atom j.
-func (t *Transport) Flow(i, j int) float64 { return t.f[i*t.nv+j] }
-
-// Unshipped returns what the last solve left on the fuller side: the larger
-// of the supply and the demand it did not ship, each summed over its atoms.
-// A sum of non-negative floats is monotone in every term, so it is at least
-// the mass of any one atom left whole.
-func (t *Transport) Unshipped() float64 {
-	var s, d float64
-	for _, x := range t.s {
-		s += x
-	}
-	for _, x := range t.d {
-		d += x
-	}
-	return max(s, d)
-}
+func (t *Transport) Flow(i, j int) distr.Mass { return t.f[j*t.nu+i] }
 
 // Isolated reports whether some atom of positive mass has no admissible
 // pair with a positive-mass atom of the other side. Its mass cannot ship,
 // so Solve would leave at least that much unshipped; asking first saves
 // the solve.
-func (t *Transport) Isolated(supply, demand []float64, rows []uint64) bool {
+func (t *Transport) Isolated(supply, demand []uint64, rows []uint64) bool {
 	t.size(len(supply), len(demand))
 	pos, cols := t.posV, t.seenV // cols: what rows of positive supply reach
 	clear(pos)

@@ -6,36 +6,36 @@ import (
 	"testing"
 	"testing/quick"
 
+	"spatialdom/internal/distr"
 	"spatialdom/internal/ref/maxflow"
 )
 
 // transportCase is one bipartite transport instance in both forms: bitset
 // rows for Transport, and the admissible pairs for the max-flow oracle.
+// Supply atom i holds supply[i]·ws, demand atom j demand[j]·wd.
 type transportCase struct {
-	supply, demand []float64
+	supply, demand []uint64
+	ws, wd         uint64
 	rows           []uint64
 }
 
-// masses draws n atoms summing to 1 within rounding: some outside the
+// masses draws n integer masses of up to 1000 units: some outside the
 // support, some exact duplicates of a neighbour.
-func masses(rng *rand.Rand, n int) []float64 {
-	p := make([]float64, n)
-	var sum float64
+func masses(rng *rand.Rand, n int) []uint64 {
+	p := make([]uint64, n)
+	var sum uint64
 	for i := range p {
 		switch {
 		case rng.Intn(5) == 0: // zero mass
 		case i > 0 && rng.Intn(4) == 0:
 			p[i] = p[i-1]
 		default:
-			p[i] = 0.05 + rng.Float64()
+			p[i] = 1 + uint64(rng.Intn(1000))
 		}
 		sum += p[i]
 	}
 	if sum == 0 {
-		p[0], sum = 1, 1
-	}
-	for i := range p {
-		p[i] /= sum
+		p[0] = 1
 	}
 	return p
 }
@@ -44,10 +44,14 @@ func masses(rng *rand.Rand, n int) []float64 {
 // share of admissible pairs; 0 leaves every row empty. staircase makes the
 // admissible set i→{j : j ≥ i·nv/nu}, the shape ⪯Q gives sorted atoms and
 // the one where the greedy fill strands mass the augmenting paths must
-// re-route.
+// re-route. Half the time the two sides' totals are made equal through
+// the weights, as P-SD's are.
 func randomTransport(rng *rand.Rand, nu, nv int, density float64, staircase bool) transportCase {
 	w := RowWords(nv)
-	c := transportCase{supply: masses(rng, nu), demand: masses(rng, nv), rows: make([]uint64, nu*w)}
+	c := transportCase{supply: masses(rng, nu), demand: masses(rng, nv), ws: 1, wd: 1, rows: make([]uint64, nu*w)}
+	if rng.Intn(2) == 0 {
+		c.ws, c.wd = total(c.demand), total(c.supply)
+	}
 	for i := 0; i < nu; i++ {
 		for j := 0; j < nv; j++ {
 			adm := rng.Float64() < density
@@ -62,20 +66,28 @@ func randomTransport(rng *rand.Rand, nu, nv int, density float64, staircase bool
 	return c
 }
 
+func total(p []uint64) (s uint64) {
+	for _, x := range p {
+		s += x
+	}
+	return s
+}
+
 func (c transportCase) admissible(i, j int) bool {
 	return c.rows[i*RowWords(len(c.demand))+j>>6]&(1<<(j&63)) != 0
 }
 
-// oracle solves the instance as a general network with Dinic.
+// oracle solves the instance as a general network with Dinic, in floats
+// that hold every mass and sum here exactly.
 func (c transportCase) oracle() float64 {
 	nu, nv := len(c.supply), len(c.demand)
 	g := maxflow.NewNetwork(nu + nv + 2)
 	s, t := 0, nu+nv+1
 	for i, p := range c.supply {
-		g.AddEdge(s, 1+i, p)
+		g.AddEdge(s, 1+i, float64(p*c.ws))
 	}
 	for j, p := range c.demand {
-		g.AddEdge(1+nu+j, t, p)
+		g.AddEdge(1+nu+j, t, float64(p*c.wd))
 	}
 	for i := 0; i < nu; i++ {
 		for j := 0; j < nv; j++ {
@@ -90,49 +102,37 @@ func (c transportCase) oracle() float64 {
 // check solves c on tr and reports how it differs from the oracle or breaks
 // a constraint; "" when it does neither.
 func (c transportCase) check(tr *Transport) string {
-	total := tr.Solve(c.supply, c.demand, c.rows)
-	if want := c.oracle(); math.Abs(total-want) > 1e-12 {
-		return "total differs from the Dinic max-flow"
-	}
-	var routed float64
-	in := make([]float64, len(c.demand))
+	all := tr.Solve(c.supply, c.ws, c.demand, c.wd, c.rows)
+	var routed uint64
+	in := make([]uint64, len(c.demand))
 	for i, p := range c.supply {
-		var out float64
+		var out uint64
 		for j := range c.demand {
 			f := tr.Flow(i, j)
 			switch {
-			case f < 0:
-				return "negative flow"
-			case f > 0 && !c.admissible(i, j):
+			case f.Hi != 0:
+				return "flow beyond the masses"
+			case f.Lo > 0 && !c.admissible(i, j):
 				return "flow on an inadmissible pair"
 			}
-			out += f
-			in[j] += f
+			out += f.Lo
+			in[j] += f.Lo
 		}
-		if out > p+1e-12 {
+		if out > p*c.ws {
 			return "supply exceeded"
 		}
 		routed += out
 	}
-	var leftU, leftV float64
-	for i, p := range c.supply {
-		var out float64
-		for j := range c.demand {
-			out += tr.Flow(i, j)
-		}
-		leftU += p - out
-	}
 	for j, p := range c.demand {
-		if in[j] > p+1e-12 {
+		if in[j] > p*c.wd {
 			return "demand exceeded"
 		}
-		leftV += p - in[j]
 	}
-	if math.Abs(tr.Unshipped()-max(leftU, leftV)) > 1e-12 {
-		return "Unshipped is not what the flow leaves"
+	if float64(routed) != c.oracle() {
+		return "shipped mass differs from the Dinic max-flow"
 	}
-	if math.Abs(routed-total) > 1e-12 {
-		return "returned total is not the routed mass"
+	if want := routed == total(c.supply)*c.ws && routed == total(c.demand)*c.wd; all != want {
+		return "Solve's verdict is not whether everything shipped"
 	}
 	return ""
 }
@@ -157,7 +157,7 @@ func TestTransportMatchesMaxFlow(t *testing.T) {
 			}
 		}
 	}
-	checkTinyMasses(t, &tr)
+	checkWideMasses(t, &tr)
 }
 
 // The same property under testing/quick's generator.
@@ -181,59 +181,44 @@ func TestQuickTransportMatchesMaxFlow(t *testing.T) {
 // demand atoms and takes the first, which is the only one supply 1 may use.
 func TestTransportReroutesGreedyFill(t *testing.T) {
 	var tr Transport
-	total := tr.Solve([]float64{0.5, 0.5}, []float64{0.5, 0.5}, []uint64{0b11, 0b01})
-	if math.Abs(total-1) > 1e-12 || tr.Flow(0, 1) != 0.5 || tr.Flow(1, 0) != 0.5 {
-		t.Fatalf("total %g, flow(0,1)=%g flow(1,0)=%g; want the crossed full match",
-			total, tr.Flow(0, 1), tr.Flow(1, 0))
+	all := tr.Solve([]uint64{1, 1}, 1, []uint64{1, 1}, 1, []uint64{0b11, 0b01})
+	if !all || tr.Flow(0, 1) != (distr.Mass{Lo: 1}) || tr.Flow(1, 0) != (distr.Mass{Lo: 1}) {
+		t.Fatalf("all shipped %v, flow(0,1)=%v flow(1,0)=%v; want the crossed full match",
+			all, tr.Flow(0, 1), tr.Flow(1, 0))
 	}
 }
 
-// checkTinyMasses is TestTransportMatchesMaxFlow's case of masses near
-// 1e-17 and of denormal masses: residuals are empty only at exactly zero,
-// so the solve must still end, and ship what Network ships on the same
-// instance at a scale its Eps does not swallow. Scaling by a power of two
-// is exact for the normal masses, and the denormal ones are integer
-// multiples of the smallest denormal, whose sums and differences are
-// exact: either way the totals agree bit for bit once scaled back.
-func checkTinyMasses(t *testing.T, tr *Transport) {
+// checkWideMasses is TestTransportMatchesMaxFlow's case of masses past 64
+// bits, as P-SD's scaled masses are: every mass and weight of a case
+// multiplied by 2⁵⁴ and 2²⁰, so that each product is 2⁷⁴ times the
+// small one. Every step of a solve compares, subtracts and adds masses, so
+// the solve takes the same steps, and each flow is the small solve's times
+// 2⁷⁴ — its low word zero, its high word the small flow shifted by ten.
+func checkWideMasses(t *testing.T, tr *Transport) {
 	rng := rand.New(rand.NewSource(2305))
+	var small Transport
 	for rep := 0; rep < 200; rep++ {
 		nu, nv := 1+rng.Intn(70), 1+rng.Intn(70)
 		c := randomTransport(rng, nu, nv, []float64{0.02, 0.15, 0.5, 1}[rep%4], rep%3 == 0)
-		scale, tiny := 0x1p-56, c
-		if rep%2 == 1 {
-			// Integer masses of up to 1000 units: 2⁻²⁰ each for the
-			// oracle, the smallest denormal each for the solver.
-			for _, side := range [][]float64{c.supply, c.demand} {
-				for i := range side {
-					side[i] = float64(rng.Intn(1001)) * 0x1p-20
+		wide := func(p []uint64) []uint64 {
+			out := make([]uint64, len(p))
+			for i, x := range p {
+				out[i] = x << 54
+			}
+			return out
+		}
+		want := small.Solve(c.supply, c.ws, c.demand, c.wd, c.rows)
+		if got := tr.Solve(wide(c.supply), c.ws<<20, wide(c.demand), c.wd<<20, c.rows); got != want {
+			t.Fatalf("rep=%d nu=%d nv=%d: shipped everything %v, the small solve %v", rep, nu, nv, got, want)
+		}
+		for i := range nu {
+			for j := range nv {
+				if f, g := small.Flow(i, j), tr.Flow(i, j); g != (distr.Mass{Hi: f.Lo << 10}) || f.Hi != 0 {
+					t.Fatalf("rep=%d: flow(%d,%d) is %v, the small solve's %v", rep, i, j, g, f)
 				}
 			}
-			scale = 0x1p-1054
-		}
-		tiny.supply, tiny.demand = scaled(c.supply, scale), scaled(c.demand, scale)
-		if got, want := tr.Solve(tiny.supply, tiny.demand, tiny.rows)/scale, c.oracle(); got != want {
-			t.Fatalf("rep=%d nu=%d nv=%d scale=%g: shipped %v (scaled back), Network ships %v", rep, nu, nv, scale, got, want)
-		}
-		if u := tr.Unshipped(); u < 0 || u > max(sum(tiny.supply), sum(tiny.demand)) {
-			t.Fatalf("rep=%d: unshipped %g out of range", rep, u)
 		}
 	}
-}
-
-func scaled(p []float64, k float64) []float64 {
-	out := make([]float64, len(p))
-	for i, x := range p {
-		out[i] = x * k
-	}
-	return out
-}
-
-func sum(p []float64) (s float64) {
-	for _, x := range p {
-		s += x
-	}
-	return s
 }
 
 // Isolated is "some atom of positive mass has no admissible pair with a

@@ -17,10 +17,13 @@ func Between(u, q *uncertain.Object) distr.Distribution { return BetweenFunc(u, 
 // the extension point for non-Euclidean metrics (Section 2.1 notes the
 // techniques carry over to any metric).
 func BetweenFunc(u, q *uncertain.Object, dist func(a, b geom.Point) float64) distr.Distribution {
-	m := u.Len()
-	runs := make([]distr.Pair, m*q.Len())
-	distr.Summarize(runs, nil, u, q, dist)
-	return WeightRuns(runs, runs, m, q)
+	pairs := make([]distr.Pair, 0, u.Len()*q.Len())
+	for j := range q.Len() {
+		for i := range u.Len() {
+			pairs = append(pairs, distr.Pair{Dist: dist(q.Instance(j), u.Instance(i)), Prob: q.Prob(j) * u.Prob(i)})
+		}
+	}
+	return distr.Own(pairs)
 }
 
 // BetweenInstance returns U_q: the distance distribution between object u
@@ -38,21 +41,6 @@ func BetweenInstanceFunc(u *uncertain.Object, q geom.Point, dist func(a, b geom.
 		pairs[i] = distr.Pair{Dist: dist(q, u.Instance(i)), Prob: u.Prob(i)}
 	}
 	return distr.Own(pairs)
-}
-
-// WeightRuns builds U_Q out of a distr.Summarize buffer: the atoms are
-// copied into dst (same length, and it may be runs itself; ownership passes
-// to the result) with run j's probabilities scaled by p(q_j), then sorted as
-// one distribution. It is BetweenFunc's path, and the reference
-// distr.MergeRuns is held to; a search builds U_Q with MergeRuns.
-func WeightRuns(dst, runs []distr.Pair, m int, q *uncertain.Object) distr.Distribution {
-	for j := 0; j < q.Len(); j++ {
-		qprob := q.Prob(j)
-		for i := j * m; i < (j+1)*m; i++ {
-			dst[i] = distr.Pair{Dist: runs[i].Dist, Prob: qprob * runs[i].Prob}
-		}
-	}
-	return distr.Own(dst)
 }
 
 // aggFunc is an N1 function: a stable aggregate applied to U_Q.

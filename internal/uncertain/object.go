@@ -121,21 +121,18 @@ func flatten(pts []geom.Point) (probs, coords []float64, err error) {
 	return slab[:m:m], slab[m:], nil
 }
 
-// MassBound is the one tolerance on probability mass: the most that
-// rounding can move a sum of n probabilities whose exact total is at most
-// one, n·2⁻⁵². Everything that compares accumulated mass — the stochastic
-// scans, distr.Equal, the transport's shipped total — compares it under
-// this bound and nothing else; distances and single masses compare exactly.
+// MassBound is how far rounding can move a sum of n probabilities whose
+// exact total is at most one, n·2⁻⁵²: FromSlabs accepts probabilities that
+// sum to one within it, and distr.Distribution.Quantile reads its
+// accumulated mass under it. The dominance checks compare no float mass:
+// they compare exact integer masses (distr's rule).
 //
 // Derivation, with u = 2⁻⁵³ the unit roundoff: summing k non-negative terms
-// left to right errs by at most (k−1)·u times their exact sum (each of the
-// k−1 additions rounds its partial sum, which is at most the total, by at
-// most u relatively), to first order. So two such sums over n terms in all
-// — the two sides of a scan, say — are each within (n−2)·u of their exact
-// values, and the objects New makes carry a total within m·u of one (each
+// left to right errs by at most (k−1)·u times their exact sum, to first
+// order, and the objects New makes carry a total within m·u of one (each
 // w_i/Σw rounds by at most u relatively, and Σw by (m−1)·u), so that
 // their probabilities, summed in any order, come to within (2m−1)·u of one.
-// n·2⁻⁵² = 2n·u exceeds both, and the spare u covers the second-order terms
+// n·2⁻⁵² = 2n·u exceeds it, and the spare u covers the second-order terms
 // for any n below 2²⁶.
 func MassBound(n int) float64 { return float64(n) * 0x1p-52 }
 
