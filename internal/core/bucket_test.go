@@ -119,7 +119,8 @@ func FuzzSSDBucketRung(f *testing.F) {
 				for j, sv := range sums {
 					u, v := objs[i], objs[j]
 					wantLE, eq := exact[i].deficit(exact[j]).Sign() <= 0, exact[i].equal(exact[j])
-					le, strict, _ := c.qNorm(su, sv).StochasticLE(c.distQ(su), c.distQ(sv), distr.Mass{}, distr.Mass{}, true)
+					n := c.qNorm(su, sv)
+					le, strict, _ := n.StochasticLE(c.distQ(su), c.distQ(sv), distr.Mass{}, distr.Mass{}, true)
 					if le != wantLE || le && strict == eq {
 						t.Fatalf("%s: the scan says %v ≤st %v is %v, strictly %v; exactly %v, equal %v", m.Name(), u, v, le, strict, wantLE, eq)
 					}

@@ -165,11 +165,10 @@ type objCache struct {
 	sumOK    bool
 	stat     distr.Stat   // of U_Q; stat.Min is the object's heap key
 	perQStat []distr.Stat // of U_q per query instance
-	runs     []distr.Atom // |Q| runs of m atoms of mass c(p), one U_q each
-	mass     []uint64     // each instance's integer mass c(p)
+	runs     []distr.Atom // |Q| runs of m atoms, one U_q each
+	mass     []uint64     // each instance's integer mass c(p), which its atoms weigh
 	total    uint64       // their sum, T
 	sorted   int          // runs [0, sorted) went through sortedRun
-	runInst  []int32      // the instance of each atom of those runs
 	gathered bool         // massOrder gathered its open atoms once (openAtoms)
 	distQ    []distr.Atom // U_Q, built from atoms when first scanned
 
@@ -226,9 +225,9 @@ func (c *Checker) summary(oc *objCache) *objCache {
 		oc.mass = c.scratch.masses.Alloc(o.Len())
 		oc.total = distr.Masses(oc.mass, o.Probs())
 		if c.euclid {
-			oc.stat = distr.Summarize(oc.runs, oc.perQStat, o, c.query, oc.mass, nil)
+			oc.stat = distr.Summarize(oc.runs, oc.perQStat, o, c.query, nil)
 		} else {
-			oc.stat = distr.Summarize(oc.runs, oc.perQStat, o, c.query, oc.mass, c.metric.Dist)
+			oc.stat = distr.Summarize(oc.runs, oc.perQStat, o, c.query, c.metric.Dist)
 		}
 		if c.bkPending {
 			c.fixBuckets(oc)
@@ -268,15 +267,15 @@ func (c *Checker) bin(oc *objCache) {
 	m := oc.obj.Len()
 	for j, w := range c.qMass {
 		if w > 0 {
-			c.bk.Add(oc.buckets, oc.runs[j*m:(j+1)*m], w)
+			c.bk.Add(oc.buckets, oc.runs[j*m:(j+1)*m], w, oc.mass)
 		}
 	}
 	c.bk.Finish(oc.buckets)
 }
 
 // distQ returns U_Q's atoms sorted, built the first time a scan asks: the
-// |Q| runs are sorted as the sweeps sort them (sortedRun), then weighted
-// and merged (distr.MergeRuns) — U_Q is the mixture of the U_q, so it is
+// |Q| runs are sorted as the sweeps sort them (sortedRun), then merged
+// (distr.MergeRuns) — U_Q is the mixture of the U_q, so it is
 // never sorted as one slice.
 func (c *Checker) distQ(oc *objCache) []distr.Atom {
 	if oc.distQ == nil {
@@ -284,15 +283,26 @@ func (c *Checker) distQ(oc *objCache) []distr.Atom {
 		c.sortedRun(oc, c.query.Len()-1)
 		sc := c.scratch
 		sc.mergeBuf = grow(sc.mergeBuf, len(oc.runs))
-		oc.distQ = distr.MergeRuns(sc.atoms.Alloc(len(oc.runs)), sc.mergeBuf, oc.runs, oc.obj.Len(), c.qMass)
+		oc.distQ = distr.MergeRuns(sc.atoms.Alloc(len(oc.runs)), sc.mergeBuf, oc.runs, oc.obj.Len())
 	}
 	return oc.distQ
 }
 
-// qNorm compares su's U_Q against sv's: totals T_Q·T_U and T_Q·T_V.
+// qNorm compares su's U_Q against sv's: atoms weighing c(p_q)·c(p_u), of
+// totals T_Q·T_U and T_Q·T_V.
 func (c *Checker) qNorm(su, sv *objCache) distr.Norm {
-	return distr.NewNorm(su.total, sv.total, c.qTotal)
+	return distr.NewNorm(c.qMass, su.mass, sv.mass, su.total, sv.total, c.qTotal)
 }
+
+// runNorm compares su's U_q against sv's at any query instance: atoms
+// weighing c(p_u) under the unit table, of totals T_U and T_V.
+func runNorm(su, sv *objCache) distr.Norm {
+	return distr.NewNorm(unitMass, su.mass, sv.mass, su.total, sv.total, 1)
+}
+
+// unitMass is the mass table of a run's query side and of N_r's object
+// side: the one mass 1, at index 0.
+var unitMass = []uint64{1}
 
 // perQStatLE reports whether every U_q's statistics are ordered against
 // V_q's — rung 2, necessary for U_q ≤st V_q at every query instance.
@@ -308,10 +318,11 @@ func (c *Checker) perQStatLE(su, sv *objCache) bool {
 
 // nearScan is band.massDominates' exact test U_Q ≤st N_r, asked once U_Q
 // has an atom below N_r's least (band's comment): ns is N_r sorted, an atom
-// of mass c(p_q) at each query instance's near distance, of the total T_Q
-// where U_Q's is T_Q·T_U.
+// at each query instance's near distance, weighing c(p_q)·1 under the unit
+// table, of the total T_Q where U_Q's is T_Q·T_U.
 func (c *Checker) nearScan(su *objCache, ns []distr.Atom) bool {
-	le, _, n := distr.NewNorm(su.total, 1, c.qTotal).StochasticLE(c.distQ(su), ns, distr.Mass{}, distr.Mass{}, false)
+	norm := distr.NewNorm(c.qMass, su.mass, unitMass, su.total, 1, c.qTotal)
+	le, _, n := norm.StochasticLE(c.distQ(su), ns, distr.Mass{}, distr.Mass{}, false)
 	c.Stats.InstanceComparisons += int64(n)
 	return le
 }
@@ -319,7 +330,8 @@ func (c *Checker) nearScan(su *objCache, ns []distr.Atom) bool {
 // unequal is U_Q ≠ V_Q, for P-SD without the sweep's scans: the exact scan
 // of U_Q against V_Q fails or finds a strict point.
 func (c *Checker) unequal(su, sv *objCache) bool {
-	le, strict, _ := c.qNorm(su, sv).StochasticLE(c.distQ(su), c.distQ(sv), distr.Mass{}, distr.Mass{}, true)
+	n := c.qNorm(su, sv)
+	le, strict, _ := n.StochasticLE(c.distQ(su), c.distQ(sv), distr.Mass{}, distr.Mass{}, true)
 	return !le || strict
 }
 
@@ -334,8 +346,9 @@ func (c *Checker) ssd(su, sv *objCache) bool {
 			return le && strict
 		}
 	}
-	le, strict, n := c.qNorm(su, sv).StochasticLE(c.distQ(su), c.distQ(sv), distr.Mass{}, distr.Mass{}, true)
-	c.Stats.InstanceComparisons += int64(n)
+	n := c.qNorm(su, sv)
+	le, strict, k := n.StochasticLE(c.distQ(su), c.distQ(sv), distr.Mass{}, distr.Mass{}, true)
+	c.Stats.InstanceComparisons += int64(k)
 	return le && strict
 }
 
@@ -349,7 +362,7 @@ func (c *Checker) ssd(su, sv *objCache) bool {
 //nnc:hotpath
 func (c *Checker) massOrder(su, sv *objCache) (le, strict, decided bool) {
 	n := c.qNorm(su, sv)
-	le, strict, open := c.bk.Order(su.buckets, sv.buckets, n)
+	le, strict, open := c.bk.Order(su.buckets, sv.buckets, &n)
 	if !le || open == 0 {
 		return le, strict, true
 	}
@@ -359,7 +372,7 @@ func (c *Checker) massOrder(su, sv *objCache) (le, strict, decided bool) {
 	sc := c.scratch
 	sc.openU = grow(sc.openU, len(su.runs))
 	sc.openV = grow(sc.openV, len(sv.runs))
-	le, s := c.bk.Scan(su.buckets, sv.buckets, c.openAtoms(su, sc.openU, open), c.openAtoms(sv, sc.openV, open), open, n)
+	le, s := c.bk.Scan(su.buckets, sv.buckets, c.openAtoms(su, sc.openU, open), c.openAtoms(sv, sc.openV, open), open, &n)
 	return le, strict || s, true
 }
 
@@ -368,10 +381,10 @@ func (c *Checker) massOrder(su, sv *objCache) (le, strict, decided bool) {
 // rather than sorting what the open buckets hold for every pair.
 func (c *Checker) openAtoms(oc *objCache, dst []distr.Atom, open uint64) []distr.Atom {
 	if oc.distQ != nil || oc.gathered {
-		return c.bk.Filter(dst, c.distQ(oc), open)
+		return c.bk.Filter(dst, c.distQ(oc), c.qMass, oc.mass, open)
 	}
 	oc.gathered = true
-	return c.bk.Gather(dst, oc.runs, oc.obj.Len(), c.qMass, oc.perQStat, open)
+	return c.bk.Gather(dst, oc.runs, oc.obj.Len(), c.qMass, oc.mass, oc.perQStat, open)
 }
 
 // --- SS-SD --------------------------------------------------------------------
@@ -391,11 +404,10 @@ func (c *Checker) sssd(su, sv *objCache) bool {
 // exceeds V_q's somewhere. With U_q ≤st V_q at every instance, that is
 // U_Q ≠ V_Q exactly, as U_Q mixes the U_q by the query's masses.
 func (c *Checker) strictRun(su, sv *objCache) bool {
-	n := distr.NewNorm(su.total, sv.total, 1)
+	n := runNorm(su, sv)
 	for j, w := range c.qMass {
 		if w > 0 {
-			us, _ := c.sortedRun(su, j)
-			vs, _ := c.sortedRun(sv, j)
+			us, vs := c.sortedRun(su, j), c.sortedRun(sv, j)
 			if _, strict, _ := n.StochasticLE(us, vs, distr.Mass{}, distr.Mass{}, true); strict {
 				return true
 			}

@@ -763,7 +763,7 @@ func (b *band) massDominates(c *Checker, r geom.Rect, need int, failed []int32) 
 	nmin, nmax, nmean := math.Inf(1), math.Inf(-1), 0.0
 	for j := range ns {
 		d, p := c.near(c.query.Instance(j), r), c.query.Prob(j)
-		ns[j] = distr.Atom{Dist: d, Mass: distr.Mass{Lo: c.qMass[j]}}
+		ns[j] = distr.Atom{Dist: d, Q: int32(j)}
 		if p > 0 { // Summarize's statistics of a one-instance object
 			nmin, nmax = min(nmin, d), max(nmax, d)
 			nmean += p * d

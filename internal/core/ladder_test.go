@@ -175,10 +175,11 @@ func TestLadderAgreesWithNoFilterWideObjects(t *testing.T) {
 // with the sorted sum to rounding, and a zero-probability instance moves
 // neither. U_Q as the checker builds it — the runs sorted one by one, some
 // of them already by a sweep, then merged — holds the distances of
-// nnfunc.BetweenFunc, each pair of instances weighing the product of their
-// integer masses, for |Q| of 1 to 9 (every merge-pass count up to four):
-// atom for atom on objects scattered in the plane, and up to the order of
-// ties on an integer grid, where many atoms tie.
+// nnfunc.BetweenFunc, each atom naming the pair of instances it lies
+// between, for |Q| of 1 to 9 (every merge-pass count up to four): atom for
+// atom on objects scattered in the plane, and up to the order of ties on
+// an integer grid, where many atoms tie. The masses the scan derives from
+// those names sum to T_Q·T_U over U_Q and to T_U over each run.
 func TestSummaryMatchesSortedDistribution(t *testing.T) {
 	rng := rand.New(rand.NewSource(1702))
 	grid := func(id, m int) *uncertain.Object {
@@ -219,7 +220,14 @@ func TestSummaryMatchesSortedDistribution(t *testing.T) {
 			}
 			got, ref := c.distQ(oc), refAtoms(q, o, m, -1)
 			if !sameAtoms(got, ref) || !onGrid && !slices.Equal(got, ref) {
-				t.Fatalf("iter %d %s: merged U_Q differs from the weighted atoms", iter, m.Name())
+				t.Fatalf("iter %d %s: merged U_Q differs from the instance pairs", iter, m.Name())
+			}
+			var sum distr.Mass
+			for _, a := range got {
+				sum = sum.Add(distr.Mul(c.qMass[a.Q], oc.mass[a.U]))
+			}
+			if sum != distr.Mul(c.qTotal, oc.total) {
+				t.Fatalf("iter %d %s: U_Q's derived masses sum to %v, not T_Q·T_U", iter, m.Name(), sum)
 			}
 			for k, a := range got {
 				if a.Dist != want.Pair(k).Dist {
@@ -228,9 +236,16 @@ func TestSummaryMatchesSortedDistribution(t *testing.T) {
 			}
 			for j := 0; j < q.Len(); j++ {
 				wj := nnfunc.BetweenInstanceFunc(o, q.Instance(j), m.Dist)
-				run, _ := c.sortedRun(oc, j)
+				run := c.sortedRun(oc, j)
 				if !sameAtoms(run, refAtoms(q, o, m, j)) || oc.perQStat[j].Min != wj.Min() || oc.perQStat[j].Max != wj.Max() {
 					t.Fatalf("iter %d %s: U_q %d differs from nnfunc.BetweenInstance", iter, m.Name(), j)
+				}
+				var sum uint64
+				for _, a := range run {
+					sum += oc.mass[a.U]
+				}
+				if sum != oc.total {
+					t.Fatalf("iter %d %s: U_q %d's derived masses sum to %d, not T_U = %d", iter, m.Name(), j, sum, oc.total)
 				}
 			}
 		}
@@ -463,33 +478,35 @@ func total(c []uint64) (t uint64) {
 }
 
 // refAtoms is U_Q of o, or U_q for query instance j ≥ 0, from the
-// definition: every pair of instances at its distance under m, weighing
-// the product of the two integer masses (o's alone for U_q), sorted.
+// definition: every pair of instances at its distance under m, naming the
+// two instances (the query's as 0 for U_q, whose query side is the unit
+// table), sorted.
 func refAtoms(q, o *uncertain.Object, m geom.Metric, j int) []distr.Atom {
 	var atoms []distr.Atom
 	for k := range q.Len() {
 		if j >= 0 && k != j {
 			continue
 		}
-		w := uint64(1)
-		if j < 0 {
-			w = distr.Units(q.Prob(k))
+		qk := int32(k)
+		if j >= 0 {
+			qk = 0
 		}
 		for i := range o.Len() {
-			atoms = append(atoms, distr.Atom{Dist: m.Dist(q.Instance(k), o.Instance(i)), Mass: distr.Mul(w, distr.Units(o.Prob(i)))})
+			atoms = append(atoms, distr.Atom{Dist: m.Dist(q.Instance(k), o.Instance(i)), Q: qk, U: int32(i)})
 		}
 	}
 	slices.SortStableFunc(atoms, func(a, b distr.Atom) int { return cmp.Compare(a.Dist, b.Dist) })
 	return atoms
 }
 
-// sameAtoms reports whether two sorted atom lists hold the same atoms, bit
-// for bit, in whatever order their ties fell.
+// sameAtoms reports whether two sorted atom lists hold the same atoms —
+// distances bit for bit, and the instances they name — in whatever order
+// their ties fell.
 func sameAtoms(x, y []distr.Atom) bool {
 	order := func(a []distr.Atom) []distr.Atom {
 		a = slices.Clone(a)
 		slices.SortFunc(a, func(a, b distr.Atom) int {
-			return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.Mass.Hi, b.Mass.Hi), cmp.Compare(a.Mass.Lo, b.Mass.Lo))
+			return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.Q, b.Q), cmp.Compare(a.U, b.U))
 		})
 		return a
 	}

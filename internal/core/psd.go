@@ -285,20 +285,15 @@ func (c *Checker) admits(du, dv []float64) bool {
 }
 
 // sortedRun returns U_q for query instance j as atoms sorted by distance,
-// with the instance each atom belongs to. A sweep asks for the runs in query
-// order and mostly stops after a few, so they are sorted as it reaches them:
-// runs [0, oc.sorted) are.
-func (c *Checker) sortedRun(oc *objCache, j int) ([]distr.Atom, []int32) {
+// each naming its instance. A sweep asks for the runs in query order and
+// mostly stops after a few, so they are sorted in place as it reaches
+// them: runs [0, oc.sorted) are.
+func (c *Checker) sortedRun(oc *objCache, j int) []distr.Atom {
 	m := oc.obj.Len()
-	if oc.runInst == nil {
-		oc.runInst = c.scratch.insts.Alloc(len(oc.runs))
+	for ; oc.sorted <= j; oc.sorted++ {
+		distr.SortAtoms(oc.runs[oc.sorted*m : (oc.sorted+1)*m])
 	}
-	if oc.sorted <= j {
-		lo, hi := oc.sorted*m, (j+1)*m
-		c.scratch.runSorter.SortRuns(oc.runs[lo:hi], oc.runInst[lo:hi], oc.mass)
-		oc.sorted = j + 1
-	}
-	return oc.runs[j*m : (j+1)*m], oc.runInst[j*m : (j+1)*m]
+	return oc.runs[j*m : (j+1)*m]
 }
 
 // sweepRows is what a sweep carries from one hull instance to the next: the
@@ -317,7 +312,7 @@ type sweepRows struct {
 // as a scan prune.
 func (c *Checker) sweep(su, sv *objCache, scan, rows bool) (adm []uint64, ok bool) {
 	var r sweepRows
-	n := distr.NewNorm(su.total, sv.total, 1)
+	n := runNorm(su, sv)
 	for j, hull := range c.isHull {
 		fill := rows && hull
 		if !scan && !fill {
@@ -326,8 +321,7 @@ func (c *Checker) sweep(su, sv *objCache, scan, rows bool) (adm []uint64, ok boo
 		if fill && r.adm == nil {
 			r = c.scratch.newSweepRows(su.obj.Len(), sv.obj.Len())
 		}
-		us, ui := c.sortedRun(su, j)
-		vs, vi := c.sortedRun(sv, j)
+		us, vs := c.sortedRun(su, j), c.sortedRun(sv, j)
 		if scan {
 			le, _, k := n.StochasticLE(us, vs, distr.Mass{}, distr.Mass{}, false)
 			c.Stats.InstanceComparisons += int64(k)
@@ -340,7 +334,7 @@ func (c *Checker) sweep(su, sv *objCache, scan, rows bool) (adm []uint64, ok boo
 			}
 		}
 		if fill {
-			c.Stats.InstanceComparisons += int64(fillRows(us, vs, ui, vi, &r))
+			c.Stats.InstanceComparisons += int64(fillRows(us, vs, &r))
 		}
 	}
 	return r.adm, true
@@ -351,14 +345,15 @@ func (c *Checker) sweep(su, sv *objCache, scan, rows bool) (adm []uint64, ok boo
 // forbidden instances of V are a prefix of V's run, which only grows as u
 // moves up U's run: it is kept as a mask over V's instances, and each row
 // takes one and-not per word.
-func fillRows(us, vs []distr.Atom, ui, vi []int32, r *sweepRows) int {
+func fillRows(us, vs []distr.Atom, r *sweepRows) int {
 	clear(r.out)
 	a := 0
-	for k, x := range us {
+	for _, x := range us {
 		for ; a < len(vs) && x.Dist > vs[a].Dist; a++ {
-			r.out[vi[a]>>6] |= 1 << (vi[a] & 63)
+			v := vs[a].U
+			r.out[v>>6] |= 1 << (v & 63)
 		}
-		row := r.adm[int(ui[k])*r.w:][:r.w]
+		row := r.adm[int(x.U)*r.w:][:r.w]
 		for t := range row {
 			row[t] &^= r.out[t]
 		}

@@ -9,22 +9,22 @@ import (
 )
 
 // CheckScratch is the allocation arena behind a Checker: slab arenas for
-// every cached artifact a search builds (distribution atoms and the
-// instance order of sorted runs, per-object caches), the
-// transport solver and bitset rows of the P-SD solves, and the ID map of
-// the exported checker methods. Its size follows the objects a search
-// examines, never their IDs. One scratch backs one live Checker at a time;
-// Checker re-initializes it, releasing everything the previous search
-// cached. The engine pools these alongside its other per-search scratch,
-// which is what makes steady-state searches allocation-free: every slab
-// reaches its high-water size and is then recycled verbatim.
+// every cached artifact a search builds (distribution atoms, instance
+// orders, per-object caches), the transport solver and bitset rows of the
+// P-SD solves, and the ID map of the exported checker methods. Its size
+// follows the objects a search examines, never their IDs. One scratch backs
+// one live Checker at a time; Checker re-initializes it, releasing
+// everything the previous search cached. The engine pools these alongside
+// its other per-search scratch, which is what makes steady-state searches
+// allocation-free: every slab reaches its high-water size and is then
+// recycled verbatim.
 //
 // A CheckScratch is not safe for concurrent use.
 type CheckScratch struct {
 	// Arenas for plain-old-data caches: recycled without clearing, their
 	// contents are fully overwritten before use.
 	atoms  slab.Arena[distr.Atom] // objCache.runs and distQ
-	insts  slab.Arena[int32]      // objCache.runInst
+	insts  slab.Arena[int32]      // objCache.order
 	masses slab.Arena[uint64]     // objCache.mass
 	floats slab.Arena[float64]
 	stats  slab.Arena[distr.Stat]
@@ -40,11 +40,10 @@ type CheckScratch struct {
 	// empty.
 	byID map[int]*objCache
 
-	// The sorter of the sweep's runs, the second buffer of the merge that
-	// builds U_Q out of them (Checker.distQ) and, for P-SD, the keys the
-	// match witness sorts a wide object's instances by, the transport solver
-	// of the exact test and the bitset rows it is handed.
-	runSorter distr.RunSorter
+	// The second buffer of the merge that builds U_Q out of the sorted runs
+	// (Checker.distQ) and, for P-SD, the keys the match witness sorts a wide
+	// object's instances by, the transport solver of the exact test and the
+	// bitset rows it is handed.
 	mergeBuf  []distr.Atom
 	orderKeys []orderKey
 	transport flow.Transport

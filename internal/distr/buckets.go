@@ -48,16 +48,16 @@ func (b Buckets) Cell(d float64) int {
 	return max(int(x), 0)
 }
 
-// Add enters a run's atoms into the summary s, after clear(s), each
-// weighing w times its mass, so a Summarize buffer's run j entering with w
-// = cq[j] gives MergeRuns' masses. Bucket i's mass goes to s[i+1].Cum
+// Add enters a run's atoms into the summary s, after clear(s), an atom of
+// instance U weighing w·c[U], so a Summarize buffer's run j entering with
+// w = c(p_{q_j}) gives U_Q's masses. Bucket i's mass goes to s[i+1].Cum
 // until Finish. Atoms of no mass are left out.
-func (b Buckets) Add(s []Bucket, run []Atom, w uint64) {
+func (b Buckets) Add(s []Bucket, run []Atom, w uint64, c []uint64) {
 	for _, a := range run {
-		if a.Mass.Lo > 0 {
+		if x := c[a.U]; x > 0 {
 			k := b.Cell(a.Dist)
 			s[k>>6].Cells |= 1 << (k & 63)
-			s[k>>6+1].Cum = s[k>>6+1].Cum.Add(Mul(w, a.Mass.Lo))
+			s[k>>6+1].Cum = s[k>>6+1].Cum.Add(Mul(w, x))
 		}
 	}
 }
@@ -80,7 +80,7 @@ func (b Buckets) Finish(s []Bucket) {
 // not clear, for Scan.
 //
 //nnc:hotpath
-func (b Buckets) Order(sx, sy []Bucket, n Norm) (le, strict bool, open uint64) {
+func (b Buckets) Order(sx, sy []Bucket, n *Norm) (le, strict bool, open uint64) {
 	for i := 0; i+1 < len(sx) && i+1 < len(sy); i++ {
 		if n.Below(sx[i+1].Cum, sy[i+1].Cum) {
 			return false, strict, 0
@@ -104,20 +104,21 @@ func below(x, y uint64) bool {
 }
 
 // Gather fills dst (as long as runs) with the atoms of positive mass of a
-// Summarize buffer — run j of m atoms, each weighed by cq[j] as in
-// MergeRuns — whose bucket is open, sorted by distance, and returns them.
-// perQ holds each run's least and largest distance of positive mass: a
-// run whose range lies outside the open buckets is skipped whole.
+// Summarize buffer — run j of m atoms, an atom of instance U weighing
+// cq[j]·c[U] — whose bucket is open, sorted by distance and copied with
+// Q = j as MergeRuns copies them, and returns them. perQ holds each run's
+// least and largest distance of positive mass: a run whose range lies
+// outside the open buckets is skipped whole.
 //
 //nnc:hotpath
-func (b Buckets) Gather(dst, runs []Atom, m int, cq []uint64, perQ []Stat, open uint64) []Atom {
+func (b Buckets) Gather(dst, runs []Atom, m int, cq, c []uint64, perQ []Stat, open uint64) []Atom {
 	first, last := bits.TrailingZeros64(open), bits.Len64(open)-1
 	n := 0
 	for j, st := range perQ {
-		if w := cq[j]; w > 0 && b.Cell(st.Max)>>6 >= first && b.Cell(st.Min)>>6 <= last {
+		if cq[j] > 0 && b.Cell(st.Max)>>6 >= first && b.Cell(st.Min)>>6 <= last {
 			for _, a := range runs[j*m : (j+1)*m] {
-				if a.Mass.Lo > 0 && open>>(b.Cell(a.Dist)>>6)&1 != 0 {
-					dst[n] = Atom{Dist: a.Dist, Mass: Mul(w, a.Mass.Lo)}
+				if c[a.U] > 0 && open>>(b.Cell(a.Dist)>>6)&1 != 0 {
+					dst[n] = Atom{Dist: a.Dist, Q: int32(j), U: a.U}
 					n++
 				}
 			}
@@ -127,20 +128,15 @@ func (b Buckets) Gather(dst, runs []Atom, m int, cq []uint64, perQ []Stat, open 
 	return dst[:n]
 }
 
-// gatherInsertion is the most atoms SortAtoms sorts by insertion. It is
-// above sortPairs' cutoff: on the disk_cold shape a scan gathers ≈ 45
-// atoms, and insertion sorts them in under half of pdqsort's time
-// (EXPERIMENTS.md).
-const gatherInsertion = 64
-
 // Filter fills dst with the atoms of positive mass of sorted (a built
-// U_Q) whose bucket is open, in their order, and returns them.
+// U_Q, an atom weighing w[Q]·c[U]) whose bucket is open, in their order,
+// and returns them.
 //
 //nnc:hotpath
-func (b Buckets) Filter(dst, sorted []Atom, open uint64) []Atom {
+func (b Buckets) Filter(dst, sorted []Atom, w, c []uint64, open uint64) []Atom {
 	n := 0
 	for _, a := range sorted {
-		if !a.Mass.IsZero() && open>>(b.Cell(a.Dist)>>6)&1 != 0 {
+		if w[a.Q] > 0 && c[a.U] > 0 && open>>(b.Cell(a.Dist)>>6)&1 != 0 {
 			dst[n] = a
 			n++
 		}
@@ -154,7 +150,7 @@ func (b Buckets) Filter(dst, sorted []Atom, open uint64) []Atom {
 // whether every scan held and whether one found a strict point.
 //
 //nnc:hotpath
-func (b Buckets) Scan(sx, sy []Bucket, xs, ys []Atom, open uint64, n Norm) (le, strict bool) {
+func (b Buckets) Scan(sx, sy []Bucket, xs, ys []Atom, open uint64, n *Norm) (le, strict bool) {
 	for ; open != 0; open &= open - 1 {
 		k := bits.TrailingZeros64(open)
 		i, j := b.inBucket(xs, k), b.inBucket(ys, k)

@@ -2,12 +2,14 @@
 // (U_Q and U_q, Section 2.1) and the usual stochastic order (Definition 1)
 // the dominance operators compare them by.
 //
-// The checker's distributions are Atoms on an exact integer mass scale,
-// compared by one linear scan (Norm.StochasticLE; the paper's optimal-in-
-// the-worst-case dominance check of Section 5.1.1 / Theorem 10) — mass.go
-// states the rule. A Distribution is the float form the nearest-neighbour
-// functions of the reference read: probability-weighted values sorted in
-// non-decreasing order.
+// The checker's distributions are Atoms — a distance and the two instances
+// it lies between, sorted in place by SortAtoms — compared by one linear
+// scan (Norm.StochasticLE; the paper's optimal-in-the-worst-case dominance
+// check of Section 5.1.1 / Theorem 10) that derives each atom's exact
+// integer mass from the instances' masses — mass.go states the rule. A
+// Distribution is the float form the nearest-neighbour functions of the
+// reference read: probability-weighted values sorted in non-decreasing
+// order.
 package distr
 
 import (
@@ -108,16 +110,15 @@ func MeanBound(n int, mx float64) float64 {
 // everything a dominance check reads about u is derived from. It fills
 // runs (length |Q|·m) with the unsorted-atoms form of the per-query-
 // instance distributions — run j, runs[j·m:(j+1)·m], holds U_{q_j}'s atoms
-// {δ(q_j,u_i), c[i]} in instance order, c being u's integer masses
-// (Masses), to be sorted by a RunSorter only if a scan asks — stores each
-// U_{q_j}'s statistics in perQ[j], and returns the statistics of U_Q: its
-// min is the exact key Algorithm 1 orders objects by, its mean is Σ_j
-// p(q_j)·mean_j, so no statistic needs the |Q|·m atoms sorted. A nil dist
-// means Euclidean. u's instances are read off its coordinate slab
-// (uncertain.Object.Coords).
+// {δ(q_j,u_i), U: i} in instance order, to be sorted in place by SortAtoms
+// only if a scan asks — stores each U_{q_j}'s statistics in perQ[j], and
+// returns the statistics of U_Q: its min is the exact key Algorithm 1
+// orders objects by, its mean is Σ_j p(q_j)·mean_j, so no statistic needs
+// the |Q|·m atoms sorted. A nil dist means Euclidean. u's instances are
+// read off its coordinate slab (uncertain.Object.Coords).
 //
 //nnc:hotpath
-func Summarize(runs []Atom, perQ []Stat, u, q *uncertain.Object, c []uint64, dist func(a, b geom.Point) float64) Stat {
+func Summarize(runs []Atom, perQ []Stat, u, q *uncertain.Object, dist func(a, b geom.Point) float64) Stat {
 	coords, probs, d := u.Coords(), u.Probs(), u.Dim()
 	m := len(probs)
 	all := Stat{Min: math.Inf(1), Max: math.Inf(-1)}
@@ -140,7 +141,7 @@ func Summarize(runs []Atom, perQ []Stat, u, q *uncertain.Object, c []uint64, dis
 			} else {
 				dd = dist(qp, p)
 			}
-			run[i] = Atom{Dist: dd, Mass: Mass{Lo: c[i]}}
+			run[i] = Atom{Dist: dd, U: int32(i)}
 			if pr > 0 {
 				st.Min = min(st.Min, dd)
 				st.Max = max(st.Max, dd)
@@ -157,8 +158,8 @@ func Summarize(runs []Atom, perQ []Stat, u, q *uncertain.Object, c []uint64, dis
 	return all
 }
 
-// MergeRuns builds U_Q out of runs sorted by RunSorter, m atoms each of
-// mass c(p_u): run j's atoms weighed by query instance j's mass cq[j],
+// MergeRuns builds U_Q out of runs each sorted by SortAtoms, m atoms each:
+// run j's atoms copied with Q = j, so that they weigh c(p_{q_j})·c(p_u),
 // merged pairwise bottom-up into one sorted slice — without a sort of all
 // |Q|·m atoms. Inside equal distances the order is the runs', which no scan
 // can see. dst (len(runs) atoms) becomes the result's storage; tmp, at
@@ -166,7 +167,7 @@ func Summarize(runs []Atom, perQ []Stat, u, q *uncertain.Object, c []uint64, dis
 // is left as it is.
 //
 //nnc:hotpath
-func MergeRuns(dst, tmp, runs []Atom, m int, cq []uint64) []Atom {
+func MergeRuns(dst, tmp, runs []Atom, m int) []Atom {
 	n := len(runs)
 	// Each pass moves the atoms to the other buffer: start in whichever one
 	// makes the last pass land in dst.
@@ -174,9 +175,9 @@ func MergeRuns(dst, tmp, runs []Atom, m int, cq []uint64) []Atom {
 	for w := m; w < n; w *= 2 {
 		src, out = out, src
 	}
-	for j, w := range cq {
-		for i := j * m; i < (j+1)*m; i++ {
-			src[i] = Atom{Dist: runs[i].Dist, Mass: Mul(w, runs[i].Mass.Lo)}
+	for lo, j := 0, int32(0); lo < n; lo, j = lo+m, j+1 {
+		for i, a := range runs[lo : lo+m] {
+			src[lo+i] = Atom{Dist: a.Dist, Q: j, U: a.U}
 		}
 	}
 	for w := m; w < n; w *= 2 {

@@ -3,28 +3,33 @@ package distr
 import (
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
+	"unsafe"
+
+	"spatialdom/internal/geom"
+	"spatialdom/internal/uncertain"
 )
 
-// exact is d on the exact scale: one atom of mass Units(p) for each of its
-// atoms, and their total.
-func exact(d Distribution) ([]Atom, uint64) {
-	atoms := make([]Atom, d.Len())
+// exact is d on the exact scale: one atom for each of its atoms, the i-th
+// naming instance i, whose mass is Units(p); the masses, and their total.
+func exact(d Distribution) ([]Atom, []uint64, uint64) {
+	atoms, c := make([]Atom, d.Len()), make([]uint64, d.Len())
 	var t uint64
 	for i, p := range d.Pairs() {
-		atoms[i] = Atom{Dist: p.Dist, Mass: Mass{Lo: Units(p.Prob)}}
-		t += atoms[i].Mass.Lo
+		atoms[i] = Atom{Dist: p.Dist, U: int32(i)}
+		c[i] = Units(p.Prob)
+		t += c[i]
 	}
-	return atoms, t
+	return atoms, c, t
 }
 
 // compare is the one scan on x and y read on the exact scale, the atoms
 // it consumed added to *consumed when that is non-nil.
 func compare(x, y Distribution, consumed *int64) (le, strict bool) {
-	xs, tx := exact(x)
-	ys, ty := exact(y)
-	le, strict, n := NewNorm(tx, ty, 1).StochasticLE(xs, ys, Mass{}, Mass{}, true)
+	xs, cx, tx := exact(x)
+	ys, cy, ty := exact(y)
+	norm := NewNorm([]uint64{1}, cx, cy, tx, ty, 1)
+	le, strict, n := norm.StochasticLE(xs, ys, Mass{}, Mass{}, true)
 	if consumed != nil {
 		*consumed += int64(n)
 	}
@@ -276,40 +281,53 @@ func TestDistributionString(t *testing.T) {
 	}
 }
 
-// RunSorter leaves every run in the order sortPairs leaves the same
-// distances in — ties included, on both sides of the insertion-sort cutoff
-// — each atom of its instance's integer mass, and names the instance each
-// sorted atom came from.
-func TestRunSorterMatchesSortRuns(t *testing.T) {
+// SortAtoms sorts each run of a Summarize buffer in place: the distances
+// come out in sortPairs' order, on both sides of the insertion cutoff and
+// under L2, L1 and L∞; every atom still names the instance at its distance,
+// each instance once a run; a warm sort allocates nothing; and an atom is
+// 16 bytes, a distance and two instance indices.
+func TestSortAtomsSortsRunsInPlace(t *testing.T) {
+	if n := unsafe.Sizeof(Atom{}); n != 16 {
+		t.Fatalf("an atom is %d bytes", n)
+	}
 	rng := rand.New(rand.NewSource(26))
-	var s RunSorter
-	for _, m := range []int{1, 2, 10, insertionCutoff, insertionCutoff + 1, 130} {
-		probs := make([]float64, m)
-		for i := range probs {
-			probs[i] = rng.Float64()
-		}
-		c := make([]uint64, m)
-		Masses(c, probs)
-		runs := make([]Atom, 3*m)
-		want := make([]Pair, 3*m)
-		for k := range runs {
-			d := float64(rng.Intn(m/2 + 2)) // many ties
-			runs[k] = Atom{Dist: d, Mass: Mass{Lo: c[k%m]}}
-			want[k] = Pair{Dist: d, Prob: probs[k%m]}
-		}
-		for lo := 0; lo < len(want); lo += m {
-			sortPairs(want[lo : lo+m])
-		}
-		got, inst := slices.Clone(runs), make([]int32, len(runs))
-		s.SortRuns(got, inst, c)
-		for k, a := range got {
-			from := runs[k/m*m+int(inst[k])]
-			if a != from || a.Dist != want[k].Dist || a.Mass.Lo != Units(want[k].Prob) {
-				t.Fatalf("m = %d: atom %d is %v from instance %d, which holds %v; sortPairs has %v", m, k, a, inst[k], from, want[k])
+	metrics := []geom.Metric{geom.Euclidean, geom.Manhattan, geom.Chebyshev}
+	for _, m := range []int{1, 2, 10, insertionMax, insertionMax + 1, 130} {
+		for _, mt := range metrics {
+			pts, qpts := make([]geom.Point, m), make([]geom.Point, 3)
+			for i := range pts {
+				// A coarse grid, so many distances tie.
+				pts[i] = geom.Point{float64(rng.Intn(6)), float64(rng.Intn(6))}
 			}
-		}
-		if n := testing.AllocsPerRun(10, func() { s.SortRuns(got, inst, c) }); n != 0 {
-			t.Fatalf("m = %d: a warm sort allocates %v times", m, n)
+			for j := range qpts {
+				qpts[j] = geom.Point{float64(rng.Intn(6)), float64(rng.Intn(6))}
+			}
+			u, q := uncertain.MustNew(1, pts, nil), uncertain.MustNew(0, qpts, nil)
+			runs := make([]Atom, q.Len()*m)
+			dist := mt.Dist
+			if mt == geom.Euclidean {
+				dist = nil // the checker's path
+			}
+			Summarize(runs, make([]Stat, q.Len()), u, q, dist)
+			for j := range q.Len() {
+				run := runs[j*m : (j+1)*m]
+				SortAtoms(run)
+				want := make([]Pair, m)
+				for i := range want {
+					want[i] = Pair{Dist: mt.Dist(q.Instance(j), u.Instance(i))}
+				}
+				sortPairs(want)
+				seen := make([]bool, m)
+				for k, a := range run {
+					if a.Dist != want[k].Dist || a.Q != 0 || a.Dist != mt.Dist(q.Instance(j), u.Instance(int(a.U))) || seen[a.U] {
+						t.Fatalf("m = %d %s run %d: atom %d is %+v; sortPairs has %v there", m, mt.Name(), j, k, a, want[k].Dist)
+					}
+					seen[a.U] = true
+				}
+				if n := testing.AllocsPerRun(10, func() { SortAtoms(run) }); n != 0 {
+					t.Fatalf("m = %d: a warm sort allocates %v times", m, n)
+				}
+			}
 		}
 	}
 }

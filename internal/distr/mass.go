@@ -1,20 +1,18 @@
 package distr
 
-import (
-	"math/bits"
-	"slices"
-)
+import "math/bits"
 
 // The comparison rule. Distances are the float64s Summarize stores and are
 // compared exactly. Masses are integers: an instance of probability p
 // carries c(p) = ⌊p·2⁶⁰⌋ units, at least one when p > 0 (Units), so every
 // mass is exact and sums exactly in any order. An object of total T = Σc
 // stands for c/T exactly; a U_q atom weighs c(p_u), a U_Q atom c(p_q)·c(p_u)
-// of the total T_Q·T_U. Two distributions compare by their normalised
-// cumulative masses, cross-multiplied (Norm), so ≤st is the usual
-// stochastic order of two fixed rational distributions: a partial order by
-// construction, which the mixture over the query's instances preserves.
-// The masses depend only on the stored probability bits.
+// of the total T_Q·T_U, which the scan derives from the two instances the
+// atom names (Atom) rather than reading it. Two distributions compare by
+// their normalised cumulative masses, cross-multiplied (Norm), so ≤st is the
+// usual stochastic order of two fixed rational distributions: a partial
+// order by construction, which the mixture over the query's instances
+// preserves. The masses depend only on the stored probability bits.
 
 // MassUnit is the unit of the integer masses, 2⁻⁶⁰.
 const MassUnit = 0x1p-60
@@ -75,23 +73,31 @@ func (a Mass) Min(b Mass) Mass {
 func (a Mass) IsZero() bool { return a.Hi|a.Lo == 0 }
 
 // Atom is one atom of a distribution on the exact scale: a distance and
-// its integer mass.
+// the query instance Q and object instance U it lies between. Its mass is
+// never stored: the scan derives it as w[Q]·c[U] from the mass tables it
+// is handed (Norm) — the query's masses and the object's for an atom of
+// U_Q; the unit table {1} and the object's for one of a run U_q, whose Q
+// is 0.
 type Atom struct {
 	Dist float64
-	Mass Mass
+	Q, U int32
 }
 
 // Norm compares the cumulative masses of two distributions X and Y whose
-// totals are w·tx and w·ty for a common factor w — T_Q for two U_Q, 1 for
-// two U_q: fx/tx against fy/ty, as fx·ty against fy·tx, exactly.
+// totals are W·tx and W·ty for a common factor W — T_Q for two U_Q, 1 for
+// two U_q: fx/tx against fy/ty, as fx·ty against fy·tx, exactly. It holds
+// the mass tables the scan weighs atoms by: an atom x of X weighs
+// w[x.Q]·cx[x.U], an atom y of Y w[y.Q]·cy[y.U].
 type Norm struct {
-	tx, ty uint64
-	gap    Mass // w·|tx − ty|
+	w, cx, cy []uint64
+	tx, ty    uint64
+	gap       Mass // W·|tx − ty|
 }
 
-// NewNorm returns the Norm of totals w·tx and w·ty.
-func NewNorm(tx, ty, w uint64) Norm {
-	return Norm{tx, ty, Mul(w, max(tx, ty)-min(tx, ty))}
+// NewNorm returns the Norm of the mass tables w, cx and cy and the totals
+// W·tx and W·ty.
+func NewNorm(w, cx, cy []uint64, tx, ty, W uint64) Norm {
+	return Norm{w, cx, cy, tx, ty, Mul(W, max(tx, ty)-min(tx, ty))}
 }
 
 // Below reports whether fx/tx < fy/ty, for fy at most Y's total. fx·ty −
@@ -99,7 +105,7 @@ func NewNorm(tx, ty, w uint64) Norm {
 // ty·gap in size, so fx and fy more than gap apart decide it without a
 // product: an exact filter. The totals lie within about 2⁸·m units of 2⁶⁰
 // each (uncertain.FromSlabs' bound), so the gap is narrow.
-func (n Norm) Below(fx, fy Mass) bool {
+func (n *Norm) Below(fx, fy Mass) bool {
 	if fy.Less(fx) {
 		if n.gap.Less(fx.Sub(fy)) {
 			return false
@@ -112,7 +118,7 @@ func (n Norm) Below(fx, fy Mass) bool {
 
 // Above reports whether fx/tx > fy/ty, for fy at most Y's total, by
 // Below's filter.
-func (n Norm) Above(fx, fy Mass) bool {
+func (n *Norm) Above(fx, fy Mass) bool {
 	if fx.Less(fy) {
 		if n.gap.Less(fy.Sub(fx)) {
 			return false
@@ -139,7 +145,7 @@ func less192(a Mass, b uint64, c Mass, d uint64) bool {
 
 // StochasticLE is the one scan: X ≤st Y from a value at which X's
 // cumulative mass is fx and Y's fy, over their atoms past it, xs and ys,
-// sorted by distance. F_X − F_Y, normalised, is least just below an atom of
+// sorted by distance and weighed by n's tables. F_X − F_Y, normalised, is least just below an atom of
 // X — F_X flat and F_Y growing since the last — and greatest at one, so
 // the scan compares just below each atom of X, where Y moved since the last
 // comparison, and, when strict is asked for, at each distinct value of X
@@ -151,40 +157,24 @@ func less192(a Mass, b uint64, c Mass, d uint64) bool {
 // holds — the instance comparisons of the filtering ablation (Appendix C).
 //
 //nnc:hotpath
-func (n Norm) StochasticLE(xs, ys []Atom, fx, fy Mass, findStrict bool) (le, strict bool, consumed int) {
+func (n *Norm) StochasticLE(xs, ys []Atom, fx, fy Mass, findStrict bool) (le, strict bool, consumed int) {
 	j := 0
 	for i, x := range xs {
 		moved := false
 		for ; j < len(ys) && ys[j].Dist < x.Dist; j++ {
-			fy, moved = fy.Add(ys[j].Mass), true
+			fy, moved = fy.Add(Mul(n.w[ys[j].Q], n.cy[ys[j].U])), true
 		}
 		if moved && n.Below(fx, fy) {
 			return false, strict, i + j
 		}
-		fx = fx.Add(x.Mass)
+		fx = fx.Add(Mul(n.w[x.Q], n.cx[x.U]))
 		if findStrict && !strict && (i+1 == len(xs) || xs[i+1].Dist != x.Dist) {
 			at := fy
 			for k := j; k < len(ys) && ys[k].Dist == x.Dist; k++ {
-				at = at.Add(ys[k].Mass)
+				at = at.Add(Mul(n.w[ys[k].Q], n.cy[ys[k].U]))
 			}
 			strict = n.Above(fx, at)
 		}
 	}
 	return true, strict, len(xs) + len(ys)
-}
-
-// SortAtoms sorts atoms by non-decreasing distance: by insertion up to
-// gatherInsertion atoms, by the stdlib's sort past that.
-func SortAtoms(a []Atom) {
-	if len(a) > gatherInsertion {
-		slices.SortFunc(a, func(x, y Atom) int { return order(x.Dist, y.Dist) })
-		return
-	}
-	for i := 1; i < len(a); i++ {
-		x, j := a[i], i
-		for ; j > 0 && x.Dist < a[j-1].Dist; j-- {
-			a[j] = a[j-1]
-		}
-		a[j] = x
-	}
 }

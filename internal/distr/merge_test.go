@@ -66,72 +66,86 @@ func mergeObject(rng *rand.Rand, mc mergeCase, id, n int, s float64) *uncertain.
 }
 
 // mergedAndSorted returns U_Q of u built both ways — the runs sorted one
-// by one and merged (what a search does), and weighted then sorted whole
-// (the reference) — and u's total.
-func mergedAndSorted(u, q *uncertain.Object, s *distr.RunSorter, tmp []distr.Atom) (merged, sorted []distr.Atom, total uint64) {
+// by one and merged (what a search does), and every instance pair sorted
+// whole (the reference) — u's masses and their total.
+func mergedAndSorted(u, q *uncertain.Object, tmp []distr.Atom) (merged, sorted []distr.Atom, c []uint64, total uint64) {
 	m := u.Len()
 	runs := make([]distr.Atom, m*q.Len())
-	c, cq := make([]uint64, m), make([]uint64, q.Len())
+	c = make([]uint64, m)
 	total = distr.Masses(c, u.Probs())
-	distr.Masses(cq, q.Probs())
-	distr.Summarize(runs, make([]distr.Stat, q.Len()), u, q, c, nil)
+	distr.Summarize(runs, make([]distr.Stat, q.Len()), u, q, nil)
 	sorted = make([]distr.Atom, len(runs))
 	for k, a := range runs {
-		sorted[k] = distr.Atom{Dist: a.Dist, Mass: distr.Mul(cq[k/m], c[k%m])}
+		sorted[k] = distr.Atom{Dist: a.Dist, Q: int32(k / m), U: a.U}
 	}
 	slices.SortStableFunc(sorted, func(a, b distr.Atom) int { return cmp.Compare(a.Dist, b.Dist) })
-	s.SortRuns(runs, make([]int32, len(runs)), c)
-	return distr.MergeRuns(make([]distr.Atom, len(runs)), tmp, runs, m, cq), sorted, total
+	sortRuns(runs, m)
+	return distr.MergeRuns(make([]distr.Atom, len(runs)), tmp, runs, m), sorted, c, total
 }
 
-// MergeRuns builds the U_Q that weighing every atom and sorting them all
-// builds: the same atoms, in non-decreasing order — and so every verdict
-// of the scan, and the atoms it consumes, are the same on pairs of
-// distributions built either way. Checked over |Q| of 1, 2, 3, 8 and 9
+// sortRuns sorts each run of m atoms in place, as a sweep does.
+func sortRuns(runs []distr.Atom, m int) {
+	for lo := 0; lo < len(runs); lo += m {
+		distr.SortAtoms(runs[lo : lo+m])
+	}
+}
+
+// MergeRuns builds the U_Q that sorting every instance pair builds: the
+// same atoms, naming the same instances, in non-decreasing order — and so
+// every verdict of the scan, and the atoms it consumes, are the same on
+// pairs of distributions built either way. The masses the scan derives
+// from a merged U_Q sum to T_Q·T_U. Checked over |Q| of 1, 2, 3, 8 and 9
 // (zero, one, two and four merge passes, with an odd run left over), m on
 // both sides of the insertion-sort cutoff, tie-heavy runs and
 // zero-probability instances on both sides.
 func TestMergeRunsMatchesWeightedSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
-	var s distr.RunSorter
 	tmp := make([]distr.Atom, 9*130)
 	verdicts := map[bool]int{}
 	for _, mc := range mergeCases {
 		for _, nq := range []int{1, 2, 3, 8, 9} {
-			for _, m := range []int{1, 10, 24, 25, 130} {
+			for _, m := range []int{1, 10, 64, 65, 130} {
 				q := mergeObject(rng, mc, 0, nq, 0)
 				cq := make([]uint64, nq)
 				tq := distr.Masses(cq, q.Probs())
 				var merged, sorted [][]distr.Atom
+				var masses [][]uint64
 				var totals []uint64
 				for id := 1; id <= 4; id++ {
 					u := mergeObject(rng, mc, id, m, float64(rng.Intn(3)))
-					got, want, tu := mergedAndSorted(u, q, &s, tmp)
+					got, want, cu, tu := mergedAndSorted(u, q, tmp)
 					if !slices.IsSortedFunc(got, func(a, b distr.Atom) int { return cmp.Compare(a.Dist, b.Dist) }) {
 						t.Fatalf("%s |Q|=%d m=%d: merged atoms out of order", mc.name, nq, m)
 					}
 					byValue := func(a, b distr.Atom) int {
-						return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.Mass.Hi, b.Mass.Hi), cmp.Compare(a.Mass.Lo, b.Mass.Lo))
+						return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.Q, b.Q), cmp.Compare(a.U, b.U))
 					}
 					g, w := slices.Clone(got), slices.Clone(want)
 					slices.SortFunc(g, byValue)
 					slices.SortFunc(w, byValue)
 					if !slices.Equal(g, w) {
-						t.Fatalf("%s |Q|=%d m=%d: merged atoms are not the weighted atoms", mc.name, nq, m)
+						t.Fatalf("%s |Q|=%d m=%d: merged atoms are not the instance pairs", mc.name, nq, m)
+					}
+					var sum distr.Mass
+					for _, a := range got {
+						sum = sum.Add(distr.Mul(cq[a.Q], cu[a.U]))
+					}
+					if sum != distr.Mul(tq, tu) {
+						t.Fatalf("%s |Q|=%d m=%d: the derived masses sum to %v, not T_Q·T_U", mc.name, nq, m, sum)
 					}
 					if mc.name == "distinct" && !slices.Equal(got, want) {
 						t.Fatalf("|Q|=%d m=%d: distinct distances, yet the merge's order is not the sort's", nq, m)
 					}
-					merged, sorted, totals = append(merged, got), append(sorted, want), append(totals, tu)
+					merged, sorted, masses, totals = append(merged, got), append(sorted, want), append(masses, cu), append(totals, tu)
 					// A renormalised copy of u: equal to u, or an ulp of
 					// mass apart.
 					twin := uncertain.MustNew(id+10, u.Points(), u.Probs())
-					mt, tt, tw := mergedAndSorted(twin, q, &s, tmp)
-					merged, sorted, totals = append(merged, mt), append(sorted, tt), append(totals, tw)
+					mt, tt, cw, tw := mergedAndSorted(twin, q, tmp)
+					merged, sorted, masses, totals = append(merged, mt), append(sorted, tt), append(masses, cw), append(totals, tw)
 				}
 				for a := range merged {
 					for b := range merged {
-						n := distr.NewNorm(totals[a], totals[b], tq)
+						n := distr.NewNorm(cq, masses[a], masses[b], totals[a], totals[b], tq)
 						le, strict, nm := n.StochasticLE(merged[a], merged[b], distr.Mass{}, distr.Mass{}, true)
 						le2, strict2, ns := n.StochasticLE(sorted[a], sorted[b], distr.Mass{}, distr.Mass{}, true)
 						if le != le2 || strict != strict2 || nm != ns {
@@ -154,13 +168,10 @@ func TestMergeRunsMatchesWeightedSort(t *testing.T) {
 	q := mergeObject(rng, mergeCases[1], 0, 9, 0)
 	u := mergeObject(rng, mergeCases[1], 1, 25, 0)
 	runs := make([]distr.Atom, u.Len()*q.Len())
-	c, cq := make([]uint64, u.Len()), make([]uint64, q.Len())
-	distr.Masses(c, u.Probs())
-	distr.Masses(cq, q.Probs())
-	distr.Summarize(runs, make([]distr.Stat, q.Len()), u, q, c, nil)
-	s.SortRuns(runs, make([]int32, len(runs)), c)
+	distr.Summarize(runs, make([]distr.Stat, q.Len()), u, q, nil)
+	sortRuns(runs, u.Len())
 	dst := make([]distr.Atom, len(runs))
-	if n := testing.AllocsPerRun(10, func() { distr.MergeRuns(dst, tmp, runs, u.Len(), cq) }); n != 0 {
+	if n := testing.AllocsPerRun(10, func() { distr.MergeRuns(dst, tmp, runs, u.Len()) }); n != 0 {
 		t.Fatalf("a warm merge allocates %v times", n)
 	}
 }
