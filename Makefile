@@ -230,16 +230,18 @@ smoke:
 	grep -q ' bye$$' $$d/rebuilt.log || { echo "smoke: the server on the rebuilt file did not shut down cleanly"; cat $$d/rebuilt.log; exit 1; }; \
 	echo "smoke: memory and disk servers agree, nncclient drives them, shut down cleanly; a router over two shard servers answers the memory server's candidates; a pending WAL is refused read-only and replayed -mutable; nnc fsck finds the file clean after the build and after the replay; a rebuild over a pending WAL drops it and serves read-only"
 
-# The ten fuzz targets: eight decoders of bytes this process did not
+# The eleven fuzz targets: eight decoders of bytes this process did not
 # write — the CSV loader, the page-file opener, the object record, the
 # rtree node, the super page, the WAL record scanner, a shard's
 # /shard/query reply as the router decodes it — and the HTTP request
 # pipeline (decodeBody → buildQuery): never a panic, never garbage
-# accepted. The ninth and tenth are property targets: whenever S-SD's
+# accepted. The other three are property targets: whenever S-SD's
 # entry test counts a band member against a rectangle, the checker finds
-# that member dominating the objects inside it (FuzzSSDEntryTest), and
+# that member dominating the objects inside it (FuzzSSDEntryTest);
 # wherever S-SD's mass rung decides a pair of objects on bucket masses, the
-# exact scan agrees (FuzzSSDBucketRung).
+# exact scan agrees (FuzzSSDBucketRung); and on a query with an instance
+# within an ulp of two objects' bisector, every filter configuration
+# gives every operator's unfiltered verdict and search (FuzzBisectorQuery).
 # Several corpora seed large inputs; left at its 60s default the fuzzer
 # spends the whole run minimizing mutations of them, hence
 # -fuzzminimizetime. FUZZTIME is per target.
@@ -255,8 +257,9 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzBuildQuery -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzSSDEntryTest -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzSSDBucketRung -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzBisectorQuery -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/core
 
-# fuzz-smoke is the short pass wired into `make check`: the same ten
+# fuzz-smoke is the short pass wired into `make check`: the same eleven
 # targets at 5s each.
 fuzz-smoke:
 	$(MAKE) fuzz FUZZTIME=5s

@@ -709,8 +709,9 @@ func BenchmarkCommit(b *testing.B) {
 // BenchmarkTable2 — one search at the paper's Table 2 object and query
 // sizes, m_d ∈ {20, 40} and m_q = 30, for each operator, over an
 // anti-correlated and a HOUSE-like dataset in turn (fixed seed). At these
-// sizes S-SD's and SS-SD's scans run over |Q|·m atoms and P-SD's transport
-// is |hull| × m wide, which no m = 10 benchmark reaches. It reports the
+// sizes S-SD's and SS-SD's scans run over |Q|·m atoms and P-SD's sweep
+// fills m × m rows at each of the |Q| query instances, which no m = 10
+// benchmark reaches. It reports the
 // dominance counters and the examined objects per query (S-SD's mass
 // prunes, its mass rung's decisions and its U_Q builds among them) and a
 // digest of every query's candidate

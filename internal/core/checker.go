@@ -20,15 +20,14 @@ import (
 // their caches by object ID in one map, so callers of those must give
 // distinct IDs to distinct objects.
 type Checker struct {
-	rectPred // op, metric, euclid, hull (the points of hullIdx), qMBR
+	rectPred // op, metric, euclid, posFirst (the points of posFirstIdx), qMBR
 
-	query   *uncertain.Object
-	cfg     FilterConfig
-	statCut bool     // StatPruning is on and the operator implies S-SD
-	hullIdx []int    // indices into query instances used by point-level checks, rectPred's order
-	isHull  []bool   // per query instance: whether hullIdx names it
-	qMass   []uint64 // per query instance: its integer mass c(p) (distr.Units)
-	qTotal  uint64   // their sum, T_Q
+	query       *uncertain.Object
+	cfg         FilterConfig
+	statCut     bool     // StatPruning is on and the operator implies S-SD
+	posFirstIdx []int    // the query's instance indices, positive mass first: rectPred's order
+	qMass       []uint64 // per query instance: its integer mass c(p) (distr.Units)
+	qTotal      uint64   // their sum, T_Q
 
 	// The bucket edges of S-SD's mass rung (massOrder), fixed by the first
 	// object summarised when bkPending; bk.N = 0 while there are none.
@@ -47,9 +46,9 @@ func NewChecker(query *uncertain.Object, op Operator, cfg FilterConfig) *Checker
 	return NewCheckerMetric(query, op, cfg, geom.Euclidean)
 }
 
-// NewCheckerMetric is NewChecker under an arbitrary metric. Non-Euclidean
-// metrics disable the convex-hull reduction (its bisector argument is
-// L2-specific) but keep every other filter; verdicts are metric-exact.
+// NewCheckerMetric is NewChecker under an arbitrary metric. Every filter
+// applies under every metric but the band's stopping radius, which is
+// L2's alone (band); verdicts are metric-exact.
 //
 // The checker owns a private CheckScratch; searches that run many checkers
 // should pool scratches and use CheckScratch.Checker instead, which is what
@@ -99,7 +98,7 @@ func (c *Checker) Operator() Operator { return c.op }
 // answers "yes", with a match that is a flow over the rows rung 8 solves.
 // U_Q ≠ V_Q is read off the comparison made: a strict point (S-SD), a
 // strict run at a query instance of positive mass (SS-SD, P-SD's sweep), a
-// tuple strictly nearer at a hull instance of positive mass (rung 7), and
+// tuple strictly nearer at a query instance of positive mass (rung 7), and
 // otherwise the scan of U_Q. Each rung is gated by the FilterConfig flag
 // it always was, rungs 7 and 4a by StatPruning.
 func (c *Checker) Dominates(u, v *uncertain.Object) bool {
@@ -111,12 +110,12 @@ func (c *Checker) Dominates(u, v *uncertain.Object) bool {
 // Every verdict keeps the key order: a dominator's min(U_Q) is no larger
 // than the dominated object's, compared exactly. Algorithm 1's heap, its
 // tie batch and the answer shield rely on it (engine.go, shield.go). Rung 1
-// asks it, and the scans of S-SD and SS-SD imply it; but P-SD's rows,
-// F-SD's hull instances and F+SD's per-dimension sums imply it in real
-// arithmetic only — the minimum may lie at a query instance off the hull,
-// or round an ulp the other way — so without rung 1 it is asked on its
-// own. The search's band asks decide directly: its members were popped
-// first, in key order.
+// asks it; the scans of S-SD and SS-SD, P-SD's rows and F-SD's rows imply
+// it, each at the query instance where V's least distance lies; but F+SD's
+// per-dimension sums imply it in real arithmetic only — they may round an
+// ulp the other way — so without rung 1 it is asked on its own. The
+// search's band asks decide directly: its members were popped first, in
+// key order.
 //
 //nnc:hotpath
 func (c *Checker) sd(su, sv *objCache) bool {
@@ -173,12 +172,12 @@ type objCache struct {
 	distQ    []distr.Atom // U_Q, built from atoms when first scanned
 
 	// P-SD's rungs 4a and 7, with the summary (matchFirst): every
-	// instance's distances to the hull query instances, instance after
-	// instance, their sums, and the distances of the least; the
-	// positive-mass instances in order of their sums (matchOrder, when a
-	// rung first needs them).
-	hullD, sums, first []float64
-	order              []int32
+	// instance's distances to the query instances, positive mass first,
+	// instance after instance, their sums, and the distances of the least;
+	// the positive-mass instances in order of their sums (matchOrder, when
+	// a rung first needs them).
+	posFirstD, sums, first []float64
+	order                  []int32
 
 	buckets []distr.Bucket // U_Q's bucket summary under bk, or nil
 }
@@ -212,8 +211,8 @@ func (c *Checker) summaryOf(o *uncertain.Object) *objCache { return c.summary(c.
 // evaluated once and yield the heap key min(U_Q), the statistics of U_Q and
 // of every U_q, the atoms every later scan sorts on demand, the integer
 // masses of the instances, for S-SD the
-// bucket masses of its mass rung and, for P-SD, the hull distances rungs
-// 4a and 7 read (matchFirst).
+// bucket masses of its mass rung and, for P-SD, the distances rungs 4a and
+// 7 read in rectPred's order (matchFirst).
 //
 //nnc:hotpath
 func (c *Checker) summary(oc *objCache) *objCache {
@@ -458,29 +457,22 @@ type rectPred struct {
 	op     Operator
 	metric geom.Metric
 	euclid bool // fast paths for the default metric
-	// hull holds the query instances the point-level tests range over, one
-	// after another, each of the query's dimension — len(qMBR.Lo); the
-	// first pos of them have positive mass (massFirst).
-	hull []float64
-	pos  int
-	qMBR geom.Rect
+	// posFirst holds every query instance, one after another, each of the
+	// query's dimension — len(qMBR.Lo) — those of positive mass first: the
+	// first pos of them (massFirst). The point-level tests range over all
+	// of them.
+	posFirst []float64
+	pos      int
+	qMBR     geom.Rect
 }
 
-// massFirst appends to dst the query instances idx names — every one when
-// idx is nil — those of positive mass first, each group in idx's order, and
-// returns them with the number of positive mass: the order of rectPred's
-// hull, in which a strict row counts only among the first pos.
-func massFirst(dst []int, q *uncertain.Object, idx []int) (order []int, pos int) {
-	n := len(idx)
-	if idx == nil {
-		n = q.Len()
-	}
+// massFirst appends to dst the indices of q's instances, those of positive
+// mass first, each group in instance order, and returns them with the
+// number of positive mass: the order of rectPred's posFirst, in which a
+// strict row counts only among the first pos.
+func massFirst(dst []int, q *uncertain.Object) (order []int, pos int) {
 	for _, positive := range [2]bool{true, false} {
-		for k := range n {
-			j := k
-			if idx != nil {
-				j = idx[k]
-			}
+		for j := range q.Len() {
 			if (q.Prob(j) > 0) == positive {
 				dst = append(dst, j)
 			}
@@ -492,18 +484,18 @@ func massFirst(dst []int, q *uncertain.Object, idx []int) (order []int, pos int)
 	return dst, pos
 }
 
-// hullLen is how many query instances hull holds.
-func (p *rectPred) hullLen() int { return len(p.hull) / len(p.qMBR.Lo) }
+// posFirstLen is how many query instances posFirst holds: all of them.
+func (p *rectPred) posFirstLen() int { return len(p.posFirst) / len(p.qMBR.Lo) }
 
-// hullPt is hull's query instance t, a view of the slab.
-func (p *rectPred) hullPt(t int) geom.Point {
+// posFirstPt is posFirst's query instance t, a view of the slab.
+func (p *rectPred) posFirstPt(t int) geom.Point {
 	d := len(p.qMBR.Lo)
-	return p.hull[t*d : (t+1)*d : (t+1)*d]
+	return p.posFirst[t*d : (t+1)*d : (t+1)*d]
 }
 
 // far is the largest distance from q to a point of r, near the smallest.
 // Rectangle domination is a component-wise comparison of a's far vector
-// against b's near vector over the hull query instances (Emrich, Kriegel &
+// against b's near vector over the query instances (Emrich, Kriegel &
 // Züfle), in distances, the domain of the summary's: near is never larger
 // than a distance the summary computes from q to an instance in the
 // rectangle, far never smaller (band's comment in engine.go).
@@ -524,7 +516,7 @@ func (p *rectPred) near(q geom.Point, r geom.Rect) float64 {
 // within is one component of the far ≤ near comparison: whether a's far distance f
 // from a query instance is no larger than b's near distance n, recording in
 // strict a component where it is smaller at an instance of positive mass.
-// le folds it over the hull query instances, band.dominatesRect over the
+// le folds it over the query instances, band.dominatesRect over the
 // band's far slab.
 func within(f, n float64, positive bool, strict *bool) bool {
 	if f < n && positive {
@@ -534,11 +526,11 @@ func within(f, n float64, positive bool, strict *bool) bool {
 }
 
 // le reports whether every point of a is at least as close as every point
-// of b to every hull query instance (the MBR-level u ⪯Q v test), with a
+// of b to every query instance (the MBR-level u ⪯Q v test), with a
 // strictness witness and the number of query instances it looked at.
 func (p *rectPred) le(a, b geom.Rect) (le, strict bool, compared int) {
-	for t := range p.hullLen() {
-		q := p.hullPt(t)
+	for t := range p.posFirstLen() {
+		q := p.posFirstPt(t)
 		compared++
 		if !within(p.far(q, a), p.near(q, b), t < p.pos, &strict) {
 			return false, false, compared
@@ -564,7 +556,7 @@ func (p *rectPred) dominates(a, b geom.Rect) (dom bool, compared int) {
 // fplus is F+SD on two rectangles: the two MBRs against the query's MBR
 // (Euclidean), or against the query instances with metric rectangle bounds
 // for other metrics, with le's witness of U_Q ≠ V_Q for every pair of
-// objects inside them: a hull query instance of positive mass strictly
+// objects inside them: a query instance of positive mass strictly
 // nearer to all of a than to any of b. A spread inside a rectangle is no
 // witness: a point object at a's far corner and its copy at b's near
 // corner spread nowhere.
@@ -577,7 +569,7 @@ func (p *rectPred) fplus(a, b geom.Rect) (dom bool, compared int) {
 		return false, 0
 	}
 	for t := range p.pos {
-		q := p.hullPt(t)
+		q := p.posFirstPt(t)
 		compared++
 		if p.far(q, a) < p.near(q, b) {
 			return true, compared

@@ -262,8 +262,8 @@ type searchScratch struct {
 // permuted together with the members (toFront).
 //
 // "Does this member dominate the popped entry's rectangle?"
-// (dominatesRect): far holds one row per member, of stride hullLen() —
-// at each hull query instance q, the member's largest distance to q over
+// (dominatesRect): far holds one row per member, of stride posFirstLen() —
+// at each query instance q, the member's largest distance to q over
 // its positive-mass instances, perQStat's Max, which depends on the member
 // alone. The member is known instance by instance, so its far vector is
 // read off its instances, not its MBR: never larger, since each instance
@@ -292,16 +292,16 @@ type searchScratch struct {
 // max). By the same steps a far distance (Rect.MaxDistPoint, each gap no
 // smaller) is no smaller than any of them, and an entry's key
 // (Rect.MinDistRect to the query's MBR) is no larger than the near
-// distance from any q in that MBR. Hence far ≤ near at every hull
-// instance, strictly at one, is F-SD at the hull instances in the
+// distance from any q in that MBR. Hence far ≤ near at every query
+// instance, strictly at one, is F-SD at the query instances in the
 // summary's own floats, with strictness: exactly the MBR test's
 // conclusion, which the cover chain carries to every operator but F+SD.
-// And a key beyond the radius is strictly beyond every hull instance's far
+// And a key beyond the radius is strictly beyond every query instance's far
 // distance of k members.
 //
-// The strictness counts only at hull instances of positive mass, the first
-// pos of the hull (massFirst): only there does a strict row make U_Q ≠ V_Q.
-// So radius stays +Inf when the hull has none.
+// The strictness counts only at query instances of positive mass, the first
+// pos of posFirst (massFirst): only there does a strict row make U_Q ≠ V_Q.
+// So radius stays +Inf when the query has none.
 //
 // Under S-SD a member that fails its F-SD row may still dominate the
 // rectangle in distribution (massDominates): N_r puts the mass c(p_q) on
@@ -332,10 +332,10 @@ func (b *band) push(c *Checker, so *objCache, k int) {
 	if c.op == FPlusSD {
 		return // asked member by member (dominatesRect): no far row to keep
 	}
-	// Not stat.Max: it skips query instances of zero probability, which
-	// the hull keeps and the entry test compares at.
+	// Not stat.Max: it skips query instances of zero probability, at which
+	// the entry test compares too.
 	reach := math.Inf(-1)
-	for _, j := range c.hullIdx {
+	for _, j := range c.posFirstIdx {
 		f := so.perQStat[j].Max
 		b.far = append(b.far, f)
 		reach = max(reach, f)
@@ -711,11 +711,11 @@ func (b *band) dominatesRect(c *Checker, r geom.Rect, k int) bool {
 	if len(b.objs) < k {
 		return false
 	}
-	h := c.hullLen()
+	h := c.posFirstLen()
 	near := grow(c.scratch.near, h)
 	c.scratch.near = near
 	for t := range near {
-		near[t] = c.near(c.hullPt(t), r)
+		near[t] = c.near(c.posFirstPt(t), r)
 	}
 	var failed []int32
 	if c.op == SSD {

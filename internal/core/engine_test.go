@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"slices"
 	"sync"
 	"testing"
 
@@ -210,7 +209,7 @@ func TestSearchHeapOrdering(t *testing.T) {
 // insertion order. And the entry test subsumes cover validation on MBRs
 // (Theorem 4), which is why the checker has no such rung: wherever a
 // member's MBR dominates r for an operator of the cover chain, the member
-// passes entryDominates against r, and F-SD at the hull instances (hullFSD)
+// passes entryDominates against r, and F-SD at the query instances (rowFSD)
 // holds between it and an object whose MBR is r.
 func TestSlabEntryTestMatchesRectDominates(t *testing.T) {
 	rng := rand.New(rand.NewSource(2303))
@@ -259,9 +258,9 @@ func TestSlabEntryTestMatchesRectDominates(t *testing.T) {
 						}
 						if dom, _ := c.dominates(u.MBR(), r); dom && op != FPlusSD {
 							subsumed[op]++
-							if !entry || !hullFSD(c, c.summaryOf(u), c.summaryOf(v)) {
-								t.Fatalf("iter %d %s %v: MBR of %d dominates %v, entry test %v, F-SD at the hull %v",
-									iter, m.Name(), op, u.ID(), r, entry, hullFSD(c, c.summaryOf(u), c.summaryOf(v)))
+							if !entry || !rowFSD(c, c.summaryOf(u), c.summaryOf(v)) {
+								t.Fatalf("iter %d %s %v: MBR of %d dominates %v, entry test %v, F-SD %v",
+									iter, m.Name(), op, u.ID(), r, entry, rowFSD(c, c.summaryOf(u), c.summaryOf(v)))
 							}
 						}
 					}
@@ -300,7 +299,7 @@ func TestSlabEntryTestMatchesRectDominates(t *testing.T) {
 // points to the query instances (V_Q ≈ N_r, equal for one query instance).
 // Rectangles include points on a member's instances, where U_Q can equal
 // N_r and only the witness keeps U from counting, and rectangles by a query
-// instance off the hull, whose mass N_r must carry.
+// instance, whose mass N_r must carry.
 func FuzzSSDEntryTest(f *testing.F) {
 	for seed := range int64(64) {
 		f.Add(seed)
@@ -338,11 +337,8 @@ func FuzzSSDEntryTest(f *testing.F) {
 				c = members[rng.Intn(len(members))].Instance(0).Clone()
 			case 1: // overlapping the query
 				c = q.Instance(rng.Intn(q.Len())).Clone()
-			case 2: // nearer a query instance, off the hull if one is, than a member
+			case 2: // nearer a query instance than a member
 				j := rng.Intn(q.Len())
-				if in := interior(q); len(in) > 0 {
-					j = in[rng.Intn(len(in))]
-				}
 				a, b := q.Instance(j), members[rng.Intn(len(members))].Instance(0)
 				t := rng.Float64() / 2
 				c = geom.Point{a[0] + t*(b[0]-a[0]), a[1] + t*(b[1]-a[1])}
@@ -407,17 +403,6 @@ func FuzzSSDEntryTest(f *testing.F) {
 			}
 		}
 	})
-}
-
-// interior lists the query instances off the convex hull.
-func interior(q *uncertain.Object) []int {
-	var in []int
-	for j := range q.Len() {
-		if !slices.Contains(q.HullIndices(), j) {
-			in = append(in, j)
-		}
-	}
-	return in
 }
 
 // clampInto is the point of r nearest to p under L2, L1 and L∞ alike.

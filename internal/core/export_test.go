@@ -25,7 +25,7 @@ func RectDominator(q *uncertain.Object, op Operator, cfg FilterConfig, m geom.Me
 
 // entryDominates is the band's entry test for one member, written from its
 // definition and without the band: under F+SD the MBR predicate; otherwise,
-// at every hull query instance q, u's largest distance to q over its
+// at every query instance q, u's largest distance to q over its
 // positive-mass instances (the metric's Dist, which is the summary's
 // distance term for term) is at most r's near distance from q
 // (MinDistRect), strictly at one of positive mass — distances, never
@@ -37,8 +37,8 @@ func entryDominates(c *Checker, u *uncertain.Object, r geom.Rect) bool {
 		return dom
 	}
 	strict := false
-	for t := range c.hullLen() {
-		q := c.hullPt(t)
+	for t := range c.posFirstLen() {
+		q := c.posFirstPt(t)
 		far := math.Inf(-1)
 		for i := 0; i < u.Len(); i++ {
 			if u.Prob(i) > 0 {

@@ -102,15 +102,15 @@ func isoPair(rng *rand.Rand, c *Checker, kind, dim, m, probs int) (u, v *uncerta
 
 // farthestAdmitted returns v moved up in its first coordinate to the last
 // float the reference pair test (instLE) admits against v: du ≤ dv at every
-// hull instance, with equality in floating point at the tightest one. Every
+// query instance, with equality in floating point at the tightest one. Every
 // distance grows with that coordinate, so the floats it admits are an
 // interval, bisected here on their bit patterns.
 func farthestAdmitted(c *Checker, v geom.Point) geom.Point {
-	dv := pointHullDists(c, v)
+	dv := pointDists(c, v)
 	u := v.Clone()
 	admitted := func(x float64) bool {
 		u[0] = x
-		return instLE(pointHullDists(c, u), dv)
+		return instLE(pointDists(c, u), dv)
 	}
 	lo, hi := math.Float64bits(v[0]), math.Float64bits(v[0]+1)
 	for hi-lo > 1 {
@@ -124,11 +124,11 @@ func farthestAdmitted(c *Checker, v geom.Point) geom.Point {
 	return u
 }
 
-// pointHullDists is hullDists for one point: the floats the summary holds.
-func pointHullDists(c *Checker, p geom.Point) []float64 {
-	d := make([]float64, c.hullLen())
+// pointDists is queryDists for one point: the floats the summary holds.
+func pointDists(c *Checker, p geom.Point) []float64 {
+	d := make([]float64, c.posFirstLen())
 	for t := range d {
-		d[t] = c.metric.Dist(p, c.hullPt(t))
+		d[t] = c.metric.Dist(p, c.posFirstPt(t))
 	}
 	return d
 }
@@ -234,7 +234,7 @@ func TestIsolationRungEdges(t *testing.T) {
 		}
 	}
 
-	// du = dv + 5e-10 at every hull instance (L1, everything above and to
+	// du = dv + 5e-10 at every query instance (L1, everything above and to
 	// the right of Q): no instance of U is admitted with any of V.
 	q := uncertain.MustNew(0, []geom.Point{{0, 0}, {1, 0}, {0, 1}}, nil)
 	vp := []geom.Point{{20, 20}, {24, 17}, {17, 26}}
@@ -244,7 +244,7 @@ func TestIsolationRungEdges(t *testing.T) {
 	}
 	edge("5e-10 out", geom.Manhattan, q, uncertain.MustNew(1, up, nil), uncertain.MustNew(2, vp, nil), true)
 	// The other way round: every instance of V has its copy, 5e-10 nearer
-	// every hull instance, for a partner.
+	// every query instance, for a partner.
 	edge("5e-10 in", geom.Manhattan, q, uncertain.MustNew(1, vp, nil), uncertain.MustNew(2, up, nil), false)
 
 	// An instance of mass 5e-10 nearer the query than all of U: it has no

@@ -79,7 +79,7 @@ func TestSearchKMatchesBruteForce(t *testing.T) {
 		}
 	}
 	// F+SD under a wide query: its dominance is defined against the whole
-	// query MBR, which is much larger than the hull of three far-apart
+	// query MBR, which is much larger than the triangle of three far-apart
 	// instances, so an entry test against the instances prunes subtrees no
 	// band member F+SD-dominates (15 of these 120 searches lost a candidate
 	// that way).

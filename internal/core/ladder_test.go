@@ -144,7 +144,7 @@ func TestLadderAgreesWithNoFilterWideObjects(t *testing.T) {
 		// rung 7's match walk is Theorem 1's and decides every pair the exact
 		// test could: only a wider query has a pair for the exact test alone.
 		q := ladderObject(rng, 0, 2+rng.Intn(4), 10, 10)
-		for len(q.HullIndices()) < 2 {
+		for slices.Equal(q.MBR().Lo, q.MBR().Hi) {
 			q = ladderObject(rng, 0, 2+rng.Intn(4), 10, 10)
 		}
 		u, v := widePair(rng, 1, 2, 70, q, geom.Point{50 + float64(rng.Intn(20)), 20})

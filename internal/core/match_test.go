@@ -201,13 +201,14 @@ func normalized(t *testing.T, id int, pts []geom.Point, probs []float64) *uncert
 	return o
 }
 
-// hullFSD reports F-SD at the hull query instances on two summaries: every
-// positive-mass instance of U at least as close to each hull instance as
-// every one of V, read off the per-query-instance extremes, with fsd's
-// witness at a hull instance of positive mass — a strict row or a spread.
-func hullFSD(c *Checker, su, sv *objCache) bool {
+// rowFSD reports F-SD at the query instances on two summaries, in
+// rectPred's order: every positive-mass instance of U at least as close to
+// each query instance as every one of V, read off the per-query-instance
+// extremes, with fsd's witness at a query instance of positive mass — a
+// strict row or a spread.
+func rowFSD(c *Checker, su, sv *objCache) bool {
 	strict := false
-	for t, j := range c.hullIdx {
+	for t, j := range c.posFirstIdx {
 		a, b := su.perQStat[j], sv.perQStat[j]
 		if a.Max > b.Min {
 			return false
@@ -217,22 +218,22 @@ func hullFSD(c *Checker, su, sv *objCache) bool {
 	return strict
 }
 
-// hullFacts checks, on one pair under metric m, the two facts that leave
-// the ladder no rung for F-SD at the hull instances: wherever it holds,
+// fsdFacts checks, on one pair under metric m, the two facts that leave
+// the ladder no rung for F-SD at the query instances: wherever it holds,
 // (a) P-SD's match witness validates the pair, and (b) under S-SD rung 1a
 // decides it "yes" whenever the search has buckets — fixed by U's summary
 // or by V's. Every operator, and the unfiltered checker, says U dominates
 // V. held reports whether the premise held, binned how many of the two
 // S-SD checks had buckets.
-func hullFacts(t *testing.T, tag string, m geom.Metric, q, u, v *uncertain.Object) (held bool, binned int) {
+func fsdFacts(t *testing.T, tag string, m geom.Metric, q, u, v *uncertain.Object) (held bool, binned int) {
 	t.Helper()
 	c := NewCheckerMetric(q, PSD, AllFilters, m)
 	su, sv := c.summaryOf(u), c.summaryOf(v)
-	if !hullFSD(c, su, sv) {
+	if !rowFSD(c, su, sv) {
 		return false, 0
 	}
 	if !c.matchValidate(su, sv) {
-		t.Fatalf("%s %s: F-SD at the hull, but the match witness refuses\nq=%v\nu=%v\nv=%v", tag, m.Name(), q, u, v)
+		t.Fatalf("%s %s: F-SD, but the match witness refuses\nq=%v\nu=%v\nv=%v", tag, m.Name(), q, u, v)
 	}
 	c = NewCheckerMetric(q, PSD, AllFilters, m)
 	if !c.Dominates(u, v) || c.Stats.CoverValidations != 1 {
@@ -242,7 +243,7 @@ func hullFacts(t *testing.T, tag string, m geom.Metric, q, u, v *uncertain.Objec
 		c = NewCheckerMetric(q, SSD, AllFilters, m)
 		c.summaryOf(first)
 		if !c.Dominates(u, v) {
-			t.Fatalf("%s %s: S-SD says no to a pair with F-SD at the hull", tag, m.Name())
+			t.Fatalf("%s %s: S-SD says no to a pair with F-SD", tag, m.Name())
 		}
 		if c.bk.N > 0 {
 			binned++
@@ -252,30 +253,30 @@ func hullFacts(t *testing.T, tag string, m geom.Metric, q, u, v *uncertain.Objec
 		}
 	}
 	if !NewCheckerMetric(q, SSSD, AllFilters, m).Dominates(u, v) {
-		t.Fatalf("%s %s: SS-SD says no to a pair with F-SD at the hull", tag, m.Name())
+		t.Fatalf("%s %s: SS-SD says no to a pair with F-SD", tag, m.Name())
 	}
 	for _, op := range []Operator{SSD, SSSD, PSD} {
 		if !NewCheckerMetric(q, op, FilterConfig{}, m).Dominates(u, v) {
-			t.Fatalf("%s %s %v: the unfiltered checker says no to a pair with F-SD at the hull", tag, m.Name(), op)
+			t.Fatalf("%s %s %v: the unfiltered checker says no to a pair with F-SD", tag, m.Name(), op)
 		}
 	}
 	return true, binned
 }
 
-// Wherever F-SD holds at the hull instances, P-SD's
+// Wherever F-SD holds, P-SD's
 // match witness and S-SD's rung 1a decide the pair "yes" before the exact
-// test, so the ladder needs no rung of its own for F-SD at the hull:
-// hullFacts holds on every pair of eachMatchPair, whose apart and touching
+// test, so the ladder needs no rung of its own for F-SD:
+// fsdFacts holds on every pair of eachMatchPair, whose apart and touching
 // shapes carry the premise — with co-located copies inside V and across
 // the pair, and zero masses placed where they would break F-SD if they
 // counted. (A negative probe, verified to fail this test: a match walk
 // that ends one instance of U early.)
-func TestFSDAtHullDecidedEarly(t *testing.T) {
+func TestFSDDecidedEarly(t *testing.T) {
 	var drawn, held [pairKinds]int
 	binned := 0
 	eachMatchPair(6501, func(tag string, metric geom.Metric, kind int, q, u, v *uncertain.Object) {
 		drawn[kind]++
-		if ok, b := hullFacts(t, tag, metric, q, u, v); ok {
+		if ok, b := fsdFacts(t, tag, metric, q, u, v); ok {
 			held[kind]++
 			binned += b
 		}
@@ -367,7 +368,7 @@ func TestMatchWitnessEdges(t *testing.T) {
 // Rung 7 on the pairs at its edges, under S-SD, SS-SD and P-SD: each
 // verdict is the unfiltered checker's, the match witness validates exactly
 // the dominated pairs under P-SD and is asked by no other operator, and the
-// pairs with F-SD at the hull satisfy hullFacts. The witness must refuse
+// pairs with F-SD satisfy fsdFacts. The witness must refuse
 // every pair whose U_Q equals V_Q — duplicates — and take twins moved by
 // 1e-10 and 1e-10 of mass moved outward.
 func TestCoverValidationEdges(t *testing.T) {
@@ -380,10 +381,10 @@ func TestCoverValidationEdges(t *testing.T) {
 	}
 	weights := []float64{3, 1, 2, 1, 1, 4, 1, 2, 1, 1}
 	for _, tc := range []struct {
-		name      string
-		metric    geom.Metric
-		q, u, v   *uncertain.Object
-		dom, hull bool
+		name     string
+		metric   geom.Metric
+		q, u, v  *uncertain.Object
+		dom, fsd bool
 	}{
 		{"duplicate points", geom.Euclidean, tri,
 			uncertain.MustNew(1, []geom.Point{{5, 5}}, nil), uncertain.MustNew(2, []geom.Point{{5, 5}}, nil),
@@ -421,8 +422,8 @@ func TestCoverValidationEdges(t *testing.T) {
 				t.Errorf("%s %v: the match witness fired %v (%+v)", tc.name, op, fired, c.Stats)
 			}
 		}
-		if held, _ := hullFacts(t, tc.name, tc.metric, tc.q, tc.u, tc.v); held != tc.hull {
-			t.Errorf("%s: F-SD at the hull %v, want %v", tc.name, held, tc.hull)
+		if held, _ := fsdFacts(t, tc.name, tc.metric, tc.q, tc.u, tc.v); held != tc.fsd {
+			t.Errorf("%s: F-SD %v, want %v", tc.name, held, tc.fsd)
 		}
 	}
 }

@@ -110,10 +110,12 @@ type FilterConfig struct {
 	// StatPruning enables statistic-based pruning (min/mean/max of the
 	// distance distributions, Theorem 11) and cover-based pruning ("P").
 	StatPruning bool
-	// Geometric enables the geometric techniques ("G"): restriction of
-	// dominance tests to the query's convex hull, and cover validation on
-	// MBRs (Theorem 4) applied to object entries before they are read,
-	// with the band's stopping radius.
+	// Geometric enables the geometric techniques ("G"): cover validation
+	// on MBRs (Theorem 4) applied to object entries before they are read,
+	// with the band's stopping radius. The paper's third one, restricting
+	// dominance tests to the query's convex hull, is not kept: it holds in
+	// real arithmetic, not in the float distances the verdicts compare,
+	// where it changed P-SD verdicts (DESIGN §7).
 	Geometric bool
 }
 

@@ -4,8 +4,8 @@ import (
 	"math/rand"
 	"testing"
 
-	"spatialdom/internal/distr"
 	"spatialdom/internal/geom"
+	"spatialdom/internal/ref/floatdist"
 	"spatialdom/internal/ref/nnfunc"
 	"spatialdom/internal/uncertain"
 )
@@ -154,7 +154,7 @@ func TestSSSDCompleteness(t *testing.T) {
 		for j := 0; j < q.Len(); j++ {
 			vq := nnfunc.BetweenInstance(v, q.Instance(j))
 			uq := nnfunc.BetweenInstance(u, q.Instance(j))
-			for _, dd := range []distr.Distribution{vq, uq} {
+			for _, dd := range []floatdist.Distribution{vq, uq} {
 				for i := 0; i < dd.Len(); i++ {
 					f := nnfunc.WorldThreshold(j, dd.Pair(i).Dist)
 					scores := f.Scores(objs, q)

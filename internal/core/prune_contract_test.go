@@ -143,7 +143,7 @@ func TestLazyResolveMatchesBruteForce(t *testing.T) {
 //   - U's far corner is an instance of zero probability: its instances prune
 //     V, which its MBR would not (L2 and L1). Under F+SD, which keeps MBRs,
 //     V stays a candidate.
-//   - A hull query instance has probability zero: U's reach there puts the
+//   - A query instance has probability zero: U's reach there puts the
 //     radius past V, which sits near it and is not dominated there.
 //   - U's far distance equals V's near distance and nothing is strict (L2
 //     and L1).
@@ -179,7 +179,7 @@ func TestEntryTestEdges(t *testing.T) {
 		{"zero-mass far corner F+SD", origin,
 			obj(1, []float64{1, 0}, geom.Point{1, 0}, geom.Point{50, 50}), obj(2, nil, geom.Point{3, 0}),
 			[]geom.Metric{geom.Euclidean, geom.Manhattan}, []core.Operator{core.FPlusSD}, true, false},
-		{"zero-mass hull query instance", obj(0, []float64{1, 0}, geom.Point{0, 0}, geom.Point{100, 0}),
+		{"zero-mass query instance", obj(0, []float64{1, 0}, geom.Point{0, 0}, geom.Point{100, 0}),
 			obj(1, nil, geom.Point{1, 0}), obj(2, nil, geom.Point{100, 5}),
 			[]geom.Metric{geom.Euclidean}, chain, true, true},
 		{"far equals near", origin,

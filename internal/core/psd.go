@@ -22,19 +22,19 @@ import (
 //     every U_q are necessary for the SS-SD scans of rung 4;
 //  7. the match witness (matchValidate): Theorem 1's quantile match of
 //     the instances, in order of summed distance, checked tuple by tuple
-//     against ⪯Q, with a tuple strictly nearer at a hull instance of
+//     against ⪯Q, with a tuple strictly nearer at a query instance of
 //     positive mass as the witness that U_Q ≠ V_Q. A pair it validates
 //     never sorts a run, writes a row or solves a transport;
 //
 // 4a. the isolation test (isolated): an instance of positive mass with no
 // partner under ⪯Q fails Hall's condition, so the transport leaves at
-// least its mass unshipped — found on the summary's hull distances, in sum
+// least its mass unshipped — found on the summary's distances, in sum
 // order;
 //
 //  4. the sweep: one pass per query instance over U_q and V_q sorted by
 //     distance, which decides the SS-SD scan U_q ≤st V_q (cover-based
-//     pruning: ¬SS-SD implies ¬P-SD) and, at hull instances, writes the
-//     admissibility rows of Theorem 12 — abandoned the moment a scan fails;
+//     pruning: ¬SS-SD implies ¬P-SD) and writes the admissibility rows of
+//     Theorem 12 — abandoned the moment a scan fails;
 //  8. the exact instance transport over the rows rung 4 wrote: refused
 //     without a solve when a positive-mass instance has no admissible
 //     partner (what rung 4a finds first), and otherwise when it leaves any
@@ -51,11 +51,14 @@ import (
 // list.
 //
 // Rungs 4 and 7 are Sections 5.1.1 and 5.1.2 read off one object. u ⪯Q v is
-// component-wise order in the space of distances to the hull query
-// instances, so in the run sorted for hull instance q the instances of V
-// that q puts out of u's reach are a prefix, which grows as u moves up its
-// own run: one merge of the two runs clears that prefix from every row, a
-// mask at a time, and no pair of instances is ever compared.
+// component-wise order in the space of distances to the query instances —
+// to every one: Section 5.1.2's reduction to the query's convex hull holds
+// in real arithmetic, not in the float distances every rung compares, where
+// an instance inside the hull can order two distances the other way by an
+// ulp (DESIGN §7). So in the run sorted for query instance q the instances
+// of V that q puts out of u's reach are a prefix, which grows as u moves up
+// its own run: one merge of the two runs clears that prefix from every row,
+// a mask at a time, and no pair of instances is ever compared.
 
 func (c *Checker) psd(su, sv *objCache) bool {
 	if c.cfg.StatPruning && !c.perQStatLE(su, sv) {
@@ -82,9 +85,9 @@ func (c *Checker) psd(su, sv *objCache) bool {
 // masses. It says "yes" when every tuple has u ⪯Q v exactly — the two sides'
 // equal totals make the walk end on the last instance of both, so every
 // instance of positive mass is in an admitted tuple — and one tuple is
-// strictly nearer at a hull instance of positive mass: at that instance
+// strictly nearer at a query instance of positive mass: at that instance
 // the match couples U_q below V_q with a strict gap of positive mass, so
-// U_q ≠ V_q and U_Q ≠ V_Q, through the hull reduction the rows rest on.
+// U_q ≠ V_q and U_Q ≠ V_Q.
 // Such a match is a flow over the rows rung 4 would write, so rung 8 would
 // say "yes" too; a pair whose walk fails goes on to the sweep. It is gated
 // by StatPruning and counted in CoverValidations.
@@ -94,7 +97,7 @@ func (c *Checker) matchValidate(su, sv *objCache) bool {
 	if !c.cfg.StatPruning {
 		return false
 	}
-	h := len(c.hullIdx)
+	h := len(c.posFirstIdx)
 	// The first tuple pairs the two instances of least sum. Most walks that
 	// fail, fail there, before either order is built.
 	if !c.admits(su.first, sv.first) {
@@ -106,7 +109,7 @@ func (c *Checker) matchValidate(su, sv *objCache) bool {
 	i, j, strict := 0, 0, false
 	remU, remV := distr.Mul(su.mass[ou[0]], sv.total), distr.Mul(sv.mass[ov[0]], su.total)
 	for tuples := int64(1); ; tuples++ {
-		du, dv := su.hullD[int(ou[i])*h:][:h], sv.hullD[int(ov[j])*h:][:h]
+		du, dv := su.posFirstD[int(ou[i])*h:][:h], sv.posFirstD[int(ov[j])*h:][:h]
 		if !c.admits(du, dv) {
 			c.Stats.InstanceComparisons += tuples
 			return false
@@ -137,23 +140,23 @@ func (c *Checker) matchValidate(su, sv *objCache) bool {
 }
 
 // matchFirst is what the summary adds for P-SD's rungs 4a and 7, while the
-// runs distr.Summarize has just filled are unsorted and in cache: oc.hullD,
-// every instance's distances to the hull query instances, instance after
-// instance; oc.sums, their sums; and oc.first, the distances of the
-// positive-mass instance of least sum (the earliest, on a tie). Every
-// object's sums are taken in the same order of the hull instances, and a
-// rounded sum is monotone in each term, so u ⪯Q v, compared exactly,
-// implies sum(u) ≤ sum(v) as computed.
+// runs distr.Summarize has just filled are unsorted and in cache:
+// oc.posFirstD, every instance's distances to the query instances in
+// rectPred's order, instance after instance; oc.sums, their sums; and
+// oc.first, the distances of the positive-mass instance of least sum (the
+// earliest, on a tie). Every object's sums are taken in the same order of
+// the query instances, and a rounded sum is monotone in each term, so
+// u ⪯Q v, compared exactly, implies sum(u) ≤ sum(v) as computed.
 //
 //nnc:hotpath
 func (c *Checker) matchFirst(oc *objCache) {
-	m, runs, hull := oc.obj.Len(), oc.runs, c.hullIdx
-	h := len(hull)
-	sums, hullD := c.scratch.floats.Alloc(m), c.scratch.floats.Alloc(m*h)
+	m, runs, idx := oc.obj.Len(), oc.runs, c.posFirstIdx
+	h := len(idx)
+	sums, dists := c.scratch.floats.Alloc(m), c.scratch.floats.Alloc(m*h)
 	for i := range sums {
-		d := hullD[i*h:][:h]
+		d := dists[i*h:][:h]
 		var s float64
-		for t, j := range hull {
+		for t, j := range idx {
 			d[t] = runs[j*m+i].Dist
 			s += d[t]
 		}
@@ -165,10 +168,10 @@ func (c *Checker) matchFirst(oc *objCache) {
 			f = i
 		}
 	}
-	oc.sums, oc.hullD, oc.first = sums, hullD, hullD[f*h:][:h]
+	oc.sums, oc.posFirstD, oc.first = sums, dists, dists[f*h:][:h]
 }
 
-// orderKey is one instance of an object and its summed distance to the hull
+// orderKey is one instance of an object and its summed distance to the
 // query instances.
 type orderKey struct {
 	sum  float64
@@ -226,7 +229,7 @@ func (c *Checker) matchOrder(oc *objCache) []int32 {
 // rows of rung 4 admit with it. One instance without a partner refutes the
 // pair — the transport leaves at least its mass unshipped, which its
 // Isolated test refuses — and the search for it reads only the summary
-// (oc.hullD, oc.sums) and matchOrder, so it sorts no run.
+// (oc.posFirstD, oc.sums) and matchOrder, so it sorts no run.
 //
 // It takes V's instances in increasing sum and U's in decreasing, the ones
 // with the fewest partners first, alternating, and stops at the first
@@ -241,15 +244,15 @@ func (c *Checker) isolated(su, sv *objCache) bool {
 		return false
 	}
 	ou, ov := c.matchOrder(su), c.matchOrder(sv)
-	h := len(c.hullIdx)
+	h := len(c.posFirstIdx)
 	var tests int64
 	for a, b := 0, len(ou)-1; a < len(ov) || b >= 0; a, b = a+1, b-1 {
 		if a < len(ov) {
 			v := int(ov[a])
-			dv, bound, found := sv.hullD[v*h:][:h], sv.sums[v], false
+			dv, bound, found := sv.posFirstD[v*h:][:h], sv.sums[v], false
 			for k := 0; k < len(ou) && !found && su.sums[ou[k]] <= bound; k++ {
 				tests++
-				found = c.admits(su.hullD[int(ou[k])*h:][:h], dv)
+				found = c.admits(su.posFirstD[int(ou[k])*h:][:h], dv)
 			}
 			if !found {
 				c.Stats.InstanceComparisons += tests
@@ -258,10 +261,10 @@ func (c *Checker) isolated(su, sv *objCache) bool {
 		}
 		if b >= 0 {
 			u := int(ou[b])
-			du, s, found := su.hullD[u*h:][:h], su.sums[u], false
+			du, s, found := su.posFirstD[u*h:][:h], su.sums[u], false
 			for k := len(ov) - 1; k >= 0 && !found && sv.sums[ov[k]] >= s; k-- {
 				tests++
-				found = c.admits(du, sv.hullD[int(ov[k])*h:][:h])
+				found = c.admits(du, sv.posFirstD[int(ov[k])*h:][:h])
 			}
 			if !found {
 				c.Stats.InstanceComparisons += tests
@@ -274,7 +277,7 @@ func (c *Checker) isolated(su, sv *objCache) bool {
 }
 
 // admits is the rows' pair test (fillRows) on two instances' distances to
-// the hull query instances: u ⪯Q v, du ≤ dv at every one.
+// the query instances: u ⪯Q v, du ≤ dv at every one.
 func (c *Checker) admits(du, dv []float64) bool {
 	for t, d := range du {
 		if d > dv[t] {
@@ -296,7 +299,7 @@ func (c *Checker) sortedRun(oc *objCache, j int) []distr.Atom {
 	return oc.runs[j*m : (j+1)*m]
 }
 
-// sweepRows is what a sweep carries from one hull instance to the next: the
+// sweepRows is what a sweep carries from one query instance to the next: the
 // admissible pairs so far, nu rows of w words over V's instances, and
 // fillRows' forbidden-prefix mask, a row wide.
 type sweepRows struct {
@@ -306,21 +309,17 @@ type sweepRows struct {
 
 // sweep is the pass over the query instances that SS-SD's exact test and
 // P-SD's rungs 4 and 8 share, on the two sorted runs of each: when scan,
-// the scan U_q ≤st V_q; when rows, at hull instances, the row fill. ok is
-// false when a scan fails; otherwise adm, out of the scratch's row buffer,
-// holds exactly the pairs with u ⪯Q v. A failed scan of P-SD's is counted
+// the scan U_q ≤st V_q; when rows, the row fill. ok is false when a scan
+// fails; otherwise adm, out of the scratch's row buffer, holds exactly the
+// pairs with u ⪯Q v (nil without rows). A failed scan of P-SD's is counted
 // as a scan prune.
 func (c *Checker) sweep(su, sv *objCache, scan, rows bool) (adm []uint64, ok bool) {
 	var r sweepRows
+	if rows {
+		r = c.scratch.newSweepRows(su.obj.Len(), sv.obj.Len())
+	}
 	n := runNorm(su, sv)
-	for j, hull := range c.isHull {
-		fill := rows && hull
-		if !scan && !fill {
-			continue
-		}
-		if fill && r.adm == nil {
-			r = c.scratch.newSweepRows(su.obj.Len(), sv.obj.Len())
-		}
+	for j := range c.query.Len() {
 		us, vs := c.sortedRun(su, j), c.sortedRun(sv, j)
 		if scan {
 			le, _, k := n.StochasticLE(us, vs, distr.Mass{}, distr.Mass{}, false)
@@ -333,14 +332,14 @@ func (c *Checker) sweep(su, sv *objCache, scan, rows bool) (adm []uint64, ok boo
 				return nil, false
 			}
 		}
-		if fill {
+		if rows {
 			c.Stats.InstanceComparisons += int64(fillRows(us, vs, &r))
 		}
 	}
 	return r.adm, true
 }
 
-// fillRows clears from the rows the pairs one hull instance q forbids, u
+// fillRows clears from the rows the pairs one query instance q forbids, u
 // farther from q than v, and returns the atoms it read. For a given u the
 // forbidden instances of V are a prefix of V's run, which only grows as u
 // moves up U's run: it is kept as a mask over V's instances, and each row

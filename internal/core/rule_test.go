@@ -48,6 +48,8 @@ func TestFilterConfigsAgreeAtTheRule(t *testing.T) {
 	// farther out, so the copy dominates.
 	orig := uncertain.MustNew(2, pts(1, 0, 2, 0, 3, 0), []float64{9, 6, 3})
 	copied := uncertain.MustNew(1, orig.Points(), orig.Probs())
+	bisector, bisectorPairs := bisectorQuery(), bisectorPairs()
+	bisectorPoints, bisectorWitness, bisectorFlow := bisectorPairs[0], bisectorPairs[1], bisectorPairs[2]
 
 	for _, row := range []struct {
 		name string
@@ -86,7 +88,7 @@ func TestFilterConfigsAgreeAtTheRule(t *testing.T) {
 		{"distance nudged by one ulp", origin,
 			obj(1, pts(1, 0)), obj(2, pts(next, 0)),
 			map[Operator]bool{SSD: true, SSSD: true, PSD: true, FSD: true}},
-		{"instance nudged by one ulp, hull query", tri,
+		{"instance nudged by one ulp, triangle query", tri,
 			obj(1, pts(5, 5, 20, 21)), obj(2, pts(math.Nextafter(5, 6), 5, 20, 21)), nil},
 		{"light instance of V with no partner", tri,
 			obj(1, pts(20, 20)), obj(2, pts(21, 21, 2, 2), 1, 0x1p-56),
@@ -113,7 +115,7 @@ func TestFilterConfigsAgreeAtTheRule(t *testing.T) {
 			map[Operator]bool{SSD: false, SSSD: false, PSD: false, FSD: false, FPlusSD: false}},
 		// V is U moved by an ulp in each coordinate, and every distance the
 		// summary takes rounds to U's, so U_Q = V_Q. Under L2 the MBR test's
-		// squares differ at the hull instances; their roots do not.
+		// squares differ at a query instance; their roots do not.
 		{"twin whose squares differ and distances do not", quad,
 			obj(1, pts(57.136106947917895, 57.57760358006369)), obj(2, pts(57.13610694791789, 57.577603580063695)),
 			map[Operator]bool{SSD: false, SSSD: false, PSD: false}},
@@ -140,6 +142,20 @@ func TestFilterConfigsAgreeAtTheRule(t *testing.T) {
 			map[Operator]bool{SSD: false, SSSD: false, PSD: false, FSD: false, FPlusSD: false}},
 		{"renormalised copy", origin, copied, orig,
 			map[Operator]bool{SSD: true, SSSD: true, PSD: true, FSD: false}},
+		// A query instance inside the triangle of the other three orders
+		// the two points' distances the other way by an ulp
+		// (bisector_test.go): ranged over the hull alone, the rows admitted
+		// u ⪯Q v.
+		{"an interior query instance an ulp the other way", bisector, bisectorPoints[0], bisectorPoints[1],
+			map[Operator]bool{SSSD: false, PSD: false}},
+		// The same points with a second instance each: under AllFilters
+		// the match witness validated the pair on the hull instances.
+		{"an interior query instance against the match witness", bisector, bisectorWitness[0], bisectorWitness[1],
+			map[Operator]bool{PSD: false}},
+		// And with other second instances, where the hull-only transport
+		// said "yes" without the witness.
+		{"an interior query instance against the transport", bisector, bisectorFlow[0], bisectorFlow[1],
+			map[Operator]bool{PSD: false}},
 	} {
 		for _, m := range []geom.Metric{geom.Euclidean, geom.Manhattan} {
 			// The cover chain: a P-SD "yes" is an SS-SD "yes", and an SS-SD

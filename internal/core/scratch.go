@@ -50,15 +50,14 @@ type CheckScratch struct {
 	sweepBits []uint64
 
 	// Assorted reusable buffers.
-	near    geom.Point   // the popped entry's near vector (band.dominatesRect)
-	massN   []distr.Atom // its N_r under S-SD, one atom per query instance (band.massDominates)
-	openU   []distr.Atom // the atoms of two objects in the buckets the mass rung leaves open (Checker.massOrder)
-	openV   []distr.Atom
-	failed  []int32   // the band members that fail their F-SD rows against it, under S-SD (band.dominatesRect)
-	hullIdx []int     // the hull index list, positive mass first (massFirst)
-	hull    []float64 // hull instances of the current query, in hullIdx order
-	isHull  []bool    // per query instance: whether it is one of them
-	qMass   []uint64  // the query's integer masses
+	near        geom.Point   // the popped entry's near vector (band.dominatesRect)
+	massN       []distr.Atom // its N_r under S-SD, one atom per query instance (band.massDominates)
+	openU       []distr.Atom // the atoms of two objects in the buckets the mass rung leaves open (Checker.massOrder)
+	openV       []distr.Atom
+	failed      []int32   // the band members that fail their F-SD rows against it, under S-SD (band.dominatesRect)
+	posFirstIdx []int     // the query's instance indices, positive mass first (massFirst)
+	posFirst    []float64 // the query's instances in posFirstIdx order
+	qMass       []uint64  // the query's integer masses
 
 	checker Checker
 }
@@ -104,20 +103,13 @@ func (sc *CheckScratch) Checker(query *uncertain.Object, op Operator, cfg Filter
 	c.Stats = Stats{}
 	sc.qMass = grow(sc.qMass, query.Len())
 	c.qMass, c.qTotal = sc.qMass, distr.Masses(sc.qMass, query.Probs())
-	var hull []int // every instance: F+SD's witness of U_Q ≠ V_Q ranges over all
-	if cfg.Geometric && c.euclid && op != FPlusSD {
-		hull = query.HullIndices()
+	sc.posFirstIdx, c.pos = massFirst(sc.posFirstIdx[:0], query)
+	c.posFirstIdx = sc.posFirstIdx
+	sc.posFirst = sc.posFirst[:0]
+	for _, j := range c.posFirstIdx {
+		sc.posFirst = append(sc.posFirst, query.Instance(j)...)
 	}
-	sc.hullIdx, c.pos = massFirst(sc.hullIdx[:0], query, hull)
-	c.hullIdx = sc.hullIdx
-	sc.isHull = grow(sc.isHull, query.Len())
-	clear(sc.isHull)
-	sc.hull = sc.hull[:0]
-	for _, j := range c.hullIdx {
-		sc.isHull[j] = true
-		sc.hull = append(sc.hull, query.Instance(j)...)
-	}
-	c.hull, c.isHull = sc.hull, sc.isHull
+	c.posFirst = sc.posFirst
 	return c
 }
 

@@ -30,7 +30,7 @@ package core
 //     Under the Euclidean metric the usual verdict takes one O(d) distance:
 //     farK is the k-th smallest MaxDistRect(candidate MBR, query MBR),
 //     and an O whose MBR lies farther than that from the query MBR is
-//     strictly dominated by those k candidates at every hull instance.
+//     strictly dominated by those k candidates at every query instance.
 //
 // Since O neither joins the band nor dominates a band member, and
 // reported dominator counts only range over band members (every true
@@ -55,8 +55,8 @@ import (
 
 // AnswerShield is the per-answer invalidation decider, built once when a
 // result enters the cache and consulted on every subsequent insert. It
-// retains a copy of the query's (hull) points and MBR corners in one slab of
-// its own — rectPred's hull, then the corners qMBR views, so a kept answer
+// retains a copy of the query's points and MBR corners in one slab of its
+// own — rectPred's posFirst, then the corners qMBR views, so a kept answer
 // does not pin the query object — and the answer's candidate slice, shared
 // with the cached Result: no copies of the candidates' rectangles, no
 // checker arenas.
@@ -72,7 +72,7 @@ type AnswerShield struct {
 	// distance to the query MBR exceeds it is strictly dominated by k
 	// candidates (see ShieldsInsert). It is +Inf, so the
 	// radius never decides, with fewer than k candidates, under F+SD, off
-	// the Euclidean metric, or with no hull instance of positive mass.
+	// the Euclidean metric, or with no query instance of positive mass.
 	// Off L2 the loop is the only cheap decider:
 	// a probe that computed the radius under L1 too kept a rectangle the
 	// loop rejects (S-SD, k = 1, d = 2, near − farK ≈ 2.8 × 10⁻¹⁴), so the
@@ -84,15 +84,11 @@ type AnswerShield struct {
 }
 
 // NewAnswerShield captures what a cached answer needs to survive
-// mutations: the query's MBR and hull instances, copied into the shield's
-// slab, the candidates and the largest exact candidate key. cands is kept,
-// not copied — the door hands
-// over the cached Result's own slice, which nothing changes after the
-// search returns. Under the Euclidean metric the point
-// set is reduced to the query's convex hull (the paper's geometric
-// restriction, exact for L2); other metrics and F+SD keep every instance,
-// exactly as the checker does. Either way the instances of positive mass
-// come first (massFirst).
+// mutations: the query's MBR and instances, copied into the shield's slab,
+// the candidates and the largest exact candidate key. cands is kept, not
+// copied — the door hands over the cached Result's own slice, which nothing
+// changes after the search returns. The instances are in the checker's
+// order, those of positive mass first (massFirst).
 func NewAnswerShield(q *uncertain.Object, op Operator, m geom.Metric, k int, cands []Candidate) *AnswerShield {
 	if m == nil {
 		m = geom.Euclidean
@@ -101,19 +97,16 @@ func NewAnswerShield(q *uncertain.Object, op Operator, m geom.Metric, k int, can
 		rectPred: rectPred{op: op, metric: m, euclid: m == geom.Euclidean},
 		k:        k,
 	}
-	var hull []int // every instance, as the checker keeps for F+SD
-	if s.euclid && op != FPlusSD {
-		hull = q.HullIndices()
-	}
-	hull, s.pos = massFirst(nil, q, hull)
-	n, d := len(hull), q.Dim()
+	idx, pos := massFirst(nil, q)
+	s.pos = pos
+	n, d := len(idx), q.Dim()
 	slab := make([]float64, 0, (n+2)*d)
-	for _, j := range hull {
+	for _, j := range idx {
 		slab = append(slab, q.Instance(j)...)
 	}
 	qmbr := q.MBR()
 	slab = append(append(slab, qmbr.Lo...), qmbr.Hi...)
-	s.hull = slab[: n*d : n*d]
+	s.posFirst = slab[: n*d : n*d]
 	s.qMBR = geom.Rect{Lo: slab[n*d : (n+1)*d : (n+1)*d], Hi: slab[(n+1)*d:]}
 	s.band = cands
 	for _, c := range cands {
@@ -133,10 +126,10 @@ func NewAnswerShield(q *uncertain.Object, op Operator, m geom.Metric, k int, can
 }
 
 // Bytes is what a shield retains of its own: its header and the slab of
-// the hull points and the MBR's corners. The candidates belong to the
+// the query's points and the MBR's corners. The candidates belong to the
 // answer.
 func (s *AnswerShield) Bytes() int64 {
-	return shieldHeaderBytes + int64(len(s.hull)+2*len(s.qMBR.Lo))*8
+	return shieldHeaderBytes + int64(len(s.posFirst)+2*len(s.qMBR.Lo))*8
 }
 
 // shieldHeaderBytes is the size of the AnswerShield struct on a 64-bit
@@ -192,7 +185,7 @@ func (s *AnswerShield) ShieldsInsert(r geom.Rect) bool {
 		return false
 	}
 	// Condition 2: k MBR dominators among the candidates put O outside
-	// the band. First by radius: every hull instance q lies in qMBR, so for
+	// the band. First by radius: every query instance q lies in qMBR, so for
 	// the k candidates c inside farK, far(q,c) ≤ MaxDistRect(c, qMBR) ≤ farK
 	// and near ≤ near(q,r); both steps hold gap by gap before the sum, and
 	// rounding (the square root included) is monotone, so farK < near puts

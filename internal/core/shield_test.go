@@ -377,7 +377,7 @@ func TestShieldRadiusMatchesLoop(t *testing.T) {
 
 // bandRadius is the band's stopping radius written from its definition:
 // the k-th smallest, over the candidates, of the largest distance from a
-// hull query instance to a positive-mass instance — +Inf with fewer than k
+// query instance to a positive-mass instance — +Inf with fewer than k
 // candidates, under F+SD and off the Euclidean metric.
 func bandRadius(c *Checker, cands []Candidate, k int) float64 {
 	if c.op == FPlusSD || !c.euclid || len(cands) < k {
@@ -386,8 +386,8 @@ func bandRadius(c *Checker, cands []Candidate, k int) float64 {
 	var reach []float64
 	for _, cand := range cands {
 		u, far := cand.Object, math.Inf(-1)
-		for t := range c.hullLen() {
-			q := c.hullPt(t)
+		for t := range c.posFirstLen() {
+			q := c.posFirstPt(t)
 			for i := 0; i < u.Len(); i++ {
 				if u.Prob(i) > 0 {
 					far = max(far, geom.Dist(q, u.Instance(i)))
@@ -549,8 +549,8 @@ func TestShieldInsertKeyOrderAtAnUlp(t *testing.T) {
 // The rule table's twin whose squares differ and distances do not
 // (TestFilterConfigsAgreeAtTheRule), against the shield: V is U moved by an
 // ulp in each coordinate, every distance from a query instance rounds to
-// U's, and under L2 U's far squares lie below V's near squares at the hull
-// instances. So neither object dominates the other, and V's insert joins a
+// U's, and under L2 U's far squares lie below V's near squares at a query
+// instance. So neither object dominates the other, and V's insert joins a
 // k = 1 answer holding U (under F-SD each dominates the other: the answer
 // changes too). Condition 1 already refuses V, whose key is U's; condition
 // 2, the rectangle predicate in distances, must refuse it on its own too.
@@ -559,7 +559,7 @@ func TestShieldInsertTwinAtTheSquares(t *testing.T) {
 	u := uncertain.MustNew(1, []geom.Point{{57.136106947917895, 57.57760358006369}}, nil)
 	v := uncertain.MustNew(2, []geom.Point{{57.13610694791789, 57.577603580063695}}, nil)
 	squaresApart := false
-	for _, j := range q.HullIndices() {
+	for j := range q.Len() {
 		p := q.Instance(j)
 		if u.MBR().MaxDistPoint(p) != v.MBR().MinDistPoint(p) {
 			t.Fatalf("the twin's distances from %v differ", p)
@@ -567,7 +567,7 @@ func TestShieldInsertTwinAtTheSquares(t *testing.T) {
 		squaresApart = squaresApart || u.MBR().MaxSqDistPoint(p) < v.MBR().MinSqDistPoint(p)
 	}
 	if !squaresApart {
-		t.Fatal("the twin's squares are equal at every hull instance")
+		t.Fatal("the twin's squares are equal at every query instance")
 	}
 	onU, err := NewIndex([]*uncertain.Object{u})
 	if err != nil {
@@ -592,30 +592,29 @@ func TestShieldInsertTwinAtTheSquares(t *testing.T) {
 	}
 }
 
-// A shield holds the query's hull points and MBR in a slab of its own —
-// equal to the query's, sharing none of its memory, so a kept answer does
-// not pin the query — and Bytes counts its header and slab exactly.
+// A shield holds every query instance, those of positive mass first, and
+// the query's MBR in a slab of its own — equal to the query's, sharing none
+// of its memory, so a kept answer does not pin the query — under every
+// metric and operator, and Bytes counts its header and slab exactly.
 func TestShieldOwnSlab(t *testing.T) {
 	if unsafe.Sizeof(AnswerShield{}) != shieldHeaderBytes {
 		t.Fatalf("AnswerShield is %d bytes; Bytes counts %d", unsafe.Sizeof(AnswerShield{}), shieldHeaderBytes)
 	}
 	rng := rand.New(rand.NewSource(17))
-	q := randObject(rng, 0, 2, 9, geom.Point{15, 15}, 3)
+	pts := randObject(rng, 0, 2, 9, geom.Point{15, 15}, 3).Points()
+	q := uncertain.MustNew(0, pts, []float64{1, 0, 2, 1, 0, 3, 1, 1, 0})
+	want := []int{0, 2, 3, 5, 6, 7, 1, 4, 8}
 	for _, m := range []geom.Metric{geom.Euclidean, geom.Manhattan} {
 		s := NewAnswerShield(q, PSD, m, 2, nil)
-		want := q.HullIndices()
-		if m != geom.Euclidean {
-			want = []int{0, 1, 2, 3, 4, 5, 6, 7, 8}
-		}
-		if s.hullLen() != len(want) {
-			t.Fatalf("%s: %d points, want %d", m.Name(), s.hullLen(), len(want))
+		if s.posFirstLen() != len(want) || s.pos != 6 {
+			t.Fatalf("%s: %d points, %d of positive mass; want %d, 6", m.Name(), s.posFirstLen(), s.pos, len(want))
 		}
 		for i, j := range want {
-			if !slices.Equal(s.hullPt(i), q.Instance(j)) {
+			if !slices.Equal(s.posFirstPt(i), q.Instance(j)) {
 				t.Fatalf("%s: point %d is not a copy of instance %d", m.Name(), i, j)
 			}
 			for k := 0; k < q.Len(); k++ {
-				if &s.hullPt(i)[0] == &q.Instance(k)[0] {
+				if &s.posFirstPt(i)[0] == &q.Instance(k)[0] {
 					t.Fatalf("%s: point %d views instance %d", m.Name(), i, k)
 				}
 			}

@@ -14,23 +14,23 @@ import (
 
 // The sweep writes Theorem 12's rows a mask at a time off sorted runs. The
 // reference below is the fill it replaced: every object's distances to the
-// hull query instances as one matrix (hullDists), every pair of instances
+// query instances as one matrix (queryDists), every pair of instances
 // compared component by component (instLE).
 
-func hullDists(c *Checker, o *uncertain.Object) []float64 {
-	h := c.hullLen()
+func queryDists(c *Checker, o *uncertain.Object) []float64 {
+	h := c.posFirstLen()
 	d := make([]float64, o.Len()*h)
 	for i := 0; i < o.Len(); i++ {
 		for k := range h {
-			d[i*h+k] = c.metric.Dist(o.Instance(i), c.hullPt(k))
+			d[i*h+k] = c.metric.Dist(o.Instance(i), c.posFirstPt(k))
 		}
 	}
 	return d
 }
 
 // instLE reports whether an instance of u is not farther than an instance
-// of v from every hull query instance (u ⪯Q v), given the two instances' rows
-// of the hull-distance matrices.
+// of v from every query instance (u ⪯Q v), given the two instances' rows
+// of the distance matrices.
 func instLE(du, dv []float64) bool {
 	for k, d := range du {
 		if d > dv[k] {
@@ -41,8 +41,8 @@ func instLE(du, dv []float64) bool {
 }
 
 func refRows(c *Checker, u, v *uncertain.Object) []uint64 {
-	hu, hv := hullDists(c, u), hullDists(c, v)
-	nu, nv, h := u.Len(), v.Len(), c.hullLen()
+	hu, hv := queryDists(c, u), queryDists(c, v)
+	nu, nv, h := u.Len(), v.Len(), c.posFirstLen()
 	w := flow.RowWords(nv)
 	adm := make([]uint64, nu*w)
 	for i := 0; i < nu; i++ {
@@ -143,7 +143,7 @@ func sweepPair(rng *rand.Rand, d, m, kind int) (q, u, v *uncertain.Object) {
 // verdict the ladder reaches is the one the reference rows and the
 // independent max-flow oracle give — for objects on both sides of one
 // mask word, with the scans on and
-// off, with and without the hull restriction, under L2 and L1.
+// off, with and without the geometric filters, under L2 and L1.
 func TestSweepRowsMatchAllPairsFill(t *testing.T) {
 	cfgs := []FilterConfig{AllFilters, AllFilters, AllFilters}
 	cfgs[1].StatPruning = false
@@ -235,11 +235,11 @@ func TestSweepRowsMatchAllPairsFill(t *testing.T) {
 	}
 }
 
-// edgeHits counts the (u, v, hull instance) triples whose two distances sit
+// edgeHits counts the (u, v, query instance) triples whose two distances sit
 // within two ulps of the threshold du = dv.
 func edgeHits(c *Checker, u, v *uncertain.Object) int {
-	hu, hv := hullDists(c, u), hullDists(c, v)
-	h, hits := c.hullLen(), 0
+	hu, hv := queryDists(c, u), queryDists(c, v)
+	h, hits := c.posFirstLen(), 0
 	near := func(a, b float64) bool {
 		return a == b || math.Nextafter(a, b) == b || math.Nextafter(math.Nextafter(a, b), b) == b
 	}

@@ -20,7 +20,7 @@ func oraclePSDMatch(u, v, q *uncertain.Object) bool {
 }
 
 // oraclePSDMatchMetric is oraclePSDMatch under metric m, at every query
-// instance (no hull reduction).
+// instance.
 func oraclePSDMatchMetric(u, v, q *uncertain.Object, m geom.Metric) bool {
 	qpts := q.Points()
 	le := func(a, b geom.Point) bool {
@@ -111,8 +111,9 @@ func TestPSDWideObjectsMatchFlowOracle(t *testing.T) {
 // decide P-SD(u, v): with m > 64 that is the exact test writing rows more
 // than one word wide.
 //
-// The copy crosses the identity in the order of summed distance to the hull
-// query instances, the order P-SD's match witness (rung 7) walks, so that
+// The copy crosses the identity in the order of summed distance to the query
+// instances, summed in massFirst's order as matchFirst sums them — the order
+// P-SD's match witness (rung 7) walks — so that
 // rung cannot decide the pair either. U's nearest instance gets a twin,
 // turned about the query's centre until the two are ⪯Q-incomparable; the
 // second of them (in that order) is pushed by a hair, and every instance U
@@ -121,17 +122,17 @@ func TestPSDWideObjectsMatchFlowOracle(t *testing.T) {
 func widePair(rng *rand.Rand, idU, idV, m int, q *uncertain.Object, center geom.Point) (u, v *uncertain.Object) {
 	u = randObject(rng, idU, 2, m, center, 6)
 	qc := q.MBR().Center()
-	hull := q.HullIndices()
+	order, _ := massFirst(nil, q)
 	sum := func(p geom.Point) (s float64) {
-		for _, j := range hull {
+		for _, j := range order {
 			s += geom.Dist(q.Instance(j), p)
 		}
 		return s
 	}
-	// beyond reports whether some hull instance finds p farther than r by
+	// beyond reports whether some query instance finds p farther than r by
 	// more than the hair.
 	beyond := func(p, r geom.Point) bool {
-		for _, j := range hull {
+		for _, j := range order {
 			if geom.Dist(q.Instance(j), p) > geom.Dist(q.Instance(j), r)+1e-3 {
 				return true
 			}
@@ -157,7 +158,7 @@ func widePair(rng *rand.Rand, idU, idV, m int, q *uncertain.Object, center geom.
 		}
 	}
 	if !beyond(up[a], up[b]) || !beyond(up[b], up[a]) {
-		panic(fmt.Sprintf("widePair: no turn makes U's nearest instance and its twin incomparable under the hull %v", q.Points()))
+		panic(fmt.Sprintf("widePair: no turn makes U's nearest instance and its twin incomparable under the query %v", q.Points()))
 	}
 	if sum(up[b]) < sum(up[a]) {
 		a, b = b, a

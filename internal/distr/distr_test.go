@@ -1,18 +1,18 @@
 package distr
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"unsafe"
 
 	"spatialdom/internal/geom"
+	"spatialdom/internal/ref/floatdist"
 	"spatialdom/internal/uncertain"
 )
 
 // exact is d on the exact scale: one atom for each of its atoms, the i-th
 // naming instance i, whose mass is Units(p); the masses, and their total.
-func exact(d Distribution) ([]Atom, []uint64, uint64) {
+func exact(d floatdist.Distribution) ([]Atom, []uint64, uint64) {
 	atoms, c := make([]Atom, d.Len()), make([]uint64, d.Len())
 	var t uint64
 	for i, p := range d.Pairs() {
@@ -25,7 +25,7 @@ func exact(d Distribution) ([]Atom, []uint64, uint64) {
 
 // compare is the one scan on x and y read on the exact scale, the atoms
 // it consumed added to *consumed when that is non-nil.
-func compare(x, y Distribution, consumed *int64) (le, strict bool) {
+func compare(x, y floatdist.Distribution, consumed *int64) (le, strict bool) {
 	xs, cx, tx := exact(x)
 	ys, cy, ty := exact(y)
 	norm := NewNorm([]uint64{1}, cx, cy, tx, ty, 1)
@@ -36,130 +36,38 @@ func compare(x, y Distribution, consumed *int64) (le, strict bool) {
 	return le, strict
 }
 
-func stochasticLE(x, y Distribution, consumed *int64) bool {
+func stochasticLE(x, y floatdist.Distribution, consumed *int64) bool {
 	le, _ := compare(x, y, consumed)
 	return le
 }
 
 // equal is X = Y: the scan holds with no strict point.
-func equal(x, y Distribution) bool {
+func equal(x, y floatdist.Distribution) bool {
 	le, strict := compare(x, y, nil)
 	return le && !strict
 }
 
-func dist(vals ...float64) Distribution {
-	pairs := make([]Pair, len(vals))
+func dist(vals ...float64) floatdist.Distribution {
+	pairs := make([]floatdist.Pair, len(vals))
 	p := 1 / float64(len(vals))
 	for i, v := range vals {
-		pairs[i] = Pair{Dist: v, Prob: p}
+		pairs[i] = floatdist.Pair{Dist: v, Prob: p}
 	}
-	return MustFromPairs(pairs)
-}
-
-func TestFromPairsSortsAndDropsZero(t *testing.T) {
-	d := MustFromPairs([]Pair{{5, 0.5}, {1, 0.25}, {3, 0}, {2, 0.25}})
-	if d.Len() != 3 {
-		t.Fatalf("Len = %d", d.Len())
-	}
-	if d.Pair(0).Dist != 1 || d.Pair(1).Dist != 2 || d.Pair(2).Dist != 5 {
-		t.Fatalf("not sorted: %v", d)
-	}
-}
-
-func TestFromPairsValidation(t *testing.T) {
-	if _, err := FromPairs([]Pair{{1, -0.1}}); err == nil {
-		t.Fatal("negative prob accepted")
-	}
-	if _, err := FromPairs([]Pair{{1, math.NaN()}}); err == nil {
-		t.Fatal("NaN prob accepted")
-	}
-	if _, err := FromPairs([]Pair{{math.NaN(), 1}}); err == nil {
-		t.Fatal("NaN value accepted")
-	}
-}
-
-func TestMustFromPairsPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	MustFromPairs([]Pair{{1, -1}})
-}
-
-func TestStats(t *testing.T) {
-	d := dist(2, 4, 6, 8)
-	if d.Min() != 2 || d.Max() != 8 {
-		t.Fatalf("min/max = %g/%g", d.Min(), d.Max())
-	}
-	if d.Mean() != 5 {
-		t.Fatalf("mean = %g", d.Mean())
-	}
-	if got := d.TotalProb(); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("total = %g", got)
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	d := MustFromPairs([]Pair{{1, 0.2}, {2, 0.3}, {3, 0.5}})
-	cases := []struct {
-		phi  float64
-		want float64
-	}{
-		{0.1, 1}, {0.2, 1}, {0.3, 2}, {0.5, 2}, {0.51, 3}, {1.0, 3},
-	}
-	for _, c := range cases {
-		if got := d.Quantile(c.phi); got != c.want {
-			t.Errorf("Quantile(%g) = %g, want %g", c.phi, got, c.want)
-		}
-	}
-}
-
-func TestQuantilePanics(t *testing.T) {
-	d := dist(1)
-	for _, phi := range []float64{0, -1, 1.5} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Quantile(%g) must panic", phi)
-				}
-			}()
-			d.Quantile(phi)
-		}()
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("Quantile of empty must panic")
-			}
-		}()
-		Distribution{}.Quantile(0.5)
-	}()
-}
-
-func TestCDF(t *testing.T) {
-	d := MustFromPairs([]Pair{{1, 0.5}, {3, 0.5}})
-	for _, c := range []struct{ x, want float64 }{
-		{0.5, 0}, {1, 0.5}, {2, 0.5}, {3, 1}, {9, 1},
-	} {
-		if got := d.CDF(c.x); got != c.want {
-			t.Errorf("CDF(%g) = %g, want %g", c.x, got, c.want)
-		}
-	}
+	return floatdist.MustFromPairs(pairs)
 }
 
 func TestEqual(t *testing.T) {
-	a := MustFromPairs([]Pair{{1, 0.5}, {2, 0.5}})
-	b := MustFromPairs([]Pair{{1, 0.25}, {1, 0.25}, {2, 0.5}}) // split atom
-	c := MustFromPairs([]Pair{{1, 0.5}, {2.5, 0.5}})
-	d := MustFromPairs([]Pair{{1, 0.6}, {2, 0.4}})
+	a := floatdist.MustFromPairs([]floatdist.Pair{{Dist: 1, Prob: 0.5}, {Dist: 2, Prob: 0.5}})
+	b := floatdist.MustFromPairs([]floatdist.Pair{{Dist: 1, Prob: 0.25}, {Dist: 1, Prob: 0.25}, {Dist: 2, Prob: 0.5}}) // split atom
+	c := floatdist.MustFromPairs([]floatdist.Pair{{Dist: 1, Prob: 0.5}, {Dist: 2.5, Prob: 0.5}})
+	d := floatdist.MustFromPairs([]floatdist.Pair{{Dist: 1, Prob: 0.6}, {Dist: 2, Prob: 0.4}})
 	if !equal(a, b) {
 		t.Fatal("split atoms must compare equal")
 	}
 	if equal(a, c) || equal(a, d) {
 		t.Fatal("different distributions compare equal")
 	}
-	if !equal(Distribution{}, Distribution{}) {
+	if !equal(floatdist.Distribution{}, floatdist.Distribution{}) {
 		t.Fatal("empty distributions must be equal")
 	}
 }
@@ -191,9 +99,9 @@ func TestStochasticLEBasic(t *testing.T) {
 func TestStochasticLEPaperFigure3(t *testing.T) {
 	// Values chosen to mirror the figure's ordering: A's pairwise distances
 	// are smallest overall; C beats B on the low end but loses on the top.
-	A := MustFromPairs([]Pair{{1, 0.25}, {2, 0.25}, {4, 0.25}, {5, 0.25}})
-	B := MustFromPairs([]Pair{{2, 0.25}, {3, 0.25}, {5, 0.25}, {6, 0.25}})
-	C := MustFromPairs([]Pair{{1.5, 0.25}, {2.5, 0.25}, {7, 0.25}, {8, 0.25}})
+	A := floatdist.MustFromPairs([]floatdist.Pair{{Dist: 1, Prob: 0.25}, {Dist: 2, Prob: 0.25}, {Dist: 4, Prob: 0.25}, {Dist: 5, Prob: 0.25}})
+	B := floatdist.MustFromPairs([]floatdist.Pair{{Dist: 2, Prob: 0.25}, {Dist: 3, Prob: 0.25}, {Dist: 5, Prob: 0.25}, {Dist: 6, Prob: 0.25}})
+	C := floatdist.MustFromPairs([]floatdist.Pair{{Dist: 1.5, Prob: 0.25}, {Dist: 2.5, Prob: 0.25}, {Dist: 7, Prob: 0.25}, {Dist: 8, Prob: 0.25}})
 	if !stochasticLE(A, B, nil) || !stochasticLE(A, C, nil) {
 		t.Fatal("A must stochastically dominate B and C")
 	}
@@ -220,16 +128,16 @@ func TestStableAggregatesRespectOrder(t *testing.T) {
 	tested := 0
 	for iter := 0; iter < 5000 && tested < 500; iter++ {
 		n := 1 + rng.Intn(6)
-		pairsX := make([]Pair, n)
-		pairsY := make([]Pair, n)
+		pairsX := make([]floatdist.Pair, n)
+		pairsY := make([]floatdist.Pair, n)
 		p := 1 / float64(n)
 		for i := 0; i < n; i++ {
 			v := rng.Float64() * 10
-			pairsX[i] = Pair{Dist: v, Prob: p}
-			pairsY[i] = Pair{Dist: v + rng.Float64()*5, Prob: p}
+			pairsX[i] = floatdist.Pair{Dist: v, Prob: p}
+			pairsY[i] = floatdist.Pair{Dist: v + rng.Float64()*5, Prob: p}
 		}
-		x := MustFromPairs(pairsX)
-		y := MustFromPairs(pairsY)
+		x := floatdist.MustFromPairs(pairsX)
+		y := floatdist.MustFromPairs(pairsY)
 		if !stochasticLE(x, y, nil) {
 			continue
 		}
@@ -254,12 +162,12 @@ func TestStochasticLETransitive(t *testing.T) {
 	for iter := 0; iter < 3000 && tested < 200; iter++ {
 		n := 1 + rng.Intn(5)
 		p := 1 / float64(n)
-		mk := func(shift float64) Distribution {
-			pairs := make([]Pair, n)
+		mk := func(shift float64) floatdist.Distribution {
+			pairs := make([]floatdist.Pair, n)
 			for i := range pairs {
-				pairs[i] = Pair{Dist: rng.Float64()*10 + shift, Prob: p}
+				pairs[i] = floatdist.Pair{Dist: rng.Float64()*10 + shift, Prob: p}
 			}
-			return MustFromPairs(pairs)
+			return floatdist.MustFromPairs(pairs)
 		}
 		x, y, z := mk(0), mk(2), mk(4)
 		if stochasticLE(x, y, nil) && stochasticLE(y, z, nil) {
@@ -274,15 +182,8 @@ func TestStochasticLETransitive(t *testing.T) {
 	}
 }
 
-func TestDistributionString(t *testing.T) {
-	d := MustFromPairs([]Pair{{1, 0.5}, {2, 0.5}})
-	if d.String() != "{(1, 0.5), (2, 0.5)}" {
-		t.Fatalf("String = %q", d.String())
-	}
-}
-
 // SortAtoms sorts each run of a Summarize buffer in place: the distances
-// come out in sortPairs' order, on both sides of the insertion cutoff and
+// come out in floatdist.Own's order, on both sides of the insertion cutoff and
 // under L2, L1 and L∞; every atom still names the instance at its distance,
 // each instance once a run; a warm sort allocates nothing; and an atom is
 // 16 bytes, a distance and two instance indices.
@@ -312,15 +213,15 @@ func TestSortAtomsSortsRunsInPlace(t *testing.T) {
 			for j := range q.Len() {
 				run := runs[j*m : (j+1)*m]
 				SortAtoms(run)
-				want := make([]Pair, m)
+				want := make([]floatdist.Pair, m)
 				for i := range want {
-					want[i] = Pair{Dist: mt.Dist(q.Instance(j), u.Instance(i))}
+					want[i] = floatdist.Pair{Dist: mt.Dist(q.Instance(j), u.Instance(i))}
 				}
-				sortPairs(want)
+				floatdist.Own(want)
 				seen := make([]bool, m)
 				for k, a := range run {
 					if a.Dist != want[k].Dist || a.Q != 0 || a.Dist != mt.Dist(q.Instance(j), u.Instance(int(a.U))) || seen[a.U] {
-						t.Fatalf("m = %d %s run %d: atom %d is %+v; sortPairs has %v there", m, mt.Name(), j, k, a, want[k].Dist)
+						t.Fatalf("m = %d %s run %d: atom %d is %+v; floatdist.Own has %v there", m, mt.Name(), j, k, a, want[k].Dist)
 					}
 					seen[a.U] = true
 				}

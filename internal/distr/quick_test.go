@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+
+	"spatialdom/internal/ref/floatdist"
 )
 
 // genDist builds a small normalized distribution from quick-generated raw
@@ -15,18 +17,18 @@ type rawDist struct {
 	Probs [5]uint8
 }
 
-func (r rawDist) dist() Distribution {
-	pairs := make([]Pair, 0, 5)
+func (r rawDist) dist() floatdist.Distribution {
+	pairs := make([]floatdist.Pair, 0, 5)
 	total := 0.0
 	for i := range r.Vals {
 		p := float64(r.Probs[i]%16) + 1
-		pairs = append(pairs, Pair{Dist: float64(r.Vals[i] % 32), Prob: p})
+		pairs = append(pairs, floatdist.Pair{Dist: float64(r.Vals[i] % 32), Prob: p})
 		total += p
 	}
 	for i := range pairs {
 		pairs[i].Prob /= total
 	}
-	return MustFromPairs(pairs)
+	return floatdist.MustFromPairs(pairs)
 }
 
 // quickCfg keeps case counts reasonable while still exploring widely.
@@ -65,12 +67,12 @@ func TestQuickShiftDominates(t *testing.T) {
 	f := func(a rawDist, shift uint8) bool {
 		x := a.dist()
 		c := float64(shift % 10)
-		pairs := make([]Pair, x.Len())
+		pairs := make([]floatdist.Pair, x.Len())
 		for i := 0; i < x.Len(); i++ {
 			p := x.Pair(i)
-			pairs[i] = Pair{Dist: p.Dist + c, Prob: p.Prob}
+			pairs[i] = floatdist.Pair{Dist: p.Dist + c, Prob: p.Prob}
 		}
-		y := MustFromPairs(pairs)
+		y := floatdist.MustFromPairs(pairs)
 		return stochasticLE(x, y, nil)
 	}
 	if err := quick.Check(f, quickCfg); err != nil {
@@ -83,12 +85,12 @@ func TestQuickShiftStats(t *testing.T) {
 	f := func(a rawDist, shift uint8) bool {
 		x := a.dist()
 		c := float64(shift % 10)
-		pairs := make([]Pair, x.Len())
+		pairs := make([]floatdist.Pair, x.Len())
 		for i := 0; i < x.Len(); i++ {
 			p := x.Pair(i)
-			pairs[i] = Pair{Dist: p.Dist + c, Prob: p.Prob}
+			pairs[i] = floatdist.Pair{Dist: p.Dist + c, Prob: p.Prob}
 		}
-		y := MustFromPairs(pairs)
+		y := floatdist.MustFromPairs(pairs)
 		if math.Abs(y.Mean()-(x.Mean()+c)) > 1e-9 {
 			return false
 		}
@@ -98,37 +100,6 @@ func TestQuickShiftStats(t *testing.T) {
 			}
 		}
 		return y.Min() == x.Min()+c && y.Max() == x.Max()+c
-	}
-	if err := quick.Check(f, quickCfg); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// CDF is a non-decreasing step function reaching the total mass.
-func TestQuickCDFMonotone(t *testing.T) {
-	f := func(a rawDist) bool {
-		x := a.dist()
-		prev := -1.0
-		for v := -1.0; v <= 35; v += 0.5 {
-			c := x.CDF(v)
-			if c < prev-1e-12 {
-				return false
-			}
-			prev = c
-		}
-		return math.Abs(x.CDF(1e9)-x.TotalProb()) < 1e-9
-	}
-	if err := quick.Check(f, quickCfg); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Quantile inverts the CDF: CDF(Quantile(phi)) >= phi.
-func TestQuickQuantileInvertsCDF(t *testing.T) {
-	f := func(a rawDist, p uint8) bool {
-		x := a.dist()
-		phi := (float64(p%100) + 1) / 100
-		return x.CDF(x.Quantile(phi)) >= phi-1e-9
 	}
 	if err := quick.Check(f, quickCfg); err != nil {
 		t.Fatal(err)

@@ -2,9 +2,9 @@ package distr
 
 import "slices"
 
-// insertionMax is the most atoms SortAtoms and sortPairs sort by straight
-// insertion; past it, the stdlib's pattern-defeating quicksort through a
-// typed comparator, which, unlike sort.Slice, neither boxes the slice
+// insertionMax is the most atoms SortAtoms sorts by straight insertion;
+// past it, the stdlib's pattern-defeating quicksort through a typed
+// comparator, which, unlike sort.Slice, neither boxes the slice
 // through reflect nor allocates. The ≈ 45 atoms a disk_cold scan gathers
 // sort by insertion in under half of pdqsort's time (EXPERIMENTS.md), and
 // runs of Table 2's m of 20 and 40 fall below it too.
@@ -26,22 +26,6 @@ func SortAtoms(a []Atom) {
 			a[j] = a[j-1]
 		}
 		a[j] = x
-	}
-}
-
-// sortPairs sorts a Distribution's atoms by non-decreasing value, as
-// SortAtoms sorts Atoms.
-func sortPairs(p []Pair) {
-	if len(p) > insertionMax {
-		slices.SortFunc(p, func(a, b Pair) int { return order(a.Dist, b.Dist) })
-		return
-	}
-	for i := 1; i < len(p); i++ {
-		a, j := p[i], i
-		for ; j > 0 && a.Dist < p[j-1].Dist; j-- {
-			p[j] = p[j-1]
-		}
-		p[j] = a
 	}
 }
 

@@ -1,9 +1,8 @@
 // Package geom provides the d-dimensional geometric primitives used by the
 // spatial dominance operators: points, axis-aligned rectangles (minimum
-// bounding rectangles, MBRs), the distance functions between them, convex
-// hulls of query instances, and the exact MBR-level full-spatial-dominance
-// test of Emrich et al. (SIGMOD 2010) that the paper uses for cover-based
-// validation.
+// bounding rectangles, MBRs), the distance functions between them, and the
+// exact MBR-level full-spatial-dominance test of Emrich et al. (SIGMOD
+// 2010) that the paper uses for cover-based validation.
 //
 // All distances are Euclidean. Squared distances are used internally
 // wherever the comparison outcome is unchanged, to avoid square roots on hot

@@ -513,8 +513,8 @@ func AblationConfigs() []struct {
 // figAblation is Figure 16 as wall time — what a filter costs or saves is
 // what it does to a query — with the paper's metric, instance comparisons, in
 // a second table per operator. A cell is the faster of two passes over the
-// queries, so that no stack is charged for the hulls the queries build on
-// first use.
+// queries, so that no stack is charged for what the first pass warms (the
+// pooled search scratch, the CPU caches).
 func figAblation(sp spec, seed int64) ([]Table, error) {
 	ops := []core.Operator{core.SSD, core.SSSD, core.PSD}
 	cfgs := AblationConfigs()

@@ -5,8 +5,8 @@ import (
 	"slices"
 	"testing"
 
-	"spatialdom/internal/distr"
 	"spatialdom/internal/geom"
+	"spatialdom/internal/ref/floatdist"
 	"spatialdom/internal/uncertain"
 )
 
@@ -17,7 +17,7 @@ func TestBetweenPaperExample1(t *testing.T) {
 	q := uncertain.MustNew(0, []geom.Point{{0}, {15}}, nil) // q1=0, q2=15
 	a := uncertain.MustNew(1, []geom.Point{{5}, {-8}}, nil) // δ(q1,a1)=5, δ(q1,a2)=8, δ(q2,a1)=10, δ(q2,a2)=23
 	aq := Between(a, q)
-	want := []distr.Pair{{Dist: 5, Prob: 0.25}, {Dist: 8, Prob: 0.25}, {Dist: 10, Prob: 0.25}, {Dist: 23, Prob: 0.25}}
+	want := []floatdist.Pair{{Dist: 5, Prob: 0.25}, {Dist: 8, Prob: 0.25}, {Dist: 10, Prob: 0.25}, {Dist: 23, Prob: 0.25}}
 	if aq.Len() != 4 {
 		t.Fatalf("A_Q = %v", aq)
 	}

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"math"
 
-	"spatialdom/internal/distr"
 	"spatialdom/internal/geom"
+	"spatialdom/internal/ref/floatdist"
 	"spatialdom/internal/uncertain"
 )
 
@@ -33,7 +33,7 @@ func QuantileMix(phis, weights []float64) Func {
 	}
 	return aggFunc{
 		name: fmt.Sprintf("quantile-mix%v", phis),
-		agg: func(d distr.Distribution) float64 {
+		agg: func(d floatdist.Distribution) float64 {
 			var s float64
 			for i, phi := range phis {
 				s += weights[i] * d.Quantile(phi)
@@ -46,21 +46,21 @@ func QuantileMix(phis, weights []float64) Func {
 // minSelection builds the Hausdorff-style selected-pairs distribution: for
 // every instance u the atom (δmin(u,Q), p(u)/2) and for every query
 // instance q the atom (δmin(q,U), p(q)/2).
-func minSelection(u, q *uncertain.Object) distr.Distribution {
-	pairs := make([]distr.Pair, 0, u.Len()+q.Len())
+func minSelection(u, q *uncertain.Object) floatdist.Distribution {
+	pairs := make([]floatdist.Pair, 0, u.Len()+q.Len())
 	for i := 0; i < u.Len(); i++ {
-		pairs = append(pairs, distr.Pair{
+		pairs = append(pairs, floatdist.Pair{
 			Dist: math.Sqrt(geom.MinSqDistToPoints(u.Instance(i), q.Points())),
 			Prob: u.Prob(i) / 2,
 		})
 	}
 	for j := 0; j < q.Len(); j++ {
-		pairs = append(pairs, distr.Pair{
+		pairs = append(pairs, floatdist.Pair{
 			Dist: math.Sqrt(geom.MinSqDistToPoints(q.Instance(j), u.Points())),
 			Prob: q.Prob(j) / 2,
 		})
 	}
-	return distr.MustFromPairs(pairs) // FromPairs sorts the atoms itself
+	return floatdist.MustFromPairs(pairs) // FromPairs sorts the atoms itself
 }
 
 // PartialHausdorff is the N3 function quan_φ over the Hausdorff selection:

@@ -7,9 +7,7 @@
 // An object is flat: its coordinates are one slab, instance after instance,
 // and an instance is a view into it, so decoding or building an object
 // costs that slab, the object and one allocation for its MBR's two
-// corners. Each object owns that minimum bounding rectangle and — for query
-// objects — the convex hull of its instances, which is the only part of the
-// query that dominance checks need to consult (Section 5.1.2).
+// corners. Each object owns that minimum bounding rectangle.
 // The []geom.Point form of the instances is built only on request (Points).
 package uncertain
 
@@ -47,9 +45,6 @@ type Object struct {
 
 	ptsOnce sync.Once
 	pts     []geom.Point
-
-	hullOnce sync.Once
-	hull     []int
 }
 
 // New builds an object from its instances and optional weights.
@@ -123,8 +118,8 @@ func flatten(pts []geom.Point) (probs, coords []float64, err error) {
 
 // MassBound is how far rounding can move a sum of n probabilities whose
 // exact total is at most one, n·2⁻⁵²: FromSlabs accepts probabilities that
-// sum to one within it, and distr.Distribution.Quantile reads its
-// accumulated mass under it. The dominance checks compare no float mass:
+// sum to one within it, and the reference's floatdist.Distribution.Quantile
+// reads its accumulated mass under it. The dominance checks compare no float mass:
 // they compare exact integer masses (distr's rule).
 //
 // Derivation, with u = 2⁻⁵³ the unit roundoff: summing k non-negative terms
@@ -276,16 +271,6 @@ func (o *Object) Mass() float64 { return o.mass }
 
 // MBR returns the minimum bounding rectangle of the instances.
 func (o *Object) MBR() geom.Rect { return o.mbr }
-
-// HullIndices returns the indices of the instances on the convex hull (see
-// geom.ConvexHullIndices for the per-dimensionality guarantees), computing
-// them on first use.
-//
-//nnc:coldpath sync.Once lazy build; every later call returns the cached indices
-func (o *Object) HullIndices() []int {
-	o.hullOnce.Do(func() { o.hull = geom.ConvexHullIndices(o.Points()) })
-	return o.hull
-}
 
 // MinDist returns δmin(q, O): the distance from q to the closest instance.
 func (o *Object) MinDist(q geom.Point) float64 {

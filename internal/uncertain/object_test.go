@@ -225,18 +225,6 @@ func TestMinMaxDist(t *testing.T) {
 	}
 }
 
-func TestHull(t *testing.T) {
-	o := MustNew(0, []geom.Point{{0, 0}, {4, 0}, {4, 4}, {0, 4}, {2, 2}}, nil)
-	hull := o.HullIndices()
-	if len(hull) != 4 {
-		t.Fatalf("hull = %v", hull)
-	}
-	// Cached.
-	if &hull[0] != &o.HullIndices()[0] {
-		t.Fatal("hull not cached")
-	}
-}
-
 func TestStringAndLabel(t *testing.T) {
 	o := MustNew(7, []geom.Point{{0, 0}}, nil)
 	if o.String() == "" {
